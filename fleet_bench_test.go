@@ -1,9 +1,8 @@
 package darknight
 
 // Fleet-layer benchmarks for PR3: what the self-healing fleet manager
-// costs on the grant hot path (vs the raw PR1 lease manager it replaced)
-// and what straggler-tolerant quorum decoding buys when a device in the
-// gang is slow. Measured numbers are recorded in BENCH_PR3.json and the
+// costs on the grant hot path and what straggler-tolerant quorum decoding
+// buys when a device in the gang is slow. Measured numbers are recorded in BENCH_PR3.json and the
 // straggler win is enforced (with slack for timer noise) by
 // TestStragglerToleranceSpeedup.
 
@@ -16,9 +15,8 @@ import (
 	"darknight/internal/gpu"
 )
 
-// BenchmarkFleet/acquire-fleet vs acquire-lease: one grant+release cycle
-// of a 6-device gang from a 12-device pool, fleet manager against the raw
-// LeaseManager. The delta is the price of health bookkeeping, fair-share
+// BenchmarkFleet/acquire-fleet: one grant+release cycle of a 6-device gang
+// from a 12-device pool — the price of health bookkeeping, fair-share
 // arbitration and EWMA-sorted device selection.
 func BenchmarkFleet(b *testing.B) {
 	const (
@@ -35,18 +33,6 @@ func BenchmarkFleet(b *testing.B) {
 				b.Fatal(err)
 			}
 			g.Release()
-		}
-	})
-	b.Run("acquire-lease", func(b *testing.B) {
-		lm := gpu.NewLeaseManager(gpu.NewHonestCluster(pool))
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l, err := lm.Acquire(ctx, gang)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l.Release()
 		}
 	})
 }

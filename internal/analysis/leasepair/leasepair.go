@@ -3,10 +3,11 @@
 // Two resource disciplines in the serving stack deadlock the fleet when
 // broken:
 //
-// Value pairs — gpu.LeaseManager.Acquire, fleet.Manager.Acquire /
-// TryAcquire / AcquireSlots, and gpu.Cluster.BeginBlock /
-// fleet.Grant.BeginBlock hand back a value (Lease, Grant, BlockFlight)
-// that pins device capacity until its Release/End method runs. The
+// Value pairs — fleet.Manager.Acquire / TryAcquire / AcquireSlots and
+// gpu.Cluster.BeginBlock / fleet.Grant.BeginBlock hand back a value
+// (Grant, BlockFlight) that pins device capacity until its Release/End
+// method runs (a grant's Release waits for every flight opened on it to
+// End). The
 // analyzer requires the acquired value to be released in the acquiring
 // function (directly or via defer) or to escape it (returned, passed to
 // another call, stored into a structure) so ownership demonstrably moves.
@@ -38,7 +39,7 @@ import (
 // Analyzer is the leasepair checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "leasepair",
-	Doc:  "flag GPU lease / fleet grant / block flight acquisitions never released or escaped, and returns inside an open TEE-token window",
+	Doc:  "flag fleet grant / block flight acquisitions never released or escaped, and returns inside an open TEE-token window",
 	Run:  run,
 }
 
@@ -53,7 +54,6 @@ type acquireRule struct {
 }
 
 var acquireRules = []acquireRule{
-	{"internal/gpu", "LeaseManager", []string{"Acquire"}, "Release", "GPU lease"},
 	{"internal/fleet", "Manager", []string{"Acquire", "TryAcquire", "AcquireSlots"}, "Release", "fleet grant"},
 	{"internal/gpu", "Cluster", []string{"BeginBlock"}, "End", "block flight"},
 	{"internal/fleet", "Grant", []string{"BeginBlock"}, "End", "block flight"},

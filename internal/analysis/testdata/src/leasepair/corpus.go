@@ -1,6 +1,6 @@
 // Package corpus exercises the leasepair analyzer's value-pair rule:
-// GPU leases, fleet grants and block flights must be released or handed
-// off by the function that acquires them.
+// fleet grants and block flights must be released or handed off by the
+// function that acquires them.
 package corpus
 
 import (
@@ -10,16 +10,16 @@ import (
 	"darknight/internal/gpu"
 )
 
-// leakedLease: acquired, used, never released, never escapes.
-func leakedLease(ctx context.Context, lm *gpu.LeaseManager) int {
-	lease, err := lm.Acquire(ctx, 2) // want "never released"
+// leakedFlight: opened, used, never ended, never escapes.
+func leakedFlight(c *gpu.Cluster) int {
+	bf, err := c.BeginBlock(2) // want "never released"
 	if err != nil {
 		return 0
 	}
-	return lease.Size()
+	return bf.Slots()
 }
 
-// leakedGrant: the fleet variant of the same leak.
+// leakedGrant: acquired, used, never released, never escapes.
 func leakedGrant(ctx context.Context, m *fleet.Manager) error {
 	g, err := m.Acquire(ctx, "tenant-a", 4) // want "never released"
 	if err != nil {
@@ -54,12 +54,12 @@ func expectFailure(ctx context.Context, m *fleet.Manager) bool {
 }
 
 // deferRelease is the canonical clean shape.
-func deferRelease(ctx context.Context, lm *gpu.LeaseManager) error {
-	lease, err := lm.Acquire(ctx, 1)
+func deferRelease(ctx context.Context, m *fleet.Manager) error {
+	held, err := m.Acquire(ctx, "tenant-g", 1)
 	if err != nil {
 		return err
 	}
-	defer lease.Release()
+	defer held.Release()
 	return nil
 }
 
@@ -90,12 +90,12 @@ func returned(ctx context.Context, m *fleet.Manager) (*fleet.Grant, error) {
 }
 
 // returnedVar: same, through a variable.
-func returnedVar(ctx context.Context, lm *gpu.LeaseManager) (*gpu.Lease, error) {
-	lease, err := lm.Acquire(ctx, 1)
+func returnedVar(c *gpu.Cluster) (*gpu.BlockFlight, error) {
+	bf, err := c.BeginBlock(1)
 	if err != nil {
 		return nil, err
 	}
-	return lease, nil
+	return bf, nil
 }
 
 // handedOff: passing the value to another call moves ownership too (the
@@ -131,21 +131,21 @@ func storedInStruct(ctx context.Context, m *fleet.Manager) (*flight, error) {
 
 // releasedInClosure: a deferred closure doing the release is still a
 // release (the scan crosses into function literals).
-func releasedInClosure(ctx context.Context, lm *gpu.LeaseManager) error {
-	lease, err := lm.Acquire(ctx, 1)
+func releasedInClosure(ctx context.Context, m *fleet.Manager) error {
+	grant, err := m.Acquire(ctx, "tenant-h", 1)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		lease.Release()
+		grant.Release()
 	}()
 	return nil
 }
 
 // blessedLeak: a deliberate hold — the process-lifetime pin — carries a
 // suppression with its justification.
-func blessedLeak(ctx context.Context, lm *gpu.LeaseManager) {
-	//lint:ignore leasepair process-lifetime pin: released by Cluster.Close at shutdown
-	lease, _ := lm.Acquire(ctx, 1)
-	_ = lease
+func blessedLeak(ctx context.Context, m *fleet.Manager) {
+	//lint:ignore leasepair process-lifetime pin: the devices stay reserved until shutdown
+	pin, _ := m.Acquire(ctx, "tenant-pin", 1)
+	_ = pin
 }

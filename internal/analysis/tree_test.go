@@ -99,9 +99,9 @@ func TestSeededLazyRegressionIsCaught(t *testing.T) {
 	}
 }
 
-// TestSeededLeaseRegressionIsCaught drops the Release from a
-// known-balanced corpus function and asserts leasepair notices — the
-// second seeded direction (a deleted Release), run against the real
+// TestSeededLeaseRegressionIsCaught drops the Release (a grant) or the End
+// (a block flight) from a known-balanced corpus function and asserts
+// leasepair notices — the second seeded direction, run against the real
 // fleet types.
 func TestSeededLeaseRegressionIsCaught(t *testing.T) {
 	env := atest.Env(t)
@@ -109,32 +109,37 @@ func TestSeededLeaseRegressionIsCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := strings.Replace(string(src), "g.Release()", "_ = g", 1)
-	if mutated == string(src) {
-		t.Fatal("corpus shape changed: no g.Release() to drop — update this test")
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "corpus.go"), []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := env.LoadDir(dir, "darknightlint/corpus/leasemutant")
-	if err != nil {
-		t.Fatalf("typechecking the mutated corpus: %v", err)
-	}
-	diags, err := analysis.RunFiles(pkg, []*analysis.Analyzer{leasepair.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The corpus carries expected findings already; the mutation must add
-	// one more (directRelease's grant is now leaked).
-	base := 4 // leakedLease, leakedGrant, leakedTryAcquire, discardedFlight
-	active := 0
-	for _, d := range diags {
-		if !d.Suppressed {
-			active++
+	for _, mut := range []struct{ name, drop, with string }{
+		{"release", "g.Release()", "_ = g"},         // directRelease's grant leaks
+		{"end", "defer bf.End()", "_ = bf.Slots()"}, // flightEnded's flight leaks
+	} {
+		mutated := strings.Replace(string(src), mut.drop, mut.with, 1)
+		if mutated == string(src) {
+			t.Fatalf("corpus shape changed: no %s to drop — update this test", mut.drop)
 		}
-	}
-	if active != base+1 {
-		t.Errorf("after dropping one Release, leasepair reported %d active findings, want %d", active, base+1)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "corpus.go"), []byte(mutated), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := env.LoadDir(dir, "darknightlint/corpus/leasemutant"+mut.name)
+		if err != nil {
+			t.Fatalf("typechecking the mutated corpus: %v", err)
+		}
+		diags, err := analysis.RunFiles(pkg, []*analysis.Analyzer{leasepair.Analyzer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The corpus carries expected findings already; the mutation must
+		// add exactly one more.
+		base := 4 // leakedFlight, leakedGrant, leakedTryAcquire, discardedFlight
+		active := 0
+		for _, d := range diags {
+			if !d.Suppressed {
+				active++
+			}
+		}
+		if active != base+1 {
+			t.Errorf("after dropping %s, leasepair reported %d active findings, want %d", mut.drop, active, base+1)
+		}
 	}
 }

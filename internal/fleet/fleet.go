@@ -85,9 +85,9 @@ type Config struct {
 	// SpeculateAfter re-dispatches the coded share of a device that has
 	// not answered within this duration to a borrowed spare device (first
 	// response wins). 0 disables speculation. Speculation only engages on
-	// quorum dispatches (Grant.ForwardQuorum with quorum < gang size) —
-	// in DarKnight terms, when the pipeline runs with StragglerSlack >= 1
-	// and Redundancy >= 2.
+	// forward layers gathered with a quorum below the gang size — in
+	// DarKnight terms, when the pipeline runs with StragglerSlack >= 1 and
+	// Redundancy >= 2 — inside fused blocks as well as outside them.
 	SpeculateAfter time.Duration
 	// Seed drives the probation re-admission draws, making fleet runs
 	// reproducible.
@@ -483,8 +483,8 @@ func (m *Manager) release(g *Grant) {
 	latN := append([]int64(nil), g.latN...)
 	straggles := append([]int(nil), g.straggles...)
 	specs := g.specCount
-	asyncCount := g.asyncCount
-	outPeak := g.outPeak
+	flights := g.flights
+	openPeak := g.openPeak
 	g.mu.Unlock()
 
 	m.mu.Lock()
@@ -498,7 +498,7 @@ func (m *Manager) release(g *Grant) {
 				nf++
 			}
 		}
-		detail := fmt.Sprintf("held %s, %d async dispatches", elapsed.Round(time.Microsecond), asyncCount)
+		detail := fmt.Sprintf("held %s, %d flights", elapsed.Round(time.Microsecond), flights)
 		if nf > 0 {
 			detail += fmt.Sprintf(", %d attributed faults", nf)
 		}
@@ -509,9 +509,9 @@ func (m *Manager) release(g *Grant) {
 			Tenant: g.t.name, Detail: detail})
 	}
 	m.speculations += specs
-	m.asyncDispatches += asyncCount
-	if outPeak > m.peakOverlap {
-		m.peakOverlap = outPeak
+	m.asyncDispatches += flights
+	if openPeak > m.peakOverlap {
+		m.peakOverlap = openPeak
 	}
 	for slot, idx := range g.ids {
 		rec := m.devs[idx]

@@ -170,7 +170,7 @@ func TestProbationReadmissionAndRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.ForwardAll("k", scaleKernel(3), codedInputs(2, 8, 7)); err != nil {
+		if _, _, err := g.ForwardQuorum("k", scaleKernel(3), codedInputs(2, 8, 7), 2); err != nil {
 			t.Fatal(err)
 		}
 		g.Release()
@@ -374,8 +374,8 @@ func TestSpeculativeRedispatchFillsLaggingSlot(t *testing.T) {
 		t.Fatalf("speculation did not beat the stragglers: %v >= %v", el, delay)
 	}
 	got := 0
-	for j, p := range present {
-		if p {
+	for j := range coded {
+		if present == nil || present[j] { // nil: the spares filled every slot
 			got++
 			if !results[j].Equal(field.ScaleVec(7, coded[j])) {
 				t.Fatalf("slot %d: wrong result", j)

@@ -10,11 +10,10 @@ import (
 	"darknight/internal/obs"
 )
 
-// Grant is temporary exclusive ownership of a device gang plus the
-// fleet-side dispatch machinery. It implements the runtime's Fleet surface
-// (Size/ForwardAll/BackwardAll) and the straggler-tolerant ForwardQuorum
-// extension, records per-device outcomes (latency, stragglers, faults) and
-// folds them into the health tracker on Release.
+// Grant is temporary exclusive ownership of a device gang. It implements
+// the runtime's Fleet surface (Size/BeginBlock), records per-device outcomes
+// of the flights opened on it (latency, stragglers, faults) and folds them
+// into the health tracker on Release.
 type Grant struct {
 	m     *Manager
 	t     *tenant
@@ -31,18 +30,15 @@ type Grant struct {
 	suspect   bool
 	specCount int64
 
-	// Overlapping-dispatch tracking for the async API: a pipelined engine
-	// holds several coded batches in flight on one gang at once, so the
-	// grant counts outstanding completion handles (and waits them out on
-	// Release before the devices go back to the pool).
-	inflight   sync.WaitGroup
-	outNow     int   // currently outstanding async dispatches
-	outPeak    int   // high-water mark of outNow over the grant's life
-	asyncCount int64 // lifetime async dispatches issued
-
-	// results is the reusable wait-all gather buffer; valid between
-	// dispatches of the single engine driving this grant.
-	results []field.Vec
+	// A pipelined engine holds several flights open on one gang at once, so
+	// the grant counts them (and waits for them to end on Release before the
+	// devices go back to the pool).
+	open     sync.WaitGroup
+	openNow  int   // flights currently open
+	openPeak int   // high-water mark of openNow over the grant's life
+	flights  int64 // lifetime flights opened
+	// hooks wires every flight on this gang to the accounting above.
+	hooks gpu.BlockOptions
 }
 
 func newGrant(m *Manager, t *tenant, ids []int) *Grant {
@@ -50,7 +46,7 @@ func newGrant(m *Manager, t *tenant, ids []int) *Grant {
 	for i, idx := range ids {
 		devs[i] = m.cluster.Device(idx)
 	}
-	return &Grant{
+	g := &Grant{
 		m:         m,
 		t:         t,
 		ids:       ids,
@@ -61,6 +57,15 @@ func newGrant(m *Manager, t *tenant, ids []int) *Grant {
 		straggles: make([]int, len(ids)),
 		faulted:   make([]bool, len(ids)),
 	}
+	g.hooks = gpu.BlockOptions{
+		MapKey:         gpu.SlotKey,
+		Observe:        g.record,
+		Straggler:      g.straggle,
+		Spare:          g.spare,
+		SpeculateAfter: m.cfg.SpeculateAfter,
+		OnEnd:          g.endFlight,
+	}
+	return g
 }
 
 // Size returns the gang size.
@@ -91,399 +96,82 @@ func (g *Grant) record(slot int, lat time.Duration) {
 	g.mu.Unlock()
 }
 
-// ForwardAll dispatches coded inputs one-per-device and gathers every
-// result in slot order — the wait-for-all path, keeping the caller's
-// zero-allocation buffers live only until the next dispatch.
-func (g *Grant) ForwardAll(key string, kernel gpu.LinearKernel, coded []field.Vec) ([]field.Vec, error) {
-	n := len(coded)
-	if n > len(g.devs) {
-		return nil, fmt.Errorf("fleet: %d coded inputs for gang of %d", n, len(g.devs))
-	}
-	if cap(g.results) < n {
-		g.results = make([]field.Vec, n)
-	}
-	results := g.results[:n]
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for i := range coded {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = g.devs[i].LinearForward(gpu.SlotKey(key, i), kernel, coded[i])
-			g.record(i, time.Since(t0))
-		}(i)
-	}
-	wg.Wait()
-	return results, nil
-}
-
-// beginAsync registers one outstanding async dispatch.
-func (g *Grant) beginAsync() {
-	g.inflight.Add(1)
+// straggle brands one slot absent from a quorum gather.
+func (g *Grant) straggle(slot int) {
 	g.mu.Lock()
-	g.outNow++
-	if g.outNow > g.outPeak {
-		g.outPeak = g.outNow
-	}
-	g.asyncCount++
+	g.straggles[slot]++
 	g.mu.Unlock()
 }
 
-// endAsync retires one outstanding async dispatch (its handle completed;
-// quorum laggards may still be running on their own time, exactly as on
-// the synchronous quorum path).
-func (g *Grant) endAsync() {
-	g.mu.Lock()
-	g.outNow--
-	g.mu.Unlock()
-	g.inflight.Done()
-}
-
-// Outstanding returns the number of async dispatches currently in flight
-// on this gang.
-func (g *Grant) Outstanding() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.outNow
-}
-
-// ForwardAllAsync is ForwardAll returning immediately with a completion
-// handle. Unlike the synchronous path it gathers into a per-dispatch
-// buffer, so a pipelined caller may hold any number of dispatches
-// outstanding on the same gang; Release waits for all of them.
-func (g *Grant) ForwardAllAsync(key string, kernel gpu.LinearKernel, coded []field.Vec) *gpu.Pending {
-	p := gpu.NewPending()
-	n := len(coded)
-	if n > len(g.devs) {
-		p.Complete(nil, nil, fmt.Errorf("fleet: %d coded inputs for gang of %d", n, len(g.devs)))
-		return p
-	}
-	g.beginAsync()
-	results := make([]field.Vec, n)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := range coded {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = g.devs[i].LinearForward(gpu.SlotKey(key, i), kernel, coded[i])
-			g.record(i, time.Since(t0))
-		}(i)
-	}
-	go func() {
-		wg.Wait()
-		g.endAsync()
-		p.Complete(results, nil, nil)
-	}()
-	return p
-}
-
-// ForwardQuorumAsync is ForwardQuorum returning immediately with a
-// completion handle; the handle completes as soon as the quorum is met
-// (laggards and speculative retries keep running past it, as on the
-// synchronous path). The caller-side lifetime rules of ForwardQuorum apply
-// unchanged: coded inputs and the kernel's captured state must outlive the
-// dispatch unboundedly.
-func (g *Grant) ForwardQuorumAsync(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) *gpu.Pending {
-	p := gpu.NewPending()
-	g.beginAsync()
-	go func() {
-		results, present, err := g.ForwardQuorum(key, kernel, coded, quorum)
-		g.endAsync()
-		p.Complete(results, present, err)
-	}()
-	return p
-}
-
-// quorumState collects responses for one early-return dispatch. Laggards
-// keep delivering into it after the quorum snapshot is taken; the snapshot
-// arrays handed to the caller are never mutated again.
-type quorumState struct {
-	mu      sync.Mutex
-	results []field.Vec
-	filled  []bool
-}
-
-// deliver records a response for a slot; first writer wins. Each fill
-// sends one token on arrived.
-func (q *quorumState) deliver(slot int, y field.Vec, arrived chan<- int) {
-	q.mu.Lock()
-	if q.filled[slot] {
-		q.mu.Unlock()
-		return
-	}
-	q.filled[slot] = true
-	q.results[slot] = y
-	q.mu.Unlock()
-	arrived <- slot
-}
-
-func (q *quorumState) snapshot() ([]field.Vec, []bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]field.Vec, len(q.results))
-	present := make([]bool, len(q.filled))
-	copy(out, q.results)
-	copy(present, q.filled)
-	return out, present
-}
-
-// ForwardQuorum dispatches all coded inputs but returns as soon as quorum
-// responses have arrived — the MDS property lets the decoder proceed
-// without the stragglers. Devices that missed the quorum are recorded as
-// stragglers (their responses, arriving later, are discarded), and when
-// the manager's SpeculateAfter window expires first, a lagging slot's
-// coded share is re-dispatched to a borrowed spare device, first response
-// winning. The returned slices are immutable snapshots.
+// BeginBlock opens a gang flight on the first n slots of the grant — the
+// only way the grant's devices are reached. Coded inputs are stored under
+// slot-scoped keys (gpu.SlotKey), so a device that joins a later gang at a
+// different slot misses cleanly on backward instead of serving another
+// slot's tensor. Every job's response latency feeds the health EWMA, slots
+// a quorum gather returned without are branded stragglers, and — when the
+// manager's SpeculateAfter window is set — a forward layer's lagging share
+// is re-dispatched to a borrowed spare device, first response winning.
 //
-// The caller must guarantee the coded inputs and the kernel's captured
-// state outlive the call unboundedly (laggard kernels finish on their own
-// time): internal/sched clones them out of its arena on the quorum path.
+// Bookkeeping is per flight, not per layer: a fused block counts once
+// toward Stats.AsyncDispatches and PeakOverlap. The caller must End the flight
+// before Release; Release waits for every open flight to end (not for
+// devices a quorum decoded around — those finish on their own time).
+func (g *Grant) BeginBlock(n int) (*gpu.BlockFlight, error) {
+	if n > len(g.devs) {
+		return nil, fmt.Errorf("fleet: flight of %d slots for gang of %d", n, len(g.devs))
+	}
+	trips := make([]gpu.DeviceTrip, n)
+	for i := range trips {
+		trips[i] = gpu.BeginTrip(g.devs[i])
+	}
+	g.open.Add(1)
+	g.mu.Lock()
+	g.openNow++
+	if g.openNow > g.openPeak {
+		g.openPeak = g.openNow
+	}
+	g.flights++
+	g.mu.Unlock()
+	return gpu.NewBlockFlight(trips, g.hooks), nil
+}
+
+// endFlight retires one open flight.
+func (g *Grant) endFlight() {
+	g.mu.Lock()
+	g.openNow--
+	g.mu.Unlock()
+	g.open.Done()
+}
+
+// spare borrows a free device outside the gang for one speculative job.
+func (g *Grant) spare(slot int) (gpu.DeviceTrip, func(time.Duration), bool) {
+	rec, dev, ok := g.m.borrowSpare()
+	if !ok {
+		return nil, nil, false
+	}
+	g.mu.Lock()
+	g.specCount++
+	g.mu.Unlock()
+	g.m.recordEvent(obs.Event{Kind: obs.KindSpeculate, Subsystem: "fleet", Device: dev.ID(), Slot: slot,
+		Tenant: g.t.name, Detail: fmt.Sprintf("lagging share re-dispatched to spare after %s", g.m.cfg.SpeculateAfter)})
+	return gpu.BeginTrip(dev), func(lat time.Duration) { g.m.returnSpare(rec, lat) }, true
+}
+
+// ForwardQuorum ships one layer on a flight over the first len(coded) slots
+// and returns as soon as quorum responses have arrived (quorum <= 0 or
+// >= len(coded) waits for all), with the flight's presence mask: nil when
+// every slot answered.
 func (g *Grant) ForwardQuorum(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error) {
-	n := len(coded)
-	if n > len(g.devs) {
-		return nil, nil, fmt.Errorf("fleet: %d coded inputs for gang of %d", n, len(g.devs))
+	flight, err := g.BeginBlock(len(coded))
+	if err != nil {
+		return nil, nil, err
 	}
-	if quorum <= 0 || quorum >= n {
-		results, err := g.ForwardAll(key, kernel, coded)
-		if err != nil {
-			return nil, nil, err
-		}
-		present := make([]bool, n)
-		for i := range present {
-			present[i] = true
-		}
-		return results, present, nil
+	defer flight.End()
+	p, err := flight.ForwardLayer(key, kernel, coded)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	st := &quorumState{results: make([]field.Vec, n), filled: make([]bool, n)}
-	arrived := make(chan int, 2*n) // n originals + at most n speculative retries
-	t0 := time.Now()
-	for i := range coded {
-		go func(i int) {
-			y := g.devs[i].LinearForward(gpu.SlotKey(key, i), kernel, coded[i])
-			g.record(i, time.Since(t0))
-			st.deliver(i, y, arrived)
-		}(i)
-	}
-	var spec *time.Timer
-	if d := g.m.cfg.SpeculateAfter; d > 0 {
-		spec = time.AfterFunc(d, func() { g.speculate(key, kernel, coded, st, arrived) })
-	}
-	for got := 0; got < quorum; got++ {
-		<-arrived
-	}
-	if spec != nil {
-		spec.Stop()
-	}
-	results, present := st.snapshot()
-	g.mu.Lock()
-	for i, p := range present {
-		if !p {
-			g.straggles[i]++
-		}
-	}
-	g.mu.Unlock()
-	return results, present, nil
-}
-
-// speculate re-dispatches every still-lagging coded share to a borrowed
-// spare device. Best-effort: it stops as soon as the spare pool runs dry.
-func (g *Grant) speculate(key string, kernel gpu.LinearKernel, coded []field.Vec, st *quorumState, arrived chan<- int) {
-	st.mu.Lock()
-	var lagging []int
-	for i, f := range st.filled {
-		if !f {
-			lagging = append(lagging, i)
-		}
-	}
-	st.mu.Unlock()
-	for _, slot := range lagging {
-		rec, dev, ok := g.m.borrowSpare()
-		if !ok {
-			return
-		}
-		g.mu.Lock()
-		g.specCount++
-		g.mu.Unlock()
-		g.m.recordEvent(obs.Event{Kind: obs.KindSpeculate, Subsystem: "fleet", Device: dev.ID(), Slot: slot,
-			Tenant: g.t.name, Detail: fmt.Sprintf("lagging share re-dispatched to spare after %s", g.m.cfg.SpeculateAfter)})
-		go func(slot int, rec *deviceRec, dev gpu.Device) {
-			ts := time.Now()
-			y := dev.LinearForward(gpu.SlotKey(key, slot)+"#spec", kernel, coded[slot])
-			g.m.returnSpare(rec, time.Since(ts))
-			st.deliver(slot, y, arrived)
-		}(slot, rec, dev)
-	}
-}
-
-// BackwardAll dispatches the per-device gradient equations against the
-// coded inputs the devices stored during forward (wait-for-all). Storage is
-// slot-scoped (gpu.SlotKey), so a device that joined the gang after the
-// forward pass — or re-entered at a different slot — misses cleanly; all
-// such misses fold into one gpu.MissingStoreError the trainer's cache
-// refill can act on.
-func (g *Grant) BackwardAll(key string, kernel gpu.BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
-	n := len(deltas)
-	if n > len(g.devs) {
-		return nil, fmt.Errorf("fleet: %d deltas for gang of %d", n, len(g.devs))
-	}
-	// Per-dispatch gather buffers: backward dispatches overlap across lanes.
-	results := make([]field.Vec, n)
-	errs := make([]error, n)
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for i := range deltas {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = g.devs[i].GradWeights(gpu.SlotKey(key, i), kernel, deltas[i])
-			g.record(i, time.Since(t0))
-		}(i)
-	}
-	wg.Wait()
-	if err := gpu.FoldSlotErrors(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// BackwardAllAsync is BackwardAll returning immediately with a completion
-// handle, registered against the grant's outstanding-dispatch accounting so
-// Release waits it out.
-func (g *Grant) BackwardAllAsync(key string, kernel gpu.BilinearKernel, deltas []field.Vec) *gpu.Pending {
-	p := gpu.NewPending()
-	g.beginAsync()
-	go func() {
-		results, err := g.BackwardAll(key, kernel, deltas)
-		g.endAsync()
-		p.Complete(results, nil, err)
-	}()
-	return p
-}
-
-// bwJob tracks one backward equation dispatch of a dual-window quorum.
-type bwJob struct {
-	slot int // gang slot (and stored-input column)
-	sec  bool
-	idx  int // index within its window
-}
-
-// BackwardQuorum dispatches both backward equation windows — the S primary
-// equations onto slots [0, S) and the S secondary (redundant-decoding)
-// equations onto slots [e, S+e) — and returns as soon as either window has
-// fully answered, leaving laggards to finish on their own time exactly as
-// ForwardQuorum does. The outcome's masks tell the decoder
-// (masking.DecodeBackwardSubsetInto) which window completed; when both did,
-// the spare one is its verification. Slots whose jobs had not answered at
-// the snapshot are recorded as stragglers. The caller must guarantee the
-// deltas and the kernel's captured state outlive the call unboundedly.
-//
-// If every still-running window dies on errors instead, the per-slot errors
-// fold like BackwardAll's: all-miss failures become a
-// gpu.MissingStoreError so the trainer can refill the device-side cache and
-// retry.
-func (g *Grant) BackwardQuorum(key string, kernel gpu.BilinearKernel, prim, sec []field.Vec, e int) (gpu.BackwardOutcome, error) {
-	nP, nS := len(prim), len(sec)
-	if nP > len(g.devs) || e+nS > len(g.devs) {
-		return gpu.BackwardOutcome{}, fmt.Errorf("fleet: backward windows (%d primary, %d secondary at offset %d) exceed gang of %d",
-			nP, nS, e, len(g.devs))
-	}
-	var jobs []bwJob
-	for j := 0; j < nP; j++ {
-		jobs = append(jobs, bwJob{slot: j, idx: j})
-	}
-	for j := 0; j < nS; j++ {
-		jobs = append(jobs, bwJob{slot: e + j, sec: true, idx: j})
-	}
-	var (
-		mu       sync.Mutex
-		primRes  = make([]field.Vec, nP)
-		primOK   = make([]bool, nP)
-		secRes   = make([]field.Vec, nS)
-		secOK    = make([]bool, nS)
-		slotErrs = make([]error, len(g.devs))
-		okP, okS int
-	)
-	arrived := make(chan struct{}, len(jobs))
-	t0 := time.Now()
-	for _, jb := range jobs {
-		go func(jb bwJob) {
-			delta := prim[jb.idx]
-			if jb.sec {
-				delta = sec[jb.idx]
-			}
-			y, err := g.devs[jb.slot].GradWeights(gpu.SlotKey(key, jb.slot), kernel, delta)
-			g.record(jb.slot, time.Since(t0))
-			mu.Lock()
-			switch {
-			case err != nil:
-				slotErrs[jb.slot] = err
-			case jb.sec:
-				secRes[jb.idx], secOK[jb.idx] = y, true
-				okS++
-			default:
-				primRes[jb.idx], primOK[jb.idx] = y, true
-				okP++
-			}
-			mu.Unlock()
-			arrived <- struct{}{}
-		}(jb)
-	}
-	for answered := 0; ; {
-		<-arrived
-		answered++
-		mu.Lock()
-		windowDone := okP == nP || (nS > 0 && okS == nS)
-		if !windowDone && answered < len(jobs) {
-			mu.Unlock()
-			continue
-		}
-		// Snapshot under the lock; laggards delivering later mutate only the
-		// live arrays, never these.
-		out := gpu.BackwardOutcome{
-			Prim:        append([]field.Vec(nil), primRes...),
-			PrimPresent: append([]bool(nil), primOK...),
-			Sec:         append([]field.Vec(nil), secRes...),
-			SecPresent:  append([]bool(nil), secOK...),
-		}
-		errsCopy := append([]error(nil), slotErrs...)
-		mu.Unlock()
-		if !windowDone {
-			// Every job answered and neither window completed: surface the
-			// per-slot failures.
-			if err := gpu.FoldSlotErrors(errsCopy); err != nil {
-				return gpu.BackwardOutcome{}, err
-			}
-			return gpu.BackwardOutcome{}, fmt.Errorf("fleet: backward quorum incomplete with no device errors (bug)")
-		}
-		g.mu.Lock()
-		for _, jb := range jobs {
-			done := out.PrimPresent[jb.idx]
-			if jb.sec {
-				done = out.SecPresent[jb.idx]
-			}
-			if !done && errsCopy[jb.slot] == nil {
-				g.straggles[jb.slot]++
-			}
-		}
-		g.mu.Unlock()
-		return out, nil
-	}
-}
-
-// BackwardQuorumAsync is BackwardQuorum returning immediately with a
-// completion handle, registered with the grant's outstanding-dispatch
-// accounting.
-func (g *Grant) BackwardQuorumAsync(key string, kernel gpu.BilinearKernel, prim, sec []field.Vec, e int) *gpu.PendingBackward {
-	p := gpu.NewPendingBackward()
-	g.beginAsync()
-	go func() {
-		out, err := g.BackwardQuorum(key, kernel, prim, sec, e)
-		g.endAsync()
-		p.Complete(out, err)
-	}()
-	return p
+	return p.WaitQuorum(quorum)
 }
 
 // ReportFaults marks gang slots attributed as tampering by the redundant
@@ -511,12 +199,11 @@ func (g *Grant) ReportSuspect() {
 
 // Release returns the gang to the pool, folding the recorded outcomes into
 // the health tracker and the tenant's share account. It first waits for
-// every outstanding async dispatch handle to complete, so devices never
-// re-enter the free pool with a gathering dispatch still aimed at them.
-// Safe to call more than once.
+// every open flight to end, so devices never re-enter the free pool with a
+// gather still aimed at them. Safe to call more than once.
 func (g *Grant) Release() {
 	g.once.Do(func() {
-		g.inflight.Wait()
+		g.open.Wait()
 		g.m.release(g)
 	})
 }

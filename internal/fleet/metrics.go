@@ -51,11 +51,10 @@ type Stats struct {
 	// SLOBreaches counts burn-rate threshold crossings delivered to the
 	// fleet via SubscribeSLO (rising edges only).
 	SLOBreaches int64
-	// AsyncDispatches counts completion-handle dispatches issued across all
-	// released grants; PeakOverlap is the largest number of overlapping
-	// outstanding dispatches any single grant carried — > 1 means a
-	// pipelined engine genuinely kept multiple coded batches in flight on
-	// one gang.
+	// AsyncDispatches counts the gang flights opened across all released
+	// grants (a fused block is one flight); PeakOverlap is the largest number
+	// of flights any single grant had open at once — > 1 means a pipelined
+	// engine genuinely kept multiple coded batches in flight on one gang.
 	AsyncDispatches int64
 	PeakOverlap     int
 	// Devices holds per-device health, ordered by device ID.

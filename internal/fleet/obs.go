@@ -49,10 +49,10 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 		"Coded shares speculatively re-dispatched to spare devices.",
 		lockedInt(func() int64 { return m.speculations }))
 	r.CounterFunc("darknight_fleet_async_dispatches_total",
-		"Completion-handle dispatches issued across released grants.",
+		"Gang flights opened across released grants.",
 		lockedInt(func() int64 { return m.asyncDispatches }))
 	r.GaugeFunc("darknight_fleet_peak_overlap",
-		"Largest number of overlapping outstanding dispatches on one gang.",
+		"Largest number of flights open at once on one gang.",
 		lockedInt(func() int64 { return int64(m.peakOverlap) }))
 	r.GaugeFunc("darknight_fleet_free_devices",
 		"Devices currently free and in circulation.",

@@ -8,25 +8,22 @@ import (
 	"darknight/internal/field"
 )
 
-// BlockFlight is one gang flight carrying a whole fused block: a persistent
-// conversation with every device of the gang over which the TEE dispatches
-// each layer of the block in turn. The flight owns one worker goroutine per
-// slot, fed by an unbounded per-slot queue, so the dispatcher never blocks
-// on a straggling device — a slot that is still chewing on layer l simply
-// accumulates its layer l+1 job and the quorum machinery decodes around it.
-// All flight-scoped machinery — goroutine spawns, trip launch latency,
-// lease/handle accounting hooks — is paid once per block instead of once
-// per layer; the per-layer math (encode, decode, verify) is untouched, which
-// is what keeps fused outputs bit-identical to the per-layer path.
+// BlockFlight is the one way a coded vector reaches a device: a
+// conversation with every device of a gang over which the TEE ships the
+// bilinear layers of a block in turn — one layer for a per-layer offload,
+// several for a fused block. Each slot runs its jobs in FIFO order on a
+// worker that starts with the slot's first job and exits when its queue is
+// empty, so shipping never blocks on a straggling device: a slot still
+// chewing on layer l simply accumulates its layer l+1 job while the quorum
+// gather decodes around it. Everything flight-scoped — the trips' launch
+// latency, the fleet's handle accounting — is paid once per flight; the
+// per-layer math (encode, decode, verify) is untouched, which is what keeps
+// fused outputs bit-identical to per-layer ones.
 //
-// Speculative re-dispatch to spare devices is not available inside a block
-// flight: a spare joining mid-conversation would have missed the layers
-// already shipped. Straggler tolerance inside a block comes from the MDS
-// quorum decode alone.
+// A flight has one owner: ship and gather from a single goroutine.
 type BlockFlight struct {
-	slots []*tripSlot
+	slots []tripSlot
 	opts  BlockOptions
-	wg    sync.WaitGroup
 	ended bool
 }
 
@@ -37,75 +34,74 @@ type BlockOptions struct {
 	// nil keeps the key as-is (the bare-cluster convention; the fleet maps
 	// through SlotKey so rotated devices never collide).
 	MapKey func(key string, slot int) string
-	// Observe, when non-nil, receives each completed job's latency — the
-	// fleet's health EWMA feed.
+	// Observe, when non-nil, receives each completed job's response latency,
+	// measured from the moment its layer was shipped — the fleet's health
+	// EWMA feed.
 	Observe func(slot int, lat time.Duration)
-	// Straggler, when non-nil, is invoked for each slot absent from a
-	// quorum snapshot — once per layer wait, matching the per-layer
-	// dispatch path's branding rate.
+	// Straggler, when non-nil, is invoked once for each job a quorum gather
+	// returned without.
 	Straggler func(slot int)
-	// OnEnd, when non-nil, runs after every worker has drained and exited —
-	// where the fleet closes its per-flight async handle.
+	// Spare, when non-nil and SpeculateAfter is positive, lends a device
+	// outside the gang to a forward layer whose quorum has not formed
+	// SpeculateAfter into its gather: the lagging slot's coded share is
+	// re-dispatched to the spare and the first delivery wins. done hands the
+	// device back with the job's latency; ok is false when none is free.
+	Spare          func(slot int) (trip DeviceTrip, done func(lat time.Duration), ok bool)
+	SpeculateAfter time.Duration
+	// OnEnd, when non-nil, runs when the flight ends — where the fleet
+	// retires its per-flight handle.
 	OnEnd func()
 }
 
-// tripSlot is one device conversation: a worker goroutine draining an
-// unbounded FIFO of jobs so enqueues never block the TEE dispatcher.
+// job is one device computation of a layer: entry is its index in the
+// layer's result order, x its operand (a coded input or a combined delta).
+type job struct {
+	p     *LayerPending
+	entry int
+	x     field.Vec
+}
+
+// tripSlot is one device conversation: a FIFO of jobs drained by a worker
+// that lives only while the queue is non-empty.
 type tripSlot struct {
-	trip   DeviceTrip
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []func()
-	closed bool
+	trip  DeviceTrip
+	mu    sync.Mutex
+	queue []job
+	busy  bool
 }
 
-func newTripSlot(trip DeviceTrip) *tripSlot {
-	s := &tripSlot{trip: trip}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *tripSlot) enqueue(job func()) {
+func (s *tripSlot) enqueue(j job) {
 	s.mu.Lock()
-	s.queue = append(s.queue, job)
-	s.cond.Signal()
+	if s.busy {
+		s.queue = append(s.queue, j)
+		s.mu.Unlock()
+		return
+	}
+	s.busy = true
 	s.mu.Unlock()
+	go s.work(j)
 }
 
-func (s *tripSlot) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-func (s *tripSlot) work() {
+func (s *tripSlot) work(j job) {
 	for {
+		j.p.run(s.trip, j.entry, j.x, "")
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
 		if len(s.queue) == 0 {
+			s.busy = false
 			s.mu.Unlock()
 			return
 		}
-		job := s.queue[0]
+		j = s.queue[0]
 		s.queue = s.queue[1:]
 		s.mu.Unlock()
-		job()
 	}
 }
 
 // NewBlockFlight opens a flight over one trip per gang slot.
 func NewBlockFlight(trips []DeviceTrip, opts BlockOptions) *BlockFlight {
-	f := &BlockFlight{slots: make([]*tripSlot, len(trips)), opts: opts}
+	f := &BlockFlight{slots: make([]tripSlot, len(trips)), opts: opts}
 	for i, tr := range trips {
-		f.slots[i] = newTripSlot(tr)
-		f.wg.Add(1)
-		go func(s *tripSlot) {
-			defer f.wg.Done()
-			s.work()
-		}(f.slots[i])
+		f.slots[i].trip = tr
 	}
 	return f
 }
@@ -113,156 +109,265 @@ func NewBlockFlight(trips []DeviceTrip, opts BlockOptions) *BlockFlight {
 // Slots returns the gang width of the flight.
 func (f *BlockFlight) Slots() int { return len(f.slots) }
 
-func (f *BlockFlight) key(key string, slot int) string {
-	if f.opts.MapKey == nil {
-		return key
-	}
-	return f.opts.MapKey(key, slot)
-}
-
-// ForwardLayer ships one layer of the block: slot j computes the kernel on
-// coded[j], storing it under the layer key for backward reuse. Returns
-// immediately; gather through the LayerPending (Wait for all slots,
-// WaitQuorum to decode around stragglers).
+// ForwardLayer ships one layer: slot j computes the kernel on coded[j],
+// storing it under the layer key for backward reuse. Returns immediately;
+// gather through the LayerPending.
 func (f *BlockFlight) ForwardLayer(key string, kernel LinearKernel, coded []field.Vec) (*LayerPending, error) {
 	if len(coded) != len(f.slots) {
 		return nil, fmt.Errorf("gpu: %d coded inputs for flight of %d slots", len(coded), len(f.slots))
 	}
-	p := newLayerPending(len(f.slots), f.opts.Straggler)
-	for j := range f.slots {
-		j := j
-		s := f.slots[j]
-		x := coded[j]
-		k := f.key(key, j)
-		s.enqueue(func() {
-			start := time.Now()
-			y := s.trip.LinearForward(k, kernel, x)
-			if f.opts.Observe != nil {
-				f.opts.Observe(j, time.Since(start))
-			}
-			p.deliver(j, y, nil)
-		})
+	p := f.newPending(key, len(coded), 0)
+	p.fwd, p.coded = kernel, coded
+	for j, x := range coded {
+		f.slots[j].enqueue(job{p, j, x})
 	}
 	return p, nil
 }
 
-// GradLayer ships one layer's weight-gradient equations: slot j computes
-// the bilinear kernel of deltas[j] against its stored coded input. Cache
-// misses surface as per-slot errors on the pending (fold with
-// FoldSlotErrors after Wait).
-func (f *BlockFlight) GradLayer(key string, kernel BilinearKernel, deltas []field.Vec) (*LayerPending, error) {
-	if len(deltas) != len(f.slots) {
-		return nil, fmt.Errorf("gpu: %d deltas for flight of %d slots", len(deltas), len(f.slots))
+// GradLayer ships one layer's weight-gradient equations against the coded
+// inputs the devices stored during forward: the primary equations prim[j]
+// on slots [0, len(prim)) and, when sec is non-nil, the equally many
+// redundant-decoding equations sec[j] on the flight's last len(sec) slots —
+// [E, S+E) on a flight of S+E slots — so the gather can return from
+// whichever window completes first. The result order is prim then sec.
+func (f *BlockFlight) GradLayer(key string, kernel BilinearKernel, prim, sec []field.Vec) (*LayerPending, error) {
+	if len(prim) > len(f.slots) || (sec != nil && len(sec) != len(prim)) {
+		return nil, fmt.Errorf("gpu: backward windows (%d primary, %d secondary) for flight of %d slots",
+			len(prim), len(sec), len(f.slots))
 	}
-	p := newLayerPending(len(f.slots), f.opts.Straggler)
-	for j := range f.slots {
-		j := j
-		s := f.slots[j]
-		d := deltas[j]
-		k := f.key(key, j)
-		s.enqueue(func() {
-			start := time.Now()
-			y, err := s.trip.GradWeights(k, kernel, d)
-			if f.opts.Observe != nil {
-				f.opts.Observe(j, time.Since(start))
-			}
-			p.deliver(j, y, err)
-		})
+	p := f.newPending(key, len(prim), len(sec))
+	p.bwd = kernel
+	p.errs = make([]error, len(prim)+len(sec))
+	for j, d := range prim {
+		f.slots[j].enqueue(job{p, j, d})
+	}
+	for j, d := range sec {
+		f.slots[p.secSlot+j].enqueue(job{p, len(prim) + j, d})
 	}
 	return p, nil
 }
 
-// End closes every slot queue, waits for the workers to drain, and fires
-// the OnEnd hook. Idempotent.
+// End closes the conversation and fires the OnEnd hook. It waits for no
+// device: a layer that was gathered has nothing left running except jobs a
+// quorum decoded around, and those drain on their own time. Idempotent.
 func (f *BlockFlight) End() {
 	if f.ended {
 		return
 	}
 	f.ended = true
-	for _, s := range f.slots {
-		s.close()
-	}
-	f.wg.Wait()
 	if f.opts.OnEnd != nil {
 		f.opts.OnEnd()
 	}
 }
 
-// LayerPending gathers one layer's in-flight results within a block
-// flight. Unlike Pending (which completes exactly once with the full
-// result set), a LayerPending fills slot by slot so a quorum waiter can
-// snapshot as soon as enough slots landed.
+// LayerPending gathers one layer's in-flight results. It fills job by job,
+// so a quorum gather can snapshot as soon as enough of them landed. Its
+// jobs form one window (a forward layer, or a backward layer's primary
+// equations) or two equally long ones (primary then secondary equations).
 type LayerPending struct {
-	mu        sync.Mutex
-	results   []field.Vec
-	errs      []error
-	present   []bool
-	arrived   chan struct{}
-	straggler func(slot int)
+	f       *BlockFlight
+	key     string
+	fwd     LinearKernel
+	bwd     BilinearKernel
+	coded   []field.Vec // forward operands, for speculative re-dispatch
+	window  int         // jobs per window; jobs [window, len(results)) are the secondary window
+	secSlot int         // the secondary window's first slot
+	shipped time.Time   // when the layer left the TEE (set only when observed)
+	wake    chan struct{}
+
+	mu       sync.Mutex
+	results  []field.Vec
+	errs     []error // backward layers only
+	present  []bool  // answered without error
+	ok       [2]int  // per window: jobs answered without error
+	answered int
+	need     int // the quorum a parked gatherer waits for; 0 when none is parked
 }
 
-func newLayerPending(n int, straggler func(slot int)) *LayerPending {
+func (f *BlockFlight) newPending(key string, window, secondary int) *LayerPending {
+	n := window + secondary
+	var shipped time.Time
+	if f.opts.Observe != nil {
+		shipped = time.Now()
+	}
 	return &LayerPending{
-		results:   make([]field.Vec, n),
-		errs:      make([]error, n),
-		present:   make([]bool, n),
-		arrived:   make(chan struct{}, n),
-		straggler: straggler,
+		shipped: shipped,
+		f:       f,
+		key:     key,
+		window:  window,
+		secSlot: len(f.slots) - secondary,
+		wake:    make(chan struct{}, 1),
+		results: make([]field.Vec, n),
+		present: make([]bool, n),
 	}
 }
 
-func (p *LayerPending) deliver(slot int, v field.Vec, err error) {
+// slot returns the gang slot that computes a job.
+func (p *LayerPending) slot(entry int) int {
+	if entry < p.window {
+		return entry
+	}
+	return p.secSlot + entry - p.window
+}
+
+// run executes one job on a trip — the slot's own, or a spare's with a key
+// suffix that keeps the spare's store apart — and delivers the answer.
+func (p *LayerPending) run(trip DeviceTrip, entry int, x field.Vec, suffix string) {
+	slot := p.slot(entry)
+	key := p.key
+	if p.f.opts.MapKey != nil {
+		key = p.f.opts.MapKey(key, slot)
+	}
+	var (
+		y   field.Vec
+		err error
+	)
+	if p.fwd != nil {
+		y = trip.LinearForward(key+suffix, p.fwd, x)
+	} else {
+		y, err = trip.GradWeights(key+suffix, p.bwd, x)
+	}
+	if suffix == "" && p.f.opts.Observe != nil {
+		p.f.opts.Observe(slot, time.Since(p.shipped))
+	}
+	p.deliver(entry, y, err)
+}
+
+// settled reports whether a gather for quorum q can return: one window has
+// q clean answers, or every job has answered. Caller holds mu.
+func (p *LayerPending) settled(q int) bool {
+	return p.ok[0] >= q || p.ok[1] >= q || p.answered == len(p.results)
+}
+
+// deliver records a job's answer — the first delivery wins — and wakes the
+// gatherer when it is the answer the gatherer was waiting for.
+func (p *LayerPending) deliver(entry int, v field.Vec, err error) {
 	p.mu.Lock()
-	if !p.present[slot] {
-		p.results[slot] = v
-		p.errs[slot] = err
-		p.present[slot] = true
+	if p.present[entry] || (p.errs != nil && p.errs[entry] != nil) {
+		p.mu.Unlock()
+		return
+	}
+	p.answered++
+	if err != nil {
+		p.errs[entry] = err
+	} else {
+		p.results[entry], p.present[entry] = v, true
+		if entry < p.window {
+			p.ok[0]++
+		} else {
+			p.ok[1]++
+		}
+	}
+	wake := p.need > 0 && p.settled(p.need)
+	if wake {
+		p.need = 0
 	}
 	p.mu.Unlock()
-	p.arrived <- struct{}{}
+	if wake {
+		p.wake <- struct{}{}
+	}
 }
 
-// Wait blocks until every slot has answered and returns results and
-// per-slot errors in slot order.
-func (p *LayerPending) Wait() ([]field.Vec, []error) {
-	for range p.results {
-		<-p.arrived
-	}
-	return p.results, p.errs
+// Wait gathers the layer with no straggler tolerance: a whole window must
+// answer.
+func (p *LayerPending) Wait() ([]field.Vec, error) {
+	results, _, err := p.WaitQuorum(p.window)
+	return results, err
 }
 
-// WaitQuorum blocks until q slots have answered and returns a snapshot:
-// results and a presence mask in slot order. Laggards keep computing and
-// land in the flight's accounting, but the snapshot is immutable.
-func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
-	if q >= len(p.results) {
-		res, _ := p.Wait()
-		all := make([]bool, len(res))
-		for i := range all {
-			all[i] = true
-		}
-		return res, all
-	}
-	for i := 0; i < q; i++ {
-		<-p.arrived
+// WaitQuorum blocks until q jobs of one window have answered (a q outside
+// [1, window] means the whole window) and returns the results in job order
+// with a presence mask; a nil mask means every job answered. Jobs still
+// running at that point are branded stragglers and finish on their own
+// time — the returned slices are snapshots they never touch, but the
+// layer's operands and everything its kernel references must stay
+// unmodified for as long as a straggler may run. When every job has
+// answered and no window reached q, the per-slot errors fold through
+// FoldSlotErrors.
+func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool, error) {
+	if q <= 0 || q > p.window {
+		q = p.window
 	}
 	p.mu.Lock()
-	res := append([]field.Vec(nil), p.results...)
-	mask := append([]bool(nil), p.present...)
-	p.mu.Unlock()
-	if p.straggler != nil {
-		for slot, ok := range mask {
-			if !ok {
-				p.straggler(slot)
-			}
+	if !p.settled(q) {
+		var spec *time.Timer
+		if o := &p.f.opts; q < p.window && p.fwd != nil && o.Spare != nil && o.SpeculateAfter > 0 {
+			spec = time.AfterFunc(o.SpeculateAfter, p.speculate)
+		}
+		p.need = q
+		p.mu.Unlock()
+		<-p.wake
+		if spec != nil {
+			spec.Stop()
+		}
+		p.mu.Lock()
+	}
+	if p.ok[0] < q && p.ok[1] < q {
+		err := p.foldErrors()
+		p.mu.Unlock()
+		return nil, nil, err
+	}
+	if p.ok[0]+p.ok[1] == len(p.results) {
+		p.mu.Unlock()
+		return p.results, nil, nil
+	}
+	results := append([]field.Vec(nil), p.results...)
+	present := append([]bool(nil), p.present...)
+	var lagging []int
+	for entry, got := range present {
+		if !got && (p.errs == nil || p.errs[entry] == nil) {
+			lagging = append(lagging, p.slot(entry))
 		}
 	}
-	return res, mask
+	p.mu.Unlock()
+	if p.f.opts.Straggler != nil {
+		for _, slot := range lagging {
+			p.f.opts.Straggler(slot)
+		}
+	}
+	return results, present, nil
 }
 
-// BeginBlock opens a block flight over the first n devices of the cluster,
-// with the bare-cluster raw-key convention the per-layer dispatch paths
-// use.
+// foldErrors folds the jobs' errors by gang slot. Caller holds mu.
+func (p *LayerPending) foldErrors() error {
+	bySlot := make([]error, len(p.f.slots))
+	for entry, err := range p.errs {
+		if err != nil {
+			bySlot[p.slot(entry)] = err
+		}
+	}
+	if err := FoldSlotErrors(bySlot); err != nil {
+		return err
+	}
+	return fmt.Errorf("gpu: layer %q incomplete with no device errors (bug)", p.key)
+}
+
+// speculate re-dispatches every still-lagging coded share to a borrowed
+// spare. Best-effort: it stops as soon as no spare is free.
+func (p *LayerPending) speculate() {
+	p.mu.Lock()
+	var lagging []int
+	for entry, got := range p.present {
+		if !got {
+			lagging = append(lagging, entry)
+		}
+	}
+	p.mu.Unlock()
+	for _, entry := range lagging {
+		trip, done, ok := p.f.opts.Spare(entry)
+		if !ok {
+			return
+		}
+		go func() {
+			start := time.Now()
+			p.run(trip, entry, p.coded[entry], "#spec")
+			done(time.Since(start))
+		}()
+	}
+}
+
+// BeginBlock opens a flight over the first n devices of the cluster, with
+// raw storage keys: slot i is device i for the cluster's lifetime.
 func (c *Cluster) BeginBlock(n int) (*BlockFlight, error) {
 	if n > len(c.devices) {
 		return nil, fmt.Errorf("gpu: flight of %d slots for %d devices", n, len(c.devices))

@@ -1,16 +1,11 @@
 package gpu
 
-import (
-	"fmt"
-	"sync"
+import "darknight/internal/field"
 
-	"darknight/internal/field"
-)
-
-// Cluster is the K' accelerator fleet of the system model (§3). Jobs fan
-// out to devices concurrently — each coded input goes to exactly one
-// device ("each GPU receives at most one encoded data") — and results
-// gather in device order.
+// Cluster is the K' accelerator fleet of the system model (§3). Jobs reach
+// its devices through a BlockFlight (BeginBlock) — each coded input goes to
+// exactly one device ("each GPU receives at most one encoded data") — and
+// results gather in device order.
 type Cluster struct {
 	devices []Device
 }
@@ -35,77 +30,35 @@ func (c *Cluster) Size() int { return len(c.devices) }
 // Device returns device i.
 func (c *Cluster) Device(i int) Device { return c.devices[i] }
 
-// ForwardAll dispatches coded inputs to the first len(coded) devices in
-// parallel and returns their results in device order.
+// ForwardAll ships one layer on a flight over the first len(coded) devices
+// and waits for every result, in device order.
 func (c *Cluster) ForwardAll(key string, kernel LinearKernel, coded []field.Vec) ([]field.Vec, error) {
-	if len(coded) > len(c.devices) {
-		return nil, fmt.Errorf("gpu: %d coded inputs for %d devices", len(coded), len(c.devices))
-	}
-	results := make([]field.Vec, len(coded))
-	var wg sync.WaitGroup
-	for i := range coded {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = c.devices[i].LinearForward(key, kernel, coded[i])
-		}(i)
-	}
-	wg.Wait()
-	return results, nil
-}
-
-// BackwardAll dispatches the per-device combined deltas against the coded
-// inputs stored during the forward pass, in parallel.
-func (c *Cluster) BackwardAll(key string, kernel BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
-	if len(deltas) > len(c.devices) {
-		return nil, fmt.Errorf("gpu: %d deltas for %d devices", len(deltas), len(c.devices))
-	}
-	results := make([]field.Vec, len(deltas))
-	errs := make([]error, len(deltas))
-	var wg sync.WaitGroup
-	for i := range deltas {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.devices[i].GradWeights(key, kernel, deltas[i])
-		}(i)
-	}
-	wg.Wait()
-	if err := FoldSlotErrors(errs); err != nil {
+	flight, err := c.BeginBlock(len(coded))
+	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	defer flight.End()
+	p, err := flight.ForwardLayer(key, kernel, coded)
+	if err != nil {
+		return nil, err
+	}
+	return p.Wait()
 }
 
-// BackwardAllAsync is BackwardAll returning immediately with a completion
-// handle, gathering into per-dispatch buffers so a pipelined trainer can
-// hold several backward dispatches in flight at once. Cache misses surface
-// as a MissingStoreError on the handle.
-func (c *Cluster) BackwardAllAsync(key string, kernel BilinearKernel, deltas []field.Vec) *Pending {
-	p := NewPending()
-	if len(deltas) > len(c.devices) {
-		p.Complete(nil, nil, fmt.Errorf("gpu: %d deltas for %d devices", len(deltas), len(c.devices)))
-		return p
+// BackwardAll ships one layer's gradient equations against the coded inputs
+// stored during the forward pass and waits for every result. Cache misses
+// fold into a MissingStoreError.
+func (c *Cluster) BackwardAll(key string, kernel BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
+	flight, err := c.BeginBlock(len(deltas))
+	if err != nil {
+		return nil, err
 	}
-	results := make([]field.Vec, len(deltas))
-	errs := make([]error, len(deltas))
-	var wg sync.WaitGroup
-	for i := range deltas {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.devices[i].GradWeights(key, kernel, deltas[i])
-		}(i)
+	defer flight.End()
+	p, err := flight.GradLayer(key, kernel, deltas, nil)
+	if err != nil {
+		return nil, err
 	}
-	go func() {
-		wg.Wait()
-		if err := FoldSlotErrors(errs); err != nil {
-			p.Complete(nil, nil, err)
-			return
-		}
-		p.Complete(results, nil, nil)
-	}()
-	return p
+	return p.Wait()
 }
 
 // TotalTraffic sums channel counters across devices.

@@ -1,6 +1,7 @@
 package masking
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -102,4 +103,76 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
+}
+
+// FuzzDecodeBackwardSubset pins the dual-window backward decode under
+// fuzzed parameters and presence masks: whichever window is complete
+// decodes bit-equal to DecodeBackwardInto on the full primary set, both
+// complete cross-verify (and a corrupted spare window is caught), and with
+// neither complete the decode refuses. Seeded with the K=2/M=1/E=2 geometry
+// the train_flight workload runs: a primary-exclusive laggard, a
+// secondary-exclusive one, a laggard in each window, and no laggard.
+func FuzzDecodeBackwardSubset(f *testing.F) {
+	f.Add(int64(1), 2, 1, 2, uint16(0b110), uint16(0b111))
+	f.Add(int64(2), 2, 1, 2, uint16(0b111), uint16(0b011))
+	f.Add(int64(3), 2, 1, 2, uint16(0b110), uint16(0b011))
+	f.Add(int64(4), 2, 1, 2, uint16(0b111), uint16(0b111))
+	f.Add(int64(5), 3, 2, 1, uint16(0b11111), uint16(0b01111))
+	f.Add(int64(6), 2, 1, 0, uint16(0b111), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, k, m, e int, primMask, secMask uint16) {
+		k = clamp(k, 1, 5)
+		m = clamp(m, 1, 3)
+		e = clamp(e, 0, k+m) // E > S is rejected by Params.Validate
+		code, prim, sec, _ := backwardFixture(t, seed, Params{K: k, M: m, Redundancy: e})
+		full := field.NewVec(len(prim[0]))
+		if err := code.DecodeBackwardInto(full, prim); err != nil {
+			t.Fatal(err)
+		}
+		window := func(mask uint16) ([]bool, bool) {
+			present, complete := make([]bool, code.S), true
+			for j := range present {
+				present[j] = mask&(1<<uint(j)) != 0
+				complete = complete && present[j]
+			}
+			return present, complete
+		}
+		primPresent, primOK := window(primMask)
+		secPresent, secOK := window(secMask)
+		if e == 0 {
+			secPresent, secOK = nil, false
+		}
+		// Absent equations never arrived: the decode must not read them.
+		hide := func(eqs []field.Vec, present []bool) []field.Vec {
+			out := make([]field.Vec, len(eqs))
+			for j := range eqs {
+				if present[j] {
+					out[j] = eqs[j]
+				}
+			}
+			return out
+		}
+		gotPrim, gotSec := hide(prim, primPresent), hide(sec, secPresent)
+		dst := field.NewVec(len(full))
+		err := code.DecodeBackwardSubsetInto(dst, gotPrim, gotSec, primPresent, secPresent)
+		if !primOK && !secOK {
+			if !errors.Is(err, ErrBackwardSubset) {
+				t.Fatalf("no complete window (prim=%v sec=%v): err = %v, want ErrBackwardSubset", primPresent, secPresent, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("decode (prim=%v sec=%v): %v", primPresent, secPresent, err)
+		}
+		if !dst.Equal(full) {
+			t.Fatalf("window decode diverges from the full primary decode (prim=%v sec=%v)", primPresent, secPresent)
+		}
+		if primOK && secOK {
+			bad := append([]field.Vec(nil), gotSec...)
+			bad[0] = bad[0].Clone()
+			bad[0][0] = field.Add(bad[0][0], 1)
+			if err := code.DecodeBackwardSubsetInto(dst, gotPrim, bad, primPresent, secPresent); !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("both windows complete but a corrupted spare equation passed: %v", err)
+			}
+		}
+	})
 }

@@ -15,7 +15,7 @@ import (
 
 // This file is the backward half of the TEE-side engine: the reverse model
 // walk, the Eq (4–6) gradient offload, and the resilience machinery around
-// it (straggler-tolerant dual-window dispatch, device-cache refill). It is
+// it (straggler-tolerant dual-window gather, device-cache refill). It is
 // shared by the serial Trainer and the pipelined TrainPipeline lanes —
 // exactly as the forward walk in engine.go is shared by Inferencer,
 // Pipeline and the trainers.
@@ -28,21 +28,13 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 		var err error
 		for i := len(tr.children) - 1; i >= 0; i-- {
 			// A trace marked blockLen=d closes a fused run of d bilinear
-			// layers: offload their gradient equations through one block
-			// flight. The dual-window straggler-tolerant backward needs the
-			// per-layer dispatch (block flights carry the primary window
-			// only), so a quorum-configured backward walks layer by layer.
+			// layers: their gradient equations ride one flight.
 			if d := tr.children[i].blockLen; d > 1 {
-				if bf, fused := e.blockFleet(); fused && !e.backwardQuorum(code) {
-					cur, err = e.offloadBackwardBlock(code, bf, tr.children[i-d+1:i+1], cur)
-					if err != nil {
-						return nil, err
-					}
-					i -= d - 1
-					continue
-				}
+				cur, err = e.offloadBackward(code, tr.children[i-d+1:i+1], cur)
+				i -= d - 1
+			} else {
+				cur, err = e.backwardLayer(code, tr.children[i], cur)
 			}
-			cur, err = e.backwardLayer(code, tr.children[i], cur)
 			if err != nil {
 				return nil, err
 			}
@@ -68,8 +60,8 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 		}
 		return out, nil
 	default:
-		if lin, ok := tr.layer.(nn.Linear); ok {
-			return e.offloadBackward(code, tr, lin, grads)
+		if _, ok := tr.layer.(nn.Linear); ok {
+			return e.offloadBackward(code, []*trace{tr}, grads)
 		}
 		out := make([]*tensor.Tensor, len(grads))
 		for i := range grads {
@@ -84,174 +76,202 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 	}
 }
 
-// offloadBackward recovers the summed weight gradient of one bilinear
-// layer from the coded equations (Eq 4–6) and propagates input gradients.
-func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, grads []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// bwdLayer is one layer's backward state within a block: the public
+// combined delta equations of both decode windows (sec is nil without
+// straggler tolerance) and the unscaling factors the decode needs.
+type bwdLayer struct {
+	tr        *trace
+	lin       nn.Linear
+	prim, sec []field.Vec
+	fd, fx    float64
+	sp        *obs.Span
+	pend      *gpu.LayerPending // the shipped equations
+}
+
+// offloadBackward recovers the summed weight gradients of a block of
+// bilinear layers — a fused run, or a single layer — from the coded
+// equations (Eq 4–6) through one gang flight. trs is the block's forward
+// traces in forward order; grads is the gradient flowing into its LAST
+// layer. Returns the per-example input gradients below its first layer.
+//
+// The TEE stage walks the block last layer first — bias gradients, delta
+// quantization, the public Eq (4) combinations, and the input-gradient
+// chain to the layer below — before anything is shipped; the device stage
+// then ships every layer's equations down the flight (slot queues are
+// unbounded, so the whole block is in flight before the first gather), and
+// the decode stage folds each layer's gathered equations with the secret γ.
+//
+// With straggler slack and E >= 1 each layer ships both decode windows —
+// the S primary equations on slots [0, S) and the S redundant-decoding
+// equations (SecondaryB rows over coded inputs [E, S+E)) on slots [E, S+E)
+// — and decodes from whichever completes first. Unlike the forward code,
+// the backward coding is not MDS over arbitrary column subsets (each
+// equation bakes its δ combination in), so tolerance is window-granular:
+// stragglers among either window's E exclusive slots are absorbed, and a
+// completed spare window doubles as verification.
+func (e *engine) offloadBackward(code *masking.Code, trs []*trace, grads []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	depth := len(trs)
 	k := e.cfg.VirtualBatch
-	osp := e.sp.Child("offload-backward")
-	if osp != nil {
-		osp.Annotate("key", tr.key)
-		defer osp.End()
+	parent := e.sp
+	if depth > 1 {
+		if parent = e.sp.Child("offload-backward-block"); parent != nil {
+			parent.Annotatef("depth", "%d", depth)
+			defer parent.End()
+		}
 	}
-	esp := osp.Child("encode")
+	dual := e.cfg.StragglerSlack > 0 && code.E >= 1
+	gang := code.S
+	if dual {
+		gang = code.NumCoded()
+	}
+
 	t0 := time.Now()
-
-	// Bias gradient: TEE-side, cheap, uses only the public δ.
-	for i := 0; i < k; i++ {
-		lin.AddGradB(grads[i], 1)
-	}
-
-	// Shared normalization so the decoded SUM can be unscaled exactly.
-	fd := sharedNormFactor(grads, e.cfg.NormLimit)
-	fx := sharedNormFactor(tr.inputs, e.cfg.NormLimit)
-
-	quantDeltas := make([]field.Vec, k)
-	scratch := make([]float64, lin.OutLen())
-	for i := 0; i < k; i++ {
-		for j, v := range grads[i].Data {
-			scratch[j] = v / fd
+	layers := make([]bwdLayer, depth)
+	cur := grads
+	for d := depth - 1; d >= 0; d-- {
+		tr := trs[d]
+		lin, ok := tr.layer.(nn.Linear)
+		if !ok {
+			return nil, fmt.Errorf("sched: fused block trace %q is not a bilinear layer", tr.key)
 		}
-		quantDeltas[i] = e.q.Quantize(scratch)
-	}
-
-	// Each GPU j computes Eq_j on (Σ_i β_ji·δ_i, x̄_j). The combination
-	// happens GPU-side in the paper; B and δ are public either way. Row j
-	// of B is exactly the K combination coefficients — one fused
-	// lazy-reduced combine per equation. These escape to laggard kernels on
-	// the quorum path, so they are deliberately fresh allocations.
-	deltaBars := make([]field.Vec, code.S)
-	for j := 0; j < code.S; j++ {
-		bar := make(field.Vec, lin.OutLen())
-		field.Combine(bar, code.B.Row(j), quantDeltas)
-		deltaBars[j] = bar
-	}
-	// Straggler tolerance dispatches the redundant decoding's window too
-	// (SecondaryB rows over coded inputs [E, S+E)), so the decode can
-	// proceed from whichever window completes first.
-	bqf, isQuorum := e.fleet.(BackwardQuorumFleet)
-	useQuorum := isQuorum && e.cfg.StragglerSlack > 0 && code.E >= 1
-	var secBars []field.Vec
-	if useQuorum {
-		bsec := code.SecondaryB()
-		secBars = make([]field.Vec, code.S)
-		for j := 0; j < code.S; j++ {
-			bar := make(field.Vec, lin.OutLen())
-			field.Combine(bar, bsec.Row(j), quantDeltas)
-			secBars[j] = bar
+		l := &layers[d]
+		l.tr, l.lin = tr, lin
+		l.sp = parent.Child("offload-backward")
+		l.sp.Annotate("key", tr.key)
+		esp := l.sp.Child("encode")
+		// Bias gradient: TEE-side, cheap, uses only the public δ.
+		for i := 0; i < k; i++ {
+			lin.AddGradB(cur[i], 1)
 		}
+		// Shared normalization so the decoded SUM can be unscaled exactly.
+		l.fd = sharedNormFactor(cur, e.cfg.NormLimit)
+		l.fx = sharedNormFactor(tr.inputs, e.cfg.NormLimit)
+		quantDeltas := make([]field.Vec, k)
+		scratch := make([]float64, lin.OutLen())
+		for i := 0; i < k; i++ {
+			for j, v := range cur[i].Data {
+				scratch[j] = v / l.fd
+			}
+			quantDeltas[i] = e.q.Quantize(scratch)
+		}
+		// Each GPU j computes Eq_j on (Σ_i β_ji·δ_i, x̄_j). The combination
+		// happens GPU-side in the paper; B and δ are public either way.
+		l.prim = combineDeltas(code.B, code.S, lin.OutLen(), quantDeltas)
+		if dual {
+			l.sec = combineDeltas(code.SecondaryB(), code.S, lin.OutLen(), quantDeltas)
+		}
+		// Input gradient: input-independent linear op, offloadable without
+		// coding (paper §4.2, computation (2)); computed here functionally.
+		next := make([]*tensor.Tensor, k)
+		for i := 0; i < k; i++ {
+			next[i] = lin.BackwardInputOnly(cur[i])
+		}
+		cur = next
+		esp.End()
 	}
-	kernel := func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }
 	e.phases.Encode += time.Since(t0)
-	esp.End()
 
-	sum, err := e.dispatchBackward(code, tr, osp, kernel, deltaBars, secBars, bqf, useQuorum, lin.WLen(), fx)
+	flight, err := e.fleet.BeginBlock(gang)
 	if err != nil {
 		return nil, err
 	}
+	defer flight.End()
+	e.phases.Flights++
+	if depth > 1 {
+		e.phases.FusedBlocks++
+		e.phases.FusedLayers += int64(depth)
+	}
+	t1 := time.Now()
+	for d := depth - 1; d >= 0; d-- {
+		if err := e.shipBackward(flight, &layers[d]); err != nil {
+			return nil, err
+		}
+	}
+	e.phases.Dispatch += time.Since(t1)
+	for d := depth - 1; d >= 0; d-- {
+		if err := e.gatherBackward(code, flight, &layers[d], dual); err != nil {
+			return nil, err
+		}
+	}
+	return cur, nil
+}
 
+// combineDeltas forms the s public delta combinations Σ_i b_ji·δ_i — row j
+// of b is exactly equation j's K coefficients, one fused lazy-reduced
+// combine each. Fresh allocations: the equations escape to the flight's
+// slot workers, and past a quorum gather to laggard kernels.
+func combineDeltas(b *field.Mat, s, n int, quantDeltas []field.Vec) []field.Vec {
+	bars := make([]field.Vec, s)
+	for j := range bars {
+		bars[j] = make(field.Vec, n)
+		field.Combine(bars[j], b.Row(j), quantDeltas)
+	}
+	return bars
+}
+
+// shipBackward ships one layer's gradient equations down the flight.
+func (e *engine) shipBackward(flight *gpu.BlockFlight, l *bwdLayer) error {
+	lin := l.lin
+	pend, err := flight.GradLayer(l.tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
+	l.pend = pend
+	return err
+}
+
+// gatherBackward gathers one shipped layer and folds its equations into the
+// layer's weight gradient. A cache miss — the fleet's devices no longer
+// hold this trace's coded forward inputs (quarantine replacement, slot
+// reshuffle, or a quorum laggard that never stored) — triggers one
+// refillStores pass, and the layer's equations are re-shipped down the
+// still-open flight.
+func (e *engine) gatherBackward(code *masking.Code, flight *gpu.BlockFlight, l *bwdLayer, dual bool) error {
+	// Ending the layer's span also ends any phase child left open by an
+	// error return; layers never reached are ended with the batch's span.
+	defer l.sp.End()
+	dsp := l.sp.Child("dispatch")
+	eqs, present, err := e.gather(l.pend, code.S, time.Now())
+	if err != nil && errors.Is(err, gpu.ErrNoStored) {
+		l.sp.Annotate("refill", l.tr.key)
+		if rerr := e.refillStores(code, l.tr, l.fx); rerr != nil {
+			return fmt.Errorf("sched: backward cache refill for %q: %w", l.tr.key, rerr)
+		}
+		if err = e.shipBackward(flight, l); err == nil {
+			eqs, present, err = e.gather(l.pend, code.S, time.Now())
+		}
+	}
+	dsp.End()
+	if err != nil {
+		return err
+	}
+
+	csp := l.sp.Child("decode")
 	t2 := time.Now()
+	sum := field.NewVec(l.lin.WLen())
+	if dual {
+		if present == nil { // both windows answered in full
+			present = make([]bool, len(eqs))
+			for i := range present {
+				present[i] = true
+			}
+		}
+		err = code.DecodeBackwardSubsetInto(sum, eqs[:code.S], eqs[code.S:], present[:code.S], present[code.S:])
+	} else {
+		err = code.DecodeBackwardInto(sum, eqs)
+	}
+	if err != nil {
+		return err
+	}
 	dw := e.q.UnquantizeProduct(sum)
 	// The coded inputs carried 1/fx, the deltas 1/fd: undo both. The
 	// quantization scales 2^(2l) are already removed by UnquantizeProduct.
-	rescale := fd * fx
+	rescale := l.fd * l.fx
 	for j := range dw {
 		dw[j] *= rescale
 	}
-	lin.AddGradW(dw, 1)
-
-	// Input gradient: input-independent linear op, offloadable without
-	// coding (paper §4.2, computation (2)); computed here functionally.
-	out := make([]*tensor.Tensor, k)
-	for i := 0; i < k; i++ {
-		out[i] = lin.BackwardInputOnly(grads[i])
-	}
+	l.lin.AddGradW(dw, 1)
 	e.phases.Decode += time.Since(t2)
 	e.phases.Offloads++
-	return out, nil
-}
-
-// dispatchBackward runs one layer's backward gang dispatch and decode,
-// mirroring offloadForward's token discipline: a pipelined engine releases
-// the TEE token for exactly the GPU flight. A cache miss — the fleet's
-// devices no longer hold this trace's coded forward inputs (quarantine
-// replacement, slot reshuffle, or a quorum laggard that never stored) —
-// triggers one refillStores pass and a retry.
-func (e *engine) dispatchBackward(code *masking.Code, tr *trace, osp *obs.Span, kernel gpu.BilinearKernel, prim, sec []field.Vec,
-	bqf BackwardQuorumFleet, useQuorum bool, wlen int, fx float64) (field.Vec, error) {
-	refilled := false
-	for {
-		dsp := osp.Child("dispatch")
-		t1 := time.Now()
-		var (
-			eqs     []field.Vec
-			outcome gpu.BackwardOutcome
-			err     error
-		)
-		switch {
-		case useQuorum && e.tee != nil:
-			var pend *gpu.PendingBackward
-			if abq, ok := e.fleet.(AsyncBackwardQuorumFleet); ok {
-				pend = abq.BackwardQuorumAsync(tr.key, kernel, prim, sec, code.E)
-			}
-			e.tee.Unlock()
-			if pend != nil {
-				outcome, err = pend.Wait()
-			} else {
-				outcome, err = bqf.BackwardQuorum(tr.key, kernel, prim, sec, code.E)
-			}
-			flight := time.Since(t1)
-			e.lockTEE()
-			e.phases.Dispatch += flight
-		case useQuorum:
-			outcome, err = bqf.BackwardQuorum(tr.key, kernel, prim, sec, code.E)
-			e.phases.Dispatch += time.Since(t1)
-		case e.tee != nil:
-			var pend *gpu.Pending
-			if ab, ok := e.fleet.(AsyncBackwardFleet); ok {
-				pend = ab.BackwardAllAsync(tr.key, kernel, prim)
-			}
-			e.tee.Unlock()
-			if pend != nil {
-				eqs, _, err = pend.Wait()
-			} else {
-				eqs, err = e.fleet.BackwardAll(tr.key, kernel, prim)
-			}
-			flight := time.Since(t1)
-			e.lockTEE()
-			e.phases.Dispatch += flight
-		default:
-			eqs, err = e.fleet.BackwardAll(tr.key, kernel, prim)
-			e.phases.Dispatch += time.Since(t1)
-		}
-		dsp.End()
-		e.phases.Flights++
-		if err != nil {
-			if errors.Is(err, gpu.ErrNoStored) && !refilled {
-				osp.Annotate("refill", tr.key)
-				if rerr := e.refillStores(code, tr, fx); rerr != nil {
-					return nil, fmt.Errorf("sched: backward cache refill for %q: %w", tr.key, rerr)
-				}
-				refilled = true
-				continue
-			}
-			return nil, err
-		}
-
-		csp := osp.Child("decode")
-		t2 := time.Now()
-		sum := field.NewVec(wlen)
-		if useQuorum {
-			err = code.DecodeBackwardSubsetInto(sum, outcome.Prim, outcome.Sec, outcome.PrimPresent, outcome.SecPresent)
-		} else {
-			err = code.DecodeBackwardInto(sum, eqs)
-		}
-		e.phases.Decode += time.Since(t2)
-		csp.End()
-		if err != nil {
-			return nil, err
-		}
-		return sum, nil
-	}
+	csp.End()
+	return nil
 }
 
 // refillStores re-creates the device-side coded-input cache for one
@@ -259,8 +279,8 @@ func (e *engine) dispatchBackward(code *masking.Code, tr *trace, osp *obs.Span, 
 // the forward normalization and re-encoded with the noise rows captured
 // during forward — bit-identical coded vectors, so a quorum laggard's
 // original store racing the refill is benign — then re-stored on the
-// current fleet's slots with an identity-kernel dispatch (the store is the
-// point; the echoed results are discarded).
+// current fleet's slots with an identity-kernel flight gathered from every
+// slot (the store is the point; the echoed results are discarded).
 func (e *engine) refillStores(code *masking.Code, tr *trace, fx float64) error {
 	if len(tr.noise) == 0 {
 		return fmt.Errorf("sched: trace %q carries no captured noise (forward ran in inference mode?)", tr.key)
@@ -286,8 +306,17 @@ func (e *engine) refillStores(code *masking.Code, tr *trace, fx float64) error {
 		Kind: obs.KindRefill, Subsystem: "sched", Device: -1, Slot: -1,
 		Detail: fmt.Sprintf("re-created device stores for %q", tr.key),
 	})
-	identity := func(x field.Vec) field.Vec { return x }
+	flight, err := e.fleet.BeginBlock(len(coded))
+	if err != nil {
+		return err
+	}
+	defer flight.End()
 	e.phases.Flights++
-	_, err := e.fleet.ForwardAll(tr.key, identity, coded)
+	t1 := time.Now()
+	pend, err := flight.ForwardLayer(tr.key, func(x field.Vec) field.Vec { return x }, coded)
+	if err != nil {
+		return err
+	}
+	_, _, err = e.gather(pend, len(coded), t1)
 	return err
 }

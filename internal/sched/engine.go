@@ -37,11 +37,10 @@ type PhaseStats struct {
 	// 1.0 means no overlap, 2.0 means two stages were kept busy throughout.
 	Wall     time.Duration
 	Offloads int64 // bilinear layer dispatches timed
-	// Flights counts gang flights: dispatches that paid the full
-	// lease/fan-out/gather machinery. On the per-layer path every offload
-	// is its own flight, so Flights tracks Offloads; a fused block carries
-	// several offloads per flight, which is exactly the reduction the
-	// fused path exists to buy.
+	// Flights counts gang flights opened. Without fusion every offload is
+	// its own flight of one layer, so Flights tracks Offloads; a fused
+	// block carries several offloads per flight, which is exactly the
+	// reduction fusion exists to buy.
 	Flights int64
 	// FusedBlocks counts fused-block flights; FusedLayers counts the
 	// bilinear layers they carried (FusedLayers/FusedBlocks is the mean
@@ -73,87 +72,17 @@ func (s PhaseStats) Overlap() float64 {
 	return float64(s.Encode+s.Dispatch+s.Decode) / float64(s.Wall)
 }
 
-// Fleet is the accelerator surface the runtime dispatches coded jobs to.
-// *gpu.Cluster is the canonical implementation; serving workers substitute
-// a gang-leased subset view so one physical fleet can back many concurrent
-// pipelines.
+// Fleet is the accelerator surface the runtime dispatches coded jobs to: a
+// gang of Size devices on which BeginBlock opens a flight — the only way a
+// coded vector reaches a device. *gpu.Cluster is the canonical
+// implementation; serving workers and fleet-managed trainers substitute a
+// gang grant (*fleet.Grant) so one physical fleet can back many concurrent
+// pipelines. Implementations must tolerate several flights open at once
+// (pipelined lanes overlap them on one gang).
 type Fleet interface {
 	// Size returns the number of devices available for fan-out.
 	Size() int
-	// ForwardAll dispatches coded inputs one-per-device and gathers results
-	// in device order.
-	ForwardAll(key string, kernel gpu.LinearKernel, coded []field.Vec) ([]field.Vec, error)
-	// BackwardAll dispatches combined deltas against the coded inputs the
-	// devices stored during forward.
-	BackwardAll(key string, kernel gpu.BilinearKernel, deltas []field.Vec) ([]field.Vec, error)
-}
-
-// QuorumFleet is an optional Fleet extension for straggler-tolerant
-// dispatch: ForwardQuorum returns once `quorum` of the coded responses
-// have arrived, along with a presence mask saying which. Implementations
-// must guarantee the returned results and mask are immutable snapshots —
-// laggard devices completing later may not mutate them.
-type QuorumFleet interface {
-	Fleet
-	ForwardQuorum(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error)
-}
-
-// AsyncFleet is an optional Fleet extension for pipelined execution:
-// ForwardAllAsync returns a completion handle immediately, so the TEE can
-// encode and decode other virtual batches while this dispatch is in
-// flight. Implementations must tolerate multiple outstanding dispatches on
-// the same fleet (per-dispatch gather buffers). *gpu.Cluster and
-// *fleet.Grant both implement it.
-type AsyncFleet interface {
-	Fleet
-	ForwardAllAsync(key string, kernel gpu.LinearKernel, coded []field.Vec) *gpu.Pending
-}
-
-// AsyncQuorumFleet combines straggler tolerance with pipelining: the
-// handle completes once the quorum is met, while laggards (and speculative
-// retries) keep running past it.
-type AsyncQuorumFleet interface {
-	QuorumFleet
-	ForwardQuorumAsync(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) *gpu.Pending
-}
-
-// AsyncBackwardFleet is the backward counterpart of AsyncFleet: the handle
-// completes once every gradient equation has been gathered, so a pipelined
-// trainer can encode/decode other virtual batches during the backward GPU
-// flight. *gpu.Cluster and *fleet.Grant both implement it.
-type AsyncBackwardFleet interface {
-	Fleet
-	BackwardAllAsync(key string, kernel gpu.BilinearKernel, deltas []field.Vec) *gpu.Pending
-}
-
-// BackwardQuorumFleet is the straggler-tolerant backward extension: the
-// fleet dispatches both backward equation windows — the S primary equations
-// on slots [0, S) and the S redundant-decoding equations on slots [e, S+e)
-// — and returns as soon as either window has fully answered. Unlike the
-// forward code, the backward coding is not MDS over arbitrary column
-// subsets (each equation bakes its δ combination in), so tolerance is
-// window-granular: stragglers among either side's E window-exclusive slots
-// are absorbed, and a completed spare window doubles as verification.
-type BackwardQuorumFleet interface {
-	Fleet
-	BackwardQuorum(key string, kernel gpu.BilinearKernel, prim, sec []field.Vec, e int) (gpu.BackwardOutcome, error)
-}
-
-// AsyncBackwardQuorumFleet combines backward straggler tolerance with
-// pipelining.
-type AsyncBackwardQuorumFleet interface {
-	BackwardQuorumFleet
-	BackwardQuorumAsync(key string, kernel gpu.BilinearKernel, prim, sec []field.Vec, e int) *gpu.PendingBackward
-}
-
-// BlockFleet is the optional Fleet extension for fused-block offload:
-// BeginBlock opens one persistent gang flight over n slots, and the
-// engine dispatches every layer of a fused block through it — paying the
-// flight machinery (lease handles, goroutine fan-out, per-dispatch device
-// launch latency) once per block instead of once per layer. *gpu.Cluster
-// and *fleet.Grant both implement it.
-type BlockFleet interface {
-	Fleet
+	// BeginBlock opens a flight over the first n devices.
 	BeginBlock(n int) (*gpu.BlockFlight, error)
 }
 
@@ -229,9 +158,9 @@ type engine struct {
 	pool *masking.NoisePool
 	// plan, when non-nil, is the fused-offload compile pass output:
 	// maximal runs of consecutive bilinear layers the forward walk
-	// dispatches as single block flights (Config.FuseBlocks). The
-	// per-layer coding math is unchanged inside a block, so fused outputs
-	// are bit-identical to the per-layer path.
+	// dispatches as one flight each (Config.FuseBlocks); nil keeps every
+	// flight one layer long. The per-layer coding math is unchanged inside
+	// a block, so fused outputs are bit-identical to unfused ones.
 	plan *nn.FusionPlan
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
@@ -307,17 +236,6 @@ func newEngine(cfg Config, model *nn.Model, fleet Fleet, encl *enclave.Enclave, 
 	return e
 }
 
-// blockFleet returns the fleet's block-flight surface when fusion is
-// compiled in and the current fleet supports it; otherwise the engine
-// stays on the per-layer dispatch path.
-func (e *engine) blockFleet() (BlockFleet, bool) {
-	if e.plan == nil {
-		return nil, false
-	}
-	bf, ok := e.fleet.(BlockFleet)
-	return bf, ok
-}
-
 // lockTEE acquires the shared TEE execution token and runs the engine's
 // reacquisition hook, so every enclave-side section starts with the lane's
 // state (gradient sinks) installed in the shared model.
@@ -338,10 +256,10 @@ func (e *engine) beginStep() {
 // storesVolatile reports whether the fleet's device-side coded-input
 // stores can disappear or reshuffle between a batch's forward and backward
 // passes. A bare *gpu.Cluster binds slot i to device i for its lifetime,
-// so its stores are stable and a training forward can skip capturing the
-// refill noise (no per-offload clone on the serial hot path); every other
-// fleet — gang grants whose devices are re-picked per batch, wrappers that
-// swap delegates — is assumed volatile.
+// so its stores are stable and a training forward gathered from every
+// device can skip capturing the refill noise (no per-offload clone on the
+// serial hot path); every other fleet — gang grants whose devices are
+// re-picked per batch, wrappers that swap delegates — is assumed volatile.
 func (e *engine) storesVolatile() bool {
 	_, stable := e.fleet.(*gpu.Cluster)
 	return !stable
@@ -362,6 +280,13 @@ func (e *engine) effectiveSlack() int {
 
 // forwardLayer recursively runs one layer for all K examples.
 func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, *trace, error) {
+	if lin, ok := layer.(nn.Linear); ok {
+		outs, trs, err := e.offloadForward(code, []nn.Linear{lin}, xs, train)
+		if err != nil {
+			return nil, nil, err
+		}
+		return outs, trs[0], nil
+	}
 	tr := &trace{layer: layer, inputs: append([]*tensor.Tensor(nil), xs...)}
 	switch v := layer.(type) {
 	case *nn.Sequential:
@@ -369,16 +294,14 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 		children := v.Layers()
 		for i := 0; i < len(children); i++ {
 			if blk, ok := e.plan.BlockAt(v, i); ok {
-				if bf, fused := e.blockFleet(); fused {
-					outs, childTrs, err := e.offloadForwardBlock(code, bf, blk, cur, train)
-					if err != nil {
-						return nil, nil, err
-					}
-					tr.children = append(tr.children, childTrs...)
-					cur = outs
-					i += blk.Depth() - 1
-					continue
+				outs, childTrs, err := e.offloadForward(code, blk.Layers, cur, train)
+				if err != nil {
+					return nil, nil, err
 				}
+				tr.children = append(tr.children, childTrs...)
+				cur = outs
+				i += blk.Depth() - 1
+				continue
 			}
 			out, childTr, err := e.forwardLayer(code, children[i], cur, train)
 			if err != nil {
@@ -411,16 +334,6 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 		}
 		return outs, tr, nil
 	default:
-		if lin, ok := layer.(nn.Linear); ok {
-			e.linSeq++
-			if e.reuseKeys {
-				tr.key = fmt.Sprintf("%slin%d", e.keyspace, e.linSeq)
-			} else {
-				tr.key = fmt.Sprintf("%sstep%d/lin%d", e.keyspace, e.stepSeq, e.linSeq)
-			}
-			outs, err := e.offloadForward(code, tr, lin, xs, train)
-			return outs, tr, err
-		}
 		// TEE-resident non-linear layer: per-example forward.
 		outs := make([]*tensor.Tensor, len(xs))
 		for i := range xs {
@@ -430,14 +343,7 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 	}
 }
 
-// offloadForward quantizes, encodes, fans out, verifies, decodes and
-// restores one bilinear layer's outputs for the K current activations. All
-// TEE-side intermediates live in the engine's arena (reset per offload), so
-// the steady-state loop allocates only the escaping output tensors. In
-// training mode the noise rows are additionally captured into the trace so
-// a backward cache miss can re-create the device-side coded inputs
-// bit-identically (see refillStores).
-// checkDeadline gates a gang dispatch on the batch's deadline budget: an
+// checkDeadline gates a gang flight on the batch's deadline budget: an
 // expired batch fails here — before encoding or occupying devices — with
 // an error matching context.DeadlineExceeded. Zero deadline never fails.
 func (e *engine) checkDeadline() error {
@@ -447,91 +353,123 @@ func (e *engine) checkDeadline() error {
 	return fmt.Errorf("sched: batch deadline passed before dispatch: %w", context.DeadlineExceeded)
 }
 
-func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
-	if err := e.checkDeadline(); err != nil {
-		return nil, err
+// gather waits for quorum q of a shipped layer. A pipelined engine
+// (e.tee != nil) releases the TEE token for exactly this wait, so sibling
+// lanes encode and decode their batches while the layer is in device
+// flight; nothing the arena holds is touched until this lane's next
+// offload, so what the kernel references outlives the wait. Dispatch time
+// runs from since; the token-reacquisition wait after it is deliberately
+// untimed — it is overlap, not work.
+func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Vec, []bool, error) {
+	if e.tee != nil {
+		e.tee.Unlock()
 	}
-	key := tr.key
-	osp := e.sp.Child("offload")
+	results, present, err := p.WaitQuorum(q)
+	flight := time.Since(since)
+	if e.tee != nil {
+		e.lockTEE()
+	}
+	e.phases.Dispatch += flight
+	return results, present, err
+}
+
+// offloadForward runs a block of directly consecutive bilinear layers — a
+// fused run found by nn.CompileFusion, or a single layer — through one gang
+// flight, returning the block's outputs and one trace per layer (the last
+// trace of a fused run carries blockLen so the backward walk re-fuses it).
+// Every layer boundary still decodes, verifies, restores floats, adds the
+// bias and re-encodes, because the requantization is data-dependent (the
+// normalization factor of layer l+1's input is a function of layer l's
+// decoded output) and chaining products in the field would overflow the
+// 25-bit prime. What a longer block amortizes is everything around the
+// math: the fleet's handle bookkeeping and, on devices that model a
+// per-dispatch launch latency, the launch itself, paid once per trip
+// (gpu.DeviceTrip). Outputs are therefore bit-identical whatever the block
+// length; TestFusedBlockMatchesPerLayer pins it.
+func (e *engine) offloadForward(code *masking.Code, lins []nn.Linear, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, []*trace, error) {
+	if err := e.checkDeadline(); err != nil {
+		return nil, nil, err
+	}
+	depth := len(lins)
+	parent := e.sp
+	if depth > 1 {
+		if parent = e.sp.Child("offload-block"); parent != nil {
+			parent.Annotatef("depth", "%d", depth)
+			defer parent.End()
+		}
+	}
+	flight, err := e.fleet.BeginBlock(code.NumCoded())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer flight.End()
+	e.phases.Flights++
+	if depth > 1 {
+		e.phases.FusedBlocks++
+		e.phases.FusedLayers += int64(depth)
+	}
+	traces := make([]*trace, depth)
+	cur := xs
+	for d, lin := range lins {
+		tr := &trace{layer: lin, inputs: append([]*tensor.Tensor(nil), cur...)}
+		e.linSeq++
+		if e.reuseKeys {
+			tr.key = fmt.Sprintf("%slin%d", e.keyspace, e.linSeq)
+		} else {
+			tr.key = fmt.Sprintf("%sstep%d/lin%d", e.keyspace, e.stepSeq, e.linSeq)
+		}
+		traces[d] = tr
+		if cur, err = e.forwardOne(code, flight, parent, tr, lin, cur, train); err != nil {
+			return nil, nil, err
+		}
+	}
+	if depth > 1 {
+		traces[depth-1].blockLen = depth
+	}
+	return cur, traces, nil
+}
+
+// forwardOne quantizes, encodes, ships, gathers, verifies, decodes and
+// restores one bilinear layer's outputs for the K current activations on an
+// open flight. All TEE-side intermediates live in the engine's arena (reset
+// per layer), so the steady-state loop allocates only the escaping output
+// tensors. In training mode the noise rows are additionally captured into
+// the trace so a backward cache miss can re-create the device-side coded
+// inputs bit-identically (see refillStores).
+func (e *engine) forwardOne(code *masking.Code, flight *gpu.BlockFlight, parent *obs.Span, tr *trace, lin nn.Linear,
+	xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
+	osp := parent.Child("offload")
 	if osp != nil {
-		osp.Annotate("key", key)
+		osp.Annotate("key", tr.key)
 		// Ending the offload span also ends any phase child left open by an
 		// error return, so the trace stays well formed on failures.
 		defer osp.End()
 	}
+	// Straggler tolerance is quorum < NumCoded; waiting for every device is
+	// the same gather with nothing to decode around.
+	quorum := code.NumCoded() - e.effectiveSlack()
 	esp := osp.Child("encode")
 	t0 := time.Now()
-	qf, isQuorum := e.fleet.(QuorumFleet)
-	slack := e.effectiveSlack()
-	useQuorum := isQuorum && slack > 0
-	enc, err := e.encodeForward(code, tr, lin, xs, train, useQuorum)
+	enc, err := e.encodeForward(code, tr, lin, xs, train, quorum < code.NumCoded())
 	if err != nil {
 		return nil, err
 	}
 	defer e.freeEnclave(enc.workset)
-	wq, coded := enc.wq, enc.coded
+	wq := enc.wq
 	e.phases.Encode += time.Since(t0)
 	esp.End()
 
-	// Gang dispatch: the fleet fans the S+E coded inputs out to its devices
-	// concurrently (one goroutine per device) and gathers in device order.
-	// A pipelined engine (e.tee != nil) releases the TEE token for the
-	// flight so sibling lanes can encode/decode their batches meanwhile;
-	// the arena stays untouched until this lane's next offload, so the
-	// coded inputs and wq the kernel references outlive the flight exactly
-	// as on the serial path. The token-reacquisition wait after the flight
-	// is deliberately untimed — it is overlap, not work.
 	dsp := osp.Child("dispatch")
-	if dsp != nil && useQuorum {
-		dsp.Annotatef("quorum", "%d/%d", code.NumCoded()-slack, code.NumCoded())
+	if dsp != nil && quorum < code.NumCoded() {
+		dsp.Annotatef("quorum", "%d/%d", quorum, code.NumCoded())
 	}
 	t1 := time.Now()
-	kernel := func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }
-	var (
-		results []field.Vec
-		present []bool
-	)
-	switch {
-	case useQuorum && e.tee != nil:
-		var pend *gpu.Pending
-		if aq, ok := e.fleet.(AsyncQuorumFleet); ok {
-			pend = aq.ForwardQuorumAsync(key, kernel, coded, code.NumCoded()-slack)
-		}
-		e.tee.Unlock()
-		if pend != nil {
-			results, present, err = pend.Wait()
-		} else {
-			results, present, err = qf.ForwardQuorum(key, kernel, coded, code.NumCoded()-slack)
-		}
-		flight := time.Since(t1)
-		e.lockTEE()
-		e.phases.Dispatch += flight
-	case useQuorum:
-		results, present, err = qf.ForwardQuorum(key, kernel, coded, code.NumCoded()-slack)
-		e.phases.Dispatch += time.Since(t1)
-	case e.tee != nil:
-		var pend *gpu.Pending
-		if af, ok := e.fleet.(AsyncFleet); ok {
-			pend = af.ForwardAllAsync(key, kernel, coded)
-		}
-		e.tee.Unlock()
-		if pend != nil {
-			results, _, err = pend.Wait()
-		} else {
-			// Fleet without an async surface: the blocking call itself runs
-			// token-free. Such fleets must tolerate concurrent ForwardAll
-			// calls (per-call gather buffers) — *gpu.Cluster does.
-			results, err = e.fleet.ForwardAll(key, kernel, coded)
-		}
-		flight := time.Since(t1)
-		e.lockTEE()
-		e.phases.Dispatch += flight
-	default:
-		results, err = e.fleet.ForwardAll(key, kernel, coded)
-		e.phases.Dispatch += time.Since(t1)
+	pend, err := flight.ForwardLayer(tr.key, func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }, enc.coded)
+	if err != nil {
+		return nil, err
 	}
+	results, present, err := e.gather(pend, quorum, t1)
 	dsp.End()
-	e.phases.Flights++
 	if err != nil {
 		return nil, err
 	}
@@ -561,9 +499,9 @@ type fwdEnc struct {
 // encodeForward runs the encode stage of one bilinear layer's offload:
 // dynamic normalization, quantization into the field, the enclave
 // working-set charge, the noise draw and the coded combine. Shared
-// verbatim by the per-layer path and the fused-block path, which is what
-// pins their coded vectors bit-for-bit to each other. The caller owns
-// freeing the returned workset (already freed on error).
+// by every layer of every block length, which is what pins fused coded
+// vectors bit-for-bit to per-layer ones. The caller owns freeing the
+// returned workset (already freed on error).
 func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor, train, cloneForQuorum bool) (fwdEnc, error) {
 	k := e.cfg.VirtualBatch
 	// Shared dynamic normalization factor across the virtual batch so the
@@ -618,9 +556,10 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 		coded[j] = e.arena.RawVec(n)
 	}
 	encErr := code.EncodeWith(coded, quantIn, noise)
-	if train && e.storesVolatile() {
+	if train && (cloneForQuorum || e.storesVolatile()) {
 		// The backward pass may need to re-create the device-side coded
-		// inputs (cache refill after a fleet reshuffle): capture the noise
+		// inputs (cache refill after a fleet reshuffle, or for a laggard a
+		// quorum gather left behind before it stored): capture the noise
 		// rows — the only non-recomputable encode ingredient — before the
 		// pool or the arena reclaims them.
 		tr.noise = make([]field.Vec, len(noise))
@@ -638,12 +577,12 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 		return fwdEnc{}, encErr
 	}
 
-	// Straggler-tolerant dispatch returns before the slowest devices
-	// answer. A laggard's kernel then runs concurrently with the TEE's
-	// next offload, so everything it references — the coded inputs and the
-	// quantized weights captured by the kernel closure — must outlive this
-	// arena generation: clone them out of the arena. The default
-	// wait-for-all path keeps the zero-allocation arena buffers.
+	// A quorum gather returns before the slowest devices answer. A
+	// laggard's kernel then runs concurrently with the TEE's next offload,
+	// so everything it references — the coded inputs and the quantized
+	// weights captured by the kernel closure — must outlive this arena
+	// generation: clone them out of the arena. Waiting for every device
+	// keeps the zero-allocation arena buffers.
 	if cloneForQuorum {
 		wq = wq.Clone()
 		cl := make([]field.Vec, len(coded))
@@ -658,7 +597,6 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 // decodeForward runs the decode stage of one bilinear layer's offload:
 // straggler-subset decode, integrity verification, audit-and-recover, or
 // the plain inverse combine. present == nil means every response arrived.
-// Shared verbatim by the per-layer and fused-block paths.
 func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []field.Vec, present []bool) ([]field.Vec, error) {
 	k := e.cfg.VirtualBatch
 	missing := 0

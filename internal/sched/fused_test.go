@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,8 +64,9 @@ func TestFusedFlightCount(t *testing.T) {
 
 // TestFusedBlockMatchesPerLayer is the fused-offload equivalence gate:
 // across K/E/slack operating points — raw shared cluster, fleet-managed
-// gang grants, and the straggler-tolerant quorum path with a
-// deterministically slow device — training DeepMLP with FuseBlocks must
+// gang grants, the straggler-tolerant quorum and dual-window gathers with a
+// deterministically slow device, and speculation to a spare — training
+// DeepMLP with FuseBlocks must
 // report the same losses and leave weights bit-identical to the per-layer
 // dispatch, while spending strictly fewer gang flights on the same number
 // of per-layer offloads.
@@ -71,27 +74,34 @@ func TestFusedBlockMatchesPerLayer(t *testing.T) {
 	combos := []struct {
 		name           string
 		k, m, e, slack int
-		slowSlot       int // -1 = no slow device
+		slow           []int // cluster indices of slow devices
+		slowBy         time.Duration
+		spares         int           // devices beyond the gang
+		speculate      time.Duration // fleet.Config.SpeculateAfter
 		fleetManaged   bool
 	}{
-		{name: "K2-M1-E0-cluster", k: 2, m: 1, e: 0, slowSlot: -1},
-		{name: "K3-M1-E1-fleet", k: 3, m: 1, e: 1, slowSlot: -1, fleetManaged: true},
-		{name: "K2-M1-E2-slack1-slow", k: 2, m: 1, e: 2, slack: 1, slowSlot: 2, fleetManaged: true},
+		{name: "K2-M1-E0-cluster", k: 2, m: 1, e: 0},
+		{name: "K3-M1-E1-fleet", k: 3, m: 1, e: 1, fleetManaged: true},
+		{name: "K2-M1-E2-slack1-slow", k: 2, m: 1, e: 2, slack: 1, slow: []int{2}, slowBy: time.Millisecond, fleetManaged: true},
+		// The slow device is exclusive to the primary backward window, so
+		// the fused backward block decodes from the secondary one.
+		{name: "K2-M1-E2-slack1-slow-first", k: 2, m: 1, e: 2, slack: 1, slow: []int{0}, slowBy: time.Millisecond, fleetManaged: true},
+		// Two slow devices: no forward quorum of 4 forms from the gang
+		// alone, so the first fused flights need speculation to a spare.
+		{name: "K2-M1-E2-slack1-speculate", k: 2, m: 1, e: 2, slack: 1, slow: []int{1, 3}, slowBy: 8 * time.Millisecond,
+			spares: 2, speculate: 500 * time.Microsecond, fleetManaged: true},
 	}
 	for _, c := range combos {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			gang := c.k + c.m + c.e
-			batch := trainData(4 * c.k)
+			const steps, vbatches = 2, 4
+			batch := trainData(vbatches * c.k)
 			run := func(fuse bool) (*nn.Model, []float64, PhaseStats, *fleet.Manager) {
 				cfg := Config{VirtualBatch: c.k, Collusion: c.m, Redundancy: c.e,
 					StragglerSlack: c.slack, FuseBlocks: fuse, Seed: 1}
-				devs := make([]gpu.Device, gang)
-				for i := range devs {
-					devs[i] = gpu.NewHonest(i)
-					if i == c.slowSlot {
-						devs[i] = gpu.NewSlow(devs[i], time.Millisecond)
-					}
+				devs := honestDevices(gang + c.spares)
+				for _, i := range c.slow {
+					devs[i] = gpu.NewSlow(devs[i], c.slowBy)
 				}
 				cluster := gpu.NewCluster(devs...)
 				model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
@@ -103,14 +113,14 @@ func TestFusedBlockMatchesPerLayer(t *testing.T) {
 				var src GangSource
 				var fm *fleet.Manager
 				if c.fleetManaged {
-					fm = fleet.NewManager(cluster, fleet.Config{})
+					fm = fleet.NewManager(cluster, fleet.Config{SpeculateAfter: c.speculate})
 					src = &managerSource{m: fm, gang: gang}
 				} else {
 					src = SingleFleetSource{F: cluster}
 				}
 				opt := nn.NewSGD(0.05, 0.9)
 				var losses []float64
-				for step := 0; step < 2; step++ {
+				for step := 0; step < steps; step++ {
 					loss, _, err := pipe.TrainLargeBatch(src, batch, opt, 0)
 					if err != nil {
 						t.Fatal(err)
@@ -127,8 +137,10 @@ func TestFusedBlockMatchesPerLayer(t *testing.T) {
 				}
 			}
 			sameWeights(t, c.name, perModel, fusedModel)
-			if fusedPS.FusedBlocks == 0 {
-				t.Fatal("fused run dispatched no block flights")
+			// DeepMLP has two fusable runs: two block flights on the forward
+			// walk and — whatever the slack — two on the backward walk.
+			if want := int64(4 * steps * vbatches); fusedPS.FusedBlocks != want {
+				t.Fatalf("fused run dispatched %d block flights, want %d (forward and backward)", fusedPS.FusedBlocks, want)
 			}
 			if fusedPS.Offloads != perPS.Offloads {
 				t.Fatalf("fused offloads %d != per-layer %d (the per-layer math must be unchanged)",
@@ -137,62 +149,28 @@ func TestFusedBlockMatchesPerLayer(t *testing.T) {
 			if fusedPS.Flights >= perPS.Flights {
 				t.Fatalf("fused flights %d not fewer than per-layer %d", fusedPS.Flights, perPS.Flights)
 			}
-			if c.slack > 0 && c.slowSlot >= 0 {
-				// The slow slot misses the first quorum of every block flight
+			if c.slack > 0 && len(c.slow) > 0 {
+				// A slow slot misses the first quorum of every block flight
 				// (the trip pays its latency on the first job), so the fused
-				// quorum gather must have left straggler marks — proof the
+				// quorum gathers must have left straggler marks — proof the
 				// straggler-tolerant path ran fused, not wait-for-all.
 				if st := fm.Stats(); st.StragglerEvents == 0 {
 					t.Fatalf("slack combo never exercised the fused quorum path: %+v", st)
+				}
+			}
+			if c.speculate > 0 {
+				if st := fm.Stats(); st.Speculations == 0 {
+					t.Fatalf("no lagging share was re-dispatched to a spare: %+v", st)
 				}
 			}
 		})
 	}
 }
 
-// blockSwapFleet is phaseSwapFleet with a block-flight surface: it counts
-// every dispatch event — per-layer calls AND block flights — against
-// nForward, then swaps to the backward fleet. It lets a fused training
-// step run its forward on one gang grant and its backward on another.
-type blockSwapFleet struct {
-	fw, bw   Fleet
-	nForward int
-	calls    int
-	swap     func()
-}
-
-func (f *blockSwapFleet) current() Fleet {
-	if f.calls <= f.nForward {
-		return f.fw
-	}
-	if f.swap != nil {
-		f.swap()
-		f.swap = nil
-	}
-	return f.bw
-}
-
-func (f *blockSwapFleet) Size() int { return f.fw.Size() }
-
-func (f *blockSwapFleet) ForwardAll(key string, kernel gpu.LinearKernel, coded []field.Vec) ([]field.Vec, error) {
-	f.calls++
-	return f.current().ForwardAll(key, kernel, coded)
-}
-
-func (f *blockSwapFleet) BackwardAll(key string, kernel gpu.BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
-	f.calls++
-	return f.current().BackwardAll(key, kernel, deltas)
-}
-
-func (f *blockSwapFleet) BeginBlock(n int) (*gpu.BlockFlight, error) {
-	f.calls++
-	return f.current().(BlockFleet).BeginBlock(n)
-}
-
 // TestFusedBackwardCacheMissRefill quarantines a device between a fused
 // step's forward and backward passes: every backward gather on the
-// replacement gang — the per-layer head AND the layers inside the open
-// block flights — misses its stored coded inputs, the engine refills the
+// replacement gang — the lone head AND the layers inside the open block
+// flights — misses its stored coded inputs, the engine refills the
 // stores from the trace (the PR5 cache-miss machinery) and re-ships the
 // equations down the still-open flight. The step must complete with
 // weights bit-identical to an undisturbed per-layer run.
@@ -214,9 +192,9 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 	}
 
 	// Disturbed fused run: a 5-device fleet, gang of 3. DeepMLP's fused
-	// forward is 3 dispatch events (two block flights + the per-layer
-	// head); after them the first grant is released with slot 1 reported
-	// faulty, and the whole backward walks a fresh gang.
+	// forward is 3 flights (two blocks + the head); after them the first
+	// grant is released with slot 1 reported faulty, and the whole backward
+	// walks a fresh gang.
 	model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
 	fcfg := cfg
 	fcfg.FuseBlocks = true
@@ -225,7 +203,7 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := &blockSwapFleet{fw: g1, nForward: 3}
+	sw := &swapFleet{fw: g1, nForward: 3}
 	sw.swap = func() {
 		g1.ReportFaults([]int{1})
 		g1.Release()
@@ -266,5 +244,119 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 	}
 	if st := fm.Stats(); st.QuarantineEvents == 0 {
 		t.Fatalf("no quarantine recorded: %+v", st)
+	}
+}
+
+// TestForwardReturnsAroundBlockedDevice is the regression test for the
+// fused straggler stall: with E=2 and slack 1, a gang in which one device
+// is blocked on a channel the test owns must still serve a forward pass —
+// fused or per-layer — and hand its grant back, all while that device is
+// still blocked. A flight whose End joined every slot would hang here: the
+// fused forward would wait out the laggard its quorum gathers had already
+// decoded around.
+func TestForwardReturnsAroundBlockedDevice(t *testing.T) {
+	images := [][]float64{trainData(2)[0].Image, trainData(2)[1].Image}
+	const gang = 5 // K=2, M=1, E=2
+	ref, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, Seed: 1},
+		nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "ref/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Predict(gpu.NewHonestCluster(gang), images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fuse := range []bool{false, true} {
+		gate := make(chan struct{})
+		devs := honestDevices(gang)
+		devs[3] = gatedDevice{Device: devs[3], gate: gate}
+		fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+		inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, FuseBlocks: fuse, Seed: 1},
+			nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "blk/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant, err := fm.Acquire(context.Background(), "t", gang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inf.Predict(grant, images)
+		grant.Release()
+		if err != nil {
+			t.Fatalf("fuse=%v: %v", fuse, err)
+		}
+		// Everything above returned with the gate still shut.
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("fuse=%v image %d: class %d around the blocked device, %d without it", fuse, i, got[i], want[i])
+			}
+		}
+		wantFlights := int64(7)
+		if fuse {
+			wantFlights = 3
+		}
+		if ps := inf.PhaseStats(); ps.Flights != wantFlights {
+			t.Fatalf("fuse=%v: %d flights, want %d", fuse, ps.Flights, wantFlights)
+		}
+		if st := fm.Stats(); st.StragglerEvents != 7 {
+			t.Fatalf("fuse=%v: %d straggler brands, want one per layer (7)", fuse, st.StragglerEvents)
+		}
+		close(gate)
+	}
+}
+
+// failingDevice fails every gradient job with err: a lost store when err
+// wraps gpu.ErrNoStored, a broken device otherwise.
+type failingDevice struct {
+	gpu.Device
+	err error
+}
+
+func (d failingDevice) GradWeights(string, gpu.BilinearKernel, field.Vec) (field.Vec, error) {
+	return nil, d.err
+}
+
+// TestBackwardReportsDeviceErrorOverMiss pins the one slot-error fold where
+// the engine sees it: when one slot's device fails outright while another
+// merely misses its stored input, the step fails with the device's error —
+// inside a fused backward block as well as per-layer — instead of treating
+// the layer as a cache miss to refill.
+func TestBackwardReportsDeviceErrorOverMiss(t *testing.T) {
+	boom := errors.New("device fell off the bus")
+	miss := fmt.Errorf("gpu 0: %w", gpu.ErrNoStored)
+	for _, c := range []struct {
+		name string
+		fuse bool
+		errs [3]error // by slot
+	}{
+		{"per-layer, miss before error", false, [3]error{miss, boom, nil}},
+		{"per-layer, error before miss", false, [3]error{boom, nil, miss}},
+		{"fused, miss before error", true, [3]error{miss, boom, nil}},
+		{"fused, error before miss", true, [3]error{nil, boom, miss}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			devs := honestDevices(3)
+			for i, err := range c.errs {
+				if err != nil {
+					devs[i] = failingDevice{Device: devs[i], err: err}
+				}
+			}
+			// A fleet-managed gang, so the forward pass captures what a
+			// refill would need: a miss alone would be recoverable.
+			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+			cfg := Config{VirtualBatch: 2, FuseBlocks: c.fuse, Seed: 3}
+			pipe, err := NewTrainPipeline(cfg, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "fold/", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			_, _, err = pipe.TrainLargeBatch(&managerSource{m: fm, gang: 3}, trainData(2), nn.NewSGD(0.05, 0), 0)
+			if !errors.Is(err, boom) {
+				t.Fatalf("step error = %v, want the device's own error", err)
+			}
+			if n := pipe.CacheRefills(); n != 0 {
+				t.Fatalf("%d cache refills: the miss masked the device error", n)
+			}
+		})
 	}
 }

@@ -95,28 +95,34 @@ func TestInferencerDeviceStorageBounded(t *testing.T) {
 	}
 }
 
-// quorumDropFleet is a QuorumFleet whose slowest device never makes the
-// quorum: it computes every response but reports the last column absent,
-// exercising the engine's subset-decode path.
-type quorumDropFleet struct {
-	*gpu.Cluster
-	quorumCalls int
+// gatedDevice is a straggler under the test's control: every forward job
+// blocks until the gate closes. A gather that returns while the gate is still open
+// has provably decoded around it.
+type gatedDevice struct {
+	gpu.Device
+	gate <-chan struct{}
 }
 
-func (f *quorumDropFleet) ForwardQuorum(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error) {
-	f.quorumCalls++
-	results, err := f.Cluster.ForwardAll(key, kernel, coded)
-	if err != nil {
-		return nil, nil, err
+func (d gatedDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	<-d.gate
+	return d.Device.LinearForward(key, kernel, x)
+}
+
+// lastGated returns a cluster of devs whose last device stays blocked until
+// the test ends — the column every quorum gather must do without.
+func lastGated(t *testing.T, devs ...gpu.Device) *gpu.Cluster {
+	gate := make(chan struct{})
+	t.Cleanup(func() { close(gate) })
+	devs[len(devs)-1] = gatedDevice{Device: devs[len(devs)-1], gate: gate}
+	return gpu.NewCluster(devs...)
+}
+
+func honestDevices(n int) []gpu.Device {
+	devs := make([]gpu.Device, n)
+	for i := range devs {
+		devs[i] = gpu.NewHonest(i)
 	}
-	present := make([]bool, len(results))
-	for j := range present {
-		present[j] = j < quorum
-	}
-	for j := quorum; j < len(results); j++ {
-		results[j] = nil // the straggler's response never arrived
-	}
-	return results, present, nil
+	return devs
 }
 
 func TestInferencerStragglerSubsetDecodeMatchesFull(t *testing.T) {
@@ -141,13 +147,10 @@ func TestInferencerStragglerSubsetDecodeMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := &quorumDropFleet{Cluster: gpu.NewHonestCluster(5)}
-	got, err := inf.Predict(fleet, images)
+	// Predict can only return by decoding around the blocked last device.
+	got, err := inf.Predict(lastGated(t, honestDevices(5)...), images)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fleet.quorumCalls == 0 {
-		t.Fatal("quorum path never engaged")
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -158,8 +161,8 @@ func TestInferencerStragglerSubsetDecodeMatchesFull(t *testing.T) {
 
 func TestInferencerSlackClampedWithoutRedundancyBudget(t *testing.T) {
 	// StragglerSlack with E <= 1 must clamp to zero: the one redundant
-	// equation is reserved for verification, so the quorum path never
-	// engages and dispatch waits for every device.
+	// equation is reserved for verification, so every gather waits for
+	// every device.
 	rng := rand.New(rand.NewSource(42))
 	model := nn.TinyCNN(1, 8, 8, 4, rng)
 	data := dataset.SyntheticCIFAR(rand.New(rand.NewSource(7)), 4, 4, 1, 8, 8, 0.05)
@@ -169,12 +172,11 @@ func TestInferencerSlackClampedWithoutRedundancyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := &quorumDropFleet{Cluster: gpu.NewHonestCluster(4)}
-	if _, err := inf.Predict(fleet, images); err != nil {
-		t.Fatal(err)
+	if got := inf.eng.effectiveSlack(); got != 0 {
+		t.Fatalf("effective slack %d with E=1; want clamp to 0", got)
 	}
-	if fleet.quorumCalls != 0 {
-		t.Fatalf("quorum path engaged %d times with E=1; want clamp to full dispatch", fleet.quorumCalls)
+	if _, err := inf.Predict(gpu.NewHonestCluster(4), images); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -238,27 +240,6 @@ func TestInferencerRecoveryAttributesCulprit(t *testing.T) {
 	}
 }
 
-// maliciousQuorumFleet drops the last response AND tampers a chosen slot,
-// exercising recovery on the subset-decode path.
-type maliciousQuorumFleet struct {
-	*gpu.Cluster
-}
-
-func (f *maliciousQuorumFleet) ForwardQuorum(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error) {
-	results, err := f.Cluster.ForwardAll(key, kernel, coded)
-	if err != nil {
-		return nil, nil, err
-	}
-	present := make([]bool, len(results))
-	for j := range present {
-		present[j] = j < quorum
-	}
-	for j := quorum; j < len(results); j++ {
-		results[j] = nil
-	}
-	return results, present, nil
-}
-
 func TestInferencerRecoveryComposesWithStragglerSlack(t *testing.T) {
 	// E=3, slack=1: the dispatch proceeds without the slowest response AND
 	// one present device tampers. Two present redundant equations remain,
@@ -294,8 +275,7 @@ func TestInferencerRecoveryComposesWithStragglerSlack(t *testing.T) {
 			devs[i] = gpu.NewMalicious(devs[i], gpu.FaultPolicy{EveryNth: 1})
 		}
 	}
-	fleet := &maliciousQuorumFleet{Cluster: gpu.NewCluster(devs...)}
-	got, err := inf.Predict(fleet, images)
+	got, err := inf.Predict(lastGated(t, devs...), images)
 	if err != nil {
 		t.Fatalf("recovery on the quorum path should absorb the fault: %v", err)
 	}
@@ -330,8 +310,7 @@ func TestInferencerQuorumAttributesWithoutRecovery(t *testing.T) {
 			devs[i] = gpu.NewMalicious(devs[i], gpu.FaultPolicy{EveryNth: 1})
 		}
 	}
-	fleet := &maliciousQuorumFleet{Cluster: gpu.NewCluster(devs...)}
-	_, err = inf.Predict(fleet, images)
+	_, err = inf.Predict(lastGated(t, devs...), images)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v, want *IntegrityError", err)

@@ -60,7 +60,7 @@ type Pipeline struct {
 // device-side storage never aliases.
 //
 // Fleets passed to Submit must tolerate overlapping dispatches:
-// *gpu.Cluster and *fleet.Grant both do (the AsyncFleet surface).
+// *gpu.Cluster and *fleet.Grant both do (any number of flights open at once).
 func NewPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string, depth int) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.maskParams().Validate(); err != nil {

@@ -57,17 +57,17 @@ type Config struct {
 	// responses decode exactly). At least one redundant equation is always
 	// retained for verification, so the effective slack is
 	// min(StragglerSlack, Redundancy-1); straggler tolerance therefore
-	// requires Redundancy >= 2. 0 waits for every device. The quorum path
-	// only engages on fleets implementing QuorumFleet.
+	// requires Redundancy >= 2. 0 waits for every device. On the backward
+	// pass any slack with Redundancy >= 1 ships both decode windows and
+	// decodes from whichever completes first.
 	StragglerSlack int
 	// FuseBlocks enables the fused-offload compile pass: maximal runs of
 	// directly consecutive bilinear layers are grouped into blocks
 	// (nn.CompileFusion) and each block is dispatched as a single gang
-	// flight instead of one flight per layer, on fleets implementing
-	// BlockFleet. The per-layer coding math — encode, verify, decode,
-	// requantize — is unchanged at every layer boundary inside a block, so
-	// fused outputs are bit-identical to the per-layer path; only the
-	// flight machinery (lease handles, goroutine fan-out, device launch
+	// flight instead of one flight per layer. The per-layer coding math —
+	// encode, verify, decode, requantize — is unchanged at every layer
+	// boundary inside a block, so fused outputs are bit-identical to
+	// unfused ones; only what a flight costs (fleet handles, device launch
 	// latency) is amortized across the block.
 	FuseBlocks bool
 	// Seed drives all randomness (coding coefficients, noise).
@@ -168,7 +168,7 @@ type trace struct {
 	// blockLen, when > 1, marks this trace as the LAST layer of a fused
 	// block of that depth: the backward walk over the parent Sequential's
 	// children recognizes the run ending here and offloads its gradient
-	// equations through one block flight (offloadBackwardBlock).
+	// equations through one flight (offloadBackward).
 	blockLen int
 }
 

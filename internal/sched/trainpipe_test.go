@@ -8,7 +8,6 @@ import (
 
 	"darknight/internal/dataset"
 	"darknight/internal/enclave"
-	"darknight/internal/field"
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
 	"darknight/internal/nn"
@@ -78,7 +77,6 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 		{name: "K2-M1-E2-slack1-slow-last", k: 2, m: 1, e: 2, slack: 1, slowSlot: 4, depth: 3, fleetManaged: true, shardElems: 100},
 	}
 	for _, c := range combos {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{VirtualBatch: c.k, Collusion: c.m, Redundancy: c.e, StragglerSlack: c.slack, Seed: 1}
 			gang := c.k + c.m + c.e
@@ -159,39 +157,29 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// phaseSwapFleet delegates forward dispatches to the forward fleet for the
-// first nForward calls, then switches every dispatch (including the cache
-// refill's identity re-store) to the backward fleet — simulating a gang
-// whose devices were replaced between a batch's forward and backward
-// passes.
-type phaseSwapFleet struct {
+// swapFleet opens its first nForward flights on the forward fleet, then
+// switches every flight (including the cache refill's identity re-store) to
+// the backward fleet — simulating a gang whose devices were replaced
+// between a batch's forward and backward passes.
+type swapFleet struct {
 	fw, bw   Fleet
 	nForward int
-	calls    int
+	flights  int
 	swap     func() // invoked once, at the switch point
 }
 
-func (f *phaseSwapFleet) current() Fleet {
-	if f.calls <= f.nForward {
-		return f.fw
+func (f *swapFleet) Size() int { return f.fw.Size() }
+
+func (f *swapFleet) BeginBlock(n int) (*gpu.BlockFlight, error) {
+	f.flights++
+	if f.flights <= f.nForward {
+		return f.fw.BeginBlock(n)
 	}
 	if f.swap != nil {
 		f.swap()
 		f.swap = nil
 	}
-	return f.bw
-}
-
-func (f *phaseSwapFleet) Size() int { return f.fw.Size() }
-
-func (f *phaseSwapFleet) ForwardAll(key string, kernel gpu.LinearKernel, coded []field.Vec) ([]field.Vec, error) {
-	f.calls++
-	return f.current().ForwardAll(key, kernel, coded)
-}
-
-func (f *phaseSwapFleet) BackwardAll(key string, kernel gpu.BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
-	f.calls++
-	return f.current().BackwardAll(key, kernel, deltas)
+	return f.bw.BeginBlock(n)
 }
 
 // TestBackwardCacheMissRefill quarantines a device between the forward and
@@ -226,7 +214,7 @@ func TestBackwardCacheMissRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := &phaseSwapFleet{fw: g1, nForward: 2} // TinyCNN has 2 linear layers
+	sw := &swapFleet{fw: g1, nForward: 2} // TinyCNN has 2 linear layers
 	sw.swap = func() {
 		g1.ReportFaults([]int{1})
 		g1.Release()
@@ -236,8 +224,6 @@ func TestBackwardCacheMissRefill(t *testing.T) {
 		}
 		sw.bw = g2
 	}
-	sw.bw = nil // installed by swap
-
 	pipe, err := NewTrainPipeline(cfg, model, nil, "miss/", 2)
 	if err != nil {
 		t.Fatal(err)

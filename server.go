@@ -154,9 +154,9 @@ type ServerConfig struct {
 	StragglerSlack int
 	// Fuse enables the fused-offload compile pass: maximal runs of directly
 	// consecutive bilinear layers ride one gang flight per block instead of
-	// one flight per layer. Outputs are bit-identical to the per-layer path;
-	// only the per-flight machinery (lease handles, fan-out goroutines,
-	// device launch latency) is amortized across the block.
+	// one flight per layer. Outputs are bit-identical either way; only what
+	// a flight costs (fleet handles, device launch latency) is amortized
+	// across the block.
 	Fuse bool
 	// Continuous enables continuous batching: a flushed padded batch keeps
 	// accepting same-tenant riders in place of its pad rows until a worker
