@@ -157,7 +157,7 @@ func cmdServe(args []string) {
 	modelName := fs.String("model", "tiny", "model architecture")
 	k := fs.Int("k", 4, "virtual batch size K")
 	workers := fs.Int("workers", 2, "inference pipelines (model replicas)")
-	pipeline := fs.Int("pipeline", 0, "pipeline depth per worker: >= 2 overlaps encode/dispatch/decode across that many batches (0 = serial)")
+	pipeline := fs.Int("pipeline", 1, "pipeline depth per worker: how many batches ride encode/dispatch/decode at once, each on its own gang")
 	clients := fs.Int("clients", 8, "closed-loop client goroutines")
 	duration := fs.Duration("duration", 2*time.Second, "load duration")
 	maxWait := fs.Duration("maxwait", 2*time.Millisecond, "batching deadline before dummy-row padding")
@@ -186,7 +186,7 @@ func cmdServe(args []string) {
 	sloErrors := fs.Float64("slo-errors", 0.001, "error-budget fraction of the SLO")
 	budget := fs.Duration("budget", 0, "default end-to-end deadline budget per request (0 = unbounded)")
 	retry := fs.Int("retry", 0, "re-dispatch a failed batch onto a fresh gang up to N times")
-	hedgePct := fs.Float64("hedge-pct", 0, "hedge a batch slower than this latency percentile, e.g. 0.95 (0 = off; serial workers only)")
+	hedgePct := fs.Float64("hedge-pct", 0, "hedge a batch slower than this latency percentile, e.g. 0.95, on a spare lane and gang (0 = off)")
 	shed := fs.Int("shed", 0, "shed requests with a typed error when the queue holds >= N (0 = off)")
 	brownout := fs.Bool("brownout", false, "SLO-driven brownout degradation (uses -slo-p99, or a default objective)")
 	chaosPath := fs.String("chaos", "", "play this chaos schedule (JSON) against the fleet during the load")
@@ -310,12 +310,8 @@ func cmdServe(args []string) {
 	}
 
 	gang := *k + 1 + redundancy
-	mode := "serial"
-	if *pipeline >= 2 {
-		mode = fmt.Sprintf("pipelined x%d", *pipeline)
-	}
-	fmt.Printf("serving %s privately: K=%d, gang=%d GPUs (+%d spares), %d workers (%s), %d clients, maxwait=%v\n",
-		*modelName, *k, gang, *spares, *workers, mode, *clients, *maxWait)
+	fmt.Printf("serving %s privately: K=%d, gang=%d GPUs (+%d spares), %d workers (pipeline depth %d), %d clients, maxwait=%v\n",
+		*modelName, *k, gang, *spares, *workers, max(*pipeline, 1), *clients, *maxWait)
 	if a := srv.MetricsAddr(); a != "" {
 		fmt.Printf("metrics: http://%s/metrics (also /metrics.json, /traces, /flightrecorder)\n", a)
 	}
@@ -447,7 +443,7 @@ func cmdLoadgen(args []string) {
 	modelName := fs.String("model", "tiny", "model architecture")
 	k := fs.Int("k", 4, "virtual batch size K")
 	workers := fs.Int("workers", 2, "inference pipelines")
-	pipeline := fs.Int("pipeline", 0, "pipeline depth per worker (0 = serial)")
+	pipeline := fs.Int("pipeline", 1, "pipeline depth per worker")
 	maxClients := fs.Int("maxclients", 16, "largest client count in the sweep")
 	duration := fs.Duration("duration", time.Second, "load duration per step")
 	maxWait := fs.Duration("maxwait", 2*time.Millisecond, "batching deadline")
@@ -460,7 +456,7 @@ func cmdLoadgen(args []string) {
 	chaosPath := fs.String("chaos", "", "play this chaos schedule (JSON) during every step; implies recovery + retry headroom")
 	budget := fs.Duration("budget", 0, "default end-to-end deadline budget per request (0 = unbounded)")
 	retry := fs.Int("retry", 0, "re-dispatch a failed batch onto a fresh gang up to N times")
-	hedgePct := fs.Float64("hedge-pct", 0, "hedge a batch slower than this latency percentile (0 = off; serial workers only)")
+	hedgePct := fs.Float64("hedge-pct", 0, "hedge a batch slower than this latency percentile (0 = off)")
 	shed := fs.Int("shed", 0, "shed requests with a typed error when the queue holds >= N (0 = off)")
 	seed := fs.Int64("seed", 1, "random seed")
 	fs.Parse(args)

@@ -21,7 +21,6 @@ package darknight
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -280,15 +279,7 @@ func (s *trainGangSource) Acquire() (sched.Fleet, error) {
 
 func (s *trainGangSource) Release(f sched.Fleet, culprits []int, err error) {
 	g := f.(*fleet.Grant)
-	var ie *sched.IntegrityError
-	switch {
-	case len(culprits) > 0:
-		g.ReportFaults(culprits)
-	case errors.As(err, &ie) && len(ie.Culprits) > 0:
-		g.ReportFaults(ie.Culprits)
-	case err != nil && errors.Is(err, masking.ErrIntegrity):
-		g.ReportSuspect()
-	}
+	sched.ReportOutcome(g, culprits, err)
 	g.Release()
 }
 

@@ -99,7 +99,7 @@ func returnedVar(c *gpu.Cluster) (*gpu.BlockFlight, error) {
 }
 
 // handedOff: passing the value to another call moves ownership too (the
-// serve worker hands grants to settleFlight this way).
+// serve worker hands grants to submit this way).
 func handedOff(ctx context.Context, m *fleet.Manager) error {
 	g, err := m.Acquire(ctx, "tenant-e", 2)
 	if err != nil {

@@ -63,6 +63,7 @@ func (s NoisePoolStats) HitRate() float64 {
 type NoisePool struct {
 	m       int
 	lengths []int
+	sets    int // ring capacity
 
 	mu     sync.Mutex
 	cond   *sync.Cond // signals the refiller that a spare slot appeared
@@ -76,9 +77,11 @@ type NoisePool struct {
 	misses  atomic.Int64
 	refills atomic.Int64
 
-	// warnOnce fires the undersized-pool warning on the first miss only:
-	// steady-state misses mean the ring cannot keep up with its consumers
-	// and every affected encode silently pays an inline RNG pass.
+	// warnOnce fires the undersized-pool warning on the first warm miss
+	// only: once the ring has been full (Refills >= sets), a miss means it
+	// cannot keep up with its consumers and every affected encode silently
+	// pays an inline RNG pass. A cold miss — the first Get beating the first
+	// refill — says nothing about sizing and is only counted.
 	warnOnce sync.Once
 
 	wg sync.WaitGroup
@@ -103,6 +106,7 @@ func NewNoisePool(seed int64, m int, lengths []int, sets int) *NoisePool {
 	p := &NoisePool{
 		m:       m,
 		lengths: append([]int(nil), lengths...),
+		sets:    sets,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -188,12 +192,21 @@ func (p *NoisePool) Get(n int) *NoiseSet {
 		}
 	}
 	p.mu.Unlock()
+	p.miss(n)
+	return nil
+}
+
+// miss counts a Get that found nothing ready and, on the first one after
+// the ring has been full once, warns that the pool is undersized.
+func (p *NoisePool) miss(n int) {
 	p.misses.Add(1)
+	if p.refills.Load() < int64(p.sets) {
+		return // cold: the first Get beat the first refill
+	}
 	p.warnOnce.Do(func() {
 		noisePoolWarn("masking: noise pool miss (row length %d): generator behind its consumers — "+
 			"encode falls back to inline draws; persistent misses mean the pool is undersized (raise sets)", n)
 	})
-	return nil
 }
 
 // Recycle hands a consumed set back to the pool for the refiller to

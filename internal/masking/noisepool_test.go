@@ -280,4 +280,25 @@ func TestNoisePoolMissWarnsOnce(t *testing.T) {
 	if len(warnings) != 1 {
 		t.Fatalf("second pool fired %d warnings, want 1", len(warnings))
 	}
+
+	// A cold miss — before the ring has been full once — is counted but
+	// says nothing about sizing: no warning. The pool is assembled without
+	// its generator so "cold" is a state, not a race.
+	warnings = warnings[:0]
+	mu.Unlock()
+	cold := &NoisePool{m: 1, lengths: lengths, sets: 2}
+	if cold.Get(64) != nil || cold.Stats().Misses != 1 {
+		t.Fatalf("cold Get must miss and be counted: %+v", cold.Stats())
+	}
+	mu.Lock()
+	if len(warnings) != 0 {
+		t.Fatalf("cold miss warned: %q", warnings)
+	}
+	mu.Unlock()
+	cold.refills.Store(2) // the ring has been full once
+	cold.Get(64)
+	mu.Lock()
+	if len(warnings) != 1 {
+		t.Fatalf("first warm miss fired %d warnings, want 1", len(warnings))
+	}
 }

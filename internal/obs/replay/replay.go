@@ -33,7 +33,6 @@ import (
 
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
-	"darknight/internal/masking"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
 	"darknight/internal/sched"
@@ -131,22 +130,23 @@ func Run(snap *obs.Snapshot, model *nn.Model, opts Options) (*Report, error) {
 		NormLimit:      snap.Sched.NormLimit,
 		Seed:           snap.Sched.Seed,
 	}
-	inf, err := sched.NewInferencer(sc, model, nil, "replay/")
+	// One lane: the log is replayed serially, whatever depth recorded it.
+	pipe, err := sched.NewPipeline(sc, model, nil, "replay/", 1)
 	if err != nil {
-		return nil, fmt.Errorf("replay: rebuilding inferencer: %w", err)
+		return nil, fmt.Errorf("replay: rebuilding the pipeline: %w", err)
 	}
-	defer inf.Close()
+	defer pipe.Close()
 	if snap.Serving.Recover {
-		if err := inf.EnableRecovery(); err != nil {
+		if err := pipe.EnableRecovery(); err != nil {
 			return nil, fmt.Errorf("replay: enabling recovery: %w", err)
 		}
 	}
-	inf.SetObserver(rec)
+	pipe.SetObserver(rec)
 
 	rep := &Report{Batches: len(snap.Batches)}
-	logf("replay: %d batches over %d devices (gang %d)", len(snap.Batches), cluster.Size(), inf.Gang())
+	logf("replay: %d batches over %d devices (gang %d)", len(snap.Batches), cluster.Size(), pipe.Gang())
 	for _, b := range snap.Batches {
-		if err := replayBatch(fm, inf, b, rep); err != nil {
+		if err := replayBatch(fm, pipe, b, rep); err != nil {
 			return nil, err
 		}
 	}
@@ -217,17 +217,21 @@ func buildCluster(ci obs.ClusterInfo) (*gpu.Cluster, error) {
 }
 
 // replayBatch re-runs one captured batch on its recorded gang slots and
-// folds the outcome comparison into the report. Fault reporting mirrors
-// the serving workers' reportOutcome so the health tracker sees the same
-// verdicts the live fleet did.
-func replayBatch(fm *fleet.Manager, inf *sched.Inferencer, b obs.BatchRecord, rep *Report) error {
+// folds the outcome comparison into the report. The verdict is reported
+// exactly as the serving workers report it, so the health tracker sees
+// what the live fleet's did.
+func replayBatch(fm *fleet.Manager, pipe *sched.Pipeline, b obs.BatchRecord, rep *Report) error {
 	grant, err := fm.AcquireSlots(b.Tenant, b.Gang)
 	if err != nil {
 		return fmt.Errorf("replay: batch #%d: %w", b.Seq, err)
 	}
-	preds, perr := inf.Predict(grant, b.Images)
-	culprits := inf.Culprits()
-	reportOutcome(grant, culprits, perr)
+	var preds, culprits []int
+	tk, perr := pipe.Submit(grant, b.Images)
+	if perr == nil {
+		perr = tk.Wait()
+		preds, culprits = tk.Classes(), tk.Culprits()
+	}
+	sched.ReportOutcome(grant, culprits, perr)
 	grant.Release()
 
 	mismatch := func(format string, args ...any) {
@@ -251,25 +255,6 @@ func replayBatch(fm *fleet.Manager, inf *sched.Inferencer, b obs.BatchRecord, re
 		rep.Matched++
 	}
 	return nil
-}
-
-// reportOutcome mirrors the serving workers' fault reporting: attributed
-// culprit slots quarantine, unattributable violations cast suspicion.
-func reportOutcome(grant *fleet.Grant, culprits []int, err error) {
-	if len(culprits) > 0 {
-		grant.ReportFaults(culprits)
-		return
-	}
-	if err == nil {
-		return
-	}
-	var ie *sched.IntegrityError
-	switch {
-	case errors.As(err, &ie) && len(ie.Culprits) > 0:
-		grant.ReportFaults(ie.Culprits)
-	case errors.Is(err, masking.ErrIntegrity):
-		grant.ReportSuspect()
-	}
 }
 
 // compareEvents checks the replay's event projections against the

@@ -17,8 +17,8 @@ import (
 // walk, the Eq (4–6) gradient offload, and the resilience machinery around
 // it (straggler-tolerant dual-window gather, device-cache refill). It is
 // shared by the serial Trainer and the pipelined TrainPipeline lanes —
-// exactly as the forward walk in engine.go is shared by Inferencer,
-// Pipeline and the trainers.
+// exactly as the forward walk in engine.go is shared by Pipeline and the
+// trainers.
 
 // backwardLayer reverses forwardLayer, returning per-example input grads.
 func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Tensor) ([]*tensor.Tensor, error) {

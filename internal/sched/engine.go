@@ -108,16 +108,47 @@ func (e *IntegrityError) Error() string {
 
 func (e *IntegrityError) Unwrap() error { return e.Err }
 
-// engine is the TEE-side forward core shared by Trainer and Inferencer: it
-// walks the model, keeps non-linear layers enclave-resident, and runs the
-// quantize → encode → fan-out → verify → decode → restore flow for every
-// bilinear layer. It owns no optimizer state; training-only logic lives on
-// Trainer.
+// FaultSink is the gang a batch ran on, as far as its integrity verdict is
+// concerned; *fleet.Grant implements it.
+type FaultSink interface {
+	// ReportFaults marks gang slots attributed as tampering.
+	ReportFaults(slots []int)
+	// ReportSuspect marks the whole gang suspect.
+	ReportSuspect()
+}
+
+// ReportOutcome folds one batch's integrity verdict into the gang it ran
+// on: culprits attributed by the redundant decoding (whether the batch
+// failed or recovery absorbed the fault) quarantine the devices behind
+// those slots; an unattributable violation casts suspicion over the whole
+// gang. Every holder of a gang — serving workers, the training gang source,
+// replay — reports through here, before it releases the gang.
+func ReportOutcome(g FaultSink, culprits []int, err error) {
+	if len(culprits) > 0 {
+		g.ReportFaults(culprits)
+		return
+	}
+	if err == nil {
+		return // the clean path: nothing to report, nothing allocated
+	}
+	var ie *IntegrityError
+	switch {
+	case errors.As(err, &ie) && len(ie.Culprits) > 0:
+		g.ReportFaults(ie.Culprits)
+	case errors.Is(err, masking.ErrIntegrity):
+		g.ReportSuspect()
+	}
+}
+
+// engine is the TEE-side core shared by every driver — the Trainer and
+// each lane of a Pipeline or TrainPipeline: it walks the model, keeps
+// non-linear layers enclave-resident, and runs the quantize → encode →
+// fan-out → verify → decode → restore flow for every bilinear layer. It
+// owns no optimizer state; training-only logic lives on the drivers.
 //
-// An engine is single-threaded by design — it mirrors one TEE execution
-// context. Concurrency is achieved by running one engine per worker, each
-// against its own model replica (nn layers cache forward state and are not
-// safe for sharing across goroutines).
+// An engine runs one batch at a time — it mirrors one TEE execution
+// context. Engines sharing a model replica (lanes) serialise their
+// TEE-side work under the tee token, because nn layers cache forward state.
 type engine struct {
 	cfg   Config
 	model *nn.Model
@@ -141,12 +172,14 @@ type engine struct {
 	// linSeq numbers linear layers within a step.
 	linSeq int
 
-	// tee, when non-nil, is the shared TEE execution token of a pipelined
-	// runtime: the engine holds it for all enclave-side work and releases
-	// it only while a dispatch is in GPU flight, which is exactly the
-	// window another lane's engine uses to decode its previous batch or
-	// encode its next one. nil on the serial path (no token juggling).
+	// tee, when non-nil, is the TEE execution token this lane shares with
+	// its siblings: the engine holds it for all enclave-side work and
+	// releases it only while a dispatch is in GPU flight, which is exactly
+	// the window another lane's engine uses to decode its previous batch or
+	// encode its next one. nil on the Trainer (no lanes, no token).
 	tee *sync.Mutex
+	// lane is this engine's index among its siblings (0 on the Trainer).
+	lane int
 	// onToken, when non-nil, runs after every TEE token acquisition. A
 	// training lane uses it to re-install its private gradient sinks into
 	// the shared model — another lane may have swapped in its own while
@@ -166,8 +199,8 @@ type engine struct {
 	// sp, when non-nil, is the trace span of the virtual batch currently
 	// executing on this engine: every offload hangs an
 	// encode/dispatch/decode child tree off it. Installed per batch by the
-	// owning Inferencer/Pipeline/TrainPipeline; the untraced case is a nil
-	// pointer, which the obs spans treat as a free no-op.
+	// owning driver; the untraced case is a nil pointer, which the obs
+	// spans treat as a free no-op.
 	sp *obs.Span
 	// rec, when non-nil, receives flight-recorder events from the engine:
 	// backward cache-miss refills and integrity verdicts.
@@ -177,8 +210,8 @@ type engine struct {
 	// batch currently on this engine: checked before every gang dispatch
 	// (per-layer and fused-block), so an expired batch stops occupying
 	// devices at the next layer boundary instead of running to
-	// completion. Installed per batch (SetDeadline / SubmitWithin);
-	// cleared with the span.
+	// completion. Installed per batch (Pipeline.SubmitWithin); cleared
+	// with the span.
 	deadline time.Time
 
 	// recover enables audit-and-recover on integrity violations

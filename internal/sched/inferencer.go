@@ -1,199 +1,38 @@
 package sched
 
 import (
-	"fmt"
-	"time"
-
 	"darknight/internal/enclave"
-	"darknight/internal/masking"
 	"darknight/internal/nn"
-	"darknight/internal/obs"
 	"darknight/internal/tensor"
 )
 
-// Inferencer is the forward-only half of the runtime: one masked inference
-// pipeline carrying no optimizer state and no backward machinery. It exists
-// so serving workers can each own a pipeline (with a private model replica)
-// and dispatch onto whatever device gang they currently hold — the fleet is
-// a per-call argument rather than a construction-time binding.
-//
-// An Inferencer is NOT safe for concurrent use: like the TEE execution
-// context it models, it runs one virtual batch at a time. Run one
-// Inferencer per worker goroutine, each with its own model replica (nn
-// layers cache forward state; see package nn).
-type Inferencer struct {
-	eng engine
-	// lens caches the offloaded layers' input lengths in offload order —
-	// the noise-pool sizing information.
-	lens []int
-}
+// Inferencer is the synchronous face of a one-lane Pipeline — submit, wait
+// — for callers that run one virtual batch at a time (benchmarks, probes).
+// Everything else a caller may want (Predict, Gang, EnableRecovery,
+// PhaseStats, Close; spans, deadlines and culprits via SubmitWithin and
+// the Ticket) is the Pipeline's.
+type Inferencer struct{ *Pipeline }
 
-// NewInferencer wires a forward-only pipeline around a model replica. The
-// enclave may be nil (memory accounting skipped) or shared across workers —
-// enclave accounting is thread-safe, modelling one EPC budget serving many
-// TEE threads. keyspace must be unique among pipelines sharing physical
-// devices so their GPU-side coded-tensor storage cannot alias.
+// NewInferencer wires a depth-1 Pipeline around a model replica; see
+// NewPipeline.
 func NewInferencer(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string) (*Inferencer, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.maskParams().Validate(); err != nil {
+	p, err := NewPipeline(cfg, model, encl, keyspace, 1)
+	if err != nil {
 		return nil, err
 	}
-	eng := newEngine(cfg, model, nil, encl, keyspace)
-	// Forward-only: nothing reads the device-side coded-input cache back,
-	// so successive dispatches reuse keys (bounded device storage).
-	eng.reuseKeys = true
-	return &Inferencer{eng: eng, lens: offloadLens(model.Stack)}, nil
-}
-
-// offloadLens walks a layer tree in forward order and returns the input
-// length of every offloaded (bilinear) layer — the per-layer noise-vector
-// lengths a NoisePool pre-draws, in exactly the order the engine consumes
-// them.
-func offloadLens(layer nn.Layer) []int {
-	var lens []int
-	var walk func(nn.Layer)
-	walk = func(l nn.Layer) {
-		switch v := l.(type) {
-		case *nn.Sequential:
-			for _, child := range v.Layers() {
-				walk(child)
-			}
-		case *nn.Residual:
-			walk(v.Body())
-			if v.Skip() != nil {
-				walk(v.Skip())
-			}
-		default:
-			if lin, ok := l.(nn.Linear); ok {
-				lens = append(lens, lin.InLen())
-			}
-		}
-	}
-	walk(layer)
-	return lens
-}
-
-// Config returns the effective configuration.
-func (inf *Inferencer) Config() Config { return inf.eng.cfg }
-
-// EnableRecovery turns on audit-and-recover for forward offloads: instead
-// of failing the batch, a tampered dispatch is re-decoded from the clean
-// equations and the culprit slots are recorded (readable via Culprits).
-// Requires Redundancy >= 2 — attribution needs a second redundant equation.
-func (inf *Inferencer) EnableRecovery() error {
-	if inf.eng.cfg.Redundancy < 2 {
-		return fmt.Errorf("sched: recovery needs Redundancy >= 2, have %d", inf.eng.cfg.Redundancy)
-	}
-	inf.eng.recover = true
-	return nil
-}
-
-// Recovery returns the accumulated recovery statistics.
-func (inf *Inferencer) Recovery() RecoveryStats { return inf.eng.recovery }
-
-// Culprits returns the gang slots attributed as tampering during the most
-// recent Forward/Predict call (empty when the batch was clean). The fleet
-// layer maps slots to physical devices for quarantine; meaningful even
-// when recovery hid the fault from the caller.
-func (inf *Inferencer) Culprits() []int { return inf.eng.stepCulprits }
-
-// Gang returns the number of devices one dispatch occupies: K+M+E.
-func (inf *Inferencer) Gang() int { return inf.eng.cfg.maskParams().GPUs() }
-
-// SetSpan installs the trace span the next Forward/Predict call hangs its
-// offload encode/dispatch/decode children from. Like the Inferencer
-// itself, not safe for concurrent use; a nil span (the default) traces
-// nothing at no cost. The span stays installed until replaced — callers
-// pass nil after the batch to avoid cross-batch attribution.
-func (inf *Inferencer) SetSpan(sp *obs.Span) { inf.eng.sp = sp }
-
-// SetObserver attaches a flight recorder: cache refills and integrity
-// verdicts are recorded as they happen. Call before traffic starts.
-func (inf *Inferencer) SetObserver(rec *obs.FlightRecorder) { inf.eng.rec = rec }
-
-// SetDeadline installs the absolute deadline of the next Forward/Predict
-// call: the engine re-checks it before every gang dispatch, failing the
-// batch with an error matching context.DeadlineExceeded rather than
-// occupying devices it cannot use in time. The zero time (the default)
-// disables the check. Like SetSpan, not safe for concurrent use and the
-// deadline stays installed until replaced.
-func (inf *Inferencer) SetDeadline(t time.Time) { inf.eng.deadline = t }
-
-// PhaseStats returns the pipeline's cumulative encode/dispatch/decode
-// latency breakdown (plus Wall, the summed per-batch forward wall-clock).
-// Callers window measurements with PhaseStats.Sub.
-func (inf *Inferencer) PhaseStats() PhaseStats { return inf.eng.phases }
-
-// EnableNoisePool attaches a seeded background noise generator sized for
-// the model's offloaded layers: encodes consume pre-drawn material instead
-// of paying an inline RNG pass per layer, falling back (counted) when the
-// generator is behind. sets <= 0 picks two full layer cycles. Call Close
-// to stop the generator.
-func (inf *Inferencer) EnableNoisePool(sets int) {
-	if inf.eng.pool != nil || len(inf.lens) == 0 {
-		return
-	}
-	// The pool seed is offset from the engine seed so the offline stream is
-	// not a replay of the inline one.
-	inf.eng.pool = masking.NewNoisePool(inf.eng.cfg.Seed+0x0ff1e, inf.eng.cfg.Collusion, inf.lens, sets)
-}
-
-// PoolStats returns the noise pool's hit/miss counters (zero value when no
-// pool is attached).
-func (inf *Inferencer) PoolStats() masking.NoisePoolStats {
-	if inf.eng.pool == nil {
-		return masking.NoisePoolStats{}
-	}
-	return inf.eng.pool.Stats()
-}
-
-// Close stops the background noise generator, if one was enabled. The
-// Inferencer remains usable (encodes draw inline).
-func (inf *Inferencer) Close() {
-	if inf.eng.pool != nil {
-		inf.eng.pool.Close()
-		inf.eng.pool = nil
-	}
+	return &Inferencer{p}, nil
 }
 
 // Forward runs the masked forward pass for exactly K images on the given
 // fleet and returns the per-image logits. The fleet must offer at least
-// K+M+E devices (a gang lease view or a whole cluster).
+// K+M+E devices (a gang grant or a whole cluster).
 func (inf *Inferencer) Forward(fleet Fleet, images [][]float64) ([]*tensor.Tensor, error) {
-	e := &inf.eng
-	k := e.cfg.VirtualBatch
-	if len(images) != k {
-		return nil, fmt.Errorf("sched: inference needs exactly %d images, got %d", k, len(images))
-	}
-	if need := inf.Gang(); fleet.Size() < need {
-		return nil, fmt.Errorf("sched: gang of %d devices required, fleet has %d", need, fleet.Size())
-	}
-	e.fleet = fleet
-	defer func() { e.fleet = nil }()
-	t0 := time.Now()
-	defer func() { e.phases.Wall += time.Since(t0) }()
-	e.beginStep()
-	code, err := masking.New(e.cfg.maskParams(), e.rng)
+	t, err := inf.Submit(fleet, images)
 	if err != nil {
 		return nil, err
 	}
-	xs := make([]*tensor.Tensor, k)
-	for i := range images {
-		xs[i] = tensor.FromSlice(images[i], e.model.InShape...)
-	}
-	logits, _, err := e.forwardLayer(code, e.model.Stack, xs, false)
-	return logits, err
-}
-
-// Predict classifies exactly K images on the given fleet.
-func (inf *Inferencer) Predict(fleet Fleet, images [][]float64) ([]int, error) {
-	logits, err := inf.Forward(fleet, images)
-	if err != nil {
+	if err := t.Wait(); err != nil {
 		return nil, err
 	}
-	out := make([]int, len(logits))
-	for i := range logits {
-		out[i] = nn.Argmax(logits[i])
-	}
-	return out, nil
+	return t.Logits(), nil
 }

@@ -172,7 +172,7 @@ func TestInferencerSlackClampedWithoutRedundancyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inf.eng.effectiveSlack(); got != 0 {
+	if got := inf.all[0].effectiveSlack(); got != 0 {
 		t.Fatalf("effective slack %d with E=1; want clamp to 0", got)
 	}
 	if _, err := inf.Predict(gpu.NewHonestCluster(4), images); err != nil {
@@ -182,7 +182,7 @@ func TestInferencerSlackClampedWithoutRedundancyBudget(t *testing.T) {
 
 func TestInferencerRecoveryAttributesCulprit(t *testing.T) {
 	// E=2 + recovery: a persistently tampering device is identified per
-	// batch (Culprits) while predictions stay correct.
+	// batch (on its ticket) while predictions stay correct.
 	rng := rand.New(rand.NewSource(42))
 	model := nn.TinyCNN(1, 8, 8, 4, rng)
 	data := dataset.SyntheticCIFAR(rand.New(rand.NewSource(7)), 4, 4, 1, 8, 8, 0.05)
@@ -213,20 +213,24 @@ func TestInferencerRecoveryAttributesCulprit(t *testing.T) {
 			devs[i] = gpu.NewMalicious(devs[i], gpu.FaultPolicy{EveryNth: 1})
 		}
 	}
-	got, err := inf.Predict(gpu.NewCluster(devs...), images)
+	tk, err := inf.Submit(gpu.NewCluster(devs...), images)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); err != nil {
 		t.Fatalf("recovery should mask the fault: %v", err)
 	}
+	got := tk.Classes()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("image %d: recovered %d, clean %d", i, got[i], want[i])
 		}
 	}
-	culprits := inf.Culprits()
+	culprits := tk.Culprits()
 	if len(culprits) != 1 || culprits[0] != bad {
 		t.Fatalf("culprits = %v, want [%d]", culprits, bad)
 	}
-	if st := inf.Recovery(); st.Violations == 0 || st.Recovered != st.Violations {
+	if st := inf.all[0].recovery; st.Violations == 0 || st.Recovered != st.Violations {
 		t.Fatalf("recovery stats = %+v", st)
 	}
 
@@ -275,16 +279,20 @@ func TestInferencerRecoveryComposesWithStragglerSlack(t *testing.T) {
 			devs[i] = gpu.NewMalicious(devs[i], gpu.FaultPolicy{EveryNth: 1})
 		}
 	}
-	got, err := inf.Predict(lastGated(t, devs...), images)
+	tk, err := inf.Submit(lastGated(t, devs...), images)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); err != nil {
 		t.Fatalf("recovery on the quorum path should absorb the fault: %v", err)
 	}
+	got := tk.Classes()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("image %d: recovered-quorum %d, clean %d", i, got[i], want[i])
 		}
 	}
-	culprits := inf.Culprits()
+	culprits := tk.Culprits()
 	if len(culprits) != 1 || culprits[0] != bad {
 		t.Fatalf("culprits = %v, want [%d]", culprits, bad)
 	}

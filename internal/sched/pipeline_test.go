@@ -55,10 +55,12 @@ func sameLogits(t *testing.T, tag string, batch int, a, b []*tensor.Tensor) {
 
 // TestPipelineMatchesSerial is the equivalence property test: across
 // K/E/slack operating points — including the quorum/straggler path with a
-// deterministically slow device welded into the gang — the pipelined
-// engine's logits are bit-for-bit the serial engine's on the same virtual
-// batches. Decode exactness over F_p makes outputs independent of noise
-// and coefficient draws, so overlap cannot change a single bit.
+// deterministically slow device welded into the gang — the Pipeline's
+// logits at every depth, one lane included, are bit-for-bit those of the
+// Trainer's forward pass (the engine with no lanes, no token and no noise
+// pool, so the pin compares two drivers, not one with itself) on the same
+// virtual batches. Decode exactness over F_p makes outputs independent of
+// noise and coefficient draws, so overlap cannot change a single bit.
 func TestPipelineMatchesSerial(t *testing.T) {
 	combos := []struct {
 		name           string
@@ -67,6 +69,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		depth, batches int
 	}{
 		{name: "K2-M1-E0", k: 2, m: 1, e: 0, depth: 2, batches: 5},
+		{name: "K2-M1-E1-depth1", k: 2, m: 1, e: 1, depth: 1, batches: 4},
 		{name: "K3-M1-E1", k: 3, m: 1, e: 1, depth: 2, batches: 4},
 		{name: "K2-M2-E1", k: 2, m: 2, e: 1, depth: 3, batches: 6},
 		{name: "K2-M1-E2-slack1", k: 2, m: 1, e: 2, slack: 1, slow: true, depth: 2, batches: 4},
@@ -85,28 +88,24 @@ func TestPipelineMatchesSerial(t *testing.T) {
 				// One straggler in every gang forces the subset decode path.
 				devs[gang-1] = gpu.NewSlow(devs[gang-1], 2*time.Millisecond)
 			}
-			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+			cluster := gpu.NewCluster(devs...)
+			fm := fleet.NewManager(cluster, fleet.Config{})
 			model := pipeModel()
 			batches := pipeBatches(c.k, c.batches, 64)
 
-			// Serial reference: one grant, batches one at a time.
-			inf, err := NewInferencer(cfg, model, nil, "ser/")
-			if err != nil {
-				t.Fatal(err)
-			}
-			grant, err := fm.Acquire(context.Background(), "serial", gang)
+			// Serial reference: the Trainer, batches one at a time.
+			tr, err := NewTrainer(cfg, model, cluster, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := make([][]*tensor.Tensor, len(batches))
 			for b, images := range batches {
-				logits, err := inf.Forward(grant, images)
+				logits, err := tr.Forward(images)
 				if err != nil {
 					t.Fatalf("serial batch %d: %v", b, err)
 				}
 				want[b] = logits
 			}
-			grant.Release()
 
 			// Pipelined: all batches submitted through one shared grant —
 			// overlapping dispatches on the same gang.
@@ -149,16 +148,16 @@ func TestPipelineMatchesSerial(t *testing.T) {
 }
 
 // TestSerialNoisePoolMatchesInline pins the offline/online noise split on
-// the serial engine: an Inferencer consuming precomputed pool material
-// produces bit-identical logits to one drawing noise inline, and actually
-// hits the pool.
+// the serial runtime: a one-lane Inferencer consuming precomputed pool
+// material produces bit-identical logits to the Trainer drawing noise
+// inline, and actually hits the pool.
 func TestSerialNoisePoolMatchesInline(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 1, Seed: 3}
 	cluster := gpu.NewHonestCluster(cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy)
 	model := pipeModel()
 	batches := pipeBatches(cfg.VirtualBatch, 6, 64)
 
-	plain, err := NewInferencer(cfg, model, nil, "plain/")
+	plain, err := NewTrainer(cfg, model, cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +165,10 @@ func TestSerialNoisePoolMatchesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled.EnableNoisePool(0)
 	defer pooled.Close()
 
 	for b, images := range batches {
-		a, err := plain.Forward(cluster, images)
+		a, err := plain.Forward(images)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,12 +189,12 @@ func TestSerialNoisePoolMatchesInline(t *testing.T) {
 func TestPipelineSubmitValidation(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Seed: 1}
 	model := pipeModel()
-	if _, err := NewPipeline(cfg, model, nil, "v/", 1); err == nil {
-		t.Fatal("depth 1 pipeline must be rejected")
+	if _, err := NewPipeline(cfg, model, nil, "v/", 0); err == nil {
+		t.Fatal("depth 0 pipeline must be rejected")
 	}
-	pipe, err := NewPipeline(cfg, model, nil, "v/", 2)
+	pipe, err := NewPipeline(cfg, model, nil, "v/", 1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("depth 1 is the serial runtime and must build: %v", err)
 	}
 	cluster := gpu.NewHonestCluster(pipe.Gang())
 	if _, err := pipe.Submit(cluster, make([][]float64, 1)); err == nil {

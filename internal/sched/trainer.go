@@ -212,10 +212,10 @@ func (t *Trainer) TrainVirtualBatch(examples []dataset.Example) (float64, error)
 	return total / float64(k), nil
 }
 
-// Predict runs masked inference for a virtual batch of images, returning
-// the predicted class per image. Forward-only — the inference flow the
-// paper compares against Slalom (§7.2).
-func (t *Trainer) Predict(images [][]float64) ([]int, error) {
+// Forward runs the masked forward pass for a virtual batch of images and
+// returns the per-image logits — the lane-less, token-less reference the
+// Pipeline's outputs are pinned against.
+func (t *Trainer) Forward(images [][]float64) ([]*tensor.Tensor, error) {
 	k := t.cfg.VirtualBatch
 	if len(images) != k {
 		return nil, fmt.Errorf("sched: predict needs exactly %d images, got %d", k, len(images))
@@ -235,10 +235,18 @@ func (t *Trainer) Predict(images [][]float64) ([]int, error) {
 		xs[i] = tensor.FromSlice(images[i], t.model.InShape...)
 	}
 	logits, _, err := t.forwardLayer(code, t.model.Stack, xs, false)
+	return logits, err
+}
+
+// Predict classifies a virtual batch of images: Forward, then the argmax
+// per image. Forward-only — the inference flow the paper compares against
+// Slalom (§7.2).
+func (t *Trainer) Predict(images [][]float64) ([]int, error) {
+	logits, err := t.Forward(images)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, k)
+	out := make([]int, len(logits))
 	for i := range logits {
 		out[i] = nn.Argmax(logits[i])
 	}

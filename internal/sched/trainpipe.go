@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"darknight/internal/dataset"
 	"darknight/internal/enclave"
@@ -56,10 +55,8 @@ type trainTicket struct {
 // up to Depth virtual batches ride the encode→dispatch→decode stages of
 // BOTH passes at once, so while batch i's coded shares (forward or
 // backward) are on the devices, the TEE decodes batch i−1 and encodes
-// batch i+1. It mirrors Pipeline's lane design — each in-flight batch owns
-// a lane (a full engine with private arena, scratch and RNG), all lanes
-// sharing one model replica and one TEE execution token — and adds the
-// training-specific machinery on top:
+// batch i+1. It sits on the same lane machinery as Pipeline (see lanes) and
+// adds the training-specific parts on top:
 //
 //   - data-parallel gradient isolation: every lane owns a private set of
 //     gradient accumulators and re-installs them into the shared model's
@@ -76,31 +73,17 @@ type trainTicket struct {
 //     a GangSource, with integrity culprits reported back on release, and
 //     the backward pass inherits the engine's straggler-tolerant
 //     dual-window quorum and cache-refill fallback.
-//
-// Noise is pre-drawn offline by a shared masking.NoisePool, exactly as on
-// the inference pipeline.
 type TrainPipeline struct {
-	cfg   Config
+	*lanes
 	model *nn.Model
-	depth int
-
-	tee   sync.Mutex      // the single TEE execution token
-	lanes chan *trainLane // free lanes; capacity == depth bounds the pipeline
-	all   []*trainLane
-	pool  *masking.NoisePool
 
 	params     []*nn.Param
-	origGrads  []*tensor.Tensor // the model's own accumulators, restored after aggregation
+	origGrads  []*tensor.Tensor   // the model's own accumulators, restored after aggregation
+	grads      [][]*tensor.Tensor // per lane: one private accumulator per model param
 	totalElems int
 
 	runMu sync.Mutex // one TrainLargeBatch at a time
 	store *gradStore // seals per-virtual-batch gradient shards (Algorithm 2)
-
-	mu        sync.Mutex
-	phases    PhaseStats
-	active    int
-	busySince time.Time
-	closed    bool
 
 	// tracer, when non-nil, samples per-virtual-batch trace spans: each
 	// sampled batch yields a root with its forward/backward offload trees,
@@ -108,135 +91,57 @@ type TrainPipeline struct {
 	tracer *obs.Tracer
 }
 
-// trainLane is one in-flight batch's execution context: a full engine plus
-// the lane-private gradient accumulators it installs while holding the TEE
-// token.
-type trainLane struct {
-	engine
-	grads []*tensor.Tensor // one per model param, params order
-}
-
 // NewTrainPipeline wires a pipelined training runtime of the given depth
-// (>= 2) around one shared model replica. The enclave may be nil or shared;
-// each in-flight batch accounts its own working set and seals its own
-// gradient shards, so peak enclave usage grows with depth. keyspace must be
-// unique among runtimes sharing physical devices.
+// (>= 2; the serial reference is Trainer) around one shared model replica;
+// see newLanes for the enclave and keyspace contracts — each in-flight
+// batch additionally seals its own gradient shards.
 //
 // The model must not be trained or evaluated through any other path while
 // a TrainLargeBatch is running — the lanes temporarily redirect its
 // gradient accumulators.
 func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string, depth int) (*TrainPipeline, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.maskParams().Validate(); err != nil {
-		return nil, err
-	}
 	if depth < 2 {
 		return nil, fmt.Errorf("sched: train pipeline depth %d, need >= 2 (use Trainer for serial execution)", depth)
 	}
+	// Per-step keys: backward reads the stored coded inputs back.
+	l, err := newLanes(cfg, model, encl, keyspace+"t", depth, false)
+	if err != nil {
+		return nil, err
+	}
 	p := &TrainPipeline{
-		cfg:    cfg,
+		lanes:  l,
 		model:  model,
-		depth:  depth,
-		lanes:  make(chan *trainLane, depth),
-		all:    make([]*trainLane, 0, depth),
 		params: model.Params(),
+		grads:  make([][]*tensor.Tensor, depth),
 		store:  newGradStore(encl),
 	}
 	for _, prm := range p.params {
 		p.origGrads = append(p.origGrads, prm.Grad)
 		p.totalElems += prm.W.Size()
 	}
-	lens := offloadLens(model.Stack)
-	if len(lens) > 0 {
-		// Forward and backward both consume no pool sets beyond the forward
-		// encode, so the inference pipeline's sizing rule carries over: one
-		// cycle per lane plus one of prefetch.
-		p.pool = masking.NewNoisePool(cfg.Seed+0x0ff1e, cfg.Collusion, lens, (depth+1)*len(lens))
-	}
-	for i := 0; i < depth; i++ {
-		lcfg := cfg
-		// Distinct RNG streams per lane: coding coefficients and fallback
-		// noise draws must differ across lanes (decode exactness makes the
-		// outputs independent of them, but privacy demands fresh draws).
-		lcfg.Seed = cfg.Seed + int64(i)*0x9e37
-		eng := newEngine(lcfg, model, nil, encl, fmt.Sprintf("%st%d/", keyspace, i))
-		eng.tee = &p.tee
-		eng.pool = p.pool
-		lane := &trainLane{engine: eng}
-		for _, prm := range p.params {
-			g := prm.Grad.Clone()
-			g.Zero()
-			lane.grads = append(lane.grads, g)
+	for i, lane := range l.all {
+		grads := make([]*tensor.Tensor, len(p.params))
+		for j, prm := range p.params {
+			grads[j] = prm.Grad.Clone()
+			grads[j].Zero()
 		}
+		p.grads[i] = grads
 		// Every token acquisition re-installs this lane's gradient sinks:
 		// another lane may have swapped in its own during this lane's GPU
 		// flight.
 		lane.onToken = func() {
-			for i, prm := range p.params {
-				prm.Grad = lane.grads[i]
+			for j, prm := range p.params {
+				prm.Grad = grads[j]
 			}
 		}
-		p.all = append(p.all, lane)
-		p.lanes <- lane
 	}
 	return p, nil
-}
-
-// Config returns the effective configuration.
-func (p *TrainPipeline) Config() Config { return p.cfg }
-
-// Depth returns the number of batches the pipeline can hold in flight.
-func (p *TrainPipeline) Depth() int { return p.depth }
-
-// Gang returns the number of devices one dispatch occupies: K+M+E.
-func (p *TrainPipeline) Gang() int { return p.cfg.maskParams().GPUs() }
-
-// EnableRecovery turns on audit-and-recover on every lane (see
-// Trainer.EnableRecovery). Requires Redundancy >= 2.
-func (p *TrainPipeline) EnableRecovery() error {
-	if p.cfg.Redundancy < 2 {
-		return fmt.Errorf("sched: recovery needs Redundancy >= 2, have %d", p.cfg.Redundancy)
-	}
-	for _, lane := range p.all {
-		lane.recover = true
-	}
-	return nil
-}
-
-// SetObserver attaches a flight recorder to every lane: backward cache
-// refills and integrity verdicts are recorded as they happen. Call
-// before training traffic starts.
-func (p *TrainPipeline) SetObserver(rec *obs.FlightRecorder) {
-	for _, lane := range p.all {
-		lane.rec = rec
-	}
 }
 
 // SetTracer attaches a sampling tracer: each sampled virtual batch
 // produces a "train.vbatch" root span carrying the batch's
 // forward/backward offload trees. Call before training traffic starts.
 func (p *TrainPipeline) SetTracer(tr *obs.Tracer) { p.tracer = tr }
-
-// PhaseStats returns the aggregated encode/dispatch/decode breakdown
-// across all lanes (forward and backward offloads) plus the pipeline's
-// busy wall-clock; Overlap() on the result is the training overlap ratio.
-func (p *TrainPipeline) PhaseStats() PhaseStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.phases
-	if p.active > 0 {
-		s.Wall += time.Since(p.busySince)
-	}
-	return s
-}
-
-// PoolStats returns the shared noise pool's hit/miss counters.
-func (p *TrainPipeline) PoolStats() masking.NoisePoolStats {
-	if p.pool == nil {
-		return masking.NoisePoolStats{}
-	}
-	return p.pool.Stats()
-}
 
 // CacheRefills sums the lanes' backward cache-miss recoveries.
 func (p *TrainPipeline) CacheRefills() int64 {
@@ -245,17 +150,6 @@ func (p *TrainPipeline) CacheRefills() int64 {
 		n += lane.refills
 	}
 	return n
-}
-
-// Close stops the background noise generator. Safe to call more than once.
-func (p *TrainPipeline) Close() {
-	p.mu.Lock()
-	already := p.closed
-	p.closed = true
-	p.mu.Unlock()
-	if !already && p.pool != nil {
-		p.pool.Close()
-	}
 }
 
 // TrainLargeBatch trains on len(batch) examples exactly as
@@ -274,10 +168,7 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 	}
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
+	if p.isClosed() {
 		return 0, stats, fmt.Errorf("sched: train pipeline closed")
 	}
 	if shardElems <= 0 {
@@ -352,9 +243,7 @@ func (p *TrainPipeline) submit(f Fleet, src GangSource, examples []dataset.Examp
 		close(t.done)
 		return t
 	}
-	lane := <-p.lanes
-	p.noteStart()
-	go p.run(lane, f, src, examples, shardElems, t)
+	go p.run(p.acquire(f), src, examples, shardElems, t)
 	return t
 }
 
@@ -362,19 +251,10 @@ func (p *TrainPipeline) submit(f Fleet, src GangSource, examples []dataset.Examp
 // forward+backward under the TEE token (released by the engine during every
 // GPU flight), then shard-wise sealing of the lane's ▽W before the lane is
 // recycled.
-func (p *TrainPipeline) run(lane *trainLane, f Fleet, src GangSource, examples []dataset.Example, shardElems int, t *trainTicket) {
-	lane.fleet = f
+func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Example, shardElems int, t *trainTicket) {
+	f := lane.fleet
 	sp := p.tracer.Start("train.vbatch")
-	if sp != nil {
-		for i, l := range p.all {
-			if l == lane {
-				sp.Annotatef("lane", "%d", i)
-				break
-			}
-		}
-	}
-	lane.sp = sp
-	lane.beginStep()
+	lane.trace(sp)
 	code, err := masking.New(lane.cfg.maskParams(), lane.rng)
 	if err == nil {
 		k := lane.cfg.VirtualBatch
@@ -385,10 +265,9 @@ func (p *TrainPipeline) run(lane *trainLane, f Fleet, src GangSource, examples [
 		// The lane's accumulators are touched only while it holds the token,
 		// except here: no other goroutine references them while the lane is
 		// off-duty.
-		for _, g := range lane.grads {
+		for _, g := range p.grads[lane.lane] {
 			g.Zero()
 		}
-		ph0 := lane.phases
 		lane.lockTEE()
 		var logits []*tensor.Tensor
 		var tr *trace
@@ -406,66 +285,27 @@ func (p *TrainPipeline) run(lane *trainLane, f Fleet, src GangSource, examples [
 		}
 		t.culprits = append([]int(nil), lane.stepCulprits...)
 		p.tee.Unlock()
-		p.addPhases(lane.phases.Sub(ph0))
 	}
-	lane.fleet = nil
-	// Cleared before the lane re-enters the free channel; ending the root
-	// files the completed trace with the tracer.
-	lane.sp = nil
+	// Ending the root files the completed trace with the tracer.
 	sp.End()
 	if err == nil {
 		// Seal this virtual batch's ▽W shard-wise (Algorithm 2 lines 9–10)
 		// before the lane — and with it these accumulators — is recycled.
-		t.handles, t.sealedBytes, err = p.sealGrads(lane, shardElems)
+		t.handles, t.sealedBytes, err = p.sealGrads(lane.lane, shardElems)
 	}
 	t.err = err
 	src.Release(f, t.culprits, err)
-	p.lanes <- lane
-	p.noteEnd()
+	p.release(lane)
 	close(t.done)
 }
 
 // sealGrads flattens a lane's accumulators (params order) and seals them
 // shard-wise to untrusted memory (Algorithm 2 lines 9–10, shared store
 // with the serial trainer).
-func (p *TrainPipeline) sealGrads(lane *trainLane, shardElems int) ([]uint64, int64, error) {
+func (p *TrainPipeline) sealGrads(lane, shardElems int) ([]uint64, int64, error) {
 	flat := make([]float64, 0, p.totalElems)
-	for _, g := range lane.grads {
+	for _, g := range p.grads[lane] {
 		flat = append(flat, g.Data...)
 	}
 	return p.store.sealShards(flat, shardElems)
-}
-
-// noteStart/noteEnd maintain the busy wall-clock: the union of intervals
-// during which at least one batch is in flight.
-func (p *TrainPipeline) noteStart() {
-	p.mu.Lock()
-	if p.active == 0 {
-		p.busySince = time.Now()
-	}
-	p.active++
-	p.mu.Unlock()
-}
-
-func (p *TrainPipeline) noteEnd() {
-	p.mu.Lock()
-	p.active--
-	if p.active == 0 {
-		p.phases.Wall += time.Since(p.busySince)
-	}
-	p.mu.Unlock()
-}
-
-// addPhases folds one completed batch's lane-side phase delta into the
-// aggregate (Wall excluded — busy-interval accounting owns it).
-func (p *TrainPipeline) addPhases(d PhaseStats) {
-	p.mu.Lock()
-	p.phases.Encode += d.Encode
-	p.phases.Dispatch += d.Dispatch
-	p.phases.Decode += d.Decode
-	p.phases.Offloads += d.Offloads
-	p.phases.Flights += d.Flights
-	p.phases.FusedBlocks += d.FusedBlocks
-	p.phases.FusedLayers += d.FusedLayers
-	p.mu.Unlock()
 }

@@ -138,8 +138,7 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		})
 }
 
-// poolStats aggregates the workers' noise-pool counters (pipeline mode
-// only; serial workers run without pools).
+// poolStats aggregates the workers' noise-pool counters.
 func (s *Server) poolStats() masking.NoisePoolStats {
 	var st masking.NoisePoolStats
 	for _, p := range s.pipes {

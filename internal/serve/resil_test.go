@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"darknight/internal/field"
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
 	"darknight/internal/nn"
@@ -152,198 +154,298 @@ func tamperedFleet(gang, spares, bad int) *fleet.Manager {
 
 // TestRetryRecoversTamperedBatch: without Recover a tampered batch is a
 // client-visible integrity error — unless retry re-dispatches it onto a
-// fresh gang after the culprit is quarantined. The client must see a clean
-// answer and the counters must show the retry.
+// fresh gang after the culprit is quarantined. At every pipeline depth the
+// clients must see clean answers and the counters must show the retry.
 func TestRetryRecoversTamperedBatch(t *testing.T) {
 	const (
 		k    = 2
 		gang = k + 1 + 2 // M=1, E=2: exact attribution on the first batch
-		bad  = 1
 	)
-	fm := tamperedFleet(gang, 2, bad)
-	srv, err := New(Config{
-		Sched:   sched.Config{VirtualBatch: k, Redundancy: 2, Seed: 19},
-		MaxWait: time.Millisecond,
-		Resil:   resil.Config{Retry: resil.RetryPolicy{Max: 2}},
-	}, replicas(1, 19), fm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	for _, c := range []struct {
+		name                  string
+		depth, spares, bad, n int
+		seed                  int64
+	}{
+		{name: "depth1", depth: 1, spares: 2, bad: 1, n: 8, seed: 19},
+		// Enough spares for two overlapped gangs.
+		{name: "depth2", depth: 2, spares: gang + 2, bad: 2, n: 12, seed: 23},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fm := tamperedFleet(gang, c.spares, c.bad)
+			srv, err := New(Config{
+				Sched:         sched.Config{VirtualBatch: k, Redundancy: 2, Seed: c.seed},
+				MaxWait:       time.Millisecond,
+				PipelineDepth: c.depth,
+				Resil:         resil.Config{Retry: resil.RetryPolicy{Max: 2}},
+			}, replicas(1, c.seed), fm, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-	imgs := sampleImages(8, 20)
-	ref := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(19)))
-	for i, img := range imgs {
-		got, err := srv.Infer(context.Background(), img)
-		if err != nil {
-			t.Fatalf("request %d failed despite retry: %v", i, err)
-		}
-		if want := nn.Argmax(ref.Forward(img, false)); got != want {
-			t.Errorf("request %d: retried answer %d, float %d", i, got, want)
-		}
-	}
+			imgs := sampleImages(c.n, c.seed+1)
+			ref := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(c.seed)))
+			var wg sync.WaitGroup
+			errs := make([]error, len(imgs))
+			preds := make([]int, len(imgs))
+			for i := range imgs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					preds[i], errs[i] = srv.Infer(context.Background(), imgs[i])
+				}(i)
+			}
+			wg.Wait()
+			for i := range imgs {
+				if errs[i] != nil {
+					t.Fatalf("request %d failed despite retry: %v", i, errs[i])
+				}
+				if want := nn.Argmax(ref.Forward(imgs[i], false)); preds[i] != want {
+					t.Errorf("request %d: retried answer %d, float %d", i, preds[i], want)
+				}
+			}
 
-	rc := srv.ResilCounters()
-	if rc.Retries.Load() == 0 || rc.RetrySuccess.Load() == 0 {
-		t.Errorf("retry counters: retries=%d success=%d, want both > 0",
-			rc.Retries.Load(), rc.RetrySuccess.Load())
-	}
-	if got := fm.Stats().Quarantined; got != 1 {
-		t.Errorf("quarantined = %d, want 1", got)
-	}
-	snap := srv.Metrics()
-	if snap.Failed != 0 {
-		t.Errorf("client-visible failures = %d, want 0", snap.Failed)
+			rc := srv.ResilCounters()
+			if rc.Retries.Load() == 0 || rc.RetrySuccess.Load() == 0 {
+				t.Errorf("retry counters: retries=%d success=%d, want both > 0",
+					rc.Retries.Load(), rc.RetrySuccess.Load())
+			}
+			if got := fm.Stats().Quarantined; got != 1 {
+				t.Errorf("quarantined = %d, want 1", got)
+			}
+			if snap := srv.Metrics(); snap.Failed != 0 {
+				t.Errorf("client-visible failures = %d, want 0", snap.Failed)
+			}
+		})
 	}
 }
 
-// TestPipelineRetryRecovers exercises the overlapped engine's resubmission
-// path: a tampered in-flight batch is re-encoded onto a fresh gang.
-func TestPipelineRetryRecovers(t *testing.T) {
+// gatedDevice holds every forward job until its gate closes: a flight the
+// test lands when it chooses to.
+type gatedDevice struct {
+	gpu.Device
+	gate <-chan struct{}
+}
+
+func (d gatedDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	<-d.gate
+	return d.Device.LinearForward(key, kernel, x)
+}
+
+// TestRetryWaitsForGang is the regression test for a retry that finds no
+// gang: one depth-2 worker over exactly two gangs of devices. Batch A
+// fails on a tampering device, which attribution quarantines, while batch
+// B is still in flight — so the fleet cannot form a gang for A's retry
+// until B retires. A has retry budget left and no deadline: it must wait
+// for B and then be answered cleanly, not be failed with the raw integrity
+// error.
+func TestRetryWaitsForGang(t *testing.T) {
 	const (
 		k    = 2
 		gang = k + 1 + 2
-		bad  = 2
+		bad  = 1
 	)
-	fm := tamperedFleet(gang, gang+2, bad) // enough spares for two overlapped gangs
+	// A fresh fleet grants devices in index order: A flies on 0..4 (the
+	// tamperer among them), B on 5..9. Each gang lands when its gate closes.
+	gateA, gateB := make(chan struct{}), make(chan struct{})
+	devs := make([]gpu.Device, 2*gang)
+	for i := range devs {
+		devs[i] = gpu.NewHonest(i)
+		if i == bad {
+			devs[i] = gpu.NewMalicious(devs[i], gpu.FaultPolicy{EveryNth: 1})
+		}
+		gate := gateA
+		if i >= gang {
+			gate = gateB
+		}
+		devs[i] = gatedDevice{Device: devs[i], gate: gate}
+	}
+	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{ProbationProbability: -1})
 	srv, err := New(Config{
-		Sched:         sched.Config{VirtualBatch: k, Redundancy: 2, Seed: 23},
-		MaxWait:       time.Millisecond,
+		Sched:         sched.Config{VirtualBatch: k, Redundancy: 2, Seed: 43},
+		MaxWait:       time.Second, // batches flush full, never padded
 		PipelineDepth: 2,
-		Resil:         resil.Config{Retry: resil.RetryPolicy{Max: 2}},
-	}, replicas(1, 23), fm, nil)
+		Resil:         resil.Config{Retry: resil.RetryPolicy{Max: 1}},
+	}, replicas(1, 43), fm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	imgs := sampleImages(12, 24)
-	ref := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(23)))
-	var wg sync.WaitGroup
+	imgs := sampleImages(2*k, 44)
 	errs := make([]error, len(imgs))
 	preds := make([]int, len(imgs))
-	for i := range imgs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			preds[i], errs[i] = srv.Infer(context.Background(), imgs[i])
-		}(i)
+	var wg sync.WaitGroup
+	infer := func(i int) {
+		defer wg.Done()
+		preds[i], errs[i] = srv.Infer(context.Background(), imgs[i])
 	}
+	leased := func() (n int) {
+		for _, d := range fm.Stats().Devices {
+			if d.Leased {
+				n++
+			}
+		}
+		return n
+	}
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for by := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(by) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	wg.Add(2 * k)
+	go infer(0)
+	go infer(1)
+	await("batch A in flight", func() bool { return leased() == gang })
+	go infer(2)
+	go infer(3)
+	await("batch B in flight", func() bool { return leased() == 2*gang })
+
+	rc := srv.ResilCounters()
+	close(gateA) // A lands tampered; its culprit is quarantined; B still flies
+	await("A's retry to be scheduled", func() bool {
+		return rc.Retries.Load() == 1 || srv.Metrics().Failed > 0
+	})
+	close(gateB) // B lands and retires: a gang can form again
 	wg.Wait()
+
+	ref := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(43)))
 	for i := range imgs {
 		if errs[i] != nil {
-			t.Fatalf("pipelined request %d failed despite retry: %v", i, errs[i])
+			t.Fatalf("request %d: %v (retry budget was left; the batch had to wait for a gang)", i, errs[i])
 		}
 		if want := nn.Argmax(ref.Forward(imgs[i], false)); preds[i] != want {
-			t.Errorf("pipelined request %d: %d, float %d", i, preds[i], want)
+			t.Errorf("request %d: %d, float %d", i, preds[i], want)
 		}
 	}
-	rc := srv.ResilCounters()
-	if rc.Retries.Load() == 0 {
-		t.Error("pipeline retry counter never moved")
+	if got := rc.RetrySuccess.Load(); got != 1 {
+		t.Errorf("retry successes = %d, want 1", got)
 	}
 	if got := fm.Stats().Quarantined; got != 1 {
 		t.Errorf("quarantined = %d, want 1", got)
 	}
 }
 
-// TestHedgeBitIdentityNoLeaks forces aggressive hedging and checks the
-// three hedging invariants: every answer is bit-identical to the float
-// reference (cross-verification never trips), the counters reconcile, and
-// neither gang leases nor goroutines leak once the load drains.
+// TestHedgeBitIdentityNoLeaks forces aggressive hedging, on serial and on
+// overlapped workers, and checks the three hedging invariants: every answer
+// is bit-identical to the float reference (cross-verification never
+// trips), the counters reconcile, and neither gang leases nor goroutines
+// leak once the load drains.
 func TestHedgeBitIdentityNoLeaks(t *testing.T) {
 	const (
 		k        = 2
 		gangSize = k + 1
 		requests = 48
+		clients  = 4
 	)
-	baseline := runtime.NumGoroutine()
+	for _, depth := range []int{1, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
 
-	fm := fleet.NewManager(gpu.NewHonestCluster(2*gangSize), fleet.Config{})
-	srv, err := New(Config{
-		Sched:   sched.Config{VirtualBatch: k, Seed: 29},
-		MaxWait: time.Millisecond,
-		Resil: resil.Config{Hedge: resil.HedgePolicy{
-			Enabled: true, Quantile: 0.01, Min: time.Nanosecond, Warmup: 1,
-		}},
-		HedgeModels: replicas(1, 29),
-	}, replicas(1, 29), fm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// A gang per admitted batch plus one for the hedge.
+			gangs := depth + 1
+			fm := fleet.NewManager(gpu.NewHonestCluster(gangs*gangSize), fleet.Config{})
+			srv, err := New(Config{
+				Sched:         sched.Config{VirtualBatch: k, Seed: 29},
+				MaxWait:       time.Millisecond,
+				PipelineDepth: depth,
+				Resil: resil.Config{Hedge: resil.HedgePolicy{
+					Enabled: true, Quantile: 0.01, Min: time.Nanosecond, Warmup: 1,
+				}},
+			}, replicas(1, 29), fm, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	imgs := sampleImages(requests, 30)
-	ref := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(29)))
-	for i, img := range imgs {
-		got, err := srv.Infer(context.Background(), img)
-		if err != nil {
-			t.Fatalf("hedged request %d: %v", i, err)
-		}
-		if want := nn.Argmax(ref.Forward(img, false)); got != want {
-			t.Errorf("hedged request %d: %d, float %d", i, got, want)
-		}
-	}
+			imgs := sampleImages(requests, 30)
+			preds := make([]int, requests)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := c; i < requests; i += clients {
+						var err error
+						if preds[i], err = srv.Infer(context.Background(), imgs[i]); err != nil {
+							t.Errorf("hedged request %d: %v", i, err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			ref := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(29)))
+			for i, img := range imgs {
+				if want := nn.Argmax(ref.Forward(img, false)); preds[i] != want {
+					t.Errorf("hedged request %d: %d, float %d", i, preds[i], want)
+				}
+			}
 
-	// The client is answered before the losing flight settles, so wait for
-	// the worker to finish classifying the final hedge before asserting.
-	rc := srv.ResilCounters()
-	settleBy := time.After(5 * time.Second)
-	for rc.HedgeWins.Load()+rc.HedgeLosses.Load() != rc.Hedges.Load() {
-		select {
-		case <-settleBy:
-			t.Fatalf("hedge accounting never settled: %d hedges, %d wins + %d losses",
-				rc.Hedges.Load(), rc.HedgeWins.Load(), rc.HedgeLosses.Load())
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if rc.Hedges.Load() == 0 {
-		t.Fatal("aggressive hedge policy never hedged")
-	}
-	if rc.HedgeMismatch.Load() != 0 {
-		t.Fatalf("hedge cross-verification tripped %d times on an honest fleet",
-			rc.HedgeMismatch.Load())
-	}
+			// The client is answered before the losing flight settles, so wait for
+			// the worker to finish classifying the final hedge before asserting.
+			rc := srv.ResilCounters()
+			settleBy := time.After(5 * time.Second)
+			for rc.HedgeWins.Load()+rc.HedgeLosses.Load() != rc.Hedges.Load() {
+				select {
+				case <-settleBy:
+					t.Fatalf("hedge accounting never settled: %d hedges, %d wins + %d losses",
+						rc.Hedges.Load(), rc.HedgeWins.Load(), rc.HedgeLosses.Load())
+				default:
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if rc.Hedges.Load() == 0 {
+				t.Fatal("aggressive hedge policy never hedged")
+			}
+			if rc.HedgeMismatch.Load() != 0 {
+				t.Fatalf("hedge cross-verification tripped %d times on an honest fleet",
+					rc.HedgeMismatch.Load())
+			}
 
-	// No leaked leases: once the flights settle, both full gangs must be
-	// acquirable (brief retry: the last settle releases just after the
-	// counters move).
-	var grants []*fleet.Grant
-	leaseBy := time.After(5 * time.Second)
-	for len(grants) < 2 {
-		g, err := fm.TryAcquire("leakcheck", gangSize)
-		if err != nil {
-			t.Fatalf("gang acquisition failed: %v", err)
-		}
-		if g != nil {
-			grants = append(grants, g)
-			continue
-		}
-		select {
-		case <-leaseBy:
-			t.Fatalf("only %d of 2 gangs acquirable after drain — leaked lease", len(grants))
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	for _, g := range grants {
-		g.Release()
-	}
+			// No leaked leases: once the flights settle, every full gang must be
+			// acquirable (brief retry: the last settle releases just after the
+			// counters move).
+			var grants []*fleet.Grant
+			leaseBy := time.After(5 * time.Second)
+			for len(grants) < gangs {
+				g, err := fm.TryAcquire("leakcheck", gangSize)
+				if err != nil {
+					t.Fatalf("gang acquisition failed: %v", err)
+				}
+				if g != nil {
+					grants = append(grants, g)
+					continue
+				}
+				select {
+				case <-leaseBy:
+					t.Fatalf("only %d of %d gangs acquirable after drain — leaked lease", len(grants), gangs)
+				default:
+					time.Sleep(time.Millisecond)
+				}
+			}
+			for _, g := range grants {
+				g.Release()
+			}
 
-	// No leaked goroutines: after Close the count returns to the baseline
-	// (slack for runtime helpers and test plumbing).
-	srv.Close()
-	deadline := time.After(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= baseline+5 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("goroutines leaked: %d now vs %d baseline", runtime.NumGoroutine(), baseline)
-		default:
-			time.Sleep(10 * time.Millisecond)
-		}
+			// No leaked goroutines: after Close the count returns to the baseline
+			// (slack for runtime helpers and test plumbing).
+			srv.Close()
+			deadline := time.After(5 * time.Second)
+			for {
+				if runtime.NumGoroutine() <= baseline+5 {
+					break
+				}
+				select {
+				case <-deadline:
+					t.Fatalf("goroutines leaked: %d now vs %d baseline", runtime.NumGoroutine(), baseline)
+				default:
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+		})
 	}
 }
 
@@ -400,18 +502,6 @@ func TestResilConfigRejections(t *testing.T) {
 			srv.Close()
 		}
 		return err
-	}
-	if err := mk(Config{
-		PipelineDepth: 2,
-		Resil:         resil.Config{Hedge: resil.HedgePolicy{Enabled: true}},
-		HedgeModels:   replicas(1, 37),
-	}); err == nil {
-		t.Error("hedging with a pipelined engine was accepted")
-	}
-	if err := mk(Config{
-		Resil: resil.Config{Hedge: resil.HedgePolicy{Enabled: true}},
-	}); err == nil {
-		t.Error("hedging without hedge models was accepted")
 	}
 	if err := mk(Config{
 		Resil: resil.Config{Brownout: resil.BrownoutPolicy{Enabled: true}},

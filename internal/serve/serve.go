@@ -15,10 +15,10 @@
 //   - a dynamic batcher goroutine coalescing them into per-tenant virtual
 //     batches (tenants are never coded together: each batch is charged to
 //     one fair-share account);
-//   - a worker pool where each worker owns a forward-only pipeline
-//     (sched.Inferencer) over a private model replica and gang-acquires
-//     K+M+E devices per batch from the shared fleet.Manager — all-or-none
-//     under fair-share arbitration;
+//   - a worker pool where each worker owns a forward-only sched.Pipeline
+//     over a private model replica and gang-acquires K+M+E devices per
+//     in-flight batch from the shared fleet.Manager — all-or-none under
+//     fair-share arbitration;
 //   - the fleet layer: device health tracking, quarantine of tampering
 //     GPUs (attributed via the redundant decoding), straggler-tolerant
 //     quorum dispatch and speculative re-dispatch (internal/fleet);
@@ -77,12 +77,11 @@ type Config struct {
 	// batches are decoded from the clean equations instead of failing, and
 	// the attributed culprit is quarantined. Requires Sched.Redundancy >= 2.
 	Recover bool
-	// PipelineDepth >= 2 switches every worker to the overlapped execution
-	// engine: up to that many virtual batches ride the
-	// encode→dispatch→decode stages at once (each under its own gang
-	// grant), with noise pre-drawn by a background pool, so the TEE and the
-	// GPUs stay busy simultaneously. <= 1 keeps the serial engine. Outputs
-	// are bit-identical either way (exact decoding over F_p).
+	// PipelineDepth is how many virtual batches each worker keeps in flight
+	// at once (<= 1 means one): at depth d up to d batches ride the
+	// encode→dispatch→decode stages together, each under its own gang
+	// grant, so the TEE and the GPUs stay busy simultaneously. Outputs are
+	// bit-identical whatever the depth (exact decoding over F_p).
 	PipelineDepth int
 	// Continuous enables continuous batching: a flushed padded batch that
 	// no worker has picked up yet keeps accepting same-tenant riders in
@@ -115,12 +114,6 @@ type Config struct {
 	// degradation controller. The zero value disables all of it and the
 	// hot path stays at its previous cost.
 	Resil resil.Config
-	// HedgeModels supplies one extra private model replica per worker for
-	// hedged dispatch (engines cache forward state, so a hedge flight
-	// cannot share the primary's model). Required, with len >=
-	// len(models), when Resil.Hedge.Enabled; weights and geometry must
-	// match the worker models.
-	HedgeModels []*nn.Model
 }
 
 // result is what a worker delivers back to one waiting request.
@@ -155,10 +148,7 @@ type Server struct {
 	k      int
 	imgLen int
 	fleet  *fleet.Manager
-	// Exactly one of workers/pipes is populated: serial engines below
-	// PipelineDepth 2, overlapped pipelines at and above it.
-	workers []*sched.Inferencer
-	pipes   []*sched.Pipeline
+	pipes  []*sched.Pipeline // one per worker
 
 	admit    chan *request
 	batches  chan *vbatch
@@ -167,15 +157,12 @@ type Server struct {
 	batchlog *batchLog
 
 	// Resilience layer (PR9). rcount/shedder always exist (nil-safe and
-	// cheap); hedgers/hedge/brown only when the matching policy is on.
+	// cheap); hedge/brown only when the matching policy is on.
 	resil   resil.Config
 	rcount  *resil.Counters
 	shedder *resil.Shedder
 	hedge   *resil.HedgeGovernor
 	brown   *resil.Brownout
-	// hedgers are the workers' hedge engines, index-aligned with workers
-	// (serial mode only).
-	hedgers []*sched.Inferencer
 	// flushFactor (Float64bits) scales MaxWait and depthLimit caps the
 	// effective pipeline depth — the brownout actuators.
 	flushFactor atomic.Uint64
@@ -198,11 +185,19 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 	if cfg.Recover && cfg.Sched.Redundancy < 2 {
 		return nil, fmt.Errorf("serve: Recover needs Redundancy >= 2, have %d", cfg.Sched.Redundancy)
 	}
-	var (
-		workers []*sched.Inferencer
-		pipes   []*sched.Pipeline
-		gang, k int
-	)
+	if cfg.Resil.Brownout.Enabled && len(cfg.SLO.Objectives) == 0 {
+		// Brownout consumes SLO breach events; without objectives the
+		// controller would never engage.
+		return nil, fmt.Errorf("serve: brownout needs SLO objectives to consume (Config.SLO)")
+	}
+	if cfg.PipelineDepth < 1 {
+		cfg.PipelineDepth = 1
+	}
+	lanes := cfg.PipelineDepth
+	if cfg.Resil.Hedge.Enabled {
+		lanes++ // the spare lane a hedge flies on; admission stays at PipelineDepth
+	}
+	var pipes []*sched.Pipeline
 	for i, m := range models {
 		// Each worker draws its own coding randomness: reusing one RNG
 		// stream across workers would emit identical noise vectors and
@@ -211,33 +206,19 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 		// (Pipeline lanes stride further apart internally.)
 		wcfg := cfg.Sched
 		wcfg.Seed += int64(i)
-		if cfg.PipelineDepth >= 2 {
-			p, err := sched.NewPipeline(wcfg, m, encl, fmt.Sprintf("w%d/", i), cfg.PipelineDepth)
-			if err != nil {
-				return nil, err
+		p, err := sched.NewPipeline(wcfg, m, encl, fmt.Sprintf("w%d/", i), lanes)
+		if err == nil && cfg.Recover {
+			if err = p.EnableRecovery(); err != nil {
+				p.Close()
 			}
-			if cfg.Recover {
-				if err := p.EnableRecovery(); err != nil {
-					p.Close()
-					return nil, err
-				}
-			}
-			pipes = append(pipes, p)
-			gang, k = p.Gang(), p.Config().VirtualBatch
-			continue
 		}
-		inf, err := sched.NewInferencer(wcfg, m, encl, fmt.Sprintf("w%d/", i))
 		if err != nil {
+			closePipes(pipes)
 			return nil, err
 		}
-		if cfg.Recover {
-			if err := inf.EnableRecovery(); err != nil {
-				return nil, err
-			}
-		}
-		workers = append(workers, inf)
-		gang, k = inf.Gang(), inf.Config().VirtualBatch
+		pipes = append(pipes, p)
 	}
+	gang, k := pipes[0].Gang(), pipes[0].Config().VirtualBatch
 	if gang > fm.Cluster().Size() {
 		closePipes(pipes)
 		return nil, fmt.Errorf("serve: gang of K+M+E = %d devices exceeds fleet of %d",
@@ -263,7 +244,6 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 		k:       k,
 		imgLen:  imgLen,
 		fleet:   fm,
-		workers: workers,
 		pipes:   pipes,
 		admit:   make(chan *request, depth),
 		batches: make(chan *vbatch, len(models)),
@@ -275,45 +255,13 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 	}
 	s.flushFactor.Store(math.Float64bits(1))
 	if cfg.Resil.Hedge.Enabled {
-		if cfg.PipelineDepth >= 2 {
-			closePipes(pipes)
-			return nil, fmt.Errorf("serve: hedged dispatch needs serial workers (PipelineDepth <= 1); pipelined lanes already overlap flights")
-		}
-		if len(cfg.HedgeModels) < len(models) {
-			return nil, fmt.Errorf("serve: hedging needs one hedge model replica per worker, have %d for %d workers",
-				len(cfg.HedgeModels), len(models))
-		}
 		s.hedge = resil.NewHedgeGovernor(cfg.Resil.Hedge)
-		for i := range models {
-			// Hedge engines draw from a disjoint seed range: a hedge
-			// flight re-encodes the same rows, and reusing the primary's
-			// noise stream would hand a gang-spanning observer two coded
-			// views under correlated masks.
-			wcfg := cfg.Sched
-			wcfg.Seed += int64(1000 + i)
-			h, err := sched.NewInferencer(wcfg, cfg.HedgeModels[i], encl, fmt.Sprintf("h%d/", i))
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Recover {
-				if err := h.EnableRecovery(); err != nil {
-					return nil, err
-				}
-			}
-			s.hedgers = append(s.hedgers, h)
-		}
 	}
 	if s.obs != nil {
 		// Wire the observability stack: the fleet and every engine record
 		// into the shared flight recorder, and the serving + fleet counters
 		// become scrape-time series in the registry.
 		fm.SetObserver(s.obs.Recorder)
-		for _, inf := range workers {
-			inf.SetObserver(s.obs.Recorder)
-		}
-		for _, h := range s.hedgers {
-			h.SetObserver(s.obs.Recorder)
-		}
 		for _, p := range pipes {
 			p.SetObserver(s.obs.Recorder)
 		}
@@ -335,12 +283,8 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 		s.brown = resil.NewBrownout(cfg.Resil.Brownout, rec, s.rcount)
 		s.brown.OnChange(s.applyBrownout)
 		if s.metrics.slo == nil {
-			// Brownout consumes SLO breach events; without objectives the
-			// controller would never engage. Build the tracker even when
-			// the caller attached no registry (nil-safe everywhere).
-			if len(cfg.SLO.Objectives) == 0 {
-				return nil, fmt.Errorf("serve: brownout needs SLO objectives to consume (Config.SLO)")
-			}
+			// Build the tracker even when the caller attached no registry
+			// (nil-safe everywhere).
 			s.metrics.slo = obs.NewSLOTracker(cfg.SLO)
 			fm.SubscribeSLO(s.metrics.slo)
 		}
@@ -348,17 +292,9 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 	}
 	s.wg.Add(1)
 	go s.batchLoop()
-	for i, inf := range workers {
-		s.wg.Add(1)
-		var hedger *sched.Inferencer
-		if i < len(s.hedgers) {
-			hedger = s.hedgers[i]
-		}
-		go s.workLoop(inf, hedger)
-	}
 	for _, p := range pipes {
 		s.wg.Add(1)
-		go s.pipeLoop(p)
+		go s.runWorker(p)
 	}
 	return s, nil
 }
@@ -378,8 +314,7 @@ func (s *Server) K() int { return s.k }
 func (s *Server) Fleet() *fleet.Manager { return s.fleet }
 
 // Metrics returns a consistent snapshot of the serving counters, including
-// the fleet health snapshot and (in pipeline mode) the noise-pool
-// counters.
+// the fleet health snapshot and the noise-pool counters.
 func (s *Server) Metrics() Snapshot {
 	snap := s.metrics.Snapshot()
 	snap.Fleet = s.fleet.Stats()
@@ -490,12 +425,6 @@ func (s *Server) Close() {
 	close(s.admit)
 	s.wg.Wait()
 	closePipes(s.pipes)
-	for _, inf := range s.workers {
-		inf.Close()
-	}
-	for _, h := range s.hedgers {
-		h.Close()
-	}
 }
 
 // ResilCounters exposes the resilience accounting (always non-nil).
@@ -516,9 +445,10 @@ func (s *Server) effMaxWait() time.Duration {
 	return time.Duration(float64(s.cfg.MaxWait) * f)
 }
 
-// effDepth is the brownout-capped pipeline depth.
-func (s *Server) effDepth(p *sched.Pipeline) int {
-	d := p.Depth()
+// effDepth is the brownout-capped pipeline depth: how many batches a
+// worker admits at once.
+func (s *Server) effDepth() int {
+	d := s.cfg.PipelineDepth
 	if lim := int(s.depthLimit.Load()); lim > 0 && lim < d {
 		d = lim
 	}
@@ -541,9 +471,7 @@ func (s *Server) applyBrownout(level int) {
 		flushF, hedgeOff = 0.5, true
 	case level == 2:
 		flushF, shedF, hedgeOff = 0.5, 0.5, true
-		if d := s.cfg.PipelineDepth; d >= 2 {
-			depthLim = int32((d + 1) / 2)
-		}
+		depthLim = int32((s.cfg.PipelineDepth + 1) / 2)
 	default:
 		flushF, shedF, hedgeOff, depthLim = 0.25, 0.25, true, 1
 	}

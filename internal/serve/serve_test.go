@@ -224,7 +224,7 @@ func TestWorkerCodingSeedsDiffer(t *testing.T) {
 	}
 	defer srv.Close()
 	seen := map[int64]bool{}
-	for _, w := range srv.workers {
+	for _, w := range srv.pipes {
 		seed := w.Config().Seed
 		if seen[seed] {
 			t.Fatalf("two workers share coding seed %d", seed)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"darknight/internal/obs"
-	"darknight/internal/sched"
 )
 
 // CaptureSnapshot assembles the serving layers' sections of a state
@@ -15,12 +14,7 @@ import (
 // facade's to fill — serve has no knowledge of device composition.
 // Requires an attached observability stack (Config.Obs != nil).
 func (s *Server) CaptureSnapshot() *obs.Snapshot {
-	var sc sched.Config
-	if len(s.workers) > 0 {
-		sc = s.workers[0].Config()
-	} else {
-		sc = s.pipes[0].Config()
-	}
+	sc := s.pipes[0].Config()
 	snap := &obs.Snapshot{Version: obs.SnapshotVersion, CapturedAt: time.Now()}
 	snap.Sched = obs.SchedInfo{
 		K:              sc.VirtualBatch,
@@ -33,7 +27,7 @@ func (s *Server) CaptureSnapshot() *obs.Snapshot {
 		Seed:           sc.Seed,
 	}
 	snap.Serving = obs.ServingInfo{
-		Workers:       len(s.workers) + len(s.pipes),
+		Workers:       len(s.pipes),
 		PipelineDepth: s.cfg.PipelineDepth,
 		Continuous:    s.cfg.Continuous,
 		Recover:       s.cfg.Recover,

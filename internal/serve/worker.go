@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"darknight/internal/fleet"
@@ -13,41 +14,138 @@ import (
 	"darknight/internal/sched"
 )
 
-// workLoop is one serving worker: it owns a forward-only pipeline over a
-// private model replica and, for every batch, gang-acquires K+M+E devices
-// from the fleet manager — atomically, all or none, under the batch
-// tenant's fair-share account — dispatches the coded batch, and fans the
-// decoded classes back out to the waiting requests. Padding rows are
-// decoded like any other row and dropped.
+// flight is one Submit of a batch: a gang, a lane of the worker's pipeline
+// (behind the ticket) and, once it has landed, how long it flew.
+type flight struct {
+	grant  *fleet.Grant
+	tk     *sched.Ticket
+	sp     *obs.Span // a hedge's own span; nil on a primary, which hangs off the batch span
+	since  time.Time
+	lat    time.Duration
+	landed bool
+}
+
+// job is one admitted batch on its way to an answer: the flights of its
+// current attempt and the one timer it may have armed.
+type job struct {
+	b        *vbatch
+	bsp      *obs.Span // the batch span, closed when the job leaves the worker
+	gsp      *obs.Span // the open "grant" span of an attempt still waiting for a gang
+	deadline time.Time
+	attempt  int // re-dispatches so far (0 = the original flight)
+	// flights are the current attempt's: [0] the primary and, if the hedge
+	// policy fired, [1] its duplicate. Empty between attempts.
+	flights []flight
+	// at, when non-zero, is the job's armed timer: the hedge trigger while
+	// its primary flies alone, the end of its retry backoff while nothing
+	// flies.
+	at time.Time
+	// winner is the flight whose answer the clients got, -1 before.
+	winner int
+}
+
+// worker is one serving worker: a sched.Pipeline over a private model
+// replica and the batches it has admitted into it. Each batch flies under
+// its own gang — K+M+E devices acquired atomically, all or none, under the
+// batch tenant's fair-share account — so while one batch's coded shares are
+// on the devices the TEE encodes the next and decodes the previous one;
+// depth 1 is the serial worker. Padding rows are decoded like any other row
+// and dropped.
 //
-// The worker is also the fleet's sensor: culprit gang slots attributed by
-// the redundant decoding (whether the batch failed or recovery absorbed
-// the fault) are reported to the grant so the health tracker can
-// quarantine the physical device; unattributed violations cast suspicion
-// over the whole gang.
+// The worker's goroutine is the only one that submits to the pipeline and
+// the only one that retires what it submitted, so it always knows how many
+// lanes are taken and never calls Submit without a free one (Submit would
+// block, and nothing else could unblock it). It therefore never blocks on
+// anything but its select — with one exception: for a gang, when nothing of
+// its own is in flight (then no gang of its own could be what it is waiting
+// for).
 //
-// With the resilience layer on, the worker additionally prunes
-// deadline-expired requests before dispatch, re-dispatches failed batches
-// onto fresh gangs with capped backoff, and hedges slow primaries with a
-// speculative duplicate flight on hedger (its own engine over its own
-// model replica — first answer wins, both gangs always released).
-func (s *Server) workLoop(inf, hedger *sched.Inferencer) {
+// Two policies act on a batch's flights. Hedge: a primary still flying at
+// the HedgeGovernor delay is duplicated on the worker's spare lane under a
+// TryAcquire'd gang; the first clean answer is delivered, two clean answers
+// are cross-verified. Retry: when every flight of an attempt has landed
+// without an answer, the batch flies again after its backoff — a timer in
+// the same select — on a fresh gang (quarantine has removed attributed
+// culprits in between), while the retry and deadline budgets last.
+//
+// The worker is also the fleet's sensor. Every flight is settled in the
+// order log → report → release: the batch log entry precedes the release so
+// per-device log order equals dispatch order (the replay invariant), and
+// the integrity verdict (sched.ReportOutcome) must reach the grant before
+// the release folds it into device health.
+type worker struct {
+	s    *Server
+	p    *sched.Pipeline
+	gang int
+	// jobs are the admitted batches in admission order, at most effDepth.
+	jobs []*job
+	// flying counts flights submitted and not yet settled; hedging is set
+	// while one of them is a hedge. The pipeline has one lane per admitted
+	// batch plus, on a hedging server, one spare: with one primary per job
+	// and one hedge per worker, a lane is always free for the next Submit.
+	flying  int
+	hedging bool
+	// landed carries one token per flight whose ticket has completed — a
+	// single channel to select on whichever flight finishes first, so a
+	// fast batch is never parked behind a slow older one. Buffered for
+	// every lane, so the ticket watchers never block.
+	landed chan struct{}
+	last   sched.PhaseStats
+}
+
+func (s *Server) runWorker(p *sched.Pipeline) {
 	defer s.wg.Done()
-	gang := inf.Gang()
-	for b := range s.batches {
-		b.sealAdmission() // continuous riders stop here; the rows are ours
-		b.seal.End()      // handoff complete: a worker owns the batch now
-		if s.pruneExpired(b, time.Now()) == 0 {
-			continue // every rider expired; nothing left to dispatch
+	w := &worker{s: s, p: p, gang: p.Gang(), landed: make(chan struct{}, p.Depth())}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	batches := s.batches
+	for batches != nil || len(w.jobs) > 0 {
+		w.launchWaiting()
+		admit := batches
+		if len(w.jobs) >= s.effDepth() {
+			admit = nil // full (or brownout-capped): retire before admitting more
 		}
-		bsp := b.leaderSpan().Child("batch")
-		if bsp != nil {
-			bsp.Annotate("tenant", b.tenant)
-			bsp.Annotatef("rows", "%d/%d", len(b.reqs), s.k)
+		var due <-chan time.Time
+		if at := w.nextTimer(); !at.IsZero() {
+			timer.Reset(time.Until(at))
+			due = timer.C
 		}
-		s.dispatchBatch(inf, hedger, b, bsp, gang)
-		bsp.End()
+		select {
+		case b, ok := <-admit:
+			if !ok {
+				batches = nil // closing: drain what is admitted, then exit
+			} else {
+				w.admit(b)
+			}
+		case <-w.landed:
+			w.land()
+		case <-due:
+			due = nil
+			w.fire(time.Now())
+		}
+		if due != nil && !timer.Stop() {
+			select { // drain a fire that raced the other arm
+			case <-timer.C:
+			default:
+			}
+		}
 	}
+}
+
+// admit takes ownership of a batch: it seals continuous admission, prunes
+// riders that expired in the queue, and queues the rest for a first flight.
+func (w *worker) admit(b *vbatch) {
+	b.sealAdmission() // continuous riders stop here; the rows are ours
+	b.seal.End()      // handoff complete: a worker owns the batch now
+	if w.s.pruneExpired(b, time.Now()) == 0 {
+		return // every rider expired; nothing left to dispatch
+	}
+	bsp := b.leaderSpan().Child("batch")
+	if bsp != nil {
+		bsp.Annotate("tenant", b.tenant)
+		bsp.Annotatef("rows", "%d/%d", len(b.reqs), w.s.k)
+	}
+	w.jobs = append(w.jobs, &job{b: b, bsp: bsp, deadline: batchDeadline(b), winner: -1})
 }
 
 // pruneExpired expels requests whose end-to-end deadline has already
@@ -96,518 +194,292 @@ func batchDeadline(b *vbatch) time.Time {
 	return d
 }
 
-// dispatchBatch drives one sealed batch to completion: dispatch, and — on
-// a retryable failure — re-dispatch onto a fresh gang under capped
-// exponential backoff while the deadline budget lasts. Exactly one
-// Metrics.finished call per batch, whatever the attempt count.
-func (s *Server) dispatchBatch(inf, hedger *sched.Inferencer, b *vbatch, bsp *obs.Span, gang int) {
-	deadline := batchDeadline(b)
-	maxRetry := s.resil.Retry.Max
-	for attempt := 0; ; attempt++ {
-		delivered, err := s.dispatchAttempt(inf, hedger, b, bsp, gang, deadline)
-		if delivered {
-			if attempt > 0 {
-				s.rcount.RetrySuccess.Add(1)
-				s.recordResil(obs.KindRetry, b.tenant,
-					fmt.Sprintf("retry %d succeeded", attempt))
+// launchWaiting gives a primary flight to every job that has nothing in
+// the air and no backoff to sit out — first attempts and retries alike. A
+// job the fleet has no gang for right now keeps waiting; the next landing
+// (which frees a gang of this worker's) brings the loop back here.
+func (w *worker) launchWaiting() {
+	for i := 0; i < len(w.jobs); {
+		j := w.jobs[i]
+		if len(j.flights) == 0 && j.at.IsZero() {
+			if err := w.launch(j); err != nil {
+				w.attemptOver(j, err)
+			}
+		}
+		if i < len(w.jobs) && w.jobs[i] == j {
+			i++ // still admitted (a terminal failure removes it)
+		}
+	}
+}
+
+// launch acquires a gang for j and submits its primary flight, arming the
+// hedge trigger. A nil return with no flight means no gang was free.
+func (w *worker) launch(j *job) error {
+	if j.gsp == nil {
+		j.gsp = j.bsp.Child("grant")
+	}
+	grant, err := w.acquire(j)
+	if grant == nil && err == nil {
+		return nil
+	}
+	j.gsp.End()
+	j.gsp = nil
+	if err != nil {
+		return err
+	}
+	if j.bsp != nil {
+		j.bsp.Annotatef("gang", "%v", grant.DeviceIDs())
+	}
+	if err := w.submit(j, grant, nil); err != nil {
+		return err
+	}
+	if delay, ok := w.s.hedge.Delay(); ok {
+		j.at = time.Now().Add(delay)
+	}
+	return nil
+}
+
+// acquire gets a gang without deadlocking on a tight pool: blocking for
+// devices while this worker still holds the gangs of unsettled flights
+// could wait forever (only this goroutine releases them), so it blocks —
+// within the deadline budget — only when nothing is in flight, and
+// otherwise tries once, degrading gracefully toward serial execution
+// exactly when the fleet cannot support the overlap.
+func (w *worker) acquire(j *job) (*fleet.Grant, error) {
+	if w.flying > 0 {
+		return w.s.fleet.TryAcquire(j.b.tenant, w.gang)
+	}
+	ctx := context.Background()
+	if !j.deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, j.deadline)
+		defer cancel()
+	}
+	grant, err := w.s.fleet.Acquire(ctx, j.b.tenant, w.gang)
+	if err != nil && ctx.Err() != nil {
+		return nil, fmt.Errorf("gang wait outlived the deadline budget: %w", context.DeadlineExceeded)
+	}
+	return grant, err
+}
+
+// submit puts one flight of j in the air on grant (see worker for why a
+// lane is free). sp is a hedge's span; a primary traces under the batch's.
+func (w *worker) submit(j *job, grant *fleet.Grant, sp *obs.Span) error {
+	under := sp
+	if under == nil {
+		under = j.bsp
+	}
+	tk, err := w.p.SubmitWithin(grant, j.b.images, under, j.deadline)
+	if err != nil {
+		grant.Release()
+		return err
+	}
+	j.flights = append(j.flights, flight{grant: grant, tk: tk, sp: sp, since: time.Now()})
+	w.flying++
+	go func() {
+		<-tk.Done()
+		w.landed <- struct{}{}
+	}()
+	return nil
+}
+
+// nextTimer returns the earliest armed timer among the jobs (zero = none).
+func (w *worker) nextTimer() time.Time {
+	var at time.Time
+	for _, j := range w.jobs {
+		if !j.at.IsZero() && (at.IsZero() || j.at.Before(at)) {
+			at = j.at
+		}
+	}
+	return at
+}
+
+// fire runs out every timer that is due: a backoff that ends leaves its
+// job for launchWaiting; a hedge trigger whose primary is still flying
+// duplicates it.
+func (w *worker) fire(now time.Time) {
+	for _, j := range w.jobs {
+		if j.at.IsZero() || now.Before(j.at) {
+			continue
+		}
+		j.at = time.Time{}
+		if len(j.flights) == 1 {
+			w.hedge(j)
+		}
+	}
+}
+
+// hedge duplicates j's slow primary on spare capacity: the worker's spare
+// lane and a gang nobody is queueing for (TryAcquire — a hedge never waits
+// and never competes with primary traffic). The duplicate shares the
+// primary's model replica — TEE work is serialised by the token whichever
+// lane does it — and differs only in what a lane owns: seed stride,
+// keyspace, arena.
+func (w *worker) hedge(j *job) {
+	if w.hedging {
+		return
+	}
+	grant, err := w.s.fleet.TryAcquire(j.b.tenant, w.gang)
+	if err != nil || grant == nil {
+		return
+	}
+	ids := grant.DeviceIDs()
+	hsp := j.bsp.Child("hedge")
+	if w.submit(j, grant, hsp) != nil {
+		hsp.End()
+		return
+	}
+	w.hedging = true
+	w.s.rcount.Hedges.Add(1)
+	w.s.recordResil(obs.KindHedge, j.b.tenant,
+		fmt.Sprintf("primary past the hedge trigger (%v in flight); duplicate flight on gang %v",
+			time.Since(j.flights[0].since), ids))
+}
+
+// land consumes one completion token: it finds a flight whose ticket is
+// done — one must exist, tokens are only minted for flights in the air —
+// delivers its answer if it is the batch's first clean one, and settles the
+// attempt once all its flights are down.
+func (w *worker) land() {
+	for _, j := range w.jobs {
+		for i := range j.flights {
+			f := &j.flights[i]
+			if f.landed {
+				continue
+			}
+			select {
+			case <-f.tk.Done():
+			default:
+				continue
+			}
+			f.landed = true
+			f.lat = time.Since(f.since)
+			if i == 0 {
+				w.s.hedge.Observe(f.lat)
+				j.at = time.Time{} // the primary is down: nothing left to hedge
+			}
+			if j.winner < 0 && f.tk.Wait() == nil {
+				j.winner = i
+				w.deliver(j, f.tk.Classes())
+			}
+			if j.flights[0].landed && j.flights[len(j.flights)-1].landed {
+				w.settle(j)
 			}
 			return
 		}
-		expired := !deadline.IsZero() && !time.Now().Before(deadline)
-		if resil.Retryable(err) && attempt < maxRetry && !expired {
-			s.rcount.Retries.Add(1)
-			s.recordResil(obs.KindRetry, b.tenant,
-				fmt.Sprintf("attempt %d failed (%v); re-dispatching on a fresh gang", attempt+1, err))
-			backoff := s.resil.Retry.Backoff(attempt + 1)
-			if !deadline.IsZero() {
-				if left := time.Until(deadline); left < backoff {
-					backoff = left
-				}
-			}
-			if backoff > 0 {
-				time.Sleep(backoff)
-			}
-			continue
-		}
-		// Terminal: classify the failure for the client.
-		final := err
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			final = resil.ErrDeadline
-			s.rcount.Deadline.Add(int64(len(b.reqs)))
-		case resil.Retryable(err) && maxRetry > 0 && attempt >= maxRetry:
-			final = fmt.Errorf("%w: %d attempts, last: %v", resil.ErrRetriesExhausted, attempt+1, err)
-			s.rcount.RetriesExhausted.Add(1)
-		}
-		bsp.Annotate("error", final.Error())
-		b.fail(final)
-		s.metrics.finished(b, time.Now(), final)
-		return
 	}
 }
 
-// flightRes is one gang flight's outcome.
-type flightRes struct {
-	preds    []int
-	culprits []int
-	err      error
-	lat      time.Duration
-}
-
-// runFlight dispatches the batch on one engine/grant pair asynchronously.
-// The engine belongs exclusively to this flight until the result is read.
-func (s *Server) runFlight(inf *sched.Inferencer, grant *fleet.Grant, b *vbatch,
-	sp *obs.Span, deadline time.Time, out chan<- flightRes) {
-	go func() {
-		inf.SetSpan(sp)
-		inf.SetDeadline(deadline)
-		t0 := time.Now()
-		preds, err := inf.Predict(grant, b.images)
-		lat := time.Since(t0)
-		inf.SetDeadline(time.Time{})
-		inf.SetSpan(nil)
-		out <- flightRes{preds: preds,
-			culprits: append([]int(nil), inf.Culprits()...), err: err, lat: lat}
-	}()
-}
-
-// settleFlight does the post-flight bookkeeping for one grant: batch log,
-// integrity verdict, release. Log precedes release so per-device log
-// order equals dispatch order (the replay invariant).
-func (s *Server) settleFlight(b *vbatch, grant *fleet.Grant, res flightRes) {
-	s.logBatch(b, grant.Slots(), res.preds, res.culprits, res.err)
-	reportOutcome(grant, res.culprits, res.err)
-	grant.Release()
-}
-
-// dispatchAttempt runs one gang flight for the batch — hedged by a
-// speculative duplicate on hedger when the primary outlives the
-// latency-percentile trigger — delivers the first clean answer to the
-// waiting requests, and only returns once every launched flight has
-// completed and released its grant (the engines are single-threaded; the
-// next attempt reuses them). delivered reports whether clients were
-// answered; err is the primary's failure otherwise.
-func (s *Server) dispatchAttempt(inf, hedger *sched.Inferencer, b *vbatch,
-	bsp *obs.Span, gang int, deadline time.Time) (delivered bool, err error) {
-	actx := context.Background()
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithDeadline(actx, deadline)
-		defer cancel()
+// deliver closes the batch's metrics accounting and answers every rider —
+// in that order, so a client never reads counters that lag its own answer.
+func (w *worker) deliver(j *job, preds []int) {
+	if j.attempt > 0 {
+		w.s.rcount.RetrySuccess.Add(1)
+		w.s.recordResil(obs.KindRetry, j.b.tenant, fmt.Sprintf("retry %d succeeded", j.attempt))
 	}
-	gsp := bsp.Child("grant")
-	grant, err := s.fleet.Acquire(actx, b.tenant, gang)
-	gsp.End()
-	if err != nil {
-		if actx.Err() != nil {
-			return false, fmt.Errorf("gang wait outlived the deadline budget: %w", context.DeadlineExceeded)
-		}
-		return false, err
-	}
-	if bsp != nil {
-		bsp.Annotatef("gang", "%v", grant.DeviceIDs())
-	}
-
-	infBefore := inf.PhaseStats()
-	primary := make(chan flightRes, 1)
-	s.runFlight(inf, grant, b, bsp, deadline, primary)
-
-	// Hedge arm: wait out the trigger; if the primary is still flying,
-	// duplicate it on spare capacity (TryAcquire — a hedge never queues
-	// against primary traffic and never deadlocks the worker).
-	var (
-		pres, hres   flightRes
-		hgrant       *fleet.Grant
-		hedgeCh      chan flightRes
-		hsp          *obs.Span
-		hedgerBefore sched.PhaseStats
-	)
-	gotPrimary := false
-	if delay, ok := s.hedge.Delay(); ok && hedger != nil {
-		timer := time.NewTimer(delay)
-		select {
-		case pres = <-primary:
-			timer.Stop()
-			gotPrimary = true
-		case <-timer.C:
-			if hg, herr := s.fleet.TryAcquire(b.tenant, gang); herr == nil && hg != nil {
-				hgrant = hg
-				s.rcount.Hedges.Add(1)
-				s.recordResil(obs.KindHedge, b.tenant,
-					fmt.Sprintf("primary past p%d trigger (%v); duplicate flight on gang %v",
-						int(100*hedgeQuantile(s.resil.Hedge)), delay, hg.DeviceIDs()))
-				hsp = bsp.Child("hedge")
-				hedgerBefore = hedger.PhaseStats()
-				hedgeCh = make(chan flightRes, 1)
-				s.runFlight(hedger, hgrant, b, hsp, deadline, hedgeCh)
-			}
-		}
-	}
-
-	if hedgeCh == nil {
-		// Unhedged path: no trigger, primary answered inside it, or no
-		// spare gang was free for the duplicate.
-		if !gotPrimary {
-			pres = <-primary
-		}
-		s.hedge.Observe(pres.lat)
-		s.settleFlight(b, grant, pres)
-		s.metrics.phases(inf.PhaseStats().Sub(infBefore))
-		if pres.err != nil {
-			return false, pres.err
-		}
-		s.deliver(b, pres.preds, time.Now())
-		return true, nil
-	}
-
-	// Both flights are up: first clean answer is delivered immediately;
-	// the loser always runs to completion and settles (no lease leaks, no
-	// engine reuse while in flight).
-	var first, second *flightRes
-	firstIsHedge := false
-	select {
-	case pres = <-primary:
-		first = &pres
-	case hres = <-hedgeCh:
-		first = &hres
-		firstIsHedge = true
-	}
-	if first.err == nil {
-		s.deliver(b, first.preds, time.Now())
-		delivered = true
-	}
-	if firstIsHedge {
-		hres = *first
-		pres = <-primary
-		second = &pres
-	} else {
-		pres = *first
-		hres = <-hedgeCh
-		second = &hres
-	}
-	if !delivered && second.err == nil {
-		s.deliver(b, second.preds, time.Now())
-		delivered = true
-	}
-
-	// Cross-verification: when both flights decoded cleanly they must be
-	// bit-identical — the decode is exact over F_p, so any divergence
-	// means an undetected fault; count it and suspect both gangs.
-	if pres.err == nil && hres.err == nil && !equalPreds(pres.preds, hres.preds) {
-		s.rcount.HedgeMismatch.Add(1)
-		s.recordResil(obs.KindHedge, b.tenant, "cross-verify FAILED: primary and hedge disagree")
-		grant.ReportSuspect()
-		hgrant.ReportSuspect()
-	}
-	if firstIsHedge && first.err == nil {
-		s.rcount.HedgeWins.Add(1)
-		s.recordResil(obs.KindHedge, b.tenant,
-			fmt.Sprintf("hedge won by %v", pres.lat-hres.lat))
-	} else {
-		s.rcount.HedgeLosses.Add(1)
-	}
-	s.hedge.Observe(pres.lat)
-	s.settleFlight(b, grant, pres)
-	s.settleFlight(b, hgrant, hres)
-	hsp.End()
-	s.metrics.phases(inf.PhaseStats().Sub(infBefore))
-	s.metrics.phases(hedger.PhaseStats().Sub(hedgerBefore))
-	if delivered {
-		return true, nil
-	}
-	return false, pres.err
-}
-
-// deliver answers every rider and closes the batch's metrics accounting.
-func (s *Server) deliver(b *vbatch, preds []int, now time.Time) {
-	for i, r := range b.reqs {
+	w.s.metrics.finished(j.b, time.Now(), nil)
+	for i, r := range j.b.reqs {
 		r.done <- result{class: preds[i]}
 	}
-	s.metrics.finished(b, now, nil)
 }
 
-func equalPreds(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// settle closes an attempt whose flights have all landed: the hedge verdict,
+// then log → report → release per flight, then either the job is done or
+// the retry policy takes over. The winner's gang is held until the loser is
+// down, because a failed cross-verification must reach both gangs.
+func (w *worker) settle(j *job) {
+	s := w.s
+	primary := j.flights[0]
+	if len(j.flights) == 2 {
+		hedge := j.flights[1]
+		// When both flights decoded cleanly they must be bit-identical —
+		// the decode is exact over F_p, so any divergence means an
+		// undetected fault; count it and suspect both gangs.
+		if primary.tk.Wait() == nil && hedge.tk.Wait() == nil &&
+			!slices.Equal(primary.tk.Classes(), hedge.tk.Classes()) {
+			s.rcount.HedgeMismatch.Add(1)
+			s.recordResil(obs.KindHedge, j.b.tenant, "cross-verify FAILED: primary and hedge disagree")
+			primary.grant.ReportSuspect()
+			hedge.grant.ReportSuspect()
 		}
+		if j.winner == 1 {
+			s.rcount.HedgeWins.Add(1)
+			s.recordResil(obs.KindHedge, j.b.tenant, fmt.Sprintf("hedge won by %v", primary.lat-hedge.lat))
+		} else {
+			s.rcount.HedgeLosses.Add(1)
+		}
+		w.hedging = false
 	}
-	return true
+	for _, f := range j.flights {
+		err := f.tk.Wait()
+		s.logBatch(j.b, f.grant.Slots(), f.tk.Classes(), f.tk.Culprits(), err)
+		sched.ReportOutcome(f.grant, f.tk.Culprits(), err)
+		f.grant.Release()
+		f.sp.End()
+	}
+	w.flying -= len(j.flights)
+	j.flights = j.flights[:0]
+	// Windowed phase accounting: the pipeline's aggregate counters are
+	// monotone, so per-settle deltas sum to the true totals even while
+	// other batches are mid-flight.
+	cur := w.p.PhaseStats()
+	s.metrics.phases(cur.Sub(w.last))
+	w.last = cur
+	if j.winner >= 0 {
+		w.drop(j)
+		return
+	}
+	w.attemptOver(j, primary.tk.Wait())
 }
 
-// hedgeQuantile surfaces the effective trigger percentile for event text.
-func hedgeQuantile(p resil.HedgePolicy) float64 {
-	if p.Quantile <= 0 || p.Quantile >= 1 {
-		return 0.95
+// attemptOver is the retry policy: an attempt ended without an answer —
+// no gang in time, a refused Submit, or every flight failed — and the batch
+// either flies again after its backoff or fails for good.
+func (w *worker) attemptOver(j *job, err error) {
+	s := w.s
+	now := time.Now()
+	expired := !j.deadline.IsZero() && !now.Before(j.deadline)
+	if !resil.Retryable(err) || j.attempt >= s.resil.Retry.Max || expired {
+		w.fail(j, err)
+		return
 	}
-	return p.Quantile
+	j.attempt++
+	s.rcount.Retries.Add(1)
+	s.recordResil(obs.KindRetry, j.b.tenant,
+		fmt.Sprintf("attempt %d failed (%v); re-dispatching on a fresh gang", j.attempt, err))
+	j.at = now.Add(s.resil.Retry.Backoff(j.attempt))
+	if !j.deadline.IsZero() && j.at.After(j.deadline) {
+		j.at = j.deadline
+	}
+}
+
+// fail classifies a terminal failure for the clients — the deadline budget
+// ran out, the retry budget ran out, or the error as it is — and closes the
+// batch's span and metrics.
+func (w *worker) fail(j *job, err error) {
+	s := w.s
+	final := err
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		final = resil.ErrDeadline
+		s.rcount.Deadline.Add(int64(len(j.b.reqs)))
+	case resil.Retryable(err) && s.resil.Retry.Max > 0 && j.attempt >= s.resil.Retry.Max:
+		final = fmt.Errorf("%w: %d attempts, last: %v", resil.ErrRetriesExhausted, j.attempt+1, err)
+		s.rcount.RetriesExhausted.Add(1)
+	}
+	j.bsp.Annotate("error", final.Error())
+	s.metrics.finished(j.b, time.Now(), final)
+	j.b.fail(final)
+	w.drop(j)
+}
+
+// drop ends a job: answered or failed, it leaves the worker.
+func (w *worker) drop(j *job) {
+	j.gsp.End()
+	j.bsp.End()
+	w.jobs = slices.DeleteFunc(w.jobs, func(o *job) bool { return o == j })
 }
 
 // IsIntegrityError reports whether a per-request serving error was caused
 // by tampered GPU results on the request's batch.
 func IsIntegrityError(err error) bool { return errors.Is(err, masking.ErrIntegrity) }
-
-// reportOutcome folds one batch's integrity verdict into its grant: exact
-// culprits quarantine the offending devices; an unattributable violation
-// casts suspicion over the whole gang.
-func reportOutcome(grant *fleet.Grant, culprits []int, err error) {
-	if len(culprits) > 0 {
-		grant.ReportFaults(culprits)
-		return
-	}
-	if err == nil {
-		return
-	}
-	var ie *sched.IntegrityError
-	switch {
-	case errors.As(err, &ie) && len(ie.Culprits) > 0:
-		grant.ReportFaults(ie.Culprits)
-	case IsIntegrityError(err):
-		grant.ReportSuspect()
-	}
-}
-
-// pipeFlight is one virtual batch in flight through a worker's pipeline:
-// its gang grant, the completion ticket, and its retry budget.
-type pipeFlight struct {
-	b     *vbatch
-	grant *fleet.Grant
-	tk    *sched.Ticket
-	bsp   *obs.Span // the batch span, closed when the flight retires
-	// attempt counts re-dispatches of this batch (0 = original flight).
-	attempt  int
-	deadline time.Time
-}
-
-// pipeLoop is the overlapped serving worker: it owns a sched.Pipeline over
-// a private model replica and keeps up to Depth virtual batches in flight
-// at once, each under its own gang grant — while one batch's coded shares
-// are on the devices, the TEE encodes the next batch and decodes the
-// previous one. The fault-reporting duties are identical to workLoop's;
-// they act on each batch's ticket as it completes. Failed flights with
-// retry budget re-enter the pipeline on a fresh gang (non-blocking
-// acquisition only — a retry never deadlocks the lanes).
-func (s *Server) pipeLoop(p *sched.Pipeline) {
-	defer s.wg.Done()
-	gang := p.Gang()
-	var q []pipeFlight
-	var last sched.PhaseStats
-
-	// completions carries one token per flight whose ticket has completed
-	// — a single channel the loop can select on regardless of which of the
-	// in-flight batches finishes first, so a fast batch is never parked
-	// behind a slow older one (finished clients answered, and the finished
-	// gang released, in completion order, not submission order). Capacity
-	// 2×Depth bounds the outstanding tokens: one per lane plus retry
-	// re-submissions minted while their predecessors' tokens are unread.
-	completions := make(chan struct{}, 2*p.Depth())
-	watch := func(tk *sched.Ticket) {
-		go func() {
-			<-tk.Done()
-			completions <- struct{}{}
-		}()
-	}
-
-	// resubmit re-enters a failed flight on a fresh gang: non-blocking
-	// acquisition (blocking here could deadlock — this goroutine is the
-	// only one that releases the other in-flight gangs). Returns false
-	// when no gang or no pipeline slot is free; the caller then fails the
-	// batch terminally.
-	resubmit := func(f pipeFlight, ferr error) bool {
-		expired := !f.deadline.IsZero() && !time.Now().Before(f.deadline)
-		if !resil.Retryable(ferr) || f.attempt >= s.resil.Retry.Max || expired {
-			return false
-		}
-		grant, err := s.fleet.TryAcquire(f.b.tenant, gang)
-		if err != nil || grant == nil {
-			return false
-		}
-		s.rcount.Retries.Add(1)
-		s.recordResil(obs.KindRetry, f.b.tenant,
-			fmt.Sprintf("pipeline attempt %d failed (%v); re-dispatching", f.attempt+1, ferr))
-		if backoff := s.resil.Retry.Backoff(f.attempt + 1); backoff > 0 {
-			// Bounded pause (Cap defaults to 8ms): the loop, not the
-			// batch, pays it — acceptable for the failure path.
-			time.Sleep(backoff)
-		}
-		tk, err := p.SubmitWithin(grant, f.b.images, f.bsp, f.deadline)
-		if err != nil {
-			grant.Release()
-			return false
-		}
-		q = append(q, pipeFlight{b: f.b, grant: grant, tk: tk, bsp: f.bsp,
-			attempt: f.attempt + 1, deadline: f.deadline})
-		watch(tk)
-		return true
-	}
-
-	finish := func(f pipeFlight) {
-		err := f.tk.Wait()
-		// Log before release (see workLoop): per-device log order must
-		// equal dispatch order for replay to re-run fault schedules.
-		s.logBatch(f.b, f.grant.Slots(), f.tk.Classes(), f.tk.Culprits(), err)
-		reportOutcome(f.grant, f.tk.Culprits(), err)
-		f.grant.Release()
-		// Windowed phase accounting: the pipeline's aggregate counters are
-		// monotone, so per-completion deltas sum to the true totals even
-		// while other batches are mid-flight.
-		cur := p.PhaseStats()
-		s.metrics.phases(cur.Sub(last))
-		last = cur
-		now := time.Now()
-		if err != nil {
-			if resubmit(f, err) {
-				return // the batch lives on under a fresh gang
-			}
-			final := err
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				final = resil.ErrDeadline
-				s.rcount.Deadline.Add(int64(len(f.b.reqs)))
-			case resil.Retryable(err) && s.resil.Retry.Max > 0 && f.attempt >= s.resil.Retry.Max:
-				final = fmt.Errorf("%w: %d attempts, last: %v", resil.ErrRetriesExhausted, f.attempt+1, err)
-				s.rcount.RetriesExhausted.Add(1)
-			}
-			f.bsp.End()
-			f.b.fail(final)
-			s.metrics.finished(f.b, now, final)
-			return
-		}
-		if f.attempt > 0 {
-			s.rcount.RetrySuccess.Add(1)
-		}
-		f.bsp.End()
-		preds := f.tk.Classes()
-		for i, r := range f.b.reqs {
-			r.done <- result{class: preds[i]}
-		}
-		s.metrics.finished(f.b, now, nil)
-	}
-
-	// retireCompleted consumes one already-received completion token:
-	// it finds a flight whose ticket is done — one must exist, tokens are
-	// only minted for flights in q — and retires it without blocking. The
-	// flight leaves q before finish runs so a retry resubmission can
-	// append safely.
-	retireCompleted := func() {
-		for i, f := range q {
-			select {
-			case <-f.tk.Done():
-				q = append(q[:i], q[i+1:]...)
-				finish(f)
-				return
-			default:
-			}
-		}
-	}
-
-	// retire blocks for the next completion (whichever flight it is) and
-	// retires that flight.
-	retire := func() {
-		<-completions
-		retireCompleted()
-	}
-
-	// acquire gets a gang for the next batch without deadlocking on a
-	// tight pool: blocking for devices while this worker still holds the
-	// gangs of completed-but-unretired batches would wait forever (only
-	// this goroutine releases them). So the blocking path is reserved for
-	// an empty pipeline; otherwise a failed non-blocking attempt retires
-	// the next batch to complete — freeing its gang — and retries,
-	// degrading gracefully toward serial execution exactly when the fleet
-	// cannot support the overlap.
-	acquire := func(tenant string, deadline time.Time) (*fleet.Grant, error) {
-		for {
-			if len(q) == 0 {
-				actx := context.Background()
-				if !deadline.IsZero() {
-					var cancel context.CancelFunc
-					actx, cancel = context.WithDeadline(actx, deadline)
-					defer cancel()
-				}
-				return s.fleet.Acquire(actx, tenant, gang)
-			}
-			grant, err := s.fleet.TryAcquire(tenant, gang)
-			if grant != nil || err != nil {
-				return grant, err
-			}
-			retire()
-		}
-	}
-
-	submit := func(b *vbatch) {
-		b.sealAdmission() // continuous riders stop here; the rows are ours
-		b.seal.End()      // handoff complete: this worker owns the batch now
-		if s.pruneExpired(b, time.Now()) == 0 {
-			return
-		}
-		bsp := b.leaderSpan().Child("batch")
-		if bsp != nil {
-			bsp.Annotate("tenant", b.tenant)
-			bsp.Annotatef("rows", "%d/%d", len(b.reqs), s.k)
-		}
-		deadline := batchDeadline(b)
-		gsp := bsp.Child("grant")
-		grant, err := acquire(b.tenant, deadline)
-		gsp.End()
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				err = resil.ErrDeadline
-				s.rcount.Deadline.Add(int64(len(b.reqs)))
-			}
-			bsp.Annotate("error", err.Error())
-			bsp.End()
-			b.fail(err)
-			s.metrics.finished(b, time.Now(), err)
-			return
-		}
-		if bsp != nil {
-			bsp.Annotatef("gang", "%v", grant.DeviceIDs())
-		}
-		tk, err := p.SubmitWithin(grant, b.images, bsp, deadline)
-		if err != nil {
-			grant.Release()
-			bsp.End()
-			b.fail(err)
-			s.metrics.finished(b, time.Now(), err)
-			return
-		}
-		q = append(q, pipeFlight{b: b, grant: grant, tk: tk, bsp: bsp, deadline: deadline})
-		watch(tk)
-	}
-
-	for {
-		if len(q) == 0 {
-			// Nothing in flight: block for traffic.
-			b, ok := <-s.batches
-			if !ok {
-				return
-			}
-			submit(b)
-			continue
-		}
-		if len(q) >= s.effDepth(p) {
-			// Pipeline full (or brownout-capped): retire the next
-			// completion before admitting more.
-			retire()
-			continue
-		}
-		// Room in the pipeline: take whichever happens first — another
-		// batch to overlap, or any flight's completion.
-		select {
-		case b, ok := <-s.batches:
-			if !ok {
-				for len(q) > 0 {
-					retire()
-				}
-				return
-			}
-			submit(b)
-		case <-completions:
-			retireCompleted()
-		}
-	}
-}

@@ -11,7 +11,6 @@ package darknight
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"darknight/internal/field"
 	"darknight/internal/masking"
@@ -206,62 +205,4 @@ func BenchmarkKernels(b *testing.B) {
 			cb.forwardFused(b)
 		}
 	})
-}
-
-// timeIt returns the best-of-three wall clock of n iterations of f.
-func timeIt(n int, f func()) time.Duration {
-	best := time.Duration(1<<62 - 1)
-	for r := 0; r < 3; r++ {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			f()
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// TestCodedForwardSpeedup enforces the PR2 kernel win: the fused coded
-// forward path (encode → dispatch kernel → decode) must beat the retained
-// seed kernels by at least 2.5x. BenchmarkKernels reports the precise
-// ratio; this gate uses best-of-three timing to shrug off scheduler noise.
-func TestCodedForwardSpeedup(t *testing.T) {
-	cb := newCodedBench(t)
-	// Equivalence first: same code, same inputs — the fused path must
-	// decode to the identical result (noise rows differ per draw, but the
-	// decode cancels them exactly, so decoded outputs match bit-for-bit).
-	want := cb.forwardRef(t)
-	got := cb.forwardFused(t)
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("fused coded forward diverges from reference at input %d", i)
-		}
-	}
-
-	if raceEnabled {
-		t.Skip("race instrumentation distorts kernel timing; the equivalence half ran, the speedup gate needs a plain build")
-	}
-	if testing.Short() {
-		t.Skip("wall-clock speedup gate skipped in -short mode")
-	}
-	// Measured headroom is ~3.2x against the 2.5x gate; retry with longer
-	// runs before failing so a loaded machine doesn't flake the suite.
-	const minRatio = 2.5
-	ratio := 0.0
-	for attempt, iters := 0, 12; attempt < 3; attempt, iters = attempt+1, iters*2 {
-		ref := timeIt(iters, func() { cb.forwardRef(t) })
-		fused := timeIt(iters, func() { cb.forwardFused(t) })
-		if r := float64(ref) / float64(fused); r > ratio {
-			ratio = r
-		}
-		t.Logf("attempt %d (%d iters): ref %v, fused %v (%.2fx)", attempt+1, iters, ref, fused, ratio)
-		if ratio >= minRatio {
-			break
-		}
-	}
-	if ratio < minRatio {
-		t.Fatalf("fused coded forward path is only %.2fx faster than the seed kernels, want >= %.1fx", ratio, minRatio)
-	}
 }

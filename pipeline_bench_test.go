@@ -9,104 +9,11 @@ package darknight
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"darknight/internal/gpu"
-	"darknight/internal/nn"
-	"darknight/internal/sched"
 )
-
-// schedThroughput pushes `batches` K=2 virtual batches through the sched
-// runtime on a gang whose every device carries `delay` per-dispatch
-// latency, and returns batches/second. depth <= 1 runs the serial
-// Inferencer; depth >= 2 runs the Pipeline with that many lanes.
-func schedThroughput(tb testing.TB, depth, batches int, delay time.Duration) float64 {
-	tb.Helper()
-	cfg := sched.Config{VirtualBatch: 2, Seed: 1}
-	const gang = 3 // K + M = 2 + 1, E = 0
-	devs := make([]gpu.Device, gang)
-	for i := range devs {
-		devs[i] = gpu.NewSlow(gpu.NewHonest(i), delay)
-	}
-	cluster := gpu.NewCluster(devs...)
-	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(1)))
-	rng := rand.New(rand.NewSource(2))
-	imgs := make([][][]float64, batches)
-	for b := range imgs {
-		imgs[b] = make([][]float64, cfg.VirtualBatch)
-		for i := range imgs[b] {
-			img := make([]float64, 64)
-			for j := range img {
-				img[j] = rng.Float64()
-			}
-			imgs[b][i] = img
-		}
-	}
-
-	if depth <= 1 {
-		inf, err := sched.NewInferencer(cfg, model, nil, "bser/")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		start := time.Now()
-		for _, images := range imgs {
-			if _, err := inf.Predict(cluster, images); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		return float64(batches) / time.Since(start).Seconds()
-	}
-
-	pipe, err := sched.NewPipeline(cfg, model, nil, "bpipe/", depth)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer pipe.Close()
-	start := time.Now()
-	tickets := make([]*sched.Ticket, batches)
-	for b, images := range imgs {
-		tk, err := pipe.Submit(cluster, images)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tickets[b] = tk
-	}
-	for _, tk := range tickets {
-		if err := tk.Wait(); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return float64(batches) / time.Since(start).Seconds()
-}
-
-// TestPipelineSpeedup enforces the tentpole win: with a synthetic 1ms
-// per-dispatch device latency, the depth-2 pipeline must reach at least
-// 1.5x the serial engine's throughput on the same gang (measured ~1.9x;
-// the gate is conservative for noisy CI runners). Equivalence is pinned
-// separately — sched.TestPipelineMatchesSerial shows the outputs are
-// bit-identical, so this speedup is free of accuracy cost.
-func TestPipelineSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	const delay = time.Millisecond
-	best := 0.0
-	for i := 0; i < 3 && best < 1.5; i++ {
-		serial := schedThroughput(t, 1, 16, delay)
-		piped := schedThroughput(t, 2, 16, delay)
-		if x := piped / serial; x > best {
-			best = x
-		}
-	}
-	if best < 1.5 {
-		t.Fatalf("pipeline speedup %.2fx, want >= 1.5x over the serial engine", best)
-	}
-	t.Logf("pipeline speedup %.2fx", best)
-}
 
 // pipelinedServeThroughput drives n closed-loop requests through a
 // one-worker K=4 server whose devices all carry `delay` per-dispatch

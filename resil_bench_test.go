@@ -10,7 +10,6 @@ package darknight
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,53 +74,6 @@ func resilServeThroughput(tb testing.TB, rc ResilienceConfig, clients, n int) fl
 	}
 	wg.Wait()
 	return float64(n) / time.Since(start).Seconds()
-}
-
-// resilPairedRatio returns the median paired throughput ratio (resilience
-// on / resilience off) over `rounds` back-to-back runs in alternating
-// order, after one warm-up pass per side. Pairing cancels the machine's
-// slow drift; the median discards outlier rounds.
-func resilPairedRatio(t *testing.T, rounds int) float64 {
-	t.Helper()
-	off, on := ResilienceConfig{}, fullResilience()
-	resilServeThroughput(t, off, 16, resilGateRequests)
-	resilServeThroughput(t, on, 16, resilGateRequests)
-	ratios := make([]float64, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		var vOff, vOn float64
-		if i%2 == 0 {
-			vOff = resilServeThroughput(t, off, 16, resilGateRequests)
-			vOn = resilServeThroughput(t, on, 16, resilGateRequests)
-		} else {
-			vOn = resilServeThroughput(t, on, 16, resilGateRequests)
-			vOff = resilServeThroughput(t, off, 16, resilGateRequests)
-		}
-		ratios = append(ratios, vOn/vOff)
-	}
-	sort.Float64s(ratios)
-	mid := len(ratios) / 2
-	if len(ratios)%2 == 0 {
-		return (ratios[mid-1] + ratios[mid]) / 2
-	}
-	return ratios[mid]
-}
-
-// TestResilienceOverheadGate bounds the clean-path cost of the full
-// resilience stack: the paired-median throughput with budgets, retries,
-// hedging and admission control enabled must stay within 10% of the
-// resilience-off baseline (design budget 5%; the CI gate leaves room for
-// shared-runner noise). Wall-clock sensitive, so skipped under the race
-// detector and -short.
-func TestResilienceOverheadGate(t *testing.T) {
-	if raceEnabled || testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	ratio := resilPairedRatio(t, 9)
-	t.Logf("resilience-on vs resilience-off paired-median throughput ratio: %.3f", ratio)
-	if ratio < 0.90 {
-		t.Fatalf("resilience stack costs %.1f%% clean-path throughput, budget 10%%",
-			100*(1-ratio))
-	}
 }
 
 // BenchmarkResilientServing records both sides for the BENCH_PR9 artifact.

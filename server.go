@@ -66,8 +66,9 @@ type ResilienceConfig struct {
 	RetryMax int
 	// HedgeQuantile > 0 enables hedged dispatch: a batch whose primary
 	// gang has not answered within this observed latency percentile (e.g.
-	// 0.95) is speculatively duplicated on spare capacity, and the first
-	// answer wins. Requires serial workers (PipelineDepth <= 1).
+	// 0.95) is speculatively duplicated on spare capacity — a spare lane of
+	// its worker and a gang nobody is queueing for — and the first answer
+	// wins.
 	HedgeQuantile float64
 	// ShedQueue > 0 enables admission control: a tenant's request is shed
 	// with ErrShed when the queue holds at least this many requests
@@ -117,13 +118,13 @@ type ServerConfig struct {
 	// Workers is the number of concurrent inference pipelines, each with a
 	// private model replica (default 2).
 	Workers int
-	// PipelineDepth >= 2 switches every worker to overlapped execution:
-	// up to that many virtual batches in flight per worker — while batch i
-	// is on the GPUs, the TEE decodes batch i−1 and encodes batch i+1, with
-	// noise pre-drawn offline by a background pool. Each in-flight batch
-	// holds its own gang, so full overlap wants GPUs ≈ Workers ×
-	// PipelineDepth × gang (0 sizes the cluster that way automatically).
-	// <= 1 keeps the serial engine. Outputs are bit-identical either way.
+	// PipelineDepth is the number of virtual batches each worker keeps in
+	// flight (0 and 1 both mean one): at depth d, while batch i is on the
+	// GPUs the TEE decodes batch i−1 and encodes batch i+1, with noise
+	// pre-drawn offline by a background pool. Each in-flight batch holds
+	// its own gang, so full overlap wants GPUs ≈ Workers × PipelineDepth ×
+	// gang (GPUs = 0 sizes the cluster that way). Outputs are bit-identical
+	// whatever the depth.
 	PipelineDepth int
 	// QueueDepth bounds the admission queue (0 = 4·K).
 	QueueDepth int
@@ -229,13 +230,9 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 	}
 	gang := cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy
 	if cfg.GPUs == 0 {
-		// Pipelined workers hold one gang per in-flight batch; size the
-		// default cluster so the overlap is not starved of devices.
-		gangsPerWorker := 1
-		if cfg.PipelineDepth >= 2 {
-			gangsPerWorker = cfg.PipelineDepth
-		}
-		cfg.GPUs = cfg.Workers*gangsPerWorker*gang + cfg.SpareGPUs
+		// A worker holds one gang per in-flight batch; size the default
+		// cluster so the overlap is not starved of devices.
+		cfg.GPUs = cfg.Workers*max(cfg.PipelineDepth, 1)*gang + cfg.SpareGPUs
 	}
 	if cfg.SlowAll {
 		cfg.SlowGPUs = make([]int, cfg.GPUs)
@@ -254,17 +251,6 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 	replicas := make([]*nn.Model, cfg.Workers)
 	for i := range replicas {
 		replicas[i] = newModel().m
-	}
-	rcfg := cfg.Resilience.toResil()
-	var hedgeModels []*nn.Model
-	if rcfg.Hedge.Enabled {
-		// One extra private replica per worker: a hedge flight re-runs the
-		// batch concurrently with the primary, and nn layers cache forward
-		// state, so the flights cannot share a model.
-		hedgeModels = make([]*nn.Model, cfg.Workers)
-		for i := range hedgeModels {
-			hedgeModels[i] = newModel().m
-		}
 	}
 	fcfg := cfg.Fleet
 	fcfg.Tenants = cfg.Tenants
@@ -290,8 +276,7 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 		SLO:           cfg.Observability.SLO,
 		BatchLog:      cfg.Observability.SnapshotBatchLog,
 		NoHistograms:  cfg.Observability.NoHistograms,
-		Resil:         rcfg,
-		HedgeModels:   hedgeModels,
+		Resil:         cfg.Resilience.toResil(),
 	}, replicas, fm, encl)
 	if err != nil {
 		return nil, err

@@ -15,8 +15,15 @@ import (
 
 // chaosServerConfig is the chaos incident the snapshot-to-replay
 // acceptance gates: a tampering device corrupting every third job
-// (audit-and-recover quarantines it mid-serving) plus a 2ms straggler
+// (audit-and-recover quarantines it mid-serving) plus 2ms stragglers
 // covered by quorum slack.
+//
+// Three of the eight devices straggle so that every gang of six holds at
+// least one: the quorum (slack 1) then always leaves a straggler behind
+// and always contains the fast tamperer's response. With a single
+// straggler, a gang that missed it left behind whichever response happened
+// to land last — sometimes the tampered one — and since the batch log does
+// not record the quorum mask, live and replay then disagreed on culprits.
 func chaosServerConfig() ServerConfig {
 	return ServerConfig{
 		Config: Config{
@@ -30,7 +37,7 @@ func chaosServerConfig() ServerConfig {
 			EnclaveBytes:  -1,
 			MaliciousGPUs: []int{2},
 			FaultPolicy:   gpu.FaultPolicy{EveryNth: 3},
-			SlowGPUs:      []int{4},
+			SlowGPUs:      []int{4, 5, 6},
 			SlowDelay:     2 * time.Millisecond,
 		},
 		Arch:           "tiny",
@@ -101,7 +108,7 @@ func TestSnapshotReplayChaosDeterminism(t *testing.T) {
 	if len(snap.Cluster.Malicious) != 1 || snap.Cluster.Malicious[0].EveryNth != 3 {
 		t.Fatalf("fault policy not captured: %+v", snap.Cluster)
 	}
-	if len(snap.Cluster.Slow) != 1 || snap.Cluster.Slow[0].DelayNs != int64(2*time.Millisecond) {
+	if len(snap.Cluster.Slow) != 3 || snap.Cluster.Slow[0].DelayNs != int64(2*time.Millisecond) {
 		t.Fatalf("straggler delay not captured: %+v", snap.Cluster)
 	}
 

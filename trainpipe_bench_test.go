@@ -61,31 +61,6 @@ func trainThroughput(tb testing.TB, depth, numVB int, delay time.Duration) (floa
 	return float64(numVB) / time.Since(start).Seconds(), pipe.PhaseStats()
 }
 
-// TestTrainPipelineSpeedup enforces the tentpole win: with a synthetic 1ms
-// per-dispatch device latency, the depth-2 training pipeline must reach at
-// least 1.4x the serial trainer's throughput on the same gang (measured
-// ~1.9x; the gate is conservative for noisy CI runners). Training pays the
-// latency on the backward dispatch too, so the hidden flight time per
-// virtual batch is double the inference pipeline's.
-func TestTrainPipelineSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	const delay = time.Millisecond
-	best := 0.0
-	for i := 0; i < 3 && best < 1.4; i++ {
-		serial, _ := trainThroughput(t, 1, 12, delay)
-		piped, _ := trainThroughput(t, 2, 12, delay)
-		if x := piped / serial; x > best {
-			best = x
-		}
-	}
-	if best < 1.4 {
-		t.Fatalf("train pipeline speedup %.2fx, want >= 1.4x over the serial trainer", best)
-	}
-	t.Logf("train pipeline speedup %.2fx", best)
-}
-
 // BenchmarkTrainPipeline measures serial vs pipelined TrainLargeBatch on
 // identical slow gangs (1ms per-dispatch device latency) and reports the
 // training overlap ratio and noise-pool hit rate.
