@@ -243,15 +243,7 @@ func (s *System) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("darknight_train_cache_refills_total",
 		"Backward dispatches that re-created the device-side coded-input cache.",
 		func() float64 { return float64(s.CacheRefills()) })
-	r.CounterFunc("darknight_noisepool_hits_total",
-		"Encodes served from precomputed noise material.",
-		func() float64 { return float64(s.poolStats().Hits) })
-	r.CounterFunc("darknight_noisepool_misses_total",
-		"Encodes that found the noise ring empty and drew inline.",
-		func() float64 { return float64(s.poolStats().Misses) })
-	r.GaugeFunc("darknight_noisepool_fallbacks",
-		"Current count of inline-RNG fallbacks — nonzero and growing means the pool is undersized.",
-		func() float64 { return float64(s.poolStats().Misses) })
+	sched.RegisterPoolMetrics(r, s.poolStats)
 }
 
 // poolStats returns the training pipeline's noise-pool counters (zero when

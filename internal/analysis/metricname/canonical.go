@@ -18,24 +18,20 @@ var Canonical = map[string]bool{
 	"darknight_requests_integrity_failures_total": true,
 	"darknight_batches_total":                     true,
 	"darknight_queue_depth":                       true,
-	"darknight_batch_occupancy":                   true,
 	"darknight_batch_rows_total":                  true,
-	"darknight_request_latency_seconds":           true,
 	"darknight_request_latency_hist_seconds":      true,
 	"darknight_tenant_requests_total":             true,
 
 	// serve: TEE phase accounting and offload.
-	"darknight_tee_phase_seconds_total":   true,
-	"darknight_tee_phase_latency_seconds": true,
-	"darknight_tee_offloads_total":        true,
-	"darknight_offload_flights_total":     true,
-	"darknight_fused_block_size":          true,
-	"darknight_continuous_admits_total":   true,
+	"darknight_tee_phase_seconds_total": true,
+	"darknight_tee_offloads_total":      true,
+	"darknight_offload_flights_total":   true,
+	"darknight_fused_block_size":        true,
+	"darknight_continuous_admits_total": true,
 
 	// serve: noise pool.
 	"darknight_noisepool_hits_total":   true,
 	"darknight_noisepool_misses_total": true,
-	"darknight_noisepool_fallbacks":    true,
 
 	// training facade.
 	"darknight_train_phase_seconds_total": true,

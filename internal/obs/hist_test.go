@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,6 +87,85 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestQuantilePartialWindow pins the nearest-rank quantile on small
+// samples — a P99 over a two-element window is the larger one, not
+// sorted[2*99/100] — on a histogram, and on a vec whose children split the
+// same samples (observed out of order) between two labels.
+func TestQuantilePartialWindow(t *testing.T) {
+	seq := make([]float64, 100) // 1..100: P99 is the 99th value, not the maximum
+	for i := range seq {
+		seq[i] = float64(i + 1)
+	}
+	for _, c := range []struct {
+		samples  []float64
+		p50, p99 float64
+	}{
+		{nil, 0, 0},
+		{[]float64{10}, 10, 10},
+		{[]float64{20, 10}, 10, 20},
+		{[]float64{30, 10, 20}, 20, 30},
+		{seq, 50, 99},
+	} {
+		r := NewRegistry()
+		h := r.Histogram("test_h", "x", LatencyBuckets())
+		hv := r.HistogramVec("test_hv", "x", "tenant", LatencyBuckets())
+		for i, v := range c.samples {
+			h.Observe(v)
+			hv.Observe([]string{"a", "b"}[i%2], v)
+		}
+		for _, q := range []struct{ q, want float64 }{{0.50, c.p50}, {0.99, c.p99}} {
+			if got := h.Quantile(q.q); got != q.want {
+				t.Errorf("histogram q%v of %d samples = %v, want %v", q.q, len(c.samples), got, q.want)
+			}
+			if got := hv.Quantile(q.q); got != q.want {
+				t.Errorf("merged vec q%v of %d samples = %v, want %v", q.q, len(c.samples), got, q.want)
+			}
+		}
+	}
+}
+
+func TestCounterVec(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("test_requests_total", "x", "tenant", "outcome")
+	cv.With("gold", "completed").Add(3)
+	cv.With("gold", "failed").Inc()
+	cv.With("bronze", "completed").Inc()
+	cv.With("gold", "completed").Inc()
+
+	var got []string
+	cv.Each(func(v []string, n int64) { got = append(got, fmt.Sprint(v, n)) })
+	if want := []string{"[gold completed] 4", "[gold failed] 1", "[bronze completed] 1"}; !slices.Equal(got, want) {
+		t.Fatalf("Each = %v, want %v (first-use order)", got, want)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE test_requests_total counter",
+		`test_requests_total{outcome="completed",tenant="gold"} 4`,
+		`test_requests_total{outcome="failed",tenant="gold"} 1`,
+		`test_requests_total{outcome="completed",tenant="bronze"} 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+	// A warmed child costs no allocation to reach: the hot-path property
+	// serve's per-batch accounting relies on.
+	if n := testing.AllocsPerRun(100, func() { cv.With("gold", "completed").Inc() }); n != 0 {
+		t.Fatalf("With on a warmed child allocates %v times", n)
+	}
+
+	var nilVec *CounterVec
+	nilVec.With("x").Inc()
+	nilVec.Each(func([]string, int64) { t.Fatal("nil vec has a child") })
+	var nilReg *Registry
+	if nilReg.CounterVec("x", "", "l") != nil {
+		t.Fatal("nil registry minted a counter vec")
 	}
 }
 

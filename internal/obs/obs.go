@@ -13,12 +13,14 @@
 //     no-op on a nil receiver, and an unsampled request carries a nil span
 //     through the whole stack.
 //
-//   - Metrics (registry.go): typed counters/gauges/histograms plus
-//     registration-time closures over the subsystems' existing counters
-//     (serve.Metrics, fleet.Manager, sched phase stats, masking.NoisePool),
-//     exported as Prometheus text via the /metrics listener (http.go) and
-//     dumpable as JSON for bench artifacts. Export reads the subsystems at
-//     scrape time — the hot paths are untouched.
+//   - Metrics (registry.go): typed counters, label vecs, gauges and
+//     histograms that are the one store of the numbers they hold — serve
+//     keeps its request, batch and latency accounting in them and reads
+//     them back for every report — plus closures for series whose store is
+//     state another layer guards with its own lock (fleet.Manager, the
+//     sched pipelines' phase totals, masking.NoisePool), read at scrape
+//     time. Exported as Prometheus text via the /metrics listener
+//     (http.go) and dumpable as JSON for bench artifacts.
 //
 //   - Flight recorder (recorder.go): a bounded ring of structured events
 //     (grant granted/released, quarantine transitions, straggler

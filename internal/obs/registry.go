@@ -14,11 +14,12 @@ import (
 )
 
 // Registry holds named metric series and renders them as Prometheus text
-// exposition or JSON. Subsystems register either live instruments
-// (Counter/Gauge/Histogram) or — the preferred pattern for code with
-// existing in-process counters — closures (CounterFunc/GaugeFunc/
-// SampleFunc) that read those counters at scrape time, leaving the hot
-// paths untouched.
+// exposition or JSON. A number has one store: a subsystem that owns a
+// count keeps it in a live instrument (Counter/CounterVec/Gauge/Histogram)
+// and reads the instrument wherever it reports the number. The closures
+// (CounterFunc/GaugeFunc/SampleFunc) are for series derived from a store
+// that lives elsewhere — a sum over a vec, state guarded by its owner's
+// lock — never for a second copy of a count.
 type Registry struct {
 	mu      sync.Mutex
 	order   []string
@@ -94,6 +95,88 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
+// maxVecLabels bounds a CounterVec's label arity, so a child's key is a
+// fixed-size array: With neither concatenates nor allocates.
+const maxVecLabels = 2
+
+// CounterVec is a counter family keyed by one or two labels (tenant;
+// tenant and outcome). Children are created on first With and rendered as
+// `name{label="v",...}`; Each reads them back, so the family is the store
+// for per-label and (summed) all-label counts alike.
+type CounterVec struct {
+	labels []string
+	mu     sync.Mutex
+	order  [][maxVecLabels]string
+	kids   map[[maxVecLabels]string]*Counter
+}
+
+// CounterVec registers a labeled counter family. Nil registry returns
+// nil; the nil vec's methods are no-ops.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
+	if len(labels) < 1 || len(labels) > maxVecLabels {
+		panic("obs: CounterVec takes one or two labels: " + name)
+	}
+	cv := &CounterVec{labels: labels, kids: make(map[[maxVecLabels]string]*Counter)}
+	r.register(&series{name: name, help: help, typ: "counter", samples: cv.samples})
+	return cv
+}
+
+// With returns the child counter for one value per label, creating it on
+// first use. Nil-safe: a nil vec returns a nil (no-op) counter.
+func (cv *CounterVec) With(values ...string) *Counter {
+	if cv == nil {
+		return nil
+	}
+	if len(values) != len(cv.labels) {
+		panic("obs: CounterVec.With wants one value per label")
+	}
+	var key [maxVecLabels]string
+	copy(key[:], values)
+	cv.mu.Lock()
+	c, ok := cv.kids[key]
+	if !ok {
+		c = &Counter{}
+		cv.kids[key] = c
+		cv.order = append(cv.order, key)
+	}
+	cv.mu.Unlock()
+	return c
+}
+
+// Each calls fn with every child's label values and current count, in
+// first-use order. Nil-safe.
+func (cv *CounterVec) Each(fn func(values []string, n int64)) {
+	if cv == nil {
+		return
+	}
+	cv.mu.Lock()
+	order := append([][maxVecLabels]string(nil), cv.order...)
+	kids := make([]*Counter, len(order))
+	for i, key := range order {
+		kids[i] = cv.kids[key]
+	}
+	cv.mu.Unlock()
+	for i := range order {
+		fn(order[i][:len(cv.labels)], kids[i].Value())
+	}
+}
+
+// samples is the family's exposition.
+func (cv *CounterVec) samples() []Sample {
+	var out []Sample
+	cv.Each(func(values []string, n int64) {
+		labels := make(map[string]string, len(values))
+		for i, v := range values {
+			labels[cv.labels[i]] = v
+		}
+		out = append(out, Sample{Labels: labels, Value: float64(n)})
+	})
+	return out
+}
+
 // CounterFunc registers a monotone series computed at scrape time.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	if r == nil {
@@ -114,12 +197,16 @@ func (g *Gauge) Set(v float64) {
 
 // Add increments by d. Nil-safe.
 func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
+	if g != nil {
+		addFloat(&g.bits, d)
 	}
+}
+
+// addFloat adds d to the float64 whose bits are stored in bits.
+func addFloat(bits *atomic.Uint64, d float64) {
 	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+		old := bits.Load()
+		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
 			return
 		}
 	}
@@ -200,12 +287,7 @@ func (h *Histogram) Observe(v float64) {
 		h.ringPos = (h.ringPos + 1) % histRingCap
 	}
 	h.ringMu.Unlock()
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
+	addFloat(&h.sum, v)
 }
 
 // Quantile returns the exact nearest-rank q-quantile (0 < q <= 1) over
@@ -214,9 +296,22 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
+	return nearestRank(h.appendRing(nil), q)
+}
+
+// appendRing appends a copy of the live ring to dst.
+func (h *Histogram) appendRing(dst []float64) []float64 {
 	h.ringMu.Lock()
-	vals := append([]float64(nil), h.ring...)
+	dst = append(dst, h.ring...)
 	h.ringMu.Unlock()
+	return dst
+}
+
+// nearestRank sorts vals in place and returns their nearest-rank
+// q-quantile, element ceil(n·q) of n: one sample answers every quantile
+// with itself, two put P50 on the lower one, and P99 leaves the maximum
+// only once more than 100 samples have arrived. 0 when empty.
+func nearestRank(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
@@ -328,6 +423,21 @@ func (hv *HistogramVec) With(value string) *Histogram {
 // Observe records v under the given label value. Nil-safe.
 func (hv *HistogramVec) Observe(value string, v float64) { hv.With(value).Observe(v) }
 
+// Quantile returns the exact nearest-rank q-quantile over the union of
+// every child's live ring — the all-label quantile, from the same samples
+// the per-label ones come from. Returns 0 when empty. Nil-safe.
+func (hv *HistogramVec) Quantile(q float64) float64 {
+	if hv == nil {
+		return 0
+	}
+	var vals []float64
+	_, kids := hv.children()
+	for _, h := range kids {
+		vals = h.appendRing(vals)
+	}
+	return nearestRank(vals, q)
+}
+
 // children returns the label values in first-use order with their
 // histograms, for exposition.
 func (hv *HistogramVec) children() ([]string, map[string]*Histogram) {
@@ -363,22 +473,25 @@ func formatLabels(labels map[string]string) string {
 	return b.String()
 }
 
+// families returns the registered series in registration order.
+func (r *Registry) families() []*series {
+	r.mu.Lock()
+	out := make([]*series, len(r.order))
+	for i, name := range r.order {
+		out[i] = r.metrics[name]
+	}
+	r.mu.Unlock()
+	return out
+}
+
 // WritePrometheus renders every registered series in the Prometheus text
 // exposition format (HELP/TYPE comments, one sample per line).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return fmt.Errorf("obs: nil registry")
 	}
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	metrics := make(map[string]*series, len(r.metrics))
-	for k, v := range r.metrics {
-		metrics[k] = v
-	}
-	r.mu.Unlock()
 	bw := bufio.NewWriter(w)
-	for _, name := range order {
-		s := metrics[name]
+	for _, s := range r.families() {
 		fmt.Fprintf(bw, "# HELP %s %s\n", s.name, s.help)
 		fmt.Fprintf(bw, "# TYPE %s %s\n", s.name, s.typ)
 		switch {
@@ -440,7 +553,6 @@ type jsonMetric struct {
 	Count     *int64             `json:"count,omitempty"`
 	Quantiles map[string]float64 `json:"quantiles,omitempty"`
 	Children  []jsonChildHist    `json:"children,omitempty"`
-	Labels    map[string]float64 `json:"-"`
 }
 
 type jsonSample struct {
@@ -483,16 +595,9 @@ func (r *Registry) DumpJSON() ([]byte, error) {
 	if r == nil {
 		return nil, fmt.Errorf("obs: nil registry")
 	}
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	metrics := make(map[string]*series, len(r.metrics))
-	for k, v := range r.metrics {
-		metrics[k] = v
-	}
-	r.mu.Unlock()
-	out := make([]jsonMetric, 0, len(order))
-	for _, name := range order {
-		s := metrics[name]
+	families := r.families()
+	out := make([]jsonMetric, 0, len(families))
+	for _, s := range families {
 		jm := jsonMetric{Name: s.name, Type: s.typ, Help: s.help}
 		switch {
 		case s.hist != nil:

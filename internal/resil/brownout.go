@@ -76,6 +76,15 @@ func (b *Brownout) Level() int {
 	return b.level
 }
 
+// Register exports the level as darknight_resil_brownout_level, read from
+// the controller at scrape time. Nil-safe on both sides: a server without
+// the controller exports a constant 0.
+func (b *Brownout) Register(r *obs.Registry) {
+	r.GaugeFunc("darknight_resil_brownout_level",
+		"Current brownout degradation level (0 = full service).",
+		func() float64 { return float64(b.Level()) })
+}
+
 // Subscribe wires the controller into an SLO tracker's breach feed.
 func (b *Brownout) Subscribe(t *obs.SLOTracker) {
 	if b == nil || !b.policy.Enabled || t == nil {
@@ -110,7 +119,6 @@ func (b *Brownout) observe(br obs.Breach) {
 	}
 	if b.c != nil {
 		b.c.BrownoutShifts.Add(1)
-		b.c.BrownoutLevel.Store(int64(level))
 	}
 	if b.rec != nil {
 		verb := "degraded"

@@ -205,7 +205,11 @@ func NewRunner(devs []*gpu.ChaosDevice, rec *obs.FlightRecorder, c *Counters) *R
 func (r *Runner) Play(ctx context.Context, s *Schedule) error {
 	acts := s.compile(r.devs)
 	start := time.Now()
-	timer := time.NewTimer(0)
+	// Armed per action below; created stopped, because a timer left to fire
+	// here would leave a tick in its channel that the first wait mistakes
+	// for its own.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	defer timer.Stop()
 	for _, a := range acts {
 		wait := a.at - time.Since(start)

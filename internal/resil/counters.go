@@ -31,10 +31,9 @@ type Counters struct {
 	HedgeWins     atomic.Int64
 	HedgeLosses   atomic.Int64
 	HedgeMismatch atomic.Int64
-	// BrownoutShifts counts level transitions; BrownoutLevel is the
-	// current level (gauge).
+	// BrownoutShifts counts level transitions (the level itself lives in
+	// the Brownout controller, under the lock that changes it).
 	BrownoutShifts atomic.Int64
-	BrownoutLevel  atomic.Int64
 	// ChaosActions counts scripted fault-schedule actions applied.
 	ChaosActions atomic.Int64
 }
@@ -53,8 +52,10 @@ type Snapshot struct {
 	HedgeLosses      int64
 	HedgeMismatch    int64
 	BrownoutShifts   int64
-	BrownoutLevel    int64
-	ChaosActions     int64
+	// BrownoutLevel is the controller's current level, filled by the
+	// server from Brownout.Level — Counters keeps no copy of it.
+	BrownoutLevel int64
+	ChaosActions  int64
 }
 
 // Snapshot reads every counter. Nil-safe (zero snapshot).
@@ -73,7 +74,6 @@ func (c *Counters) Snapshot() Snapshot {
 		HedgeLosses:      c.HedgeLosses.Load(),
 		HedgeMismatch:    c.HedgeMismatch.Load(),
 		BrownoutShifts:   c.BrownoutShifts.Load(),
-		BrownoutLevel:    c.BrownoutLevel.Load(),
 		ChaosActions:     c.ChaosActions.Load(),
 	}
 }
@@ -107,9 +107,6 @@ func (c *Counters) Register(r *obs.Registry) {
 		"Hedge cross-verification failures: primary and hedge disagreed.", &c.HedgeMismatch)
 	counter("darknight_resil_brownout_shifts_total",
 		"Brownout controller level transitions (either direction).", &c.BrownoutShifts)
-	r.GaugeFunc("darknight_resil_brownout_level",
-		"Current brownout degradation level (0 = full service).",
-		func() float64 { return float64(c.BrownoutLevel.Load()) })
 	counter("darknight_resil_chaos_actions_total",
 		"Scripted chaos-schedule actions applied to the fleet.", &c.ChaosActions)
 }

@@ -2,7 +2,6 @@ package resil
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -38,16 +37,13 @@ type Shedder struct {
 	policy ShedPolicy
 	// factor holds math.Float64bits of the tightening factor.
 	factor atomic.Uint64
-
-	mu   sync.Mutex
-	shed map[string]int64
 }
 
 // NewShedder builds a shedder (nil policy semantics: MaxQueue 0 never
 // sheds, but the shedder still accepts brownout tightening — a tightened
 // zero stays zero).
 func NewShedder(p ShedPolicy) *Shedder {
-	s := &Shedder{policy: p, shed: make(map[string]int64)}
+	s := &Shedder{policy: p}
 	s.factor.Store(math.Float64bits(1))
 	return s
 }
@@ -77,22 +73,5 @@ func (s *Shedder) Admit(tenant string, depth int) error {
 	if depth < allow {
 		return nil
 	}
-	s.mu.Lock()
-	s.shed[tenant]++
-	s.mu.Unlock()
 	return ErrShed
-}
-
-// ShedCounts returns the per-tenant shed totals.
-func (s *Shedder) ShedCounts() map[string]int64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.shed))
-	for k, v := range s.shed {
-		out[k] = v
-	}
-	return out
 }

@@ -49,17 +49,17 @@ type PhaseStats struct {
 	FusedLayers int64
 }
 
-// Sub returns the phase deltas s - o (for windowed measurements).
-func (s PhaseStats) Sub(o PhaseStats) PhaseStats {
+// Add returns the phase sums s + o (for aggregation across pipelines).
+func (s PhaseStats) Add(o PhaseStats) PhaseStats {
 	return PhaseStats{
-		Encode:      s.Encode - o.Encode,
-		Dispatch:    s.Dispatch - o.Dispatch,
-		Decode:      s.Decode - o.Decode,
-		Wall:        s.Wall - o.Wall,
-		Offloads:    s.Offloads - o.Offloads,
-		Flights:     s.Flights - o.Flights,
-		FusedBlocks: s.FusedBlocks - o.FusedBlocks,
-		FusedLayers: s.FusedLayers - o.FusedLayers,
+		Encode:      s.Encode + o.Encode,
+		Dispatch:    s.Dispatch + o.Dispatch,
+		Decode:      s.Decode + o.Decode,
+		Wall:        s.Wall + o.Wall,
+		Offloads:    s.Offloads + o.Offloads,
+		Flights:     s.Flights + o.Flights,
+		FusedBlocks: s.FusedBlocks + o.FusedBlocks,
+		FusedLayers: s.FusedLayers + o.FusedLayers,
 	}
 }
 

@@ -27,10 +27,9 @@ type lanes struct {
 	pool *masking.NoisePool
 
 	mu        sync.Mutex
-	phases    PhaseStats   // folded lane deltas + busy wall-clock
-	folded    []PhaseStats // per lane: its counters as of the last fold
-	active    int          // batches currently in flight
-	busySince time.Time    // start of the current busy interval
+	phases    PhaseStats // folded lane counters + busy wall-clock
+	active    int        // batches currently in flight
+	busySince time.Time  // start of the current busy interval
 	closed    bool
 }
 
@@ -49,10 +48,9 @@ func newLanes(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace strin
 		return nil, fmt.Errorf("sched: pipeline depth %d, need >= 1", depth)
 	}
 	l := &lanes{
-		cfg:    cfg,
-		free:   make(chan *engine, depth),
-		all:    make([]*engine, depth),
-		folded: make([]PhaseStats, depth),
+		cfg:  cfg,
+		free: make(chan *engine, depth),
+		all:  make([]*engine, depth),
 	}
 	if lens := offloadLens(model.Stack); len(lens) > 0 {
 		// One cycle of pre-drawn sets per lane plus one of prefetch keeps
@@ -140,8 +138,7 @@ func (l *lanes) SetObserver(rec *obs.FlightRecorder) {
 
 // PhaseStats returns the aggregated encode/dispatch/decode breakdown
 // across all lanes plus the busy wall-clock; Overlap() on the result is
-// the headline overlap ratio. Callers window measurements with
-// PhaseStats.Sub.
+// the headline overlap ratio.
 func (l *lanes) PhaseStats() PhaseStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -158,6 +155,18 @@ func (l *lanes) PoolStats() masking.NoisePoolStats {
 		return masking.NoisePoolStats{}
 	}
 	return l.pool.Stats()
+}
+
+// RegisterPoolMetrics exports a runtime's noise-pool counters, read through
+// stats at scrape time — the one registration of the darknight_noisepool_*
+// families, shared by the serving and training facades.
+func RegisterPoolMetrics(r *obs.Registry, stats func() masking.NoisePoolStats) {
+	r.CounterFunc("darknight_noisepool_hits_total",
+		"Encodes served from precomputed noise material.",
+		func() float64 { return float64(stats().Hits) })
+	r.CounterFunc("darknight_noisepool_misses_total",
+		"Encodes that found the noise ring empty and drew inline — nonzero and growing means the pool is undersized.",
+		func() float64 { return float64(stats().Misses) })
 }
 
 // Close stops the background noise generator. In-flight batches finish;
@@ -231,18 +240,12 @@ func (l *lanes) noteEnd() {
 	l.mu.Unlock()
 }
 
-// addPhases folds what a lane's counters gained since its last fold into
-// the aggregate (Wall excluded — busy-interval accounting owns it).
+// addPhases moves what a lane's counters gained on its batch into the
+// aggregate. A lane never advances its own Wall — busy-interval accounting
+// owns it.
 func (l *lanes) addPhases(lane *engine) {
 	l.mu.Lock()
-	d := lane.phases.Sub(l.folded[lane.lane])
-	l.folded[lane.lane] = lane.phases
-	l.phases.Encode += d.Encode
-	l.phases.Dispatch += d.Dispatch
-	l.phases.Decode += d.Decode
-	l.phases.Offloads += d.Offloads
-	l.phases.Flights += d.Flights
-	l.phases.FusedBlocks += d.FusedBlocks
-	l.phases.FusedLayers += d.FusedLayers
+	l.phases = l.phases.Add(lane.phases)
 	l.mu.Unlock()
+	lane.phases = PhaseStats{}
 }

@@ -131,7 +131,7 @@ func (s *Server) batchLoop() {
 			}
 			b.images[i] = dummy
 		}
-		s.metrics.queued(-len(reqs))
+		s.metrics.depth.Add(-float64(len(reqs)))
 		s.batches <- b
 		if s.cfg.Continuous && len(reqs) < s.k {
 			open[tenant] = b
@@ -187,8 +187,8 @@ func (s *Server) batchLoop() {
 			// instead of waiting out a whole new batch.
 			if b, ok := open[r.tenant]; ok {
 				if b.admitRider(r) {
-					s.metrics.queued(-1)
-					s.metrics.continuousAdmit()
+					s.metrics.depth.Add(-1)
+					s.metrics.continuous.Inc()
 					rearm()
 					continue
 				}

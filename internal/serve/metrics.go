@@ -2,8 +2,8 @@ package serve
 
 import (
 	"math"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 	"time"
 
 	"darknight/internal/fleet"
@@ -13,195 +13,103 @@ import (
 	"darknight/internal/sched"
 )
 
-// latWindow bounds the latency sample reservoir: quantiles are computed
-// over the most recent latWindow completed requests.
-const latWindow = 4096
-
-// Metrics accumulates serving counters. All methods are safe for
-// concurrent use.
+// Metrics is the serving layer's instrument set. Every serving number has
+// exactly one store — one of these obs instruments, registered under the
+// family named beside it — and everything that reports the number
+// (Snapshot, the state snapshot, /metrics, the CLI) reads the instrument.
+// All methods are safe for concurrent use and take no serve-level lock.
 type Metrics struct {
-	mu    sync.Mutex
 	k     int
 	start time.Time
 
-	completed int64
-	failed    int64
-	integrity int64
-	batches   int64
-	realRows  int64
-	padRows   int64
-	depth     int
-	// continuous counts requests admitted into an already-flushed batch in
-	// place of a pad row (continuous batching).
-	continuous int64
+	// Per-tenant outcomes are one multi-label CounterVec per event kind;
+	// the all-tenant totals are sums over their children.
+	requests *obs.CounterVec // darknight_tenant_requests_total{tenant,outcome}
+	batches  *obs.CounterVec // darknight_batches_total{tenant}
+	rows     *obs.CounterVec // darknight_batch_rows_total{tenant,kind}
 
-	lat    []time.Duration // ring buffer of recent request latencies
-	latIdx int
+	integrity  *obs.Counter // darknight_requests_integrity_failures_total
+	continuous *obs.Counter // darknight_continuous_admits_total
+	depth      *obs.Gauge   // darknight_queue_depth: admitted, not yet dispatched
 
-	// phase accumulates the TEE-side encode/dispatch/decode breakdown
-	// across all workers' offloads.
-	phase sched.PhaseStats
+	// latency holds the end-to-end latency of completed requests, per
+	// tenant (failures are counted in requests, not timed); its rings are
+	// the samples behind Snapshot.P50/P99.
+	latency *obs.HistogramVec // darknight_request_latency_hist_seconds{tenant}
 
-	// tenants accumulates per-tenant request outcomes.
-	tenants map[string]*tenantCounts
-
-	// latHist/phaseHist/slo are set once before serving starts (nil when
-	// observability is off): per-tenant end-to-end latency histograms,
-	// per-phase TEE-side histograms, and the SLO burn-rate tracker.
-	latHist   *obs.HistogramVec
-	phaseHist *obs.HistogramVec
-	slo       *obs.SLOTracker
+	// slo is the burn-rate tracker (nil without objectives).
+	slo *obs.SLOTracker
 }
 
-// tenantCounts is one tenant's request accounting.
-type tenantCounts struct {
-	completed int64
-	failed    int64
-	batches   int64
-	realRows  int64
-}
-
-func newMetrics(k int) *Metrics {
-	return &Metrics{k: k, start: time.Now(), tenants: make(map[string]*tenantCounts)}
-}
-
-// tenantLocked returns (creating if needed) a tenant's counters.
-func (m *Metrics) tenantLocked(name string) *tenantCounts {
-	tc, ok := m.tenants[name]
-	if !ok {
-		tc = &tenantCounts{}
-		m.tenants[name] = tc
+// newMetrics registers the serving instruments, and the two all-tenant
+// request totals derived from them, into r.
+func newMetrics(k int, r *obs.Registry) *Metrics {
+	m := &Metrics{
+		k:     k,
+		start: time.Now(),
+		requests: r.CounterVec("darknight_tenant_requests_total",
+			"Per-tenant request outcomes.", "tenant", "outcome"),
+		batches: r.CounterVec("darknight_batches_total",
+			"Virtual batches dispatched, by tenant.", "tenant"),
+		rows: r.CounterVec("darknight_batch_rows_total",
+			"Rows dispatched across all batches, by tenant and kind (real, padded).", "tenant", "kind"),
+		integrity: r.Counter("darknight_requests_integrity_failures_total",
+			"Failed requests caused by tampered GPU results."),
+		continuous: r.Counter("darknight_continuous_admits_total",
+			"Requests admitted into an already-flushed batch in place of a pad row."),
+		depth: r.Gauge("darknight_queue_depth",
+			"Admitted requests not yet dispatched."),
+		latency: r.HistogramVec("darknight_request_latency_hist_seconds",
+			"Per-tenant end-to-end latency of completed requests (log buckets, exact ring quantiles).",
+			"tenant", obs.LatencyBuckets()),
 	}
-	return tc
+	r.CounterFunc("darknight_requests_completed_total",
+		"Requests answered successfully.", m.outcomeTotal("completed"))
+	r.CounterFunc("darknight_requests_failed_total",
+		"Requests answered with an error.", m.outcomeTotal("failed"))
+	return m
 }
 
-// queued adjusts the queue-depth gauge (admitted but not yet dispatched).
-func (m *Metrics) queued(delta int) {
-	m.mu.Lock()
-	m.depth += delta
-	m.mu.Unlock()
-}
-
-// continuousAdmit counts one continuous-batching rider admission.
-func (m *Metrics) continuousAdmit() {
-	m.mu.Lock()
-	m.continuous++
-	m.mu.Unlock()
-}
-
-// queueDepth reads the queue-depth gauge — the admission controller's
-// shedding signal.
-func (m *Metrics) queueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.depth
-}
-
-// deadlineExpired accounts n requests of a tenant pruned from a batch
-// because their end-to-end budget expired before dispatch. They never
-// reach finished (they leave the batch), so the failure counters move
-// here.
-func (m *Metrics) deadlineExpired(tenant string, n int) {
-	m.mu.Lock()
-	m.failed += int64(n)
-	m.tenantLocked(tenant).failed += int64(n)
-	m.mu.Unlock()
-}
-
-// phases folds one batch's TEE-side phase deltas into the totals and the
-// per-phase latency histograms.
-func (m *Metrics) phases(d sched.PhaseStats) {
-	m.mu.Lock()
-	m.phase.Encode += d.Encode
-	m.phase.Dispatch += d.Dispatch
-	m.phase.Decode += d.Decode
-	m.phase.Wall += d.Wall
-	m.phase.Offloads += d.Offloads
-	m.phase.Flights += d.Flights
-	m.phase.FusedBlocks += d.FusedBlocks
-	m.phase.FusedLayers += d.FusedLayers
-	m.mu.Unlock()
-	if m.phaseHist != nil {
-		m.phaseHist.Observe("encode", d.Encode.Seconds())
-		m.phaseHist.Observe("dispatch", d.Dispatch.Seconds())
-		m.phaseHist.Observe("decode", d.Decode.Seconds())
+// outcomeTotal reads one outcome of the requests vec summed over tenants.
+func (m *Metrics) outcomeTotal(outcome string) func() float64 {
+	return func() float64 {
+		var total int64
+		m.requests.Each(func(v []string, n int64) {
+			if v[1] == outcome {
+				total += n
+			}
+		})
+		return float64(total)
 	}
 }
 
 // finished records one dispatched batch outcome at time now.
 func (m *Metrics) finished(b *vbatch, now time.Time, err error) {
-	m.mu.Lock()
-	m.batches++
-	m.realRows += int64(len(b.reqs))
-	m.padRows += int64(m.k - len(b.reqs))
-	tc := m.tenantLocked(b.tenant)
-	tc.batches++
-	tc.realRows += int64(len(b.reqs))
-	failed := err != nil
-	if failed {
-		m.failed += int64(len(b.reqs))
-		tc.failed += int64(len(b.reqs))
-		if IsIntegrityError(err) {
-			m.integrity += int64(len(b.reqs))
-		}
+	n := int64(len(b.reqs))
+	m.batches.With(b.tenant).Inc()
+	m.rows.With(b.tenant, "real").Add(n)
+	m.rows.With(b.tenant, "padded").Add(int64(m.k) - n)
+	var lat *obs.Histogram // stays nil (inert) for a failed batch
+	if err == nil {
+		m.requests.With(b.tenant, "completed").Add(n)
+		lat = m.latency.With(b.tenant)
 	} else {
-		m.completed += int64(len(b.reqs))
-		tc.completed += int64(len(b.reqs))
-		for _, r := range b.reqs {
-			l := now.Sub(r.enqueued)
-			if len(m.lat) < latWindow {
-				m.lat = append(m.lat, l)
-			} else {
-				m.lat[m.latIdx] = l
-				m.latIdx = (m.latIdx + 1) % latWindow
-			}
+		m.requests.With(b.tenant, "failed").Add(n)
+		if IsIntegrityError(err) {
+			m.integrity.Add(n)
 		}
 	}
-	m.mu.Unlock()
-	// Histogram and SLO recording happen outside the counter lock: both
-	// are internally synchronized, and a scrape must never block the
-	// completion path on m.mu longer than the counters need.
 	for _, r := range b.reqs {
 		l := now.Sub(r.enqueued)
-		m.latHist.Observe(b.tenant, l.Seconds())
-		m.slo.Observe(b.tenant, l, failed)
+		lat.Observe(l.Seconds())
+		m.slo.Observe(b.tenant, l, err != nil)
 	}
 }
 
-// quantile returns the nearest-rank q-quantile of a sorted sample. Unlike
-// the old `sorted[len*99/100]` indexing it is exact for partially filled
-// windows: one sample answers every quantile with itself, two samples put
-// P50 on the lower one, and P99 only leaves the maximum once more than 100
-// samples have arrived.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(float64(len(sorted))*q)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// quantiles returns the P50/P99 latency over the recent completion window
-// (zeros before the first completion) — the scrape-time read the metrics
-// registry exports.
-func (m *Metrics) quantiles() (p50, p99 time.Duration) {
-	m.mu.Lock()
-	sorted := append([]time.Duration(nil), m.lat...)
-	m.mu.Unlock()
-	if len(sorted) == 0 {
-		return 0, 0
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return quantile(sorted, 0.50), quantile(sorted, 0.99)
-}
-
-// Snapshot is a consistent copy of the serving counters.
+// Snapshot is the serving view: every field is read from the one store of
+// its number at the time of the call. The serving instruments fill the
+// request, batch and latency fields (Metrics.Snapshot); Server.Metrics adds
+// the fields whose stores other layers own.
 type Snapshot struct {
 	Completed  int64 // requests answered successfully
 	Failed     int64 // requests answered with an error
@@ -219,13 +127,14 @@ type Snapshot struct {
 	Occupancy float64
 	// Throughput is completed requests per second since server start.
 	Throughput float64
-	// P50/P99 are latency quantiles over the recent completion window.
+	// P50/P99 are nearest-rank latency quantiles over the tenants' merged
+	// latency rings: the most recent 1024 completions of each tenant.
 	P50, P99 time.Duration
 
 	// Phases is the cumulative TEE-side encode/dispatch/decode latency
-	// breakdown across all workers — where the coded hot path spends its
-	// time. Phases.Offloads counts the bilinear-layer dispatches measured;
-	// Phases.Wall is the workers' busy wall-clock.
+	// breakdown summed over the workers' pipelines — where the coded hot
+	// path spends its time. Phases.Offloads counts the bilinear-layer
+	// dispatches measured; Phases.Wall is the workers' busy wall-clock.
 	Phases sched.PhaseStats
 	// Overlap is (Encode+Dispatch+Decode)/Wall — 1.0 means the stages ran
 	// strictly in sequence, values above 1 mean the pipelined engine kept
@@ -259,60 +168,62 @@ type TenantSnapshot struct {
 	Occupancy float64
 }
 
-// Snapshot returns the current counters.
+// Snapshot reads the instruments into one view.
 func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := Snapshot{
-		Completed:        m.completed,
-		Failed:           m.failed,
-		Integrity:        m.integrity,
-		Batches:          m.batches,
-		RealRows:         m.realRows,
-		PaddedRows:       m.padRows,
-		QueueDepth:       m.depth,
-		ContinuousAdmits: m.continuous,
-		Phases:           m.phase,
-		Overlap:          m.phase.Overlap(),
+		Integrity:        m.integrity.Value(),
+		QueueDepth:       int(m.depth.Value()),
+		ContinuousAdmits: m.continuous.Value(),
+		P50:              seconds(m.latency.Quantile(0.50)),
+		P99:              seconds(m.latency.Quantile(0.99)),
 	}
-	if m.batches > 0 {
-		s.Occupancy = float64(m.realRows) / float64(m.batches*int64(m.k))
+	// tenant returns (adding if needed) a tenant's entry of s.Tenants.
+	tenant := func(name string) *TenantSnapshot {
+		for i := range s.Tenants {
+			if s.Tenants[i].Name == name {
+				return &s.Tenants[i]
+			}
+		}
+		s.Tenants = append(s.Tenants, TenantSnapshot{Name: name})
+		return &s.Tenants[len(s.Tenants)-1]
+	}
+	m.requests.Each(func(v []string, n int64) {
+		if v[1] == "completed" {
+			tenant(v[0]).Completed = n
+			s.Completed += n
+		} else {
+			tenant(v[0]).Failed = n
+			s.Failed += n
+		}
+	})
+	m.batches.Each(func(v []string, n int64) {
+		tenant(v[0]).Batches = n
+		s.Batches += n
+	})
+	m.rows.Each(func(v []string, n int64) {
+		if v[1] == "real" {
+			tenant(v[0]).RealRows = n
+			s.RealRows += n
+		} else {
+			s.PaddedRows += n
+		}
+	})
+	for i := range s.Tenants {
+		if ts := &s.Tenants[i]; ts.Batches > 0 {
+			ts.Occupancy = float64(ts.RealRows) / float64(ts.Batches*int64(m.k))
+		}
+	}
+	slices.SortFunc(s.Tenants, func(a, b TenantSnapshot) int { return strings.Compare(a.Name, b.Name) })
+	if s.Batches > 0 {
+		s.Occupancy = float64(s.RealRows) / float64(s.Batches*int64(m.k))
 	}
 	if el := time.Since(m.start).Seconds(); el > 0 {
-		s.Throughput = float64(m.completed) / el
+		s.Throughput = float64(s.Completed) / el
 	}
-	if len(m.lat) > 0 {
-		sorted := append([]time.Duration(nil), m.lat...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		s.P50 = quantile(sorted, 0.50)
-		s.P99 = quantile(sorted, 0.99)
-	}
-	for name, tc := range m.tenants {
-		ts := TenantSnapshot{
-			Name:      name,
-			Completed: tc.completed,
-			Failed:    tc.failed,
-			Batches:   tc.batches,
-			RealRows:  tc.realRows,
-		}
-		if tc.batches > 0 {
-			ts.Occupancy = float64(tc.realRows) / float64(tc.batches*int64(m.k))
-		}
-		s.Tenants = append(s.Tenants, ts)
-	}
-	sort.Slice(s.Tenants, func(i, j int) bool { return s.Tenants[i].Name < s.Tenants[j].Name })
 	return s
 }
 
-// snapshotInto fills the serve occupancy fields of a state snapshot
-// under one lock hold.
-func (m *Metrics) snapshotInto(si *obs.ServingInfo) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	si.QueueDepth = m.depth
-	si.BatchesCompleted = m.batches
-	si.Completed = m.completed
-	si.Failed = m.failed
-	si.IntegrityEvents = m.integrity
-	si.ContinuousAdmits = m.continuous
+// seconds converts a histogram reading back to a Duration.
+func seconds(v float64) time.Duration {
+	return time.Duration(math.Round(v * float64(time.Second)))
 }

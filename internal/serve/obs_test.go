@@ -2,13 +2,17 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"darknight/internal/field"
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
+	"darknight/internal/masking"
 	"darknight/internal/obs"
 	"darknight/internal/sched"
 )
@@ -194,105 +198,200 @@ func TestTracePropagationMidFlightQuarantine(t *testing.T) {
 	}
 }
 
-// TestServeMetricsRegistryScrape: the registry's Prometheus exposition
-// must parse and agree with the serving snapshot.
-func TestServeMetricsRegistryScrape(t *testing.T) {
-	const (
-		k        = 4
-		requests = 32
-	)
-	fm := fleet.NewManager(gpu.NewHonestCluster(2*(k+1)), fleet.Config{})
-	ob := obs.New(obs.Options{Seed: 1})
+// switchDevice is an honest device that tampers while on is set: a fault
+// the test turns on and off between requests.
+type switchDevice struct {
+	gpu.Device
+	bad gpu.Device
+	on  *atomic.Bool
+}
+
+func (d switchDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	if d.on.Load() {
+		return d.bad.LinearForward(key, kernel, x)
+	}
+	return d.Device.LinearForward(key, kernel, x)
+}
+
+// scrapeRun serves a fixed request sequence — one request at a time with
+// immediate flush, so every batch carries one real row whatever the timing:
+// six for gold and three for bronze on an honest fleet, then two for gold
+// with a tampering device in the only gang — and returns the quiescent
+// Metrics() view with the scrape of reg taken beside it.
+func scrapeRun(t *testing.T, ob *obs.Observability) (Snapshot, map[string]float64) {
+	t.Helper()
+	const k = 4
+	var tamper atomic.Bool
+	devs := make([]gpu.Device, k+2) // M = 1, E = 1: detection without attribution
+	for i := range devs {
+		devs[i] = gpu.NewHonest(i)
+	}
+	devs[1] = switchDevice{Device: devs[1], bad: gpu.NewMalicious(gpu.NewHonest(1), gpu.FaultPolicy{EveryNth: 1}), on: &tamper}
+	// Nothing is quarantined: the one gang must stay whole.
+	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{FaultThreshold: 1e9})
 	srv, err := New(Config{
-		Sched:   sched.Config{VirtualBatch: k, Seed: 3},
-		MaxWait: 5 * time.Millisecond,
+		Sched:   sched.Config{VirtualBatch: k, Redundancy: 1, Seed: 3},
+		MaxWait: -1,
 		Obs:     ob,
-	}, replicas(2, 3), fm, nil)
+	}, replicas(1, 3), fm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	imgs := sampleImages(requests, 4)
-	var wg sync.WaitGroup
-	for i := range imgs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := srv.InferTenant(context.Background(), "gold", imgs[i]); err != nil {
-				t.Errorf("request %d: %v", i, err)
-			}
-		}(i)
+	defer srv.Close()
+	imgs := sampleImages(11, 4)
+	for i, img := range imgs {
+		tenant := "gold"
+		if i >= 6 && i < 9 {
+			tenant = "bronze"
+		}
+		tamper.Store(i >= 9)
+		if _, err := srv.InferTenant(context.Background(), tenant, img); (err != nil) != (i >= 9) || (err != nil && !IsIntegrityError(err)) {
+			t.Fatalf("request %d: %v", i, err)
+		}
 	}
-	wg.Wait()
 	snap := srv.Metrics()
+	if ob == nil {
+		return snap, nil
+	}
 	var b strings.Builder
 	if err := ob.Registry.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
-
 	parsed, err := obs.ParsePrometheus(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("scrape does not parse: %v\n%s", err, b.String())
 	}
-	if got := parsed["darknight_requests_completed_total"]; got != float64(snap.Completed) {
-		t.Fatalf("completed_total = %v, snapshot %d", got, snap.Completed)
+	return snap, parsed
+}
+
+// TestServeMetricsRegistryScrape: Metrics() and /metrics are two reads of
+// the same instruments, so on a quiescent server every scalar of the
+// Snapshot and of every TenantSnapshot equals its scraped series — and a
+// server with no Observability attached, whose instruments sit in a private
+// registry, fills the same view. Throughput and Overlap have no family
+// (they divide two exported numbers by a clock reading); Fleet is checked
+// by the fleet's own tests.
+func TestServeMetricsRegistryScrape(t *testing.T) {
+	snap, parsed := scrapeRun(t, obs.New(obs.Options{Seed: 1}))
+
+	rows := func(tenant, kind string) float64 {
+		return parsed[fmt.Sprintf(`darknight_batch_rows_total{kind=%q,tenant=%q}`, kind, tenant)]
 	}
-	if got := parsed["darknight_batches_total"]; got != float64(snap.Batches) {
-		t.Fatalf("batches_total = %v, snapshot %d", got, snap.Batches)
+	want := map[string]float64{
+		"darknight_requests_completed_total":                  float64(snap.Completed),
+		"darknight_requests_failed_total":                     float64(snap.Failed),
+		"darknight_requests_integrity_failures_total":         float64(snap.Integrity),
+		"darknight_queue_depth":                               float64(snap.QueueDepth),
+		"darknight_continuous_admits_total":                   float64(snap.ContinuousAdmits),
+		`darknight_tee_phase_seconds_total{phase="encode"}`:   snap.Phases.Encode.Seconds(),
+		`darknight_tee_phase_seconds_total{phase="dispatch"}`: snap.Phases.Dispatch.Seconds(),
+		`darknight_tee_phase_seconds_total{phase="decode"}`:   snap.Phases.Decode.Seconds(),
+		`darknight_tee_phase_seconds_total{phase="wall"}`:     snap.Phases.Wall.Seconds(),
+		"darknight_tee_offloads_total":                        float64(snap.Phases.Offloads),
+		"darknight_offload_flights_total":                     float64(snap.Phases.Flights),
+		`darknight_fused_block_size{stat="blocks"}`:           float64(snap.Phases.FusedBlocks),
+		`darknight_fused_block_size{stat="layers"}`:           float64(snap.Phases.FusedLayers),
+		"darknight_noisepool_hits_total":                      float64(snap.NoisePool.Hits),
+		"darknight_noisepool_misses_total":                    float64(snap.NoisePool.Misses),
+		"darknight_resil_deadline_total":                      float64(snap.Resil.Deadline),
+		"darknight_resil_shed_total":                          float64(snap.Resil.Shed),
+		"darknight_resil_retries_total":                       float64(snap.Resil.Retries),
+		"darknight_resil_retry_success_total":                 float64(snap.Resil.RetrySuccess),
+		"darknight_resil_retries_exhausted_total":             float64(snap.Resil.RetriesExhausted),
+		"darknight_resil_hedges_total":                        float64(snap.Resil.Hedges),
+		"darknight_resil_hedge_wins_total":                    float64(snap.Resil.HedgeWins),
+		"darknight_resil_hedge_losses_total":                  float64(snap.Resil.HedgeLosses),
+		"darknight_resil_hedge_mismatch_total":                float64(snap.Resil.HedgeMismatch),
+		"darknight_resil_brownout_shifts_total":               float64(snap.Resil.BrownoutShifts),
+		"darknight_resil_brownout_level":                      float64(snap.Resil.BrownoutLevel),
+		"darknight_resil_chaos_actions_total":                 float64(snap.Resil.ChaosActions),
+		`darknight_fleet_devices{state="healthy"}`:            float64(snap.Fleet.Healthy),
 	}
-	if got := parsed[`darknight_batch_rows_total{kind="real"}`]; got != float64(snap.RealRows) {
-		t.Fatalf("real rows = %v, snapshot %d", got, snap.RealRows)
+	var batches, real, padded, timed float64
+	for _, ts := range snap.Tenants {
+		label := fmt.Sprintf("tenant=%q", ts.Name)
+		want[`darknight_tenant_requests_total{outcome="completed",`+label+`}`] = float64(ts.Completed)
+		want[`darknight_tenant_requests_total{outcome="failed",`+label+`}`] = float64(ts.Failed)
+		want[`darknight_batches_total{`+label+`}`] = float64(ts.Batches)
+		want[`darknight_batch_rows_total{kind="real",`+label+`}`] = float64(ts.RealRows)
+		want[`darknight_request_latency_hist_seconds_count{`+label+`}`] = float64(ts.Completed)
+		if got := rows(ts.Name, "real") / (rows(ts.Name, "real") + rows(ts.Name, "padded")); got != ts.Occupancy {
+			t.Errorf("tenant %s: occupancy %v, scraped rows give %v", ts.Name, ts.Occupancy, got)
+		}
+		batches += parsed[`darknight_batches_total{`+label+`}`]
+		real += rows(ts.Name, "real")
+		padded += rows(ts.Name, "padded")
+		timed += parsed[`darknight_request_latency_hist_seconds_count{`+label+`}`]
 	}
-	if got := parsed[`darknight_tenant_requests_total{outcome="completed",tenant="gold"}`]; got != float64(snap.Completed) {
-		t.Fatalf("tenant completed = %v, snapshot %d", got, snap.Completed)
+	for series, v := range want {
+		// A vec's child appears with its first event; a tenant that never
+		// failed has no failed series.
+		lazy := v == 0 && strings.Contains(series, "tenant=")
+		if got, ok := parsed[series]; got != v || !(ok || lazy) {
+			t.Errorf("%s = %v (present %v), snapshot says %v", series, got, ok, v)
+		}
 	}
-	if got := parsed[`darknight_fleet_devices{state="healthy"}`]; got != float64(2*(k+1)) {
-		t.Fatalf("healthy devices = %v, want %d", got, 2*(k+1))
+	if batches != float64(snap.Batches) || real != float64(snap.RealRows) || padded != float64(snap.PaddedRows) {
+		t.Errorf("scraped batches/real/padded %v/%v/%v, snapshot %d/%d/%d",
+			batches, real, padded, snap.Batches, snap.RealRows, snap.PaddedRows)
 	}
-	if parsed[`darknight_request_latency_seconds{quantile="0.99"}`] <= 0 {
-		t.Fatal("p99 latency not exported")
+	if got := real / (real + padded); got != snap.Occupancy {
+		t.Errorf("occupancy %v, scraped rows give %v", snap.Occupancy, got)
+	}
+	// The latency histogram times completed requests only, and its rings
+	// are what P50/P99 are read from.
+	if timed != float64(snap.Completed) || snap.P50 <= 0 || snap.P99 < snap.P50 {
+		t.Errorf("timed %v of %d completed, p50 %v p99 %v", timed, snap.Completed, snap.P50, snap.P99)
+	}
+	// The run shape itself: 9 answered, 2 rejected as tampered, one real
+	// row per batch of 4.
+	if snap.Completed != 9 || snap.Failed != 2 || snap.Integrity != 2 || snap.Batches != 11 ||
+		snap.RealRows != 11 || snap.PaddedRows != 33 || snap.Occupancy != 0.25 || len(snap.Tenants) != 2 {
+		t.Errorf("unexpected run shape: %+v", snap)
+	}
+
+	// Detached, the same run fills the same view: every count equal, the
+	// clock-dependent fields populated.
+	counts := func(s Snapshot) string {
+		gets := s.NoisePool.Hits + s.NoisePool.Misses // which of the two a Get counts as is a race with the generator
+		s.Throughput, s.P50, s.P99, s.Overlap = 0, 0, 0, 0
+		s.Phases.Encode, s.Phases.Dispatch, s.Phases.Decode, s.Phases.Wall = 0, 0, 0, 0
+		s.NoisePool, s.Fleet = masking.NoisePoolStats{}, fleet.Stats{}
+		return fmt.Sprintf("%+v gets=%d", s, gets)
+	}
+	detached, _ := scrapeRun(t, nil)
+	if got, want := counts(detached), counts(snap); got != want {
+		t.Errorf("detached server's Metrics() differs:\n got %s\nwant %s", got, want)
+	}
+	if detached.P50 <= 0 || detached.P99 < detached.P50 || detached.Throughput <= 0 || detached.Phases.Encode <= 0 {
+		t.Errorf("detached server left clock fields empty: %+v", detached)
 	}
 }
 
-// TestQuantilePartialWindow pins the nearest-rank quantile on small
-// samples: before the fix, P99 over a two-element window indexed
-// sorted[1*99/100] = sorted[0] (the minimum) and P50 overshot the median.
-func TestQuantilePartialWindow(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	cases := []struct {
-		sorted   []time.Duration
-		p50, p99 time.Duration
+// TestCompletionAccountingAllocs pins the per-batch accounting at zero
+// allocations once a tenant's instruments exist — the deterministic proxy
+// for "the always-on instruments cost the request path nothing to speak of"
+// (their time is the harness's obs.histogram_observe_ns).
+func TestCompletionAccountingAllocs(t *testing.T) {
+	m := newMetrics(4, obs.NewRegistry())
+	now := time.Now()
+	b := &vbatch{tenant: "gold"}
+	for i := 0; i < 3; i++ {
+		b.reqs = append(b.reqs, &request{tenant: "gold", enqueued: now.Add(-time.Millisecond)})
+	}
+	for _, c := range []struct {
+		name string
+		err  error
 	}{
-		{nil, 0, 0},
-		{[]time.Duration{ms(10)}, ms(10), ms(10)},
-		{[]time.Duration{ms(10), ms(20)}, ms(10), ms(20)},
-		{[]time.Duration{ms(10), ms(20), ms(30)}, ms(20), ms(30)},
-	}
-	for _, c := range cases {
-		if got := quantile(c.sorted, 0.50); got != c.p50 {
-			t.Errorf("p50 of %v = %v, want %v", c.sorted, got, c.p50)
-		}
-		if got := quantile(c.sorted, 0.99); got != c.p99 {
-			t.Errorf("p99 of %v = %v, want %v", c.sorted, got, c.p99)
+		{"completed", nil},
+		{"failed", masking.ErrIntegrity},
+	} {
+		m.finished(b, now, c.err) // first use creates the tenant's children
+		if n := testing.AllocsPerRun(100, func() { m.finished(b, now, c.err) }); n != 0 {
+			t.Errorf("%s batch: accounting allocates %v times per batch", c.name, n)
 		}
 	}
-	// 1..100: the nearest-rank P99 is the 99th value, not the maximum.
-	seq := make([]time.Duration, 100)
-	for i := range seq {
-		seq[i] = ms(i + 1)
-	}
-	if got := quantile(seq, 0.99); got != ms(99) {
-		t.Errorf("p99 of 1..100 = %v, want 99ms", got)
-	}
-	if got := quantile(seq, 0.50); got != ms(50) {
-		t.Errorf("p50 of 1..100 = %v, want 50ms", got)
-	}
-
-	// The Metrics wrapper sees the same values through the ring.
-	m := newMetrics(2)
-	m.lat = []time.Duration{ms(30), ms(10)}
-	p50, p99 := m.quantiles()
-	if p50 != ms(10) || p99 != ms(30) {
-		t.Fatalf("Metrics.quantiles = %v/%v, want 10ms/30ms", p50, p99)
+	if s := m.Snapshot(); s.Completed != 3*102 || s.Failed != 3*102 || s.Integrity != s.Failed || s.P99 != time.Millisecond {
+		t.Errorf("accounting lost counts: %+v", s)
 	}
 }

@@ -120,7 +120,7 @@ func TestShedTypedError(t *testing.T) {
 	}
 	// Wait until both requests are visibly queued.
 	deadline := time.After(3 * time.Second)
-	for srv.metrics.queueDepth() < 2 {
+	for srv.Metrics().QueueDepth < 2 {
 		select {
 		case <-deadline:
 			t.Fatal("queue depth never reached 2")
@@ -217,6 +217,53 @@ func TestRetryRecoversTamperedBatch(t *testing.T) {
 				t.Errorf("client-visible failures = %d, want 0", snap.Failed)
 			}
 		})
+	}
+}
+
+// TestRetriesExhaustedKeepsIntegrityCause: when a tamperer defeats every
+// retry, the terminal error says both things — the retry budget ran out,
+// and tampered GPU results are why — so clients that test IsIntegrityError
+// and the integrity counter both still see the attack.
+func TestRetriesExhaustedKeepsIntegrityCause(t *testing.T) {
+	const k = 2
+	devs := make([]gpu.Device, k+2) // M = 1, E = 1, every device tampering
+	for i := range devs {
+		devs[i] = gpu.NewMalicious(gpu.NewHonest(i), gpu.FaultPolicy{EveryNth: 1})
+	}
+	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{ProbationProbability: -1})
+	srv, err := New(Config{
+		Sched:   sched.Config{VirtualBatch: k, Redundancy: 1, Seed: 29},
+		MaxWait: 5 * time.Second, // the two requests ride one batch
+		Resil:   resil.Config{Retry: resil.RetryPolicy{Max: 1}},
+	}, replicas(1, 29), fm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	imgs := sampleImages(k, 30)
+	errs := make([]error, len(imgs))
+	var wg sync.WaitGroup
+	for i := range imgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = srv.Infer(context.Background(), imgs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, resil.ErrRetriesExhausted) || !IsIntegrityError(err) {
+			t.Errorf("request %d: %v; want ErrRetriesExhausted wrapping an integrity violation", i, err)
+		}
+		if resil.Retryable(err) {
+			t.Errorf("request %d: terminal error %v reads as retryable", i, err)
+		}
+	}
+	snap := srv.Metrics()
+	if snap.Failed != 2 || snap.Integrity != 2 || snap.Resil.Retries != 1 || snap.Resil.RetriesExhausted != 1 {
+		t.Errorf("failed=%d integrity=%d retries=%d exhausted=%d, want 2/2/1/1",
+			snap.Failed, snap.Integrity, snap.Resil.Retries, snap.Resil.RetriesExhausted)
 	}
 }
 

@@ -91,24 +91,20 @@ type Config struct {
 	// still carries exactly K rows of one tenant).
 	Continuous bool
 	// Obs, when non-nil, attaches the observability stack: sampled request
-	// traces (admit→seal→batch→offload span trees), serving/fleet/noise-pool
-	// series registered into Obs.Registry, latency histograms, the
-	// completed-batch log behind CaptureSnapshot, and fleet/sched events
-	// recorded into Obs.Recorder. One Observability per server — series
-	// registration panics on duplicates. Nil keeps the hot path at its
-	// untraced cost.
+	// traces (admit→seal→batch→offload span trees), the serving/fleet/
+	// resilience series exported from Obs.Registry, the completed-batch log
+	// behind CaptureSnapshot, and fleet/sched events recorded into
+	// Obs.Recorder. One Observability per server — series registration
+	// panics on duplicates. Nil serves untraced; the serving instruments
+	// behind Metrics() then live in a registry private to the server.
 	Obs *obs.Observability
 	// SLO configures per-tenant objectives evaluated by an obs.SLOTracker
-	// (burn-rate gauges, breach events into the fleet). Only active when
-	// Obs is attached; with no objectives the tracker is not built.
+	// (burn-rate gauges, breach events into the fleet). With no objectives
+	// the tracker is not built.
 	SLO obs.SLOConfig
 	// BatchLog bounds the completed-batch ring behind CaptureSnapshot
 	// (0 = DefaultBatchLog). Only kept when Obs is attached.
 	BatchLog int
-	// NoHistograms suppresses the live latency histogram instruments while
-	// keeping every scrape-time series — the A/B knob the histogram
-	// overhead gate pairs against. Production configurations leave it off.
-	NoHistograms bool
 	// Resil configures the resilience layer: deadline budgets, retry onto
 	// fresh gangs, hedged dispatch, admission control and the brownout
 	// degradation controller. The zero value disables all of it and the
@@ -239,6 +235,12 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 	if depth <= 0 {
 		depth = 4 * k
 	}
+	// The serving instruments are the store behind Metrics() whether or
+	// not anything scrapes them.
+	reg := cfg.Obs.Reg()
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	s := &Server{
 		cfg:     cfg,
 		k:       k,
@@ -247,7 +249,7 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 		pipes:   pipes,
 		admit:   make(chan *request, depth),
 		batches: make(chan *vbatch, len(models)),
-		metrics: newMetrics(k),
+		metrics: newMetrics(k, reg),
 		obs:     cfg.Obs,
 		resil:   cfg.Resil,
 		rcount:  &resil.Counters{},
@@ -257,23 +259,11 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 	if cfg.Resil.Hedge.Enabled {
 		s.hedge = resil.NewHedgeGovernor(cfg.Resil.Hedge)
 	}
-	if s.obs != nil {
-		// Wire the observability stack: the fleet and every engine record
-		// into the shared flight recorder, and the serving + fleet counters
-		// become scrape-time series in the registry.
-		fm.SetObserver(s.obs.Recorder)
-		for _, p := range pipes {
-			p.SetObserver(s.obs.Recorder)
-		}
-		s.registerMetrics(s.obs.Reg())
-		fm.RegisterMetrics(s.obs.Reg())
-		s.rcount.Register(s.obs.Reg())
-		s.batchlog = newBatchLog(cfg.BatchLog)
-		if len(cfg.SLO.Objectives) > 0 {
-			s.metrics.slo = obs.NewSLOTracker(cfg.SLO)
-			s.metrics.slo.Register(s.obs.Reg())
-			fm.SubscribeSLO(s.metrics.slo)
-		}
+	s.registerViews(reg)
+	if len(cfg.SLO.Objectives) > 0 {
+		s.metrics.slo = obs.NewSLOTracker(cfg.SLO)
+		s.metrics.slo.Register(reg)
+		fm.SubscribeSLO(s.metrics.slo)
 	}
 	if cfg.Resil.Brownout.Enabled {
 		var rec *obs.FlightRecorder
@@ -282,13 +272,20 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 		}
 		s.brown = resil.NewBrownout(cfg.Resil.Brownout, rec, s.rcount)
 		s.brown.OnChange(s.applyBrownout)
-		if s.metrics.slo == nil {
-			// Build the tracker even when the caller attached no registry
-			// (nil-safe everywhere).
-			s.metrics.slo = obs.NewSLOTracker(cfg.SLO)
-			fm.SubscribeSLO(s.metrics.slo)
-		}
 		s.brown.Subscribe(s.metrics.slo)
+	}
+	if s.obs != nil {
+		// Wire the observability stack: the fleet and every engine record
+		// into the shared flight recorder, and the fleet and resilience
+		// counters join the serving instruments in the registry.
+		fm.SetObserver(s.obs.Recorder)
+		for _, p := range pipes {
+			p.SetObserver(s.obs.Recorder)
+		}
+		fm.RegisterMetrics(reg)
+		s.rcount.Register(reg)
+		s.brown.Register(reg)
+		s.batchlog = newBatchLog(cfg.BatchLog)
 	}
 	s.wg.Add(1)
 	go s.batchLoop()
@@ -313,16 +310,18 @@ func (s *Server) K() int { return s.k }
 // Fleet returns the fleet manager the server dispatches through.
 func (s *Server) Fleet() *fleet.Manager { return s.fleet }
 
-// Metrics returns a consistent snapshot of the serving counters, including
-// the fleet health snapshot and the noise-pool counters.
+// Metrics returns the serving view: the serving instruments, plus the
+// stores other layers own read at the same moment — the pipelines' phase
+// and noise-pool counters, the fleet health snapshot, the resilience
+// counters and the brownout controller's level.
 func (s *Server) Metrics() Snapshot {
 	snap := s.metrics.Snapshot()
-	snap.Fleet = s.fleet.Stats()
+	snap.Phases = s.phaseStats()
+	snap.Overlap = snap.Phases.Overlap()
 	snap.NoisePool = s.poolStats()
+	snap.Fleet = s.fleet.Stats()
 	snap.Resil = s.rcount.Snapshot()
-	if s.brown != nil {
-		snap.Resil.BrownoutLevel = int64(s.brown.Level())
-	}
+	snap.Resil.BrownoutLevel = int64(s.brown.Level())
 	return snap
 }
 
@@ -354,7 +353,7 @@ func (s *Server) InferTenant(ctx context.Context, tenant string, image []float64
 	}
 	// Admission control: shed before any work when the tenant's queue
 	// allowance is full (typed resil.ErrShed; the client never blocks).
-	if err := s.shedder.Admit(tenant, s.metrics.queueDepth()); err != nil {
+	if err := s.shedder.Admit(tenant, int(s.metrics.depth.Value())); err != nil {
 		s.gate.leave()
 		s.rcount.Shed.Add(1)
 		s.recordResil(obs.KindShed, tenant, "admission queue allowance full")
@@ -388,12 +387,12 @@ func (s *Server) InferTenant(ctx context.Context, tenant string, image []float64
 	// The gauge moves before the send: the batcher may flush (and
 	// decrement) the moment the request lands, so counting afterwards
 	// could read negative.
-	s.metrics.queued(1)
+	s.metrics.depth.Add(1)
 	select {
 	case s.admit <- r:
 		s.gate.leave()
 	case <-ctx.Done():
-		s.metrics.queued(-1)
+		s.metrics.depth.Add(-1)
 		s.gate.leave()
 		r.sp.Annotate("outcome", "cancelled-in-admit")
 		r.sp.End()

@@ -26,15 +26,21 @@ func (s *Server) CaptureSnapshot() *obs.Snapshot {
 		NormLimit:      sc.NormLimit,
 		Seed:           sc.Seed,
 	}
+	m := s.metrics.Snapshot()
 	snap.Serving = obs.ServingInfo{
-		Workers:       len(s.pipes),
-		PipelineDepth: s.cfg.PipelineDepth,
-		Continuous:    s.cfg.Continuous,
-		Recover:       s.cfg.Recover,
-		QueueDepthCfg: cap(s.admit),
-		MaxWaitNs:     int64(s.cfg.MaxWait),
+		Workers:          len(s.pipes),
+		PipelineDepth:    s.cfg.PipelineDepth,
+		Continuous:       s.cfg.Continuous,
+		Recover:          s.cfg.Recover,
+		QueueDepthCfg:    cap(s.admit),
+		MaxWaitNs:        int64(s.cfg.MaxWait),
+		QueueDepth:       m.QueueDepth,
+		BatchesCompleted: m.Batches,
+		Completed:        m.Completed,
+		Failed:           m.Failed,
+		IntegrityEvents:  m.Integrity,
+		ContinuousAdmits: m.ContinuousAdmits,
 	}
-	s.metrics.snapshotInto(&snap.Serving)
 	s.fleet.SnapshotInto(&snap.Fleet)
 	snap.Batches, snap.BatchesDropped = s.batchlog.dump()
 	snap.Events = s.obs.Recorder.Dump()
@@ -46,6 +52,6 @@ func (s *Server) CaptureSnapshot() *obs.Snapshot {
 	return snap
 }
 
-// SLO returns the tracker built from Config.SLO (nil when observability
-// is off or no objectives were configured).
+// SLO returns the tracker built from Config.SLO (nil when no objectives
+// were configured).
 func (s *Server) SLO() *obs.SLOTracker { return s.metrics.slo }

@@ -90,7 +90,6 @@ type worker struct {
 	// fast batch is never parked behind a slow older one. Buffered for
 	// every lane, so the ticket watchers never block.
 	landed chan struct{}
-	last   sched.PhaseStats
 }
 
 func (s *Server) runWorker(p *sched.Pipeline) {
@@ -171,7 +170,8 @@ func (s *Server) pruneExpired(b *vbatch, now time.Time) int {
 	if expired > 0 {
 		b.reqs = b.reqs[:n]
 		s.rcount.Deadline.Add(int64(expired))
-		s.metrics.deadlineExpired(b.tenant, expired)
+		// They leave the batch, so finished never sees them: count them here.
+		s.metrics.requests.With(b.tenant, "failed").Add(int64(expired))
 		s.recordResil(obs.KindRetry, b.tenant,
 			fmt.Sprintf("pruned %d deadline-expired rows before dispatch", expired))
 	}
@@ -419,12 +419,6 @@ func (w *worker) settle(j *job) {
 	}
 	w.flying -= len(j.flights)
 	j.flights = j.flights[:0]
-	// Windowed phase accounting: the pipeline's aggregate counters are
-	// monotone, so per-settle deltas sum to the true totals even while
-	// other batches are mid-flight.
-	cur := w.p.PhaseStats()
-	s.metrics.phases(cur.Sub(w.last))
-	w.last = cur
 	if j.winner >= 0 {
 		w.drop(j)
 		return
@@ -464,7 +458,9 @@ func (w *worker) fail(j *job, err error) {
 		final = resil.ErrDeadline
 		s.rcount.Deadline.Add(int64(len(j.b.reqs)))
 	case resil.Retryable(err) && s.resil.Retry.Max > 0 && j.attempt >= s.resil.Retry.Max:
-		final = fmt.Errorf("%w: %d attempts, last: %v", resil.ErrRetriesExhausted, j.attempt+1, err)
+		// Both are wrapped: a tamperer that outlasts every retry is still an
+		// integrity failure to the client and to the counters.
+		final = fmt.Errorf("%w: %d attempts, last: %w", resil.ErrRetriesExhausted, j.attempt+1, err)
 		s.rcount.RetriesExhausted.Add(1)
 	}
 	j.bsp.Annotate("error", final.Error())

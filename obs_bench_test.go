@@ -75,27 +75,3 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkHistogramOverhead measures serving throughput with the live
-// latency histogram instruments on versus suppressed (NoHistograms), the
-// rest of the observability stack identical. The on/off delta is the
-// number the ≤2% histogram budget in ISSUE/DESIGN refers to;
-// BENCH_PR8.json records it.
-func BenchmarkHistogramOverhead(b *testing.B) {
-	modes := []struct {
-		name string
-		oc   ObservabilityConfig
-	}{
-		{"histograms-off", ObservabilityConfig{Enabled: true, NoHistograms: true}},
-		{"histograms-on", ObservabilityConfig{Enabled: true}},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			var tp float64
-			for i := 0; i < b.N; i++ {
-				tp = obsServeThroughput(b, mode.oc, 16, 192)
-			}
-			b.ReportMetric(tp, "req/s")
-		})
-	}
-}

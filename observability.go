@@ -46,8 +46,11 @@ type StateSnapshot = obs.Snapshot
 
 // ObservabilityConfig switches on the unified observability layer for a
 // Server (ServerConfig.Observability) or a System (Config.Observability).
-// The zero value disables everything and keeps the hot path at its
-// untraced cost — nil-span pointer checks only.
+// The zero value attaches nothing: no tracer (the untraced path pays
+// nil-span pointer checks only), no flight recorder, no exported registry.
+// A Server's own counters and latency histogram — what Server.Metrics
+// reads — run either way; enabling the stack exports those same
+// instruments on /metrics next to the fleet's and the resilience layer's.
 type ObservabilityConfig struct {
 	// Enabled turns the stack on (registry + flight recorder + tracer at
 	// TraceSample) even when every other field is zero. Any non-zero field
@@ -77,11 +80,6 @@ type ObservabilityConfig struct {
 	// (instead of just their hash), making them self-contained — replay
 	// does not need to rebuild the exact model. Costly for large models.
 	SnapshotWeights bool
-	// NoHistograms suppresses the live per-request and per-phase latency
-	// histogram instruments while keeping every scrape-time series — the
-	// A/B knob the histogram overhead gate pairs against. Leave it off in
-	// production.
-	NoHistograms bool
 }
 
 // enabled reports whether any knob asks for the observability stack.

@@ -366,8 +366,8 @@ func pairedOverhead(t *testing.T, rounds int, a, b ObservabilityConfig) float64 
 
 // TestTracingDisabledOverheadGate enforces the zero-overhead claim for
 // the disabled path: attaching the observability stack with tracing off
-// (metrics are scrape-time closures, the recorder only sees rare fleet
-// events) must not measurably slow serving. The design budget is <= 1%;
+// (the serving instruments run on both sides, the recorder only sees rare
+// fleet events) must not measurably slow serving. The design budget is <= 1%;
 // the test gate allows 10% because sub-second throughput runs on shared
 // CI carry ±15% of scheduler noise — the median-of-paired-ratios
 // protocol (pairedOverhead) keeps even that loose gate meaningful. The
@@ -378,25 +378,6 @@ func TestTracingDisabledOverheadGate(t *testing.T) {
 	t.Logf("attached-unsampled vs obs absent: median paired throughput ratio %.3f (%.2f%% delta)", ratio, 100*(1-ratio))
 	if ratio < 0.90 {
 		t.Fatalf("attached-but-disabled observability costs %.1f%% throughput (median paired ratio %.3f)", 100*(1-ratio), ratio)
-	}
-}
-
-// TestHistogramOverheadGate enforces the histogram recording budget: the
-// per-request latency vec and per-phase vec cost one atomic bucket
-// increment plus a short ring append per observation, which must not
-// measurably dent serving throughput. The design budget is <= 2%; the
-// gate allows 10% for shared-CI scheduler noise, median-of-paired-ratios
-// so both sides of every ratio see the same machine state (the PR 6
-// tracing gate's protocol). The pair isolates the per-request instruments; the
-// per-grant fleet flight histogram (K-fold rarer) stays on in both sides
-// and is bounded with everything else by TestTracingDisabledOverheadGate.
-func TestHistogramOverheadGate(t *testing.T) {
-	ratio := pairedOverhead(t, 9,
-		ObservabilityConfig{Enabled: true, NoHistograms: true},
-		ObservabilityConfig{Enabled: true})
-	t.Logf("histograms on vs off: median paired throughput ratio %.3f (%.2f%% delta)", ratio, 100*(1-ratio))
-	if ratio < 0.90 {
-		t.Fatalf("histogram recording costs %.1f%% throughput (median paired ratio %.3f)", 100*(1-ratio), ratio)
 	}
 }
 

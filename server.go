@@ -275,7 +275,6 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 		Obs:           ob,
 		SLO:           cfg.Observability.SLO,
 		BatchLog:      cfg.Observability.SnapshotBatchLog,
-		NoHistograms:  cfg.Observability.NoHistograms,
 		Resil:         cfg.Resilience.toResil(),
 	}, replicas, fm, encl)
 	if err != nil {

@@ -2,6 +2,7 @@ package darknight
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -198,11 +199,13 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshotCapture hammers CaptureSnapshot from a background
+// TestConcurrentSnapshotCapture hammers the three read surfaces —
+// CaptureSnapshot, Metrics and the /metrics exposition — from a background
 // goroutine while serving traffic is quarantining a tamperer mid-flight —
-// run under -race in CI. Every capture must be internally consistent:
-// grant counts match lane occupancy, fault scores in bounds, event window
-// ordered (all enforced by Validate).
+// run under -race in CI: every one is a read of instruments the request
+// path is writing. Every capture must be internally consistent: grant
+// counts match lane occupancy, fault scores in bounds, event window ordered
+// (all enforced by Validate).
 func TestConcurrentSnapshotCapture(t *testing.T) {
 	srv, err := NewServer(func() *Model { return TinyCNN(1, 8, 8, 4, 7) }, chaosServerConfig())
 	if err != nil {
@@ -226,6 +229,12 @@ func TestConcurrentSnapshotCapture(t *testing.T) {
 			snap, err := srv.CaptureSnapshot()
 			if err == nil {
 				err = snap.Validate()
+			}
+			if err == nil {
+				err = srv.WriteMetrics(io.Discard)
+			}
+			if m := srv.Metrics(); err == nil && m.Completed+m.Failed > m.RealRows {
+				err = fmt.Errorf("metrics answered %d+%d requests on %d dispatched rows", m.Completed, m.Failed, m.RealRows)
 			}
 			if err != nil {
 				capErr = err
