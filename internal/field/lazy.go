@@ -3,6 +3,7 @@ package field
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"darknight/internal/par"
 	"darknight/internal/scratch"
@@ -294,6 +295,69 @@ func combineRange2(dst0, dst1 Vec, c0, c1 []Elem, srcs []Vec, lo, hi int) {
 		ReduceAccInto(dst1[b:be], blk1)
 	}
 	putAcc(accp)
+}
+
+// CombineEqual reports whether want = Σ_j coeffs[j]·srcs[j] mod p — one
+// row of the coding matrix product compared against a vector instead of
+// written to one. It is the kernel behind the forward parity check
+// (Code.VerifyForward): the product is never materialised, so the check
+// streams its sources and want once and, like Combine, allocates nothing
+// beyond pooled accumulator blocks on the serial path.
+func CombineEqual(want Vec, coeffs []Elem, srcs []Vec) bool {
+	if len(coeffs) != len(srcs) {
+		panic(fmt.Sprintf("field: combine has %d coefficients for %d sources", len(coeffs), len(srcs)))
+	}
+	n := len(want)
+	for _, s := range srcs {
+		if len(s) != n {
+			panic(fmt.Sprintf("field: combine source length %d != %d", len(s), n))
+		}
+	}
+	if n <= combineParGrain || par.Workers() == 1 {
+		return combineEqualRange(want, coeffs, srcs, 0, n)
+	}
+	var differ atomic.Bool
+	par.For(n, combineParGrain, func(lo, hi int) {
+		if !combineEqualRange(want, coeffs, srcs, lo, hi) {
+			differ.Store(true)
+		}
+	})
+	return !differ.Load()
+}
+
+// combineEqualRange is CombineEqual over the column range [lo, hi). The
+// comparison ORs the differences of a whole block before branching, so a
+// block costs the same whether or not it matches.
+//
+//darknight:hotpath
+func combineEqualRange(want Vec, coeffs []Elem, srcs []Vec, lo, hi int) bool {
+	accp := getAcc(combineSpan)
+	acc := *accp
+	var diff uint32
+	for b := lo; b < hi && diff == 0; b += combineSpan {
+		be := b + combineSpan
+		if be > hi {
+			be = hi
+		}
+		ws := want[b:be]
+		blk := acc[:len(ws)]
+		for i := range blk {
+			blk[i] = 0
+		}
+		var terms Budget
+		for j, c := range coeffs {
+			if c == 0 {
+				continue
+			}
+			LazyAXPY(blk, c, srcs[j][b:be])
+			terms.Tick1(blk)
+		}
+		for i, a := range blk {
+			diff |= Elem(a%uint64(P)) ^ ws[i]
+		}
+	}
+	putAcc(accp)
+	return diff == 0
 }
 
 // Pooled kernel scratch (internal/scratch size-classed pools). The

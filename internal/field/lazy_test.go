@@ -118,6 +118,38 @@ func TestCombine2ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCombineEqualMatchesCombine pins the comparing kernel to Combine: it
+// accepts Combine's own output and rejects a single-element change at the
+// first and last element of every pooled span, serially and with the
+// parallel split forced on.
+func TestCombineEqualMatchesCombine(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	rng := rand.New(rand.NewSource(28))
+	for _, workers := range []int{1, 4} {
+		par.SetMaxWorkers(workers)
+		for _, tc := range []struct{ k, n int }{
+			{1, 1}, {5, 17}, {4, combineSpan + 3}, {6, combineParGrain*2 + 37},
+		} {
+			coeffs, srcs := randSrcs(rng, tc.k, tc.n)
+			coeffs[0] = 0 // exercise the zero-coefficient skip
+			want := NewVec(tc.n)
+			Combine(want, coeffs, srcs)
+			if !CombineEqual(want, coeffs, srcs) {
+				t.Fatalf("workers=%d k=%d n=%d: CombineEqual rejects Combine's output", workers, tc.k, tc.n)
+			}
+			for b := 0; b < tc.n; b += combineSpan {
+				for _, i := range []int{b, min(b+combineSpan, tc.n) - 1} {
+					bad := want.Clone()
+					bad[i] = Add(bad[i], 1)
+					if CombineEqual(bad, coeffs, srcs) {
+						t.Fatalf("workers=%d k=%d n=%d: change at %d accepted", workers, tc.k, tc.n, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCombineLazyReductionBound drives more than MaxLazyTerms sources
 // through one accumulator block so the interleaved reduction actually
 // fires; the result must still match the eagerly-reduced oracle.

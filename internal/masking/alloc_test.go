@@ -142,6 +142,43 @@ func TestSteadyStateAllocationRegression(t *testing.T) {
 	}
 }
 
+// TestVerifiedDecodeAllocationRegression pins the verified forward decode
+// at zero allocations per call once warm: the full-gang decode at E = 1 and
+// E = 2 (parity rows fixed by New), VerifyForward on its own, and a
+// straggler mask whose decode window is not the primary one (its inverse
+// and parity rows built on the first call, then cached).
+func TestVerifiedDecodeAllocationRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector deliberately bypasses sync.Pool, so allocation counts are meaningless under -race")
+	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
+	for _, e := range []int{1, 2} {
+		code, _, coded := subsetFixture(t, Params{K: 4, M: 1, Redundancy: e}, 4096, int64(50+e))
+		decoded := newDst(code.K, 4096)
+		straggler := make([]bool, code.NumCoded())
+		for j := range straggler {
+			straggler[j] = j != 0 // window {1..S}: not the primary one
+		}
+		for name, op := range map[string]func() error{
+			"DecodeForwardSubsetInto(nil)":       func() error { return code.DecodeForwardSubsetInto(decoded, coded, nil) },
+			"VerifyForward":                      func() error { return code.VerifyForward(coded) },
+			"DecodeForwardSubsetInto(straggler)": func() error { return code.DecodeForwardSubsetInto(decoded, coded, straggler) },
+		} {
+			if err := op(); err != nil { // warm the scratch, the pool and the window cache
+				t.Fatalf("E=%d %s: %v", e, name, err)
+			}
+			got := testing.AllocsPerRun(50, func() {
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 0 {
+				t.Errorf("E=%d %s allocates %.2f times per op, want 0", e, name, got)
+			}
+		}
+	}
+}
+
 // TestEncodeAllocationRegression pins the convenience Encode path (the
 // non-With entry that draws its own noise): only the escaping coded vectors
 // and their header may allocate. The M internally drawn noise rows never

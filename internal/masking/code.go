@@ -81,13 +81,12 @@ type Code struct {
 	// coefficients of coded input j. Every S-column subset we decode
 	// from is invertible by construction.
 	A *field.Mat
-	// primaryInv is the inverse of A's first S columns, the default
-	// decode path.
-	primaryInv *field.Mat
-	// secondaryInv is the inverse of A's *last* S columns; only present
-	// when E >= 1. It provides the second, redundant decoding used for
-	// integrity verification.
-	secondaryInv *field.Mat
+	// primary is the decode window over A's first S columns — the default
+	// decode path — with the parity rows of the E redundant columns.
+	primary *window
+	// windows caches the straggler windows decoded from so far: a window's
+	// inverse and parity rows are computed once per code, not per layer.
+	windows []*window
 
 	// Gamma holds the S+E secret decode scalars γ_j for the backward
 	// pass; entries beyond the primary subset belong to the secondary
@@ -110,6 +109,8 @@ type Code struct {
 	// col2 is the second coefficient-column gather of a row pair: the fused
 	// kernels emit two output rows per source pass (field.Combine2).
 	col2 field.Vec
+	// cols is the decode's present-column scratch.
+	cols []int
 	// noiseScratch holds Encode's M internally drawn noise rows. The rows
 	// never escape (only the coded combinations do), so like srcs/col they
 	// are drawn into reusable scratch rather than allocated per call.
@@ -146,9 +147,11 @@ func New(p Params, rng *rand.Rand) (*Code, error) {
 	c := &Code{K: p.K, M: p.M, E: p.Redundancy, S: s}
 
 	// Draw the primary S×S block invertible, then append E extra columns
-	// such that the trailing S-column window is invertible too.
+	// such that the trailing S-column window — the backward pass's
+	// secondary decoding — is invertible too.
+	var pinv, sinv *field.Mat
 	for {
-		primary, pinv := field.RandInvertible(rng, s)
+		primary, inv := field.RandInvertible(rng, s)
 		ext := field.RandMat(rng, s, p.Redundancy)
 		full := field.NewMat(s, s+p.Redundancy)
 		for r := 0; r < s; r++ {
@@ -156,16 +159,15 @@ func New(p Params, rng *rand.Rand) (*Code, error) {
 			copy(full.Row(r)[s:], ext.Row(r))
 		}
 		c.A = full
-		c.primaryInv = pinv
+		pinv = inv
 		if p.Redundancy == 0 {
 			break
 		}
 		sec := full.SubMatrix(0, s, p.Redundancy, s+p.Redundancy)
-		sinv, err := sec.Inverse()
-		if err != nil {
+		var err error
+		if sinv, err = sec.Inverse(); err != nil {
 			continue // astronomically rare; redraw
 		}
-		c.secondaryInv = sinv
 		break
 	}
 	// The §5 collusion argument needs every M-column subset of the noise
@@ -175,16 +177,17 @@ func New(p Params, rng *rand.Rand) (*Code, error) {
 	if anyLeakOfSize(c, p.M, 0, nil) {
 		return New(p, rng)
 	}
+	c.primary = c.newWindow(seq(s), pinv)
 
 	// Backward coefficients for the primary subset: A_p·Γ·B = [I_K; 0].
-	gamma, b := backwardCoeffs(c.A.SubMatrix(0, s, 0, s), c.primaryInv, p.K, rng)
+	gamma, b := backwardCoeffs(c.A.SubMatrix(0, s, 0, s), pinv, p.K, rng)
 	c.Gamma = gamma
 	c.B = field.NewMat(s+p.Redundancy, p.K)
 	for j := 0; j < s; j++ {
 		copy(c.B.Row(j), b.Row(j))
 	}
 	if p.Redundancy > 0 {
-		gsec, bsec := backwardCoeffs(c.A.SubMatrix(0, s, p.Redundancy, s+p.Redundancy), c.secondaryInv, p.K, rng)
+		gsec, bsec := backwardCoeffs(c.A.SubMatrix(0, s, p.Redundancy, s+p.Redundancy), sinv, p.K, rng)
 		c.gammaSec = gsec
 		c.bSec = bsec
 		// Equations [E, S+E) belong to both decodings; the published B
@@ -337,56 +340,61 @@ func (c *Code) EncodeWith(dst, inputs, noise []field.Vec) error {
 // returns f(x₁) … f(x_K), discarding the noise images f(r) ("that value is
 // just dropped"). results may carry all S+E entries; extras are ignored.
 func (c *Code) DecodeForward(results []field.Vec) ([]field.Vec, error) {
-	return c.decodeWith(results, c.primaryInv, 0)
-}
-
-// DecodeForwardInto is DecodeForward writing into K caller-owned vectors,
-// each of which is overwritten — the allocation-free serving path.
-func (c *Code) DecodeForwardInto(dst []field.Vec, results []field.Vec) error {
-	return c.decodeWithInto(dst, results, c.primaryInv, 0)
-}
-
-// decodeWith decodes using the inverse of the S-column window starting at
-// column offset.
-func (c *Code) decodeWith(results []field.Vec, inv *field.Mat, offset int) ([]field.Vec, error) {
-	if len(results) < offset+c.S {
-		return nil, fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), offset+c.S)
+	if len(results) < c.S {
+		return nil, fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), c.S)
 	}
-	n := len(results[offset])
 	out := make([]field.Vec, c.K)
 	for i := range out {
-		out[i] = field.NewVec(n)
+		out[i] = field.NewVec(len(results[0]))
 	}
-	if err := c.decodeWithInto(out, results, inv, offset); err != nil {
+	if err := c.DecodeForwardInto(out, results); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// decodeWithInto decodes into caller-owned vectors using the inverse of the
-// S-column window starting at column offset.
-func (c *Code) decodeWithInto(dst []field.Vec, results []field.Vec, inv *field.Mat, offset int) error {
-	if len(results) < offset+c.S {
-		return fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), offset+c.S)
+// DecodeForwardInto is DecodeForward writing into K caller-owned vectors,
+// each of which is overwritten. It is the unverified primary-window decode;
+// DecodeForwardSubsetInto is the verified one.
+func (c *Code) DecodeForwardInto(dst []field.Vec, results []field.Vec) error {
+	if len(results) < c.S {
+		return fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), c.S)
 	}
+	window := results[:c.S]
+	if err := c.checkDecode(dst, window, nil, len(window[0])); err != nil {
+		return err
+	}
+	c.decodeWindowInto(dst, window, c.primary.inv)
+	return nil
+}
+
+// checkDecode validates K decode destinations and the results they decode
+// from: every destination and every present result (all of them when
+// present is nil) n long.
+func (c *Code) checkDecode(dst, results []field.Vec, present []bool, n int) error {
 	if len(dst) != c.K {
 		return fmt.Errorf("%w: got %d destinations, decode yields K=%d", ErrWrongCount, len(dst), c.K)
 	}
-	n := len(results[offset])
+	for j, v := range results {
+		if (present == nil || present[j]) && len(v) != n {
+			return ErrShapeMismatch
+		}
+	}
 	for _, d := range dst {
 		if len(d) != n {
 			return ErrShapeMismatch
 		}
 	}
-	window := results[offset : offset+c.S]
-	for _, r := range window {
-		if len(r) != n {
-			return ErrShapeMismatch
-		}
-	}
+	return nil
+}
+
+// decodeWindowInto decodes the K inputs into dst from the S results of a
+// decode window (window[j] is the result of the window's j-th column) and
+// the inverse of A restricted to those columns.
+func (c *Code) decodeWindowInto(dst, window []field.Vec, inv *field.Mat) {
 	_, col := c.gatherScratch(c.S)
 	col2 := c.col2[:c.S]
-	// y_i = Σ_j inv[j, i] · ȳ_{offset+j}: gather inv's column i, one fused
+	// y_i = Σ_j inv[j, i] · ȳ_{w_j}: gather inv's column i, one fused
 	// lazy-reduced product row per decoded input, decoding input pairs in a
 	// single pass over the shared result window (Combine2).
 	i := 0
@@ -403,7 +411,6 @@ func (c *Code) decodeWithInto(dst []field.Vec, results []field.Vec, inv *field.M
 		}
 		field.Combine(dst[i], col, window)
 	}
-	return nil
 }
 
 // DecodeBackward folds the S GPU gradient equations into the exact batch

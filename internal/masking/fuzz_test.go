@@ -8,18 +8,23 @@ import (
 	"darknight/internal/field"
 )
 
-// FuzzDecodeForwardSubset pins the MDS decode identity under fuzzed
-// parameters and presence masks: for any K/M/E the code accepts and any
-// subset of at least S present responses, the subset decode must equal
-// the full-response decode bit-for-bit. The honest results come from the
+// FuzzDecodeForwardSubset pins the MDS decode identity and the parity
+// check under fuzzed parameters, presence masks and corruptions: for any
+// K/M/E the code accepts and any subset of at least S present responses
+// (and for present == nil), the verified decode must equal the
+// full-response decode bit-for-bit. Then one column is corrupted by a
+// fuzzed delta at a fuzzed element: whenever that column is present and at
+// least S+1 responses are, the decode must return ErrIntegrity; when it is
+// absent, the decode must not notice. The honest results come from the
 // linear map f(x) = 3·x, as in the deterministic subset tests — any
 // linear map exercises the identity, and scaling keeps iterations cheap.
 func FuzzDecodeForwardSubset(f *testing.F) {
-	f.Add(int64(1), 2, 1, 1, 16, uint32(0b1110))
-	f.Add(int64(2), 3, 2, 2, 9, uint32(0b0111110))
-	f.Add(int64(3), 1, 1, 0, 1, uint32(0b11))
-	f.Add(int64(4), 4, 1, 3, 33, uint32(0xff))
-	f.Fuzz(func(t *testing.T, seed int64, k, m, e, n int, mask uint32) {
+	f.Add(int64(1), 2, 1, 1, 16, uint32(0b1110), 0, 0, uint32(1))
+	f.Add(int64(2), 3, 2, 2, 9, uint32(0b0111110), 6, 8, uint32(12345))
+	f.Add(int64(3), 1, 1, 0, 1, uint32(0b11), 1, 0, uint32(7))
+	f.Add(int64(4), 4, 1, 3, 33, uint32(0xff), 3, 32, uint32(0))
+	f.Add(int64(5), 4, 1, 1, 20, uint32(0b111110), 5, 4, uint32(1<<24))
+	f.Fuzz(func(t *testing.T, seed int64, k, m, e, n int, mask uint32, bad, pos int, delta uint32) {
 		// Clamp into the supported parameter box; tiny codes cover the
 		// interesting subset combinatorics.
 		k = clamp(k, 1, 5)
@@ -67,14 +72,51 @@ func FuzzDecodeForwardSubset(f *testing.F) {
 		for i := range dst {
 			dst[i] = make(field.Vec, n)
 		}
-		if err := code.DecodeForwardSubsetInto(dst, results, present); err != nil {
-			t.Fatalf("subset decode (present=%v): %v", present, err)
+		for _, mask := range [][]bool{nil, present} {
+			if err := code.DecodeForwardSubsetInto(dst, results, mask); err != nil {
+				t.Fatalf("subset decode (present=%v): %v", mask, err)
+			}
+			for i := range dst {
+				for x := range dst[i] {
+					if dst[i][x] != full[i][x] {
+						t.Fatalf("subset decode diverges from full decode at [%d][%d]: %d != %d (present=%v)",
+							i, x, dst[i][x], full[i][x], mask)
+					}
+				}
+			}
 		}
-		for i := range dst {
-			for x := range dst[i] {
-				if dst[i][x] != full[i][x] {
-					t.Fatalf("subset decode diverges from full decode at [%d][%d]: %d != %d (present=%v)",
-						i, x, dst[i][x], full[i][x], present)
+
+		// One corrupted column. A single error is within the detection
+		// distance of any S+1 columns of an MDS code; a code with a singular
+		// S-subset (probability ≈ 1/p per subset) is outside the claim.
+		d := field.Reduce(uint64(delta))
+		if d == 0 || !isMDS(code) {
+			return
+		}
+		bad = clamp(bad, 0, code.NumCoded()-1)
+		pos = clamp(pos, 0, n-1)
+		tampered := append([]field.Vec(nil), results...)
+		tampered[bad] = results[bad].Clone()
+		tampered[bad][pos] = field.Add(tampered[bad][pos], d)
+		for _, mask := range [][]bool{nil, present} {
+			err := code.DecodeForwardSubsetInto(dst, tampered, mask)
+			seen, arrived := mask == nil || mask[bad], code.NumCoded()
+			if mask != nil {
+				arrived = count
+			}
+			switch {
+			case seen && arrived > code.S:
+				if !errors.Is(err, ErrIntegrity) {
+					t.Fatalf("column %d corrupted at %d by %d (present=%v): err = %v, want ErrIntegrity", bad, pos, d, mask, err)
+				}
+			case !seen:
+				if err != nil {
+					t.Fatalf("absent column %d corrupted (present=%v): %v", bad, mask, err)
+				}
+				for i := range dst {
+					if !dst[i].Equal(full[i]) {
+						t.Fatalf("absent column %d corrupted (present=%v): output %d changed", bad, mask, i)
+					}
 				}
 			}
 		}

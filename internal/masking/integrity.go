@@ -73,11 +73,15 @@ func (c *Code) Predict(full []field.Vec, j int) field.Vec {
 	return out
 }
 
-// VerifyForward checks the forward-pass results for tampering by decoding
-// twice — once from the primary column window, once from the redundant one
-// (§4.4: "computing it redundantly at least twice using at least two sets
-// of equations") — and comparing. It returns nil if the decodings agree,
-// ErrIntegrity otherwise. Requires Redundancy >= 1.
+// VerifyForward checks the forward-pass results for tampering without
+// decoding them: each redundant response j ∈ [S, S+E) must satisfy its
+// parity equation ȳ_j = Σᵢ cⱼᵢ·ȳᵢ over the primary window (§4.4: the
+// "additional linear combination of inputs" computed redundantly). The
+// parity rows are fixed when the code is drawn, so the check allocates
+// nothing. Passing it means every S-column window decodes the same
+// outputs. It returns nil if every equation holds, ErrIntegrity otherwise.
+// Requires Redundancy >= 1. DecodeForwardSubsetInto runs the same checks
+// and decodes.
 func (c *Code) VerifyForward(results []field.Vec) error {
 	if c.E == 0 {
 		return ErrNoRedundancy
@@ -85,20 +89,13 @@ func (c *Code) VerifyForward(results []field.Vec) error {
 	if len(results) < c.NumCoded() {
 		return fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), c.NumCoded())
 	}
-	prim, err := c.decodeWith(results, c.primaryInv, 0)
-	if err != nil {
-		return err
-	}
-	sec, err := c.decodeWith(results, c.secondaryInv, c.E)
-	if err != nil {
-		return err
-	}
-	for i := range prim {
-		if !prim[i].Equal(sec[i]) {
-			return fmt.Errorf("%w: input %d decodes inconsistently", ErrIntegrity, i)
+	results = results[:c.NumCoded()]
+	for _, r := range results {
+		if len(r) != len(results[0]) {
+			return ErrShapeMismatch
 		}
 	}
-	return nil
+	return c.checkParity(c.primary, results[:c.S], results, nil)
 }
 
 // AuditForward attempts to identify which GPUs returned corrupted results.
@@ -112,32 +109,25 @@ func (c *Code) VerifyForward(results []field.Vec) error {
 // On success it returns the (possibly empty) sorted list of faulty GPU
 // indices.
 func (c *Code) AuditForward(results []field.Vec) ([]int, error) {
-	if len(results) < c.NumCoded() {
-		return nil, fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), c.NumCoded())
-	}
-	all := make([]bool, c.NumCoded())
-	for j := range all {
-		all[j] = true
-	}
-	return c.AuditForwardSubset(results, all)
+	return c.AuditForwardSubset(results, nil)
 }
 
 // AuditForwardSubset is AuditForward restricted to the present coded
-// responses — the straggler-path audit. Only present columns are searched
-// as decode subsets and only present columns are cross-checked, so the
-// effective redundancy is checks = (present count) - S: attributing t
-// simultaneous culprits needs checks > t.
+// responses (present == nil: all of them) — the straggler-path audit. Only
+// present columns are searched as decode subsets and only present columns
+// are cross-checked, so the effective redundancy is checks = (present
+// count) - S: attributing t simultaneous culprits needs checks > t.
 func (c *Code) AuditForwardSubset(results []field.Vec, present []bool) ([]int, error) {
 	if c.E == 0 {
 		return nil, ErrNoRedundancy
 	}
-	if len(results) < c.NumCoded() || len(present) != len(results) {
+	if len(results) < c.NumCoded() || (present != nil && len(present) != len(results)) {
 		return nil, fmt.Errorf("%w: got %d results / %d mask entries, code has %d columns",
 			ErrWrongCount, len(results), len(present), c.NumCoded())
 	}
 	var cols []int
 	for j := 0; j < c.NumCoded(); j++ {
-		if present[j] {
+		if present == nil || present[j] {
 			cols = append(cols, j)
 		}
 	}

@@ -48,7 +48,7 @@ func (c *Code) DecodeForwardRef(results []field.Vec) ([]field.Vec, error) {
 	for i := 0; i < c.K; i++ {
 		y := field.NewVec(n)
 		for j := 0; j < c.S; j++ {
-			if a := c.primaryInv.At(j, i); a != 0 {
+			if a := c.primary.inv.At(j, i); a != 0 {
 				field.AXPY(y, a, results[j])
 			}
 		}

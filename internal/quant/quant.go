@@ -4,7 +4,10 @@
 // negatives. Linear GPU kernels then run exactly in the field; the TEE
 // restores floats by lifting and dividing by 2^(2l) (inputs and weights each
 // carry one factor of 2^l, so their products carry 2^(2l); biases are
-// pre-scaled by 2^(2l) to line up).
+// pre-scaled by 2^(2l) to line up). The restore's rounding step runs as an
+// integer shift, (Lift(y) + 2^(l-1)) >> l, which equals Algorithm 1's
+// Round(y × 2^-l) exactly, so no float divide or Floor is on the decode
+// path; quantization still rounds floats with round.
 package quant
 
 import (
@@ -100,13 +103,23 @@ func (q *Quantizer) UnquantizeProduct(v field.Vec) []float64 {
 }
 
 // UnquantizeProductInto is UnquantizeProduct writing into a caller-owned
-// float buffer, which is overwritten and returned.
+// float buffer, which is overwritten and returned. It evaluates Algorithm 1
+// line 9 in integers: Round(y × 2^-l) = ⌊(y + 2^(l-1)) / 2^l⌋, and an
+// arithmetic right shift is exactly that floor division, so
+//
+//	float64((Lift(e) + 2^(l-1)) >> l) × 2^-l
+//
+// is bit-for-bit the float formula — y / 2^l is exact for |y| < 2^25 and
+// scaling by a power of two is exact — without its divides and Floor.
 func (q *Quantizer) UnquantizeProductInto(dst []float64, v field.Vec) []float64 {
 	if len(dst) != len(v) {
 		panic(fmt.Sprintf("quant: destination length %d != %d", len(dst), len(v)))
 	}
+	half := int64(1) << (q.fracBits - 1)
+	inv := 1 / q.scale
+	dst = dst[:len(v)]
 	for i, e := range v {
-		dst[i] = float64(round(float64(field.Lift(e))/q.scale)) / q.scale
+		dst[i] = float64((field.Lift(e)+half)>>q.fracBits) * inv
 	}
 	return dst
 }

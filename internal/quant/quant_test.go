@@ -98,6 +98,38 @@ func TestLinearOpInField(t *testing.T) {
 	}
 }
 
+// TestUnquantizeProductExact pins the shift-form restore bit-for-bit to
+// Algorithm 1's float formula Round(Lift(e) × 2^-l) × 2^-l: over every
+// element of F_p at the paper's l = 8 and over a strided sample at the ends
+// of the supported range, l ∈ {1, 12}. Bits, not values, are compared, so a
+// -0 or a last-ulp difference fails.
+func TestUnquantizeProductExact(t *testing.T) {
+	for _, c := range []struct {
+		l      uint
+		stride uint32
+	}{{8, 1}, {1, 97}, {12, 89}} {
+		q := New(c.l)
+		const chunk = 1 << 16
+		v := make(field.Vec, 0, chunk)
+		got := make([]float64, chunk)
+		for lo := uint32(0); lo < field.P; {
+			v = v[:0]
+			for e := lo; e < field.P && len(v) < chunk; e += c.stride {
+				v = append(v, e)
+				lo = e + c.stride
+			}
+			q.UnquantizeProductInto(got[:len(v)], v)
+			for i, e := range v {
+				want := float64(round(float64(field.Lift(e))/q.scale)) / q.scale
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("l=%d e=%d: restore %v (%#x), Algorithm 1 %v (%#x)",
+						c.l, e, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 func TestQuantizeBiasScale(t *testing.T) {
 	q := Default()
 	bq := q.QuantizeBias([]float64{1})[0]

@@ -627,78 +627,43 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 	return fwdEnc{wq: wq, coded: coded, fx: fx, fw: fw, workset: workset}, nil
 }
 
-// decodeForward runs the decode stage of one bilinear layer's offload:
-// straggler-subset decode, integrity verification, audit-and-recover, or
-// the plain inverse combine. present == nil means every response arrived.
+// decodeForward runs the decode stage of one bilinear layer's offload: one
+// verified decode from the responses that arrived (present == nil: all of
+// them), spending every present response beyond S as a parity check —
+// exact over F_p, so bit-for-bit the full decode whichever responses
+// arrived (pinned by masking's subset tests). A failed check is audited:
+// recovered from the clean present equations when enabled, otherwise
+// returned with whatever culprits the audit can attribute.
 func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []field.Vec, present []bool) ([]field.Vec, error) {
-	k := e.cfg.VirtualBatch
-	missing := 0
-	for _, p := range present {
+	missing, outLen := 0, -1
+	for j, p := range present {
 		if !p {
 			missing++
+		} else if outLen < 0 {
+			outLen = len(results[j])
 		}
 	}
 	if csp != nil && missing > 0 {
 		csp.Annotatef("stragglers", "%d", missing)
 	}
-	var decoded []field.Vec
+	if outLen < 0 {
+		outLen = len(results[0])
+	}
+	decoded := slots(&e.decoded, e.cfg.VirtualBatch)
+	for i := range decoded {
+		decoded[i] = e.arena.RawVec(outLen)
+	}
+	err := code.DecodeForwardSubsetInto(decoded, results, present)
 	switch {
-	case missing > 0:
-		// Subset path: decode from the responses that arrived, spending the
-		// present redundancy as verification. Exact over F_p — bit-for-bit
-		// the full decode (pinned by masking's subset tests).
-		decoded = slots(&e.decoded, k)
-		outLen := 0
-		for j, p := range present {
-			if p {
-				outLen = len(results[j])
-				break
-			}
-		}
-		for i := range decoded {
-			decoded[i] = e.arena.RawVec(outLen)
-		}
-		if serr := code.DecodeForwardSubsetInto(decoded, results, present); serr != nil {
-			if !errors.Is(serr, masking.ErrIntegrity) {
-				return nil, serr
-			}
-			// Tampering among the present responses: recover from the clean
-			// present equations when enabled (needs slack < E-1 so at least
-			// two present checks remain for attribution), or at least
-			// attribute the culprits in the error.
-			if e.recover {
-				rec, rerr := e.recoverForwardSubset(code, results, present)
-				if rerr != nil {
-					return nil, rerr
-				}
-				decoded = rec
-			} else {
-				return nil, e.attributedSubsetError(code, results, present, serr)
-			}
-		}
-	case e.cfg.Redundancy > 0:
-		if verr := code.VerifyForward(results); verr != nil {
-			if !e.recover {
-				return nil, e.attributedError(code, results, verr)
-			}
-			rec, rerr := e.recoverForward(code, results)
-			if rerr != nil {
-				return nil, rerr
-			}
-			decoded = rec
-		}
+	case err == nil:
+		return decoded, nil
+	case !errors.Is(err, masking.ErrIntegrity):
+		return nil, err
+	case e.recover:
+		return e.recoverForward(code, results, present)
+	default:
+		return nil, e.attributedError(code, results, present, err)
 	}
-	if decoded == nil {
-		decoded = slots(&e.decoded, k)
-		outLen := len(results[0])
-		for i := range decoded {
-			decoded[i] = e.arena.RawVec(outLen)
-		}
-		if err := code.DecodeForwardInto(decoded, results); err != nil {
-			return nil, err
-		}
-	}
-	return decoded, nil
 }
 
 // restoreForward runs the restore stage: floats back from the field, undo
@@ -742,25 +707,12 @@ func (e *engine) recordIntegrity(culprits []int, recovered bool) {
 }
 
 // attributedError wraps a verification failure, attributing culprit gang
-// slots when the redundancy budget allows it (E >= 2); with the paper's
-// E = 1 the corruption is detectable but not attributable and the error
-// carries no culprits.
-func (e *engine) attributedError(code *masking.Code, results []field.Vec, verr error) error {
-	if code.E >= 2 {
-		if culprits, aerr := code.AuditForward(results); aerr == nil && len(culprits) > 0 {
-			e.stepCulprits = mergeSorted(e.stepCulprits, culprits)
-			e.recordIntegrity(culprits, false)
-			return &IntegrityError{Culprits: culprits, Err: verr}
-		}
-	}
-	e.recordIntegrity(nil, false)
-	return &IntegrityError{Err: verr}
-}
-
-// attributedSubsetError is attributedError over a partial response set:
-// the audit runs on the present columns only, so attribution needs at
-// least two present redundant equations (slack <= E-2).
-func (e *engine) attributedSubsetError(code *masking.Code, results []field.Vec, present []bool, verr error) error {
+// slots when the redundancy budget allows it. The audit runs on the
+// present columns only (present == nil: all of them), so attribution needs
+// at least two present redundant equations (E >= 2 and slack <= E-2); with
+// the paper's E = 1 the corruption is detectable but not attributable and
+// the error carries no culprits.
+func (e *engine) attributedError(code *masking.Code, results []field.Vec, present []bool, verr error) error {
 	if culprits, aerr := code.AuditForwardSubset(results, present); aerr == nil && len(culprits) > 0 {
 		e.stepCulprits = mergeSorted(e.stepCulprits, culprits)
 		e.recordIntegrity(culprits, false)

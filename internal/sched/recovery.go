@@ -37,48 +37,16 @@ func (t *Trainer) EnableRecovery() error {
 func (t *Trainer) Recovery() RecoveryStats { return t.recovery }
 
 // recoverForward audits tampered results, identifies culprits and decodes
-// the K true outputs from a clean column subset. It returns the decoded
-// outputs or an error if attribution/recovery is impossible.
-func (t *engine) recoverForward(code *masking.Code, results []field.Vec) ([]field.Vec, error) {
-	culprits, err := code.AuditForward(results)
-	if err != nil {
-		return nil, fmt.Errorf("sched: integrity violation not recoverable: %w", err)
-	}
-	t.recovery.Violations++
-	t.recovery.BlamedGPUs = mergeSorted(t.recovery.BlamedGPUs, culprits)
-	t.stepCulprits = mergeSorted(t.stepCulprits, culprits)
-
-	// Assemble a decode subset avoiding the culprits.
-	bad := make(map[int]bool, len(culprits))
-	for _, c := range culprits {
-		bad[c] = true
-	}
-	var cols []int
-	for j := 0; j < code.NumCoded() && len(cols) < code.S; j++ {
-		if !bad[j] {
-			cols = append(cols, j)
-		}
-	}
-	if len(cols) < code.S {
-		return nil, fmt.Errorf("sched: only %d clean equations, need %d", len(cols), code.S)
-	}
-	full, err := code.DecodeFull(results, cols)
-	if err != nil {
-		return nil, fmt.Errorf("sched: clean-subset decode failed: %w", err)
-	}
-	t.recovery.Recovered++
-	t.recordIntegrity(culprits, true)
-	return full[:code.K], nil
-}
-
-// recoverForwardSubset is recoverForward over a partial response set: the
-// audit and the clean-subset decode are restricted to the responses that
-// made the quorum. Attribution needs two present redundant equations, so
-// recovery on the straggler path requires StragglerSlack <= E-2.
-func (t *engine) recoverForwardSubset(code *masking.Code, results []field.Vec, present []bool) ([]field.Vec, error) {
+// the K true outputs from a clean column subset. The audit and the
+// clean-subset decode are restricted to the responses that arrived
+// (present == nil: all of them); attribution needs two present redundant
+// equations, so recovery on the straggler path requires StragglerSlack <=
+// E-2. It returns the decoded outputs or an error if attribution/recovery
+// is impossible.
+func (t *engine) recoverForward(code *masking.Code, results []field.Vec, present []bool) ([]field.Vec, error) {
 	culprits, err := code.AuditForwardSubset(results, present)
 	if err != nil {
-		return nil, fmt.Errorf("sched: integrity violation not recoverable from quorum subset: %w", err)
+		return nil, fmt.Errorf("sched: integrity violation not recoverable from the present responses: %w", err)
 	}
 	t.recovery.Violations++
 	t.recovery.BlamedGPUs = mergeSorted(t.recovery.BlamedGPUs, culprits)
@@ -90,7 +58,7 @@ func (t *engine) recoverForwardSubset(code *masking.Code, results []field.Vec, p
 	}
 	var cols []int
 	for j := 0; j < code.NumCoded() && len(cols) < code.S; j++ {
-		if present[j] && !bad[j] {
+		if (present == nil || present[j]) && !bad[j] {
 			cols = append(cols, j)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -376,6 +377,38 @@ func TestRetryWaitsForGang(t *testing.T) {
 	}
 }
 
+// hedgeTrap stalls the first device job started after it is armed until
+// the server has launched a hedge. The flight that job belongs to cannot
+// land before then, so a warmed, aggressive hedge policy must duplicate it
+// — whichever gang the fleet picked, and however fast the honest devices
+// are. (Without the trap, a zero-latency landing usually beats a 1 ns hedge
+// trigger in the worker's select, and a run can finish without hedging.)
+type hedgeTrap struct {
+	armed atomic.Bool
+	gate  chan struct{}
+}
+
+// release closes the gate once rc has counted a hedge (or at the deadline,
+// so a broken policy fails the test's assertions instead of hanging it).
+func (h *hedgeTrap) release(rc *resil.Counters, by time.Time) {
+	defer close(h.gate)
+	for rc.Hedges.Load() == 0 && time.Now().Before(by) {
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+type trappedDevice struct {
+	gpu.Device
+	trap *hedgeTrap
+}
+
+func (d trappedDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	if d.trap.armed.CompareAndSwap(true, false) {
+		<-d.trap.gate
+	}
+	return d.Device.LinearForward(key, kernel, x)
+}
+
 // TestHedgeBitIdentityNoLeaks forces aggressive hedging, on serial and on
 // overlapped workers, and checks the three hedging invariants: every answer
 // is bit-identical to the float reference (cross-verification never
@@ -394,7 +427,12 @@ func TestHedgeBitIdentityNoLeaks(t *testing.T) {
 
 			// A gang per admitted batch plus one for the hedge.
 			gangs := depth + 1
-			fm := fleet.NewManager(gpu.NewHonestCluster(gangs*gangSize), fleet.Config{})
+			trap := &hedgeTrap{gate: make(chan struct{})}
+			devs := make([]gpu.Device, gangs*gangSize)
+			for i := range devs {
+				devs[i] = trappedDevice{Device: gpu.NewHonest(i), trap: trap}
+			}
+			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
 			srv, err := New(Config{
 				Sched:         sched.Config{VirtualBatch: k, Seed: 29},
 				MaxWait:       time.Millisecond,
@@ -409,12 +447,20 @@ func TestHedgeBitIdentityNoLeaks(t *testing.T) {
 
 			imgs := sampleImages(requests, 30)
 			preds := make([]int, requests)
+			// Request 0 alone warms the hedge governor (Warmup: 1 landed
+			// primary); only then is the trap armed, so the next flight to
+			// reach a device is held until a hedge has been launched.
+			if preds[0], err = srv.Infer(context.Background(), imgs[0]); err != nil {
+				t.Fatalf("warm-up request: %v", err)
+			}
+			trap.armed.Store(true)
+			go trap.release(srv.ResilCounters(), time.Now().Add(10*time.Second))
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
-					for i := c; i < requests; i += clients {
+					for i := c + 1; i < requests; i += clients {
 						var err error
 						if preds[i], err = srv.Infer(context.Background(), imgs[i]); err != nil {
 							t.Errorf("hedged request %d: %v", i, err)
