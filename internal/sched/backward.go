@@ -20,7 +20,36 @@ import (
 // exactly as the forward walk in engine.go is shared by Pipeline and the
 // trainers.
 
+// backward runs a virtual batch's backward pass in two stages. The walk
+// (backwardLayer) reverses the forward trace on the TEE — bias gradients,
+// the input-gradient chain, the public delta combinations — and ships every
+// bilinear layer's weight-gradient equations as it reaches them, without
+// waiting for any device: layer l's equations need only δ_l, which the
+// TEE's own input-gradient chain produced, and the coded inputs the devices
+// stored during forward, so no device result is on the walk's critical path.
+// The settle stage then gathers, decodes and accumulates every shipped
+// layer in walk order. The first error in walk order is returned; every
+// flight the walk opened is ended on every path.
+func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor) error {
+	_, err := e.backwardLayer(code, tr, grads)
+	var settleErr error
+	for _, b := range e.pending {
+		for d := len(b.layers) - 1; d >= 0 && settleErr == nil; d-- {
+			settleErr = e.gatherBackward(code, b.flight, &b.layers[d], b.dual)
+		}
+		b.flight.End()
+		b.sp.End()
+	}
+	clear(e.pending)
+	e.pending = e.pending[:0]
+	if settleErr != nil {
+		return settleErr
+	}
+	return err
+}
+
 // backwardLayer reverses forwardLayer, returning per-example input grads.
+// Bilinear layers are shipped onto e.pending, not gathered (see backward).
 func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	switch v := tr.layer.(type) {
 	case *nn.Sequential:
@@ -88,18 +117,29 @@ type bwdLayer struct {
 	pend      *gpu.LayerPending // the shipped equations
 }
 
-// offloadBackward recovers the summed weight gradients of a block of
-// bilinear layers — a fused run, or a single layer — from the coded
-// equations (Eq 4–6) through one gang flight. trs is the block's forward
-// traces in forward order; grads is the gradient flowing into its LAST
-// layer. Returns the per-example input gradients below its first layer.
+// bwdBlock is one shipped backward block awaiting settlement: its open
+// flight, its layers in forward order, and its span (nil for one layer).
+type bwdBlock struct {
+	flight *gpu.BlockFlight
+	layers []bwdLayer
+	dual   bool
+	sp     *obs.Span
+}
+
+// offloadBackward ships the weight-gradient equations (Eq 4–6) of a block
+// of bilinear layers — a fused run, or a single layer — down one gang
+// flight and queues the block on e.pending for backward to settle. trs is
+// the block's forward traces in forward order; grads is the gradient
+// flowing into its LAST layer. Returns the per-example input gradients
+// below its first layer.
 //
 // The TEE stage walks the block last layer first — bias gradients, delta
 // quantization, the public Eq (4) combinations, and the input-gradient
 // chain to the layer below — before anything is shipped; the device stage
 // then ships every layer's equations down the flight (slot queues are
-// unbounded, so the whole block is in flight before the first gather), and
-// the decode stage folds each layer's gathered equations with the secret γ.
+// unbounded, so nothing here waits on a device). The flight stays open
+// until backward has gathered the block and folded each layer's equations
+// with the secret γ.
 //
 // With straggler slack and E >= 1 each layer ships both decode windows —
 // the S primary equations on slots [0, S) and the S redundant-decoding
@@ -113,10 +153,11 @@ func (e *engine) offloadBackward(code *masking.Code, trs []*trace, grads []*tens
 	depth := len(trs)
 	k := e.cfg.VirtualBatch
 	parent := e.sp
+	var blockSp *obs.Span
 	if depth > 1 {
-		if parent = e.sp.Child("offload-backward-block"); parent != nil {
-			parent.Annotatef("depth", "%d", depth)
-			defer parent.End()
+		if blockSp = e.sp.Child("offload-backward-block"); blockSp != nil {
+			blockSp.Annotatef("depth", "%d", depth)
+			parent = blockSp
 		}
 	}
 	dual := e.cfg.StragglerSlack > 0 && code.E >= 1
@@ -175,7 +216,6 @@ func (e *engine) offloadBackward(code *masking.Code, trs []*trace, grads []*tens
 	if err != nil {
 		return nil, err
 	}
-	defer flight.End()
 	e.phases.Flights++
 	if depth > 1 {
 		e.phases.FusedBlocks++
@@ -184,15 +224,12 @@ func (e *engine) offloadBackward(code *masking.Code, trs []*trace, grads []*tens
 	t1 := time.Now()
 	for d := depth - 1; d >= 0; d-- {
 		if err := e.shipBackward(flight, &layers[d]); err != nil {
+			flight.End()
 			return nil, err
 		}
 	}
 	e.phases.Dispatch += time.Since(t1)
-	for d := depth - 1; d >= 0; d-- {
-		if err := e.gatherBackward(code, flight, &layers[d], dual); err != nil {
-			return nil, err
-		}
-	}
+	e.pending = append(e.pending, bwdBlock{flight: flight, layers: layers, dual: dual, sp: blockSp})
 	return cur, nil
 }
 
@@ -258,7 +295,7 @@ func (e *engine) gatherBackward(code *masking.Code, flight *gpu.BlockFlight, l *
 		err = code.DecodeBackwardInto(sum, eqs)
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("sched: backward decode for %q: %w", l.tr.key, err)
 	}
 	dw := e.q.UnquantizeProduct(sum)
 	// The coded inputs carried 1/fx, the deltas 1/fd: undo both. The

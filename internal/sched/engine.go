@@ -227,6 +227,9 @@ type engine struct {
 	// them after a dispatch to quarantine the physical devices behind the
 	// slots, even when recovery masked the fault from the caller.
 	stepCulprits []int
+	// pending holds the backward blocks shipped by the current backward
+	// walk, in walk order, until backward settles them.
+	pending []bwdBlock
 
 	// Steady-state scratch. The engine is single-threaded, so one arena and
 	// one set of reusable buffers serve every offload: after the first pass

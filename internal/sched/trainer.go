@@ -206,7 +206,7 @@ func (t *Trainer) TrainVirtualBatch(examples []dataset.Example) (float64, error)
 		total += loss
 		grads[i] = g
 	}
-	if _, err := t.backwardLayer(code, tr, grads); err != nil {
+	if err := t.backward(code, tr, grads); err != nil {
 		return 0, err
 	}
 	return total / float64(k), nil

@@ -281,7 +281,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 				grads[i] = g
 			}
 			t.loss = total / float64(k)
-			_, err = lane.backwardLayer(code, tr, grads)
+			err = lane.backward(code, tr, grads)
 		}
 		t.culprits = append([]int(nil), lane.stepCulprits...)
 		p.tee.Unlock()

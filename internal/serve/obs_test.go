@@ -275,7 +275,7 @@ func TestServeMetricsRegistryScrape(t *testing.T) {
 	snap, parsed := scrapeRun(t, obs.New(obs.Options{Seed: 1}))
 
 	rows := func(tenant, kind string) float64 {
-		return parsed[fmt.Sprintf(`darknight_batch_rows_total{kind=%q,tenant=%q}`, kind, tenant)]
+		return parsed["darknight_batch_rows_total"+fmt.Sprintf("{kind=%q,tenant=%q}", kind, tenant)]
 	}
 	want := map[string]float64{
 		"darknight_requests_completed_total":                  float64(snap.Completed),
