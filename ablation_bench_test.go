@@ -63,6 +63,7 @@ func BenchmarkAblationIntegrity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer sys.Close()
 			data := SyntheticDataset(2, 4, 1, 8, 8, 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -91,6 +92,7 @@ func BenchmarkAblationShardSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer tr.Close()
 			data := SyntheticDataset(8, 4, 1, 8, 8, 2)
 			opt := nn.NewSGD(0.01, 0)
 			b.ResetTimer()

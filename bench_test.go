@@ -211,6 +211,7 @@ func BenchmarkMaskedTrainingStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sys.Close()
 	data := SyntheticDataset(2, 4, 1, 8, 8, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -228,6 +229,7 @@ func BenchmarkMaskedInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sys.Close()
 	data := SyntheticDataset(2, 4, 1, 8, 8, 2)
 	images := [][]float64{data[0].Image, data[1].Image}
 	b.ResetTimer()

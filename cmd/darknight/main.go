@@ -92,8 +92,8 @@ func cmdTrain(args []string) {
 	k := fs.Int("k", 2, "virtual batch size K")
 	batchSize := fs.Int("batch", 8, "large-batch size (multiples of K avoid dropped tail examples)")
 	integrity := fs.Bool("integrity", false, "enable integrity verification (one extra GPU)")
-	pipeline := fs.Int("pipeline", 0, "train pipeline depth: >= 2 overlaps that many virtual batches (TEE/GPU pipelining), <= 1 serial")
-	fleetFlag := fs.Bool("fleet", false, "route dispatch through the self-healing fleet manager (per-batch gang grants, quarantine); needs -pipeline >= 2")
+	pipeline := fs.Int("pipeline", 0, "train pipeline depth: how many virtual batches ride encode/dispatch/decode at once, each on its own gang (0 and 1 both mean one lane)")
+	fleetFlag := fs.Bool("fleet", false, "route dispatch through the self-healing fleet manager (per-batch gang grants, quarantine), at any -pipeline depth")
 	spares := fs.Int("spares", 0, "spare GPUs beyond the gang sizing (quarantine headroom)")
 	slack := fs.Int("slack", 0, "straggler slack: decode after all but N coded responses (forward needs -integrity redundancy >= 2)")
 	slowall := fs.Bool("slowall", false, "make every device slow by -slowdelay (shows what pipelining hides)")
@@ -104,9 +104,6 @@ func cmdTrain(args []string) {
 	model := buildModel(*modelName, *seed)
 	if *batchSize < *k {
 		log.Fatalf("-batch %d is smaller than the virtual batch K=%d", *batchSize, *k)
-	}
-	if *slack > 0 && !*fleetFlag {
-		log.Fatal("-slack needs -fleet: straggler quorum dispatch is a fleet-grant capability (a raw cluster always waits for every device)")
 	}
 	redundancy := 0
 	if *integrity {
@@ -138,9 +135,9 @@ func cmdTrain(args []string) {
 	mode := "serial"
 	if *pipeline >= 2 {
 		mode = fmt.Sprintf("pipelined depth %d", *pipeline)
-		if *fleetFlag {
-			mode += ", fleet-managed gangs"
-		}
+	}
+	if *fleetFlag {
+		mode += ", fleet-managed gangs"
 	}
 	fmt.Printf("training %s privately: K=%d, integrity=%v, %d examples, %s\n",
 		model.Name(), *k, *integrity, len(train), mode)
@@ -202,6 +199,7 @@ func cmdInfer(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	data := darknight.SyntheticDataset(*k, 4, 1, 8, 8, *seed+1)
 	images := make([][]float64, *k)
 	for i := range images {
@@ -232,6 +230,7 @@ func cmdVerify(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	data := darknight.SyntheticDataset(8, 4, 1, 8, 8, *seed+1)
 	_, err = sys.TrainBatch(data)
 	switch {

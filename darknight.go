@@ -29,7 +29,6 @@ import (
 	"darknight/internal/enclave"
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
-	"darknight/internal/masking"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
 	"darknight/internal/sched"
@@ -65,19 +64,18 @@ type Config struct {
 	EnclaveBytes int64
 	// LearningRate and Momentum drive the SGD optimizer.
 	LearningRate, Momentum float64
-	// TrainPipelineDepth >= 2 switches TrainBatch to overlapped
-	// data-parallel execution: up to that many virtual batches ride the
-	// encode→dispatch→decode stages of both passes at once, each on its
-	// own device gang, with per-lane gradient isolation and
-	// virtual-batch-order Algorithm-2 aggregation — weights bit-identical
-	// to the serial trainer. <= 1 keeps the serial trainer. With GPUs = 0
-	// the cluster is sized depth × (K+M+E) + SpareGPUs so the overlap is
-	// not starved of devices.
+	// TrainPipelineDepth is how many virtual batches TrainBatch keeps in
+	// flight: that many ride the encode→dispatch→decode stages of both
+	// passes at once, each on its own device gang, with per-lane gradient
+	// isolation and virtual-batch-order Algorithm-2 aggregation — weights
+	// bit-identical at every depth. 0 and 1 both mean one lane. With
+	// GPUs = 0 the cluster is sized depth × (K+M+E) + SpareGPUs so the
+	// overlap is not starved of devices.
 	TrainPipelineDepth int
 	// ManagedFleet routes training dispatch through a self-healing
 	// fleet.Manager — per-batch gang grants, health tracking, quarantine of
 	// attributed tamperers, straggler accounting — instead of the raw
-	// cluster. Requires TrainPipelineDepth >= 2.
+	// cluster, at any TrainPipelineDepth.
 	ManagedFleet bool
 	// SpareGPUs adds devices beyond the gang sizing — headroom for
 	// quarantine survival under a managed fleet.
@@ -86,9 +84,9 @@ type Config struct {
 	// coded responses arrive, and arms the backward dual-window quorum
 	// (decode from the primary or the redundant equation set, whichever
 	// completes first). Needs Redundancy >= 2 for the forward path and
-	// >= 1 for the backward window — and ManagedFleet: quorum dispatch is
-	// a fleet-grant capability, so on a raw cluster this knob is inert
-	// (every dispatch waits for all devices).
+	// >= 1 for the backward window. It applies on a raw cluster and a
+	// ManagedFleet alike; the managed fleet additionally counts straggler
+	// events.
 	StragglerSlack int
 	// SlowAll marks every device slow by SlowDelay — the uniform
 	// per-dispatch device-latency regime pipelined training hides.
@@ -110,14 +108,14 @@ type Config struct {
 // Example is one labelled image (CHW layout).
 type Example = dataset.Example
 
-// System owns a model, a masked trainer (serial and optionally pipelined),
-// a software enclave and a simulated GPU cluster — optionally under
-// self-healing fleet management.
+// System owns a model, a masked training runtime and a masked inference
+// runtime over it, a software enclave and a simulated GPU cluster —
+// optionally under self-healing fleet management.
 type System struct {
 	model   *nn.Model
-	trainer *sched.Trainer
 	pipe    *sched.TrainPipeline
 	src     sched.GangSource
+	inf     *sched.Inferencer
 	fm      *fleet.Manager
 	encl    *enclave.Enclave
 	cluster *gpu.Cluster
@@ -136,20 +134,14 @@ func NewSystem(model *Model, cfg Config) (*System, error) {
 		cfg.Collusion = 1
 	}
 	gang := cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy
+	depth := max(1, cfg.TrainPipelineDepth)
 	if cfg.GPUs == 0 {
-		// Pipelined lanes each hold a gang in flight; size the default
-		// cluster so the overlap is not starved of devices.
-		lanes := 1
-		if cfg.TrainPipelineDepth >= 2 {
-			lanes = cfg.TrainPipelineDepth
-		}
-		cfg.GPUs = gang*lanes + cfg.SpareGPUs
+		// Each lane holds a gang in flight; size the default cluster so the
+		// overlap is not starved of devices.
+		cfg.GPUs = gang*depth + cfg.SpareGPUs
 	}
 	if cfg.LearningRate == 0 {
 		cfg.LearningRate = 0.05
-	}
-	if cfg.ManagedFleet && cfg.TrainPipelineDepth < 2 {
-		return nil, fmt.Errorf("darknight: ManagedFleet training requires TrainPipelineDepth >= 2")
 	}
 	if cfg.SlowAll {
 		cfg.SlowGPUs = make([]int, cfg.GPUs)
@@ -174,38 +166,37 @@ func NewSystem(model *Model, cfg Config) (*System, error) {
 		StragglerSlack: cfg.StragglerSlack,
 		Seed:           cfg.Seed,
 	}
-	trainer, err := sched.NewTrainer(scfg, model.m, cluster, encl)
+	if err := scfg.Validate(cluster.Size()); err != nil {
+		return nil, err
+	}
+	pipe, err := sched.NewTrainPipeline(scfg, model.m, encl, "sys/", depth)
 	if err != nil {
+		return nil, err
+	}
+	inf, err := sched.NewInferencer(scfg, model.m, encl, "sys/")
+	if err != nil {
+		pipe.Close()
 		return nil, err
 	}
 	s := &System{
 		model:   model.m,
-		trainer: trainer,
+		pipe:    pipe,
+		src:     sched.SingleFleetSource{F: cluster},
+		inf:     inf,
 		encl:    encl,
 		cluster: cluster,
 		opt:     nn.NewSGD(cfg.LearningRate, cfg.Momentum),
 		cfg:     cfg,
 	}
-	if cfg.TrainPipelineDepth >= 2 {
-		s.pipe, err = sched.NewTrainPipeline(scfg, model.m, encl, "sys/", cfg.TrainPipelineDepth)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.ManagedFleet {
-			s.fm = fleet.NewManager(cluster, fleet.Config{Seed: cfg.Seed})
-			s.src = &trainGangSource{m: s.fm, gang: gang}
-		} else {
-			s.src = sched.SingleFleetSource{F: cluster}
-		}
+	if cfg.ManagedFleet {
+		s.fm = fleet.NewManager(cluster, fleet.Config{Seed: cfg.Seed})
+		s.src = &trainGangSource{m: s.fm, gang: gang}
 	}
 	if ob := cfg.Observability.build(cfg.Seed); ob != nil {
 		s.obs = ob
-		s.trainer.SetTracer(ob.Tracer)
-		s.trainer.SetObserver(ob.Recorder)
-		if s.pipe != nil {
-			s.pipe.SetTracer(ob.Tracer)
-			s.pipe.SetObserver(ob.Recorder)
-		}
+		pipe.SetTracer(ob.Tracer)
+		pipe.SetObserver(ob.Recorder)
+		inf.SetObserver(ob.Recorder)
 		if s.fm != nil {
 			s.fm.SetObserver(ob.Recorder)
 			s.fm.RegisterMetrics(ob.Registry)
@@ -243,16 +234,7 @@ func (s *System) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("darknight_train_cache_refills_total",
 		"Backward dispatches that re-created the device-side coded-input cache.",
 		func() float64 { return float64(s.CacheRefills()) })
-	sched.RegisterPoolMetrics(r, s.poolStats)
-}
-
-// poolStats returns the training pipeline's noise-pool counters (zero when
-// the serial trainer runs without a pool).
-func (s *System) poolStats() masking.NoisePoolStats {
-	if s.pipe == nil {
-		return masking.NoisePoolStats{}
-	}
-	return s.pipe.PoolStats()
+	sched.RegisterPoolMetrics(r, s.pipe.PoolStats)
 }
 
 // trainGangSource adapts a fleet.Manager into the training pipeline's
@@ -354,30 +336,17 @@ func (s *System) TrainBatch(batch []Example) (float64, error) {
 // full virtual batch that the coded path cannot process (size batches as
 // multiples of K to avoid dropping data).
 func (s *System) TrainBatchStats(batch []Example) (float64, AggregationStats, error) {
-	if s.pipe != nil {
-		return s.pipe.TrainLargeBatch(s.src, batch, s.opt, 0)
-	}
-	return s.trainer.TrainLargeBatch(batch, s.opt, 0)
+	return s.pipe.TrainLargeBatch(s.src, batch, s.opt, 0)
 }
 
-// TrainPhases returns the training path's phase breakdown: the pipeline's
-// aggregate when pipelining is on, the serial trainer's otherwise.
-func (s *System) TrainPhases() TrainPhaseStats {
-	if s.pipe != nil {
-		return s.pipe.PhaseStats()
-	}
-	return s.trainer.PhaseStats()
-}
+// TrainPhases returns the training path's phase breakdown, summed across
+// its lanes.
+func (s *System) TrainPhases() TrainPhaseStats { return s.pipe.PhaseStats() }
 
 // CacheRefills counts backward dispatches that had to re-create the
 // device-side coded-input cache (devices replaced or reshuffled between a
 // batch's forward and backward passes — quarantines, probation swaps).
-func (s *System) CacheRefills() int64 {
-	if s.pipe != nil {
-		return s.pipe.CacheRefills()
-	}
-	return s.trainer.CacheRefills()
-}
+func (s *System) CacheRefills() int64 { return s.pipe.CacheRefills() }
 
 // FleetStats returns the training fleet's health snapshot (zero value when
 // ManagedFleet is off).
@@ -388,19 +357,32 @@ func (s *System) FleetStats() FleetStats {
 	return s.fm.Stats()
 }
 
-// Close stops the training pipeline's background noise generator, if one
-// is running, and the metrics listener, if one is serving. The System
-// remains usable for serial work.
+// Close ends the System: it stops the training and inference runtimes'
+// background noise generators and the metrics listener, if one is serving.
+// Training and prediction fail afterwards. Safe to call more than once.
 func (s *System) Close() {
 	s.msrv.Close()
-	if s.pipe != nil {
-		s.pipe.Close()
-	}
+	s.pipe.Close()
+	s.inf.Close()
 }
 
-// Predict privately classifies a virtual batch of exactly K images.
+// Predict privately classifies a virtual batch of exactly K images on the
+// raw cluster. With tracing on, each sampled call yields a "predict" root
+// span carrying its offload trees, and an "error" attribute if it failed.
 func (s *System) Predict(images [][]float64) ([]int, error) {
-	return s.trainer.Predict(images)
+	sp := s.obs.StartTrace("predict")
+	t, err := s.inf.SubmitTraced(s.cluster, images, sp)
+	if err == nil {
+		err = t.Wait()
+	}
+	if err != nil {
+		sp.Annotate("error", err.Error())
+	}
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return t.Classes(), nil
 }
 
 // Evaluate computes top-1 accuracy with the plain (non-masked) forward

@@ -2,7 +2,11 @@ package darknight
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"darknight/internal/masking"
 )
@@ -16,6 +20,7 @@ func TestSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Close()
 	data := SyntheticDataset(120, 4, 1, 8, 8, 5)
 	train, test := data[:96], data[96:]
 	for epoch := 0; epoch < 4; epoch++ {
@@ -54,6 +59,7 @@ func TestSystemIntegrityDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Close()
 	data := SyntheticDataset(8, 4, 1, 8, 8, 5)
 	if _, err := sys.TrainBatch(data); !errors.Is(err, masking.ErrIntegrity) {
 		t.Fatalf("err = %v, want integrity violation", err)
@@ -76,6 +82,7 @@ func TestSystemDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Close()
 	data := SyntheticDataset(4, 4, 1, 8, 8, 5)
 	if _, err := sys.TrainBatch(data); err != nil {
 		t.Fatal(err)
@@ -91,9 +98,11 @@ func TestModelBuilders(t *testing.T) {
 		if m.ParamCount() == 0 {
 			t.Fatalf("%s has no params", m.Name())
 		}
-		if _, err := NewSystem(m, Config{Seed: 1}); err != nil {
+		sys, err := NewSystem(m, Config{Seed: 1})
+		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
+		sys.Close()
 	}
 }
 
@@ -129,5 +138,86 @@ func TestPipelinedTrainingFleetQuarantine(t *testing.T) {
 	// this test, so retraining must succeed on the surviving pool.
 	if _, err := sys.TrainBatch(batch); err != nil {
 		t.Fatalf("retrain after quarantine failed: %v", err)
+	}
+}
+
+// TestSystemComposesAtEveryDepth: pipeline depth, fleet management and
+// straggler slack are independent knobs. With E = 2 and one slow device,
+// every combination — ManagedFleet at depth 0 and 1 included — trains to
+// weights bit-identical to the one-lane, raw-cluster, wait-for-all System.
+func TestSystemComposesAtEveryDepth(t *testing.T) {
+	batch := SyntheticDataset(8, 4, 1, 8, 8, 5)
+	train := func(t *testing.T, depth int, managed bool, slack int) []float64 {
+		t.Helper()
+		model := TinyCNN(1, 8, 8, 4, 1)
+		sys, err := NewSystem(model, Config{
+			VirtualBatch:       2,
+			Redundancy:         2,
+			TrainPipelineDepth: depth,
+			ManagedFleet:       managed,
+			StragglerSlack:     slack,
+			SlowGPUs:           []int{0},
+			SlowDelay:          time.Millisecond,
+			Seed:               3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		for step := 0; step < 3; step++ {
+			if _, err := sys.TrainBatch(batch); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		return model.Weights()
+	}
+	want := train(t, 0, false, 0)
+	for _, depth := range []int{0, 1, 2} {
+		for _, managed := range []bool{false, true} {
+			for _, slack := range []int{0, 1} {
+				fleet := "raw"
+				if managed {
+					fleet = "managed"
+				}
+				t.Run(fmt.Sprintf("depth%d-%s-slack%d", depth, fleet, slack), func(t *testing.T) {
+					got := train(t, depth, managed, slack)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("weight %d: %v, want %v (bit-identical to depth 0 / raw / slack 0)", i, got[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSystemCloseEndsGoroutines: every System runs background noise
+// generators for its training and inference runtimes; Close must stop them,
+// so a full NewSystem → TrainBatch → Predict → Close cycle leaves the
+// goroutine count where it found it.
+func TestSystemCloseEndsGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	sys, err := NewSystem(TinyCNN(1, 8, 8, 4, 1), Config{VirtualBatch: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := SyntheticDataset(4, 4, 1, 8, 8, 5)
+	if _, err := sys.TrainBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Predict([][]float64{data[0].Image, data[1].Image}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d after Close vs %d before NewSystem", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := sys.TrainBatch(data); err == nil {
+		t.Fatal("TrainBatch after Close must fail")
 	}
 }

@@ -19,6 +19,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	defer sys.Close()
 	batch := darknight.SyntheticDataset(8, 4, 1, 8, 8, 3)
 	if _, err := sys.TrainBatch(batch); err != nil {
 		panic(err)

@@ -31,6 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	images := [][]float64{data.Items[0].Image, data.Items[1].Image, data.Items[2].Image}
 	dkPreds, err := sys.Predict(images)
 	if err != nil {

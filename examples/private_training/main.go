@@ -47,6 +47,7 @@ func main() {
 		}
 		fmt.Printf("test accuracy after %d private epochs = %.3f\n",
 			build.epochs, sys.Evaluate(test))
+		sys.Close()
 	}
 	fmt.Println("\nevery gradient above was computed from coded GPU equations (Eq 4-6)")
 

@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 
 	data := darknight.SyntheticDataset(240, 4, 1, 8, 8, 7)
 	train, test := data[:192], data[192:]

@@ -27,6 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	data := darknight.SyntheticDataset(96, 4, 1, 8, 8, seed+1)
 	for epoch := 0; epoch < 2; epoch++ {
 		for i := 0; i+8 <= len(data); i += 8 {

@@ -128,6 +128,7 @@ func Figure4(cfg Figure4Config) ([]Figure4Series, error) {
 			for _, batch := range train.Batches(8) {
 				raw.TrainBatch(batch, optRaw)
 				if _, _, err := trainer.TrainLargeBatch(batch, optMasked, 0); err != nil {
+					trainer.Close()
 					return nil, err
 				}
 			}
@@ -138,6 +139,7 @@ func Figure4(cfg Figure4Config) ([]Figure4Series, error) {
 			}
 			series.Points = append(series.Points, pt)
 		}
+		trainer.Close()
 		last := series.Points[len(series.Points)-1]
 		series.FinalGap = last.RawAcc - last.DarKnight
 		if series.FinalGap < 0 {

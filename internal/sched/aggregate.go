@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"darknight/internal/dataset"
 	"darknight/internal/enclave"
 	"darknight/internal/nn"
 )
@@ -14,10 +13,9 @@ import (
 // it to untrusted memory (real SGX cannot hold all of them in the EPC),
 // then reloads, decrypts and aggregates them shard-wise before a single
 // weight update. Exposing only the large-batch aggregate also shrinks the
-// gradient-leakage side channel the paper cites (§6). The sealing store
-// and the aggregation loop are shared by the serial Trainer and the
-// pipelined TrainPipeline — the bit-identity guarantee between the two
-// depends on them summing in exactly the same order.
+// gradient-leakage side channel the paper cites (§6). TrainPipeline drives
+// them at every depth; the bit-identity guarantee across depths depends on
+// the aggregate summing in exactly the same order whatever the lanes did.
 
 // AggregationStats reports what Algorithm 2 did for one large batch.
 type AggregationStats struct {
@@ -141,70 +139,4 @@ func applyAggregate(params []*nn.Param, agg []float64, inv float64, opt *nn.SGD)
 		cursor += n
 	}
 	opt.Step(params)
-}
-
-// TrainLargeBatch trains on len(batch) examples: it processes them as
-// floor(N/K) virtual batches, sealing each virtual batch's summed ▽W to
-// untrusted memory, then aggregates and applies one SGD step. Examples
-// beyond the last full virtual batch are dropped and reported in
-// AggregationStats.DroppedExamples. shardElems is the aggregation shard
-// granularity in elements (<=0 picks a single shard); opt applies the
-// final update.
-func (t *Trainer) TrainLargeBatch(batch []dataset.Example, opt *nn.SGD, shardElems int) (float64, AggregationStats, error) {
-	k := t.cfg.VirtualBatch
-	var stats AggregationStats
-	if len(batch) < k {
-		return 0, stats, fmt.Errorf("sched: large batch %d smaller than virtual batch %d", len(batch), k)
-	}
-	stats.DroppedExamples = len(batch) % k
-	params := t.model.Params()
-
-	// Flatten gradient layout once.
-	totalElems := 0
-	for _, p := range params {
-		totalElems += p.W.Size()
-	}
-	if shardElems <= 0 {
-		shardElems = totalElems
-	}
-
-	var handles [][]uint64 // per virtual batch, per shard
-	var totalLoss float64
-	numVB := 0
-	for start := 0; start+k <= len(batch); start += k {
-		for _, p := range params {
-			p.ZeroGrad()
-		}
-		loss, err := t.TrainVirtualBatch(batch[start : start+k])
-		if err != nil {
-			t.store.discard(handles)
-			return 0, stats, err
-		}
-		totalLoss += loss
-		numVB++
-
-		// Collect ▽W_v and seal it shard-wise (Algorithm 2 lines 9–10).
-		flat := make([]float64, 0, totalElems)
-		for _, p := range params {
-			flat = append(flat, p.Grad.Data...)
-		}
-		vbHandles, sealed, err := t.store.sealShards(flat, shardElems)
-		if err != nil {
-			t.store.discard(handles)
-			return 0, stats, err
-		}
-		handles = append(handles, vbHandles)
-		stats.SealedBytes += sealed
-		stats.Shards = len(vbHandles)
-	}
-	stats.VirtualBatches = numVB
-
-	agg, err := t.store.aggregate(handles, shardElems, totalElems, stats.Shards)
-	if err != nil {
-		return 0, stats, err
-	}
-
-	// Average over the examples actually processed and apply.
-	applyAggregate(params, agg, 1.0/float64(numVB*k), opt)
-	return totalLoss / float64(numVB), stats, nil
 }

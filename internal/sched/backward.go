@@ -15,10 +15,8 @@ import (
 
 // This file is the backward half of the TEE-side engine: the reverse model
 // walk, the Eq (4–6) gradient offload, and the resilience machinery around
-// it (straggler-tolerant dual-window gather, device-cache refill). It is
-// shared by the serial Trainer and the pipelined TrainPipeline lanes —
-// exactly as the forward walk in engine.go is shared by Pipeline and the
-// trainers.
+// it (straggler-tolerant dual-window gather, device-cache refill), run by
+// every TrainPipeline lane on top of the forward walk in engine.go.
 
 // backward runs a virtual batch's backward pass in two stages. The walk
 // (backwardLayer) reverses the forward trace on the TEE — bias gradients,

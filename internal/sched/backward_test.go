@@ -68,6 +68,7 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ctrl.Close()
 	if _, _, err := ctrl.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +120,7 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer trn.Close()
 		run(t, arrived, release, func() error {
 			_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
 			return err

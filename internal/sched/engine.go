@@ -30,11 +30,11 @@ type PhaseStats struct {
 	Decode   time.Duration
 	// Wall is the pipeline's busy wall-clock: the elapsed time during which
 	// at least one virtual batch was somewhere between submission and
-	// completion. On the serial engine it is simply the summed per-batch
-	// forward time, so Encode+Dispatch+Decode ≈ Wall; on the pipelined
-	// engine overlapped batches accumulate phase time faster than the clock
-	// moves, and (Encode+Dispatch+Decode)/Wall is the overlap ratio —
-	// 1.0 means no overlap, 2.0 means two stages were kept busy throughout.
+	// completion. At depth 1 it is simply the summed per-batch time, so
+	// Encode+Dispatch+Decode ≈ Wall; at greater depths overlapped batches
+	// accumulate phase time faster than the clock moves, and
+	// (Encode+Dispatch+Decode)/Wall is the overlap ratio — 1.0 means no
+	// overlap, 2.0 means two stages were kept busy throughout.
 	Wall     time.Duration
 	Offloads int64 // bilinear layer dispatches timed
 	// Flights counts gang flights opened. Without fusion every offload is
@@ -140,11 +140,11 @@ func ReportOutcome(g FaultSink, culprits []int, err error) {
 	}
 }
 
-// engine is the TEE-side core shared by every driver — the Trainer and
-// each lane of a Pipeline or TrainPipeline: it walks the model, keeps
-// non-linear layers enclave-resident, and runs the quantize → encode →
-// fan-out → verify → decode → restore flow for every bilinear layer. It
-// owns no optimizer state; training-only logic lives on the drivers.
+// engine is the TEE-side core of every lane of a Pipeline or TrainPipeline:
+// it walks the model, keeps non-linear layers enclave-resident, and runs the
+// quantize → encode → fan-out → verify → decode → restore flow for every
+// bilinear layer. It owns no optimizer state; training-only logic lives on
+// TrainPipeline.
 //
 // An engine runs one batch at a time — it mirrors one TEE execution
 // context. Engines sharing a model replica (lanes) serialise their
@@ -172,13 +172,12 @@ type engine struct {
 	// linSeq numbers linear layers within a step.
 	linSeq int
 
-	// tee, when non-nil, is the TEE execution token this lane shares with
-	// its siblings: the engine holds it for all enclave-side work and
-	// releases it only while a dispatch is in GPU flight, which is exactly
-	// the window another lane's engine uses to decode its previous batch or
-	// encode its next one. nil on the Trainer (no lanes, no token).
+	// tee is the TEE execution token this lane shares with its siblings:
+	// the engine holds it for all enclave-side work and releases it only
+	// while a dispatch is in GPU flight, which is exactly the window another
+	// lane's engine uses to decode its previous batch or encode its next one.
 	tee *sync.Mutex
-	// lane is this engine's index among its siblings (0 on the Trainer).
+	// lane is this engine's index among its siblings.
 	lane int
 	// onToken, when non-nil, runs after every TEE token acquisition. A
 	// training lane uses it to re-install its private gradient sinks into
@@ -217,7 +216,7 @@ type engine struct {
 	// recover enables audit-and-recover on integrity violations
 	// (EnableRecovery; needs Redundancy >= 2).
 	recover  bool
-	recovery RecoveryStats
+	recovery recoveryStats
 	// refills counts backward cache-miss recoveries: dispatches whose
 	// device-side coded-input cache had to be re-created from the trace
 	// (device replaced, reshuffled or still lagging since forward).
@@ -256,11 +255,10 @@ func slots(buf *[]field.Vec, k int) []field.Vec {
 	return (*buf)[:k]
 }
 
-func newEngine(cfg Config, model *nn.Model, fleet Fleet, encl *enclave.Enclave, keyspace string) engine {
+func newEngine(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string) engine {
 	e := engine{
 		cfg:      cfg,
 		model:    model,
-		fleet:    fleet,
 		encl:     encl,
 		q:        quant.New(cfg.FracBits),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -294,7 +292,7 @@ func (e *engine) beginStep() {
 // passes. A bare *gpu.Cluster binds slot i to device i for its lifetime,
 // so its stores are stable and a training forward gathered from every
 // device can skip capturing the refill noise (no per-offload clone on the
-// serial hot path); every other fleet — gang grants whose devices are
+// raw-cluster hot path); every other fleet — gang grants whose devices are
 // re-picked per batch, wrappers that swap delegates — is assumed volatile.
 func (e *engine) storesVolatile() bool {
 	_, stable := e.fleet.(*gpu.Cluster)
@@ -389,22 +387,17 @@ func (e *engine) checkDeadline() error {
 	return fmt.Errorf("sched: batch deadline passed before dispatch: %w", context.DeadlineExceeded)
 }
 
-// gather waits for quorum q of a shipped layer. A pipelined engine
-// (e.tee != nil) releases the TEE token for exactly this wait, so sibling
-// lanes encode and decode their batches while the layer is in device
-// flight; nothing the arena holds is touched until this lane's next
-// offload, so what the kernel references outlives the wait. Dispatch time
-// runs from since; the token-reacquisition wait after it is deliberately
-// untimed — it is overlap, not work.
+// gather waits for quorum q of a shipped layer. The engine releases the TEE
+// token for exactly this wait, so sibling lanes encode and decode their
+// batches while the layer is in device flight; nothing the arena holds is
+// touched until this lane's next offload, so what the kernel references
+// outlives the wait. Dispatch time runs from since; the token-reacquisition
+// wait after it is deliberately untimed — it is overlap, not work.
 func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Vec, []bool, error) {
-	if e.tee != nil {
-		e.tee.Unlock()
-	}
+	e.tee.Unlock()
 	results, present, err := p.WaitQuorum(q)
 	flight := time.Since(since)
-	if e.tee != nil {
-		e.lockTEE()
-	}
+	e.lockTEE()
 	e.phases.Dispatch += flight
 	return results, present, err
 }

@@ -31,15 +31,16 @@ func TestFusedFlightCount(t *testing.T) {
 	run := func(fuse bool) ([]int, PhaseStats) {
 		cfg := Config{VirtualBatch: 2, Collusion: 1, FuseBlocks: fuse, Seed: 1}
 		model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
-		trn, err := NewTrainer(cfg, model, gpu.NewHonestCluster(3), nil)
+		inf, err := NewInferencer(cfg, model, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		preds, err := trn.Predict(images)
+		defer inf.Close()
+		preds, err := inf.Predict(gpu.NewHonestCluster(3), images)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return preds, trn.PhaseStats()
+		return preds, inf.PhaseStats()
 	}
 	perPreds, per := run(false)
 	fusedPreds, fused := run(true)
@@ -179,13 +180,14 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 	const gang = 3
 	batch := trainData(cfg.VirtualBatch)
 
-	// Control: undisturbed per-layer serial run — doubles as one more
+	// Control: undisturbed per-layer depth-1 run — doubles as one more
 	// fused-vs-per-layer equivalence point.
 	control := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
 	ctrlTrainer, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ctrlTrainer.Close()
 	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
 	if err != nil {
 		t.Fatal(err)

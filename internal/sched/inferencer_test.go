@@ -13,25 +13,35 @@ import (
 
 func TestInferencerMatchesTrainerPredict(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Seed: 5}
-	tr, model, data := tinySetup(t, cfg, 3, nil)
+	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
+	data := tinyData()
 	images := [][]float64{data.Items[0].Image, data.Items[1].Image}
 
-	want, err := tr.Predict(images)
+	ref, err := newSerialRef(cfg, model, gpu.NewHonestCluster(3), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	logits, err := ref.forward(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, len(logits))
+	for i := range logits {
+		want[i] = nn.Argmax(logits[i])
 	}
 
 	inf, err := NewInferencer(cfg, model, nil, "inf/")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer inf.Close()
 	got, err := inf.Predict(gpu.NewHonestCluster(3), images)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("image %d: inferencer %d, trainer %d", i, got[i], want[i])
+			t.Fatalf("image %d: inferencer %d, reference %d", i, got[i], want[i])
 		}
 	}
 }

@@ -65,7 +65,7 @@ func newLanes(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace strin
 		// the outputs independent of them, but privacy demands fresh draws —
 		// the same argument as per-worker seeds in internal/serve).
 		lcfg.Seed = cfg.Seed + int64(i)*0x9e37
-		eng := newEngine(lcfg, model, nil, encl, fmt.Sprintf("%s%d/", keyspace, i))
+		eng := newEngine(lcfg, model, encl, fmt.Sprintf("%s%d/", keyspace, i))
 		eng.reuseKeys = reuseKeys
 		eng.lane = i
 		eng.tee = &l.tee

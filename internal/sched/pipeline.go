@@ -23,7 +23,7 @@ import (
 // Because the decode is exact linear algebra over F_p, a batch's outputs
 // depend only on its own inputs and the weights, never on the noise values
 // or coefficient draws: predictions are bit-identical whatever the depth
-// and equal to the lane-less Trainer's (pinned by
+// and equal to a lane-less reference engine's (pinned by
 // TestPipelineMatchesSerial).
 type Pipeline struct {
 	*lanes

@@ -57,10 +57,11 @@ func sameLogits(t *testing.T, tag string, batch int, a, b []*tensor.Tensor) {
 // K/E/slack operating points — including the quorum/straggler path with a
 // deterministically slow device welded into the gang — the Pipeline's
 // logits at every depth, one lane included, are bit-for-bit those of the
-// Trainer's forward pass (the engine with no lanes, no token and no noise
-// pool, so the pin compares two drivers, not one with itself) on the same
-// virtual batches. Decode exactness over F_p makes outputs independent of
-// noise and coefficient draws, so overlap cannot change a single bit.
+// lane-less reference's forward pass (serialRef: the engine with no lanes,
+// no token contention and no noise pool, so the pin compares two
+// implementations, not one with itself) on the same virtual batches.
+// Decode exactness over F_p makes outputs independent of noise and
+// coefficient draws, so overlap cannot change a single bit.
 func TestPipelineMatchesSerial(t *testing.T) {
 	combos := []struct {
 		name           string
@@ -93,14 +94,14 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			model := pipeModel()
 			batches := pipeBatches(c.k, c.batches, 64)
 
-			// Serial reference: the Trainer, batches one at a time.
-			tr, err := NewTrainer(cfg, model, cluster, nil)
+			// Lane-less reference, batches one at a time.
+			ref, err := newSerialRef(cfg, model, cluster, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := make([][]*tensor.Tensor, len(batches))
 			for b, images := range batches {
-				logits, err := tr.Forward(images)
+				logits, err := ref.forward(images)
 				if err != nil {
 					t.Fatalf("serial batch %d: %v", b, err)
 				}
@@ -149,15 +150,15 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 // TestSerialNoisePoolMatchesInline pins the offline/online noise split on
 // the serial runtime: a one-lane Inferencer consuming precomputed pool
-// material produces bit-identical logits to the Trainer drawing noise
-// inline, and actually hits the pool.
+// material produces bit-identical logits to the lane-less reference drawing
+// noise inline, and actually hits the pool.
 func TestSerialNoisePoolMatchesInline(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 1, Seed: 3}
 	cluster := gpu.NewHonestCluster(cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy)
 	model := pipeModel()
 	batches := pipeBatches(cfg.VirtualBatch, 6, 64)
 
-	plain, err := NewTrainer(cfg, model, cluster, nil)
+	plain, err := newSerialRef(cfg, model, cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestSerialNoisePoolMatchesInline(t *testing.T) {
 	defer pooled.Close()
 
 	for b, images := range batches {
-		a, err := plain.Forward(images)
+		a, err := plain.forward(images)
 		if err != nil {
 			t.Fatal(err)
 		}

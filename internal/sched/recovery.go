@@ -15,26 +15,12 @@ import (
 // decode from the remaining clean equations, so a single malicious GPU
 // cannot stall training.
 
-// RecoveryStats counts integrity events across a trainer's lifetime.
-type RecoveryStats struct {
+// recoveryStats counts integrity events across an engine's lifetime.
+type recoveryStats struct {
 	Violations int // verification failures observed
 	Recovered  int // decodes completed despite tampering
 	BlamedGPUs []int
 }
-
-// EnableRecovery turns on audit-and-recover for forward offloads. It
-// requires Redundancy >= 2 (attribution needs a second redundant
-// equation).
-func (t *Trainer) EnableRecovery() error {
-	if t.cfg.Redundancy < 2 {
-		return fmt.Errorf("sched: recovery needs Redundancy >= 2, have %d", t.cfg.Redundancy)
-	}
-	t.recover = true
-	return nil
-}
-
-// Recovery returns the accumulated recovery statistics.
-func (t *Trainer) Recovery() RecoveryStats { return t.recovery }
 
 // recoverForward audits tampered results, identifies culprits and decodes
 // the K true outputs from a clean column subset. The audit and the

@@ -21,7 +21,6 @@ package sched
 
 import (
 	"fmt"
-	"time"
 
 	"darknight/internal/dataset"
 	"darknight/internal/enclave"
@@ -29,7 +28,6 @@ import (
 	"darknight/internal/gpu"
 	"darknight/internal/masking"
 	"darknight/internal/nn"
-	"darknight/internal/obs"
 	"darknight/internal/quant"
 	"darknight/internal/tensor"
 )
@@ -107,52 +105,35 @@ func (c Config) maskParams() masking.Params {
 // ErrIntegrity is returned (wrapped) when GPU results fail verification.
 var ErrIntegrity = masking.ErrIntegrity
 
-// Trainer drives private training of one model on one cluster. It is the
-// forward engine plus everything training adds on top: the backward walk,
-// gradient offload and Algorithm 2 aggregation.
+// Trainer is the synchronous face of a one-lane TrainPipeline bound to one
+// cluster — the way Inferencer wraps Pipeline — for callers that train on a
+// single device set (benchmarks, experiments, small tests). Everything else a
+// caller may want (PhaseStats, CacheRefills, EnableRecovery, SetTracer,
+// SetObserver, Close) is the TrainPipeline's.
 type Trainer struct {
-	engine
-	// store seals per-virtual-batch gradient shards (Algorithm 2).
-	store *gradStore
-	// tracer, when non-nil, samples per-virtual-batch trace spans.
-	tracer *obs.Tracer
+	*TrainPipeline
+	src GangSource
 }
 
-// NewTrainer wires a trainer. The enclave may be nil, in which case memory
-// accounting is skipped (used by small tests).
+// NewTrainer wires a depth-1 TrainPipeline dispatching on cluster. The
+// enclave may be nil, in which case memory accounting is skipped (used by
+// small tests).
 func NewTrainer(cfg Config, model *nn.Model, cluster *gpu.Cluster, encl *enclave.Enclave) (*Trainer, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(cluster.Size()); err != nil {
+	if err := cfg.withDefaults().Validate(cluster.Size()); err != nil {
 		return nil, err
 	}
-	return &Trainer{engine: newEngine(cfg, model, cluster, encl, ""), store: newGradStore(encl)}, nil
+	p, err := NewTrainPipeline(cfg, model, encl, "", 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Trainer{TrainPipeline: p, src: SingleFleetSource{F: cluster}}, nil
 }
 
-// Config returns the effective configuration.
-func (t *Trainer) Config() Config { return t.cfg }
-
-// Model returns the model under training.
-func (t *Trainer) Model() *nn.Model { return t.model }
-
-// PhaseStats returns the trainer's cumulative encode/dispatch/decode
-// latency breakdown across forward AND backward offloads, plus Wall — the
-// summed per-virtual-batch wall-clock, so Overlap() is meaningful on the
-// training path (≈1.0 on this serial trainer).
-func (t *Trainer) PhaseStats() PhaseStats { return t.phases }
-
-// CacheRefills counts backward dispatches whose device-side coded-input
-// cache had to be re-created from the trace (a device was replaced or
-// reshuffled between the forward and backward passes).
-func (t *Trainer) CacheRefills() int64 { return t.refills }
-
-// SetObserver attaches a flight recorder: backward cache refills and
-// integrity verdicts are recorded as they happen.
-func (t *Trainer) SetObserver(rec *obs.FlightRecorder) { t.rec = rec }
-
-// SetTracer attaches a sampling tracer: each sampled virtual batch
-// (TrainVirtualBatch or Predict) produces a root span carrying its
-// offload encode/dispatch/decode trees.
-func (t *Trainer) SetTracer(tr *obs.Tracer) { t.tracer = tr }
+// TrainLargeBatch trains on len(batch) examples on the trainer's cluster;
+// see TrainPipeline.TrainLargeBatch.
+func (t *Trainer) TrainLargeBatch(batch []dataset.Example, opt *nn.SGD, shardElems int) (float64, AggregationStats, error) {
+	return t.TrainPipeline.TrainLargeBatch(t.src, batch, opt, shardElems)
+}
 
 // trace records one layer's forward pass for the backward walk.
 type trace struct {
@@ -170,87 +151,6 @@ type trace struct {
 	// children recognizes the run ending here and offloads its gradient
 	// equations through one flight (offloadBackward).
 	blockLen int
-}
-
-// TrainVirtualBatch runs one masked forward+backward over exactly K
-// examples, accumulating the SUMMED gradients into the model's params.
-// Returns the mean loss. Callers average the grads and step the optimizer
-// (see TrainLargeBatch).
-func (t *Trainer) TrainVirtualBatch(examples []dataset.Example) (float64, error) {
-	k := t.cfg.VirtualBatch
-	if len(examples) != k {
-		return 0, fmt.Errorf("sched: virtual batch needs exactly %d examples, got %d", k, len(examples))
-	}
-	t0 := time.Now()
-	defer func() { t.phases.Wall += time.Since(t0) }()
-	sp := t.tracer.Start("train.vbatch")
-	t.sp = sp
-	defer func() { t.sp = nil; sp.End() }()
-	t.beginStep()
-	code, err := masking.New(t.cfg.maskParams(), t.rng)
-	if err != nil {
-		return 0, err
-	}
-	xs := make([]*tensor.Tensor, k)
-	for i := range examples {
-		xs[i] = tensor.FromSlice(examples[i].Image, t.model.InShape...)
-	}
-	logits, tr, err := t.forwardLayer(code, t.model.Stack, xs, true)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	grads := make([]*tensor.Tensor, k)
-	for i := range logits {
-		loss, g := nn.SoftmaxCrossEntropy(logits[i], examples[i].Label)
-		total += loss
-		grads[i] = g
-	}
-	if err := t.backward(code, tr, grads); err != nil {
-		return 0, err
-	}
-	return total / float64(k), nil
-}
-
-// Forward runs the masked forward pass for a virtual batch of images and
-// returns the per-image logits — the lane-less, token-less reference the
-// Pipeline's outputs are pinned against.
-func (t *Trainer) Forward(images [][]float64) ([]*tensor.Tensor, error) {
-	k := t.cfg.VirtualBatch
-	if len(images) != k {
-		return nil, fmt.Errorf("sched: predict needs exactly %d images, got %d", k, len(images))
-	}
-	t0 := time.Now()
-	defer func() { t.phases.Wall += time.Since(t0) }()
-	sp := t.tracer.Start("predict")
-	t.sp = sp
-	defer func() { t.sp = nil; sp.End() }()
-	t.beginStep()
-	code, err := masking.New(t.cfg.maskParams(), t.rng)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]*tensor.Tensor, k)
-	for i := range images {
-		xs[i] = tensor.FromSlice(images[i], t.model.InShape...)
-	}
-	logits, _, err := t.forwardLayer(code, t.model.Stack, xs, false)
-	return logits, err
-}
-
-// Predict classifies a virtual batch of images: Forward, then the argmax
-// per image. Forward-only — the inference flow the paper compares against
-// Slalom (§7.2).
-func (t *Trainer) Predict(images [][]float64) ([]int, error) {
-	logits, err := t.Forward(images)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(logits))
-	for i := range logits {
-		out[i] = nn.Argmax(logits[i])
-	}
-	return out, nil
 }
 
 // sharedNormFactor returns the common dynamic-normalization divisor for a

@@ -13,10 +13,10 @@ import (
 )
 
 // GangSource supplies one device gang per in-flight virtual batch of a
-// pipelined training run. The trivial SingleFleetSource reuses one shared
-// fleet; fleet-managed deployments (the darknight facade) back it with
-// per-batch fleet.Manager grants so each flight owns its own healthy gang
-// and integrity verdicts feed quarantine.
+// training run. The trivial SingleFleetSource reuses one shared fleet;
+// fleet-managed deployments (the darknight facade) back it with per-batch
+// fleet.Manager grants so each flight owns its own healthy gang and
+// integrity verdicts feed quarantine.
 type GangSource interface {
 	// Acquire blocks until a gang-sized Fleet is available. It must be safe
 	// for concurrent use with Release (releases happen on lane goroutines).
@@ -51,12 +51,13 @@ type trainTicket struct {
 	err         error
 }
 
-// TrainPipeline is the overlapped-execution mode of the training runtime:
-// up to Depth virtual batches ride the encode→dispatch→decode stages of
-// BOTH passes at once, so while batch i's coded shares (forward or
-// backward) are on the devices, the TEE decodes batch i−1 and encodes
-// batch i+1. It sits on the same lane machinery as Pipeline (see lanes) and
-// adds the training-specific parts on top:
+// TrainPipeline is the training runtime: up to Depth virtual batches ride
+// the encode→dispatch→decode stages of BOTH passes at once, so while batch
+// i's coded shares (forward or backward) are on the devices, the TEE
+// decodes batch i−1 and encodes batch i+1. Depth is a number, not a mode: a
+// depth-1 TrainPipeline is the serial trainer. It sits on the same lane
+// machinery as Pipeline (see lanes) and adds the training-specific parts on
+// top:
 //
 //   - data-parallel gradient isolation: every lane owns a private set of
 //     gradient accumulators and re-installs them into the shared model's
@@ -67,8 +68,8 @@ type trainTicket struct {
 //   - Algorithm-2 aggregation: each lane seals its finished ▽W_v shard-wise
 //     to untrusted memory, and TrainLargeBatch aggregates the sealed shards
 //     in virtual-batch order — fixing the float summation order — so the
-//     final weights are bit-identical to the serial Trainer's (pinned by
-//     TestTrainPipelineMatchesSerial);
+//     final weights are bit-identical at every depth (pinned against a
+//     lane-less reference by TestTrainPipelineMatchesSerial);
 //   - fleet-backed dispatch: each in-flight batch runs on its own gang from
 //     a GangSource, with integrity culprits reported back on release, and
 //     the backward pass inherits the engine's straggler-tolerant
@@ -91,18 +92,15 @@ type TrainPipeline struct {
 	tracer *obs.Tracer
 }
 
-// NewTrainPipeline wires a pipelined training runtime of the given depth
-// (>= 2; the serial reference is Trainer) around one shared model replica;
-// see newLanes for the enclave and keyspace contracts — each in-flight
-// batch additionally seals its own gradient shards.
+// NewTrainPipeline wires a training runtime of the given depth (>= 1; depth
+// 1 is the serial runtime, which Trainer wraps) around one shared model
+// replica; see newLanes for the enclave and keyspace contracts — each
+// in-flight batch additionally seals its own gradient shards.
 //
 // The model must not be trained or evaluated through any other path while
 // a TrainLargeBatch is running — the lanes temporarily redirect its
 // gradient accumulators.
 func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string, depth int) (*TrainPipeline, error) {
-	if depth < 2 {
-		return nil, fmt.Errorf("sched: train pipeline depth %d, need >= 2 (use Trainer for serial execution)", depth)
-	}
 	// Per-step keys: backward reads the stored coded inputs back.
 	l, err := newLanes(cfg, model, encl, keyspace+"t", depth, false)
 	if err != nil {
@@ -152,14 +150,16 @@ func (p *TrainPipeline) CacheRefills() int64 {
 	return n
 }
 
-// TrainLargeBatch trains on len(batch) examples exactly as
-// Trainer.TrainLargeBatch does — floor(N/K) virtual batches, per-batch ▽W
-// sealed shard-wise, one aggregated SGD step — but data-parallel: up to
-// Depth virtual batches are in flight at once, each on its own gang from
-// the GangSource. Aggregation runs in virtual-batch order regardless of
-// completion order, so the updated weights are bit-identical to the serial
-// trainer's. Tail examples beyond the last full virtual batch are dropped
-// and counted in AggregationStats.DroppedExamples.
+// TrainLargeBatch trains on len(batch) examples: floor(N/K) virtual
+// batches, each one's ▽W sealed shard-wise to untrusted memory, then one
+// aggregated SGD step (Algorithm 2). Up to Depth virtual batches are in
+// flight at once, each on its own gang from the GangSource. Aggregation
+// runs in virtual-batch order regardless of completion order, so the
+// updated weights are bit-identical at every depth. Tail examples beyond
+// the last full virtual batch are dropped and counted in
+// AggregationStats.DroppedExamples. shardElems is the aggregation shard
+// granularity in elements (<= 0 picks a single shard); opt applies the
+// final update.
 func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example, opt *nn.SGD, shardElems int) (float64, AggregationStats, error) {
 	k := p.cfg.VirtualBatch
 	var stats AggregationStats
@@ -216,16 +216,16 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 	}
 	stats.VirtualBatches = numVB
 
-	// UpdateAggregation (Algorithm 2 lines 14–21), shared with the serial
-	// trainer: virtual-batch-order summation, so the aggregate is
-	// bit-identical however the lanes interleaved.
+	// UpdateAggregation (Algorithm 2 lines 14–21): virtual-batch-order
+	// summation, so the aggregate is bit-identical however the lanes
+	// interleaved.
 	agg, err := p.store.aggregate(allHandles, shardElems, p.totalElems, stats.Shards)
 	if err != nil {
 		return 0, stats, err
 	}
 
 	// All lanes are idle now: restore the model's own gradient accumulators
-	// and apply the averaged aggregate exactly as the serial path does.
+	// and apply the averaged aggregate.
 	for i, prm := range p.params {
 		prm.Grad = p.origGrads[i]
 	}
@@ -300,8 +300,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 }
 
 // sealGrads flattens a lane's accumulators (params order) and seals them
-// shard-wise to untrusted memory (Algorithm 2 lines 9–10, shared store
-// with the serial trainer).
+// shard-wise to untrusted memory (Algorithm 2 lines 9–10).
 func (p *TrainPipeline) sealGrads(lane, shardElems int) ([]uint64, int64, error) {
 	flat := make([]float64, 0, p.totalElems)
 	for _, g := range p.grads[lane] {

@@ -55,13 +55,15 @@ func (s *managerSource) Release(f Fleet, culprits []int, err error) {
 	g.Release()
 }
 
-// TestTrainPipelineMatchesSerial is the tentpole equivalence gate: across
-// K/E/slack operating points — including straggler-tolerant backward via a
-// deterministically slow device, on both the shared-cluster and the
-// fleet-managed gang source — the pipelined TrainLargeBatch must leave the
-// model with weights bit-identical to the serial Trainer's, and report the
-// same losses. Decode exactness over F_p plus virtual-batch-order
-// aggregation makes overlap invisible to the result.
+// TestTrainPipelineMatchesSerial is the training equivalence gate: across
+// K/E/slack operating points and depths 1 to 3 — including
+// straggler-tolerant backward via a deterministically slow device, on both
+// the shared-cluster and the fleet-managed gang source — TrainLargeBatch
+// must leave the model with weights bit-identical to the lane-less
+// reference's (serialRef: no lanes, no token contention, no noise pool, no
+// gradient redirection, so the pin compares two implementations), and
+// report the same losses. Decode exactness over F_p plus
+// virtual-batch-order aggregation makes overlap invisible to the result.
 func TestTrainPipelineMatchesSerial(t *testing.T) {
 	combos := []struct {
 		name           string
@@ -71,8 +73,11 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 		fleetManaged   bool
 		shardElems     int
 	}{
+		{name: "K2-M1-E0-cluster-depth1", k: 2, m: 1, e: 0, slowSlot: -1, depth: 1},
 		{name: "K2-M1-E0-cluster", k: 2, m: 1, e: 0, slowSlot: -1, depth: 2},
+		{name: "K3-M1-E1-fleet-depth1", k: 3, m: 1, e: 1, slowSlot: -1, depth: 1, fleetManaged: true, shardElems: 64},
 		{name: "K3-M1-E1-fleet", k: 3, m: 1, e: 1, slowSlot: -1, depth: 2, fleetManaged: true, shardElems: 64},
+		{name: "K2-M1-E2-slack1-slow-first-depth1", k: 2, m: 1, e: 2, slack: 1, slowSlot: 0, depth: 1, fleetManaged: true},
 		{name: "K2-M1-E2-slack1-slow-first", k: 2, m: 1, e: 2, slack: 1, slowSlot: 0, depth: 2, fleetManaged: true},
 		{name: "K2-M1-E2-slack1-slow-last", k: 2, m: 1, e: 2, slack: 1, slowSlot: 4, depth: 3, fleetManaged: true, shardElems: 100},
 	}
@@ -93,24 +98,24 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 			batch := trainData(6 * c.k)
 			opt := func() *nn.SGD { return nn.NewSGD(0.05, 0.9) }
 
-			// Serial reference.
+			// Lane-less reference.
 			serialModel := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
 			_, serialCluster := build()
-			trn, err := NewTrainer(cfg, serialModel, serialCluster, nil)
+			ref, err := newSerialRef(cfg, serialModel, serialCluster, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sOpt := opt()
 			var serialLosses []float64
 			for step := 0; step < 2; step++ {
-				loss, _, err := trn.TrainLargeBatch(batch, sOpt, c.shardElems)
+				loss, _, err := ref.trainLargeBatch(batch, sOpt, c.shardElems)
 				if err != nil {
 					t.Fatal(err)
 				}
 				serialLosses = append(serialLosses, loss)
 			}
 
-			// Pipelined run on an identically initialized model.
+			// The runtime at this depth, on an identically initialized model.
 			pipeModel := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
 			_, pipeCluster := build()
 			pipe, err := NewTrainPipeline(cfg, pipeModel, nil, "tp/", c.depth)
@@ -133,7 +138,7 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				if loss != serialLosses[step] {
-					t.Fatalf("step %d: pipelined loss %v != serial %v", step, loss, serialLosses[step])
+					t.Fatalf("step %d: depth-%d loss %v != reference %v", step, c.depth, loss, serialLosses[step])
 				}
 				if stats.VirtualBatches != 6 {
 					t.Fatalf("step %d: %d virtual batches, want 6", step, stats.VirtualBatches)
@@ -193,12 +198,13 @@ func TestBackwardCacheMissRefill(t *testing.T) {
 	const gang = 3
 	batch := trainData(cfg.VirtualBatch)
 
-	// Control: undisturbed serial run.
+	// Control: undisturbed depth-1 run.
 	control := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
 	ctrlTrainer, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ctrlTrainer.Close()
 	ctrlOpt := nn.NewSGD(0.05, 0.9)
 	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(batch, ctrlOpt, 0)
 	if err != nil {
@@ -251,13 +257,12 @@ func TestBackwardCacheMissRefill(t *testing.T) {
 	}
 }
 
-// TestTrainerPhaseWallAccounting is the satellite regression test: the
-// serial Trainer must accumulate Wall (it previously never did, so
-// Overlap() silently reported 0 on the training path) and time both the
-// forward and backward offloads.
+// TestTrainerPhaseWallAccounting: the depth-1 Trainer must accumulate Wall
+// (without it Overlap() silently reports 0 on the training path) and time
+// both the forward and backward offloads.
 func TestTrainerPhaseWallAccounting(t *testing.T) {
 	tr, _, data := tinySetup(t, Config{VirtualBatch: 2, Seed: 5}, 3, nil)
-	if _, err := tr.TrainVirtualBatch(data.Items[:2]); err != nil {
+	if _, _, err := tr.TrainLargeBatch(data.Items[:2], nn.NewSGD(0.01, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	ps := tr.PhaseStats()
@@ -276,9 +281,8 @@ func TestTrainerPhaseWallAccounting(t *testing.T) {
 	}
 }
 
-// TestTrainLargeBatchDropsTail pins the satellite: tail examples beyond
-// the last full virtual batch are dropped and now visibly reported, on
-// both the serial and the pipelined path.
+// TestTrainLargeBatchDropsTail: tail examples beyond the last full virtual
+// batch are dropped and visibly reported, at depth 1 and depth 2.
 func TestTrainLargeBatchDropsTail(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Seed: 2}
 	batch := trainData(7)
@@ -289,7 +293,7 @@ func TestTrainLargeBatchDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.VirtualBatches != 3 || stats.DroppedExamples != 1 {
-		t.Fatalf("serial stats = %+v, want 3 virtual batches / 1 dropped", stats)
+		t.Fatalf("depth-1 stats = %+v, want 3 virtual batches / 1 dropped", stats)
 	}
 
 	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(1)))
@@ -358,6 +362,7 @@ func TestAlgorithm2ShardEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			loss, _, err = trn.TrainLargeBatch(batch, opt, r.shardElems)
+			trn.Close()
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -379,9 +384,14 @@ func TestAlgorithm2ShardEquivalence(t *testing.T) {
 // TestTrainPipelineValidation covers the refusal paths.
 func TestTrainPipelineValidation(t *testing.T) {
 	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(1)))
-	if _, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, "v/", 1); err == nil {
-		t.Fatal("depth 1 train pipeline must be rejected")
+	if _, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, "v/", 0); err == nil {
+		t.Fatal("depth 0 train pipeline must be rejected")
 	}
+	serial, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, "v/", 1)
+	if err != nil {
+		t.Fatalf("depth 1 is the serial runtime and must build: %v", err)
+	}
+	serial.Close()
 	pipe, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, "v/", 2)
 	if err != nil {
 		t.Fatal(err)

@@ -121,6 +121,40 @@ func TestSystemTraceAndMetrics(t *testing.T) {
 	}
 }
 
+// TestSystemPredictTrace: a traced Predict files a "predict" root carrying
+// the batch's offload trees.
+func TestSystemPredictTrace(t *testing.T) {
+	sys, err := NewSystem(TinyCNN(1, 8, 8, 4, 1), Config{
+		VirtualBatch:  2,
+		Seed:          1,
+		Observability: ObservabilityConfig{TraceSample: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	data := SyntheticDataset(2, 4, 1, 8, 8, 2)
+	if _, err := sys.Predict([][]float64{data[0].Image, data[1].Image}); err != nil {
+		t.Fatal(err)
+	}
+	tr := sys.Trace()
+	if tr == nil || tr.Name() != "predict" {
+		t.Fatalf("last trace after a traced Predict = %v, want a \"predict\" root", tr)
+	}
+	if tr.Find("offload") == nil {
+		t.Fatalf("predict trace has no offload spans:\n%s", tr.RenderString())
+	}
+	if tr.Attr("error") != "" {
+		t.Fatalf("successful predict annotated with error %q", tr.Attr("error"))
+	}
+	if _, err := sys.Predict([][]float64{data[0].Image}); err == nil {
+		t.Fatal("wrong predict batch size accepted")
+	}
+	if tr := sys.Trace(); tr == nil || tr.Name() != "predict" || tr.Attr("error") == "" {
+		t.Fatalf("last trace after a failed Predict = %v, want a \"predict\" root with an error attribute", tr)
+	}
+}
+
 // TestObservabilityConfigDisabledByDefault: the zero config attaches
 // nothing — no bundle, no listener, nil-safe accessors.
 func TestObservabilityConfigDisabledByDefault(t *testing.T) {

@@ -257,8 +257,8 @@ func TestStragglerToleranceSpeedup(t *testing.T) {
 	}
 }
 
-// fusedForwardThroughput pushes `batches` K=2 virtual batches through the
-// serial sched engine on a 3-device gang whose every device carries `delay`
+// fusedForwardThroughput pushes `batches` K=2 virtual batches through a
+// one-lane sched.Inferencer on a 3-device gang whose every device carries `delay`
 // per-dispatch latency, with or without the fused-offload compile pass, and
 // returns batches/second.
 func fusedForwardThroughput(tb testing.TB, fuse bool, batches int, delay time.Duration) float64 {
@@ -271,10 +271,11 @@ func fusedForwardThroughput(tb testing.TB, fuse bool, batches int, delay time.Du
 	}
 	cluster := gpu.NewCluster(devs...)
 	model := nn.DeepMLP(1, 8, 8, 4, 16, rand.New(rand.NewSource(1)))
-	trn, err := sched.NewTrainer(cfg, model, cluster, nil)
+	inf, err := sched.NewInferencer(cfg, model, nil, "")
 	if err != nil {
 		tb.Fatal(err)
 	}
+	defer inf.Close()
 	rng := rand.New(rand.NewSource(2))
 	imgs := make([][][]float64, batches)
 	for b := range imgs {
@@ -289,7 +290,7 @@ func fusedForwardThroughput(tb testing.TB, fuse bool, batches int, delay time.Du
 	}
 	start := time.Now()
 	for _, images := range imgs {
-		if _, err := trn.Predict(images); err != nil {
+		if _, err := inf.Predict(cluster, images); err != nil {
 			tb.Fatal(err)
 		}
 	}

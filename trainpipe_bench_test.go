@@ -22,8 +22,8 @@ import (
 
 // trainThroughput trains one large batch of numVB K=2 virtual batches on a
 // gang whose every device carries `delay` per-dispatch latency and returns
-// virtual batches per second. depth <= 1 runs the serial Trainer; depth >=
-// 2 runs the TrainPipeline with that many lanes over the same shared gang.
+// virtual batches per second: a TrainPipeline with that many lanes over the
+// shared gang, depth 1 being the serial runtime.
 func trainThroughput(tb testing.TB, depth, numVB int, delay time.Duration) (float64, sched.PhaseStats) {
 	tb.Helper()
 	cfg := sched.Config{VirtualBatch: 2, Seed: 1}
@@ -36,18 +36,6 @@ func trainThroughput(tb testing.TB, depth, numVB int, delay time.Duration) (floa
 	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(1)))
 	batch := dataset.SyntheticCIFAR(rand.New(rand.NewSource(2)), numVB*cfg.VirtualBatch, 4, 1, 8, 8, 0.05).Items
 	opt := nn.NewSGD(0.05, 0.9)
-
-	if depth <= 1 {
-		trn, err := sched.NewTrainer(cfg, model, cluster, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		start := time.Now()
-		if _, _, err := trn.TrainLargeBatch(batch, opt, 0); err != nil {
-			tb.Fatal(err)
-		}
-		return float64(numVB) / time.Since(start).Seconds(), trn.PhaseStats()
-	}
 
 	pipe, err := sched.NewTrainPipeline(cfg, model, nil, "btp/", depth)
 	if err != nil {
