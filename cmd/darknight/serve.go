@@ -169,7 +169,6 @@ func cmdServe(args []string) {
 	tenantsFlag := fs.String("tenants", "", "fair-share tenants, e.g. gold:3,bronze:1 (clients round-robin over them)")
 	spares := fs.Int("spares", 0, "spare GPUs beyond the worker gangs (quarantine/speculation headroom)")
 	slack := fs.Int("slack", 0, "straggler slack: decode after all but N coded responses (needs E >= 2)")
-	fuse := fs.Bool("fuse", false, "fuse consecutive bilinear layers into one gang flight per block (bit-identical outputs)")
 	continuous := fs.Bool("continuous", false, "continuous batching: flushed padded batches keep admitting riders until a worker picks them up")
 	speculate := fs.Duration("speculate", 0, "speculative re-dispatch window for lagging shares (0 = off)")
 	slow := fs.Int("slow", -1, "index of a deterministically slow GPU (-1 = none)")
@@ -222,7 +221,6 @@ func cmdServe(args []string) {
 		SpareGPUs:      *spares,
 		Recover:        *recover,
 		StragglerSlack: *slack,
-		Fuse:           *fuse,
 		Continuous:     *continuous,
 		SpeculateAfter: *speculate,
 		Observability: darknight.ObservabilityConfig{

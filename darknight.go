@@ -473,9 +473,8 @@ func MobileNetV2(c, h, w, classes, width int, seed int64) *Model {
 }
 
 // DeepMLP builds a factorized deep MLP whose back-to-back Dense runs make
-// it the fused-offload showcase: with ServerConfig.Fuse (or
-// sched.Config.FuseBlocks) each 3-layer Dense stack rides one gang flight,
-// so a forward pass costs 3 flights instead of 7.
+// it the fused-offload showcase: each 3-layer Dense stack rides one gang
+// flight, so a forward or backward pass costs 3 flights instead of 7.
 func DeepMLP(c, h, w, classes, width int, seed int64) *Model {
 	return &Model{m: nn.DeepMLP(c, h, w, classes, width, rand.New(rand.NewSource(seed)))}
 }

@@ -84,7 +84,7 @@ func (s *tripSlot) enqueue(j job) {
 
 func (s *tripSlot) work(j job) {
 	for {
-		j.p.run(s.trip, j.entry, j.x, "")
+		j.p.run(s.trip, j.entry, j.x, "", nil)
 		s.mu.Lock()
 		if len(s.queue) == 0 {
 			s.busy = false
@@ -211,8 +211,10 @@ func (p *LayerPending) slot(entry int) int {
 }
 
 // run executes one job on a trip — the slot's own, or a spare's with a key
-// suffix that keeps the spare's store apart — and delivers the answer.
-func (p *LayerPending) run(trip DeviceTrip, entry int, x field.Vec, suffix string) {
+// suffix that keeps the spare's store apart — and answers it, then runs
+// done (when non-nil). A slow device's trip may hold the answer until its
+// launch latency has passed; the slot moves on to its next job meanwhile.
+func (p *LayerPending) run(trip DeviceTrip, entry int, x field.Vec, suffix string, done func()) {
 	slot := p.slot(entry)
 	key := p.key
 	if p.f.opts.MapKey != nil {
@@ -227,10 +229,22 @@ func (p *LayerPending) run(trip DeviceTrip, entry int, x field.Vec, suffix strin
 	} else {
 		y, err = trip.GradWeights(key+suffix, p.bwd, x)
 	}
+	if st, ok := trip.(*slowTrip); ok && st.hold(func() { p.answer(slot, entry, y, err, suffix, done) }) {
+		return
+	}
+	p.answer(slot, entry, y, err, suffix, done)
+}
+
+// answer files one job's result: the latency observation, the delivery,
+// then done.
+func (p *LayerPending) answer(slot, entry int, y field.Vec, err error, suffix string, done func()) {
 	if suffix == "" && p.f.opts.Observe != nil {
 		p.f.opts.Observe(slot, time.Since(p.shipped))
 	}
 	p.deliver(entry, y, err)
+	if done != nil {
+		done()
+	}
 }
 
 // settled reports whether a gather for quorum q can return: one window has
@@ -360,8 +374,7 @@ func (p *LayerPending) speculate() {
 		}
 		go func() {
 			start := time.Now()
-			p.run(trip, entry, p.coded[entry], "#spec")
-			done(time.Since(start))
+			p.run(trip, entry, p.coded[entry], "#spec", func() { done(time.Since(start)) })
 		}()
 	}
 }

@@ -295,3 +295,49 @@ func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlowTripHoldsAnswersNotWork: a slow device pays its launch latency
+// once per trip by holding the trip's answers, not by stalling its slot.
+// Three layers shipped down one flight all run their kernels at once; none
+// is answered before the latency has passed since the first job.
+func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	f := NewBlockFlight([]DeviceTrip{BeginTrip(NewSlow(NewHonest(0), delay))}, BlockOptions{})
+	defer f.End()
+	ran := make(chan struct{}, 3)
+	kernel := func(x field.Vec) field.Vec {
+		ran <- struct{}{}
+		return field.ScaleVec(2, x)
+	}
+	start := time.Now()
+	var pending []*LayerPending
+	for _, key := range []string{"l1", "l2", "l3"} {
+		p, err := f.ForwardLayer(key, kernel, vecs(1, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-ran:
+		case <-time.After(10 * delay):
+			t.Fatalf("only %d of 3 kernels ran", i)
+		}
+	}
+	if el := time.Since(start); el >= delay {
+		t.Fatalf("the queued kernels ran %v after shipping: they waited out the launch latency (%v)", el, delay)
+	}
+	for i, p := range pending {
+		results, err := p.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el < delay {
+			t.Fatalf("layer %d answered after %v, before the %v launch latency", i+1, el, delay)
+		}
+		if !results[0].Equal(field.ScaleVec(2, vecs(1, 5)[0])) {
+			t.Fatalf("layer %d: wrong result", i+1)
+		}
+	}
+}

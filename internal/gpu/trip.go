@@ -1,10 +1,10 @@
 package gpu
 
 import (
-	"darknight/internal/field"
-
 	"sync"
 	"time"
+
+	"darknight/internal/field"
 )
 
 // DeviceTrip is one persistent dispatch conversation with a device: the
@@ -35,9 +35,9 @@ func (d *honest) BeginTrip() DeviceTrip { return d }
 func (m *malicious) BeginTrip() DeviceTrip { return &wrapTrip{m} }
 
 // BeginTrip charges the straggler's launch delay once for the whole trip
-// (on its first job) instead of once per job: the delay models dispatch
-// overhead — kernel launch, transfer setup — which a persistent block
-// conversation pays a single time.
+// instead of once per job: the delay models dispatch overhead — kernel
+// launch, transfer setup — which a persistent block conversation pays a
+// single time.
 func (s *slow) BeginTrip() DeviceTrip {
 	return &slowTrip{inner: BeginTrip(s.Device), delay: s.delay}
 }
@@ -73,15 +73,54 @@ func (t *wrapTrip) GradWeights(key string, kernel BilinearKernel, delta field.Ve
 	return t.d.GradWeights(key, kernel, delta)
 }
 
-// slowTrip delays the trip's first job by the device's launch latency and
-// lets the rest of the conversation through at full speed.
+// slowTrip runs every job the moment its slot reaches it and holds the
+// answers until ready, the launch latency after the trip's first job: the
+// latency delays what the TEE hears back, not the device's work, so jobs
+// queued behind the first one never wait out the launch themselves. A trip
+// is driven by one slot worker at a time, so ready needs no lock; held is
+// shared with the timer that releases it.
 type slowTrip struct {
 	inner DeviceTrip
 	delay time.Duration
-	once  sync.Once
+	ready time.Time // zero until the first job ran
+
+	mu   sync.Mutex
+	held []func() // answers waiting for ready, in the order their jobs ran
 }
 
-func (t *slowTrip) launch() { t.once.Do(func() { time.Sleep(t.delay) }) }
+func (t *slowTrip) launch() {
+	if t.ready.IsZero() {
+		t.ready = time.Now().Add(t.delay)
+	}
+}
+
+// hold queues answer until ready and reports whether it did: once the
+// latency has passed, answers leave at once. One timer per trip releases
+// everything held.
+func (t *slowTrip) hold(answer func()) bool {
+	wait := time.Until(t.ready)
+	if wait <= 0 {
+		return false
+	}
+	t.mu.Lock()
+	t.held = append(t.held, answer)
+	first := len(t.held) == 1
+	t.mu.Unlock()
+	if first {
+		time.AfterFunc(wait, t.release)
+	}
+	return true
+}
+
+func (t *slowTrip) release() {
+	t.mu.Lock()
+	held := t.held
+	t.held = nil
+	t.mu.Unlock()
+	for _, answer := range held {
+		answer()
+	}
+}
 
 func (t *slowTrip) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
 	y := t.inner.LinearForward(key, kernel, x)

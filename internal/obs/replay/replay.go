@@ -125,7 +125,6 @@ func Run(snap *obs.Snapshot, model *nn.Model, opts Options) (*Report, error) {
 		Collusion:      snap.Sched.Collusion,
 		Redundancy:     snap.Sched.Redundancy,
 		StragglerSlack: snap.Sched.StragglerSlack,
-		FuseBlocks:     snap.Sched.FuseBlocks,
 		FracBits:       snap.Sched.FracBits,
 		NormLimit:      snap.Sched.NormLimit,
 		Seed:           snap.Sched.Seed,

@@ -57,7 +57,6 @@ type SchedInfo struct {
 	Collusion      int     `json:"collusion"`       // M noise rows
 	Redundancy     int     `json:"redundancy"`      // E integrity equations
 	StragglerSlack int     `json:"straggler_slack"` // decode after all-but-N
-	FuseBlocks     bool    `json:"fuse_blocks"`     // fused-offload compile pass
 	FracBits       uint    `json:"frac_bits"`       // fixed-point precision l
 	NormLimit      float64 `json:"norm_limit"`      // pre-quantization norm bound
 	Seed           int64   `json:"seed"`

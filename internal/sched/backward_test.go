@@ -53,10 +53,13 @@ func sameBits(t *testing.T, tag string, a, b *nn.Model) {
 
 // TestBackwardShipsEveryLayerBeforeGathering pins the overlapped backward
 // pass: with every device's gradient jobs held on a gate, one virtual
-// batch's backward must put the jobs of every bilinear layer on the devices
-// before any of them is released — a walk that gathered each layer before
-// shipping the next would stall at the first layer's gang. Once released,
-// the trained weights must equal an ungated run's bit for bit.
+// batch's backward must put the jobs of every flight on the devices before
+// any of them is released — a walk that gathered each flight before
+// shipping the next would stall at the first one's gang. On the per-layer
+// arm (perLayer) every layer is a flight, so all 7 × gang jobs arrive. Fused,
+// a slot runs a flight's jobs in order, so what arrives is each of the 3
+// flights' first job on every slot: 3 × gang. Once released, the trained
+// weights must equal an ungated run's bit for bit.
 func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Seed: 3}
 	const gang = 3
@@ -85,21 +88,21 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 		}
 		return devs, arrived, func() { close(release) }
 	}
-	// run trains on the gated devices, waits until a whole backward pass
-	// worth of gradient jobs has arrived, and only then opens the gate.
-	run := func(t *testing.T, arrived <-chan struct{}, release func(), train func() error) {
+	// run trains on the gated devices, waits until want gradient jobs have
+	// arrived, and only then opens the gate.
+	run := func(t *testing.T, arrived <-chan struct{}, release func(), want int, train func() error) {
 		t.Helper()
 		done := make(chan error, 1)
 		go func() { done <- train() }()
 		timeout := time.After(guard)
-		for n := 0; n < deepMLPLinears*gang; n++ {
+		for n := 0; n < want; n++ {
 			select {
 			case <-arrived:
 			case err := <-done:
-				t.Fatalf("training returned (%v) with %d of %d gradient jobs ever held", err, n, deepMLPLinears*gang)
+				t.Fatalf("training returned (%v) with %d of %d gradient jobs ever held", err, n, want)
 			case <-timeout:
 				release()
-				t.Fatalf("only %d of %d gradient jobs reached the devices before any was released", n, deepMLPLinears*gang)
+				t.Fatalf("only %d of %d gradient jobs reached the devices before any was released", n, want)
 			}
 		}
 		release()
@@ -113,36 +116,52 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 		}
 	}
 
-	t.Run("serial", func(t *testing.T) {
-		devs, arrived, release := gated(gang)
-		m := model()
-		trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer trn.Close()
-		run(t, arrived, release, func() error {
-			_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
-			return err
+	for _, arm := range []struct {
+		prefix  string // subtest name prefix
+		fuse    bool
+		flights int // backward flights of one virtual batch
+	}{
+		{"", false, deepMLPLinears},
+		{"fused-", true, 3},
+	} {
+		want := arm.flights * gang
+		t.Run(arm.prefix+"serial", func(t *testing.T) {
+			devs, arrived, release := gated(gang)
+			m := model()
+			trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer trn.Close()
+			if !arm.fuse {
+				trn.perLayer()
+			}
+			run(t, arrived, release, want, func() error {
+				_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
+				return err
+			})
+			sameBits(t, "serial", control, m)
 		})
-		sameBits(t, "serial", control, m)
-	})
 
-	t.Run("pipeline-depth2-fleet", func(t *testing.T) {
-		devs, arrived, release := gated(2 * gang)
-		m := model()
-		pipe, err := NewTrainPipeline(cfg, m, nil, "gate/", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pipe.Close()
-		src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
-		run(t, arrived, release, func() error {
-			_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
-			return err
+		t.Run(arm.prefix+"pipeline-depth2-fleet", func(t *testing.T) {
+			devs, arrived, release := gated(2 * gang)
+			m := model()
+			pipe, err := NewTrainPipeline(cfg, m, nil, "gate/", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			if !arm.fuse {
+				pipe.perLayer()
+			}
+			src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
+			run(t, arrived, release, want, func() error {
+				_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
+				return err
+			})
+			sameBits(t, "pipeline", control, m)
 		})
-		sameBits(t, "pipeline", control, m)
-	})
+	}
 }
 
 // settleBarrier makes a backward tamper on one layer of a fused block
@@ -238,7 +257,7 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: c.e, StragglerSlack: 1, FuseBlocks: true, Seed: 3}
+			cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: c.e, StragglerSlack: 1, Seed: 3}
 			gang := cfg.VirtualBatch + cfg.Collusion + c.e
 			b := newSettleBarrier("/lin4", "/lin3", "/lin2", gang, c.tamper)
 			devs := honestDevices(gang)

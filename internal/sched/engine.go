@@ -37,10 +37,9 @@ type PhaseStats struct {
 	// overlap, 2.0 means two stages were kept busy throughout.
 	Wall     time.Duration
 	Offloads int64 // bilinear layer dispatches timed
-	// Flights counts gang flights opened. Without fusion every offload is
-	// its own flight of one layer, so Flights tracks Offloads; a fused
-	// block carries several offloads per flight, which is exactly the
-	// reduction fusion exists to buy.
+	// Flights counts gang flights opened. A lone bilinear layer is its own
+	// flight of one layer; a fused block carries several offloads per
+	// flight, which is exactly the reduction fusion exists to buy.
 	Flights int64
 	// FusedBlocks counts fused-block flights; FusedLayers counts the
 	// bilinear layers they carried (FusedLayers/FusedBlocks is the mean
@@ -188,11 +187,12 @@ type engine struct {
 	// consumes precomputed material with zero online RNG; exhaustion falls
 	// back to inline draws from rng (counted by the pool).
 	pool *masking.NoisePool
-	// plan, when non-nil, is the fused-offload compile pass output:
-	// maximal runs of consecutive bilinear layers the forward walk
-	// dispatches as one flight each (Config.FuseBlocks); nil keeps every
-	// flight one layer long. The per-layer coding math is unchanged inside
-	// a block, so fused outputs are bit-identical to unfused ones.
+	// plan is the fused-offload compile pass output: the maximal runs of
+	// consecutive bilinear children of a Sequential, each of which the
+	// forward walk flies as one gang flight. The per-layer coding math is
+	// unchanged inside a block, so outputs are bit-identical to a walk that
+	// flies every layer alone (a nil plan, which only the package's
+	// equivalence tests use).
 	plan *nn.FusionPlan
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
@@ -206,8 +206,8 @@ type engine struct {
 	rec *obs.FlightRecorder
 
 	// deadline, when non-zero, is the absolute end-to-end deadline of the
-	// batch currently on this engine: checked before every gang dispatch
-	// (per-layer and fused-block), so an expired batch stops occupying
+	// batch currently on this engine: checked before every layer ships,
+	// inside a fused block too, so an expired batch stops occupying
 	// devices at the next layer boundary instead of running to
 	// completion. Installed per batch (Pipeline.SubmitWithin); cleared
 	// with the span.
@@ -256,18 +256,15 @@ func slots(buf *[]field.Vec, k int) []field.Vec {
 }
 
 func newEngine(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string) engine {
-	e := engine{
+	return engine{
 		cfg:      cfg,
 		model:    model,
 		encl:     encl,
 		q:        quant.New(cfg.FracBits),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		keyspace: keyspace,
+		plan:     nn.CompileFusion(model),
 	}
-	if cfg.FuseBlocks {
-		e.plan = nn.CompileFusion(model)
-	}
-	return e
 }
 
 // lockTEE acquires the shared TEE execution token and runs the engine's
@@ -377,8 +374,8 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 	}
 }
 
-// checkDeadline gates a gang flight on the batch's deadline budget: an
-// expired batch fails here — before encoding or occupying devices — with
+// checkDeadline gates one layer's offload on the batch's deadline budget:
+// an expired batch fails here — before encoding or shipping the layer — with
 // an error matching context.DeadlineExceeded. Zero deadline never fails.
 func (e *engine) checkDeadline() error {
 	if e.deadline.IsZero() || time.Now().Before(e.deadline) {
@@ -416,9 +413,6 @@ func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Ve
 // (gpu.DeviceTrip). Outputs are therefore bit-identical whatever the block
 // length; TestFusedBlockMatchesPerLayer pins it.
 func (e *engine) offloadForward(code *masking.Code, lins []nn.Linear, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, []*trace, error) {
-	if err := e.checkDeadline(); err != nil {
-		return nil, nil, err
-	}
 	depth := len(lins)
 	parent := e.sp
 	if depth > 1 {
@@ -460,13 +454,16 @@ func (e *engine) offloadForward(code *masking.Code, lins []nn.Linear, xs []*tens
 
 // forwardOne quantizes, encodes, ships, gathers, verifies, decodes and
 // restores one bilinear layer's outputs for the K current activations on an
-// open flight. All TEE-side intermediates live in the engine's arena (reset
+// open flight, once the batch's deadline allows it. All TEE-side intermediates live in the engine's arena (reset
 // per layer), so the steady-state loop allocates only the escaping output
 // tensors. In training mode the noise rows are additionally captured into
 // the trace so a backward cache miss can re-create the device-side coded
 // inputs bit-identically (see refillStores).
 func (e *engine) forwardOne(code *masking.Code, flight *gpu.BlockFlight, parent *obs.Span, tr *trace, lin nn.Linear,
 	xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
+	if err := e.checkDeadline(); err != nil {
+		return nil, err
+	}
 	osp := parent.Child("offload")
 	if osp != nil {
 		osp.Annotate("key", tr.key)

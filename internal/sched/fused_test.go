@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,9 +18,9 @@ import (
 )
 
 // TestFusedFlightCount is the flight-count gate: DeepMLP has 7 bilinear
-// layers in two fusable 3-layer runs plus a lone head, so a fused forward
-// must cost exactly 3 gang flights where the per-layer path costs 7 — with
-// the per-layer offload count (and the predictions) unchanged.
+// layers in two fusable 3-layer runs plus a lone head, so a forward must
+// cost exactly 3 gang flights where the per-layer arm (perLayer) costs 7 —
+// with the per-layer offload count (and the predictions) unchanged.
 func TestFusedFlightCount(t *testing.T) {
 	images := make([][]float64, 2)
 	rng := rand.New(rand.NewSource(9))
@@ -29,13 +32,16 @@ func TestFusedFlightCount(t *testing.T) {
 		images[i] = img
 	}
 	run := func(fuse bool) ([]int, PhaseStats) {
-		cfg := Config{VirtualBatch: 2, Collusion: 1, FuseBlocks: fuse, Seed: 1}
+		cfg := Config{VirtualBatch: 2, Collusion: 1, Seed: 1}
 		model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
 		inf, err := NewInferencer(cfg, model, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer inf.Close()
+		if !fuse {
+			inf.perLayer()
+		}
 		preds, err := inf.Predict(gpu.NewHonestCluster(3), images)
 		if err != nil {
 			t.Fatal(err)
@@ -67,10 +73,9 @@ func TestFusedFlightCount(t *testing.T) {
 // across K/E/slack operating points — raw shared cluster, fleet-managed
 // gang grants, the straggler-tolerant quorum and dual-window gathers with a
 // deterministically slow device, and speculation to a spare — training
-// DeepMLP with FuseBlocks must
-// report the same losses and leave weights bit-identical to the per-layer
-// dispatch, while spending strictly fewer gang flights on the same number
-// of per-layer offloads.
+// DeepMLP fused must report the same losses and leave weights bit-identical
+// to the per-layer arm (perLayer), while spending strictly fewer gang
+// flights on the same number of per-layer offloads.
 func TestFusedBlockMatchesPerLayer(t *testing.T) {
 	combos := []struct {
 		name           string
@@ -99,7 +104,7 @@ func TestFusedBlockMatchesPerLayer(t *testing.T) {
 			batch := trainData(vbatches * c.k)
 			run := func(fuse bool) (*nn.Model, []float64, PhaseStats, *fleet.Manager) {
 				cfg := Config{VirtualBatch: c.k, Collusion: c.m, Redundancy: c.e,
-					StragglerSlack: c.slack, FuseBlocks: fuse, Seed: 1}
+					StragglerSlack: c.slack, Seed: 1}
 				devs := honestDevices(gang + c.spares)
 				for _, i := range c.slow {
 					devs[i] = gpu.NewSlow(devs[i], c.slowBy)
@@ -111,6 +116,9 @@ func TestFusedBlockMatchesPerLayer(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer pipe.Close()
+				if !fuse {
+					pipe.perLayer()
+				}
 				var src GangSource
 				var fm *fleet.Manager
 				if c.fleetManaged {
@@ -188,6 +196,7 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrlTrainer.Close()
+	ctrlTrainer.perLayer()
 	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +207,6 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 	// grant is released with slot 1 reported faulty, and the whole backward
 	// walks a fresh gang.
 	model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
-	fcfg := cfg
-	fcfg.FuseBlocks = true
 	fm := fleet.NewManager(gpu.NewHonestCluster(gang+2), fleet.Config{ProbationProbability: -1})
 	g1, err := fm.Acquire(context.Background(), "train", gang)
 	if err != nil {
@@ -216,7 +223,7 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 		sw.bw = g2
 	}
 
-	pipe, err := NewTrainPipeline(fcfg, model, nil, "fmiss/", 2)
+	pipe, err := NewTrainPipeline(cfg, model, nil, "fmiss/", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +280,13 @@ func TestForwardReturnsAroundBlockedDevice(t *testing.T) {
 		devs := honestDevices(gang)
 		devs[3] = gatedDevice{Device: devs[3], gate: gate}
 		fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
-		inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, FuseBlocks: fuse, Seed: 1},
+		inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, Seed: 1},
 			nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "blk/")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !fuse {
+			inf.perLayer()
 		}
 		grant, err := fm.Acquire(context.Background(), "t", gang)
 		if err != nil {
@@ -346,12 +356,15 @@ func TestBackwardReportsDeviceErrorOverMiss(t *testing.T) {
 			// A fleet-managed gang, so the forward pass captures what a
 			// refill would need: a miss alone would be recoverable.
 			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
-			cfg := Config{VirtualBatch: 2, FuseBlocks: c.fuse, Seed: 3}
+			cfg := Config{VirtualBatch: 2, Seed: 3}
 			pipe, err := NewTrainPipeline(cfg, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "fold/", 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pipe.Close()
+			if !c.fuse {
+				pipe.perLayer()
+			}
 			_, _, err = pipe.TrainLargeBatch(&managerSource{m: fm, gang: 3}, trainData(2), nn.NewSGD(0.05, 0), 0)
 			if !errors.Is(err, boom) {
 				t.Fatalf("step error = %v, want the device's own error", err)
@@ -360,5 +373,123 @@ func TestBackwardReportsDeviceErrorOverMiss(t *testing.T) {
 				t.Fatalf("%d cache refills: the miss masked the device error", n)
 			}
 		})
+	}
+}
+
+// lateDevice logs the layer of every forward job it is sent; on a job for
+// the layer named late it sleeps until after the batch deadline first.
+type lateDevice struct {
+	gpu.Device
+	late  string // layer key suffix, e.g. "/lin1"
+	until time.Time
+	log   *layerLog
+}
+
+func (d lateDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	layer, _, _ := strings.Cut(key, "#s")
+	d.log.add(layer)
+	if d.late != "" && strings.HasSuffix(layer, d.late) {
+		time.Sleep(time.Until(d.until) + time.Millisecond)
+	}
+	return d.Device.LinearForward(key, kernel, x)
+}
+
+// layerLog collects the forward layer keys the devices were sent.
+type layerLog struct {
+	mu   sync.Mutex
+	keys []string
+}
+
+func (l *layerLog) add(key string) {
+	l.mu.Lock()
+	l.keys = append(l.keys, key)
+	l.mu.Unlock()
+}
+
+func (l *layerLog) count(suffix string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, k := range l.keys {
+		if strings.HasSuffix(k, suffix) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDeadlineChecksEveryLayerOfFusedBlock pins the deadline contract inside
+// a fused block: the gate runs before every layer ships, not once per
+// flight. DeepMLP's first block is lin1–lin3; one device answers lin1 only
+// after the batch's deadline has passed. The batch must fail with
+// context.DeadlineExceeded before lin2 reaches any device, end the block's
+// flight (the grant's Release waits for every open flight), and leave no
+// goroutine behind.
+func TestDeadlineChecksEveryLayerOfFusedBlock(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const gang = 3 // K=2, M=1, E=0
+	deadline := time.Now().Add(200 * time.Millisecond)
+	log := &layerLog{}
+	devs := honestDevices(gang)
+	for i := range devs {
+		d := lateDevice{Device: devs[i], log: log}
+		if i == 0 {
+			d.late, d.until = "/lin1", deadline
+		}
+		devs[i] = d
+	}
+	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+	inf, err := NewInferencer(Config{VirtualBatch: 2, Seed: 1},
+		nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "dl/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := fm.Acquire(context.Background(), "t", gang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := [][]float64{trainData(2)[0].Image, trainData(2)[1].Image}
+	tk, err := inf.SubmitWithin(grant, images, nil, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tk.Done():
+	case <-time.After(guard):
+		t.Fatal("the expired batch never returned")
+	}
+	if err := tk.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch error = %v, want context.DeadlineExceeded", err)
+	}
+	if n := log.count("/lin1"); n != gang {
+		t.Fatalf("lin1 reached %d devices, want all %d (shipped before the deadline)", n, gang)
+	}
+	if n := log.count("/lin2"); n != 0 {
+		t.Fatalf("lin2 reached %d devices after the deadline passed", n)
+	}
+	if ps := inf.PhaseStats(); ps.Flights != 1 || ps.Offloads != 1 {
+		t.Fatalf("%d flights / %d offloads, want 1/1 (the first block, stopped after lin1)", ps.Flights, ps.Offloads)
+	}
+
+	released := make(chan struct{})
+	go func() {
+		grant.Release()
+		close(released)
+	}()
+	select {
+	case <-released:
+	case <-time.After(guard):
+		t.Fatal("grant release is waiting on a flight the expired batch left open")
+	}
+	if st := fm.Stats(); st.AsyncDispatches != 1 {
+		t.Fatalf("%d flights folded into the released grant, want 1", st.AsyncDispatches)
+	}
+	inf.Close()
+	stop := time.Now().Add(guard)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(stop) {
+			t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -15,9 +15,10 @@ import (
 // serialRef is the lane-less reference the runtime's equivalence pins
 // compare against: one engine bound to one cluster, walking forward and
 // backward and aggregating Algorithm 2 in a plain loop — no lanes, no shared
-// token, no noise pool, no gradient redirection. Its token is a private
-// mutex it holds for every batch, so the engine's gather releases and
-// re-acquires it exactly as a lane's would, with nobody to contend.
+// token, no noise pool, no gradient redirection, and no fusion: every
+// bilinear layer flies alone. Its token is a private mutex it holds for
+// every batch, so the engine's gather releases and re-acquires it exactly as
+// a lane's would, with nobody to contend.
 type serialRef struct {
 	engine
 	token sync.Mutex
@@ -32,7 +33,17 @@ func newSerialRef(cfg Config, model *nn.Model, cluster *gpu.Cluster, encl *encla
 	s := &serialRef{engine: newEngine(cfg, model, encl, ""), store: newGradStore(encl)}
 	s.fleet = cluster
 	s.tee = &s.token
+	s.plan = nil
 	return s, nil
+}
+
+// perLayer drops the fused-offload plan from every lane, so each bilinear
+// layer flies alone: the per-layer arm of the fusion equivalence pins. Call
+// before the first batch.
+func (l *lanes) perLayer() {
+	for _, lane := range l.all {
+		lane.plan = nil
+	}
 }
 
 // run opens a fresh step and a fresh code, then runs walk under the token.

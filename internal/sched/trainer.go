@@ -59,14 +59,10 @@ type Config struct {
 	// pass any slack with Redundancy >= 1 ships both decode windows and
 	// decodes from whichever completes first.
 	StragglerSlack int
-	// FuseBlocks enables the fused-offload compile pass: maximal runs of
-	// directly consecutive bilinear layers are grouped into blocks
-	// (nn.CompileFusion) and each block is dispatched as a single gang
-	// flight instead of one flight per layer. The per-layer coding math —
-	// encode, verify, decode, requantize — is unchanged at every layer
-	// boundary inside a block, so fused outputs are bit-identical to
-	// unfused ones; only what a flight costs (fleet handles, device launch
-	// latency) is amortized across the block.
+	// Deprecated: FuseBlocks has no effect. Every runtime compiles the
+	// fused-offload pass (nn.CompileFusion) and flies each maximal run of
+	// consecutive bilinear layers as one gang flight. The field remains
+	// only because the benchmark harness under bench/ still sets it.
 	FuseBlocks bool
 	// Seed drives all randomness (coding coefficients, noise).
 	Seed int64

@@ -21,7 +21,6 @@ func (s *Server) CaptureSnapshot() *obs.Snapshot {
 		Collusion:      sc.Collusion,
 		Redundancy:     sc.Redundancy,
 		StragglerSlack: sc.StragglerSlack,
-		FuseBlocks:     sc.FuseBlocks,
 		FracBits:       sc.FracBits,
 		NormLimit:      sc.NormLimit,
 		Seed:           sc.Seed,

@@ -14,7 +14,6 @@ package darknight
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -255,74 +254,6 @@ func TestStragglerToleranceSpeedup(t *testing.T) {
 	if best < 2 {
 		t.Fatalf("straggler tolerance %.2fx, want >= 2x", best)
 	}
-}
-
-// fusedForwardThroughput pushes `batches` K=2 virtual batches through a
-// one-lane sched.Inferencer on a 3-device gang whose every device carries `delay`
-// per-dispatch latency, with or without the fused-offload compile pass, and
-// returns batches/second.
-func fusedForwardThroughput(tb testing.TB, fuse bool, batches int, delay time.Duration) float64 {
-	tb.Helper()
-	cfg := sched.Config{VirtualBatch: 2, Collusion: 1, FuseBlocks: fuse, Seed: 1}
-	const gang = 3 // K + M = 2 + 1, E = 0
-	devs := make([]gpu.Device, gang)
-	for i := range devs {
-		devs[i] = gpu.NewSlow(gpu.NewHonest(i), delay)
-	}
-	cluster := gpu.NewCluster(devs...)
-	model := nn.DeepMLP(1, 8, 8, 4, 16, rand.New(rand.NewSource(1)))
-	inf, err := sched.NewInferencer(cfg, model, nil, "")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer inf.Close()
-	rng := rand.New(rand.NewSource(2))
-	imgs := make([][][]float64, batches)
-	for b := range imgs {
-		imgs[b] = make([][]float64, cfg.VirtualBatch)
-		for i := range imgs[b] {
-			img := make([]float64, 64)
-			for j := range img {
-				img[j] = rng.Float64()
-			}
-			imgs[b][i] = img
-		}
-	}
-	start := time.Now()
-	for _, images := range imgs {
-		if _, err := inf.Predict(cluster, images); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return float64(batches) / time.Since(start).Seconds()
-}
-
-// TestFusedOffloadSpeedup enforces the fused-offload win: with a synthetic
-// 1ms per-dispatch device latency, fusing DeepMLP's 7 offloads into 3 gang
-// flights must reach at least 2x the per-layer path's throughput on the
-// same gang (theoretical flight ratio 7/3 ≈ 2.33x; the gate leaves margin
-// for the TEE work both paths share). The bench-smoke CI matrix runs it at
-// GOMAXPROCS 4 and 8; it skips below 4 cores per the gate's contract.
-func TestFusedOffloadSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("GOMAXPROCS=%d, gate needs >= 4 (the bench-smoke matrix runs it at 4 and 8)", runtime.GOMAXPROCS(0))
-	}
-	const delay = time.Millisecond
-	best := 0.0
-	for i := 0; i < 3 && best < 2.0; i++ {
-		perLayer := fusedForwardThroughput(t, false, 16, delay)
-		fused := fusedForwardThroughput(t, true, 16, delay)
-		if x := fused / perLayer; x > best {
-			best = x
-		}
-	}
-	if best < 2.0 {
-		t.Fatalf("fused speedup %.2fx, want >= 2x over the per-layer path", best)
-	}
-	t.Logf("fused speedup %.2fx", best)
 }
 
 // gateRequests sizes each overhead-gate measurement run. 192 requests

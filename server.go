@@ -153,11 +153,9 @@ type ServerConfig struct {
 	// responses arrive (needs Redundancy >= 2; one redundant equation is
 	// always kept for verification).
 	StragglerSlack int
-	// Fuse enables the fused-offload compile pass: maximal runs of directly
-	// consecutive bilinear layers ride one gang flight per block instead of
-	// one flight per layer. Outputs are bit-identical either way; only what
-	// a flight costs (fleet handles, device launch latency) is amortized
-	// across the block.
+	// Deprecated: Fuse has no effect. Every server flies each maximal run
+	// of consecutive bilinear layers as one gang flight. The field remains
+	// only because the benchmark harness under bench/ still sets it.
 	Fuse bool
 	// Continuous enables continuous batching: a flushed padded batch keeps
 	// accepting same-tenant riders in place of its pad rows until a worker
@@ -264,7 +262,6 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 			Collusion:      cfg.Collusion,
 			Redundancy:     cfg.Redundancy,
 			StragglerSlack: cfg.StragglerSlack,
-			FuseBlocks:     cfg.Fuse,
 			Seed:           cfg.Seed,
 		},
 		QueueDepth:    cfg.QueueDepth,

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,46 @@ func TestSnapshotReplayChaosDeterminism(t *testing.T) {
 	}
 	if len(rep.QuarantineReplay) == 0 {
 		t.Fatal("replay produced no quarantines — fault schedule did not reproduce")
+	}
+}
+
+// TestPerLayerSnapshotReplaysFused: testdata/snapshots/deep-per-layer.json
+// was captured from a server that flew DeepMLP one layer per flight, in
+// the snapshot format that still recorded the fused-offload switch
+// ("fuse_blocks": false): one worker, K=2, E=2 with audit-and-recover, and
+// device 1 tampering with every fifth job until it is quarantined. The
+// field is gone, and every runtime now fuses, so the replay flies each
+// Dense run as one flight. The snapshot must still load and validate, and
+// everything replay compares — classes, culprits, the quarantine sequence,
+// integrity and refill counts — must come out unchanged.
+func TestPerLayerSnapshotReplaysFused(t *testing.T) {
+	path := filepath.Join("testdata", "snapshots", "deep-per-layer.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"fuse_blocks": false`) {
+		t.Fatal("fixture no longer carries the retired fuse_blocks field")
+	}
+	snap, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatalf("per-layer snapshot does not load: %v", err)
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("per-layer snapshot does not validate: %v", err)
+	}
+	if snap.Model.Arch != "deep" || len(snap.Batches) == 0 {
+		t.Fatalf("fixture is not a deep-model capture with batches: arch %q, %d batches", snap.Model.Arch, len(snap.Batches))
+	}
+	rep := ReplaySnapshot(t, path, nil)
+	if rep.Matched != rep.Batches {
+		t.Fatalf("only %d/%d batches matched", rep.Matched, rep.Batches)
+	}
+	if !rep.EventsCompared {
+		t.Fatal("event window incomplete — the replay compared no event sequences")
+	}
+	if len(rep.QuarantineReplay) == 0 || rep.IntegrityReplay == 0 {
+		t.Fatalf("replay reproduced no tampering: quarantines %v, %d integrity events", rep.QuarantineReplay, rep.IntegrityReplay)
 	}
 }
 
