@@ -345,12 +345,8 @@ func cmdServe(args []string) {
 		fmt.Printf("pipeline: wall %v, overlap ratio %.2f (phase-sum / wall)\n", m.Phases.Wall, m.Overlap)
 	}
 	if m.Phases.Flights > 0 {
-		fmt.Printf("flights: %d gang flights for %d offloads (%.2f layers/flight)",
+		fmt.Printf("flights: %d gang flights for %d offloads (%.2f layers/flight)\n",
 			m.Phases.Flights, m.Phases.Offloads, float64(m.Phases.Offloads)/float64(m.Phases.Flights))
-		if m.Phases.FusedBlocks > 0 {
-			fmt.Printf("; %d fused blocks carried %d layers", m.Phases.FusedBlocks, m.Phases.FusedLayers)
-		}
-		fmt.Println()
 	}
 	if m.ContinuousAdmits > 0 {
 		fmt.Printf("continuous batching: %d riders admitted into flushed batches\n", m.ContinuousAdmits)

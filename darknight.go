@@ -472,9 +472,10 @@ func MobileNetV2(c, h, w, classes, width int, seed int64) *Model {
 	return &Model{m: nn.MobileNetV2Scaled(c, h, w, classes, width, rand.New(rand.NewSource(seed)))}
 }
 
-// DeepMLP builds a factorized deep MLP whose back-to-back Dense runs make
-// it the fused-offload showcase: each 3-layer Dense stack rides one gang
-// flight, so a forward or backward pass costs 3 flights instead of 7.
+// DeepMLP builds a factorized deep MLP: two stacks of three back-to-back
+// Dense layers and a head, 7 bilinear layers in all — the most offloads
+// per virtual batch among the bundled models, every one of them riding
+// the batch's single gang flight.
 func DeepMLP(c, h, w, classes, width int, seed int64) *Model {
 	return &Model{m: nn.DeepMLP(c, h, w, classes, width, rand.New(rand.NewSource(seed)))}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"darknight/internal/masking"
-	"darknight/internal/nn"
 )
 
 func TestSystemEndToEnd(t *testing.T) {
@@ -193,78 +192,40 @@ func TestSystemComposesAtEveryDepth(t *testing.T) {
 	}
 }
 
-// oneFlightPerLayer rebuilds a model around the same layers and weights
-// with every top-level bilinear child wrapped in a Sequential of its own:
-// no two bilinear layers are consecutive children any more, so nothing
-// fuses and each layer flies alone — the per-layer reference of the facade.
-func oneFlightPerLayer(m *Model) *Model {
-	seq := nn.NewSequential(m.m.Stack.Name())
-	for _, l := range m.m.Stack.Layers() {
-		if _, ok := l.(nn.Linear); ok {
-			l = nn.NewSequential(l.Name(), l)
-		}
-		seq.Append(l)
-	}
-	return &Model{m: nn.NewModel(m.m.Name, m.m.InShape, m.m.Classes, seq)}
-}
-
-// TestSystemFusesConsecutiveBilinearLayers: a System with the default
-// Config flies every run of consecutive bilinear layers as one gang flight,
-// so which models change is a property of their layer structure. DeepMLP's
-// two 3-layer Dense runs and its head make 3 flights per pass — 6 per
-// virtual batch, 4 of them fused blocks — with weights bit-identical to the
-// same layers flown one per flight. VGG and TinyCNN put a TEE-side layer
-// between every two bilinear layers: they fuse nothing and keep one flight
-// per layer per pass.
+// TestSystemFusesConsecutiveBilinearLayers (its name predates the batch
+// flight, which replaced fusion): a System with the default Config flies
+// each virtual batch — every offload of its forward and backward passes —
+// as one gang flight, whatever the model's layer structure: DeepMLP's
+// consecutive Dense runs, VGG's and TinyCNN's TEE-side layers between every
+// two bilinear layers, ResNet's residual bodies and projection skips.
+// Flights equal virtual batches; offloads are 2 × the bilinear layers per
+// virtual batch.
 func TestSystemFusesConsecutiveBilinearLayers(t *testing.T) {
 	batch := SyntheticDataset(8, 4, 1, 8, 8, 5)
 	const steps, vbatches = 2, 4 // 8 examples at K = 2 per step
 	per := func(n int64) int64 { return n * steps * vbatches }
-	train := func(t *testing.T, model *Model) TrainPhaseStats {
-		t.Helper()
-		sys, err := NewSystem(model, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		for step := 0; step < steps; step++ {
-			if _, err := sys.TrainBatch(batch); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		}
-		return sys.TrainPhases()
-	}
-
-	t.Run("deep", func(t *testing.T) {
-		fused, ref := DeepMLP(1, 8, 8, 4, 16, 1), oneFlightPerLayer(DeepMLP(1, 8, 8, 4, 16, 1))
-		ps, refPS := train(t, fused), train(t, ref)
-		if ps.Flights != per(6) || ps.FusedBlocks != per(4) || ps.FusedLayers != per(12) || ps.Offloads != per(14) {
-			t.Fatalf("fused: %d flights / %d blocks / %d fused layers / %d offloads, want %d/%d/%d/%d",
-				ps.Flights, ps.FusedBlocks, ps.FusedLayers, ps.Offloads, per(6), per(4), per(12), per(14))
-		}
-		if refPS.Flights != per(14) || refPS.FusedBlocks != 0 {
-			t.Fatalf("per-layer reference: %d flights / %d blocks, want %d/0", refPS.Flights, refPS.FusedBlocks, per(14))
-		}
-		got, want := fused.Weights(), ref.Weights()
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("weight %d: fused %v, per-layer %v", i, got[i], want[i])
-			}
-		}
-	})
 	for _, c := range []struct {
 		arch    string
 		linears int64
-	}{{"vgg", 6}, {"tiny", 2}} {
+	}{{"deep", 7}, {"vgg", 6}, {"tiny", 2}, {"resnet", 16}} {
 		t.Run(c.arch, func(t *testing.T) {
 			model, err := BuildModel(c.arch, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps := train(t, model)
-			if ps.FusedBlocks != 0 || ps.Flights != per(2*c.linears) || ps.Offloads != per(2*c.linears) {
-				t.Fatalf("%d flights / %d blocks / %d offloads, want %d/0/%d (one flight per layer per pass)",
-					ps.Flights, ps.FusedBlocks, ps.Offloads, per(2*c.linears), per(2*c.linears))
+			sys, err := NewSystem(model, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			for step := 0; step < steps; step++ {
+				if _, err := sys.TrainBatch(batch); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			if ps := sys.TrainPhases(); ps.Flights != per(1) || ps.Offloads != per(2*c.linears) {
+				t.Fatalf("%d flights / %d offloads, want %d/%d (one flight per virtual batch)",
+					ps.Flights, ps.Offloads, per(1), per(2*c.linears))
 			}
 		})
 	}

@@ -26,7 +26,6 @@ var Canonical = map[string]bool{
 	"darknight_tee_phase_seconds_total": true,
 	"darknight_tee_offloads_total":      true,
 	"darknight_offload_flights_total":   true,
-	"darknight_fused_block_size":        true,
 	"darknight_continuous_admits_total": true,
 
 	// serve: noise pool.

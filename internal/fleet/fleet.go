@@ -87,7 +87,7 @@ type Config struct {
 	// response wins). 0 disables speculation. Speculation only engages on
 	// forward layers gathered with a quorum below the gang size — in
 	// DarKnight terms, when the pipeline runs with StragglerSlack >= 1 and
-	// Redundancy >= 2 — inside fused blocks as well as outside them.
+	// Redundancy >= 2 — on any layer of a batch's flight.
 	SpeculateAfter time.Duration
 	// Seed drives the probation re-admission draws, making fleet runs
 	// reproducible.

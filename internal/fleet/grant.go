@@ -112,10 +112,11 @@ func (g *Grant) straggle(slot int) {
 // manager's SpeculateAfter window is set — a forward layer's lagging share
 // is re-dispatched to a borrowed spare device, first response winning.
 //
-// Bookkeeping is per flight, not per layer: a fused block counts once
-// toward Stats.AsyncDispatches and PeakOverlap. The caller must End the flight
-// before Release; Release waits for every open flight to end (not for
-// devices a quorum decoded around — those finish on their own time).
+// Bookkeeping is per flight, not per layer: a virtual batch's flight counts
+// once toward Stats.AsyncDispatches and PeakOverlap, however many layers it
+// carries. The caller must End the flight before Release; Release waits
+// for every open flight to end (not for devices a quorum decoded around
+// that may block — those finish on their own time).
 func (g *Grant) BeginBlock(n int) (*gpu.BlockFlight, error) {
 	if n > len(g.devs) {
 		return nil, fmt.Errorf("fleet: flight of %d slots for gang of %d", n, len(g.devs))

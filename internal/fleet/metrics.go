@@ -52,7 +52,7 @@ type Stats struct {
 	// fleet via SubscribeSLO (rising edges only).
 	SLOBreaches int64
 	// AsyncDispatches counts the gang flights opened across all released
-	// grants (a fused block is one flight); PeakOverlap is the largest number
+	// grants (a virtual batch is one flight); PeakOverlap is the largest number
 	// of flights any single grant had open at once — > 1 means a pipelined
 	// engine genuinely kept multiple coded batches in flight on one gang.
 	AsyncDispatches int64

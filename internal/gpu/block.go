@@ -9,16 +9,18 @@ import (
 )
 
 // BlockFlight is the one way a coded vector reaches a device: a
-// conversation with every device of a gang over which the TEE ships the
-// bilinear layers of a block in turn — one layer for a per-layer offload,
-// several for a fused block. Each slot runs its jobs in FIFO order on a
+// conversation with every device of a gang over which the TEE ships
+// bilinear layers in turn — in the runtime, every forward and backward
+// offload of one virtual batch. Each slot runs its jobs in FIFO order on a
 // worker that starts with the slot's first job and exits when its queue is
 // empty, so shipping never blocks on a straggling device: a slot still
 // chewing on layer l simply accumulates its layer l+1 job while the quorum
-// gather decodes around it. Everything flight-scoped — the trips' launch
-// latency, the fleet's handle accounting — is paid once per flight; the
-// per-layer math (encode, decode, verify) is untouched, which is what keeps
-// fused outputs bit-identical to per-layer ones.
+// gather decodes around it, and a device's forward job for a layer (which
+// stores the coded input) always runs before its own gradient job for it.
+// Everything flight-scoped — the trips' launch latency, the fleet's handle
+// accounting — is paid once per flight; the per-layer math (encode,
+// decode, verify) is untouched, which is what keeps outputs bit-identical
+// to flying every layer alone.
 //
 // A flight has one owner: ship and gather from a single goroutine.
 type BlockFlight struct {
@@ -68,6 +70,7 @@ type tripSlot struct {
 	mu    sync.Mutex
 	queue []job
 	busy  bool
+	idle  chan struct{} // closed when the worker exits, while drain waits
 }
 
 func (s *tripSlot) enqueue(j job) {
@@ -88,6 +91,10 @@ func (s *tripSlot) work(j job) {
 		s.mu.Lock()
 		if len(s.queue) == 0 {
 			s.busy = false
+			if s.idle != nil {
+				close(s.idle)
+				s.idle = nil
+			}
 			s.mu.Unlock()
 			return
 		}
@@ -147,14 +154,56 @@ func (f *BlockFlight) GradLayer(key string, kernel BilinearKernel, prim, sec []f
 	return p, nil
 }
 
+// drain waits until every slot whose trip cannot block has run every job
+// shipped down the flight. Such a trip's calls wait on nothing outside it —
+// the honest kernel, and a slow device's trip over one, which holds answers,
+// not work — so drain waits only for the slot workers to be scheduled, never
+// for a device: a trip that may block (a chaos actuator, a test device) is
+// not waited for.
+func (f *BlockFlight) drain() {
+	for i := range f.slots {
+		s := &f.slots[i]
+		if !prompt(s.trip) {
+			continue
+		}
+		s.mu.Lock()
+		if !s.busy {
+			s.mu.Unlock()
+			continue
+		}
+		if s.idle == nil {
+			s.idle = make(chan struct{})
+		}
+		idle := s.idle
+		s.mu.Unlock()
+		<-idle
+	}
+}
+
+// prompt reports whether no call on the trip can block.
+func prompt(t DeviceTrip) bool {
+	switch v := t.(type) {
+	case *honest:
+		return true
+	case *slowTrip:
+		return prompt(v.inner)
+	}
+	return false
+}
+
 // End closes the conversation and fires the OnEnd hook. It waits for no
-// device: a layer that was gathered has nothing left running except jobs a
-// quorum decoded around, and those drain on their own time. Idempotent.
+// device call that can block: a layer that was gathered has nothing left
+// running except jobs a quorum decoded around, and on a device that may
+// block those finish on their own time. It does wait for the slots whose
+// calls cannot block to run every job shipped to them (drain), so the
+// devices' work for the flight — and their traffic counters — is complete
+// when the flight ends. Idempotent.
 func (f *BlockFlight) End() {
 	if f.ended {
 		return
 	}
 	f.ended = true
+	f.drain()
 	if f.opts.OnEnd != nil {
 		f.opts.OnEnd()
 	}

@@ -341,3 +341,44 @@ func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 		}
 	}
 }
+
+// TestFlightEndRunsEveryPromptJob: End returns once every slot whose
+// trip cannot block has run every job shipped — before a slow device's
+// launch latency has let a single answer out — and never waits for a slot
+// that may block.
+func TestFlightEndRunsEveryPromptJob(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	devs := []Device{NewHonest(0), NewHonest(1)}
+	gate := make(chan struct{})
+	defer close(gate)
+	blocked := &scriptTrip{DeviceTrip: BeginTrip(NewHonest(2)), gate: gate}
+	f := NewBlockFlight([]DeviceTrip{BeginTrip(NewSlow(devs[0], delay)), BeginTrip(devs[1]), blocked}, BlockOptions{})
+	ident := func(x field.Vec) field.Vec { return x }
+	start := time.Now()
+	for _, key := range []string{"l1", "l2", "l3"} {
+		if _, err := f.ForwardLayer(key, ident, vecs(3, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ended := make(chan struct{})
+	go func() {
+		f.End()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * delay):
+		t.Fatal("End waited for the blocked slot")
+	}
+	if el := time.Since(start); el >= delay {
+		t.Fatalf("End returned %v after shipping: it waited for held answers (%v)", el, delay)
+	}
+	for i, d := range devs {
+		if jobs := d.Traffic().Jobs; jobs != 3 {
+			t.Fatalf("device %d ran %d jobs by the time End returned, want 3", i, jobs)
+		}
+	}
+	if n := blocked.jobs.Load(); n != 0 {
+		t.Fatalf("the blocked slot ran %d jobs", n)
+	}
+}

@@ -8,15 +8,15 @@ import (
 )
 
 // DeviceTrip is one persistent dispatch conversation with a device: the
-// channel a fused-block flight keeps open so several per-layer kernels ride
-// a single round trip. A trip exposes the same job surface as the device,
-// but cost-model wrappers account differently: the slow device charges its
-// per-dispatch launch latency once per trip rather than once per job —
-// the persistent-kernel / graph-launch amortization that makes fusing
-// consecutive linear layers into one flight worthwhile. Behavioural
-// wrappers (fault injection, collusion capture) keep their per-job
-// semantics, so a trip never changes *what* a device computes, only what
-// a conversation with it costs.
+// channel a flight keeps open so every kernel of a virtual batch — forward
+// and backward — rides a single round trip. A trip exposes the same job
+// surface as the device, but cost-model wrappers account differently: the
+// slow device charges its per-dispatch launch latency once per trip rather
+// than once per job — the persistent-kernel / graph-launch amortization
+// that makes one flight per batch worthwhile. Behavioural wrappers (fault
+// injection, collusion capture) keep their per-job semantics, so a trip
+// never changes *what* a device computes, only what a conversation with it
+// costs.
 type DeviceTrip interface {
 	// LinearForward is Device.LinearForward within the trip.
 	LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec
@@ -30,14 +30,15 @@ type DeviceTrip interface {
 func (d *honest) BeginTrip() DeviceTrip { return d }
 
 // BeginTrip keeps fault injection per-job: a tampering device corrupts the
-// same job sequence whether the jobs arrive one flight each or batched in
-// a block, so integrity detection sees an identical adversary either way.
+// same job sequence whether the jobs arrive one flight each or all on a
+// batch's flight, so integrity detection sees an identical adversary
+// either way.
 func (m *malicious) BeginTrip() DeviceTrip { return &wrapTrip{m} }
 
 // BeginTrip charges the straggler's launch delay once for the whole trip
 // instead of once per job: the delay models dispatch overhead — kernel
-// launch, transfer setup — which a persistent block conversation pays a
-// single time.
+// launch, transfer setup — which a persistent conversation pays a single
+// time: once per virtual batch.
 func (s *slow) BeginTrip() DeviceTrip {
 	return &slowTrip{inner: BeginTrip(s.Device), delay: s.delay}
 }
@@ -76,7 +77,8 @@ func (t *wrapTrip) GradWeights(key string, kernel BilinearKernel, delta field.Ve
 // slowTrip runs every job the moment its slot reaches it and holds the
 // answers until ready, the launch latency after the trip's first job: the
 // latency delays what the TEE hears back, not the device's work, so jobs
-// queued behind the first one never wait out the launch themselves. A trip
+// queued behind the first one — the rest of the batch's forward layers and
+// its gradient jobs — never wait out the launch themselves. A trip
 // is driven by one slot worker at a time, so ready needs no lock; held is
 // shared with the timer that releases it.
 type slowTrip struct {

@@ -184,10 +184,8 @@ func TinyCNN(c, h, w, classes int, rng *rand.Rand) *Model {
 // DeepMLP builds a factorized deep MLP: the flattened input feeds two
 // stacks of three consecutive Dense layers (a low-rank factorized linear
 // operator — W3·W2·W1 evaluated factor by factor), each stack followed by
-// one ReLU, and a Dense classifier head. The back-to-back Dense runs make
-// it the fusion showcase: the compile pass groups each 3-layer run into
-// one FusedBlock, so a forward pass that costs 7 gang flights per-layer
-// costs 3 fused (two blocks + the lone head).
+// one ReLU, and a Dense classifier head: 7 bilinear layers, the most
+// offloads per virtual batch among the bundled models.
 func DeepMLP(c, h, w, classes, width int, rng *rand.Rand) *Model {
 	if width <= 0 {
 		width = 16

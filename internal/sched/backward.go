@@ -27,16 +27,17 @@ import (
 // stored during forward, so no device result is on the walk's critical path.
 // The settle stage then gathers, decodes and accumulates every shipped
 // layer in walk order. The first error in walk order is returned; every
-// flight the walk opened is ended on every path.
+// per-layer flight the walk opened (reference arm only) is ended on every
+// path.
 func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor) error {
 	_, err := e.backwardLayer(code, tr, grads)
 	var settleErr error
-	for _, b := range e.pending {
-		for d := len(b.layers) - 1; d >= 0 && settleErr == nil; d-- {
-			settleErr = e.gatherBackward(code, b.flight, &b.layers[d], b.dual)
+	for i := range e.pending {
+		l := &e.pending[i]
+		if settleErr == nil {
+			settleErr = e.gatherBackward(code, l)
 		}
-		b.flight.End()
-		b.sp.End()
+		e.endLayerFlight(l.flight)
 	}
 	clear(e.pending)
 	e.pending = e.pending[:0]
@@ -54,15 +55,7 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 		cur := grads
 		var err error
 		for i := len(tr.children) - 1; i >= 0; i-- {
-			// A trace marked blockLen=d closes a fused run of d bilinear
-			// layers: their gradient equations ride one flight.
-			if d := tr.children[i].blockLen; d > 1 {
-				cur, err = e.offloadBackward(code, tr.children[i-d+1:i+1], cur)
-				i -= d - 1
-			} else {
-				cur, err = e.backwardLayer(code, tr.children[i], cur)
-			}
-			if err != nil {
+			if cur, err = e.backwardLayer(code, tr.children[i], cur); err != nil {
 				return nil, err
 			}
 		}
@@ -87,8 +80,8 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 		}
 		return out, nil
 	default:
-		if _, ok := tr.layer.(nn.Linear); ok {
-			return e.offloadBackward(code, []*trace{tr}, grads)
+		if lin, ok := tr.layer.(nn.Linear); ok {
+			return e.offloadBackward(code, tr, lin, grads)
 		}
 		out := make([]*tensor.Tensor, len(grads))
 		for i := range grads {
@@ -103,41 +96,30 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 	}
 }
 
-// bwdLayer is one layer's backward state within a block: the public
-// combined delta equations of both decode windows (sec is nil without
-// straggler tolerance) and the unscaling factors the decode needs.
+// bwdLayer is one shipped layer's backward state awaiting settlement: the
+// public combined delta equations of both decode windows (sec is nil
+// without straggler tolerance), the unscaling factors the decode needs, and
+// the flight the equations ride.
 type bwdLayer struct {
 	tr        *trace
 	lin       nn.Linear
 	prim, sec []field.Vec
 	fd, fx    float64
 	sp        *obs.Span
+	flight    *gpu.BlockFlight
 	pend      *gpu.LayerPending // the shipped equations
 }
 
-// bwdBlock is one shipped backward block awaiting settlement: its open
-// flight, its layers in forward order, and its span (nil for one layer).
-type bwdBlock struct {
-	flight *gpu.BlockFlight
-	layers []bwdLayer
-	dual   bool
-	sp     *obs.Span
-}
-
-// offloadBackward ships the weight-gradient equations (Eq 4–6) of a block
-// of bilinear layers — a fused run, or a single layer — down one gang
-// flight and queues the block on e.pending for backward to settle. trs is
-// the block's forward traces in forward order; grads is the gradient
-// flowing into its LAST layer. Returns the per-example input gradients
-// below its first layer.
+// offloadBackward ships one bilinear layer's weight-gradient equations
+// (Eq 4–6) down the batch's flight and queues the layer on e.pending for
+// backward to settle. grads is the gradient flowing into the layer; the
+// per-example input gradients below it are returned.
 //
-// The TEE stage walks the block last layer first — bias gradients, delta
-// quantization, the public Eq (4) combinations, and the input-gradient
-// chain to the layer below — before anything is shipped; the device stage
-// then ships every layer's equations down the flight (slot queues are
-// unbounded, so nothing here waits on a device). The flight stays open
-// until backward has gathered the block and folded each layer's equations
-// with the secret γ.
+// The TEE stage — the bias gradient, delta quantization, the public Eq (4)
+// combinations and the input-gradient chain to the layer below — runs
+// before anything is shipped; shipping never waits on a device (slot queues
+// are unbounded). The flight stays open until backward has gathered the
+// layer and folded its equations with the secret γ.
 //
 // With straggler slack and E >= 1 each layer ships both decode windows —
 // the S primary equations on slots [0, S) and the S redundant-decoding
@@ -147,88 +129,56 @@ type bwdBlock struct {
 // equation bakes its δ combination in), so tolerance is window-granular:
 // stragglers among either window's E exclusive slots are absorbed, and a
 // completed spare window doubles as verification.
-func (e *engine) offloadBackward(code *masking.Code, trs []*trace, grads []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	depth := len(trs)
+func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, cur []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	k := e.cfg.VirtualBatch
-	parent := e.sp
-	var blockSp *obs.Span
-	if depth > 1 {
-		if blockSp = e.sp.Child("offload-backward-block"); blockSp != nil {
-			blockSp.Annotatef("depth", "%d", depth)
-			parent = blockSp
-		}
-	}
-	dual := e.cfg.StragglerSlack > 0 && code.E >= 1
-	gang := code.S
-	if dual {
-		gang = code.NumCoded()
-	}
-
 	t0 := time.Now()
-	layers := make([]bwdLayer, depth)
-	cur := grads
-	for d := depth - 1; d >= 0; d-- {
-		tr := trs[d]
-		lin, ok := tr.layer.(nn.Linear)
-		if !ok {
-			return nil, fmt.Errorf("sched: fused block trace %q is not a bilinear layer", tr.key)
-		}
-		l := &layers[d]
-		l.tr, l.lin = tr, lin
-		l.sp = parent.Child("offload-backward")
-		l.sp.Annotate("key", tr.key)
-		esp := l.sp.Child("encode")
-		// Bias gradient: TEE-side, cheap, uses only the public δ.
-		for i := 0; i < k; i++ {
-			lin.AddGradB(cur[i], 1)
-		}
-		// Shared normalization so the decoded SUM can be unscaled exactly.
-		l.fd = sharedNormFactor(cur, e.cfg.NormLimit)
-		l.fx = sharedNormFactor(tr.inputs, e.cfg.NormLimit)
-		quantDeltas := make([]field.Vec, k)
-		scratch := make([]float64, lin.OutLen())
-		for i := 0; i < k; i++ {
-			for j, v := range cur[i].Data {
-				scratch[j] = v / l.fd
-			}
-			quantDeltas[i] = e.q.Quantize(scratch)
-		}
-		// Each GPU j computes Eq_j on (Σ_i β_ji·δ_i, x̄_j). The combination
-		// happens GPU-side in the paper; B and δ are public either way.
-		l.prim = combineDeltas(code.B, code.S, lin.OutLen(), quantDeltas)
-		if dual {
-			l.sec = combineDeltas(code.SecondaryB(), code.S, lin.OutLen(), quantDeltas)
-		}
-		// Input gradient: input-independent linear op, offloadable without
-		// coding (paper §4.2, computation (2)); computed here functionally.
-		next := make([]*tensor.Tensor, k)
-		for i := 0; i < k; i++ {
-			next[i] = lin.BackwardInputOnly(cur[i])
-		}
-		cur = next
-		esp.End()
+	l := bwdLayer{tr: tr, lin: lin, sp: e.sp.Child("offload-backward")}
+	l.sp.Annotate("key", tr.key)
+	esp := l.sp.Child("encode")
+	// Bias gradient: TEE-side, cheap, uses only the public δ.
+	for i := 0; i < k; i++ {
+		lin.AddGradB(cur[i], 1)
 	}
+	// Shared normalization so the decoded SUM can be unscaled exactly.
+	l.fd = sharedNormFactor(cur, e.cfg.NormLimit)
+	l.fx = sharedNormFactor(tr.inputs, e.cfg.NormLimit)
+	quantDeltas := make([]field.Vec, k)
+	scratch := make([]float64, lin.OutLen())
+	for i := 0; i < k; i++ {
+		for j, v := range cur[i].Data {
+			scratch[j] = v / l.fd
+		}
+		quantDeltas[i] = e.q.Quantize(scratch)
+	}
+	// Each GPU j computes Eq_j on (Σ_i β_ji·δ_i, x̄_j). The combination
+	// happens GPU-side in the paper; B and δ are public either way.
+	l.prim = combineDeltas(code.B, code.S, lin.OutLen(), quantDeltas)
+	if e.cfg.StragglerSlack > 0 && code.E >= 1 { // both decode windows
+		l.sec = combineDeltas(code.SecondaryB(), code.S, lin.OutLen(), quantDeltas)
+	}
+	// Input gradient: input-independent linear op, offloadable without
+	// coding (paper §4.2, computation (2)); computed here functionally.
+	next := make([]*tensor.Tensor, k)
+	for i := 0; i < k; i++ {
+		next[i] = lin.BackwardInputOnly(cur[i])
+	}
+	esp.End()
 	e.phases.Encode += time.Since(t0)
 
-	flight, err := e.fleet.BeginBlock(gang)
+	flight, err := e.layerFlight()
 	if err != nil {
 		return nil, err
 	}
-	e.phases.Flights++
-	if depth > 1 {
-		e.phases.FusedBlocks++
-		e.phases.FusedLayers += int64(depth)
-	}
+	l.flight = flight
 	t1 := time.Now()
-	for d := depth - 1; d >= 0; d-- {
-		if err := e.shipBackward(flight, &layers[d]); err != nil {
-			flight.End()
-			return nil, err
-		}
-	}
+	err = e.shipBackward(&l)
 	e.phases.Dispatch += time.Since(t1)
-	e.pending = append(e.pending, bwdBlock{flight: flight, layers: layers, dual: dual, sp: blockSp})
-	return cur, nil
+	if err != nil {
+		e.endLayerFlight(flight)
+		return nil, err
+	}
+	e.pending = append(e.pending, l)
+	return next, nil
 }
 
 // combineDeltas forms the s public delta combinations Σ_i b_ji·δ_i — row j
@@ -244,10 +194,10 @@ func combineDeltas(b *field.Mat, s, n int, quantDeltas []field.Vec) []field.Vec 
 	return bars
 }
 
-// shipBackward ships one layer's gradient equations down the flight.
-func (e *engine) shipBackward(flight *gpu.BlockFlight, l *bwdLayer) error {
+// shipBackward ships one layer's gradient equations down its flight.
+func (e *engine) shipBackward(l *bwdLayer) error {
 	lin := l.lin
-	pend, err := flight.GradLayer(l.tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
+	pend, err := l.flight.GradLayer(l.tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
 	l.pend = pend
 	return err
 }
@@ -258,7 +208,7 @@ func (e *engine) shipBackward(flight *gpu.BlockFlight, l *bwdLayer) error {
 // reshuffle, or a quorum laggard that never stored) — triggers one
 // refillStores pass, and the layer's equations are re-shipped down the
 // still-open flight.
-func (e *engine) gatherBackward(code *masking.Code, flight *gpu.BlockFlight, l *bwdLayer, dual bool) error {
+func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 	// Ending the layer's span also ends any phase child left open by an
 	// error return; layers never reached are ended with the batch's span.
 	defer l.sp.End()
@@ -269,7 +219,7 @@ func (e *engine) gatherBackward(code *masking.Code, flight *gpu.BlockFlight, l *
 		if rerr := e.refillStores(code, l.tr, l.fx); rerr != nil {
 			return fmt.Errorf("sched: backward cache refill for %q: %w", l.tr.key, rerr)
 		}
-		if err = e.shipBackward(flight, l); err == nil {
+		if err = e.shipBackward(l); err == nil {
 			eqs, present, err = e.gather(l.pend, code.S, time.Now())
 		}
 	}
@@ -281,7 +231,7 @@ func (e *engine) gatherBackward(code *masking.Code, flight *gpu.BlockFlight, l *
 	csp := l.sp.Child("decode")
 	t2 := time.Now()
 	sum := field.NewVec(l.lin.WLen())
-	if dual {
+	if l.sec != nil {
 		if present == nil { // both windows answered in full
 			present = make([]bool, len(eqs))
 			for i := range present {
@@ -341,12 +291,11 @@ func (e *engine) refillStores(code *masking.Code, tr *trace, fx float64) error {
 		Kind: obs.KindRefill, Subsystem: "sched", Device: -1, Slot: -1,
 		Detail: fmt.Sprintf("re-created device stores for %q", tr.key),
 	})
-	flight, err := e.fleet.BeginBlock(len(coded))
+	flight, err := e.beginFlight()
 	if err != nil {
 		return err
 	}
 	defer flight.End()
-	e.phases.Flights++
 	t1 := time.Now()
 	pend, err := flight.ForwardLayer(tr.key, func(x field.Vec) field.Vec { return x }, coded)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"darknight/internal/dataset"
 	"darknight/internal/field"
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
@@ -24,17 +25,17 @@ const deepMLPLinears = 7
 // instead of hanging it. It never paces the test.
 const guard = 30 * time.Second
 
-// gradGate holds every weight-gradient job on a test-owned channel and
-// reports each arrival before blocking.
-type gradGate struct {
+// gradLog records when every weight-gradient job reaches a device.
+type gradLog struct {
 	gpu.Device
-	arrived chan<- struct{}
-	release <-chan struct{}
+	mu    *sync.Mutex
+	calls map[int][]time.Time // by device ID
 }
 
-func (d gradGate) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
-	d.arrived <- struct{}{}
-	<-d.release
+func (d gradLog) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+	d.mu.Lock()
+	d.calls[d.ID()] = append(d.calls[d.ID()], time.Now())
+	d.mu.Unlock()
 	return d.Device.GradWeights(key, kernel, delta)
 }
 
@@ -52,140 +53,127 @@ func sameBits(t *testing.T, tag string, a, b *nn.Model) {
 }
 
 // TestBackwardShipsEveryLayerBeforeGathering pins the overlapped backward
-// pass: with every device's gradient jobs held on a gate, one virtual
-// batch's backward must put the jobs of every flight on the devices before
-// any of them is released — a walk that gathered each flight before
-// shipping the next would stall at the first one's gang. On the per-layer
-// arm (perLayer) every layer is a flight, so all 7 × gang jobs arrive. Fused,
-// a slot runs a flight's jobs in order, so what arrives is each of the 3
-// flights' first job on every slot: 3 × gang. Once released, the trained
-// weights must equal an ungated run's bit for bit.
+// pass: every layer's gradient jobs reach every slot before the first
+// backward gather returns — a walk that gathered each layer before shipping
+// the next would stall at the first one. With E=2 and slack 1 the forward
+// decodes around slot 2, so one slow device there (gpu.NewSlow: its trip
+// runs each job at once and holds the answers until its launch latency has
+// passed since its first job) never delays the forward. It does delay the
+// first backward gather: slot 2 serves both decode windows, so no window
+// completes before the latency has passed since the step began. Every
+// gradient job must therefore reach its device before then — 7 layers × 2
+// windows × S = 3 equations per virtual batch, 14 of them on slot 2 — and
+// the trained weights must equal an undelayed run's bit for bit.
 func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
-	cfg := Config{VirtualBatch: 2, Collusion: 1, Seed: 3}
-	const gang = 3
+	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 3}
+	const gang, slowSlot, latency = 5, 2, 300 * time.Millisecond
 	model := func() *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))) }
-	batch := trainData(2 * cfg.VirtualBatch)
 
-	control := model()
-	ctrl, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	if _, _, err := ctrl.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// gated returns n honest devices behind one gate, the arrival stream
-	// and the release switch. The stream holds one token per gradient job
-	// the run sends, so reporting an arrival never blocks a device.
-	gated := func(n int) ([]gpu.Device, <-chan struct{}, func()) {
-		arrived := make(chan struct{}, len(batch)/cfg.VirtualBatch*deepMLPLinears*gang)
-		release := make(chan struct{})
+	// devices returns n logging devices, those at slot 2 of each gang slow.
+	devices := func(n int) ([]gpu.Device, map[int][]time.Time, *sync.Mutex) {
+		mu, calls := &sync.Mutex{}, map[int][]time.Time{}
 		devs := honestDevices(n)
 		for i := range devs {
-			devs[i] = gradGate{Device: devs[i], arrived: arrived, release: release}
+			devs[i] = gradLog{Device: devs[i], mu: mu, calls: calls}
+			if i%gang == slowSlot {
+				devs[i] = gpu.NewSlow(devs[i], latency)
+			}
 		}
-		return devs, arrived, func() { close(release) }
+		return devs, calls, mu
 	}
-	// run trains on the gated devices, waits until want gradient jobs have
-	// arrived, and only then opens the gate.
-	run := func(t *testing.T, arrived <-chan struct{}, release func(), want int, train func() error) {
+	// check trains on the devices and asserts every gradient job arrived
+	// within the latency of the step's start.
+	check := func(t *testing.T, vbatches int, calls map[int][]time.Time, mu *sync.Mutex, m *nn.Model, train func([]dataset.Example) error) {
 		t.Helper()
-		done := make(chan error, 1)
-		go func() { done <- train() }()
-		timeout := time.After(guard)
-		for n := 0; n < want; n++ {
-			select {
-			case <-arrived:
-			case err := <-done:
-				t.Fatalf("training returned (%v) with %d of %d gradient jobs ever held", err, n, want)
-			case <-timeout:
-				release()
-				t.Fatalf("only %d of %d gradient jobs reached the devices before any was released", n, want)
+		batch := trainData(vbatches * cfg.VirtualBatch)
+		control := model()
+		ctrl, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctrl.Close()
+		if _, _, err := ctrl.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := train(batch); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "delayed", control, m)
+		mu.Lock()
+		defer mu.Unlock()
+		total := 0
+		for id, at := range calls {
+			total += len(at)
+			if id%gang == slowSlot && len(at) != 2*deepMLPLinears {
+				t.Fatalf("slow device %d ran %d gradient jobs, want %d (both windows of every layer)", id, len(at), 2*deepMLPLinears)
+			}
+			for _, c := range at {
+				if c.Sub(start) >= latency {
+					t.Fatalf("device %d ran a gradient job %v into the step: after the first backward gather could return", id, c.Sub(start))
+				}
 			}
 		}
-		release()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(guard):
-			t.Fatal("training did not finish after the gate opened")
+		if want := vbatches * deepMLPLinears * 2 * 3; total != want {
+			t.Fatalf("%d gradient jobs reached the devices, want %d", total, want)
 		}
 	}
 
-	for _, arm := range []struct {
-		prefix  string // subtest name prefix
-		fuse    bool
-		flights int // backward flights of one virtual batch
-	}{
-		{"", false, deepMLPLinears},
-		{"fused-", true, 3},
-	} {
-		want := arm.flights * gang
-		t.Run(arm.prefix+"serial", func(t *testing.T) {
-			devs, arrived, release := gated(gang)
-			m := model()
-			trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer trn.Close()
-			if !arm.fuse {
-				trn.perLayer()
-			}
-			run(t, arrived, release, want, func() error {
-				_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
-				return err
-			})
-			sameBits(t, "serial", control, m)
+	t.Run("serial", func(t *testing.T) {
+		devs, calls, mu := devices(gang)
+		m := model()
+		trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer trn.Close()
+		check(t, 1, calls, mu, m, func(batch []dataset.Example) error {
+			_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
+			return err
 		})
+	})
 
-		t.Run(arm.prefix+"pipeline-depth2-fleet", func(t *testing.T) {
-			devs, arrived, release := gated(2 * gang)
-			m := model()
-			pipe, err := NewTrainPipeline(cfg, m, nil, "gate/", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pipe.Close()
-			if !arm.fuse {
-				pipe.perLayer()
-			}
-			src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
-			run(t, arrived, release, want, func() error {
-				_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
-				return err
-			})
-			sameBits(t, "pipeline", control, m)
+	// Two virtual batches at once, each on its own fleet gang: the first
+	// grant picks devices 0–4, the second 5–9, so slot 2 is slow in both.
+	t.Run("pipeline-depth2-fleet", func(t *testing.T) {
+		devs, calls, mu := devices(2 * gang)
+		m := model()
+		pipe, err := NewTrainPipeline(cfg, m, nil, "ship/", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pipe.Close()
+		src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
+		check(t, 2, calls, mu, m, func(batch []dataset.Example) error {
+			_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
+			return err
 		})
-	}
+	})
 }
 
-// settleBarrier makes a backward tamper on one layer of a fused block
-// deterministic to detect. Detection needs both decode windows of the
-// layer complete when it is gathered, and a gather wakes on the first
-// complete window, so the gather must start after every answer has landed.
-// The barrier holds the layer settled just before the target (held, in
-// another flight) until every gang slot has started on the layer shipped
-// after the target in the target's block (next): slot queues are FIFO
-// within a flight, so that proves every slot delivered all of its target
-// answers. One slot tampers with the target layer's equations.
+// settleBarrier makes a backward tamper on lin3 deterministic to detect.
+// Detection needs both decode windows of the layer complete when it is
+// gathered, and a gather wakes on the first complete window, so lin3's
+// gather must start after every answer of it has landed. When the first
+// lin4 job reaches the tampering slot — a slot both windows share, so no
+// lin4 gather can return without it — the barrier takes the TEE token the
+// engine released for its backward gathers, and holds it until every gang
+// slot has started on lin2, shipped after lin3: slot queues are FIFO, so
+// that proves every slot delivered all of its lin3 answers. Until then the
+// engine cannot leave the gather it is in. The tampering slot corrupts
+// its lin3 equations.
 type settleBarrier struct {
-	held, target, next string // layer key suffixes, e.g. "/lin4", "/lin3", "/lin2"
-	tamper             int    // the tampering slot
+	tee    *sync.Mutex // the pipeline's TEE token
+	tamper int         // the tampering slot
 
 	mu      sync.Mutex
-	started map[int]bool // slots that reached next
+	took    bool
+	started map[int]bool // slots that reached lin2
 	gang    int
-	open    chan struct{}
 }
 
-func newSettleBarrier(held, target, next string, gang, tamper int) *settleBarrier {
-	return &settleBarrier{held: held, target: target, next: next, tamper: tamper,
-		started: map[int]bool{}, gang: gang, open: make(chan struct{})}
+func newSettleBarrier(gang, tamper int) *settleBarrier {
+	return &settleBarrier{tamper: tamper, started: map[int]bool{}, gang: gang}
 }
 
 // barrierDevice routes one device's gradient jobs through the barrier,
@@ -200,20 +188,26 @@ func (d barrierDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta 
 	slot, _ := strconv.Atoi(slotStr)
 	b := d.b
 	switch {
-	case strings.HasSuffix(layer, b.held):
-		<-b.open
-	case strings.HasSuffix(layer, b.next):
+	case strings.HasSuffix(layer, "/lin4") && slot == b.tamper:
+		b.mu.Lock()
+		take := !b.took
+		b.took = true
+		b.mu.Unlock()
+		if take {
+			b.tee.Lock()
+		}
+	case strings.HasSuffix(layer, "/lin2"):
 		b.mu.Lock()
 		if !b.started[slot] {
 			b.started[slot] = true
 			if len(b.started) == b.gang {
-				close(b.open)
+				b.tee.Unlock()
 			}
 		}
 		b.mu.Unlock()
 	}
 	y, err := d.Device.GradWeights(key, kernel, delta)
-	if err == nil && slot == b.tamper && strings.HasSuffix(layer, b.target) {
+	if err == nil && slot == b.tamper && strings.HasSuffix(layer, "/lin3") {
 		y = y.Clone()
 		y[0] = field.Add(y[0], 1)
 	}
@@ -237,15 +231,15 @@ func (s *recordingSource) Release(f Fleet, culprits []int, err error) {
 
 // TestBackwardTamperFailsAndSettles pins the failure path of the overlapped
 // backward: a device tampering with the gradient equations of a middle
-// layer (lin3, the last layer of DeepMLP's first fused block) fails the
-// step with an integrity error naming that layer — the first failing layer
-// in walk order, as when every layer was gathered before the next shipped —
-// at E = 1 and at E = 2 alike (straggler slack 1, so each layer ships both
-// decode windows and a complete pair is compared). The backward decode attributes no culprits,
-// so none reach the fleet. Every flight the pass opened must be ended: the
-// grant's release waits for them, so the step returning at all proves it,
-// and the fleet must end with no device leased, no tenant holding a gang,
-// and no goroutine left behind.
+// layer (lin3 of DeepMLP) fails the step with an integrity error naming
+// that layer — the first failing layer in walk order, as when every layer
+// was gathered before the next shipped — at E = 1 and at E = 2 alike
+// (straggler slack 1, so each layer ships both decode windows and a
+// complete pair is compared). The backward decode attributes no culprits,
+// so none reach the fleet. The batch's flight must be ended: the grant's
+// release waits for it, so the step returning at all proves it, and the
+// fleet must end with no device leased, no tenant holding a gang, and no
+// goroutine left behind.
 func TestBackwardTamperFailsAndSettles(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -259,7 +253,7 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: c.e, StragglerSlack: 1, Seed: 3}
 			gang := cfg.VirtualBatch + cfg.Collusion + c.e
-			b := newSettleBarrier("/lin4", "/lin3", "/lin2", gang, c.tamper)
+			b := newSettleBarrier(gang, c.tamper)
 			devs := honestDevices(gang)
 			for i := range devs {
 				devs[i] = barrierDevice{Device: devs[i], b: b}
@@ -270,6 +264,7 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			b.tee = &pipe.tee
 
 			done := make(chan error, 1)
 			go func() {
@@ -293,8 +288,8 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 				t.Fatalf("backward tamper reported culprits %v; the backward decode attributes none", src.culprits)
 			}
 			st := fm.Stats()
-			if st.AsyncDispatches != 6 {
-				t.Fatalf("%d flights folded into released grants, want 6 (3 forward + 3 backward)", st.AsyncDispatches)
+			if st.AsyncDispatches != 1 {
+				t.Fatalf("%d flights folded into released grants, want 1 (the batch's)", st.AsyncDispatches)
 			}
 			for _, d := range st.Devices {
 				if d.Leased {

@@ -37,28 +37,20 @@ type PhaseStats struct {
 	// overlap, 2.0 means two stages were kept busy throughout.
 	Wall     time.Duration
 	Offloads int64 // bilinear layer dispatches timed
-	// Flights counts gang flights opened. A lone bilinear layer is its own
-	// flight of one layer; a fused block carries several offloads per
-	// flight, which is exactly the reduction fusion exists to buy.
+	// Flights counts gang flights opened: one per virtual batch, carrying
+	// every offload of both passes, plus one per backward cache refill.
 	Flights int64
-	// FusedBlocks counts fused-block flights; FusedLayers counts the
-	// bilinear layers they carried (FusedLayers/FusedBlocks is the mean
-	// fused block depth).
-	FusedBlocks int64
-	FusedLayers int64
 }
 
 // Add returns the phase sums s + o (for aggregation across pipelines).
 func (s PhaseStats) Add(o PhaseStats) PhaseStats {
 	return PhaseStats{
-		Encode:      s.Encode + o.Encode,
-		Dispatch:    s.Dispatch + o.Dispatch,
-		Decode:      s.Decode + o.Decode,
-		Wall:        s.Wall + o.Wall,
-		Offloads:    s.Offloads + o.Offloads,
-		Flights:     s.Flights + o.Flights,
-		FusedBlocks: s.FusedBlocks + o.FusedBlocks,
-		FusedLayers: s.FusedLayers + o.FusedLayers,
+		Encode:   s.Encode + o.Encode,
+		Dispatch: s.Dispatch + o.Dispatch,
+		Decode:   s.Decode + o.Decode,
+		Wall:     s.Wall + o.Wall,
+		Offloads: s.Offloads + o.Offloads,
+		Flights:  s.Flights + o.Flights,
 	}
 }
 
@@ -187,13 +179,17 @@ type engine struct {
 	// consumes precomputed material with zero online RNG; exhaustion falls
 	// back to inline draws from rng (counted by the pool).
 	pool *masking.NoisePool
-	// plan is the fused-offload compile pass output: the maximal runs of
-	// consecutive bilinear children of a Sequential, each of which the
-	// forward walk flies as one gang flight. The per-layer coding math is
-	// unchanged inside a block, so outputs are bit-identical to a walk that
-	// flies every layer alone (a nil plan, which only the package's
-	// equivalence tests use).
-	plan *nn.FusionPlan
+	// flight is the gang flight of the virtual batch currently on this
+	// engine: opened when the lane binds its gang to the batch, ridden by
+	// every offload of both passes, ended before the gang is released (see
+	// openBatchFlight). The per-layer coding math does not depend on it, so
+	// outputs are bit-identical to a walk that flies every layer alone — a
+	// nil flight, which only the package's equivalence tests leave
+	// (perLayer, serialRef).
+	flight *gpu.BlockFlight
+	// perLayer keeps openBatchFlight from opening a batch flight, so every
+	// offload opens its own: the per-layer reference arm of the tests.
+	perLayer bool
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
 	// executing on this engine: every offload hangs an
@@ -206,11 +202,10 @@ type engine struct {
 	rec *obs.FlightRecorder
 
 	// deadline, when non-zero, is the absolute end-to-end deadline of the
-	// batch currently on this engine: checked before every layer ships,
-	// inside a fused block too, so an expired batch stops occupying
-	// devices at the next layer boundary instead of running to
-	// completion. Installed per batch (Pipeline.SubmitWithin); cleared
-	// with the span.
+	// batch currently on this engine: checked before every layer ships, so
+	// an expired batch stops occupying devices at the next layer boundary
+	// instead of running to completion. Installed per batch
+	// (Pipeline.SubmitWithin); cleared with the span.
 	deadline time.Time
 
 	// recover enables audit-and-recover on integrity violations
@@ -226,9 +221,9 @@ type engine struct {
 	// them after a dispatch to quarantine the physical devices behind the
 	// slots, even when recovery masked the fault from the caller.
 	stepCulprits []int
-	// pending holds the backward blocks shipped by the current backward
+	// pending holds the backward layers shipped by the current backward
 	// walk, in walk order, until backward settles them.
-	pending []bwdBlock
+	pending []bwdLayer
 
 	// Steady-state scratch. The engine is single-threaded, so one arena and
 	// one set of reusable buffers serve every offload: after the first pass
@@ -263,7 +258,6 @@ func newEngine(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace stri
 		q:        quant.New(cfg.FracBits),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		keyspace: keyspace,
-		plan:     nn.CompileFusion(model),
 	}
 }
 
@@ -282,6 +276,62 @@ func (e *engine) beginStep() {
 	e.stepSeq++
 	e.linSeq = 0
 	e.stepCulprits = e.stepCulprits[:0]
+}
+
+// beginFlight opens a flight over the whole K+M+E gang and counts it.
+func (e *engine) beginFlight() (*gpu.BlockFlight, error) {
+	f, err := e.fleet.BeginBlock(e.cfg.maskParams().GPUs())
+	if err != nil {
+		return nil, err
+	}
+	e.phases.Flights++
+	return f, nil
+}
+
+// openBatchFlight opens the one flight every offload of the lane's batch
+// rides, forward and backward. A batch is one conversation with its gang
+// anyway — the devices keep its coded inputs from forward to backward — so
+// flight-scoped costs (a trip's launch latency, the fleet's handle
+// accounting) are paid once per batch. Slot queues are FIFO, so each
+// device runs its forward store before its own gradient job. The caller
+// ends the flight with endBatchFlight on every path before releasing the
+// gang: a flight cannot outlive its grant.
+func (e *engine) openBatchFlight() error {
+	if e.perLayer {
+		return nil
+	}
+	f, err := e.beginFlight()
+	e.flight = f
+	return err
+}
+
+// endBatchFlight ends the batch's flight, if one is open. Ending waits for
+// the devices that cannot block to run everything shipped down it (see
+// gpu.BlockFlight.End), so call it without the TEE token: a batch's device
+// work — the jobs its quorum gathers decoded around included — is then
+// done, and counted, when the batch completes.
+func (e *engine) endBatchFlight() {
+	if e.flight != nil {
+		e.flight.End()
+		e.flight = nil
+	}
+}
+
+// layerFlight returns the flight one layer's offload rides: the batch's,
+// or — on the per-layer reference arm — a fresh one, which the caller ends
+// with endLayerFlight once the layer is gathered.
+func (e *engine) layerFlight() (*gpu.BlockFlight, error) {
+	if e.flight != nil {
+		return e.flight, nil
+	}
+	return e.beginFlight()
+}
+
+// endLayerFlight ends f unless it is the batch's flight.
+func (e *engine) endLayerFlight(f *gpu.BlockFlight) {
+	if f != e.flight {
+		f.End()
+	}
 }
 
 // storesVolatile reports whether the fleet's device-side coded-input
@@ -311,30 +361,19 @@ func (e *engine) effectiveSlack() int {
 
 // forwardLayer recursively runs one layer for all K examples.
 func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, *trace, error) {
+	tr := &trace{layer: layer, inputs: append([]*tensor.Tensor(nil), xs...)}
 	if lin, ok := layer.(nn.Linear); ok {
-		outs, trs, err := e.offloadForward(code, []nn.Linear{lin}, xs, train)
+		outs, err := e.offloadForward(code, tr, lin, xs, train)
 		if err != nil {
 			return nil, nil, err
 		}
-		return outs, trs[0], nil
+		return outs, tr, nil
 	}
-	tr := &trace{layer: layer, inputs: append([]*tensor.Tensor(nil), xs...)}
 	switch v := layer.(type) {
 	case *nn.Sequential:
 		cur := xs
-		children := v.Layers()
-		for i := 0; i < len(children); i++ {
-			if blk, ok := e.plan.BlockAt(v, i); ok {
-				outs, childTrs, err := e.offloadForward(code, blk.Layers, cur, train)
-				if err != nil {
-					return nil, nil, err
-				}
-				tr.children = append(tr.children, childTrs...)
-				cur = outs
-				i += blk.Depth() - 1
-				continue
-			}
-			out, childTr, err := e.forwardLayer(code, children[i], cur, train)
+		for _, child := range v.Layers() {
+			out, childTr, err := e.forwardLayer(code, child, cur, train)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -399,72 +438,35 @@ func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Ve
 	return results, present, err
 }
 
-// offloadForward runs a block of directly consecutive bilinear layers — a
-// fused run found by nn.CompileFusion, or a single layer — through one gang
-// flight, returning the block's outputs and one trace per layer (the last
-// trace of a fused run carries blockLen so the backward walk re-fuses it).
-// Every layer boundary still decodes, verifies, restores floats, adds the
-// bias and re-encodes, because the requantization is data-dependent (the
+// offloadForward quantizes, encodes, ships, gathers, verifies, decodes and
+// restores one bilinear layer's outputs for the K current activations on
+// the batch's flight, once the batch's deadline allows it. Every layer
+// boundary decodes, verifies, restores floats, adds the bias and
+// re-encodes, because the requantization is data-dependent (the
 // normalization factor of layer l+1's input is a function of layer l's
 // decoded output) and chaining products in the field would overflow the
-// 25-bit prime. What a longer block amortizes is everything around the
-// math: the fleet's handle bookkeeping and, on devices that model a
-// per-dispatch launch latency, the launch itself, paid once per trip
-// (gpu.DeviceTrip). Outputs are therefore bit-identical whatever the block
-// length; TestFusedBlockMatchesPerLayer pins it.
-func (e *engine) offloadForward(code *masking.Code, lins []nn.Linear, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, []*trace, error) {
-	depth := len(lins)
-	parent := e.sp
-	if depth > 1 {
-		if parent = e.sp.Child("offload-block"); parent != nil {
-			parent.Annotatef("depth", "%d", depth)
-			defer parent.End()
-		}
-	}
-	flight, err := e.fleet.BeginBlock(code.NumCoded())
-	if err != nil {
-		return nil, nil, err
-	}
-	defer flight.End()
-	e.phases.Flights++
-	if depth > 1 {
-		e.phases.FusedBlocks++
-		e.phases.FusedLayers += int64(depth)
-	}
-	traces := make([]*trace, depth)
-	cur := xs
-	for d, lin := range lins {
-		tr := &trace{layer: lin, inputs: append([]*tensor.Tensor(nil), cur...)}
-		e.linSeq++
-		if e.reuseKeys {
-			tr.key = fmt.Sprintf("%slin%d", e.keyspace, e.linSeq)
-		} else {
-			tr.key = fmt.Sprintf("%sstep%d/lin%d", e.keyspace, e.stepSeq, e.linSeq)
-		}
-		traces[d] = tr
-		if cur, err = e.forwardOne(code, flight, parent, tr, lin, cur, train); err != nil {
-			return nil, nil, err
-		}
-	}
-	if depth > 1 {
-		traces[depth-1].blockLen = depth
-	}
-	return cur, traces, nil
-}
-
-// forwardOne quantizes, encodes, ships, gathers, verifies, decodes and
-// restores one bilinear layer's outputs for the K current activations on an
-// open flight, once the batch's deadline allows it. All TEE-side intermediates live in the engine's arena (reset
-// per layer), so the steady-state loop allocates only the escaping output
+// 25-bit prime; what the shared flight amortizes is everything around the
+// math. All TEE-side intermediates live in the engine's arena (reset per
+// layer), so the steady-state loop allocates only the escaping output
 // tensors. In training mode the noise rows are additionally captured into
 // the trace so a backward cache miss can re-create the device-side coded
 // inputs bit-identically (see refillStores).
-func (e *engine) forwardOne(code *masking.Code, flight *gpu.BlockFlight, parent *obs.Span, tr *trace, lin nn.Linear,
-	xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
+func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
 	if err := e.checkDeadline(); err != nil {
 		return nil, err
 	}
-	osp := parent.Child("offload")
+	e.linSeq++
+	if e.reuseKeys {
+		tr.key = fmt.Sprintf("%slin%d", e.keyspace, e.linSeq)
+	} else {
+		tr.key = fmt.Sprintf("%sstep%d/lin%d", e.keyspace, e.stepSeq, e.linSeq)
+	}
+	flight, err := e.layerFlight()
+	if err != nil {
+		return nil, err
+	}
+	defer e.endLayerFlight(flight)
+	osp := e.sp.Child("offload")
 	if osp != nil {
 		osp.Annotate("key", tr.key)
 		// Ending the offload span also ends any phase child left open by an
@@ -524,10 +526,8 @@ type fwdEnc struct {
 
 // encodeForward runs the encode stage of one bilinear layer's offload:
 // dynamic normalization, quantization into the field, the enclave
-// working-set charge, the noise draw and the coded combine. Shared
-// by every layer of every block length, which is what pins fused coded
-// vectors bit-for-bit to per-layer ones. The caller owns freeing the
-// returned workset (already freed on error).
+// working-set charge, the noise draw and the coded combine. The caller
+// owns freeing the returned workset (already freed on error).
 func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor, train, cloneForQuorum bool) (fwdEnc, error) {
 	k := e.cfg.VirtualBatch
 	// Shared dynamic normalization factor across the virtual batch so the
@@ -584,10 +584,11 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 	encErr := code.EncodeWith(coded, quantIn, noise)
 	if train && (cloneForQuorum || e.storesVolatile()) {
 		// The backward pass may need to re-create the device-side coded
-		// inputs (cache refill after a fleet reshuffle, or for a laggard a
-		// quorum gather left behind before it stored): capture the noise
-		// rows — the only non-recomputable encode ingredient — before the
-		// pool or the arena reclaims them.
+		// inputs (cache refill after a device lost its stores, or — on the
+		// per-layer test arm, whose forward and backward jobs ride different
+		// flights — for a laggard a quorum gather left behind before it
+		// stored): capture the noise rows — the only non-recomputable encode
+		// ingredient — before the pool or the arena reclaims them.
 		tr.noise = make([]field.Vec, len(noise))
 		for m := range noise {
 			tr.noise[m] = noise[m].Clone()

@@ -1,0 +1,655 @@
+package sched
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"darknight/internal/field"
+	"darknight/internal/fleet"
+	"darknight/internal/gpu"
+	"darknight/internal/nn"
+)
+
+// TestOneFlightPerVirtualBatch is the flight-count gate: a forward pass
+// rides exactly one gang flight, whatever the model's structure — DeepMLP's
+// 7 Dense layers, and ResNet's convolutions inside residual bodies and
+// projection skips — where the per-layer arm (perLayer) opens one flight
+// per bilinear layer. The offload count and the predictions are unchanged.
+func TestOneFlightPerVirtualBatch(t *testing.T) {
+	images := make([][]float64, 2)
+	rng := rand.New(rand.NewSource(9))
+	for i := range images {
+		img := make([]float64, 64)
+		for j := range img {
+			img[j] = rng.Float64()
+		}
+		images[i] = img
+	}
+	for _, c := range []struct {
+		arch  string
+		model func() *nn.Model
+	}{
+		{"deep", func() *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))) }},
+		{"resnet", func() *nn.Model { return nn.ResNet50Scaled(1, 8, 8, 4, 1, rand.New(rand.NewSource(42))) }},
+	} {
+		t.Run(c.arch, func(t *testing.T) {
+			linears := int64(len(offloadLens(c.model().Stack)))
+			run := func(perLayer bool) ([]int, PhaseStats) {
+				inf, err := NewInferencer(Config{VirtualBatch: 2, Collusion: 1, Seed: 1}, c.model(), nil, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer inf.Close()
+				if perLayer {
+					inf.perLayer()
+				}
+				preds, err := inf.Predict(gpu.NewHonestCluster(3), images)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return preds, inf.PhaseStats()
+			}
+			perPreds, per := run(true)
+			preds, ps := run(false)
+			for i := range perPreds {
+				if preds[i] != perPreds[i] {
+					t.Fatalf("image %d: class %d on one flight, %d per layer", i, preds[i], perPreds[i])
+				}
+			}
+			if per.Flights != linears || per.Offloads != linears {
+				t.Fatalf("per-layer forward: %d flights / %d offloads, want %d/%d", per.Flights, per.Offloads, linears, linears)
+			}
+			if ps.Flights != 1 || ps.Offloads != linears {
+				t.Fatalf("forward: %d flights / %d offloads, want 1/%d", ps.Flights, ps.Offloads, linears)
+			}
+		})
+	}
+}
+
+// TestFusedBlockMatchesPerLayer is the one-flight-per-batch equivalence
+// gate (its name predates the batch flight, which replaced fused blocks):
+// across K/E/slack operating points — raw shared cluster, fleet-managed
+// gang grants, the straggler-tolerant quorum and dual-window gathers with a
+// deterministically slow device, speculation to a spare, and ResNet's
+// residual bodies and skips — training on one flight per virtual batch must
+// report the same losses and leave weights bit-identical to the per-layer
+// arm (perLayer), on the same number of per-layer offloads. Slot queues are
+// FIFO, so no device ever runs a gradient job before its own forward store:
+// the batch arm never refills.
+func TestFusedBlockMatchesPerLayer(t *testing.T) {
+	deep := func(rng *rand.Rand) *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rng) }
+	combos := []struct {
+		name           string
+		k, m, e, slack int
+		slow           []int // cluster indices of slow devices
+		slowBy         time.Duration
+		spares         int           // devices beyond the gang
+		speculate      time.Duration // fleet.Config.SpeculateAfter
+		fleetManaged   bool
+		model          func(*rand.Rand) *nn.Model // nil: DeepMLP
+	}{
+		{name: "K2-M1-E0-cluster", k: 2, m: 1, e: 0},
+		{name: "K3-M1-E1-fleet", k: 3, m: 1, e: 1, fleetManaged: true},
+		{name: "K2-M1-E2-slack1-slow", k: 2, m: 1, e: 2, slack: 1, slow: []int{2}, slowBy: time.Millisecond, fleetManaged: true},
+		// The slow device is exclusive to the primary backward window, so
+		// the backward decodes from the secondary one.
+		{name: "K2-M1-E2-slack1-slow-first", k: 2, m: 1, e: 2, slack: 1, slow: []int{0}, slowBy: time.Millisecond, fleetManaged: true},
+		// Two slow devices: no forward quorum of 4 forms from the gang
+		// alone, so each batch's first layers need speculation to a spare.
+		{name: "K2-M1-E2-slack1-speculate", k: 2, m: 1, e: 2, slack: 1, slow: []int{1, 3}, slowBy: 8 * time.Millisecond,
+			spares: 2, speculate: 500 * time.Microsecond, fleetManaged: true},
+		{name: "resnet-K2-M1-E2-slack1-slow", k: 2, m: 1, e: 2, slack: 1, slow: []int{2}, slowBy: time.Millisecond, fleetManaged: true,
+			model: func(rng *rand.Rand) *nn.Model { return nn.ResNet50Scaled(1, 8, 8, 4, 1, rng) }},
+	}
+	for _, c := range combos {
+		t.Run(c.name, func(t *testing.T) {
+			gang := c.k + c.m + c.e
+			const steps, vbatches = 2, 4
+			batch := trainData(vbatches * c.k)
+			build := c.model
+			if build == nil {
+				build = deep
+			}
+			run := func(perLayer bool) (*nn.Model, []float64, PhaseStats, int64, *fleet.Manager) {
+				cfg := Config{VirtualBatch: c.k, Collusion: c.m, Redundancy: c.e,
+					StragglerSlack: c.slack, Seed: 1}
+				devs := honestDevices(gang + c.spares)
+				for _, i := range c.slow {
+					devs[i] = gpu.NewSlow(devs[i], c.slowBy)
+				}
+				cluster := gpu.NewCluster(devs...)
+				model := build(rand.New(rand.NewSource(42)))
+				pipe, err := NewTrainPipeline(cfg, model, nil, "fm/", 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pipe.Close()
+				if perLayer {
+					pipe.perLayer()
+				}
+				var src GangSource
+				var fm *fleet.Manager
+				if c.fleetManaged {
+					fm = fleet.NewManager(cluster, fleet.Config{SpeculateAfter: c.speculate})
+					src = &managerSource{m: fm, gang: gang}
+				} else {
+					src = SingleFleetSource{F: cluster}
+				}
+				opt := nn.NewSGD(0.05, 0.9)
+				var losses []float64
+				for step := 0; step < steps; step++ {
+					loss, _, err := pipe.TrainLargeBatch(src, batch, opt, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					losses = append(losses, loss)
+				}
+				return model, losses, pipe.PhaseStats(), pipe.CacheRefills(), fm
+			}
+			perModel, perLosses, perPS, _, _ := run(true)
+			model, losses, ps, refills, fm := run(false)
+			for i := range perLosses {
+				if losses[i] != perLosses[i] {
+					t.Fatalf("step %d: loss %v on one flight per batch, %v per layer", i, losses[i], perLosses[i])
+				}
+			}
+			sameBits(t, c.name, perModel, model)
+			if want := int64(steps * vbatches); ps.Flights != want || refills != 0 {
+				t.Fatalf("%d flights and %d refills, want %d (one per virtual batch) and 0", ps.Flights, refills, want)
+			}
+			if ps.Offloads != perPS.Offloads {
+				t.Fatalf("offloads %d != per-layer %d (the per-layer math must be unchanged)", ps.Offloads, perPS.Offloads)
+			}
+			if c.slack > 0 && len(c.slow) > 0 {
+				// A slow slot misses the quorum of every batch's first
+				// layers (its trip holds answers for its launch latency),
+				// so the gathers must have left straggler marks — proof the
+				// straggler-tolerant path ran, not wait-for-all.
+				if st := fm.Stats(); st.StragglerEvents == 0 {
+					t.Fatalf("slack combo never exercised the quorum path: %+v", st)
+				}
+			}
+			if c.speculate > 0 {
+				if st := fm.Stats(); st.Speculations == 0 {
+					t.Fatalf("no lagging share was re-dispatched to a spare: %+v", st)
+				}
+			}
+		})
+	}
+}
+
+// resetDevice models a device that restarts between a batch's passes: its
+// first gradient job finds every coded input stored during forward gone,
+// so each bilinear layer misses once on it; what a refill stores after the
+// restart it keeps.
+type resetDevice struct {
+	gpu.Device
+	mu    sync.Mutex
+	reset bool
+	kept  map[string]bool // keys stored since the restart
+}
+
+func newResetDevice(d gpu.Device) *resetDevice {
+	return &resetDevice{Device: d, kept: map[string]bool{}}
+}
+
+func (d *resetDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	d.mu.Lock()
+	if d.reset {
+		d.kept[key] = true
+	}
+	d.mu.Unlock()
+	return d.Device.LinearForward(key, kernel, x)
+}
+
+func (d *resetDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+	d.mu.Lock()
+	d.reset = true
+	kept := d.kept[key]
+	d.mu.Unlock()
+	if !kept {
+		return nil, fmt.Errorf("gpu %d: %w %q", d.ID(), gpu.ErrNoStored, key)
+	}
+	return d.Device.GradWeights(key, kernel, delta)
+}
+
+// resetTrain trains one virtual batch on a fleet-managed gang of 3 out of 5
+// devices whose slot 1 restarts between the passes, and releases the gang
+// with slot 1 reported faulty so the fleet quarantines the device that lost
+// its stores. It returns the loss, the pipeline and the fleet.
+func resetTrain(t *testing.T, cfg Config, model *nn.Model) (float64, *TrainPipeline, *fleet.Manager) {
+	t.Helper()
+	const gang = 3
+	devs := honestDevices(gang + 2)
+	devs[1] = newResetDevice(devs[1])
+	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{ProbationProbability: -1})
+	src := &faultySource{managerSource: managerSource{m: fm, gang: gang}, slots: []int{1}}
+	pipe, err := NewTrainPipeline(cfg, model, nil, "reset/", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pipe.Close)
+	loss, _, err := pipe.TrainLargeBatch(src, trainData(cfg.VirtualBatch), nn.NewSGD(0.05, 0.9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loss, pipe, fm
+}
+
+// faultySource is a managerSource that reports slots faulty on every
+// release.
+type faultySource struct {
+	managerSource
+	slots []int
+}
+
+func (s *faultySource) Release(f Fleet, culprits []int, err error) {
+	f.(*fleet.Grant).ReportFaults(s.slots)
+	s.managerSource.Release(f, culprits, err)
+}
+
+// TestFusedBackwardCacheMissRefill: a device of DeepMLP's gang restarts
+// between a batch's forward and backward passes (its name predates the
+// batch flight). Every backward gather misses on it; the engine refills the
+// stores from the trace with one wait-for-all identity flight per layer and
+// re-ships the layer's equations down the still-open batch flight, behind
+// whatever that device still has queued. The step must complete with
+// weights bit-identical to an undisturbed per-layer run.
+func TestFusedBackwardCacheMissRefill(t *testing.T) {
+	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 0, Seed: 3}
+	batch := trainData(cfg.VirtualBatch)
+
+	// Control: undisturbed per-layer depth-1 run — doubles as one more
+	// batch-flight-vs-per-layer equivalence point.
+	control := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
+	ctrlTrainer, err := NewTrainer(cfg, control, gpu.NewHonestCluster(3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrlTrainer.Close()
+	ctrlTrainer.perLayer()
+	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
+	loss, pipe, fm := resetTrain(t, cfg, model)
+	if loss != ctrlLoss {
+		t.Fatalf("disturbed loss %v != per-layer control %v", loss, ctrlLoss)
+	}
+	sameWeights(t, "reset-refill", control, model)
+	// All 7 bilinear layers lost their stores with the restart, so all 7
+	// must have refilled, each re-shipped down the batch's one flight.
+	if refills := pipe.CacheRefills(); refills != deepMLPLinears {
+		t.Fatalf("%d cache refills, want %d (one per bilinear layer)", refills, deepMLPLinears)
+	}
+	if ps := pipe.PhaseStats(); ps.Flights != 1+deepMLPLinears {
+		t.Fatalf("%d flights, want %d (the batch flight plus one identity flight per refill)", ps.Flights, 1+deepMLPLinears)
+	}
+	if st := fm.Stats(); st.QuarantineEvents == 0 {
+		t.Fatalf("no quarantine recorded: %+v", st)
+	}
+}
+
+// TestForwardReturnsAroundBlockedDevice is the regression test for the
+// straggler stall: with E=2 and slack 1, a gang in which one device is
+// blocked on a channel the test owns must still serve a forward pass — on
+// one batch flight or per layer — and hand its grant back, all while that
+// device is still blocked. A flight whose End joined every slot would hang
+// here: the forward would wait out the laggard its quorum gathers had
+// already decoded around.
+func TestForwardReturnsAroundBlockedDevice(t *testing.T) {
+	images := [][]float64{trainData(2)[0].Image, trainData(2)[1].Image}
+	const gang = 5 // K=2, M=1, E=2
+	ref, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, Seed: 1},
+		nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "ref/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Predict(gpu.NewHonestCluster(gang), images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, perLayer := range []bool{true, false} {
+		gate := make(chan struct{})
+		devs := honestDevices(gang)
+		devs[3] = gatedDevice{Device: devs[3], gate: gate}
+		fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+		inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, Seed: 1},
+			nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "blk/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perLayer {
+			inf.perLayer()
+		}
+		grant, err := fm.Acquire(context.Background(), "t", gang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inf.Predict(grant, images)
+		grant.Release()
+		if err != nil {
+			t.Fatalf("perLayer=%v: %v", perLayer, err)
+		}
+		// Everything above returned with the gate still shut.
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("perLayer=%v image %d: class %d around the blocked device, %d without it", perLayer, i, got[i], want[i])
+			}
+		}
+		wantFlights := int64(1)
+		if perLayer {
+			wantFlights = deepMLPLinears
+		}
+		if ps := inf.PhaseStats(); ps.Flights != wantFlights {
+			t.Fatalf("perLayer=%v: %d flights, want %d", perLayer, ps.Flights, wantFlights)
+		}
+		if st := fm.Stats(); st.StragglerEvents != deepMLPLinears {
+			t.Fatalf("perLayer=%v: %d straggler brands, want one per layer (%d)", perLayer, st.StragglerEvents, deepMLPLinears)
+		}
+		close(gate)
+	}
+}
+
+// failingDevice fails every gradient job with err.
+type failingDevice struct {
+	gpu.Device
+	err error
+}
+
+func (d failingDevice) GradWeights(string, gpu.BilinearKernel, field.Vec) (field.Vec, error) {
+	return nil, d.err
+}
+
+// TestBackwardReportsDeviceErrorOverMiss pins the one slot-error fold where
+// the engine sees it: when one slot's device fails outright while another
+// has lost its stored inputs (it restarted between the passes), the step
+// fails with the device's error — on the batch flight (the rows named
+// "fused", after the arm they replaced) as well as per layer — instead of
+// treating the layer as a cache miss to refill.
+func TestBackwardReportsDeviceErrorOverMiss(t *testing.T) {
+	boom := errors.New("device fell off the bus")
+	for _, c := range []struct {
+		name              string
+		perLayer          bool
+		missSlot, errSlot int
+	}{
+		{"per-layer, miss before error", true, 0, 1},
+		{"per-layer, error before miss", true, 2, 0},
+		{"fused, miss before error", false, 0, 1},
+		{"fused, error before miss", false, 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			devs := honestDevices(3)
+			devs[c.missSlot] = newResetDevice(devs[c.missSlot])
+			devs[c.errSlot] = failingDevice{Device: devs[c.errSlot], err: boom}
+			// A fleet-managed gang, so the forward pass captures what a
+			// refill would need: a miss alone would be recoverable.
+			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+			cfg := Config{VirtualBatch: 2, Seed: 3}
+			pipe, err := NewTrainPipeline(cfg, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "fold/", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			if c.perLayer {
+				pipe.perLayer()
+			}
+			_, _, err = pipe.TrainLargeBatch(&managerSource{m: fm, gang: 3}, trainData(2), nn.NewSGD(0.05, 0), 0)
+			if !errors.Is(err, boom) {
+				t.Fatalf("step error = %v, want the device's own error", err)
+			}
+			if n := pipe.CacheRefills(); n != 0 {
+				t.Fatalf("%d cache refills: the miss masked the device error", n)
+			}
+		})
+	}
+}
+
+// lateDevice logs the layer of every forward job it is sent; on a job for
+// the layer named late it sleeps until after the batch deadline first.
+type lateDevice struct {
+	gpu.Device
+	late  string // layer key suffix, e.g. "/lin1"
+	until time.Time
+	log   *layerLog
+}
+
+func (d lateDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	layer, _, _ := strings.Cut(key, "#s")
+	d.log.add(layer)
+	if d.late != "" && strings.HasSuffix(layer, d.late) {
+		time.Sleep(time.Until(d.until) + time.Millisecond)
+	}
+	return d.Device.LinearForward(key, kernel, x)
+}
+
+// layerLog collects the forward layer keys the devices were sent.
+type layerLog struct {
+	mu   sync.Mutex
+	keys []string
+}
+
+func (l *layerLog) add(key string) {
+	l.mu.Lock()
+	l.keys = append(l.keys, key)
+	l.mu.Unlock()
+}
+
+func (l *layerLog) count(suffix string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, k := range l.keys {
+		if strings.HasSuffix(k, suffix) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDeadlineChecksEveryLayerOfFusedBlock pins the deadline contract on
+// the batch flight (its name predates it): the gate runs before every
+// layer ships, not once per flight. One device answers DeepMLP's lin1 only
+// after the batch's deadline has passed. The batch must fail with
+// context.DeadlineExceeded before lin2 reaches any device, end the batch's
+// flight (the grant's Release waits for every open flight), and leave no
+// goroutine behind.
+func TestDeadlineChecksEveryLayerOfFusedBlock(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const gang = 3 // K=2, M=1, E=0
+	deadline := time.Now().Add(200 * time.Millisecond)
+	log := &layerLog{}
+	devs := honestDevices(gang)
+	for i := range devs {
+		d := lateDevice{Device: devs[i], log: log}
+		if i == 0 {
+			d.late, d.until = "/lin1", deadline
+		}
+		devs[i] = d
+	}
+	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+	inf, err := NewInferencer(Config{VirtualBatch: 2, Seed: 1},
+		nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "dl/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := fm.Acquire(context.Background(), "t", gang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := [][]float64{trainData(2)[0].Image, trainData(2)[1].Image}
+	tk, err := inf.SubmitWithin(grant, images, nil, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tk.Done():
+	case <-time.After(guard):
+		t.Fatal("the expired batch never returned")
+	}
+	if err := tk.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch error = %v, want context.DeadlineExceeded", err)
+	}
+	if n := log.count("/lin1"); n != gang {
+		t.Fatalf("lin1 reached %d devices, want all %d (shipped before the deadline)", n, gang)
+	}
+	if n := log.count("/lin2"); n != 0 {
+		t.Fatalf("lin2 reached %d devices after the deadline passed", n)
+	}
+	if ps := inf.PhaseStats(); ps.Flights != 1 || ps.Offloads != 1 {
+		t.Fatalf("%d flights / %d offloads, want 1/1 (the batch flight, stopped after lin1)", ps.Flights, ps.Offloads)
+	}
+
+	released := make(chan struct{})
+	go func() {
+		grant.Release()
+		close(released)
+	}()
+	select {
+	case <-released:
+	case <-time.After(guard):
+		t.Fatal("grant release is waiting on a flight the expired batch left open")
+	}
+	if st := fm.Stats(); st.AsyncDispatches != 1 {
+		t.Fatalf("%d flights folded into the released grant, want 1", st.AsyncDispatches)
+	}
+	inf.Close()
+	stop := time.Now().Add(guard)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(stop) {
+			t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// closedGang is a granted gang whose flights never open.
+type closedGang struct {
+	*fleet.Grant
+	err error
+}
+
+func (g closedGang) BeginBlock(int) (*gpu.BlockFlight, error) { return nil, g.err }
+
+// closedSource hands out closedGangs over fleet grants and records the
+// error each batch released its gang with.
+type closedSource struct {
+	managerSource
+	err error
+
+	mu   sync.Mutex
+	errs []error
+}
+
+func (s *closedSource) Acquire() (Fleet, error) {
+	f, err := s.managerSource.Acquire()
+	if err != nil {
+		return nil, err
+	}
+	return closedGang{Grant: f.(*fleet.Grant), err: s.err}, nil
+}
+
+func (s *closedSource) Release(f Fleet, culprits []int, err error) {
+	s.mu.Lock()
+	s.errs = append(s.errs, err)
+	s.mu.Unlock()
+	s.managerSource.Release(f.(closedGang).Grant, culprits, err)
+}
+
+// TestBatchFlightOpenFailure: when a batch's flight cannot open, the batch
+// fails with that error — on the forward Pipeline and on the TrainPipeline
+// — and nothing stays held: the lane serves the next batch, the gang goes
+// back to the fleet (the grant's Release returns: no flight was left
+// open), and no goroutine is left behind.
+func TestBatchFlightOpenFailure(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	unreachable := errors.New("gang unreachable")
+	cfg := Config{VirtualBatch: 2, Seed: 1}
+	const gang = 3
+	fm := fleet.NewManager(gpu.NewHonestCluster(gang), fleet.Config{})
+	images := [][]float64{trainData(2)[0].Image, trainData(2)[1].Image}
+	// within fails the test instead of hanging it when f never returns.
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			f()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(guard):
+			t.Fatalf("%s never returned", what)
+		}
+	}
+
+	pipe, err := NewPipeline(cfg, nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42))), nil, "open/", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := fm.Acquire(context.Background(), "t", gang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := pipe.Submit(closedGang{Grant: grant, err: unreachable}, images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, unreachable) {
+		t.Fatalf("batch error = %v, want the flight's", err)
+	}
+	within("the grant's Release", grant.Release)
+	within("the next forward batch", func() {
+		if _, err := pipe.Predict(gpu.NewHonestCluster(gang), images); err != nil {
+			t.Errorf("the lane's next batch: %v", err)
+		}
+	})
+	pipe.Close()
+
+	train, err := NewTrainPipeline(cfg, nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42))), nil, "open-t/", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &closedSource{managerSource: managerSource{m: fm, gang: gang}, err: unreachable}
+	within("the failed training step", func() {
+		if _, _, err := train.TrainLargeBatch(src, trainData(4), nn.NewSGD(0.05, 0), 0); !errors.Is(err, unreachable) {
+			t.Errorf("step error = %v, want the flight's", err)
+		}
+	})
+	if len(src.errs) != 2 {
+		t.Fatalf("%d gangs released, want 2 (one per virtual batch)", len(src.errs))
+	}
+	for _, err := range src.errs {
+		if !errors.Is(err, unreachable) {
+			t.Fatalf("gang released with %v, want the flight's error", err)
+		}
+	}
+	within("the next training step", func() {
+		if _, _, err := train.TrainLargeBatch(&managerSource{m: fm, gang: gang}, trainData(4), nn.NewSGD(0.05, 0), 0); err != nil {
+			t.Errorf("the lane's next step: %v", err)
+		}
+	})
+	train.Close()
+	for _, d := range fm.Stats().Devices {
+		if d.Leased {
+			t.Fatalf("device %d still leased", d.ID)
+		}
+	}
+	stop := time.Now().Add(guard)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(stop) {
+			t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -140,11 +140,16 @@ func (p *Pipeline) Predict(fleet Fleet, images [][]float64) ([]int, error) {
 	return t.Classes(), nil
 }
 
-// run drives one batch down a lane: lane-private setup without the token,
-// then the forward walk under the TEE token (released by the engine during
-// each GPU flight).
+// run drives one batch down a lane: lane-private setup without the token —
+// the code and the batch's gang flight — then the forward walk under the
+// TEE token (released by the engine while a layer is on the devices). The
+// flight ends before the ticket completes, so the caller can release the
+// gang as soon as the batch is done.
 func (p *Pipeline) run(lane *engine, images [][]float64, t *Ticket) {
 	code, err := masking.New(lane.cfg.maskParams(), lane.rng)
+	if err == nil {
+		err = lane.openBatchFlight()
+	}
 	if err == nil {
 		xs := make([]*tensor.Tensor, len(images))
 		for i := range images {
@@ -155,6 +160,7 @@ func (p *Pipeline) run(lane *engine, images [][]float64, t *Ticket) {
 		t.culprits = append([]int(nil), lane.stepCulprits...)
 		p.tee.Unlock()
 	}
+	lane.endBatchFlight()
 	if err == nil {
 		t.classes = make([]int, len(t.logits))
 		for i := range t.logits {

@@ -15,7 +15,7 @@ import (
 // serialRef is the lane-less reference the runtime's equivalence pins
 // compare against: one engine bound to one cluster, walking forward and
 // backward and aggregating Algorithm 2 in a plain loop — no lanes, no shared
-// token, no noise pool, no gradient redirection, and no fusion: every
+// token, no noise pool, no gradient redirection, and no batch flight: every
 // bilinear layer flies alone. Its token is a private mutex it holds for
 // every batch, so the engine's gather releases and re-acquires it exactly as
 // a lane's would, with nobody to contend.
@@ -33,16 +33,15 @@ func newSerialRef(cfg Config, model *nn.Model, cluster *gpu.Cluster, encl *encla
 	s := &serialRef{engine: newEngine(cfg, model, encl, ""), store: newGradStore(encl)}
 	s.fleet = cluster
 	s.tee = &s.token
-	s.plan = nil
 	return s, nil
 }
 
-// perLayer drops the fused-offload plan from every lane, so each bilinear
-// layer flies alone: the per-layer arm of the fusion equivalence pins. Call
-// before the first batch.
+// perLayer keeps every lane from opening a batch flight, so each bilinear
+// layer flies alone: the per-layer arm of the one-flight-per-batch
+// equivalence pins. Call before the first batch.
 func (l *lanes) perLayer() {
 	for _, lane := range l.all {
-		lane.plan = nil
+		lane.perLayer = true
 	}
 }
 

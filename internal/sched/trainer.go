@@ -59,10 +59,10 @@ type Config struct {
 	// pass any slack with Redundancy >= 1 ships both decode windows and
 	// decodes from whichever completes first.
 	StragglerSlack int
-	// Deprecated: FuseBlocks has no effect. Every runtime compiles the
-	// fused-offload pass (nn.CompileFusion) and flies each maximal run of
-	// consecutive bilinear layers as one gang flight. The field remains
-	// only because the benchmark harness under bench/ still sets it.
+	// Deprecated: FuseBlocks has no effect. Every runtime flies each
+	// virtual batch — every offload of both passes — as one gang flight.
+	// The field remains only because the benchmark harness under bench/
+	// still sets it.
 	FuseBlocks bool
 	// Seed drives all randomness (coding coefficients, noise).
 	Seed int64
@@ -142,11 +142,6 @@ type trace struct {
 	// recomputed, kept so a backward cache miss can re-create the coded
 	// inputs bit-identically (engine.refillStores).
 	noise []field.Vec
-	// blockLen, when > 1, marks this trace as the LAST layer of a fused
-	// block of that depth: the backward walk over the parent Sequential's
-	// children recognizes the run ending here and offloads its gradient
-	// equations through one flight (offloadBackward).
-	blockLen int
 }
 
 // sharedNormFactor returns the common dynamic-normalization divisor for a

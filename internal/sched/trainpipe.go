@@ -248,14 +248,18 @@ func (p *TrainPipeline) submit(f Fleet, src GangSource, examples []dataset.Examp
 }
 
 // run drives one virtual batch down a lane: the full masked
-// forward+backward under the TEE token (released by the engine during every
-// GPU flight), then shard-wise sealing of the lane's ▽W before the lane is
-// recycled.
+// forward+backward on one gang flight under the TEE token (released by the
+// engine while a layer is on the devices), then shard-wise sealing of the
+// lane's ▽W before the lane is recycled. The flight ends before the gang
+// goes back to its source.
 func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Example, shardElems int, t *trainTicket) {
 	f := lane.fleet
 	sp := p.tracer.Start("train.vbatch")
 	lane.trace(sp)
 	code, err := masking.New(lane.cfg.maskParams(), lane.rng)
+	if err == nil {
+		err = lane.openBatchFlight()
+	}
 	if err == nil {
 		k := lane.cfg.VirtualBatch
 		xs := make([]*tensor.Tensor, k)
@@ -286,6 +290,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 		t.culprits = append([]int(nil), lane.stepCulprits...)
 		p.tee.Unlock()
 	}
+	lane.endBatchFlight()
 	// Ending the root files the completed trace with the tracer.
 	sp.End()
 	if err == nil {

@@ -162,94 +162,34 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// swapFleet opens its first nForward flights on the forward fleet, then
-// switches every flight (including the cache refill's identity re-store) to
-// the backward fleet — simulating a gang whose devices were replaced
-// between a batch's forward and backward passes.
-type swapFleet struct {
-	fw, bw   Fleet
-	nForward int
-	flights  int
-	swap     func() // invoked once, at the switch point
-}
-
-func (f *swapFleet) Size() int { return f.fw.Size() }
-
-func (f *swapFleet) BeginBlock(n int) (*gpu.BlockFlight, error) {
-	f.flights++
-	if f.flights <= f.nForward {
-		return f.fw.BeginBlock(n)
-	}
-	if f.swap != nil {
-		f.swap()
-		f.swap = nil
-	}
-	return f.bw.BeginBlock(n)
-}
-
-// TestBackwardCacheMissRefill quarantines a device between the forward and
-// backward passes: the replacement gang misses the cached coded inputs (and
-// surviving devices may sit at different slots — the silent-garbage case
-// the slot-scoped keys turn into a clean miss), the engine re-encodes the
-// trace and re-stores it, and the training step completes with weights
-// bit-identical to an undisturbed run.
+// TestBackwardCacheMissRefill: a device of the gang restarts between the
+// forward and backward passes and misses every cached coded input; the
+// engine re-encodes the trace with the forward's captured noise, re-stores
+// it, re-ships the layer down the batch's flight, and the training step
+// completes with weights bit-identical to an undisturbed run.
 func TestBackwardCacheMissRefill(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 0, Seed: 3}
-	const gang = 3
-	batch := trainData(cfg.VirtualBatch)
 
 	// Control: undisturbed depth-1 run.
 	control := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
-	ctrlTrainer, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
+	ctrlTrainer, err := NewTrainer(cfg, control, gpu.NewHonestCluster(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctrlTrainer.Close()
-	ctrlOpt := nn.NewSGD(0.05, 0.9)
-	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(batch, ctrlOpt, 0)
+	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(trainData(cfg.VirtualBatch), nn.NewSGD(0.05, 0.9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Disturbed: a 5-device fleet, gang of 3; after the forward pass the
-	// first grant is released with slot 1 reported faulty (quarantine), and
-	// the backward runs on a fresh grant.
 	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
-	fm := fleet.NewManager(gpu.NewHonestCluster(gang+2), fleet.Config{ProbationProbability: -1})
-	g1, err := fm.Acquire(context.Background(), "train", gang)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := &swapFleet{fw: g1, nForward: 2} // TinyCNN has 2 linear layers
-	sw.swap = func() {
-		g1.ReportFaults([]int{1})
-		g1.Release()
-		g2, err := fm.Acquire(context.Background(), "train", gang)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw.bw = g2
-	}
-	pipe, err := NewTrainPipeline(cfg, model, nil, "miss/", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-	opt := nn.NewSGD(0.05, 0.9)
-	loss, _, err := pipe.TrainLargeBatch(SingleFleetSource{F: sw}, batch, opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.bw != nil {
-		if g, ok := sw.bw.(*fleet.Grant); ok {
-			g.Release()
-		}
-	}
+	loss, pipe, fm := resetTrain(t, cfg, model)
 	if loss != ctrlLoss {
 		t.Fatalf("disturbed loss %v != control %v", loss, ctrlLoss)
 	}
-	if pipe.CacheRefills() == 0 {
-		t.Fatal("backward ran without a cache refill — the quarantine scenario was not exercised")
+	// TinyCNN has 2 bilinear layers: one refill each.
+	if n := pipe.CacheRefills(); n != 2 {
+		t.Fatalf("%d cache refills, want 2 (one per bilinear layer)", n)
 	}
 	sameWeights(t, "cache-miss-refill", control, model)
 	if st := fm.Stats(); st.QuarantineEvents == 0 {

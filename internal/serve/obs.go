@@ -28,22 +28,8 @@ func (s *Server) registerViews(r *obs.Registry) {
 		"Bilinear-layer offload dispatches measured by the phase breakdown.",
 		func() float64 { return float64(s.phaseStats().Offloads) })
 	r.CounterFunc("darknight_offload_flights_total",
-		"Gang flights dispatched (a fused block carries several offloads per flight).",
+		"Gang flights dispatched: one per virtual batch, carrying all its offloads.",
 		func() float64 { return float64(s.phaseStats().Flights) })
-	r.SampleFunc("darknight_fused_block_size",
-		"Fused-block flight accounting: flights, the layers they carried, and the mean fused depth.", "gauge",
-		func() []obs.Sample {
-			ph := s.phaseStats()
-			mean := 0.0
-			if ph.FusedBlocks > 0 {
-				mean = float64(ph.FusedLayers) / float64(ph.FusedBlocks)
-			}
-			return []obs.Sample{
-				{Labels: map[string]string{"stat": "blocks"}, Value: float64(ph.FusedBlocks)},
-				{Labels: map[string]string{"stat": "layers"}, Value: float64(ph.FusedLayers)},
-				{Labels: map[string]string{"stat": "mean_depth"}, Value: mean},
-			}
-		})
 	sched.RegisterPoolMetrics(r, s.poolStats)
 }
 

@@ -289,8 +289,6 @@ func TestServeMetricsRegistryScrape(t *testing.T) {
 		`darknight_tee_phase_seconds_total{phase="wall"}`:     snap.Phases.Wall.Seconds(),
 		"darknight_tee_offloads_total":                        float64(snap.Phases.Offloads),
 		"darknight_offload_flights_total":                     float64(snap.Phases.Flights),
-		`darknight_fused_block_size{stat="blocks"}`:           float64(snap.Phases.FusedBlocks),
-		`darknight_fused_block_size{stat="layers"}`:           float64(snap.Phases.FusedLayers),
 		"darknight_noisepool_hits_total":                      float64(snap.NoisePool.Hits),
 		"darknight_noisepool_misses_total":                    float64(snap.NoisePool.Misses),
 		"darknight_resil_deadline_total":                      float64(snap.Resil.Deadline),

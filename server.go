@@ -153,8 +153,8 @@ type ServerConfig struct {
 	// responses arrive (needs Redundancy >= 2; one redundant equation is
 	// always kept for verification).
 	StragglerSlack int
-	// Deprecated: Fuse has no effect. Every server flies each maximal run
-	// of consecutive bilinear layers as one gang flight. The field remains
+	// Deprecated: Fuse has no effect. Every server flies each virtual
+	// batch — all of its offloads — as one gang flight. The field remains
 	// only because the benchmark harness under bench/ still sets it.
 	Fuse bool
 	// Continuous enables continuous batching: a flushed padded batch keeps

@@ -138,8 +138,8 @@ func TestSnapshotReplayChaosDeterminism(t *testing.T) {
 // the snapshot format that still recorded the fused-offload switch
 // ("fuse_blocks": false): one worker, K=2, E=2 with audit-and-recover, and
 // device 1 tampering with every fifth job until it is quarantined. The
-// field is gone, and every runtime now fuses, so the replay flies each
-// Dense run as one flight. The snapshot must still load and validate, and
+// field is gone, and every runtime now flies each virtual batch as one
+// flight. The snapshot must still load and validate, and
 // everything replay compares — classes, culprits, the quarantine sequence,
 // integrity and refill counts — must come out unchanged.
 func TestPerLayerSnapshotReplaysFused(t *testing.T) {
