@@ -63,7 +63,9 @@ func sameBits(t *testing.T, tag string, a, b *nn.Model) {
 // completes before the latency has passed since the step began. Every
 // gradient job must therefore reach its device before then — 7 layers × 2
 // windows × S = 3 equations per virtual batch, 14 of them on slot 2 — and
-// the trained weights must equal an undelayed run's bit for bit.
+// the trained weights must equal an undelayed run's bit for bit. The
+// unprefixed arms fly every layer alone (perLayer); the "fused-" arms are
+// the production runtime, where the whole batch rides one gang flight.
 func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 3}
 	const gang, slowSlot, latency = 5, 2, 300 * time.Millisecond
@@ -119,36 +121,51 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 		}
 	}
 
-	t.Run("serial", func(t *testing.T) {
-		devs, calls, mu := devices(gang)
-		m := model()
-		trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer trn.Close()
-		check(t, 1, calls, mu, m, func(batch []dataset.Example) error {
-			_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
-			return err
+	for _, arm := range []struct {
+		prefix   string // subtest name prefix
+		perLayer bool
+	}{
+		{"", true},
+		{"fused-", false},
+	} {
+		t.Run(arm.prefix+"serial", func(t *testing.T) {
+			devs, calls, mu := devices(gang)
+			m := model()
+			trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer trn.Close()
+			if arm.perLayer {
+				trn.perLayer()
+			}
+			check(t, 1, calls, mu, m, func(batch []dataset.Example) error {
+				_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
+				return err
+			})
 		})
-	})
 
-	// Two virtual batches at once, each on its own fleet gang: the first
-	// grant picks devices 0–4, the second 5–9, so slot 2 is slow in both.
-	t.Run("pipeline-depth2-fleet", func(t *testing.T) {
-		devs, calls, mu := devices(2 * gang)
-		m := model()
-		pipe, err := NewTrainPipeline(cfg, m, nil, "ship/", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pipe.Close()
-		src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
-		check(t, 2, calls, mu, m, func(batch []dataset.Example) error {
-			_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
-			return err
+		// Two virtual batches at once, each on its own fleet gang: the
+		// first grant picks devices 0–4, the second 5–9, so slot 2 is slow
+		// in both.
+		t.Run(arm.prefix+"pipeline-depth2-fleet", func(t *testing.T) {
+			devs, calls, mu := devices(2 * gang)
+			m := model()
+			pipe, err := NewTrainPipeline(cfg, m, nil, "ship/", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			if arm.perLayer {
+				pipe.perLayer()
+			}
+			src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
+			check(t, 2, calls, mu, m, func(batch []dataset.Example) error {
+				_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
+				return err
+			})
 		})
-	})
+	}
 }
 
 // settleBarrier makes a backward tamper on lin3 deterministic to detect.
