@@ -17,11 +17,9 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 )
 
@@ -141,24 +139,29 @@ func (e *Enclave) Fits(n int64) bool {
 // Seal encrypts data with the enclave's AEAD key and stores the ciphertext
 // in untrusted memory, returning an opaque handle (Algorithm 2 lines 9–10:
 // Encrypt + Evict). The plaintext never appears in the untrusted store.
+// The sealed page is one allocation: the nonce, then the ciphertext sealed
+// straight in behind it.
 func (e *Enclave) Seal(data []byte) (uint64, error) {
-	nonce := make([]byte, e.aead.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+	ns := e.aead.NonceSize()
+	blob := make([]byte, ns, ns+len(data)+e.aead.Overhead())
+	if _, err := io.ReadFull(rand.Reader, blob); err != nil {
 		return 0, err
 	}
-	ct := e.aead.Seal(nil, nonce, data, nil)
+	blob = e.aead.Seal(blob, blob, data, nil)
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.nextKey++
 	h := e.nextKey
-	e.untrusted[h] = append(nonce, ct...)
+	e.untrusted[h] = blob
 	e.stats.SealedBytes += int64(len(data))
 	e.stats.SealOps++
+	e.mu.Unlock()
 	return h, nil
 }
 
 // Unseal reloads and decrypts a sealed page (Algorithm 2 line 19). The
-// handle is consumed.
+// handle is consumed, and the page is opened in place: the plaintext
+// returned is the consumed page's own memory, so unsealing allocates
+// nothing.
 func (e *Enclave) Unseal(h uint64) ([]byte, error) {
 	e.mu.Lock()
 	blob, ok := e.untrusted[h]
@@ -173,7 +176,7 @@ func (e *Enclave) Unseal(h uint64) ([]byte, error) {
 	if len(blob) < ns {
 		return nil, fmt.Errorf("enclave: sealed blob truncated")
 	}
-	pt, err := e.aead.Open(nil, blob[:ns], blob[ns:], nil)
+	pt, err := e.aead.Open(blob[ns:ns], blob[:ns], blob[ns:], nil)
 	if err != nil {
 		return nil, fmt.Errorf("enclave: unseal authentication failed: %w", err)
 	}
@@ -196,29 +199,4 @@ func (e *Enclave) TamperSealed(h uint64) error {
 	}
 	blob[len(blob)-1] ^= 0x01
 	return nil
-}
-
-// SealFloats seals a float64 slice (the ▽W_v shards of Algorithm 2).
-func (e *Enclave) SealFloats(xs []float64) (uint64, error) {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
-	return e.Seal(buf)
-}
-
-// UnsealFloats reverses SealFloats.
-func (e *Enclave) UnsealFloats(h uint64) ([]float64, error) {
-	buf, err := e.Unseal(h)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("enclave: sealed float blob has odd length %d", len(buf))
-	}
-	out := make([]float64, len(buf)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
 }

@@ -3,7 +3,6 @@ package enclave
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -96,25 +95,33 @@ func TestTamperDetection(t *testing.T) {
 	}
 }
 
-func TestSealFloats(t *testing.T) {
+// TestSealAllocations pins Algorithm 2's sealing cost: Seal makes one
+// allocation — the sealed page, nonce and ciphertext together — and Unseal
+// opens the page in place, allocating nothing.
+func TestSealAllocations(t *testing.T) {
 	e, _ := New(DefaultEPCBytes)
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	h, err := e.SealFloats(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.UnsealFloats(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if got[i] != xs[i] {
-			t.Fatalf("float %d: %v != %v", i, got[i], xs[i])
+	page := make([]byte, 20<<10)
+	const runs = 100
+	handles := make([]uint64, 0, runs+1)
+	seal := testing.AllocsPerRun(runs, func() {
+		h, err := e.Seal(page)
+		if err != nil {
+			t.Fatal(err)
 		}
+		handles = append(handles, h)
+	})
+	if seal != 1 {
+		t.Fatalf("Seal made %v allocations, want 1", seal)
+	}
+	unseal := testing.AllocsPerRun(runs, func() {
+		h := handles[len(handles)-1]
+		handles = handles[:len(handles)-1]
+		if _, err := e.Unseal(h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if unseal != 0 {
+		t.Fatalf("Unseal made %v allocations, want 0", unseal)
 	}
 }
 

@@ -57,10 +57,13 @@ type BlockOptions struct {
 
 // job is one device computation of a layer: entry is its index in the
 // layer's result order, x its operand (a coded input or a combined delta).
+// A job with no layer drops the device's stores under the keys in drop
+// instead.
 type job struct {
 	p     *LayerPending
 	entry int
 	x     field.Vec
+	drop  []string
 }
 
 // tripSlot is one device conversation: a FIFO of jobs drained by a worker
@@ -87,7 +90,13 @@ func (s *tripSlot) enqueue(j job) {
 
 func (s *tripSlot) work(j job) {
 	for {
-		j.p.run(s.trip, j.entry, j.x, "", nil)
+		if j.p != nil {
+			j.p.run(s.trip, j.entry, j.x, "", nil)
+		} else {
+			for _, key := range j.drop {
+				s.trip.Drop(key)
+			}
+		}
 		s.mu.Lock()
 		if len(s.queue) == 0 {
 			s.busy = false
@@ -116,6 +125,35 @@ func NewBlockFlight(trips []DeviceTrip, opts BlockOptions) *BlockFlight {
 // Slots returns the gang width of the flight.
 func (f *BlockFlight) Slots() int { return len(f.slots) }
 
+// storeKey maps a logical tensor key to the key one slot's device stores
+// it under.
+func (f *BlockFlight) storeKey(key string, slot int) string {
+	if f.opts.MapKey != nil {
+		return f.opts.MapKey(key, slot)
+	}
+	return key
+}
+
+// Drop has every slot forget the coded inputs stored under the logical
+// keys — the end of a training batch's device memory (§6: a batch's coded
+// inputs are kept only until its backward pass has read them). The drop
+// rides each slot's FIFO behind every job already shipped, so a quorum
+// laggard's late store cannot outlive it, and End waits for it on the
+// slots it drains. It is bookkeeping, not a device job: no traffic is
+// counted.
+func (f *BlockFlight) Drop(keys []string) {
+	if len(keys) == 0 {
+		return
+	}
+	for i := range f.slots {
+		slotKeys := make([]string, len(keys))
+		for j, key := range keys {
+			slotKeys[j] = f.storeKey(key, i)
+		}
+		f.slots[i].enqueue(job{drop: slotKeys})
+	}
+}
+
 // ForwardLayer ships one layer: slot j computes the kernel on coded[j],
 // storing it under the layer key for backward reuse. Returns immediately;
 // gather through the LayerPending.
@@ -126,7 +164,7 @@ func (f *BlockFlight) ForwardLayer(key string, kernel LinearKernel, coded []fiel
 	p := f.newPending(key, len(coded), 0)
 	p.fwd, p.coded = kernel, coded
 	for j, x := range coded {
-		f.slots[j].enqueue(job{p, j, x})
+		f.slots[j].enqueue(job{p: p, entry: j, x: x})
 	}
 	return p, nil
 }
@@ -146,10 +184,10 @@ func (f *BlockFlight) GradLayer(key string, kernel BilinearKernel, prim, sec []f
 	p.bwd = kernel
 	p.errs = make([]error, len(prim)+len(sec))
 	for j, d := range prim {
-		f.slots[j].enqueue(job{p, j, d})
+		f.slots[j].enqueue(job{p: p, entry: j, x: d})
 	}
 	for j, d := range sec {
-		f.slots[p.secSlot+j].enqueue(job{p, len(prim) + j, d})
+		f.slots[p.secSlot+j].enqueue(job{p: p, entry: len(prim) + j, x: d})
 	}
 	return p, nil
 }
@@ -263,20 +301,22 @@ func (p *LayerPending) slot(entry int) int {
 // suffix that keeps the spare's store apart — and answers it, then runs
 // done (when non-nil). A slow device's trip may hold the answer until its
 // launch latency has passed; the slot moves on to its next job meanwhile.
+// A spare's store is dropped as soon as its job ran: no backward pass
+// reads it, and no flight owns the spare to drop it later.
 func (p *LayerPending) run(trip DeviceTrip, entry int, x field.Vec, suffix string, done func()) {
 	slot := p.slot(entry)
-	key := p.key
-	if p.f.opts.MapKey != nil {
-		key = p.f.opts.MapKey(key, slot)
-	}
+	key := p.f.storeKey(p.key, slot) + suffix
 	var (
 		y   field.Vec
 		err error
 	)
 	if p.fwd != nil {
-		y = trip.LinearForward(key+suffix, p.fwd, x)
+		y = trip.LinearForward(key, p.fwd, x)
+		if suffix != "" {
+			trip.Drop(key)
+		}
 	} else {
-		y, err = trip.GradWeights(key+suffix, p.bwd, x)
+		y, err = trip.GradWeights(key, p.bwd, x)
 	}
 	if st, ok := trip.(*slowTrip); ok && st.hold(func() { p.answer(slot, entry, y, err, suffix, done) }) {
 		return

@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,5 +381,112 @@ func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 	}
 	if n := blocked.jobs.Load(); n != 0 {
 		t.Fatalf("the blocked slot ran %d jobs", n)
+	}
+}
+
+// TestFlightDropRidesBehindLaggard: a drop shipped while a quorum laggard
+// still has its forward job queued runs after that job — the late store
+// cannot outlive it — on every slot, through the flight's key mapping,
+// and without counting as a device job.
+func TestFlightDropRidesBehindLaggard(t *testing.T) {
+	const n = 3
+	gate := make(chan struct{})
+	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
+	lagging := &scriptTrip{DeviceTrip: BeginTrip(devs[1]), gate: gate}
+	f := NewBlockFlight([]DeviceTrip{BeginTrip(devs[0]), lagging, BeginTrip(devs[2])}, BlockOptions{MapKey: SlotKey})
+	ident := func(x field.Vec) field.Vec { return x }
+	for _, key := range []string{"step1/lin1", "step1/lin2"} {
+		p, err := f.ForwardLayer(key, ident, vecs(n, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.WaitQuorum(n - 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Drop([]string{"step1/lin1", "step1/lin2"})
+	f.End() // drains the prompt slots, not the gated one
+	for _, i := range []int{0, 2} {
+		if s := devs[i].Stored(); s != 0 {
+			t.Fatalf("device %d holds %d coded inputs after End", i, s)
+		}
+		if jobs := devs[i].Traffic().Jobs; jobs != 2 {
+			t.Fatalf("device %d counted %d jobs, want 2 (the drop is not a job)", i, jobs)
+		}
+	}
+	close(gate)
+	deadline := time.Now().Add(10 * time.Second)
+	for lagging.jobs.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for devs[1].Stored() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if s := devs[1].Stored(); s != 0 {
+		t.Fatalf("the laggard kept %d late stores past the drop", s)
+	}
+}
+
+// TestSpeculativeStoresAreDropped: a share re-dispatched to a spare is
+// stored under its own key that no backward pass reads and no flight owns,
+// so the spare forgets it as soon as its job ran — before the spare is
+// handed back — and holds nothing once the flight has ended.
+func TestSpeculativeStoresAreDropped(t *testing.T) {
+	const n = 4
+	gate := make(chan struct{})
+	scripts, trips := scriptTrips(n)
+	scripts[1].gate, scripts[2].gate = gate, gate
+	var (
+		mu       sync.Mutex
+		spares   []Device
+		returned sync.WaitGroup
+	)
+	f := NewBlockFlight(trips, BlockOptions{
+		MapKey:         SlotKey,
+		SpeculateAfter: time.Microsecond,
+		Spare: func(slot int) (DeviceTrip, func(time.Duration), bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			d := NewHonest(n + len(spares))
+			spares = append(spares, d)
+			returned.Add(1)
+			return BeginTrip(d), func(time.Duration) { returned.Done() }, true
+		},
+	})
+	p, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return x }, vecs(n, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.WaitQuorum(n - 1); err != nil {
+		t.Fatal(err)
+	}
+	f.End()
+	returned.Wait() // every loan handed back
+	mu.Lock()
+	defer mu.Unlock()
+	if len(spares) == 0 {
+		t.Fatal("no share was re-dispatched to a spare")
+	}
+	for _, d := range spares {
+		if s := d.Stored(); s != 0 {
+			t.Fatalf("spare %d holds %d speculative stores", d.ID(), s)
+		}
+		if jobs := d.Traffic().Jobs; jobs != 1 {
+			t.Fatalf("spare %d ran %d jobs, want 1", d.ID(), jobs)
+		}
+	}
+	close(gate)
+}
+
+// TestSlotKeyFormat pins the slot-scoped storage key, built without fmt
+// on the per-job path, to its documented form.
+func TestSlotKeyFormat(t *testing.T) {
+	for _, c := range []struct {
+		key  string
+		slot int
+	}{{"ks/t0/step1/lin1", 0}, {"a/", 7}, {"", 12}, {"p0/lin3", 1234}} {
+		if got, want := SlotKey(c.key, c.slot), fmt.Sprintf("%s#s%d", c.key, c.slot); got != want {
+			t.Fatalf("SlotKey(%q, %d) = %q, want %q", c.key, c.slot, got, want)
+		}
 	}
 }

@@ -36,11 +36,17 @@ type Device interface {
 	ID() int
 	// LinearForward applies the kernel to the coded input and returns the
 	// result, also caching the coded input under key for backward reuse
-	// (§6 "Encoded Data Storage During Forward Pass").
+	// (§6 "Encoded Data Storage During Forward Pass"). A training batch's
+	// stores live from its forward job to the end of the batch's flight,
+	// whose last job on each slot drops them (BlockFlight.Drop); inference
+	// reuses its keys, so each store overwrites the last.
 	LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec
 	// GradWeights computes the bilinear gradient equation on a previously
 	// stored coded input (by key) and the combined delta it received.
 	GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error)
+	// Drop forgets the coded input stored under key, if any. It is
+	// bookkeeping, not a job: no traffic is counted.
+	Drop(key string)
 	// Stored returns how many coded inputs the device currently holds —
 	// the §6 "Encoded Data Storage" footprint.
 	Stored() int
@@ -94,6 +100,12 @@ func (d *honest) GradWeights(key string, kernel BilinearKernel, delta field.Vec)
 	d.traffic.BytesOut += int64(len(y)) * 4
 	d.mu.Unlock()
 	return y, nil
+}
+
+func (d *honest) Drop(key string) {
+	d.mu.Lock()
+	delete(d.store, key)
+	d.mu.Unlock()
 }
 
 func (d *honest) Stored() int {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -58,4 +59,4 @@ func FoldSlotErrors(errs []error) error {
 // device that lands in a different slot of a later gang — the fleet shuffles
 // devices by health — misses cleanly instead of silently serving another
 // slot's coded tensor to the backward pass.
-func SlotKey(key string, slot int) string { return fmt.Sprintf("%s#s%d", key, slot) }
+func SlotKey(key string, slot int) string { return key + "#s" + strconv.Itoa(slot) }

@@ -22,6 +22,9 @@ type DeviceTrip interface {
 	LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec
 	// GradWeights is Device.GradWeights within the trip.
 	GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error)
+	// Drop is Device.Drop within the trip: never a job, so no wrapper
+	// charges it latency or tampers with it.
+	Drop(key string)
 }
 
 // BeginTrip opens a persistent dispatch conversation on the device. The
@@ -73,6 +76,8 @@ func (t *wrapTrip) LinearForward(key string, kernel LinearKernel, x field.Vec) f
 func (t *wrapTrip) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
 	return t.d.GradWeights(key, kernel, delta)
 }
+
+func (t *wrapTrip) Drop(key string) { t.d.Drop(key) }
 
 // slowTrip runs every job the moment its slot reaches it and holds the
 // answers until ready, the launch latency after the trip's first job: the
@@ -135,3 +140,5 @@ func (t *slowTrip) GradWeights(key string, kernel BilinearKernel, delta field.Ve
 	t.launch()
 	return y, err
 }
+
+func (t *slowTrip) Drop(key string) { t.inner.Drop(key) }

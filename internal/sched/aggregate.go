@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"darknight/internal/enclave"
 	"darknight/internal/nn"
+	"darknight/internal/tensor"
 )
 
 // This file implements Algorithm 2: large-batch weight aggregation. The
@@ -16,6 +19,13 @@ import (
 // gradient-leakage side channel the paper cites (§6). TrainPipeline drives
 // them at every depth; the bit-identity guarantee across depths depends on
 // the aggregate summing in exactly the same order whatever the lanes did.
+//
+// Sealing copies nothing it does not have to: a lane encodes its
+// accumulators once, as little-endian float64 bytes, into a buffer it
+// reuses (putGrads); each shard of that buffer is sealed into one fresh
+// page (enclave.Seal), and each page is opened in place (enclave.Unseal)
+// and summed straight into the aggregate. The sealed bytes and seal
+// operations are those of sealing the floats one shard at a time.
 
 // AggregationStats reports what Algorithm 2 did for one large batch.
 type AggregationStats struct {
@@ -39,28 +49,28 @@ type AggregationStats struct {
 type gradStore struct {
 	encl  *enclave.Enclave
 	mu    sync.Mutex
-	plain map[uint64][]float64
+	plain map[uint64][]byte
 	next  uint64
 }
 
 func newGradStore(encl *enclave.Enclave) *gradStore {
-	return &gradStore{encl: encl, plain: make(map[uint64][]float64)}
+	return &gradStore{encl: encl, plain: make(map[uint64][]byte)}
 }
 
-func (s *gradStore) seal(vals []float64) (uint64, error) {
+func (s *gradStore) seal(page []byte) (uint64, error) {
 	if s.encl != nil {
-		return s.encl.SealFloats(vals)
+		return s.encl.Seal(page)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next++
-	s.plain[s.next] = append([]float64(nil), vals...)
+	s.plain[s.next] = append([]byte(nil), page...)
 	return s.next, nil
 }
 
-func (s *gradStore) unseal(h uint64) ([]float64, error) {
+func (s *gradStore) unseal(h uint64) ([]byte, error) {
 	if s.encl != nil {
-		return s.encl.UnsealFloats(h)
+		return s.encl.Unseal(h)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -81,25 +91,44 @@ func (s *gradStore) discard(handleSets [][]uint64) {
 	}
 }
 
-// sealShards seals one virtual batch's flattened ▽W shard-wise (Algorithm
-// 2 lines 9–10), returning the handles and the sealed byte count.
-func (s *gradStore) sealShards(flat []float64, shardElems int) ([]uint64, int64, error) {
-	var handles []uint64
-	var sealed int64
-	for off := 0; off < len(flat); off += shardElems {
-		end := off + shardElems
-		if end > len(flat) {
-			end = len(flat)
+// putGrads encodes the tensors' data, in order, as little-endian float64
+// bytes into buf, grown to fit, and returns it: one virtual batch's ▽W in
+// the byte form Algorithm 2 seals.
+func putGrads(buf []byte, grads []*tensor.Tensor) []byte {
+	n := 0
+	for _, g := range grads {
+		n += 8 * len(g.Data)
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	i := 0
+	for _, g := range grads {
+		for _, v := range g.Data {
+			binary.LittleEndian.PutUint64(buf[i:], math.Float64bits(v))
+			i += 8
 		}
+	}
+	return buf
+}
+
+// sealShards seals one virtual batch's encoded ▽W (putGrads) shard-wise
+// (Algorithm 2 lines 9–10), returning the handles and the sealed byte
+// count.
+func (s *gradStore) sealShards(flat []byte, shardElems int) ([]uint64, int64, error) {
+	shardBytes := 8 * shardElems
+	var handles []uint64
+	for off := 0; off < len(flat); off += shardBytes {
+		end := min(off+shardBytes, len(flat))
 		h, err := s.seal(flat[off:end])
 		if err != nil {
 			s.discard([][]uint64{handles})
 			return nil, 0, err
 		}
 		handles = append(handles, h)
-		sealed += int64(end-off) * 8
 	}
-	return handles, sealed, nil
+	return handles, int64(len(flat)), nil
 }
 
 // aggregate is UpdateAggregation (Algorithm 2 lines 14–21): it reloads
@@ -112,15 +141,15 @@ func (s *gradStore) aggregate(handles [][]uint64, shardElems, totalElems, shards
 	for shard := 0; shard < shards; shard++ {
 		off := shard * shardElems
 		for _, vbHandles := range handles {
-			vals, err := s.unseal(vbHandles[shard])
+			page, err := s.unseal(vbHandles[shard])
 			if err != nil {
 				// Drain everything: re-unsealing an already-consumed handle
 				// errors harmlessly, and the rest must not strand.
 				s.discard(handles)
 				return nil, err
 			}
-			for i, v := range vals {
-				agg[off+i] += v
+			for i := 0; i+8 <= len(page); i += 8 {
+				agg[off+i/8] += math.Float64frombits(binary.LittleEndian.Uint64(page[i:]))
 			}
 		}
 	}

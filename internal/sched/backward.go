@@ -26,18 +26,14 @@ import (
 // TEE's own input-gradient chain produced, and the coded inputs the devices
 // stored during forward, so no device result is on the walk's critical path.
 // The settle stage then gathers, decodes and accumulates every shipped
-// layer in walk order. The first error in walk order is returned; every
-// per-layer flight the walk opened (reference arm only) is ended on every
-// path.
+// layer in walk order. The first error in walk order is returned.
 func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor) error {
 	_, err := e.backwardLayer(code, tr, grads)
 	var settleErr error
 	for i := range e.pending {
-		l := &e.pending[i]
-		if settleErr == nil {
-			settleErr = e.gatherBackward(code, l)
+		if settleErr = e.gatherBackward(code, &e.pending[i]); settleErr != nil {
+			break
 		}
-		e.endLayerFlight(l.flight)
 	}
 	clear(e.pending)
 	e.pending = e.pending[:0]
@@ -165,16 +161,16 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	esp.End()
 	e.phases.Encode += time.Since(t0)
 
-	flight, err := e.layerFlight()
-	if err != nil {
-		return nil, err
+	// The batch's flight, or on the per-layer arm the layer's own, which
+	// carried its forward.
+	l.flight = e.flight
+	if l.flight == nil {
+		l.flight = tr.flight
 	}
-	l.flight = flight
 	t1 := time.Now()
-	err = e.shipBackward(&l)
+	err := e.shipBackward(&l)
 	e.phases.Dispatch += time.Since(t1)
 	if err != nil {
-		e.endLayerFlight(flight)
 		return nil, err
 	}
 	e.pending = append(e.pending, l)
@@ -230,7 +226,11 @@ func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 
 	csp := l.sp.Child("decode")
 	t2 := time.Now()
-	sum := field.NewVec(l.lin.WLen())
+	n := l.lin.WLen()
+	if cap(e.wsum) < n {
+		e.wsum = field.NewVec(n)
+	}
+	sum := e.wsum[:n]
 	if l.sec != nil {
 		if present == nil { // both windows answered in full
 			present = make([]bool, len(eqs))
@@ -245,9 +245,9 @@ func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 	if err != nil {
 		return fmt.Errorf("sched: backward decode for %q: %w", l.tr.key, err)
 	}
-	dw := e.q.UnquantizeProduct(sum)
+	dw := e.q.UnquantizeProductInto(e.floats(n), sum)
 	// The coded inputs carried 1/fx, the deltas 1/fd: undo both. The
-	// quantization scales 2^(2l) are already removed by UnquantizeProduct.
+	// quantization scales 2^(2l) are already removed by UnquantizeProductInto.
 	rescale := l.fd * l.fx
 	for j := range dw {
 		dw[j] *= rescale

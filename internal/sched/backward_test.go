@@ -329,3 +329,70 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 		})
 	}
 }
+
+// storeGate holds a device's forward jobs until its first gradient job has
+// run — or, when FIFO order keeps that job queued behind them, until the
+// test's timer opens the gate.
+type storeGate struct {
+	gpu.Device
+	gate chan struct{}
+	once *sync.Once
+}
+
+func (d storeGate) open() { d.once.Do(func() { close(d.gate) }) }
+
+func (d storeGate) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	<-d.gate
+	return d.Device.LinearForward(key, kernel, x)
+}
+
+func (d storeGate) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+	y, err := d.Device.GradWeights(key, kernel, delta)
+	d.open()
+	return y, err
+}
+
+// TestPerLayerGradientRidesBehindStore pins store-before-gradient on the
+// per-layer arm: a layer's own flight carries its forward and its
+// backward, so a device whose forward jobs a quorum decoded around runs
+// each layer's gradient job behind its store, as on the batch flight.
+// The device at slot 2 — in both decode windows — holds its forward jobs
+// until a gradient job of its own has run. Had that job been allowed to
+// overtake them (a backward flight of its own), it would miss and refill;
+// here it waits for the stores, which the test's timer releases. No refill,
+// weights bit-identical to an undisturbed run.
+func TestPerLayerGradientRidesBehindStore(t *testing.T) {
+	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 3}
+	const gang = 5
+	batch := trainData(cfg.VirtualBatch)
+	control := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
+	ctrl, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	if _, _, err := ctrl.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	devs := honestDevices(gang)
+	held := storeGate{Device: devs[2], gate: make(chan struct{}), once: &sync.Once{}}
+	devs[2] = held
+	timer := time.AfterFunc(200*time.Millisecond, held.open)
+	defer timer.Stop()
+	m := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
+	pipe, err := NewTrainPipeline(cfg, m, nil, "behind/", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	pipe.perLayer()
+	src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
+	if _, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := pipe.CacheRefills(); n != 0 {
+		t.Fatalf("%d cache refills: a gradient job overtook its device's store", n)
+	}
+	sameBits(t, "held stores", control, m)
+}

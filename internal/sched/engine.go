@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -152,16 +153,25 @@ type engine struct {
 	// different pipelines sharing one physical fleet cannot alias.
 	keyspace string
 	// reuseKeys drops the step counter from storage keys. Training needs
-	// per-step keys (backward reads the stored coded inputs), but a
-	// forward-only pipeline never reads them back — reusing keys lets each
-	// dispatch overwrite the last one so long-running serving does not
-	// grow device storage without bound.
+	// per-step keys (backward reads the stored coded inputs, and the batch
+	// drops them when its flight ends), but a forward-only pipeline never
+	// reads them back — reusing keys lets each dispatch overwrite the last
+	// one so long-running serving does not grow device storage without
+	// bound.
 	reuseKeys bool
 	// stepSeq names coded tensors uniquely across steps so GPU-side
 	// storage from different steps cannot alias.
 	stepSeq int
 	// linSeq numbers linear layers within a step.
 	linSeq int
+	// stored lists the per-step keys under which the current batch's
+	// forward offloads left coded inputs on its gang; endBatchFlight drops
+	// them. Empty with reused keys: inference overwrites its stores instead.
+	stored []string
+	// layerFlights, on the per-layer arm only, holds the flight of each
+	// stored key (parallel to stored): open from the layer's forward to the
+	// batch's end, so the layer's gradient jobs ride behind its stores.
+	layerFlights []*gpu.BlockFlight
 
 	// tee is the TEE execution token this lane shares with its siblings:
 	// the engine holds it for all enclave-side work and releases it only
@@ -188,7 +198,9 @@ type engine struct {
 	// (perLayer, serialRef).
 	flight *gpu.BlockFlight
 	// perLayer keeps openBatchFlight from opening a batch flight, so every
-	// offload opens its own: the per-layer reference arm of the tests.
+	// bilinear layer opens its own, which carries the layer's forward and
+	// — with per-step keys — its backward: the per-layer reference arm of
+	// the tests.
 	perLayer bool
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
@@ -234,6 +246,7 @@ type engine struct {
 	// scalar matrices, negligible next to the vectors).
 	arena    field.Arena
 	fscratch []float64   // normalized-float staging, grown to the largest layer
+	wsum     field.Vec   // a backward layer's decoded ▽W, grown to the largest layer
 	quantIn  []field.Vec // K reusable header slots
 	noise    []field.Vec // M slots
 	coded    []field.Vec // S+E slots
@@ -305,21 +318,35 @@ func (e *engine) openBatchFlight() error {
 	return err
 }
 
-// endBatchFlight ends the batch's flight, if one is open. Ending waits for
-// the devices that cannot block to run everything shipped down it (see
+// endBatchFlight ends the batch's flight, if one is open, after having
+// every slot drop the coded inputs the batch stored (§6: a batch's device
+// memory lives exactly as long as the batch). The drop rides each slot's
+// FIFO behind the batch's own jobs, so a quorum laggard's late store goes
+// with it; a refill's identity flight was gathered in full before backward
+// went on, so its stores are in place to be dropped. On the per-layer arm
+// each layer's flight drops its own layer's key the same way. Ending waits
+// for the devices that cannot block to run everything shipped down it (see
 // gpu.BlockFlight.End), so call it without the TEE token: a batch's device
 // work — the jobs its quorum gathers decoded around included — is then
 // done, and counted, when the batch completes.
 func (e *engine) endBatchFlight() {
 	if e.flight != nil {
+		e.flight.Drop(e.stored)
 		e.flight.End()
 		e.flight = nil
 	}
+	for i, f := range e.layerFlights {
+		f.Drop(e.stored[i : i+1])
+		f.End()
+	}
+	clear(e.layerFlights)
+	e.layerFlights = e.layerFlights[:0]
+	clear(e.stored)
+	e.stored = e.stored[:0]
 }
 
-// layerFlight returns the flight one layer's offload rides: the batch's,
-// or — on the per-layer reference arm — a fresh one, which the caller ends
-// with endLayerFlight once the layer is gathered.
+// layerFlight returns the flight one layer's forward offload rides: the
+// batch's, or — on the per-layer reference arm — a fresh one.
 func (e *engine) layerFlight() (*gpu.BlockFlight, error) {
 	if e.flight != nil {
 		return e.flight, nil
@@ -327,20 +354,13 @@ func (e *engine) layerFlight() (*gpu.BlockFlight, error) {
 	return e.beginFlight()
 }
 
-// endLayerFlight ends f unless it is the batch's flight.
-func (e *engine) endLayerFlight(f *gpu.BlockFlight) {
-	if f != e.flight {
-		f.End()
-	}
-}
-
 // storesVolatile reports whether the fleet's device-side coded-input
 // stores can disappear or reshuffle between a batch's forward and backward
 // passes. A bare *gpu.Cluster binds slot i to device i for its lifetime,
-// so its stores are stable and a training forward gathered from every
-// device can skip capturing the refill noise (no per-offload clone on the
-// raw-cluster hot path); every other fleet — gang grants whose devices are
-// re-picked per batch, wrappers that swap delegates — is assumed volatile.
+// so its stores are stable and a training forward on it skips capturing
+// the refill noise (no per-offload clone on the raw-cluster hot path);
+// every other fleet — gang grants whose devices are re-picked per batch,
+// wrappers that swap delegates — is assumed volatile.
 func (e *engine) storesVolatile() bool {
 	_, stable := e.fleet.(*gpu.Cluster)
 	return !stable
@@ -456,16 +476,28 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 		return nil, err
 	}
 	e.linSeq++
-	if e.reuseKeys {
-		tr.key = fmt.Sprintf("%slin%d", e.keyspace, e.linSeq)
-	} else {
-		tr.key = fmt.Sprintf("%sstep%d/lin%d", e.keyspace, e.stepSeq, e.linSeq)
-	}
+	tr.key = e.layerKey()
 	flight, err := e.layerFlight()
 	if err != nil {
 		return nil, err
 	}
-	defer e.endLayerFlight(flight)
+	switch {
+	case e.reuseKeys:
+		// Nothing reads the stores back: a layer's own flight ends once
+		// the layer is gathered.
+		if flight != e.flight {
+			defer flight.End()
+		}
+	case flight != e.flight:
+		// The layer's own flight stays open for its backward, so each slot
+		// runs the layer's gradient job behind its store, as on the batch
+		// flight; endBatchFlight ends it.
+		tr.flight = flight
+		e.stored = append(e.stored, tr.key)
+		e.layerFlights = append(e.layerFlights, flight)
+	default:
+		e.stored = append(e.stored, tr.key)
+	}
 	osp := e.sp.Child("offload")
 	if osp != nil {
 		osp.Annotate("key", tr.key)
@@ -513,6 +545,16 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 	e.phases.Offloads++
 	csp.End()
 	return outs, nil
+}
+
+// layerKey names the current layer's coded inputs in device storage:
+// "<keyspace>lin<n>" with reused keys, "<keyspace>step<s>/lin<n>" with
+// per-step ones.
+func (e *engine) layerKey() string {
+	if e.reuseKeys {
+		return e.keyspace + "lin" + strconv.Itoa(e.linSeq)
+	}
+	return e.keyspace + "step" + strconv.Itoa(e.stepSeq) + "/lin" + strconv.Itoa(e.linSeq)
 }
 
 // fwdEnc is the encode-stage output of one bilinear layer's forward
@@ -582,13 +624,13 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 		coded[j] = e.arena.RawVec(n)
 	}
 	encErr := code.EncodeWith(coded, quantIn, noise)
-	if train && (cloneForQuorum || e.storesVolatile()) {
+	if train && e.storesVolatile() {
 		// The backward pass may need to re-create the device-side coded
-		// inputs (cache refill after a device lost its stores, or — on the
-		// per-layer test arm, whose forward and backward jobs ride different
-		// flights — for a laggard a quorum gather left behind before it
-		// stored): capture the noise rows — the only non-recomputable encode
-		// ingredient — before the pool or the arena reclaims them.
+		// inputs (cache refill after a device lost its stores): capture the
+		// noise rows — the only non-recomputable encode ingredient — before
+		// the pool or the arena reclaims them. A quorum laggard needs none:
+		// its gradient job for a layer rides the flight of its store, behind
+		// it.
 		tr.noise = make([]field.Vec, len(noise))
 		for m := range noise {
 			tr.noise[m] = noise[m].Clone()

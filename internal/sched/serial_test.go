@@ -45,7 +45,8 @@ func (l *lanes) perLayer() {
 	}
 }
 
-// run opens a fresh step and a fresh code, then runs walk under the token.
+// run opens a fresh step and a fresh code, then runs walk under the token;
+// the batch's device stores are dropped once it has released the token.
 func (s *serialRef) run(n int, walk func(*masking.Code) error) error {
 	if k := s.cfg.VirtualBatch; n != k {
 		return fmt.Errorf("sched: virtual batch needs exactly %d inputs, got %d", k, n)
@@ -55,6 +56,7 @@ func (s *serialRef) run(n int, walk func(*masking.Code) error) error {
 	if err != nil {
 		return err
 	}
+	defer s.endBatchFlight()
 	s.token.Lock()
 	defer s.token.Unlock()
 	return walk(code)
@@ -129,11 +131,11 @@ func (s *serialRef) trainLargeBatch(batch []dataset.Example, opt *nn.SGD, shardE
 			return 0, stats, err
 		}
 		totalLoss += loss
-		flat := make([]float64, 0, totalElems)
-		for _, p := range params {
-			flat = append(flat, p.Grad.Data...)
+		grads := make([]*tensor.Tensor, len(params))
+		for i, p := range params {
+			grads[i] = p.Grad
 		}
-		vbHandles, sealed, err := s.store.sealShards(flat, shardElems)
+		vbHandles, sealed, err := s.store.sealShards(putGrads(nil, grads), shardElems)
 		if err != nil {
 			s.store.discard(handles)
 			return 0, stats, err

@@ -85,6 +85,9 @@ type TrainPipeline struct {
 
 	runMu sync.Mutex // one TrainLargeBatch at a time
 	store *gradStore // seals per-virtual-batch gradient shards (Algorithm 2)
+	// sealBufs holds, per lane, the byte image of its ▽W that sealGrads
+	// encodes and seals; reused batch after batch (Seal copies out of it).
+	sealBufs [][]byte
 
 	// tracer, when non-nil, samples per-virtual-batch trace spans: each
 	// sampled batch yields a root with its forward/backward offload trees,
@@ -107,11 +110,12 @@ func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspa
 		return nil, err
 	}
 	p := &TrainPipeline{
-		lanes:  l,
-		model:  model,
-		params: model.Params(),
-		grads:  make([][]*tensor.Tensor, depth),
-		store:  newGradStore(encl),
+		lanes:    l,
+		model:    model,
+		params:   model.Params(),
+		grads:    make([][]*tensor.Tensor, depth),
+		store:    newGradStore(encl),
+		sealBufs: make([][]byte, depth),
 	}
 	for _, prm := range p.params {
 		p.origGrads = append(p.origGrads, prm.Grad)
@@ -304,12 +308,10 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 	close(t.done)
 }
 
-// sealGrads flattens a lane's accumulators (params order) and seals them
-// shard-wise to untrusted memory (Algorithm 2 lines 9–10).
+// sealGrads encodes a lane's accumulators (params order) into the lane's
+// seal buffer and seals them shard-wise to untrusted memory (Algorithm 2
+// lines 9–10).
 func (p *TrainPipeline) sealGrads(lane, shardElems int) ([]uint64, int64, error) {
-	flat := make([]float64, 0, p.totalElems)
-	for _, g := range p.grads[lane] {
-		flat = append(flat, g.Data...)
-	}
-	return p.store.sealShards(flat, shardElems)
+	p.sealBufs[lane] = putGrads(p.sealBufs[lane], p.grads[lane])
+	return p.store.sealShards(p.sealBufs[lane], shardElems)
 }
