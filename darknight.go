@@ -41,7 +41,11 @@ type Config struct {
 	// Collusion is M: the tolerated size of a GPU coalition (default 1).
 	Collusion int
 	// Redundancy is E: extra coded inputs for integrity verification
-	// (0 = off, 1 = the paper's scheme).
+	// (0 = off, 1 = the paper's scheme). E >= 1 detects a tampered forward
+	// result; E >= 2 also names the device and, with recovery, decodes
+	// around it. Gradients are verified only with StragglerSlack >= 1 (and
+	// then only when both backward windows complete): at slack 0 a device
+	// that tampers only with gradients goes unseen.
 	Redundancy int
 	// GPUs is the cluster size K'; 0 sizes it minimally (K+M+E).
 	GPUs int

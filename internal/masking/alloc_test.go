@@ -142,27 +142,37 @@ func TestSteadyStateAllocationRegression(t *testing.T) {
 	}
 }
 
-// TestVerifiedDecodeAllocationRegression pins the verified forward decode
-// at zero allocations per call once warm: the full-gang decode at E = 1 and
-// E = 2 (parity rows fixed by New), VerifyForward on its own, and a
-// straggler mask whose decode window is not the primary one (its inverse
-// and parity rows built on the first call, then cached).
+// TestVerifiedDecodeAllocationRegression pins the verified decodes at zero
+// allocations per call once warm: the forward full-gang decode at E = 1 and
+// E = 2 (parity rows fixed by New), VerifyForward on its own, a straggler
+// mask whose decode window is not the primary one (its inverse and parity
+// rows built on the first call, then cached), and the backward decode with
+// both windows complete — the spare one checked, not decoded — given as
+// all-true masks and as nil ones.
 func TestVerifiedDecodeAllocationRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector deliberately bypasses sync.Pool, so allocation counts are meaningless under -race")
 	}
 	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
 	for _, e := range []int{1, 2} {
-		code, _, coded := subsetFixture(t, Params{K: 4, M: 1, Redundancy: e}, 4096, int64(50+e))
+		p := Params{K: 4, M: 1, Redundancy: e}
+		code, _, coded := subsetFixture(t, p, 4096, int64(50+e))
 		decoded := newDst(code.K, 4096)
 		straggler := make([]bool, code.NumCoded())
 		for j := range straggler {
 			straggler[j] = j != 0 // window {1..S}: not the primary one
 		}
+		bcode, prim, sec, _ := backwardFixture(t, int64(60+e), p)
+		grad := field.NewVec(len(prim[0]))
+		complete := allPresent(bcode.S)
 		for name, op := range map[string]func() error{
 			"DecodeForwardSubsetInto(nil)":       func() error { return code.DecodeForwardSubsetInto(decoded, coded, nil) },
 			"VerifyForward":                      func() error { return code.VerifyForward(coded) },
 			"DecodeForwardSubsetInto(straggler)": func() error { return code.DecodeForwardSubsetInto(decoded, coded, straggler) },
+			"DecodeBackwardSubsetInto(complete)": func() error {
+				return bcode.DecodeBackwardSubsetInto(grad, prim, sec, complete, complete)
+			},
+			"DecodeBackwardSubsetInto(nil)": func() error { return bcode.DecodeBackwardSubsetInto(grad, prim, sec, nil, nil) },
 		} {
 			if err := op(); err != nil { // warm the scratch, the pool and the window cache
 				t.Fatalf("E=%d %s: %v", e, name, err)

@@ -28,24 +28,26 @@ var ErrBackwardSubset = fmt.Errorf("%w: no complete backward decode window prese
 // caller-owned batch gradient dst. prim holds the S primary equations
 // (coded inputs [0, S), published-B combinations) and sec the S secondary
 // equations (coded inputs [E, S+E), SecondaryB combinations); present masks
-// say which actually arrived. The primary window is preferred when complete
-// — making the result bit-for-bit DecodeBackwardInto's — and the secondary
-// window is used otherwise; because both decodings recover the exact field
-// value Σᵢ g(δᵢ, xᵢ) (Eq 5/6 hold for each), the two paths agree
-// bit-for-bit on honest equations. When both windows are complete the
-// redundant one is compared against the decode and a mismatch returns
+// say which actually arrived, and a nil mask means every equation of its
+// window did. The primary window is preferred when complete — making the
+// result bit-for-bit DecodeBackwardInto's — and the secondary window is
+// used otherwise; because both decodings recover the exact field value
+// Σᵢ g(δᵢ, xᵢ) (Eq 5/6 hold for each), the two paths agree bit-for-bit on
+// honest equations. When both windows are complete the spare one is checked
+// against the decode, without decoding it, and a mismatch returns
 // ErrIntegrity.
 //
-// A code without redundancy (E = 0) has no secondary decoding: pass nil
-// sec/secPresent and the call degenerates to a present-check plus
-// DecodeBackwardInto.
+// A nil sec is the single-window path: DecodeBackwardInto on prim, behind a
+// present-check. A code without redundancy (E = 0) has no secondary
+// decoding, and sec is ignored. After the first call the decode allocates
+// nothing.
 func (c *Code) DecodeBackwardSubsetInto(dst field.Vec, prim, sec []field.Vec, primPresent, secPresent []bool) error {
 	primOK, err := c.windowComplete(prim, primPresent, len(dst))
 	if err != nil {
 		return err
 	}
 	secOK := false
-	if c.E > 0 {
+	if c.E > 0 && sec != nil {
 		secOK, err = c.windowComplete(sec, secPresent, len(dst))
 		if err != nil {
 			return err
@@ -53,15 +55,9 @@ func (c *Code) DecodeBackwardSubsetInto(dst field.Vec, prim, sec []field.Vec, pr
 	}
 	switch {
 	case primOK:
-		if err := c.DecodeBackwardInto(dst, prim); err != nil {
-			return err
-		}
-		if secOK {
-			check := field.NewVec(len(dst))
-			field.Combine(check, c.gammaSec[:c.S], sec[:c.S])
-			if !check.Equal(dst) {
-				return fmt.Errorf("%w: backward gradient decodes inconsistently across windows", ErrIntegrity)
-			}
+		field.Combine(dst, c.Gamma[:c.S], prim[:c.S])
+		if secOK && !field.CombineEqual(dst, c.gammaSec[:c.S], sec[:c.S]) {
+			return fmt.Errorf("%w: backward gradient decodes inconsistently across windows", ErrIntegrity)
 		}
 		return nil
 	case secOK:
@@ -75,14 +71,14 @@ func (c *Code) DecodeBackwardSubsetInto(dst field.Vec, prim, sec []field.Vec, pr
 }
 
 // windowComplete validates one backward equation window and reports whether
-// all S of its equations are present.
+// all S of its equations are present (present == nil: all of them).
 func (c *Code) windowComplete(eqs []field.Vec, present []bool, n int) (bool, error) {
-	if len(eqs) < c.S || len(present) < c.S {
+	if len(eqs) < c.S || (present != nil && len(present) < c.S) {
 		return false, fmt.Errorf("%w: got %d equations / %d mask entries, window has %d",
 			ErrWrongCount, len(eqs), len(present), c.S)
 	}
 	for j := 0; j < c.S; j++ {
-		if !present[j] {
+		if present != nil && !present[j] {
 			return false, nil
 		}
 		if len(eqs[j]) != n {

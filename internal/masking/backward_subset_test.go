@@ -60,7 +60,8 @@ func allPresent(n int) []bool {
 }
 
 // TestDecodeBackwardSubsetMatchesFull pins the straggler-tolerant backward
-// decode bit-for-bit against the full primary decode, on both windows:
+// decode bit-for-bit against the full primary decode, on both windows and
+// on the single-window path (nil sec):
 // with stragglers among the primary-exclusive slots the secondary window
 // must reproduce DecodeBackward's output exactly (field arithmetic is
 // exact, so the redundant decoding is not an approximation).
@@ -86,6 +87,14 @@ func TestDecodeBackwardSubsetMatchesFull(t *testing.T) {
 		}
 		if !dst.Equal(full) {
 			t.Fatal("subset decode (primary window) != full decode")
+		}
+		// No secondary window (slack 0): the single-window decode, unverified.
+		clear(dst)
+		if err := code.DecodeBackwardSubsetInto(dst, prim, nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.Equal(full) {
+			t.Fatal("single-window subset decode != full decode")
 		}
 
 		// A primary-exclusive straggler: the secondary window takes over and

@@ -218,3 +218,56 @@ func FuzzDecodeBackwardSubset(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAuditForwardSubset pins the window audit to its oracle (auditOracle,
+// the full-decode subset search) under fuzzed parameters, presence masks
+// and up to two corrupted columns: both name the same culprits with the
+// same error class, under the fuzzed mask and under nil, and whenever
+// culprits are named the recovery decode over the clean present columns
+// equals the oracle's full decode of the first S of them. Seeded with the
+// infer_open_* shape (K=4/M=1/E=2, one tamperer, every response present),
+// the train_flight code (K=2/M=1/E=2, one straggler and one tamperer) and
+// E = 1, which detects but cannot attribute.
+func FuzzAuditForwardSubset(f *testing.F) {
+	f.Add(int64(1), 4, 1, 2, 16, uint32(0b1111111), uint8(1), 2, 0, uint32(1))
+	f.Add(int64(2), 2, 1, 2, 16, uint32(0b01111), uint8(1), 1, 0, uint32(99))
+	f.Add(int64(3), 2, 1, 1, 8, uint32(0b1111), uint8(1), 3, 0, uint32(5))
+	f.Add(int64(4), 3, 2, 3, 9, uint32(0xff), uint8(2), 0, 6, uint32(1<<20))
+	f.Fuzz(func(t *testing.T, seed int64, k, m, e, n int, mask uint32, nbad uint8, bad1, bad2 int, delta uint32) {
+		k = clamp(k, 1, 4)
+		m = clamp(m, 1, 2)
+		e = clamp(e, 0, min(3, k+m))
+		n = clamp(n, 1, 32)
+		code, _, results := subsetFixture(t, Params{K: k, M: m, Redundancy: e}, n, seed)
+		present := make([]bool, code.NumCoded())
+		count := 0
+		for j := range present {
+			if mask&(1<<uint(j)) != 0 {
+				present[j] = true
+				count++
+			}
+		}
+		for j := 0; count < code.S; j++ {
+			if !present[j] {
+				present[j] = true
+				count++
+			}
+		}
+		d := field.Reduce(uint64(delta))
+		if d == 0 {
+			d = 1
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for _, j := range []int{bad1, bad2}[:nbad%3] {
+			j = clamp(j, 0, code.NumCoded()-1)
+			x := rng.Intn(n)
+			results[j][x] = field.Add(results[j][x], d)
+		}
+		if code.E > 0 && !isMDS(code) {
+			return // a singular S-subset (probability ≈ 1/p each) moves the recovery window
+		}
+		for _, mask := range [][]bool{nil, present} {
+			checkAuditAgainstOracle(t, "fuzzed", code, results, mask)
+		}
+	})
+}

@@ -29,50 +29,6 @@ func (c *Code) subsetInverse(cols []int) (*field.Mat, error) {
 	return sub.Inverse()
 }
 
-// DecodeFull decodes all S underlying images — f(x₁)…f(x_K) followed by
-// f(r₁)…f(r_M) — from the coded results at the given column subset. The
-// noise images are normally dropped, but integrity auditing uses them to
-// re-predict every equation.
-func (c *Code) DecodeFull(results []field.Vec, cols []int) ([]field.Vec, error) {
-	inv, err := c.subsetInverse(cols)
-	if err != nil {
-		return nil, err
-	}
-	for _, col := range cols {
-		if col < 0 || col >= len(results) {
-			return nil, fmt.Errorf("%w: column %d outside %d results", ErrWrongCount, col, len(results))
-		}
-	}
-	n := len(results[cols[0]])
-	srcs := make([]field.Vec, c.S)
-	for j, col := range cols {
-		srcs[j] = results[col]
-	}
-	coeff := make(field.Vec, c.S)
-	out := make([]field.Vec, c.S)
-	for i := 0; i < c.S; i++ {
-		y := field.NewVec(n)
-		for j := 0; j < c.S; j++ {
-			coeff[j] = inv.At(j, i)
-		}
-		field.Combine(y, coeff, srcs)
-		out[i] = y
-	}
-	return out, nil
-}
-
-// Predict recomputes what an honest GPU j must have returned, given the
-// full decoded images: ȳ_j = Σ_m A[m,j]·f_m. Linearity makes this exact.
-func (c *Code) Predict(full []field.Vec, j int) field.Vec {
-	out := field.NewVec(len(full[0]))
-	coeff := make(field.Vec, c.S)
-	for m := 0; m < c.S; m++ {
-		coeff[m] = c.A.At(m, j)
-	}
-	field.Combine(out, coeff, full[:c.S])
-	return out
-}
-
 // VerifyForward checks the forward-pass results for tampering without
 // decoding them: each redundant response j ∈ [S, S+E) must satisfy its
 // parity equation ȳ_j = Σᵢ cⱼᵢ·ȳᵢ over the primary window (§4.4: the
@@ -113,10 +69,14 @@ func (c *Code) AuditForward(results []field.Vec) ([]int, error) {
 }
 
 // AuditForwardSubset is AuditForward restricted to the present coded
-// responses (present == nil: all of them) — the straggler-path audit. Only
-// present columns are searched as decode subsets and only present columns
-// are cross-checked, so the effective redundancy is checks = (present
-// count) - S: attributing t simultaneous culprits needs checks > t.
+// responses (present == nil: all of them) — the straggler-path audit. It
+// runs on the decode windows of the verified decode: each S-subset of the
+// present columns, walked in lexicographic order, is a window (windowOf:
+// built on first use, then cached), and the present columns outside it
+// that fail their parity rows are the ones its decode could not explain.
+// The first window with the fewest failures names the culprits; no image is
+// decoded. The effective redundancy is checks = (present count) − S:
+// attributing t simultaneous culprits needs checks > t.
 func (c *Code) AuditForwardSubset(results []field.Vec, present []bool) ([]int, error) {
 	if c.E == 0 {
 		return nil, ErrNoRedundancy
@@ -128,6 +88,9 @@ func (c *Code) AuditForwardSubset(results []field.Vec, present []bool) ([]int, e
 	var cols []int
 	for j := 0; j < c.NumCoded(); j++ {
 		if present == nil || present[j] {
+			if len(cols) > 0 && len(results[j]) != len(results[cols[0]]) {
+				return nil, ErrShapeMismatch
+			}
 			cols = append(cols, j)
 		}
 	}
@@ -135,41 +98,25 @@ func (c *Code) AuditForwardSubset(results []field.Vec, present []bool) ([]int, e
 		return nil, fmt.Errorf("%w: %d responses present, need %d", ErrSubsetTooSmall, len(cols), c.S)
 	}
 	checks := len(cols) - c.S
-	best := []int(nil)
-	bestCount := len(cols) + 1
+	var best, failed []int
 	found := false
 	subset := make([]int, c.S)
-	try := func(chosen []int) {
-		full, err := c.DecodeFull(results, chosen)
-		if err != nil {
-			return // singular subset; skip
-		}
-		inSubset := make(map[int]bool, len(chosen))
-		for _, col := range chosen {
-			inSubset[col] = true
-		}
-		var mismatches []int
-		for _, j := range cols {
-			if inSubset[j] {
-				continue
-			}
-			if !c.Predict(full, j).Equal(results[j]) {
-				mismatches = append(mismatches, j)
-			}
-		}
-		if len(mismatches) < bestCount {
-			bestCount = len(mismatches)
-			best = mismatches
-			found = true
-		}
-	}
+	srcs := make([]field.Vec, c.S)
 	var search func(start, depth int)
 	search = func(start, depth int) {
-		if bestCount == 0 {
-			return // perfect subset already found
+		if found && len(best) == 0 {
+			return // a window explains every present response
 		}
 		if depth == c.S {
-			try(subset)
+			w, err := c.windowOf(subset)
+			if err != nil {
+				return // singular subset; skip
+			}
+			failed = c.failingChecks(failed[:0], w, srcs, results, present)
+			if !found || len(failed) < len(best) {
+				best = append(best[:0], failed...)
+				found = true
+			}
 			return
 		}
 		for i := start; i <= len(cols)-(c.S-depth); i++ {
@@ -181,48 +128,14 @@ func (c *Code) AuditForwardSubset(results []field.Vec, present []bool) ([]int, e
 	if !found {
 		return nil, fmt.Errorf("%w: no invertible decode subset", ErrIntegrity)
 	}
-	// A consistent subset explains all but `bestCount` present equations.
-	// Those are attributable culprits only if enough redundancy remains to
-	// have cross-checked them.
-	if bestCount > checks-1 && bestCount > 0 {
+	if len(best) == 0 {
+		return nil, nil
+	}
+	// The best window explains all but len(best) present equations. Those
+	// are attributable culprits only if enough redundancy remains to have
+	// cross-checked them.
+	if len(best) > checks-1 {
 		return nil, fmt.Errorf("%w: corruption detected but not attributable with %d present checks", ErrIntegrity, checks)
 	}
 	return best, nil
-}
-
-// DecodeBackwardSecondary folds the redundant backward equations (computed
-// by the GPUs serving coded inputs [E, S+E) with the SecondaryB
-// coefficients) into the batch gradient. Comparing it with DecodeBackward's
-// output verifies the backward pass.
-func (c *Code) DecodeBackwardSecondary(eqs []field.Vec) (field.Vec, error) {
-	if c.E == 0 {
-		return nil, ErrNoRedundancy
-	}
-	if len(eqs) < c.S {
-		return nil, fmt.Errorf("%w: got %d secondary equations, need %d", ErrWrongCount, len(eqs), c.S)
-	}
-	for _, e := range eqs[:c.S] {
-		if len(e) != len(eqs[0]) {
-			return nil, ErrShapeMismatch
-		}
-	}
-	out := field.NewVec(len(eqs[0]))
-	field.Combine(out, c.gammaSec[:c.S], eqs[:c.S])
-	return out, nil
-}
-
-// VerifyBackward compares the primary and secondary backward decodings.
-func (c *Code) VerifyBackward(primaryEqs, secondaryEqs []field.Vec) error {
-	p, err := c.DecodeBackward(primaryEqs)
-	if err != nil {
-		return err
-	}
-	s, err := c.DecodeBackwardSecondary(secondaryEqs)
-	if err != nil {
-		return err
-	}
-	if !p.Equal(s) {
-		return fmt.Errorf("%w: backward gradient decodes inconsistently", ErrIntegrity)
-	}
-	return nil
 }

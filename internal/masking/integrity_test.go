@@ -208,7 +208,8 @@ func TestVerifyBackward(t *testing.T) {
 	primary := makeEqs(primB, 0)
 	secondary := makeEqs(code.SecondaryB(), code.E)
 
-	if err := code.VerifyBackward(primary, secondary); err != nil {
+	dst := field.NewVec(d * n)
+	if err := code.DecodeBackwardSubsetInto(dst, primary, secondary, nil, nil); err != nil {
 		t.Fatalf("honest backward rejected: %v", err)
 	}
 	// Secondary decode equals primary decode equals the true gradient.
@@ -216,17 +217,20 @@ func TestVerifyBackward(t *testing.T) {
 	for i := 0; i < code.K; i++ {
 		field.AXPY(want, 1, outerProduct(deltas[i], inputs[i]))
 	}
-	got, err := code.DecodeBackwardSecondary(secondary)
-	if err != nil {
+	if !dst.Equal(want) {
+		t.Fatal("verified backward decode != true gradient")
+	}
+	primPresent := []bool{false, true, true} // primary incomplete: the secondary window decodes
+	if err := code.DecodeBackwardSubsetInto(dst, primary, secondary, primPresent, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	if !dst.Equal(want) {
 		t.Fatal("secondary backward decode != true gradient")
 	}
 	// Corrupt one primary equation: mismatch must be detected.
 	primary[0] = primary[0].Clone()
 	primary[0][3] = field.Add(primary[0][3], 5)
-	if err := code.VerifyBackward(primary, secondary); !errors.Is(err, ErrIntegrity) {
+	if err := code.DecodeBackwardSubsetInto(dst, primary, secondary, nil, nil); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("corrupted backward not detected: %v", err)
 	}
 }
@@ -236,8 +240,5 @@ func TestSecondaryBNilWithoutRedundancy(t *testing.T) {
 	code, _ := New(Params{K: 2, M: 1}, rng)
 	if code.SecondaryB() != nil {
 		t.Fatal("SecondaryB should be nil for E=0")
-	}
-	if _, err := code.DecodeBackwardSecondary(nil); !errors.Is(err, ErrNoRedundancy) {
-		t.Fatalf("err = %v", err)
 	}
 }

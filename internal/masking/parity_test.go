@@ -9,32 +9,6 @@ import (
 	"darknight/internal/field"
 )
 
-// twoWindowVerify is the forward integrity check the parity rows replaced,
-// kept as the differential oracle: decode the K outputs from the primary
-// window [0, S) and from the trailing window [E, S+E) and compare (§4.4:
-// "computing it redundantly at least twice using at least two sets of
-// equations").
-func twoWindowVerify(c *Code, results []field.Vec) error {
-	prim, err := c.DecodeFull(results, seq(c.S))
-	if err != nil {
-		return err
-	}
-	secCols := seq(c.S)
-	for i := range secCols {
-		secCols[i] += c.E
-	}
-	sec, err := c.DecodeFull(results, secCols)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < c.K; i++ {
-		if !prim[i].Equal(sec[i]) {
-			return fmt.Errorf("%w: input %d decodes inconsistently", ErrIntegrity, i)
-		}
-	}
-	return nil
-}
-
 // isMDS reports whether every S-column subset of A is invertible — the
 // property under which any S present responses decode and any E errors
 // are detectable. New guarantees it for the two backward windows; for the

@@ -182,3 +182,18 @@ func (c *Code) checkParity(w *window, srcs, results []field.Vec, present []bool)
 	}
 	return nil
 }
+
+// failingChecks gathers the window's results into srcs and appends to dst
+// every present column outside w (present == nil: all of them) that fails
+// its parity row — the audit's count, where checkParity stops at the first.
+func (c *Code) failingChecks(dst []int, w *window, srcs, results []field.Vec, present []bool) []int {
+	for i, j := range w.cols {
+		srcs[i] = results[j]
+	}
+	for e, j := range w.checks {
+		if (present == nil || present[j]) && !field.CombineEqual(results[j], w.parity.Row(e), srcs) {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}

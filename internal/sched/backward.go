@@ -231,18 +231,18 @@ func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 		e.wsum = field.NewVec(n)
 	}
 	sum := e.wsum[:n]
+	// Without slack one window ships (sec nil), and nil masks mean every
+	// equation answered.
+	prim, primPresent := eqs, present
+	var sec []field.Vec
+	var secPresent []bool
 	if l.sec != nil {
-		if present == nil { // both windows answered in full
-			present = make([]bool, len(eqs))
-			for i := range present {
-				present[i] = true
-			}
+		prim, sec = eqs[:code.S], eqs[code.S:]
+		if present != nil {
+			primPresent, secPresent = present[:code.S], present[code.S:]
 		}
-		err = code.DecodeBackwardSubsetInto(sum, eqs[:code.S], eqs[code.S:], present[:code.S], present[code.S:])
-	} else {
-		err = code.DecodeBackwardInto(sum, eqs)
 	}
-	if err != nil {
+	if err = code.DecodeBackwardSubsetInto(sum, prim, sec, primPresent, secPresent); err != nil {
 		return fmt.Errorf("sched: backward decode for %q: %w", l.tr.key, err)
 	}
 	dw := e.q.UnquantizeProductInto(e.floats(n), sum)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -222,8 +223,10 @@ type engine struct {
 
 	// recover enables audit-and-recover on integrity violations
 	// (EnableRecovery; needs Redundancy >= 2).
-	recover  bool
-	recovery recoveryStats
+	recover bool
+	// clean is the recovery decode's presence-mask scratch: the present
+	// responses minus the culprits.
+	clean []bool
 	// refills counts backward cache-miss recoveries: dispatches whose
 	// device-side coded-input cache had to be re-created from the trace
 	// (device replaced, reshuffled or still lagging since forward).
@@ -663,13 +666,20 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 	return fwdEnc{wq: wq, coded: coded, fx: fx, fw: fw, workset: workset}, nil
 }
 
-// decodeForward runs the decode stage of one bilinear layer's offload: one
-// verified decode from the responses that arrived (present == nil: all of
-// them), spending every present response beyond S as a parity check —
-// exact over F_p, so bit-for-bit the full decode whichever responses
-// arrived (pinned by masking's subset tests). A failed check is audited:
-// recovered from the clean present equations when enabled, otherwise
-// returned with whatever culprits the audit can attribute.
+// decodeForward runs the decode stage of one bilinear layer's offload and
+// owns its integrity verdict: one verified decode from the responses that
+// arrived (present == nil: all of them), spending every present response
+// beyond S as a parity check — exact over F_p, so bit-for-bit the full
+// decode whichever responses arrived (pinned by masking's subset tests).
+//
+// A failed check is audited on the same decode windows, which names the
+// culprit slots when the present redundancy allows (E >= 2, slack <=
+// E-2). With recovery on — the corrective action §4.4 leaves to future
+// work, "executing on another GPU worker" — the verified decode then runs
+// once more with the culprits cleared from the presence mask: the clean
+// responses still hold a parity check, and the outputs are exactly the
+// honest ones. Otherwise, or when no culprit can be named, the batch fails
+// with an *IntegrityError carrying whatever culprits the audit found.
 func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []field.Vec, present []bool) ([]field.Vec, error) {
 	missing, outLen := 0, -1
 	for j, p := range present {
@@ -690,16 +700,38 @@ func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []fiel
 		decoded[i] = e.arena.RawVec(outLen)
 	}
 	err := code.DecodeForwardSubsetInto(decoded, results, present)
-	switch {
-	case err == nil:
+	if err == nil {
 		return decoded, nil
-	case !errors.Is(err, masking.ErrIntegrity):
-		return nil, err
-	case e.recover:
-		return e.recoverForward(code, results, present)
-	default:
-		return nil, e.attributedError(code, results, present, err)
 	}
+	if !errors.Is(err, masking.ErrIntegrity) {
+		return nil, err
+	}
+	culprits, aerr := code.AuditForwardSubset(results, present)
+	if aerr != nil {
+		culprits = nil // not attributable: the verdict is unattributed
+	}
+	e.stepCulprits = append(e.stepCulprits, culprits...)
+	slices.Sort(e.stepCulprits)
+	e.stepCulprits = slices.Compact(e.stepCulprits)
+	if e.recover && len(culprits) > 0 &&
+		code.DecodeForwardSubsetInto(decoded, results, e.cleanMask(len(results), present, culprits)) == nil {
+		e.recordIntegrity(culprits, true)
+		return decoded, nil
+	}
+	return nil, e.integrityError(culprits, err)
+}
+
+// cleanMask returns, in engine scratch, the presence mask over n responses
+// (present == nil: all of them) with the culprits cleared.
+func (e *engine) cleanMask(n int, present []bool, culprits []int) []bool {
+	e.clean = slices.Grow(e.clean[:0], n)[:n]
+	for j := range e.clean {
+		e.clean[j] = present == nil || present[j]
+	}
+	for _, j := range culprits {
+		e.clean[j] = false
+	}
+	return e.clean
 }
 
 // restoreForward runs the restore stage: floats back from the field, undo
@@ -742,20 +774,13 @@ func (e *engine) recordIntegrity(culprits []int, recovered bool) {
 	e.sp.Annotate("integrity", detail)
 }
 
-// attributedError wraps a verification failure, attributing culprit gang
-// slots when the redundancy budget allows it. The audit runs on the
-// present columns only (present == nil: all of them), so attribution needs
-// at least two present redundant equations (E >= 2 and slack <= E-2); with
-// the paper's E = 1 the corruption is detectable but not attributable and
-// the error carries no culprits.
-func (e *engine) attributedError(code *masking.Code, results []field.Vec, present []bool, verr error) error {
-	if culprits, aerr := code.AuditForwardSubset(results, present); aerr == nil && len(culprits) > 0 {
-		e.stepCulprits = mergeSorted(e.stepCulprits, culprits)
-		e.recordIntegrity(culprits, false)
-		return &IntegrityError{Culprits: culprits, Err: verr}
-	}
-	e.recordIntegrity(nil, false)
-	return &IntegrityError{Err: verr}
+// integrityError records an unrecovered integrity verdict and returns it
+// as the batch's error: the attributed culprits (none when the present
+// redundancy cannot name them, so the whole gang is suspect) over the
+// verification failure verr.
+func (e *engine) integrityError(culprits []int, verr error) error {
+	e.recordIntegrity(culprits, false)
+	return &IntegrityError{Culprits: culprits, Err: verr}
 }
 
 // floats returns the persistent normalized-float staging buffer, grown to

@@ -3,11 +3,13 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"darknight/internal/dataset"
 	"darknight/internal/field"
 	"darknight/internal/gpu"
+	"darknight/internal/masking"
 	"darknight/internal/nn"
 )
 
@@ -215,6 +217,7 @@ func TestInferencerRecoveryAttributesCulprit(t *testing.T) {
 	if err := inf.EnableRecovery(); err != nil {
 		t.Fatal(err)
 	}
+	verdicts := integrityVerdicts(inf)
 	const bad = 3
 	devs := make([]gpu.Device, 5)
 	for i := range devs {
@@ -240,9 +243,7 @@ func TestInferencerRecoveryAttributesCulprit(t *testing.T) {
 	if len(culprits) != 1 || culprits[0] != bad {
 		t.Fatalf("culprits = %v, want [%d]", culprits, bad)
 	}
-	if st := inf.all[0].recovery; st.Violations == 0 || st.Recovered != st.Violations {
-		t.Fatalf("recovery stats = %+v", st)
-	}
+	checkRecovered(t, verdicts(), bad)
 
 	// EnableRecovery without the redundancy budget must refuse.
 	weak, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 1, Seed: 5}, modelB, nil, "w/")
@@ -335,6 +336,50 @@ func TestInferencerQuorumAttributesWithoutRecovery(t *testing.T) {
 	}
 	if len(ie.Culprits) != 1 || ie.Culprits[0] != bad {
 		t.Fatalf("culprits = %v, want [%d]", ie.Culprits, bad)
+	}
+}
+
+func TestRecoveryRecordsUnattributedVerdict(t *testing.T) {
+	// E=2, slack 1, recovery on: a straggler leaves one present check, so a
+	// tampered response is detected but cannot be named. The batch must
+	// still fail with a verdict — an *IntegrityError without culprits,
+	// recorded once as unattributed — not a bare error.
+	rng := rand.New(rand.NewSource(42))
+	model := nn.TinyCNN(1, 8, 8, 4, rng)
+	data := dataset.SyntheticCIFAR(rand.New(rand.NewSource(7)), 4, 4, 1, 8, 8, 0.05)
+	images := [][]float64{data.Items[0].Image, data.Items[1].Image}
+
+	inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, Seed: 5}, model, nil, "u/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(inf.Close)
+	if err := inf.EnableRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	verdicts := integrityVerdicts(inf)
+	gate := make(chan struct{})
+	t.Cleanup(func() { close(gate) })
+	devs := honestDevices(5)
+	devs[1] = gpu.NewMalicious(devs[1], gpu.FaultPolicy{EveryNth: 1})
+	devs[3] = gatedDevice{Device: devs[3], gate: gate}
+	tk, err := inf.Submit(gpu.NewCluster(devs...), images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tk.Wait()
+	var ie *IntegrityError
+	if !errors.As(err, &ie) || !errors.Is(err, masking.ErrIntegrity) {
+		t.Fatalf("err = %v, want an *IntegrityError wrapping masking.ErrIntegrity", err)
+	}
+	if len(ie.Culprits) != 0 {
+		t.Fatalf("culprits = %v, want none: one present check cannot attribute", ie.Culprits)
+	}
+	if got := verdicts(); len(got) != 1 || !strings.HasPrefix(got[0], "unattributed") {
+		t.Fatalf("integrity events = %q, want exactly one unattributed verdict", got)
+	}
+	if c := tk.Culprits(); len(c) != 0 {
+		t.Fatalf("ticket culprits = %v, want none", c)
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"darknight/internal/field"
 	"darknight/internal/gpu"
 	"darknight/internal/nn"
+	"darknight/internal/obs"
 )
 
 // tinyCluster builds n honest devices, each optionally wrapped by devWrap.
@@ -23,6 +25,37 @@ func tinyCluster(n int, devWrap func(int, gpu.Device) gpu.Device) *gpu.Cluster {
 		}
 	}
 	return gpu.NewCluster(devs...)
+}
+
+// integrityVerdicts attaches a flight recorder to every lane of rt and
+// returns a reader of the integrity verdicts recorded since.
+func integrityVerdicts(rt interface{ SetObserver(*obs.FlightRecorder) }) func() []string {
+	rec := obs.NewFlightRecorder(4096)
+	rt.SetObserver(rec)
+	return func() []string {
+		var out []string
+		for _, ev := range rec.Dump() {
+			if ev.Kind == obs.KindIntegrity {
+				out = append(out, ev.Detail)
+			}
+		}
+		return out
+	}
+}
+
+// checkRecovered requires at least one integrity verdict, every one of
+// them naming exactly the culprit slot bad and recovered.
+func checkRecovered(t *testing.T, verdicts []string, bad int) {
+	t.Helper()
+	want := fmt.Sprintf("culprit slots [%d], recovered from clean equations", bad)
+	if len(verdicts) == 0 {
+		t.Fatal("no integrity verdict recorded")
+	}
+	for _, v := range verdicts {
+		if v != want {
+			t.Fatalf("integrity verdict %q, want %q", v, want)
+		}
+	}
 }
 
 func tinyData() *dataset.Dataset {
@@ -359,6 +392,7 @@ func TestRecoveryFromMaliciousGPU(t *testing.T) {
 			if err := tr.EnableRecovery(); err != nil {
 				t.Fatal(err)
 			}
+			verdicts := integrityVerdicts(tr)
 			// Train a few batches despite constant tampering.
 			opt := nn.NewSGD(0.05, 0.9)
 			for i := 0; i+8 <= 48; i += 8 {
@@ -366,13 +400,7 @@ func TestRecoveryFromMaliciousGPU(t *testing.T) {
 					t.Fatalf("batch %d: %v", i, err)
 				}
 			}
-			st := tr.all[0].recovery
-			if st.Violations == 0 || st.Recovered != st.Violations {
-				t.Fatalf("recovery stats = %+v", st)
-			}
-			if len(st.BlamedGPUs) != 1 || st.BlamedGPUs[0] != 2 {
-				t.Fatalf("blamed = %v, want [2]", st.BlamedGPUs)
-			}
+			checkRecovered(t, verdicts(), 2)
 			if acc := model.Evaluate(data); acc < tc.minAcc {
 				t.Fatalf("recovered training accuracy %.2f too low", acc)
 			}

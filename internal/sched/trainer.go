@@ -40,7 +40,11 @@ type Config struct {
 	// Collusion is M, the tolerated coalition size (defaults to 1).
 	Collusion int
 	// Redundancy is E, extra coded inputs for integrity (0 disables
-	// verification; 1 is the paper's scheme).
+	// verification; 1 is the paper's scheme). E >= 1 detects a tampered
+	// forward response; E >= 2 also names it and, with EnableRecovery,
+	// decodes around it. The backward pass is verified only with
+	// StragglerSlack >= 1, and then only when both its decode windows
+	// complete.
 	Redundancy int
 	// FracBits is the fixed-point precision l (defaults to
 	// quant.DefaultFracBits = 8).
@@ -55,9 +59,13 @@ type Config struct {
 	// responses decode exactly). At least one redundant equation is always
 	// retained for verification, so the effective slack is
 	// min(StragglerSlack, Redundancy-1); straggler tolerance therefore
-	// requires Redundancy >= 2. 0 waits for every device. On the backward
-	// pass any slack with Redundancy >= 1 ships both decode windows and
-	// decodes from whichever completes first.
+	// requires Redundancy >= 2. 0 waits for every device. Each absent
+	// response spends one redundant equation: the forward pass names a
+	// culprit only while two checks are present, which slack <= E-2
+	// guarantees. On the backward pass any slack with Redundancy >= 1 ships
+	// both decode windows and decodes from whichever completes first. Slack
+	// 0 ships one backward window, which is not verified: a device that
+	// tampers only with gradients goes unseen.
 	StragglerSlack int
 	// Deprecated: FuseBlocks has no effect. Every runtime flies each
 	// virtual batch — every offload of both passes — as one gang flight.
