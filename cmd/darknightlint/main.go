@@ -7,8 +7,10 @@
 //
 // It loads, typechecks and analyzes the named packages (default ./...),
 // prints findings as file:line:col: analyzer: message, and exits 1 when
-// any unsuppressed finding remains. The whole-tree metric coverage check
-// (canonical families nobody registers) runs in this mode too.
+// any unsuppressed finding remains. The whole-module checks run in this
+// mode only, on whole-tree runs: metric coverage (canonical families
+// nobody registers) and testonly (exported names under internal/ that no
+// non-test code outside bench/ references).
 //
 // Vet tool (drop-in for CI pipelines that already run go vet):
 //
@@ -18,7 +20,9 @@
 // speaks the vet unit-checker protocol: it answers -V=full for the build
 // cache, typechecks the unit from the config's file lists, writes the
 // (empty — the suite is fact-free) .vetx output, reports findings to
-// stderr and exits 2 when there are any.
+// stderr and exits 2 when there are any. A unit is one package, so
+// testonly, which needs every package's uses at once, reports nothing in
+// this mode.
 package main
 
 import (
@@ -40,6 +44,7 @@ import (
 	"darknight/internal/analysis/load"
 	"darknight/internal/analysis/metricname"
 	"darknight/internal/analysis/suite"
+	"darknight/internal/analysis/testonly"
 )
 
 func main() {
@@ -138,13 +143,17 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, showSup, j
 		fmt.Fprintln(os.Stderr, "darknightlint:", err)
 		return 1
 	}
-	active := analysis.Active(results)
-	// Coverage direction: canonical metric families no analyzed package
-	// registers. Only meaningful on whole-tree runs.
+	// The whole-module checks are only meaningful on whole-tree runs:
+	// canonical metric families no analyzed package registers, and
+	// exported names no non-test code references.
 	var missing []string
 	if wholeTree(patterns) && hasAnalyzer(analyzers, metricname.Analyzer.Name) {
 		missing = metricname.Unregistered(suite.MetricSets(results))
 	}
+	if wholeTree(patterns) && hasAnalyzer(analyzers, testonly.Analyzer.Name) {
+		results = append(results, analysis.PackageResult{Diagnostics: testonly.Unused(results)})
+	}
+	active := analysis.Active(results)
 	if jsonOut {
 		out := struct {
 			Findings            []analysis.Diagnostic `json:"findings"`

@@ -263,13 +263,19 @@ func (s *trainGangSource) Release(f sched.Fleet, culprits []int, err error) {
 
 // buildCluster assembles the simulated device fleet a Config describes,
 // wrapping the marked indices with fault policies and straggler delays.
-// With cfg.Chaos every device is additionally wrapped (outermost) in a
-// runtime fault-injection actuator; the returned slice holds the handles a
-// chaos runner drives, index = device id (nil without Chaos).
+// With cfg.Chaos every honest device is first wrapped (innermost) in a
+// runtime fault-injection actuator, so a slow wrapper stays outermost and
+// charges its launch delay once per trip; the returned slice holds the
+// handles a chaos runner drives, index = device id (nil without Chaos).
 func buildCluster(cfg Config) (*gpu.Cluster, []*gpu.ChaosDevice, error) {
 	devs := make([]gpu.Device, cfg.GPUs)
+	var chaos []*gpu.ChaosDevice
 	for i := range devs {
 		devs[i] = gpu.NewHonest(i)
+		if cfg.Chaos {
+			chaos = append(chaos, gpu.NewChaos(devs[i]))
+			devs[i] = chaos[i]
+		}
 	}
 	policy := cfg.FaultPolicy
 	if policy.EveryNth == 0 && policy.Probability == 0 {
@@ -290,15 +296,6 @@ func buildCluster(cfg Config) (*gpu.Cluster, []*gpu.ChaosDevice, error) {
 			return nil, nil, fmt.Errorf("darknight: slow GPU index %d outside cluster of %d", idx, len(devs))
 		}
 		devs[idx] = gpu.NewSlow(devs[idx], delay)
-	}
-	var chaos []*gpu.ChaosDevice
-	if cfg.Chaos {
-		chaos = make([]*gpu.ChaosDevice, len(devs))
-		for i := range devs {
-			cd := gpu.NewChaos(devs[i])
-			chaos[i] = cd
-			devs[i] = cd
-		}
 	}
 	return gpu.NewCluster(devs...), chaos, nil
 }

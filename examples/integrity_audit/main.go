@@ -63,7 +63,7 @@ func main() {
 		copy(tampered, results2)
 		tampered[culprit] = tampered[culprit].Clone()
 		tampered[culprit][0] = field.Add(tampered[culprit][0], 7)
-		found, err := code2.AuditForward(tampered)
+		found, err := code2.AuditForwardSubset(tampered, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -98,7 +98,32 @@ func Run(t *testing.T, a *analysis.Analyzer, subdir, importPath string) {
 	if err != nil {
 		t.Fatalf("atest: running %s: %v", a.Name, err)
 	}
-	check(t, pkg, diags)
+	check(t, []*load.Package{pkg}, diags)
+}
+
+// RunTree loads the named subdirectories of testdata/src/<subdir> as the
+// packages <prefix>/<rel>, in order (each may import the ones before it),
+// runs the analyzer over all of them, adds the findings join reports from
+// the whole-tree results, and diffs every active finding against the want
+// expectations of all the loaded files — the harness for analyzers that
+// judge the module as a whole. It returns every finding, suppressed ones
+// included.
+func RunTree(t *testing.T, a *analysis.Analyzer, join func([]analysis.PackageResult) []analysis.Diagnostic, subdir, prefix string, rels ...string) []analysis.Diagnostic {
+	t.Helper()
+	pkgs, err := Env(t).LoadTree(CorpusDir(t, subdir), prefix, rels...)
+	if err != nil {
+		t.Fatalf("atest: loading corpus %s: %v", subdir, err)
+	}
+	results, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("atest: running %s: %v", a.Name, err)
+	}
+	diags := join(results)
+	for _, pr := range results {
+		diags = append(diags, pr.Diagnostics...)
+	}
+	check(t, pkgs, diags)
+	return diags
 }
 
 // wantRe extracts the quoted regexes of a want comment.
@@ -111,35 +136,37 @@ type lineKey struct {
 	line int
 }
 
-// check diffs diagnostics against expectations.
-func check(t *testing.T, pkg *load.Package, diags []analysis.Diagnostic) {
+// check diffs diagnostics against the expectations of the packages' files.
+func check(t *testing.T, pkgs []*load.Package, diags []analysis.Diagnostic) {
 	t.Helper()
 	// Gather expectations from the raw sources (comment maps would work
 	// too, but the files are small and line-oriented reads are simpler to
 	// reason about for trailing comments).
 	wants := make(map[lineKey][]*regexp.Regexp)
 	seen := make(map[string]bool)
-	for _, f := range pkg.Files {
-		fname := pkg.Fset.Position(f.Pos()).Filename
-		if seen[fname] {
-			continue
-		}
-		seen[fname] = true
-		data, err := os.ReadFile(fname)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, lineText := range strings.Split(string(data), "\n") {
-			m := wantRe.FindStringSubmatch(lineText)
-			if m == nil {
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			fname := pkg.Fset.Position(f.Pos()).Filename
+			if seen[fname] {
 				continue
 			}
-			for _, am := range wantArgRe.FindAllStringSubmatch(m[1], -1) {
-				re, err := regexp.Compile(am[1])
-				if err != nil {
-					t.Fatalf("%s:%d: bad want regexp %q: %v", fname, i+1, am[1], err)
+			seen[fname] = true
+			data, err := os.ReadFile(fname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, lineText := range strings.Split(string(data), "\n") {
+				m := wantRe.FindStringSubmatch(lineText)
+				if m == nil {
+					continue
 				}
-				wants[lineKey{fname, i + 1}] = append(wants[lineKey{fname, i + 1}], re)
+				for _, am := range wantArgRe.FindAllStringSubmatch(m[1], -1) {
+					re, err := regexp.Compile(am[1])
+					if err != nil {
+						t.Fatalf("%s:%d: bad want regexp %q: %v", fname, i+1, am[1], err)
+					}
+					wants[lineKey{fname, i + 1}] = append(wants[lineKey{fname, i + 1}], re)
+				}
 			}
 		}
 	}

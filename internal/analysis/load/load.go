@@ -53,6 +53,7 @@ type Env struct {
 	ModuleDir string
 	exports   map[string]string // import path -> export data file
 	pkgs      []listPkg         // module (non-std) packages, dependency order
+	imp       types.Importer    // shared, so an imported object is one object tree-wide
 }
 
 // NewEnv lists the module's packages under dir matching patterns
@@ -100,18 +101,36 @@ func NewEnv(dir string, patterns ...string) (*Env, error) {
 	return env, nil
 }
 
-// importerFor returns a types.Importer resolving through the export
-// index, with optional extra path->file entries (the vet-mode
-// PackageFile map layers on top the same way).
-func (e *Env) importerFor() types.Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := e.exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
+// importer returns the environment's import resolver over the export
+// index. It is shared by every typecheck, so a package imported by two
+// packages yields the same types.Objects in both (types.Implements and
+// types.Identical can then compare across packages).
+func (e *Env) importer() types.Importer {
+	if e.imp == nil {
+		lookup := func(path string) (io.ReadCloser, error) {
+			f, ok := e.exports[path]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(f)
 		}
-		return os.Open(f)
+		e.imp = importer.ForCompiler(token.NewFileSet(), "gc", lookup)
 	}
-	return importer.ForCompiler(token.NewFileSet(), "gc", lookup)
+	return e.imp
+}
+
+// overlay resolves the given source-checked packages first and falls
+// back to the export index.
+type overlay struct {
+	pkgs map[string]*types.Package
+	next types.Importer
+}
+
+func (o overlay) Import(path string) (*types.Package, error) {
+	if p, ok := o.pkgs[path]; ok {
+		return p, nil
+	}
+	return o.next.Import(path)
 }
 
 // newInfo allocates the full types.Info map set analyzers rely on.
@@ -130,8 +149,12 @@ func newInfo() *types.Info {
 // environment's import resolution. Used by both the package loader and
 // the analysistest/seeded-mutation harnesses (which synthesize sources).
 func (e *Env) CheckFiles(importPath string, fset *token.FileSet, files []*ast.File) (*types.Package, *types.Info, error) {
+	return e.check(e.importer(), importPath, fset, files)
+}
+
+func (e *Env) check(imp types.Importer, importPath string, fset *token.FileSet, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := newInfo()
-	conf := types.Config{Importer: e.importerFor()}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, nil, err
@@ -173,12 +196,33 @@ func ParseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 // directory does not need to be part of the module build graph, but its
 // imports must resolve through the environment's export index.
 func (e *Env) LoadDir(dir, importPath string) (*Package, error) {
+	return e.loadDir(e.importer(), dir, importPath)
+}
+
+// LoadTree typechecks the named subdirectories of root as packages
+// importable as prefix/<rel>, in the given order; each may import the
+// ones before it. It is the multi-package corpus entry point.
+func (e *Env) LoadTree(root, prefix string, rels ...string) ([]*Package, error) {
+	imp := overlay{pkgs: make(map[string]*types.Package), next: e.importer()}
+	var out []*Package
+	for _, rel := range rels {
+		pkg, err := e.loadDir(imp, filepath.Join(root, filepath.FromSlash(rel)), prefix+"/"+rel)
+		if err != nil {
+			return nil, err
+		}
+		imp.pkgs[pkg.ImportPath] = pkg.Types
+		out = append(out, pkg)
+	}
+	return out, nil
+}
+
+func (e *Env) loadDir(imp types.Importer, dir, importPath string) (*Package, error) {
 	fset := token.NewFileSet()
 	files, err := ParseDir(fset, dir)
 	if err != nil {
 		return nil, err
 	}
-	pkg, info, err := e.CheckFiles(importPath, fset, files)
+	pkg, info, err := e.check(imp, importPath, fset, files)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", dir, err)
 	}

@@ -71,3 +71,10 @@ func RunFiles(pkg *load.Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 	return res[0].Diagnostics, nil
 }
+
+// Suppress applies the package's //lint:ignore directives to findings a
+// whole-tree join reports after Run (testonly's Unused).
+func Suppress(pkg *load.Package, diags []Diagnostic) []Diagnostic {
+	sup, _ := parseSuppressions(pkg.Fset, pkg.Files)
+	return applySuppressions(diags, sup)
+}

@@ -10,6 +10,7 @@ import (
 	"darknight/internal/analysis/lazyterms"
 	"darknight/internal/analysis/leasepair"
 	"darknight/internal/analysis/metricname"
+	"darknight/internal/analysis/testonly"
 )
 
 // All returns the full analyzer suite in reporting order.
@@ -20,6 +21,7 @@ func All() []*analysis.Analyzer {
 		lazyterms.Analyzer,
 		leasepair.Analyzer,
 		metricname.Analyzer,
+		testonly.Analyzer,
 	}
 }
 

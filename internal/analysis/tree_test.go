@@ -13,11 +13,13 @@ import (
 	"darknight/internal/analysis/leasepair"
 	"darknight/internal/analysis/metricname"
 	"darknight/internal/analysis/suite"
+	"darknight/internal/analysis/testonly"
 )
 
 // TestTreeComesOutClean is the contract the CI lint job enforces: the
 // full analyzer suite over the whole module reports zero unsuppressed
-// findings, and every canonical metric family is registered somewhere.
+// findings, testonly's whole-module join included, and every canonical
+// metric family is registered somewhere.
 // A new finding means either a real bug (fix it) or a deliberate
 // exception (suppress it with //lint:ignore and a reason) — never a
 // green build with a known violation.
@@ -32,6 +34,11 @@ func TestTreeComesOutClean(t *testing.T) {
 	}
 	for _, d := range analysis.Active(results) {
 		t.Errorf("%s", d)
+	}
+	for _, d := range testonly.Unused(results) {
+		if !d.Suppressed {
+			t.Errorf("%s", d)
+		}
 	}
 	for _, name := range metricname.Unregistered(suite.MetricSets(results)) {
 		t.Errorf("canonical metric family %s is never registered by any package", name)
@@ -141,5 +148,73 @@ func TestSeededLeaseRegressionIsCaught(t *testing.T) {
 		if active != base+1 {
 			t.Errorf("after dropping %s, leasepair reported %d active findings, want %d", mut.drop, active, base+1)
 		}
+	}
+}
+
+// TestSeededTestOnlyExportIsCaught gives a copy of a real package an
+// exported function that only a test calls — the bug class testonly
+// exists to stop — and asserts the analyzer flags it, and only it. The
+// copy keeps the real import path, so the real importers keep it out of
+// the test-support exemption.
+func TestSeededTestOnlyExportIsCaught(t *testing.T) {
+	env := atest.Env(t)
+	pkgs, err := env.Packages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "darknight/internal/quant"
+	srcDir := filepath.Join(env.ModuleDir, "internal", "quant")
+	dstDir := t.TempDir()
+	ents, err := os.ReadDir(srcDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		name := ent.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(srcDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dstDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seeds := map[string]string{
+		"seed.go":      "package quant\n\n// SeededOnlyTested is called only by seed_test.go.\nfunc SeededOnlyTested() int { return 1 }\n",
+		"seed_test.go": "package quant\n\nimport \"testing\"\n\nfunc TestSeed(t *testing.T) { _ = SeededOnlyTested() }\n",
+	}
+	for name, src := range seeds {
+		if err := os.WriteFile(filepath.Join(dstDir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutant, err := env.LoadDir(dstDir, path)
+	if err != nil {
+		t.Fatalf("typechecking the mutated quant package: %v", err)
+	}
+	replaced := false
+	for i, p := range pkgs {
+		if p.ImportPath == path {
+			pkgs[i], replaced = mutant, true
+		}
+	}
+	if !replaced {
+		t.Fatalf("%s is not in the module any more — update this test", path)
+	}
+	results, err := analysis.Run(pkgs, []*analysis.Analyzer{testonly.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var active []analysis.Diagnostic
+	for _, d := range testonly.Unused(results) {
+		if !d.Suppressed {
+			active = append(active, d)
+		}
+	}
+	if len(active) != 1 || !strings.Contains(active[0].Message, "SeededOnlyTested") {
+		t.Errorf("seeded a test-only export into %s; testonly reported %v, want exactly that one", path, active)
 	}
 }

@@ -73,6 +73,8 @@ func (s *Session) recvDir() byte {
 //
 // It returns the client session; the enclave side derives the identical
 // key from the peer public key (see Accept).
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func Establish(platform *enclave.Platform, want enclave.Measurement, enclavePub *ecdh.PublicKey, quoteFor func(challenge [16]byte) enclave.Quote) (*Session, *ecdh.PublicKey, error) {
 	var challenge [16]byte
 	if _, err := io.ReadFull(rand.Reader, challenge[:]); err != nil {
@@ -159,6 +161,8 @@ func (s *Session) open(blob []byte) ([]byte, error) {
 }
 
 // SealBatch encrypts a labelled batch for transmission to the TEE.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (s *Session) SealBatch(batch []dataset.Example) ([]byte, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrSession)
@@ -229,6 +233,8 @@ func (s *Session) SealPredictions(preds []int) ([]byte, error) {
 
 // OpenPredictions authenticates and decrypts a prediction vector on the
 // client side.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (s *Session) OpenPredictions(blob []byte) ([]int, error) {
 	plain, err := s.open(blob)
 	if err != nil {

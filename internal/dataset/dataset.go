@@ -24,9 +24,6 @@ type Dataset struct {
 	Items   []Example
 }
 
-// Shape returns the per-image element count.
-func (d *Dataset) Shape() (c, h, w int) { return d.C, d.H, d.W }
-
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.Items) }
 
@@ -67,25 +64,6 @@ func SyntheticCIFAR(rng *rand.Rand, n, classes, c, h, w int, noise float64) *Dat
 			}
 		}
 		d.Items[i] = Example{Image: img, Label: label}
-	}
-	return d
-}
-
-// ImageNetShape returns the canonical ImageNet input geometry used by the
-// performance experiments (224×224×3, 1000 classes). No pixel data is
-// materialized; op-count workloads only need the geometry.
-func ImageNetShape() (c, h, w, classes int) { return 3, 224, 224, 1000 }
-
-// RandomImages generates n unlabelled random images of the given geometry,
-// used by throughput-style benchmarks that never look at the labels.
-func RandomImages(rng *rand.Rand, n, c, h, w int) *Dataset {
-	d := &Dataset{C: c, H: h, W: w, Classes: 1, Items: make([]Example, n)}
-	for i := range d.Items {
-		img := make([]float64, c*h*w)
-		for j := range img {
-			img[j] = rng.NormFloat64() * 0.5
-		}
-		d.Items[i] = Example{Image: img}
 	}
 	return d
 }

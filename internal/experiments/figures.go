@@ -85,6 +85,8 @@ func DefaultFigure4Config() Figure4Config {
 }
 
 // QuickFigure4Config is sized for the benchmark harness.
+//
+//lint:ignore testonly test fixture for the darknight and experiments tests
 func QuickFigure4Config() Figure4Config {
 	return Figure4Config{Epochs: 4, Train: 160, Test: 48, Width: 1, Seed: 1,
 		LR: 0.01, Momentum: 0.5}

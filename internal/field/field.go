@@ -25,13 +25,8 @@ const Half uint32 = P / 2
 
 // Elem is a field element. The zero value is the additive identity.
 // All functions in this package assume their Elem arguments are already
-// reduced (< P); use Reduce or FromInt64 to normalize foreign values.
+// reduced (< P); use FromInt64 to normalize foreign values.
 type Elem = uint32
-
-// Reduce maps an arbitrary uint64 into [0, P).
-func Reduce(v uint64) Elem {
-	return Elem(v % uint64(P))
-}
 
 // FromInt64 maps a signed integer into the field: negative values x become
 // p - (|x| mod p), so that Lift(FromInt64(x)) == x whenever |x| <= Half.

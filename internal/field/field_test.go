@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// reduce maps an arbitrary uint64 into [0, P).
+func reduce(v uint64) Elem {
+	return Elem(v % uint64(P))
+}
+
 func TestPIsPrime(t *testing.T) {
 	// Trial division is fast enough for a 25-bit modulus and anchors the
 	// privacy argument: F_p must actually be a field.
@@ -28,7 +33,7 @@ func TestPValue(t *testing.T) {
 
 func TestAddSubRoundTrip(t *testing.T) {
 	f := func(a, b uint32) bool {
-		x, y := Reduce(uint64(a)), Reduce(uint64(b))
+		x, y := reduce(uint64(a)), reduce(uint64(b))
 		return Sub(Add(x, y), y) == x && Add(Sub(x, y), y) == x
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -38,7 +43,7 @@ func TestAddSubRoundTrip(t *testing.T) {
 
 func TestNeg(t *testing.T) {
 	f := func(a uint32) bool {
-		x := Reduce(uint64(a))
+		x := reduce(uint64(a))
 		return Add(x, Neg(x)) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -48,7 +53,7 @@ func TestNeg(t *testing.T) {
 
 func TestMulCommutativeAssociative(t *testing.T) {
 	f := func(a, b, c uint32) bool {
-		x, y, z := Reduce(uint64(a)), Reduce(uint64(b)), Reduce(uint64(c))
+		x, y, z := reduce(uint64(a)), reduce(uint64(b)), reduce(uint64(c))
 		return Mul(x, y) == Mul(y, x) && Mul(Mul(x, y), z) == Mul(x, Mul(y, z))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -58,7 +63,7 @@ func TestMulCommutativeAssociative(t *testing.T) {
 
 func TestDistributive(t *testing.T) {
 	f := func(a, b, c uint32) bool {
-		x, y, z := Reduce(uint64(a)), Reduce(uint64(b)), Reduce(uint64(c))
+		x, y, z := reduce(uint64(a)), reduce(uint64(b)), reduce(uint64(c))
 		return Mul(x, Add(y, z)) == Add(Mul(x, y), Mul(x, z))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -85,7 +90,7 @@ func TestInv(t *testing.T) {
 
 func TestMulAdd(t *testing.T) {
 	f := func(acc, a, b uint32) bool {
-		x, y, z := Reduce(uint64(acc)), Reduce(uint64(a)), Reduce(uint64(b))
+		x, y, z := reduce(uint64(acc)), reduce(uint64(a)), reduce(uint64(b))
 		return MulAdd(x, y, z) == Add(x, Mul(y, z))
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -406,15 +406,6 @@ func (a *Arena) Reset() {
 	a.off = 0
 }
 
-// Vec returns a zeroed vector of length n backed by the arena.
-func (a *Arena) Vec(n int) Vec {
-	v := a.RawVec(n)
-	for i := range v {
-		v[i] = 0
-	}
-	return v
-}
-
 // RawVec returns a vector of length n backed by the arena WITHOUT zeroing
 // it — the caller must overwrite every element before reading. The
 // steady-state offload loop uses it for buffers that QuantizeInto,

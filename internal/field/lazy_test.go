@@ -240,14 +240,4 @@ func TestInPlaceVecVariants(t *testing.T) {
 	if !alias.Equal(AddVec(a, b)) {
 		t.Fatal("aliased AddVecInto mismatch")
 	}
-	// AXPYInto: dst = y + s·x, including the accumulate alias dst=y.
-	want := AddVec(ScaleVec(s, a), b)
-	if !AXPYInto(make(Vec, 64), s, a, b).Equal(want) {
-		t.Fatal("AXPYInto mismatch")
-	}
-	acc := b.Clone()
-	AXPYInto(acc, s, a, acc)
-	if !acc.Equal(want) {
-		t.Fatal("aliased AXPYInto mismatch")
-	}
 }

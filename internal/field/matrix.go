@@ -53,19 +53,6 @@ func RandInvertible(rng *rand.Rand, n int) (m, inv *Mat) {
 	}
 }
 
-// RandDiagonalInvertible returns a diagonal matrix with uniformly random
-// non-zero diagonal entries (the Γ of Eq (5)) and its inverse.
-func RandDiagonalInvertible(rng *rand.Rand, n int) (m, inv *Mat) {
-	m = NewMat(n, n)
-	inv = NewMat(n, n)
-	for i := 0; i < n; i++ {
-		d := RandNonZero(rng)
-		m.Set(i, i, d)
-		inv.Set(i, i, MustInv(d))
-	}
-	return m, inv
-}
-
 // At returns element (r, c).
 func (m *Mat) At(r, c int) Elem { return m.Data[r*m.Cols+c] }
 
@@ -75,58 +62,16 @@ func (m *Mat) Set(r, c int, v Elem) { m.Data[r*m.Cols+c] = v }
 // Row returns row r as a subslice (not a copy).
 func (m *Mat) Row(r int) Vec { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
-// Col returns column c as a fresh vector.
-func (m *Mat) Col(c int) Vec {
-	out := make(Vec, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = m.At(r, c)
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Mat) Clone() *Mat {
 	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
 }
 
 // Equal reports whether m and o have identical shape and entries.
+//
+//lint:ignore testonly test fixture for the field and masking tests
 func (m *Mat) Equal(o *Mat) bool {
 	return m.Rows == o.Rows && m.Cols == o.Cols && m.Data.Equal(o.Data)
-}
-
-// Transpose returns mᵀ.
-func (m *Mat) Transpose() *Mat {
-	t := NewMat(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			t.Set(c, r, m.At(r, c))
-		}
-	}
-	return t
-}
-
-// MatMul returns a·b over F_p. Panics on shape mismatch.
-func MatMul(a, b *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("field: matmul shape mismatch %dx%d · %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMat(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := 0; j < b.Cols; j++ {
-				orow[j] = MulAdd(orow[j], aik, brow[j])
-			}
-		}
-	}
-	return out
 }
 
 // MatVec returns m·v (treating v as a column vector).

@@ -5,10 +5,32 @@ import (
 	"testing"
 )
 
+// matMul returns a·b over F_p.
+func matMul(a, b *Mat) *Mat {
+	out := NewMat(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			AXPY(out.Row(i), a.At(i, k), b.Row(k))
+		}
+	}
+	return out
+}
+
+// transpose returns mᵀ.
+func transpose(m *Mat) *Mat {
+	t := NewMat(m.Cols, m.Rows)
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			t.Set(c, r, m.At(r, c))
+		}
+	}
+	return t
+}
+
 func TestIdentity(t *testing.T) {
 	id := Identity(4)
 	m := RandMat(rand.New(rand.NewSource(1)), 4, 4)
-	if !MatMul(id, m).Equal(m) || !MatMul(m, id).Equal(m) {
+	if !matMul(id, m).Equal(m) || !matMul(m, id).Equal(m) {
 		t.Fatal("identity is not an identity under MatMul")
 	}
 }
@@ -17,10 +39,10 @@ func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for n := 1; n <= 12; n++ {
 		m, inv := RandInvertible(rng, n)
-		if !MatMul(m, inv).Equal(Identity(n)) {
+		if !matMul(m, inv).Equal(Identity(n)) {
 			t.Fatalf("n=%d: m·m⁻¹ != I", n)
 		}
-		if !MatMul(inv, m).Equal(Identity(n)) {
+		if !matMul(inv, m).Equal(Identity(n)) {
 			t.Fatalf("n=%d: m⁻¹·m != I", n)
 		}
 	}
@@ -49,15 +71,15 @@ func TestInverseSingular(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := RandMat(rng, 3, 5)
-	tt := m.Transpose().Transpose()
+	tt := transpose(transpose(m))
 	if !tt.Equal(m) {
 		t.Fatal("double transpose != original")
 	}
 	// (AB)ᵀ = BᵀAᵀ — the identity the decode correctness proof (§4.3) uses.
 	a := RandMat(rng, 3, 4)
 	b := RandMat(rng, 4, 2)
-	left := MatMul(a, b).Transpose()
-	right := MatMul(b.Transpose(), a.Transpose())
+	left := transpose(matMul(a, b))
+	right := matMul(transpose(b), transpose(a))
 	if !left.Equal(right) {
 		t.Fatal("(AB)ᵀ != BᵀAᵀ")
 	}
@@ -71,7 +93,7 @@ func TestMatVecAgainstMatMul(t *testing.T) {
 	// Compare against the matrix route.
 	col := NewMat(4, 1)
 	copy(col.Data, v)
-	want := MatMul(m, col)
+	want := matMul(m, col)
 	for i := range got {
 		if got[i] != want.At(i, 0) {
 			t.Fatalf("row %d: %d != %d", i, got[i], want.At(i, 0))
@@ -119,10 +141,23 @@ func TestSubMatrixVStack(t *testing.T) {
 	}
 }
 
+// randDiagonalInvertible returns a diagonal matrix with uniformly random
+// non-zero diagonal entries (the Γ of Eq (5)) and its inverse.
+func randDiagonalInvertible(rng *rand.Rand, n int) (m, inv *Mat) {
+	m = NewMat(n, n)
+	inv = NewMat(n, n)
+	for i := 0; i < n; i++ {
+		d := RandNonZero(rng)
+		m.Set(i, i, d)
+		inv.Set(i, i, MustInv(d))
+	}
+	return m, inv
+}
+
 func TestRandDiagonalInvertible(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d, dinv := RandDiagonalInvertible(rng, 5)
-	if !MatMul(d, dinv).Equal(Identity(5)) {
+	d, dinv := randDiagonalInvertible(rng, 5)
+	if !matMul(d, dinv).Equal(Identity(5)) {
 		t.Fatal("Γ·Γ⁻¹ != I")
 	}
 	for r := 0; r < 5; r++ {
@@ -144,7 +179,7 @@ func TestDotLazyReduction(t *testing.T) {
 		b[i] = P - 1
 	}
 	// (p-1)^2 ≡ 1 mod p, so the dot product is n mod p.
-	want := Reduce(uint64(n))
+	want := Elem(n % int(P))
 	if got := Dot(a, b); got != want {
 		t.Fatalf("Dot = %d, want %d", got, want)
 	}
@@ -172,10 +207,9 @@ func TestVecOps(t *testing.T) {
 
 func TestLiftVecRoundTrip(t *testing.T) {
 	xs := []int64{0, 1, -1, 1000, -1000, 123456, -123456}
-	got := LiftVec(FromInt64Vec(xs))
-	for i := range xs {
-		if got[i] != xs[i] {
-			t.Fatalf("index %d: %d != %d", i, got[i], xs[i])
+	for i, x := range xs {
+		if got := Lift(FromInt64(x)); got != x {
+			t.Fatalf("index %d: %d != %d", i, got, x)
 		}
 	}
 }
@@ -184,11 +218,11 @@ func TestMatrixInverseOfProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a, ainv := RandInvertible(rng, 5)
 	b, binv := RandInvertible(rng, 5)
-	left, err := MatMul(a, b).Inverse()
+	left, err := matMul(a, b).Inverse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !left.Equal(MatMul(binv, ainv)) {
+	if !left.Equal(matMul(binv, ainv)) {
 		t.Fatal("(AB)⁻¹ != B⁻¹A⁻¹")
 	}
 }

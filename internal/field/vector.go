@@ -72,6 +72,8 @@ func SubVecInto(dst, a, b Vec) Vec {
 }
 
 // ScaleVec returns s * v elementwise.
+//
+//lint:ignore testonly test fixture for the field, fleet, gpu, masking and nn tests
 func ScaleVec(s Elem, v Vec) Vec {
 	return ScaleVecInto(make(Vec, len(v)), s, v)
 }
@@ -95,18 +97,6 @@ func AXPY(dst Vec, s Elem, v Vec) {
 	for i := range dst {
 		dst[i] = MulAdd(dst[i], s, v[i])
 	}
-}
-
-// AXPYInto computes the fused scale-add dst = y + s·x elementwise in place
-// and returns dst. dst may alias x or y, so dst=y gives the classic
-// accumulate and dst=x an in-place scale-shift without a scratch vector.
-func AXPYInto(dst Vec, s Elem, x, y Vec) Vec {
-	checkLen(len(x), len(y))
-	checkLen(len(dst), len(x))
-	for i := range dst {
-		dst[i] = MulAdd(y[i], s, x[i])
-	}
-	return dst
 }
 
 // Dot returns the inner product <a, b> over F_p.
@@ -135,25 +125,6 @@ func (v Vec) Equal(o Vec) bool {
 		}
 	}
 	return true
-}
-
-// LiftVec applies the centered lift to every element, restoring signed
-// fixed-point values after decode.
-func LiftVec(v Vec) []int64 {
-	out := make([]int64, len(v))
-	for i, x := range v {
-		out[i] = Lift(x)
-	}
-	return out
-}
-
-// FromInt64Vec maps a signed integer slice into the field elementwise.
-func FromInt64Vec(xs []int64) Vec {
-	out := make(Vec, len(xs))
-	for i, x := range xs {
-		out[i] = FromInt64(x)
-	}
-	return out
 }
 
 func checkLen(a, b int) {

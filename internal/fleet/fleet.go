@@ -213,9 +213,6 @@ func NewManager(cluster *gpu.Cluster, cfg Config) *Manager {
 // Cluster returns the managed physical cluster.
 func (m *Manager) Cluster() *gpu.Cluster { return m.cluster }
 
-// Registry returns the device identity registry.
-func (m *Manager) Registry() *Registry { return m.reg }
-
 // tenantLocked returns (registering if needed) the named tenant.
 func (m *Manager) tenantLocked(name string, weight float64) *tenant {
 	if t, ok := m.tenants[name]; ok {

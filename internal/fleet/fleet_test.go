@@ -191,10 +191,10 @@ func TestProbationReadmissionAndRecovery(t *testing.T) {
 	if bad.Generation != 1 || bad.Fingerprint == fpBefore {
 		t.Fatalf("re-admission kept the old identity: %+v", bad)
 	}
-	if _, ok := m.Registry().Lookup(bad.Fingerprint); !ok {
+	if _, ok := m.reg.Lookup(bad.Fingerprint); !ok {
 		t.Fatal("new fingerprint not registered")
 	}
-	if _, ok := m.Registry().Lookup(fpBefore); !ok {
+	if _, ok := m.reg.Lookup(fpBefore); !ok {
 		t.Fatal("old fingerprint lost from registry")
 	}
 }
@@ -553,4 +553,19 @@ func TestTryAcquireNonBlocking(t *testing.T) {
 		t.Fatalf("post-release TryAcquire: grant %v err %v", g3, err)
 	}
 	g3.Release()
+}
+
+// Lookup resolves a fingerprint back to the admission it names.
+func (r *Registry) Lookup(fp uint64) (Identity, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	id, ok := r.byFP[fp]
+	return id, ok
+}
+
+// Size returns the number of registered admissions.
+func (r *Registry) Size() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.byFP)
 }

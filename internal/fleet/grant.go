@@ -80,9 +80,6 @@ func (g *Grant) DeviceIDs() []int {
 	return out
 }
 
-// Tenant returns the tenant the gang is charged to.
-func (g *Grant) Tenant() string { return g.t.name }
-
 // Slots returns the cluster slot indices of the gang in coding order
 // (slot i serves coded input i) — the identity the snapshot batch log
 // records so replay can re-acquire exactly this gang.
@@ -162,6 +159,8 @@ func (g *Grant) spare(slot int) (gpu.DeviceTrip, func(time.Duration), bool) {
 // and returns as soon as quorum responses have arrived (quorum <= 0 or
 // >= len(coded) waits for all), with the flight's presence mask: nil when
 // every slot answered.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (g *Grant) ForwardQuorum(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error) {
 	flight, err := g.BeginBlock(len(coded))
 	if err != nil {

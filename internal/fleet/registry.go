@@ -50,18 +50,3 @@ func (r *Registry) Register(deviceID, gen int) uint64 {
 	r.byFP[fp] = Identity{DeviceID: deviceID, Generation: gen, Fingerprint: fp, Seq: r.seq}
 	return fp
 }
-
-// Lookup resolves a fingerprint back to the admission it names.
-func (r *Registry) Lookup(fp uint64) (Identity, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.byFP[fp]
-	return id, ok
-}
-
-// Size returns the number of registered admissions.
-func (r *Registry) Size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.byFP)
-}

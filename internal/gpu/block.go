@@ -123,6 +123,8 @@ func NewBlockFlight(trips []DeviceTrip, opts BlockOptions) *BlockFlight {
 }
 
 // Slots returns the gang width of the flight.
+//
+//lint:ignore testonly the leasepair corpus and its seeded mutant in tree_test.go typecheck against it
 func (f *BlockFlight) Slots() int { return len(f.slots) }
 
 // storeKey maps a logical tensor key to the key one slot's device stores

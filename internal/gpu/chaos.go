@@ -68,6 +68,8 @@ func (c *ChaosDevice) SetDown(on bool) {
 }
 
 // Down reports whether the device is currently in the crashed state.
+//
+//lint:ignore testonly test fixture for the resil tests
 func (c *ChaosDevice) Down() bool { return c.down.Load() }
 
 func (c *ChaosDevice) noteAction() {
@@ -80,13 +82,6 @@ func (c *ChaosDevice) noteFault() {
 	c.mu.Lock()
 	c.faults++
 	c.mu.Unlock()
-}
-
-// ChaosStats reports (state flips applied, jobs answered while faulty).
-func (c *ChaosDevice) ChaosStats() (actions, faults int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.actions, c.faults
 }
 
 // garbage returns an all-ones vector of length n: deterministic, cheap,

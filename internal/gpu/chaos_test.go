@@ -103,3 +103,10 @@ func TestChaosDeviceGradWeights(t *testing.T) {
 		t.Errorf("down device errored on unknown key: %v", err)
 	}
 }
+
+// ChaosStats reports (state flips applied, jobs answered while faulty).
+func (c *ChaosDevice) ChaosStats() (actions, faults int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.actions, c.faults
+}

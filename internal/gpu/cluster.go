@@ -32,6 +32,8 @@ func (c *Cluster) Device(i int) Device { return c.devices[i] }
 
 // ForwardAll ships one layer on a flight over the first len(coded) devices
 // and waits for every result, in device order.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (c *Cluster) ForwardAll(key string, kernel LinearKernel, coded []field.Vec) ([]field.Vec, error) {
 	flight, err := c.BeginBlock(len(coded))
 	if err != nil {
@@ -48,6 +50,8 @@ func (c *Cluster) ForwardAll(key string, kernel LinearKernel, coded []field.Vec)
 // BackwardAll ships one layer's gradient equations against the coded inputs
 // stored during the forward pass and waits for every result. Cache misses
 // fold into a MissingStoreError.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (c *Cluster) BackwardAll(key string, kernel BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
 	flight, err := c.BeginBlock(len(deltas))
 	if err != nil {

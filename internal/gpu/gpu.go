@@ -210,13 +210,6 @@ func (m *malicious) GradWeights(key string, kernel BilinearKernel, delta field.V
 	return y, nil
 }
 
-// Corruptions reports how many outputs this device tampered with.
-func (m *malicious) Corruptions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.corruptions
-}
-
 // slow wraps a device and delays every result by a fixed amount — the
 // straggler of distributed-serving folklore: functionally correct, just
 // late. The delay is deterministic so straggler experiments reproduce.
@@ -256,11 +249,15 @@ type ObservedVec struct {
 }
 
 // NewCollusionPool creates an empty pool.
+//
+//lint:ignore testonly test fixture for the gpu and sched tests
 func NewCollusionPool() *CollusionPool {
 	return &CollusionPool{views: make(map[string][]ObservedVec)}
 }
 
 // Observations returns the coalition's recorded views for a tensor id.
+//
+//lint:ignore testonly test fixture for the gpu and sched tests
 func (p *CollusionPool) Observations(key string) []ObservedVec {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -275,6 +272,8 @@ type colluding struct {
 }
 
 // NewColluding wraps a device so it leaks its inputs to the pool.
+//
+//lint:ignore testonly test fixture for the gpu and sched tests
 func NewColluding(inner Device, pool *CollusionPool) Device {
 	return &colluding{Device: inner, pool: pool}
 }

@@ -197,3 +197,10 @@ func TestClusterTooManyInputs(t *testing.T) {
 		t.Fatal("oversubscription accepted")
 	}
 }
+
+// Corruptions reports how many outputs this device tampered with.
+func (m *malicious) Corruptions() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.corruptions
+}

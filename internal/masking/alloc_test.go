@@ -6,7 +6,13 @@ import (
 
 	"darknight/internal/field"
 	"darknight/internal/par"
+	"darknight/internal/spec"
 )
+
+// specCode is the code's exported part the reference kernels read.
+func specCode(c *Code) spec.Code {
+	return spec.Code{K: c.K, M: c.M, S: c.S, A: c.A, Gamma: c.Gamma}
+}
 
 // TestFusedCodingMatchesRef pins the blocked lazy-reduction coding kernels
 // bit-for-bit to the retained seed kernels over F_p: identical noise
@@ -29,11 +35,9 @@ func TestFusedCodingMatchesRef(t *testing.T) {
 		}
 
 		// Same noise stream for both paths: identical seeds, identical draw
-		// order (EncodeRef draws rows K..K+M-1 in order, as does Encode).
-		refCoded, err := code.EncodeRef(inputs, rand.New(rand.NewSource(33)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		// order (spec.Encode draws rows K..K+M-1 in order, as does Encode).
+		ref := specCode(code)
+		refCoded := spec.Encode(ref, inputs, rand.New(rand.NewSource(33)))
 		coded, err := code.Encode(inputs, rand.New(rand.NewSource(33)))
 		if err != nil {
 			t.Fatal(err)
@@ -44,11 +48,8 @@ func TestFusedCodingMatchesRef(t *testing.T) {
 			}
 		}
 
-		refDec, err := code.DecodeForwardRef(coded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := code.DecodeForward(coded)
+		refDec := spec.DecodeForward(ref, coded)
+		dec, err := decodeForward(code, coded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +62,8 @@ func TestFusedCodingMatchesRef(t *testing.T) {
 			}
 		}
 
-		refBwd, err := code.DecodeBackwardRef(coded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bwd, err := code.DecodeBackward(coded)
+		refBwd := spec.DecodeBackward(ref, coded)
+		bwd, err := decodeBackward(code, coded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,13 +122,7 @@ func TestSteadyStateAllocationRegression(t *testing.T) {
 
 	got := testing.AllocsPerRun(50, steady)
 	ref := testing.AllocsPerRun(50, func() {
-		c, err := code.EncodeRef(inputs, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := code.DecodeForwardRef(c); err != nil {
-			t.Fatal(err)
-		}
+		spec.DecodeForward(specCode(code), spec.Encode(specCode(code), inputs, rng))
 	})
 
 	t.Logf("steady-state allocs/op: %.2f (reference kernels: %.2f)", got, ref)

@@ -72,7 +72,7 @@ func TestDecodeBackwardSubsetMatchesFull(t *testing.T) {
 		{K: 2, M: 2, Redundancy: 2},
 	} {
 		code, prim, sec, want := backwardFixture(t, 21+int64(p.K+p.Redundancy), p)
-		full, err := code.DecodeBackward(prim)
+		full, err := decodeBackward(code, prim)
 		if err != nil {
 			t.Fatal(err)
 		}

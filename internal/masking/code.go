@@ -335,27 +335,15 @@ func (c *Code) EncodeWith(dst, inputs, noise []field.Vec) error {
 	return nil
 }
 
-// DecodeForward inverts the linear GPU results back to the per-input
-// results (Eq 2): given ȳ_j = f(x̄_j) for the *first S* coded inputs, it
-// returns f(x₁) … f(x_K), discarding the noise images f(r) ("that value is
+// DecodeForwardInto inverts the linear GPU results back to the
+// per-input results (Eq 2): given ȳ_j = f(x̄_j) for the *first S* coded
+// inputs, it writes f(x₁) … f(x_K) into K caller-owned vectors, each of
+// which is overwritten, discarding the noise images f(r) ("that value is
 // just dropped"). results may carry all S+E entries; extras are ignored.
-func (c *Code) DecodeForward(results []field.Vec) ([]field.Vec, error) {
-	if len(results) < c.S {
-		return nil, fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), c.S)
-	}
-	out := make([]field.Vec, c.K)
-	for i := range out {
-		out[i] = field.NewVec(len(results[0]))
-	}
-	if err := c.DecodeForwardInto(out, results); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeForwardInto is DecodeForward writing into K caller-owned vectors,
-// each of which is overwritten. It is the unverified primary-window decode;
-// DecodeForwardSubsetInto is the verified one.
+// It is the unverified primary-window decode; DecodeForwardSubsetInto is
+// the verified one.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (c *Code) DecodeForwardInto(dst []field.Vec, results []field.Vec) error {
 	if len(results) < c.S {
 		return fmt.Errorf("%w: got %d results, need %d", ErrWrongCount, len(results), c.S)
@@ -413,23 +401,14 @@ func (c *Code) decodeWindowInto(dst, window []field.Vec, inv *field.Mat) {
 	}
 }
 
-// DecodeBackward folds the S GPU gradient equations into the exact batch
-// gradient Σᵢ g(δᵢ, xᵢ) (Eq 6). eqs[j] must be the bilinear result the
-// j-th GPU computed on (Σᵢ B[j,i]·δᵢ, x̄ⱼ) for the primary coded inputs.
-// The 1/K batch averaging happens in float space after unquantization.
-func (c *Code) DecodeBackward(eqs []field.Vec) (field.Vec, error) {
-	if len(eqs) < c.S {
-		return nil, fmt.Errorf("%w: got %d equations, need %d", ErrWrongCount, len(eqs), c.S)
-	}
-	out := field.NewVec(len(eqs[0]))
-	if err := c.DecodeBackwardInto(out, eqs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeBackwardInto is DecodeBackward writing into a caller-owned vector,
-// which is overwritten.
+// DecodeBackwardInto folds the S GPU gradient equations into the exact
+// batch gradient Σᵢ g(δᵢ, xᵢ) (Eq 6), written into a caller-owned vector,
+// which is overwritten. eqs[j] must be the bilinear result the j-th GPU
+// computed on (Σᵢ B[j,i]·δᵢ, x̄ⱼ) for the primary coded inputs. The 1/K
+// batch averaging happens in float space after unquantization. It is the
+// unverified decode; DecodeBackwardSubsetInto is the verified one.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (c *Code) DecodeBackwardInto(dst field.Vec, eqs []field.Vec) error {
 	if len(eqs) < c.S {
 		return fmt.Errorf("%w: got %d equations, need %d", ErrWrongCount, len(eqs), c.S)

@@ -14,6 +14,45 @@ func randLinearMap(rng *rand.Rand, n, out int) func(field.Vec) field.Vec {
 	return func(x field.Vec) field.Vec { return field.MatVec(w, x) }
 }
 
+// matMul returns a·b over F_p.
+func matMul(a, b *field.Mat) *field.Mat {
+	out := field.NewMat(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			field.AXPY(out.Row(i), a.At(i, k), b.Row(k))
+		}
+	}
+	return out
+}
+
+// decodeForward is the verified forward decode into fresh vectors, every
+// response present.
+func decodeForward(c *Code, results []field.Vec) ([]field.Vec, error) {
+	dst := make([]field.Vec, c.K)
+	for i := range dst {
+		if len(results) > 0 {
+			dst[i] = field.NewVec(len(results[0]))
+		}
+	}
+	if err := c.DecodeForwardSubsetInto(dst, results, nil); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// decodeBackward is the verified backward decode of the primary window
+// into a fresh vector.
+func decodeBackward(c *Code, eqs []field.Vec) (field.Vec, error) {
+	var dst field.Vec
+	if len(eqs) > 0 {
+		dst = field.NewVec(len(eqs[0]))
+	}
+	if err := c.DecodeBackwardSubsetInto(dst, eqs, nil, nil, nil); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // randBilinearMap returns a random bilinear map g: F^d × F^n -> F^{d·n}
 // (the outer product scaled by a random matrix pattern — here the plain
 // outer product, which is the ∇W = δ·xᵀ shape of dense layers).
@@ -73,7 +112,7 @@ func TestForwardDecodeExact(t *testing.T) {
 		for j, cx := range coded {
 			results[j] = f(cx)
 		}
-		decoded, err := code.DecodeForward(results)
+		decoded, err := decodeForward(code, results)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +155,7 @@ func TestBackwardDecodeExact(t *testing.T) {
 			}
 			eqs[j] = outerProduct(deltaBar, coded[j])
 		}
-		got, err := code.DecodeBackward(eqs)
+		got, err := decodeBackward(code, eqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +187,7 @@ func TestEq5Condition(t *testing.T) {
 		for j := 0; j < s; j++ {
 			copy(bPrim.Row(j), code.B.Row(j))
 		}
-		prod := field.MatMul(field.MatMul(aPrim, gamma), bPrim)
+		prod := matMul(matMul(aPrim, gamma), bPrim)
 		for r := 0; r < s; r++ {
 			for c := 0; c < p.K; c++ {
 				want := field.Elem(0)
@@ -179,10 +218,10 @@ func TestEncodeErrors(t *testing.T) {
 		t.Fatal("expected ErrShapeMismatch")
 	}
 	// Too few results to decode.
-	if _, err := code.DecodeForward([]field.Vec{field.RandVec(rng, 5)}); err == nil {
+	if _, err := decodeForward(code, []field.Vec{field.RandVec(rng, 5)}); err == nil {
 		t.Fatal("expected decode error for missing results")
 	}
-	if _, err := code.DecodeBackward(nil); err == nil {
+	if _, err := decodeBackward(code, nil); err == nil {
 		t.Fatal("expected backward decode error for missing equations")
 	}
 }
@@ -239,7 +278,7 @@ func TestDecodeDropsNoiseImage(t *testing.T) {
 		for j := range coded {
 			results[j] = f(coded[j])
 		}
-		decoded, err := code.DecodeForward(results)
+		decoded, err := decodeForward(code, results)
 		if err != nil {
 			t.Fatal(err)
 		}

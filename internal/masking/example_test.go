@@ -33,8 +33,8 @@ func Example() {
 	for j := range coded {
 		results[j] = apply(coded[j])
 	}
-	decoded, err := code.DecodeForward(results)
-	if err != nil {
+	decoded := []field.Vec{field.NewVec(2), field.NewVec(2)}
+	if err := code.DecodeForwardSubsetInto(decoded, results, nil); err != nil {
 		panic(err)
 	}
 	fmt.Println("exact:", decoded[0].Equal(apply(x1)) && decoded[1].Equal(apply(x2)))

@@ -48,7 +48,7 @@ func FuzzDecodeForwardSubset(f *testing.F) {
 		for j := range coded {
 			results[j] = field.ScaleVec(3, coded[j])
 		}
-		full, err := code.DecodeForward(results)
+		full, err := decodeForward(code, results)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func FuzzDecodeForwardSubset(f *testing.F) {
 		// One corrupted column. A single error is within the detection
 		// distance of any S+1 columns of an MDS code; a code with a singular
 		// S-subset (probability ≈ 1/p per subset) is outside the claim.
-		d := field.Reduce(uint64(delta))
+		d := field.Elem(uint64(delta) % uint64(field.P))
 		if d == 0 || !isMDS(code) {
 			return
 		}
@@ -253,7 +253,7 @@ func FuzzAuditForwardSubset(f *testing.F) {
 				count++
 			}
 		}
-		d := field.Reduce(uint64(delta))
+		d := field.Elem(uint64(delta) % uint64(field.P))
 		if d == 0 {
 			d = 1
 		}

@@ -54,29 +54,23 @@ func (c *Code) VerifyForward(results []field.Vec) error {
 	return c.checkParity(c.primary, results[:c.S], results, nil)
 }
 
-// AuditForward attempts to identify which GPUs returned corrupted results.
-// It searches size-S decode subsets for one whose decoded images re-predict
-// all remaining equations except at most E; the mismatching equations are
-// the culprits. Identification of t simultaneous culprits needs E > t
-// (t+1 redundant equations); with the paper's E = 1, corruption is
-// detectable (VerifyForward) but not attributable, and AuditForward returns
-// ErrIntegrity without culprits.
+// AuditForwardSubset attempts to identify which GPUs returned corrupted
+// results among the present coded responses (present == nil: all of
+// them). It searches size-S decode windows for one whose decode
+// re-predicts all remaining present equations except the fewest; the
+// mismatching equations are the culprits. It runs on the decode windows
+// of the verified decode: each S-subset of the present columns, walked in
+// lexicographic order, is a window (windowOf: built on first use, then
+// cached), and the present columns outside it that fail their parity rows
+// are the ones its decode could not explain. The first window with the
+// fewest failures names the culprits; no image is decoded. The effective
+// redundancy is checks = (present count) − S: attributing t simultaneous
+// culprits needs checks > t. With the paper's E = 1 and every response
+// present, corruption is detectable (VerifyForward) but not attributable,
+// and the audit returns ErrIntegrity without culprits.
 //
 // On success it returns the (possibly empty) sorted list of faulty GPU
 // indices.
-func (c *Code) AuditForward(results []field.Vec) ([]int, error) {
-	return c.AuditForwardSubset(results, nil)
-}
-
-// AuditForwardSubset is AuditForward restricted to the present coded
-// responses (present == nil: all of them) — the straggler-path audit. It
-// runs on the decode windows of the verified decode: each S-subset of the
-// present columns, walked in lexicographic order, is a window (windowOf:
-// built on first use, then cached), and the present columns outside it
-// that fail their parity rows are the ones its decode could not explain.
-// The first window with the fewest failures names the culprits; no image is
-// decoded. The effective redundancy is checks = (present count) − S:
-// attributing t simultaneous culprits needs checks > t.
 func (c *Code) AuditForwardSubset(results []field.Vec, present []bool) ([]int, error) {
 	if c.E == 0 {
 		return nil, ErrNoRedundancy

@@ -100,7 +100,7 @@ func TestAuditForwardIdentifiesSingleCulprit(t *testing.T) {
 	for g := 0; g < code.NumCoded(); g++ {
 		results, _, _ := honestResults(t, code, rng, 12, 6)
 		corrupt(results, g)
-		culprits, err := code.AuditForward(results)
+		culprits, err := code.AuditForwardSubset(results, nil)
 		if err != nil {
 			t.Fatalf("audit failed for culprit %d: %v", g, err)
 		}
@@ -117,7 +117,7 @@ func TestAuditForwardHonest(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, _, _ := honestResults(t, code, rng, 12, 6)
-	culprits, err := code.AuditForward(results)
+	culprits, err := code.AuditForwardSubset(results, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAuditForwardE1DetectsButCannotAttribute(t *testing.T) {
 	}
 	results, _, _ := honestResults(t, code, rng, 12, 6)
 	corrupt(results, 1)
-	if _, err := code.AuditForward(results); !errors.Is(err, ErrIntegrity) {
+	if _, err := code.AuditForwardSubset(results, nil); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
 }

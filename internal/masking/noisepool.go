@@ -29,9 +29,6 @@ type NoiseSet struct {
 	n    int // row length (the layer's input length)
 }
 
-// Len returns the row length of the set.
-func (s *NoiseSet) Len() int { return s.n }
-
 // NoisePoolStats counts the pool's online behaviour.
 type NoisePoolStats struct {
 	// Hits is how many Get calls were served from precomputed material.

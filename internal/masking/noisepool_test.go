@@ -44,8 +44,8 @@ func TestNoisePoolDeterministicStream(t *testing.T) {
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
-		if len(set.Rows) != m || set.Len() != n {
-			t.Fatalf("set %d: got %d rows of %d, want %d of %d", i, len(set.Rows), set.Len(), m, n)
+		if len(set.Rows) != m || set.n != n {
+			t.Fatalf("set %d: got %d rows of %d, want %d of %d", i, len(set.Rows), set.n, m, n)
 		}
 		for r := 0; r < m; r++ {
 			want := field.RandVec(ref, n)

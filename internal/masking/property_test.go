@@ -35,7 +35,7 @@ func TestPropertyForwardDecode(t *testing.T) {
 		for j := range coded {
 			results[j] = lin(coded[j])
 		}
-		decoded, err := code.DecodeForward(results)
+		decoded, err := decodeForward(code, results)
 		if err != nil {
 			return false
 		}
@@ -82,7 +82,7 @@ func TestPropertyBackwardDecode(t *testing.T) {
 			}
 			eqs[j] = outerProduct(bar, coded[j])
 		}
-		got, err := code.DecodeBackward(eqs)
+		got, err := decodeBackward(code, eqs)
 		if err != nil {
 			return false
 		}

@@ -42,7 +42,7 @@ func TestSubsetDecodeBitForBitMatchesFullDecode(t *testing.T) {
 	code, _, results := subsetFixture(t, p, 64, 11)
 	total := code.NumCoded()
 
-	want, err := code.DecodeForward(results)
+	want, err := decodeForward(code, results)
 	if err != nil {
 		t.Fatal(err)
 	}

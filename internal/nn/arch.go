@@ -14,55 +14,6 @@ type Arch struct {
 	Layers []LayerStat
 }
 
-// ClassTotals aggregates cost by op class.
-type ClassTotals struct {
-	MACs, InElems, OutElems, Params int64
-}
-
-// TotalsByClass buckets the per-layer records by op class.
-func (a *Arch) TotalsByClass() map[OpClass]ClassTotals {
-	out := make(map[OpClass]ClassTotals)
-	for _, l := range a.Layers {
-		t := out[l.Class]
-		t.MACs += l.MACs
-		t.InElems += l.InElems
-		t.OutElems += l.OutElems
-		t.Params += l.Params
-		out[l.Class] = t
-	}
-	return out
-}
-
-// TotalMACs returns the forward multiply-accumulate count.
-func (a *Arch) TotalMACs() int64 {
-	var n int64
-	for _, l := range a.Layers {
-		n += l.MACs
-	}
-	return n
-}
-
-// TotalParams returns the learnable parameter count.
-func (a *Arch) TotalParams() int64 {
-	var n int64
-	for _, l := range a.Layers {
-		n += l.Params
-	}
-	return n
-}
-
-// LargestActivation returns the biggest single-layer output element count —
-// the quantity SGX memory pressure scales with.
-func (a *Arch) LargestActivation() int64 {
-	var m int64
-	for _, l := range a.Layers {
-		if l.OutElems > m {
-			m = l.OutElems
-		}
-	}
-	return m
-}
-
 // archBuilder threads a (C, H, W) cursor through stat constructors.
 type archBuilder struct {
 	a       *Arch

@@ -33,6 +33,8 @@ func NewConv2D(name string, p tensor.ConvParams, rng *rand.Rand) *Conv2D {
 }
 
 // Conv returns the convolution geometry.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (c *Conv2D) Conv() tensor.ConvParams { return c.p }
 
 // Name implements Layer.
@@ -177,38 +179,6 @@ func clearAcc(acc []uint64) {
 	}
 }
 
-// LinearForwardFieldRef is the retained seed kernel — one field.MulAdd
-// (multiply plus reduction) per element per term and a freshly allocated
-// patch matrix per call. It is the oracle the lazy-reduction kernel must
-// match bit-for-bit (see field_test.go) and the baseline BenchmarkKernels
-// measures the coded forward path against.
-func (c *Conv2D) LinearForwardFieldRef(wq, x field.Vec) field.Vec {
-	p := c.p
-	cpg := p.InC / p.Groups
-	rows := cpg * p.KH * p.KW
-	npix := p.OutH() * p.OutW()
-	cols := fieldIm2ColNaive(x, p)
-	ocpg := p.OutC / p.Groups
-	out := make(field.Vec, p.OutC*npix)
-	for g := 0; g < p.Groups; g++ {
-		for oc := 0; oc < ocpg; oc++ {
-			wRow := wq[(g*ocpg+oc)*rows : (g*ocpg+oc+1)*rows]
-			oRow := out[(g*ocpg+oc)*npix : (g*ocpg+oc+1)*npix]
-			for r := 0; r < rows; r++ {
-				wv := wRow[r]
-				if wv == 0 {
-					continue
-				}
-				cRow := cols[(g*rows+r)*npix : (g*rows+r+1)*npix]
-				for j := 0; j < npix; j++ {
-					oRow[j] = field.MulAdd(oRow[j], wv, cRow[j])
-				}
-			}
-		}
-	}
-	return out
-}
-
 // GradWeightsField implements Linear: dW = delta · colsᵀ over F_p, where
 // delta is the (scaled, combined) output gradient [OutC×OutH×OutW] and x is
 // the (coded) layer input. field.Dot is already lazy-reduced; the patch
@@ -249,42 +219,6 @@ func (c *Conv2D) AddGradB(gout *tensor.Tensor, s float64) {
 		}
 		c.b.Grad.Data[oc] += s * sum
 	}
-}
-
-// fieldIm2ColNaive is the seed's element-at-a-time im2col with a fresh
-// allocation per call, retained solely for LinearForwardFieldRef so the
-// reference baseline stays faithful to the pre-PR2 kernel.
-func fieldIm2ColNaive(in field.Vec, p tensor.ConvParams) field.Vec {
-	cpg := p.InC / p.Groups
-	rows := cpg * p.KH * p.KW
-	oh, ow := p.OutH(), p.OutW()
-	npix := oh * ow
-	cols := make(field.Vec, p.Groups*rows*npix)
-	for g := 0; g < p.Groups; g++ {
-		for ci := 0; ci < cpg; ci++ {
-			inC := g*cpg + ci
-			for ky := 0; ky < p.KH; ky++ {
-				for kx := 0; kx < p.KW; kx++ {
-					row := (ci*p.KH+ky)*p.KW + kx
-					base := (g*rows + row) * npix
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*p.Stride + ky - p.Pad
-						if iy < 0 || iy >= p.InH {
-							continue
-						}
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*p.Stride + kx - p.Pad
-							if ix < 0 || ix >= p.InW {
-								continue
-							}
-							cols[base+oy*ow+ox] = in[(inC*p.InH+iy)*p.InW+ix]
-						}
-					}
-				}
-			}
-		}
-	}
-	return cols
 }
 
 // fieldIm2ColPooled is fieldIm2ColInto on a pooled scratch buffer; the

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"darknight/internal/field"
+	"darknight/internal/spec"
 	"darknight/internal/tensor"
 )
 
 // TestConvFieldKernelMatchesRef pins the lazy-reduction GPU conv kernel
-// bit-for-bit to the retained seed kernel over F_p, including grouped and
+// bit-for-bit to the reference kernel (spec.ConvForward) over F_p, including grouped and
 // strided/padded geometries, and verifies pooled-buffer reuse is clean.
 func TestConvFieldKernelMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -24,7 +25,7 @@ func TestConvFieldKernelMatchesRef(t *testing.T) {
 		// Run twice per geometry: the second pass reuses pooled scratch.
 		for pass := 0; pass < 2; pass++ {
 			x := field.RandVec(rng, layer.InLen())
-			want := layer.LinearForwardFieldRef(wq, x)
+			want := spec.ConvForward(spec.Conv(p), wq, x)
 			got := layer.LinearForwardField(wq, x)
 			if !got.Equal(want) {
 				t.Fatalf("conv field kernel diverges from reference (%+v, pass %d)", p, pass)

@@ -32,9 +32,6 @@ func (m *Model) ParamCount() int64 {
 	return n
 }
 
-// Stats returns the flattened per-layer cost records.
-func (m *Model) Stats() []LayerStat { return m.Stack.Stats() }
-
 // Forward runs one example through the network.
 func (m *Model) Forward(image []float64, train bool) *tensor.Tensor {
 	x := tensor.FromSlice(image, m.InShape...)

@@ -250,7 +250,7 @@ func TestModelStatsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := ResNet50Scaled(1, 8, 8, 4, 1, rng)
 	var statParams int64
-	for _, s := range m.Stats() {
+	for _, s := range m.Stack.Stats() {
 		statParams += s.Params
 	}
 	if statParams != m.ParamCount() {

@@ -127,14 +127,6 @@ func (o *Observability) StartTrace(name string) *Span {
 	return o.Tracer.Start(name)
 }
 
-// Record appends one event to the flight recorder, if one is attached.
-func (o *Observability) Record(ev Event) {
-	if o == nil {
-		return
-	}
-	o.Recorder.Record(ev)
-}
-
 // Reg returns the registry, or nil.
 func (o *Observability) Reg() *Registry {
 	if o == nil {

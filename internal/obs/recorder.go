@@ -125,28 +125,9 @@ func (r *FlightRecorder) Dump() []Event {
 	return out
 }
 
-// DumpSince returns retained events with Seq > seq, oldest first.
-func (r *FlightRecorder) DumpSince(seq int64) []Event {
-	all := r.Dump()
-	for i, e := range all {
-		if e.Seq > seq {
-			return all[i:]
-		}
-	}
-	return nil
-}
-
-// LastSeq returns the sequence number of the newest event (0 if none).
-func (r *FlightRecorder) LastSeq() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
 // Len returns the number of retained events.
+//
+//lint:ignore testonly test fixture for the obs and serve tests
 func (r *FlightRecorder) Len() int {
 	if r == nil {
 		return 0
@@ -166,13 +147,6 @@ func (r *FlightRecorder) Dropped() int64 {
 	return r.seq - int64(len(r.buf))
 }
 
-// WriteText writes the retained events as log-style lines.
-func (r *FlightRecorder) WriteText(w io.Writer) {
-	for _, e := range r.Dump() {
-		fmt.Fprintln(w, e.String())
-	}
-}
-
 // WriteJSON writes the retained events as a JSON array.
 func (r *FlightRecorder) WriteJSON(w io.Writer) error {
 	events := r.Dump()
@@ -186,6 +160,8 @@ func (r *FlightRecorder) WriteJSON(w io.Writer) error {
 
 // FormatEvents renders a slice of events as one string, one line per
 // event — the shape chaos tests dump on failure.
+//
+//lint:ignore testonly test fixture for the obs and serve tests
 func FormatEvents(events []Event) string {
 	var b strings.Builder
 	for _, e := range events {

@@ -38,8 +38,8 @@ func TestFlightRecorderWraparoundAudit(t *testing.T) {
 				t.Fatalf("after %d records: seq %d carries payload %d — slot reuse corrupted an entry", n, e.Seq, e.Device)
 			}
 		}
-		if last := events[len(events)-1].Seq; last != r.LastSeq() {
-			t.Fatalf("after %d records: newest dumped seq %d != LastSeq %d", n, last, r.LastSeq())
+		if last := events[len(events)-1].Seq; last != r.seq {
+			t.Fatalf("after %d records: newest dumped seq %d != seq %d", n, last, r.seq)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -107,6 +106,8 @@ func (s *Span) endAt(t time.Time) bool {
 }
 
 // Name returns the span's name ("" on nil).
+//
+//lint:ignore testonly test fixture for the darknight, obs and serve tests
 func (s *Span) Name() string {
 	if s == nil {
 		return ""
@@ -115,6 +116,8 @@ func (s *Span) Name() string {
 }
 
 // Parent returns the span's parent (nil for roots and nil receivers).
+//
+//lint:ignore testonly test fixture for the obs and serve tests
 func (s *Span) Parent() *Span {
 	if s == nil {
 		return nil
@@ -122,15 +125,9 @@ func (s *Span) Parent() *Span {
 	return s.parent
 }
 
-// Start returns when the span opened.
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // Ended reports whether End has been called.
+//
+//lint:ignore testonly test fixture for the obs and serve tests
 func (s *Span) Ended() bool {
 	if s == nil {
 		return false
@@ -155,18 +152,10 @@ func (s *Span) Duration() time.Duration {
 	return end.Sub(s.start)
 }
 
-// Attrs returns a copy of the span's annotations.
-func (s *Span) Attrs() []Attr {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Attr(nil), s.attrs...)
-}
-
 // Attr returns the value of the first annotation with the given key
 // ("" if absent).
+//
+//lint:ignore testonly test fixture for the darknight, obs and serve tests
 func (s *Span) Attr(key string) string {
 	if s == nil {
 		return ""
@@ -209,6 +198,8 @@ func (s *Span) Find(name string) *Span {
 }
 
 // FindAll returns every span named name in the subtree, depth-first.
+//
+//lint:ignore testonly test fixture for the obs and serve tests
 func (s *Span) FindAll(name string) []*Span {
 	var out []*Span
 	s.Walk(func(sp *Span) {
@@ -261,6 +252,8 @@ func (s *Span) Render(w io.Writer) {
 }
 
 // RenderString returns Render's output as a string ("" for nil).
+//
+//lint:ignore testonly test fixture for the darknight and serve tests
 func (s *Span) RenderString() string {
 	if s == nil {
 		return ""
@@ -344,14 +337,6 @@ func NewTracer(sample float64, keep int, seed int64) *Tracer {
 	}
 }
 
-// SampleRate returns the configured sampling fraction (0 on nil).
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.sample
-}
-
 // Start begins a root span, or returns nil when the tracer is nil, the
 // rate is zero, or the sampling draw declines.
 func (t *Tracer) Start(name string) *Span {
@@ -401,34 +386,12 @@ func (t *Tracer) Recent() []*Span {
 	return out
 }
 
-// Last returns the most recently completed trace, or nil.
-func (t *Tracer) Last() *Span {
-	r := t.Recent()
-	if len(r) == 0 {
-		return nil
-	}
-	return r[len(r)-1]
-}
-
 // Counts reports (sampling decisions, sampled roots, completed roots).
+//
+//lint:ignore testonly test fixture for the obs and serve tests
 func (t *Tracer) Counts() (started, traced, completed int64) {
 	if t == nil {
 		return 0, 0, 0
 	}
 	return t.started.Load(), t.traced.Load(), t.completed.Load()
-}
-
-// spanKey threads spans through context.Context.
-type spanKey struct{}
-
-// WithSpan returns a context carrying the span. A nil span is carried
-// too — SpanFrom then returns nil, preserving the disabled path.
-func WithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// SpanFrom extracts the span carried by ctx, or nil.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
 }

@@ -29,6 +29,8 @@ func Workers() int {
 // override (0 if none was set). n <= 0 removes the override. Tests use
 // width 1 to pin allocation counts and width > 1 to exercise the parallel
 // paths on single-core machines; production code should not call this.
+//
+//lint:ignore testonly test fixture for the field, masking and tensor tests
 func SetMaxWorkers(n int) int {
 	if n < 0 {
 		n = 0

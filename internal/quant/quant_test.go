@@ -29,7 +29,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	q := Default()
 	f := func(raw int16) bool {
 		// Representable grid points: k / 2^l.
-		x := float64(raw) / q.Scale()
+		x := float64(raw) / q.scale
 		got := q.Unquantize(q.Quantize([]float64{x}))[0]
 		return got == x
 	}
@@ -41,7 +41,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 func TestQuantizeError(t *testing.T) {
 	q := Default()
 	rng := rand.New(rand.NewSource(1))
-	maxErr := 1.0 / q.Scale() // one ulp of the fixed-point grid
+	maxErr := 1.0 / q.scale // one ulp of the fixed-point grid
 	for i := 0; i < 10000; i++ {
 		x := rng.Float64()*200 - 100
 		got := q.Unquantize(q.Quantize([]float64{x}))[0]
@@ -91,7 +91,7 @@ func TestLinearOpInField(t *testing.T) {
 		}
 		// Two rounding layers: n+1 products each off by ≤ (1/2^l)·(|w|+|x|+ulp)
 		// — bound loosely.
-		tol := float64(n+2) * 3 / q.Scale()
+		tol := float64(n+2) * 3 / q.scale
 		if math.Abs(got-want) > tol {
 			t.Fatalf("trial %d n=%d: got %v want %v (tol %v)", trial, n, got, want, tol)
 		}
@@ -133,32 +133,8 @@ func TestUnquantizeProductExact(t *testing.T) {
 func TestQuantizeBiasScale(t *testing.T) {
 	q := Default()
 	bq := q.QuantizeBias([]float64{1})[0]
-	if field.Lift(bq) != int64(q.Scale()*q.Scale()) {
-		t.Fatalf("bias 1 quantized to %d, want %v", field.Lift(bq), q.Scale()*q.Scale())
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{3, -12, 6}
-	f := Normalize(xs, 10)
-	if f != 12 {
-		t.Fatalf("factor = %v, want 12", f)
-	}
-	if xs[1] != -1 || xs[0] != 0.25 || xs[2] != 0.5 {
-		t.Fatalf("normalized = %v", xs)
-	}
-	// Under the limit: untouched.
-	ys := []float64{1, 2, 3}
-	if f := Normalize(ys, 10); f != 1 {
-		t.Fatalf("factor = %v, want 1", f)
-	}
-	if ys[2] != 3 {
-		t.Fatal("values modified below limit")
-	}
-	// All-zero vector must not divide by zero.
-	zs := []float64{0, 0}
-	if f := Normalize(zs, 0.5); f != 1 {
-		t.Fatalf("zero-vector factor = %v", f)
+	if field.Lift(bq) != int64(q.scale*q.scale) {
+		t.Fatalf("bias 1 quantized to %d, want %v", field.Lift(bq), q.scale*q.scale)
 	}
 }
 
@@ -209,4 +185,31 @@ func TestNewPanicsOutOfRange(t *testing.T) {
 			New(l)
 		}()
 	}
+}
+
+// QuantizeBias maps a bias tensor with the double factor 2^(2l)
+// (Algorithm 1 line 3), so that b lines up with W·x after one linear layer.
+func (q *Quantizer) QuantizeBias(xs []float64) field.Vec {
+	out := make(field.Vec, len(xs))
+	s := q.scale * q.scale
+	for i, x := range xs {
+		out[i] = field.FromInt64(round(x * s))
+	}
+	return out
+}
+
+// Unquantize restores floats from a vector carrying a single 2^l factor
+// (e.g. a quantized input echoed back).
+func (q *Quantizer) Unquantize(v field.Vec) []float64 {
+	out := make([]float64, len(v))
+	for i, e := range v {
+		out[i] = float64(field.Lift(e)) / q.scale
+	}
+	return out
+}
+
+// MaxRepresentable returns the largest float magnitude whose quantized
+// value still lifts correctly (i.e. Round(x·2^l) <= (p-1)/2).
+func (q *Quantizer) MaxRepresentable() float64 {
+	return float64(field.Half) / q.scale
 }

@@ -51,12 +51,6 @@ type Config struct {
 	Brownout BrownoutPolicy
 }
 
-// Enabled reports whether any policy is active.
-func (c Config) Enabled() bool {
-	return c.Budget.Default > 0 || c.Retry.Max > 0 || c.Hedge.Enabled ||
-		c.Shed.MaxQueue > 0 || c.Brownout.Enabled
-}
-
 // BudgetPolicy splits a request's end-to-end deadline budget across the
 // serving phases: admission + batching may spend at most BatchFraction of
 // the budget; the remainder is reserved for gang acquisition, offload and

@@ -363,3 +363,9 @@ func TestCountersSnapshotAndConfigEnabled(t *testing.T) {
 		}
 	}
 }
+
+// Enabled reports whether any policy is active.
+func (c Config) Enabled() bool {
+	return c.Budget.Default > 0 || c.Retry.Max > 0 || c.Hedge.Enabled ||
+		c.Shed.MaxQueue > 0 || c.Brownout.Enabled
+}

@@ -15,6 +15,7 @@ import (
 	"darknight/internal/field"
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
+	"darknight/internal/masking"
 	"darknight/internal/nn"
 )
 
@@ -295,7 +296,7 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 			}
 			pipe.Close()
 
-			if !errors.Is(err, ErrIntegrity) {
+			if !errors.Is(err, masking.ErrIntegrity) {
 				t.Fatalf("step error = %v, want an integrity violation", err)
 			}
 			if !strings.Contains(err.Error(), `/lin3"`) {

@@ -26,6 +26,8 @@ func NewInferencer(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace 
 // Forward runs the masked forward pass for exactly K images on the given
 // fleet and returns the per-image logits. The fleet must offer at least
 // K+M+E devices (a gang grant or a whole cluster).
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (inf *Inferencer) Forward(fleet Fleet, images [][]float64) ([]*tensor.Tensor, error) {
 	t, err := inf.Submit(fleet, images)
 	if err != nil {

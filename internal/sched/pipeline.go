@@ -128,18 +128,6 @@ func (p *Pipeline) SubmitWithin(fleet Fleet, images [][]float64, sp *obs.Span, d
 	return t, nil
 }
 
-// Predict is the synchronous convenience wrapper: Submit then Wait.
-func (p *Pipeline) Predict(fleet Fleet, images [][]float64) ([]int, error) {
-	t, err := p.Submit(fleet, images)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Wait(); err != nil {
-		return nil, err
-	}
-	return t.Classes(), nil
-}
-
 // run drives one batch down a lane: lane-private setup without the token —
 // the code and the batch's gang flight — then the forward walk under the
 // TEE token (released by the engine while a layer is on the devices). The

@@ -264,3 +264,15 @@ func TestPipelineOverlapsOutstandingDispatches(t *testing.T) {
 		t.Logf("note: overlap ratio %.2f (can dip on loaded runners)", ps.Overlap())
 	}
 }
+
+// Predict is the synchronous convenience wrapper: Submit then Wait.
+func (p *Pipeline) Predict(fleet Fleet, images [][]float64) ([]int, error) {
+	t, err := p.Submit(fleet, images)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Wait(); err != nil {
+		return nil, err
+	}
+	return t.Classes(), nil
+}

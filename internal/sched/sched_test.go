@@ -11,6 +11,7 @@ import (
 	"darknight/internal/enclave"
 	"darknight/internal/field"
 	"darknight/internal/gpu"
+	"darknight/internal/masking"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
 )
@@ -223,7 +224,7 @@ func TestIntegrityDetectsMaliciousGPU(t *testing.T) {
 		return d
 	})
 	_, _, err := tr.TrainLargeBatch(data.Items[:2], nn.NewSGD(0.01, 0), 0)
-	if !errors.Is(err, ErrIntegrity) {
+	if !errors.Is(err, masking.ErrIntegrity) {
 		t.Fatalf("err = %v, want integrity violation", err)
 	}
 }
@@ -245,7 +246,7 @@ func TestPredictWithIntegrity(t *testing.T) {
 		return d
 	})
 	_, err := inf.Predict(cluster, [][]float64{data.Items[0].Image, data.Items[1].Image})
-	if !errors.Is(err, ErrIntegrity) {
+	if !errors.Is(err, masking.ErrIntegrity) {
 		t.Fatalf("err = %v, want integrity violation", err)
 	}
 }

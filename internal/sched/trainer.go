@@ -106,9 +106,6 @@ func (c Config) maskParams() masking.Params {
 	return masking.Params{K: c.VirtualBatch, M: c.Collusion, Redundancy: c.Redundancy}
 }
 
-// ErrIntegrity is returned (wrapped) when GPU results fail verification.
-var ErrIntegrity = masking.ErrIntegrity
-
 // Trainer is the synchronous face of a one-lane TrainPipeline bound to one
 // cluster — the way Inferencer wraps Pipeline — for callers that train on a
 // single device set (benchmarks, experiments, small tests). Everything else a

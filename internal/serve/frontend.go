@@ -26,6 +26,8 @@ type Frontend struct {
 
 // NewFrontend stands up the attestable edge for a server. The platform is
 // the simulated hardware root of trust clients verify quotes against.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func NewFrontend(srv *Server, measuredCode []byte) (*Frontend, error) {
 	platform, err := enclave.NewPlatform()
 	if err != nil {
@@ -44,21 +46,31 @@ func NewFrontend(srv *Server, measuredCode []byte) (*Frontend, error) {
 }
 
 // Platform returns the root of trust clients verify against.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (f *Frontend) Platform() *enclave.Platform { return f.platform }
 
 // Measurement returns the enclave identity clients must expect.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (f *Frontend) Measurement() enclave.Measurement { return f.measurement }
 
 // PublicKey returns the enclave's handshake public key.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (f *Frontend) PublicKey() *ecdh.PublicKey { return f.key.PublicKey() }
 
 // Quote answers an attestation challenge.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (f *Frontend) Quote(challenge [16]byte) enclave.Quote {
 	return f.platform.Attest(f.measurement, challenge)
 }
 
 // Accept completes the enclave side of a client handshake, returning the
 // per-client connection.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (f *Frontend) Accept(clientPub *ecdh.PublicKey) (*Conn, error) {
 	sess, err := client.Accept(f.key, clientPub, f.measurement)
 	if err != nil {
@@ -81,6 +93,8 @@ type Conn struct {
 // whatever virtual batches the batcher forms, alongside other clients'
 // rows), and returns the sealed prediction vector. Labels in the request
 // frame are ignored — inference clients send -1.
+//
+//lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (c *Conn) HandleSealed(ctx context.Context, blob []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

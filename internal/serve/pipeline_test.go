@@ -131,7 +131,7 @@ func TestPipelinedServingQuarantinesCulprit(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	st := srv.Fleet().Stats()
+	st := srv.fleet.Stats()
 	srv.Close()
 
 	failed.Range(func(key, value any) bool {

@@ -304,12 +304,6 @@ func closePipes(pipes []*sched.Pipeline) {
 	}
 }
 
-// K returns the virtual batch size requests are coalesced into.
-func (s *Server) K() int { return s.k }
-
-// Fleet returns the fleet manager the server dispatches through.
-func (s *Server) Fleet() *fleet.Manager { return s.fleet }
-
 // Metrics returns the serving view: the serving instruments, plus the
 // stores other layers own read at the same moment — the pipelines' phase
 // and noise-pool counters, the fleet health snapshot, the resilience
@@ -324,10 +318,6 @@ func (s *Server) Metrics() Snapshot {
 	snap.Resil.BrownoutLevel = int64(s.brown.Level())
 	return snap
 }
-
-// Observability returns the stack attached via Config.Obs (nil when
-// observability is off).
-func (s *Server) Observability() *obs.Observability { return s.obs }
 
 // Infer privately classifies one image for the default tenant.
 func (s *Server) Infer(ctx context.Context, image []float64) (int, error) {

@@ -200,9 +200,6 @@ func indexOf(layers []nn.Linear, l nn.Linear) int {
 	return -1
 }
 
-// Stats returns the accumulated counters.
-func (e *Engine) Stats() Stats { return e.stats }
-
 // Unblind exposes the raw unblinding machinery so tests can demonstrate
 // the §7.2 failure: after a weight update, decoding with STALE factors
 // produces garbage. It computes W_new·(x+r) − (W_old·r) for layer idx.

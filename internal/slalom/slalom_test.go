@@ -24,8 +24,8 @@ func TestSlalomInferenceMatchesFloat(t *testing.T) {
 			t.Fatalf("slalom pred %d, float pred %d", got, want)
 		}
 	}
-	if e.Stats().GPUJobs == 0 || e.Stats().UnblindBytes == 0 {
-		t.Fatalf("stats = %+v", e.Stats())
+	if e.stats.GPUJobs == 0 || e.stats.UnblindBytes == 0 {
+		t.Fatalf("stats = %+v", e.stats)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestSlalomWithIntegrity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Stats().IntegrityChecks == 0 {
+	if e.stats.IntegrityChecks == 0 {
 		t.Fatal("no integrity checks recorded")
 	}
 }

@@ -32,20 +32,14 @@ func (p ConvParams) Validate() {
 	}
 }
 
-// Im2Col unrolls input patches into a matrix with one column per output
-// pixel and one row per (in-channel, ky, kx) triple, so that convolution
-// becomes the bilinear matmul DarKnight's masking relies on ("the most
-// computationally intensive operator (such as convolutions) is bilinear").
-// in is a single image [C, H, W] flattened.
-func Im2Col(in []float64, p ConvParams) *Tensor {
-	cpg := p.InC / p.Groups
-	rows := cpg * p.KH * p.KW
-	return Im2ColInto(New(p.Groups, rows, p.OutH()*p.OutW()), in, p)
-}
-
-// Im2ColInto unrolls patches into the caller-owned [Groups, rows, cols]
-// destination (typically a pooled scratch buffer reused per image), which
-// is overwritten, padding included. It returns dst.
+// Im2ColInto unrolls input patches into a matrix with one column per
+// output pixel and one row per (in-channel, ky, kx) triple, so that
+// convolution becomes the bilinear matmul DarKnight's masking relies on
+// ("the most computationally intensive operator (such as convolutions) is
+// bilinear"). in is a single image [C, H, W] flattened; dst is the
+// caller-owned [Groups, rows, cols] destination (typically a pooled
+// scratch buffer reused per image), which is overwritten, padding
+// included. It returns dst.
 func Im2ColInto(dst *Tensor, in []float64, p ConvParams) *Tensor {
 	cpg := p.InC / p.Groups
 	rows := cpg * p.KH * p.KW
@@ -115,7 +109,7 @@ func Im2ColSlices[T any](cols []T, in []T, p ConvParams) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a patch matrix back into an
+// Col2Im is the adjoint of Im2ColInto: it scatters a patch matrix back into an
 // image, accumulating overlaps. It is the core of the convolution input
 // gradient.
 func Col2Im(cols *Tensor, p ConvParams) []float64 {

@@ -5,10 +5,17 @@ import (
 	"testing"
 
 	"darknight/internal/par"
+	"darknight/internal/spec"
 )
 
+// matMulRef is the reference i-k-j product (spec.MatMul) on tensors.
+func matMulRef(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	return FromSlice(spec.MatMul(a.Data, m, k, b.Data, n), m, n)
+}
+
 // naiveTransB / naiveTransA are the seed loops, kept as oracles for the
-// blocked variants (MatMulRef covers the plain product).
+// blocked variants (matMulRef covers the plain product).
 
 func naiveTransB(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
@@ -58,22 +65,22 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 			b.RandNormal(rng, 1)
 			a.Data[0] = 0 // exercise the zero-skip branch
 
-			if got, want := MatMul(a, b), MatMulRef(a, b); !got.EqualApprox(want, 1e-9) {
-				t.Fatalf("MatMul(%v) diverges from MatMulRef (workers=%d)", sz, workers)
+			if got, want := MatMulInto(New(sz.m, sz.n), a, b), matMulRef(a, b); !got.EqualApprox(want, 1e-9) {
+				t.Fatalf("MatMulInto(%v) diverges from spec.MatMul (workers=%d)", sz, workers)
 			}
 			bt := transpose2D(b)
-			if got, want := MatMulTransB(a, bt), naiveTransB(a, bt); !got.EqualApprox(want, 1e-9) {
-				t.Fatalf("MatMulTransB(%v) diverges from naive (workers=%d)", sz, workers)
+			if got, want := MatMulTransBInto(New(sz.m, sz.n), a, bt), naiveTransB(a, bt); !got.EqualApprox(want, 1e-9) {
+				t.Fatalf("MatMulTransBInto(%v) diverges from naive (workers=%d)", sz, workers)
 			}
 			at := transpose2D(a)
-			if got, want := MatMulTransA(at, b), naiveTransA(at, b); !got.EqualApprox(want, 1e-9) {
-				t.Fatalf("MatMulTransA(%v) diverges from naive (workers=%d)", sz, workers)
+			if got, want := MatMulTransAInto(New(sz.m, sz.n), at, b), naiveTransA(at, b); !got.EqualApprox(want, 1e-9) {
+				t.Fatalf("MatMulTransAInto(%v) diverges from naive (workers=%d)", sz, workers)
 			}
 
 			// Into variants overwrite dirty destinations completely.
 			dirty := New(sz.m, sz.n)
 			dirty.Fill(123)
-			if !MatMulInto(dirty, a, b).EqualApprox(MatMulRef(a, b), 1e-9) {
+			if !MatMulInto(dirty, a, b).EqualApprox(matMulRef(a, b), 1e-9) {
 				t.Fatalf("MatMulInto leaves stale data (%v, workers=%d)", sz, workers)
 			}
 
@@ -82,7 +89,7 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			want := MatMulRef(a, FromSlice(x, sz.k, 1))
+			want := matMulRef(a, FromSlice(x, sz.k, 1))
 			got := MatVecInto(make([]float64, sz.m), a, x)
 			for i := range got {
 				if diff := got[i] - want.Data[i]; diff > 1e-9 || diff < -1e-9 {
@@ -113,14 +120,14 @@ func TestIm2ColIntoReuse(t *testing.T) {
 	for i := range in {
 		in[i] = rng.NormFloat64()
 	}
-	want := Im2Col(in, p)
+	want := Im2ColInto(New(p.Groups, p.InC/p.Groups*p.KH*p.KW, p.OutH()*p.OutW()), in, p)
 	buf := GetScratch(want.Size())
 	for i := range buf {
 		buf[i] = 999 // dirty
 	}
 	got := Im2ColInto(FromSlice(buf, want.Shape...), in, p)
 	if !got.EqualApprox(want, 0) {
-		t.Fatal("Im2ColInto on a dirty buffer diverges from Im2Col")
+		t.Fatal("Im2ColInto on a dirty buffer diverges from a fresh one")
 	}
 	// Col2ImInto round-trips the adjoint on a dirty destination.
 	img := make([]float64, p.InC*p.InH*p.InW)
@@ -141,13 +148,13 @@ func TestIm2ColIntoReuse(t *testing.T) {
 // handled: products with a zero dimension return empty tensors, no panic.
 func TestZeroWidthMatMul(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 1, 2)
-	if got := MatMul(a, New(2, 0)); got.Size() != 0 || got.Shape[1] != 0 {
+	if got := MatMulInto(New(1, 0), a, New(2, 0)); got.Size() != 0 || got.Shape[1] != 0 {
 		t.Fatalf("1x2 · 2x0 = %v, want empty 1x0", got.Shape)
 	}
-	if got := MatMulTransA(New(0, 3), New(0, 4)); got.Size() != 12 || got.MaxAbs() != 0 {
+	if got := MatMulTransAInto(New(3, 4), New(0, 3), New(0, 4)); got.Size() != 12 || got.MaxAbs() != 0 {
 		t.Fatalf("0x3ᵀ · 0x4 = %v (max %v), want a 3x4 of zeros", got.Shape, got.MaxAbs())
 	}
-	if got := MatMulTransB(New(0, 2), New(3, 2)); got.Size() != 0 {
+	if got := MatMulTransBInto(New(0, 3), New(0, 2), New(3, 2)); got.Size() != 0 {
 		t.Fatalf("0x2 · 3x2ᵀ has size %d, want 0", got.Size())
 	}
 	if got := MatVecTransInto(make([]float64, 2), New(0, 2), nil); len(got) != 2 {

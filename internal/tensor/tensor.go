@@ -132,6 +132,8 @@ func (t *Tensor) MaxAbs() float64 {
 // elementwise within tol. Shapes are compared dimension by dimension, not
 // by total size — a [2,6] tensor never equals a [3,4] one, even with
 // identical backing data.
+//
+//lint:ignore testonly test fixture for the tensor and nn tests
 func (t *Tensor) EqualApprox(o *Tensor, tol float64) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
@@ -218,16 +220,8 @@ func checkMatMulDst(dst *Tensor, m, n int) {
 	}
 }
 
-// MatMul computes C = A·B for 2-D tensors (m×k)·(k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shapes %v · %v", a.Shape, b.Shape))
-	}
-	return MatMulInto(New(a.Shape[0], b.Shape[1]), a, b)
-}
-
-// MatMulInto computes dst = A·B into the caller-owned m×n destination,
-// which is overwritten. It returns dst.
+// MatMulInto computes dst = A·B for 2-D tensors (m×k)·(k×n) into the
+// caller-owned m×n destination, which is overwritten. It returns dst.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmul shapes %v · %v", a.Shape, b.Shape))
@@ -259,42 +253,8 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// MatMulRef is the retained naive single-threaded i-k-j matmul, the seed
-// kernel. It is the oracle for the blocked/parallel kernels' equivalence
-// tests and the baseline BenchmarkKernels measures speedups against.
-func MatMulRef(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shapes %v · %v", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[kk*n : (kk+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MatMulTransB computes C = A·Bᵀ for (m×k)·(n×k) operands, the layout the
-// dense backward pass prefers.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: matmulTransB shapes %v · %vᵀ", a.Shape, b.Shape))
-	}
-	return MatMulTransBInto(New(a.Shape[0], b.Shape[0]), a, b)
-}
-
-// MatMulTransBInto computes dst = A·Bᵀ into the caller-owned m×n
+// MatMulTransBInto computes dst = A·Bᵀ for (m×k)·(n×k) operands — the
+// layout the dense backward pass prefers — into the caller-owned m×n
 // destination, which is overwritten. It returns dst.
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
@@ -320,15 +280,8 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// MatMulTransA computes C = Aᵀ·B for (k×m)·(k×n) operands.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmulTransA shapes %vᵀ · %v", a.Shape, b.Shape))
-	}
-	return MatMulTransAInto(New(a.Shape[1], b.Shape[1]), a, b)
-}
-
-// MatMulTransAInto computes dst = Aᵀ·B into the caller-owned m×n
+// MatMulTransAInto computes dst = Aᵀ·B for (k×m)·(k×n) operands into the
+// caller-owned m×n
 // destination, which is overwritten. It returns dst.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {

@@ -38,7 +38,7 @@ func TestReshapePreservesData(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := MatMulInto(New(2, 2), a, b)
 	want := []float64{58, 64, 139, 154}
 	for i := range want {
 		if c.Data[i] != want[i] {
@@ -53,16 +53,16 @@ func TestMatMulTransVariants(t *testing.T) {
 	b := New(7, 5)
 	a.RandNormal(rng, 1)
 	b.RandNormal(rng, 1)
-	want := MatMul(a, b)
+	want := MatMulInto(New(4, 5), a, b)
 
 	bt := transpose2D(b)
-	got := MatMulTransB(a, bt)
+	got := MatMulTransBInto(New(4, 5), a, bt)
 	if !got.EqualApprox(want, 1e-12) {
 		t.Fatal("MatMulTransB mismatch")
 	}
 
 	at := transpose2D(a)
-	got2 := MatMulTransA(at, b)
+	got2 := MatMulTransAInto(New(4, 5), at, b)
 	if !got2.EqualApprox(want, 1e-12) {
 		t.Fatal("MatMulTransA mismatch")
 	}
@@ -203,7 +203,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	cols := Im2Col(x, p)
+	cols := Im2ColInto(New(p.Groups, p.InC/p.Groups*p.KH*p.KW, p.OutH()*p.OutW()), x, p)
 	y := New(cols.Shape...)
 	y.RandNormal(rng, 1)
 

@@ -1,7 +1,7 @@
 package darknight
 
 // BenchmarkKernels measures the PR2 kernel overhaul against the retained
-// seed kernels (the *Ref implementations): blocked/parallel float matmul
+// reference kernels (internal/spec): blocked/parallel float matmul
 // and conv, and the lazy-reduction zero-allocation coding path. The
 // headline pair is codedforward/{ref,fused} — the TEE-side
 // encode → dispatch → decode loop of one bilinear layer — whose ratio is
@@ -15,6 +15,7 @@ import (
 	"darknight/internal/field"
 	"darknight/internal/masking"
 	"darknight/internal/nn"
+	"darknight/internal/spec"
 	"darknight/internal/tensor"
 )
 
@@ -27,6 +28,11 @@ type codedBench struct {
 	wq    field.Vec
 	ins   []field.Vec
 	rng   *rand.Rand
+
+	// ref and conv are the code and the layer geometry as the reference
+	// kernels take them.
+	ref  spec.Code
+	conv spec.Conv
 
 	noise   []field.Vec
 	coded   []field.Vec
@@ -41,7 +47,8 @@ func newCodedBench(b testing.TB) *codedBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cb := &codedBench{layer: layer, code: code, rng: rng}
+	cb := &codedBench{layer: layer, code: code, rng: rng, conv: spec.Conv(layer.Conv())}
+	cb.ref = spec.Code{K: code.K, M: code.M, S: code.S, A: code.A, Gamma: code.Gamma}
 	cb.wq = field.RandVec(rng, layer.WLen())
 	n := layer.InLen()
 	cb.ins = make([]field.Vec, code.K)
@@ -67,19 +74,12 @@ func newCodedBench(b testing.TB) *codedBench {
 // MulAdd-per-element GPU kernel, per-term AXPY decode — all freshly
 // allocating, exactly as before PR2.
 func (cb *codedBench) forwardRef(b testing.TB) []field.Vec {
-	coded, err := cb.code.EncodeRef(cb.ins, cb.rng)
-	if err != nil {
-		b.Fatal(err)
-	}
+	coded := spec.Encode(cb.ref, cb.ins, cb.rng)
 	results := make([]field.Vec, len(coded))
 	for j := range coded {
-		results[j] = cb.layer.LinearForwardFieldRef(cb.wq, coded[j])
+		results[j] = spec.ConvForward(cb.conv, cb.wq, coded[j])
 	}
-	decoded, err := cb.code.DecodeForwardRef(results)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return decoded
+	return spec.DecodeForward(cb.ref, results)
 }
 
 // forwardFused runs the PR2 path: noise drawn into reused buffers, fused
@@ -112,7 +112,7 @@ func BenchmarkKernels(b *testing.B) {
 	mb.RandNormal(rng, 1)
 	b.Run("matmul/ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulRef(ma, mb)
+			spec.MatMul(ma.Data, mm, mm, mb.Data, mm)
 		}
 	})
 	b.Run("matmul/blocked", func(b *testing.B) {
@@ -138,12 +138,9 @@ func BenchmarkKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The seed Conv2D: allocate the patch matrix, naive matmul,
 			// copy the result block.
-			cols := tensor.Im2Col(img, p)
+			cols := tensor.Im2ColInto(tensor.New(1, rows, npix), img, p)
 			out := tensor.New(p.OutC, p.OutH(), p.OutW())
-			wg := tensor.FromSlice(w.Data, p.OutC, rows)
-			cg := tensor.FromSlice(cols.Data, rows, npix)
-			res := tensor.MatMulRef(wg, cg)
-			copy(out.Data, res.Data)
+			copy(out.Data, spec.MatMul(w.Data, p.OutC, rows, cols.Data, npix))
 		}
 	})
 	b.Run("conv/blocked", func(b *testing.B) {
@@ -156,9 +153,7 @@ func BenchmarkKernels(b *testing.B) {
 	cb := newCodedBench(b)
 	b.Run("encode/ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cb.code.EncodeRef(cb.ins, cb.rng); err != nil {
-				b.Fatal(err)
-			}
+			spec.Encode(cb.ref, cb.ins, cb.rng)
 		}
 	})
 	b.Run("encode/fused", func(b *testing.B) {
@@ -181,9 +176,7 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	b.Run("decode/ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cb.code.DecodeForwardRef(results); err != nil {
-				b.Fatal(err)
-			}
+			spec.DecodeForward(cb.ref, results)
 		}
 	})
 	b.Run("decode/fused", func(b *testing.B) {
