@@ -2,8 +2,6 @@ package darknight
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -141,66 +139,14 @@ func TestPipelinedTrainingFleetQuarantine(t *testing.T) {
 	}
 }
 
-// TestSystemComposesAtEveryDepth: pipeline depth, fleet management and
-// straggler slack are independent knobs. With E = 2 and one slow device,
-// every combination — ManagedFleet at depth 0 and 1 included — trains to
-// weights bit-identical to the one-lane, raw-cluster, wait-for-all System.
-func TestSystemComposesAtEveryDepth(t *testing.T) {
-	batch := SyntheticDataset(8, 4, 1, 8, 8, 5)
-	train := func(t *testing.T, depth int, managed bool, slack int) []float64 {
-		t.Helper()
-		model := TinyCNN(1, 8, 8, 4, 1)
-		sys, err := NewSystem(model, Config{
-			VirtualBatch:       2,
-			Redundancy:         2,
-			TrainPipelineDepth: depth,
-			ManagedFleet:       managed,
-			StragglerSlack:     slack,
-			SlowGPUs:           []int{0},
-			SlowDelay:          time.Millisecond,
-			Seed:               3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		for step := 0; step < 3; step++ {
-			if _, err := sys.TrainBatch(batch); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		}
-		return model.Weights()
-	}
-	want := train(t, 0, false, 0)
-	for _, depth := range []int{0, 1, 2} {
-		for _, managed := range []bool{false, true} {
-			for _, slack := range []int{0, 1} {
-				fleet := "raw"
-				if managed {
-					fleet = "managed"
-				}
-				t.Run(fmt.Sprintf("depth%d-%s-slack%d", depth, fleet, slack), func(t *testing.T) {
-					got := train(t, depth, managed, slack)
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("weight %d: %v, want %v (bit-identical to depth 0 / raw / slack 0)", i, got[i], want[i])
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestSystemFusesConsecutiveBilinearLayers (its name predates the batch
-// flight, which replaced fusion): a System with the default Config flies
-// each virtual batch — every offload of its forward and backward passes —
-// as one gang flight, whatever the model's layer structure: DeepMLP's
+// TestSystemFliesOneFlightPerVirtualBatch: a System with the default Config
+// flies each virtual batch — every offload of its forward and backward
+// passes — as one gang flight, whatever the model's layer structure: DeepMLP's
 // consecutive Dense runs, VGG's and TinyCNN's TEE-side layers between every
 // two bilinear layers, ResNet's residual bodies and projection skips.
 // Flights equal virtual batches; offloads are 2 × the bilinear layers per
 // virtual batch.
-func TestSystemFusesConsecutiveBilinearLayers(t *testing.T) {
+func TestSystemFliesOneFlightPerVirtualBatch(t *testing.T) {
 	batch := SyntheticDataset(8, 4, 1, 8, 8, 5)
 	const steps, vbatches = 2, 4 // 8 examples at K = 2 per step
 	per := func(n int64) int64 { return n * steps * vbatches }

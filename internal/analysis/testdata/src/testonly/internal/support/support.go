@@ -2,5 +2,7 @@
 // support, exempt although no non-test code calls Helper.
 package support
 
+import "corpus/internal/kernels"
+
 // Helper is a test helper.
-func Helper() int { return 0 }
+func Helper() int { return kernels.Used() }

@@ -11,8 +11,9 @@
 // declaration does not. A method also counts as used when it implements
 // a method of an interface type that non-test code references (nn.Layer,
 // gpu.Device, error), checked with types.Implements. Struct fields are
-// out of scope. Packages that no non-test file imports (atest, spec) are
-// test support and exempt.
+// out of scope. Test-support packages are exempt: those under internal/
+// that no non-test file imports (atest, spec/stack), or that only other
+// test support imports (spec, imported by spec/stack).
 //
 // The check needs the whole module at once: each package's Run returns
 // its declarations and uses and reports nothing, and Unused joins them after a
@@ -197,12 +198,28 @@ func underBench(path string) bool {
 	return false
 }
 
+// isSupport reports whether path is a test-support package of the import
+// graph given as each package's non-test importers: under internal/, with
+// importers, if any, that are all test support themselves. Go imports are
+// acyclic, so the walk ends; memo keeps it linear.
+func isSupport(path string, importers map[string][]string, memo map[string]bool) bool {
+	if v, ok := memo[path]; ok {
+		return v
+	}
+	v := underInternal(path)
+	for _, imp := range importers[path] {
+		v = v && isSupport(imp, importers, memo)
+	}
+	memo[path] = v
+	return v
+}
+
 // Unused joins the per-package facts of a whole-tree run and returns one
 // finding per unused exported name, at its declaration, with the
 // declaring package's //lint:ignore directives applied.
 func Unused(results []analysis.PackageResult) []analysis.Diagnostic {
 	used := make(map[key]bool)
-	imported := make(map[string]bool)
+	importers := make(map[string][]string)
 	ifaces := make(map[*types.Interface]bool)
 	for _, it := range dynamic {
 		ifaces[it] = true
@@ -218,7 +235,7 @@ func Unused(results []analysis.PackageResult) []analysis.Diagnostic {
 			used[k] = true
 		}
 		for _, imp := range f.imports {
-			imported[imp.Path()] = true
+			importers[imp.Path()] = append(importers[imp.Path()], pr.Pkg.ImportPath)
 			if underInternal(imp.Path()) && !views[imp] {
 				views[imp] = true
 				named = append(named, namedTypes(imp)...)
@@ -230,11 +247,12 @@ func Unused(results []analysis.PackageResult) []analysis.Diagnostic {
 		named = append(named, f.named...)
 	}
 	markImplementations(used, named, ifaces)
+	support := make(map[string]bool)
 
 	var out []analysis.Diagnostic
 	for _, pr := range results {
 		f, ok := pr.Results[Analyzer.Name].(*facts)
-		if !ok || !imported[pr.Pkg.ImportPath] {
+		if !ok || isSupport(pr.Pkg.ImportPath, importers, support) {
 			continue
 		}
 		var diags []analysis.Diagnostic

@@ -8,11 +8,12 @@ import (
 	"darknight/internal/analysis/testonly"
 )
 
-// TestCorpus runs the analyzer over a four-package corpus: lib declares,
-// app uses, bench uses without counting, support is test support.
+// TestCorpus runs the analyzer over a five-package corpus: lib declares,
+// app uses, bench uses without counting, support is test support, and so
+// is kernels, which only support imports.
 func TestCorpus(t *testing.T) {
 	diags := atest.RunTree(t, testonly.Analyzer, testonly.Unused, "testonly", "corpus",
-		"internal/support", "internal/lib", "app", "bench")
+		"internal/kernels", "internal/support", "internal/lib", "app", "bench")
 	for _, d := range diags {
 		if d.Suppressed && d.Analyzer == testonly.Analyzer.Name {
 			return

@@ -39,3 +39,41 @@ func TestConvFieldKernelMatchesRef(t *testing.T) {
 		}
 	}
 }
+
+// TestGradWeightsFieldMatchesRef pins the backward GPU kernels bit for bit
+// to the reference ones, as TestConvFieldKernelMatchesRef does the forward
+// conv: Dense's outer product against spec.DenseGrad (and its forward
+// against spec.DenseForward), and Conv2D's δ·colsᵀ against spec.ConvGrad
+// over plain, strided/padded, grouped and depthwise geometries, twice each
+// so the second pass reuses pooled scratch.
+func TestGradWeightsFieldMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, shape := range [][2]int{{12, 6}, {1, 5}, {33, 17}} {
+		d := NewDense("d", shape[0], shape[1], rng)
+		wq := field.RandVec(rng, d.WLen())
+		x := field.RandVec(rng, d.InLen())
+		if !d.LinearForwardField(wq, x).Equal(spec.DenseForward(wq, x, d.OutLen())) {
+			t.Fatalf("dense %v: forward field kernel diverges from reference", shape)
+		}
+		delta := field.RandVec(rng, d.OutLen())
+		delta[0] = 0 // the kernel skips zero rows; the reference does not
+		if !d.GradWeightsField(delta, x).Equal(spec.DenseGrad(delta, x)) {
+			t.Fatalf("dense %v: gradient field kernel diverges from reference", shape)
+		}
+	}
+	for _, p := range []tensor.ConvParams{
+		{InC: 2, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1, InH: 5, InW: 5, Groups: 1},
+		{InC: 3, OutC: 8, KH: 3, KW: 3, Stride: 2, Pad: 1, InH: 9, InW: 7, Groups: 1},
+		{InC: 6, OutC: 9, KH: 1, KW: 1, Stride: 1, Pad: 0, InH: 5, InW: 5, Groups: 3}, // grouped
+		{InC: 4, OutC: 4, KH: 3, KW: 3, Stride: 2, Pad: 1, InH: 9, InW: 7, Groups: 4}, // depthwise
+	} {
+		c := NewConv2D("c", p, rng)
+		for pass := 0; pass < 2; pass++ {
+			x := field.RandVec(rng, c.InLen())
+			delta := field.RandVec(rng, c.OutLen())
+			if !c.GradWeightsField(delta, x).Equal(spec.ConvGrad(spec.Conv(p), delta, x)) {
+				t.Fatalf("conv gradient field kernel diverges from reference (%+v, pass %d)", p, pass)
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+
 	"darknight/internal/dataset"
 	"darknight/internal/tensor"
 )
@@ -77,28 +79,66 @@ func (m *Model) Evaluate(d *dataset.Dataset) float64 {
 	return float64(correct) / float64(d.Len())
 }
 
+// CheckImage reports an image that does not fit the model's input shape.
+func (m *Model) CheckImage(image []float64) error {
+	if want := int(prod(m.InShape)); len(image) != want {
+		return fmt.Errorf("nn: image has %d elements, model %s takes %d", len(image), m.Name, want)
+	}
+	return nil
+}
+
+// CheckExample is CheckImage for a training example, whose label must also
+// name one of the model's classes.
+func (m *Model) CheckExample(ex dataset.Example) error {
+	if err := m.CheckImage(ex.Image); err != nil {
+		return err
+	}
+	if ex.Label < 0 || ex.Label >= m.Classes {
+		return fmt.Errorf("nn: label %d, model %s has %d classes", ex.Label, m.Name, m.Classes)
+	}
+	return nil
+}
+
 // LinearLayers returns the model's bilinear layers in forward order — the
 // ops DarKnight offloads.
 func (m *Model) LinearLayers() []Linear {
 	var out []Linear
-	var walk func(l Layer)
-	walk = func(l Layer) {
-		switch v := l.(type) {
-		case *Sequential:
-			for _, c := range v.Layers() {
-				walk(c)
-			}
-		case *Residual:
-			walk(v.body)
-			if v.skip != nil {
-				walk(v.skip)
-			}
-		default:
-			if lin, ok := l.(Linear); ok {
-				out = append(out, lin)
-			}
+	for _, l := range leaves(m.Stack) {
+		if lin, ok := l.(Linear); ok {
+			out = append(out, lin)
 		}
 	}
-	walk(m.Stack)
 	return out
+}
+
+// BatchNorms returns the model's batch-normalization layers in forward
+// order.
+func (m *Model) BatchNorms() []*BatchNorm {
+	var out []*BatchNorm
+	for _, l := range leaves(m.Stack) {
+		if bn, ok := l.(*BatchNorm); ok {
+			out = append(out, bn)
+		}
+	}
+	return out
+}
+
+// leaves walks a layer tree in forward order and returns the layers other
+// than Sequential and Residual containers.
+func leaves(l Layer) []Layer {
+	switch v := l.(type) {
+	case *Sequential:
+		var out []Layer
+		for _, c := range v.Layers() {
+			out = append(out, leaves(c)...)
+		}
+		return out
+	case *Residual:
+		out := leaves(v.body)
+		if v.skip != nil {
+			out = append(out, leaves(v.skip)...)
+		}
+		return out
+	}
+	return []Layer{l}
 }

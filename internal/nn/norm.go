@@ -23,6 +23,9 @@ type BatchNorm struct {
 	gamma, beta *Param
 
 	runMean, runVar []float64
+	// Log, when non-nil, takes the running-statistics updates of
+	// train-mode forwards in place of the layer (see StatsLog).
+	Log *StatsLog
 
 	// forward cache
 	lastIn *tensor.Tensor
@@ -89,8 +92,11 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				variance += d * d
 			}
 			variance /= float64(plane)
-			b.runMean[c] = (1-b.mom)*b.runMean[c] + b.mom*mean
-			b.runVar[c] = (1-b.mom)*b.runVar[c] + b.mom*variance
+			if b.Log != nil {
+				b.Log.updates = append(b.Log.updates, statsUpdate{b, c, mean, variance})
+			} else {
+				b.updateRunning(c, mean, variance)
+			}
 		} else {
 			mean = b.runMean[c]
 			variance = b.runVar[c]
@@ -106,6 +112,36 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// updateRunning folds one example's statistics of channel c into the
+// running estimates.
+func (b *BatchNorm) updateRunning(c int, mean, variance float64) {
+	b.runMean[c] = (1-b.mom)*b.runMean[c] + b.mom*mean
+	b.runVar[c] = (1-b.mom)*b.runVar[c] + b.mom*variance
+}
+
+// StatsLog holds batch-norm running-statistics updates back from the
+// layers that made them, in the order they were made, until Apply folds
+// them in. The running estimates are an exponential moving average, so
+// their value depends on the order of the updates: a pipelined trainer,
+// whose lanes interleave their forwards, keeps one log per virtual batch
+// and applies the logs in virtual-batch order.
+type StatsLog struct{ updates []statsUpdate }
+
+type statsUpdate struct {
+	b              *BatchNorm
+	c              int
+	mean, variance float64
+}
+
+// Apply folds the held updates into their layers' running statistics, in
+// order, and empties the log.
+func (l *StatsLog) Apply() {
+	for _, u := range l.updates {
+		u.b.updateRunning(u.c, u.mean, u.variance)
+	}
+	l.updates = l.updates[:0]
 }
 
 // Backward implements Layer (instance-norm gradient over the spatial

@@ -94,15 +94,13 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 
 // bwdLayer is one shipped layer's backward state awaiting settlement: the
 // public combined delta equations of both decode windows (sec is nil
-// without straggler tolerance), the unscaling factors the decode needs, and
-// the flight the equations ride.
+// without straggler tolerance) and the unscaling factors the decode needs.
 type bwdLayer struct {
 	tr        *trace
 	lin       nn.Linear
 	prim, sec []field.Vec
 	fd, fx    float64
 	sp        *obs.Span
-	flight    *gpu.BlockFlight
 	pend      *gpu.LayerPending // the shipped equations
 }
 
@@ -161,12 +159,6 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	esp.End()
 	e.phases.Encode += time.Since(t0)
 
-	// The batch's flight, or on the per-layer arm the layer's own, which
-	// carried its forward.
-	l.flight = e.flight
-	if l.flight == nil {
-		l.flight = tr.flight
-	}
 	t1 := time.Now()
 	err := e.shipBackward(&l)
 	e.phases.Dispatch += time.Since(t1)
@@ -190,10 +182,11 @@ func combineDeltas(b *field.Mat, s, n int, quantDeltas []field.Vec) []field.Vec 
 	return bars
 }
 
-// shipBackward ships one layer's gradient equations down its flight.
+// shipBackward ships one layer's gradient equations down the batch's
+// flight.
 func (e *engine) shipBackward(l *bwdLayer) error {
 	lin := l.lin
-	pend, err := l.flight.GradLayer(l.tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
+	pend, err := e.flight.GradLayer(l.tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
 	l.pend = pend
 	return err
 }

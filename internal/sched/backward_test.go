@@ -44,6 +44,9 @@ func (d gradLog) GradWeights(key string, kernel gpu.BilinearKernel, delta field.
 func sameBits(t *testing.T, tag string, a, b *nn.Model) {
 	t.Helper()
 	ap, bp := a.Params(), b.Params()
+	if len(ap) != len(bp) {
+		t.Fatalf("%s: param count %d vs %d", tag, len(ap), len(bp))
+	}
 	for pi := range ap {
 		for i, v := range ap[pi].W.Data {
 			if math.Float64bits(v) != math.Float64bits(bp[pi].W.Data[i]) {
@@ -64,9 +67,9 @@ func sameBits(t *testing.T, tag string, a, b *nn.Model) {
 // completes before the latency has passed since the step began. Every
 // gradient job must therefore reach its device before then — 7 layers × 2
 // windows × S = 3 equations per virtual batch, 14 of them on slot 2 — and
-// the trained weights must equal an undelayed run's bit for bit. The
-// unprefixed arms fly every layer alone (perLayer); the "fused-" arms are
-// the production runtime, where the whole batch rides one gang flight.
+// the trained weights must equal internal/spec/stack's bit for bit. The
+// whole batch rides one gang flight (the arms are named "fused-" after the
+// runtime that introduced it).
 func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 3}
 	const gang, slowSlot, latency = 5, 2, 300 * time.Millisecond
@@ -90,14 +93,7 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 		t.Helper()
 		batch := trainData(vbatches * cfg.VirtualBatch)
 		control := model()
-		ctrl, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ctrl.Close()
-		if _, _, err := ctrl.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
-			t.Fatal(err)
-		}
+		specTrain(control, cfg.VirtualBatch, batch, 1)
 		start := time.Now()
 		if err := train(batch); err != nil {
 			t.Fatal(err)
@@ -122,51 +118,36 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 		}
 	}
 
-	for _, arm := range []struct {
-		prefix   string // subtest name prefix
-		perLayer bool
-	}{
-		{"", true},
-		{"fused-", false},
-	} {
-		t.Run(arm.prefix+"serial", func(t *testing.T) {
-			devs, calls, mu := devices(gang)
-			m := model()
-			trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer trn.Close()
-			if arm.perLayer {
-				trn.perLayer()
-			}
-			check(t, 1, calls, mu, m, func(batch []dataset.Example) error {
-				_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
-				return err
-			})
+	t.Run("fused-serial", func(t *testing.T) {
+		devs, calls, mu := devices(gang)
+		m := model()
+		trn, err := NewTrainer(cfg, m, gpu.NewCluster(devs...), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer trn.Close()
+		check(t, 1, calls, mu, m, func(batch []dataset.Example) error {
+			_, _, err := trn.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
+			return err
 		})
+	})
 
-		// Two virtual batches at once, each on its own fleet gang: the
-		// first grant picks devices 0–4, the second 5–9, so slot 2 is slow
-		// in both.
-		t.Run(arm.prefix+"pipeline-depth2-fleet", func(t *testing.T) {
-			devs, calls, mu := devices(2 * gang)
-			m := model()
-			pipe, err := NewTrainPipeline(cfg, m, nil, "ship/", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pipe.Close()
-			if arm.perLayer {
-				pipe.perLayer()
-			}
-			src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
-			check(t, 2, calls, mu, m, func(batch []dataset.Example) error {
-				_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
-				return err
-			})
+	// Two virtual batches at once, each on its own fleet gang: the first
+	// grant picks devices 0–4, the second 5–9, so slot 2 is slow in both.
+	t.Run("fused-pipeline-depth2-fleet", func(t *testing.T) {
+		devs, calls, mu := devices(2 * gang)
+		m := model()
+		pipe, err := NewTrainPipeline(cfg, m, nil, "ship/", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pipe.Close()
+		src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
+		check(t, 2, calls, mu, m, func(batch []dataset.Example) error {
+			_, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0)
+			return err
 		})
-	}
+	})
 }
 
 // settleBarrier makes a backward tamper on lin3 deterministic to detect.
@@ -329,71 +310,4 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 			}
 		})
 	}
-}
-
-// storeGate holds a device's forward jobs until its first gradient job has
-// run — or, when FIFO order keeps that job queued behind them, until the
-// test's timer opens the gate.
-type storeGate struct {
-	gpu.Device
-	gate chan struct{}
-	once *sync.Once
-}
-
-func (d storeGate) open() { d.once.Do(func() { close(d.gate) }) }
-
-func (d storeGate) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
-	<-d.gate
-	return d.Device.LinearForward(key, kernel, x)
-}
-
-func (d storeGate) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
-	y, err := d.Device.GradWeights(key, kernel, delta)
-	d.open()
-	return y, err
-}
-
-// TestPerLayerGradientRidesBehindStore pins store-before-gradient on the
-// per-layer arm: a layer's own flight carries its forward and its
-// backward, so a device whose forward jobs a quorum decoded around runs
-// each layer's gradient job behind its store, as on the batch flight.
-// The device at slot 2 — in both decode windows — holds its forward jobs
-// until a gradient job of its own has run. Had that job been allowed to
-// overtake them (a backward flight of its own), it would miss and refill;
-// here it waits for the stores, which the test's timer releases. No refill,
-// weights bit-identical to an undisturbed run.
-func TestPerLayerGradientRidesBehindStore(t *testing.T) {
-	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 3}
-	const gang = 5
-	batch := trainData(cfg.VirtualBatch)
-	control := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
-	ctrl, err := NewTrainer(cfg, control, gpu.NewHonestCluster(gang), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	if _, _, err := ctrl.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	devs := honestDevices(gang)
-	held := storeGate{Device: devs[2], gate: make(chan struct{}), once: &sync.Once{}}
-	devs[2] = held
-	timer := time.AfterFunc(200*time.Millisecond, held.open)
-	defer timer.Stop()
-	m := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
-	pipe, err := NewTrainPipeline(cfg, m, nil, "behind/", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-	pipe.perLayer()
-	src := &managerSource{m: fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{}), gang: gang}
-	if _, _, err := pipe.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := pipe.CacheRefills(); n != 0 {
-		t.Fatalf("%d cache refills: a gradient job overtook its device's store", n)
-	}
-	sameBits(t, "held stores", control, m)
 }

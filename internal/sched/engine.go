@@ -169,10 +169,6 @@ type engine struct {
 	// forward offloads left coded inputs on its gang; endBatchFlight drops
 	// them. Empty with reused keys: inference overwrites its stores instead.
 	stored []string
-	// layerFlights, on the per-layer arm only, holds the flight of each
-	// stored key (parallel to stored): open from the layer's forward to the
-	// batch's end, so the layer's gradient jobs ride behind its stores.
-	layerFlights []*gpu.BlockFlight
 
 	// tee is the TEE execution token this lane shares with its siblings:
 	// the engine holds it for all enclave-side work and releases it only
@@ -193,16 +189,9 @@ type engine struct {
 	// flight is the gang flight of the virtual batch currently on this
 	// engine: opened when the lane binds its gang to the batch, ridden by
 	// every offload of both passes, ended before the gang is released (see
-	// openBatchFlight). The per-layer coding math does not depend on it, so
-	// outputs are bit-identical to a walk that flies every layer alone — a
-	// nil flight, which only the package's equivalence tests leave
-	// (perLayer, serialRef).
+	// openBatchFlight). The coding math does not depend on it: outputs are
+	// bit-identical to internal/spec/stack, which has no flights at all.
 	flight *gpu.BlockFlight
-	// perLayer keeps openBatchFlight from opening a batch flight, so every
-	// bilinear layer opens its own, which carries the layer's forward and
-	// — with per-step keys — its backward: the per-layer reference arm of
-	// the tests.
-	perLayer bool
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
 	// executing on this engine: every offload hangs an
@@ -313,9 +302,6 @@ func (e *engine) beginFlight() (*gpu.BlockFlight, error) {
 // ends the flight with endBatchFlight on every path before releasing the
 // gang: a flight cannot outlive its grant.
 func (e *engine) openBatchFlight() error {
-	if e.perLayer {
-		return nil
-	}
 	f, err := e.beginFlight()
 	e.flight = f
 	return err
@@ -326,8 +312,7 @@ func (e *engine) openBatchFlight() error {
 // memory lives exactly as long as the batch). The drop rides each slot's
 // FIFO behind the batch's own jobs, so a quorum laggard's late store goes
 // with it; a refill's identity flight was gathered in full before backward
-// went on, so its stores are in place to be dropped. On the per-layer arm
-// each layer's flight drops its own layer's key the same way. Ending waits
+// went on, so its stores are in place to be dropped. Ending waits
 // for the devices that cannot block to run everything shipped down it (see
 // gpu.BlockFlight.End), so call it without the TEE token: a batch's device
 // work — the jobs its quorum gathers decoded around included — is then
@@ -338,23 +323,8 @@ func (e *engine) endBatchFlight() {
 		e.flight.End()
 		e.flight = nil
 	}
-	for i, f := range e.layerFlights {
-		f.Drop(e.stored[i : i+1])
-		f.End()
-	}
-	clear(e.layerFlights)
-	e.layerFlights = e.layerFlights[:0]
 	clear(e.stored)
 	e.stored = e.stored[:0]
-}
-
-// layerFlight returns the flight one layer's forward offload rides: the
-// batch's, or — on the per-layer reference arm — a fresh one.
-func (e *engine) layerFlight() (*gpu.BlockFlight, error) {
-	if e.flight != nil {
-		return e.flight, nil
-	}
-	return e.beginFlight()
 }
 
 // storesVolatile reports whether the fleet's device-side coded-input
@@ -480,25 +450,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 	}
 	e.linSeq++
 	tr.key = e.layerKey()
-	flight, err := e.layerFlight()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case e.reuseKeys:
-		// Nothing reads the stores back: a layer's own flight ends once
-		// the layer is gathered.
-		if flight != e.flight {
-			defer flight.End()
-		}
-	case flight != e.flight:
-		// The layer's own flight stays open for its backward, so each slot
-		// runs the layer's gradient job behind its store, as on the batch
-		// flight; endBatchFlight ends it.
-		tr.flight = flight
-		e.stored = append(e.stored, tr.key)
-		e.layerFlights = append(e.layerFlights, flight)
-	default:
+	if !e.reuseKeys {
 		e.stored = append(e.stored, tr.key)
 	}
 	osp := e.sp.Child("offload")
@@ -527,7 +479,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 		dsp.Annotatef("quorum", "%d/%d", quorum, code.NumCoded())
 	}
 	t1 := time.Now()
-	pend, err := flight.ForwardLayer(tr.key, func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }, enc.coded)
+	pend, err := e.flight.ForwardLayer(tr.key, func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }, enc.coded)
 	if err != nil {
 		return nil, err
 	}

@@ -15,13 +15,14 @@ import (
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
 	"darknight/internal/nn"
+	"darknight/internal/spec/stack"
 )
 
 // TestOneFlightPerVirtualBatch is the flight-count gate: a forward pass
 // rides exactly one gang flight, whatever the model's structure — DeepMLP's
 // 7 Dense layers, and ResNet's convolutions inside residual bodies and
-// projection skips — where the per-layer arm (perLayer) opens one flight
-// per bilinear layer. The offload count and the predictions are unchanged.
+// projection skips — with one offload per bilinear layer, and its logits
+// are internal/spec/stack's bit for bit.
 func TestOneFlightPerVirtualBatch(t *testing.T) {
 	images := make([][]float64, 2)
 	rng := rand.New(rand.NewSource(9))
@@ -40,50 +41,35 @@ func TestOneFlightPerVirtualBatch(t *testing.T) {
 		{"resnet", func() *nn.Model { return nn.ResNet50Scaled(1, 8, 8, 4, 1, rand.New(rand.NewSource(42))) }},
 	} {
 		t.Run(c.arch, func(t *testing.T) {
-			linears := int64(len(offloadLens(c.model().Stack)))
-			run := func(perLayer bool) ([]int, PhaseStats) {
-				inf, err := NewInferencer(Config{VirtualBatch: 2, Collusion: 1, Seed: 1}, c.model(), nil, "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer inf.Close()
-				if perLayer {
-					inf.perLayer()
-				}
-				preds, err := inf.Predict(gpu.NewHonestCluster(3), images)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return preds, inf.PhaseStats()
+			model := c.model()
+			linears := int64(len(model.LinearLayers()))
+			inf, err := NewInferencer(Config{VirtualBatch: 2, Collusion: 1, Seed: 1}, model, nil, "")
+			if err != nil {
+				t.Fatal(err)
 			}
-			perPreds, per := run(true)
-			preds, ps := run(false)
-			for i := range perPreds {
-				if preds[i] != perPreds[i] {
-					t.Fatalf("image %d: class %d on one flight, %d per layer", i, preds[i], perPreds[i])
-				}
+			defer inf.Close()
+			logits, err := inf.Forward(gpu.NewHonestCluster(3), images)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if per.Flights != linears || per.Offloads != linears {
-				t.Fatalf("per-layer forward: %d flights / %d offloads, want %d/%d", per.Flights, per.Offloads, linears, linears)
-			}
-			if ps.Flights != 1 || ps.Offloads != linears {
+			sameLogits(t, c.arch, 0, stack.New(c.model(), 2).Forward(images), logits)
+			if ps := inf.PhaseStats(); ps.Flights != 1 || ps.Offloads != linears {
 				t.Fatalf("forward: %d flights / %d offloads, want 1/%d", ps.Flights, ps.Offloads, linears)
 			}
 		})
 	}
 }
 
-// TestFusedBlockMatchesPerLayer is the one-flight-per-batch equivalence
-// gate (its name predates the batch flight, which replaced fused blocks):
-// across K/E/slack operating points — raw shared cluster, fleet-managed
-// gang grants, the straggler-tolerant quorum and dual-window gathers with a
-// deterministically slow device, speculation to a spare, and ResNet's
-// residual bodies and skips — training on one flight per virtual batch must
-// report the same losses and leave weights bit-identical to the per-layer
-// arm (perLayer), on the same number of per-layer offloads. Slot queues are
-// FIFO, so no device ever runs a gradient job before its own forward store:
-// the batch arm never refills.
-func TestFusedBlockMatchesPerLayer(t *testing.T) {
+// TestBatchFlightTrainingMatchesSpec is the one-flight-per-batch
+// equivalence gate: across K/E/slack operating points — raw shared
+// cluster, fleet-managed gang grants, the straggler-tolerant quorum and
+// dual-window gathers with a deterministically slow device, speculation to
+// a spare, and ResNet's residual bodies and skips — training on one flight
+// per virtual batch, one offload per bilinear layer and pass, must report
+// the losses and leave the weights of internal/spec/stack bit for bit.
+// Slot queues are FIFO, so no device ever runs a gradient job before its
+// own forward store: the batch flight never refills.
+func TestBatchFlightTrainingMatchesSpec(t *testing.T) {
 	deep := func(rng *rand.Rand) *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rng) }
 	combos := []struct {
 		name           string
@@ -117,55 +103,45 @@ func TestFusedBlockMatchesPerLayer(t *testing.T) {
 			if build == nil {
 				build = deep
 			}
-			run := func(perLayer bool) (*nn.Model, []float64, PhaseStats, int64, *fleet.Manager) {
-				cfg := Config{VirtualBatch: c.k, Collusion: c.m, Redundancy: c.e,
-					StragglerSlack: c.slack, Seed: 1}
-				devs := honestDevices(gang + c.spares)
-				for _, i := range c.slow {
-					devs[i] = gpu.NewSlow(devs[i], c.slowBy)
-				}
-				cluster := gpu.NewCluster(devs...)
-				model := build(rand.New(rand.NewSource(42)))
-				pipe, err := NewTrainPipeline(cfg, model, nil, "fm/", 2)
+			specModel := build(rand.New(rand.NewSource(42)))
+			specLosses := specTrain(specModel, c.k, batch, steps)
+
+			cfg := Config{VirtualBatch: c.k, Collusion: c.m, Redundancy: c.e,
+				StragglerSlack: c.slack, Seed: 1}
+			devs := honestDevices(gang + c.spares)
+			for _, i := range c.slow {
+				devs[i] = gpu.NewSlow(devs[i], c.slowBy)
+			}
+			cluster := gpu.NewCluster(devs...)
+			model := build(rand.New(rand.NewSource(42)))
+			pipe, err := NewTrainPipeline(cfg, model, nil, "fm/", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			var src GangSource = SingleFleetSource{F: cluster}
+			var fm *fleet.Manager
+			if c.fleetManaged {
+				fm = fleet.NewManager(cluster, fleet.Config{SpeculateAfter: c.speculate})
+				src = &managerSource{m: fm, gang: gang}
+			}
+			opt := nn.NewSGD(0.05, 0.9)
+			for step := 0; step < steps; step++ {
+				loss, _, err := pipe.TrainLargeBatch(src, batch, opt, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer pipe.Close()
-				if perLayer {
-					pipe.perLayer()
-				}
-				var src GangSource
-				var fm *fleet.Manager
-				if c.fleetManaged {
-					fm = fleet.NewManager(cluster, fleet.Config{SpeculateAfter: c.speculate})
-					src = &managerSource{m: fm, gang: gang}
-				} else {
-					src = SingleFleetSource{F: cluster}
-				}
-				opt := nn.NewSGD(0.05, 0.9)
-				var losses []float64
-				for step := 0; step < steps; step++ {
-					loss, _, err := pipe.TrainLargeBatch(src, batch, opt, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					losses = append(losses, loss)
-				}
-				return model, losses, pipe.PhaseStats(), pipe.CacheRefills(), fm
-			}
-			perModel, perLosses, perPS, _, _ := run(true)
-			model, losses, ps, refills, fm := run(false)
-			for i := range perLosses {
-				if losses[i] != perLosses[i] {
-					t.Fatalf("step %d: loss %v on one flight per batch, %v per layer", i, losses[i], perLosses[i])
+				if loss != specLosses[step] {
+					t.Fatalf("step %d: loss %v on one flight per batch, spec %v", step, loss, specLosses[step])
 				}
 			}
-			sameBits(t, c.name, perModel, model)
-			if want := int64(steps * vbatches); ps.Flights != want || refills != 0 {
-				t.Fatalf("%d flights and %d refills, want %d (one per virtual batch) and 0", ps.Flights, refills, want)
+			sameBits(t, c.name, specModel, model)
+			ps := pipe.PhaseStats()
+			if want := int64(steps * vbatches); ps.Flights != want || pipe.CacheRefills() != 0 {
+				t.Fatalf("%d flights and %d refills, want %d (one per virtual batch) and 0", ps.Flights, pipe.CacheRefills(), want)
 			}
-			if ps.Offloads != perPS.Offloads {
-				t.Fatalf("offloads %d != per-layer %d (the per-layer math must be unchanged)", ps.Offloads, perPS.Offloads)
+			if want := int64(steps*vbatches*2) * int64(len(model.LinearLayers())); ps.Offloads != want {
+				t.Fatalf("%d offloads, want %d (one per bilinear layer and pass)", ps.Offloads, want)
 			}
 			if c.slack > 0 && len(c.slow) > 0 {
 				// A slow slot misses the quorum of every batch's first
@@ -255,37 +231,24 @@ func (s *faultySource) Release(f Fleet, culprits []int, err error) {
 	s.managerSource.Release(f, culprits, err)
 }
 
-// TestFusedBackwardCacheMissRefill: a device of DeepMLP's gang restarts
-// between a batch's forward and backward passes (its name predates the
-// batch flight). Every backward gather misses on it; the engine refills the
-// stores from the trace with one wait-for-all identity flight per layer and
-// re-ships the layer's equations down the still-open batch flight, behind
-// whatever that device still has queued. The step must complete with
-// weights bit-identical to an undisturbed per-layer run.
-func TestFusedBackwardCacheMissRefill(t *testing.T) {
+// TestRefillReshipsDownBatchFlight: a device of DeepMLP's gang restarts
+// between a batch's forward and backward passes. Every backward gather
+// misses on it; the engine refills the stores from the trace with one
+// wait-for-all identity flight per layer and re-ships the layer's equations
+// down the still-open batch flight, behind whatever that device still has
+// queued. The step must complete with the loss and weights of
+// internal/spec/stack.
+func TestRefillReshipsDownBatchFlight(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 0, Seed: 3}
-	batch := trainData(cfg.VirtualBatch)
-
-	// Control: undisturbed per-layer depth-1 run — doubles as one more
-	// batch-flight-vs-per-layer equivalence point.
 	control := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
-	ctrlTrainer, err := NewTrainer(cfg, control, gpu.NewHonestCluster(3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrlTrainer.Close()
-	ctrlTrainer.perLayer()
-	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(batch, nn.NewSGD(0.05, 0.9), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := specTrain(control, cfg.VirtualBatch, trainData(cfg.VirtualBatch), 1)[0]
 
 	model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
 	loss, pipe, fm := resetTrain(t, cfg, model)
-	if loss != ctrlLoss {
-		t.Fatalf("disturbed loss %v != per-layer control %v", loss, ctrlLoss)
+	if loss != want {
+		t.Fatalf("disturbed loss %v != spec %v", loss, want)
 	}
-	sameWeights(t, "reset-refill", control, model)
+	sameBits(t, "reset-refill", control, model)
 	// All 7 bilinear layers lost their stores with the restart, so all 7
 	// must have refilled, each re-shipped down the batch's one flight.
 	if refills := pipe.CacheRefills(); refills != deepMLPLinears {
@@ -301,62 +264,41 @@ func TestFusedBackwardCacheMissRefill(t *testing.T) {
 
 // TestForwardReturnsAroundBlockedDevice is the regression test for the
 // straggler stall: with E=2 and slack 1, a gang in which one device is
-// blocked on a channel the test owns must still serve a forward pass — on
-// one batch flight or per layer — and hand its grant back, all while that
-// device is still blocked. A flight whose End joined every slot would hang
-// here: the forward would wait out the laggard its quorum gathers had
-// already decoded around.
+// blocked on a channel the test owns must still serve a forward pass on
+// its batch flight, with internal/spec/stack's logits, and hand its grant
+// back, all while that device is still blocked. A flight whose End joined
+// every slot would hang here: the forward would wait out the laggard its
+// quorum gathers had already decoded around.
 func TestForwardReturnsAroundBlockedDevice(t *testing.T) {
 	images := [][]float64{trainData(2)[0].Image, trainData(2)[1].Image}
 	const gang = 5 // K=2, M=1, E=2
-	ref, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, Seed: 1},
-		nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "ref/")
+	model := func() *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))) }
+	gate := make(chan struct{})
+	defer close(gate)
+	devs := honestDevices(gang)
+	devs[3] = gatedDevice{Device: devs[3], gate: gate}
+	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
+	inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, Seed: 1}, model(), nil, "blk/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Predict(gpu.NewHonestCluster(gang), images)
+	defer inf.Close()
+	grant, err := fm.Acquire(context.Background(), "t", gang)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, perLayer := range []bool{true, false} {
-		gate := make(chan struct{})
-		devs := honestDevices(gang)
-		devs[3] = gatedDevice{Device: devs[3], gate: gate}
-		fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
-		inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, Seed: 1},
-			nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "blk/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if perLayer {
-			inf.perLayer()
-		}
-		grant, err := fm.Acquire(context.Background(), "t", gang)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := inf.Predict(grant, images)
-		grant.Release()
-		if err != nil {
-			t.Fatalf("perLayer=%v: %v", perLayer, err)
-		}
-		// Everything above returned with the gate still shut.
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("perLayer=%v image %d: class %d around the blocked device, %d without it", perLayer, i, got[i], want[i])
-			}
-		}
-		wantFlights := int64(1)
-		if perLayer {
-			wantFlights = deepMLPLinears
-		}
-		if ps := inf.PhaseStats(); ps.Flights != wantFlights {
-			t.Fatalf("perLayer=%v: %d flights, want %d", perLayer, ps.Flights, wantFlights)
-		}
-		if st := fm.Stats(); st.StragglerEvents != deepMLPLinears {
-			t.Fatalf("perLayer=%v: %d straggler brands, want one per layer (%d)", perLayer, st.StragglerEvents, deepMLPLinears)
-		}
-		close(gate)
+	got, err := inf.Forward(grant, images)
+	grant.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Everything above returned with the gate still shut.
+	sameLogits(t, "around the blocked device", 0, stack.New(model(), 2).Forward(images), got)
+	if ps := inf.PhaseStats(); ps.Flights != 1 {
+		t.Fatalf("%d flights, want 1", ps.Flights)
+	}
+	if st := fm.Stats(); st.StragglerEvents != deepMLPLinears {
+		t.Fatalf("%d straggler brands, want one per layer (%d)", st.StragglerEvents, deepMLPLinears)
 	}
 }
 
@@ -373,20 +315,17 @@ func (d failingDevice) GradWeights(string, gpu.BilinearKernel, field.Vec) (field
 // TestBackwardReportsDeviceErrorOverMiss pins the one slot-error fold where
 // the engine sees it: when one slot's device fails outright while another
 // has lost its stored inputs (it restarted between the passes), the step
-// fails with the device's error — on the batch flight (the rows named
-// "fused", after the arm they replaced) as well as per layer — instead of
-// treating the layer as a cache miss to refill.
+// fails with the device's error on the batch flight (the rows are named
+// "fused", after the runtime that introduced it) instead of treating the
+// layer as a cache miss to refill.
 func TestBackwardReportsDeviceErrorOverMiss(t *testing.T) {
 	boom := errors.New("device fell off the bus")
 	for _, c := range []struct {
 		name              string
-		perLayer          bool
 		missSlot, errSlot int
 	}{
-		{"per-layer, miss before error", true, 0, 1},
-		{"per-layer, error before miss", true, 2, 0},
-		{"fused, miss before error", false, 0, 1},
-		{"fused, error before miss", false, 2, 1},
+		{"fused, miss before error", 0, 1},
+		{"fused, error before miss", 2, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			devs := honestDevices(3)
@@ -401,9 +340,6 @@ func TestBackwardReportsDeviceErrorOverMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pipe.Close()
-			if c.perLayer {
-				pipe.perLayer()
-			}
 			_, _, err = pipe.TrainLargeBatch(&managerSource{m: fm, gang: 3}, trainData(2), nn.NewSGD(0.05, 0), 0)
 			if !errors.Is(err, boom) {
 				t.Fatalf("step error = %v, want the device's own error", err)
@@ -457,14 +393,14 @@ func (l *layerLog) count(suffix string) int {
 	return n
 }
 
-// TestDeadlineChecksEveryLayerOfFusedBlock pins the deadline contract on
-// the batch flight (its name predates it): the gate runs before every
-// layer ships, not once per flight. One device answers DeepMLP's lin1 only
+// TestDeadlineChecksEveryLayerOfBatchFlight pins the deadline contract on
+// the batch flight: the gate runs before every layer ships, not once per
+// flight. One device answers DeepMLP's lin1 only
 // after the batch's deadline has passed. The batch must fail with
 // context.DeadlineExceeded before lin2 reaches any device, end the batch's
 // flight (the grant's Release waits for every open flight), and leave no
 // goroutine behind.
-func TestDeadlineChecksEveryLayerOfFusedBlock(t *testing.T) {
+func TestDeadlineChecksEveryLayerOfBatchFlight(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const gang = 3 // K=2, M=1, E=0
 	deadline := time.Now().Add(200 * time.Millisecond)

@@ -8,9 +8,9 @@ import (
 
 // Inferencer is the synchronous face of a one-lane Pipeline — submit, wait
 // — for callers that run one virtual batch at a time (benchmarks, probes).
-// Everything else a caller may want (Predict, Gang, EnableRecovery,
-// PhaseStats, Close; spans, deadlines and culprits via SubmitWithin and
-// the Ticket) is the Pipeline's.
+// Everything else a caller may want (Gang, EnableRecovery, PhaseStats,
+// Close; classes, spans, deadlines and culprits via Submit, SubmitWithin
+// and the Ticket) is the Pipeline's.
 type Inferencer struct{ *Pipeline }
 
 // NewInferencer wires a depth-1 Pipeline around a model replica; see

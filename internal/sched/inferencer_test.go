@@ -11,22 +11,18 @@ import (
 	"darknight/internal/gpu"
 	"darknight/internal/masking"
 	"darknight/internal/nn"
+	"darknight/internal/spec/stack"
 )
 
+// TestInferencerMatchesTrainerPredict: a one-lane Inferencer predicts the
+// classes of internal/spec/stack's logits.
 func TestInferencerMatchesTrainerPredict(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Seed: 5}
 	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
 	data := tinyData()
 	images := [][]float64{data.Items[0].Image, data.Items[1].Image}
 
-	ref, err := newSerialRef(cfg, model, gpu.NewHonestCluster(3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logits, err := ref.forward(images)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logits := stack.New(model, cfg.VirtualBatch).Forward(images)
 	want := make([]int, len(logits))
 	for i := range logits {
 		want[i] = nn.Argmax(logits[i])

@@ -52,7 +52,7 @@ func newLanes(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace strin
 		free: make(chan *engine, depth),
 		all:  make([]*engine, depth),
 	}
-	if lens := offloadLens(model.Stack); len(lens) > 0 {
+	if lens := offloadLens(model); len(lens) > 0 {
 		// One cycle of pre-drawn sets per lane plus one of prefetch keeps
 		// the generator ahead of the consumers in steady state (the backward
 		// pass consumes none).
@@ -76,31 +76,14 @@ func newLanes(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace strin
 	return l, nil
 }
 
-// offloadLens walks a layer tree in forward order and returns the input
-// length of every offloaded (bilinear) layer — the per-layer noise-vector
-// lengths a NoisePool pre-draws, in exactly the order the engine consumes
-// them.
-func offloadLens(layer nn.Layer) []int {
+// offloadLens returns the input length of every offloaded (bilinear)
+// layer in forward order — the per-layer noise-vector lengths a NoisePool
+// pre-draws, in exactly the order the engine consumes them.
+func offloadLens(model *nn.Model) []int {
 	var lens []int
-	var walk func(nn.Layer)
-	walk = func(l nn.Layer) {
-		switch v := l.(type) {
-		case *nn.Sequential:
-			for _, child := range v.Layers() {
-				walk(child)
-			}
-		case *nn.Residual:
-			walk(v.Body())
-			if v.Skip() != nil {
-				walk(v.Skip())
-			}
-		default:
-			if lin, ok := l.(nn.Linear); ok {
-				lens = append(lens, lin.InLen())
-			}
-		}
+	for _, lin := range model.LinearLayers() {
+		lens = append(lens, lin.InLen())
 	}
-	walk(layer)
 	return lens
 }
 

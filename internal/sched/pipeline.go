@@ -23,7 +23,7 @@ import (
 // Because the decode is exact linear algebra over F_p, a batch's outputs
 // depend only on its own inputs and the weights, never on the noise values
 // or coefficient draws: predictions are bit-identical whatever the depth
-// and equal to a lane-less reference engine's (pinned by
+// and equal to internal/spec/stack's, which has no coding at all (pinned by
 // TestPipelineMatchesSerial).
 type Pipeline struct {
 	*lanes
@@ -113,6 +113,11 @@ func (p *Pipeline) SubmitWithin(fleet Fleet, images [][]float64, sp *obs.Span, d
 	k := p.cfg.VirtualBatch
 	if len(images) != k {
 		return nil, fmt.Errorf("sched: inference needs exactly %d images, got %d", k, len(images))
+	}
+	for _, img := range images {
+		if err := p.model.CheckImage(img); err != nil {
+			return nil, err
+		}
 	}
 	if need := p.Gang(); fleet.Size() < need {
 		return nil, fmt.Errorf("sched: gang of %d devices required, fleet has %d", need, fleet.Size())

@@ -9,6 +9,7 @@ import (
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
 	"darknight/internal/nn"
+	"darknight/internal/spec/stack"
 	"darknight/internal/tensor"
 )
 
@@ -56,12 +57,11 @@ func sameLogits(t *testing.T, tag string, batch int, a, b []*tensor.Tensor) {
 // TestPipelineMatchesSerial is the equivalence property test: across
 // K/E/slack operating points — including the quorum/straggler path with a
 // deterministically slow device welded into the gang — the Pipeline's
-// logits at every depth, one lane included, are bit-for-bit those of the
-// lane-less reference's forward pass (serialRef: the engine with no lanes,
-// no token contention and no noise pool, so the pin compares two
-// implementations, not one with itself) on the same virtual batches.
-// Decode exactness over F_p makes outputs independent of noise and
-// coefficient draws, so overlap cannot change a single bit.
+// logits at every depth, one lane included, are bit-for-bit those of
+// internal/spec/stack's forward pass on the same virtual batches: plain
+// loops with no coding, lanes, noise or flights. Decode exactness over F_p
+// makes outputs independent of noise and coefficient draws, so neither the
+// coding nor the overlap can change a single bit.
 func TestPipelineMatchesSerial(t *testing.T) {
 	combos := []struct {
 		name           string
@@ -94,18 +94,10 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			model := pipeModel()
 			batches := pipeBatches(c.k, c.batches, 64)
 
-			// Lane-less reference, batches one at a time.
-			ref, err := newSerialRef(cfg, model, cluster, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := stack.New(model, c.k)
 			want := make([][]*tensor.Tensor, len(batches))
 			for b, images := range batches {
-				logits, err := ref.forward(images)
-				if err != nil {
-					t.Fatalf("serial batch %d: %v", b, err)
-				}
-				want[b] = logits
+				want[b] = ref.Forward(images)
 			}
 
 			// Pipelined: all batches submitted through one shared grant —
@@ -150,18 +142,15 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 // TestSerialNoisePoolMatchesInline pins the offline/online noise split on
 // the serial runtime: a one-lane Inferencer consuming precomputed pool
-// material produces bit-identical logits to the lane-less reference drawing
-// noise inline, and actually hits the pool.
+// material produces logits bit-identical to internal/spec/stack's, which
+// draws no noise at all, and actually hits the pool.
 func TestSerialNoisePoolMatchesInline(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 1, Seed: 3}
 	cluster := gpu.NewHonestCluster(cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy)
 	model := pipeModel()
 	batches := pipeBatches(cfg.VirtualBatch, 6, 64)
 
-	plain, err := newSerialRef(cfg, model, cluster, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := stack.New(model, cfg.VirtualBatch)
 	pooled, err := NewInferencer(cfg, model, nil, "pooled/")
 	if err != nil {
 		t.Fatal(err)
@@ -169,15 +158,11 @@ func TestSerialNoisePoolMatchesInline(t *testing.T) {
 	defer pooled.Close()
 
 	for b, images := range batches {
-		a, err := plain.forward(images)
+		got, err := pooled.Forward(cluster, images)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := pooled.Forward(cluster, images)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameLogits(t, "pool-vs-inline", b, a, bb)
+		sameLogits(t, "pool-vs-spec", b, ref.Forward(images), got)
 	}
 	st := pooled.PoolStats()
 	if st.Hits == 0 {

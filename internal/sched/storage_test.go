@@ -38,9 +38,8 @@ func requireNoStores(t *testing.T, tag string, c *gpu.Cluster, wait bool) {
 // so a virtual batch's coded inputs must go when its flight ends (§6: the
 // devices keep them only until the batch's backward pass has read them).
 // After every TrainLargeBatch — on a bare cluster, on fleet gangs whose
-// quorum laggards store after the gather returned, on the per-layer arm and
-// the lane-less reference, on batches that fail, and after a backward
-// cache-miss refill — no device holds anything.
+// quorum laggards store after the gather returned, on batches that fail,
+// and after a backward cache-miss refill — no device holds anything.
 func TestTrainDeviceStorageBounded(t *testing.T) {
 	deep := func() *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))) }
 	const vbatches = 4
@@ -49,13 +48,10 @@ func TestTrainDeviceStorageBounded(t *testing.T) {
 		k, m, e, slack int
 		slow           []int // cluster indices of slow devices
 		fleetManaged   bool
-		perLayer       bool
 		depth          int
 	}{
 		{name: "cluster-depth1", k: 2, m: 1, depth: 1},
 		{name: "fleet-depth2-slack1-slow", k: 2, m: 1, e: 2, slack: 1, slow: []int{2}, fleetManaged: true, depth: 2},
-		{name: "per-layer-cluster", k: 2, m: 1, e: 1, perLayer: true, depth: 2},
-		{name: "per-layer-fleet-slack1-slow", k: 2, m: 1, e: 2, slack: 1, slow: []int{2}, fleetManaged: true, perLayer: true, depth: 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			gang := c.k + c.m + c.e
@@ -70,9 +66,6 @@ func TestTrainDeviceStorageBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pipe.Close()
-			if c.perLayer {
-				pipe.perLayer()
-			}
 			var src GangSource = SingleFleetSource{F: cluster}
 			var fm *fleet.Manager
 			if c.fleetManaged {
@@ -94,18 +87,6 @@ func TestTrainDeviceStorageBounded(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("serial-reference", func(t *testing.T) {
-		cluster := gpu.NewHonestCluster(3)
-		ref, err := newSerialRef(Config{VirtualBatch: 2, Seed: 1}, deep(), cluster, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := ref.trainLargeBatch(trainData(vbatches*2), nn.NewSGD(0.05, 0.9), 0); err != nil {
-			t.Fatal(err)
-		}
-		requireNoStores(t, "serialRef", cluster, false)
-	})
 
 	t.Run("tamper-without-recovery", func(t *testing.T) {
 		devs := honestDevices(4) // K=2, M=1, E=1

@@ -142,10 +142,6 @@ type trace struct {
 	inputs   []*tensor.Tensor // per-example inputs to this layer
 	children []*trace         // Sequential children, or Residual {body, skip}
 	key      string           // GPU storage key (linear layers only)
-	// flight is the layer's own flight on the per-layer arm, kept open
-	// from its forward to the batch's end for its backward (nil on the
-	// batch flight).
-	flight *gpu.BlockFlight
 	// noise holds the masking noise rows of this layer's forward encode
 	// (training mode only): the one encode ingredient that cannot be
 	// recomputed, kept so a backward cache miss can re-create the coded

@@ -47,8 +47,11 @@ type trainTicket struct {
 	loss        float64
 	handles     []uint64
 	sealedBytes int64
-	culprits    []int
-	err         error
+	// normLog holds the batch-norm running-statistics updates of the batch's
+	// forwards until TrainLargeBatch applies them in virtual-batch order.
+	normLog  nn.StatsLog
+	culprits []int
+	err      error
 }
 
 // TrainPipeline is the training runtime: up to Depth virtual batches ride
@@ -68,8 +71,10 @@ type trainTicket struct {
 //   - Algorithm-2 aggregation: each lane seals its finished ▽W_v shard-wise
 //     to untrusted memory, and TrainLargeBatch aggregates the sealed shards
 //     in virtual-batch order — fixing the float summation order — so the
-//     final weights are bit-identical at every depth (pinned against a
-//     lane-less reference by TestTrainPipelineMatchesSerial);
+//     final weights are bit-identical at every depth (pinned against
+//     internal/spec/stack by TestTrainPipelineMatchesSerial). Batch-norm
+//     running statistics, an order-dependent moving average, are held
+//     back per virtual batch and applied in the same order;
 //   - fleet-backed dispatch: each in-flight batch runs on its own gang from
 //     a GangSource, with integrity culprits reported back on release, and
 //     the backward pass inherits the engine's straggler-tolerant
@@ -82,6 +87,8 @@ type TrainPipeline struct {
 	origGrads  []*tensor.Tensor   // the model's own accumulators, restored after aggregation
 	grads      [][]*tensor.Tensor // per lane: one private accumulator per model param
 	totalElems int
+	norms      []*nn.BatchNorm // the model's batch-norm layers
+	normLogs   []*nn.StatsLog  // per lane: the running-statistics log of its batch
 
 	runMu sync.Mutex // one TrainLargeBatch at a time
 	store *gradStore // seals per-virtual-batch gradient shards (Algorithm 2)
@@ -116,6 +123,8 @@ func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspa
 		grads:    make([][]*tensor.Tensor, depth),
 		store:    newGradStore(encl),
 		sealBufs: make([][]byte, depth),
+		norms:    model.BatchNorms(),
+		normLogs: make([]*nn.StatsLog, depth),
 	}
 	for _, prm := range p.params {
 		p.origGrads = append(p.origGrads, prm.Grad)
@@ -128,12 +137,15 @@ func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspa
 			grads[j].Zero()
 		}
 		p.grads[i] = grads
-		// Every token acquisition re-installs this lane's gradient sinks:
-		// another lane may have swapped in its own during this lane's GPU
-		// flight.
+		// Every token acquisition re-installs this lane's gradient and
+		// statistics sinks: another lane may have swapped in its own during
+		// this lane's GPU flight.
 		lane.onToken = func() {
 			for j, prm := range p.params {
 				prm.Grad = grads[j]
+			}
+			for _, bn := range p.norms {
+				bn.Log = p.normLogs[i]
 			}
 		}
 	}
@@ -169,6 +181,11 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 	var stats AggregationStats
 	if len(batch) < k {
 		return 0, stats, fmt.Errorf("sched: large batch %d smaller than virtual batch %d", len(batch), k)
+	}
+	for _, ex := range batch {
+		if err := p.model.CheckExample(ex); err != nil {
+			return 0, stats, err
+		}
 	}
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -211,6 +228,14 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 	if firstErr == nil {
 		firstErr = submitErr
 	}
+	// All lanes are idle now: restore the model's own gradient accumulators
+	// and running statistics.
+	for i, prm := range p.params {
+		prm.Grad = p.origGrads[i]
+	}
+	for _, bn := range p.norms {
+		bn.Log = nil
+	}
 	if firstErr != nil {
 		// Drain the successful batches' sealed shards — handles are
 		// consume-on-unseal, so abandoning them would strand ciphertexts in
@@ -228,12 +253,10 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 		return 0, stats, err
 	}
 
-	// All lanes are idle now: restore the model's own gradient accumulators
-	// and apply the averaged aggregate.
-	for i, prm := range p.params {
-		prm.Grad = p.origGrads[i]
-	}
 	applyAggregate(p.params, agg, 1.0/float64(numVB*k), opt)
+	for _, tk := range tickets {
+		tk.normLog.Apply()
+	}
 	return totalLoss / float64(numVB), stats, nil
 }
 
@@ -276,6 +299,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 		for _, g := range p.grads[lane.lane] {
 			g.Zero()
 		}
+		p.normLogs[lane.lane] = &t.normLog
 		lane.lockTEE()
 		var logits []*tensor.Tensor
 		var tr *trace

@@ -11,6 +11,7 @@ import (
 	"darknight/internal/fleet"
 	"darknight/internal/gpu"
 	"darknight/internal/nn"
+	"darknight/internal/spec/stack"
 )
 
 // trainData draws a deterministic synthetic training set.
@@ -19,21 +20,17 @@ func trainData(n int) []dataset.Example {
 	return d.Items
 }
 
-// sameWeights asserts two models' parameters are bit-for-bit identical.
-func sameWeights(t *testing.T, tag string, a, b *nn.Model) {
-	t.Helper()
-	ap, bp := a.Params(), b.Params()
-	if len(ap) != len(bp) {
-		t.Fatalf("%s: param count %d vs %d", tag, len(ap), len(bp))
+// specTrain trains model on internal/spec/stack at virtual batch k for
+// steps large batches of batch, with the optimizer the tests train with,
+// and returns the losses.
+func specTrain(model *nn.Model, k int, batch []dataset.Example, steps int) []float64 {
+	ref := stack.New(model, k)
+	opt := nn.NewSGD(0.05, 0.9)
+	losses := make([]float64, steps)
+	for i := range losses {
+		losses[i] = ref.TrainLargeBatch(batch, opt)
 	}
-	for pi := range ap {
-		for i := range ap[pi].W.Data {
-			if ap[pi].W.Data[i] != bp[pi].W.Data[i] {
-				t.Fatalf("%s: param %s weight[%d]: %v != %v (weights must be bit-identical)",
-					tag, ap[pi].Name, i, ap[pi].W.Data[i], bp[pi].W.Data[i])
-			}
-		}
-	}
+	return losses
 }
 
 // managerSource backs a TrainPipeline with per-batch fleet.Manager gang
@@ -58,12 +55,12 @@ func (s *managerSource) Release(f Fleet, culprits []int, err error) {
 // TestTrainPipelineMatchesSerial is the training equivalence gate: across
 // K/E/slack operating points and depths 1 to 3 — including
 // straggler-tolerant backward via a deterministically slow device, on both
-// the shared-cluster and the fleet-managed gang source — TrainLargeBatch
-// must leave the model with weights bit-identical to the lane-less
-// reference's (serialRef: no lanes, no token contention, no noise pool, no
-// gradient redirection, so the pin compares two implementations), and
-// report the same losses. Decode exactness over F_p plus
-// virtual-batch-order aggregation makes overlap invisible to the result.
+// the shared-cluster and the fleet-managed gang source, and at several
+// Algorithm-2 shard sizes — TrainLargeBatch must leave the model with
+// weights bit-identical to internal/spec/stack's (plain loops: no coding,
+// lanes, token, noise, gradient redirection or sealing), and report the
+// same losses. Decode exactness over F_p plus virtual-batch-order
+// aggregation makes the coding and the overlap invisible to the result.
 func TestTrainPipelineMatchesSerial(t *testing.T) {
 	combos := []struct {
 		name           string
@@ -85,39 +82,18 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{VirtualBatch: c.k, Collusion: c.m, Redundancy: c.e, StragglerSlack: c.slack, Seed: 1}
 			gang := c.k + c.m + c.e
-			build := func() ([]gpu.Device, *gpu.Cluster) {
-				devs := make([]gpu.Device, gang)
-				for i := range devs {
-					devs[i] = gpu.NewHonest(i)
-					if i == c.slowSlot {
-						devs[i] = gpu.NewSlow(devs[i], time.Millisecond)
-					}
-				}
-				return devs, gpu.NewCluster(devs...)
+			devs := honestDevices(gang)
+			if c.slowSlot >= 0 {
+				devs[c.slowSlot] = gpu.NewSlow(devs[c.slowSlot], time.Millisecond)
 			}
+			pipeCluster := gpu.NewCluster(devs...)
 			batch := trainData(6 * c.k)
-			opt := func() *nn.SGD { return nn.NewSGD(0.05, 0.9) }
 
-			// Lane-less reference.
-			serialModel := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
-			_, serialCluster := build()
-			ref, err := newSerialRef(cfg, serialModel, serialCluster, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sOpt := opt()
-			var serialLosses []float64
-			for step := 0; step < 2; step++ {
-				loss, _, err := ref.trainLargeBatch(batch, sOpt, c.shardElems)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serialLosses = append(serialLosses, loss)
-			}
+			specModel := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
+			specLosses := specTrain(specModel, c.k, batch, 2)
 
 			// The runtime at this depth, on an identically initialized model.
 			pipeModel := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
-			_, pipeCluster := build()
 			pipe, err := NewTrainPipeline(cfg, pipeModel, nil, "tp/", c.depth)
 			if err != nil {
 				t.Fatal(err)
@@ -131,20 +107,20 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 			} else {
 				src = SingleFleetSource{F: pipeCluster}
 			}
-			pOpt := opt()
+			opt := nn.NewSGD(0.05, 0.9)
 			for step := 0; step < 2; step++ {
-				loss, stats, err := pipe.TrainLargeBatch(src, batch, pOpt, c.shardElems)
+				loss, stats, err := pipe.TrainLargeBatch(src, batch, opt, c.shardElems)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if loss != serialLosses[step] {
-					t.Fatalf("step %d: depth-%d loss %v != reference %v", step, c.depth, loss, serialLosses[step])
+				if loss != specLosses[step] {
+					t.Fatalf("step %d: depth-%d loss %v != spec %v", step, c.depth, loss, specLosses[step])
 				}
 				if stats.VirtualBatches != 6 {
 					t.Fatalf("step %d: %d virtual batches, want 6", step, stats.VirtualBatches)
 				}
 			}
-			sameWeights(t, c.name, serialModel, pipeModel)
+			sameBits(t, c.name, specModel, pipeModel)
 
 			ps := pipe.PhaseStats()
 			if ps.Offloads == 0 || ps.Wall == 0 {
@@ -191,7 +167,7 @@ func TestBackwardCacheMissRefill(t *testing.T) {
 	if n := pipe.CacheRefills(); n != 2 {
 		t.Fatalf("%d cache refills, want 2 (one per bilinear layer)", n)
 	}
-	sameWeights(t, "cache-miss-refill", control, model)
+	sameBits(t, "cache-miss-refill", control, model)
 	if st := fm.Stats(); st.QuarantineEvents == 0 {
 		t.Fatalf("no quarantine recorded: %+v", st)
 	}
@@ -317,7 +293,7 @@ func TestAlgorithm2ShardEquivalence(t *testing.T) {
 		if loss != refLoss {
 			t.Fatalf("%s: loss %v != reference %v", r.name, loss, refLoss)
 		}
-		sameWeights(t, r.name, refModel, model)
+		sameBits(t, r.name, refModel, model)
 	}
 }
 
@@ -352,4 +328,48 @@ func TestTrainPipelineValidation(t *testing.T) {
 		t.Fatal("TrainLargeBatch after Close must be rejected")
 	}
 	pipe.Close() // idempotent
+}
+
+// TestMalformedInputIsAnError: an image of the wrong length or a label
+// outside [0, Classes) fails the call that carries it before any lane is
+// taken — on a lane it would panic the goroutine — and the runtime serves
+// the next well-formed batch.
+func TestMalformedInputIsAnError(t *testing.T) {
+	cfg := Config{VirtualBatch: 2, Seed: 1}
+	cluster := gpu.NewHonestCluster(3)
+	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(1)))
+
+	pipe, err := NewPipeline(cfg, model, nil, "bad/", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	images := pipeBatches(2, 1, 64)[0]
+	if _, err := pipe.Submit(cluster, [][]float64{images[0], images[1][:10]}); err == nil {
+		t.Fatal("a short image was submitted")
+	}
+	if _, err := pipe.Predict(cluster, images); err != nil {
+		t.Fatalf("the next batch: %v", err)
+	}
+
+	train, err := NewTrainPipeline(cfg, model, nil, "bad-t/", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer train.Close()
+	src := SingleFleetSource{F: cluster}
+	for name, spoil := range map[string]func(*dataset.Example){
+		"long image":     func(ex *dataset.Example) { ex.Image = append(ex.Image, 0) },
+		"label too high": func(ex *dataset.Example) { ex.Label = model.Classes },
+		"negative label": func(ex *dataset.Example) { ex.Label = -1 },
+	} {
+		batch := trainData(4)
+		spoil(&batch[3])
+		if _, _, err := train.TrainLargeBatch(src, batch, nn.NewSGD(0.05, 0), 0); err == nil {
+			t.Fatalf("%s: the batch trained", name)
+		}
+	}
+	if _, _, err := train.TrainLargeBatch(src, trainData(4), nn.NewSGD(0.05, 0), 0); err != nil {
+		t.Fatalf("the next batch: %v", err)
+	}
 }

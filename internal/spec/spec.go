@@ -1,8 +1,10 @@
 // Package spec holds the reference kernels: the seed implementations of
-// masking's encode and decodes, the float matmul and the F_p
-// convolution, kept as plain loops with one reduction per term and a
-// fresh output per call. The production kernels must match them bit for
-// bit, and BenchmarkKernels measures the production kernels against them.
+// masking's encode and decodes, the float matmul, and the F_p forward and
+// weight-gradient kernels of the dense and convolutional layers, kept as
+// plain loops with one reduction per term and a fresh output per call.
+// The production kernels must match them bit for bit, and BenchmarkKernels
+// measures the production kernels against them. Its subpackage stack
+// composes the field kernels into the reference of the whole runtime.
 //
 // Only _test.go files import spec, so no binary links it. It imports
 // only field and the standard library: the masking, tensor and nn tests
@@ -139,6 +141,31 @@ func MatMul(a []float64, m, k int, b []float64, n int) []float64 {
 	return out
 }
 
+// DenseForward is a dense layer's F_p matrix-vector product: output i is
+// Σ_j wq[i·len(x)+j]·x_j for the out×len(x) row-major weights wq.
+func DenseForward(wq, x field.Vec, out int) field.Vec {
+	in := len(x)
+	y := make(field.Vec, out)
+	for i := range y {
+		for j, xv := range x {
+			y[i] = field.MulAdd(y[i], wq[i*in+j], xv)
+		}
+	}
+	return y
+}
+
+// DenseGrad is a dense layer's F_p weight gradient: the flat outer product
+// δ ⊗ x, laid out as the weights are.
+func DenseGrad(delta, x field.Vec) field.Vec {
+	out := make(field.Vec, len(delta)*len(x))
+	for i, dv := range delta {
+		for j, xv := range x {
+			out[i*len(x)+j] = field.Mul(dv, xv)
+		}
+	}
+	return out
+}
+
 // Conv is a 2-D convolution's geometry, field for field
 // tensor.ConvParams, so spec.Conv(p) converts one.
 type Conv struct {
@@ -175,6 +202,33 @@ func ConvForward(p Conv, wq, x field.Vec) field.Vec {
 				for j := 0; j < npix; j++ {
 					oRow[j] = field.MulAdd(oRow[j], wv, cRow[j])
 				}
+			}
+		}
+	}
+	return out
+}
+
+// ConvGrad is the F_p weight gradient of the convolution for the output
+// gradient delta ([OutC, OutH, OutW]) over one image x: for every weight,
+// Σ over output pixels of delta times the input element that weight met,
+// laid out as the weights are ([OutC, InC/Groups, KH, KW]).
+func ConvGrad(p Conv, delta, x field.Vec) field.Vec {
+	cpg := p.InC / p.Groups
+	rows := cpg * p.KH * p.KW
+	npix := p.outH() * p.outW()
+	cols := im2col(x, p)
+	ocpg := p.OutC / p.Groups
+	out := make(field.Vec, p.OutC*rows)
+	for g := 0; g < p.Groups; g++ {
+		for oc := 0; oc < ocpg; oc++ {
+			dRow := delta[(g*ocpg+oc)*npix : (g*ocpg+oc+1)*npix]
+			for r := 0; r < rows; r++ {
+				cRow := cols[(g*rows+r)*npix : (g*rows+r+1)*npix]
+				var acc field.Elem
+				for j := 0; j < npix; j++ {
+					acc = field.MulAdd(acc, dRow[j], cRow[j])
+				}
+				out[(g*ocpg+oc)*rows+r] = acc
 			}
 		}
 	}

@@ -133,16 +133,17 @@ func TestSnapshotReplayChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestPerLayerSnapshotReplaysFused: testdata/snapshots/deep-per-layer.json
-// was captured from a server that flew DeepMLP one layer per flight, in
-// the snapshot format that still recorded the fused-offload switch
+// TestPerLayerSnapshotReplaysOnBatchFlight:
+// testdata/snapshots/deep-per-layer.json was captured from a server that
+// flew DeepMLP one layer per flight, in the snapshot format that still
+// recorded the fused-offload switch
 // ("fuse_blocks": false): one worker, K=2, E=2 with audit-and-recover, and
 // device 1 tampering with every fifth job until it is quarantined. The
 // field is gone, and every runtime now flies each virtual batch as one
 // flight. The snapshot must still load and validate, and
 // everything replay compares — classes, culprits, the quarantine sequence,
 // integrity and refill counts — must come out unchanged.
-func TestPerLayerSnapshotReplaysFused(t *testing.T) {
+func TestPerLayerSnapshotReplaysOnBatchFlight(t *testing.T) {
 	path := filepath.Join("testdata", "snapshots", "deep-per-layer.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
