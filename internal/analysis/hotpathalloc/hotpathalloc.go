@@ -2,7 +2,7 @@
 // allocation-free.
 //
 // Functions marked with a //darknight:hotpath doc-comment line are the
-// per-request / per-tile kernels — Combine reductions, im2col packing,
+// per-request / per-tile kernels — Combine reductions, the device GEMM,
 // decode paths — where a single heap allocation per call turns into GC
 // pressure that shows up directly as p99 latency. Those functions are
 // written against the field scratch pools (GetScratchVec / Arena) and

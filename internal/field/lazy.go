@@ -2,7 +2,6 @@ package field
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"darknight/internal/par"
@@ -19,9 +18,11 @@ import (
 // Encode/decode therefore run as blocked matrix-matrix products that
 // multiply-add without any modulo and reduce each accumulator exactly once
 // per MaxLazyTerms terms — versus the seed kernels' one `% P` per element
-// per term. Accumulator blocks are pooled (stored behind pointers so
-// Get/Put never boxes) and the column dimension fans out across cores via
-// par.For, keeping the steady-state path allocation-free.
+// per term. Accumulator blocks come from a scratch.Pool, whose round trip
+// allocates nothing, and the column dimension fans out across cores via
+// par.For, keeping the steady-state path allocation-free. The device-side
+// kernel, GatherMatMul (gather.go), keeps the same bound over 4×4 output
+// tiles instead of accumulator rows.
 
 // MaxLazyTerms is how many ≤(P-1)² products a uint64 accumulator holding an
 // already-reduced value can absorb before it must be reduced again.
@@ -47,26 +48,9 @@ const combineSpan = 2 * combineBlock
 // ~2–4%.
 const combineParGrain = 1 << 16
 
-// accPool recycles Combine's fixed-size accumulator blocks. It is kept
-// separate from the general scratch.Pool because the steady-state coding
-// loop must be allocation-free: the SAME *[]uint64 round-trips through
-// Get/Put (pointer interface conversions never box), whereas scratch.Pool
-// builds a fresh slice-header pointer on every Put.
-var accPool = sync.Pool{New: func() any {
-	b := make([]uint64, combineSpan)
-	return &b
-}}
-
-// getAcc returns a pooled accumulator of at least n elements.
-func getAcc(n int) *[]uint64 {
-	p := accPool.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
-	}
-	return p
-}
-
-func putAcc(p *[]uint64) { accPool.Put(p) }
+// accPool recycles the combine kernels' accumulator blocks, combineSpan
+// elements each.
+var accPool scratch.Pool[uint64]
 
 // Budget tracks how many ≤(P-1)² lazy products an accumulator (or a pair
 // of accumulators fed in lockstep) has absorbed since its last reduction.
@@ -210,8 +194,7 @@ func Combine(dst Vec, coeffs []Elem, srcs []Vec) {
 //
 //darknight:hotpath
 func combineRange(dst Vec, coeffs []Elem, srcs []Vec, lo, hi int) {
-	accp := getAcc(combineSpan)
-	acc := *accp
+	acc := accPool.Get(combineSpan)
 	for b := lo; b < hi; b += combineSpan {
 		be := b + combineSpan
 		if be > hi {
@@ -231,7 +214,7 @@ func combineRange(dst Vec, coeffs []Elem, srcs []Vec, lo, hi int) {
 		}
 		ReduceAccInto(dst[b:be], blk)
 	}
-	putAcc(accp)
+	accPool.Put(acc)
 }
 
 // Combine2 computes TWO output rows of the coding matrix product in one
@@ -268,8 +251,7 @@ func Combine2(dst0, dst1 Vec, c0, c1 []Elem, srcs []Vec) {
 //
 //darknight:hotpath
 func combineRange2(dst0, dst1 Vec, c0, c1 []Elem, srcs []Vec, lo, hi int) {
-	accp := getAcc(combineSpan)
-	acc := *accp
+	acc := accPool.Get(combineSpan)
 	for b := lo; b < hi; b += combineBlock {
 		be := b + combineBlock
 		if be > hi {
@@ -294,7 +276,7 @@ func combineRange2(dst0, dst1 Vec, c0, c1 []Elem, srcs []Vec, lo, hi int) {
 		ReduceAccInto(dst0[b:be], blk0)
 		ReduceAccInto(dst1[b:be], blk1)
 	}
-	putAcc(accp)
+	accPool.Put(acc)
 }
 
 // CombineEqual reports whether want = Σ_j coeffs[j]·srcs[j] mod p — one
@@ -331,8 +313,7 @@ func CombineEqual(want Vec, coeffs []Elem, srcs []Vec) bool {
 //
 //darknight:hotpath
 func combineEqualRange(want Vec, coeffs []Elem, srcs []Vec, lo, hi int) bool {
-	accp := getAcc(combineSpan)
-	acc := *accp
+	acc := accPool.Get(combineSpan)
 	var diff uint32
 	for b := lo; b < hi && diff == 0; b += combineSpan {
 		be := b + combineSpan
@@ -356,18 +337,13 @@ func combineEqualRange(want Vec, coeffs []Elem, srcs []Vec, lo, hi int) bool {
 			diff |= Elem(a%uint64(P)) ^ ws[i]
 		}
 	}
-	putAcc(accp)
+	accPool.Put(acc)
 	return diff == 0
 }
 
-// Pooled kernel scratch (internal/scratch size-classed pools). The
-// GPU-side field kernels (internal/nn) draw their per-call im2col patch
-// matrices and accumulator rows here; pools are safe for the concurrent
-// gang-dispatch goroutines. Buffers are NOT zeroed on Get.
-var (
-	elemPool scratch.Pool[Elem]
-	u64Pool  scratch.Pool[uint64]
-)
+// elemPool holds the device kernels' scratch (internal/nn), safe for the
+// concurrent gang-dispatch goroutines. Buffers are NOT zeroed on Get.
+var elemPool scratch.Pool[Elem]
 
 // GetScratchVec returns a pooled, NOT-zeroed Vec of length n. Return it
 // with PutScratchVec.
@@ -375,13 +351,6 @@ func GetScratchVec(n int) Vec { return elemPool.Get(n) }
 
 // PutScratchVec returns a GetScratchVec buffer to the pool.
 func PutScratchVec(v Vec) { elemPool.Put(v) }
-
-// GetScratchAcc returns a pooled, NOT-zeroed uint64 accumulator row of
-// length n for lazy-reduction kernels. Return it with PutScratchAcc.
-func GetScratchAcc(n int) []uint64 { return u64Pool.Get(n) }
-
-// PutScratchAcc returns a GetScratchAcc buffer to the pool.
-func PutScratchAcc(a []uint64) { u64Pool.Put(a) }
 
 // Arena is a bump allocator for field vectors with stable backing arrays:
 // Vec hands out zeroed subslices of large blocks, Reset recycles them all

@@ -210,12 +210,7 @@ func TestScratchPoolsRoundTrip(t *testing.T) {
 		t.Fatalf("GetScratchVec(100) has length %d", len(v))
 	}
 	PutScratchVec(v)
-	a := GetScratchAcc(3000)
-	if len(a) != 3000 {
-		t.Fatalf("GetScratchAcc(3000) has length %d", len(a))
-	}
-	PutScratchAcc(a)
-	if GetScratchVec(0) != nil || GetScratchAcc(0) != nil {
+	if GetScratchVec(0) != nil {
 		t.Fatal("zero-length scratch should be nil")
 	}
 }

@@ -16,6 +16,7 @@ type Conv2D struct {
 	w      *Param
 	b      *Param
 	lastIn *tensor.Tensor
+	plan   convPlan
 }
 
 // NewConv2D constructs a convolution with Kaiming-normal init.
@@ -26,7 +27,7 @@ func NewConv2D(name string, p tensor.ConvParams, rng *rand.Rand) *Conv2D {
 	fanIn := float64(cpg * p.KH * p.KW)
 	w.RandNormal(rng, math.Sqrt(2.0/fanIn))
 	return &Conv2D{
-		name: name, p: p,
+		name: name, p: p, plan: newConvPlan(p),
 		w: &Param{Name: name + ".w", W: w, Grad: tensor.New(p.OutC, cpg, p.KH, p.KW)},
 		b: &Param{Name: name + ".b", W: tensor.New(p.OutC), Grad: tensor.New(p.OutC)},
 	}
@@ -108,98 +109,59 @@ func (c *Conv2D) LinearForwardFloat(x []float64) []float64 {
 
 // LinearForwardField implements Linear: the convolution evaluated exactly
 // over F_p on quantized weights and (possibly coded) quantized inputs —
-// the kernel a DarKnight GPU worker runs. Each output row accumulates its
-// ≤(P-1)² products in a pooled uint64 row with lazy reduction (one `% P`
-// per element per field.MaxLazyTerms terms instead of one per term), and
-// the im2col patch matrix comes from the shared scratch pool instead of a
-// fresh allocation per dispatch.
+// the kernel a DarKnight GPU worker runs: per group, the weights times the
+// patch matrix (k over the patch rows, columns over the pixels).
 //
 //darknight:hotpath
 func (c *Conv2D) LinearForwardField(wq, x field.Vec) field.Vec {
-	p := c.p
-	cols, rows, npix := fieldIm2ColPooled(x, p)
-	defer field.PutScratchVec(cols)
-	acc0 := field.GetScratchAcc(npix)
-	acc1 := field.GetScratchAcc(npix)
-	defer field.PutScratchAcc(acc0)
-	defer field.PutScratchAcc(acc1)
-	ocpg := p.OutC / p.Groups
 	//lint:ignore hotpathalloc the output vector escapes to the GPU flight; one make per dispatch by design
-	out := make(field.Vec, p.OutC*npix)
-	for g := 0; g < p.Groups; g++ {
-		gcols := cols[g*rows*npix : (g+1)*rows*npix]
-		oc := 0
-		// Output-row pairs: one pass over the patch matrix feeds two
-		// accumulator rows (LazyAXPY2), halving cols traffic.
-		for ; oc+2 <= ocpg; oc += 2 {
-			w0 := wq[(g*ocpg+oc)*rows : (g*ocpg+oc+1)*rows]
-			w1 := wq[(g*ocpg+oc+1)*rows : (g*ocpg+oc+2)*rows]
-			clearAcc(acc0)
-			clearAcc(acc1)
-			var terms field.Budget
-			for r := 0; r < rows; r++ {
-				c0, c1 := w0[r], w1[r]
-				if c0 == 0 && c1 == 0 {
-					continue
-				}
-				cRow := gcols[r*npix : (r+1)*npix]
-				switch {
-				case c1 == 0:
-					field.LazyAXPY(acc0, c0, cRow)
-				case c0 == 0:
-					field.LazyAXPY(acc1, c1, cRow)
-				default:
-					field.LazyAXPY2(acc0, acc1, c0, c1, cRow)
-				}
-				terms.Tick2(acc0, acc1)
-			}
-			field.ReduceAccInto(out[(g*ocpg+oc)*npix:(g*ocpg+oc+1)*npix], acc0)
-			field.ReduceAccInto(out[(g*ocpg+oc+1)*npix:(g*ocpg+oc+2)*npix], acc1)
-		}
-		for ; oc < ocpg; oc++ {
-			wRow := wq[(g*ocpg+oc)*rows : (g*ocpg+oc+1)*rows]
-			clearAcc(acc0)
-			var terms field.Budget
-			for r, wv := range wRow {
-				if wv == 0 {
-					continue
-				}
-				field.LazyAXPY(acc0, wv, gcols[r*npix:(r+1)*npix])
-				terms.Tick1(acc0)
-			}
-			field.ReduceAccInto(out[(g*ocpg+oc)*npix:(g*ocpg+oc+1)*npix], acc0)
-		}
-	}
-	return out
-}
-
-func clearAcc(acc []uint64) {
-	for i := range acc {
-		acc[i] = 0
-	}
+	out := make(field.Vec, c.p.OutC*len(c.plan.pixOff))
+	return c.gatherGEMM(out, wq, x, c.plan.rowOff, c.plan.pixOff)
 }
 
 // GradWeightsField implements Linear: dW = delta · colsᵀ over F_p, where
 // delta is the (scaled, combined) output gradient [OutC×OutH×OutW] and x is
-// the (coded) layer input. field.Dot is already lazy-reduced; the patch
-// matrix is pooled.
+// the (coded) layer input. It is LinearForwardField's product with the
+// roles swapped: k over the pixels, columns over the patch rows.
 func (c *Conv2D) GradWeightsField(delta, x field.Vec) field.Vec {
-	p := c.p
-	cols, rows, npix := fieldIm2ColPooled(x, p)
-	defer field.PutScratchVec(cols)
-	ocpg := p.OutC / p.Groups
-	out := make(field.Vec, p.OutC*rows)
-	for g := 0; g < p.Groups; g++ {
-		for oc := 0; oc < ocpg; oc++ {
-			dRow := delta[(g*ocpg+oc)*npix : (g*ocpg+oc+1)*npix]
-			oRow := out[(g*ocpg+oc)*rows : (g*ocpg+oc+1)*rows]
-			for r := 0; r < rows; r++ {
-				cRow := cols[(g*rows+r)*npix : (g*rows+r+1)*npix]
-				oRow[r] = field.Dot(dRow, cRow)
-			}
-		}
+	out := make(field.Vec, c.p.OutC*len(c.plan.rowOff))
+	return c.gatherGEMM(out, delta, x, c.plan.pixOff, c.plan.rowOff)
+}
+
+// gatherGEMM is both device passes: for each group, out = a · B mod p with
+// B[k][j] the bordered input x at koff[k] + noff[j] (field.GatherMatMul,
+// an implicit GEMM), a and out holding OutC/Groups rows per group.
+//
+//darknight:hotpath
+func (c *Conv2D) gatherGEMM(out, a, x field.Vec, koff, noff []int) field.Vec {
+	src := c.bordered(x)
+	m, gl := c.p.OutC/c.p.Groups, c.plan.groupLen
+	an, on := m*len(koff), m*len(noff)
+	for g := 0; g < c.p.Groups; g++ {
+		field.GatherMatMul(out[g*on:(g+1)*on], a[g*an:(g+1)*an], m, src[g*gl:(g+1)*gl], koff, noff)
+	}
+	if !c.plan.inPlace {
+		field.PutScratchVec(src)
 	}
 	return out
+}
+
+// bordered returns x in the plan's hp×wp planes: x itself when they are
+// the image, else a pooled copy with each image at (Pad, Pad).
+func (c *Conv2D) bordered(x field.Vec) field.Vec {
+	p, hp, wp := c.p, c.plan.hp, c.plan.wp
+	if c.plan.inPlace {
+		return x
+	}
+	buf := field.GetScratchVec(p.InC * hp * wp)
+	clear(buf)
+	for ch := 0; ch < p.InC; ch++ {
+		for y := 0; y < p.InH; y++ {
+			row := (ch*hp+y+p.Pad)*wp + p.Pad
+			copy(buf[row:row+p.InW], x[(ch*p.InH+y)*p.InW:])
+		}
+	}
+	return buf
 }
 
 // AddGradW implements Linear.
@@ -221,20 +183,37 @@ func (c *Conv2D) AddGradB(gout *tensor.Tensor, s float64) {
 	}
 }
 
-// fieldIm2ColPooled is fieldIm2ColInto on a pooled scratch buffer; the
-// caller must return cols with field.PutScratchVec.
-func fieldIm2ColPooled(in field.Vec, p tensor.ConvParams) (cols field.Vec, rows, npix int) {
-	cpg := p.InC / p.Groups
-	rows = cpg * p.KH * p.KW
-	npix = p.OutH() * p.OutW()
-	cols = fieldIm2ColInto(field.GetScratchVec(p.Groups*rows*npix), in, p)
-	return cols, rows, npix
+// convPlan is a convolution's patch matrix as offsets into its input,
+// bordered with zeros: the element of patch row (c, ky, kx) at output
+// pixel (oy, ox) of a group sits at rowOff[row] + pixOff[pix] in that
+// group's channels. Both field kernels read the input through it.
+type convPlan struct {
+	rowOff   []int // (c, ky, kx) → c·hp·wp + ky·wp + kx, one group's patch rows
+	pixOff   []int // (oy, ox) → oy·Stride·wp + ox·Stride
+	groupLen int   // one group's channels of the bordered input, (InC/Groups)·hp·wp
+	// hp×wp is a bordered channel: the image Pad wider on every side, and
+	// wider still where the last window overhangs that (OutH and OutW
+	// round toward zero, so a kernel may exceed the padded image).
+	hp, wp  int
+	inPlace bool // hp×wp is InH×InW: the input is its own bordered copy
 }
 
-// fieldIm2ColInto is im2col over F_p: pure data movement, zero padding,
-// stride-1 rows as contiguous copies. The window math is single-sourced
-// in tensor.Im2ColSlices, shared with the float conv path.
-func fieldIm2ColInto(cols field.Vec, in field.Vec, p tensor.ConvParams) field.Vec {
-	tensor.Im2ColSlices(cols, in, p)
-	return cols
+func newConvPlan(p tensor.ConvParams) convPlan {
+	oh, ow := p.OutH(), p.OutW()
+	hp := max(p.InH+2*p.Pad, (oh-1)*p.Stride+p.KH)
+	wp := max(p.InW+2*p.Pad, (ow-1)*p.Stride+p.KW)
+	pl := convPlan{groupLen: p.InC / p.Groups * hp * wp, hp: hp, wp: wp, inPlace: hp == p.InH && wp == p.InW}
+	for ch := 0; ch < p.InC/p.Groups; ch++ {
+		for ky := 0; ky < p.KH; ky++ {
+			for kx := 0; kx < p.KW; kx++ {
+				pl.rowOff = append(pl.rowOff, (ch*hp+ky)*wp+kx)
+			}
+		}
+	}
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			pl.pixOff = append(pl.pixOff, oy*p.Stride*wp+ox*p.Stride)
+		}
+	}
+	return pl
 }

@@ -73,6 +73,25 @@ func (b *BatchNorm) Stats() []LayerStat {
 
 // Forward implements Layer.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return b.forward(x, train, train)
+}
+
+// Reprime restores layer's forward cache for the example x, as a
+// train-mode Forward leaves it, so that a Backward for x can follow. It is
+// for an example whose train-mode forward already ran: unlike Forward, it
+// folds nothing into a batch norm's running statistics, so each example
+// counts once per step however often its cache is restored.
+func Reprime(layer Layer, x *tensor.Tensor) {
+	if b, ok := layer.(*BatchNorm); ok {
+		b.forward(x, true, false)
+		return
+	}
+	layer.Forward(x, true)
+}
+
+// forward normalizes x by its own statistics (train) or the running ones,
+// and folds its statistics into the running ones when record is set.
+func (b *BatchNorm) forward(x *tensor.Tensor, train, record bool) *tensor.Tensor {
 	plane := b.h * b.w
 	out := tensor.New(b.c, b.h, b.w)
 	b.lastIn = x
@@ -92,9 +111,11 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				variance += d * d
 			}
 			variance /= float64(plane)
-			if b.Log != nil {
+			switch {
+			case !record:
+			case b.Log != nil:
 				b.Log.updates = append(b.Log.updates, statsUpdate{b, c, mean, variance})
-			} else {
+			default:
 				b.updateRunning(c, mean, variance)
 			}
 		} else {

@@ -84,8 +84,9 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 			// Re-prime the layer's single-forward cache for THIS example
 			// before its backward. The prime+backward pair runs without a
 			// token release in between, so pipelined lanes clobbering the
-			// shared layer's cache between offloads cannot corrupt it.
-			tr.layer.Forward(tr.inputs[i], true)
+			// shared layer's cache between offloads cannot corrupt it. The
+			// example's batch-norm statistics were logged by its forward.
+			nn.Reprime(tr.layer, tr.inputs[i])
 			out[i] = tr.layer.Backward(grads[i])
 		}
 		return out, nil

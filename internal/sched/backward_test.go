@@ -17,6 +17,7 @@ import (
 	"darknight/internal/gpu"
 	"darknight/internal/masking"
 	"darknight/internal/nn"
+	"darknight/internal/tensor"
 )
 
 // deepMLPLinears is the number of bilinear layers in nn.DeepMLP.
@@ -309,5 +310,61 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestTrainStepCountsEachExampleOnce counts the batch-norm running-statistics
+// updates one TrainLargeBatch applies on ResNet: one per example and channel,
+// as nn.Model.TrainBatch makes, however many times the backward re-primes a
+// layer's cache. The count is read off the running means. With the learning
+// rate at 0 a second step on the same batch replays the same n updates per
+// channel, and an exponential moving average of momentum α started at 0
+// reads S after them and S·(1 + (1−α)ⁿ) after twice them, so each channel's
+// two means give its n.
+func TestTrainStepCountsEachExampleOnce(t *testing.T) {
+	const k, examples, momentum = 2, 4, 0.1 // momentum: nn.NewBatchNorm's
+	model := nn.ResNet50Scaled(1, 8, 8, 4, 1, rand.New(rand.NewSource(42)))
+	tr, err := NewTrainer(Config{VirtualBatch: k, Collusion: 1, Seed: 3}, model, gpu.NewHonestCluster(k+1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	batch := tinyData().Items[:examples]
+	// runningMeans reads each channel's running mean through an eval-mode
+	// forward of zeros and of ones: with γ = 1 and β = 0 they give
+	// −mean·s and (1 − mean)·s for s = 1/√(var + ε).
+	runningMeans := func() []float64 {
+		var means []float64
+		for _, bn := range model.BatchNorms() {
+			shape := bn.OutShape()
+			ones := tensor.New(shape...)
+			ones.Fill(1)
+			f0 := bn.Forward(tensor.New(shape...), false).Data
+			f1 := bn.Forward(ones, false).Data
+			plane := shape[1] * shape[2]
+			for c := 0; c < shape[0]; c++ {
+				means = append(means, -f0[c*plane]/(f1[c*plane]-f0[c*plane]))
+			}
+		}
+		return means
+	}
+	step := func() []float64 {
+		if _, _, err := tr.TrainLargeBatch(batch, nn.NewSGD(0, 0), 0); err != nil {
+			t.Fatal(err)
+		}
+		return runningMeans()
+	}
+	once, twice := step(), step()
+	updates := 0
+	for c := range once {
+		n := math.Round(math.Log(twice[c]/once[c]-1) / math.Log(1-momentum))
+		if math.IsNaN(n) {
+			t.Fatalf("channel %d: running means %v then %v read no update count", c, once[c], twice[c])
+		}
+		updates += int(n)
+	}
+	if want := examples * len(once); updates != want {
+		t.Fatalf("one step made %d running-statistics updates, want %d (%d examples × %d channels)",
+			updates, want, examples, len(once))
 	}
 }

@@ -1,8 +1,8 @@
 // Package scratch provides the size-classed sync.Pool slice recycler
 // shared by the kernel packages: float64 scratch for the tensor kernels,
-// field-element and uint64-accumulator scratch for the coding kernels. One
-// implementation, three instantiations — a fix to the classing or the Put
-// cap-check lands everywhere at once.
+// field-element scratch for the device kernels and uint64 accumulator
+// blocks for the coding kernels. One implementation, three instantiations
+// — a fix to the classing or the Put cap-check lands everywhere at once.
 package scratch
 
 import (
@@ -25,8 +25,14 @@ func class(n int) int {
 // Pool recycles slices of T in power-of-two size classes. The zero value
 // is ready to use; all methods are safe for concurrent use. Buffers are
 // NOT zeroed on Get.
+//
+// A class pool holds *[]T, since a pointer goes into an interface without
+// boxing. The slice headers those pointers name are recycled too: Get
+// hands its emptied header to headers and Put takes one from there, so a
+// Get/Put round trip allocates nothing once the pools are warm.
 type Pool[T any] struct {
 	classes [maxClass + 1]sync.Pool
+	headers sync.Pool
 }
 
 // Get returns a length-n slice from the pool (contents undefined). Return
@@ -40,7 +46,10 @@ func (p *Pool[T]) Get(n int) []T {
 		return make([]T, n)
 	}
 	if b, _ := p.classes[c].Get().(*[]T); b != nil {
-		return (*b)[:n]
+		s := (*b)[:n]
+		*b = nil
+		p.headers.Put(b)
+		return s
 	}
 	return make([]T, 1<<c)[:n]
 }
@@ -52,6 +61,10 @@ func (p *Pool[T]) Put(s []T) {
 	if cap(s) == 0 || c > maxClass || cap(s) != 1<<c {
 		return
 	}
-	full := s[:cap(s)]
-	p.classes[c].Put(&full)
+	b, _ := p.headers.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s[:cap(s)]
+	p.classes[c].Put(b)
 }

@@ -194,8 +194,9 @@ func (r *Ref) backward(layer nn.Layer, grads []*tensor.Tensor) []*tensor.Tensor 
 		xs := r.inputs[layer]
 		outs := make([]*tensor.Tensor, len(grads))
 		for i, g := range grads {
-			// A layer caches one example's forward state: replay it.
-			layer.Forward(xs[i], true)
+			// A layer caches one example's forward state: replay it,
+			// without counting the example's statistics a second time.
+			nn.Reprime(layer, xs[i])
 			outs[i] = layer.Backward(g)
 		}
 		return outs

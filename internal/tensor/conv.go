@@ -54,10 +54,11 @@ func Im2ColInto(dst *Tensor, in []float64, p ConvParams) *Tensor {
 
 // Im2ColSlices is the element-type-generic im2col: it unrolls patches of
 // in into cols (fully overwritten, padding zeroed) for any scalar type.
-// The float kernels here and the F_p kernels in internal/nn share it so
-// the stride-1 window math — each output row collapses to one contiguous
-// copy with ox clamped so ix = ox·Stride + kx − Pad stays in [0, InW) —
-// is single-sourced.
+// Only the float kernels here build the patch matrix; at stride 1 each
+// output row collapses to one contiguous copy, with ox clamped so
+// ix = ox·Stride + kx − Pad stays in [0, InW). The F_p device kernels
+// never build it: internal/nn reads the patches through offset tables
+// (field.GatherMatMul).
 func Im2ColSlices[T any](cols []T, in []T, p ConvParams) {
 	var zero T
 	cpg := p.InC / p.Groups // channels per group
