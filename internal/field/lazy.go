@@ -351,52 +351,3 @@ func GetScratchVec(n int) Vec { return elemPool.Get(n) }
 
 // PutScratchVec returns a GetScratchVec buffer to the pool.
 func PutScratchVec(v Vec) { elemPool.Put(v) }
-
-// Arena is a bump allocator for field vectors with stable backing arrays:
-// Vec hands out zeroed subslices of large blocks, Reset recycles them all
-// at once. A steady-state caller that requests the same vector sequence
-// every step allocates only on its first pass — afterwards the blocks are
-// simply re-sliced, which is what keeps the TEE-side encode→decode loop
-// allocation-free. Vectors obtained from an Arena are invalidated by Reset;
-// they must not be retained across it (hand long-lived copies out with
-// Clone). An Arena is not safe for concurrent use.
-type Arena struct {
-	blocks []Vec
-	block  int // index of the block currently served from
-	off    int // next free element in that block
-}
-
-// arenaBlock is the minimum size of a backing block.
-const arenaBlock = 1 << 16
-
-// Reset recycles every vector handed out since the last Reset.
-func (a *Arena) Reset() {
-	a.block = 0
-	a.off = 0
-}
-
-// RawVec returns a vector of length n backed by the arena WITHOUT zeroing
-// it — the caller must overwrite every element before reading. The
-// steady-state offload loop uses it for buffers that QuantizeInto,
-// RandVecInto and Combine overwrite unconditionally, saving one full
-// memset pass over all coded data per offload.
-func (a *Arena) RawVec(n int) Vec {
-	for {
-		if a.block < len(a.blocks) {
-			b := a.blocks[a.block]
-			if a.off+n <= len(b) {
-				v := b[a.off : a.off+n : a.off+n]
-				a.off += n
-				return v
-			}
-			a.block++
-			a.off = 0
-			continue
-		}
-		size := arenaBlock
-		if size < n {
-			size = n
-		}
-		a.blocks = append(a.blocks, make(Vec, size))
-	}
-}

@@ -39,7 +39,8 @@ type Device interface {
 	// (§6 "Encoded Data Storage During Forward Pass"). A training batch's
 	// stores live from its forward job to the end of the batch's flight,
 	// whose last job on each slot drops them (BlockFlight.Drop); inference
-	// reuses its keys, so each store overwrites the last.
+	// reuses its keys, so each store overwrites the last, in place: a key
+	// that already holds a vector of the same length reuses its buffer.
 	LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec
 	// GradWeights computes the bilinear gradient equation on a previously
 	// stored coded input (by key) and the combined delta it received.
@@ -74,8 +75,16 @@ func (d *honest) LinearForward(key string, kernel LinearKernel, x field.Vec) fie
 	// The device stores its own copy, modelling the device-resident tensor
 	// left behind by the PCIe transfer. The TEE reuses its coded-input
 	// buffers across offloads (arena-backed; see internal/sched), so
-	// retaining the caller's slice would alias freely mutated memory.
-	d.store[key] = x.Clone()
+	// retaining the caller's slice would alias freely mutated memory. A
+	// re-stored key of the same length is overwritten in place: inference
+	// re-stores the same keys on every batch, and nothing reads an
+	// inference store back.
+	s, ok := d.store[key]
+	if !ok || len(s) != len(x) {
+		s = field.GetScratchVec(len(x))
+		d.store[key] = s
+	}
+	copy(s, x)
 	d.traffic.BytesIn += int64(len(x)) * 4
 	d.traffic.Jobs++
 	d.mu.Unlock()
@@ -102,9 +111,15 @@ func (d *honest) GradWeights(key string, kernel BilinearKernel, delta field.Vec)
 	return y, nil
 }
 
+// Drop returns the store's buffer to the field scratch pool. A slot runs
+// its jobs in order, so a flight drops a store only after every job of the
+// flight that reads it.
 func (d *honest) Drop(key string) {
 	d.mu.Lock()
-	delete(d.store, key)
+	if s, ok := d.store[key]; ok {
+		delete(d.store, key)
+		field.PutScratchVec(s)
+	}
 	d.mu.Unlock()
 }
 

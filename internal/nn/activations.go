@@ -37,14 +37,35 @@ func (r *ReLU) Stats() []LayerStat {
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
-	r.mask = make([]bool, x.Size())
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		}
-	}
+	r.ForwardInto(out, x, train)
 	return out
+}
+
+// ForwardInto implements Resident; training records the pass mask.
+//
+//darknight:hotpath
+func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, train bool) {
+	out := dst.Data[:len(x.Data)]
+	if !train {
+		for i, v := range x.Data {
+			if v > 0 {
+				out[i] = v
+			} else {
+				out[i] = 0
+			}
+		}
+		return
+	}
+	r.mask = resize(r.mask, len(x.Data))
+	for i, v := range x.Data {
+		pass := v > 0
+		if pass {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+		r.mask[i] = pass
+	}
 }
 
 // Backward implements Layer.
@@ -91,9 +112,21 @@ func (m *MaxPool) Stats() []LayerStat {
 
 // Forward implements Layer.
 func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out, argmax := tensor.MaxPool2D(x.Data, m.p)
-	m.argmax = argmax
-	return tensor.FromSlice(out, m.p.C, m.p.OutH(), m.p.OutW())
+	out := tensor.New(m.OutShape()...)
+	m.ForwardInto(out, x, train)
+	return out
+}
+
+// ForwardInto implements Resident; training records each window's argmax.
+//
+//darknight:hotpath
+func (m *MaxPool) ForwardInto(dst, x *tensor.Tensor, train bool) {
+	var argmax []int
+	if train {
+		m.argmax = resize(m.argmax, len(dst.Data))
+		argmax = m.argmax
+	}
+	tensor.MaxPool2DInto(dst.Data, argmax, x.Data, m.p)
 }
 
 // Backward implements Layer.
@@ -134,8 +167,16 @@ func (a *AvgPool) Stats() []LayerStat {
 
 // Forward implements Layer.
 func (a *AvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.AvgPool2D(x.Data, a.p)
-	return tensor.FromSlice(out, a.p.C, a.p.OutH(), a.p.OutW())
+	out := tensor.New(a.OutShape()...)
+	a.ForwardInto(out, x, train)
+	return out
+}
+
+// ForwardInto implements Resident; the layer keeps no backward state.
+//
+//darknight:hotpath
+func (a *AvgPool) ForwardInto(dst, x *tensor.Tensor, train bool) {
+	tensor.AvgPool2DInto(dst.Data, x.Data, a.p)
 }
 
 // Backward implements Layer.
@@ -172,10 +213,35 @@ func (f *Flatten) Stats() []LayerStat {
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if int64(x.Size()) != prod(f.inShape) {
-		panic(fmt.Sprintf("nn: %s input size %d, want %d", f.name, x.Size(), prod(f.inShape)))
+	out := tensor.New(f.OutShape()...)
+	f.ForwardInto(out, x, train)
+	return out
+}
+
+// ForwardInto implements Resident: x's elements, in order, under the flat
+// shape. The layer keeps no backward state.
+//
+//darknight:hotpath
+func (f *Flatten) ForwardInto(dst, x *tensor.Tensor, train bool) {
+	checkSize(f.name, x.Size(), len(dst.Data))
+	copy(dst.Data, x.Data)
+}
+
+// checkSize panics when a layer is handed an input of the wrong size.
+func checkSize(name string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("nn: %s input size %d, want %d", name, got, want))
 	}
-	return x.Reshape(x.Size())
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short: a layer's backward state is rewritten by every training forward,
+// so the buffer of the last one is reused.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Backward implements Layer.

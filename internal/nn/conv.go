@@ -64,7 +64,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Size() != c.InLen() {
 		panic(fmt.Sprintf("nn: %s input size %d, want %d", c.name, x.Size(), c.InLen()))
 	}
-	c.lastIn = x
+	if train {
+		c.lastIn = x
+	}
 	return tensor.Conv2D(x.Data, c.w.W, c.b.W.Data, c.p)
 }
 
@@ -110,21 +112,24 @@ func (c *Conv2D) LinearForwardFloat(x []float64) []float64 {
 // LinearForwardField implements Linear: the convolution evaluated exactly
 // over F_p on quantized weights and (possibly coded) quantized inputs —
 // the kernel a DarKnight GPU worker runs: per group, the weights times the
-// patch matrix (k over the patch rows, columns over the pixels).
+// patch matrix (k over the patch rows, columns over the pixels). The
+// result comes from the field scratch pool; its consumer may return it.
 //
 //darknight:hotpath
 func (c *Conv2D) LinearForwardField(wq, x field.Vec) field.Vec {
-	//lint:ignore hotpathalloc the output vector escapes to the GPU flight; one make per dispatch by design
-	out := make(field.Vec, c.p.OutC*len(c.plan.pixOff))
+	out := field.GetScratchVec(c.p.OutC * len(c.plan.pixOff))
 	return c.gatherGEMM(out, wq, x, c.plan.rowOff, c.plan.pixOff)
 }
 
 // GradWeightsField implements Linear: dW = delta · colsᵀ over F_p, where
 // delta is the (scaled, combined) output gradient [OutC×OutH×OutW] and x is
 // the (coded) layer input. It is LinearForwardField's product with the
-// roles swapped: k over the pixels, columns over the patch rows.
+// roles swapped: k over the pixels, columns over the patch rows. The
+// result comes from the field scratch pool.
+//
+//darknight:hotpath
 func (c *Conv2D) GradWeightsField(delta, x field.Vec) field.Vec {
-	out := make(field.Vec, c.p.OutC*len(c.plan.rowOff))
+	out := field.GetScratchVec(c.p.OutC * len(c.plan.rowOff))
 	return c.gatherGEMM(out, delta, x, c.plan.pixOff, c.plan.rowOff)
 }
 

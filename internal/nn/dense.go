@@ -54,7 +54,9 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Size() != d.in {
 		panic(fmt.Sprintf("nn: %s input size %d, want %d", d.name, x.Size(), d.in))
 	}
-	d.lastIn = x
+	if train {
+		d.lastIn = x
+	}
 	y := d.LinearForwardFloat(x.Data)
 	for i := range y {
 		y[i] += d.b.W.Data[i]
@@ -104,26 +106,30 @@ func (d *Dense) LinearForwardFloat(x []float64) []float64 {
 	return tensor.MatVecInto(make([]float64, d.out), d.w.W, x)
 }
 
-// LinearForwardField implements Linear over F_p.
+// LinearForwardField implements Linear over F_p. The result comes from
+// the field scratch pool; its consumer may return it.
 //
 //darknight:hotpath
 func (d *Dense) LinearForwardField(wq, x field.Vec) field.Vec {
-	//lint:ignore hotpathalloc the output vector escapes to the caller; one make per dispatch by design
-	y := make(field.Vec, d.out)
+	y := field.GetScratchVec(d.out)
 	for i := 0; i < d.out; i++ {
 		y[i] = field.Dot(wq[i*d.in:(i+1)*d.in], x)
 	}
 	return y
 }
 
-// GradWeightsField implements Linear: flat outer product delta ⊗ x.
+// GradWeightsField implements Linear: flat outer product delta ⊗ x. The
+// result comes from the field scratch pool.
+//
+//darknight:hotpath
 func (d *Dense) GradWeightsField(delta, x field.Vec) field.Vec {
-	out := make(field.Vec, d.out*d.in)
+	out := field.GetScratchVec(d.out * d.in)
 	for i, dv := range delta {
+		row := out[i*d.in : (i+1)*d.in]
 		if dv == 0 {
+			clear(row)
 			continue
 		}
-		row := out[i*d.in : (i+1)*d.in]
 		for j, xv := range x {
 			row[j] = field.Mul(dv, xv)
 		}

@@ -77,8 +77,9 @@ type Layer interface {
 	Name() string
 	// OutShape returns the layer's output geometry.
 	OutShape() []int
-	// Forward computes the layer output, caching whatever Backward needs.
-	// train toggles training-time behaviour (batch-norm statistics).
+	// Forward computes the layer output. train toggles training-time
+	// behaviour (batch-norm statistics) and caches whatever Backward needs;
+	// an inference forward caches nothing.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient w.r.t. the output, accumulates
 	// parameter gradients, and returns the gradient w.r.t. the input.
@@ -88,6 +89,21 @@ type Layer interface {
 	// Stats returns the analytic cost records (one per primitive op;
 	// composite layers return several).
 	Stats() []LayerStat
+}
+
+// Resident is implemented by the layers DarKnight keeps inside the TEE
+// (ReLU, MaxPool, AvgPool, BatchNorm, Flatten): their forward writes into a
+// tensor the caller supplies, so a runtime can hold a virtual batch's
+// activations in memory it recycles (internal/sched's lane arena). Forward
+// is ForwardInto on a fresh tensor.
+type Resident interface {
+	Layer
+	// ForwardInto writes the layer's output for x into dst, a tensor of the
+	// output's size whose every element is overwritten. In training mode
+	// it caches what Backward needs; in inference mode it records nothing,
+	// so an evaluation between a training forward and its Backward leaves
+	// that Backward's gradient alone.
+	ForwardInto(dst, x *tensor.Tensor, train bool)
 }
 
 // Linear is implemented by the bilinear layers (Dense, Conv2D) whose heavy

@@ -27,9 +27,7 @@ type BatchNorm struct {
 	// train-mode forwards in place of the layer (see StatsLog).
 	Log *StatsLog
 
-	// forward cache
-	lastIn *tensor.Tensor
-	mean   []float64
+	// backward state, recorded by training forwards
 	invStd []float64
 	normed []float64
 }
@@ -73,31 +71,52 @@ func (b *BatchNorm) Stats() []LayerStat {
 
 // Forward implements Layer.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return b.forward(x, train, train)
+	out := tensor.New(b.c, b.h, b.w)
+	b.ForwardInto(out, x, train)
+	return out
+}
+
+// ForwardInto implements Resident: training normalizes x by its own
+// statistics, records them for Backward and folds them into the running
+// ones; inference normalizes by the running statistics and records nothing.
+//
+//darknight:hotpath
+func (b *BatchNorm) ForwardInto(dst, x *tensor.Tensor, train bool) {
+	b.forwardInto(dst, x, train, train)
 }
 
 // Reprime restores layer's forward cache for the example x, as a
 // train-mode Forward leaves it, so that a Backward for x can follow. It is
 // for an example whose train-mode forward already ran: unlike Forward, it
 // folds nothing into a batch norm's running statistics, so each example
-// counts once per step however often its cache is restored.
+// counts once per step however often its cache is restored. The layer
+// must be Resident — a bilinear layer's backward runs on the coded path,
+// never from its cache — and its output goes to pooled scratch, since only
+// the cache is wanted.
 func Reprime(layer Layer, x *tensor.Tensor) {
+	r := layer.(Resident)
+	shape := layer.OutShape()
+	buf := tensor.GetScratch(int(prod(shape)))
+	dst := tensor.FromSlice(buf, shape...)
 	if b, ok := layer.(*BatchNorm); ok {
-		b.forward(x, true, false)
-		return
+		b.forwardInto(dst, x, true, false)
+	} else {
+		r.ForwardInto(dst, x, true)
 	}
-	layer.Forward(x, true)
+	tensor.PutScratch(buf)
 }
 
-// forward normalizes x by its own statistics (train) or the running ones,
-// and folds its statistics into the running ones when record is set.
-func (b *BatchNorm) forward(x *tensor.Tensor, train, record bool) *tensor.Tensor {
+// forwardInto normalizes x by its own statistics (train) or the running
+// ones into dst, and folds its statistics into the running ones when
+// record is set. Only training records the backward state.
+//
+//darknight:hotpath
+func (b *BatchNorm) forwardInto(dst, x *tensor.Tensor, train, record bool) {
 	plane := b.h * b.w
-	out := tensor.New(b.c, b.h, b.w)
-	b.lastIn = x
-	b.mean = make([]float64, b.c)
-	b.invStd = make([]float64, b.c)
-	b.normed = make([]float64, x.Size())
+	if train {
+		b.invStd = resize(b.invStd, b.c)
+		b.normed = resize(b.normed, x.Size())
+	}
 	for c := 0; c < b.c; c++ {
 		seg := x.Data[c*plane : (c+1)*plane]
 		var mean, variance float64
@@ -114,7 +133,7 @@ func (b *BatchNorm) forward(x *tensor.Tensor, train, record bool) *tensor.Tensor
 			switch {
 			case !record:
 			case b.Log != nil:
-				b.Log.updates = append(b.Log.updates, statsUpdate{b, c, mean, variance})
+				b.Log.add(b, c, mean, variance)
 			default:
 				b.updateRunning(c, mean, variance)
 			}
@@ -123,16 +142,23 @@ func (b *BatchNorm) forward(x *tensor.Tensor, train, record bool) *tensor.Tensor
 			variance = b.runVar[c]
 		}
 		inv := 1 / math.Sqrt(variance+b.eps)
-		b.mean[c] = mean
-		b.invStd[c] = inv
 		g, be := b.gamma.W.Data[c], b.beta.W.Data[c]
+		out := dst.Data[c*plane : (c+1)*plane]
+		if !train {
+			for i, v := range seg {
+				n := (v - mean) * inv
+				out[i] = g*n + be
+			}
+			continue
+		}
+		b.invStd[c] = inv
+		normed := b.normed[c*plane : (c+1)*plane]
 		for i, v := range seg {
 			n := (v - mean) * inv
-			b.normed[c*plane+i] = n
-			out.Data[c*plane+i] = g*n + be
+			normed[i] = n
+			out[i] = g*n + be
 		}
 	}
-	return out
 }
 
 // updateRunning folds one example's statistics of channel c into the
@@ -154,6 +180,11 @@ type statsUpdate struct {
 	b              *BatchNorm
 	c              int
 	mean, variance float64
+}
+
+// add holds back one update of channel c of b.
+func (l *StatsLog) add(b *BatchNorm, c int, mean, variance float64) {
+	l.updates = append(l.updates, statsUpdate{b, c, mean, variance})
 }
 
 // Apply folds the held updates into their layers' running statistics, in

@@ -26,6 +26,8 @@ const DefaultFracBits = 8
 type Quantizer struct {
 	fracBits uint
 	scale    float64 // 2^l
+	half     int64   // 2^(l-1), the rounding offset of the restore shift
+	inv      float64 // 2^-l
 }
 
 // New returns a Quantizer with the given number of fractional bits.
@@ -35,7 +37,8 @@ func New(fracBits uint) *Quantizer {
 	if fracBits < 1 || fracBits > 12 {
 		panic(fmt.Sprintf("quant: fracBits %d out of supported range [1,12]", fracBits))
 	}
-	return &Quantizer{fracBits: fracBits, scale: math.Ldexp(1, int(fracBits))}
+	scale := math.Ldexp(1, int(fracBits))
+	return &Quantizer{fracBits: fracBits, scale: scale, half: 1 << (fracBits - 1), inv: 1 / scale}
 }
 
 // Default returns the paper's l = 8 quantizer.
@@ -88,13 +91,18 @@ func (q *Quantizer) UnquantizeProductInto(dst []float64, v field.Vec) []float64 
 	if len(dst) != len(v) {
 		panic(fmt.Sprintf("quant: destination length %d != %d", len(dst), len(v)))
 	}
-	half := int64(1) << (q.fracBits - 1)
-	inv := 1 / q.scale
 	dst = dst[:len(v)]
 	for i, e := range v {
-		dst[i] = float64((field.Lift(e)+half)>>q.fracBits) * inv
+		dst[i] = q.Product(e)
 	}
 	return dst
+}
+
+// Product restores one element of a linear-operation result: the
+// per-element body of UnquantizeProductInto, for callers that fold further
+// steps into the same sweep (see internal/sched's restore).
+func (q *Quantizer) Product(e field.Elem) float64 {
+	return float64((field.Lift(e)+q.half)>>q.fracBits) * q.inv
 }
 
 // HeadroomBudget describes how large a coded dot product can grow before it

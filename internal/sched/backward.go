@@ -26,9 +26,11 @@ import (
 // TEE's own input-gradient chain produced, and the coded inputs the devices
 // stored during forward, so no device result is on the walk's critical path.
 // The settle stage then gathers, decodes and accumulates every shipped
-// layer in walk order. The first error in walk order is returned.
+// layer in walk order. The first error in walk order is returned. Nothing
+// reads the gradient with respect to the batch's inputs, so the walk does
+// not compute it.
 func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor) error {
-	_, err := e.backwardLayer(code, tr, grads)
+	_, err := e.backwardLayer(code, tr, grads, false)
 	var settleErr error
 	for i := range e.pending {
 		if settleErr = e.gatherBackward(code, &e.pending[i]); settleErr != nil {
@@ -43,30 +45,51 @@ func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor)
 	return err
 }
 
-// backwardLayer reverses forwardLayer, returning per-example input grads.
-// Bilinear layers are shipped onto e.pending, not gathered (see backward).
-func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// backwardLayer reverses forwardLayer, returning per-example input grads
+// when needInput is set and nil otherwise: the walk's lowest layers skip
+// the input gradient nobody reads. Bilinear layers are shipped onto
+// e.pending, not gathered (see backward).
+func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Tensor, needInput bool) ([]*tensor.Tensor, error) {
 	switch v := tr.layer.(type) {
 	case *nn.Sequential:
+		// Unless the caller wants the sequence's input gradient, the walk
+		// stops at the lowest child with parameters, which is asked for
+		// none: the children below it have nothing to accumulate.
+		lowest := 0
+		if !needInput {
+			lowest = len(tr.children)
+			for i, c := range tr.children {
+				if trainable(c) {
+					lowest = i
+					break
+				}
+			}
+		}
 		cur := grads
 		var err error
-		for i := len(tr.children) - 1; i >= 0; i-- {
-			if cur, err = e.backwardLayer(code, tr.children[i], cur); err != nil {
+		for i := len(tr.children) - 1; i >= lowest; i-- {
+			if cur, err = e.backwardLayer(code, tr.children[i], cur, needInput || i > lowest); err != nil {
 				return nil, err
 			}
 		}
+		if !needInput {
+			return nil, nil
+		}
 		return cur, nil
 	case *nn.Residual:
-		dBody, err := e.backwardLayer(code, tr.children[0], grads)
+		dBody, err := e.backwardLayer(code, tr.children[0], grads, needInput)
 		if err != nil {
 			return nil, err
 		}
 		dSkip := grads
 		if v.Skip() != nil {
-			dSkip, err = e.backwardLayer(code, tr.children[1], grads)
+			dSkip, err = e.backwardLayer(code, tr.children[1], grads, needInput)
 			if err != nil {
 				return nil, err
 			}
+		}
+		if !needInput {
+			return nil, nil
 		}
 		out := make([]*tensor.Tensor, len(grads))
 		for i := range out {
@@ -77,7 +100,10 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 		return out, nil
 	default:
 		if lin, ok := tr.layer.(nn.Linear); ok {
-			return e.offloadBackward(code, tr, lin, grads)
+			return e.offloadBackward(code, tr, lin, grads, needInput)
+		}
+		if !needInput && len(tr.layer.Params()) == 0 {
+			return nil, nil // nothing to accumulate, nothing asked for
 		}
 		out := make([]*tensor.Tensor, len(grads))
 		for i := range grads {
@@ -91,6 +117,23 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 		}
 		return out, nil
 	}
+}
+
+// trainable reports whether a traced layer, or any layer inside it, has
+// parameters whose gradients the backward pass accumulates.
+func trainable(tr *trace) bool {
+	if len(tr.children) > 0 {
+		for _, c := range tr.children {
+			if trainable(c) {
+				return true
+			}
+		}
+		return false
+	}
+	if _, ok := tr.layer.(nn.Linear); ok {
+		return true
+	}
+	return len(tr.layer.Params()) > 0
 }
 
 // bwdLayer is one shipped layer's backward state awaiting settlement: the
@@ -108,7 +151,7 @@ type bwdLayer struct {
 // offloadBackward ships one bilinear layer's weight-gradient equations
 // (Eq 4–6) down the batch's flight and queues the layer on e.pending for
 // backward to settle. grads is the gradient flowing into the layer; the
-// per-example input gradients below it are returned.
+// per-example input gradients below it are returned when needInput is set.
 //
 // The TEE stage — the bias gradient, delta quantization, the public Eq (4)
 // combinations and the input-gradient chain to the layer below — runs
@@ -124,7 +167,7 @@ type bwdLayer struct {
 // equation bakes its δ combination in), so tolerance is window-granular:
 // stragglers among either window's E exclusive slots are absorbed, and a
 // completed spare window doubles as verification.
-func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, cur []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, cur []*tensor.Tensor, needInput bool) ([]*tensor.Tensor, error) {
 	k := e.cfg.VirtualBatch
 	t0 := time.Now()
 	l := bwdLayer{tr: tr, lin: lin, sp: e.sp.Child("offload-backward")}
@@ -153,9 +196,12 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	}
 	// Input gradient: input-independent linear op, offloadable without
 	// coding (paper §4.2, computation (2)); computed here functionally.
-	next := make([]*tensor.Tensor, k)
-	for i := 0; i < k; i++ {
-		next[i] = lin.BackwardInputOnly(cur[i])
+	var next []*tensor.Tensor
+	if needInput {
+		next = make([]*tensor.Tensor, k)
+		for i := 0; i < k; i++ {
+			next[i] = lin.BackwardInputOnly(cur[i])
+		}
 	}
 	esp.End()
 	e.phases.Encode += time.Since(t0)
@@ -236,7 +282,9 @@ func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 			primPresent, secPresent = present[:code.S], present[code.S:]
 		}
 	}
-	if err = code.DecodeBackwardSubsetInto(sum, prim, sec, primPresent, secPresent); err != nil {
+	err = code.DecodeBackwardSubsetInto(sum, prim, sec, primPresent, secPresent)
+	recycle(eqs, present)
+	if err != nil {
 		return fmt.Errorf("sched: backward decode for %q: %w", l.tr.key, err)
 	}
 	dw := e.q.UnquantizeProductInto(e.floats(n), sum)

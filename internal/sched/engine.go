@@ -17,6 +17,7 @@ import (
 	"darknight/internal/nn"
 	"darknight/internal/obs"
 	"darknight/internal/quant"
+	"darknight/internal/scratch"
 	"darknight/internal/tensor"
 )
 
@@ -229,14 +230,18 @@ type engine struct {
 	// walk, in walk order, until backward settles them.
 	pending []bwdLayer
 
-	// Steady-state scratch. The engine is single-threaded, so one arena and
-	// one set of reusable buffers serve every offload: after the first pass
-	// over the model, the coding data path (quantized inputs, noise, coded
-	// vectors, quantized weights, decoded results) allocates nothing.
-	// Small per-offload allocations remain by design: the escaping output
-	// tensors, the kernel closure, and the per-batch masking.New (S×S
-	// scalar matrices, negligible next to the vectors).
-	arena    field.Arena
+	// Steady-state scratch. The engine is single-threaded, so one coded
+	// arena (reset per offload), the batch's activation memory (reset per
+	// batch) and one set of reusable buffers serve every offload: after the
+	// first batch of a model, the coding data path (quantized inputs, noise,
+	// coded vectors, quantized weights, decoded results) and the
+	// activations between offloads allocate nothing, and the device results
+	// go back to the kernels' pool once decoded. Small per-offload
+	// allocations remain by design: the kernel closure, the layer key, the
+	// gather's pending state, and the per-batch masking.New (S×S scalar
+	// matrices, negligible next to the vectors).
+	arena    scratch.Arena[field.Elem]
+	mem      batchMem
 	fscratch []float64   // normalized-float staging, grown to the largest layer
 	wsum     field.Vec   // a backward layer's decoded ▽W, grown to the largest layer
 	quantIn  []field.Vec // K reusable header slots
@@ -245,6 +250,52 @@ type engine struct {
 	decoded  []field.Vec // K slots
 	phases   PhaseStats
 }
+
+// batchMem is a lane's memory for one virtual batch: the activations the
+// TEE produces between offloads — restored bilinear outputs, resident layer
+// outputs and residual sums — with their tensor headers and the
+// per-layer sets that hold them. It is bump-allocated from arenas reset
+// when the lane starts its next batch (beginStep), so a batch's activations
+// live exactly as long as the batch and, after a model's first batch,
+// allocate nothing. What outlives the batch — a ticket's logits — is copied
+// out before the lane is released.
+type batchMem struct {
+	floats  scratch.Arena[float64]
+	headers scratch.Arena[tensor.Tensor]
+	sets    scratch.Arena[*tensor.Tensor]
+}
+
+func (m *batchMem) reset() {
+	m.floats.Reset()
+	m.headers.Reset()
+	m.sets.Reset()
+}
+
+// tensor returns a batch tensor of n elements (not cleared) under shape,
+// which it shares rather than copies.
+func (m *batchMem) tensor(shape []int, n int) *tensor.Tensor {
+	return m.header(shape, m.floats.Get(n))
+}
+
+// header returns a batch tensor header over data and shape, sharing both.
+func (m *batchMem) header(shape []int, data []float64) *tensor.Tensor {
+	t := &m.headers.Get(1)[0]
+	t.Shape, t.Data = shape, data
+	return t
+}
+
+// inputs wraps a virtual batch's images, without copying them, as the
+// batch's input tensors.
+func (m *batchMem) inputs(images [][]float64, shape []int) []*tensor.Tensor {
+	xs := m.set(len(images))
+	for i, img := range images {
+		xs[i] = m.header(shape, img)
+	}
+	return xs
+}
+
+// set returns a batch slice for k per-example tensors.
+func (m *batchMem) set(k int) []*tensor.Tensor { return m.sets.Get(k) }
 
 // slots returns *buf resized (without reallocation when possible) to k
 // header slots.
@@ -276,8 +327,10 @@ func (e *engine) lockTEE() {
 	}
 }
 
-// beginStep opens a fresh key namespace for one virtual batch.
+// beginStep opens a fresh key namespace for one virtual batch and recycles
+// the last batch's activation memory.
 func (e *engine) beginStep() {
+	e.mem.reset()
 	e.stepSeq++
 	e.linSeq = 0
 	e.stepCulprits = e.stepCulprits[:0]
@@ -352,9 +405,14 @@ func (e *engine) effectiveSlack() int {
 	return s
 }
 
-// forwardLayer recursively runs one layer for all K examples.
+// forwardLayer recursively runs one layer for all K examples, with the
+// outputs in the batch's memory. Training records the trace the backward
+// pass walks; inference records none (the trace is nil).
 func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, *trace, error) {
-	tr := &trace{layer: layer, inputs: append([]*tensor.Tensor(nil), xs...)}
+	var tr *trace
+	if train {
+		tr = &trace{layer: layer, inputs: xs}
+	}
 	if lin, ok := layer.(nn.Linear); ok {
 		outs, err := e.offloadForward(code, tr, lin, xs, train)
 		if err != nil {
@@ -370,7 +428,7 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 			if err != nil {
 				return nil, nil, err
 			}
-			tr.children = append(tr.children, childTr)
+			tr.add(childTr)
 			cur = out
 		}
 		return cur, tr, nil
@@ -379,7 +437,7 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 		if err != nil {
 			return nil, nil, err
 		}
-		tr.children = append(tr.children, bodyTr)
+		tr.add(bodyTr)
 		skip := xs
 		if v.Skip() != nil {
 			var skipTr *trace
@@ -387,23 +445,38 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 			if err != nil {
 				return nil, nil, err
 			}
-			tr.children = append(tr.children, skipTr)
+			tr.add(skipTr)
 		}
-		outs := make([]*tensor.Tensor, len(xs))
+		outs := e.mem.set(len(xs))
 		for i := range outs {
-			o := body[i].Clone()
+			o := e.mem.tensor(body[i].Shape, body[i].Size())
+			copy(o.Data, body[i].Data)
 			o.Add(skip[i])
 			outs[i] = o
 		}
 		return outs, tr, nil
-	default:
+	case nn.Resident:
 		// TEE-resident non-linear layer: per-example forward.
-		outs := make([]*tensor.Tensor, len(xs))
+		outs := e.mem.set(len(xs))
+		shape := v.OutShape()
+		n := size(shape)
 		for i := range xs {
-			outs[i] = layer.Forward(xs[i], train)
+			outs[i] = e.mem.tensor(shape, n)
+			v.ForwardInto(outs[i], xs[i], train)
 		}
 		return outs, tr, nil
+	default:
+		return nil, nil, fmt.Errorf("sched: layer %s is neither bilinear nor TEE-resident", layer.Name())
 	}
+}
+
+// size returns the element count of a shape.
+func size(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
 }
 
 // checkDeadline gates one layer's offload on the batch's deadline budget:
@@ -439,9 +512,9 @@ func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Ve
 // normalization factor of layer l+1's input is a function of layer l's
 // decoded output) and chaining products in the field would overflow the
 // 25-bit prime; what the shared flight amortizes is everything around the
-// math. All TEE-side intermediates live in the engine's arena (reset per
-// layer), so the steady-state loop allocates only the escaping output
-// tensors. In training mode the noise rows are additionally captured into
+// math. All TEE-side intermediates live in the engine's coded arena (reset
+// per layer), the restored outputs in the batch's memory, and the device
+// results go back to the kernels' pool once decoded. In training mode the noise rows are additionally captured into
 // the trace so a backward cache miss can re-create the device-side coded
 // inputs bit-identically (see refillStores).
 func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
@@ -449,13 +522,16 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 		return nil, err
 	}
 	e.linSeq++
-	tr.key = e.layerKey()
+	key := e.layerKey()
+	if tr != nil {
+		tr.key = key
+	}
 	if !e.reuseKeys {
-		e.stored = append(e.stored, tr.key)
+		e.stored = append(e.stored, key)
 	}
 	osp := e.sp.Child("offload")
 	if osp != nil {
-		osp.Annotate("key", tr.key)
+		osp.Annotate("key", key)
 		// Ending the offload span also ends any phase child left open by an
 		// error return, so the trace stays well formed on failures.
 		defer osp.End()
@@ -479,7 +555,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 		dsp.Annotatef("quorum", "%d/%d", quorum, code.NumCoded())
 	}
 	t1 := time.Now()
-	pend, err := e.flight.ForwardLayer(tr.key, func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }, enc.coded)
+	pend, err := e.flight.ForwardLayer(key, func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }, enc.coded)
 	if err != nil {
 		return nil, err
 	}
@@ -492,6 +568,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 	csp := osp.Child("decode")
 	t2 := time.Now()
 	decoded, err := e.decodeForward(code, csp, results, present)
+	recycle(results, present)
 	if err != nil {
 		return nil, err
 	}
@@ -500,6 +577,21 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 	e.phases.Offloads++
 	csp.End()
 	return outs, nil
+}
+
+// recycle returns a gathered layer's device results to the kernels'
+// scratch pool (field.GetScratchVec), once the decode, the audit and any
+// recovery have read them for the last time. Only the present responses
+// are the gatherer's to return: a laggard's late result lands in the
+// layer's pending state, never in the snapshot a quorum gather returned.
+// Results a flight gathers for any other purpose — a refill's identity
+// echo, which aliases its coded inputs — are never passed here.
+func recycle(results []field.Vec, present []bool) {
+	for j, r := range results {
+		if present == nil || present[j] {
+			field.PutScratchVec(r)
+		}
+	}
 }
 
 // layerKey names the current layer's coded inputs in device storage:
@@ -544,7 +636,7 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 		for j, v := range xs[i].Data {
 			scratch[j] = v / fx
 		}
-		quantIn[i] = e.q.QuantizeInto(e.arena.RawVec(n), scratch)
+		quantIn[i] = e.q.QuantizeInto(e.arena.Get(n), scratch)
 	}
 	wq := e.quantizeWeights(lin.WeightData(), fw)
 
@@ -571,12 +663,12 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 				Detail: fmt.Sprintf("pool empty for row length %d, inline fallback", n)})
 		}
 		for m := range noise {
-			noise[m] = field.RandVecInto(e.rng, e.arena.RawVec(n))
+			noise[m] = field.RandVecInto(e.rng, e.arena.Get(n))
 		}
 	}
 	coded := slots(&e.coded, code.NumCoded())
 	for j := range coded {
-		coded[j] = e.arena.RawVec(n)
+		coded[j] = e.arena.Get(n)
 	}
 	encErr := code.EncodeWith(coded, quantIn, noise)
 	if train && e.storesVolatile() {
@@ -649,7 +741,7 @@ func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []fiel
 	}
 	decoded := slots(&e.decoded, e.cfg.VirtualBatch)
 	for i := range decoded {
-		decoded[i] = e.arena.RawVec(outLen)
+		decoded[i] = e.arena.Get(outLen)
 	}
 	err := code.DecodeForwardSubsetInto(decoded, results, present)
 	if err == nil {
@@ -686,22 +778,36 @@ func (e *engine) cleanMask(n int, present []bool, culprits []int) []bool {
 	return e.clean
 }
 
-// restoreForward runs the restore stage: floats back from the field, undo
-// normalization, add the TEE-side bias. Outputs escape to the caller as
-// layer activations, so they are deliberately fresh allocations, not
-// arena memory.
+// restoreForward runs the restore stage in one sweep per example: floats
+// back from the field, the normalizations undone, the TEE-side bias added
+// (per element for a dense layer, per channel for a convolution). Each
+// rescaled product is rounded by an explicit float64 conversion, so no
+// platform can fuse it with the bias add into an FMA and change the bits
+// internal/spec/stack computes in three sweeps. The outputs are batch
+// memory.
+//
+//darknight:hotpath
 func (e *engine) restoreForward(lin nn.Linear, decoded []field.Vec, rescale float64) []*tensor.Tensor {
-	k := e.cfg.VirtualBatch
 	bias := lin.BiasData()
-	outShape := lin.OutShape()
-	outs := make([]*tensor.Tensor, k)
-	for i := 0; i < k; i++ {
-		y := e.q.UnquantizeProduct(decoded[i])
-		for j := range y {
-			y[j] *= rescale
+	shape := lin.OutShape()
+	outs := e.mem.set(len(decoded))
+	// A layer without bias restores as one plane with a zero bias: the
+	// restored products are never −0, so adding +0 changes no bit.
+	planes := max(len(bias), 1)
+	for i, v := range decoded {
+		y := e.mem.tensor(shape, len(v))
+		plane := len(v) / planes
+		for c := 0; c < planes; c++ {
+			b := 0.0
+			if len(bias) > 0 {
+				b = bias[c]
+			}
+			seg := y.Data[c*plane : (c+1)*plane]
+			for j, q := range v[c*plane : (c+1)*plane] {
+				seg[j] = float64(e.q.Product(q)*rescale) + b
+			}
 		}
-		addBias(y, bias, outShape)
-		outs[i] = tensor.FromSlice(y, outShape...)
+		outs[i] = y
 	}
 	return outs
 }
@@ -748,7 +854,7 @@ func (e *engine) floats(n int) []float64 {
 // arena-backed field vector. The result is only referenced by the dispatch
 // kernel closure, which completes before the next arena reset.
 func (e *engine) quantizeWeights(w []float64, fw float64) field.Vec {
-	wq := e.arena.RawVec(len(w))
+	wq := e.arena.Get(len(w))
 	if fw == 1 {
 		return e.q.QuantizeInto(wq, w)
 	}

@@ -144,14 +144,19 @@ func (p *Pipeline) run(lane *engine, images [][]float64, t *Ticket) {
 		err = lane.openBatchFlight()
 	}
 	if err == nil {
-		xs := make([]*tensor.Tensor, len(images))
-		for i := range images {
-			xs[i] = tensor.FromSlice(images[i], p.model.InShape...)
-		}
 		lane.lockTEE()
-		t.logits, _, err = lane.forwardLayer(code, p.model.Stack, xs, false)
+		var logits []*tensor.Tensor
+		logits, _, err = lane.forwardLayer(code, p.model.Stack, lane.mem.inputs(images, p.model.InShape), false)
 		t.culprits = append([]int(nil), lane.stepCulprits...)
 		p.tee.Unlock()
+		if err == nil {
+			// The logits are the lane's batch memory, recycled by its next
+			// batch: the ticket keeps copies.
+			t.logits = make([]*tensor.Tensor, len(logits))
+			for i, l := range logits {
+				t.logits[i] = l.Clone()
+			}
+		}
 	}
 	lane.endBatchFlight()
 	if err == nil {

@@ -149,6 +149,13 @@ type trace struct {
 	noise []field.Vec
 }
 
+// add appends a child's trace; a nil (inference) trace records nothing.
+func (t *trace) add(child *trace) {
+	if t != nil {
+		t.children = append(t.children, child)
+	}
+}
+
 // sharedNormFactor returns the common dynamic-normalization divisor for a
 // set of tensors: max(1, max_i MaxAbs(x_i)/limit).
 func sharedNormFactor(xs []*tensor.Tensor, limit float64) float64 {
@@ -176,26 +183,4 @@ func maxAbs(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// addBias adds a per-channel (conv) or per-element (dense) bias in place.
-func addBias(y []float64, bias []float64, outShape []int) {
-	if bias == nil {
-		return
-	}
-	if len(bias) == len(y) {
-		for i := range y {
-			y[i] += bias[i]
-		}
-		return
-	}
-	// Conv layout: [C, H, W] with one bias per channel.
-	plane := len(y) / len(bias)
-	for c := range bias {
-		b := bias[c]
-		seg := y[c*plane : (c+1)*plane]
-		for i := range seg {
-			seg[i] += b
-		}
-	}
 }

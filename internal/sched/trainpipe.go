@@ -289,9 +289,9 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 	}
 	if err == nil {
 		k := lane.cfg.VirtualBatch
-		xs := make([]*tensor.Tensor, k)
+		images := make([][]float64, k)
 		for i := range examples {
-			xs[i] = tensor.FromSlice(examples[i].Image, p.model.InShape...)
+			images[i] = examples[i].Image
 		}
 		// The lane's accumulators are touched only while it holds the token,
 		// except here: no other goroutine references them while the lane is
@@ -303,7 +303,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 		lane.lockTEE()
 		var logits []*tensor.Tensor
 		var tr *trace
-		logits, tr, err = lane.forwardLayer(code, p.model.Stack, xs, true)
+		logits, tr, err = lane.forwardLayer(code, p.model.Stack, lane.mem.inputs(images, p.model.InShape), true)
 		if err == nil {
 			grads := make([]*tensor.Tensor, k)
 			var total float64

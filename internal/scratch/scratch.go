@@ -68,3 +68,52 @@ func (p *Pool[T]) Put(s []T) {
 	*b = s[:cap(s)]
 	p.classes[c].Put(b)
 }
+
+// Arena is a bump allocator over stable backing blocks, for buffers that
+// share one lifetime: Get hands out subslices of large blocks, Reset
+// recycles them all at once (Hanson's regions, "Fast allocation and
+// deallocation of memory based on object lifetimes", SP&E 1990). A caller
+// that requests the same sequence of sizes every lifetime allocates only on
+// its first pass; afterwards the blocks are simply re-sliced, so the block
+// sizes come from the workload itself. Slices obtained from an Arena are
+// invalidated by Reset and must not be retained across it. An Arena is not
+// safe for concurrent use; the zero value is ready to use.
+type Arena[T any] struct {
+	blocks [][]T
+	block  int // index of the block currently served from
+	off    int // next free element in that block
+}
+
+// arenaBlock is the length of an Arena's first backing block; each later
+// block is at least twice the one before.
+const arenaBlock = 1 << 10
+
+// Reset recycles every slice handed out since the last Reset.
+func (a *Arena[T]) Reset() {
+	a.block = 0
+	a.off = 0
+}
+
+// Get returns a length-n slice backed by the arena WITHOUT clearing it: the
+// caller must overwrite every element before reading it. Its capacity is
+// n, so an append cannot spill into the next slice.
+func (a *Arena[T]) Get(n int) []T {
+	for {
+		if a.block < len(a.blocks) {
+			b := a.blocks[a.block]
+			if a.off+n <= len(b) {
+				s := b[a.off : a.off+n : a.off+n]
+				a.off += n
+				return s
+			}
+			a.block++
+			a.off = 0
+			continue
+		}
+		size := arenaBlock
+		if len(a.blocks) > 0 {
+			size = 2 * len(a.blocks[len(a.blocks)-1])
+		}
+		a.blocks = append(a.blocks, make([]T, max(size, n)))
+	}
+}

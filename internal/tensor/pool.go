@@ -15,13 +15,16 @@ func (p PoolParams) OutH() int { return (p.InH-p.K)/p.Stride + 1 }
 // OutW returns the pooled width.
 func (p PoolParams) OutW() int { return (p.InW-p.K)/p.Stride + 1 }
 
-// MaxPool2D pools in and also returns the argmax indices (into the input
-// plane) that the backward pass routes gradients through. MaxPool is one of
-// the non-linear ops DarKnight keeps inside the TEE.
-func MaxPool2D(in []float64, p PoolParams) (out []float64, argmax []int) {
+// MaxPool2DInto max-pools in into out (OutH·OutW per channel) and, when
+// argmax is non-nil, records there the index (into the input plane) of
+// each window's maximum, which the backward pass routes gradients through.
+// MaxPool is one of the non-linear ops DarKnight keeps inside the TEE.
+// Every element of out and argmax is overwritten.
+//
+//darknight:hotpath
+func MaxPool2DInto(out []float64, argmax []int, in []float64, p PoolParams) {
 	oh, ow := p.OutH(), p.OutW()
-	out = make([]float64, p.C*oh*ow)
-	argmax = make([]int, p.C*oh*ow)
+	out = out[:p.C*oh*ow]
 	for c := 0; c < p.C; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -40,11 +43,12 @@ func MaxPool2D(in []float64, p PoolParams) (out []float64, argmax []int) {
 				}
 				o := (c*oh+oy)*ow + ox
 				out[o] = best
-				argmax[o] = bestIdx
+				if argmax != nil {
+					argmax[o] = bestIdx
+				}
 			}
 		}
 	}
-	return out, argmax
 }
 
 // MaxPool2DBackward scatters gout through the stored argmax indices.
@@ -56,11 +60,13 @@ func MaxPool2DBackward(gout []float64, argmax []int, p PoolParams) []float64 {
 	return din
 }
 
-// AvgPool2D average-pools in (used by ResNet/MobileNet global pooling when
-// K equals the spatial extent).
-func AvgPool2D(in []float64, p PoolParams) []float64 {
+// AvgPool2DInto average-pools in into out (used by ResNet/MobileNet
+// global pooling when K equals the spatial extent). Every element of out is
+// overwritten.
+//
+//darknight:hotpath
+func AvgPool2DInto(out, in []float64, p PoolParams) {
 	oh, ow := p.OutH(), p.OutW()
-	out := make([]float64, p.C*oh*ow)
 	norm := 1.0 / float64(p.K*p.K)
 	for c := 0; c < p.C; c++ {
 		for oy := 0; oy < oh; oy++ {
@@ -77,7 +83,6 @@ func AvgPool2D(in []float64, p PoolParams) []float64 {
 			}
 		}
 	}
-	return out
 }
 
 // AvgPool2DBackward spreads gout uniformly across each pooling window.

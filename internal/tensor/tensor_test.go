@@ -229,7 +229,8 @@ func TestMaxPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}
-	out, argmax := MaxPool2D(in, p)
+	out, argmax := make([]float64, 4), make([]int, 4)
+	MaxPool2DInto(out, argmax, in, p)
 	want := []float64{6, 8, 14, 16}
 	for i := range want {
 		if out[i] != want[i] {
@@ -258,7 +259,8 @@ func TestAvgPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}
-	out := AvgPool2D(in, p)
+	out := make([]float64, 4)
+	AvgPool2DInto(out, in, p)
 	want := []float64{3.5, 5.5, 11.5, 13.5}
 	for i := range want {
 		if out[i] != want[i] {
