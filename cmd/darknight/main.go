@@ -166,9 +166,6 @@ func cmdTrain(args []string) {
 	elapsed := time.Since(start)
 	ph := sys.TrainPhases()
 	fmt.Printf("trained in %v; offloads %d, overlap ratio %.2f\n", elapsed.Round(time.Millisecond), ph.Offloads, ph.Overlap())
-	if refills := sys.CacheRefills(); refills > 0 {
-		fmt.Printf("backward cache refills: %d (devices replaced between forward and backward)\n", refills)
-	}
 	if *fleetFlag {
 		fst := sys.FleetStats()
 		fmt.Printf("fleet: %d quarantine events, %d straggler events, %d devices\n",

@@ -218,8 +218,8 @@ func NewSystem(model *Model, cfg Config) (*System, error) {
 }
 
 // registerMetrics exports the training-path counters as scrape-time
-// closures: phase breakdown, offload count, cache refills, noise-pool
-// hit/miss accounting.
+// closures: phase breakdown, offload count, noise-pool hit/miss
+// accounting.
 func (s *System) registerMetrics(r *obs.Registry) {
 	r.SampleFunc("darknight_train_phase_seconds_total",
 		"Cumulative TEE-side time by phase across training offloads.", "counter",
@@ -235,9 +235,6 @@ func (s *System) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("darknight_train_offloads_total",
 		"Bilinear-layer offload dispatches on the training path.",
 		func() float64 { return float64(s.TrainPhases().Offloads) })
-	r.CounterFunc("darknight_train_cache_refills_total",
-		"Backward dispatches that re-created the device-side coded-input cache.",
-		func() float64 { return float64(s.CacheRefills()) })
 	sched.RegisterPoolMetrics(r, s.pipe.PoolStats)
 }
 
@@ -343,11 +340,6 @@ func (s *System) TrainBatchStats(batch []Example) (float64, AggregationStats, er
 // TrainPhases returns the training path's phase breakdown, summed across
 // its lanes.
 func (s *System) TrainPhases() TrainPhaseStats { return s.pipe.PhaseStats() }
-
-// CacheRefills counts backward dispatches that had to re-create the
-// device-side coded-input cache (devices replaced or reshuffled between a
-// batch's forward and backward passes — quarantines, probation swaps).
-func (s *System) CacheRefills() int64 { return s.pipe.CacheRefills() }
 
 // FleetStats returns the training fleet's health snapshot (zero value when
 // ManagedFleet is off).

@@ -35,7 +35,6 @@ var Canonical = map[string]bool{
 	// training facade.
 	"darknight_train_phase_seconds_total": true,
 	"darknight_train_offloads_total":      true,
-	"darknight_train_cache_refills_total": true,
 
 	// obs: process and SLO.
 	"darknight_build_info":         true,

@@ -58,7 +58,6 @@ func newGrant(m *Manager, t *tenant, ids []int) *Grant {
 		faulted:   make([]bool, len(ids)),
 	}
 	g.hooks = gpu.BlockOptions{
-		MapKey:         gpu.SlotKey,
 		Observe:        g.record,
 		Straggler:      g.straggle,
 		Spare:          g.spare,
@@ -101,13 +100,13 @@ func (g *Grant) straggle(slot int) {
 }
 
 // BeginBlock opens a gang flight on the first n slots of the grant — the
-// only way the grant's devices are reached. Coded inputs are stored under
-// slot-scoped keys (gpu.SlotKey), so a device that joins a later gang at a
-// different slot misses cleanly on backward instead of serving another
-// slot's tensor. Every job's response latency feeds the health EWMA, slots
-// a quorum gather returned without are branded stragglers, and — when the
-// manager's SpeculateAfter window is set — a forward layer's lagging share
-// is re-dispatched to a borrowed spare device, first response winning.
+// only way the grant's devices are reached. Every job's response latency
+// feeds the health EWMA, slots a quorum gather returned without are
+// branded stragglers, and — when the manager's SpeculateAfter window is
+// set — a forward layer's lagging share is re-dispatched to a borrowed
+// spare device, first response winning. A batch's coded inputs are stored
+// under its own keys and dropped when its flight ends, and Release waits
+// for the flight, so no later gang reaches them.
 //
 // Bookkeeping is per flight, not per layer: a virtual batch's flight counts
 // once toward Stats.AsyncDispatches and PeakOverlap, however many layers it

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,13 +30,9 @@ type BlockFlight struct {
 	ended bool
 }
 
-// BlockOptions customizes a flight's key mapping and accounting hooks; the
-// zero value dispatches with raw keys and no observation.
+// BlockOptions customizes a flight's accounting hooks; the zero value
+// dispatches with no observation.
 type BlockOptions struct {
-	// MapKey rewrites a logical tensor key for one slot's device store.
-	// nil keeps the key as-is (the bare-cluster convention; the fleet maps
-	// through SlotKey so rotated devices never collide).
-	MapKey func(key string, slot int) string
 	// Observe, when non-nil, receives each completed job's response latency,
 	// measured from the moment its layer was shipped — the fleet's health
 	// EWMA feed.
@@ -127,32 +124,22 @@ func NewBlockFlight(trips []DeviceTrip, opts BlockOptions) *BlockFlight {
 //lint:ignore testonly the leasepair corpus and its seeded mutant in tree_test.go typecheck against it
 func (f *BlockFlight) Slots() int { return len(f.slots) }
 
-// storeKey maps a logical tensor key to the key one slot's device stores
-// it under.
-func (f *BlockFlight) storeKey(key string, slot int) string {
-	if f.opts.MapKey != nil {
-		return f.opts.MapKey(key, slot)
-	}
-	return key
-}
-
 // Drop has every slot forget the coded inputs stored under the logical
 // keys — the end of a training batch's device memory (§6: a batch's coded
 // inputs are kept only until its backward pass has read them). The drop
 // rides each slot's FIFO behind every job already shipped, so a quorum
 // laggard's late store cannot outlive it, and End waits for it on the
 // slots it drains. It is bookkeeping, not a device job: no traffic is
-// counted.
+// counted. Drop owns a copy of keys, shared by every slot: a slot that may
+// block runs its drop after End has returned and the caller has reused
+// the slice.
 func (f *BlockFlight) Drop(keys []string) {
 	if len(keys) == 0 {
 		return
 	}
+	keys = slices.Clone(keys)
 	for i := range f.slots {
-		slotKeys := make([]string, len(keys))
-		for j, key := range keys {
-			slotKeys[j] = f.storeKey(key, i)
-		}
-		f.slots[i].enqueue(job{drop: slotKeys})
+		f.slots[i].enqueue(job{drop: keys})
 	}
 }
 
@@ -307,7 +294,7 @@ func (p *LayerPending) slot(entry int) int {
 // reads it, and no flight owns the spare to drop it later.
 func (p *LayerPending) run(trip DeviceTrip, entry int, x field.Vec, suffix string, done func()) {
 	slot := p.slot(entry)
-	key := p.f.storeKey(p.key, slot) + suffix
+	key := p.key + suffix
 	var (
 		y   field.Vec
 		err error
@@ -387,8 +374,7 @@ func (p *LayerPending) Wait() ([]field.Vec, error) {
 // time — the returned slices are snapshots they never touch, but the
 // layer's operands and everything its kernel references must stay
 // unmodified for as long as a straggler may run. When every job has
-// answered and no window reached q, the per-slot errors fold through
-// FoldSlotErrors.
+// answered and no window reached q, the error is the lowest failed slot's.
 func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool, error) {
 	if q <= 0 || q > p.window {
 		q = p.window
@@ -433,18 +419,19 @@ func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool, error) {
 	return results, present, nil
 }
 
-// foldErrors folds the jobs' errors by gang slot. Caller holds mu.
+// foldErrors returns the error of the lowest gang slot that failed a job
+// (its primary equation's, when it serves both windows). Caller holds mu.
 func (p *LayerPending) foldErrors() error {
-	bySlot := make([]error, len(p.f.slots))
+	first, low := -1, len(p.f.slots)
 	for entry, err := range p.errs {
-		if err != nil {
-			bySlot[p.slot(entry)] = err
+		if slot := p.slot(entry); err != nil && slot < low {
+			first, low = entry, slot
 		}
 	}
-	if err := FoldSlotErrors(bySlot); err != nil {
-		return err
+	if first < 0 {
+		return fmt.Errorf("gpu: layer %q incomplete with no device errors (bug)", p.key)
 	}
-	return fmt.Errorf("gpu: layer %q incomplete with no device errors (bug)", p.key)
+	return p.errs[first]
 }
 
 // speculate re-dispatches every still-lagging coded share to a borrowed
@@ -470,8 +457,8 @@ func (p *LayerPending) speculate() {
 	}
 }
 
-// BeginBlock opens a flight over the first n devices of the cluster, with
-// raw storage keys: slot i is device i for the cluster's lifetime.
+// BeginBlock opens a flight over the first n devices of the cluster: slot
+// i is device i.
 func (c *Cluster) BeginBlock(n int) (*BlockFlight, error) {
 	if n > len(c.devices) {
 		return nil, fmt.Errorf("gpu: flight of %d slots for %d devices", n, len(c.devices))

@@ -185,26 +185,25 @@ func TestFlightBackwardWindows(t *testing.T) {
 	})
 }
 
-// TestFlightFoldsSlotErrors is the one slot-error fold, seen through a
-// flight: all-miss failures become a MissingStoreError naming the slots;
-// any other failure wins, even when another slot misses.
+// TestFlightFoldsSlotErrors: a layer that no window completes fails with
+// the lowest failed slot's error, whatever kinds of error the slots
+// returned — a missing store ranks no lower than any other fault.
 func TestFlightFoldsSlotErrors(t *testing.T) {
 	boom := errors.New("device fell off the bus")
-	miss := fmt.Errorf("gpu 7: %w", ErrNoStored)
+	miss := func(slot int) error { return fmt.Errorf("gpu %d: %w", slot, ErrNoStored) }
 	for _, c := range []struct {
-		name      string
-		errs      map[int]error
-		dual      bool
-		wantBoom  bool
-		wantSlots []int
+		name string
+		errs map[int]error
+		dual bool
+		low  int // the slot whose error the layer must fail with
 	}{
-		{name: "one miss", errs: map[int]error{2: miss}, wantSlots: []int{2}},
-		{name: "two misses", errs: map[int]error{0: miss, 2: miss}, wantSlots: []int{0, 2}},
-		{name: "real error beside a miss", errs: map[int]error{0: miss, 2: boom}, wantBoom: true},
-		{name: "miss beside a real error", errs: map[int]error{0: boom, 2: miss}, wantBoom: true},
+		{name: "one miss", errs: map[int]error{2: miss(2)}, low: 2},
+		{name: "two misses", errs: map[int]error{0: miss(0), 2: miss(2)}, low: 0},
+		{name: "real error beside a miss", errs: map[int]error{0: miss(0), 2: boom}, low: 0},
+		{name: "miss beside a real error", errs: map[int]error{0: boom, 2: miss(2)}, low: 0},
 		// Slot 2 is in both windows of S=3, E=2: neither can complete.
-		{name: "dual windows, shared slot misses", errs: map[int]error{2: miss}, dual: true, wantSlots: []int{2}},
-		{name: "dual windows, real error and miss", errs: map[int]error{1: miss, 2: boom, 3: miss}, dual: true, wantBoom: true},
+		{name: "dual windows, shared slot misses", errs: map[int]error{2: miss(2)}, dual: true, low: 2},
+		{name: "dual windows, real error and miss", errs: map[int]error{1: miss(1), 2: boom, 3: miss(3)}, dual: true, low: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			const s, e = 3, 2
@@ -230,24 +229,8 @@ func TestFlightFoldsSlotErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = p.WaitQuorum(s)
-			if c.wantBoom {
-				if !errors.Is(err, boom) {
-					t.Fatalf("err = %v, want the device error", err)
-				}
-				return
-			}
-			var me *MissingStoreError
-			if !errors.As(err, &me) || !errors.Is(err, ErrNoStored) {
-				t.Fatalf("err = %v, want *MissingStoreError", err)
-			}
-			if len(me.Slots) != len(c.wantSlots) {
-				t.Fatalf("missing slots %v, want %v", me.Slots, c.wantSlots)
-			}
-			for i := range me.Slots {
-				if me.Slots[i] != c.wantSlots[i] {
-					t.Fatalf("missing slots %v, want %v", me.Slots, c.wantSlots)
-				}
+			if _, _, err = p.WaitQuorum(s); !errors.Is(err, c.errs[c.low]) {
+				t.Fatalf("err = %v, want slot %d's %v", err, c.low, c.errs[c.low])
 			}
 		})
 	}
@@ -386,14 +369,13 @@ func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 
 // TestFlightDropRidesBehindLaggard: a drop shipped while a quorum laggard
 // still has its forward job queued runs after that job — the late store
-// cannot outlive it — on every slot, through the flight's key mapping,
-// and without counting as a device job.
+// cannot outlive it — on every slot, and without counting as a device job.
 func TestFlightDropRidesBehindLaggard(t *testing.T) {
 	const n = 3
 	gate := make(chan struct{})
 	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
 	lagging := &scriptTrip{DeviceTrip: BeginTrip(devs[1]), gate: gate}
-	f := NewBlockFlight([]DeviceTrip{BeginTrip(devs[0]), lagging, BeginTrip(devs[2])}, BlockOptions{MapKey: SlotKey})
+	f := NewBlockFlight([]DeviceTrip{BeginTrip(devs[0]), lagging, BeginTrip(devs[2])}, BlockOptions{})
 	ident := func(x field.Vec) field.Vec { return x }
 	for _, key := range []string{"step1/lin1", "step1/lin2"} {
 		p, err := f.ForwardLayer(key, ident, vecs(n, 5))
@@ -427,6 +409,34 @@ func TestFlightDropRidesBehindLaggard(t *testing.T) {
 	}
 }
 
+// TestFlightDropOwnsKeys: Drop copies the caller's key list. A slot whose
+// trip may block runs its drop after End has returned, by which time the
+// caller has cleared the slice for its next batch; the drop must still
+// forget the keys it was given.
+func TestFlightDropOwnsKeys(t *testing.T) {
+	gate := make(chan struct{})
+	dev := NewHonest(0)
+	gated := &scriptTrip{DeviceTrip: BeginTrip(dev), gate: gate}
+	f := NewBlockFlight([]DeviceTrip{gated}, BlockOptions{})
+	keys := []string{"step1/lin1", "step1/lin2"}
+	for _, key := range keys {
+		if _, err := f.ForwardLayer(key, func(x field.Vec) field.Vec { return x }, vecs(1, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Drop(keys)
+	clear(keys)
+	f.End() // does not drain the gated slot
+	close(gate)
+	deadline := time.Now().Add(10 * time.Second)
+	for (gated.jobs.Load() < 2 || dev.Stored() != 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if s := dev.Stored(); s != 0 {
+		t.Fatalf("the device kept %d stores: the drop read the caller's cleared keys", s)
+	}
+}
+
 // TestSpeculativeStoresAreDropped: a share re-dispatched to a spare is
 // stored under its own key that no backward pass reads and no flight owns,
 // so the spare forgets it as soon as its job ran — before the spare is
@@ -442,7 +452,6 @@ func TestSpeculativeStoresAreDropped(t *testing.T) {
 		returned sync.WaitGroup
 	)
 	f := NewBlockFlight(trips, BlockOptions{
-		MapKey:         SlotKey,
 		SpeculateAfter: time.Microsecond,
 		Spare: func(slot int) (DeviceTrip, func(time.Duration), bool) {
 			mu.Lock()
@@ -476,17 +485,4 @@ func TestSpeculativeStoresAreDropped(t *testing.T) {
 		}
 	}
 	close(gate)
-}
-
-// TestSlotKeyFormat pins the slot-scoped storage key, built without fmt
-// on the per-job path, to its documented form.
-func TestSlotKeyFormat(t *testing.T) {
-	for _, c := range []struct {
-		key  string
-		slot int
-	}{{"ks/t0/step1/lin1", 0}, {"a/", 7}, {"", 12}, {"p0/lin3", 1234}} {
-		if got, want := SlotKey(c.key, c.slot), fmt.Sprintf("%s#s%d", c.key, c.slot); got != want {
-			t.Fatalf("SlotKey(%q, %d) = %q, want %q", c.key, c.slot, got, want)
-		}
-	}
 }

@@ -48,8 +48,8 @@ func (c *Cluster) ForwardAll(key string, kernel LinearKernel, coded []field.Vec)
 }
 
 // BackwardAll ships one layer's gradient equations against the coded inputs
-// stored during the forward pass and waits for every result. Cache misses
-// fold into a MissingStoreError.
+// stored during the forward pass and waits for every result. A failed job
+// fails the layer with the lowest failed slot's error.
 //
 //lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (c *Cluster) BackwardAll(key string, kernel BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {

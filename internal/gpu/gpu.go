@@ -8,6 +8,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -22,6 +23,13 @@ type LinearKernel func(x field.Vec) field.Vec
 
 // BilinearKernel is a layer's weight-gradient op <delta, x>.
 type BilinearKernel func(delta, x field.Vec) field.Vec
+
+// ErrNoStored is the sentinel wrapped by GradWeights when a device holds no
+// cached coded forward input under the requested key. A gradient job rides
+// its slot's FIFO behind the forward job that stored its key, on a device
+// the batch's gang holds until the flight ends, so no device this program
+// builds misses: a miss is a fault, and it fails the batch.
+var ErrNoStored = errors.New("gpu: no stored coded input")
 
 // Traffic counts the TEE<->GPU channel usage of one device.
 type Traffic struct {

@@ -24,9 +24,8 @@
 //
 //   - Flight recorder (recorder.go): a bounded ring of structured events
 //     (grant granted/released, quarantine transitions, straggler
-//     re-dispatch, cache-miss refill, integrity verdicts) with
-//     Dump/DumpSince for post-mortem inspection; chaos tests dump it on
-//     failure.
+//     re-dispatch, integrity verdicts) with Dump/DumpSince for
+//     post-mortem inspection; chaos tests dump it on failure.
 //
 // An Observability bundles the three so subsystems take one optional
 // handle. All of it is nil-tolerant: a nil *Observability (or any nil

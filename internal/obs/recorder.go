@@ -18,7 +18,6 @@ const (
 	KindProbation  = "probation"      // device released into probation
 	KindReadmit    = "readmit"        // device promoted back to Healthy
 	KindSpeculate  = "speculate"      // straggler re-dispatch to a spare
-	KindRefill     = "refill"         // GPU cache miss → weight-store refill
 	KindIntegrity  = "integrity"      // integrity verdict (attributed or suspect)
 	KindNoisePool  = "noisepool-miss" // noise pool exhausted, inline fallback
 	KindSLOBreach  = "slo-breach"     // SLO burn rate crossed the threshold (or cleared)

@@ -68,12 +68,10 @@ type Report struct {
 	// projections: device indices in first-quarantine order.
 	QuarantineLive   []int
 	QuarantineReplay []int
-	// IntegrityLive/IntegrityReplay and RefillLive/RefillReplay are the
-	// window's integrity-verdict and cache-refill event counts.
+	// IntegrityLive/IntegrityReplay are the window's integrity-verdict
+	// event counts.
 	IntegrityLive   int
 	IntegrityReplay int
-	RefillLive      int
-	RefillReplay    int
 }
 
 // OK reports whether the replay reproduced the captured incident.
@@ -260,7 +258,7 @@ func replayBatch(fm *fleet.Manager, pipe *sched.Pipeline, b obs.BatchRecord, rep
 // captured window: the quarantine sequence (device indices in
 // first-quarantine order — live readmissions can re-quarantine a device,
 // so only the first transition is deterministic under scripted gangs),
-// and the integrity/refill counts. Requires a complete capture (nothing
+// and the integrity-verdict counts. Requires a complete capture (nothing
 // dropped by the live rings) and an unwrapped replay recorder; otherwise
 // the comparison is skipped and EventsCompared stays false.
 func compareEvents(snap *obs.Snapshot, rec *obs.FlightRecorder, rep *Report) {
@@ -269,8 +267,6 @@ func compareEvents(snap *obs.Snapshot, rec *obs.FlightRecorder, rep *Report) {
 	rep.QuarantineReplay = quarantineProjection(replayEvents)
 	rep.IntegrityLive = countKind(snap.Events, obs.KindIntegrity)
 	rep.IntegrityReplay = countKind(replayEvents, obs.KindIntegrity)
-	rep.RefillLive = countKind(snap.Events, obs.KindRefill)
-	rep.RefillReplay = countKind(replayEvents, obs.KindRefill)
 	if snap.EventsDropped != 0 || snap.BatchesDropped != 0 || rec.Dropped() != 0 {
 		return
 	}
@@ -282,10 +278,6 @@ func compareEvents(snap *obs.Snapshot, rec *obs.FlightRecorder, rep *Report) {
 	if rep.IntegrityReplay != rep.IntegrityLive {
 		rep.Mismatches = append(rep.Mismatches, fmt.Sprintf(
 			"integrity event count diverged: live %d, replay %d", rep.IntegrityLive, rep.IntegrityReplay))
-	}
-	if rep.RefillReplay != rep.RefillLive {
-		rep.Mismatches = append(rep.Mismatches, fmt.Sprintf(
-			"refill event count diverged: live %d, replay %d", rep.RefillLive, rep.RefillReplay))
 	}
 }
 

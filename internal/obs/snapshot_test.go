@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -127,4 +129,51 @@ func TestSnapshotValidateRejects(t *testing.T) {
 	if err := minimalSnapshot().Validate(); err != nil {
 		t.Fatalf("minimal snapshot rejected: %v", err)
 	}
+}
+
+// FuzzReadSnapshot fuzzes the snapshot boundary, where replay reads files
+// from outside the process: ReadSnapshot must never panic, and a snapshot
+// it accepts must come back unchanged through WriteJSON and ReadSnapshot.
+// Seeds: the replay fixture testdata/snapshots/deep-per-layer.json and a
+// snapshot captured here, with a real flight-recorder window.
+func FuzzReadSnapshot(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshots", "deep-per-layer.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	snap := minimalSnapshot()
+	snap.CapturedAt = time.Now()
+	snap.Batches = []BatchRecord{{Seq: 1, Tenant: "default", RealRows: 1, Gang: []int{0, 1, 2, 3},
+		Images: [][]float64{{0.1, -0.2}, {0, 1e-300}}, Classes: []int{1, 0}, Culprits: []int{2}, Err: "tampered"}}
+	rec := NewFlightRecorder(4)
+	rec.Record(Event{Kind: KindGrant, Subsystem: "fleet", Device: -1, Slot: -1, Tenant: "default"})
+	rec.Record(Event{Kind: KindQuarantine, Subsystem: "fleet", Device: 2, Slot: 2, Detail: "fault score 1.2"})
+	snap.Events, snap.EventsDropped = rec.Dump(), rec.Dropped()
+	var captured bytes.Buffer
+	if err := snap.WriteJSON(&captured); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(captured.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := s.WriteJSON(&once); err != nil {
+			t.Fatalf("accepted snapshot does not serialize: %v", err)
+		}
+		back, err := ReadSnapshot(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("accepted snapshot rejected after a round trip: %v", err)
+		}
+		if err := back.WriteJSON(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("snapshot changed in a round trip:\n%s\nvs\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }

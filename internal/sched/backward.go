@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -14,9 +13,9 @@ import (
 )
 
 // This file is the backward half of the TEE-side engine: the reverse model
-// walk, the Eq (4–6) gradient offload, and the resilience machinery around
-// it (straggler-tolerant dual-window gather, device-cache refill), run by
-// every TrainPipeline lane on top of the forward walk in engine.go.
+// walk, the Eq (4–6) gradient offload and its straggler-tolerant
+// dual-window gather, run by every TrainPipeline lane on top of the
+// forward walk in engine.go.
 
 // backward runs a virtual batch's backward pass in two stages. The walk
 // (backwardLayer) reverses the forward trace on the TEE — bias gradients,
@@ -207,11 +206,12 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	e.phases.Encode += time.Since(t0)
 
 	t1 := time.Now()
-	err := e.shipBackward(&l)
+	pend, err := e.flight.GradLayer(tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
 	e.phases.Dispatch += time.Since(t1)
 	if err != nil {
 		return nil, err
 	}
+	l.pend = pend
 	e.pending = append(e.pending, l)
 	return next, nil
 }
@@ -229,36 +229,17 @@ func combineDeltas(b *field.Mat, s, n int, quantDeltas []field.Vec) []field.Vec 
 	return bars
 }
 
-// shipBackward ships one layer's gradient equations down the batch's
-// flight.
-func (e *engine) shipBackward(l *bwdLayer) error {
-	lin := l.lin
-	pend, err := e.flight.GradLayer(l.tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
-	l.pend = pend
-	return err
-}
-
 // gatherBackward gathers one shipped layer and folds its equations into the
-// layer's weight gradient. A cache miss — the fleet's devices no longer
-// hold this trace's coded forward inputs (quarantine replacement, slot
-// reshuffle, or a quorum laggard that never stored) — triggers one
-// refillStores pass, and the layer's equations are re-shipped down the
-// still-open flight.
+// layer's weight gradient. Each gradient job rides its slot's FIFO behind
+// the forward job that stored its coded input, on a device the gang holds
+// until the batch's flight ends, so a device error — gpu.ErrNoStored
+// included — is a fault that fails the batch.
 func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 	// Ending the layer's span also ends any phase child left open by an
 	// error return; layers never reached are ended with the batch's span.
 	defer l.sp.End()
 	dsp := l.sp.Child("dispatch")
 	eqs, present, err := e.gather(l.pend, code.S, time.Now())
-	if err != nil && errors.Is(err, gpu.ErrNoStored) {
-		l.sp.Annotate("refill", l.tr.key)
-		if rerr := e.refillStores(code, l.tr, l.fx); rerr != nil {
-			return fmt.Errorf("sched: backward cache refill for %q: %w", l.tr.key, rerr)
-		}
-		if err = e.shipBackward(l); err == nil {
-			eqs, present, err = e.gather(l.pend, code.S, time.Now())
-		}
-	}
 	dsp.End()
 	if err != nil {
 		return err
@@ -299,50 +280,4 @@ func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 	e.phases.Offloads++
 	csp.End()
 	return nil
-}
-
-// refillStores re-creates the device-side coded-input cache for one
-// layer's backward pass: the trace's stored inputs are re-quantized with
-// the forward normalization and re-encoded with the noise rows captured
-// during forward — bit-identical coded vectors, so a quorum laggard's
-// original store racing the refill is benign — then re-stored on the
-// current fleet's slots with an identity-kernel flight gathered from every
-// slot (the store is the point; the echoed results are discarded).
-func (e *engine) refillStores(code *masking.Code, tr *trace, fx float64) error {
-	if len(tr.noise) == 0 {
-		return fmt.Errorf("sched: trace %q carries no captured noise (forward ran in inference mode?)", tr.key)
-	}
-	n := tr.inputs[0].Size()
-	quantIn := make([]field.Vec, e.cfg.VirtualBatch)
-	scratch := make([]float64, n)
-	for i, x := range tr.inputs {
-		for j, v := range x.Data {
-			scratch[j] = v / fx
-		}
-		quantIn[i] = e.q.Quantize(scratch)
-	}
-	coded := make([]field.Vec, code.NumCoded())
-	for j := range coded {
-		coded[j] = field.NewVec(n)
-	}
-	if err := code.EncodeWith(coded, quantIn, tr.noise); err != nil {
-		return err
-	}
-	e.refills++
-	e.rec.Record(obs.Event{
-		Kind: obs.KindRefill, Subsystem: "sched", Device: -1, Slot: -1,
-		Detail: fmt.Sprintf("re-created device stores for %q", tr.key),
-	})
-	flight, err := e.beginFlight()
-	if err != nil {
-		return err
-	}
-	defer flight.End()
-	t1 := time.Now()
-	pend, err := flight.ForwardLayer(tr.key, func(x field.Vec) field.Vec { return x }, coded)
-	if err != nil {
-		return err
-	}
-	_, _, err = e.gather(pend, len(coded), t1)
-	return err
 }

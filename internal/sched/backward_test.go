@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,8 +163,9 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 // engine cannot leave the gather it is in. The tampering slot corrupts
 // its lin3 equations.
 type settleBarrier struct {
-	tee    *sync.Mutex // the pipeline's TEE token
-	tamper int         // the tampering slot
+	tee    *sync.Mutex      // the pipeline's TEE token
+	src    *recordingSource // the gang's slot order
+	tamper int              // the tampering slot
 
 	mu      sync.Mutex
 	took    bool
@@ -177,18 +178,17 @@ func newSettleBarrier(gang, tamper int) *settleBarrier {
 }
 
 // barrierDevice routes one device's gradient jobs through the barrier,
-// reading the gang slot from the fleet's slot-scoped storage key.
+// reading its gang slot from the grant's slot order.
 type barrierDevice struct {
 	gpu.Device
 	b *settleBarrier
 }
 
 func (d barrierDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
-	layer, slotStr, _ := strings.Cut(key, "#s")
-	slot, _ := strconv.Atoi(slotStr)
 	b := d.b
+	slot := b.src.slotOf(d.ID())
 	switch {
-	case strings.HasSuffix(layer, "/lin4") && slot == b.tamper:
+	case strings.HasSuffix(key, "/lin4") && slot == b.tamper:
 		b.mu.Lock()
 		take := !b.took
 		b.took = true
@@ -196,7 +196,7 @@ func (d barrierDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta 
 		if take {
 			b.tee.Lock()
 		}
-	case strings.HasSuffix(layer, "/lin2"):
+	case strings.HasSuffix(key, "/lin2"):
 		b.mu.Lock()
 		if !b.started[slot] {
 			b.started[slot] = true
@@ -207,19 +207,37 @@ func (d barrierDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta 
 		b.mu.Unlock()
 	}
 	y, err := d.Device.GradWeights(key, kernel, delta)
-	if err == nil && slot == b.tamper && strings.HasSuffix(layer, "/lin3") {
+	if err == nil && slot == b.tamper && strings.HasSuffix(key, "/lin3") {
 		y = y.Clone()
 		y[0] = field.Add(y[0], 1)
 	}
 	return y, err
 }
 
-// recordingSource is a managerSource that keeps the culprits each batch
-// reported on release.
+// recordingSource is a managerSource that keeps the slot order of the
+// gang it granted last and the culprits each batch reported on release.
 type recordingSource struct {
 	managerSource
 	mu       sync.Mutex
+	order    []int // device IDs in gang-slot order
 	culprits []int
+}
+
+func (s *recordingSource) Acquire() (Fleet, error) {
+	f, err := s.managerSource.Acquire()
+	if err == nil {
+		s.mu.Lock()
+		s.order = f.(*fleet.Grant).DeviceIDs()
+		s.mu.Unlock()
+	}
+	return f, err
+}
+
+// slotOf returns the gang slot the device serves in the last grant, or -1.
+func (s *recordingSource) slotOf(id int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Index(s.order, id)
 }
 
 func (s *recordingSource) Release(f Fleet, culprits []int, err error) {
@@ -264,7 +282,7 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.tee = &pipe.tee
+			b.tee, b.src = &pipe.tee, src
 
 			done := make(chan error, 1)
 			go func() {

@@ -41,7 +41,7 @@ type PhaseStats struct {
 	Wall     time.Duration
 	Offloads int64 // bilinear layer dispatches timed
 	// Flights counts gang flights opened: one per virtual batch, carrying
-	// every offload of both passes, plus one per backward cache refill.
+	// every offload of both passes.
 	Flights int64
 }
 
@@ -201,7 +201,7 @@ type engine struct {
 	// spans treat as a free no-op.
 	sp *obs.Span
 	// rec, when non-nil, receives flight-recorder events from the engine:
-	// backward cache-miss refills and integrity verdicts.
+	// integrity verdicts and noise-pool fallbacks.
 	rec *obs.FlightRecorder
 
 	// deadline, when non-zero, is the absolute end-to-end deadline of the
@@ -217,10 +217,6 @@ type engine struct {
 	// clean is the recovery decode's presence-mask scratch: the present
 	// responses minus the culprits.
 	clean []bool
-	// refills counts backward cache-miss recoveries: dispatches whose
-	// device-side coded-input cache had to be re-created from the trace
-	// (device replaced, reshuffled or still lagging since forward).
-	refills int64
 	// stepCulprits accumulates the gang slots attributed as tampering
 	// during the current step (reset by beginStep) — the fleet layer reads
 	// them after a dispatch to quarantine the physical devices behind the
@@ -364,12 +360,11 @@ func (e *engine) openBatchFlight() error {
 // every slot drop the coded inputs the batch stored (§6: a batch's device
 // memory lives exactly as long as the batch). The drop rides each slot's
 // FIFO behind the batch's own jobs, so a quorum laggard's late store goes
-// with it; a refill's identity flight was gathered in full before backward
-// went on, so its stores are in place to be dropped. Ending waits
-// for the devices that cannot block to run everything shipped down it (see
-// gpu.BlockFlight.End), so call it without the TEE token: a batch's device
-// work — the jobs its quorum gathers decoded around included — is then
-// done, and counted, when the batch completes.
+// with it, and it owns its copy of the keys, so e.stored is reused at
+// once. Ending waits for the devices that cannot block to run everything
+// shipped down it (see gpu.BlockFlight.End), so call it without the TEE
+// token: a batch's device work — the jobs its quorum gathers decoded
+// around included — is then done, and counted, when the batch completes.
 func (e *engine) endBatchFlight() {
 	if e.flight != nil {
 		e.flight.Drop(e.stored)
@@ -378,18 +373,6 @@ func (e *engine) endBatchFlight() {
 	}
 	clear(e.stored)
 	e.stored = e.stored[:0]
-}
-
-// storesVolatile reports whether the fleet's device-side coded-input
-// stores can disappear or reshuffle between a batch's forward and backward
-// passes. A bare *gpu.Cluster binds slot i to device i for its lifetime,
-// so its stores are stable and a training forward on it skips capturing
-// the refill noise (no per-offload clone on the raw-cluster hot path);
-// every other fleet — gang grants whose devices are re-picked per batch,
-// wrappers that swap delegates — is assumed volatile.
-func (e *engine) storesVolatile() bool {
-	_, stable := e.fleet.(*gpu.Cluster)
-	return !stable
 }
 
 // effectiveSlack bounds the configured straggler slack so at least one
@@ -414,7 +397,7 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 		tr = &trace{layer: layer, inputs: xs}
 	}
 	if lin, ok := layer.(nn.Linear); ok {
-		outs, err := e.offloadForward(code, tr, lin, xs, train)
+		outs, err := e.offloadForward(code, tr, lin, xs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -514,10 +497,9 @@ func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Ve
 // 25-bit prime; what the shared flight amortizes is everything around the
 // math. All TEE-side intermediates live in the engine's coded arena (reset
 // per layer), the restored outputs in the batch's memory, and the device
-// results go back to the kernels' pool once decoded. In training mode the noise rows are additionally captured into
-// the trace so a backward cache miss can re-create the device-side coded
-// inputs bit-identically (see refillStores).
-func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
+// results go back to the kernels' pool once decoded. A training trace
+// records the layer's storage key for the backward pass.
+func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := e.checkDeadline(); err != nil {
 		return nil, err
 	}
@@ -541,7 +523,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 	quorum := code.NumCoded() - e.effectiveSlack()
 	esp := osp.Child("encode")
 	t0 := time.Now()
-	enc, err := e.encodeForward(code, tr, lin, xs, train, quorum < code.NumCoded())
+	enc, err := e.encodeForward(code, lin, xs, quorum < code.NumCoded())
 	if err != nil {
 		return nil, err
 	}
@@ -584,8 +566,6 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 // recovery have read them for the last time. Only the present responses
 // are the gatherer's to return: a laggard's late result lands in the
 // layer's pending state, never in the snapshot a quorum gather returned.
-// Results a flight gathers for any other purpose — a refill's identity
-// echo, which aliases its coded inputs — are never passed here.
 func recycle(results []field.Vec, present []bool) {
 	for j, r := range results {
 		if present == nil || present[j] {
@@ -617,7 +597,7 @@ type fwdEnc struct {
 // dynamic normalization, quantization into the field, the enclave
 // working-set charge, the noise draw and the coded combine. The caller
 // owns freeing the returned workset (already freed on error).
-func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor, train, cloneForQuorum bool) (fwdEnc, error) {
+func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.Tensor, cloneForQuorum bool) (fwdEnc, error) {
 	k := e.cfg.VirtualBatch
 	// Shared dynamic normalization factor across the virtual batch so the
 	// backward decode (a sum across inputs) can be unscaled exactly.
@@ -671,18 +651,6 @@ func (e *engine) encodeForward(code *masking.Code, tr *trace, lin nn.Linear, xs 
 		coded[j] = e.arena.Get(n)
 	}
 	encErr := code.EncodeWith(coded, quantIn, noise)
-	if train && e.storesVolatile() {
-		// The backward pass may need to re-create the device-side coded
-		// inputs (cache refill after a device lost its stores): capture the
-		// noise rows — the only non-recomputable encode ingredient — before
-		// the pool or the arena reclaims them. A quorum laggard needs none:
-		// its gradient job for a layer rides the flight of its store, behind
-		// it.
-		tr.noise = make([]field.Vec, len(noise))
-		for m := range noise {
-			tr.noise[m] = noise[m].Clone()
-		}
-	}
 	// The noise is folded into the coded vectors now; hand the set straight
 	// back so the background generator can overwrite it.
 	if pset != nil {

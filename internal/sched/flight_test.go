@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -68,7 +67,7 @@ func TestOneFlightPerVirtualBatch(t *testing.T) {
 // per virtual batch, one offload per bilinear layer and pass, must report
 // the losses and leave the weights of internal/spec/stack bit for bit.
 // Slot queues are FIFO, so no device ever runs a gradient job before its
-// own forward store: the batch flight never refills.
+// own forward store.
 func TestBatchFlightTrainingMatchesSpec(t *testing.T) {
 	deep := func(rng *rand.Rand) *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rng) }
 	combos := []struct {
@@ -137,8 +136,8 @@ func TestBatchFlightTrainingMatchesSpec(t *testing.T) {
 			}
 			sameBits(t, c.name, specModel, model)
 			ps := pipe.PhaseStats()
-			if want := int64(steps * vbatches); ps.Flights != want || pipe.CacheRefills() != 0 {
-				t.Fatalf("%d flights and %d refills, want %d (one per virtual batch) and 0", ps.Flights, pipe.CacheRefills(), want)
+			if want := int64(steps * vbatches); ps.Flights != want {
+				t.Fatalf("%d flights, want %d (one per virtual batch)", ps.Flights, want)
 			}
 			if want := int64(steps*vbatches*2) * int64(len(model.LinearLayers())); ps.Offloads != want {
 				t.Fatalf("%d offloads, want %d (one per bilinear layer and pass)", ps.Offloads, want)
@@ -158,107 +157,6 @@ func TestBatchFlightTrainingMatchesSpec(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// resetDevice models a device that restarts between a batch's passes: its
-// first gradient job finds every coded input stored during forward gone,
-// so each bilinear layer misses once on it; what a refill stores after the
-// restart it keeps.
-type resetDevice struct {
-	gpu.Device
-	mu    sync.Mutex
-	reset bool
-	kept  map[string]bool // keys stored since the restart
-}
-
-func newResetDevice(d gpu.Device) *resetDevice {
-	return &resetDevice{Device: d, kept: map[string]bool{}}
-}
-
-func (d *resetDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
-	d.mu.Lock()
-	if d.reset {
-		d.kept[key] = true
-	}
-	d.mu.Unlock()
-	return d.Device.LinearForward(key, kernel, x)
-}
-
-func (d *resetDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
-	d.mu.Lock()
-	d.reset = true
-	kept := d.kept[key]
-	d.mu.Unlock()
-	if !kept {
-		return nil, fmt.Errorf("gpu %d: %w %q", d.ID(), gpu.ErrNoStored, key)
-	}
-	return d.Device.GradWeights(key, kernel, delta)
-}
-
-// resetTrain trains one virtual batch on a fleet-managed gang of 3 out of 5
-// devices whose slot 1 restarts between the passes, and releases the gang
-// with slot 1 reported faulty so the fleet quarantines the device that lost
-// its stores. It returns the loss, the pipeline and the fleet.
-func resetTrain(t *testing.T, cfg Config, model *nn.Model) (float64, *TrainPipeline, *fleet.Manager) {
-	t.Helper()
-	const gang = 3
-	devs := honestDevices(gang + 2)
-	devs[1] = newResetDevice(devs[1])
-	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{ProbationProbability: -1})
-	src := &faultySource{managerSource: managerSource{m: fm, gang: gang}, slots: []int{1}}
-	pipe, err := NewTrainPipeline(cfg, model, nil, "reset/", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pipe.Close)
-	loss, _, err := pipe.TrainLargeBatch(src, trainData(cfg.VirtualBatch), nn.NewSGD(0.05, 0.9), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loss, pipe, fm
-}
-
-// faultySource is a managerSource that reports slots faulty on every
-// release.
-type faultySource struct {
-	managerSource
-	slots []int
-}
-
-func (s *faultySource) Release(f Fleet, culprits []int, err error) {
-	f.(*fleet.Grant).ReportFaults(s.slots)
-	s.managerSource.Release(f, culprits, err)
-}
-
-// TestRefillReshipsDownBatchFlight: a device of DeepMLP's gang restarts
-// between a batch's forward and backward passes. Every backward gather
-// misses on it; the engine refills the stores from the trace with one
-// wait-for-all identity flight per layer and re-ships the layer's equations
-// down the still-open batch flight, behind whatever that device still has
-// queued. The step must complete with the loss and weights of
-// internal/spec/stack.
-func TestRefillReshipsDownBatchFlight(t *testing.T) {
-	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 0, Seed: 3}
-	control := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
-	want := specTrain(control, cfg.VirtualBatch, trainData(cfg.VirtualBatch), 1)[0]
-
-	model := nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42)))
-	loss, pipe, fm := resetTrain(t, cfg, model)
-	if loss != want {
-		t.Fatalf("disturbed loss %v != spec %v", loss, want)
-	}
-	sameBits(t, "reset-refill", control, model)
-	// All 7 bilinear layers lost their stores with the restart, so all 7
-	// must have refilled, each re-shipped down the batch's one flight.
-	if refills := pipe.CacheRefills(); refills != deepMLPLinears {
-		t.Fatalf("%d cache refills, want %d (one per bilinear layer)", refills, deepMLPLinears)
-	}
-	if ps := pipe.PhaseStats(); ps.Flights != 1+deepMLPLinears {
-		t.Fatalf("%d flights, want %d (the batch flight plus one identity flight per refill)", ps.Flights, 1+deepMLPLinears)
-	}
-	if st := fm.Stats(); st.QuarantineEvents == 0 {
-		t.Fatalf("no quarantine recorded: %+v", st)
 	}
 }
 
@@ -312,41 +210,60 @@ func (d failingDevice) GradWeights(string, gpu.BilinearKernel, field.Vec) (field
 	return nil, d.err
 }
 
-// TestBackwardReportsDeviceErrorOverMiss pins the one slot-error fold where
-// the engine sees it: when one slot's device fails outright while another
-// has lost its stored inputs (it restarted between the passes), the step
-// fails with the device's error on the batch flight (the rows are named
-// "fused", after the runtime that introduced it) instead of treating the
-// layer as a cache miss to refill.
-func TestBackwardReportsDeviceErrorOverMiss(t *testing.T) {
+// forgetfulDevice forgets every coded input as soon as it has stored it.
+type forgetfulDevice struct{ gpu.Device }
+
+func (d forgetfulDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	y := d.Device.LinearForward(key, kernel, x)
+	d.Device.Drop(key)
+	return y
+}
+
+// TestBackwardMissFailsBatch: a device that has lost a batch's stored
+// inputs fails the batch loudly with gpu.ErrNoStored, and a layer whose
+// slots fail in different ways fails with the lowest failed slot's error,
+// whichever kind that is. Either way the batch's flight ends, the gang goes
+// back to the fleet and no device keeps a store.
+func TestBackwardMissFailsBatch(t *testing.T) {
 	boom := errors.New("device fell off the bus")
 	for _, c := range []struct {
 		name              string
-		missSlot, errSlot int
+		missSlot, errSlot int // -1: none
+		want, not         error
 	}{
-		{"fused, miss before error", 0, 1},
-		{"fused, error before miss", 2, 1},
+		{"miss alone", 1, -1, gpu.ErrNoStored, nil},
+		{"miss below a device error", 0, 2, gpu.ErrNoStored, boom},
+		{"device error below a miss", 2, 0, boom, gpu.ErrNoStored},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			devs := honestDevices(3)
-			devs[c.missSlot] = newResetDevice(devs[c.missSlot])
-			devs[c.errSlot] = failingDevice{Device: devs[c.errSlot], err: boom}
-			// A fleet-managed gang, so the forward pass captures what a
-			// refill would need: a miss alone would be recoverable.
+			const gang = 3 // K=2, M=1, E=0
+			devs := honestDevices(gang)
+			devs[c.missSlot] = forgetfulDevice{devs[c.missSlot]}
+			if c.errSlot >= 0 {
+				devs[c.errSlot] = failingDevice{Device: devs[c.errSlot], err: boom}
+			}
 			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
-			cfg := Config{VirtualBatch: 2, Seed: 3}
-			pipe, err := NewTrainPipeline(cfg, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "fold/", 2)
+			src := &recordingSource{managerSource: managerSource{m: fm, gang: gang}}
+			pipe, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 3}, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "miss/", 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pipe.Close()
-			_, _, err = pipe.TrainLargeBatch(&managerSource{m: fm, gang: 3}, trainData(2), nn.NewSGD(0.05, 0), 0)
-			if !errors.Is(err, boom) {
-				t.Fatalf("step error = %v, want the device's own error", err)
+			_, _, err = pipe.TrainLargeBatch(src, trainData(2), nn.NewSGD(0.05, 0), 0)
+			for id := range devs {
+				if slot := src.slotOf(id); slot != id {
+					t.Fatalf("device %d served gang slot %d: the case names slots by device", id, slot)
+				}
 			}
-			if n := pipe.CacheRefills(); n != 0 {
-				t.Fatalf("%d cache refills: the miss masked the device error", n)
+			if !errors.Is(err, c.want) || (c.not != nil && errors.Is(err, c.not)) {
+				t.Fatalf("step error = %v, want the lowest failed slot's %v", err, c.want)
 			}
+			for _, d := range fm.Stats().Devices {
+				if d.Leased {
+					t.Fatalf("device %d still leased after the failed step", d.ID)
+				}
+			}
+			requireNoStores(t, c.name, fm.Cluster(), true)
 		})
 	}
 }
@@ -361,9 +278,8 @@ type lateDevice struct {
 }
 
 func (d lateDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
-	layer, _, _ := strings.Cut(key, "#s")
-	d.log.add(layer)
-	if d.late != "" && strings.HasSuffix(layer, d.late) {
+	d.log.add(key)
+	if d.late != "" && strings.HasSuffix(key, d.late) {
 		time.Sleep(time.Until(d.until) + time.Millisecond)
 	}
 	return d.Device.LinearForward(key, kernel, x)

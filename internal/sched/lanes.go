@@ -110,9 +110,9 @@ func (l *lanes) EnableRecovery() error {
 	return nil
 }
 
-// SetObserver attaches a flight recorder to every lane: cache refills and
-// integrity verdicts are recorded as they happen. Call before traffic
-// starts.
+// SetObserver attaches a flight recorder to every lane: integrity
+// verdicts and noise-pool fallbacks are recorded as they happen. Call
+// before traffic starts.
 func (l *lanes) SetObserver(rec *obs.FlightRecorder) {
 	for _, lane := range l.all {
 		lane.rec = rec

@@ -38,8 +38,8 @@ func requireNoStores(t *testing.T, tag string, c *gpu.Cluster, wait bool) {
 // so a virtual batch's coded inputs must go when its flight ends (§6: the
 // devices keep them only until the batch's backward pass has read them).
 // After every TrainLargeBatch — on a bare cluster, on fleet gangs whose
-// quorum laggards store after the gather returned, on batches that fail,
-// and after a backward cache-miss refill — no device holds anything.
+// quorum laggards store after the gather returned, and on batches that
+// fail — no device holds anything.
 func TestTrainDeviceStorageBounded(t *testing.T) {
 	deep := func() *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))) }
 	const vbatches = 4
@@ -130,15 +130,6 @@ func TestTrainDeviceStorageBounded(t *testing.T) {
 			t.Fatalf("%d offloads, want 1 (lin1 stored, lin2 stopped by the deadline)", ps.Offloads)
 		}
 		requireNoStores(t, "expired batch", cluster, false)
-	})
-
-	t.Run("cache-miss-refill", func(t *testing.T) {
-		_, pipe, fm := resetTrain(t, Config{VirtualBatch: 2, Collusion: 1, Seed: 3}, deep())
-		if pipe.CacheRefills() == 0 {
-			t.Fatal("no backward cache refill ran")
-		}
-		// The restarting device's trip is not one End waits for.
-		requireNoStores(t, "after refills", fm.Cluster(), true)
 	})
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"darknight/internal/dataset"
 	"darknight/internal/enclave"
-	"darknight/internal/field"
 	"darknight/internal/gpu"
 	"darknight/internal/masking"
 	"darknight/internal/nn"
@@ -109,8 +108,8 @@ func (c Config) maskParams() masking.Params {
 // Trainer is the synchronous face of a one-lane TrainPipeline bound to one
 // cluster — the way Inferencer wraps Pipeline — for callers that train on a
 // single device set (benchmarks, experiments, small tests). Everything else a
-// caller may want (PhaseStats, CacheRefills, EnableRecovery, SetTracer,
-// SetObserver, Close) is the TrainPipeline's.
+// caller may want (PhaseStats, EnableRecovery, SetTracer, SetObserver,
+// Close) is the TrainPipeline's.
 type Trainer struct {
 	*TrainPipeline
 	src GangSource
@@ -142,11 +141,6 @@ type trace struct {
 	inputs   []*tensor.Tensor // per-example inputs to this layer
 	children []*trace         // Sequential children, or Residual {body, skip}
 	key      string           // GPU storage key (linear layers only)
-	// noise holds the masking noise rows of this layer's forward encode
-	// (training mode only): the one encode ingredient that cannot be
-	// recomputed, kept so a backward cache miss can re-create the coded
-	// inputs bit-identically (engine.refillStores).
-	noise []field.Vec
 }
 
 // add appends a child's trace; a nil (inference) trace records nothing.

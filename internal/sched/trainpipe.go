@@ -78,7 +78,7 @@ type trainTicket struct {
 //   - fleet-backed dispatch: each in-flight batch runs on its own gang from
 //     a GangSource, with integrity culprits reported back on release, and
 //     the backward pass inherits the engine's straggler-tolerant
-//     dual-window quorum and cache-refill fallback.
+//     dual-window quorum.
 type TrainPipeline struct {
 	*lanes
 	model *nn.Model
@@ -156,15 +156,6 @@ func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspa
 // produces a "train.vbatch" root span carrying the batch's
 // forward/backward offload trees. Call before training traffic starts.
 func (p *TrainPipeline) SetTracer(tr *obs.Tracer) { p.tracer = tr }
-
-// CacheRefills sums the lanes' backward cache-miss recoveries.
-func (p *TrainPipeline) CacheRefills() int64 {
-	var n int64
-	for _, lane := range p.all {
-		n += lane.refills
-	}
-	return n
-}
 
 // TrainLargeBatch trains on len(batch) examples: floor(N/K) virtual
 // batches, each one's ▽W sealed shard-wise to untrusted memory, then one

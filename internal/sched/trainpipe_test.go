@@ -138,41 +138,6 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBackwardCacheMissRefill: a device of the gang restarts between the
-// forward and backward passes and misses every cached coded input; the
-// engine re-encodes the trace with the forward's captured noise, re-stores
-// it, re-ships the layer down the batch's flight, and the training step
-// completes with weights bit-identical to an undisturbed run.
-func TestBackwardCacheMissRefill(t *testing.T) {
-	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 0, Seed: 3}
-
-	// Control: undisturbed depth-1 run.
-	control := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
-	ctrlTrainer, err := NewTrainer(cfg, control, gpu.NewHonestCluster(3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrlTrainer.Close()
-	ctrlLoss, _, err := ctrlTrainer.TrainLargeBatch(trainData(cfg.VirtualBatch), nn.NewSGD(0.05, 0.9), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
-	loss, pipe, fm := resetTrain(t, cfg, model)
-	if loss != ctrlLoss {
-		t.Fatalf("disturbed loss %v != control %v", loss, ctrlLoss)
-	}
-	// TinyCNN has 2 bilinear layers: one refill each.
-	if n := pipe.CacheRefills(); n != 2 {
-		t.Fatalf("%d cache refills, want 2 (one per bilinear layer)", n)
-	}
-	sameBits(t, "cache-miss-refill", control, model)
-	if st := fm.Stats(); st.QuarantineEvents == 0 {
-		t.Fatalf("no quarantine recorded: %+v", st)
-	}
-}
-
 // TestTrainerPhaseWallAccounting: the depth-1 Trainer must accumulate Wall
 // (without it Overlap() silently reports 0 on the training path) and time
 // both the forward and backward offloads.

@@ -17,8 +17,8 @@ type Observability = obs.Observability
 type TraceSpan = obs.Span
 
 // FlightEvent is one structured entry of the chaos flight recorder:
-// grants, quarantine transitions, straggler re-dispatch, cache refills,
-// integrity verdicts.
+// grants, quarantine transitions, straggler re-dispatch, integrity
+// verdicts.
 type FlightEvent = obs.Event
 
 // SLOConfig declares per-tenant service-level objectives and the sliding

@@ -142,7 +142,7 @@ func TestSnapshotReplayChaosDeterminism(t *testing.T) {
 // field is gone, and every runtime now flies each virtual batch as one
 // flight. The snapshot must still load and validate, and
 // everything replay compares — classes, culprits, the quarantine sequence,
-// integrity and refill counts — must come out unchanged.
+// integrity-verdict counts — must come out unchanged.
 func TestPerLayerSnapshotReplaysOnBatchFlight(t *testing.T) {
 	path := filepath.Join("testdata", "snapshots", "deep-per-layer.json")
 	raw, err := os.ReadFile(path)
