@@ -3,6 +3,7 @@ package darknight
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +72,39 @@ func TestSystemConfigErrors(t *testing.T) {
 	}
 	if _, err := NewSystem(model, Config{MaliciousGPUs: []int{99}}); err == nil {
 		t.Fatal("out-of-range malicious index accepted")
+	}
+}
+
+// TestServerRejectsUnreadConfigFields: a field set on a server's embedded
+// Config that NewServer would not read fails the build, and the error
+// names what to set instead, so a straggler or spare setting cannot vanish
+// silently.
+func TestServerRejectsUnreadConfigFields(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+		use   string
+	}{
+		{"SpareGPUs", func(c *Config) { c.SpareGPUs = 3 }, "ServerConfig.SpareGPUs"},
+		{"SlowAll", func(c *Config) { c.SlowAll = true }, "ServerConfig.SlowAll"},
+		{"StragglerSlack", func(c *Config) { c.StragglerSlack = 1 }, "ServerConfig.StragglerSlack"},
+		{"Observability", func(c *Config) { c.Observability.SnapshotWeights = true }, "ServerConfig.Observability"},
+		{"TrainPipelineDepth", func(c *Config) { c.TrainPipelineDepth = 2 }, "ServerConfig.PipelineDepth"},
+		{"ManagedFleet", func(c *Config) { c.ManagedFleet = true }, "only tunes training"},
+		{"LearningRate", func(c *Config) { c.LearningRate = 0.1 }, "only tunes training"},
+		{"Momentum", func(c *Config) { c.Momentum = 0.9 }, "only tunes training"},
+	} {
+		cfg := ServerConfig{Config: Config{VirtualBatch: 2, Redundancy: 2, EnclaveBytes: -1}}
+		c.set(&cfg.Config)
+		srv, err := NewServer(func() *Model { return TinyCNN(1, 8, 8, 4, 1) }, cfg)
+		if err == nil {
+			srv.Close()
+			t.Errorf("Config.%s set on a server: accepted", c.field)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "Config."+c.field) || !strings.Contains(msg, c.use) {
+			t.Errorf("Config.%s: error %q does not name the field and %q", c.field, msg, c.use)
+		}
 	}
 }
 

@@ -236,19 +236,12 @@ func (m *Manager) tenantLocked(name string, weight float64) *tenant {
 // devices are outside the grantable pool; if quarantines shrink the pool
 // below n, Acquire waits for probation re-admission to restore it.
 func (m *Manager) Acquire(ctx context.Context, tenantName string, n int) (*Grant, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("fleet: gang size %d must be positive", n)
-	}
-	if n > m.cluster.Size() {
-		return nil, fmt.Errorf("fleet: gang of %d devices can never fit fleet of %d", n, m.cluster.Size())
-	}
 	m.mu.Lock()
-	t := m.tenantLocked(tenantName, 0)
-	m.seq++
-	w := &waiter{n: n, seq: m.seq, ready: make(chan grantResult, 1)}
-	t.queue = append(t.queue, w)
-	m.admitLocked()
+	t, w, err := m.enqueueLocked(tenantName, n)
 	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	// Uncontended fast path: the admission pass above usually granted
 	// synchronously — no timer needed.
@@ -273,24 +266,13 @@ func (m *Manager) Acquire(ctx context.Context, tenantName string, n int) (*Grant
 			m.admitLocked()
 			m.mu.Unlock()
 		case <-ctx.Done():
-			m.mu.Lock()
 			// The grant may have raced the cancellation: if it already
 			// landed, take it so it can be returned to the pool.
-			var granted *Grant
-			select {
-			case r := <-w.ready:
-				granted = r.g
-			default:
-				for i, q := range t.queue {
-					if q == w {
-						t.queue = append(t.queue[:i], t.queue[i+1:]...)
-						break
-					}
-				}
-			}
+			m.mu.Lock()
+			r := m.withdrawLocked(t, w)
 			m.mu.Unlock()
-			if granted != nil {
-				granted.Release()
+			if r.g != nil {
+				r.g.Release()
 			}
 			return nil, ctx.Err()
 		}
@@ -310,36 +292,51 @@ const probationRetry = 5 * time.Millisecond
 // gang while holding completed-but-unreleased grants, they retire a batch
 // and retry.
 func (m *Manager) TryAcquire(tenantName string, n int) (*Grant, error) {
+	m.mu.Lock()
+	t, w, err := m.enqueueLocked(tenantName, n)
+	if err != nil {
+		m.mu.Unlock()
+		return nil, err
+	}
+	r := m.withdrawLocked(t, w)
+	m.mu.Unlock()
+	return r.g, r.err
+}
+
+// enqueueLocked checks a gang request, queues its waiter behind the
+// tenant's earlier ones and runs an admission pass, which may already have
+// granted it. Caller holds mu.
+func (m *Manager) enqueueLocked(tenantName string, n int) (*tenant, *waiter, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("fleet: gang size %d must be positive", n)
+		return nil, nil, fmt.Errorf("fleet: gang size %d must be positive", n)
 	}
 	if n > m.cluster.Size() {
-		return nil, fmt.Errorf("fleet: gang of %d devices can never fit fleet of %d", n, m.cluster.Size())
+		return nil, nil, fmt.Errorf("fleet: gang of %d devices can never fit fleet of %d", n, m.cluster.Size())
 	}
-	m.mu.Lock()
 	t := m.tenantLocked(tenantName, 0)
 	m.seq++
 	w := &waiter{n: n, seq: m.seq, ready: make(chan grantResult, 1)}
 	t.queue = append(t.queue, w)
 	m.admitLocked()
-	var r grantResult
-	granted := false
+	return t, w, nil
+}
+
+// withdrawLocked takes w's result if admission has answered it, and
+// otherwise removes w from its tenant's queue and returns the zero result.
+// Caller holds mu.
+func (m *Manager) withdrawLocked(t *tenant, w *waiter) grantResult {
 	select {
-	case r = <-w.ready:
-		granted = true
+	case r := <-w.ready:
+		return r
 	default:
-		for i, q := range t.queue {
-			if q == w {
-				t.queue = append(t.queue[:i], t.queue[i+1:]...)
-				break
-			}
+	}
+	for i, q := range t.queue {
+		if q == w {
+			t.queue = append(t.queue[:i], t.queue[i+1:]...)
+			break
 		}
 	}
-	m.mu.Unlock()
-	if !granted {
-		return nil, nil
-	}
-	return r.g, r.err
+	return grantResult{}
 }
 
 // admitLocked is the fair-share admission pass: it first gives quarantined

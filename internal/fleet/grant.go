@@ -117,10 +117,6 @@ func (g *Grant) BeginBlock(n int) (*gpu.BlockFlight, error) {
 	if n > len(g.devs) {
 		return nil, fmt.Errorf("fleet: flight of %d slots for gang of %d", n, len(g.devs))
 	}
-	trips := make([]gpu.DeviceTrip, n)
-	for i := range trips {
-		trips[i] = gpu.BeginTrip(g.devs[i])
-	}
 	g.open.Add(1)
 	g.mu.Lock()
 	g.openNow++
@@ -129,7 +125,7 @@ func (g *Grant) BeginBlock(n int) (*gpu.BlockFlight, error) {
 	}
 	g.flights++
 	g.mu.Unlock()
-	return gpu.NewBlockFlight(trips, g.hooks), nil
+	return gpu.NewBlockFlight(g.devs[:n], g.hooks), nil
 }
 
 // endFlight retires one open flight.
@@ -141,7 +137,7 @@ func (g *Grant) endFlight() {
 }
 
 // spare borrows a free device outside the gang for one speculative job.
-func (g *Grant) spare(slot int) (gpu.DeviceTrip, func(time.Duration), bool) {
+func (g *Grant) spare(slot int) (gpu.Device, func(time.Duration), bool) {
 	rec, dev, ok := g.m.borrowSpare()
 	if !ok {
 		return nil, nil, false
@@ -151,7 +147,7 @@ func (g *Grant) spare(slot int) (gpu.DeviceTrip, func(time.Duration), bool) {
 	g.mu.Unlock()
 	g.m.recordEvent(obs.Event{Kind: obs.KindSpeculate, Subsystem: "fleet", Device: dev.ID(), Slot: slot,
 		Tenant: g.t.name, Detail: fmt.Sprintf("lagging share re-dispatched to spare after %s", g.m.cfg.SpeculateAfter)})
-	return gpu.BeginTrip(dev), func(lat time.Duration) { g.m.returnSpare(rec, lat) }, true
+	return dev, func(lat time.Duration) { g.m.returnSpare(rec, lat) }, true
 }
 
 // ForwardQuorum ships one layer on a flight over the first len(coded) slots

@@ -18,14 +18,14 @@ import (
 // chewing on layer l simply accumulates its layer l+1 job while the quorum
 // gather decodes around it, and a device's forward job for a layer (which
 // stores the coded input) always runs before its own gradient job for it.
-// Everything flight-scoped — the trips' launch latency, the fleet's handle
-// accounting — is paid once per flight; the per-layer math (encode,
+// Everything flight-scoped — a slow device's launch latency, the fleet's
+// handle accounting — is paid once per flight; the per-layer math (encode,
 // decode, verify) is untouched, which is what keeps outputs bit-identical
 // to flying every layer alone.
 //
 // A flight has one owner: ship and gather from a single goroutine.
 type BlockFlight struct {
-	slots []tripSlot
+	slots []slot
 	opts  BlockOptions
 	ended bool
 }
@@ -45,7 +45,7 @@ type BlockOptions struct {
 	// SpeculateAfter into its gather: the lagging slot's coded share is
 	// re-dispatched to the spare and the first delivery wins. done hands the
 	// device back with the job's latency; ok is false when none is free.
-	Spare          func(slot int) (trip DeviceTrip, done func(lat time.Duration), ok bool)
+	Spare          func(slot int) (dev Device, done func(lat time.Duration), ok bool)
 	SpeculateAfter time.Duration
 	// OnEnd, when non-nil, runs when the flight ends — where the fleet
 	// retires its per-flight handle.
@@ -63,17 +63,45 @@ type job struct {
 	drop  []string
 }
 
-// tripSlot is one device conversation: a FIFO of jobs drained by a worker
-// that lives only while the queue is non-empty.
-type tripSlot struct {
-	trip  DeviceTrip
-	mu    sync.Mutex
-	queue []job
-	busy  bool
-	idle  chan struct{} // closed when the worker exits, while drain waits
+// slot is one device conversation: the device its jobs run on, what a
+// conversation with it costs — both decided once, when the flight opens —
+// and a FIFO of jobs drained by a worker that lives only while the queue
+// is non-empty.
+type slot struct {
+	dev Device
+	// launch is the latency a slow device pays once per conversation; nil
+	// for a device with none, so only slow devices carry its state.
+	launch *launch
+
+	mu     sync.Mutex
+	queue  []job
+	busy   bool
+	prompt bool          // set by open: no call on dev can block
+	idle   chan struct{} // closed when the worker exits, while drain waits
 }
 
-func (s *tripSlot) enqueue(j job) {
+// open starts the conversation with d. A device built by NewSlow charges
+// its delay once per conversation instead of once per job: the delay
+// models dispatch overhead — kernel launch, transfer setup — which a
+// persistent conversation pays a single time, once per virtual batch. Its
+// jobs run on the device below it, and only the outermost delay counts.
+// Every other wrapper (fault injection, collusion capture, chaos) keeps its
+// per-job semantics, a slow device nested inside it included, so the
+// conversation changes what a device costs, never what it computes. A
+// call cannot block when the device is honest, or slow over honest: the
+// launch holds answers, not work.
+func (s *slot) open(d Device) {
+	if sl, ok := d.(*slow); ok && sl.delay > 0 {
+		s.launch = &launch{delay: sl.delay}
+	}
+	for sl, ok := d.(*slow); ok; sl, ok = d.(*slow) {
+		d = sl.Device
+	}
+	s.dev = d
+	_, s.prompt = d.(*honest)
+}
+
+func (s *slot) enqueue(j job) {
 	s.mu.Lock()
 	if s.busy {
 		s.queue = append(s.queue, j)
@@ -85,13 +113,13 @@ func (s *tripSlot) enqueue(j job) {
 	go s.work(j)
 }
 
-func (s *tripSlot) work(j job) {
+func (s *slot) work(j job) {
 	for {
 		if j.p != nil {
-			j.p.run(s.trip, j.entry, j.x, "", nil)
+			j.p.run(s, j.entry, j.x, "", nil)
 		} else {
 			for _, key := range j.drop {
-				s.trip.Drop(key)
+				s.dev.Drop(key)
 			}
 		}
 		s.mu.Lock()
@@ -110,13 +138,61 @@ func (s *tripSlot) work(j job) {
 	}
 }
 
-// NewBlockFlight opens a flight over one trip per gang slot.
-func NewBlockFlight(trips []DeviceTrip, opts BlockOptions) *BlockFlight {
-	f := &BlockFlight{slots: make([]tripSlot, len(trips)), opts: opts}
-	for i, tr := range trips {
-		f.slots[i].trip = tr
+// NewBlockFlight opens a flight with one slot per device, in gang order.
+func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
+	f := &BlockFlight{slots: make([]slot, len(devs)), opts: opts}
+	for i, d := range devs {
+		f.slots[i].open(d)
 	}
 	return f
+}
+
+// launch holds a slow device's answers until its latency has passed since
+// the conversation's first job: the latency delays what the TEE hears
+// back, not the device's work, so jobs queued behind the first one — the
+// rest of the batch's forward layers and its gradient jobs — never wait
+// out the launch themselves. One slot worker at a time starts it, so ready
+// needs no lock; held is shared with the timer that releases it.
+type launch struct {
+	delay time.Duration
+	ready time.Time // zero until the first job ran
+
+	mu   sync.Mutex
+	held []func() // answers waiting for ready, in the order their jobs ran
+}
+
+func (l *launch) start() {
+	if l.ready.IsZero() {
+		l.ready = time.Now().Add(l.delay)
+	}
+}
+
+// hold queues answer until ready and reports whether it did: once the
+// latency has passed, answers leave at once. One timer per conversation
+// releases everything held.
+func (l *launch) hold(answer func()) bool {
+	wait := time.Until(l.ready)
+	if wait <= 0 {
+		return false
+	}
+	l.mu.Lock()
+	l.held = append(l.held, answer)
+	first := len(l.held) == 1
+	l.mu.Unlock()
+	if first {
+		time.AfterFunc(wait, l.release)
+	}
+	return true
+}
+
+func (l *launch) release() {
+	l.mu.Lock()
+	held := l.held
+	l.held = nil
+	l.mu.Unlock()
+	for _, answer := range held {
+		answer()
+	}
 }
 
 // Slots returns the gang width of the flight.
@@ -181,16 +257,16 @@ func (f *BlockFlight) GradLayer(key string, kernel BilinearKernel, prim, sec []f
 	return p, nil
 }
 
-// drain waits until every slot whose trip cannot block has run every job
-// shipped down the flight. Such a trip's calls wait on nothing outside it —
-// the honest kernel, and a slow device's trip over one, which holds answers,
-// not work — so drain waits only for the slot workers to be scheduled, never
-// for a device: a trip that may block (a chaos actuator, a test device) is
-// not waited for.
+// drain waits until every prompt slot has run every job shipped down the
+// flight. A prompt slot's calls wait on nothing outside it — the honest
+// kernel, and a slow device over one, which holds answers, not work — so
+// drain waits only for the slot workers to be scheduled, never for a
+// device: a slot that may block (a chaos actuator, a test device) is not
+// waited for.
 func (f *BlockFlight) drain() {
 	for i := range f.slots {
 		s := &f.slots[i]
-		if !prompt(s.trip) {
+		if !s.prompt {
 			continue
 		}
 		s.mu.Lock()
@@ -205,17 +281,6 @@ func (f *BlockFlight) drain() {
 		s.mu.Unlock()
 		<-idle
 	}
-}
-
-// prompt reports whether no call on the trip can block.
-func prompt(t DeviceTrip) bool {
-	switch v := t.(type) {
-	case *honest:
-		return true
-	case *slowTrip:
-		return prompt(v.inner)
-	}
-	return false
 }
 
 // End closes the conversation and fires the OnEnd hook. It waits for no
@@ -286,31 +351,34 @@ func (p *LayerPending) slot(entry int) int {
 	return p.secSlot + entry - p.window
 }
 
-// run executes one job on a trip — the slot's own, or a spare's with a key
-// suffix that keeps the spare's store apart — and answers it, then runs
-// done (when non-nil). A slow device's trip may hold the answer until its
-// launch latency has passed; the slot moves on to its next job meanwhile.
-// A spare's store is dropped as soon as its job ran: no backward pass
-// reads it, and no flight owns the spare to drop it later.
-func (p *LayerPending) run(trip DeviceTrip, entry int, x field.Vec, suffix string, done func()) {
-	slot := p.slot(entry)
+// run executes one job in a conversation — the gang slot's own, or a
+// spare's with a key suffix that keeps the spare's store apart — and
+// answers it, then runs done (when non-nil). A slow device may hold the
+// answer until its launch latency has passed; the slot moves on to its
+// next job meanwhile. A spare's store is dropped as soon as its job ran:
+// no backward pass reads it, and no flight owns the spare to drop it later.
+func (p *LayerPending) run(s *slot, entry int, x field.Vec, suffix string, done func()) {
+	gang := p.slot(entry)
 	key := p.key + suffix
 	var (
 		y   field.Vec
 		err error
 	)
 	if p.fwd != nil {
-		y = trip.LinearForward(key, p.fwd, x)
+		y = s.dev.LinearForward(key, p.fwd, x)
 		if suffix != "" {
-			trip.Drop(key)
+			s.dev.Drop(key)
 		}
 	} else {
-		y, err = trip.GradWeights(key, p.bwd, x)
+		y, err = s.dev.GradWeights(key, p.bwd, x)
 	}
-	if st, ok := trip.(*slowTrip); ok && st.hold(func() { p.answer(slot, entry, y, err, suffix, done) }) {
-		return
+	if l := s.launch; l != nil {
+		l.start()
+		if l.hold(func() { p.answer(gang, entry, y, err, suffix, done) }) {
+			return
+		}
 	}
-	p.answer(slot, entry, y, err, suffix, done)
+	p.answer(gang, entry, y, err, suffix, done)
 }
 
 // answer files one job's result: the latency observation, the delivery,
@@ -435,7 +503,8 @@ func (p *LayerPending) foldErrors() error {
 }
 
 // speculate re-dispatches every still-lagging coded share to a borrowed
-// spare. Best-effort: it stops as soon as no spare is free.
+// spare, in a one-job conversation of its own. Best-effort: it stops as
+// soon as no spare is free.
 func (p *LayerPending) speculate() {
 	p.mu.Lock()
 	var lagging []int
@@ -446,13 +515,15 @@ func (p *LayerPending) speculate() {
 	}
 	p.mu.Unlock()
 	for _, entry := range lagging {
-		trip, done, ok := p.f.opts.Spare(entry)
+		dev, done, ok := p.f.opts.Spare(entry)
 		if !ok {
 			return
 		}
 		go func() {
+			var s slot
+			s.open(dev)
 			start := time.Now()
-			p.run(trip, entry, p.coded[entry], "#spec", func() { done(time.Since(start)) })
+			p.run(&s, entry, p.coded[entry], "#spec", func() { done(time.Since(start)) })
 		}()
 	}
 }
@@ -463,9 +534,5 @@ func (c *Cluster) BeginBlock(n int) (*BlockFlight, error) {
 	if n > len(c.devices) {
 		return nil, fmt.Errorf("gpu: flight of %d slots for %d devices", n, len(c.devices))
 	}
-	trips := make([]DeviceTrip, n)
-	for i := range trips {
-		trips[i] = BeginTrip(c.devices[i])
-	}
-	return NewBlockFlight(trips, BlockOptions{}), nil
+	return NewBlockFlight(c.devices[:n], BlockOptions{}), nil
 }

@@ -11,45 +11,46 @@ import (
 	"darknight/internal/field"
 )
 
-// scriptTrip is the fake a flight test needs: a DeviceTrip whose every job
-// waits for gate (nil = never waits), then answers from the wrapped trip or
-// with err.
-type scriptTrip struct {
-	DeviceTrip
+// scriptDevice is the fake a flight test needs: a Device whose every job
+// waits for gate (nil = never waits), then answers from the wrapped device
+// or with err. A flight cannot tell it never blocks, so End does not drain
+// its slot.
+type scriptDevice struct {
+	Device
 	gate <-chan struct{}
 	err  error
 	jobs atomic.Int32
 }
 
-func (t *scriptTrip) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
-	if t.gate != nil {
-		<-t.gate
+func (d *scriptDevice) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
+	if d.gate != nil {
+		<-d.gate
 	}
-	y := t.DeviceTrip.LinearForward(key, kernel, x)
-	t.jobs.Add(1)
+	y := d.Device.LinearForward(key, kernel, x)
+	d.jobs.Add(1)
 	return y
 }
 
-func (t *scriptTrip) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
-	if t.gate != nil {
-		<-t.gate
+func (d *scriptDevice) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
+	if d.gate != nil {
+		<-d.gate
 	}
-	t.jobs.Add(1)
-	if t.err != nil {
-		return nil, t.err
+	d.jobs.Add(1)
+	if d.err != nil {
+		return nil, d.err
 	}
-	return t.DeviceTrip.GradWeights(key, kernel, delta)
+	return d.Device.GradWeights(key, kernel, delta)
 }
 
-// scriptTrips opens one scripted trip per honest device.
-func scriptTrips(n int) ([]*scriptTrip, []DeviceTrip) {
-	scripts := make([]*scriptTrip, n)
-	trips := make([]DeviceTrip, n)
+// scriptDevices wraps one honest device per slot in a script.
+func scriptDevices(n int) ([]*scriptDevice, []Device) {
+	scripts := make([]*scriptDevice, n)
+	devs := make([]Device, n)
 	for i := range scripts {
-		scripts[i] = &scriptTrip{DeviceTrip: BeginTrip(NewHonest(i))}
-		trips[i] = scripts[i]
+		scripts[i] = &scriptDevice{Device: NewHonest(i)}
+		devs[i] = scripts[i]
 	}
-	return scripts, trips
+	return scripts, devs
 }
 
 func vecs(n int, seed field.Elem) []field.Vec {
@@ -66,10 +67,10 @@ func vecs(n int, seed field.Elem) []field.Vec {
 func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 	const n = 4
 	gate := make(chan struct{})
-	scripts, trips := scriptTrips(n)
+	scripts, devs := scriptDevices(n)
 	scripts[1].gate = gate
 	var branded []int
-	f := NewBlockFlight(trips, BlockOptions{Straggler: func(slot int) { branded = append(branded, slot) }})
+	f := NewBlockFlight(devs, BlockOptions{Straggler: func(slot int) { branded = append(branded, slot) }})
 
 	ran := make(chan string, 2) // slot 1's jobs, in the order its worker ran them
 	for _, key := range []string{"l1", "l2"} {
@@ -118,9 +119,9 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 func TestFlightBackwardWindows(t *testing.T) {
 	const s, e = 3, 2
 	identGrad := func(delta, _ field.Vec) field.Vec { return delta }
-	open := func(t *testing.T) ([]*scriptTrip, *BlockFlight) {
-		scripts, trips := scriptTrips(s + e)
-		f := NewBlockFlight(trips, BlockOptions{})
+	open := func(t *testing.T) ([]*scriptDevice, *BlockFlight) {
+		scripts, devs := scriptDevices(s + e)
+		f := NewBlockFlight(devs, BlockOptions{})
 		p, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return x }, vecs(s+e, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -212,8 +213,8 @@ func TestFlightFoldsSlotErrors(t *testing.T) {
 			if c.dual {
 				n, sec = s+e, vecs(s, 200)
 			}
-			scripts, trips := scriptTrips(n)
-			f := NewBlockFlight(trips, BlockOptions{})
+			scripts, devs := scriptDevices(n)
+			f := NewBlockFlight(devs, BlockOptions{})
 			defer f.End()
 			stored, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return x }, vecs(n, 1))
 			if err != nil {
@@ -242,14 +243,14 @@ func TestFlightFoldsSlotErrors(t *testing.T) {
 func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 	const n = 4
 	gate := make(chan struct{})
-	scripts, trips := scriptTrips(n)
+	scripts, devs := scriptDevices(n)
 	scripts[1].gate, scripts[2].gate = gate, gate
 	var lent atomic.Int32
-	f := NewBlockFlight(trips, BlockOptions{
+	f := NewBlockFlight(devs, BlockOptions{
 		SpeculateAfter: time.Microsecond,
-		Spare: func(slot int) (DeviceTrip, func(time.Duration), bool) {
+		Spare: func(slot int) (Device, func(time.Duration), bool) {
 			id := int(lent.Add(1))
-			return BeginTrip(NewHonest(n + id)), func(time.Duration) {}, true
+			return NewHonest(n + id), func(time.Duration) {}, true
 		},
 	})
 	defer f.End()
@@ -280,13 +281,63 @@ func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 	}
 }
 
+// TestSlotOpensConversation: a flight decides once, per slot, whether a
+// call on its device can block and what launch latency it pays. Only the
+// outermost slow device is a launch, its jobs run on the device below the
+// slow ones, and every other wrapper keeps its per-job semantics — a slow
+// device inside one included, which no launch replaces.
+func TestSlotOpensConversation(t *testing.T) {
+	const outer, inner = 3 * time.Millisecond, 7 * time.Millisecond
+	h := NewHonest(0)
+	mal := NewMalicious(h, FaultPolicy{EveryNth: 1})
+	for _, c := range []struct {
+		name   string
+		dev    Device
+		prompt bool
+		delay  time.Duration // 0: no launch state
+		runsOn Device        // nil: the device itself
+	}{
+		{name: "honest", dev: h, prompt: true},
+		{name: "slow", dev: NewSlow(h, outer), prompt: true, delay: outer, runsOn: h},
+		{name: "slow over slow", dev: NewSlow(NewSlow(h, inner), outer), prompt: true, delay: outer, runsOn: h},
+		{name: "slow without delay", dev: NewSlow(h, 0), prompt: true, runsOn: h},
+		{name: "malicious", dev: mal},
+		{name: "malicious over slow", dev: NewMalicious(NewSlow(h, inner), FaultPolicy{EveryNth: 1})},
+		{name: "slow over malicious", dev: NewSlow(mal, outer), delay: outer, runsOn: mal},
+		{name: "colluding", dev: NewColluding(h, NewCollusionPool())},
+		{name: "chaos", dev: NewChaos(h)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var s slot
+			s.open(c.dev)
+			if s.prompt != c.prompt {
+				t.Errorf("prompt = %v, want %v", s.prompt, c.prompt)
+			}
+			var delay time.Duration
+			if s.launch != nil {
+				delay = s.launch.delay
+			}
+			if delay != c.delay || (s.launch != nil) != (c.delay > 0) {
+				t.Errorf("launch = %+v, want delay %v", s.launch, c.delay)
+			}
+			want := c.runsOn
+			if want == nil {
+				want = c.dev
+			}
+			if s.dev != want {
+				t.Errorf("jobs run on %T, want %T", s.dev, want)
+			}
+		})
+	}
+}
+
 // TestSlowTripHoldsAnswersNotWork: a slow device pays its launch latency
-// once per trip by holding the trip's answers, not by stalling its slot.
+// once per flight by holding its slot's answers, not by stalling the slot.
 // Three layers shipped down one flight all run their kernels at once; none
 // is answered before the latency has passed since the first job.
 func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 	const delay = 300 * time.Millisecond
-	f := NewBlockFlight([]DeviceTrip{BeginTrip(NewSlow(NewHonest(0), delay))}, BlockOptions{})
+	f := NewBlockFlight([]Device{NewSlow(NewHonest(0), delay)}, BlockOptions{})
 	defer f.End()
 	ran := make(chan struct{}, 3)
 	kernel := func(x field.Vec) field.Vec {
@@ -327,7 +378,7 @@ func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 }
 
 // TestFlightEndRunsEveryPromptJob: End returns once every slot whose
-// trip cannot block has run every job shipped — before a slow device's
+// device cannot block has run every job shipped — before a slow device's
 // launch latency has let a single answer out — and never waits for a slot
 // that may block.
 func TestFlightEndRunsEveryPromptJob(t *testing.T) {
@@ -335,8 +386,8 @@ func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 	devs := []Device{NewHonest(0), NewHonest(1)}
 	gate := make(chan struct{})
 	defer close(gate)
-	blocked := &scriptTrip{DeviceTrip: BeginTrip(NewHonest(2)), gate: gate}
-	f := NewBlockFlight([]DeviceTrip{BeginTrip(NewSlow(devs[0], delay)), BeginTrip(devs[1]), blocked}, BlockOptions{})
+	blocked := &scriptDevice{Device: NewHonest(2), gate: gate}
+	f := NewBlockFlight([]Device{NewSlow(devs[0], delay), devs[1], blocked}, BlockOptions{})
 	ident := func(x field.Vec) field.Vec { return x }
 	start := time.Now()
 	for _, key := range []string{"l1", "l2", "l3"} {
@@ -374,8 +425,8 @@ func TestFlightDropRidesBehindLaggard(t *testing.T) {
 	const n = 3
 	gate := make(chan struct{})
 	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
-	lagging := &scriptTrip{DeviceTrip: BeginTrip(devs[1]), gate: gate}
-	f := NewBlockFlight([]DeviceTrip{BeginTrip(devs[0]), lagging, BeginTrip(devs[2])}, BlockOptions{})
+	lagging := &scriptDevice{Device: devs[1], gate: gate}
+	f := NewBlockFlight([]Device{devs[0], lagging, devs[2]}, BlockOptions{})
 	ident := func(x field.Vec) field.Vec { return x }
 	for _, key := range []string{"step1/lin1", "step1/lin2"} {
 		p, err := f.ForwardLayer(key, ident, vecs(n, 5))
@@ -410,14 +461,14 @@ func TestFlightDropRidesBehindLaggard(t *testing.T) {
 }
 
 // TestFlightDropOwnsKeys: Drop copies the caller's key list. A slot whose
-// trip may block runs its drop after End has returned, by which time the
+// device may block runs its drop after End has returned, by which time the
 // caller has cleared the slice for its next batch; the drop must still
 // forget the keys it was given.
 func TestFlightDropOwnsKeys(t *testing.T) {
 	gate := make(chan struct{})
 	dev := NewHonest(0)
-	gated := &scriptTrip{DeviceTrip: BeginTrip(dev), gate: gate}
-	f := NewBlockFlight([]DeviceTrip{gated}, BlockOptions{})
+	gated := &scriptDevice{Device: dev, gate: gate}
+	f := NewBlockFlight([]Device{gated}, BlockOptions{})
 	keys := []string{"step1/lin1", "step1/lin2"}
 	for _, key := range keys {
 		if _, err := f.ForwardLayer(key, func(x field.Vec) field.Vec { return x }, vecs(1, 5)); err != nil {
@@ -444,22 +495,22 @@ func TestFlightDropOwnsKeys(t *testing.T) {
 func TestSpeculativeStoresAreDropped(t *testing.T) {
 	const n = 4
 	gate := make(chan struct{})
-	scripts, trips := scriptTrips(n)
+	scripts, devs := scriptDevices(n)
 	scripts[1].gate, scripts[2].gate = gate, gate
 	var (
 		mu       sync.Mutex
 		spares   []Device
 		returned sync.WaitGroup
 	)
-	f := NewBlockFlight(trips, BlockOptions{
+	f := NewBlockFlight(devs, BlockOptions{
 		SpeculateAfter: time.Microsecond,
-		Spare: func(slot int) (DeviceTrip, func(time.Duration), bool) {
+		Spare: func(slot int) (Device, func(time.Duration), bool) {
 			mu.Lock()
 			defer mu.Unlock()
 			d := NewHonest(n + len(spares))
 			spares = append(spares, d)
 			returned.Add(1)
-			return BeginTrip(d), func(time.Duration) { returned.Done() }, true
+			return d, func(time.Duration) { returned.Done() }, true
 		},
 	})
 	p, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return x }, vecs(n, 10))

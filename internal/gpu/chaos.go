@@ -28,7 +28,9 @@ import (
 //     for every device and an unbounded hang would deadlock the flight.
 //     (A real RPC stack would surface a fast transport error here; in the
 //     simulated fleet "instant garbage" is the equivalent fail-fast
-//     signal.)
+//     signal.) A gradient job whose store is missing fails with
+//     ErrNoStored whether or not the device is down, so the miss fails
+//     its batch.
 //
 // All accessors are safe for concurrent use.
 type ChaosDevice struct {
@@ -118,10 +120,6 @@ func (c *ChaosDevice) LinearForward(key string, kernel LinearKernel, x field.Vec
 func (c *ChaosDevice) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
 	y, err := c.Device.GradWeights(key, kernel, delta)
 	if err != nil {
-		if c.down.Load() {
-			c.noteFault()
-			return garbage(len(delta)), nil
-		}
 		return nil, err
 	}
 	if c.down.Load() {

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -97,10 +98,13 @@ func TestChaosDeviceGradWeights(t *testing.T) {
 	if got.Equal(honest) {
 		t.Error("down device returned honest gradients")
 	}
-	// A down device must answer even for keys it never stored (the crash
-	// wiped it, but the gang fan-out still needs a fast reply).
-	if _, err := d.GradWeights("never-stored", kernel, field.Vec{3, 4}); err != nil {
-		t.Errorf("down device errored on unknown key: %v", err)
+	// A missing store fails the job, down or not: the batch must fail
+	// loudly, not decode garbage shaped like the delta.
+	for _, down := range []bool{true, false} {
+		d.SetDown(down)
+		if y, err := d.GradWeights("never-stored", kernel, field.Vec{3, 4}); !errors.Is(err, ErrNoStored) || y != nil {
+			t.Errorf("down=%v: missing store answered %v, %v; want ErrNoStored", down, y, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -97,7 +98,6 @@ type ClusterInfo struct {
 	Size      int               `json:"size"`
 	Malicious []MaliciousDevice `json:"malicious,omitempty"`
 	Slow      []SlowDevice      `json:"slow,omitempty"`
-	SlowAll   bool              `json:"slow_all,omitempty"`
 }
 
 // MaliciousDevice records one tampering device's index and fault policy.
@@ -205,12 +205,16 @@ func SaveSnapshot(s *Snapshot, path string) error {
 	return f.Close()
 }
 
-// ReadSnapshot parses and validates a snapshot from r.
+// ReadSnapshot parses and validates a snapshot from r, which must hold
+// one JSON value and nothing after it but white space.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("obs: decode snapshot: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("obs: decode snapshot: data after the snapshot")
 	}
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("obs: snapshot version %d not supported (want %d)", s.Version, SnapshotVersion)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -131,17 +132,51 @@ func TestSnapshotValidateRejects(t *testing.T) {
 	}
 }
 
+// readFixture returns the replay fixture testdata/snapshots/deep-per-layer.json.
+func readFixture(tb testing.TB) []byte {
+	tb.Helper()
+	fixture, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshots", "deep-per-layer.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fixture
+}
+
+// trailingInputs are the fixture followed by something after its one JSON
+// value: a corrupt tail, and a second capture appended.
+func trailingInputs(fixture []byte) map[string][]byte {
+	return map[string][]byte{
+		"corrupt tail":   append(slices.Clip(fixture), "this is not json {{{"...),
+		"second capture": append(slices.Clip(fixture), fixture...),
+	}
+}
+
+// TestReadSnapshotRejectsTrailingData: a snapshot file holds one capture.
+// Anything after it but white space is an error, not a silent load of the
+// first value.
+func TestReadSnapshotRejectsTrailingData(t *testing.T) {
+	fixture := readFixture(t)
+	if _, err := ReadSnapshot(bytes.NewReader(append(slices.Clip(fixture), " \n\t\n"...))); err != nil {
+		t.Fatalf("fixture with trailing white space rejected: %v", err)
+	}
+	for name, data := range trailingInputs(fixture) {
+		if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: loaded with err = nil", name)
+		}
+	}
+}
+
 // FuzzReadSnapshot fuzzes the snapshot boundary, where replay reads files
 // from outside the process: ReadSnapshot must never panic, and a snapshot
 // it accepts must come back unchanged through WriteJSON and ReadSnapshot.
-// Seeds: the replay fixture testdata/snapshots/deep-per-layer.json and a
+// Seeds: the replay fixture, the fixture with data after it, and a
 // snapshot captured here, with a real flight-recorder window.
 func FuzzReadSnapshot(f *testing.F) {
-	fixture, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshots", "deep-per-layer.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
+	fixture := readFixture(f)
 	f.Add(fixture)
+	for _, data := range trailingInputs(fixture) {
+		f.Add(data)
+	}
 	snap := minimalSnapshot()
 	snap.CapturedAt = time.Now()
 	snap.Batches = []BatchRecord{{Seq: 1, Tenant: "default", RealRows: 1, Gang: []int{0, 1, 2, 3},

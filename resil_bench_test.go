@@ -41,8 +41,8 @@ func resilServeThroughput(tb testing.TB, rc ResilienceConfig, clients, n int) fl
 			VirtualBatch: 4,
 			Seed:         1,
 			EnclaveBytes: -1,
-			SpareGPUs:    6,
 		},
+		SpareGPUs:  6,
 		Workers:    1,
 		MaxWait:    5 * time.Millisecond,
 		Resilience: rc,

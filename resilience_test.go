@@ -285,7 +285,8 @@ func TestHedgeComposesWithPipeline(t *testing.T) {
 		built.Add(1)
 		return TinyCNN(1, 8, 8, 4, 53)
 	}, ServerConfig{
-		Config:        Config{VirtualBatch: 2, Seed: 53, EnclaveBytes: -1, SpareGPUs: 3},
+		Config:        Config{VirtualBatch: 2, Seed: 53, EnclaveBytes: -1},
+		SpareGPUs:     3,
 		Workers:       workers,
 		PipelineDepth: 2,
 		MaxWait:       time.Millisecond,

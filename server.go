@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
 	"darknight/internal/enclave"
@@ -111,9 +112,14 @@ type FleetStats = fleet.Stats
 // privacy/integrity knobs of Config plus the serving-layer and
 // fleet-management shape.
 type ServerConfig struct {
-	// Config carries K, M, E, cluster size, malicious markings, enclave
-	// budget and seed. GPUs = 0 sizes the cluster for full worker
-	// parallelism (Workers gangs of K+M+E devices each) plus SpareGPUs.
+	// Config carries K, M, E, cluster size, malicious and slow markings,
+	// chaos, enclave budget and seed. GPUs = 0 sizes the cluster for full
+	// worker parallelism (Workers gangs of K+M+E devices each) plus
+	// SpareGPUs. NewServer rejects the Config fields it does not read:
+	// SpareGPUs, SlowAll, StragglerSlack and Observability (set the
+	// ServerConfig fields of those names), TrainPipelineDepth (set
+	// PipelineDepth), and the training-only ManagedFleet, LearningRate and
+	// Momentum.
 	Config
 	// Workers is the number of concurrent inference pipelines, each with a
 	// private model replica (default 2).
@@ -214,6 +220,9 @@ type Server struct {
 // weight-identical models (same constructor and seed, or
 // CopyWeightsFrom a trained reference).
 func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
+	if err := unreadByServer(&cfg.Config); err != nil {
+		return nil, err
+	}
 	if cfg.VirtualBatch == 0 {
 		cfg.VirtualBatch = 2
 	}
@@ -297,6 +306,33 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 		}
 	}
 	return s, nil
+}
+
+// unreadByServer names the first field set on a server's embedded Config
+// that NewServer would otherwise ignore, and what to set instead.
+func unreadByServer(c *Config) error {
+	for _, f := range []struct {
+		set       bool
+		name, use string // use: the ServerConfig field to set instead; "" when training-only
+	}{
+		{c.SpareGPUs != 0, "SpareGPUs", "SpareGPUs"},
+		{c.SlowAll, "SlowAll", "SlowAll"},
+		{c.StragglerSlack != 0, "StragglerSlack", "StragglerSlack"},
+		{!reflect.ValueOf(c.Observability).IsZero(), "Observability", "Observability"},
+		{c.TrainPipelineDepth != 0, "TrainPipelineDepth", "PipelineDepth"},
+		{c.ManagedFleet, "ManagedFleet", ""},
+		{c.LearningRate != 0, "LearningRate", ""},
+		{c.Momentum != 0, "Momentum", ""},
+	} {
+		switch {
+		case !f.set:
+		case f.use == "":
+			return fmt.Errorf("darknight: a server does not read Config.%s: it only tunes training", f.name)
+		default:
+			return fmt.Errorf("darknight: a server does not read Config.%s: set ServerConfig.%s", f.name, f.use)
+		}
+	}
+	return nil
 }
 
 // Infer privately classifies one image for the default tenant, blocking

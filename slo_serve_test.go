@@ -20,9 +20,9 @@ func TestServeSLOBurnRiseAndRecover(t *testing.T) {
 			VirtualBatch: 2,
 			Seed:         3,
 			EnclaveBytes: -1,
-			SlowAll:      true, // every request rides a straggling device
 			SlowDelay:    3 * time.Millisecond,
 		},
+		SlowAll: true, // every request rides a straggling device
 		Workers: 1,
 		MaxWait: time.Millisecond,
 		Observability: ObservabilityConfig{

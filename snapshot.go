@@ -52,9 +52,10 @@ func (s *Server) SLO() *SLOTracker { return s.inner.SLO() }
 
 // clusterInfo records the device composition a Config builds — the same
 // defaulting rules as buildCluster, so replay reconstructs an identical
-// cluster. SlowAll has already been expanded into SlowGPUs by NewServer.
+// cluster. ServerConfig.SlowAll has already been expanded into SlowGPUs by
+// NewServer.
 func clusterInfo(cfg Config) obs.ClusterInfo {
-	ci := obs.ClusterInfo{Size: cfg.GPUs, SlowAll: cfg.SlowAll}
+	ci := obs.ClusterInfo{Size: cfg.GPUs}
 	policy := cfg.FaultPolicy
 	if policy.EveryNth == 0 && policy.Probability == 0 {
 		policy = gpu.FaultPolicy{EveryNth: 1}
