@@ -136,13 +136,16 @@ func (m *Mat) Inverse() (*Mat, error) {
 // Rank returns the rank of m over F_p, computed on a scratch copy.
 // The privacy property tests use it to confirm that the noise block seen by
 // colluding GPUs is always full rank (§5, "Colluding GPUs").
-func (m *Mat) Rank() int {
-	a := m.Clone()
+func (m *Mat) Rank() int { return m.Clone().RankInPlace() }
+
+// RankInPlace returns the rank of m, reducing m to reduced row-echelon
+// form in place.
+func (m *Mat) RankInPlace() int {
 	rank := 0
-	for col := 0; col < a.Cols && rank < a.Rows; col++ {
+	for col := 0; col < m.Cols && rank < m.Rows; col++ {
 		pivot := -1
-		for r := rank; r < a.Rows; r++ {
-			if a.At(r, col) != 0 {
+		for r := rank; r < m.Rows; r++ {
+			if m.At(r, col) != 0 {
 				pivot = r
 				break
 			}
@@ -151,16 +154,16 @@ func (m *Mat) Rank() int {
 			continue
 		}
 		if pivot != rank {
-			swapRows(a, pivot, rank)
+			swapRows(m, pivot, rank)
 		}
-		pinv := MustInv(a.At(rank, col))
-		scaleRow(a, rank, pinv)
-		for r := 0; r < a.Rows; r++ {
+		pinv := MustInv(m.At(rank, col))
+		scaleRow(m, rank, pinv)
+		for r := 0; r < m.Rows; r++ {
 			if r == rank {
 				continue
 			}
-			if f := a.At(r, col); f != 0 {
-				AXPY(a.Row(r), Neg(f), a.Row(rank))
+			if f := m.At(r, col); f != 0 {
+				AXPY(m.Row(r), Neg(f), m.Row(rank))
 			}
 		}
 		rank++

@@ -219,3 +219,29 @@ func TestEncodeAllocationRegression(t *testing.T) {
 			got, limit, code.M)
 	}
 }
+
+// TestNewAllocationRegression pins masking.New, which runs once per virtual
+// batch: its coalition check walks every M-column coalition on one set of
+// scratch, so the count does not grow with the number of coalitions (4 at
+// K=2, M=1, E=1; 15 at K=3, M=2, E=1).
+func TestNewAllocationRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	rng := rand.New(rand.NewSource(44))
+	for _, p := range []Params{{K: 2, M: 1, Redundancy: 1}, {K: 4, M: 1, Redundancy: 2}, {K: 3, M: 2, Redundancy: 1}} {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := New(p, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > maxNewAllocs {
+			t.Errorf("New(%+v) allocates %.0f times, want <= %d", p, got, maxNewAllocs)
+		}
+	}
+}
+
+// maxNewAllocs is New's measured allocation count (go1.24, linux/amd64):
+// the code's matrices, windows and backward coefficients, and the
+// coalition check's scratch.
+const maxNewAllocs = 39

@@ -174,7 +174,7 @@ func New(p Params, rng *rand.Rand) (*Code, error) {
 	// block A2 to be full rank. A uniform draw satisfies this with
 	// probability ≈ 1 - O(S²/p), but we verify constructively and redraw
 	// on the (astronomically rare) failure so the guarantee is absolute.
-	if anyLeakOfSize(c, p.M, 0, nil) {
+	if c.anyLeakOfSize(p.M) {
 		return New(p, rng)
 	}
 	c.primary = c.newWindow(seq(s), pinv)
@@ -202,6 +202,55 @@ func New(p Params, rng *rand.Rand) (*Code, error) {
 		}
 	}
 	return c, nil
+}
+
+// anyLeakOfSize reports whether any coalition of size coded inputs leaks.
+// It walks the coalitions in lexicographic order on one set of scratch —
+// the coalition, its stacked view and its noise block, refilled from A for
+// each — so the check allocates per call, not per coalition.
+func (c *Code) anyLeakOfSize(size int) bool {
+	chk := coalitionCheck{
+		c:       c,
+		cur:     make([]int, 0, size),
+		stacked: field.NewMat(c.S, size),
+		noise:   field.NewMat(c.M, size),
+	}
+	return chk.anyLeak(size, 0)
+}
+
+// coalitionCheck is anyLeakOfSize's scratch.
+type coalitionCheck struct {
+	c              *Code
+	cur            []int
+	stacked, noise *field.Mat
+}
+
+// anyLeak extends the coalition in cur with inputs from start on until it
+// has size members, and reports whether any coalition so formed leaks.
+func (k *coalitionCheck) anyLeak(size, start int) bool {
+	if len(k.cur) == size {
+		// A's rows are the input rows then the noise rows, so the stacked
+		// view [A1_I; A2_I] is A's columns I, and A2_I its last M rows.
+		a := k.c.A
+		for col, g := range k.cur {
+			for r := 0; r < a.Rows; r++ {
+				k.stacked.Set(r, col, a.At(r, g))
+			}
+			for r := 0; r < k.c.M; r++ {
+				k.noise.Set(r, col, a.At(k.c.K+r, g))
+			}
+		}
+		return leaks(k.stacked, k.noise)
+	}
+	for i := start; i < k.c.NumCoded(); i++ {
+		k.cur = append(k.cur, i)
+		leak := k.anyLeak(size, i+1)
+		k.cur = k.cur[:len(k.cur)-1]
+		if leak {
+			return true
+		}
+	}
+	return false
 }
 
 // backwardCoeffs draws a random invertible diagonal Γ and computes

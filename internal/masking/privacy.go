@@ -52,8 +52,13 @@ func (c *Code) View(gpus []int) (*CoalitionView, error) {
 // |I| <= M and a full-rank noise block, ker(A2_I) = {0} and the view is
 // one-time-pad uniform (paper Lemma 1 + §5 "Colluding GPUs").
 func (v *CoalitionView) Leaks() bool {
-	stacked := field.VStack(v.InputBlock, v.NoiseBlock)
-	return stacked.Rank() > v.NoiseBlock.Rank()
+	return leaks(field.VStack(v.InputBlock, v.NoiseBlock), v.NoiseBlock.Clone())
+}
+
+// leaks is Leaks' criterion on a coalition's stacked view [A1_I; A2_I] and
+// noise block A2_I, both of which it reduces in place.
+func leaks(stacked, noise *field.Mat) bool {
+	return stacked.RankInPlace() > noise.RankInPlace()
 }
 
 // NoiseRank returns the rank of the coalition's noise block A2_I. Privacy
@@ -66,25 +71,9 @@ func (v *CoalitionView) NoiseRank() int { return v.NoiseBlock.Rank() }
 func (c *Code) MaxSafeCoalition() int {
 	total := c.NumCoded()
 	for size := 1; size <= total; size++ {
-		if anyLeakOfSize(c, size, 0, nil) {
+		if c.anyLeakOfSize(size) {
 			return size - 1
 		}
 	}
 	return total
-}
-
-func anyLeakOfSize(c *Code, size, start int, cur []int) bool {
-	if len(cur) == size {
-		v, err := c.View(cur)
-		if err != nil {
-			return true // treat malformed as leak; should not happen
-		}
-		return v.Leaks()
-	}
-	for i := start; i < c.NumCoded(); i++ {
-		if anyLeakOfSize(c, size, i+1, append(cur, i)) {
-			return true
-		}
-	}
-	return false
 }

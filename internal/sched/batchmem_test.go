@@ -25,27 +25,37 @@ func vggBatch() (*nn.Model, Config, [][]float64) {
 }
 
 // allocsPerBatch runs batch until it is warm, then returns its mean
-// allocations and allocated bytes per call.
+// allocations and allocated bytes per call, each the least of several
+// readings. runtime.MemStats counts every goroutine's allocations — a
+// noise pool's background generator and other tests' goroutines included —
+// so one reading may carry someone else's; an allocation the batch makes
+// shows in every reading.
 func allocsPerBatch(t *testing.T, batch func()) (allocs, bytes float64) {
 	t.Helper()
 	for i := 0; i < 5; i++ {
 		batch()
 	}
-	const runs = 40
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs = testing.AllocsPerRun(runs, batch)
-	runtime.ReadMemStats(&after)
-	// AllocsPerRun makes one warm-up call besides the measured runs.
-	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	const runs, readings = 40, 3
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for r := 0; r < readings; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a := testing.AllocsPerRun(runs, batch)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call besides the measured runs.
+		allocs = min(allocs, a)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/(runs+1))
+	}
+	return allocs, bytes
 }
 
 // TestCodedInferenceBatchAllocs pins the steady-state allocation of one
 // coded inference batch at the infer_compute operating point: activations
 // live in the lane's batch memory, device results go back to the kernels'
-// pool once decoded, and a re-stored device key reuses its buffer. What
-// remains is per-layer bookkeeping (the kernel closure, the layer key, the
-// pending gather) and the per-batch code, goroutine and ticket.
+// pool once decoded, a re-stored device key reuses its buffer, and the
+// lane's staged weights serve every batch. What remains is per-layer
+// bookkeeping (the layer key, the pending gather) and the per-batch code,
+// goroutine and ticket.
 func TestCodedInferenceBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector bypasses sync.Pool, so allocation counts are meaningless under -race")
@@ -262,13 +272,15 @@ func TestBackwardSkipsLowestInputGradient(t *testing.T) {
 
 // The allocation bounds of TestCodedInferenceBatchAllocs and
 // TestTrainVirtualBatchAllocs, per virtual batch: about 5 % over the
-// measured 211 allocations and 11,972 bytes of an inference batch and 831
-// allocations and 153,914 bytes of a training one (go1.24, linux/amd64).
-// Before the lane's batch memory and the recycled device results they were
-// 529 and 110,653, and 1,294 and 321,265.
+// measured 143 allocations and 10,072 bytes of an inference batch and 602
+// allocations and 146,134 bytes of a training one (go1.24, linux/amd64).
+// Before the lane's staged weights, the matrix-free TEE input gradient and
+// masking.New's scratch coalition check they were 210 and 11,930, and 825
+// and 152,907; before the lane's batch memory and the recycled device
+// results, 529 and 110,653, and 1,294 and 321,265.
 const (
-	maxInferAllocs = 222
-	maxInferBytes  = 12600
-	maxTrainAllocs = 875
-	maxTrainBytes  = 162000
+	maxInferAllocs = 150
+	maxInferBytes  = 10600
+	maxTrainAllocs = 632
+	maxTrainBytes  = 153500
 )

@@ -230,20 +230,20 @@ type engine struct {
 	// arena (reset per offload), the batch's activation memory (reset per
 	// batch) and one set of reusable buffers serve every offload: after the
 	// first batch of a model, the coding data path (quantized inputs, noise,
-	// coded vectors, quantized weights, decoded results) and the
-	// activations between offloads allocate nothing, and the device results
-	// go back to the kernels' pool once decoded. Small per-offload
-	// allocations remain by design: the kernel closure, the layer key, the
-	// gather's pending state, and the per-batch masking.New (S×S scalar
-	// matrices, negligible next to the vectors).
+	// coded vectors, decoded results) and the activations between offloads
+	// allocate nothing, and the device results go back to the kernels' pool
+	// once decoded. Small per-offload allocations remain by design: the
+	// layer key, the gather's pending state, and the per-batch masking.New
+	// (S×S scalar matrices, negligible next to the vectors).
 	arena    scratch.Arena[field.Elem]
 	mem      batchMem
-	fscratch []float64   // normalized-float staging, grown to the largest layer
-	wsum     field.Vec   // a backward layer's decoded ▽W, grown to the largest layer
-	quantIn  []field.Vec // K reusable header slots
-	noise    []field.Vec // M slots
-	coded    []field.Vec // S+E slots
-	decoded  []field.Vec // K slots
+	staged   []stagedWeights // by layer, in walk order (linSeq-1)
+	fscratch []float64       // normalized-float staging, grown to the largest layer
+	wsum     field.Vec       // a backward layer's decoded ▽W, grown to the largest layer
+	quantIn  []field.Vec     // K reusable header slots
+	noise    []field.Vec     // M slots
+	coded    []field.Vec     // S+E slots
+	decoded  []field.Vec     // K slots
 	phases   PhaseStats
 }
 
@@ -528,7 +528,6 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 		return nil, err
 	}
 	defer e.freeEnclave(enc.workset)
-	wq := enc.wq
 	e.phases.Encode += time.Since(t0)
 	esp.End()
 
@@ -537,7 +536,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 		dsp.Annotatef("quorum", "%d/%d", quorum, code.NumCoded())
 	}
 	t1 := time.Now()
-	pend, err := e.flight.ForwardLayer(key, func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }, enc.coded)
+	pend, err := e.flight.ForwardLayer(key, enc.kernel, enc.coded)
 	if err != nil {
 		return nil, err
 	}
@@ -587,25 +586,65 @@ func (e *engine) layerKey() string {
 // fwdEnc is the encode-stage output of one bilinear layer's forward
 // offload: everything the dispatch and decode stages need.
 type fwdEnc struct {
-	wq      field.Vec
+	kernel  func(field.Vec) field.Vec
 	coded   []field.Vec
 	fx, fw  float64
 	workset int64
 }
 
+// stagedWeights is one bilinear layer's weights as its devices read them:
+// the quantized vector, its normalization factor and the forward kernel
+// over it. Algorithm 2 updates the weights once per large batch, so every
+// virtual batch of a step reads the same W; the staging is valid while the
+// layer's float weights equal w, the copy they were staged from.
+type stagedWeights struct {
+	w      []float64
+	wq     field.Vec
+	fw     float64
+	kernel func(field.Vec) field.Vec
+}
+
+// stage returns the current layer's staged weights, restaging them when
+// the layer's float weights differ from the kept copy — whoever wrote them
+// (an optimizer step, a weight copy, a test), there is no version to bump.
+// A restage overwrites the staged vector only when the engine waits for
+// every device: a quorum laggard of an earlier batch may still be reading
+// it otherwise, so with slack it stages into a fresh vector and leaves the
+// old one to the laggard.
+//
+//darknight:hotpath
+func (e *engine) stage(lin nn.Linear) *stagedWeights {
+	if e.linSeq > len(e.staged) { // the walk numbers layers 1, 2, …
+		//lint:ignore hotpathalloc grows once per layer, on the engine's first batch
+		e.staged = append(e.staged, stagedWeights{})
+	}
+	s := &e.staged[e.linSeq-1]
+	w := lin.WeightData()
+	if s.kernel != nil && slices.Equal(s.w, w) {
+		return s
+	}
+	if s.kernel == nil || e.effectiveSlack() > 0 {
+		wq := field.NewVec(len(w))
+		s.wq = wq
+		s.kernel = func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }
+	}
+	s.fw = e.quantizeWeights(s.wq, w)
+	//lint:ignore hotpathalloc grows once per layer, on its first staging
+	s.w = append(s.w[:0], w...)
+	return s
+}
+
 // encodeForward runs the encode stage of one bilinear layer's offload:
-// dynamic normalization, quantization into the field, the enclave
-// working-set charge, the noise draw and the coded combine. The caller
+// dynamic normalization, quantization into the field (of the weights only
+// when they changed since the lane staged them), the enclave working-set
+// charge, the noise draw and the coded combine. The caller
 // owns freeing the returned workset (already freed on error).
 func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.Tensor, cloneForQuorum bool) (fwdEnc, error) {
 	k := e.cfg.VirtualBatch
 	// Shared dynamic normalization factor across the virtual batch so the
 	// backward decode (a sum across inputs) can be unscaled exactly.
 	fx := sharedNormFactor(xs, e.cfg.NormLimit)
-	fw := 1.0
-	if m := maxAbs(lin.WeightData()); m > e.cfg.NormLimit {
-		fw = m / e.cfg.NormLimit
-	}
+	sw := e.stage(lin)
 
 	// TEE: quantize into the field.
 	e.arena.Reset()
@@ -618,7 +657,6 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 		}
 		quantIn[i] = e.q.QuantizeInto(e.arena.Get(n), scratch)
 	}
-	wq := e.quantizeWeights(lin.WeightData(), fw)
 
 	// Enclave working set: K inputs + S+E coded vectors of InLen u32.
 	workset := int64(lin.InLen()) * int64(k+code.NumCoded()) * 4
@@ -663,19 +701,18 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 
 	// A quorum gather returns before the slowest devices answer. A
 	// laggard's kernel then runs concurrently with the TEE's next offload,
-	// so everything it references — the coded inputs and the quantized
-	// weights captured by the kernel closure — must outlive this arena
-	// generation: clone them out of the arena. Waiting for every device
+	// so the coded inputs it reads must outlive this arena generation:
+	// clone them out of the arena (the staged weights its kernel reads are
+	// never overwritten with slack; see stage). Waiting for every device
 	// keeps the zero-allocation arena buffers.
 	if cloneForQuorum {
-		wq = wq.Clone()
 		cl := make([]field.Vec, len(coded))
 		for j := range coded {
 			cl[j] = coded[j].Clone()
 		}
 		coded = cl // fresh header array too: e.coded is rewritten next offload
 	}
-	return fwdEnc{wq: wq, coded: coded, fx: fx, fw: fw, workset: workset}, nil
+	return fwdEnc{kernel: sw.kernel, coded: coded, fx: fx, fw: sw.fw, workset: workset}, nil
 }
 
 // decodeForward runs the decode stage of one bilinear layer's offload and
@@ -818,19 +855,23 @@ func (e *engine) floats(n int) []float64 {
 	return e.fscratch[:n]
 }
 
-// quantizeWeights stages the (optionally normalized) weights into an
-// arena-backed field vector. The result is only referenced by the dispatch
-// kernel closure, which completes before the next arena reset.
-func (e *engine) quantizeWeights(w []float64, fw float64) field.Vec {
-	wq := e.arena.Get(len(w))
+// quantizeWeights quantizes the weights, divided by their normalization
+// factor, into wq and returns the factor.
+func (e *engine) quantizeWeights(wq field.Vec, w []float64) float64 {
+	fw := 1.0
+	if m := maxAbs(w); m > e.cfg.NormLimit {
+		fw = m / e.cfg.NormLimit
+	}
 	if fw == 1 {
-		return e.q.QuantizeInto(wq, w)
+		e.q.QuantizeInto(wq, w)
+		return fw
 	}
 	scaled := e.floats(len(w))
 	for i, v := range w {
 		scaled[i] = v / fw
 	}
-	return e.q.QuantizeInto(wq, scaled)
+	e.q.QuantizeInto(wq, scaled)
+	return fw
 }
 
 func (e *engine) allocEnclave(n int64) error {

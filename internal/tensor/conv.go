@@ -194,6 +194,17 @@ func Conv2D(in []float64, w *Tensor, b []float64, p ConvParams) *Tensor {
 // backward it does not need the forward input — the input gradient of a
 // bilinear op is input-independent, which is what lets DarKnight offload δ
 // propagation without any coding (paper §4.2, computation (2)).
+//
+// It builds no patch-gradient matrix. Each patch row (c, ky, kx) of Wᵀ·gout
+// is summed once into a pooled row, in MatMulTransAInto's order and
+// skipping zero weights as it does (four output channels to a pass where
+// none of their weights is zero), and scattered through the stride into
+// a zero-bordered plane that every window reaches without a bounds test;
+// the plane's interior is the channel's gradient. Every element receives
+// the same terms in Col2Im's order, so the result is bit-identical to the
+// matrix formulation. The output is the only allocation.
+//
+//darknight:hotpath
 func Conv2DGradInput(w *Tensor, gout *Tensor, p ConvParams) []float64 {
 	p.Validate()
 	oh, ow := p.OutH(), p.OutW()
@@ -201,15 +212,67 @@ func Conv2DGradInput(w *Tensor, gout *Tensor, p ConvParams) []float64 {
 	ocpg := p.OutC / p.Groups
 	cpg := p.InC / p.Groups
 	rows := cpg * p.KH * p.KW
-	dColsBuf := GetScratch(p.Groups * rows * npix)
-	defer PutScratch(dColsBuf)
-	dCols := FromSlice(dColsBuf, p.Groups, rows, npix)
+	// A window overhangs the padded image when InH+2·Pad−KH is negative
+	// but above −Stride (OutH truncates it to 0), and the padded image
+	// extends past the last window when the stride does not divide it.
+	ph := max((oh-1)*p.Stride+p.KH, p.Pad+p.InH)
+	pw := max((ow-1)*p.Stride+p.KW, p.Pad+p.InW)
+	buf := GetScratch(npix + ph*pw)
+	defer PutScratch(buf)
+	pooled, plane := buf[:npix], buf[npix:]
+	//lint:ignore hotpathalloc the gradient escapes to the caller; one make per call by design
+	out := make([]float64, p.InC*p.InH*p.InW)
 	for g := 0; g < p.Groups; g++ {
-		gg := FromSlice(gout.Data[g*ocpg*npix:(g+1)*ocpg*npix], ocpg, npix)
-		wg := FromSlice(w.Data[g*ocpg*rows:(g+1)*ocpg*rows], ocpg, rows)
-		MatMulTransAInto(FromSlice(dCols.Data[g*rows*npix:(g+1)*rows*npix], rows, npix), wg, gg)
+		wg := w.Data[g*ocpg*rows : (g+1)*ocpg*rows]
+		gg := gout.Data[g*ocpg*npix : (g+1)*ocpg*npix]
+		for c := 0; c < cpg; c++ {
+			clear(plane)
+			for ky := 0; ky < p.KH; ky++ {
+				for kx := 0; kx < p.KW; kx++ {
+					row := (c*p.KH+ky)*p.KW + kx
+					clear(pooled)
+					oc := 0
+					for ; oc+4 <= ocpg; oc += 4 {
+						a0, a1, a2, a3 := wg[oc*rows+row], wg[(oc+1)*rows+row], wg[(oc+2)*rows+row], wg[(oc+3)*rows+row]
+						if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+							axpy4Float(pooled, a0, a1, a2, a3, gg[oc*npix:], gg[(oc+1)*npix:], gg[(oc+2)*npix:], gg[(oc+3)*npix:])
+							continue
+						}
+						for o := oc; o < oc+4; o++ {
+							if a := wg[o*rows+row]; a != 0 {
+								axpyFloat(pooled, a, gg[o*npix:(o+1)*npix])
+							}
+						}
+					}
+					for ; oc < ocpg; oc++ {
+						if a := wg[oc*rows+row]; a != 0 {
+							axpyFloat(pooled, a, gg[oc*npix:(oc+1)*npix])
+						}
+					}
+					for oy := 0; oy < oh; oy++ {
+						dst := plane[(oy*p.Stride+ky)*pw+kx:]
+						src := pooled[oy*ow : (oy+1)*ow]
+						if p.Stride == 1 { // the row's targets are contiguous
+							dst = dst[:len(src)]
+							for ox, v := range src {
+								dst[ox] += v
+							}
+							continue
+						}
+						for ox, v := range src {
+							dst[ox*p.Stride] += v
+						}
+					}
+				}
+			}
+			img := out[(g*cpg+c)*p.InH*p.InW : (g*cpg+c+1)*p.InH*p.InW]
+			for iy := 0; iy < p.InH; iy++ {
+				src := plane[(p.Pad+iy)*pw+p.Pad:]
+				copy(img[iy*p.InW:(iy+1)*p.InW], src[:p.InW])
+			}
+		}
 	}
-	return Col2Im(dCols, p)
+	return out
 }
 
 // Conv2DBackward computes the gradients of a convolution given the upstream

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -185,5 +186,81 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 	PutScratch(s)
 	if GetScratch(0) != nil {
 		t.Fatal("GetScratch(0) should be nil")
+	}
+}
+
+// conv2DGradInputCol2Im is the matrix formulation of the convolution input
+// gradient, kept as Conv2DGradInput's reference: the patch-gradient matrix
+// Wᵀ·gout of each group, scattered back by Col2Im.
+func conv2DGradInputCol2Im(w, gout *Tensor, p ConvParams) []float64 {
+	npix := p.OutH() * p.OutW()
+	ocpg := p.OutC / p.Groups
+	rows := p.InC / p.Groups * p.KH * p.KW
+	dCols := New(p.Groups, rows, npix)
+	for g := 0; g < p.Groups; g++ {
+		gg := FromSlice(gout.Data[g*ocpg*npix:(g+1)*ocpg*npix], ocpg, npix)
+		wg := FromSlice(w.Data[g*ocpg*rows:(g+1)*ocpg*rows], ocpg, rows)
+		MatMulTransAInto(FromSlice(dCols.Data[g*rows*npix:(g+1)*rows*npix], rows, npix), wg, gg)
+	}
+	return Col2Im(dCols, p)
+}
+
+// TestConv2DGradInputMatchesCol2Im pins the matrix-free input gradient
+// bit-for-bit to the matrix formulation over random geometries — strides,
+// padding, groups, kernels wider than the padded image (FuzzConvField's
+// overhang seed 12873ba3a43e0310 among them), output channels in and
+// beyond blocks of four, and zero weights, which both skip — and pins the
+// warm call at one allocation, its output.
+func TestConv2DGradInputMatchesCol2Im(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	vgg := []ConvParams{
+		{InC: 4, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1, InH: 8, InW: 8, Groups: 1},
+		{InC: 4, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, InH: 4, InW: 4, Groups: 1},
+		{InC: 8, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, InH: 4, InW: 4, Groups: 1},
+	}
+	geoms := append([]ConvParams{
+		{InC: 4, OutC: 6, KH: 3, KW: 3, Stride: 2, Pad: 0, InH: 8, InW: 2, Groups: 1}, // the overhang seed
+		{InC: 3, OutC: 3, KH: 1, KW: 3, Stride: 2, Pad: 0, InH: 1, InW: 2, Groups: 3},
+	}, vgg...)
+	for len(geoms) < 400 {
+		g := 1 + rng.Intn(3)
+		p := ConvParams{InC: g * (1 + rng.Intn(3)), OutC: g * (1 + rng.Intn(9)),
+			KH: 1 + rng.Intn(3), KW: 1 + rng.Intn(3), Stride: 1 + rng.Intn(2), Pad: rng.Intn(2),
+			InH: 1 + rng.Intn(7), InW: 1 + rng.Intn(7), Groups: g}
+		if p.OutH() > 0 && p.OutW() > 0 {
+			geoms = append(geoms, p)
+		}
+	}
+	for _, p := range geoms {
+		w := New(p.OutC, p.InC/p.Groups, p.KH, p.KW)
+		w.RandNormal(rng, 1)
+		for i := range w.Data {
+			if rng.Intn(4) == 0 {
+				w.Data[i] = 0
+			}
+		}
+		gout := New(p.OutC, p.OutH(), p.OutW())
+		gout.RandNormal(rng, 1)
+		want := conv2DGradInputCol2Im(w, gout, p)
+		got := Conv2DGradInput(w, gout, p)
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d elements, want %d", p, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: dIn[%d] = %v, matrix formulation %v", p, i, got[i], want[i])
+			}
+		}
+	}
+	if raceEnabled {
+		return // the race detector bypasses sync.Pool, so allocation counts are meaningless
+	}
+	for _, p := range vgg {
+		w, gout := New(p.OutC, p.InC/p.Groups, p.KH, p.KW), New(p.OutC, p.OutH(), p.OutW())
+		w.RandNormal(rng, 1)
+		gout.RandNormal(rng, 1)
+		if n := testing.AllocsPerRun(50, func() { Conv2DGradInput(w, gout, p) }); n != 1 {
+			t.Fatalf("Conv2DGradInput(%+v): %v allocs, want 1 (the output)", p, n)
+		}
 	}
 }

@@ -198,6 +198,22 @@ func axpyFloat(dst []float64, s float64, v []float64) {
 	}
 }
 
+// axpy4Float performs four axpyFloat calls in one pass: per element,
+// dst += a0·v0, then a1·v1, a2·v2 and a3·v3, each rounded in turn, so the
+// result is bit-identical to the four calls in that order.
+func axpy4Float(dst []float64, a0, a1, a2, a3 float64, v0, v1, v2, v3 []float64) {
+	n := len(dst)
+	v0, v1, v2, v3 = v0[:n], v1[:n], v2[:n], v3[:n]
+	for j := range dst {
+		acc := dst[j]
+		acc += a0 * v0[j]
+		acc += a1 * v1[j]
+		acc += a2 * v2[j]
+		acc += a3 * v3[j]
+		dst[j] = acc
+	}
+}
+
 // dotFloat returns <a, b> with 4-way unrolled accumulation.
 func dotFloat(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64

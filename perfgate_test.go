@@ -429,13 +429,15 @@ func resilPairedRatio(t *testing.T, rounds int) float64 {
 // resilience stack: the paired-median throughput with budgets, retries,
 // hedging and admission control enabled must stay within 10% of the
 // resilience-off baseline (design budget 5%; the CI gate leaves room for
-// shared-runner noise). Wall-clock sensitive, so skipped under the race
+// shared-runner noise). The median runs over 25 pairs: over 9, its own
+// spread reached the gate (1 of 30 readings at 0.887 around a median of
+// 0.971 on a 2-vCPU host). Wall-clock sensitive, so skipped under the race
 // detector and -short.
 func TestResilienceOverheadGate(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	ratio := resilPairedRatio(t, 9)
+	ratio := resilPairedRatio(t, 25)
 	t.Logf("resilience-on vs resilience-off paired-median throughput ratio: %.3f", ratio)
 	if ratio < 0.90 {
 		t.Fatalf("resilience stack costs %.1f%% clean-path throughput, budget 10%%",
