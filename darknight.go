@@ -90,7 +90,10 @@ type Config struct {
 	// completes first). Needs Redundancy >= 2 for the forward path and
 	// >= 1 for the backward window. It applies on a raw cluster and a
 	// ManagedFleet alike; the managed fleet additionally counts straggler
-	// events.
+	// events. At slack E−1 a forward decode keeps one parity check, which
+	// detects a tamper but cannot name it; the audit then waits for the
+	// laggards on devices whose calls cannot block and names the culprit
+	// from the larger set.
 	StragglerSlack int
 	// SlowAll marks every device slow by SlowDelay — the uniform
 	// per-dispatch device-latency regime pipelined training hides.
@@ -364,7 +367,7 @@ func (s *System) Close() {
 // span carrying its offload trees, and an "error" attribute if it failed.
 func (s *System) Predict(images [][]float64) ([]int, error) {
 	sp := s.obs.StartTrace("predict")
-	t, err := s.inf.SubmitTraced(s.cluster, images, sp)
+	t, err := s.inf.SubmitWithin(s.cluster, images, sp, time.Time{})
 	if err == nil {
 		err = t.Wait()
 	}

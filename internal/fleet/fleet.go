@@ -49,39 +49,19 @@ type TenantConfig struct {
 }
 
 // Config tunes the fleet manager. The zero value is a sensible operating
-// point; fields use 0 = default, negative = disabled where noted.
+// point; fields use 0 = default, negative = disabled where noted. The
+// health scoring (fault threshold, suspicion, decay, probation dwell and
+// promotion) is fixed by the constants in health.go.
 type Config struct {
 	// Tenants pre-registers named tenants with weights. Tenants not listed
 	// here are auto-registered at weight 1 on first use.
 	Tenants []TenantConfig
-	// FaultThreshold quarantines a device when its fault score reaches it.
-	// An exactly-attributed integrity fault scores a full threshold
-	// (immediate quarantine); unattributed gang-wide suspicion scores
-	// SuspectScore. Default 1.0.
-	FaultThreshold float64
-	// SuspectScore is added to every gang member's fault score when an
-	// integrity violation is detected but not attributable (E < 2). A
-	// persistent offender accumulates suspicion across differently
-	// composed gangs until it crosses the threshold. Default 0.4.
-	SuspectScore float64
-	// FaultDecay is the fraction of the fault score retained after a clean
-	// dispatch, so transient suspicion bleeds off. Default 0.5.
-	FaultDecay float64
 	// ProbationProbability is the chance, per admission pass, that a
 	// quarantined device is re-admitted on probation. Probation devices
 	// serve normally but carry half-threshold fault scores — one more
 	// attributed fault sends them straight back. Default 0.05; negative
 	// disables re-admission (quarantine is then permanent).
 	ProbationProbability float64
-	// ProbationClean promotes a probation device back to healthy after
-	// this many clean dispatches. Default 3.
-	ProbationClean int
-	// ProbationBackoff is the minimum quarantine dwell time before the
-	// first re-admission draw; it doubles with every further quarantine of
-	// the same device (capped at 64x), so a persistent offender re-tries at
-	// exponentially sparser intervals instead of burning a recovered batch
-	// every few milliseconds. Default 100ms.
-	ProbationBackoff time.Duration
 	// SpeculateAfter re-dispatches the coded share of a device that has
 	// not answered within this duration to a borrowed spare device (first
 	// response wins). 0 disables speculation. Speculation only engages on
@@ -95,23 +75,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FaultThreshold == 0 {
-		c.FaultThreshold = 1.0
-	}
-	if c.SuspectScore == 0 {
-		c.SuspectScore = 0.4
-	}
-	if c.FaultDecay == 0 {
-		c.FaultDecay = 0.5
-	}
 	if c.ProbationProbability == 0 {
 		c.ProbationProbability = 0.05
-	}
-	if c.ProbationClean == 0 {
-		c.ProbationClean = 3
-	}
-	if c.ProbationBackoff == 0 {
-		c.ProbationBackoff = 100 * time.Millisecond
 	}
 	return c
 }

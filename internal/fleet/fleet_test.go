@@ -136,7 +136,7 @@ func TestSuspicionAccumulatesAcrossGangs(t *testing.T) {
 		g.ReportSuspect()
 		g.Release()
 	}
-	// Default SuspectScore 0.4 vs threshold 1.0: quarantine on round 3.
+	// suspectScore 0.4 vs faultThreshold 1.0: quarantine on round 3.
 	if rounds != 3 {
 		t.Fatalf("quarantined after %d suspect rounds, want 3", rounds)
 	}
@@ -148,9 +148,10 @@ func TestSuspicionAccumulatesAcrossGangs(t *testing.T) {
 
 func TestProbationReadmissionAndRecovery(t *testing.T) {
 	// ProbationProbability 1: the quarantined device is re-admitted on the
-	// next admission pass, serves ProbationClean clean dispatches, and
-	// returns to full health under a fresh fingerprint.
-	m := NewManager(gpu.NewHonestCluster(2), Config{ProbationProbability: 1, ProbationClean: 2, ProbationBackoff: time.Millisecond})
+	// first admission pass after probationBackoff, serves probationClean
+	// clean dispatches, and returns to full health under a fresh
+	// fingerprint.
+	m := NewManager(gpu.NewHonestCluster(2), Config{ProbationProbability: 1})
 	g, err := m.Acquire(context.Background(), "a", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +166,7 @@ func TestProbationReadmissionAndRecovery(t *testing.T) {
 
 	// The next full-fleet acquire triggers an admission pass that must
 	// re-admit the device (probability 1) to fit the gang.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < probationClean; i++ {
 		g, err := m.Acquire(context.Background(), "a", 2)
 		if err != nil {
 			t.Fatal(err)
@@ -200,7 +201,7 @@ func TestProbationReadmissionAndRecovery(t *testing.T) {
 }
 
 func TestProbationFaultReturnsToQuarantine(t *testing.T) {
-	m := NewManager(gpu.NewHonestCluster(2), Config{ProbationProbability: 1, ProbationBackoff: time.Millisecond})
+	m := NewManager(gpu.NewHonestCluster(2), Config{ProbationProbability: 1})
 	g, _ := m.Acquire(context.Background(), "a", 2)
 	g.ReportFaults([]int{0})
 	badID := g.DeviceIDs()[0]
@@ -394,7 +395,7 @@ func TestSpeculativeRedispatchFillsLaggingSlot(t *testing.T) {
 func TestQuarantineShrinksPoolThenProbationRestores(t *testing.T) {
 	// Quarantine drops the pool below the gang size; a blocked acquire is
 	// satisfied once probation re-admits the device.
-	m := NewManager(gpu.NewHonestCluster(3), Config{ProbationProbability: 1, ProbationBackoff: time.Millisecond})
+	m := NewManager(gpu.NewHonestCluster(3), Config{ProbationProbability: 1})
 	g, _ := m.Acquire(context.Background(), "a", 3)
 	g.ReportFaults([]int{2})
 	g.Release() // pool now 2 healthy + 1 quarantined

@@ -184,7 +184,7 @@ func (g *Grant) ReportFaults(slots []int) {
 
 // ReportSuspect marks the whole gang suspect: an integrity violation was
 // detected but could not be attributed (E < 2). Every member's fault score
-// rises by SuspectScore on Release; the persistent offender accumulates
+// rises by suspectScore on Release; the persistent offender accumulates
 // suspicion across differently composed gangs until quarantined.
 func (g *Grant) ReportSuspect() {
 	g.mu.Lock()

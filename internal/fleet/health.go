@@ -11,7 +11,7 @@ import (
 //
 //	Healthy ──fault score ≥ threshold──▶ Quarantined
 //	   ▲                                      │
-//	   │ ProbationClean clean dispatches      │ probabilistic re-admission
+//	   │ probationClean clean dispatches      │ probabilistic re-admission
 //	   │                                      ▼
 //	   └──────────────────────────────── Probation
 //	                 (one attributed fault: straight back to Quarantined)
@@ -41,6 +41,32 @@ func (s State) String() string {
 
 // ewmaAlpha is the smoothing factor of the per-device latency EWMA.
 const ewmaAlpha = 0.25
+
+// The health scoring.
+const (
+	// faultThreshold quarantines a device when its fault score reaches it.
+	// An exactly-attributed integrity fault scores a full threshold
+	// (immediate quarantine); unattributed gang-wide suspicion scores
+	// suspectScore.
+	faultThreshold = 1.0
+	// suspectScore is added to every gang member's fault score when an
+	// integrity violation is detected but not attributed. A persistent
+	// offender accumulates suspicion across differently composed gangs
+	// until it crosses the threshold.
+	suspectScore = 0.4
+	// faultDecay is the fraction of the fault score retained after a clean
+	// dispatch, so transient suspicion bleeds off.
+	faultDecay = 0.5
+	// probationClean promotes a probation device back to healthy after
+	// this many clean dispatches.
+	probationClean = 3
+	// probationBackoff is the minimum quarantine dwell time before the
+	// first re-admission draw; it doubles with every further quarantine of
+	// the same device (capped at 64x), so a persistent offender re-tries at
+	// exponentially sparser intervals instead of burning a recovered batch
+	// every few milliseconds.
+	probationBackoff = 100 * time.Millisecond
+)
 
 // deviceRec is the tracker's view of one physical device. All fields are
 // guarded by Manager.mu.
@@ -76,9 +102,9 @@ func (m *Manager) reportCleanLocked(rec *deviceRec, mean time.Duration, straggle
 			rec.ewma = time.Duration((1-ewmaAlpha)*float64(rec.ewma) + ewmaAlpha*float64(mean))
 		}
 	}
-	rec.faultScore *= m.cfg.FaultDecay
+	rec.faultScore *= faultDecay
 	rec.cleanStreak++
-	if rec.state == Probation && rec.cleanStreak >= m.cfg.ProbationClean {
+	if rec.state == Probation && rec.cleanStreak >= probationClean {
 		m.transitionLocked(rec, Healthy, "probation served clean")
 		rec.faultScore = 0
 	}
@@ -93,11 +119,11 @@ func (m *Manager) reportFaultLocked(rec *deviceRec, exact bool) {
 	rec.faults++
 	rec.cleanStreak = 0
 	if exact {
-		rec.faultScore += m.cfg.FaultThreshold
+		rec.faultScore += faultThreshold
 	} else {
-		rec.faultScore += m.cfg.SuspectScore
+		rec.faultScore += suspectScore
 	}
-	if rec.faultScore >= m.cfg.FaultThreshold && rec.state != Quarantined {
+	if rec.faultScore >= faultThreshold && rec.state != Quarantined {
 		reason := "suspicion accumulated past threshold"
 		if exact {
 			reason = "attributed integrity fault"
@@ -129,7 +155,7 @@ func (m *Manager) probationLocked() {
 		if shift > 6 {
 			shift = 6
 		}
-		if now.Sub(rec.quarantinedAt) < m.cfg.ProbationBackoff<<shift {
+		if now.Sub(rec.quarantinedAt) < probationBackoff<<shift {
 			continue
 		}
 		if m.rng.Float64() >= m.cfg.ProbationProbability {
@@ -137,7 +163,7 @@ func (m *Manager) probationLocked() {
 		}
 		rec.gen++
 		rec.fp = m.reg.Register(rec.id, rec.gen)
-		rec.faultScore = m.cfg.FaultThreshold / 2
+		rec.faultScore = faultThreshold / 2
 		rec.cleanStreak = 0
 		m.transitionLocked(rec, Probation, "probabilistic re-admission")
 		m.readmissions++

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"time"
 
 	"darknight/internal/obs"
 )
@@ -15,12 +14,8 @@ func (m *Manager) SnapshotInto(fi *obs.FleetInfo) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fi.Config = obs.FleetConfigInfo{
-		FaultThreshold:       m.cfg.FaultThreshold,
-		SuspectScore:         m.cfg.SuspectScore,
-		FaultDecay:           m.cfg.FaultDecay,
+		FaultThreshold:       faultThreshold,
 		ProbationProbability: m.cfg.ProbationProbability,
-		ProbationClean:       m.cfg.ProbationClean,
-		ProbationBackoffNs:   int64(m.cfg.ProbationBackoff),
 		SpeculateAfterNs:     int64(m.cfg.SpeculateAfter),
 		Seed:                 m.cfg.Seed,
 		Tenants:              make(map[string]float64, len(m.names)),
@@ -75,15 +70,7 @@ func (m *Manager) SnapshotInto(fi *obs.FleetInfo) {
 // gangs are scripted from the batch log, so probation can only inject
 // timing-dependent readmit events, never change which devices serve.
 func ConfigFromSnapshot(fc obs.FleetConfigInfo) Config {
-	cfg := Config{
-		FaultThreshold:       fc.FaultThreshold,
-		SuspectScore:         fc.SuspectScore,
-		FaultDecay:           fc.FaultDecay,
-		ProbationProbability: -1,
-		ProbationClean:       fc.ProbationClean,
-		ProbationBackoff:     time.Duration(fc.ProbationBackoffNs),
-		Seed:                 fc.Seed,
-	}
+	cfg := Config{ProbationProbability: -1, Seed: fc.Seed}
 	for name, w := range fc.Tenants {
 		cfg.Tenants = append(cfg.Tenants, TenantConfig{Name: name, Weight: w})
 	}

@@ -322,7 +322,8 @@ type LayerPending struct {
 	present  []bool  // answered without error
 	ok       [2]int  // per window: jobs answered without error
 	answered int
-	need     int // the quorum a parked gatherer waits for; 0 when none is parked
+	need     int  // the quorum a parked gatherer waits for; 0 when none is parked
+	prompt   bool // a parked gatherer waits for every prompt slot's job instead
 }
 
 func (f *BlockFlight) newPending(key string, window, secondary int) *LayerPending {
@@ -418,9 +419,9 @@ func (p *LayerPending) deliver(entry int, v field.Vec, err error) {
 			p.ok[1]++
 		}
 	}
-	wake := p.need > 0 && p.settled(p.need)
+	wake := (p.need > 0 && p.settled(p.need)) || (p.prompt && p.promptSettled())
 	if wake {
-		p.need = 0
+		p.need, p.prompt = 0, false
 	}
 	p.mu.Unlock()
 	if wake {
@@ -485,6 +486,38 @@ func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool, error) {
 		}
 	}
 	return results, present, nil
+}
+
+// WaitPrompt blocks until every job of the layer on a slot whose calls
+// cannot block — the slots End's drain waits for — has answered, and
+// returns the results in job order with a presence mask, as WaitQuorum
+// does. A quorum gather that returned around laggards uses it to take in
+// the answers bound to land; a job on a slot that may block is never
+// waited for.
+func (p *LayerPending) WaitPrompt() ([]field.Vec, []bool) {
+	p.mu.Lock()
+	if !p.promptSettled() {
+		p.prompt = true
+		p.mu.Unlock()
+		<-p.wake
+		p.mu.Lock()
+	}
+	defer p.mu.Unlock()
+	if p.ok[0]+p.ok[1] == len(p.results) {
+		return p.results, nil
+	}
+	return slices.Clone(p.results), slices.Clone(p.present)
+}
+
+// promptSettled reports whether every job on a prompt slot has answered.
+// Caller holds mu.
+func (p *LayerPending) promptSettled() bool {
+	for entry, got := range p.present {
+		if !got && (p.errs == nil || p.errs[entry] == nil) && p.f.slots[p.slot(entry)].prompt {
+			return false
+		}
+	}
+	return true
 }
 
 // foldErrors returns the error of the lowest gang slot that failed a job

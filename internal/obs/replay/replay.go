@@ -123,8 +123,6 @@ func Run(snap *obs.Snapshot, model *nn.Model, opts Options) (*Report, error) {
 		Collusion:      snap.Sched.Collusion,
 		Redundancy:     snap.Sched.Redundancy,
 		StragglerSlack: snap.Sched.StragglerSlack,
-		FracBits:       snap.Sched.FracBits,
-		NormLimit:      snap.Sched.NormLimit,
 		Seed:           snap.Sched.Seed,
 	}
 	// One lane: the log is replayed serially, whatever depth recorded it.

@@ -50,17 +50,15 @@ type Snapshot struct {
 	EventsDropped int64 `json:"events_dropped"`
 }
 
-// SchedInfo captures the coding geometry, quantization operating point
-// and seeds of the scheduler — everything that shapes the exact field
-// arithmetic of a batch.
+// SchedInfo captures the coding geometry and seeds of the scheduler —
+// with the runtime's fixed quantization (quant.DefaultFracBits, unit norm
+// limit), everything that shapes the exact field arithmetic of a batch.
 type SchedInfo struct {
-	K              int     `json:"k"`               // virtual batch size
-	Collusion      int     `json:"collusion"`       // M noise rows
-	Redundancy     int     `json:"redundancy"`      // E integrity equations
-	StragglerSlack int     `json:"straggler_slack"` // decode after all-but-N
-	FracBits       uint    `json:"frac_bits"`       // fixed-point precision l
-	NormLimit      float64 `json:"norm_limit"`      // pre-quantization norm bound
-	Seed           int64   `json:"seed"`
+	K              int   `json:"k"`               // virtual batch size
+	Collusion      int   `json:"collusion"`       // M noise rows
+	Redundancy     int   `json:"redundancy"`      // E integrity equations
+	StragglerSlack int   `json:"straggler_slack"` // decode after all-but-N
+	Seed           int64 `json:"seed"`
 }
 
 // ServingInfo captures the serve layer's configuration and occupancy.
@@ -132,13 +130,11 @@ type FleetInfo struct {
 }
 
 // FleetConfigInfo is the manager configuration replay rebuilds from.
+// FaultThreshold is the manager's fixed quarantine threshold, recorded so
+// Validate can bound the device fault scores.
 type FleetConfigInfo struct {
 	FaultThreshold       float64            `json:"fault_threshold"`
-	SuspectScore         float64            `json:"suspect_score"`
-	FaultDecay           float64            `json:"fault_decay"`
 	ProbationProbability float64            `json:"probation_probability"`
-	ProbationClean       int                `json:"probation_clean"`
-	ProbationBackoffNs   int64              `json:"probation_backoff_ns"`
 	SpeculateAfterNs     int64              `json:"speculate_after_ns"`
 	Seed                 int64              `json:"seed"`
 	Tenants              map[string]float64 `json:"tenants,omitempty"` // name -> weight

@@ -11,7 +11,7 @@ import (
 // consumes SLO breach events (obs.SLOTracker.OnBreach) and maps the set of
 // currently-burning objectives to a degradation level:
 //
-//	level = min(MaxLevel, number of distinct breached tenant/window/SLO keys)
+//	level = min(maxBrownout, number of distinct breached tenant/window/SLO keys)
 //
 // Rising breaches escalate, clearing breaches de-escalate, and level 0 is
 // full service — edge-triggered both ways, no polling. What each level
@@ -24,16 +24,10 @@ import (
 type BrownoutPolicy struct {
 	// Enabled turns the controller on.
 	Enabled bool
-	// MaxLevel caps degradation depth (default 3).
-	MaxLevel int
 }
 
-func (p BrownoutPolicy) maxLevel() int {
-	if p.MaxLevel <= 0 {
-		return 3
-	}
-	return p.MaxLevel
-}
+// maxBrownout caps the degradation depth.
+const maxBrownout = 3
 
 // Brownout is the degradation controller. Safe for concurrent use; breach
 // callbacks arrive on serving goroutines.
@@ -103,10 +97,7 @@ func (b *Brownout) observe(br obs.Breach) {
 	} else {
 		b.burning[key] = true
 	}
-	level := len(b.burning)
-	if max := b.policy.maxLevel(); level > max {
-		level = max
-	}
+	level := min(len(b.burning), maxBrownout)
 	old := b.level
 	var hooks []func(int)
 	if level != old {

@@ -18,15 +18,6 @@ type HedgePolicy struct {
 	// Quantile is the batch-latency percentile that arms the hedge timer
 	// (default 0.95): a batch slower than this is presumed straggling.
 	Quantile float64
-	// Min floors the trigger delay so cold starts and tiny samples cannot
-	// hedge everything (default 250µs).
-	Min time.Duration
-	// Warmup is the number of completed batches observed before hedging
-	// engages (default 16) — percentiles over fewer samples are noise.
-	Warmup int
-	// Window bounds the latency reservoir (default 512 most recent
-	// batches).
-	Window int
 }
 
 func (p HedgePolicy) quantile() float64 {
@@ -36,26 +27,17 @@ func (p HedgePolicy) quantile() float64 {
 	return p.Quantile
 }
 
-func (p HedgePolicy) min() time.Duration {
-	if p.Min <= 0 {
-		return 250 * time.Microsecond
-	}
-	return p.Min
-}
-
-func (p HedgePolicy) warmup() int {
-	if p.Warmup <= 0 {
-		return 16
-	}
-	return p.Warmup
-}
-
-func (p HedgePolicy) window() int {
-	if p.Window <= 0 {
-		return 512
-	}
-	return p.Window
-}
+// The hedge governor's sampling.
+const (
+	// hedgeMin floors the trigger delay so cold starts and tiny samples
+	// cannot hedge everything.
+	hedgeMin = 250 * time.Microsecond
+	// hedgeWarmup is the number of completed batches observed before
+	// hedging engages — percentiles over fewer samples are noise.
+	hedgeWarmup = 16
+	// hedgeWindow bounds the latency reservoir to the most recent batches.
+	hedgeWindow = 512
+)
 
 // HedgeGovernor tracks recent batch dispatch latencies and answers "how
 // long should a primary flight run before we hedge it?". Safe for
@@ -70,7 +52,7 @@ type HedgeGovernor struct {
 	n    int64 // total observations (monotone)
 
 	// cached is the last computed trigger; recomputing the ring quantile
-	// (copy + sort of up to Window samples) on every dispatch would tax
+	// (copy + sort of up to hedgeWindow samples) on every dispatch would tax
 	// the clean path, so Delay refreshes it at most once per
 	// recomputeEvery observations.
 	cached   time.Duration
@@ -83,7 +65,7 @@ type HedgeGovernor struct {
 
 // NewHedgeGovernor builds a governor for the policy.
 func NewHedgeGovernor(p HedgePolicy) *HedgeGovernor {
-	return &HedgeGovernor{policy: p, ring: make([]time.Duration, 0, p.window())}
+	return &HedgeGovernor{policy: p, ring: make([]time.Duration, 0, hedgeWindow)}
 }
 
 // Observe records one completed primary dispatch latency.
@@ -92,7 +74,7 @@ func (g *HedgeGovernor) Observe(d time.Duration) {
 		return
 	}
 	g.mu.Lock()
-	if len(g.ring) < g.policy.window() {
+	if len(g.ring) < hedgeWindow {
 		g.ring = append(g.ring, d)
 	} else {
 		g.ring[g.pos] = d
@@ -122,7 +104,7 @@ func (g *HedgeGovernor) Delay() (time.Duration, bool) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.disabled || g.n < int64(g.policy.warmup()) {
+	if g.disabled || g.n < hedgeWarmup {
 		return 0, false
 	}
 	if g.cachedAt == 0 || g.n-g.cachedAt >= recomputeEvery {
@@ -132,11 +114,7 @@ func (g *HedgeGovernor) Delay() (time.Duration, bool) {
 		if idx >= len(sorted) {
 			idx = len(sorted) - 1
 		}
-		d := sorted[idx]
-		if min := g.policy.min(); d < min {
-			d = min
-		}
-		g.cached, g.cachedAt = d, g.n
+		g.cached, g.cachedAt = max(sorted[idx], hedgeMin), g.n
 	}
 	return g.cached, true
 }

@@ -52,38 +52,26 @@ type Config struct {
 }
 
 // BudgetPolicy splits a request's end-to-end deadline budget across the
-// serving phases: admission + batching may spend at most BatchFraction of
-// the budget; the remainder is reserved for gang acquisition, offload and
-// decode. The offload layer re-checks the absolute deadline before every
-// gang dispatch.
+// serving phases: admission + batching may spend at most
+// DefaultBatchFraction of the budget; the remainder is reserved for gang
+// acquisition, offload and decode. The offload layer re-checks the absolute
+// deadline before every gang dispatch.
 type BudgetPolicy struct {
 	// Default is the end-to-end budget applied to requests whose context
 	// carries no deadline. 0 leaves such requests unbounded (PR8
 	// behavior); a caller deadline always takes precedence when earlier.
 	Default time.Duration
-	// BatchFraction is the share of the budget a request may spend waiting
-	// in the batcher before it must be flushed (padded if necessary).
-	// 0 picks DefaultBatchFraction. The rest of the budget covers the
-	// dispatch pipeline — so a request is never flushed so late that the
-	// offload cannot finish inside its deadline.
-	BatchFraction float64
 }
 
 // DefaultBatchFraction is the batching share of a deadline budget: half
-// the budget may be spent coalescing, half is reserved for the offload.
+// the budget may be spent coalescing, half is reserved for the offload —
+// so a request is never flushed so late that the offload cannot finish
+// inside its deadline.
 const DefaultBatchFraction = 0.5
 
 // Enabled reports whether the budget policy changes anything: a default
-// budget or an explicit phase split.
-func (p BudgetPolicy) Enabled() bool { return p.Default > 0 || p.BatchFraction > 0 }
-
-// batchFraction returns the effective batching share.
-func (p BudgetPolicy) batchFraction() float64 {
-	if p.BatchFraction <= 0 || p.BatchFraction > 1 {
-		return DefaultBatchFraction
-	}
-	return p.BatchFraction
-}
+// budget.
+func (p BudgetPolicy) Enabled() bool { return p.Default > 0 }
 
 // Deadline resolves a request's absolute end-to-end deadline from its
 // context deadline (ok=false when absent) and the policy default. The
@@ -111,7 +99,7 @@ func (p BudgetPolicy) FlushBy(now time.Time, d time.Time, maxWait time.Duration)
 	if budget <= 0 {
 		return now // already expired: flush (and fail) immediately
 	}
-	if cut := now.Add(time.Duration(float64(budget) * p.batchFraction())); cut.Before(flushBy) {
+	if cut := now.Add(time.Duration(float64(budget) * DefaultBatchFraction)); cut.Before(flushBy) {
 		flushBy = cut
 	}
 	return flushBy
@@ -122,34 +110,25 @@ type RetryPolicy struct {
 	// Max is the number of re-dispatch attempts after the original (0
 	// disables retry).
 	Max int
-	// Base is the first backoff (default 500µs); each further attempt
-	// doubles it, capped at Cap (default 8ms). The quarantine machinery
-	// removes attributed culprits from the pool meanwhile, which is what
-	// makes the fresh gang actually fresh.
-	Base time.Duration
-	// Cap bounds the exponential growth.
-	Cap time.Duration
 }
+
+// The retry backoff: the first pause is retryBase and each further attempt
+// doubles it, capped at retryCap. The quarantine machinery removes
+// attributed culprits from the pool meanwhile, which is what makes the
+// fresh gang actually fresh.
+const (
+	retryBase = 500 * time.Microsecond
+	retryCap  = 8 * time.Millisecond
+)
 
 // Backoff returns the pause before re-dispatch attempt (1-based).
 func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	base := p.Base
-	if base <= 0 {
-		base = 500 * time.Microsecond
-	}
-	cap := p.Cap
-	if cap <= 0 {
-		cap = 8 * time.Millisecond
-	}
-	d := base
+	d := retryBase
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= cap {
-			return cap
+		if d >= retryCap {
+			return retryCap
 		}
-	}
-	if d > cap {
-		return cap
 	}
 	return d
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	p := RetryPolicy{Max: 5} // defaults: base 500µs, cap 8ms
+	p := RetryPolicy{Max: 5} // retryBase 500µs, retryCap 8ms
 	want := []time.Duration{
 		500 * time.Microsecond,
 		1 * time.Millisecond,
@@ -24,18 +24,6 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 		if got := p.Backoff(i + 1); got != w {
 			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
 		}
-	}
-	custom := RetryPolicy{Base: time.Millisecond, Cap: 3 * time.Millisecond}
-	if got := custom.Backoff(1); got != time.Millisecond {
-		t.Errorf("custom Backoff(1) = %v", got)
-	}
-	if got := custom.Backoff(3); got != 3*time.Millisecond {
-		t.Errorf("custom Backoff(3) = %v, want cap 3ms", got)
-	}
-	// Base above cap clamps to cap from the first attempt.
-	weird := RetryPolicy{Base: 10 * time.Millisecond, Cap: 2 * time.Millisecond}
-	if got := weird.Backoff(1); got != 2*time.Millisecond {
-		t.Errorf("base>cap Backoff(1) = %v, want 2ms", got)
 	}
 }
 
@@ -68,7 +56,7 @@ func TestBudgetDeadlineResolution(t *testing.T) {
 func TestBudgetFlushBySplit(t *testing.T) {
 	now := time.Unix(1000, 0)
 	maxWait := 50 * time.Millisecond
-	p := BudgetPolicy{Default: 100 * time.Millisecond} // batch share = default 0.5
+	p := BudgetPolicy{Default: 100 * time.Millisecond} // batch share DefaultBatchFraction = 0.5
 
 	// Unbounded request: flushBy is just now+maxWait.
 	if got := p.FlushBy(now, time.Time{}, maxWait); !got.Equal(now.Add(maxWait)) {
@@ -84,12 +72,6 @@ func TestBudgetFlushBySplit(t *testing.T) {
 	d = now.Add(20 * time.Millisecond)
 	if got := p.FlushBy(now, d, maxWait); !got.Equal(now.Add(10 * time.Millisecond)) {
 		t.Errorf("tight FlushBy = %v, want now+10ms", got)
-	}
-	// Custom fraction.
-	p2 := BudgetPolicy{BatchFraction: 0.25}
-	d = now.Add(40 * time.Millisecond)
-	if got := p2.FlushBy(now, d, maxWait); !got.Equal(now.Add(10 * time.Millisecond)) {
-		t.Errorf("quarter-fraction FlushBy = %v, want now+10ms", got)
 	}
 	// Already expired: flush immediately.
 	if got := p.FlushBy(now, now.Add(-time.Millisecond), maxWait); !got.Equal(now) {
@@ -193,32 +175,38 @@ func TestHedgeGovernorWarmupQuantileFloor(t *testing.T) {
 		t.Fatal("disabled policy offered a hedge delay")
 	}
 
-	g := NewHedgeGovernor(HedgePolicy{
-		Enabled: true, Quantile: 0.9, Min: time.Millisecond, Warmup: 4, Window: 8,
-	})
-	// Unwarmed: no hedging.
-	g.Observe(10 * time.Millisecond)
+	g := NewHedgeGovernor(HedgePolicy{Enabled: true, Quantile: 0.9})
+	// Unwarmed: no hedging until hedgeWarmup batches have been observed.
+	for i := 1; i < hedgeWarmup; i++ {
+		g.Observe(100 * time.Millisecond)
+	}
 	if _, ok := g.Delay(); ok {
 		t.Fatal("governor hedged before warmup")
 	}
-	for _, d := range []time.Duration{10, 20, 30, 40, 50, 60, 70} {
-		g.Observe(d * time.Millisecond)
+	g.Observe(100 * time.Millisecond)
+	if d, ok := g.Delay(); !ok || d != 100*time.Millisecond {
+		t.Fatalf("warmed governor: got (%v, %v), want (100ms, true)", d, ok)
 	}
-	d, ok := g.Delay()
-	if !ok {
-		t.Fatal("warmed governor refused to hedge")
+	// hedgeWindow fresh samples of 1..hedgeWindow ms evict every warmup
+	// sample: p90 indexes ⌊0.9·hedgeWindow⌋ into exactly those.
+	for i := 1; i <= hedgeWindow; i++ {
+		g.Observe(time.Duration(i) * time.Millisecond)
 	}
-	// Ring holds {10,10,20,...,70}ms; p90 over 8 samples indexes the top.
-	if d < 50*time.Millisecond || d > 70*time.Millisecond {
-		t.Errorf("p90 delay = %v, want in [50ms, 70ms]", d)
+	if len(g.ring) != hedgeWindow {
+		t.Fatalf("reservoir holds %d samples, want %d", len(g.ring), hedgeWindow)
+	}
+	want := time.Duration(hedgeWindow*9/10+1) * time.Millisecond
+	if d, ok := g.Delay(); !ok || d != want {
+		t.Errorf("p90 delay = (%v, %v), want (%v, true)", d, ok, want)
 	}
 
-	// Min floor: all-fast observations still wait at least Min.
-	fast := NewHedgeGovernor(HedgePolicy{Enabled: true, Min: time.Millisecond, Warmup: 2, Window: 8})
-	fast.Observe(time.Microsecond)
-	fast.Observe(time.Microsecond)
-	if d, ok := fast.Delay(); !ok || d != time.Millisecond {
-		t.Errorf("min floor: got (%v, %v), want (1ms, true)", d, ok)
+	// hedgeMin floor: all-fast observations still wait at least hedgeMin.
+	fast := NewHedgeGovernor(HedgePolicy{Enabled: true})
+	for i := 0; i < hedgeWarmup; i++ {
+		fast.Observe(time.Microsecond)
+	}
+	if d, ok := fast.Delay(); !ok || d != hedgeMin {
+		t.Errorf("min floor: got (%v, %v), want (%v, true)", d, ok, hedgeMin)
 	}
 
 	// Brownout disable suspends, re-enable resumes.
@@ -239,7 +227,7 @@ func breach(tenant string, win time.Duration, slo string, cleared bool) obs.Brea
 func TestBrownoutLevelTransitions(t *testing.T) {
 	rec := obs.NewFlightRecorder(64)
 	var c Counters
-	b := NewBrownout(BrownoutPolicy{Enabled: true, MaxLevel: 2}, rec, &c)
+	b := NewBrownout(BrownoutPolicy{Enabled: true}, rec, &c)
 
 	var levels []int
 	b.OnChange(func(l int) { levels = append(levels, l) })
@@ -257,24 +245,33 @@ func TestBrownoutLevelTransitions(t *testing.T) {
 	if got := c.BrownoutShifts.Load(); got != 1 {
 		t.Fatalf("duplicate breach caused a transition: shifts = %d", got)
 	}
-	// Distinct keys escalate; MaxLevel caps at 2.
+	// Distinct keys escalate; a fourth is capped at maxBrownout = 3.
 	b.observe(breach("a", 10*time.Second, "latency", false))
 	b.observe(breach("b", time.Second, "errors", false))
-	if b.Level() != 2 {
-		t.Fatalf("level = %d, want capped at 2", b.Level())
+	b.observe(breach("b", 10*time.Second, "errors", false))
+	if b.Level() != maxBrownout {
+		t.Fatalf("level = %d, want capped at %d", b.Level(), maxBrownout)
 	}
-	// Clearing back down de-escalates stepwise to 0.
+	if got := c.BrownoutShifts.Load(); got != 3 {
+		t.Fatalf("capped breach caused a transition: shifts = %d, want 3", got)
+	}
+	// Clearing back down de-escalates stepwise to 0; the first clear
+	// leaves three keys burning, still at the cap.
 	b.observe(breach("a", time.Second, "latency", true))
+	if b.Level() != 3 {
+		t.Fatalf("after first clear: level = %d, want 3", b.Level())
+	}
 	b.observe(breach("a", 10*time.Second, "latency", true))
-	if b.Level() != 1 {
-		t.Fatalf("after partial clear: level = %d, want 1", b.Level())
+	if b.Level() != 2 {
+		t.Fatalf("after partial clear: level = %d, want 2", b.Level())
 	}
 	b.observe(breach("b", time.Second, "errors", true))
+	b.observe(breach("b", 10*time.Second, "errors", true))
 	if b.Level() != 0 {
 		t.Fatalf("after full clear: level = %d, want 0", b.Level())
 	}
 
-	want := []int{1, 2, 1, 0}
+	want := []int{1, 2, 3, 2, 1, 0}
 	if len(levels) != len(want) {
 		t.Fatalf("OnChange fired %d times (%v), want %v", len(levels), levels, want)
 	}
@@ -283,8 +280,8 @@ func TestBrownoutLevelTransitions(t *testing.T) {
 			t.Fatalf("OnChange sequence = %v, want %v", levels, want)
 		}
 	}
-	if got := c.BrownoutShifts.Load(); got != 4 {
-		t.Errorf("shifts = %d, want 4", got)
+	if got := c.BrownoutShifts.Load(); got != 6 {
+		t.Errorf("shifts = %d, want 6", got)
 	}
 
 	// Flight recorder saw both directions.

@@ -177,8 +177,8 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 		lin.AddGradB(cur[i], 1)
 	}
 	// Shared normalization so the decoded SUM can be unscaled exactly.
-	l.fd = sharedNormFactor(cur, e.cfg.NormLimit)
-	l.fx = sharedNormFactor(tr.inputs, e.cfg.NormLimit)
+	l.fd = sharedNormFactor(cur)
+	l.fx = sharedNormFactor(tr.inputs)
 	quantDeltas := make([]field.Vec, k)
 	scratch := make([]float64, lin.OutLen())
 	for i := 0; i < k; i++ {

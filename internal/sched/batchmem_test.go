@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -149,19 +148,21 @@ func TestTicketLogitsOutliveLaneBatch(t *testing.T) {
 // finish. Device results are recycled after every decode, audit and
 // recovery, training-free device stores are overwritten in place, and
 // quorum laggards finish after their batch moved on; a buffer handed out
-// twice would corrupt some batch's logits. Every answered batch must be
-// bit-identical to internal/spec/stack, and every refused one an integrity
-// verdict (a tamper the quorum could not attribute).
+// twice would corrupt some batch's logits. Every batch must be answered
+// bit-identical to internal/spec/stack — a tamper the quorum gather left one
+// check to see is attributed once the prompt laggard's answer lands — and
+// the tamperer must be the only device ever quarantined.
 func TestOpenLoopRecycledResultsMatchSpec(t *testing.T) {
 	const (
 		workers = 2
 		depth   = 2
 		batches = 12 // per worker
 		gang    = 7
+		bad     = 2
 	)
 	cfg := Config{VirtualBatch: 4, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 9}
 	devs := honestDevices(3 * gang)
-	devs[2] = gpu.NewMalicious(devs[2], gpu.FaultPolicy{EveryNth: 1})
+	devs[bad] = gpu.NewMalicious(devs[bad], gpu.FaultPolicy{EveryNth: 1})
 	devs[gang+3] = gpu.NewSlow(devs[gang+3], 500*time.Microsecond)
 	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
 	images := pipeBatches(cfg.VirtualBatch, workers*batches, 64)
@@ -172,8 +173,6 @@ func TestOpenLoopRecycledResultsMatchSpec(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	answered := 0
 	for w := 0; w < workers; w++ {
 		pipe, err := NewPipeline(cfg, pipeModel(), nil, "open/"+string(rune('a'+w))+"/", depth)
 		if err != nil {
@@ -199,30 +198,25 @@ func TestOpenLoopRecycledResultsMatchSpec(t *testing.T) {
 				err := tk.Wait()
 				ReportOutcome(g, tk.Culprits(), err)
 				g.Release()
-				var ie *IntegrityError
-				switch {
-				case err == nil:
-					sameLogits(t, "open loop", b, want[b], tk.Logits())
-					mu.Lock()
-					answered++
-					mu.Unlock()
-				case !errors.As(err, &ie):
-					t.Errorf("batch %d: %v, want an answer or an integrity verdict", b, err)
+				if err != nil {
+					t.Errorf("batch %d: %v, want an answer", b, err)
+					return
 				}
+				sameLogits(t, "open loop", b, want[b], tk.Logits())
 			}()
 		}
 	}
 	wg.Wait()
 	st := fm.Stats()
-	t.Logf("%d of %d batches answered; %d straggler and %d quarantine events",
-		answered, len(images), st.StragglerEvents, st.QuarantineEvents)
-	switch {
-	case answered == 0:
-		t.Fatal("no batch was answered")
-	case st.StragglerEvents == 0:
+	t.Logf("%d batches; %d straggler and %d quarantine events",
+		len(images), st.StragglerEvents, st.QuarantineEvents)
+	if st.StragglerEvents == 0 {
 		t.Fatal("no quorum gather returned around the slow device")
-	case st.QuarantineEvents == 0:
-		t.Fatal("the tamperer was never caught")
+	}
+	for _, d := range st.Devices {
+		if caught := d.Quarantines > 0; caught != (d.ID == bad) {
+			t.Fatalf("device %d quarantined %d times; only the tamperer, device %d, should be", d.ID, d.Quarantines, bad)
+		}
 	}
 }
 

@@ -307,7 +307,7 @@ func newEngine(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace stri
 		cfg:      cfg,
 		model:    model,
 		encl:     encl,
-		q:        quant.New(cfg.FracBits),
+		q:        quant.Default(),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		keyspace: keyspace,
 	}
@@ -548,8 +548,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 
 	csp := osp.Child("decode")
 	t2 := time.Now()
-	decoded, err := e.decodeForward(code, csp, results, present)
-	recycle(results, present)
+	decoded, err := e.decodeForward(code, csp, pend, results, present)
 	if err != nil {
 		return nil, err
 	}
@@ -643,7 +642,7 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 	k := e.cfg.VirtualBatch
 	// Shared dynamic normalization factor across the virtual batch so the
 	// backward decode (a sum across inputs) can be unscaled exactly.
-	fx := sharedNormFactor(xs, e.cfg.NormLimit)
+	fx := sharedNormFactor(xs)
 	sw := e.stage(lin)
 
 	// TEE: quantize into the field.
@@ -720,16 +719,24 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 // arrived (present == nil: all of them), spending every present response
 // beyond S as a parity check — exact over F_p, so bit-for-bit the full
 // decode whichever responses arrived (pinned by masking's subset tests).
+// The responses go back to the kernels' pool once decoded.
 //
 // A failed check is audited on the same decode windows, which names the
-// culprit slots when the present redundancy allows (E >= 2, slack <=
-// E-2). With recovery on — the corrective action §4.4 leaves to future
-// work, "executing on another GPU worker" — the verified decode then runs
-// once more with the culprits cleared from the presence mask: the clean
-// responses still hold a parity check, and the outputs are exactly the
-// honest ones. Otherwise, or when no culprit can be named, the batch fails
-// with an *IntegrityError carrying whatever culprits the audit found.
-func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []field.Vec, present []bool) ([]field.Vec, error) {
+// culprit slots when two checks are present. When only one is — the quorum
+// gather returned around a laggard at slack E-1 — the audit first takes in
+// the laggards' answers that are bound to land: it waits, with the TEE
+// token released, for the layer's jobs on slots whose calls cannot block
+// (the jobs the flight's End waits for anyway) and audits the larger set. A
+// slot that may block is never waited for. With recovery on — the
+// corrective action §4.4 leaves to future work, "executing on another GPU
+// worker" — the verified decode then runs once more with the culprits
+// cleared from the presence mask: the clean responses still hold a parity
+// check, and the outputs are exactly the honest ones. Otherwise, or when no
+// culprit can be named, the batch fails with an *IntegrityError carrying
+// whatever culprits the audit found. Either way the verdict is recorded
+// once, after the last audit.
+func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, pend *gpu.LayerPending, results []field.Vec, present []bool) ([]field.Vec, error) {
+	defer func() { recycle(results, present) }()
 	missing, outLen := 0, -1
 	for j, p := range present {
 		if !p {
@@ -756,6 +763,10 @@ func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []fiel
 		return nil, err
 	}
 	culprits, aerr := code.AuditForwardSubset(results, present)
+	if aerr != nil && missing > 0 {
+		results, present = e.awaitPrompt(pend)
+		culprits, aerr = code.AuditForwardSubset(results, present)
+	}
 	if aerr != nil {
 		culprits = nil // not attributable: the verdict is unattributed
 	}
@@ -768,6 +779,16 @@ func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, results []fiel
 		return decoded, nil
 	}
 	return nil, e.integrityError(culprits, err)
+}
+
+// awaitPrompt waits for a gathered layer's jobs on prompt slots with the
+// TEE token released, as gather does, and returns the larger response set.
+// The wait is charged to the decode that asked for it.
+func (e *engine) awaitPrompt(p *gpu.LayerPending) ([]field.Vec, []bool) {
+	e.tee.Unlock()
+	results, present := p.WaitPrompt()
+	e.lockTEE()
+	return results, present
 }
 
 // cleanMask returns, in engine scratch, the presence mask over n responses
@@ -859,8 +880,8 @@ func (e *engine) floats(n int) []float64 {
 // factor, into wq and returns the factor.
 func (e *engine) quantizeWeights(wq field.Vec, w []float64) float64 {
 	fw := 1.0
-	if m := maxAbs(w); m > e.cfg.NormLimit {
-		fw = m / e.cfg.NormLimit
+	if m := maxAbs(w); m > normLimit {
+		fw = m / normLimit
 	}
 	if fw == 1 {
 		e.q.QuantizeInto(wq, w)

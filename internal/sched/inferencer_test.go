@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"darknight/internal/dataset"
 	"darknight/internal/field"
@@ -376,6 +377,52 @@ func TestRecoveryRecordsUnattributedVerdict(t *testing.T) {
 	}
 	if c := tk.Culprits(); len(c) != 0 {
 		t.Fatalf("ticket culprits = %v, want none", c)
+	}
+}
+
+func TestRecoveryAttributesAroundPromptLaggard(t *testing.T) {
+	// E=2, slack 1, recovery on, with a tamperer and a slow honest device:
+	// the quorum gather returns without the slow response, leaving one
+	// present check, which detects the tamper but cannot name it. The
+	// slow device's calls cannot block, so the audit waits for its answer
+	// and names the culprit from two checks; the batch recovers to the
+	// spec's logits bit for bit.
+	const bad = 1
+	model := pipeModel()
+	images := pipeBatches(2, 1, 64)[0]
+	want := stack.New(pipeModel(), 2).Forward(images)
+
+	inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, Seed: 5}, model, nil, "p/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(inf.Close)
+	if err := inf.EnableRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	verdicts := integrityVerdicts(inf)
+	devs := honestDevices(5)
+	devs[bad] = gpu.NewMalicious(devs[bad], gpu.FaultPolicy{EveryNth: 1})
+	devs[3] = gpu.NewSlow(devs[3], 50*time.Millisecond)
+	tk, err := inf.Submit(gpu.NewCluster(devs...), images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatalf("recovery should name the tamperer once the slow answer lands: %v", err)
+	}
+	sameLogits(t, "recovered", 0, want, tk.Logits())
+	if c := tk.Culprits(); len(c) != 1 || c[0] != bad {
+		t.Fatalf("culprits = %v, want [%d]", c, bad)
+	}
+	got := verdicts()
+	if len(got) == 0 {
+		t.Fatal("no integrity verdict recorded")
+	}
+	for _, v := range got {
+		if v != "culprit slots [1], recovered from clean equations" {
+			t.Fatalf("integrity events = %q, want every one attributed to slot %d and recovered", got, bad)
+		}
 	}
 }
 

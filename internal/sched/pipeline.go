@@ -95,20 +95,15 @@ func (t *Ticket) Culprits() []int {
 // overlap; passing the same fleet for every Submit is correct too, as long
 // as it tolerates concurrent dispatches.
 func (p *Pipeline) Submit(fleet Fleet, images [][]float64) (*Ticket, error) {
-	return p.SubmitTraced(fleet, images, nil)
+	return p.SubmitWithin(fleet, images, nil, time.Time{})
 }
 
-// SubmitTraced is Submit with a trace span: the batch's offload
-// encode/dispatch/decode children hang off sp, annotated with the lane
-// that carried it. A nil sp is exactly Submit.
-func (p *Pipeline) SubmitTraced(fleet Fleet, images [][]float64, sp *obs.Span) (*Ticket, error) {
-	return p.SubmitWithin(fleet, images, sp, time.Time{})
-}
-
-// SubmitWithin is SubmitTraced with a deadline budget: the lane re-checks
-// the absolute deadline before every gang dispatch and fails the batch
-// with an error matching context.DeadlineExceeded once it passes. The
-// zero time is exactly SubmitTraced.
+// SubmitWithin is Submit with a trace span and a deadline budget. The
+// batch's offload encode/dispatch/decode children hang off sp, annotated
+// with the lane that carried it. The lane re-checks the absolute deadline
+// before every gang dispatch and fails the batch with an error matching
+// context.DeadlineExceeded once it passes. A nil sp and the zero time are
+// exactly Submit.
 func (p *Pipeline) SubmitWithin(fleet Fleet, images [][]float64, sp *obs.Span, deadline time.Time) (*Ticket, error) {
 	k := p.cfg.VirtualBatch
 	if len(images) != k {

@@ -27,7 +27,6 @@ import (
 	"darknight/internal/gpu"
 	"darknight/internal/masking"
 	"darknight/internal/nn"
-	"darknight/internal/quant"
 	"darknight/internal/tensor"
 )
 
@@ -45,13 +44,6 @@ type Config struct {
 	// StragglerSlack >= 1, and then only when both its decode windows
 	// complete.
 	Redundancy int
-	// FracBits is the fixed-point precision l (defaults to
-	// quant.DefaultFracBits = 8).
-	FracBits uint
-	// NormLimit bounds |activation| before quantization via dynamic
-	// max-abs normalization (the paper's VGG-style normalization).
-	// <= 0 selects the default of 1.0.
-	NormLimit float64
 	// StragglerSlack lets a forward dispatch return before its slowest
 	// devices: the decode proceeds once all but StragglerSlack coded
 	// responses have arrived (the MDS property — any S of the S+E
@@ -59,12 +51,15 @@ type Config struct {
 	// retained for verification, so the effective slack is
 	// min(StragglerSlack, Redundancy-1); straggler tolerance therefore
 	// requires Redundancy >= 2. 0 waits for every device. Each absent
-	// response spends one redundant equation: the forward pass names a
-	// culprit only while two checks are present, which slack <= E-2
-	// guarantees. On the backward pass any slack with Redundancy >= 1 ships
-	// both decode windows and decodes from whichever completes first. Slack
-	// 0 ships one backward window, which is not verified: a device that
-	// tampers only with gradients goes unseen.
+	// response spends one redundant equation, and naming a culprit takes
+	// two present checks: slack <= E-2 always leaves them. At slack E-1 a
+	// failed check that cannot name its culprit waits for the laggards on
+	// slots whose calls cannot block and audits again over the larger set;
+	// a laggard that may block is not waited for, and the verdict then
+	// stays unattributed. On the backward pass any slack with Redundancy
+	// >= 1 ships both decode windows and decodes from whichever completes
+	// first. Slack 0 ships one backward window, which is not verified: a
+	// device that tampers only with gradients goes unseen.
 	StragglerSlack int
 	// Deprecated: FuseBlocks has no effect. Every runtime flies each
 	// virtual batch — every offload of both passes — as one gang flight.
@@ -76,12 +71,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FracBits == 0 {
-		c.FracBits = quant.DefaultFracBits
-	}
-	if c.NormLimit <= 0 {
-		c.NormLimit = 1.0
-	}
 	if c.Collusion == 0 {
 		c.Collusion = 1
 	}
@@ -150,20 +139,21 @@ func (t *trace) add(child *trace) {
 	}
 }
 
+// normLimit bounds |activation| before quantization via dynamic max-abs
+// normalization (the paper's VGG-style normalization); the runtime
+// quantizes at quant.DefaultFracBits.
+const normLimit = 1.0
+
 // sharedNormFactor returns the common dynamic-normalization divisor for a
-// set of tensors: max(1, max_i MaxAbs(x_i)/limit).
-func sharedNormFactor(xs []*tensor.Tensor, limit float64) float64 {
+// set of tensors: max(1, max_i MaxAbs(x_i)/normLimit).
+func sharedNormFactor(xs []*tensor.Tensor) float64 {
 	m := 0.0
 	for _, x := range xs {
 		if v := x.MaxAbs(); v > m {
 			m = v
 		}
 	}
-	f := m / limit
-	if f < 1 {
-		return 1
-	}
-	return f
+	return max(1, m/normLimit)
 }
 
 func maxAbs(xs []float64) float64 {

@@ -6,8 +6,9 @@ import (
 	"darknight/internal/obs"
 )
 
-// DefaultBatchLog is the completed-batch ring capacity used when
-// observability is attached and Config.BatchLog is zero.
+// DefaultBatchLog is the completed-batch ring capacity kept when
+// observability is attached. Snapshots can only replay what the log
+// retains.
 const DefaultBatchLog = 256
 
 // batchLog is a bounded ring of completed-batch records — the raw
@@ -23,15 +24,11 @@ type batchLog struct {
 	mu  sync.Mutex
 	buf []obs.BatchRecord
 	pos int
-	cap int
 	seq int64
 }
 
-func newBatchLog(size int) *batchLog {
-	if size <= 0 {
-		size = DefaultBatchLog
-	}
-	return &batchLog{buf: make([]obs.BatchRecord, 0, size), cap: size}
+func newBatchLog() *batchLog {
+	return &batchLog{buf: make([]obs.BatchRecord, 0, DefaultBatchLog)}
 }
 
 // add appends one record, stamping its completion sequence. Nil-safe.
@@ -42,11 +39,11 @@ func (l *batchLog) add(rec obs.BatchRecord) {
 	l.mu.Lock()
 	l.seq++
 	rec.Seq = l.seq
-	if len(l.buf) < l.cap {
+	if len(l.buf) < DefaultBatchLog {
 		l.buf = append(l.buf, rec)
 	} else {
 		l.buf[l.pos] = rec
-		l.pos = (l.pos + 1) % l.cap
+		l.pos = (l.pos + 1) % DefaultBatchLog
 	}
 	l.mu.Unlock()
 }

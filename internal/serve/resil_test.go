@@ -420,6 +420,9 @@ func TestHedgeBitIdentityNoLeaks(t *testing.T) {
 		gangSize = k + 1
 		requests = 48
 		clients  = 4
+		// warmup is the governor's warm-up: the hedge policy engages once
+		// 16 primaries have landed.
+		warmup = 16
 	)
 	for _, depth := range []int{1, 2} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
@@ -438,7 +441,7 @@ func TestHedgeBitIdentityNoLeaks(t *testing.T) {
 				MaxWait:       time.Millisecond,
 				PipelineDepth: depth,
 				Resil: resil.Config{Hedge: resil.HedgePolicy{
-					Enabled: true, Quantile: 0.01, Min: time.Nanosecond, Warmup: 1,
+					Enabled: true, Quantile: 0.01,
 				}},
 			}, replicas(1, 29), fm, nil)
 			if err != nil {
@@ -447,11 +450,13 @@ func TestHedgeBitIdentityNoLeaks(t *testing.T) {
 
 			imgs := sampleImages(requests, 30)
 			preds := make([]int, requests)
-			// Request 0 alone warms the hedge governor (Warmup: 1 landed
-			// primary); only then is the trap armed, so the next flight to
+			// The first warmup requests, one at a time, warm the hedge
+			// governor; only then is the trap armed, so the next flight to
 			// reach a device is held until a hedge has been launched.
-			if preds[0], err = srv.Infer(context.Background(), imgs[0]); err != nil {
-				t.Fatalf("warm-up request: %v", err)
+			for i := 0; i < warmup; i++ {
+				if preds[i], err = srv.Infer(context.Background(), imgs[i]); err != nil {
+					t.Fatalf("warm-up request %d: %v", i, err)
+				}
 			}
 			trap.armed.Store(true)
 			go trap.release(srv.ResilCounters(), time.Now().Add(10*time.Second))
@@ -460,7 +465,7 @@ func TestHedgeBitIdentityNoLeaks(t *testing.T) {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
-					for i := c + 1; i < requests; i += clients {
+					for i := warmup + c; i < requests; i += clients {
 						var err error
 						if preds[i], err = srv.Infer(context.Background(), imgs[i]); err != nil {
 							t.Errorf("hedged request %d: %v", i, err)

@@ -102,9 +102,6 @@ type Config struct {
 	// (burn-rate gauges, breach events into the fleet). With no objectives
 	// the tracker is not built.
 	SLO obs.SLOConfig
-	// BatchLog bounds the completed-batch ring behind CaptureSnapshot
-	// (0 = DefaultBatchLog). Only kept when Obs is attached.
-	BatchLog int
 	// Resil configures the resilience layer: deadline budgets, retry onto
 	// fresh gangs, hedged dispatch, admission control and the brownout
 	// degradation controller. The zero value disables all of it and the
@@ -285,7 +282,7 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 		fm.RegisterMetrics(reg)
 		s.rcount.Register(reg)
 		s.brown.Register(reg)
-		s.batchlog = newBatchLog(cfg.BatchLog)
+		s.batchlog = newBatchLog()
 	}
 	s.wg.Add(1)
 	go s.batchLoop()

@@ -21,8 +21,6 @@ func (s *Server) CaptureSnapshot() *obs.Snapshot {
 		Collusion:      sc.Collusion,
 		Redundancy:     sc.Redundancy,
 		StragglerSlack: sc.StragglerSlack,
-		FracBits:       sc.FracBits,
-		NormLimit:      sc.NormLimit,
 		Seed:           sc.Seed,
 	}
 	m := s.metrics.Snapshot()

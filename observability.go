@@ -73,9 +73,6 @@ type ObservabilityConfig struct {
 	// tracks burn rates (exported as darknight_slo_burn_rate) and records
 	// threshold crossings in the flight recorder.
 	SLO SLOConfig
-	// SnapshotBatchLog bounds the completed-batch replay log (default
-	// 256 batches). Snapshots can only replay what the log retains.
-	SnapshotBatchLog int
 	// SnapshotWeights embeds the full model weights in captured snapshots
 	// (instead of just their hash), making them self-contained — replay
 	// does not need to rebuild the exact model. Costly for large models.

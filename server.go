@@ -54,13 +54,10 @@ func LoadChaosSchedule(path string) (*ChaosSchedule, error) {
 type ResilienceConfig struct {
 	// Budget is the default end-to-end deadline applied to requests whose
 	// context carries none (0 = unbounded). A caller deadline always wins
-	// when earlier. At most half the budget (BatchFraction) is spent
+	// when earlier. At most half the budget (DefaultBatchFraction) is spent
 	// batching; the offload layer re-checks the deadline before every gang
 	// dispatch.
 	Budget time.Duration
-	// BatchFraction overrides the batching share of the budget (0 picks
-	// the 0.5 default).
-	BatchFraction float64
 	// RetryMax re-dispatches a failed or integrity-rejected virtual batch
 	// onto a fresh gang up to this many times, under capped exponential
 	// backoff (0 disables retry).
@@ -90,7 +87,7 @@ type ResilienceConfig struct {
 // toResil lowers the facade knobs onto the internal policy set.
 func (rc ResilienceConfig) toResil() resil.Config {
 	c := resil.Config{
-		Budget:   resil.BudgetPolicy{Default: rc.Budget, BatchFraction: rc.BatchFraction},
+		Budget:   resil.BudgetPolicy{Default: rc.Budget},
 		Retry:    resil.RetryPolicy{Max: rc.RetryMax},
 		Shed:     resil.ShedPolicy{MaxQueue: rc.ShedQueue, Priorities: rc.ShedPriorities},
 		Brownout: resil.BrownoutPolicy{Enabled: rc.Brownout},
@@ -172,10 +169,6 @@ type ServerConfig struct {
 	// the straggler quorum path, so it only engages when StragglerSlack
 	// >= 1 and Redundancy >= 2 (and a spare device is free).
 	SpeculateAfter time.Duration
-	// Fleet tunes quarantine thresholds and probation; zero values pick
-	// the fleet defaults. Tenants/SpeculateAfter/Seed above take
-	// precedence over their Fleet counterparts.
-	Fleet fleet.Config
 	// Observability switches on request tracing, the exportable metrics
 	// registry, and the chaos flight recorder. Zero value = off, and the
 	// hot path stays at its untraced cost.
@@ -259,11 +252,11 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 	for i := range replicas {
 		replicas[i] = newModel().m
 	}
-	fcfg := cfg.Fleet
-	fcfg.Tenants = cfg.Tenants
-	fcfg.SpeculateAfter = cfg.SpeculateAfter
-	fcfg.Seed = cfg.Seed
-	fm := fleet.NewManager(cluster, fcfg)
+	fm := fleet.NewManager(cluster, fleet.Config{
+		Tenants:        cfg.Tenants,
+		SpeculateAfter: cfg.SpeculateAfter,
+		Seed:           cfg.Seed,
+	})
 	ob := cfg.Observability.build(cfg.Seed)
 	srv, err := serve.New(serve.Config{
 		Sched: sched.Config{
@@ -280,7 +273,6 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 		Continuous:    cfg.Continuous,
 		Obs:           ob,
 		SLO:           cfg.Observability.SLO,
-		BatchLog:      cfg.Observability.SnapshotBatchLog,
 		Resil:         cfg.Resilience.toResil(),
 	}, replicas, fm, encl)
 	if err != nil {
