@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"darknight/internal/scratch"
 )
 
 // DefaultEPCBytes is the usable enclave page cache of the paper's SGX
@@ -119,18 +121,26 @@ func (e *Enclave) Free(n int64) {
 	}
 }
 
+// pages recycles sealed pages: Seal takes each page it fills from here, and
+// Recycle returns the pages Unseal opened once their reader is done, so a
+// steady seal/unseal cycle (Algorithm 2, step after step) allocates no
+// page memory.
+var pages scratch.Pool[byte]
+
 // Seal encrypts data with the enclave's AEAD key and stores the ciphertext
 // in untrusted memory, returning an opaque handle (Algorithm 2 lines 9–10:
 // Encrypt + Evict). The plaintext never appears in the untrusted store.
-// The sealed page is one allocation: the nonce, then the ciphertext sealed
-// straight in behind it.
+// The sealed page is one pooled buffer: the ciphertext, sealed straight
+// into it, then the page's fresh random nonce.
 func (e *Enclave) Seal(data []byte) (uint64, error) {
-	ns := e.aead.NonceSize()
-	blob := make([]byte, ns, ns+len(data)+e.aead.Overhead())
-	if _, err := io.ReadFull(rand.Reader, blob); err != nil {
+	n := len(data) + e.aead.Overhead()
+	blob := pages.Get(n + e.aead.NonceSize())
+	nonce := blob[n:]
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		pages.Put(blob)
 		return 0, err
 	}
-	blob = e.aead.Seal(blob, blob, data, nil)
+	e.aead.Seal(blob[:0], nonce, data, nil)
 	e.mu.Lock()
 	e.nextKey++
 	h := e.nextKey
@@ -144,7 +154,7 @@ func (e *Enclave) Seal(data []byte) (uint64, error) {
 // Unseal reloads and decrypts a sealed page (Algorithm 2 line 19). The
 // handle is consumed, and the page is opened in place: the plaintext
 // returned is the consumed page's own memory, so unsealing allocates
-// nothing.
+// nothing. Hand it to Recycle once it has been read.
 func (e *Enclave) Unseal(h uint64) ([]byte, error) {
 	e.mu.Lock()
 	blob, ok := e.untrusted[h]
@@ -155,11 +165,11 @@ func (e *Enclave) Unseal(h uint64) ([]byte, error) {
 	if !ok {
 		return nil, ErrBadHandle
 	}
-	ns := e.aead.NonceSize()
-	if len(blob) < ns {
+	n := len(blob) - e.aead.NonceSize()
+	if n < 0 {
 		return nil, fmt.Errorf("enclave: sealed blob truncated")
 	}
-	pt, err := e.aead.Open(blob[ns:ns], blob[:ns], blob[ns:], nil)
+	pt, err := e.aead.Open(blob[:0], blob[n:], blob[:n], nil)
 	if err != nil {
 		return nil, fmt.Errorf("enclave: unseal authentication failed: %w", err)
 	}
@@ -169,3 +179,7 @@ func (e *Enclave) Unseal(h uint64) ([]byte, error) {
 	e.mu.Unlock()
 	return pt, nil
 }
+
+// Recycle returns the page behind a plaintext Unseal returned to the pool
+// Seal fills its pages from. The caller must not touch pt afterwards.
+func (e *Enclave) Recycle(pt []byte) { pages.Put(pt) }

@@ -66,7 +66,10 @@ type job struct {
 // slot is one device conversation: the device its jobs run on, what a
 // conversation with it costs — both decided once, when the flight opens —
 // and a FIFO of jobs drained by a worker that lives only while the queue
-// is non-empty.
+// is non-empty. Popping a job moves the backlog down the queue's array
+// instead of slicing past it, so the array keeps its front capacity and
+// a busy slot's enqueues stop growing it once it holds the slot's longest
+// backlog.
 type slot struct {
 	dev Device
 	// launch is the latency a slow device pays once per conversation; nil
@@ -133,7 +136,9 @@ func (s *slot) work(j job) {
 			return
 		}
 		j = s.queue[0]
-		s.queue = s.queue[1:]
+		n := copy(s.queue, s.queue[1:])
+		s.queue[n] = job{} // the vacated tail keeps no job's operands alive
+		s.queue = s.queue[:n]
 		s.mu.Unlock()
 	}
 }

@@ -9,9 +9,9 @@ import (
 // ReLU is the rectifier activation. In DarKnight it is a TEE-resident
 // non-linear op (§3: "performing non-linear operations (ReLU, Maxpool)").
 type ReLU struct {
-	name  string
-	shape []int
-	mask  []bool
+	name   string
+	shape  []int
+	lastIn *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU over the given geometry.
@@ -41,49 +41,50 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardInto implements Resident; training records the pass mask.
+// ForwardInto implements Resident.
 //
 //darknight:hotpath
 func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, train bool) {
-	out := dst.Data[:len(x.Data)]
-	if !train {
-		for i, v := range x.Data {
-			if v > 0 {
-				out[i] = v
-			} else {
-				out[i] = 0
-			}
-		}
-		return
+	if train {
+		r.lastIn = x
 	}
-	r.mask = resize(r.mask, len(x.Data))
+	out := dst.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		pass := v > 0
-		if pass {
+		if v > 0 {
 			out[i] = v
 		} else {
 			out[i] = 0
 		}
-		r.mask[i] = pass
 	}
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gout *tensor.Tensor) *tensor.Tensor {
 	din := tensor.New(gout.Shape...)
-	for i, pass := range r.mask {
-		if pass {
-			din.Data[i] = gout.Data[i]
+	r.BackwardInto(din, r.lastIn, gout)
+	return din
+}
+
+// BackwardInto implements Resident: the gradient passes where x was
+// positive.
+//
+//darknight:hotpath
+func (r *ReLU) BackwardInto(dst, x, gout *tensor.Tensor) {
+	din := dst.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		if v > 0 {
+			din[i] = gout.Data[i]
+		} else {
+			din[i] = 0
 		}
 	}
-	return din
 }
 
 // MaxPool is 2-D max pooling, a TEE-resident non-linear op.
 type MaxPool struct {
 	name   string
 	p      tensor.PoolParams
-	argmax []int
+	lastIn *tensor.Tensor
 }
 
 // NewMaxPool constructs a max-pooling layer.
@@ -117,22 +118,29 @@ func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardInto implements Resident; training records each window's argmax.
+// ForwardInto implements Resident.
 //
 //darknight:hotpath
 func (m *MaxPool) ForwardInto(dst, x *tensor.Tensor, train bool) {
-	var argmax []int
 	if train {
-		m.argmax = resize(m.argmax, len(dst.Data))
-		argmax = m.argmax
+		m.lastIn = x
 	}
-	tensor.MaxPool2DInto(dst.Data, argmax, x.Data, m.p)
+	tensor.MaxPool2DInto(dst.Data, x.Data, m.p)
 }
 
 // Backward implements Layer.
 func (m *MaxPool) Backward(gout *tensor.Tensor) *tensor.Tensor {
-	din := tensor.MaxPool2DBackward(gout.Data, m.argmax, m.p)
-	return tensor.FromSlice(din, m.p.C, m.p.InH, m.p.InW)
+	din := tensor.New(m.p.C, m.p.InH, m.p.InW)
+	m.BackwardInto(din, m.lastIn, gout)
+	return din
+}
+
+// BackwardInto implements Resident: each window's gradient goes to its
+// maximum in x, under MaxPool2DInto's tie rule.
+//
+//darknight:hotpath
+func (m *MaxPool) BackwardInto(dst, x, gout *tensor.Tensor) {
+	tensor.MaxPool2DBackwardInto(dst.Data, gout.Data, x.Data, m.p)
 }
 
 // AvgPool is 2-D average pooling (global pooling in ResNet/MobileNet heads).
@@ -181,8 +189,16 @@ func (a *AvgPool) ForwardInto(dst, x *tensor.Tensor, train bool) {
 
 // Backward implements Layer.
 func (a *AvgPool) Backward(gout *tensor.Tensor) *tensor.Tensor {
-	din := tensor.AvgPool2DBackward(gout.Data, a.p)
-	return tensor.FromSlice(din, a.p.C, a.p.InH, a.p.InW)
+	din := tensor.New(a.p.C, a.p.InH, a.p.InW)
+	a.BackwardInto(din, nil, gout)
+	return din
+}
+
+// BackwardInto implements Resident; the gradient does not depend on x.
+//
+//darknight:hotpath
+func (a *AvgPool) BackwardInto(dst, x, gout *tensor.Tensor) {
+	tensor.AvgPool2DBackwardInto(dst.Data, gout.Data, a.p)
 }
 
 // Flatten reshapes [C,H,W] feature maps into a dense-layer vector.
@@ -234,17 +250,18 @@ func checkSize(name string, got, want int) {
 	}
 }
 
-// resize returns buf with length n, reallocating only when its capacity is
-// short: a layer's backward state is rewritten by every training forward,
-// so the buffer of the last one is reused.
-func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
 // Backward implements Layer.
 func (f *Flatten) Backward(gout *tensor.Tensor) *tensor.Tensor {
-	return gout.Reshape(f.inShape...)
+	din := tensor.New(f.inShape...)
+	f.BackwardInto(din, nil, gout)
+	return din
+}
+
+// BackwardInto implements Resident: gout's elements, in order, under the
+// input's shape; the gradient does not depend on x.
+//
+//darknight:hotpath
+func (f *Flatten) BackwardInto(dst, x, gout *tensor.Tensor) {
+	checkSize(f.name, gout.Size(), len(dst.Data))
+	copy(dst.Data, gout.Data)
 }

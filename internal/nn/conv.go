@@ -82,11 +82,11 @@ func (c *Conv2D) Backward(gout *tensor.Tensor) *tensor.Tensor {
 
 // BackwardInputOnly implements Linear. It deliberately avoids the cached
 // forward input: dIn of a bilinear op depends only on W and gout, which is
-// why the masked pipeline can call it for any example without re-priming
-// the layer.
-func (c *Conv2D) BackwardInputOnly(gout *tensor.Tensor) *tensor.Tensor {
-	din := tensor.Conv2DGradInput(c.w.W, gout, c.p)
-	return tensor.FromSlice(din, c.p.InC, c.p.InH, c.p.InW)
+// why the masked pipeline can call it for any example.
+//
+//darknight:hotpath
+func (c *Conv2D) BackwardInputOnly(dst, gout *tensor.Tensor) {
+	tensor.Conv2DGradInput(dst.Data, c.w.W, gout, c.p)
 }
 
 // InLen implements Linear.

@@ -77,13 +77,16 @@ func (d *Dense) Backward(gout *tensor.Tensor) *tensor.Tensor {
 		}
 		d.b.Grad.Data[i] += g
 	}
-	return d.BackwardInputOnly(gout)
+	din := tensor.New(d.in)
+	d.BackwardInputOnly(din, gout)
+	return din
 }
 
 // BackwardInputOnly implements Linear: dX = Wᵀ·gout.
-func (d *Dense) BackwardInputOnly(gout *tensor.Tensor) *tensor.Tensor {
-	din := tensor.MatVecTransInto(make([]float64, d.in), d.w.W, gout.Data)
-	return tensor.FromSlice(din, d.in)
+//
+//darknight:hotpath
+func (d *Dense) BackwardInputOnly(dst, gout *tensor.Tensor) {
+	tensor.MatVecTransInto(dst.Data, d.w.W, gout.Data)
 }
 
 // InLen implements Linear.

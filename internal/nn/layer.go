@@ -92,18 +92,28 @@ type Layer interface {
 }
 
 // Resident is implemented by the layers DarKnight keeps inside the TEE
-// (ReLU, MaxPool, AvgPool, BatchNorm, Flatten): their forward writes into a
+// (ReLU, MaxPool, AvgPool, BatchNorm, Flatten): both passes write into a
 // tensor the caller supplies, so a runtime can hold a virtual batch's
-// activations in memory it recycles (internal/sched's lane arena). Forward
-// is ForwardInto on a fresh tensor.
+// activations and gradients in memory it recycles (internal/sched's lane
+// batch memory). Forward is ForwardInto on a fresh tensor, and Backward is
+// BackwardInto on a fresh tensor and the input of the last training
+// forward.
 type Resident interface {
 	Layer
 	// ForwardInto writes the layer's output for x into dst, a tensor of the
 	// output's size whose every element is overwritten. In training mode
-	// it caches what Backward needs; in inference mode it records nothing,
-	// so an evaluation between a training forward and its Backward leaves
-	// that Backward's gradient alone.
+	// it keeps x for Backward and folds a batch norm's statistics into the
+	// running ones; in inference mode it records nothing, so an evaluation
+	// between a training forward and its Backward leaves that Backward's
+	// gradient alone.
 	ForwardInto(dst, x *tensor.Tensor, train bool)
+	// BackwardInto writes into dst, a tensor of the input's size whose
+	// every element is overwritten, the gradient with respect to x of a
+	// training forward of x whose output gradient is gout, and accumulates
+	// the layer's parameter gradients. Everything it needs — ReLU's signs,
+	// MaxPool's maxima, BatchNorm's statistics — it derives from x, so the
+	// backward of any example needs only that example's input.
+	BackwardInto(dst, x, gout *tensor.Tensor)
 }
 
 // Linear is implemented by the bilinear layers (Dense, Conv2D) whose heavy
@@ -127,10 +137,11 @@ type Linear interface {
 	// LinearForwardFloat computes the same linear part in float, used by
 	// the honest-GPU float fast path and by tests as the oracle.
 	LinearForwardFloat(x []float64) []float64
-	// BackwardInputOnly returns dL/dx without touching parameter
+	// BackwardInputOnly writes dL/dx into dst, a tensor of the input's
+	// size whose every element is overwritten, without touching parameter
 	// gradients (the masked path obtains dW from the coded decode
 	// instead).
-	BackwardInputOnly(gout *tensor.Tensor) *tensor.Tensor
+	BackwardInputOnly(dst, gout *tensor.Tensor)
 	// WeightData exposes the flat weight slice for quantization.
 	WeightData() []float64
 	// BiasData exposes the flat bias slice (nil if no bias).

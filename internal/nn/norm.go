@@ -27,9 +27,7 @@ type BatchNorm struct {
 	// train-mode forwards in place of the layer (see StatsLog).
 	Log *StatsLog
 
-	// backward state, recorded by training forwards
-	invStd []float64
-	normed []float64
+	lastIn *tensor.Tensor // the input of the last training forward
 }
 
 // NewBatchNorm constructs a normalization layer over [c, h, w] maps.
@@ -77,88 +75,58 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardInto implements Resident: training normalizes x by its own
-// statistics, records them for Backward and folds them into the running
-// ones; inference normalizes by the running statistics and records nothing.
+// statistics and folds them into the running ones; inference normalizes by
+// the running statistics.
 //
 //darknight:hotpath
 func (b *BatchNorm) ForwardInto(dst, x *tensor.Tensor, train bool) {
-	b.forwardInto(dst, x, train, train)
-}
-
-// Reprime restores layer's forward cache for the example x, as a
-// train-mode Forward leaves it, so that a Backward for x can follow. It is
-// for an example whose train-mode forward already ran: unlike Forward, it
-// folds nothing into a batch norm's running statistics, so each example
-// counts once per step however often its cache is restored. The layer
-// must be Resident — a bilinear layer's backward runs on the coded path,
-// never from its cache — and its output goes to pooled scratch, since only
-// the cache is wanted.
-func Reprime(layer Layer, x *tensor.Tensor) {
-	r := layer.(Resident)
-	shape := layer.OutShape()
-	buf := tensor.GetScratch(int(prod(shape)))
-	dst := tensor.FromSlice(buf, shape...)
-	if b, ok := layer.(*BatchNorm); ok {
-		b.forwardInto(dst, x, true, false)
-	} else {
-		r.ForwardInto(dst, x, true)
-	}
-	tensor.PutScratch(buf)
-}
-
-// forwardInto normalizes x by its own statistics (train) or the running
-// ones into dst, and folds its statistics into the running ones when
-// record is set. Only training records the backward state.
-//
-//darknight:hotpath
-func (b *BatchNorm) forwardInto(dst, x *tensor.Tensor, train, record bool) {
-	plane := b.h * b.w
 	if train {
-		b.invStd = resize(b.invStd, b.c)
-		b.normed = resize(b.normed, x.Size())
+		b.lastIn = x
 	}
+	plane := b.h * b.w
 	for c := 0; c < b.c; c++ {
 		seg := x.Data[c*plane : (c+1)*plane]
 		var mean, variance float64
 		if train {
-			for _, v := range seg {
-				mean += v
-			}
-			mean /= float64(plane)
-			for _, v := range seg {
-				d := v - mean
-				variance += d * d
-			}
-			variance /= float64(plane)
-			switch {
-			case !record:
-			case b.Log != nil:
+			mean, variance = instanceStats(seg)
+			if b.Log != nil {
 				b.Log.add(b, c, mean, variance)
-			default:
+			} else {
 				b.updateRunning(c, mean, variance)
 			}
 		} else {
 			mean = b.runMean[c]
 			variance = b.runVar[c]
 		}
-		inv := 1 / math.Sqrt(variance+b.eps)
+		inv := b.invStd(variance)
 		g, be := b.gamma.W.Data[c], b.beta.W.Data[c]
 		out := dst.Data[c*plane : (c+1)*plane]
-		if !train {
-			for i, v := range seg {
-				n := (v - mean) * inv
-				out[i] = g*n + be
-			}
-			continue
-		}
-		b.invStd[c] = inv
-		normed := b.normed[c*plane : (c+1)*plane]
 		for i, v := range seg {
 			n := (v - mean) * inv
-			normed[i] = n
 			out[i] = g*n + be
 		}
 	}
+}
+
+// instanceStats returns the mean and variance of one channel of one
+// example, the statistics a training forward normalizes it by.
+//
+//darknight:hotpath
+func instanceStats(seg []float64) (mean, variance float64) {
+	for _, v := range seg {
+		mean += v
+	}
+	mean /= float64(len(seg))
+	for _, v := range seg {
+		d := v - mean
+		variance += d * d
+	}
+	return mean, variance / float64(len(seg))
+}
+
+// invStd is the normalization's divisor 1/√(variance+ε).
+func (b *BatchNorm) invStd(variance float64) float64 {
+	return 1 / math.Sqrt(variance+b.eps)
 }
 
 // updateRunning folds one example's statistics of channel c into the
@@ -196,20 +164,33 @@ func (l *StatsLog) Apply() {
 	l.updates = l.updates[:0]
 }
 
-// Backward implements Layer (instance-norm gradient over the spatial
-// extent, the train-mode statistics above).
+// Backward implements Layer.
 func (b *BatchNorm) Backward(gout *tensor.Tensor) *tensor.Tensor {
-	plane := b.h * b.w
 	din := tensor.New(b.c, b.h, b.w)
+	b.BackwardInto(din, b.lastIn, gout)
+	return din
+}
+
+// BackwardInto implements Resident: the instance-norm gradient over the
+// spatial extent, under the statistics a training forward of x computes.
+// The normalized input is staged in dst, which the gradient then
+// overwrites element by element.
+//
+//darknight:hotpath
+func (b *BatchNorm) BackwardInto(dst, x, gout *tensor.Tensor) {
+	plane := b.h * b.w
 	n := float64(plane)
 	for c := 0; c < b.c; c++ {
+		seg := x.Data[c*plane : (c+1)*plane]
+		mean, variance := instanceStats(seg)
+		inv := b.invStd(variance)
 		g := b.gamma.W.Data[c]
-		inv := b.invStd[c]
 		gseg := gout.Data[c*plane : (c+1)*plane]
-		nseg := b.normed[c*plane : (c+1)*plane]
+		nseg := dst.Data[c*plane : (c+1)*plane]
 
 		var sumG, sumGN float64
 		for i, gv := range gseg {
+			nseg[i] = (seg[i] - mean) * inv
 			sumG += gv
 			sumGN += gv * nseg[i]
 			// parameter grads
@@ -217,8 +198,7 @@ func (b *BatchNorm) Backward(gout *tensor.Tensor) *tensor.Tensor {
 			b.beta.Grad.Data[c] += gv
 		}
 		for i, gv := range gseg {
-			din.Data[c*plane+i] = g * inv * (gv - sumG/n - nseg[i]*sumGN/n)
+			nseg[i] = g * inv * (gv - sumG/n - nseg[i]*sumGN/n)
 		}
 	}
-	return din
 }

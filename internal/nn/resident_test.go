@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,5 +86,69 @@ func TestEvalForwardKeepsBackwardState(t *testing.T) {
 				sameBits(t, p.Name, p.Grad.Data, probed.Params()[i].Grad.Data)
 			}
 		})
+	}
+}
+
+// TestBackwardIntoMatchesForwardBackward: every TEE-resident layer derives
+// its backward from the example's input alone. Over random shapes,
+// BackwardInto of x — into a dirty destination, on a layer whose last
+// training forward saw another input — writes the input gradient, and
+// accumulates the parameter gradients, bit-for-bit as a training
+// ForwardInto of x followed by Backward does on a twin layer. Half the
+// trials draw inputs from {-1, 0, 1}, so max-pooling windows tie and ReLU
+// meets exact zeros, and a stride below the window makes pooling windows
+// overlap, so one input element gathers several gradients. A warm call
+// allocates nothing.
+func TestBackwardIntoMatchesForwardBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	input := func(ties bool, shape ...int) *tensor.Tensor {
+		x := randTensor(rng, shape...)
+		if ties {
+			for i := range x.Data {
+				x.Data[i] = float64(rng.Intn(3) - 1)
+			}
+		}
+		return x
+	}
+	for trial := 0; trial < 300; trial++ {
+		c, h, w := 1+rng.Intn(3), 1+rng.Intn(7), 1+rng.Intn(7)
+		pool := tensor.PoolParams{C: c, InH: h, InW: w, K: 1 + rng.Intn(min(h, w, 3)), Stride: 1 + rng.Intn(2)}
+		ties := trial%2 == 0
+		for _, mk := range []func() Resident{
+			func() Resident { return NewReLU("relu", c, h, w) },
+			func() Resident { return NewMaxPool("maxpool", pool) },
+			func() Resident { return NewAvgPool("avgpool", pool) },
+			func() Resident { return NewFlatten("flatten", c, h, w) },
+			func() Resident { return NewBatchNorm("batchnorm", c, h, w) },
+		} {
+			want, got := mk(), mk()
+			for i, p := range want.Params() {
+				for j := range p.W.Data {
+					p.W.Data[j] = rng.NormFloat64()
+				}
+				copy(got.Params()[i].W.Data, p.W.Data)
+			}
+			x, y := input(ties, c, h, w), input(ties, c, h, w)
+			gout := randTensor(rng, want.OutShape()...)
+			tag := fmt.Sprintf("%s %dx%dx%d %+v", want.Name(), c, h, w, pool)
+
+			want.ForwardInto(tensor.New(want.OutShape()...), x, true)
+			din := want.Backward(gout)
+
+			got.ForwardInto(tensor.New(got.OutShape()...), y, true)
+			dst := tensor.New(c, h, w)
+			dst.Fill(math.NaN())
+			got.BackwardInto(dst, x, gout)
+			sameBits(t, tag+" input gradient", din.Data, dst.Data)
+			for i, p := range want.Params() {
+				sameBits(t, tag+" "+p.Name, p.Grad.Data, got.Params()[i].Grad.Data)
+			}
+
+			if !raceEnabled {
+				if n := testing.AllocsPerRun(5, func() { got.BackwardInto(dst, x, gout) }); n != 0 {
+					t.Fatalf("%s: warm BackwardInto made %v allocations, want 0", tag, n)
+				}
+			}
+		}
 	}
 }

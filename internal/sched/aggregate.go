@@ -8,6 +8,7 @@ import (
 
 	"darknight/internal/enclave"
 	"darknight/internal/nn"
+	"darknight/internal/scratch"
 	"darknight/internal/tensor"
 )
 
@@ -22,10 +23,11 @@ import (
 //
 // Sealing copies nothing it does not have to: a lane encodes its
 // accumulators once, as little-endian float64 bytes, into a buffer it
-// reuses (putGrads); each shard of that buffer is sealed into one fresh
-// page (enclave.Seal), and each page is opened in place (enclave.Unseal)
-// and summed straight into the aggregate. The sealed bytes and seal
-// operations are those of sealing the floats one shard at a time.
+// reuses (putGrads); each shard of that buffer is sealed into one pooled
+// page (enclave.Seal), and each page is opened in place (enclave.Unseal),
+// summed straight into the aggregate and handed back to the pool
+// (enclave.Recycle). The sealed bytes and seal operations are those of
+// sealing the floats one shard at a time.
 
 // AggregationStats reports what Algorithm 2 did for one large batch.
 type AggregationStats struct {
@@ -43,9 +45,10 @@ type AggregationStats struct {
 
 // gradStore seals virtual-batch gradient shards to untrusted memory —
 // enclave-backed, with an in-memory fallback when no enclave is attached
-// (tests). Handles are consume-on-unseal; discard drains abandoned shards
-// so a failed large batch does not strand sealed ciphertexts forever.
-// Safe for concurrent use (pipelined lanes seal concurrently).
+// (tests, and systems configured without one), whose page copies recycle
+// the same way. Handles are consume-on-unseal; discard drains abandoned
+// shards so a failed large batch does not strand sealed ciphertexts
+// forever. Safe for concurrent use (pipelined lanes seal concurrently).
 type gradStore struct {
 	encl  *enclave.Enclave
 	mu    sync.Mutex
@@ -57,14 +60,20 @@ func newGradStore(encl *enclave.Enclave) *gradStore {
 	return &gradStore{encl: encl, plain: make(map[uint64][]byte)}
 }
 
+// plainPages recycles the fallback's page copies, as the enclave's own
+// pool recycles its sealed pages.
+var plainPages scratch.Pool[byte]
+
 func (s *gradStore) seal(page []byte) (uint64, error) {
 	if s.encl != nil {
 		return s.encl.Seal(page)
 	}
+	cp := plainPages.Get(len(page))
+	copy(cp, page)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next++
-	s.plain[s.next] = append([]byte(nil), page...)
+	s.plain[s.next] = cp
 	return s.next, nil
 }
 
@@ -82,11 +91,24 @@ func (s *gradStore) unseal(h uint64) ([]byte, error) {
 	return vals, nil
 }
 
+// recycle hands back the page behind a plaintext unseal returned, once it
+// has been read.
+func (s *gradStore) recycle(page []byte) {
+	if s.encl != nil {
+		s.encl.Recycle(page)
+		return
+	}
+	plainPages.Put(page)
+}
+
 // discard consumes and drops every handle — the error-path cleanup.
+// Re-unsealing an already-consumed handle errors harmlessly.
 func (s *gradStore) discard(handleSets [][]uint64) {
 	for _, hs := range handleSets {
 		for _, h := range hs {
-			_, _ = s.unseal(h)
+			if page, err := s.unseal(h); err == nil {
+				s.recycle(page)
+			}
 		}
 	}
 }
@@ -118,7 +140,7 @@ func putGrads(buf []byte, grads []*tensor.Tensor) []byte {
 // count.
 func (s *gradStore) sealShards(flat []byte, shardElems int) ([]uint64, int64, error) {
 	shardBytes := 8 * shardElems
-	var handles []uint64
+	handles := make([]uint64, 0, (len(flat)+shardBytes-1)/shardBytes)
 	for off := 0; off < len(flat); off += shardBytes {
 		end := min(off+shardBytes, len(flat))
 		h, err := s.seal(flat[off:end])
@@ -151,6 +173,7 @@ func (s *gradStore) aggregate(handles [][]uint64, shardElems, totalElems, shards
 			for i := 0; i+8 <= len(page); i += 8 {
 				agg[off+i/8] += math.Float64frombits(binary.LittleEndian.Uint64(page[i:]))
 			}
+			s.recycle(page)
 		}
 	}
 	return agg, nil

@@ -9,6 +9,7 @@ import (
 	"darknight/internal/masking"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
+	"darknight/internal/scratch"
 	"darknight/internal/tensor"
 )
 
@@ -28,11 +29,20 @@ import (
 // layer in walk order. The first error in walk order is returned. Nothing
 // reads the gradient with respect to the batch's inputs, so the walk does
 // not compute it.
+//
+// The walk's δ tensors live in the batch's memory, its quantized deltas in
+// the coded arena (which the forward pass is done with), and so do the
+// shipped equations of a layer whose gather waits for every one of them
+// (see equation). A layer left ungathered by an earlier layer's error may
+// still have such equations on a device that can block, so then the arena
+// is left to those jobs and the lane starts a fresh one.
 func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor) error {
+	e.arena.Reset()
 	_, err := e.backwardLayer(code, tr, grads, false)
 	var settleErr error
 	for i := range e.pending {
 		if settleErr = e.gatherBackward(code, &e.pending[i]); settleErr != nil {
+			e.arena = scratch.Arena[field.Elem]{}
 			break
 		}
 	}
@@ -90,31 +100,24 @@ func (e *engine) backwardLayer(code *masking.Code, tr *trace, grads []*tensor.Te
 		if !needInput {
 			return nil, nil
 		}
-		out := make([]*tensor.Tensor, len(grads))
-		for i := range out {
-			o := dBody[i].Clone()
-			o.Add(dSkip[i])
-			out[i] = o
+		return e.mem.sum(dBody, dSkip), nil
+	case nn.Linear:
+		return e.offloadBackward(code, tr, v, grads, needInput)
+	case nn.Resident:
+		if !needInput && len(v.Params()) == 0 {
+			return nil, nil // nothing to accumulate, nothing asked for
+		}
+		// Each example's backward derives what it needs from that
+		// example's input, so no layer state from its forward is read.
+		out := e.mem.set(len(grads))
+		for i, g := range grads {
+			x := tr.inputs[i]
+			out[i] = e.mem.tensor(x.Shape, x.Size())
+			v.BackwardInto(out[i], x, g)
 		}
 		return out, nil
 	default:
-		if lin, ok := tr.layer.(nn.Linear); ok {
-			return e.offloadBackward(code, tr, lin, grads, needInput)
-		}
-		if !needInput && len(tr.layer.Params()) == 0 {
-			return nil, nil // nothing to accumulate, nothing asked for
-		}
-		out := make([]*tensor.Tensor, len(grads))
-		for i := range grads {
-			// Re-prime the layer's single-forward cache for THIS example
-			// before its backward. The prime+backward pair runs without a
-			// token release in between, so pipelined lanes clobbering the
-			// shared layer's cache between offloads cannot corrupt it. The
-			// example's batch-norm statistics were logged by its forward.
-			nn.Reprime(tr.layer, tr.inputs[i])
-			out[i] = tr.layer.Backward(grads[i])
-		}
-		return out, nil
+		return nil, fmt.Errorf("sched: layer %s is neither bilinear nor TEE-resident", tr.layer.Name())
 	}
 }
 
@@ -135,16 +138,16 @@ func trainable(tr *trace) bool {
 	return len(tr.layer.Params()) > 0
 }
 
-// bwdLayer is one shipped layer's backward state awaiting settlement: the
-// public combined delta equations of both decode windows (sec is nil
-// without straggler tolerance) and the unscaling factors the decode needs.
+// bwdLayer is one shipped layer's backward state awaiting settlement:
+// whether both decode windows shipped and the unscaling factors the decode
+// needs.
 type bwdLayer struct {
-	tr        *trace
-	lin       nn.Linear
-	prim, sec []field.Vec
-	fd, fx    float64
-	sp        *obs.Span
-	pend      *gpu.LayerPending // the shipped equations
+	tr     *trace
+	lin    nn.Linear
+	dual   bool // both windows shipped: the primary equations, then the secondary
+	fd, fx float64
+	sp     *obs.Span
+	pend   *gpu.LayerPending // the shipped equations
 }
 
 // offloadBackward ships one bilinear layer's weight-gradient equations
@@ -179,34 +182,41 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	// Shared normalization so the decoded SUM can be unscaled exactly.
 	l.fd = sharedNormFactor(cur)
 	l.fx = sharedNormFactor(tr.inputs)
-	quantDeltas := make([]field.Vec, k)
-	scratch := make([]float64, lin.OutLen())
+	n := lin.OutLen()
+	scaled := e.floats(n)
+	quantDeltas := slots(&e.quantIn, k)
 	for i := 0; i < k; i++ {
 		for j, v := range cur[i].Data {
-			scratch[j] = v / l.fd
+			scaled[j] = v / l.fd
 		}
-		quantDeltas[i] = e.q.Quantize(scratch)
+		quantDeltas[i] = e.q.QuantizeInto(e.arena.Get(n), scaled)
 	}
 	// Each GPU j computes Eq_j on (Σ_i β_ji·δ_i, x̄_j). The combination
 	// happens GPU-side in the paper; B and δ are public either way.
-	l.prim = combineDeltas(code.B, code.S, lin.OutLen(), quantDeltas)
-	if e.cfg.StragglerSlack > 0 && code.E >= 1 { // both decode windows
-		l.sec = combineDeltas(code.SecondaryB(), code.S, lin.OutLen(), quantDeltas)
+	l.dual = e.cfg.StragglerSlack > 0 && code.E >= 1
+	eqs := slots(&e.eqs, 2*code.S)
+	prim, sec := eqs[:code.S], eqs[code.S:]
+	e.combineDeltas(prim, code.B, n, quantDeltas, l.dual)
+	if l.dual {
+		e.combineDeltas(sec, code.SecondaryB(), n, quantDeltas, true)
+	} else {
+		sec = nil
 	}
 	// Input gradient: input-independent linear op, offloadable without
 	// coding (paper §4.2, computation (2)); computed here functionally.
 	var next []*tensor.Tensor
 	if needInput {
-		next = make([]*tensor.Tensor, k)
-		for i := 0; i < k; i++ {
-			next[i] = lin.BackwardInputOnly(cur[i])
+		next = e.mem.set(k)
+		for i, x := range tr.inputs {
+			next[i] = e.mem.tensor(x.Shape, x.Size())
+			lin.BackwardInputOnly(next[i], cur[i])
 		}
 	}
 	esp.End()
 	e.phases.Encode += time.Since(t0)
 
 	t1 := time.Now()
-	pend, err := e.flight.GradLayer(tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, l.prim, l.sec)
+	pend, err := e.flight.GradLayer(tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, prim, sec)
 	e.phases.Dispatch += time.Since(t1)
 	if err != nil {
 		return nil, err
@@ -216,17 +226,34 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	return next, nil
 }
 
-// combineDeltas forms the s public delta combinations Σ_i b_ji·δ_i — row j
-// of b is exactly equation j's K coefficients, one fused lazy-reduced
-// combine each. Fresh allocations: the equations escape to the flight's
-// slot workers, and past a quorum gather to laggard kernels.
-func combineDeltas(b *field.Mat, s, n int, quantDeltas []field.Vec) []field.Vec {
-	bars := make([]field.Vec, s)
+// combineDeltas forms the len(bars) public delta combinations
+// bars[j] = Σ_i b_ji·δ_i of n elements each — row j of b is exactly
+// equation j's K coefficients, one fused lazy-reduced combine each — in
+// the memory equation hands out.
+//
+//darknight:hotpath
+func (e *engine) combineDeltas(bars []field.Vec, b *field.Mat, n int, quantDeltas []field.Vec, dual bool) {
 	for j := range bars {
-		bars[j] = make(field.Vec, n)
+		bars[j] = e.equation(n, dual)
 		field.Combine(bars[j], b.Row(j), quantDeltas)
 	}
-	return bars
+}
+
+// equation returns the memory for one shipped backward equation of n
+// elements. The equations escape to the flight's slot workers. With one
+// decode window the gather waits for every one of them, so they live in
+// the coded arena, which the lane reuses only after its batch; with both
+// windows a quorum gather returns around a laggard that may still read its
+// equation while the lane's next batch reuses the arena, so each is a
+// fresh vector left to the laggard (the rule the staged weights follow;
+// see stage).
+//
+//darknight:hotpath
+func (e *engine) equation(n int, dual bool) field.Vec {
+	if dual {
+		return field.NewVec(n)
+	}
+	return e.arena.Get(n)
 }
 
 // gatherBackward gathers one shipped layer and folds its equations into the
@@ -257,7 +284,7 @@ func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 	prim, primPresent := eqs, present
 	var sec []field.Vec
 	var secPresent []bool
-	if l.sec != nil {
+	if l.dual {
 		prim, sec = eqs[:code.S], eqs[code.S:]
 		if present != nil {
 			primPresent, secPresent = present[:code.S], present[code.S:]

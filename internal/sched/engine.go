@@ -227,14 +227,16 @@ type engine struct {
 	pending []bwdLayer
 
 	// Steady-state scratch. The engine is single-threaded, so one coded
-	// arena (reset per offload), the batch's activation memory (reset per
-	// batch) and one set of reusable buffers serve every offload: after the
-	// first batch of a model, the coding data path (quantized inputs, noise,
-	// coded vectors, decoded results) and the activations between offloads
-	// allocate nothing, and the device results go back to the kernels' pool
-	// once decoded. Small per-offload allocations remain by design: the
-	// layer key, the gather's pending state, and the per-batch masking.New
-	// (S×S scalar matrices, negligible next to the vectors).
+	// arena (reset per forward offload, and once for the whole backward
+	// walk), the batch's memory (reset per batch) and one set of reusable
+	// buffers serve every offload: after the first batch of a model, the
+	// coding data path (quantized inputs and deltas, noise, coded vectors,
+	// decoded results, the backward equations of a one-window gather), the
+	// activations between offloads and the backward's δ tensors allocate
+	// nothing, and the device results go back to the kernels' pool once
+	// decoded. Small per-offload allocations remain by design: the layer
+	// key, the gather's pending state, and the per-batch masking.New (S×S
+	// scalar matrices, negligible next to the vectors).
 	arena    scratch.Arena[field.Elem]
 	mem      batchMem
 	staged   []stagedWeights // by layer, in walk order (linSeq-1)
@@ -244,13 +246,14 @@ type engine struct {
 	noise    []field.Vec     // M slots
 	coded    []field.Vec     // S+E slots
 	decoded  []field.Vec     // K slots
+	eqs      []field.Vec     // 2S slots: a backward layer's primary, then secondary, equations
 	phases   PhaseStats
 }
 
 // batchMem is a lane's memory for one virtual batch: the activations the
 // TEE produces between offloads — restored bilinear outputs, resident layer
-// outputs and residual sums — with their tensor headers and the
-// per-layer sets that hold them. It is bump-allocated from arenas reset
+// outputs and residual sums — and the backward's δ tensors, with their
+// tensor headers and the per-layer sets that hold them. It is bump-allocated from arenas reset
 // when the lane starts its next batch (beginStep), so a batch's activations
 // live exactly as long as the batch and, after a model's first batch,
 // allocate nothing. What outlives the batch — a ticket's logits — is copied
@@ -292,6 +295,19 @@ func (m *batchMem) inputs(images [][]float64, shape []int) []*tensor.Tensor {
 
 // set returns a batch slice for k per-example tensors.
 func (m *batchMem) set(k int) []*tensor.Tensor { return m.sets.Get(k) }
+
+// sum returns the per-example sums a[i] + b[i] as batch tensors under a's
+// shapes: a residual block's output, and its input gradient.
+func (m *batchMem) sum(a, b []*tensor.Tensor) []*tensor.Tensor {
+	outs := m.set(len(a))
+	for i := range outs {
+		o := m.tensor(a[i].Shape, a[i].Size())
+		copy(o.Data, a[i].Data)
+		o.Add(b[i])
+		outs[i] = o
+	}
+	return outs
+}
 
 // slots returns *buf resized (without reallocation when possible) to k
 // header slots.
@@ -430,14 +446,7 @@ func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.T
 			}
 			tr.add(skipTr)
 		}
-		outs := e.mem.set(len(xs))
-		for i := range outs {
-			o := e.mem.tensor(body[i].Shape, body[i].Size())
-			copy(o.Data, body[i].Data)
-			o.Add(skip[i])
-			outs[i] = o
-		}
-		return outs, tr, nil
+		return e.mem.sum(body, skip), tr, nil
 	case nn.Resident:
 		// TEE-resident non-linear layer: per-example forward.
 		outs := e.mem.set(len(xs))

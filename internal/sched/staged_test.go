@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -156,4 +157,90 @@ func TestStagedWeightsOutliveLaggard(t *testing.T) {
 	if n := changed.Load(); n > 0 {
 		t.Fatalf("%d held forward jobs computed a different result after the weights changed: the laggard's operands were overwritten", n)
 	}
+}
+
+// heldGradDevice is a backward quorum laggard that checks the operands of
+// its gradient jobs outlive their batch: it evaluates each job when it
+// arrives, runs arrived, waits for the gate and evaluates the job again. A
+// runtime that rewrote the equation in between makes the two results
+// differ.
+type heldGradDevice struct {
+	gpu.Device
+	gate    <-chan struct{}
+	arrived func()
+	changed *atomic.Int32
+	done    chan<- struct{}
+}
+
+func (d heldGradDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+	before, berr := d.Device.GradWeights(key, kernel, delta)
+	d.arrived()
+	<-d.gate
+	out, err := d.Device.GradWeights(key, kernel, delta)
+	if berr != nil || err != nil || !out.Equal(before) {
+		d.changed.Add(1)
+	}
+	field.PutScratchVec(before)
+	d.done <- struct{}{}
+	return out, err
+}
+
+// waitGradDevice runs no gradient job before wait is closed.
+type waitGradDevice struct {
+	gpu.Device
+	wait <-chan struct{}
+}
+
+func (d waitGradDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+	<-d.wait
+	return d.Device.GradWeights(key, kernel, delta)
+}
+
+// TestBackwardEquationsOutliveLaggard: with straggler slack a backward
+// quorum gather returns from one decode window while a device of the other
+// still computes, so the equations that device reads must outlive the
+// gather — the lane's next virtual batch reuses its arena and must not
+// reuse them. At K=2, M=1, E=2, slack 1 the gang's last device, which
+// serves only the secondary window, evaluates each gradient job as it
+// arrives and holds it until the test opens its gate, after both virtual
+// batches of a step have run on the one lane. Device 0 runs no gradient
+// job before the last device's first one has arrived, so the first layer's
+// gather returns from the primary window only after that arrival. Every
+// held job must compute, once released, what it computed on arrival, and
+// the weights must be internal/spec/stack's.
+func TestBackwardEquationsOutliveLaggard(t *testing.T) {
+	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 5}
+	const vbs = 2
+	batch := trainData(vbs * cfg.VirtualBatch)
+	specModel := pipeModel()
+	specTrain(specModel, cfg.VirtualBatch, batch, 1)
+
+	model := pipeModel()
+	layers := len(model.LinearLayers())
+	gate, arrived := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	done := make(chan struct{}, vbs*layers) // one per held job: the device never blocks on it
+	var changed atomic.Int32
+	devs := honestDevices(5)
+	devs[0] = waitGradDevice{Device: devs[0], wait: arrived}
+	devs[4] = heldGradDevice{Device: devs[4], gate: gate, arrived: sync.OnceFunc(func() { close(arrived) }),
+		changed: &changed, done: done}
+	pipe, err := NewTrainPipeline(cfg, model, nil, "held/", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+
+	if _, _, err := pipe.TrainLargeBatch(SingleFleetSource{F: gpu.NewCluster(devs...)}, batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	for i := 0; i < vbs*layers; i++ {
+		<-done
+	}
+	if n := changed.Load(); n > 0 {
+		t.Fatalf("%d held gradient jobs computed a different result after their batch: the laggard's equations were overwritten", n)
+	}
+	sameBits(t, "held laggard", specModel, model)
 }

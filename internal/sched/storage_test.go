@@ -147,9 +147,9 @@ func TestLayerKeyFormat(t *testing.T) {
 }
 
 // TestSealGradsAllocations pins Algorithm 2's copy-free sealing: sealing a
-// lane's ▽W and aggregating it back costs a fixed number of allocations
-// per shard — the sealed pages, the handle slice, the aggregate — however
-// many elements the gradient has.
+// lane's ▽W and aggregating it back costs two allocations — the handle
+// slice and the aggregate — however many elements and shards the gradient
+// has, because the sealed pages recycle.
 func TestSealGradsAllocations(t *testing.T) {
 	encl, err := enclave.New(enclave.DefaultEPCBytes)
 	if err != nil {
@@ -179,9 +179,13 @@ func TestSealGradsAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Per shard a sealed page and at most one growth of the handle
-		// slice; per call the handles' wrapper and the aggregate.
-		if limit := float64(2*shards + 2); allocs > limit {
+		// The race detector bypasses the page pool's sync.Pool, so there a
+		// page, and the pool's header for it, may allocate per shard.
+		limit := 2.0
+		if raceEnabled {
+			limit += 2 * float64(shards)
+		}
+		if allocs > limit {
 			t.Fatalf("%d shards of %d elements: %v allocations, want <= %v", shards, pipe.totalElems, allocs, limit)
 		}
 		i := 0

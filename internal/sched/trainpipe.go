@@ -296,12 +296,11 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 		var tr *trace
 		logits, tr, err = lane.forwardLayer(code, p.model.Stack, lane.mem.inputs(images, p.model.InShape), true)
 		if err == nil {
-			grads := make([]*tensor.Tensor, k)
+			grads := lane.mem.set(k)
 			var total float64
-			for i := range logits {
-				loss, g := nn.SoftmaxCrossEntropy(logits[i], examples[i].Label)
-				total += loss
-				grads[i] = g
+			for i, l := range logits {
+				grads[i] = lane.mem.tensor(l.Shape, l.Size())
+				total += nn.SoftmaxCrossEntropyInto(grads[i], l, examples[i].Label)
 			}
 			t.loss = total / float64(k)
 			err = lane.backward(code, tr, grads)

@@ -194,10 +194,8 @@ func (r *Ref) backward(layer nn.Layer, grads []*tensor.Tensor) []*tensor.Tensor 
 		xs := r.inputs[layer]
 		outs := make([]*tensor.Tensor, len(grads))
 		for i, g := range grads {
-			// A layer caches one example's forward state: replay it,
-			// without counting the example's statistics a second time.
-			nn.Reprime(layer, xs[i])
-			outs[i] = layer.Backward(g)
+			outs[i] = tensor.New(xs[i].Shape...)
+			layer.(nn.Resident).BackwardInto(outs[i], xs[i], g)
 		}
 		return outs
 	}
@@ -228,7 +226,8 @@ func (r *Ref) linearBackward(lin nn.Linear, deltas []*tensor.Tensor) []*tensor.T
 	lin.AddGradW(dw, 1)
 	next := make([]*tensor.Tensor, len(deltas))
 	for i, d := range deltas {
-		next[i] = lin.BackwardInputOnly(d)
+		next[i] = tensor.New(xs[i].Shape...)
+		lin.BackwardInputOnly(next[i], d)
 	}
 	return next
 }

@@ -190,7 +190,9 @@ func Conv2D(in []float64, w *Tensor, b []float64, p ConvParams) *Tensor {
 	return out
 }
 
-// Conv2DGradInput computes only dL/dIn = Col2Im(Wᵀ·gout). Unlike the full
+// Conv2DGradInput computes only dL/dIn = Col2Im(Wᵀ·gout) into dst, a
+// caller-owned buffer of InC·InH·InW elements, every one of which it
+// overwrites. Unlike the full
 // backward it does not need the forward input — the input gradient of a
 // bilinear op is input-independent, which is what lets DarKnight offload δ
 // propagation without any coding (paper §4.2, computation (2)).
@@ -202,10 +204,10 @@ func Conv2D(in []float64, w *Tensor, b []float64, p ConvParams) *Tensor {
 // a zero-bordered plane that every window reaches without a bounds test;
 // the plane's interior is the channel's gradient. Every element receives
 // the same terms in Col2Im's order, so the result is bit-identical to the
-// matrix formulation. The output is the only allocation.
+// matrix formulation. It allocates nothing.
 //
 //darknight:hotpath
-func Conv2DGradInput(w *Tensor, gout *Tensor, p ConvParams) []float64 {
+func Conv2DGradInput(dst []float64, w *Tensor, gout *Tensor, p ConvParams) []float64 {
 	p.Validate()
 	oh, ow := p.OutH(), p.OutW()
 	npix := oh * ow
@@ -220,8 +222,7 @@ func Conv2DGradInput(w *Tensor, gout *Tensor, p ConvParams) []float64 {
 	buf := GetScratch(npix + ph*pw)
 	defer PutScratch(buf)
 	pooled, plane := buf[:npix], buf[npix:]
-	//lint:ignore hotpathalloc the gradient escapes to the caller; one make per call by design
-	out := make([]float64, p.InC*p.InH*p.InW)
+	out := dst[:p.InC*p.InH*p.InW]
 	for g := 0; g < p.Groups; g++ {
 		wg := w.Data[g*ocpg*rows : (g+1)*ocpg*rows]
 		gg := gout.Data[g*ocpg*npix : (g+1)*ocpg*npix]

@@ -15,16 +15,36 @@ func (p PoolParams) OutH() int { return (p.InH-p.K)/p.Stride + 1 }
 // OutW returns the pooled width.
 func (p PoolParams) OutW() int { return (p.InW-p.K)/p.Stride + 1 }
 
-// MaxPool2DInto max-pools in into out (OutH·OutW per channel) and, when
-// argmax is non-nil, records there the index (into the input plane) of
-// each window's maximum, which the backward pass routes gradients through.
-// MaxPool is one of the non-linear ops DarKnight keeps inside the TEE.
-// Every element of out and argmax is overwritten.
+// MaxPool2DInto max-pools in into out (OutH·OutW per channel), every
+// element of which it overwrites. MaxPool is one of the non-linear ops
+// DarKnight keeps inside the TEE.
 //
 //darknight:hotpath
-func MaxPool2DInto(out []float64, argmax []int, in []float64, p PoolParams) {
+func MaxPool2DInto(out, in []float64, p PoolParams) {
+	maxPool(out[:p.C*p.OutH()*p.OutW()], nil, nil, in, p)
+}
+
+// MaxPool2DBackwardInto writes into din (C·InH·InW elements, all
+// overwritten) the gradient of max pooling in for the output gradient
+// gout: each window's gradient goes to the element MaxPool2DInto picked as
+// its maximum, found again in in by the same scan, and windows that pick
+// one element add into it in output order.
+//
+//darknight:hotpath
+func MaxPool2DBackwardInto(din, gout, in []float64, p PoolParams) {
+	din = din[:p.C*p.InH*p.InW]
+	clear(din)
+	maxPool(nil, din, gout, in, p)
+}
+
+// maxPool scans every window of in for its maximum — the first element
+// greater than all before it, in row-major window order — and writes it to
+// out, or, when din is non-nil, adds the window's gout into din at the
+// maximum's index instead: one scan, so both passes agree on every tie.
+//
+//darknight:hotpath
+func maxPool(out, din, gout, in []float64, p PoolParams) {
 	oh, ow := p.OutH(), p.OutW()
-	out = out[:p.C*oh*ow]
 	for c := 0; c < p.C; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -42,22 +62,14 @@ func MaxPool2DInto(out []float64, argmax []int, in []float64, p PoolParams) {
 					}
 				}
 				o := (c*oh+oy)*ow + ox
-				out[o] = best
-				if argmax != nil {
-					argmax[o] = bestIdx
+				if din != nil {
+					din[bestIdx] += gout[o]
+				} else {
+					out[o] = best
 				}
 			}
 		}
 	}
-}
-
-// MaxPool2DBackward scatters gout through the stored argmax indices.
-func MaxPool2DBackward(gout []float64, argmax []int, p PoolParams) []float64 {
-	din := make([]float64, p.C*p.InH*p.InW)
-	for i, idx := range argmax {
-		din[idx] += gout[i]
-	}
-	return din
 }
 
 // AvgPool2DInto average-pools in into out (used by ResNet/MobileNet
@@ -85,10 +97,15 @@ func AvgPool2DInto(out, in []float64, p PoolParams) {
 	}
 }
 
-// AvgPool2DBackward spreads gout uniformly across each pooling window.
-func AvgPool2DBackward(gout []float64, p PoolParams) []float64 {
+// AvgPool2DBackwardInto writes into din (C·InH·InW elements, all
+// overwritten) the gradient of average pooling for the output gradient
+// gout: each window's gradient spread uniformly across it.
+//
+//darknight:hotpath
+func AvgPool2DBackwardInto(din, gout []float64, p PoolParams) {
 	oh, ow := p.OutH(), p.OutW()
-	din := make([]float64, p.C*p.InH*p.InW)
+	din = din[:p.C*p.InH*p.InW]
+	clear(din)
 	norm := 1.0 / float64(p.K*p.K)
 	for c := 0; c < p.C; c++ {
 		for oy := 0; oy < oh; oy++ {
@@ -104,5 +121,4 @@ func AvgPool2DBackward(gout []float64, p PoolParams) []float64 {
 			}
 		}
 	}
-	return din
 }

@@ -57,15 +57,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view with a new shape of identical size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	v := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-	if v.Size() != t.Size() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes size", t.Shape, shape))
-	}
-	return v
-}
-
 // Zero resets all elements in place.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -349,17 +340,25 @@ func MatVecTransInto(dst []float64, w *Tensor, g []float64) []float64 {
 		panic(fmt.Sprintf("tensor: matvecTrans shapes %vᵀ · %d -> %d", w.Shape, len(g), len(dst)))
 	}
 	k := w.Shape[1]
-	par.For(k, rowGrain(len(g)), func(lo, hi int) {
-		out := dst[lo:hi]
-		for i := range out {
-			out[i] = 0
-		}
-		for i, gv := range g {
-			if gv == 0 {
-				continue
-			}
-			axpyFloat(out, gv, w.Data[i*k+lo:i*k+hi])
-		}
-	})
+	if grain := rowGrain(len(g)); k > grain {
+		par.For(k, grain, func(lo, hi int) { matVecTransCols(dst, w, g, lo, hi) })
+	} else { // one chunk: no goroutine, and no closure to allocate
+		matVecTransCols(dst, w, g, 0, k)
+	}
 	return dst
+}
+
+// matVecTransCols computes columns [lo, hi) of dst = Wᵀ·g.
+func matVecTransCols(dst []float64, w *Tensor, g []float64, lo, hi int) {
+	k := w.Shape[1]
+	out := dst[lo:hi]
+	for i := range out {
+		out[i] = 0
+	}
+	for i, gv := range g {
+		if gv == 0 {
+			continue
+		}
+		axpyFloat(out, gv, w.Data[i*k+lo:i*k+hi])
+	}
 }

@@ -17,24 +17,6 @@ func TestNewAndSize(t *testing.T) {
 	}
 }
 
-func TestReshapePreservesData(t *testing.T) {
-	a := New(2, 6)
-	for i := range a.Data {
-		a.Data[i] = float64(i)
-	}
-	b := a.Reshape(3, 4)
-	b.Data[0] = 99
-	if a.Data[0] != 99 {
-		t.Fatal("reshape should alias data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("size-changing reshape should panic")
-		}
-	}()
-	a.Reshape(5, 5)
-}
-
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
@@ -229,8 +211,8 @@ func TestMaxPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}
-	out, argmax := make([]float64, 4), make([]int, 4)
-	MaxPool2DInto(out, argmax, in, p)
+	out := make([]float64, 4)
+	MaxPool2DInto(out, in, p)
 	want := []float64{6, 8, 14, 16}
 	for i := range want {
 		if out[i] != want[i] {
@@ -238,7 +220,8 @@ func TestMaxPool(t *testing.T) {
 		}
 	}
 	// Backward routes each gradient to the max location.
-	din := MaxPool2DBackward([]float64{1, 1, 1, 1}, argmax, p)
+	din := make([]float64, len(in))
+	MaxPool2DBackwardInto(din, []float64{1, 1, 1, 1}, in, p)
 	if din[5] != 1 || din[7] != 1 || din[13] != 1 || din[15] != 1 {
 		t.Fatalf("din = %v", din)
 	}
@@ -267,7 +250,8 @@ func TestAvgPool(t *testing.T) {
 			t.Fatalf("out = %v", out)
 		}
 	}
-	din := AvgPool2DBackward([]float64{4, 4, 4, 4}, p)
+	din := make([]float64, len(in))
+	AvgPool2DBackwardInto(din, []float64{4, 4, 4, 4}, p)
 	for _, v := range din {
 		if v != 1 {
 			t.Fatalf("din = %v", din)
@@ -312,7 +296,7 @@ func TestConv2DGradInputMatchesFullBackward(t *testing.T) {
 		gout := New(p.OutC, p.OutH(), p.OutW())
 		gout.RandNormal(rng, 1)
 		want, _, _ := Conv2DBackward(in, w, gout, p)
-		got := Conv2DGradInput(w, gout, p)
+		got := Conv2DGradInput(make([]float64, len(in)), w, gout, p)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-12 {
 				t.Fatalf("dIn[%d]: %v != %v", i, got[i], want[i])
