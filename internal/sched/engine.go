@@ -298,6 +298,8 @@ func (m *batchMem) set(k int) []*tensor.Tensor { return m.sets.Get(k) }
 
 // sum returns the per-example sums a[i] + b[i] as batch tensors under a's
 // shapes: a residual block's output, and its input gradient.
+//
+//darknight:hotpath
 func (m *batchMem) sum(a, b []*tensor.Tensor) []*tensor.Tensor {
 	outs := m.set(len(a))
 	for i := range outs {

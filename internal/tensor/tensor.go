@@ -349,6 +349,8 @@ func MatVecTransInto(dst []float64, w *Tensor, g []float64) []float64 {
 }
 
 // matVecTransCols computes columns [lo, hi) of dst = Wᵀ·g.
+//
+//darknight:hotpath
 func matVecTransCols(dst []float64, w *Tensor, g []float64, lo, hi int) {
 	k := w.Shape[1]
 	out := dst[lo:hi]
