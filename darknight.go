@@ -176,11 +176,11 @@ func NewSystem(model *Model, cfg Config) (*System, error) {
 	if err := scfg.Validate(cluster.Size()); err != nil {
 		return nil, err
 	}
-	pipe, err := sched.NewTrainPipeline(scfg, model.m, encl, "sys/", depth)
+	pipe, err := sched.NewTrainPipeline(scfg, model.m, encl, depth)
 	if err != nil {
 		return nil, err
 	}
-	inf, err := sched.NewInferencer(scfg, model.m, encl, "sys/")
+	inf, err := sched.NewInferencer(scfg, model.m, encl, "")
 	if err != nil {
 		pipe.Close()
 		return nil, err

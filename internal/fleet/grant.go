@@ -104,9 +104,9 @@ func (g *Grant) straggle(slot int) {
 // feeds the health EWMA, slots a quorum gather returned without are
 // branded stragglers, and — when the manager's SpeculateAfter window is
 // set — a forward layer's lagging share is re-dispatched to a borrowed
-// spare device, first response winning. A batch's coded inputs are stored
-// under its own keys and dropped when its flight ends, and Release waits
-// for the flight, so no later gang reaches them.
+// spare device, first response winning. What a batch's devices keep
+// between its passes belongs to its flight, and Release waits for the
+// flight, so no later gang reaches it.
 //
 // Bookkeeping is per flight, not per layer: a virtual batch's flight counts
 // once toward Stats.AsyncDispatches and PeakOverlap, however many layers it
@@ -153,20 +153,22 @@ func (g *Grant) spare(slot int) (gpu.Device, func(time.Duration), bool) {
 // ForwardQuorum ships one layer on a flight over the first len(coded) slots
 // and returns as soon as quorum responses have arrived (quorum <= 0 or
 // >= len(coded) waits for all), with the flight's presence mask: nil when
-// every slot answered.
+// every slot answered. The leading string is unused: it remains only
+// because the benchmark harness under bench/ still passes it.
 //
 //lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
-func (g *Grant) ForwardQuorum(key string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error) {
+func (g *Grant) ForwardQuorum(_ string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error) {
 	flight, err := g.BeginBlock(len(coded))
 	if err != nil {
 		return nil, nil, err
 	}
 	defer flight.End()
-	p, err := flight.ForwardLayer(key, kernel, coded)
+	p, err := flight.ForwardLayer("", kernel, coded)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.WaitQuorum(quorum)
+	results, present := p.WaitQuorum(quorum)
+	return results, present, nil
 }
 
 // ReportFaults marks gang slots attributed as tampering by the redundant

@@ -1,9 +1,11 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"darknight/internal/field"
@@ -16,17 +18,28 @@ import (
 // worker that starts with the slot's first job and exits when its queue is
 // empty, so shipping never blocks on a straggling device: a slot still
 // chewing on layer l simply accumulates its layer l+1 job while the quorum
-// gather decodes around it, and a device's forward job for a layer (which
-// stores the coded input) always runs before its own gradient job for it.
-// Everything flight-scoped — a slow device's launch latency, the fleet's
-// handle accounting — is paid once per flight; the per-layer math (encode,
-// decode, verify) is untouched, which is what keeps outputs bit-identical
-// to flying every layer alone.
+// gather decodes around it, and a device's forward job for a layer always
+// runs before its own gradient job for it. Everything flight-scoped — a
+// slow device's launch latency, the fleet's handle accounting — is paid
+// once per flight; the per-layer math (encode, decode, verify) is
+// untouched, which is what keeps outputs bit-identical to flying every
+// layer alone.
+//
+// A training batch's flight keeps what its devices keep between the passes
+// (§6 "Encoded Data Storage During Forward Pass"): marked by KeepInputs,
+// each forward job keeps a pooled copy of its coded input in the layer's
+// LayerPending, the gradient job on the same slot reads it back, and End
+// recycles it. The copies live exactly as long as the flight, so two
+// flights on one device — pipelined lanes, or training beside inference —
+// can neither alias nor miss each other's inputs.
 //
 // A flight has one owner: ship and gather from a single goroutine.
 type BlockFlight struct {
 	slots []slot
 	opts  BlockOptions
+	keep  bool          // forward jobs keep their coded inputs (KeepInputs)
+	kept  *LayerPending // the newest forward layer that kept its inputs; older ones chain through prev
+	live  atomic.Int64  // inputs kept and not yet recycled
 	ended bool
 }
 
@@ -54,13 +67,13 @@ type BlockOptions struct {
 
 // job is one device computation of a layer: entry is its index in the
 // layer's result order, x its operand (a coded input or a combined delta).
-// A job with no layer drops the device's stores under the keys in drop
-// instead.
+// A job with no layer instead recycles the inputs kept at gang slot entry
+// by the forward layers chained from kept.
 type job struct {
 	p     *LayerPending
 	entry int
 	x     field.Vec
-	drop  []string
+	kept  *LayerPending
 }
 
 // slot is one device conversation: the device its jobs run on, what a
@@ -75,6 +88,9 @@ type slot struct {
 	// launch is the latency a slow device pays once per conversation; nil
 	// for a device with none, so only slow devices carry its state.
 	launch *launch
+	// start is work bound to the slot once, by open, so starting a worker
+	// copies nothing to the heap.
+	start func()
 
 	mu     sync.Mutex
 	queue  []job
@@ -102,44 +118,67 @@ func (s *slot) open(d Device) {
 	}
 	s.dev = d
 	_, s.prompt = d.(*honest)
+	s.start = s.work
 }
 
 func (s *slot) enqueue(j job) {
 	s.mu.Lock()
+	s.queue = append(s.queue, j)
 	if s.busy {
-		s.queue = append(s.queue, j)
 		s.mu.Unlock()
 		return
 	}
 	s.busy = true
 	s.mu.Unlock()
-	go s.work(j)
+	go s.start()
 }
 
-func (s *slot) work(j job) {
-	for {
-		if j.p != nil {
-			j.p.run(s, j.entry, j.x, "", nil)
-		} else {
-			for _, key := range j.drop {
-				s.dev.Drop(key)
-			}
-		}
-		s.mu.Lock()
-		if len(s.queue) == 0 {
-			s.busy = false
-			if s.idle != nil {
-				close(s.idle)
-				s.idle = nil
-			}
-			s.mu.Unlock()
-			return
-		}
-		j = s.queue[0]
+// work runs the slot's queue, front first, until it is empty.
+func (s *slot) work() {
+	s.mu.Lock()
+	for len(s.queue) > 0 {
+		j := s.queue[0]
 		n := copy(s.queue, s.queue[1:])
 		s.queue[n] = job{} // the vacated tail keeps no job's operands alive
 		s.queue = s.queue[:n]
 		s.mu.Unlock()
+		if j.p != nil {
+			j.p.run(s, j.entry, j.x, nil)
+		} else {
+			recycle(j.kept, j.entry)
+		}
+		s.mu.Lock()
+	}
+	s.busy = false
+	if s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
+	s.mu.Unlock()
+}
+
+// recycleAfter hands the inputs kept at gang slot i by the forward layers
+// chained from kept back to the pool behind the last job queued on the
+// slot — a laggard's forward and gradient jobs read them — or at once when
+// the slot is idle.
+func (s *slot) recycleAfter(kept *LayerPending, i int) {
+	s.mu.Lock()
+	if s.busy {
+		s.queue = append(s.queue, job{entry: i, kept: kept})
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	recycle(kept, i)
+}
+
+// recycle returns the inputs kept at gang slot i by the forward layers
+// chained from p to the field scratch pool.
+func recycle(p *LayerPending, i int) {
+	for ; p != nil; p = p.prev {
+		field.PutScratchVec(p.inputs[i])
+		p.inputs[i] = nil
+		p.f.live.Add(-1)
 	}
 }
 
@@ -205,34 +244,35 @@ func (l *launch) release() {
 //lint:ignore testonly the leasepair corpus and its seeded mutant in tree_test.go typecheck against it
 func (f *BlockFlight) Slots() int { return len(f.slots) }
 
-// Drop has every slot forget the coded inputs stored under the logical
-// keys — the end of a training batch's device memory (§6: a batch's coded
-// inputs are kept only until its backward pass has read them). The drop
-// rides each slot's FIFO behind every job already shipped, so a quorum
-// laggard's late store cannot outlive it, and End waits for it on the
-// slots it drains. It is bookkeeping, not a device job: no traffic is
-// counted. Drop owns a copy of keys, shared by every slot: a slot that may
-// block runs its drop after End has returned and the caller has reused
-// the slice.
-func (f *BlockFlight) Drop(keys []string) {
-	if len(keys) == 0 {
-		return
-	}
-	keys = slices.Clone(keys)
-	for i := range f.slots {
-		f.slots[i].enqueue(job{drop: keys})
-	}
-}
+// Kept returns how many coded inputs the flight keeps and has not yet
+// recycled — a training batch's §6 device-memory footprint. It is 0 on a
+// flight that keeps nothing, and once every slot has run its last job
+// after End.
+//
+//lint:ignore testonly test fixture for the gpu and sched tests
+func (f *BlockFlight) Kept() int { return int(f.live.Load()) }
+
+// KeepInputs marks the flight to keep each forward job's coded input for
+// the gradient jobs of its layer (GradLayer); End recycles them. Call it
+// before the first forward layer: a layer shipped unmarked keeps nothing.
+// A flight that runs no backward pass — inference — keeps nothing.
+func (f *BlockFlight) KeepInputs() { f.keep = true }
 
 // ForwardLayer ships one layer: slot j computes the kernel on coded[j],
-// storing it under the layer key for backward reuse. Returns immediately;
-// gather through the LayerPending.
-func (f *BlockFlight) ForwardLayer(key string, kernel LinearKernel, coded []field.Vec) (*LayerPending, error) {
+// keeping a copy of coded[j] on a flight marked by KeepInputs. Returns
+// immediately; gather through the LayerPending. The leading string is
+// unused: it remains only because the benchmark harness under bench/ still
+// passes it.
+func (f *BlockFlight) ForwardLayer(_ string, kernel LinearKernel, coded []field.Vec) (*LayerPending, error) {
 	if len(coded) != len(f.slots) {
 		return nil, fmt.Errorf("gpu: %d coded inputs for flight of %d slots", len(coded), len(f.slots))
 	}
-	p := f.newPending(key, len(coded), 0)
+	p := f.newPending(len(coded), 0)
 	p.fwd, p.coded = kernel, coded
+	if f.keep {
+		p.inputs = make([]field.Vec, len(coded))
+		p.prev, f.kept = f.kept, p
+	}
 	for j, x := range coded {
 		f.slots[j].enqueue(job{p: p, entry: j, x: x})
 	}
@@ -240,19 +280,23 @@ func (f *BlockFlight) ForwardLayer(key string, kernel LinearKernel, coded []fiel
 }
 
 // GradLayer ships one layer's weight-gradient equations against the coded
-// inputs the devices stored during forward: the primary equations prim[j]
-// on slots [0, len(prim)) and, when sec is non-nil, the equally many
-// redundant-decoding equations sec[j] on the flight's last len(sec) slots —
-// [E, S+E) on a flight of S+E slots — so the gather can return from
-// whichever window completes first. The result order is prim then sec.
-func (f *BlockFlight) GradLayer(key string, kernel BilinearKernel, prim, sec []field.Vec) (*LayerPending, error) {
+// inputs fwd, a forward layer of this marked flight, kept: the primary
+// equations prim[j] on slots [0, len(prim)) and, when sec is non-nil, the
+// equally many redundant-decoding equations sec[j] on the flight's last
+// len(sec) slots — [E, S+E) on a flight of S+E slots — so the gather can
+// return from whichever window completes first. The result order is prim
+// then sec. Each job rides its slot's FIFO behind the slot's forward job
+// for fwd, so the input it reads is always there.
+func (f *BlockFlight) GradLayer(fwd *LayerPending, kernel BilinearKernel, prim, sec []field.Vec) (*LayerPending, error) {
+	if fwd == nil || fwd.f != f || fwd.inputs == nil {
+		return nil, errors.New("gpu: gradient layer needs a forward layer of its own flight that kept its inputs")
+	}
 	if len(prim) > len(f.slots) || (sec != nil && len(sec) != len(prim)) {
 		return nil, fmt.Errorf("gpu: backward windows (%d primary, %d secondary) for flight of %d slots",
 			len(prim), len(sec), len(f.slots))
 	}
-	p := f.newPending(key, len(prim), len(sec))
-	p.bwd = kernel
-	p.errs = make([]error, len(prim)+len(sec))
+	p := f.newPending(len(prim), len(sec))
+	p.bwd, p.from = kernel, fwd
 	for j, d := range prim {
 		f.slots[j].enqueue(job{p: p, entry: j, x: d})
 	}
@@ -294,13 +338,19 @@ func (f *BlockFlight) drain() {
 // block those finish on their own time. It does wait for the slots whose
 // calls cannot block to run every job shipped to them (drain), so the
 // devices' work for the flight — and their traffic counters — is complete
-// when the flight ends. Idempotent.
+// when the flight ends. The kept inputs go back to the pool behind each
+// slot's last job. Idempotent.
 func (f *BlockFlight) End() {
 	if f.ended {
 		return
 	}
 	f.ended = true
 	f.drain()
+	if f.kept != nil {
+		for i := range f.slots {
+			f.slots[i].recycleAfter(f.kept, i)
+		}
+	}
 	if f.opts.OnEnd != nil {
 		f.opts.OnEnd()
 	}
@@ -311,27 +361,31 @@ func (f *BlockFlight) End() {
 // jobs form one window (a forward layer, or a backward layer's primary
 // equations) or two equally long ones (primary then secondary equations).
 type LayerPending struct {
-	f       *BlockFlight
-	key     string
-	fwd     LinearKernel
-	bwd     BilinearKernel
-	coded   []field.Vec // forward operands, for speculative re-dispatch
-	window  int         // jobs per window; jobs [window, len(results)) are the secondary window
-	secSlot int         // the secondary window's first slot
-	shipped time.Time   // when the layer left the TEE (set only when observed)
+	f     *BlockFlight
+	fwd   LinearKernel
+	bwd   BilinearKernel
+	coded []field.Vec // forward operands, for speculative re-dispatch
+	// inputs holds, by gang slot, the coded inputs a forward layer of a
+	// marked flight kept; each is written and read only by its slot's jobs
+	// (and by End once the slot is idle). prev chains the flight's earlier
+	// such layers, for End to recycle.
+	inputs  []field.Vec
+	prev    *LayerPending
+	from    *LayerPending // a gradient layer's forward layer
+	window  int           // jobs per window; jobs [window, len(results)) are the secondary window
+	secSlot int           // the secondary window's first slot
+	shipped time.Time     // when the layer left the TEE (set only when observed)
 	wake    chan struct{}
 
-	mu       sync.Mutex
-	results  []field.Vec
-	errs     []error // backward layers only
-	present  []bool  // answered without error
-	ok       [2]int  // per window: jobs answered without error
-	answered int
-	need     int  // the quorum a parked gatherer waits for; 0 when none is parked
-	prompt   bool // a parked gatherer waits for every prompt slot's job instead
+	mu      sync.Mutex
+	results []field.Vec
+	present []bool
+	ok      [2]int // per window: jobs answered
+	need    int    // the quorum a parked gatherer waits for; 0 when none is parked
+	prompt  bool   // a parked gatherer waits for every prompt slot's job instead
 }
 
-func (f *BlockFlight) newPending(key string, window, secondary int) *LayerPending {
+func (f *BlockFlight) newPending(window, secondary int) *LayerPending {
 	n := window + secondary
 	var shipped time.Time
 	if f.opts.Observe != nil {
@@ -340,7 +394,6 @@ func (f *BlockFlight) newPending(key string, window, secondary int) *LayerPendin
 	return &LayerPending{
 		shipped: shipped,
 		f:       f,
-		key:     key,
 		window:  window,
 		secSlot: len(f.slots) - secondary,
 		wake:    make(chan struct{}, 1),
@@ -357,72 +410,68 @@ func (p *LayerPending) slot(entry int) int {
 	return p.secSlot + entry - p.window
 }
 
-// run executes one job in a conversation — the gang slot's own, or a
-// spare's with a key suffix that keeps the spare's store apart — and
-// answers it, then runs done (when non-nil). A slow device may hold the
-// answer until its launch latency has passed; the slot moves on to its
-// next job meanwhile. A spare's store is dropped as soon as its job ran:
-// no backward pass reads it, and no flight owns the spare to drop it later.
-func (p *LayerPending) run(s *slot, entry int, x field.Vec, suffix string, done func()) {
+// run executes one job in a conversation — the gang slot's own, or, when
+// done is non-nil, a spare's — and answers it, then runs done. A slow
+// device may hold the answer until its launch latency has passed; the slot
+// moves on to its next job meanwhile. A spare keeps nothing and feeds no
+// latency observation: the gang slot's own job keeps the share, which is
+// where the layer's gradient job reads it.
+func (p *LayerPending) run(s *slot, entry int, x field.Vec, done func()) {
 	gang := p.slot(entry)
-	key := p.key + suffix
-	var (
-		y   field.Vec
-		err error
-	)
+	var y field.Vec
 	if p.fwd != nil {
-		y = s.dev.LinearForward(key, p.fwd, x)
-		if suffix != "" {
-			s.dev.Drop(key)
+		if p.inputs != nil && done == nil {
+			// A copy, like the tensor a transfer leaves in device memory:
+			// the TEE rewrites its coded buffers for the next layer.
+			kept := field.GetScratchVec(len(x))
+			copy(kept, x)
+			p.inputs[gang] = kept
+			p.f.live.Add(1)
 		}
+		y = s.dev.LinearForward(p.fwd, x)
 	} else {
-		y, err = s.dev.GradWeights(key, p.bwd, x)
+		y = s.dev.GradWeights(p.bwd, x, p.from.inputs[gang])
 	}
 	if l := s.launch; l != nil {
 		l.start()
-		if l.hold(func() { p.answer(gang, entry, y, err, suffix, done) }) {
+		if l.hold(func() { p.answer(gang, entry, y, done) }) {
 			return
 		}
 	}
-	p.answer(gang, entry, y, err, suffix, done)
+	p.answer(gang, entry, y, done)
 }
 
-// answer files one job's result: the latency observation, the delivery,
-// then done.
-func (p *LayerPending) answer(slot, entry int, y field.Vec, err error, suffix string, done func()) {
-	if suffix == "" && p.f.opts.Observe != nil {
+// answer files one job's result: the latency observation (a gang slot's
+// only), the delivery, then done.
+func (p *LayerPending) answer(slot, entry int, y field.Vec, done func()) {
+	if done == nil && p.f.opts.Observe != nil {
 		p.f.opts.Observe(slot, time.Since(p.shipped))
 	}
-	p.deliver(entry, y, err)
+	p.deliver(entry, y)
 	if done != nil {
 		done()
 	}
 }
 
 // settled reports whether a gather for quorum q can return: one window has
-// q clean answers, or every job has answered. Caller holds mu.
+// q answers. Caller holds mu.
 func (p *LayerPending) settled(q int) bool {
-	return p.ok[0] >= q || p.ok[1] >= q || p.answered == len(p.results)
+	return p.ok[0] >= q || p.ok[1] >= q
 }
 
 // deliver records a job's answer — the first delivery wins — and wakes the
 // gatherer when it is the answer the gatherer was waiting for.
-func (p *LayerPending) deliver(entry int, v field.Vec, err error) {
+func (p *LayerPending) deliver(entry int, v field.Vec) {
 	p.mu.Lock()
-	if p.present[entry] || (p.errs != nil && p.errs[entry] != nil) {
+	if p.present[entry] {
 		p.mu.Unlock()
 		return
 	}
-	p.answered++
-	if err != nil {
-		p.errs[entry] = err
+	p.results[entry], p.present[entry] = v, true
+	if entry < p.window {
+		p.ok[0]++
 	} else {
-		p.results[entry], p.present[entry] = v, true
-		if entry < p.window {
-			p.ok[0]++
-		} else {
-			p.ok[1]++
-		}
+		p.ok[1]++
 	}
 	wake := (p.need > 0 && p.settled(p.need)) || (p.prompt && p.promptSettled())
 	if wake {
@@ -436,9 +485,9 @@ func (p *LayerPending) deliver(entry int, v field.Vec, err error) {
 
 // Wait gathers the layer with no straggler tolerance: a whole window must
 // answer.
-func (p *LayerPending) Wait() ([]field.Vec, error) {
-	results, _, err := p.WaitQuorum(p.window)
-	return results, err
+func (p *LayerPending) Wait() []field.Vec {
+	results, _ := p.WaitQuorum(p.window)
+	return results
 }
 
 // WaitQuorum blocks until q jobs of one window have answered (a q outside
@@ -447,9 +496,8 @@ func (p *LayerPending) Wait() ([]field.Vec, error) {
 // running at that point are branded stragglers and finish on their own
 // time — the returned slices are snapshots they never touch, but the
 // layer's operands and everything its kernel references must stay
-// unmodified for as long as a straggler may run. When every job has
-// answered and no window reached q, the error is the lowest failed slot's.
-func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool, error) {
+// unmodified for as long as a straggler may run.
+func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 	if q <= 0 || q > p.window {
 		q = p.window
 	}
@@ -467,20 +515,15 @@ func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool, error) {
 		}
 		p.mu.Lock()
 	}
-	if p.ok[0] < q && p.ok[1] < q {
-		err := p.foldErrors()
-		p.mu.Unlock()
-		return nil, nil, err
-	}
 	if p.ok[0]+p.ok[1] == len(p.results) {
 		p.mu.Unlock()
-		return p.results, nil, nil
+		return p.results, nil
 	}
 	results := append([]field.Vec(nil), p.results...)
 	present := append([]bool(nil), p.present...)
 	var lagging []int
 	for entry, got := range present {
-		if !got && (p.errs == nil || p.errs[entry] == nil) {
+		if !got {
 			lagging = append(lagging, p.slot(entry))
 		}
 	}
@@ -490,7 +533,7 @@ func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool, error) {
 			p.f.opts.Straggler(slot)
 		}
 	}
-	return results, present, nil
+	return results, present
 }
 
 // WaitPrompt blocks until every job of the layer on a slot whose calls
@@ -518,26 +561,11 @@ func (p *LayerPending) WaitPrompt() ([]field.Vec, []bool) {
 // Caller holds mu.
 func (p *LayerPending) promptSettled() bool {
 	for entry, got := range p.present {
-		if !got && (p.errs == nil || p.errs[entry] == nil) && p.f.slots[p.slot(entry)].prompt {
+		if !got && p.f.slots[p.slot(entry)].prompt {
 			return false
 		}
 	}
 	return true
-}
-
-// foldErrors returns the error of the lowest gang slot that failed a job
-// (its primary equation's, when it serves both windows). Caller holds mu.
-func (p *LayerPending) foldErrors() error {
-	first, low := -1, len(p.f.slots)
-	for entry, err := range p.errs {
-		if slot := p.slot(entry); err != nil && slot < low {
-			first, low = entry, slot
-		}
-	}
-	if first < 0 {
-		return fmt.Errorf("gpu: layer %q incomplete with no device errors (bug)", p.key)
-	}
-	return p.errs[first]
 }
 
 // speculate re-dispatches every still-lagging coded share to a borrowed
@@ -561,7 +589,7 @@ func (p *LayerPending) speculate() {
 			var s slot
 			s.open(dev)
 			start := time.Now()
-			p.run(&s, entry, p.coded[entry], "#spec", func() { done(time.Since(start)) })
+			p.run(&s, entry, p.coded[entry], func() { done(time.Since(start)) })
 		}()
 	}
 }

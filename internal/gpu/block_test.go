@@ -1,9 +1,6 @@
 package gpu
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,34 +9,29 @@ import (
 )
 
 // scriptDevice is the fake a flight test needs: a Device whose every job
-// waits for gate (nil = never waits), then answers from the wrapped device
-// or with err. A flight cannot tell it never blocks, so End does not drain
-// its slot.
+// waits for gate (nil = never waits), then answers from the wrapped device.
+// A flight cannot tell it never blocks, so End does not drain its slot.
 type scriptDevice struct {
 	Device
 	gate <-chan struct{}
-	err  error
 	jobs atomic.Int32
 }
 
-func (d *scriptDevice) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
+func (d *scriptDevice) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
 	if d.gate != nil {
 		<-d.gate
 	}
-	y := d.Device.LinearForward(key, kernel, x)
+	y := d.Device.LinearForward(kernel, x)
 	d.jobs.Add(1)
 	return y
 }
 
-func (d *scriptDevice) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
+func (d *scriptDevice) GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec {
 	if d.gate != nil {
 		<-d.gate
 	}
 	d.jobs.Add(1)
-	if d.err != nil {
-		return nil, d.err
-	}
-	return d.Device.GradWeights(key, kernel, delta)
+	return d.Device.GradWeights(kernel, delta, x)
 }
 
 // scriptDevices wraps one honest device per slot in a script.
@@ -75,7 +67,7 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 	ran := make(chan string, 2) // slot 1's jobs, in the order its worker ran them
 	for _, key := range []string{"l1", "l2"} {
 		coded := vecs(n, 10)
-		p, err := f.ForwardLayer(key, func(x field.Vec) field.Vec {
+		p, err := f.ForwardLayer("", func(x field.Vec) field.Vec {
 			if x[0] == 11 { // slot 1's share
 				ran <- key
 			}
@@ -84,10 +76,7 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, present, err := p.WaitQuorum(n - 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results, present := p.WaitQuorum(n - 1)
 		for j := range coded {
 			if j == 1 {
 				if present[j] {
@@ -114,22 +103,20 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 }
 
 // TestFlightBackwardWindows: with both decode windows shipped on S+E slots
-// the gather returns from whichever window completes, and a window-shared
-// slot's failure fails the layer with the folded error.
+// the gather returns from whichever window completes.
 func TestFlightBackwardWindows(t *testing.T) {
 	const s, e = 3, 2
 	identGrad := func(delta, _ field.Vec) field.Vec { return delta }
-	open := func(t *testing.T) ([]*scriptDevice, *BlockFlight) {
+	open := func(t *testing.T) ([]*scriptDevice, *BlockFlight, *LayerPending) {
 		scripts, devs := scriptDevices(s + e)
 		f := NewBlockFlight(devs, BlockOptions{})
-		p, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return x }, vecs(s+e, 1))
+		f.KeepInputs()
+		p, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return x }, vecs(s+e, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		return scripts, f
+		p.Wait()
+		return scripts, f, p
 	}
 	prim, sec := vecs(s, 100), vecs(s, 200)
 
@@ -144,17 +131,14 @@ func TestFlightBackwardWindows(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			gate := make(chan struct{})
 			defer close(gate)
-			scripts, f := open(t)
+			scripts, f, fwd := open(t)
 			defer f.End()
 			scripts[c.blocked].gate = gate
-			p, err := f.GradLayer("k", identGrad, prim, sec)
+			p, err := f.GradLayer(fwd, identGrad, prim, sec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eqs, present, err := p.WaitQuorum(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eqs, present := p.WaitQuorum(s)
 			want := [][]field.Vec{prim, sec}[c.window]
 			for j := 0; j < s; j++ {
 				if !present[c.window*s+j] || !eqs[c.window*s+j].Equal(want[j]) {
@@ -165,18 +149,15 @@ func TestFlightBackwardWindows(t *testing.T) {
 	}
 
 	t.Run("both complete", func(t *testing.T) {
-		_, f := open(t)
+		_, f, fwd := open(t)
 		defer f.End()
-		p, err := f.GradLayer("k", identGrad, prim, sec)
+		p, err := f.GradLayer(fwd, identGrad, prim, sec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A laggard-free gather may return at the first full window or with
 		// everything; either way whatever is present must be right.
-		eqs, present, err := p.WaitQuorum(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eqs, present := p.WaitQuorum(s)
 		want := append(append([]field.Vec{}, prim...), sec...)
 		for j, eq := range eqs {
 			if (present == nil || present[j]) && !eq.Equal(want[j]) {
@@ -184,57 +165,6 @@ func TestFlightBackwardWindows(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestFlightFoldsSlotErrors: a layer that no window completes fails with
-// the lowest failed slot's error, whatever kinds of error the slots
-// returned — a missing store ranks no lower than any other fault.
-func TestFlightFoldsSlotErrors(t *testing.T) {
-	boom := errors.New("device fell off the bus")
-	miss := func(slot int) error { return fmt.Errorf("gpu %d: %w", slot, ErrNoStored) }
-	for _, c := range []struct {
-		name string
-		errs map[int]error
-		dual bool
-		low  int // the slot whose error the layer must fail with
-	}{
-		{name: "one miss", errs: map[int]error{2: miss(2)}, low: 2},
-		{name: "two misses", errs: map[int]error{0: miss(0), 2: miss(2)}, low: 0},
-		{name: "real error beside a miss", errs: map[int]error{0: miss(0), 2: boom}, low: 0},
-		{name: "miss beside a real error", errs: map[int]error{0: boom, 2: miss(2)}, low: 0},
-		// Slot 2 is in both windows of S=3, E=2: neither can complete.
-		{name: "dual windows, shared slot misses", errs: map[int]error{2: miss(2)}, dual: true, low: 2},
-		{name: "dual windows, real error and miss", errs: map[int]error{1: miss(1), 2: boom, 3: miss(3)}, dual: true, low: 1},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			const s, e = 3, 2
-			n := s
-			var sec []field.Vec
-			if c.dual {
-				n, sec = s+e, vecs(s, 200)
-			}
-			scripts, devs := scriptDevices(n)
-			f := NewBlockFlight(devs, BlockOptions{})
-			defer f.End()
-			stored, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return x }, vecs(n, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := stored.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			for slot, err := range c.errs {
-				scripts[slot].err = err
-			}
-			p, err := f.GradLayer("k", func(delta, _ field.Vec) field.Vec { return delta }, vecs(s, 100), sec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err = p.WaitQuorum(s); !errors.Is(err, c.errs[c.low]) {
-				t.Fatalf("err = %v, want slot %d's %v", err, c.low, c.errs[c.low])
-			}
-		})
-	}
 }
 
 // TestFlightSpeculationFillsBlockedSlots: with two of four slots blocked a
@@ -255,14 +185,11 @@ func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 	})
 	defer f.End()
 	coded := vecs(n, 10)
-	p, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return field.ScaleVec(2, x) }, coded)
+	p, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return field.ScaleVec(2, x) }, coded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, present, err := p.WaitQuorum(n - 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, present := p.WaitQuorum(n - 1)
 	got := 0
 	for j := range coded {
 		if present == nil || present[j] {
@@ -276,9 +203,7 @@ func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 		t.Fatalf("%d present after %d loans, want >= %d through a loan", got, lent.Load(), n-1)
 	}
 	close(gate)
-	if _, err := p.Wait(); err != nil { // every slot answered by now or soon: no hang, no double count
-		t.Fatal(err)
-	}
+	p.Wait() // every slot answered by now or soon: no hang, no double count
 }
 
 // TestSlotOpensConversation: a flight decides once, per slot, whether a
@@ -304,7 +229,7 @@ func TestSlotOpensConversation(t *testing.T) {
 		{name: "malicious", dev: mal},
 		{name: "malicious over slow", dev: NewMalicious(NewSlow(h, inner), FaultPolicy{EveryNth: 1})},
 		{name: "slow over malicious", dev: NewSlow(mal, outer), delay: outer, runsOn: mal},
-		{name: "colluding", dev: NewColluding(h, NewCollusionPool())},
+		{name: "colluding", dev: NewColluding(h, new(CollusionPool))},
 		{name: "chaos", dev: NewChaos(h)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -346,8 +271,8 @@ func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 	}
 	start := time.Now()
 	var pending []*LayerPending
-	for _, key := range []string{"l1", "l2", "l3"} {
-		p, err := f.ForwardLayer(key, kernel, vecs(1, 5))
+	for range 3 {
+		p, err := f.ForwardLayer("", kernel, vecs(1, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,10 +289,7 @@ func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 		t.Fatalf("the queued kernels ran %v after shipping: they waited out the launch latency (%v)", el, delay)
 	}
 	for i, p := range pending {
-		results, err := p.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := p.Wait()
 		if el := time.Since(start); el < delay {
 			t.Fatalf("layer %d answered after %v, before the %v launch latency", i+1, el, delay)
 		}
@@ -390,8 +312,8 @@ func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 	f := NewBlockFlight([]Device{NewSlow(devs[0], delay), devs[1], blocked}, BlockOptions{})
 	ident := func(x field.Vec) field.Vec { return x }
 	start := time.Now()
-	for _, key := range []string{"l1", "l2", "l3"} {
-		if _, err := f.ForwardLayer(key, ident, vecs(3, 5)); err != nil {
+	for range 3 {
+		if _, err := f.ForwardLayer("", ident, vecs(3, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,122 +340,179 @@ func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 	}
 }
 
-// TestFlightDropRidesBehindLaggard: a drop shipped while a quorum laggard
-// still has its forward job queued runs after that job — the late store
-// cannot outlive it — on every slot, and without counting as a device job.
-func TestFlightDropRidesBehindLaggard(t *testing.T) {
-	const n = 3
+// waitIdle waits until slot i has run every job queued on it.
+func waitIdle(t *testing.T, f *BlockFlight, i int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := &f.slots[i]
+		s.mu.Lock()
+		busy := s.busy
+		s.mu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slot %d never went idle", i)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMarkedFlightRecyclesAfterLastReader: on a flight marked by
+// KeepInputs each forward job keeps its coded input, every gradient job on
+// its slot — of either backward window — is handed exactly that input,
+// and End recycles a slot's inputs only behind the last job queued on it:
+// a quorum laggard's forward and gradient jobs, still queued when End
+// returns, read theirs afterwards.
+func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
+	const s, e = 3, 2
+	const n = s + e
 	gate := make(chan struct{})
-	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
-	lagging := &scriptDevice{Device: devs[1], gate: gate}
-	f := NewBlockFlight([]Device{devs[0], lagging, devs[2]}, BlockOptions{})
+	scripts, devs := scriptDevices(n)
+	scripts[0].gate = gate // primary-exclusive: the secondary window decodes around it
+	f := NewBlockFlight(devs, BlockOptions{})
+	f.KeepInputs()
 	ident := func(x field.Vec) field.Vec { return x }
-	for _, key := range []string{"step1/lin1", "step1/lin2"} {
-		p, err := f.ForwardLayer(key, ident, vecs(n, 5))
+	// Each equation is the coded input its slot was sent, so a gradient
+	// job handed anything else — another layer's input, a recycled one — is
+	// a misread.
+	var reads, misreads atomic.Int32
+	check := func(delta, x field.Vec) field.Vec {
+		reads.Add(1)
+		if !x.Equal(delta) {
+			misreads.Add(1)
+		}
+		return delta
+	}
+	coded := [][]field.Vec{vecs(n, 10), vecs(n, 20)}
+	var fwd []*LayerPending
+	for _, c := range coded {
+		p, err := f.ForwardLayer("", ident, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.WaitQuorum(n - 1); err != nil {
+		p.WaitQuorum(n - 1)
+		fwd = append(fwd, p)
+	}
+	for l := len(fwd) - 1; l >= 0; l-- {
+		p, err := f.GradLayer(fwd[l], check, coded[l][:s], coded[l][e:])
+		if err != nil {
 			t.Fatal(err)
 		}
+		if _, present := p.WaitQuorum(s); present == nil || present[0] {
+			t.Fatalf("layer %d: the blocked slot answered", l)
+		}
 	}
-	f.Drop([]string{"step1/lin1", "step1/lin2"})
-	f.End() // drains the prompt slots, not the gated one
-	for _, i := range []int{0, 2} {
-		if s := devs[i].Stored(); s != 0 {
-			t.Fatalf("device %d holds %d coded inputs after End", i, s)
+	f.End() // returns with slot 0 still blocked
+	for i := 1; i < n; i++ {
+		for l, p := range fwd {
+			if p.inputs[i] != nil {
+				t.Fatalf("slot %d still keeps layer %d's input after End", i, l)
+			}
 		}
-		if jobs := devs[i].Traffic().Jobs; jobs != 2 {
-			t.Fatalf("device %d counted %d jobs, want 2 (the drop is not a job)", i, jobs)
-		}
+	}
+	if got := scripts[0].jobs.Load(); got != 0 {
+		t.Fatalf("the blocked slot ran %d jobs before its gate opened", got)
 	}
 	close(gate)
-	deadline := time.Now().Add(10 * time.Second)
-	for lagging.jobs.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	waitIdle(t, f, 0)
+	if got := scripts[0].jobs.Load(); got != 4 {
+		t.Fatalf("the laggard ran %d jobs, want its 2 forward and 2 gradient jobs", got)
 	}
-	for devs[1].Stored() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// Per layer: S primary and S secondary equations.
+	if r, m := reads.Load(), misreads.Load(); r != 4*s || m != 0 {
+		t.Fatalf("%d of %d gradient jobs were handed the wrong input", m, r)
 	}
-	if s := devs[1].Stored(); s != 0 {
-		t.Fatalf("the laggard kept %d late stores past the drop", s)
+	for l, p := range fwd {
+		if p.inputs[0] != nil {
+			t.Fatalf("the laggard's slot still keeps layer %d's input", l)
+		}
+	}
+	if k := f.Kept(); k != 0 {
+		t.Fatalf("the flight still counts %d kept inputs", k)
 	}
 }
 
-// TestFlightDropOwnsKeys: Drop copies the caller's key list. A slot whose
-// device may block runs its drop after End has returned, by which time the
-// caller has cleared the slice for its next batch; the drop must still
-// forget the keys it was given.
-func TestFlightDropOwnsKeys(t *testing.T) {
-	gate := make(chan struct{})
-	dev := NewHonest(0)
-	gated := &scriptDevice{Device: dev, gate: gate}
-	f := NewBlockFlight([]Device{gated}, BlockOptions{})
-	keys := []string{"step1/lin1", "step1/lin2"}
-	for _, key := range keys {
-		if _, err := f.ForwardLayer(key, func(x field.Vec) field.Vec { return x }, vecs(1, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Drop(keys)
-	clear(keys)
-	f.End() // does not drain the gated slot
-	close(gate)
-	deadline := time.Now().Add(10 * time.Second)
-	for (gated.jobs.Load() < 2 || dev.Stored() != 0) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s := dev.Stored(); s != 0 {
-		t.Fatalf("the device kept %d stores: the drop read the caller's cleared keys", s)
-	}
-}
-
-// TestSpeculativeStoresAreDropped: a share re-dispatched to a spare is
-// stored under its own key that no backward pass reads and no flight owns,
-// so the spare forgets it as soon as its job ran — before the spare is
-// handed back — and holds nothing once the flight has ended.
-func TestSpeculativeStoresAreDropped(t *testing.T) {
+// TestFlightKeepsOnlyForBackward: a flight that is not marked — inference —
+// keeps nothing, a share re-run on a spare keeps nothing either (the gang
+// slot's own job keeps it), and GradLayer refuses a forward layer that
+// kept nothing or belongs to another flight.
+func TestFlightKeepsOnlyForBackward(t *testing.T) {
 	const n = 4
-	gate := make(chan struct{})
-	scripts, devs := scriptDevices(n)
-	scripts[1].gate, scripts[2].gate = gate, gate
-	var (
-		mu       sync.Mutex
-		spares   []Device
-		returned sync.WaitGroup
-	)
-	f := NewBlockFlight(devs, BlockOptions{
-		SpeculateAfter: time.Microsecond,
-		Spare: func(slot int) (Device, func(time.Duration), bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			d := NewHonest(n + len(spares))
-			spares = append(spares, d)
-			returned.Add(1)
-			return d, func(time.Duration) { returned.Done() }, true
-		},
-	})
-	p, err := f.ForwardLayer("k", func(x field.Vec) field.Vec { return x }, vecs(n, 10))
+	ident := func(x field.Vec) field.Vec { return x }
+	identGrad := func(delta, _ field.Vec) field.Vec { return delta }
+
+	inference := NewBlockFlight([]Device{NewHonest(0), NewHonest(1), NewHonest(2), NewHonest(3)}, BlockOptions{})
+	p, err := inference.ForwardLayer("", ident, vecs(n, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.WaitQuorum(n - 1); err != nil {
+	p.Wait()
+	if p.inputs != nil || inference.kept != nil || inference.Kept() != 0 {
+		t.Fatal("an unmarked flight kept its inputs")
+	}
+	if _, err := inference.GradLayer(p, identGrad, vecs(n, 1), nil); err == nil {
+		t.Fatal("GradLayer accepted a forward layer that kept nothing")
+	}
+	inference.End()
+
+	training := NewBlockFlight([]Device{NewHonest(0), NewHonest(1), NewHonest(2), NewHonest(3)}, BlockOptions{})
+	training.KeepInputs()
+	q, err := training.ForwardLayer("", ident, vecs(n, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.End()
-	returned.Wait() // every loan handed back
-	mu.Lock()
-	defer mu.Unlock()
-	if len(spares) == 0 {
-		t.Fatal("no share was re-dispatched to a spare")
+	q.Wait()
+	other := NewBlockFlight([]Device{NewHonest(4), NewHonest(5), NewHonest(6), NewHonest(7)}, BlockOptions{})
+	other.KeepInputs()
+	if _, err := other.GradLayer(q, identGrad, vecs(n, 1), nil); err == nil {
+		t.Fatal("GradLayer accepted another flight's forward layer")
 	}
-	for _, d := range spares {
-		if s := d.Stored(); s != 0 {
-			t.Fatalf("spare %d holds %d speculative stores", d.ID(), s)
+	other.End()
+	training.End()
+
+	// Slots 1 and 2 block inside their first forward job, so both layers'
+	// quorums form through spares while the gang slots have not reached
+	// the second layer: whatever that layer keeps at slots 1 and 2 by then
+	// a spare kept.
+	gate := make(chan struct{})
+	scripts, devs := scriptDevices(n)
+	scripts[1].gate, scripts[2].gate = gate, gate
+	var lent atomic.Int32
+	f := NewBlockFlight(devs, BlockOptions{
+		SpeculateAfter: time.Microsecond,
+		Spare: func(slot int) (Device, func(time.Duration), bool) {
+			return NewHonest(n + int(lent.Add(1))), func(time.Duration) {}, true
+		},
+	})
+	f.KeepInputs()
+	var fwd []*LayerPending
+	for l := 0; l < 2; l++ {
+		p, err := f.ForwardLayer("", ident, vecs(n, 10))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if jobs := d.Traffic().Jobs; jobs != 1 {
-			t.Fatalf("spare %d ran %d jobs, want 1", d.ID(), jobs)
-		}
+		p.WaitQuorum(n - 1)
+		fwd = append(fwd, p)
+	}
+	if lent.Load() == 0 {
+		t.Fatal("no share was re-run on a spare")
+	}
+	if fwd[1].inputs[1] != nil || fwd[1].inputs[2] != nil {
+		t.Fatal("a spare kept the share it re-ran")
 	}
 	close(gate)
+	f.End()
+	for i := 0; i < n; i++ {
+		waitIdle(t, f, i)
+		for l, p := range fwd {
+			if p.inputs[i] != nil {
+				t.Fatalf("slot %d still keeps layer %d's input after End", i, l)
+			}
+		}
+	}
+	if k := f.Kept(); k != 0 {
+		t.Fatalf("the flight still counts %d kept inputs", k)
+	}
 }

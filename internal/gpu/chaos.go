@@ -28,9 +28,7 @@ import (
 //     for every device and an unbounded hang would deadlock the flight.
 //     (A real RPC stack would surface a fast transport error here; in the
 //     simulated fleet "instant garbage" is the equivalent fail-fast
-//     signal.) A gradient job whose store is missing fails with
-//     ErrNoStored whether or not the device is down, so the miss fails
-//     its batch.
+//     signal.)
 //
 // All accessors are safe for concurrent use.
 type ChaosDevice struct {
@@ -97,8 +95,8 @@ func garbage(n int) field.Vec {
 	return out
 }
 
-func (c *ChaosDevice) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
-	y := c.Device.LinearForward(key, kernel, x)
+func (c *ChaosDevice) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
+	y := c.Device.LinearForward(kernel, x)
 	if c.down.Load() {
 		// Fail fast with the right shape: no injected delay, result
 		// unrelated to the inputs. (The inner compute supplies the output
@@ -117,21 +115,18 @@ func (c *ChaosDevice) LinearForward(key string, kernel LinearKernel, x field.Vec
 	return y
 }
 
-func (c *ChaosDevice) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
-	y, err := c.Device.GradWeights(key, kernel, delta)
-	if err != nil {
-		return nil, err
-	}
+func (c *ChaosDevice) GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec {
+	y := c.Device.GradWeights(kernel, delta, x)
 	if c.down.Load() {
 		c.noteFault()
-		return garbage(len(y)), nil
+		return garbage(len(y))
 	}
 	if d := c.delay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
 	if c.tamper.Load() {
 		c.noteFault()
-		return corruptVec(y), nil
+		return corruptVec(y)
 	}
-	return y, nil
+	return y
 }

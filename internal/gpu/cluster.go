@@ -31,38 +31,49 @@ func (c *Cluster) Size() int { return len(c.devices) }
 func (c *Cluster) Device(i int) Device { return c.devices[i] }
 
 // ForwardAll ships one layer on a flight over the first len(coded) devices
-// and waits for every result, in device order.
+// and waits for every result, in device order. The leading string is
+// unused: it remains only because the benchmark harness under bench/ still
+// passes it.
 //
 //lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
-func (c *Cluster) ForwardAll(key string, kernel LinearKernel, coded []field.Vec) ([]field.Vec, error) {
+func (c *Cluster) ForwardAll(_ string, kernel LinearKernel, coded []field.Vec) ([]field.Vec, error) {
 	flight, err := c.BeginBlock(len(coded))
 	if err != nil {
 		return nil, err
 	}
 	defer flight.End()
-	p, err := flight.ForwardLayer(key, kernel, coded)
+	p, err := flight.ForwardLayer("", kernel, coded)
 	if err != nil {
 		return nil, err
 	}
-	return p.Wait()
+	return p.Wait(), nil
 }
 
-// BackwardAll ships one layer's gradient equations against the coded inputs
-// stored during the forward pass and waits for every result. A failed job
-// fails the layer with the lowest failed slot's error.
+// BackwardAll ships one layer's gradient equations on a flight over the
+// first len(deltas) devices and waits for every result. A gradient job
+// reads the coded input its flight kept from a forward job, so the flight
+// first ships an identity forward of the deltas themselves: device j
+// computes the kernel on (deltas[j], deltas[j]). The leading string is
+// unused: it remains only because the benchmark harness under bench/ still
+// passes it.
 //
 //lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
-func (c *Cluster) BackwardAll(key string, kernel BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
+func (c *Cluster) BackwardAll(_ string, kernel BilinearKernel, deltas []field.Vec) ([]field.Vec, error) {
 	flight, err := c.BeginBlock(len(deltas))
 	if err != nil {
 		return nil, err
 	}
 	defer flight.End()
-	p, err := flight.GradLayer(key, kernel, deltas, nil)
+	flight.KeepInputs()
+	fwd, err := flight.ForwardLayer("", func(x field.Vec) field.Vec { return x }, deltas)
 	if err != nil {
 		return nil, err
 	}
-	return p.Wait()
+	p, err := flight.GradLayer(fwd, kernel, deltas, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.Wait(), nil
 }
 
 // TotalTraffic sums channel counters across devices.

@@ -8,8 +8,6 @@
 package gpu
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -24,13 +22,6 @@ type LinearKernel func(x field.Vec) field.Vec
 // BilinearKernel is a layer's weight-gradient op <delta, x>.
 type BilinearKernel func(delta, x field.Vec) field.Vec
 
-// ErrNoStored is the sentinel wrapped by GradWeights when a device holds no
-// cached coded forward input under the requested key. A gradient job rides
-// its slot's FIFO behind the forward job that stored its key, on a device
-// the batch's gang holds until the flight ends, so no device this program
-// builds misses: a miss is a fault, and it fails the batch.
-var ErrNoStored = errors.New("gpu: no stored coded input")
-
 // Traffic counts the TEE<->GPU channel usage of one device.
 type Traffic struct {
 	BytesIn  int64 // coded inputs + gradient operands received
@@ -38,27 +29,20 @@ type Traffic struct {
 	Jobs     int64
 }
 
-// Device is one simulated accelerator.
+// Device is one simulated accelerator: a stateless kernel runner that
+// counts its traffic. What a device keeps between a batch's forward and
+// backward passes (§6 "Encoded Data Storage During Forward Pass") belongs
+// to the batch's flight, which hands it back to the device with each
+// gradient job (see BlockFlight.KeepInputs).
 type Device interface {
 	// ID returns the device index within the cluster.
 	ID() int
 	// LinearForward applies the kernel to the coded input and returns the
-	// result, also caching the coded input under key for backward reuse
-	// (§6 "Encoded Data Storage During Forward Pass"). A training batch's
-	// stores live from its forward job to the end of the batch's flight,
-	// whose last job on each slot drops them (BlockFlight.Drop); inference
-	// reuses its keys, so each store overwrites the last, in place: a key
-	// that already holds a vector of the same length reuses its buffer.
-	LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec
-	// GradWeights computes the bilinear gradient equation on a previously
-	// stored coded input (by key) and the combined delta it received.
-	GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error)
-	// Drop forgets the coded input stored under key, if any. It is
-	// bookkeeping, not a job: no traffic is counted.
-	Drop(key string)
-	// Stored returns how many coded inputs the device currently holds —
-	// the §6 "Encoded Data Storage" footprint.
-	Stored() int
+	// result.
+	LinearForward(kernel LinearKernel, x field.Vec) field.Vec
+	// GradWeights computes the bilinear gradient equation on the combined
+	// delta it received and the coded input x its forward job was sent.
+	GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec
 	// Traffic returns the accumulated channel counters.
 	Traffic() Traffic
 }
@@ -67,80 +51,45 @@ type Device interface {
 type honest struct {
 	id      int
 	mu      sync.Mutex
-	store   map[string]field.Vec
 	traffic Traffic
 }
 
 // NewHonest creates a well-behaved device.
 func NewHonest(id int) Device {
-	return &honest{id: id, store: make(map[string]field.Vec)}
+	return &honest{id: id}
 }
 
 func (d *honest) ID() int { return d.id }
 
-func (d *honest) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
-	d.mu.Lock()
-	// The device stores its own copy, modelling the device-resident tensor
-	// left behind by the PCIe transfer. The TEE reuses its coded-input
-	// buffers across offloads (arena-backed; see internal/sched), so
-	// retaining the caller's slice would alias freely mutated memory. A
-	// re-stored key of the same length is overwritten in place: inference
-	// re-stores the same keys on every batch, and nothing reads an
-	// inference store back.
-	s, ok := d.store[key]
-	if !ok || len(s) != len(x) {
-		s = field.GetScratchVec(len(x))
-		d.store[key] = s
-	}
-	copy(s, x)
-	d.traffic.BytesIn += int64(len(x)) * 4
-	d.traffic.Jobs++
-	d.mu.Unlock()
+func (d *honest) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
 	y := kernel(x)
-	d.mu.Lock()
-	d.traffic.BytesOut += int64(len(y)) * 4
-	d.mu.Unlock()
+	d.count(len(x), len(y))
 	return y
 }
 
-func (d *honest) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
+// GradWeights counts the delta as received: the coded input x is the one
+// the device was sent with the layer's forward job.
+func (d *honest) GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec {
+	y := kernel(delta, x)
+	d.count(len(delta), len(y))
+	return y
+}
+
+// count records one job: an operand of in elements received, a result of
+// out elements sent back.
+func (d *honest) count(in, out int) {
 	d.mu.Lock()
-	x, ok := d.store[key]
-	d.traffic.BytesIn += int64(len(delta)) * 4
+	d.traffic.BytesIn += int64(in) * 4
+	d.traffic.BytesOut += int64(out) * 4
 	d.traffic.Jobs++
 	d.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("gpu %d: %w %q", d.id, ErrNoStored, key)
-	}
-	y := kernel(delta, x)
-	d.mu.Lock()
-	d.traffic.BytesOut += int64(len(y)) * 4
-	d.mu.Unlock()
-	return y, nil
-}
-
-// Drop returns the store's buffer to the field scratch pool. A slot runs
-// its jobs in order, so a flight drops a store only after every job of the
-// flight that reads it.
-func (d *honest) Drop(key string) {
-	d.mu.Lock()
-	if s, ok := d.store[key]; ok {
-		delete(d.store, key)
-		field.PutScratchVec(s)
-	}
-	d.mu.Unlock()
-}
-
-func (d *honest) Stored() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.store)
 }
 
 func (d *honest) Traffic() Traffic {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.traffic
+	t := d.traffic
+	d.mu.Unlock()
+	return t
 }
 
 // FaultPolicy decides which jobs a malicious device corrupts. Exactly one
@@ -214,23 +163,20 @@ func corruptVec(v field.Vec) field.Vec {
 	return out
 }
 
-func (m *malicious) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
-	y := m.Device.LinearForward(key, kernel, x)
+func (m *malicious) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
+	y := m.Device.LinearForward(kernel, x)
 	if m.shouldCorrupt() {
 		return corruptVec(y)
 	}
 	return y
 }
 
-func (m *malicious) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
-	y, err := m.Device.GradWeights(key, kernel, delta)
-	if err != nil {
-		return nil, err
-	}
+func (m *malicious) GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec {
+	y := m.Device.GradWeights(kernel, delta, x)
 	if m.shouldCorrupt() {
-		return corruptVec(y), nil
+		return corruptVec(y)
 	}
-	return y, nil
+	return y
 }
 
 // slow wraps a device and delays every result by a fixed amount — the
@@ -246,23 +192,24 @@ func NewSlow(inner Device, delay time.Duration) Device {
 	return &slow{Device: inner, delay: delay}
 }
 
-func (s *slow) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
-	y := s.Device.LinearForward(key, kernel, x)
+func (s *slow) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
+	y := s.Device.LinearForward(kernel, x)
 	time.Sleep(s.delay)
 	return y
 }
 
-func (s *slow) GradWeights(key string, kernel BilinearKernel, delta field.Vec) (field.Vec, error) {
-	y, err := s.Device.GradWeights(key, kernel, delta)
+func (s *slow) GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec {
+	y := s.Device.GradWeights(kernel, delta, x)
 	time.Sleep(s.delay)
-	return y, err
+	return y
 }
 
 // CollusionPool gathers everything a coalition of devices observed, for the
 // privacy experiments: each entry is one coded vector a member received.
+// The zero value is an empty pool.
 type CollusionPool struct {
 	mu    sync.Mutex
-	views map[string][]ObservedVec // key = logical tensor id
+	views map[int][]ObservedVec // by the member's forward-job ordinal
 }
 
 // ObservedVec is one coalition member's observation.
@@ -271,20 +218,15 @@ type ObservedVec struct {
 	Data     field.Vec
 }
 
-// NewCollusionPool creates an empty pool.
+// Observations returns the coded inputs the coalition's members received
+// as their job-th forward job (counting from 0) — one layer's shares of one
+// batch when the members served every forward layer of the same batches.
 //
 //lint:ignore testonly test fixture for the gpu and sched tests
-func NewCollusionPool() *CollusionPool {
-	return &CollusionPool{views: make(map[string][]ObservedVec)}
-}
-
-// Observations returns the coalition's recorded views for a tensor id.
-//
-//lint:ignore testonly test fixture for the gpu and sched tests
-func (p *CollusionPool) Observations(key string) []ObservedVec {
+func (p *CollusionPool) Observations(job int) []ObservedVec {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]ObservedVec(nil), p.views[key]...)
+	return append([]ObservedVec(nil), p.views[job]...)
 }
 
 // colluding wraps a device, copying every received coded input into the
@@ -292,6 +234,7 @@ func (p *CollusionPool) Observations(key string) []ObservedVec {
 type colluding struct {
 	Device
 	pool *CollusionPool
+	jobs int // forward jobs received; guarded by pool.mu
 }
 
 // NewColluding wraps a device so it leaks its inputs to the pool.
@@ -301,9 +244,13 @@ func NewColluding(inner Device, pool *CollusionPool) Device {
 	return &colluding{Device: inner, pool: pool}
 }
 
-func (c *colluding) LinearForward(key string, kernel LinearKernel, x field.Vec) field.Vec {
+func (c *colluding) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
 	c.pool.mu.Lock()
-	c.pool.views[key] = append(c.pool.views[key], ObservedVec{DeviceID: c.ID(), Data: x.Clone()})
+	if c.pool.views == nil {
+		c.pool.views = make(map[int][]ObservedVec)
+	}
+	c.pool.views[c.jobs] = append(c.pool.views[c.jobs], ObservedVec{DeviceID: c.ID(), Data: x.Clone()})
+	c.jobs++
 	c.pool.mu.Unlock()
-	return c.Device.LinearForward(key, kernel, x)
+	return c.Device.LinearForward(kernel, x)
 }

@@ -20,26 +20,17 @@ func TestHonestDevice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewHonest(0)
 	x := field.RandVec(rng, 10)
-	y := d.LinearForward("l0", scaleKernel(3), x)
+	y := d.LinearForward(scaleKernel(3), x)
 	want := field.ScaleVec(3, x)
 	if !y.Equal(want) {
 		t.Fatal("forward result wrong")
 	}
-	// Stored coded input is reused for backward.
 	delta := field.RandVec(rng, 10)
-	g, err := d.GradWeights("l0", dotKernel, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g[0] != field.Dot(delta, x) {
-		t.Fatal("backward used wrong stored input")
-	}
-	// Unknown key errors.
-	if _, err := d.GradWeights("nope", dotKernel, delta); err == nil {
-		t.Fatal("missing key accepted")
+	if g := d.GradWeights(dotKernel, delta, x); g[0] != field.Dot(delta, x) {
+		t.Fatal("backward used the wrong input")
 	}
 	tr := d.Traffic()
-	if tr.Jobs != 3 || tr.BytesIn == 0 || tr.BytesOut == 0 {
+	if tr.Jobs != 2 || tr.BytesIn != 2*10*4 || tr.BytesOut != (10+1)*4 {
 		t.Fatalf("traffic = %+v", tr)
 	}
 }
@@ -54,7 +45,7 @@ func TestMaliciousDevicePolicy(t *testing.T) {
 	// post-offset counter hits a multiple of EveryNth: jobs 3 and 5.
 	wantCorrupt := []bool{false, false, true, false, true}
 	for i, want := range wantCorrupt {
-		y := dev.LinearForward("k", scaleKernel(7), x)
+		y := dev.LinearForward(scaleKernel(7), x)
 		got := !y.Equal(honest)
 		if got != want {
 			t.Fatalf("job %d: corrupted=%v, want %v", i+1, got, want)
@@ -75,7 +66,7 @@ func TestMaliciousSeededProbabilityIsDeterministic(t *testing.T) {
 		dev := NewMalicious(NewHonest(0), FaultPolicy{Probability: 0.4, Seed: seed})
 		out := make([]bool, 40)
 		for i := range out {
-			out[i] = !dev.LinearForward("k", scaleKernel(5), x).Equal(honest)
+			out[i] = !dev.LinearForward(scaleKernel(5), x).Equal(honest)
 		}
 		return out
 	}
@@ -110,7 +101,7 @@ func TestSlowDeviceIsCorrectJustLate(t *testing.T) {
 	x := field.RandVec(rng, 8)
 	dev := NewSlow(NewHonest(0), time.Millisecond)
 	start := time.Now()
-	y := dev.LinearForward("k", scaleKernel(3), x)
+	y := dev.LinearForward(scaleKernel(3), x)
 	if time.Since(start) < time.Millisecond {
 		t.Fatal("slow device returned early")
 	}
@@ -123,28 +114,28 @@ func TestMaliciousDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dev := NewMalicious(NewHonest(0), FaultPolicy{})
 	x := field.RandVec(rng, 4)
-	if !dev.LinearForward("k", scaleKernel(2), x).Equal(field.ScaleVec(2, x)) {
+	if !dev.LinearForward(scaleKernel(2), x).Equal(field.ScaleVec(2, x)) {
 		t.Fatal("disabled policy still corrupted")
 	}
 }
 
 func TestColludingRecordsViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	pool := NewCollusionPool()
+	pool := new(CollusionPool)
 	d0 := NewColluding(NewHonest(0), pool)
 	d1 := NewColluding(NewHonest(1), pool)
 	x0 := field.RandVec(rng, 6)
 	x1 := field.RandVec(rng, 6)
-	d0.LinearForward("layer0", scaleKernel(1), x0)
-	d1.LinearForward("layer0", scaleKernel(1), x1)
-	obs := pool.Observations("layer0")
+	d0.LinearForward(scaleKernel(1), x0)
+	d1.LinearForward(scaleKernel(1), x1)
+	obs := pool.Observations(0)
 	if len(obs) != 2 {
 		t.Fatalf("observations = %d", len(obs))
 	}
 	if !obs[0].Data.Equal(x0) || !obs[1].Data.Equal(x1) {
 		t.Fatal("pool recorded wrong views")
 	}
-	if len(pool.Observations("other")) != 0 {
+	if len(pool.Observations(1)) != 0 {
 		t.Fatal("unexpected observations")
 	}
 }
@@ -165,7 +156,7 @@ func TestClusterParallelDispatch(t *testing.T) {
 			t.Fatalf("device %d result wrong", i)
 		}
 	}
-	// Backward on the stored inputs.
+	// Backward on inputs its own flight kept: the deltas, forwarded first.
 	deltas := make([]field.Vec, 4)
 	for i := range deltas {
 		deltas[i] = field.RandVec(rng, 100)
@@ -175,11 +166,11 @@ func TestClusterParallelDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range grads {
-		if grads[i][0] != field.Dot(deltas[i], coded[i]) {
+		if grads[i][0] != field.Dot(deltas[i], deltas[i]) {
 			t.Fatalf("device %d gradient wrong", i)
 		}
 	}
-	if c.TotalTraffic().Jobs != 8 {
+	if c.TotalTraffic().Jobs != 12 {
 		t.Fatalf("traffic jobs = %d", c.TotalTraffic().Jobs)
 	}
 }

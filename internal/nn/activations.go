@@ -85,18 +85,19 @@ type MaxPool struct {
 	name   string
 	p      tensor.PoolParams
 	lastIn *tensor.Tensor
+	out    []int // OutShape, built once; callers share it and never mutate it
 }
 
 // NewMaxPool constructs a max-pooling layer.
 func NewMaxPool(name string, p tensor.PoolParams) *MaxPool {
-	return &MaxPool{name: name, p: p}
+	return &MaxPool{name: name, p: p, out: []int{p.C, p.OutH(), p.OutW()}}
 }
 
 // Name implements Layer.
 func (m *MaxPool) Name() string { return m.name }
 
 // OutShape implements Layer.
-func (m *MaxPool) OutShape() []int { return []int{m.p.C, m.p.OutH(), m.p.OutW()} }
+func (m *MaxPool) OutShape() []int { return m.out }
 
 // Params implements Layer.
 func (m *MaxPool) Params() []*Param { return nil }

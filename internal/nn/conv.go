@@ -17,6 +17,7 @@ type Conv2D struct {
 	b      *Param
 	lastIn *tensor.Tensor
 	plan   convPlan
+	out    []int // OutShape, built once; callers share it and never mutate it
 }
 
 // NewConv2D constructs a convolution with Kaiming-normal init.
@@ -27,7 +28,7 @@ func NewConv2D(name string, p tensor.ConvParams, rng *rand.Rand) *Conv2D {
 	fanIn := float64(cpg * p.KH * p.KW)
 	w.RandNormal(rng, math.Sqrt(2.0/fanIn))
 	return &Conv2D{
-		name: name, p: p, plan: newConvPlan(p),
+		name: name, p: p, plan: newConvPlan(p), out: []int{p.OutC, p.OutH(), p.OutW()},
 		w: &Param{Name: name + ".w", W: w, Grad: tensor.New(p.OutC, cpg, p.KH, p.KW)},
 		b: &Param{Name: name + ".b", W: tensor.New(p.OutC), Grad: tensor.New(p.OutC)},
 	}
@@ -42,7 +43,7 @@ func (c *Conv2D) Conv() tensor.ConvParams { return c.p }
 func (c *Conv2D) Name() string { return c.name }
 
 // OutShape implements Layer.
-func (c *Conv2D) OutShape() []int { return []int{c.p.OutC, c.p.OutH(), c.p.OutW()} }
+func (c *Conv2D) OutShape() []int { return c.out }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }

@@ -11,11 +11,12 @@ import (
 
 // Dense is a fully-connected layer y = W·x + b with W ∈ R^{out×in}.
 type Dense struct {
-	name    string
-	in, out int
-	w       *Param
-	b       *Param
-	lastIn  *tensor.Tensor
+	name     string
+	in, out  int
+	w        *Param
+	b        *Param
+	lastIn   *tensor.Tensor
+	outShape []int // OutShape, built once; callers share it and never mutate it
 }
 
 // NewDense constructs a dense layer with Kaiming-uniform init.
@@ -24,7 +25,7 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 	bound := math.Sqrt(6.0 / float64(in))
 	w.RandUniform(rng, bound)
 	return &Dense{
-		name: name, in: in, out: out,
+		name: name, in: in, out: out, outShape: []int{out},
 		w: &Param{Name: name + ".w", W: w, Grad: tensor.New(out, in)},
 		b: &Param{Name: name + ".b", W: tensor.New(out), Grad: tensor.New(out)},
 	}
@@ -34,7 +35,7 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 func (d *Dense) Name() string { return d.name }
 
 // OutShape implements Layer.
-func (d *Dense) OutShape() []int { return []int{d.out} }
+func (d *Dense) OutShape() []int { return d.outShape }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }

@@ -126,7 +126,7 @@ func Run(snap *obs.Snapshot, model *nn.Model, opts Options) (*Report, error) {
 		Seed:           snap.Sched.Seed,
 	}
 	// One lane: the log is replayed serially, whatever depth recorded it.
-	pipe, err := sched.NewPipeline(sc, model, nil, "replay/", 1)
+	pipe, err := sched.NewPipeline(sc, model, nil, "", 1)
 	if err != nil {
 		return nil, fmt.Errorf("replay: rebuilding the pipeline: %w", err)
 	}

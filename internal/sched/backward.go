@@ -23,8 +23,9 @@ import (
 // the input-gradient chain, the public delta combinations — and ships every
 // bilinear layer's weight-gradient equations as it reaches them, without
 // waiting for any device: layer l's equations need only δ_l, which the
-// TEE's own input-gradient chain produced, and the coded inputs the devices
-// stored during forward, so no device result is on the walk's critical path.
+// TEE's own input-gradient chain produced, and the coded inputs the batch's
+// flight kept from its forward pass, so no device result is on the walk's
+// critical path.
 // The settle stage then gathers, decodes and accumulates every shipped
 // layer in walk order. The first error in walk order is returned. Nothing
 // reads the gradient with respect to the batch's inputs, so the walk does
@@ -173,7 +174,9 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	k := e.cfg.VirtualBatch
 	t0 := time.Now()
 	l := bwdLayer{tr: tr, lin: lin, sp: e.sp.Child("offload-backward")}
-	l.sp.Annotate("key", tr.key)
+	if l.sp != nil {
+		l.sp.Annotate("layer", layerName(tr.lin))
+	}
 	esp := l.sp.Child("encode")
 	// Bias gradient: TEE-side, cheap, uses only the public δ.
 	for i := 0; i < k; i++ {
@@ -216,7 +219,7 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	e.phases.Encode += time.Since(t0)
 
 	t1 := time.Now()
-	pend, err := e.flight.GradLayer(tr.key, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, prim, sec)
+	pend, err := e.flight.GradLayer(tr.fwd, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, prim, sec)
 	e.phases.Dispatch += time.Since(t1)
 	if err != nil {
 		return nil, err
@@ -257,20 +260,14 @@ func (e *engine) equation(n int, dual bool) field.Vec {
 }
 
 // gatherBackward gathers one shipped layer and folds its equations into the
-// layer's weight gradient. Each gradient job rides its slot's FIFO behind
-// the forward job that stored its coded input, on a device the gang holds
-// until the batch's flight ends, so a device error — gpu.ErrNoStored
-// included — is a fault that fails the batch.
+// layer's weight gradient.
 func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 	// Ending the layer's span also ends any phase child left open by an
 	// error return; layers never reached are ended with the batch's span.
 	defer l.sp.End()
 	dsp := l.sp.Child("dispatch")
-	eqs, present, err := e.gather(l.pend, code.S, time.Now())
+	eqs, present := e.gather(l.pend, code.S, time.Now())
 	dsp.End()
-	if err != nil {
-		return err
-	}
 
 	csp := l.sp.Child("decode")
 	t2 := time.Now()
@@ -290,10 +287,10 @@ func (e *engine) gatherBackward(code *masking.Code, l *bwdLayer) error {
 			primPresent, secPresent = present[:code.S], present[code.S:]
 		}
 	}
-	err = code.DecodeBackwardSubsetInto(sum, prim, sec, primPresent, secPresent)
+	err := code.DecodeBackwardSubsetInto(sum, prim, sec, primPresent, secPresent)
 	recycle(eqs, present)
 	if err != nil {
-		return fmt.Errorf("sched: backward decode for %q: %w", l.tr.key, err)
+		return fmt.Errorf("sched: backward decode for %q: %w", layerName(l.tr.lin), err)
 	}
 	dw := e.q.UnquantizeProductInto(e.floats(n), sum)
 	// The coded inputs carried 1/fx, the deltas 1/fd: undo both. The

@@ -34,11 +34,11 @@ type gradLog struct {
 	calls map[int][]time.Time // by device ID
 }
 
-func (d gradLog) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+func (d gradLog) GradWeights(kernel gpu.BilinearKernel, delta, x field.Vec) field.Vec {
 	d.mu.Lock()
 	d.calls[d.ID()] = append(d.calls[d.ID()], time.Now())
 	d.mu.Unlock()
-	return d.Device.GradWeights(key, kernel, delta)
+	return d.Device.GradWeights(kernel, delta, x)
 }
 
 // sameBits asserts two models' weights are equal bit for bit.
@@ -138,7 +138,7 @@ func TestBackwardShipsEveryLayerBeforeGathering(t *testing.T) {
 	t.Run("fused-pipeline-depth2-fleet", func(t *testing.T) {
 		devs, calls, mu := devices(2 * gang)
 		m := model()
-		pipe, err := NewTrainPipeline(cfg, m, nil, "ship/", 2)
+		pipe, err := NewTrainPipeline(cfg, m, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,11 +170,30 @@ type settleBarrier struct {
 	mu      sync.Mutex
 	took    bool
 	started map[int]bool // slots that reached lin2
-	gang    int
+	jobs    map[int]int  // gradient jobs each slot has been sent
+	gang, e int          // S+E and E
 }
 
-func newSettleBarrier(gang, tamper int) *settleBarrier {
-	return &settleBarrier{tamper: tamper, started: map[int]bool{}, gang: gang}
+func newSettleBarrier(gang, e, tamper int) *settleBarrier {
+	return &settleBarrier{tamper: tamper, started: map[int]bool{}, jobs: map[int]int{}, gang: gang, e: e}
+}
+
+// layerOf counts one gradient job sent to slot and returns the DeepMLP
+// layer it belongs to, from the job's ordinal on the slot: the backward
+// walk ships lin7 first and lin1 last, and each layer's equations reach a
+// slot once per decode window it serves — the primary window is slots
+// [0, S), the secondary [E, S+E). Caller holds mu.
+func (b *settleBarrier) layerOf(slot int) int {
+	per := 0
+	if slot < b.gang-b.e {
+		per++
+	}
+	if slot >= b.e {
+		per++
+	}
+	n := b.jobs[slot]
+	b.jobs[slot]++
+	return deepMLPLinears - n/per
 }
 
 // barrierDevice routes one device's gradient jobs through the barrier,
@@ -184,11 +203,14 @@ type barrierDevice struct {
 	b *settleBarrier
 }
 
-func (d barrierDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+func (d barrierDevice) GradWeights(kernel gpu.BilinearKernel, delta, x field.Vec) field.Vec {
 	b := d.b
 	slot := b.src.slotOf(d.ID())
+	b.mu.Lock()
+	lin := b.layerOf(slot)
+	b.mu.Unlock()
 	switch {
-	case strings.HasSuffix(key, "/lin4") && slot == b.tamper:
+	case lin == 4 && slot == b.tamper:
 		b.mu.Lock()
 		take := !b.took
 		b.took = true
@@ -196,7 +218,7 @@ func (d barrierDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta 
 		if take {
 			b.tee.Lock()
 		}
-	case strings.HasSuffix(key, "/lin2"):
+	case lin == 2:
 		b.mu.Lock()
 		if !b.started[slot] {
 			b.started[slot] = true
@@ -206,12 +228,12 @@ func (d barrierDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta 
 		}
 		b.mu.Unlock()
 	}
-	y, err := d.Device.GradWeights(key, kernel, delta)
-	if err == nil && slot == b.tamper && strings.HasSuffix(key, "/lin3") {
+	y := d.Device.GradWeights(kernel, delta, x)
+	if slot == b.tamper && lin == 3 {
 		y = y.Clone()
 		y[0] = field.Add(y[0], 1)
 	}
-	return y, err
+	return y
 }
 
 // recordingSource is a managerSource that keeps the slot order of the
@@ -271,14 +293,14 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: c.e, StragglerSlack: 1, Seed: 3}
 			gang := cfg.VirtualBatch + cfg.Collusion + c.e
-			b := newSettleBarrier(gang, c.tamper)
+			b := newSettleBarrier(gang, c.e, c.tamper)
 			devs := honestDevices(gang)
 			for i := range devs {
 				devs[i] = barrierDevice{Device: devs[i], b: b}
 			}
 			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
 			src := &recordingSource{managerSource: managerSource{m: fm, gang: gang}}
-			pipe, err := NewTrainPipeline(cfg, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "tamper/", 2)
+			pipe, err := NewTrainPipeline(cfg, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +321,7 @@ func TestBackwardTamperFailsAndSettles(t *testing.T) {
 			if !errors.Is(err, masking.ErrIntegrity) {
 				t.Fatalf("step error = %v, want an integrity violation", err)
 			}
-			if !strings.Contains(err.Error(), `/lin3"`) {
+			if !strings.Contains(err.Error(), `"lin3"`) {
 				t.Fatalf("step error %q does not name the tampered layer lin3", err)
 			}
 			if len(src.culprits) != 0 {

@@ -51,10 +51,10 @@ func allocsPerBatch(t *testing.T, batch func()) (allocs, bytes float64) {
 // TestCodedInferenceBatchAllocs pins the steady-state allocation of one
 // coded inference batch at the infer_compute operating point: activations
 // live in the lane's batch memory, device results go back to the kernels'
-// pool once decoded, a re-stored device key reuses its buffer, and the
-// lane's staged weights serve every batch. What remains is per-layer
-// bookkeeping (the layer key, the pending gather) and the per-batch code,
-// goroutine and ticket.
+// pool once decoded, an inference flight keeps nothing on its devices, and
+// the lane's staged weights serve every batch. What remains is per-layer
+// bookkeeping (the pending gather) and the per-batch code, flight, slot
+// queues, goroutine and ticket.
 func TestCodedInferenceBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector bypasses sync.Pool, so allocation counts are meaningless under -race")
@@ -82,14 +82,15 @@ func TestCodedInferenceBatchAllocs(t *testing.T) {
 // batch, forward and backward, on the same geometry: the forward's
 // activations, the backward's δ tensors, quantized deltas and one-window
 // equations, the device results of both passes and the sealed ▽W pages are
-// recycled; the per-layer traces, layer keys and gather state, the
-// per-batch code and each flight's slot queues are not.
+// recycled, and so are the coded inputs the flight keeps for the backward
+// pass; the per-layer traces and gather state, the per-batch code and each
+// flight's slot queues are not.
 func TestTrainVirtualBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector bypasses sync.Pool, so allocation counts are meaningless under -race")
 	}
 	model, cfg, _ := vggBatch()
-	pipe, err := NewTrainPipeline(cfg, model, nil, "alloc/", 1)
+	pipe, err := NewTrainPipeline(cfg, model, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +149,12 @@ func TestTicketLogitsOutliveLaneBatch(t *testing.T) {
 // tamperer and one slow device, at K=4, M=1, E=2, slack 1, with recovery
 // on, and batches are submitted without waiting for earlier ones to
 // finish. Device results are recycled after every decode, audit and
-// recovery, training-free device stores are overwritten in place, and
-// quorum laggards finish after their batch moved on; a buffer handed out
-// twice would corrupt some batch's logits. Every batch must be answered
-// bit-identical to internal/spec/stack — a tamper the quorum gather left one
-// check to see is attributed once the prompt laggard's answer lands — and
-// the tamperer must be the only device ever quarantined.
+// recovery, and quorum laggards finish after their batch moved on; a
+// buffer handed out twice would corrupt some batch's logits. Every batch
+// must be answered bit-identical to internal/spec/stack — a tamper the
+// quorum gather left one check to see is attributed once the prompt
+// laggard's answer lands — and the tamperer must be the only device ever
+// quarantined.
 func TestOpenLoopRecycledResultsMatchSpec(t *testing.T) {
 	const (
 		workers = 2
@@ -246,7 +247,7 @@ func TestBackwardSkipsLowestInputGradient(t *testing.T) {
 		countingLinear{nn.NewDense("fc2", 12, 4, rng), &high},
 	))
 	const k, vbatches = 2, 3
-	pipe, err := NewTrainPipeline(Config{VirtualBatch: k, Seed: 1}, model, nil, "count/", 1)
+	pipe, err := NewTrainPipeline(Config{VirtualBatch: k, Seed: 1}, model, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +269,20 @@ func TestBackwardSkipsLowestInputGradient(t *testing.T) {
 
 // The allocation bounds of TestCodedInferenceBatchAllocs and
 // TestTrainVirtualBatchAllocs, per virtual batch: about 5 % over the
-// measured 143 allocations and 10,072 bytes of an inference batch and 228
-// allocations and 34,880 bytes of a training one (go1.24, linux/amd64).
-// Before the backward ran in the lane's memory and the sealed pages
-// recycled, training measured 602 and 146,134; before the lane's staged
+// measured 105 allocations and 7,368 bytes of an inference batch and 168
+// allocations and 29,336 bytes of a training one (go1.24, linux/amd64).
+// Before flights owned the coded inputs their devices keep, slot workers
+// started without a per-start closure and layers cached their OutShape,
+// they were 143 and 10,168, and 228 and 34,880; before the backward ran
+// in the lane's memory and the sealed pages recycled, training measured
+// 602 and 146,134; before the lane's staged
 // weights, the matrix-free TEE input gradient and masking.New's scratch
 // coalition check they were 210 and 11,930, and 825 and 152,907; before
 // the lane's batch memory and the recycled device results, 529 and
 // 110,653, and 1,294 and 321,265.
 const (
-	maxInferAllocs = 150
-	maxInferBytes  = 10600
-	maxTrainAllocs = 240
-	maxTrainBytes  = 36700
+	maxInferAllocs = 110
+	maxInferBytes  = 7740
+	maxTrainAllocs = 176
+	maxTrainBytes  = 30800
 )

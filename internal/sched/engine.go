@@ -151,25 +151,8 @@ type engine struct {
 	q     *quant.Quantizer
 	rng   *rand.Rand
 
-	// keyspace prefixes GPU-side storage keys so coded tensors from
-	// different pipelines sharing one physical fleet cannot alias.
-	keyspace string
-	// reuseKeys drops the step counter from storage keys. Training needs
-	// per-step keys (backward reads the stored coded inputs, and the batch
-	// drops them when its flight ends), but a forward-only pipeline never
-	// reads them back — reusing keys lets each dispatch overwrite the last
-	// one so long-running serving does not grow device storage without
-	// bound.
-	reuseKeys bool
-	// stepSeq names coded tensors uniquely across steps so GPU-side
-	// storage from different steps cannot alias.
-	stepSeq int
 	// linSeq numbers linear layers within a step.
 	linSeq int
-	// stored lists the per-step keys under which the current batch's
-	// forward offloads left coded inputs on its gang; endBatchFlight drops
-	// them. Empty with reused keys: inference overwrites its stores instead.
-	stored []string
 
 	// tee is the TEE execution token this lane shares with its siblings:
 	// the engine holds it for all enclave-side work and releases it only
@@ -190,8 +173,10 @@ type engine struct {
 	// flight is the gang flight of the virtual batch currently on this
 	// engine: opened when the lane binds its gang to the batch, ridden by
 	// every offload of both passes, ended before the gang is released (see
-	// openBatchFlight). The coding math does not depend on it: outputs are
-	// bit-identical to internal/spec/stack, which has no flights at all.
+	// openBatchFlight). A training batch's flight also keeps the coded
+	// inputs its backward pass reads. The coding math does not depend on
+	// it: outputs are bit-identical to internal/spec/stack, which has no
+	// flights at all.
 	flight *gpu.BlockFlight
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
@@ -234,9 +219,9 @@ type engine struct {
 	// decoded results, the backward equations of a one-window gather), the
 	// activations between offloads and the backward's δ tensors allocate
 	// nothing, and the device results go back to the kernels' pool once
-	// decoded. Small per-offload allocations remain by design: the layer
-	// key, the gather's pending state, and the per-batch masking.New (S×S
-	// scalar matrices, negligible next to the vectors).
+	// decoded. Small per-offload allocations remain by design: the gather's
+	// pending state and the per-batch masking.New (S×S scalar matrices,
+	// negligible next to the vectors).
 	arena    scratch.Arena[field.Elem]
 	mem      batchMem
 	staged   []stagedWeights // by layer, in walk order (linSeq-1)
@@ -320,17 +305,6 @@ func slots(buf *[]field.Vec, k int) []field.Vec {
 	return (*buf)[:k]
 }
 
-func newEngine(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string) engine {
-	return engine{
-		cfg:      cfg,
-		model:    model,
-		encl:     encl,
-		q:        quant.Default(),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		keyspace: keyspace,
-	}
-}
-
 // lockTEE acquires the shared TEE execution token and runs the engine's
 // reacquisition hook, so every enclave-side section starts with the lane's
 // state (gradient sinks) installed in the shared model.
@@ -341,56 +315,50 @@ func (e *engine) lockTEE() {
 	}
 }
 
-// beginStep opens a fresh key namespace for one virtual batch and recycles
-// the last batch's activation memory.
+// beginStep readies the lane for one virtual batch, recycling the last
+// batch's activation memory.
 func (e *engine) beginStep() {
 	e.mem.reset()
-	e.stepSeq++
 	e.linSeq = 0
 	e.stepCulprits = e.stepCulprits[:0]
 }
 
-// beginFlight opens a flight over the whole K+M+E gang and counts it.
-func (e *engine) beginFlight() (*gpu.BlockFlight, error) {
+// openBatchFlight opens the one flight every offload of the lane's batch
+// rides, forward and backward, over the whole K+M+E gang, and counts it. A
+// batch is one conversation with its gang anyway — the devices keep its
+// coded inputs from forward to backward — so flight-scoped costs (a trip's
+// launch latency, the fleet's handle accounting) are paid once per batch.
+// A batch that runs a backward pass (train) marks its flight to keep the
+// forward layers' coded inputs for the gradient jobs (§6); slot queues are
+// FIFO, so each device runs a layer's forward job before its own gradient
+// job for it. Inference keeps nothing. The caller ends the flight with
+// endBatchFlight on every path before releasing the gang: a flight cannot
+// outlive its grant.
+func (e *engine) openBatchFlight(train bool) error {
 	f, err := e.fleet.BeginBlock(e.cfg.maskParams().GPUs())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.phases.Flights++
-	return f, nil
-}
-
-// openBatchFlight opens the one flight every offload of the lane's batch
-// rides, forward and backward. A batch is one conversation with its gang
-// anyway — the devices keep its coded inputs from forward to backward — so
-// flight-scoped costs (a trip's launch latency, the fleet's handle
-// accounting) are paid once per batch. Slot queues are FIFO, so each
-// device runs its forward store before its own gradient job. The caller
-// ends the flight with endBatchFlight on every path before releasing the
-// gang: a flight cannot outlive its grant.
-func (e *engine) openBatchFlight() error {
-	f, err := e.beginFlight()
+	if train {
+		f.KeepInputs()
+	}
 	e.flight = f
-	return err
+	return nil
 }
 
-// endBatchFlight ends the batch's flight, if one is open, after having
-// every slot drop the coded inputs the batch stored (§6: a batch's device
-// memory lives exactly as long as the batch). The drop rides each slot's
-// FIFO behind the batch's own jobs, so a quorum laggard's late store goes
-// with it, and it owns its copy of the keys, so e.stored is reused at
-// once. Ending waits for the devices that cannot block to run everything
-// shipped down it (see gpu.BlockFlight.End), so call it without the TEE
-// token: a batch's device work — the jobs its quorum gathers decoded
-// around included — is then done, and counted, when the batch completes.
+// endBatchFlight ends the batch's flight, if one is open; the flight
+// recycles what it kept behind each slot's last job (§6: a batch's device
+// memory lives exactly as long as the batch). Ending waits for the devices
+// that cannot block to run everything shipped down it (see
+// gpu.BlockFlight.End), so call it without the TEE token: a batch's device
+// work — the jobs its quorum gathers decoded around included — is then
+// done, and counted, when the batch completes.
 func (e *engine) endBatchFlight() {
 	if e.flight != nil {
-		e.flight.Drop(e.stored)
 		e.flight.End()
 		e.flight = nil
 	}
-	clear(e.stored)
-	e.stored = e.stored[:0]
 }
 
 // effectiveSlack bounds the configured straggler slack so at least one
@@ -489,13 +457,13 @@ func (e *engine) checkDeadline() error {
 // touched until this lane's next offload, so what the kernel references
 // outlives the wait. Dispatch time runs from since; the token-reacquisition
 // wait after it is deliberately untimed — it is overlap, not work.
-func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Vec, []bool, error) {
+func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Vec, []bool) {
 	e.tee.Unlock()
-	results, present, err := p.WaitQuorum(q)
+	results, present := p.WaitQuorum(q)
 	flight := time.Since(since)
 	e.lockTEE()
 	e.phases.Dispatch += flight
-	return results, present, err
+	return results, present
 }
 
 // offloadForward quantizes, encodes, ships, gathers, verifies, decodes and
@@ -509,22 +477,16 @@ func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Ve
 // math. All TEE-side intermediates live in the engine's coded arena (reset
 // per layer), the restored outputs in the batch's memory, and the device
 // results go back to the kernels' pool once decoded. A training trace
-// records the layer's storage key for the backward pass.
+// records the layer's ordinal and its shipped forward layer, whose kept
+// coded inputs the backward pass reads.
 func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := e.checkDeadline(); err != nil {
 		return nil, err
 	}
 	e.linSeq++
-	key := e.layerKey()
-	if tr != nil {
-		tr.key = key
-	}
-	if !e.reuseKeys {
-		e.stored = append(e.stored, key)
-	}
 	osp := e.sp.Child("offload")
 	if osp != nil {
-		osp.Annotate("key", key)
+		osp.Annotate("layer", layerName(e.linSeq))
 		// Ending the offload span also ends any phase child left open by an
 		// error return, so the trace stays well formed on failures.
 		defer osp.End()
@@ -547,15 +509,15 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 		dsp.Annotatef("quorum", "%d/%d", quorum, code.NumCoded())
 	}
 	t1 := time.Now()
-	pend, err := e.flight.ForwardLayer(key, enc.kernel, enc.coded)
+	pend, err := e.flight.ForwardLayer("", enc.kernel, enc.coded)
 	if err != nil {
 		return nil, err
 	}
-	results, present, err := e.gather(pend, quorum, t1)
+	if tr != nil {
+		tr.lin, tr.fwd = e.linSeq, pend
+	}
+	results, present := e.gather(pend, quorum, t1)
 	dsp.End()
-	if err != nil {
-		return nil, err
-	}
 
 	csp := osp.Child("decode")
 	t2 := time.Now()
@@ -583,15 +545,8 @@ func recycle(results []field.Vec, present []bool) {
 	}
 }
 
-// layerKey names the current layer's coded inputs in device storage:
-// "<keyspace>lin<n>" with reused keys, "<keyspace>step<s>/lin<n>" with
-// per-step ones.
-func (e *engine) layerKey() string {
-	if e.reuseKeys {
-		return e.keyspace + "lin" + strconv.Itoa(e.linSeq)
-	}
-	return e.keyspace + "step" + strconv.Itoa(e.stepSeq) + "/lin" + strconv.Itoa(e.linSeq)
-}
+// layerName names a batch's n-th bilinear layer in spans and errors.
+func layerName(n int) string { return "lin" + strconv.Itoa(n) }
 
 // fwdEnc is the encode-stage output of one bilinear layer's forward
 // offload: everything the dispatch and decode stages need.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,7 +112,7 @@ func TestBatchFlightTrainingMatchesSpec(t *testing.T) {
 			}
 			cluster := gpu.NewCluster(devs...)
 			model := build(rand.New(rand.NewSource(42)))
-			pipe, err := NewTrainPipeline(cfg, model, nil, "fm/", 2)
+			pipe, err := NewTrainPipeline(cfg, model, nil, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,109 +199,45 @@ func TestForwardReturnsAroundBlockedDevice(t *testing.T) {
 	}
 }
 
-// failingDevice fails every gradient job with err.
-type failingDevice struct {
-	gpu.Device
-	err error
-}
-
-func (d failingDevice) GradWeights(string, gpu.BilinearKernel, field.Vec) (field.Vec, error) {
-	return nil, d.err
-}
-
-// forgetfulDevice forgets every coded input as soon as it has stored it.
-type forgetfulDevice struct{ gpu.Device }
-
-func (d forgetfulDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
-	y := d.Device.LinearForward(key, kernel, x)
-	d.Device.Drop(key)
-	return y
-}
-
-// TestBackwardMissFailsBatch: a device that has lost a batch's stored
-// inputs fails the batch loudly with gpu.ErrNoStored, and a layer whose
-// slots fail in different ways fails with the lowest failed slot's error,
-// whichever kind that is. Either way the batch's flight ends, the gang goes
-// back to the fleet and no device keeps a store.
-func TestBackwardMissFailsBatch(t *testing.T) {
-	boom := errors.New("device fell off the bus")
-	for _, c := range []struct {
-		name              string
-		missSlot, errSlot int // -1: none
-		want, not         error
-	}{
-		{"miss alone", 1, -1, gpu.ErrNoStored, nil},
-		{"miss below a device error", 0, 2, gpu.ErrNoStored, boom},
-		{"device error below a miss", 2, 0, boom, gpu.ErrNoStored},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			const gang = 3 // K=2, M=1, E=0
-			devs := honestDevices(gang)
-			devs[c.missSlot] = forgetfulDevice{devs[c.missSlot]}
-			if c.errSlot >= 0 {
-				devs[c.errSlot] = failingDevice{Device: devs[c.errSlot], err: boom}
-			}
-			fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
-			src := &recordingSource{managerSource: managerSource{m: fm, gang: gang}}
-			pipe, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 3}, nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))), nil, "miss/", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pipe.Close()
-			_, _, err = pipe.TrainLargeBatch(src, trainData(2), nn.NewSGD(0.05, 0), 0)
-			for id := range devs {
-				if slot := src.slotOf(id); slot != id {
-					t.Fatalf("device %d served gang slot %d: the case names slots by device", id, slot)
-				}
-			}
-			if !errors.Is(err, c.want) || (c.not != nil && errors.Is(err, c.not)) {
-				t.Fatalf("step error = %v, want the lowest failed slot's %v", err, c.want)
-			}
-			for _, d := range fm.Stats().Devices {
-				if d.Leased {
-					t.Fatalf("device %d still leased after the failed step", d.ID)
-				}
-			}
-			requireNoStores(t, c.name, fm.Cluster(), true)
-		})
-	}
-}
-
-// lateDevice logs the layer of every forward job it is sent; on a job for
-// the layer named late it sleeps until after the batch deadline first.
+// lateDevice logs every forward job it is sent; on the job for layer
+// lin<late> it sleeps until after the batch deadline first.
 type lateDevice struct {
 	gpu.Device
-	late  string // layer key suffix, e.g. "/lin1"
+	late  int // 0: never late
 	until time.Time
 	log   *layerLog
 }
 
-func (d lateDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
-	d.log.add(key)
-	if d.late != "" && strings.HasSuffix(key, d.late) {
+func (d lateDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	if d.log.add(d.ID()) == d.late {
 		time.Sleep(time.Until(d.until) + time.Millisecond)
 	}
-	return d.Device.LinearForward(key, kernel, x)
+	return d.Device.LinearForward(kernel, x)
 }
 
-// layerLog collects the forward layer keys the devices were sent.
+// layerLog counts the forward jobs each device was sent. An inference
+// batch sends each gang device one job per layer, in layer order, so a
+// device's n-th job is its job for lin<n>.
 type layerLog struct {
 	mu   sync.Mutex
-	keys []string
+	jobs map[int]int // by device ID
 }
 
-func (l *layerLog) add(key string) {
+// add counts one job sent to device id and returns its layer.
+func (l *layerLog) add(id int) int {
 	l.mu.Lock()
-	l.keys = append(l.keys, key)
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	l.jobs[id]++
+	return l.jobs[id]
 }
 
-func (l *layerLog) count(suffix string) int {
+// count returns how many devices were sent their job for lin<lin>.
+func (l *layerLog) count(lin int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for _, k := range l.keys {
-		if strings.HasSuffix(k, suffix) {
+	for _, jobs := range l.jobs {
+		if jobs >= lin {
 			n++
 		}
 	}
@@ -320,12 +255,12 @@ func TestDeadlineChecksEveryLayerOfBatchFlight(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const gang = 3 // K=2, M=1, E=0
 	deadline := time.Now().Add(200 * time.Millisecond)
-	log := &layerLog{}
+	log := &layerLog{jobs: map[int]int{}}
 	devs := honestDevices(gang)
 	for i := range devs {
 		d := lateDevice{Device: devs[i], log: log}
 		if i == 0 {
-			d.late, d.until = "/lin1", deadline
+			d.late, d.until = 1, deadline
 		}
 		devs[i] = d
 	}
@@ -352,10 +287,10 @@ func TestDeadlineChecksEveryLayerOfBatchFlight(t *testing.T) {
 	if err := tk.Wait(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch error = %v, want context.DeadlineExceeded", err)
 	}
-	if n := log.count("/lin1"); n != gang {
+	if n := log.count(1); n != gang {
 		t.Fatalf("lin1 reached %d devices, want all %d (shipped before the deadline)", n, gang)
 	}
-	if n := log.count("/lin2"); n != 0 {
+	if n := log.count(2); n != 0 {
 		t.Fatalf("lin2 reached %d devices after the deadline passed", n)
 	}
 	if ps := inf.PhaseStats(); ps.Flights != 1 || ps.Offloads != 1 {
@@ -468,7 +403,7 @@ func TestBatchFlightOpenFailure(t *testing.T) {
 	})
 	pipe.Close()
 
-	train, err := NewTrainPipeline(cfg, nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42))), nil, "open-t/", 1)
+	train, err := NewTrainPipeline(cfg, nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42))), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ import (
 type Inferencer struct{ *Pipeline }
 
 // NewInferencer wires a depth-1 Pipeline around a model replica; see
-// NewPipeline.
-func NewInferencer(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string) (*Inferencer, error) {
-	p, err := NewPipeline(cfg, model, encl, keyspace, 1)
+// NewPipeline. The string is unused: it remains only because the benchmark
+// harness under bench/ still passes it.
+func NewInferencer(cfg Config, model *nn.Model, encl *enclave.Enclave, _ string) (*Inferencer, error) {
+	p, err := NewPipeline(cfg, model, encl, "", 1)
 	if err != nil {
 		return nil, err
 	}

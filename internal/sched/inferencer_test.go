@@ -73,37 +73,6 @@ func TestInferencerAcrossFleets(t *testing.T) {
 	}
 }
 
-// Inference never reads the device-side coded-input cache back, so
-// successive dispatches must reuse storage keys — a serving loop may run
-// indefinitely and device memory has to stay bounded.
-func TestInferencerDeviceStorageBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	model := nn.TinyCNN(1, 8, 8, 4, rng)
-	data := dataset.SyntheticCIFAR(rand.New(rand.NewSource(7)), 4, 4, 1, 8, 8, 0.05)
-	images := [][]float64{data.Items[0].Image, data.Items[1].Image}
-
-	inf, err := NewInferencer(Config{VirtualBatch: 2, Seed: 5}, model, nil, "w0/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster := gpu.NewHonestCluster(3)
-	if _, err := inf.Predict(cluster, images); err != nil {
-		t.Fatal(err)
-	}
-	after1 := cluster.Device(0).Stored()
-	if after1 == 0 {
-		t.Fatal("no coded inputs stored after a dispatch")
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := inf.Predict(cluster, images); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after6 := cluster.Device(0).Stored(); after6 != after1 {
-		t.Fatalf("device storage grew from %d to %d entries across inference steps", after1, after6)
-	}
-}
-
 // gatedDevice is a straggler under the test's control: every forward job
 // blocks until the gate closes. A gather that returns while the gate is still open
 // has provably decoded around it.
@@ -112,9 +81,9 @@ type gatedDevice struct {
 	gate <-chan struct{}
 }
 
-func (d gatedDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+func (d gatedDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
 	<-d.gate
-	return d.Device.LinearForward(key, kernel, x)
+	return d.Device.LinearForward(kernel, x)
 }
 
 // lastGated returns a cluster of devs whose last device stays blocked until

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -9,11 +10,12 @@ import (
 	"darknight/internal/masking"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
+	"darknight/internal/quant"
 )
 
 // lanes is the machinery Pipeline and TrainPipeline sit on: depth engines
 // (the lanes) around one shared model replica, each with its own arena,
-// scratch buffers, RNG stream and device-storage keyspace; one TEE
+// scratch buffers and RNG stream; one TEE
 // execution token the engines hold for every enclave-side step and release
 // exactly while a layer is in device flight (see engine.gather); one seeded
 // NoisePool pre-drawing the model's noise cycle for all of them; and the
@@ -36,10 +38,9 @@ type lanes struct {
 // newLanes builds depth lanes over one model replica. The enclave may be
 // nil or shared; each in-flight batch accounts its own working set, so peak
 // enclave usage grows with depth — the memory cost the paper's K-vs-EPC
-// tradeoff describes. keyspace must be unique among runtimes sharing
-// physical devices; lanes suffix it so their device-side storage never
-// aliases. reuseKeys marks a forward-only runtime (see engine.reuseKeys).
-func newLanes(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string, depth int, reuseKeys bool) (*lanes, error) {
+// tradeoff describes. What a batch's devices keep belongs to its flight, so
+// runtimes sharing physical devices cannot alias each other's.
+func newLanes(cfg Config, model *nn.Model, encl *enclave.Enclave, depth int) (*lanes, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.maskParams().Validate(); err != nil {
 		return nil, err
@@ -65,13 +66,18 @@ func newLanes(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace strin
 		// the outputs independent of them, but privacy demands fresh draws —
 		// the same argument as per-worker seeds in internal/serve).
 		lcfg.Seed = cfg.Seed + int64(i)*0x9e37
-		eng := newEngine(lcfg, model, encl, fmt.Sprintf("%s%d/", keyspace, i))
-		eng.reuseKeys = reuseKeys
-		eng.lane = i
-		eng.tee = &l.tee
-		eng.pool = l.pool
-		l.all[i] = &eng
-		l.free <- &eng
+		eng := &engine{
+			cfg:   lcfg,
+			model: model,
+			encl:  encl,
+			q:     quant.Default(),
+			rng:   rand.New(rand.NewSource(lcfg.Seed)),
+			lane:  i,
+			tee:   &l.tee,
+			pool:  l.pool,
+		}
+		l.all[i] = eng
+		l.free <- eng
 	}
 	return l, nil
 }
@@ -171,7 +177,7 @@ func (l *lanes) isClosed() bool {
 }
 
 // acquire blocks until a lane is free and binds it to one batch: its gang
-// and a fresh key namespace. The caller runs the batch under lockTEE and
+// and fresh batch memory. The caller runs the batch under lockTEE and
 // hands the lane back with release.
 func (l *lanes) acquire(fleet Fleet) *engine {
 	lane := <-l.free

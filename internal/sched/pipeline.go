@@ -32,14 +32,13 @@ type Pipeline struct {
 
 // NewPipeline wires a forward runtime of the given depth (>= 1; 2 is
 // classic double buffering) around one shared model replica; see newLanes
-// for the enclave and keyspace contracts.
+// for the enclave contract. The string is unused: it remains only because
+// the benchmark harness under bench/ still passes it.
 //
 // Fleets passed to Submit must tolerate overlapping dispatches:
 // *gpu.Cluster and *fleet.Grant both do (any number of flights open at once).
-func NewPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string, depth int) (*Pipeline, error) {
-	// Forward-only: nothing reads the device-side coded-input cache back,
-	// so successive dispatches reuse keys (bounded device storage).
-	l, err := newLanes(cfg, model, encl, keyspace+"p", depth, true)
+func NewPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, _ string, depth int) (*Pipeline, error) {
+	l, err := newLanes(cfg, model, encl, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +135,7 @@ func (p *Pipeline) SubmitWithin(fleet Fleet, images [][]float64, sp *obs.Span, d
 func (p *Pipeline) run(lane *engine, images [][]float64, t *Ticket) {
 	code, err := masking.New(lane.cfg.maskParams(), lane.rng)
 	if err == nil {
-		err = lane.openBatchFlight()
+		err = lane.openBatchFlight(false)
 	}
 	if err == nil {
 		lane.lockTEE()

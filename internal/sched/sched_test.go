@@ -254,7 +254,7 @@ func TestPredictWithIntegrity(t *testing.T) {
 func TestColludingGPUsSeeOnlyCodedData(t *testing.T) {
 	// Wire a collusion pool on one device (M=1 tolerance) and confirm it
 	// observed only coded vectors, never a raw quantized input.
-	pool := gpu.NewCollusionPool()
+	pool := new(gpu.CollusionPool)
 	cfg := Config{VirtualBatch: 2, Seed: 17}
 	tr, _, data := tinySetup(t, cfg, 3, func(i int, d gpu.Device) gpu.Device {
 		if i == 0 {
@@ -265,7 +265,7 @@ func TestColludingGPUsSeeOnlyCodedData(t *testing.T) {
 	if _, _, err := tr.TrainLargeBatch(data.Items[:2], nn.NewSGD(0.01, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	obs := pool.Observations("t0/step1/lin1")
+	obs := pool.Observations(0) // the first batch's lin1 shares
 	if len(obs) == 0 {
 		t.Fatal("collusion pool recorded nothing")
 	}
@@ -358,8 +358,8 @@ type forwardTamper struct {
 	honest gpu.Device
 }
 
-func (d forwardTamper) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
-	return d.honest.GradWeights(key, kernel, delta)
+func (d forwardTamper) GradWeights(kernel gpu.BilinearKernel, delta, x field.Vec) field.Vec {
+	return d.honest.GradWeights(kernel, delta, x)
 }
 
 func TestRecoveryFromMaliciousGPU(t *testing.T) {

@@ -31,7 +31,7 @@ func TestStagedWeightsFollowEveryWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inf.Close()
-	train, err := NewTrainPipeline(cfg, model, nil, "staged/train/", 1)
+	train, err := NewTrainPipeline(cfg, model, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +99,10 @@ type recheckDevice struct {
 	done    chan<- struct{}
 }
 
-func (d recheckDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+func (d recheckDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
 	before := kernel(x)
 	<-d.gate
-	out := d.Device.LinearForward(key, kernel, x)
+	out := d.Device.LinearForward(kernel, x)
 	if !out.Equal(before) {
 		d.changed.Add(1)
 	}
@@ -172,17 +172,17 @@ type heldGradDevice struct {
 	done    chan<- struct{}
 }
 
-func (d heldGradDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
-	before, berr := d.Device.GradWeights(key, kernel, delta)
+func (d heldGradDevice) GradWeights(kernel gpu.BilinearKernel, delta, x field.Vec) field.Vec {
+	before := d.Device.GradWeights(kernel, delta, x)
 	d.arrived()
 	<-d.gate
-	out, err := d.Device.GradWeights(key, kernel, delta)
-	if berr != nil || err != nil || !out.Equal(before) {
+	out := d.Device.GradWeights(kernel, delta, x)
+	if !out.Equal(before) {
 		d.changed.Add(1)
 	}
 	field.PutScratchVec(before)
 	d.done <- struct{}{}
-	return out, err
+	return out
 }
 
 // waitGradDevice runs no gradient job before wait is closed.
@@ -191,9 +191,9 @@ type waitGradDevice struct {
 	wait <-chan struct{}
 }
 
-func (d waitGradDevice) GradWeights(key string, kernel gpu.BilinearKernel, delta field.Vec) (field.Vec, error) {
+func (d waitGradDevice) GradWeights(kernel gpu.BilinearKernel, delta, x field.Vec) field.Vec {
 	<-d.wait
-	return d.Device.GradWeights(key, kernel, delta)
+	return d.Device.GradWeights(kernel, delta, x)
 }
 
 // TestBackwardEquationsOutliveLaggard: with straggler slack a backward
@@ -226,7 +226,7 @@ func TestBackwardEquationsOutliveLaggard(t *testing.T) {
 	devs[0] = waitGradDevice{Device: devs[0], wait: arrived}
 	devs[4] = heldGradDevice{Device: devs[4], gate: gate, arrived: sync.OnceFunc(func() { close(arrived) }),
 		changed: &changed, done: done}
-	pipe, err := NewTrainPipeline(cfg, model, nil, "held/", 1)
+	pipe, err := NewTrainPipeline(cfg, model, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,16 @@
 //  1. the TEE walks the model's layers with K per-example activations;
 //  2. at every bilinear layer it quantizes the K inputs, encodes them into
 //     S+E coded vectors (masking.Code), and fans them out to the GPUs;
-//  3. GPUs run the layer's field kernel on their coded input (caching it
-//     for the backward pass, §6) and return coded results;
+//  3. GPUs run the layer's field kernel on their coded input (which the
+//     batch's flight keeps for the backward pass, §6) and return coded
+//     results;
 //  4. the TEE optionally verifies integrity, decodes, restores floats,
 //     adds the bias and continues;
 //  5. non-linear layers (ReLU, MaxPool, BatchNorm, ...) run inside the TEE.
 //
 // Backward mirrors it with the Eq (4) coding: GPUs compute one gradient
-// equation each against the coded inputs they stored during forward, and
+// equation each against the coded inputs they were sent during forward,
+// and
 // the TEE folds them with its secret γ into the exact batch gradient.
 // Large batches aggregate ▽W across virtual batches with sealed eviction
 // (Algorithm 2) in aggregate.go.
@@ -111,7 +113,7 @@ func NewTrainer(cfg Config, model *nn.Model, cluster *gpu.Cluster, encl *enclave
 	if err := cfg.withDefaults().Validate(cluster.Size()); err != nil {
 		return nil, err
 	}
-	p, err := NewTrainPipeline(cfg, model, encl, "", 1)
+	p, err := NewTrainPipeline(cfg, model, encl, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +131,10 @@ type trace struct {
 	layer    nn.Layer
 	inputs   []*tensor.Tensor // per-example inputs to this layer
 	children []*trace         // Sequential children, or Residual {body, skip}
-	key      string           // GPU storage key (linear layers only)
+	// A bilinear layer's ordinal in the batch (linSeq) and its forward
+	// offload, whose kept coded inputs its gradient jobs read.
+	lin int
+	fwd *gpu.LayerPending
 }
 
 // add appends a child's trace; a nil (inference) trace records nothing.

@@ -104,15 +104,14 @@ type TrainPipeline struct {
 
 // NewTrainPipeline wires a training runtime of the given depth (>= 1; depth
 // 1 is the serial runtime, which Trainer wraps) around one shared model
-// replica; see newLanes for the enclave and keyspace contracts — each
-// in-flight batch additionally seals its own gradient shards.
+// replica; see newLanes for the enclave contract — each in-flight batch
+// additionally seals its own gradient shards.
 //
 // The model must not be trained or evaluated through any other path while
 // a TrainLargeBatch is running — the lanes temporarily redirect its
 // gradient accumulators.
-func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, keyspace string, depth int) (*TrainPipeline, error) {
-	// Per-step keys: backward reads the stored coded inputs back.
-	l, err := newLanes(cfg, model, encl, keyspace+"t", depth, false)
+func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, depth int) (*TrainPipeline, error) {
+	l, err := newLanes(cfg, model, encl, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +275,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 	lane.trace(sp)
 	code, err := masking.New(lane.cfg.maskParams(), lane.rng)
 	if err == nil {
-		err = lane.openBatchFlight()
+		err = lane.openBatchFlight(true)
 	}
 	if err == nil {
 		k := lane.cfg.VirtualBatch

@@ -94,7 +94,7 @@ func TestTrainPipelineMatchesSerial(t *testing.T) {
 
 			// The runtime at this depth, on an identically initialized model.
 			pipeModel := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(42)))
-			pipe, err := NewTrainPipeline(cfg, pipeModel, nil, "tp/", c.depth)
+			pipe, err := NewTrainPipeline(cfg, pipeModel, nil, c.depth)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestTrainLargeBatchDropsTail(t *testing.T) {
 	}
 
 	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(1)))
-	pipe, err := NewTrainPipeline(cfg, model, nil, "drop/", 2)
+	pipe, err := NewTrainPipeline(cfg, model, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestAlgorithm2ShardEquivalence(t *testing.T) {
 		var err error
 		if r.pipelined {
 			var pipe *TrainPipeline
-			pipe, err = NewTrainPipeline(cfg, model, encl, "a2/"+r.name, 2)
+			pipe, err = NewTrainPipeline(cfg, model, encl, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,15 +265,15 @@ func TestAlgorithm2ShardEquivalence(t *testing.T) {
 // TestTrainPipelineValidation covers the refusal paths.
 func TestTrainPipelineValidation(t *testing.T) {
 	model := nn.TinyCNN(1, 8, 8, 4, rand.New(rand.NewSource(1)))
-	if _, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, "v/", 0); err == nil {
+	if _, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, 0); err == nil {
 		t.Fatal("depth 0 train pipeline must be rejected")
 	}
-	serial, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, "v/", 1)
+	serial, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, 1)
 	if err != nil {
 		t.Fatalf("depth 1 is the serial runtime and must build: %v", err)
 	}
 	serial.Close()
-	pipe, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, "v/", 2)
+	pipe, err := NewTrainPipeline(Config{VirtualBatch: 2, Seed: 1}, model, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestMalformedInputIsAnError(t *testing.T) {
 		t.Fatalf("the next batch: %v", err)
 	}
 
-	train, err := NewTrainPipeline(cfg, model, nil, "bad-t/", 2)
+	train, err := NewTrainPipeline(cfg, model, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

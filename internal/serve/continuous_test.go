@@ -24,10 +24,10 @@ type forwardGate struct {
 	gate  <-chan struct{}
 }
 
-func (d forwardGate) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+func (d forwardGate) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
 	d.first.Do(func() { close(d.began) })
 	<-d.gate
-	return d.Device.LinearForward(key, kernel, x)
+	return d.Device.LinearForward(kernel, x)
 }
 
 // waitFor polls cond until it holds, failing the test at the guard

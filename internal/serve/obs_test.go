@@ -206,11 +206,11 @@ type switchDevice struct {
 	on  *atomic.Bool
 }
 
-func (d switchDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+func (d switchDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
 	if d.on.Load() {
-		return d.bad.LinearForward(key, kernel, x)
+		return d.bad.LinearForward(kernel, x)
 	}
-	return d.Device.LinearForward(key, kernel, x)
+	return d.Device.LinearForward(kernel, x)
 }
 
 // scrapeRun serves a fixed request sequence — one request at a time with

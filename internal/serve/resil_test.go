@@ -275,9 +275,9 @@ type gatedDevice struct {
 	gate <-chan struct{}
 }
 
-func (d gatedDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+func (d gatedDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
 	<-d.gate
-	return d.Device.LinearForward(key, kernel, x)
+	return d.Device.LinearForward(kernel, x)
 }
 
 // TestRetryWaitsForGang is the regression test for a retry that finds no
@@ -402,11 +402,11 @@ type trappedDevice struct {
 	trap *hedgeTrap
 }
 
-func (d trappedDevice) LinearForward(key string, kernel gpu.LinearKernel, x field.Vec) field.Vec {
+func (d trappedDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
 	if d.trap.armed.CompareAndSwap(true, false) {
 		<-d.trap.gate
 	}
-	return d.Device.LinearForward(key, kernel, x)
+	return d.Device.LinearForward(kernel, x)
 }
 
 // TestHedgeBitIdentityNoLeaks forces aggressive hedging, on serial and on

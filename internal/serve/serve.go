@@ -199,7 +199,7 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 		// (Pipeline lanes stride further apart internally.)
 		wcfg := cfg.Sched
 		wcfg.Seed += int64(i)
-		p, err := sched.NewPipeline(wcfg, m, encl, fmt.Sprintf("w%d/", i), lanes)
+		p, err := sched.NewPipeline(wcfg, m, encl, "", lanes)
 		if err == nil && cfg.Recover {
 			if err = p.EnableRecovery(); err != nil {
 				p.Close()

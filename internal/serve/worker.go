@@ -313,8 +313,9 @@ func (w *worker) fire(now time.Time) {
 // lane and a gang nobody is queueing for (TryAcquire — a hedge never waits
 // and never competes with primary traffic). The duplicate shares the
 // primary's model replica — TEE work is serialised by the token whichever
-// lane does it — and differs only in what a lane owns: seed stride,
-// keyspace, arena.
+// lane does it — and differs only in what a lane owns: seed stride and
+// arena. Neither flight keeps anything on its devices: inference has no
+// backward pass to read it.
 func (w *worker) hedge(j *job) {
 	if w.hedging {
 		return

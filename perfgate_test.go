@@ -187,7 +187,7 @@ func schedThroughput(tb testing.TB, depth, batches int, delay time.Duration) flo
 		}
 	}
 
-	pipe, err := sched.NewPipeline(cfg, model, nil, "bpipe/", depth)
+	pipe, err := sched.NewPipeline(cfg, model, nil, "", depth)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func trainThroughput(tb testing.TB, depth, numVB int, delay time.Duration) (floa
 	batch := dataset.SyntheticCIFAR(rand.New(rand.NewSource(2)), numVB*cfg.VirtualBatch, 4, 1, 8, 8, 0.05).Items
 	opt := nn.NewSGD(0.05, 0.9)
 
-	pipe, err := sched.NewTrainPipeline(cfg, model, nil, "btp/", depth)
+	pipe, err := sched.NewTrainPipeline(cfg, model, nil, depth)
 	if err != nil {
 		tb.Fatal(err)
 	}
