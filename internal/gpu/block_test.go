@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -369,8 +370,13 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 	const s, e = 3, 2
 	const n = s + e
 	gate := make(chan struct{})
-	scripts, devs := scriptDevices(n)
-	scripts[0].gate = gate // primary-exclusive: the secondary window decodes around it
+	// Slot 0 is primary-exclusive: the secondary window decodes around it.
+	// The rest are honest, so End runs their queues.
+	lagging := &scriptDevice{Device: NewHonest(0), gate: gate}
+	devs := []Device{lagging}
+	for i := 1; i < n; i++ {
+		devs = append(devs, NewHonest(i))
+	}
 	f := NewBlockFlight(devs, BlockOptions{})
 	f.KeepInputs()
 	ident := func(x field.Vec) field.Vec { return x }
@@ -412,12 +418,12 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 			}
 		}
 	}
-	if got := scripts[0].jobs.Load(); got != 0 {
+	if got := lagging.jobs.Load(); got != 0 {
 		t.Fatalf("the blocked slot ran %d jobs before its gate opened", got)
 	}
 	close(gate)
 	waitIdle(t, f, 0)
-	if got := scripts[0].jobs.Load(); got != 4 {
+	if got := lagging.jobs.Load(); got != 4 {
 		t.Fatalf("the laggard ran %d jobs, want its 2 forward and 2 gradient jobs", got)
 	}
 	// Per layer: S primary and S secondary equations.
@@ -435,9 +441,8 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 }
 
 // TestFlightKeepsOnlyForBackward: a flight that is not marked — inference —
-// keeps nothing, a share re-run on a spare keeps nothing either (the gang
-// slot's own job keeps it), and GradLayer refuses a forward layer that
-// kept nothing or belongs to another flight.
+// keeps nothing, and GradLayer refuses a forward layer that kept nothing or
+// belongs to another flight.
 func TestFlightKeepsOnlyForBackward(t *testing.T) {
 	const n = 4
 	ident := func(x field.Vec) field.Vec { return x }
@@ -471,19 +476,35 @@ func TestFlightKeepsOnlyForBackward(t *testing.T) {
 	}
 	other.End()
 	training.End()
+}
 
-	// Slots 1 and 2 block inside their first forward job, so both layers'
-	// quorums form through spares while the gang slots have not reached
-	// the second layer: whatever that layer keeps at slots 1 and 2 by then
-	// a spare kept.
+// TestSpeculativeStoresAreDropped: a share re-run on a spare keeps nothing
+// on a marked flight — the gang slot's own job keeps it, where the layer's
+// gradient job reads it — and the spare runs that one job and is handed
+// back. Slots 1 and 2 block inside their first forward job, so both
+// layers' quorums form through spares while the gang slots have not
+// reached the second layer: whatever that layer keeps at slots 1 and 2 by
+// then a spare kept.
+func TestSpeculativeStoresAreDropped(t *testing.T) {
+	const n = 4
+	ident := func(x field.Vec) field.Vec { return x }
 	gate := make(chan struct{})
 	scripts, devs := scriptDevices(n)
 	scripts[1].gate, scripts[2].gate = gate, gate
-	var lent atomic.Int32
+	var (
+		mu       sync.Mutex
+		spares   []Device
+		returned sync.WaitGroup
+	)
 	f := NewBlockFlight(devs, BlockOptions{
 		SpeculateAfter: time.Microsecond,
 		Spare: func(slot int) (Device, func(time.Duration), bool) {
-			return NewHonest(n + int(lent.Add(1))), func(time.Duration) {}, true
+			mu.Lock()
+			defer mu.Unlock()
+			d := NewHonest(n + len(spares))
+			spares = append(spares, d)
+			returned.Add(1)
+			return d, func(time.Duration) { returned.Done() }, true
 		},
 	})
 	f.KeepInputs()
@@ -496,12 +517,20 @@ func TestFlightKeepsOnlyForBackward(t *testing.T) {
 		p.WaitQuorum(n - 1)
 		fwd = append(fwd, p)
 	}
-	if lent.Load() == 0 {
-		t.Fatal("no share was re-run on a spare")
-	}
 	if fwd[1].inputs[1] != nil || fwd[1].inputs[2] != nil {
 		t.Fatal("a spare kept the share it re-ran")
 	}
+	returned.Wait() // every loan handed back
+	mu.Lock()
+	if len(spares) == 0 {
+		t.Fatal("no share was re-run on a spare")
+	}
+	for _, d := range spares {
+		if jobs := d.Traffic().Jobs; jobs != 1 {
+			t.Fatalf("spare %d ran %d jobs, want 1", d.ID(), jobs)
+		}
+	}
+	mu.Unlock()
 	close(gate)
 	f.End()
 	for i := 0; i < n; i++ {
@@ -512,6 +541,97 @@ func TestFlightKeepsOnlyForBackward(t *testing.T) {
 			}
 		}
 	}
+	if k := f.Kept(); k != 0 {
+		t.Fatalf("the flight still counts %d kept inputs", k)
+	}
+}
+
+// TestFlightDropRidesBehindLaggard: End's recycling of a marked flight's
+// inputs runs behind a quorum laggard's still-queued forward jobs — the
+// inputs they keep late cannot outlive the flight — on every slot, and
+// without counting as a device job.
+func TestFlightDropRidesBehindLaggard(t *testing.T) {
+	const n = 3
+	gate := make(chan struct{})
+	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
+	lagging := &scriptDevice{Device: devs[1], gate: gate}
+	f := NewBlockFlight([]Device{devs[0], lagging, devs[2]}, BlockOptions{})
+	f.KeepInputs()
+	ident := func(x field.Vec) field.Vec { return x }
+	var fwd []*LayerPending
+	for l := 0; l < 2; l++ {
+		p, err := f.ForwardLayer("", ident, vecs(n, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, present := p.WaitQuorum(n - 1); present == nil || present[1] {
+			t.Fatalf("layer %d: the laggard answered", l)
+		}
+		fwd = append(fwd, p)
+	}
+	f.End() // drains the prompt slots, not the gated one
+	for _, i := range []int{0, 2} {
+		for l, p := range fwd {
+			if p.inputs[i] != nil {
+				t.Fatalf("slot %d still keeps layer %d's input after End", i, l)
+			}
+		}
+		if jobs := devs[i].Traffic().Jobs; jobs != 2 {
+			t.Fatalf("device %d counted %d jobs, want 2 (recycling is not a job)", i, jobs)
+		}
+	}
+	close(gate)
+	waitIdle(t, f, 1)
+	if got := lagging.jobs.Load(); got != 2 {
+		t.Fatalf("the laggard ran %d jobs, want its 2 forward jobs", got)
+	}
+	for l, p := range fwd {
+		if p.inputs[1] != nil {
+			t.Fatalf("the laggard kept layer %d's late input past the flight", l)
+		}
+	}
+	if k := f.Kept(); k != 0 {
+		t.Fatalf("the flight still counts %d kept inputs", k)
+	}
+	if jobs := devs[1].Traffic().Jobs; jobs != 2 {
+		t.Fatalf("the laggard's device counted %d jobs, want 2 (recycling is not a job)", jobs)
+	}
+}
+
+// TestFlightDropOwnsKeys: what a flight keeps is its own copy. The caller
+// rewrites its coded buffer as soon as the forward layer has answered, and
+// a gradient job still queued on a slot that End does not wait for — so
+// End has returned before it runs — reads the input as it was shipped; the
+// recycling End queued runs only after it.
+func TestFlightDropOwnsKeys(t *testing.T) {
+	script := &scriptDevice{Device: NewHonest(0)} // may block, as far as the flight can tell
+	f := NewBlockFlight([]Device{script}, BlockOptions{})
+	f.KeepInputs()
+	coded := vecs(1, 5)
+	shipped := coded[0].Clone()
+	fwd, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return x }, coded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd.Wait()
+	clear(coded[0]) // the caller reuses its buffer for the next layer
+	release := make(chan struct{})
+	g, err := f.GradLayer(fwd, func(_, x field.Vec) field.Vec {
+		<-release
+		return x.Clone()
+	}, []field.Vec{vecs(1, 9)[0]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.End() // returns with the gradient job still blocked
+	if k := f.Kept(); k != 1 {
+		t.Fatalf("the flight counts %d kept inputs before its gradient job ran, want 1", k)
+	}
+	close(release)
+	if got := g.Wait()[0]; !got.Equal(shipped) {
+		t.Fatalf("the gradient job read %v, want the shipped input %v", got, shipped)
+	}
+	waitIdle(t, f, 0)
 	if k := f.Kept(); k != 0 {
 		t.Fatalf("the flight still counts %d kept inputs", k)
 	}

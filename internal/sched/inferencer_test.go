@@ -2,8 +2,10 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,6 +71,68 @@ func TestInferencerAcrossFleets(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("image %d: %d on fleet A, %d on fleet B", i, a[i], b[i])
+		}
+	}
+}
+
+// keptProbe is a device that, on every forward job, reads how many coded
+// inputs the newest flight of log keeps — mid-batch, before End recycles
+// anything — and records the most it saw.
+type keptProbe struct {
+	gpu.Device
+	log  *flightLog
+	peak atomic.Int64
+}
+
+func (d *keptProbe) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
+	d.log.mu.Lock()
+	if n := len(d.log.flights); n > 0 {
+		if k := int64(d.log.flights[n-1].Kept()); k > d.peak.Load() {
+			d.peak.Store(k)
+		}
+	}
+	d.log.mu.Unlock()
+	return d.Device.LinearForward(kernel, x)
+}
+
+// Inference never reads a coded input back, so its flights keep nothing:
+// a serving loop may run indefinitely and device memory has to stay
+// bounded. No flight of six successive dispatches on one cluster keeps a
+// coded input while its batch runs or after it ended, and each dispatch
+// opens as many flights as the first.
+func TestInferencerDeviceStorageBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	model := nn.TinyCNN(1, 8, 8, 4, rng)
+	data := dataset.SyntheticCIFAR(rand.New(rand.NewSource(7)), 4, 4, 1, 8, 8, 0.05)
+	images := [][]float64{data.Items[0].Image, data.Items[1].Image}
+
+	inf, err := NewInferencer(Config{VirtualBatch: 2, Seed: 5}, model, nil, "w0/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inf.Close()
+	log := &flightLog{}
+	devs := honestDevices(3)
+	probe := &keptProbe{Device: devs[2], log: log}
+	devs[2] = probe
+	gang := loggedGang{Fleet: gpu.NewCluster(devs...), log: log}
+	per := 0
+	for i := 0; i < 6; i++ {
+		if _, err := inf.Predict(gang, images); err != nil {
+			t.Fatal(err)
+		}
+		if k := probe.peak.Load(); k != 0 {
+			t.Fatalf("dispatch %d: an inference flight kept %d coded inputs mid-batch", i, k)
+		}
+		requireRecycled(t, fmt.Sprintf("dispatch %d", i), log, false)
+		log.mu.Lock()
+		opened := len(log.flights)
+		log.mu.Unlock()
+		if i == 0 {
+			per = opened
+		}
+		if opened != (i+1)*per {
+			t.Fatalf("%d dispatches opened %d flights, want %d each", i+1, opened, per)
 		}
 	}
 }
