@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -153,8 +154,9 @@ func (g *Grant) spare(slot int) (gpu.Device, func(time.Duration), bool) {
 // ForwardQuorum ships one layer on a flight over the first len(coded) slots
 // and returns as soon as quorum responses have arrived (quorum <= 0 or
 // >= len(coded) waits for all), with the flight's presence mask: nil when
-// every slot answered. The leading string is unused: it remains only
-// because the benchmark harness under bench/ still passes it.
+// every slot answered — copies of the flight's, which End takes back. The
+// leading string is unused: it remains only because the benchmark harness
+// under bench/ still passes it.
 //
 //lint:ignore testonly called by bench/benchkit; retarget in a benchmark PR (ROADMAP 1b/12)
 func (g *Grant) ForwardQuorum(_ string, kernel gpu.LinearKernel, coded []field.Vec, quorum int) ([]field.Vec, []bool, error) {
@@ -168,7 +170,7 @@ func (g *Grant) ForwardQuorum(_ string, kernel gpu.LinearKernel, coded []field.V
 		return nil, nil, err
 	}
 	results, present := p.WaitQuorum(quorum)
-	return results, present, nil
+	return slices.Clone(results), slices.Clone(present), nil
 }
 
 // ReportFaults marks gang slots attributed as tampering by the redundant

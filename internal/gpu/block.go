@@ -3,12 +3,12 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"darknight/internal/field"
+	"darknight/internal/scratch"
 )
 
 // BlockFlight is the one way a coded vector reaches a device: a
@@ -18,28 +18,47 @@ import (
 // worker that starts with the slot's first job and exits when its queue is
 // empty, so shipping never blocks on a straggling device: a slot still
 // chewing on layer l simply accumulates its layer l+1 job while the quorum
-// gather decodes around it, and a device's forward job for a layer always
-// runs before its own gradient job for it. Everything flight-scoped — a
-// slow device's launch latency, the fleet's handle accounting — is paid
-// once per flight; the per-layer math (encode, decode, verify) is
-// untouched, which is what keeps outputs bit-identical to flying every
-// layer alone.
+// gather decodes around it. Everything flight-scoped — a slow device's
+// launch latency, the fleet's handle accounting — is paid once per flight;
+// the per-layer math (encode, decode, verify) is untouched, which is what
+// keeps outputs bit-identical to flying every layer alone.
 //
-// A training batch's flight keeps what its devices keep between the passes
-// (§6 "Encoded Data Storage During Forward Pass"): marked by KeepInputs,
-// each forward job keeps a pooled copy of its coded input in the layer's
-// LayerPending, the gradient job on the same slot reads it back, and End
-// recycles it. The copies live exactly as long as the flight, so two
-// flights on one device — pipelined lanes, or training beside inference —
-// can neither alias nor miss each other's inputs.
+// A flight owns everything a device job can still read after the TEE has
+// moved on, and releases all of it at one point. Its operands are born in
+// it (Vec), or copied in when a layer ships a caller's own vector; a
+// gradient job reads the operand its slot's forward job was shipped, which
+// is what the devices keep between a batch's passes (§6 "Encoded Data
+// Storage During Forward Pass"). An answer that lands after its gatherer's
+// snapshot is the flight's too. The release comes once End has run, every
+// slot has run its last job, every answer a slow device held has been
+// delivered and every spare job has finished; it recycles the late
+// answers, and the flight — its operands, layers, snapshots and slot
+// queues — goes back for the next NewBlockFlight. So two flights on one
+// device — pipelined lanes, or training beside inference — can neither
+// alias nor miss each other's operands, and a quorum laggard reads its
+// operands for as long as it runs.
 //
-// A flight has one owner: ship and gather from a single goroutine.
+// A flight has one owner: ship and gather from a single goroutine, and
+// touch nothing of the flight — its layers and snapshots included — after
+// End.
 type BlockFlight struct {
 	slots []slot
 	opts  BlockOptions
-	keep  bool          // forward jobs keep their coded inputs (KeepInputs)
-	kept  *LayerPending // the newest forward layer that kept its inputs; older ones chain through prev
-	live  atomic.Int64  // inputs kept and not yet recycled
+	// mem holds every operand the flight owns, and owned lists them in the
+	// order mem handed them out: a vector is the flight's exactly when it is
+	// in owned. Only the owner appends, and only the release resets them.
+	mem   scratch.Arena[field.Elem]
+	owned []field.Vec
+	// layers is the flight's pending table: the first shipped of them are
+	// this conversation's layers, in shipping order; the rest wait for a
+	// later conversation on the reused flight.
+	layers  []*LayerPending
+	shipped int
+	// refs counts what holds the release back: the owner until End, each
+	// running slot worker, each launch holding answers, each armed
+	// speculation and each spare job.
+	refs  atomic.Int32
+	live  atomic.Int64 // flight-owned buffers not yet released (Kept)
 	ended bool
 }
 
@@ -66,14 +85,10 @@ type BlockOptions struct {
 }
 
 // job is one device computation of a layer: entry is its index in the
-// layer's result order, x its operand (a coded input or a combined delta).
-// A job with no layer instead recycles the inputs kept at gang slot entry
-// by the forward layers chained from kept.
+// layer's result order, and the layer's operand of that index its input.
 type job struct {
 	p     *LayerPending
 	entry int
-	x     field.Vec
-	kept  *LayerPending
 }
 
 // slot is one device conversation: the device its jobs run on, what a
@@ -82,21 +97,25 @@ type job struct {
 // is non-empty. Popping a job moves the backlog down the queue's array
 // instead of slicing past it, so the array keeps its front capacity and
 // a busy slot's enqueues stop growing it once it holds the slot's longest
-// backlog.
+// backlog. A reused flight keeps its slots, queues and launches.
 type slot struct {
+	f   *BlockFlight
 	dev Device
 	// launch is the latency a slow device pays once per conversation; nil
-	// for a device with none, so only slow devices carry its state.
+	// for a device with none, so only slow devices carry its state. It
+	// points at lnch, which a reused slot keeps with its timer.
 	launch *launch
-	// start is work bound to the slot once, by open, so starting a worker
-	// copies nothing to the heap.
+	lnch   launch
+	// start is work bound to the slot once, when its flight is built, so
+	// starting a worker copies nothing to the heap.
 	start func()
 
-	mu     sync.Mutex
-	queue  []job
-	busy   bool
-	prompt bool          // set by open: no call on dev can block
-	idle   chan struct{} // closed when the worker exits, while drain waits
+	mu      sync.Mutex
+	queue   []job
+	busy    bool
+	prompt  bool          // set by open: no call on dev can block
+	waiting bool          // drain waits on idle for the worker to exit
+	idle    chan struct{} // one token per exit drain waited for
 }
 
 // open starts the conversation with d. A device built by NewSlow charges
@@ -110,15 +129,16 @@ type slot struct {
 // call cannot block when the device is honest, or slow over honest: the
 // launch holds answers, not work.
 func (s *slot) open(d Device) {
+	s.launch = nil
 	if sl, ok := d.(*slow); ok && sl.delay > 0 {
-		s.launch = &launch{delay: sl.delay}
+		s.lnch.delay, s.lnch.ready = sl.delay, time.Time{}
+		s.launch = &s.lnch
 	}
 	for sl, ok := d.(*slow); ok; sl, ok = d.(*slow) {
 		d = sl.Device
 	}
 	s.dev = d
 	_, s.prompt = d.(*honest)
-	s.start = s.work
 }
 
 func (s *slot) enqueue(j job) {
@@ -130,65 +150,142 @@ func (s *slot) enqueue(j job) {
 	}
 	s.busy = true
 	s.mu.Unlock()
+	s.f.refs.Add(1)
 	go s.start()
 }
 
-// work runs the slot's queue, front first, until it is empty.
+// work runs the slot's queue, front first, until it is empty. The worker
+// lets go of the flight before it tells a waiting drain it is done, so a
+// flight whose slots all drained is released by End itself.
 func (s *slot) work() {
 	s.mu.Lock()
 	for len(s.queue) > 0 {
 		j := s.queue[0]
 		n := copy(s.queue, s.queue[1:])
-		s.queue[n] = job{} // the vacated tail keeps no job's operands alive
+		s.queue[n] = job{} // the vacated tail keeps no layer alive
 		s.queue = s.queue[:n]
 		s.mu.Unlock()
-		if j.p != nil {
-			j.p.run(s, j.entry, j.x, nil)
-		} else {
-			recycle(j.kept, j.entry)
-		}
+		j.p.run(s, j.entry, nil)
 		s.mu.Lock()
 	}
 	s.busy = false
-	if s.idle != nil {
-		close(s.idle)
-		s.idle = nil
-	}
+	waiting := s.waiting
+	s.waiting = false
 	s.mu.Unlock()
-}
-
-// recycleAfter hands the inputs kept at gang slot i by the forward layers
-// chained from kept back to the pool behind the last job queued on the
-// slot — a laggard's forward and gradient jobs read them — or at once when
-// the slot is idle.
-func (s *slot) recycleAfter(kept *LayerPending, i int) {
-	s.mu.Lock()
-	if s.busy {
-		s.queue = append(s.queue, job{entry: i, kept: kept})
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	recycle(kept, i)
-}
-
-// recycle returns the inputs kept at gang slot i by the forward layers
-// chained from p to the field scratch pool.
-func recycle(p *LayerPending, i int) {
-	for ; p != nil; p = p.prev {
-		field.PutScratchVec(p.inputs[i])
-		p.inputs[i] = nil
-		p.f.live.Add(-1)
+	s.f.unref()
+	if waiting {
+		s.idle <- struct{}{}
 	}
 }
 
-// NewBlockFlight opens a flight with one slot per device, in gang order.
+// idleFlights holds released flights for reuse, newest last.
+var idleFlights struct {
+	sync.Mutex
+	free []*BlockFlight
+}
+
+// maxIdleFlights bounds idleFlights: beyond it a released flight is left
+// to the garbage collector.
+const maxIdleFlights = 64
+
+// NewBlockFlight opens a flight with one slot per device, in gang order,
+// reusing a released flight when one is idle.
 func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
-	f := &BlockFlight{slots: make([]slot, len(devs)), opts: opts}
-	for i, d := range devs {
-		f.slots[i].open(d)
+	idleFlights.Lock()
+	var f *BlockFlight
+	if n := len(idleFlights.free); n > 0 {
+		f = idleFlights.free[n-1]
+		idleFlights.free[n-1] = nil
+		idleFlights.free = idleFlights.free[:n-1]
 	}
+	idleFlights.Unlock()
+	if f == nil {
+		f = new(BlockFlight)
+	}
+	if cap(f.slots) < len(devs) {
+		f.slots = make([]slot, len(devs))
+	}
+	f.slots = f.slots[:len(devs)]
+	for i, d := range devs {
+		s := &f.slots[i]
+		if s.f == nil {
+			s.f, s.start, s.idle = f, s.work, make(chan struct{}, 1)
+		}
+		s.open(d)
+	}
+	f.opts, f.ended = opts, false
+	f.refs.Store(1)
 	return f
+}
+
+// unref drops one hold on the release, releasing the flight with the last.
+func (f *BlockFlight) unref() {
+	if f.refs.Add(-1) == 0 {
+		f.release()
+	}
+}
+
+// recycleVec hands a late answer back to the kernels' pool.
+var recycleVec = field.PutScratchVec
+
+// release recycles the answers no gatherer took, forgets the
+// conversation's operands, layers and hooks, and makes the flight idle.
+// Nothing runs on the flight any more, so nothing here races.
+func (f *BlockFlight) release() {
+	for _, p := range f.layers[:f.shipped] {
+		p.recycleLate()
+		p.fwd, p.bwd, p.from = nil, nil, nil
+		clear(p.ops)
+		clear(p.results)
+	}
+	f.shipped = 0
+	clear(f.owned)
+	f.owned = f.owned[:0]
+	f.mem.Reset()
+	f.live.Store(0)
+	f.opts = BlockOptions{}
+	idleFlights.Lock()
+	if len(idleFlights.free) < maxIdleFlights {
+		idleFlights.free = append(idleFlights.free, f)
+	}
+	idleFlights.Unlock()
+}
+
+// Vec hands out an n-element vector (contents undefined) the flight owns
+// until its release: the engine encodes a layer's operands into it, so
+// shipping them copies nothing.
+func (f *BlockFlight) Vec(n int) field.Vec {
+	v := f.mem.Get(n)
+	f.owned = append(f.owned, v)
+	f.live.Add(1)
+	return v
+}
+
+// owns reports whether v is a vector Vec handed out. The operands a layer
+// ships were handed out last, so the search starts from the newest.
+func (f *BlockFlight) owns(v field.Vec) bool {
+	if len(v) == 0 {
+		return true // nothing to copy
+	}
+	for i := len(f.owned) - 1; i >= 0; i-- {
+		if o := f.owned[i]; len(o) > 0 && &o[0] == &v[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// adopt returns x as an operand of the flight: x itself when the flight
+// owns it, otherwise a copy the flight owns — a caller's own vector is
+// copied in at ship time, like the tensor a transfer leaves in device
+// memory.
+func (f *BlockFlight) adopt(x field.Vec) field.Vec {
+	if f.owns(x) {
+		return x
+	}
+	v := f.Vec(len(x))
+	copy(v, x)
+	return v
 }
 
 // launch holds a slow device's answers until its latency has passed since
@@ -196,13 +293,15 @@ func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
 // back, not the device's work, so jobs queued behind the first one — the
 // rest of the batch's forward layers and its gradient jobs — never wait
 // out the launch themselves. One slot worker at a time starts it, so ready
-// needs no lock; held is shared with the timer that releases it.
+// needs no lock; held is shared with the timer that releases it. While it
+// holds answers the launch holds its flight's release.
 type launch struct {
 	delay time.Duration
 	ready time.Time // zero until the first job ran
 
-	mu   sync.Mutex
-	held []func() // answers waiting for ready, in the order their jobs ran
+	mu    sync.Mutex
+	held  []answer // answers waiting for ready, in the order their jobs ran
+	timer *time.Timer
 }
 
 func (l *launch) start() {
@@ -211,32 +310,48 @@ func (l *launch) start() {
 	}
 }
 
-// hold queues answer until ready and reports whether it did: once the
-// latency has passed, answers leave at once. One timer per conversation
-// releases everything held.
-func (l *launch) hold(answer func()) bool {
+// hold queues a until ready and reports whether it did: once the latency
+// has passed, answers leave at once. One timer per conversation releases
+// everything held.
+func (l *launch) hold(a answer) bool {
 	wait := time.Until(l.ready)
 	if wait <= 0 {
 		return false
 	}
 	l.mu.Lock()
-	l.held = append(l.held, answer)
-	first := len(l.held) == 1
-	l.mu.Unlock()
-	if first {
-		time.AfterFunc(wait, l.release)
+	l.held = append(l.held, a)
+	if len(l.held) == 1 {
+		a.p.f.refs.Add(1)
+		if l.timer == nil {
+			l.timer = time.AfterFunc(wait, l.release)
+		} else {
+			l.timer.Reset(wait)
+		}
 	}
+	l.mu.Unlock()
 	return true
 }
 
+// release files the held answers outside the lock, since filing runs the
+// flight's hooks. An answer held meanwhile — its hold began just before
+// ready — arms no timer of its own: this call files it too, before it lets
+// go of the flight.
 func (l *launch) release() {
 	l.mu.Lock()
-	held := l.held
-	l.held = nil
-	l.mu.Unlock()
-	for _, answer := range held {
-		answer()
+	f := l.held[0].p.f
+	for len(l.held) > 0 {
+		out := l.held
+		l.mu.Unlock()
+		for i := range out {
+			out[i].file()
+		}
+		l.mu.Lock()
+		n := copy(l.held, l.held[len(out):])
+		clear(l.held[n:])
+		l.held = l.held[:n]
 	}
+	l.mu.Unlock()
+	f.unref()
 }
 
 // Slots returns the gang width of the flight.
@@ -244,52 +359,43 @@ func (l *launch) release() {
 //lint:ignore testonly the leasepair corpus and its seeded mutant in tree_test.go typecheck against it
 func (f *BlockFlight) Slots() int { return len(f.slots) }
 
-// Kept returns how many coded inputs the flight keeps and has not yet
-// recycled — a training batch's §6 device-memory footprint. It is 0 on a
-// flight that keeps nothing, and once every slot has run its last job
-// after End.
+// Kept returns how many buffers the flight owns and has not yet released:
+// its operands, and the answers that landed after their gatherer's
+// snapshot — a batch's §6 device-memory footprint. It is 0 once the
+// flight is released.
 //
 //lint:ignore testonly test fixture for the gpu and sched tests
 func (f *BlockFlight) Kept() int { return int(f.live.Load()) }
 
-// KeepInputs marks the flight to keep each forward job's coded input for
-// the gradient jobs of its layer (GradLayer); End recycles them. Call it
-// before the first forward layer: a layer shipped unmarked keeps nothing.
-// A flight that runs no backward pass — inference — keeps nothing.
-func (f *BlockFlight) KeepInputs() { f.keep = true }
-
-// ForwardLayer ships one layer: slot j computes the kernel on coded[j],
-// keeping a copy of coded[j] on a flight marked by KeepInputs. Returns
-// immediately; gather through the LayerPending. The leading string is
-// unused: it remains only because the benchmark harness under bench/ still
-// passes it.
+// ForwardLayer ships one layer: slot j computes the kernel on coded[j].
+// Returns immediately; gather through the LayerPending. The leading string
+// is unused: it remains only because the benchmark harness under bench/
+// still passes it.
 func (f *BlockFlight) ForwardLayer(_ string, kernel LinearKernel, coded []field.Vec) (*LayerPending, error) {
 	if len(coded) != len(f.slots) {
 		return nil, fmt.Errorf("gpu: %d coded inputs for flight of %d slots", len(coded), len(f.slots))
 	}
 	p := f.newPending(len(coded), 0)
-	p.fwd, p.coded = kernel, coded
-	if f.keep {
-		p.inputs = make([]field.Vec, len(coded))
-		p.prev, f.kept = f.kept, p
-	}
+	p.fwd = kernel
 	for j, x := range coded {
-		f.slots[j].enqueue(job{p: p, entry: j, x: x})
+		p.ops[j] = f.adopt(x)
+	}
+	for j := range coded {
+		f.slots[j].enqueue(job{p: p, entry: j})
 	}
 	return p, nil
 }
 
-// GradLayer ships one layer's weight-gradient equations against the coded
-// inputs fwd, a forward layer of this marked flight, kept: the primary
-// equations prim[j] on slots [0, len(prim)) and, when sec is non-nil, the
-// equally many redundant-decoding equations sec[j] on the flight's last
-// len(sec) slots — [E, S+E) on a flight of S+E slots — so the gather can
-// return from whichever window completes first. The result order is prim
-// then sec. Each job rides its slot's FIFO behind the slot's forward job
-// for fwd, so the input it reads is always there.
+// GradLayer ships one layer's weight-gradient equations against fwd, a
+// forward layer of this flight whose operands the jobs read back: the
+// primary equations prim[j] on slots [0, len(prim)) and, when sec is
+// non-nil, the equally many redundant-decoding equations sec[j] on the
+// flight's last len(sec) slots — [E, S+E) on a flight of S+E slots — so
+// the gather can return from whichever window completes first. The result
+// order is prim then sec.
 func (f *BlockFlight) GradLayer(fwd *LayerPending, kernel BilinearKernel, prim, sec []field.Vec) (*LayerPending, error) {
-	if fwd == nil || fwd.f != f || fwd.inputs == nil {
-		return nil, errors.New("gpu: gradient layer needs a forward layer of its own flight that kept its inputs")
+	if fwd == nil || fwd.f != f || fwd.fwd == nil {
+		return nil, errors.New("gpu: gradient layer needs a forward layer of its own flight")
 	}
 	if len(prim) > len(f.slots) || (sec != nil && len(sec) != len(prim)) {
 		return nil, fmt.Errorf("gpu: backward windows (%d primary, %d secondary) for flight of %d slots",
@@ -298,10 +404,13 @@ func (f *BlockFlight) GradLayer(fwd *LayerPending, kernel BilinearKernel, prim, 
 	p := f.newPending(len(prim), len(sec))
 	p.bwd, p.from = kernel, fwd
 	for j, d := range prim {
-		f.slots[j].enqueue(job{p: p, entry: j, x: d})
+		p.ops[j] = f.adopt(d)
 	}
 	for j, d := range sec {
-		f.slots[p.secSlot+j].enqueue(job{p: p, entry: len(prim) + j, x: d})
+		p.ops[len(prim)+j] = f.adopt(d)
+	}
+	for entry := range p.ops {
+		f.slots[p.slot(entry)].enqueue(job{p: p, entry: entry})
 	}
 	return p, nil
 }
@@ -323,12 +432,9 @@ func (f *BlockFlight) drain() {
 			s.mu.Unlock()
 			continue
 		}
-		if s.idle == nil {
-			s.idle = make(chan struct{})
-		}
-		idle := s.idle
+		s.waiting = true
 		s.mu.Unlock()
-		<-idle
+		<-s.idle
 	}
 }
 
@@ -338,44 +444,37 @@ func (f *BlockFlight) drain() {
 // block those finish on their own time. It does wait for the slots whose
 // calls cannot block to run every job shipped to them (drain), so the
 // devices' work for the flight — and their traffic counters — is complete
-// when the flight ends. The kept inputs go back to the pool behind each
-// slot's last job. Idempotent.
+// when the flight ends. The flight is released once nothing else holds it:
+// at once when nothing does. The flight is not the caller's after End.
 func (f *BlockFlight) End() {
 	if f.ended {
 		return
 	}
 	f.ended = true
 	f.drain()
-	if f.kept != nil {
-		for i := range f.slots {
-			f.slots[i].recycleAfter(f.kept, i)
-		}
-	}
 	if f.opts.OnEnd != nil {
 		f.opts.OnEnd()
 	}
+	f.unref()
 }
 
 // LayerPending gathers one layer's in-flight results. It fills job by job,
 // so a quorum gather can snapshot as soon as enough of them landed. Its
 // jobs form one window (a forward layer, or a backward layer's primary
 // equations) or two equally long ones (primary then secondary equations).
+// It belongs to its flight, which reuses it after the release.
 type LayerPending struct {
-	f     *BlockFlight
-	fwd   LinearKernel
-	bwd   BilinearKernel
-	coded []field.Vec // forward operands, for speculative re-dispatch
-	// inputs holds, by gang slot, the coded inputs a forward layer of a
-	// marked flight kept; each is written and read only by its slot's jobs
-	// (and by End once the slot is idle). prev chains the flight's earlier
-	// such layers, for End to recycle.
-	inputs  []field.Vec
-	prev    *LayerPending
+	f       *BlockFlight
+	fwd     LinearKernel
+	bwd     BilinearKernel
+	ops     []field.Vec   // the flight-owned operand of each job, in result order
 	from    *LayerPending // a gradient layer's forward layer
 	window  int           // jobs per window; jobs [window, len(results)) are the secondary window
 	secSlot int           // the secondary window's first slot
 	shipped time.Time     // when the layer left the TEE (set only when observed)
 	wake    chan struct{}
+	spec    *time.Timer // the speculation window, armed by a quorum gather
+	lag     []int       // speculate's scratch: the entries it re-dispatches
 
 	mu      sync.Mutex
 	results []field.Vec
@@ -383,23 +482,44 @@ type LayerPending struct {
 	ok      [2]int // per window: jobs answered
 	need    int    // the quorum a parked gatherer waits for; 0 when none is parked
 	prompt  bool   // a parked gatherer waits for every prompt slot's job instead
+	// A gather hands out every result (all) or a snapshot: snapResults and
+	// snapPresent, whose present answers are the gatherer's. Answers that
+	// land after it (late, counted) are the flight's.
+	all         bool
+	snapped     bool
+	snapResults []field.Vec
+	snapPresent []bool
+	late        int
 }
 
+// newPending takes the flight's next layer from its pending table, empty.
 func (f *BlockFlight) newPending(window, secondary int) *LayerPending {
+	if f.shipped == len(f.layers) {
+		f.layers = append(f.layers, &LayerPending{f: f, wake: make(chan struct{}, 1)})
+	}
+	p := f.layers[f.shipped]
+	f.shipped++
 	n := window + secondary
-	var shipped time.Time
+	p.window, p.secSlot = window, len(f.slots)-secondary
+	p.ops = resize(p.ops, n)
+	p.results = resize(p.results, n)
+	p.present = resize(p.present, n)
+	clear(p.present)
+	p.ok, p.need, p.prompt = [2]int{}, 0, false
+	p.all, p.snapped, p.late = false, false, 0
+	p.shipped = time.Time{}
 	if f.opts.Observe != nil {
-		shipped = time.Now()
+		p.shipped = time.Now()
 	}
-	return &LayerPending{
-		shipped: shipped,
-		f:       f,
-		window:  window,
-		secSlot: len(f.slots) - secondary,
-		wake:    make(chan struct{}, 1),
-		results: make([]field.Vec, n),
-		present: make([]bool, n),
+	return p
+}
+
+// resize returns s with length n, reallocated only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // slot returns the gang slot that computes a job.
@@ -410,46 +530,49 @@ func (p *LayerPending) slot(entry int) int {
 	return p.secSlot + entry - p.window
 }
 
+// answer is one job's result on its way to the gatherer: the layer, the
+// gang slot and result entry it answers, the result and, for a spare's
+// job, what hands the spare back.
+type answer struct {
+	p           *LayerPending
+	slot, entry int
+	y           field.Vec
+	done        func()
+}
+
 // run executes one job in a conversation — the gang slot's own, or, when
 // done is non-nil, a spare's — and answers it, then runs done. A slow
 // device may hold the answer until its launch latency has passed; the slot
-// moves on to its next job meanwhile. A spare keeps nothing and feeds no
-// latency observation: the gang slot's own job keeps the share, which is
-// where the layer's gradient job reads it.
-func (p *LayerPending) run(s *slot, entry int, x field.Vec, done func()) {
+// moves on to its next job meanwhile. A spare feeds no latency
+// observation.
+func (p *LayerPending) run(s *slot, entry int, done func()) {
 	gang := p.slot(entry)
 	var y field.Vec
 	if p.fwd != nil {
-		if p.inputs != nil && done == nil {
-			// A copy, like the tensor a transfer leaves in device memory:
-			// the TEE rewrites its coded buffers for the next layer.
-			kept := field.GetScratchVec(len(x))
-			copy(kept, x)
-			p.inputs[gang] = kept
-			p.f.live.Add(1)
-		}
-		y = s.dev.LinearForward(p.fwd, x)
+		y = s.dev.LinearForward(p.fwd, p.ops[entry])
 	} else {
-		y = s.dev.GradWeights(p.bwd, x, p.from.inputs[gang])
+		y = s.dev.GradWeights(p.bwd, p.ops[entry], p.from.ops[gang])
 	}
+	a := answer{p: p, slot: gang, entry: entry, y: y, done: done}
 	if l := s.launch; l != nil {
 		l.start()
-		if l.hold(func() { p.answer(gang, entry, y, done) }) {
+		if l.hold(a) {
 			return
 		}
 	}
-	p.answer(gang, entry, y, done)
+	a.file()
 }
 
-// answer files one job's result: the latency observation (a gang slot's
+// file files one job's result: the latency observation (a gang slot's
 // only), the delivery, then done.
-func (p *LayerPending) answer(slot, entry int, y field.Vec, done func()) {
-	if done == nil && p.f.opts.Observe != nil {
-		p.f.opts.Observe(slot, time.Since(p.shipped))
+func (a *answer) file() {
+	p := a.p
+	if a.done == nil && p.f.opts.Observe != nil {
+		p.f.opts.Observe(a.slot, time.Since(p.shipped))
 	}
-	p.deliver(entry, y)
-	if done != nil {
-		done()
+	p.deliver(a.entry, a.y)
+	if a.done != nil {
+		a.done()
 	}
 }
 
@@ -460,7 +583,9 @@ func (p *LayerPending) settled(q int) bool {
 }
 
 // deliver records a job's answer — the first delivery wins — and wakes the
-// gatherer when it is the answer the gatherer was waiting for.
+// gatherer when it is the answer the gatherer was waiting for. An answer
+// landing after a snapshot is the flight's until a later snapshot takes
+// it, or the release recycles it.
 func (p *LayerPending) deliver(entry int, v field.Vec) {
 	p.mu.Lock()
 	if p.present[entry] {
@@ -473,6 +598,10 @@ func (p *LayerPending) deliver(entry int, v field.Vec) {
 	} else {
 		p.ok[1]++
 	}
+	if p.snapped {
+		p.late++
+		p.f.live.Add(1)
+	}
 	wake := (p.need > 0 && p.settled(p.need)) || (p.prompt && p.promptSettled())
 	if wake {
 		p.need, p.prompt = 0, false
@@ -480,6 +609,38 @@ func (p *LayerPending) deliver(entry int, v field.Vec) {
 	p.mu.Unlock()
 	if wake {
 		p.wake <- struct{}{}
+	}
+}
+
+// snapshot hands the gatherer every answer that has landed: the results
+// themselves once all have, otherwise a copy with its presence mask. Late
+// answers it takes are no longer the flight's. Caller holds mu.
+func (p *LayerPending) snapshot() ([]field.Vec, []bool) {
+	if p.late > 0 {
+		p.f.live.Add(int64(-p.late))
+		p.late = 0
+	}
+	if p.ok[0]+p.ok[1] == len(p.results) {
+		p.all = true
+		return p.results, nil
+	}
+	p.snapped = true
+	p.snapResults = append(p.snapResults[:0], p.results...)
+	p.snapPresent = append(p.snapPresent[:0], p.present...)
+	return p.snapResults, p.snapPresent
+}
+
+// recycleLate returns the answers no gather took to the kernels' pool —
+// unless the device handed back one of the flight's own operands. Called
+// at the release, when no job runs.
+func (p *LayerPending) recycleLate() {
+	if p.all {
+		return
+	}
+	for entry, got := range p.present {
+		if got && !(p.snapped && p.snapPresent[entry]) && !p.f.owns(p.results[entry]) {
+			recycleVec(p.results[entry])
+		}
 	}
 }
 
@@ -494,43 +655,40 @@ func (p *LayerPending) Wait() []field.Vec {
 // [1, window] means the whole window) and returns the results in job order
 // with a presence mask; a nil mask means every job answered. Jobs still
 // running at that point are branded stragglers and finish on their own
-// time — the returned slices are snapshots they never touch, but the
-// layer's operands and everything its kernel references must stay
-// unmodified for as long as a straggler may run.
+// time, reading operands the flight keeps until its release. The returned
+// slices belong to the flight: they stay valid until End, and a later
+// gather of the same layer rewrites them.
 func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 	if q <= 0 || q > p.window {
 		q = p.window
 	}
 	p.mu.Lock()
 	if !p.settled(q) {
-		var spec *time.Timer
+		armed := false
 		if o := &p.f.opts; q < p.window && p.fwd != nil && o.Spare != nil && o.SpeculateAfter > 0 {
-			spec = time.AfterFunc(o.SpeculateAfter, p.speculate)
+			armed = true
+			p.f.refs.Add(1)
+			if p.spec == nil {
+				p.spec = time.AfterFunc(o.SpeculateAfter, p.speculate)
+			} else {
+				p.spec.Reset(o.SpeculateAfter)
+			}
 		}
 		p.need = q
 		p.mu.Unlock()
 		<-p.wake
-		if spec != nil {
-			spec.Stop()
+		if armed && p.spec.Stop() {
+			p.f.unref() // never fired
 		}
 		p.mu.Lock()
 	}
-	if p.ok[0]+p.ok[1] == len(p.results) {
-		p.mu.Unlock()
-		return p.results, nil
-	}
-	results := append([]field.Vec(nil), p.results...)
-	present := append([]bool(nil), p.present...)
-	var lagging []int
-	for entry, got := range present {
-		if !got {
-			lagging = append(lagging, p.slot(entry))
-		}
-	}
+	results, present := p.snapshot()
 	p.mu.Unlock()
-	if p.f.opts.Straggler != nil {
-		for _, slot := range lagging {
-			p.f.opts.Straggler(slot)
+	if present != nil && p.f.opts.Straggler != nil {
+		for entry, got := range present {
+			if !got {
+				p.f.opts.Straggler(p.slot(entry))
+			}
 		}
 	}
 	return results, present
@@ -551,10 +709,7 @@ func (p *LayerPending) WaitPrompt() ([]field.Vec, []bool) {
 		p.mu.Lock()
 	}
 	defer p.mu.Unlock()
-	if p.ok[0]+p.ok[1] == len(p.results) {
-		return p.results, nil
-	}
-	return slices.Clone(p.results), slices.Clone(p.present)
+	return p.snapshot()
 }
 
 // promptSettled reports whether every job on a prompt slot has answered.
@@ -570,28 +725,36 @@ func (p *LayerPending) promptSettled() bool {
 
 // speculate re-dispatches every still-lagging coded share to a borrowed
 // spare, in a one-job conversation of its own. Best-effort: it stops as
-// soon as no spare is free.
+// soon as no spare is free. It runs on the speculation timer, which holds
+// the flight's release until it returns; each spare job holds it until
+// the job has answered.
 func (p *LayerPending) speculate() {
+	defer p.f.unref()
 	p.mu.Lock()
-	var lagging []int
+	p.lag = p.lag[:0]
 	for entry, got := range p.present {
 		if !got {
-			lagging = append(lagging, entry)
+			p.lag = append(p.lag, entry)
 		}
 	}
 	p.mu.Unlock()
-	for _, entry := range lagging {
+	for _, entry := range p.lag {
 		dev, done, ok := p.f.opts.Spare(entry)
 		if !ok {
 			return
 		}
-		go func() {
-			var s slot
-			s.open(dev)
-			start := time.Now()
-			p.run(&s, entry, p.coded[entry], func() { done(time.Since(start)) })
-		}()
+		p.f.refs.Add(1)
+		go p.spare(dev, entry, done)
 	}
+}
+
+// spare runs one lagging share on a borrowed device.
+func (p *LayerPending) spare(dev Device, entry int, done func(time.Duration)) {
+	defer p.f.unref()
+	var s slot
+	s.open(dev)
+	start := time.Now()
+	p.run(&s, entry, func() { done(time.Since(start)) })
 }
 
 // BeginBlock opens a flight over the first n devices of the cluster: slot

@@ -111,7 +111,6 @@ func TestFlightBackwardWindows(t *testing.T) {
 	open := func(t *testing.T) ([]*scriptDevice, *BlockFlight, *LayerPending) {
 		scripts, devs := scriptDevices(s + e)
 		f := NewBlockFlight(devs, BlockOptions{})
-		f.KeepInputs()
 		p, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return x }, vecs(s+e, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -341,31 +340,48 @@ func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 	}
 }
 
-// waitIdle waits until slot i has run every job queued on it.
-func waitIdle(t *testing.T, f *BlockFlight, i int) {
+// recycled counts, per vector, the late answers flights handed back to the
+// kernels' pool. The hook is installed before any test runs and never
+// changes, so flights released by earlier tests' laggards race nothing.
+var recycled = struct {
+	sync.Mutex
+	n map[*field.Elem]int
+}{n: map[*field.Elem]int{}}
+
+func init() {
+	put := recycleVec
+	recycleVec = func(v field.Vec) {
+		recycled.Lock()
+		recycled.n[&v[0]]++
+		recycled.Unlock()
+		put(v)
+	}
+}
+
+// timesRecycled reports how often v went back to the pool as a late answer.
+func timesRecycled(v field.Vec) int {
+	recycled.Lock()
+	defer recycled.Unlock()
+	return recycled.n[&v[0]]
+}
+
+// waitReleased waits until the flight has released everything it owned.
+func waitReleased(t *testing.T, f *BlockFlight) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := &f.slots[i]
-		s.mu.Lock()
-		busy := s.busy
-		s.mu.Unlock()
-		if !busy {
-			return
-		}
+	for f.Kept() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("slot %d never went idle", i)
+			t.Fatalf("the flight still owns %d buffers", f.Kept())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestMarkedFlightRecyclesAfterLastReader: on a flight marked by
-// KeepInputs each forward job keeps its coded input, every gradient job on
-// its slot — of either backward window — is handed exactly that input,
-// and End recycles a slot's inputs only behind the last job queued on it:
-// a quorum laggard's forward and gradient jobs, still queued when End
-// returns, read theirs afterwards.
+// TestMarkedFlightRecyclesAfterLastReader: every gradient job — of either
+// backward window — is handed the operand its slot's forward job was
+// shipped, and the flight releases its operands only after the last job
+// that reads them: a quorum laggard's forward and gradient jobs, still
+// queued when End returns, read theirs afterwards.
 func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 	const s, e = 3, 2
 	const n = s + e
@@ -378,10 +394,9 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 		devs = append(devs, NewHonest(i))
 	}
 	f := NewBlockFlight(devs, BlockOptions{})
-	f.KeepInputs()
-	ident := func(x field.Vec) field.Vec { return x }
+	ident := func(x field.Vec) field.Vec { return x.Clone() }
 	// Each equation is the coded input its slot was sent, so a gradient
-	// job handed anything else — another layer's input, a recycled one — is
+	// job handed anything else — another layer's input, a released one — is
 	// a misread.
 	var reads, misreads atomic.Int32
 	check := func(delta, x field.Vec) field.Vec {
@@ -389,7 +404,7 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 		if !x.Equal(delta) {
 			misreads.Add(1)
 		}
-		return delta
+		return delta.Clone()
 	}
 	coded := [][]field.Vec{vecs(n, 10), vecs(n, 20)}
 	var fwd []*LayerPending
@@ -411,18 +426,16 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 		}
 	}
 	f.End() // returns with slot 0 still blocked
-	for i := 1; i < n; i++ {
-		for l, p := range fwd {
-			if p.inputs[i] != nil {
-				t.Fatalf("slot %d still keeps layer %d's input after End", i, l)
-			}
-		}
+	// Two forward layers of n operands and two gradient layers of 2s, all
+	// the caller's, so all copied in.
+	if k := f.Kept(); k < 2*n+4*s {
+		t.Fatalf("the flight owns %d buffers while its laggard is blocked, want >= %d", k, 2*n+4*s)
 	}
 	if got := lagging.jobs.Load(); got != 0 {
 		t.Fatalf("the blocked slot ran %d jobs before its gate opened", got)
 	}
 	close(gate)
-	waitIdle(t, f, 0)
+	waitReleased(t, f)
 	if got := lagging.jobs.Load(); got != 4 {
 		t.Fatalf("the laggard ran %d jobs, want its 2 forward and 2 gradient jobs", got)
 	}
@@ -430,47 +443,32 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 	if r, m := reads.Load(), misreads.Load(); r != 4*s || m != 0 {
 		t.Fatalf("%d of %d gradient jobs were handed the wrong input", m, r)
 	}
-	for l, p := range fwd {
-		if p.inputs[0] != nil {
-			t.Fatalf("the laggard's slot still keeps layer %d's input", l)
-		}
-	}
-	if k := f.Kept(); k != 0 {
-		t.Fatalf("the flight still counts %d kept inputs", k)
-	}
 }
 
-// TestFlightKeepsOnlyForBackward: a flight that is not marked — inference —
-// keeps nothing, and GradLayer refuses a forward layer that kept nothing or
-// belongs to another flight.
+// TestFlightKeepsOnlyForBackward: what a gradient job reads is its forward
+// job's operand on the same flight, so GradLayer refuses a layer that is
+// not a forward layer of its own flight — another flight's, or a gradient
+// layer.
 func TestFlightKeepsOnlyForBackward(t *testing.T) {
 	const n = 4
 	ident := func(x field.Vec) field.Vec { return x }
 	identGrad := func(delta, _ field.Vec) field.Vec { return delta }
 
-	inference := NewBlockFlight([]Device{NewHonest(0), NewHonest(1), NewHonest(2), NewHonest(3)}, BlockOptions{})
-	p, err := inference.ForwardLayer("", ident, vecs(n, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Wait()
-	if p.inputs != nil || inference.kept != nil || inference.Kept() != 0 {
-		t.Fatal("an unmarked flight kept its inputs")
-	}
-	if _, err := inference.GradLayer(p, identGrad, vecs(n, 1), nil); err == nil {
-		t.Fatal("GradLayer accepted a forward layer that kept nothing")
-	}
-	inference.End()
-
 	training := NewBlockFlight([]Device{NewHonest(0), NewHonest(1), NewHonest(2), NewHonest(3)}, BlockOptions{})
-	training.KeepInputs()
 	q, err := training.ForwardLayer("", ident, vecs(n, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Wait()
+	g, err := training.GradLayer(q, identGrad, vecs(n, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Wait()
+	if _, err := training.GradLayer(g, identGrad, vecs(n, 1), nil); err == nil {
+		t.Fatal("GradLayer accepted a gradient layer as its forward layer")
+	}
 	other := NewBlockFlight([]Device{NewHonest(4), NewHonest(5), NewHonest(6), NewHonest(7)}, BlockOptions{})
-	other.KeepInputs()
 	if _, err := other.GradLayer(q, identGrad, vecs(n, 1), nil); err == nil {
 		t.Fatal("GradLayer accepted another flight's forward layer")
 	}
@@ -478,50 +476,76 @@ func TestFlightKeepsOnlyForBackward(t *testing.T) {
 	training.End()
 }
 
-// TestSpeculativeStoresAreDropped: a share re-run on a spare keeps nothing
-// on a marked flight — the gang slot's own job keeps it, where the layer's
-// gradient job reads it — and the spare runs that one job and is handed
-// back. Slots 1 and 2 block inside their first forward job, so both
-// layers' quorums form through spares while the gang slots have not
-// reached the second layer: whatever that layer keeps at slots 1 and 2 by
-// then a spare kept.
+// TestSpeculativeStoresAreDropped: a share re-run on a spare under
+// SpeculateAfter reads the bytes that were shipped, even after the caller
+// rewrote its buffer and the flight ended, and holds the flight's release
+// until it has answered; the spare runs that one job and is handed back.
 func TestSpeculativeStoresAreDropped(t *testing.T) {
 	const n = 4
-	ident := func(x field.Vec) field.Vec { return x }
-	gate := make(chan struct{})
+	ident := func(x field.Vec) field.Vec { return x.Clone() }
+	gangGate, spareGate := make(chan struct{}), make(chan struct{})
 	scripts, devs := scriptDevices(n)
-	scripts[1].gate, scripts[2].gate = gate, gate
+	scripts[1].gate, scripts[2].gate = gangGate, gangGate
+	coded := vecs(n, 10)
+	shipped := make([]field.Vec, n)
+	for j, x := range coded {
+		shipped[j] = x.Clone()
+	}
 	var (
-		mu       sync.Mutex
-		spares   []Device
-		returned sync.WaitGroup
+		mu        sync.Mutex
+		spares    []*scriptDevice
+		misreads  atomic.Int32
+		returned  sync.WaitGroup
+		borrowed  = make(chan struct{}, n)
+		spareSeen = func(slot int) func(x field.Vec) field.Vec {
+			return func(x field.Vec) field.Vec {
+				if !x.Equal(shipped[slot]) {
+					misreads.Add(1)
+				}
+				return x.Clone()
+			}
+		}
 	)
 	f := NewBlockFlight(devs, BlockOptions{
 		SpeculateAfter: time.Microsecond,
 		Spare: func(slot int) (Device, func(time.Duration), bool) {
 			mu.Lock()
 			defer mu.Unlock()
-			d := NewHonest(n + len(spares))
+			d := &scriptDevice{Device: &checkDevice{Device: NewHonest(n + len(spares)), check: spareSeen(slot)}, gate: spareGate}
 			spares = append(spares, d)
 			returned.Add(1)
+			borrowed <- struct{}{}
 			return d, func(time.Duration) { returned.Done() }, true
 		},
 	})
-	f.KeepInputs()
-	var fwd []*LayerPending
-	for l := 0; l < 2; l++ {
-		p, err := f.ForwardLayer("", ident, vecs(n, 10))
-		if err != nil {
-			t.Fatal(err)
+	p, err := f.ForwardLayer("", ident, coded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered := make(chan []bool, 1)
+	go func() {
+		_, present := p.WaitQuorum(n - 1)
+		gathered <- present
+	}()
+	<-borrowed // the speculation fired: the quorum cannot form from the gang
+	close(gangGate)
+	<-gathered
+	for _, x := range coded {
+		clear(x) // the caller reuses its buffers
+	}
+	f.End()
+	// Whatever else holds the flight — a gang slot's worker on its way out,
+	// the speculation timer — lets go at once; the gated spare job must not.
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if f.Kept() == 0 {
+			t.Fatal("the flight was released while a spare job had not run")
 		}
-		p.WaitQuorum(n - 1)
-		fwd = append(fwd, p)
 	}
-	if fwd[1].inputs[1] != nil || fwd[1].inputs[2] != nil {
-		t.Fatal("a spare kept the share it re-ran")
-	}
-	returned.Wait() // every loan handed back
+	close(spareGate)
+	waitReleased(t, f) // after every spare job, so no loan is still to come
+	returned.Wait()    // every loan handed back
 	mu.Lock()
+	defer mu.Unlock()
 	if len(spares) == 0 {
 		t.Fatal("no share was re-run on a spare")
 	}
@@ -530,35 +554,32 @@ func TestSpeculativeStoresAreDropped(t *testing.T) {
 			t.Fatalf("spare %d ran %d jobs, want 1", d.ID(), jobs)
 		}
 	}
-	mu.Unlock()
-	close(gate)
-	f.End()
-	for i := 0; i < n; i++ {
-		waitIdle(t, f, i)
-		for l, p := range fwd {
-			if p.inputs[i] != nil {
-				t.Fatalf("slot %d still keeps layer %d's input after End", i, l)
-			}
-		}
-	}
-	if k := f.Kept(); k != 0 {
-		t.Fatalf("the flight still counts %d kept inputs", k)
+	if m := misreads.Load(); m != 0 {
+		t.Fatalf("%d spare jobs read something other than the shipped share", m)
 	}
 }
 
-// TestFlightDropRidesBehindLaggard: End's recycling of a marked flight's
-// inputs runs behind a quorum laggard's still-queued forward jobs — the
-// inputs they keep late cannot outlive the flight — on every slot, and
-// without counting as a device job.
+// checkDevice runs check in place of a forward job's kernel.
+type checkDevice struct {
+	Device
+	check func(x field.Vec) field.Vec
+}
+
+func (d *checkDevice) LinearForward(_ LinearKernel, x field.Vec) field.Vec {
+	return d.Device.LinearForward(d.check, x)
+}
+
+// TestFlightDropRidesBehindLaggard: the release waits for a quorum
+// laggard's still-queued forward jobs on every slot — End returns before
+// them, and the operands they read are still the flight's — and releasing
+// is not a device job.
 func TestFlightDropRidesBehindLaggard(t *testing.T) {
 	const n = 3
 	gate := make(chan struct{})
 	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
 	lagging := &scriptDevice{Device: devs[1], gate: gate}
 	f := NewBlockFlight([]Device{devs[0], lagging, devs[2]}, BlockOptions{})
-	f.KeepInputs()
-	ident := func(x field.Vec) field.Vec { return x }
-	var fwd []*LayerPending
+	ident := func(x field.Vec) field.Vec { return x.Clone() }
 	for l := 0; l < 2; l++ {
 		p, err := f.ForwardLayer("", ident, vecs(n, 5))
 		if err != nil {
@@ -567,72 +588,156 @@ func TestFlightDropRidesBehindLaggard(t *testing.T) {
 		if _, present := p.WaitQuorum(n - 1); present == nil || present[1] {
 			t.Fatalf("layer %d: the laggard answered", l)
 		}
-		fwd = append(fwd, p)
 	}
 	f.End() // drains the prompt slots, not the gated one
+	if k := f.Kept(); k != 2*n {
+		t.Fatalf("the flight owns %d buffers behind its laggard, want its %d operands", k, 2*n)
+	}
 	for _, i := range []int{0, 2} {
-		for l, p := range fwd {
-			if p.inputs[i] != nil {
-				t.Fatalf("slot %d still keeps layer %d's input after End", i, l)
-			}
-		}
 		if jobs := devs[i].Traffic().Jobs; jobs != 2 {
-			t.Fatalf("device %d counted %d jobs, want 2 (recycling is not a job)", i, jobs)
+			t.Fatalf("device %d counted %d jobs, want 2", i, jobs)
 		}
 	}
 	close(gate)
-	waitIdle(t, f, 1)
+	waitReleased(t, f)
 	if got := lagging.jobs.Load(); got != 2 {
 		t.Fatalf("the laggard ran %d jobs, want its 2 forward jobs", got)
 	}
-	for l, p := range fwd {
-		if p.inputs[1] != nil {
-			t.Fatalf("the laggard kept layer %d's late input past the flight", l)
-		}
-	}
-	if k := f.Kept(); k != 0 {
-		t.Fatalf("the flight still counts %d kept inputs", k)
-	}
 	if jobs := devs[1].Traffic().Jobs; jobs != 2 {
-		t.Fatalf("the laggard's device counted %d jobs, want 2 (recycling is not a job)", jobs)
+		t.Fatalf("the laggard's device counted %d jobs, want 2 (releasing is not a job)", jobs)
 	}
 }
 
-// TestFlightDropOwnsKeys: what a flight keeps is its own copy. The caller
-// rewrites its coded buffer as soon as the forward layer has answered, and
-// a gradient job still queued on a slot that End does not wait for — so
-// End has returned before it runs — reads the input as it was shipped; the
-// recycling End queued runs only after it.
+// TestFlightDropOwnsKeys: what a flight keeps is its own copy of a
+// caller's vector, taken at ship time. The caller rewrites its buffer as
+// soon as the forward layer has answered, and a gradient job still queued
+// on a slot that End does not wait for — so End has returned before it
+// runs — reads the input as it was shipped. Neither the caller's vectors
+// nor the flight's operands ever go to the kernels' pool.
 func TestFlightDropOwnsKeys(t *testing.T) {
 	script := &scriptDevice{Device: NewHonest(0)} // may block, as far as the flight can tell
 	f := NewBlockFlight([]Device{script}, BlockOptions{})
-	f.KeepInputs()
 	coded := vecs(1, 5)
 	shipped := coded[0].Clone()
 	fwd, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return x }, coded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd.Wait()
-	clear(coded[0]) // the caller reuses its buffer for the next layer
+	operand := fwd.Wait()[0] // the identity kernel hands back the flight's copy
+	clear(coded[0])          // the caller reuses its buffer for the next layer
 	release := make(chan struct{})
-	g, err := f.GradLayer(fwd, func(_, x field.Vec) field.Vec {
+	delta := vecs(1, 9)[0]
+	read := make(chan field.Vec, 1)
+	if _, err := f.GradLayer(fwd, func(_, x field.Vec) field.Vec {
 		<-release
+		read <- x.Clone()
 		return x.Clone()
-	}, []field.Vec{vecs(1, 9)[0]}, nil)
-	if err != nil {
+	}, []field.Vec{delta}, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.End() // returns with the gradient job still blocked
-	if k := f.Kept(); k != 1 {
-		t.Fatalf("the flight counts %d kept inputs before its gradient job ran, want 1", k)
+	if k := f.Kept(); k != 2 {
+		t.Fatalf("the flight owns %d buffers before its gradient job ran, want its 2 operands", k)
 	}
 	close(release)
-	if got := g.Wait()[0]; !got.Equal(shipped) {
+	waitReleased(t, f)
+	if got := <-read; !got.Equal(shipped) {
 		t.Fatalf("the gradient job read %v, want the shipped input %v", got, shipped)
 	}
-	waitIdle(t, f, 0)
-	if k := f.Kept(); k != 0 {
-		t.Fatalf("the flight still counts %d kept inputs", k)
+	for _, v := range []field.Vec{coded[0], delta, operand} {
+		if n := timesRecycled(v); n != 0 {
+			t.Fatalf("a vector that was no device's answer went to the pool %d times", n)
+		}
 	}
+}
+
+// TestLateAnswerRecycledAtRelease: an answer that lands after the quorum
+// snapshot is the flight's, and goes back to the kernels' pool exactly
+// once, at the release; the answers the snapshot handed to the gatherer
+// never do.
+func TestLateAnswerRecycledAtRelease(t *testing.T) {
+	const n = 4
+	gate := make(chan struct{})
+	scripts, devs := scriptDevices(n)
+	scripts[3].gate = gate
+	f := NewBlockFlight(devs, BlockOptions{})
+	var late field.Vec
+	var lateMu sync.Mutex
+	p, err := f.ForwardLayer("", func(x field.Vec) field.Vec {
+		y := x.Clone()  // never a pooled vector, so no earlier test recycled it
+		if x[0] == 13 { // slot 3's share
+			lateMu.Lock()
+			late = y
+			lateMu.Unlock()
+		}
+		return y
+	}, vecs(n, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, present := p.WaitQuorum(n - 1)
+	if present == nil || present[3] {
+		t.Fatal("the gated slot answered before its gate opened")
+	}
+	taken := append([]field.Vec(nil), results[:3]...)
+	f.End()
+	close(gate)
+	waitReleased(t, f)
+	lateMu.Lock()
+	defer lateMu.Unlock()
+	if n := timesRecycled(late); n != 1 {
+		t.Fatalf("the late answer went back to the pool %d times, want once", n)
+	}
+	for j, v := range taken {
+		if n := timesRecycled(v); n != 0 {
+			t.Fatalf("answer %d, which the gatherer took, went back to the pool %d times", j, n)
+		}
+	}
+}
+
+// TestLaggardHoldsFlightFromReuse: a flight whose laggard is blocked is not
+// handed to the next BeginBlock; once the laggard has run, it is.
+func TestLaggardHoldsFlightFromReuse(t *testing.T) {
+	const n = 3
+	gate := make(chan struct{})
+	scripts, devs := scriptDevices(n)
+	scripts[2].gate = gate
+	c := NewCluster(devs...)
+	held, err := c.BeginBlock(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := held.ForwardLayer("", func(x field.Vec) field.Vec { return x.Clone() }, vecs(n, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.WaitQuorum(n - 1)
+	held.End()
+	next, err := c.BeginBlock(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == held {
+		t.Fatal("a flight held by a blocked laggard was handed out again")
+	}
+	next.End()
+	close(gate)
+	waitReleased(t, held)
+	var opened []*BlockFlight
+	defer func() {
+		for _, f := range opened {
+			f.End()
+		}
+	}()
+	for range maxIdleFlights + 1 {
+		f, err := c.BeginBlock(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened = append(opened, f)
+		if f == held {
+			return
+		}
+	}
+	t.Fatal("the released flight was never handed out again")
 }

@@ -1,6 +1,10 @@
 package gpu
 
-import "darknight/internal/field"
+import (
+	"slices"
+
+	"darknight/internal/field"
+)
 
 // Cluster is the K' accelerator fleet of the system model (§3). Jobs reach
 // its devices through a BlockFlight (BeginBlock) — each coded input goes to
@@ -31,7 +35,8 @@ func (c *Cluster) Size() int { return len(c.devices) }
 func (c *Cluster) Device(i int) Device { return c.devices[i] }
 
 // ForwardAll ships one layer on a flight over the first len(coded) devices
-// and waits for every result, in device order. The leading string is
+// and waits for every result, in device order (a copy of the flight's
+// result list, whose vectors are the devices' answers). The leading string is
 // unused: it remains only because the benchmark harness under bench/ still
 // passes it.
 //
@@ -46,12 +51,12 @@ func (c *Cluster) ForwardAll(_ string, kernel LinearKernel, coded []field.Vec) (
 	if err != nil {
 		return nil, err
 	}
-	return p.Wait(), nil
+	return slices.Clone(p.Wait()), nil
 }
 
 // BackwardAll ships one layer's gradient equations on a flight over the
-// first len(deltas) devices and waits for every result. A gradient job
-// reads the coded input its flight kept from a forward job, so the flight
+// first len(deltas) devices and waits for every result, as ForwardAll
+// does. A gradient job reads its forward job's operand, so the flight
 // first ships an identity forward of the deltas themselves: device j
 // computes the kernel on (deltas[j], deltas[j]). The leading string is
 // unused: it remains only because the benchmark harness under bench/ still
@@ -64,7 +69,6 @@ func (c *Cluster) BackwardAll(_ string, kernel BilinearKernel, deltas []field.Ve
 		return nil, err
 	}
 	defer flight.End()
-	flight.KeepInputs()
 	fwd, err := flight.ForwardLayer("", func(x field.Vec) field.Vec { return x }, deltas)
 	if err != nil {
 		return nil, err
@@ -73,7 +77,7 @@ func (c *Cluster) BackwardAll(_ string, kernel BilinearKernel, deltas []field.Ve
 	if err != nil {
 		return nil, err
 	}
-	return p.Wait(), nil
+	return slices.Clone(p.Wait()), nil
 }
 
 // TotalTraffic sums channel counters across devices.

@@ -33,7 +33,7 @@ type Traffic struct {
 // counts its traffic. What a device keeps between a batch's forward and
 // backward passes (§6 "Encoded Data Storage During Forward Pass") belongs
 // to the batch's flight, which hands it back to the device with each
-// gradient job (see BlockFlight.KeepInputs).
+// gradient job (see BlockFlight).
 type Device interface {
 	// ID returns the device index within the cluster.
 	ID() int

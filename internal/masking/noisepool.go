@@ -138,8 +138,12 @@ func (p *NoisePool) refill() {
 			p.mu.Unlock()
 			return
 		}
+		// Shift the queue down rather than slicing past its head, so its
+		// array keeps its capacity and Recycle's appends stop allocating.
 		set := p.spare[0]
-		p.spare = p.spare[1:]
+		k := copy(p.spare, p.spare[1:])
+		p.spare[k] = nil
+		p.spare = p.spare[:k]
 		p.mu.Unlock()
 
 		// Draw outside the lock — this is the offline work the pool exists

@@ -154,12 +154,12 @@ func (s *gradStore) sealShards(flat []byte, shardElems int) ([]uint64, int64, er
 }
 
 // aggregate is UpdateAggregation (Algorithm 2 lines 14–21): it reloads
-// every virtual batch's sealed shards and accumulates them into one flat
-// gradient — shard-outer, virtual-batch-inner, so the float summation
-// order is identical however the shards were produced. On error the
-// remaining handles are discarded.
-func (s *gradStore) aggregate(handles [][]uint64, shardElems, totalElems, shards int) ([]float64, error) {
-	agg := make([]float64, totalElems)
+// every virtual batch's sealed shards and accumulates them into agg, one
+// flat gradient it first zeroes — shard-outer, virtual-batch-inner, so the
+// float summation order is identical however the shards were produced. On
+// error the remaining handles are discarded.
+func (s *gradStore) aggregate(agg []float64, handles [][]uint64, shardElems, shards int) error {
+	clear(agg)
 	for shard := 0; shard < shards; shard++ {
 		off := shard * shardElems
 		for _, vbHandles := range handles {
@@ -168,7 +168,7 @@ func (s *gradStore) aggregate(handles [][]uint64, shardElems, totalElems, shards
 				// Drain everything: re-unsealing an already-consumed handle
 				// errors harmlessly, and the rest must not strand.
 				s.discard(handles)
-				return nil, err
+				return err
 			}
 			for i := 0; i+8 <= len(page); i += 8 {
 				agg[off+i/8] += math.Float64frombits(binary.LittleEndian.Uint64(page[i:]))
@@ -176,7 +176,7 @@ func (s *gradStore) aggregate(handles [][]uint64, shardElems, totalElems, shards
 			s.recycle(page)
 		}
 	}
-	return agg, nil
+	return nil
 }
 
 // applyAggregate writes the averaged flat gradient into the params'

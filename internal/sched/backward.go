@@ -9,7 +9,6 @@ import (
 	"darknight/internal/masking"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
-	"darknight/internal/scratch"
 	"darknight/internal/tensor"
 )
 
@@ -32,26 +31,21 @@ import (
 // not compute it.
 //
 // The walk's δ tensors live in the batch's memory, its quantized deltas in
-// the coded arena (which the forward pass is done with), and so do the
-// shipped equations of a layer whose gather waits for every one of them
-// (see equation). A layer left ungathered by an earlier layer's error may
-// still have such equations on a device that can block, so then the arena
-// is left to those jobs and the lane starts a fresh one.
+// the coded arena (which the forward pass is done with), and the shipped
+// equations in the batch's flight, which keeps them for as long as a job
+// may read them — a quorum laggard's, or one of a layer an earlier layer's
+// error left ungathered.
 func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor) error {
 	e.arena.Reset()
 	_, err := e.backwardLayer(code, tr, grads, false)
-	var settleErr error
 	for i := range e.pending {
-		if settleErr = e.gatherBackward(code, &e.pending[i]); settleErr != nil {
-			e.arena = scratch.Arena[field.Elem]{}
+		if settleErr := e.gatherBackward(code, &e.pending[i]); settleErr != nil {
+			err = settleErr
 			break
 		}
 	}
 	clear(e.pending)
 	e.pending = e.pending[:0]
-	if settleErr != nil {
-		return settleErr
-	}
 	return err
 }
 
@@ -199,9 +193,9 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	l.dual = e.cfg.StragglerSlack > 0 && code.E >= 1
 	eqs := slots(&e.eqs, 2*code.S)
 	prim, sec := eqs[:code.S], eqs[code.S:]
-	e.combineDeltas(prim, code.B, n, quantDeltas, l.dual)
+	e.combineDeltas(prim, code.B, n, quantDeltas)
 	if l.dual {
-		e.combineDeltas(sec, code.SecondaryB(), n, quantDeltas, true)
+		e.combineDeltas(sec, code.SecondaryB(), n, quantDeltas)
 	} else {
 		sec = nil
 	}
@@ -219,7 +213,7 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 	e.phases.Encode += time.Since(t0)
 
 	t1 := time.Now()
-	pend, err := e.flight.GradLayer(tr.fwd, func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }, prim, sec)
+	pend, err := e.flight.GradLayer(tr.fwd, e.staged[tr.lin-1].grad, prim, sec)
 	e.phases.Dispatch += time.Since(t1)
 	if err != nil {
 		return nil, err
@@ -232,31 +226,15 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 // combineDeltas forms the len(bars) public delta combinations
 // bars[j] = Σ_i b_ji·δ_i of n elements each — row j of b is exactly
 // equation j's K coefficients, one fused lazy-reduced combine each — in
-// the memory equation hands out.
+// vectors the batch's flight owns, so shipping them copies nothing and a
+// laggard of either decode window reads them for as long as it runs.
 //
 //darknight:hotpath
-func (e *engine) combineDeltas(bars []field.Vec, b *field.Mat, n int, quantDeltas []field.Vec, dual bool) {
+func (e *engine) combineDeltas(bars []field.Vec, b *field.Mat, n int, quantDeltas []field.Vec) {
 	for j := range bars {
-		bars[j] = e.equation(n, dual)
+		bars[j] = e.flight.Vec(n)
 		field.Combine(bars[j], b.Row(j), quantDeltas)
 	}
-}
-
-// equation returns the memory for one shipped backward equation of n
-// elements. The equations escape to the flight's slot workers. With one
-// decode window the gather waits for every one of them, so they live in
-// the coded arena, which the lane reuses only after its batch; with both
-// windows a quorum gather returns around a laggard that may still read its
-// equation while the lane's next batch reuses the arena, so each is a
-// fresh vector left to the laggard (the rule the staged weights follow;
-// see stage).
-//
-//darknight:hotpath
-func (e *engine) equation(n int, dual bool) field.Vec {
-	if dual {
-		return field.NewVec(n)
-	}
-	return e.arena.Get(n)
 }
 
 // gatherBackward gathers one shipped layer and folds its equations into the

@@ -110,6 +110,46 @@ func TestTrainVirtualBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestTrainFlightBatchAllocs pins the allocation of one training virtual
+// batch at the train_flight operating point, where the flight does the
+// most bookkeeping: a deep MLP at K=2, M=1, E=2 with straggler slack 1 on
+// depth-2 lanes over five devices with a 1 ms launch latency, so every
+// forward layer is gathered by quorum around a laggard and every backward
+// layer ships both decode windows. The flights own the operands, keep the
+// late answers for their release and are reused with their pending
+// tables, snapshots and slot queues, so what remains is the per-batch
+// code, traces and lane bookkeeping.
+func TestTrainFlightBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector bypasses sync.Pool, so allocation counts are meaningless under -race")
+	}
+	const vbatches = 8
+	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 3}
+	pipe, err := NewTrainPipeline(cfg, nn.DeepMLP(1, 8, 8, 4, 16, rand.New(rand.NewSource(42))), nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	devs := honestDevices(5)
+	for i := range devs {
+		devs[i] = gpu.NewSlow(devs[i], time.Millisecond)
+	}
+	src := SingleFleetSource{F: gpu.NewCluster(devs...)}
+	batch := trainData(vbatches * cfg.VirtualBatch)
+	opt := nn.NewSGD(0.05, 0.9)
+	allocs, bytes := allocsPerBatch(t, func() {
+		if _, _, err := pipe.TrainLargeBatch(src, batch, opt, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocs, bytes = allocs/vbatches, bytes/vbatches
+	t.Logf("train_flight virtual batch: %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > maxFlightAllocs || bytes > maxFlightBytes {
+		t.Fatalf("train_flight virtual batch: %.0f allocs and %.0f bytes, want <= %d and <= %d",
+			allocs, bytes, maxFlightAllocs, maxFlightBytes)
+	}
+}
+
 // TestTicketLogitsOutliveLaneBatch: a ticket's logits and classes are the
 // caller's. The lane that computed them recycles its batch memory on its
 // next batch, so the ticket must hold copies: batch n's results, read after
@@ -267,11 +307,16 @@ func TestBackwardSkipsLowestInputGradient(t *testing.T) {
 	}
 }
 
-// The allocation bounds of TestCodedInferenceBatchAllocs and
-// TestTrainVirtualBatchAllocs, per virtual batch: about 5 % over the
-// measured 105 allocations and 7,368 bytes of an inference batch and 168
-// allocations and 29,336 bytes of a training one (go1.24, linux/amd64).
-// Before flights owned the coded inputs their devices keep, slot workers
+// The allocation bounds of TestCodedInferenceBatchAllocs,
+// TestTrainVirtualBatchAllocs and TestTrainFlightBatchAllocs, per virtual
+// batch: about 5 % over the measured 61 allocations and 3,432 bytes of an
+// inference batch, 52 and 3,200 of a training one, and 71 and 5,324 of a
+// train_flight one (go1.24, linux/amd64). Before flights owned every
+// operand and late answer and were reused with their bookkeeping, the
+// lanes kept their traces in batch memory, the step's aggregate was reused
+// and the noise pool's spare queue stopped reallocating, they were 105 and
+// 7,368, 168 and 29,336, and 431 and 46,600. Before flights owned the
+// coded inputs their devices keep, slot workers
 // started without a per-start closure and layers cached their OutShape,
 // they were 143 and 10,168, and 228 and 34,880; before the backward ran
 // in the lane's memory and the sealed pages recycled, training measured
@@ -281,8 +326,10 @@ func TestBackwardSkipsLowestInputGradient(t *testing.T) {
 // the lane's batch memory and the recycled device results, 529 and
 // 110,653, and 1,294 and 321,265.
 const (
-	maxInferAllocs = 110
-	maxInferBytes  = 7740
-	maxTrainAllocs = 176
-	maxTrainBytes  = 30800
+	maxInferAllocs  = 64
+	maxInferBytes   = 3600
+	maxTrainAllocs  = 55
+	maxTrainBytes   = 3360
+	maxFlightAllocs = 75
+	maxFlightBytes  = 5600
 )

@@ -173,10 +173,12 @@ type engine struct {
 	// flight is the gang flight of the virtual batch currently on this
 	// engine: opened when the lane binds its gang to the batch, ridden by
 	// every offload of both passes, ended before the gang is released (see
-	// openBatchFlight). A training batch's flight also keeps the coded
-	// inputs its backward pass reads. The coding math does not depend on
-	// it: outputs are bit-identical to internal/spec/stack, which has no
-	// flights at all.
+	// openBatchFlight). The batch's operands are born in it — the coded
+	// inputs of every forward offload, which the backward pass reads again,
+	// and the backward equations — and live until its release, so a quorum
+	// laggard reads them for as long as it runs. The coding math does not
+	// depend on it: outputs are bit-identical to internal/spec/stack, which
+	// has no flights at all.
 	flight *gpu.BlockFlight
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
@@ -215,13 +217,12 @@ type engine struct {
 	// arena (reset per forward offload, and once for the whole backward
 	// walk), the batch's memory (reset per batch) and one set of reusable
 	// buffers serve every offload: after the first batch of a model, the
-	// coding data path (quantized inputs and deltas, noise, coded vectors,
-	// decoded results, the backward equations of a one-window gather), the
-	// activations between offloads and the backward's δ tensors allocate
-	// nothing, and the device results go back to the kernels' pool once
-	// decoded. Small per-offload allocations remain by design: the gather's
-	// pending state and the per-batch masking.New (S×S scalar matrices,
-	// negligible next to the vectors).
+	// TEE side of the coding data path (quantized inputs and deltas, noise,
+	// decoded results), the activations between offloads and the backward's
+	// δ tensors allocate nothing, the shipped operands live in the batch's
+	// flight, and the device results go back to the kernels' pool once
+	// decoded. A small per-batch allocation remains by design: masking.New
+	// (S×S scalar matrices, negligible next to the vectors).
 	arena    scratch.Arena[field.Elem]
 	mem      batchMem
 	staged   []stagedWeights // by layer, in walk order (linSeq-1)
@@ -238,7 +239,8 @@ type engine struct {
 // batchMem is a lane's memory for one virtual batch: the activations the
 // TEE produces between offloads — restored bilinear outputs, resident layer
 // outputs and residual sums — and the backward's δ tensors, with their
-// tensor headers and the per-layer sets that hold them. It is bump-allocated from arenas reset
+// tensor headers and the per-layer sets that hold them, and a training
+// batch's forward traces. It is bump-allocated from arenas reset
 // when the lane starts its next batch (beginStep), so a batch's activations
 // live exactly as long as the batch and, after a model's first batch,
 // allocate nothing. What outlives the batch — a ticket's logits — is copied
@@ -247,12 +249,31 @@ type batchMem struct {
 	floats  scratch.Arena[float64]
 	headers scratch.Arena[tensor.Tensor]
 	sets    scratch.Arena[*tensor.Tensor]
+	traces  scratch.Arena[trace]
+	links   scratch.Arena[*trace]
 }
 
 func (m *batchMem) reset() {
 	m.floats.Reset()
 	m.headers.Reset()
 	m.sets.Reset()
+	m.traces.Reset()
+	m.links.Reset()
+}
+
+// trace returns a batch trace of layer's forward over inputs, with room
+// for the child traces a Sequential or Residual (body and skip) records.
+func (m *batchMem) trace(layer nn.Layer, inputs []*tensor.Tensor) *trace {
+	n := 0
+	switch v := layer.(type) {
+	case *nn.Sequential:
+		n = len(v.Layers())
+	case *nn.Residual:
+		n = 2
+	}
+	t := &m.traces.Get(1)[0]
+	*t = trace{layer: layer, inputs: inputs, children: m.links.Get(n)[:0]}
+	return t
 }
 
 // tensor returns a batch tensor of n elements (not cleared) under shape,
@@ -326,34 +347,29 @@ func (e *engine) beginStep() {
 // openBatchFlight opens the one flight every offload of the lane's batch
 // rides, forward and backward, over the whole K+M+E gang, and counts it. A
 // batch is one conversation with its gang anyway — the devices keep its
-// coded inputs from forward to backward — so flight-scoped costs (a trip's
+// coded inputs from forward to backward (§6), and a gradient job reads its
+// forward job's operand from the flight — so flight-scoped costs (a trip's
 // launch latency, the fleet's handle accounting) are paid once per batch.
-// A batch that runs a backward pass (train) marks its flight to keep the
-// forward layers' coded inputs for the gradient jobs (§6); slot queues are
-// FIFO, so each device runs a layer's forward job before its own gradient
-// job for it. Inference keeps nothing. The caller ends the flight with
-// endBatchFlight on every path before releasing the gang: a flight cannot
-// outlive its grant.
-func (e *engine) openBatchFlight(train bool) error {
+// The caller ends the flight with endBatchFlight on every path before
+// releasing the gang: a flight cannot outlive its grant.
+func (e *engine) openBatchFlight() error {
 	f, err := e.fleet.BeginBlock(e.cfg.maskParams().GPUs())
 	if err != nil {
 		return err
 	}
 	e.phases.Flights++
-	if train {
-		f.KeepInputs()
-	}
 	e.flight = f
 	return nil
 }
 
 // endBatchFlight ends the batch's flight, if one is open; the flight
-// recycles what it kept behind each slot's last job (§6: a batch's device
-// memory lives exactly as long as the batch). Ending waits for the devices
-// that cannot block to run everything shipped down it (see
-// gpu.BlockFlight.End), so call it without the TEE token: a batch's device
-// work — the jobs its quorum gathers decoded around included — is then
-// done, and counted, when the batch completes.
+// releases what it owns once the last job that reads it has run (§6: a
+// batch's device memory lives exactly as long as the batch and its
+// laggards). Ending waits for the devices that cannot block to run
+// everything shipped down it (see gpu.BlockFlight.End), so call it without
+// the TEE token: a batch's device work — the jobs its quorum gathers
+// decoded around included — is then done, and counted, when the batch
+// completes.
 func (e *engine) endBatchFlight() {
 	if e.flight != nil {
 		e.flight.End()
@@ -376,11 +392,12 @@ func (e *engine) effectiveSlack() int {
 
 // forwardLayer recursively runs one layer for all K examples, with the
 // outputs in the batch's memory. Training records the trace the backward
-// pass walks; inference records none (the trace is nil).
+// pass walks, in the batch's memory too; inference records none (the
+// trace is nil).
 func (e *engine) forwardLayer(code *masking.Code, layer nn.Layer, xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, *trace, error) {
 	var tr *trace
 	if train {
-		tr = &trace{layer: layer, inputs: xs}
+		tr = e.mem.trace(layer, xs)
 	}
 	if lin, ok := layer.(nn.Linear); ok {
 		outs, err := e.offloadForward(code, tr, lin, xs)
@@ -475,10 +492,11 @@ func (e *engine) gather(p *gpu.LayerPending, q int, since time.Time) ([]field.Ve
 // decoded output) and chaining products in the field would overflow the
 // 25-bit prime; what the shared flight amortizes is everything around the
 // math. All TEE-side intermediates live in the engine's coded arena (reset
-// per layer), the restored outputs in the batch's memory, and the device
+// per layer) except the coded vectors, which are born in the batch's
+// flight; the restored outputs live in the batch's memory, and the device
 // results go back to the kernels' pool once decoded. A training trace
-// records the layer's ordinal and its shipped forward layer, whose kept
-// coded inputs the backward pass reads.
+// records the layer's ordinal and its shipped forward layer, whose coded
+// inputs the backward pass reads.
 func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := e.checkDeadline(); err != nil {
 		return nil, err
@@ -496,7 +514,7 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 	quorum := code.NumCoded() - e.effectiveSlack()
 	esp := osp.Child("encode")
 	t0 := time.Now()
-	enc, err := e.encodeForward(code, lin, xs, quorum < code.NumCoded())
+	enc, err := e.encodeForward(code, lin, xs)
 	if err != nil {
 		return nil, err
 	}
@@ -561,12 +579,14 @@ type fwdEnc struct {
 // the quantized vector, its normalization factor and the forward kernel
 // over it. Algorithm 2 updates the weights once per large batch, so every
 // virtual batch of a step reads the same W; the staging is valid while the
-// layer's float weights equal w, the copy they were staged from.
+// layer's float weights equal w, the copy they were staged from. grad is
+// the layer's weight-gradient kernel, which reads no weights.
 type stagedWeights struct {
 	w      []float64
 	wq     field.Vec
 	fw     float64
 	kernel func(field.Vec) field.Vec
+	grad   gpu.BilinearKernel
 }
 
 // stage returns the current layer's staged weights, restaging them when
@@ -588,6 +608,9 @@ func (e *engine) stage(lin nn.Linear) *stagedWeights {
 	if s.kernel != nil && slices.Equal(s.w, w) {
 		return s
 	}
+	if s.kernel == nil {
+		s.grad = func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }
+	}
 	if s.kernel == nil || e.effectiveSlack() > 0 {
 		wq := field.NewVec(len(w))
 		s.wq = wq
@@ -602,9 +625,10 @@ func (e *engine) stage(lin nn.Linear) *stagedWeights {
 // encodeForward runs the encode stage of one bilinear layer's offload:
 // dynamic normalization, quantization into the field (of the weights only
 // when they changed since the lane staged them), the enclave working-set
-// charge, the noise draw and the coded combine. The caller
-// owns freeing the returned workset (already freed on error).
-func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.Tensor, cloneForQuorum bool) (fwdEnc, error) {
+// charge, the noise draw and the coded combine, straight into vectors the
+// batch's flight owns. The caller owns freeing the returned workset
+// (already freed on error).
+func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.Tensor) (fwdEnc, error) {
 	k := e.cfg.VirtualBatch
 	// Shared dynamic normalization factor across the virtual batch so the
 	// backward decode (a sum across inputs) can be unscaled exactly.
@@ -651,7 +675,7 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 	}
 	coded := slots(&e.coded, code.NumCoded())
 	for j := range coded {
-		coded[j] = e.arena.Get(n)
+		coded[j] = e.flight.Vec(n)
 	}
 	encErr := code.EncodeWith(coded, quantIn, noise)
 	// The noise is folded into the coded vectors now; hand the set straight
@@ -662,20 +686,6 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 	if encErr != nil {
 		e.freeEnclave(workset)
 		return fwdEnc{}, encErr
-	}
-
-	// A quorum gather returns before the slowest devices answer. A
-	// laggard's kernel then runs concurrently with the TEE's next offload,
-	// so the coded inputs it reads must outlive this arena generation:
-	// clone them out of the arena (the staged weights its kernel reads are
-	// never overwritten with slack; see stage). Waiting for every device
-	// keeps the zero-allocation arena buffers.
-	if cloneForQuorum {
-		cl := make([]field.Vec, len(coded))
-		for j := range coded {
-			cl[j] = coded[j].Clone()
-		}
-		coded = cl // fresh header array too: e.coded is rewritten next offload
 	}
 	return fwdEnc{kernel: sw.kernel, coded: coded, fx: fx, fw: sw.fw, workset: workset}, nil
 }

@@ -135,7 +135,7 @@ func (p *Pipeline) SubmitWithin(fleet Fleet, images [][]float64, sp *obs.Span, d
 func (p *Pipeline) run(lane *engine, images [][]float64, t *Ticket) {
 	code, err := masking.New(lane.cfg.maskParams(), lane.rng)
 	if err == nil {
-		err = lane.openBatchFlight(false)
+		err = lane.openBatchFlight()
 	}
 	if err == nil {
 		lane.lockTEE()

@@ -132,12 +132,13 @@ type trace struct {
 	inputs   []*tensor.Tensor // per-example inputs to this layer
 	children []*trace         // Sequential children, or Residual {body, skip}
 	// A bilinear layer's ordinal in the batch (linSeq) and its forward
-	// offload, whose kept coded inputs its gradient jobs read.
+	// offload, whose coded inputs its gradient jobs read.
 	lin int
 	fwd *gpu.LayerPending
 }
 
-// add appends a child's trace; a nil (inference) trace records nothing.
+// add appends a child's trace, within the room batchMem.trace made; a nil
+// (inference) trace records nothing.
 func (t *trace) add(child *trace) {
 	if t != nil {
 		t.children = append(t.children, child)

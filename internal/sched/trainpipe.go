@@ -95,6 +95,9 @@ type TrainPipeline struct {
 	// sealBufs holds, per lane, the byte image of its ▽W that sealGrads
 	// encodes and seals; reused batch after batch (Seal copies out of it).
 	sealBufs [][]byte
+	// agg is the step's aggregated ▽W, one element per weight, reused step
+	// after step.
+	agg []float64
 
 	// tracer, when non-nil, samples per-virtual-batch trace spans: each
 	// sampled batch yields a root with its forward/backward offload trees,
@@ -129,6 +132,7 @@ func NewTrainPipeline(cfg Config, model *nn.Model, encl *enclave.Enclave, depth 
 		p.origGrads = append(p.origGrads, prm.Grad)
 		p.totalElems += prm.W.Size()
 	}
+	p.agg = make([]float64, p.totalElems)
 	for i, lane := range l.all {
 		grads := make([]*tensor.Tensor, len(p.params))
 		for j, prm := range p.params {
@@ -238,12 +242,11 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 	// UpdateAggregation (Algorithm 2 lines 14–21): virtual-batch-order
 	// summation, so the aggregate is bit-identical however the lanes
 	// interleaved.
-	agg, err := p.store.aggregate(allHandles, shardElems, p.totalElems, stats.Shards)
-	if err != nil {
+	if err := p.store.aggregate(p.agg, allHandles, shardElems, stats.Shards); err != nil {
 		return 0, stats, err
 	}
 
-	applyAggregate(p.params, agg, 1.0/float64(numVB*k), opt)
+	applyAggregate(p.params, p.agg, 1.0/float64(numVB*k), opt)
 	for _, tk := range tickets {
 		tk.normLog.Apply()
 	}
@@ -275,7 +278,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 	lane.trace(sp)
 	code, err := masking.New(lane.cfg.maskParams(), lane.rng)
 	if err == nil {
-		err = lane.openBatchFlight(true)
+		err = lane.openBatchFlight()
 	}
 	if err == nil {
 		k := lane.cfg.VirtualBatch
