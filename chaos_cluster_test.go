@@ -7,16 +7,21 @@ import (
 
 	"darknight/internal/field"
 	"darknight/internal/gpu"
+	"darknight/internal/obs"
+	"darknight/internal/obs/replay"
 )
 
-// TestChaosOverSlowDevicePaysLatencyOncePerFlight: with Chaos on and a
-// slow device, buildCluster keeps the straggler wrapper outermost, so the
-// layers a flight sends that device share one launch delay — the
-// once-per-trip model — instead of each job paying it. The bound sits
-// halfway between the two models (one delay against one per layer).
+// TestChaosOverSlowDevicePaysLatencyOncePerFlight: with chaos on and a
+// slow device, replay.BuildCluster, the one builder that live deployments
+// and replay share, keeps the straggler wrapper outermost over the chaos
+// actuator, so the layers a flight sends that device share one launch
+// delay — the once-per-trip model — instead of each job paying it. The
+// bound sits halfway between the two models (one delay against one per
+// layer).
 func TestChaosOverSlowDevicePaysLatencyOncePerFlight(t *testing.T) {
 	const delay, layers = 40 * time.Millisecond, 8
-	cluster, chaos, err := buildCluster(Config{GPUs: 1, Chaos: true, SlowGPUs: []int{0}, SlowDelay: delay})
+	ci := obs.ClusterInfo{Size: 1, Slow: []obs.SlowDevice{{Index: 0, DelayNs: int64(delay)}}}
+	cluster, chaos, err := replay.BuildCluster(ci, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,11 @@
 package darknight
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"time"
 
 	"darknight/internal/dataset"
@@ -31,6 +33,7 @@ import (
 	"darknight/internal/gpu"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
+	"darknight/internal/obs/replay"
 	"darknight/internal/sched"
 )
 
@@ -107,6 +110,7 @@ type Config struct {
 	// flapping can then be scripted against a live deployment with a chaos
 	// schedule (Server.PlayChaos). The wrappers are inert until a schedule
 	// flips them, so a clean run costs three atomic loads per dispatch.
+	// Only a Server reads it; NewSystem rejects it.
 	Chaos bool
 	// Seed drives all randomness.
 	Seed int64
@@ -119,88 +123,48 @@ type Example = dataset.Example
 // runtime over it, a software enclave and a simulated GPU cluster —
 // optionally under self-healing fleet management.
 type System struct {
-	model   *nn.Model
-	pipe    *sched.TrainPipeline
-	src     sched.GangSource
-	inf     *sched.Inferencer
-	fm      *fleet.Manager
-	encl    *enclave.Enclave
-	cluster *gpu.Cluster
-	opt     *nn.SGD
-	obs     *obs.Observability
-	msrv    *obs.MetricsServer
-	cfg     Config
+	deployment
+	model *nn.Model
+	pipe  *sched.TrainPipeline
+	src   sched.GangSource
+	inf   *sched.Inferencer
+	opt   *nn.SGD
 }
 
-// NewSystem wires a DarKnight deployment around a model.
+// NewSystem wires a DarKnight deployment around a model. It rejects the
+// Config fields only a Server reads: Chaos, Observability.SLO and
+// Observability.SnapshotWeights.
 func NewSystem(model *Model, cfg Config) (*System, error) {
-	if cfg.VirtualBatch == 0 {
-		cfg.VirtualBatch = 2
+	if err := unreadBySystem(&cfg); err != nil {
+		return nil, err
 	}
-	if cfg.Collusion == 0 {
-		cfg.Collusion = 1
-	}
-	gang := cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy
 	depth := max(1, cfg.TrainPipelineDepth)
-	if cfg.GPUs == 0 {
-		// Each lane holds a gang in flight; size the default cluster so the
-		// overlap is not starved of devices.
-		cfg.GPUs = gang*depth + cfg.SpareGPUs
-	}
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = 0.05
-	}
-	if cfg.SlowAll {
-		cfg.SlowGPUs = make([]int, cfg.GPUs)
-		for i := range cfg.SlowGPUs {
-			cfg.SlowGPUs[i] = i
-		}
-	}
-
-	cluster, _, err := buildCluster(cfg)
+	d, err := newDeployment(cfg, depth)
 	if err != nil {
 		return nil, err
 	}
-	encl, err := buildEnclave(cfg)
+	pipe, err := sched.NewTrainPipeline(d.schedConfig(), model.m, d.encl, depth)
 	if err != nil {
 		return nil, err
 	}
-
-	scfg := sched.Config{
-		VirtualBatch:   cfg.VirtualBatch,
-		Collusion:      cfg.Collusion,
-		Redundancy:     cfg.Redundancy,
-		StragglerSlack: cfg.StragglerSlack,
-		Seed:           cfg.Seed,
-	}
-	if err := scfg.Validate(cluster.Size()); err != nil {
-		return nil, err
-	}
-	pipe, err := sched.NewTrainPipeline(scfg, model.m, encl, depth)
-	if err != nil {
-		return nil, err
-	}
-	inf, err := sched.NewInferencer(scfg, model.m, encl, "")
+	inf, err := sched.NewInferencer(d.schedConfig(), model.m, d.encl, "")
 	if err != nil {
 		pipe.Close()
 		return nil, err
 	}
 	s := &System{
-		model:   model.m,
-		pipe:    pipe,
-		src:     sched.SingleFleetSource{F: cluster},
-		inf:     inf,
-		encl:    encl,
-		cluster: cluster,
-		opt:     nn.NewSGD(cfg.LearningRate, cfg.Momentum),
-		cfg:     cfg,
+		deployment: d,
+		model:      model.m,
+		pipe:       pipe,
+		src:        sched.SingleFleetSource{F: d.cluster},
+		inf:        inf,
+		opt:        nn.NewSGD(cmp.Or(cfg.LearningRate, 0.05), cfg.Momentum),
 	}
 	if cfg.ManagedFleet {
-		s.fm = fleet.NewManager(cluster, fleet.Config{Seed: cfg.Seed})
-		s.src = &trainGangSource{m: s.fm, gang: gang}
+		s.fm = fleet.NewManager(s.cluster, fleet.Config{Seed: cfg.Seed})
+		s.src = &trainGangSource{m: s.fm, gang: s.gang()}
 	}
-	if ob := cfg.Observability.build(cfg.Seed); ob != nil {
-		s.obs = ob
+	if ob := s.obs; ob != nil {
 		pipe.SetTracer(ob.Tracer)
 		pipe.SetObserver(ob.Recorder)
 		inf.SetObserver(ob.Recorder)
@@ -209,15 +173,134 @@ func NewSystem(model *Model, cfg Config) (*System, error) {
 			s.fm.RegisterMetrics(ob.Registry)
 		}
 		s.registerMetrics(ob.Registry)
-		if addr := cfg.Observability.MetricsAddr; addr != "" {
-			s.msrv, err = ob.Serve(addr)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
+	}
+	if err := s.listen(); err != nil {
+		s.Close()
+		return nil, err
 	}
 	return s, nil
+}
+
+// unreadBySystem names the first field set on a Config that NewSystem
+// would otherwise ignore: the ones only a Server reads.
+func unreadBySystem(c *Config) error {
+	for _, f := range []struct {
+		set  bool
+		name string
+	}{
+		{c.Chaos, "Chaos"},
+		{!reflect.ValueOf(c.Observability.SLO).IsZero(), "Observability.SLO"},
+		{c.Observability.SnapshotWeights, "Observability.SnapshotWeights"},
+	} {
+		if f.set {
+			return fmt.Errorf("darknight: a system does not read Config.%s: set it on a ServerConfig for NewServer", f.name)
+		}
+	}
+	return nil
+}
+
+// deployment is one resolved Config and what it builds: the cluster, the
+// enclave and the observability bundle a System and a Server both stand
+// on. newDeployment applies every default and derived value once, records
+// the device composition as the obs.ClusterInfo a snapshot carries, and
+// builds the cluster from that record with the builder replay uses, so a
+// replayed cluster is the live one.
+type deployment struct {
+	cfg     Config             // resolved: K, M, GPUs, SlowGPUs, FaultPolicy and SlowDelay set
+	info    obs.ClusterInfo    // the composition cluster was built from
+	cluster *gpu.Cluster       // built from info by replay.BuildCluster
+	chaos   []*gpu.ChaosDevice // per-device fault actuators, index = device id; nil without Config.Chaos
+	encl    *enclave.Enclave   // nil when memory accounting is disabled
+	fm      *fleet.Manager     // nil on a System without ManagedFleet
+	obs     *obs.Observability // nil when observability is off
+	msrv    *obs.MetricsServer // nil until listen serves MetricsAddr
+}
+
+// newDeployment resolves cfg for lanes gangs in flight at once — a cluster
+// left unsized gets lanes × (K+M+E) + SpareGPUs devices — and builds the
+// cluster, the enclave and the observability bundle it describes.
+func newDeployment(cfg Config, lanes int) (deployment, error) {
+	d := deployment{cfg: cfg}
+	c := &d.cfg
+	c.VirtualBatch = cmp.Or(c.VirtualBatch, 2)
+	c.Collusion = cmp.Or(c.Collusion, 1)
+	if c.GPUs == 0 {
+		// Each lane holds a gang in flight; size the default cluster so the
+		// overlap is not starved of devices.
+		c.GPUs = lanes*d.gang() + c.SpareGPUs
+	}
+	if c.SlowAll {
+		c.SlowGPUs = make([]int, c.GPUs)
+		for i := range c.SlowGPUs {
+			c.SlowGPUs[i] = i
+		}
+	}
+	if c.FaultPolicy.EveryNth == 0 && c.FaultPolicy.Probability == 0 {
+		c.FaultPolicy = gpu.FaultPolicy{EveryNth: 1} // corrupt every result
+	}
+	c.SlowDelay = cmp.Or(c.SlowDelay, 5*time.Millisecond)
+	if err := d.schedConfig().Validate(c.GPUs); err != nil {
+		return deployment{}, err
+	}
+
+	d.info = obs.ClusterInfo{Size: c.GPUs}
+	p := c.FaultPolicy
+	for _, idx := range c.MaliciousGPUs {
+		d.info.Malicious = append(d.info.Malicious, obs.MaliciousDevice{
+			Index: idx, EveryNth: p.EveryNth, Offset: p.Offset, Probability: p.Probability, Seed: p.Seed,
+		})
+	}
+	for _, idx := range c.SlowGPUs {
+		d.info.Slow = append(d.info.Slow, obs.SlowDevice{Index: idx, DelayNs: int64(c.SlowDelay)})
+	}
+	var err error
+	if d.cluster, d.chaos, err = replay.BuildCluster(d.info, c.Chaos); err != nil {
+		return deployment{}, fmt.Errorf("darknight: %w", err)
+	}
+	if c.EnclaveBytes >= 0 {
+		if d.encl, err = enclave.New(cmp.Or(c.EnclaveBytes, enclave.DefaultEPCBytes)); err != nil {
+			return deployment{}, err
+		}
+	}
+	d.obs = c.Observability.build(c.Seed)
+	return d, nil
+}
+
+// gang is K+M+E, the devices one virtual batch codes onto.
+func (d *deployment) gang() int { return d.cfg.VirtualBatch + d.cfg.Collusion + d.cfg.Redundancy }
+
+// schedConfig is the coding geometry the deployment's runtimes share.
+func (d *deployment) schedConfig() sched.Config {
+	return sched.Config{
+		VirtualBatch:   d.cfg.VirtualBatch,
+		Collusion:      d.cfg.Collusion,
+		Redundancy:     d.cfg.Redundancy,
+		StragglerSlack: d.cfg.StragglerSlack,
+		Seed:           d.cfg.Seed,
+	}
+}
+
+// EnclaveStats returns the enclave's sealing/paging counters (zero value
+// if accounting is disabled).
+func (d *deployment) EnclaveStats() enclave.Stats {
+	if d.encl == nil {
+		return enclave.Stats{}
+	}
+	return d.encl.Stats()
+}
+
+// GPUTraffic returns the cluster's total TEE<->GPU channel usage.
+func (d *deployment) GPUTraffic() gpu.Traffic { return d.cluster.TotalTraffic() }
+
+// FleetStats returns the fleet health snapshot: per-device health and
+// quarantine state, the quarantine event log, straggler/speculation
+// counters and per-tenant share accounting (zero value on a System
+// without ManagedFleet).
+func (d *deployment) FleetStats() FleetStats {
+	if d.fm == nil {
+		return FleetStats{}
+	}
+	return d.fm.Stats()
 }
 
 // registerMetrics exports the training-path counters as scrape-time
@@ -261,58 +344,6 @@ func (s *trainGangSource) Release(f sched.Fleet, culprits []int, err error) {
 	g.Release()
 }
 
-// buildCluster assembles the simulated device fleet a Config describes,
-// wrapping the marked indices with fault policies and straggler delays.
-// With cfg.Chaos every honest device is first wrapped (innermost) in a
-// runtime fault-injection actuator, so a slow wrapper stays outermost and
-// charges its launch delay once per trip; the returned slice holds the
-// handles a chaos runner drives, index = device id (nil without Chaos).
-func buildCluster(cfg Config) (*gpu.Cluster, []*gpu.ChaosDevice, error) {
-	devs := make([]gpu.Device, cfg.GPUs)
-	var chaos []*gpu.ChaosDevice
-	for i := range devs {
-		devs[i] = gpu.NewHonest(i)
-		if cfg.Chaos {
-			chaos = append(chaos, gpu.NewChaos(devs[i]))
-			devs[i] = chaos[i]
-		}
-	}
-	policy := cfg.FaultPolicy
-	if policy.EveryNth == 0 && policy.Probability == 0 {
-		policy = gpu.FaultPolicy{EveryNth: 1}
-	}
-	for _, idx := range cfg.MaliciousGPUs {
-		if idx < 0 || idx >= len(devs) {
-			return nil, nil, fmt.Errorf("darknight: malicious GPU index %d outside cluster of %d", idx, len(devs))
-		}
-		devs[idx] = gpu.NewMalicious(devs[idx], policy)
-	}
-	delay := cfg.SlowDelay
-	if delay == 0 {
-		delay = 5 * time.Millisecond
-	}
-	for _, idx := range cfg.SlowGPUs {
-		if idx < 0 || idx >= len(devs) {
-			return nil, nil, fmt.Errorf("darknight: slow GPU index %d outside cluster of %d", idx, len(devs))
-		}
-		devs[idx] = gpu.NewSlow(devs[idx], delay)
-	}
-	return gpu.NewCluster(devs...), chaos, nil
-}
-
-// buildEnclave creates the software enclave a Config asks for (nil when
-// memory accounting is disabled).
-func buildEnclave(cfg Config) (*enclave.Enclave, error) {
-	if cfg.EnclaveBytes < 0 {
-		return nil, nil
-	}
-	cap := cfg.EnclaveBytes
-	if cap == 0 {
-		cap = enclave.DefaultEPCBytes
-	}
-	return enclave.New(cap)
-}
-
 // AggregationStats reports what Algorithm 2 did for one large batch,
 // including the tail examples dropped by the K-granularity constraint.
 type AggregationStats = sched.AggregationStats
@@ -343,15 +374,6 @@ func (s *System) TrainBatchStats(batch []Example) (float64, AggregationStats, er
 // TrainPhases returns the training path's phase breakdown, summed across
 // its lanes.
 func (s *System) TrainPhases() TrainPhaseStats { return s.pipe.PhaseStats() }
-
-// FleetStats returns the training fleet's health snapshot (zero value when
-// ManagedFleet is off).
-func (s *System) FleetStats() FleetStats {
-	if s.fm == nil {
-		return FleetStats{}
-	}
-	return s.fm.Stats()
-}
 
 // Close ends the System: it stops the training and inference runtimes'
 // background noise generators and the metrics listener, if one is serving.
@@ -395,18 +417,6 @@ func (s *System) Evaluate(examples []Example) float64 {
 	}
 	return float64(correct) / float64(len(examples))
 }
-
-// EnclaveStats returns sealing/paging counters (zero value if accounting
-// is disabled).
-func (s *System) EnclaveStats() enclave.Stats {
-	if s.encl == nil {
-		return enclave.Stats{}
-	}
-	return s.encl.Stats()
-}
-
-// GPUTraffic returns the cluster's total TEE<->GPU channel usage.
-func (s *System) GPUTraffic() gpu.Traffic { return s.cluster.TotalTraffic() }
 
 // Model wraps a trainable network.
 type Model struct{ m *nn.Model }

@@ -73,6 +73,30 @@ func TestSystemConfigErrors(t *testing.T) {
 	if _, err := NewSystem(model, Config{MaliciousGPUs: []int{99}}); err == nil {
 		t.Fatal("out-of-range malicious index accepted")
 	}
+	// The fields only a Server reads fail the build and name what reads
+	// them, so a chaos switch or an objective cannot vanish silently.
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Chaos", func(c *Config) { c.Chaos = true }},
+		{"Observability.SLO", func(c *Config) {
+			c.Observability.SLO = SLOConfig{Objectives: []SLOObjective{{Tenant: "*", ErrorBudget: 0.01}}}
+		}},
+		{"Observability.SnapshotWeights", func(c *Config) { c.Observability.SnapshotWeights = true }},
+	} {
+		cfg := Config{EnclaveBytes: -1}
+		c.set(&cfg)
+		sys, err := NewSystem(model, cfg)
+		if err == nil {
+			sys.Close()
+			t.Errorf("Config.%s set on a system: accepted", c.field)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "Config."+c.field) || !strings.Contains(msg, "NewServer") {
+			t.Errorf("Config.%s: error %q does not name the field and NewServer", c.field, msg)
+		}
+	}
 }
 
 // TestServerRejectsUnreadConfigFields: a field set on a server's embedded

@@ -148,18 +148,19 @@ func (m *MaxPool) BackwardInto(dst, x, gout *tensor.Tensor) {
 type AvgPool struct {
 	name string
 	p    tensor.PoolParams
+	out  []int // OutShape, built once; callers share it and never mutate it
 }
 
 // NewAvgPool constructs an average-pooling layer.
 func NewAvgPool(name string, p tensor.PoolParams) *AvgPool {
-	return &AvgPool{name: name, p: p}
+	return &AvgPool{name: name, p: p, out: []int{p.C, p.OutH(), p.OutW()}}
 }
 
 // Name implements Layer.
 func (a *AvgPool) Name() string { return a.name }
 
 // OutShape implements Layer.
-func (a *AvgPool) OutShape() []int { return []int{a.p.C, a.p.OutH(), a.p.OutW()} }
+func (a *AvgPool) OutShape() []int { return a.out }
 
 // Params implements Layer.
 func (a *AvgPool) Params() []*Param { return nil }
@@ -206,18 +207,19 @@ func (a *AvgPool) BackwardInto(dst, x, gout *tensor.Tensor) {
 type Flatten struct {
 	name    string
 	inShape []int
+	out     []int // OutShape, built once; callers share it and never mutate it
 }
 
 // NewFlatten constructs a flatten layer for the given input geometry.
 func NewFlatten(name string, inShape ...int) *Flatten {
-	return &Flatten{name: name, inShape: append([]int(nil), inShape...)}
+	return &Flatten{name: name, inShape: append([]int(nil), inShape...), out: []int{int(prod(inShape))}}
 }
 
 // Name implements Layer.
 func (f *Flatten) Name() string { return f.name }
 
 // OutShape implements Layer.
-func (f *Flatten) OutShape() []int { return []int{int(prod(f.inShape))} }
+func (f *Flatten) OutShape() []int { return f.out }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }

@@ -17,6 +17,7 @@ import (
 type BatchNorm struct {
 	name    string
 	c, h, w int
+	out     []int // OutShape, built once; callers share it and never mutate it
 	eps     float64
 	mom     float64
 
@@ -35,7 +36,7 @@ func NewBatchNorm(name string, c, h, w int) *BatchNorm {
 	g := tensor.New(c)
 	g.Fill(1)
 	bn := &BatchNorm{
-		name: name, c: c, h: h, w: w, eps: 1e-5, mom: 0.1,
+		name: name, c: c, h: h, w: w, out: []int{c, h, w}, eps: 1e-5, mom: 0.1,
 		gamma:   &Param{Name: name + ".gamma", W: g, Grad: tensor.New(c)},
 		beta:    &Param{Name: name + ".beta", W: tensor.New(c), Grad: tensor.New(c)},
 		runMean: make([]float64, c),
@@ -51,7 +52,7 @@ func NewBatchNorm(name string, c, h, w int) *BatchNorm {
 func (b *BatchNorm) Name() string { return b.name }
 
 // OutShape implements Layer.
-func (b *BatchNorm) OutShape() []int { return []int{b.c, b.h, b.w} }
+func (b *BatchNorm) OutShape() []int { return b.out }
 
 // Params implements Layer.
 func (b *BatchNorm) Params() []*Param { return []*Param{b.gamma, b.beta} }

@@ -110,9 +110,9 @@ func Run(snap *obs.Snapshot, model *nn.Model, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	cluster, err := buildCluster(snap.Cluster)
+	cluster, _, err := BuildCluster(snap.Cluster, false)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replay: %w", err)
 	}
 	rec := obs.NewFlightRecorder(opts.RecorderSize)
 	fm := fleet.NewManager(cluster, fleet.ConfigFromSnapshot(snap.Fleet.Config))
@@ -183,17 +183,28 @@ func restoreWeights(snap *obs.Snapshot, model *nn.Model) error {
 	return nil
 }
 
-// buildCluster reassembles the captured device composition: honest
-// devices, the recorded fault policies, and the recorded straggler
-// delays, all at their original indices.
-func buildCluster(ci obs.ClusterInfo) (*gpu.Cluster, error) {
+// BuildCluster assembles the device composition ci records: honest
+// devices, the recorded fault policies and the recorded straggler delays,
+// all at their original indices. It is the one cluster builder: a live
+// deployment builds from the ClusterInfo its snapshots then carry, and
+// replay rebuilds from the captured one. With chaos every honest device is
+// first wrapped (innermost) in a runtime fault-injection actuator, so a
+// slow wrapper stays outermost and charges its launch delay once per trip;
+// the returned slice holds the handles a chaos runner drives, index =
+// device id (nil without chaos).
+func BuildCluster(ci obs.ClusterInfo, chaos bool) (*gpu.Cluster, []*gpu.ChaosDevice, error) {
 	devs := make([]gpu.Device, ci.Size)
+	var actuators []*gpu.ChaosDevice
 	for i := range devs {
 		devs[i] = gpu.NewHonest(i)
+		if chaos {
+			actuators = append(actuators, gpu.NewChaos(devs[i]))
+			devs[i] = actuators[i]
+		}
 	}
 	for _, md := range ci.Malicious {
 		if md.Index < 0 || md.Index >= len(devs) {
-			return nil, fmt.Errorf("replay: malicious device index %d outside cluster of %d", md.Index, len(devs))
+			return nil, nil, fmt.Errorf("malicious device index %d outside cluster of %d", md.Index, len(devs))
 		}
 		devs[md.Index] = gpu.NewMalicious(devs[md.Index], gpu.FaultPolicy{
 			EveryNth:    md.EveryNth,
@@ -204,11 +215,11 @@ func buildCluster(ci obs.ClusterInfo) (*gpu.Cluster, error) {
 	}
 	for _, sd := range ci.Slow {
 		if sd.Index < 0 || sd.Index >= len(devs) {
-			return nil, fmt.Errorf("replay: slow device index %d outside cluster of %d", sd.Index, len(devs))
+			return nil, nil, fmt.Errorf("slow device index %d outside cluster of %d", sd.Index, len(devs))
 		}
 		devs[sd.Index] = gpu.NewSlow(devs[sd.Index], time.Duration(sd.DelayNs))
 	}
-	return gpu.NewCluster(devs...), nil
+	return gpu.NewCluster(devs...), actuators, nil
 }
 
 // replayBatch re-runs one captured batch on its recorded gang slots and

@@ -71,11 +71,13 @@ type ObservabilityConfig struct {
 	FlightRecorderSize int
 	// SLO declares per-tenant objectives; when any are set, the server
 	// tracks burn rates (exported as darknight_slo_burn_rate) and records
-	// threshold crossings in the flight recorder.
+	// threshold crossings in the flight recorder. Server only: NewSystem
+	// rejects it.
 	SLO SLOConfig
 	// SnapshotWeights embeds the full model weights in captured snapshots
 	// (instead of just their hash), making them self-contained — replay
 	// does not need to rebuild the exact model. Costly for large models.
+	// Server only: NewSystem rejects it.
 	SnapshotWeights bool
 }
 
@@ -98,16 +100,36 @@ func (o ObservabilityConfig) build(seed int64) *obs.Observability {
 	})
 }
 
-// Observability returns the server's bundle (nil when not configured).
-func (s *Server) Observability() *Observability { return s.obs }
+// listen starts the metrics listener MetricsAddr asks for. Constructors
+// call it last, once every series it exports is registered.
+func (d *deployment) listen() error {
+	addr := d.cfg.Observability.MetricsAddr
+	if addr == "" {
+		return nil
+	}
+	var err error
+	d.msrv, err = d.obs.Serve(addr)
+	return err
+}
+
+// Observability returns the deployment's bundle (nil when not configured).
+func (d *deployment) Observability() *Observability { return d.obs }
 
 // MetricsAddr returns the bound address of the metrics listener — useful
 // with an ephemeral ":0" configuration — or "" when none is serving.
-func (s *Server) MetricsAddr() string { return s.msrv.Addr() }
+func (d *deployment) MetricsAddr() string { return d.msrv.Addr() }
 
 // WriteMetrics writes the Prometheus text exposition of every registered
-// series (serving counters, fleet health, noise-pool stats).
-func (s *Server) WriteMetrics(w io.Writer) error { return s.obs.WriteMetrics(w) }
+// series (serving or training counters, fleet health, noise-pool stats).
+func (d *deployment) WriteMetrics(w io.Writer) error { return d.obs.WriteMetrics(w) }
+
+// FlightRecorderDump returns the recorded chaos events, oldest first.
+func (d *deployment) FlightRecorderDump() []FlightEvent {
+	if d.obs == nil {
+		return nil
+	}
+	return d.obs.Recorder.Dump()
+}
 
 // RecentTraces returns the most recent completed request span trees, oldest
 // first (empty when tracing is off or nothing sampled yet).
@@ -117,21 +139,6 @@ func (s *Server) RecentTraces() []*TraceSpan {
 	}
 	return s.obs.Tracer.Recent()
 }
-
-// FlightRecorderDump returns the recorded chaos events, oldest first.
-func (s *Server) FlightRecorderDump() []FlightEvent {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.Recorder.Dump()
-}
-
-// Observability returns the system's bundle (nil when not configured).
-func (s *System) Observability() *Observability { return s.obs }
-
-// MetricsAddr returns the bound address of the system's metrics listener,
-// or "" when none is serving.
-func (s *System) MetricsAddr() string { return s.msrv.Addr() }
 
 // Trace returns the most recent completed training/inference span tree, or
 // nil when tracing is off or nothing has completed yet.
@@ -144,16 +151,4 @@ func (s *System) Trace() *TraceSpan {
 		return nil
 	}
 	return recent[len(recent)-1]
-}
-
-// WriteMetrics writes the Prometheus text exposition of the system's
-// registered series.
-func (s *System) WriteMetrics(w io.Writer) error { return s.obs.WriteMetrics(w) }
-
-// FlightRecorderDump returns the recorded chaos events, oldest first.
-func (s *System) FlightRecorderDump() []FlightEvent {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.Recorder.Dump()
 }

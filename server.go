@@ -1,19 +1,17 @@
 package darknight
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"time"
 
-	"darknight/internal/enclave"
 	"darknight/internal/fleet"
-	"darknight/internal/gpu"
 	"darknight/internal/nn"
 	"darknight/internal/obs"
 	"darknight/internal/resil"
-	"darknight/internal/sched"
 	"darknight/internal/serve"
 )
 
@@ -191,21 +189,15 @@ type ServerMetrics = serve.Snapshot
 // exactly K, coded in the TEE, and gang-dispatched onto K+M+E devices
 // granted by a self-healing fair-share fleet manager.
 type Server struct {
-	inner   *serve.Server
-	fleet   *fleet.Manager
-	cluster *gpu.Cluster
-	encl    *enclave.Enclave
-	obs     *obs.Observability
-	msrv    *obs.MetricsServer
-	// chaos holds the per-device fault actuators (Config.Chaos) and runner
-	// the schedule player over them; both nil on a chaos-free server.
-	chaos  []*gpu.ChaosDevice
+	deployment
+	inner *serve.Server
+	// runner plays chaos schedules over the deployment's fault actuators
+	// (nil on a chaos-free server).
 	runner *resil.Runner
-	// cfg is the fully defaulted configuration (cluster sized, SlowAll
-	// expanded) and ref one worker's model replica — together the model
-	// and cluster sections of a state snapshot.
-	cfg ServerConfig
-	ref *nn.Model
+	// arch and ref, one worker's model replica, are the model section of a
+	// state snapshot.
+	arch string
+	ref  *nn.Model
 }
 
 // NewServer stands up a serving deployment. newModel is called once per
@@ -216,35 +208,14 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 	if err := unreadByServer(&cfg.Config); err != nil {
 		return nil, err
 	}
-	if cfg.VirtualBatch == 0 {
-		cfg.VirtualBatch = 2
-	}
-	if cfg.Collusion == 0 {
-		cfg.Collusion = 1
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
-	}
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = 2 * time.Millisecond
-	}
-	gang := cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy
-	if cfg.GPUs == 0 {
-		// A worker holds one gang per in-flight batch; size the default
-		// cluster so the overlap is not starved of devices.
-		cfg.GPUs = cfg.Workers*max(cfg.PipelineDepth, 1)*gang + cfg.SpareGPUs
-	}
-	if cfg.SlowAll {
-		cfg.SlowGPUs = make([]int, cfg.GPUs)
-		for i := range cfg.SlowGPUs {
-			cfg.SlowGPUs[i] = i
-		}
-	}
-	cluster, chaosDevs, err := buildCluster(cfg.Config)
-	if err != nil {
-		return nil, err
-	}
-	encl, err := buildEnclave(cfg.Config)
+	cfg.Workers = cmp.Or(cfg.Workers, 2)
+	cfg.MaxWait = cmp.Or(cfg.MaxWait, 2*time.Millisecond)
+	// The deployment resolves a Config; the ServerConfig fields of these
+	// names are the ones a server reads.
+	cfg.Config.SpareGPUs, cfg.Config.SlowAll = cfg.SpareGPUs, cfg.SlowAll
+	cfg.Config.StragglerSlack, cfg.Config.Observability = cfg.StragglerSlack, cfg.Observability
+	// A worker holds one gang per in-flight batch.
+	d, err := newDeployment(cfg.Config, cfg.Workers*max(cfg.PipelineDepth, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -252,50 +223,37 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 	for i := range replicas {
 		replicas[i] = newModel().m
 	}
-	fm := fleet.NewManager(cluster, fleet.Config{
+	d.fm = fleet.NewManager(d.cluster, fleet.Config{
 		Tenants:        cfg.Tenants,
 		SpeculateAfter: cfg.SpeculateAfter,
 		Seed:           cfg.Seed,
 	})
-	ob := cfg.Observability.build(cfg.Seed)
 	srv, err := serve.New(serve.Config{
-		Sched: sched.Config{
-			VirtualBatch:   cfg.VirtualBatch,
-			Collusion:      cfg.Collusion,
-			Redundancy:     cfg.Redundancy,
-			StragglerSlack: cfg.StragglerSlack,
-			Seed:           cfg.Seed,
-		},
+		Sched:         d.schedConfig(),
 		QueueDepth:    cfg.QueueDepth,
 		MaxWait:       cfg.MaxWait,
 		Recover:       cfg.Recover,
 		PipelineDepth: cfg.PipelineDepth,
 		Continuous:    cfg.Continuous,
-		Obs:           ob,
+		Obs:           d.obs,
 		SLO:           cfg.Observability.SLO,
 		Resil:         cfg.Resilience.toResil(),
-	}, replicas, fm, encl)
+	}, replicas, d.fm, d.encl)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{inner: srv, fleet: fm, cluster: cluster, encl: encl, obs: ob,
-		chaos: chaosDevs, cfg: cfg, ref: replicas[0]}
-	if len(chaosDevs) > 0 {
-		var rec *obs.FlightRecorder
-		if ob != nil {
-			rec = ob.Recorder
-		}
-		s.runner = resil.NewRunner(chaosDevs, rec, srv.ResilCounters())
+	s := &Server{deployment: d, inner: srv, arch: cfg.Arch, ref: replicas[0]}
+	var rec *obs.FlightRecorder
+	if s.obs != nil {
+		rec = s.obs.Recorder
+		s.obs.SetSnapshotProvider(s.CaptureSnapshot)
 	}
-	if ob != nil {
-		ob.SetSnapshotProvider(s.CaptureSnapshot)
+	if len(s.chaos) > 0 {
+		s.runner = resil.NewRunner(s.chaos, rec, srv.ResilCounters())
 	}
-	if addr := cfg.Observability.MetricsAddr; addr != "" {
-		s.msrv, err = ob.Serve(addr)
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
+	if err := s.listen(); err != nil {
+		srv.Close()
+		return nil, err
 	}
 	return s, nil
 }
@@ -346,23 +304,6 @@ func (s *Server) InferAs(ctx context.Context, tenant string, image []float64) (i
 // queue depth, batch occupancy, integrity failures, per-tenant usage and
 // the fleet health snapshot.
 func (s *Server) Metrics() ServerMetrics { return s.inner.Metrics() }
-
-// FleetStats returns the fleet health snapshot: per-device health and
-// quarantine state, the quarantine event log, straggler/speculation
-// counters and per-tenant share accounting.
-func (s *Server) FleetStats() FleetStats { return s.fleet.Stats() }
-
-// GPUTraffic returns the fleet's total TEE<->GPU channel usage.
-func (s *Server) GPUTraffic() gpu.Traffic { return s.cluster.TotalTraffic() }
-
-// EnclaveStats returns the shared enclave's counters (zero value if
-// accounting is disabled).
-func (s *Server) EnclaveStats() enclave.Stats {
-	if s.encl == nil {
-		return enclave.Stats{}
-	}
-	return s.encl.Stats()
-}
 
 // Close drains in-flight requests, stops the workers, and shuts down the
 // metrics listener if one is serving.

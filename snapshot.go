@@ -2,9 +2,8 @@ package darknight
 
 import (
 	"errors"
-	"time"
+	"slices"
 
-	"darknight/internal/gpu"
 	"darknight/internal/obs"
 )
 
@@ -23,7 +22,7 @@ func (s *Server) CaptureSnapshot() (*StateSnapshot, error) {
 	snap := s.inner.CaptureSnapshot()
 	w := (&Model{m: s.ref}).Weights()
 	snap.Model = obs.ModelInfo{
-		Arch:       s.cfg.Arch,
+		Arch:       s.arch,
 		Name:       s.ref.Name,
 		InShape:    append([]int(nil), s.ref.InShape...),
 		Classes:    s.ref.Classes,
@@ -33,7 +32,9 @@ func (s *Server) CaptureSnapshot() (*StateSnapshot, error) {
 	if s.cfg.Observability.SnapshotWeights {
 		snap.Model.Weights = w
 	}
-	snap.Cluster = clusterInfo(s.cfg.Config)
+	snap.Cluster = s.info
+	snap.Cluster.Malicious = slices.Clone(s.info.Malicious)
+	snap.Cluster.Slow = slices.Clone(s.info.Slow)
 	return snap, nil
 }
 
@@ -49,32 +50,3 @@ func (s *Server) SaveSnapshot(path string) error {
 // SLO returns the server's burn-rate tracker (nil unless
 // Observability.SLO declares objectives).
 func (s *Server) SLO() *SLOTracker { return s.inner.SLO() }
-
-// clusterInfo records the device composition a Config builds — the same
-// defaulting rules as buildCluster, so replay reconstructs an identical
-// cluster. ServerConfig.SlowAll has already been expanded into SlowGPUs by
-// NewServer.
-func clusterInfo(cfg Config) obs.ClusterInfo {
-	ci := obs.ClusterInfo{Size: cfg.GPUs}
-	policy := cfg.FaultPolicy
-	if policy.EveryNth == 0 && policy.Probability == 0 {
-		policy = gpu.FaultPolicy{EveryNth: 1}
-	}
-	for _, idx := range cfg.MaliciousGPUs {
-		ci.Malicious = append(ci.Malicious, obs.MaliciousDevice{
-			Index:       idx,
-			EveryNth:    policy.EveryNth,
-			Offset:      policy.Offset,
-			Probability: policy.Probability,
-			Seed:        policy.Seed,
-		})
-	}
-	delay := cfg.SlowDelay
-	if delay == 0 {
-		delay = 5 * time.Millisecond
-	}
-	for _, idx := range cfg.SlowGPUs {
-		ci.Slow = append(ci.Slow, obs.SlowDevice{Index: idx, DelayNs: int64(delay)})
-	}
-	return ci
-}

@@ -133,6 +133,60 @@ func TestSnapshotReplayChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestSnapshotRecordsDefaultedComposition: a server that leaves the fault
+// policy and the straggler delay at their zero values runs its tamperer at
+// corrupt-every-result and its straggler at 5 ms, its snapshot records
+// exactly those values, and replay rebuilt from that record matches every
+// batch — the defaults are applied once, before the cluster is built.
+func TestSnapshotRecordsDefaultedComposition(t *testing.T) {
+	srv, err := NewServer(func() *Model { return TinyCNN(1, 8, 8, 4, 7) }, ServerConfig{
+		Config: Config{
+			VirtualBatch:  2,
+			Redundancy:    2,
+			Seed:          7,
+			EnclaveBytes:  -1,
+			MaliciousGPUs: []int{0},
+			SlowGPUs:      []int{3},
+		},
+		Arch:          "tiny",
+		Workers:       1,
+		MaxWait:       time.Millisecond,
+		SpareGPUs:     1,
+		Recover:       true,
+		Observability: ObservabilityConfig{Enabled: true, FlightRecorderSize: 1024},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := SyntheticDataset(8, 4, 1, 8, 8, 99)
+	for i, ex := range data {
+		if _, err := srv.Infer(context.Background(), ex.Image); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	snap, err := srv.CaptureSnapshot()
+	srv.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := snap.Cluster.Malicious; len(m) != 1 || m[0].Index != 0 || m[0].EveryNth != 1 {
+		t.Fatalf("defaulted fault policy not recorded: %+v", snap.Cluster)
+	}
+	if sl := snap.Cluster.Slow; len(sl) != 1 || sl[0].Index != 3 || sl[0].DelayNs != int64(5*time.Millisecond) {
+		t.Fatalf("defaulted straggler delay not recorded: %+v", snap.Cluster)
+	}
+	if snap.Fleet.QuarantineEvents == 0 {
+		t.Fatal("the corrupt-every-result tamperer was never quarantined")
+	}
+	path := filepath.Join(t.TempDir(), "defaults.json")
+	if err := SaveSnapshot(snap, path); err != nil {
+		t.Fatal(err)
+	}
+	if rep := ReplaySnapshot(t, path, nil); rep.Batches == 0 || rep.Matched != rep.Batches {
+		t.Fatalf("replay matched %d/%d batches", rep.Matched, rep.Batches)
+	}
+}
+
 // TestPerLayerSnapshotReplaysOnBatchFlight:
 // testdata/snapshots/deep-per-layer.json was captured from a server that
 // flew DeepMLP one layer per flight, in the snapshot format that still
