@@ -1,7 +1,6 @@
 package masking
 
 import (
-	"log"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -74,18 +73,8 @@ type NoisePool struct {
 	misses  atomic.Int64
 	refills atomic.Int64
 
-	// warnOnce fires the undersized-pool warning on the first warm miss
-	// only: once the ring has been full (Refills >= sets), a miss means it
-	// cannot keep up with its consumers and every affected encode silently
-	// pays an inline RNG pass. A cold miss — the first Get beating the first
-	// refill — says nothing about sizing and is only counted.
-	warnOnce sync.Once
-
 	wg sync.WaitGroup
 }
-
-// noisePoolWarn is the warning sink, a variable so tests can intercept it.
-var noisePoolWarn = log.Printf
 
 // NewNoisePool starts a background generator pre-drawing sets of m uniform
 // rows for the given cycle of row lengths (one entry per offloaded layer,
@@ -193,21 +182,8 @@ func (p *NoisePool) Get(n int) *NoiseSet {
 		}
 	}
 	p.mu.Unlock()
-	p.miss(n)
-	return nil
-}
-
-// miss counts a Get that found nothing ready and, on the first one after
-// the ring has been full once, warns that the pool is undersized.
-func (p *NoisePool) miss(n int) {
 	p.misses.Add(1)
-	if p.refills.Load() < int64(p.sets) {
-		return // cold: the first Get beat the first refill
-	}
-	p.warnOnce.Do(func() {
-		noisePoolWarn("masking: noise pool miss (row length %d): generator behind its consumers — "+
-			"encode falls back to inline draws; persistent misses mean the pool is undersized (raise sets)", n)
-	})
+	return nil
 }
 
 // Recycle hands a consumed set back to the pool for the refiller to

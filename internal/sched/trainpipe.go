@@ -282,10 +282,6 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 	}
 	if err == nil {
 		k := lane.cfg.VirtualBatch
-		images := make([][]float64, k)
-		for i := range examples {
-			images[i] = examples[i].Image
-		}
 		// The lane's accumulators are touched only while it holds the token,
 		// except here: no other goroutine references them while the lane is
 		// off-duty.
@@ -294,9 +290,14 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 		}
 		p.normLogs[lane.lane] = &t.normLog
 		lane.lockTEE()
+		// The batch's inputs wrap the examples' images without copying them.
+		xs := lane.mem.set(k)
+		for i := range xs {
+			xs[i] = lane.mem.header(p.model.InShape, examples[i].Image)
+		}
 		var logits []*tensor.Tensor
 		var tr *trace
-		logits, tr, err = lane.forwardLayer(code, p.model.Stack, lane.mem.inputs(images, p.model.InShape), true)
+		logits, tr, err = lane.forwardLayer(code, p.model.Stack, xs, true)
 		if err == nil {
 			grads := lane.mem.set(k)
 			var total float64

@@ -64,9 +64,6 @@ type ObservabilityConfig struct {
 	// Sampling draws are seeded from the deployment's Seed, so traced runs
 	// are reproducible.
 	TraceSample float64
-	// TraceKeep bounds the ring of completed traces kept for dumps
-	// (default 16).
-	TraceKeep int
 	// FlightRecorderSize bounds the structured-event ring (default 1024).
 	FlightRecorderSize int
 	// SLO declares per-tenant objectives; when any are set, the server
@@ -84,7 +81,7 @@ type ObservabilityConfig struct {
 // enabled reports whether any knob asks for the observability stack.
 func (o ObservabilityConfig) enabled() bool {
 	return o.Enabled || o.MetricsAddr != "" || o.TraceSample > 0 ||
-		o.TraceKeep > 0 || o.FlightRecorderSize > 0 || len(o.SLO.Objectives) > 0
+		o.FlightRecorderSize > 0 || len(o.SLO.Objectives) > 0
 }
 
 // build assembles the bundle (nil when disabled).
@@ -94,7 +91,6 @@ func (o ObservabilityConfig) build(seed int64) *obs.Observability {
 	}
 	return obs.New(obs.Options{
 		TraceSample:  o.TraceSample,
-		TraceKeep:    o.TraceKeep,
 		RecorderSize: o.FlightRecorderSize,
 		Seed:         seed,
 	})

@@ -127,8 +127,6 @@ type ServerConfig struct {
 	// gang (GPUs = 0 sizes the cluster that way). Outputs are bit-identical
 	// whatever the depth.
 	PipelineDepth int
-	// QueueDepth bounds the admission queue (0 = 4·K).
-	QueueDepth int
 	// MaxWait bounds how long a request waits for K-1 peers before its
 	// batch is flushed padded with uniform-noise dummy rows. 0 picks the
 	// default of 2ms; negative flushes immediately (every batch carries
@@ -230,7 +228,6 @@ func NewServer(newModel func() *Model, cfg ServerConfig) (*Server, error) {
 	})
 	srv, err := serve.New(serve.Config{
 		Sched:         d.schedConfig(),
-		QueueDepth:    cfg.QueueDepth,
 		MaxWait:       cfg.MaxWait,
 		Recover:       cfg.Recover,
 		PipelineDepth: cfg.PipelineDepth,
