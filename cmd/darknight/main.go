@@ -52,21 +52,22 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	args := os.Args[2:]
 	switch os.Args[1] {
 	case "train":
-		cmdTrain(os.Args[2:])
+		execute(args, trainFlags)
 	case "infer":
-		cmdInfer(os.Args[2:])
+		execute(args, inferFlags)
 	case "verify":
-		cmdVerify(os.Args[2:])
+		execute(args, verifyFlags)
 	case "serve":
-		cmdServe(os.Args[2:])
+		execute(args, serveFlags)
 	case "loadgen":
-		cmdLoadgen(os.Args[2:])
+		execute(args, loadgenFlags)
 	case "snapshot":
-		cmdSnapshot(os.Args[2:])
+		execute(args, snapshotFlags)
 	case "replay":
-		cmdReplay(os.Args[2:])
+		execute(args, replayFlags)
 	default:
 		usage()
 	}
@@ -77,6 +78,40 @@ func usage() {
 	os.Exit(2)
 }
 
+// errUsage marks an error the flag set has already reported with its usage.
+var errUsage = errors.New("usage")
+
+// parse parses args with a command's flags, then builds the command's run
+// from their values. It prints nothing but the flag set's own report of a
+// bad flag, and exits nowhere.
+func parse[T any](args []string, flags func() (*flag.FlagSet, func() (T, error))) (T, error) {
+	fs, build := flags()
+	if err := fs.Parse(args); err != nil {
+		var zero T
+		return zero, fmt.Errorf("%w: %w", errUsage, err)
+	}
+	return build()
+}
+
+// execute parses args and runs the command. Like flag.ExitOnError, it
+// exits 0 on -h and 2 on a bad flag.
+func execute[T interface{ run() }](args []string, flags func() (*flag.FlagSet, func() (T, error))) {
+	r, err := parse(args, flags)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		log.Fatal(err)
+	}
+	r.run()
+}
+
+// newFlagSet returns an empty flag set for the named command that hands
+// its errors to parse.
+func newFlagSet(name string) *flag.FlagSet { return flag.NewFlagSet(name, flag.ContinueOnError) }
+
 func buildModel(name string, seed int64) *darknight.Model {
 	m, err := darknight.BuildModel(name, seed)
 	if err != nil {
@@ -85,8 +120,16 @@ func buildModel(name string, seed int64) *darknight.Model {
 	return m
 }
 
-func cmdTrain(args []string) {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+// trainRun is a parsed train command.
+type trainRun struct {
+	cfg           darknight.Config
+	model         string
+	epochs, batch int
+	integrity     bool
+}
+
+func trainFlags() (*flag.FlagSet, func() (*trainRun, error)) {
+	fs := newFlagSet("train")
 	modelName := fs.String("model", "tiny", "model architecture")
 	epochs := fs.Int("epochs", 4, "training epochs")
 	k := fs.Int("k", 2, "virtual batch size K")
@@ -99,62 +142,70 @@ func cmdTrain(args []string) {
 	slowall := fs.Bool("slowall", false, "make every device slow by -slowdelay (shows what pipelining hides)")
 	slowdelay := fs.Duration("slowdelay", 0, "per-dispatch latency of slow devices (default 5ms)")
 	seed := fs.Int64("seed", 1, "random seed")
-	fs.Parse(args)
+	return fs, func() (*trainRun, error) {
+		if *batchSize < *k {
+			return nil, fmt.Errorf("-batch %d is smaller than the virtual batch K=%d", *batchSize, *k)
+		}
+		redundancy := 0
+		if *integrity {
+			redundancy = 1
+		}
+		if *slack > 0 && redundancy < 2 {
+			redundancy = 2 // forward quorum retains one check; backward dual-window needs the secondary decoding
+		}
+		return &trainRun{
+			cfg: darknight.Config{
+				VirtualBatch:       *k,
+				Redundancy:         redundancy,
+				Seed:               *seed,
+				TrainPipelineDepth: *pipeline,
+				ManagedFleet:       *fleetFlag,
+				SpareGPUs:          *spares,
+				StragglerSlack:     *slack,
+				SlowAll:            *slowall,
+				SlowDelay:          *slowdelay,
+			},
+			model: *modelName, epochs: *epochs, batch: *batchSize, integrity: *integrity,
+		}, nil
+	}
+}
 
-	model := buildModel(*modelName, *seed)
-	if *batchSize < *k {
-		log.Fatalf("-batch %d is smaller than the virtual batch K=%d", *batchSize, *k)
-	}
-	redundancy := 0
-	if *integrity {
-		redundancy = 1
-	}
-	if *slack > 0 && redundancy < 2 {
-		redundancy = 2 // forward quorum retains one check; backward dual-window needs the secondary decoding
-	}
-	sys, err := darknight.NewSystem(model, darknight.Config{
-		VirtualBatch:       *k,
-		Redundancy:         redundancy,
-		Seed:               *seed,
-		TrainPipelineDepth: *pipeline,
-		ManagedFleet:       *fleetFlag,
-		SpareGPUs:          *spares,
-		StragglerSlack:     *slack,
-		SlowAll:            *slowall,
-		SlowDelay:          *slowdelay,
-	})
+func (r *trainRun) run() {
+	cfg := r.cfg
+	model := buildModel(r.model, cfg.Seed)
+	sys, err := darknight.NewSystem(model, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
-	data := darknight.SyntheticDataset(240, 4, 1, 8, 8, *seed+1)
+	data := darknight.SyntheticDataset(240, 4, 1, 8, 8, cfg.Seed+1)
 	train, test := data[:192], data[192:]
-	if *batchSize > len(train) {
-		log.Fatalf("-batch %d exceeds the %d-example training set", *batchSize, len(train))
+	if r.batch > len(train) {
+		log.Fatalf("-batch %d exceeds the %d-example training set", r.batch, len(train))
 	}
 	mode := "serial"
-	if *pipeline >= 2 {
-		mode = fmt.Sprintf("pipelined depth %d", *pipeline)
+	if cfg.TrainPipelineDepth >= 2 {
+		mode = fmt.Sprintf("pipelined depth %d", cfg.TrainPipelineDepth)
 	}
-	if *fleetFlag {
+	if cfg.ManagedFleet {
 		mode += ", fleet-managed gangs"
 	}
 	fmt.Printf("training %s privately: K=%d, integrity=%v, %d examples, %s\n",
-		model.Name(), *k, *integrity, len(train), mode)
+		model.Name(), cfg.VirtualBatch, r.integrity, len(train), mode)
 	warnedDrop := false
 	start := time.Now()
-	for epoch := 1; epoch <= *epochs; epoch++ {
+	for epoch := 1; epoch <= r.epochs; epoch++ {
 		var loss float64
 		batches := 0
-		for i := 0; i+*batchSize <= len(train); i += *batchSize {
-			l, stats, err := sys.TrainBatchStats(train[i : i+*batchSize])
+		for i := 0; i+r.batch <= len(train); i += r.batch {
+			l, stats, err := sys.TrainBatchStats(train[i : i+r.batch])
 			if err != nil {
 				log.Fatalf("epoch %d: %v", epoch, err)
 			}
 			if stats.DroppedExamples > 0 && !warnedDrop {
 				log.Printf("warning: %d tail example(s) per batch dropped — DarKnight codes exactly K=%d inputs per "+
 					"dispatch (the paper's K-granularity constraint); use -batch sizes that are multiples of K",
-					stats.DroppedExamples, *k)
+					stats.DroppedExamples, cfg.VirtualBatch)
 				warnedDrop = true
 			}
 			loss += l
@@ -166,7 +217,7 @@ func cmdTrain(args []string) {
 	elapsed := time.Since(start)
 	ph := sys.TrainPhases()
 	fmt.Printf("trained in %v; offloads %d, overlap ratio %.2f\n", elapsed.Round(time.Millisecond), ph.Offloads, ph.Overlap())
-	if *fleetFlag {
+	if cfg.ManagedFleet {
 		fst := sys.FleetStats()
 		fmt.Printf("fleet: %d quarantine events, %d straggler events, %d devices\n",
 			fst.QuarantineEvents, fst.StragglerEvents, len(fst.Devices))
@@ -177,32 +228,38 @@ func cmdTrain(args []string) {
 		st.SealOps, st.SealedBytes, tr.Jobs, tr.BytesIn, tr.BytesOut)
 }
 
-func cmdInfer(args []string) {
-	fs := flag.NewFlagSet("infer", flag.ExitOnError)
+// inferRun is a parsed infer command.
+type inferRun struct {
+	cfg   darknight.Config
+	model string
+}
+
+func inferFlags() (*flag.FlagSet, func() (*inferRun, error)) {
+	fs := newFlagSet("infer")
 	modelName := fs.String("model", "tiny", "model architecture")
 	k := fs.Int("k", 2, "virtual batch size K")
 	integrity := fs.Bool("integrity", false, "enable integrity verification")
 	seed := fs.Int64("seed", 1, "random seed")
-	fs.Parse(args)
-
-	model := buildModel(*modelName, *seed)
-	redundancy := 0
-	if *integrity {
-		redundancy = 1
+	return fs, func() (*inferRun, error) {
+		redundancy := 0
+		if *integrity {
+			redundancy = 1
+		}
+		return &inferRun{
+			cfg:   darknight.Config{VirtualBatch: *k, Redundancy: redundancy, Seed: *seed},
+			model: *modelName,
+		}, nil
 	}
-	sys, err := darknight.NewSystem(model, darknight.Config{
-		VirtualBatch: *k, Redundancy: redundancy, Seed: *seed,
-	})
+}
+
+func (r *inferRun) run() {
+	sys, err := darknight.NewSystem(buildModel(r.model, r.cfg.Seed), r.cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
-	data := darknight.SyntheticDataset(*k, 4, 1, 8, 8, *seed+1)
-	images := make([][]float64, *k)
-	for i := range images {
-		images[i] = data[i].Image
-	}
-	preds, err := sys.Predict(images)
+	data := darknight.SyntheticDataset(r.cfg.VirtualBatch, 4, 1, 8, 8, r.cfg.Seed+1)
+	preds, err := sys.Predict(imagesOf(data))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -211,28 +268,46 @@ func cmdInfer(args []string) {
 	}
 }
 
-func cmdVerify(args []string) {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
+// imagesOf returns the examples' images.
+func imagesOf(data []darknight.Example) [][]float64 {
+	out := make([][]float64, len(data))
+	for i := range data {
+		out[i] = data[i].Image
+	}
+	return out
+}
+
+// verifyRun is a parsed verify command: a fixed operating point with one
+// tampering GPU.
+type verifyRun struct {
+	malicious int
+	seed      int64
+}
+
+func verifyFlags() (*flag.FlagSet, func() (*verifyRun, error)) {
+	fs := newFlagSet("verify")
 	malicious := fs.Int("malicious", 1, "index of the tampering GPU")
 	seed := fs.Int64("seed", 1, "random seed")
-	fs.Parse(args)
+	return fs, func() (*verifyRun, error) { return &verifyRun{*malicious, *seed}, nil }
+}
 
-	model := darknight.TinyCNN(1, 8, 8, 4, *seed)
+func (r *verifyRun) run() {
+	model := darknight.TinyCNN(1, 8, 8, 4, r.seed)
 	sys, err := darknight.NewSystem(model, darknight.Config{
 		VirtualBatch:  2,
 		Redundancy:    1,
-		MaliciousGPUs: []int{*malicious},
-		Seed:          *seed,
+		MaliciousGPUs: []int{r.malicious},
+		Seed:          r.seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
-	data := darknight.SyntheticDataset(8, 4, 1, 8, 8, *seed+1)
+	data := darknight.SyntheticDataset(8, 4, 1, 8, 8, r.seed+1)
 	_, err = sys.TrainBatch(data)
 	switch {
 	case errors.Is(err, masking.ErrIntegrity):
-		fmt.Printf("integrity violation DETECTED: GPU %d returned tampered results\n", *malicious)
+		fmt.Printf("integrity violation DETECTED: GPU %d returned tampered results\n", r.malicious)
 	case err != nil:
 		log.Fatalf("unexpected error: %v", err)
 	default:

@@ -21,9 +21,9 @@ import (
 )
 
 // parseTenants parses "gold:3,bronze:1" into tenant configs.
-func parseTenants(s string) []darknight.Tenant {
+func parseTenants(s string) ([]darknight.Tenant, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var out []darknight.Tenant
 	for _, part := range strings.Split(s, ",") {
@@ -32,13 +32,13 @@ func parseTenants(s string) []darknight.Tenant {
 		if found {
 			v, err := strconv.ParseFloat(weightStr, 64)
 			if err != nil || v <= 0 {
-				log.Fatalf("bad tenant spec %q (want name:weight)", part)
+				return nil, fmt.Errorf("bad tenant spec %q (want name:weight)", part)
 			}
 			w = v
 		}
 		out = append(out, darknight.Tenant{Name: name, Weight: w})
 	}
-	return out
+	return out, nil
 }
 
 // loadResult is one load run's per-error-class outcome breakdown: every
@@ -152,8 +152,18 @@ func printFleet(st darknight.FleetStats) {
 	}
 }
 
-func cmdServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+// serveRun is a parsed serve command.
+type serveRun struct {
+	cfg               darknight.ServerConfig
+	clients           int
+	duration          time.Duration
+	chaos             string // chaos schedule file
+	obsDump, snapshot string // artifact directory and snapshot file
+	notes             []string
+}
+
+func serveFlags() (*flag.FlagSet, func() (*serveRun, error)) {
+	fs := newFlagSet("serve")
 	modelName := fs.String("model", "tiny", "model architecture")
 	k := fs.Int("k", 4, "virtual batch size K")
 	workers := fs.Int("workers", 2, "inference pipelines (model replicas)")
@@ -190,107 +200,120 @@ func cmdServe(args []string) {
 	brownout := fs.Bool("brownout", false, "SLO-driven brownout degradation (uses -slo-p99, or a default objective)")
 	chaosPath := fs.String("chaos", "", "play this chaos schedule (JSON) against the fleet during the load")
 	seed := fs.Int64("seed", 1, "random seed")
-	fs.Parse(args)
+	return fs, func() (*serveRun, error) {
+		if *k < 1 {
+			return nil, fmt.Errorf("serve: -k %d invalid, need K >= 1", *k)
+		}
+		redundancy := 0
+		if *integrity || *malicious >= 0 {
+			redundancy = 1
+		}
+		if *recover || *slack > 0 {
+			redundancy = 2
+		}
+		if *recover && *slack > 0 {
+			// Straggler slack spends redundant equations; recovery still needs
+			// two live checks in every quorum to attribute a culprit.
+			redundancy = 2 + *slack
+		}
+		tenants, err := parseTenants(*tenantsFlag)
+		if err != nil {
+			return nil, err
+		}
+		r := &serveRun{clients: *clients, duration: *duration, chaos: *chaosPath, obsDump: *obsDump, snapshot: *snapshot}
+		cfg := darknight.ServerConfig{
+			Config: darknight.Config{
+				VirtualBatch: *k,
+				Redundancy:   redundancy,
+				Seed:         *seed,
+			},
+			Workers:        *workers,
+			PipelineDepth:  *pipeline,
+			MaxWait:        *maxWait,
+			Tenants:        tenants,
+			SpareGPUs:      *spares,
+			Recover:        *recover,
+			StragglerSlack: *slack,
+			Continuous:     *continuous,
+			SpeculateAfter: *speculate,
+			Observability: darknight.ObservabilityConfig{
+				Enabled:            *obsDump != "" || *snapshot != "",
+				MetricsAddr:        *metricsAddr,
+				TraceSample:        *traceSample,
+				FlightRecorderSize: *flightRec,
+				SnapshotWeights:    *snapWeights,
+			},
+			Resilience: darknight.ResilienceConfig{
+				Budget:        *budget,
+				RetryMax:      *retry,
+				HedgeQuantile: *hedgePct,
+				ShedQueue:     *shed,
+				Brownout:      *brownout,
+			},
+			Arch: *modelName,
+		}
+		cfg.Chaos = *chaosPath != ""
+		if *sloP99 > 0 {
+			cfg.Observability.SLO = darknight.SLOConfig{
+				Objectives: []darknight.SLOObjective{{
+					Tenant:        "*",
+					LatencyTarget: *sloP99,
+					LatencyGoal:   *sloGoal,
+					ErrorBudget:   *sloErrors,
+				}},
+			}
+		}
+		if *brownout && *sloP99 <= 0 {
+			// Brownout consumes SLO breach events; give it a responsive default
+			// objective (and short windows) when the user set none.
+			r.notes = append(r.notes, "note: -brownout without -slo-p99; defaulting to a 20ms/0.95 objective over 2s/10s windows")
+			cfg.Observability.SLO = darknight.SLOConfig{
+				Objectives: []darknight.SLOObjective{{
+					Tenant:        "*",
+					LatencyTarget: 20 * time.Millisecond,
+					LatencyGoal:   0.95,
+					ErrorBudget:   0.05,
+				}},
+				Windows: []time.Duration{2 * time.Second, 10 * time.Second},
+			}
+		}
+		if *malicious >= 0 {
+			cfg.MaliciousGPUs = []int{*malicious}
+			if *faultProb > 0 {
+				cfg.FaultPolicy.Probability = *faultProb
+				cfg.FaultPolicy.Seed = *faultSeed
+			}
+		}
+		if *slow >= 0 {
+			cfg.SlowGPUs = []int{*slow}
+			cfg.SlowDelay = *slowDelay
+		}
+		if *slowAll {
+			cfg.SlowAll = true
+			cfg.SlowDelay = *slowDelay
+		}
+		if *speculate > 0 && *slack < 1 {
+			r.notes = append(r.notes, "note: -speculate rides the straggler quorum path; pass -slack >= 1 for it to engage")
+		}
+		r.cfg = cfg
+		return r, nil
+	}
+}
 
-	if *k < 1 {
-		log.Fatalf("serve: -k %d invalid, need K >= 1", *k)
-	}
-	redundancy := 0
-	if *integrity || *malicious >= 0 {
-		redundancy = 1
-	}
-	if *recover || *slack > 0 {
-		redundancy = 2
-	}
-	if *recover && *slack > 0 {
-		// Straggler slack spends redundant equations; recovery still needs
-		// two live checks in every quorum to attribute a culprit.
-		redundancy = 2 + *slack
-	}
-	tenants := parseTenants(*tenantsFlag)
-	cfg := darknight.ServerConfig{
-		Config: darknight.Config{
-			VirtualBatch: *k,
-			Redundancy:   redundancy,
-			Seed:         *seed,
-		},
-		Workers:        *workers,
-		PipelineDepth:  *pipeline,
-		MaxWait:        *maxWait,
-		Tenants:        tenants,
-		SpareGPUs:      *spares,
-		Recover:        *recover,
-		StragglerSlack: *slack,
-		Continuous:     *continuous,
-		SpeculateAfter: *speculate,
-		Observability: darknight.ObservabilityConfig{
-			Enabled:            *obsDump != "" || *snapshot != "",
-			MetricsAddr:        *metricsAddr,
-			TraceSample:        *traceSample,
-			FlightRecorderSize: *flightRec,
-			SnapshotWeights:    *snapWeights,
-		},
-		Resilience: darknight.ResilienceConfig{
-			Budget:        *budget,
-			RetryMax:      *retry,
-			HedgeQuantile: *hedgePct,
-			ShedQueue:     *shed,
-			Brownout:      *brownout,
-		},
-		Arch: *modelName,
-	}
-	cfg.Chaos = *chaosPath != ""
-	if *sloP99 > 0 {
-		cfg.Observability.SLO = darknight.SLOConfig{
-			Objectives: []darknight.SLOObjective{{
-				Tenant:        "*",
-				LatencyTarget: *sloP99,
-				LatencyGoal:   *sloGoal,
-				ErrorBudget:   *sloErrors,
-			}},
-		}
-	}
-	if *brownout && *sloP99 <= 0 {
-		// Brownout consumes SLO breach events; give it a responsive default
-		// objective (and short windows) when the user set none.
-		log.Println("note: -brownout without -slo-p99; defaulting to a 20ms/0.95 objective over 2s/10s windows")
-		cfg.Observability.SLO = darknight.SLOConfig{
-			Objectives: []darknight.SLOObjective{{
-				Tenant:        "*",
-				LatencyTarget: 20 * time.Millisecond,
-				LatencyGoal:   0.95,
-				ErrorBudget:   0.05,
-			}},
-			Windows: []time.Duration{2 * time.Second, 10 * time.Second},
-		}
-	}
-	if *malicious >= 0 {
-		cfg.MaliciousGPUs = []int{*malicious}
-		if *faultProb > 0 {
-			cfg.FaultPolicy.Probability = *faultProb
-			cfg.FaultPolicy.Seed = *faultSeed
-		}
-	}
-	if *slow >= 0 {
-		cfg.SlowGPUs = []int{*slow}
-		cfg.SlowDelay = *slowDelay
-	}
-	if *slowAll {
-		cfg.SlowAll = true
-		cfg.SlowDelay = *slowDelay
-	}
-	if *speculate > 0 && *slack < 1 {
-		log.Println("note: -speculate rides the straggler quorum path; pass -slack >= 1 for it to engage")
+func (r *serveRun) run() {
+	cfg := r.cfg
+	for _, n := range r.notes {
+		log.Println(n)
 	}
 	var chaosSched *darknight.ChaosSchedule
-	if *chaosPath != "" {
+	if r.chaos != "" {
 		var err error
-		chaosSched, err = darknight.LoadChaosSchedule(*chaosPath)
+		chaosSched, err = darknight.LoadChaosSchedule(r.chaos)
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
-	srv, err := darknight.NewServer(func() *darknight.Model { return buildModel(*modelName, *seed) }, cfg)
+	srv, err := darknight.NewServer(func() *darknight.Model { return buildModel(cfg.Arch, cfg.Seed) }, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -301,15 +324,11 @@ func cmdServe(args []string) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	data := darknight.SyntheticDataset(256, 4, 1, 8, 8, *seed+1)
-	images := make([][]float64, len(data))
-	for i := range images {
-		images[i] = data[i].Image
-	}
+	images := imagesOf(darknight.SyntheticDataset(256, 4, 1, 8, 8, cfg.Seed+1))
 
-	gang := *k + 1 + redundancy
+	gang := cfg.VirtualBatch + 1 + cfg.Redundancy
 	fmt.Printf("serving %s privately: K=%d, gang=%d GPUs (+%d spares), %d workers (pipeline depth %d), %d clients, maxwait=%v\n",
-		*modelName, *k, gang, *spares, *workers, max(*pipeline, 1), *clients, *maxWait)
+		cfg.Arch, cfg.VirtualBatch, gang, cfg.SpareGPUs, cfg.Workers, max(cfg.PipelineDepth, 1), r.clients, cfg.MaxWait)
 	if a := srv.MetricsAddr(); a != "" {
 		fmt.Printf("metrics: http://%s/metrics (also /metrics.json, /traces, /flightrecorder)\n", a)
 	}
@@ -322,14 +341,14 @@ func cmdServe(args []string) {
 		fmt.Printf("chaos: playing schedule %q (%d events over %v)\n",
 			chaosSched.Name, len(chaosSched.Events), chaosSched.Duration())
 	}
-	r := runLoad(ctx, srv, images, *clients, *duration, tenants)
+	res := runLoad(ctx, srv, images, r.clients, r.duration, cfg.Tenants)
 	if ctx.Err() != nil {
 		fmt.Println("\ninterrupted: draining in-flight requests and finishing the report")
 	}
-	ok, integ := r.OK, r.Integrity
+	ok, integ := res.OK, res.Integrity
 
 	m := srv.Metrics()
-	fmt.Printf("completed %d requests in %v (%.0f req/s)\n", ok, *duration, m.Throughput)
+	fmt.Printf("completed %d requests in %v (%.0f req/s)\n", ok, r.duration, m.Throughput)
 	fmt.Printf("latency: p50 %v, p99 %v\n", m.P50, m.P99)
 	fmt.Printf("batches: %d dispatched, occupancy %.2f (%d real rows, %d dummy rows)\n",
 		m.Batches, m.Occupancy, m.RealRows, m.PaddedRows)
@@ -355,14 +374,14 @@ func cmdServe(args []string) {
 		fmt.Printf("noise pool: %.0f%% hit rate (%d precomputed, %d inline fallbacks)\n",
 			100*np.HitRate(), np.Hits, np.Misses)
 	}
-	if *malicious >= 0 {
-		if *recover {
+	if len(cfg.MaliciousGPUs) > 0 {
+		if cfg.Recover {
 			fmt.Printf("integrity: %d requests rejected, %d served through recovery despite tampering\n", integ, ok)
 		} else {
 			fmt.Printf("integrity: %d requests rejected with tampered-GPU detection\n", integ)
 		}
 	}
-	printResil(r, m.Resil)
+	printResil(res, m.Resil)
 	printFleet(srv.FleetStats())
 	tr := srv.GPUTraffic()
 	fmt.Printf("GPUs: %d jobs, %d bytes in, %d bytes out\n", tr.Jobs, tr.BytesIn, tr.BytesOut)
@@ -372,11 +391,11 @@ func cmdServe(args []string) {
 		last.Render(os.Stdout)
 		last.RenderBreakdown(os.Stdout)
 	}
-	if *obsDump != "" {
-		if err := dumpObsArtifacts(*obsDump, srv); err != nil {
+	if r.obsDump != "" {
+		if err := dumpObsArtifacts(r.obsDump, srv); err != nil {
 			log.Fatalf("obs-dump: %v", err)
 		}
-		fmt.Printf("observability artifacts written to %s\n", *obsDump)
+		fmt.Printf("observability artifacts written to %s\n", r.obsDump)
 	}
 	if t := srv.SLO(); t != nil {
 		for _, br := range t.BurnRates() {
@@ -386,11 +405,11 @@ func cmdServe(args []string) {
 			fmt.Printf("slo: %d burn-rate threshold crossings during the run\n", n)
 		}
 	}
-	if *snapshot != "" {
-		if err := srv.SaveSnapshot(*snapshot); err != nil {
+	if r.snapshot != "" {
+		if err := srv.SaveSnapshot(r.snapshot); err != nil {
 			log.Fatalf("snapshot: %v", err)
 		}
-		fmt.Printf("state snapshot written to %s (replay with: darknight replay -snapshot %s)\n", *snapshot, *snapshot)
+		fmt.Printf("state snapshot written to %s (replay with: darknight replay -snapshot %s)\n", r.snapshot, r.snapshot)
 	}
 }
 
@@ -432,8 +451,17 @@ func dumpObsArtifacts(dir string, srv *darknight.Server) error {
 	return os.WriteFile(filepath.Join(dir, "flightrecorder.json"), events, 0o644)
 }
 
-func cmdLoadgen(args []string) {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+// loadgenRun is a parsed loadgen command.
+type loadgenRun struct {
+	cfg        darknight.ServerConfig
+	model      string
+	maxClients int
+	duration   time.Duration
+	chaos      string // chaos schedule file
+}
+
+func loadgenFlags() (*flag.FlagSet, func() (*loadgenRun, error)) {
+	fs := newFlagSet("loadgen")
 	modelName := fs.String("model", "tiny", "model architecture")
 	k := fs.Int("k", 4, "virtual batch size K")
 	workers := fs.Int("workers", 2, "inference pipelines")
@@ -453,32 +481,18 @@ func cmdLoadgen(args []string) {
 	hedgePct := fs.Float64("hedge-pct", 0, "hedge a batch slower than this latency percentile (0 = off)")
 	shed := fs.Int("shed", 0, "shed requests with a typed error when the queue holds >= N (0 = off)")
 	seed := fs.Int64("seed", 1, "random seed")
-	fs.Parse(args)
-
-	if *k < 1 {
-		log.Fatalf("loadgen: -k %d invalid, need K >= 1", *k)
-	}
-	var chaosSched *darknight.ChaosSchedule
-	if *chaosPath != "" {
-		var err error
-		chaosSched, err = darknight.LoadChaosSchedule(*chaosPath)
+	return fs, func() (*loadgenRun, error) {
+		if *k < 1 {
+			return nil, fmt.Errorf("loadgen: -k %d invalid, need K >= 1", *k)
+		}
+		retryMax := *retry
+		if *chaosPath != "" && retryMax == 0 {
+			retryMax = 2 // a crashed gang's batch deserves a fresh one
+		}
+		tenants, err := parseTenants(*tenantsFlag)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		if *retry == 0 {
-			*retry = 2 // a crashed gang's batch deserves a fresh one
-		}
-	}
-	tenants := parseTenants(*tenantsFlag)
-	data := darknight.SyntheticDataset(256, 4, 1, 8, 8, *seed+1)
-	images := make([][]float64, len(data))
-	for i := range images {
-		images[i] = data[i].Image
-	}
-
-	fmt.Printf("load sweep: %s, K=%d, %d workers, %v per step\n", *modelName, *k, *workers, *duration)
-	fmt.Printf("%8s %12s %12s %12s %10s %12s\n", "clients", "req/s", "p50", "p99", "occupancy", "quarantined")
-	for clients := 1; clients <= *maxClients; clients *= 2 {
 		cfg := darknight.ServerConfig{
 			Config:        darknight.Config{VirtualBatch: *k, Seed: *seed},
 			Workers:       *workers,
@@ -487,7 +501,7 @@ func cmdLoadgen(args []string) {
 			Tenants:       tenants,
 			Resilience: darknight.ResilienceConfig{
 				Budget:        *budget,
-				RetryMax:      *retry,
+				RetryMax:      retryMax,
 				HedgeQuantile: *hedgePct,
 				ShedQueue:     *shed,
 			},
@@ -508,7 +522,7 @@ func cmdLoadgen(args []string) {
 			cfg.SlowGPUs = []int{*slow}
 			cfg.SlowDelay = *slowDelay
 		}
-		if chaosSched != nil {
+		if *chaosPath != "" {
 			// Chaos survival needs the same headroom: attribution + recovery
 			// so crashed/tampering devices quarantine instead of failing
 			// clients, and spares to refill their gangs.
@@ -521,7 +535,26 @@ func cmdLoadgen(args []string) {
 				cfg.SpareGPUs = 2
 			}
 		}
-		srv, err := darknight.NewServer(func() *darknight.Model { return buildModel(*modelName, *seed) }, cfg)
+		return &loadgenRun{cfg: cfg, model: *modelName, maxClients: *maxClients, duration: *duration, chaos: *chaosPath}, nil
+	}
+}
+
+func (r *loadgenRun) run() {
+	cfg := r.cfg
+	var chaosSched *darknight.ChaosSchedule
+	if r.chaos != "" {
+		var err error
+		chaosSched, err = darknight.LoadChaosSchedule(r.chaos)
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	images := imagesOf(darknight.SyntheticDataset(256, 4, 1, 8, 8, cfg.Seed+1))
+
+	fmt.Printf("load sweep: %s, K=%d, %d workers, %v per step\n", r.model, cfg.VirtualBatch, cfg.Workers, r.duration)
+	fmt.Printf("%8s %12s %12s %12s %10s %12s\n", "clients", "req/s", "p50", "p99", "occupancy", "quarantined")
+	for clients := 1; clients <= r.maxClients; clients *= 2 {
+		srv, err := darknight.NewServer(func() *darknight.Model { return buildModel(r.model, cfg.Seed) }, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -531,7 +564,7 @@ func cmdLoadgen(args []string) {
 				log.Fatal(err)
 			}
 		}
-		r := runLoad(context.Background(), srv, images, clients, *duration, tenants)
+		res := runLoad(context.Background(), srv, images, clients, r.duration, cfg.Tenants)
 		if stopChaos != nil {
 			stopChaos()
 		}
@@ -539,8 +572,8 @@ func cmdLoadgen(args []string) {
 		fst := srv.FleetStats()
 		srv.Close()
 		fmt.Printf("%8d %12.0f %12v %12v %10.2f %12d\n", clients, m.Throughput, m.P50, m.P99, m.Occupancy, fst.Quarantined)
-		printResil(r, m.Resil)
-		if len(tenants) > 0 {
+		printResil(res, m.Resil)
+		if len(cfg.Tenants) > 0 {
 			for _, ts := range m.Tenants {
 				var share float64
 				for _, tu := range fst.Tenants {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,18 +13,25 @@ import (
 	"darknight"
 )
 
-// cmdSnapshot fetches a state snapshot from a running server's
+// snapshotRun fetches a state snapshot from a running server's
 // observability listener and writes it to a file — the capture half of
 // snapshot-to-replay incident debugging.
-func cmdSnapshot(args []string) {
-	fs := flag.NewFlagSet("snapshot", flag.ExitOnError)
+type snapshotRun struct {
+	addr, out string
+	timeout   time.Duration
+}
+
+func snapshotFlags() (*flag.FlagSet, func() (*snapshotRun, error)) {
+	fs := newFlagSet("snapshot")
 	addr := fs.String("addr", "127.0.0.1:9090", "observability listener of the running server (its -metrics-addr)")
 	out := fs.String("o", "snapshot.json", "output file")
 	timeout := fs.Duration("timeout", 10*time.Second, "fetch timeout")
-	fs.Parse(args)
+	return fs, func() (*snapshotRun, error) { return &snapshotRun{*addr, *out, *timeout}, nil }
+}
 
-	url := fmt.Sprintf("http://%s/snapshot", *addr)
-	client := &http.Client{Timeout: *timeout}
+func (r *snapshotRun) run() {
+	url := fmt.Sprintf("http://%s/snapshot", r.addr)
+	client := &http.Client{Timeout: r.timeout}
 	resp, err := client.Get(url)
 	if err != nil {
 		log.Fatalf("snapshot: fetching %s: %v", url, err)
@@ -33,7 +41,7 @@ func cmdSnapshot(args []string) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		log.Fatalf("snapshot: %s returned %s: %s", url, resp.Status, body)
 	}
-	f, err := os.Create(*out)
+	f, err := os.Create(r.out)
 	if err != nil {
 		log.Fatalf("snapshot: %v", err)
 	}
@@ -42,46 +50,56 @@ func cmdSnapshot(args []string) {
 		err = cerr
 	}
 	if err != nil {
-		log.Fatalf("snapshot: writing %s: %v", *out, err)
+		log.Fatalf("snapshot: writing %s: %v", r.out, err)
 	}
 	// Re-read through the loader so a truncated or incompatible capture
 	// fails here, not at replay time.
-	snap, err := darknight.LoadSnapshot(*out)
+	snap, err := darknight.LoadSnapshot(r.out)
 	if err != nil {
-		log.Fatalf("snapshot: %s did not validate: %v", *out, err)
+		log.Fatalf("snapshot: %s did not validate: %v", r.out, err)
 	}
 	fmt.Printf("snapshot: %d bytes to %s (v%d, %d batches, %d events, model %s)\n",
-		n, *out, snap.Version, len(snap.Batches), len(snap.Events), snap.Model.Name)
+		n, r.out, snap.Version, len(snap.Batches), len(snap.Events), snap.Model.Name)
 }
 
-// cmdReplay re-runs a captured incident deterministically: it rebuilds
+// replayRun re-runs a captured incident deterministically: it rebuilds
 // the snapshot's cluster, fleet, and model, replays the recorded batch
 // window, and exits nonzero if any batch outcome or event projection
 // diverges from the capture.
-func cmdReplay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+type replayRun struct {
+	path, model string
+	seed        int64
+	verbose     bool
+}
+
+func replayFlags() (*flag.FlagSet, func() (*replayRun, error)) {
+	fs := newFlagSet("replay")
 	path := fs.String("snapshot", "", "snapshot file to replay (required)")
 	modelName := fs.String("model", "", "override the model arch recorded in the snapshot")
 	seed := fs.Int64("seed", -1, "override the model seed recorded in the snapshot")
 	verbose := fs.Bool("v", false, "print progress lines")
-	fs.Parse(args)
-	if *path == "" {
-		log.Fatal("replay: -snapshot FILE is required")
+	return fs, func() (*replayRun, error) {
+		if *path == "" {
+			return nil, errors.New("replay: -snapshot FILE is required")
+		}
+		return &replayRun{*path, *modelName, *seed, *verbose}, nil
 	}
+}
 
-	snap, err := darknight.LoadSnapshot(*path)
+func (r *replayRun) run() {
+	snap, err := darknight.LoadSnapshot(r.path)
 	if err != nil {
 		log.Fatalf("replay: %v", err)
 	}
 	var model *darknight.Model
-	if *modelName != "" || *seed >= 0 {
+	if r.model != "" || r.seed >= 0 {
 		arch := snap.Model.Arch
-		if *modelName != "" {
-			arch = *modelName
+		if r.model != "" {
+			arch = r.model
 		}
 		sd := snap.Model.Seed
-		if *seed >= 0 {
-			sd = *seed
+		if r.seed >= 0 {
+			sd = r.seed
 		}
 		model, err = darknight.BuildModel(arch, sd)
 		if err != nil {
@@ -89,7 +107,7 @@ func cmdReplay(args []string) {
 		}
 	}
 	opts := darknight.ReplayOptions{RecorderSize: len(snap.Events) + 16*len(snap.Batches) + 64}
-	if *verbose {
+	if r.verbose {
 		opts.Logf = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
 	}
 	rep, err := darknight.Replay(snap, model, opts)
