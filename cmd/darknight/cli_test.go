@@ -2,27 +2,15 @@ package main
 
 import (
 	"flag"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"darknight"
 )
-
-// commandFlags returns each command's flag set, unparsed.
-func commandFlags() map[string]*flag.FlagSet {
-	fs := func(f *flag.FlagSet, _ any) *flag.FlagSet { return f }
-	return map[string]*flag.FlagSet{
-		"train":    fs(trainFlags()),
-		"infer":    fs(inferFlags()),
-		"verify":   fs(verifyFlags()),
-		"serve":    fs(serveFlags()),
-		"loadgen":  fs(loadgenFlags()),
-		"snapshot": fs(snapshotFlags()),
-		"replay":   fs(replayFlags()),
-	}
-}
 
 // TestFlagSurface pins every command's flags: each name and its default.
 func TestFlagSurface(t *testing.T) {
@@ -43,11 +31,11 @@ func TestFlagSurface(t *testing.T) {
 		"snapshot": {"addr=127.0.0.1:9090", "o=snapshot.json", "timeout=10s"},
 		"replay":   {"model=", "seed=-1", "snapshot=", "v=false"},
 	}
-	sets := commandFlags()
-	if len(sets) != len(want) {
-		t.Fatalf("%d commands, want %d", len(sets), len(want))
+	if len(commands) != len(want) {
+		t.Fatalf("%d commands, want %d", len(commands), len(want))
 	}
-	for name, fs := range sets {
+	for name, flags := range commands {
+		fs, _ := flags()
 		var got []string
 		fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 		if !reflect.DeepEqual(got, want[name]) {
@@ -60,33 +48,8 @@ func TestFlagSurface(t *testing.T) {
 // builds: a darknight.Config for train and infer, a ServerConfig for serve
 // and loadgen.
 func configOf(args []string) (any, error) {
-	var (
-		cfg any
-		err error
-	)
-	switch args[0] {
-	case "train":
-		var r *trainRun
-		if r, err = parse(args[1:], trainFlags); err == nil {
-			cfg = r.cfg
-		}
-	case "infer":
-		var r *inferRun
-		if r, err = parse(args[1:], inferFlags); err == nil {
-			cfg = r.cfg
-		}
-	case "serve":
-		var r *serveRun
-		if r, err = parse(args[1:], serveFlags); err == nil {
-			cfg = r.cfg
-		}
-	case "loadgen":
-		var r *loadgenRun
-		if r, err = parse(args[1:], loadgenFlags); err == nil {
-			cfg = r.cfg
-		}
-	}
-	return cfg, err
+	j, err := parse(args[1:], commands[args[0]])
+	return j.cfg, err
 }
 
 // serving is the ServerConfig every serve and loadgen row starts from:
@@ -166,16 +129,24 @@ func TestArgsToConfig(t *testing.T) {
 		}},
 		{args: "loadgen -malicious 1", want: func() any {
 			c := serving(darknight.Config{Redundancy: 2, MaliciousGPUs: []int{1}})
-			c.Recover, c.SpareGPUs, c.Arch = true, 2, ""
+			c.Recover, c.SpareGPUs = true, 2
 			return c
 		}},
 		{args: "loadgen -chaos testdata/chaos/flap.json", want: func() any {
 			c := serving(darknight.Config{Redundancy: 2, Chaos: true})
-			c.Recover, c.SpareGPUs, c.Resilience.RetryMax, c.Arch = true, 2, 2, ""
+			c.Recover, c.SpareGPUs, c.Resilience.RetryMax = true, 2, 2
 			return c
 		}},
 		{args: "serve -k 0", err: "-k 0 invalid"},
 		{args: "loadgen -k 0", err: "-k 0 invalid"},
+		{args: "train -k 0 -epochs 1", err: "-k 0 invalid"},
+		{args: "infer -k 0", err: "-k 0 invalid"},
+		{args: "serve -tenants gold:3,,gold:1", err: "empty tenant name"},
+		{args: "loadgen -tenants :2", err: "empty tenant name"},
+		{args: "serve -tenants gold:3,bronze,gold:1", err: `tenant "gold" named twice`},
+		{args: "serve -tenants gold:three", err: "weight must be a number above 0"},
+		{args: "serve -tenants gold:0", err: "weight must be a number above 0"},
+		{args: "loadgen -tenants gold:-1", err: "weight must be a number above 0"},
 	}
 	for _, row := range rows {
 		got, err := configOf(strings.Fields(row.args))
@@ -193,4 +164,32 @@ func TestArgsToConfig(t *testing.T) {
 			t.Errorf("%s:\n got %+v\nwant %+v", row.args, got, want)
 		}
 	}
+}
+
+// FuzzParseTenants: no spec panics the parser, and every spec it accepts
+// names distinct, non-empty tenants with finite positive weights, and
+// round-trips through its canonical form.
+func FuzzParseTenants(f *testing.F) {
+	for _, seed := range []string{"", "gold:3,bronze:1", "gold", " gold : 2 ,x", "gold:3,,gold:1", ":1", "a:NaN", "a:inf", "a:1e400", "a:0x1p-3"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tenants, err := parseTenants(spec)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(tenants))
+		seen := make(map[string]bool)
+		for i, tn := range tenants {
+			if tn.Name == "" || seen[tn.Name] || !(tn.Weight > 0) || math.IsInf(tn.Weight, 1) {
+				t.Fatalf("%q accepted as %+v", spec, tenants)
+			}
+			seen[tn.Name] = true
+			parts[i] = tn.Name + ":" + strconv.FormatFloat(tn.Weight, 'g', -1, 64)
+		}
+		again, err := parseTenants(strings.Join(parts, ","))
+		if err != nil || !reflect.DeepEqual(again, tenants) {
+			t.Fatalf("%q parsed as %+v; its canonical form parsed as %+v, %v", spec, tenants, again, err)
+		}
+	})
 }

@@ -1,38 +1,23 @@
 // Command darknight is a CLI for the DarKnight reproduction. It trains and
 // serves small models on synthetic data through the full masked pipeline:
 //
-//	darknight train   [-model tiny|vgg|resnet|mobilenet] [-epochs N] [-k K] [-batch N]
-//	                  [-pipeline D] [-fleet] [-spares N] [-slack N] [-slowall] [-slowdelay D]
-//	darknight infer   [-model ...] [-k K] [-integrity]
-//	darknight verify  [-malicious GPUIDX]
-//	darknight serve   [-model ...] [-k K] [-workers N] [-clients N] [-duration D]
-//	                  [-tenants gold:3,bronze:1] [-malicious I] [-faultprob P] [-recover]
-//	                  [-spares N] [-slack N] [-speculate D] [-slow I] [-slowdelay D]
-//	                  [-metrics-addr :9090] [-trace-sample F] [-flight-recorder N]
-//	                  [-obs-dump DIR]
-//	darknight loadgen [-model ...] [-k K] [-workers N] [-maxclients N] [-duration D]
-//	                  [-tenants ...] [-malicious I] [-faultprob P] [-slow I]
-//	darknight snapshot [-addr HOST:PORT] [-o FILE]
-//	darknight replay  -snapshot FILE [-model NAME] [-seed N] [-v]
+//	darknight <train|infer|verify|serve|loadgen|snapshot|replay> [flags]
 //
-// `train -pipeline D` overlaps D virtual batches across the TEE and the
-// GPU gangs (forward and backward), bit-identical weights to serial;
-// `-fleet` adds self-healing fleet management (per-batch gang grants,
-// quarantine of attributed tamperers, straggler-tolerant quorum decode).
-// `verify` demonstrates integrity detection: it runs a training step
-// against a cluster containing a tampering GPU and reports the violation.
-// `serve` stands up the concurrent inference service under closed-loop
-// client load and reports throughput, latency quantiles, batch occupancy
-// and the fleet health snapshot (quarantines, stragglers, tenant shares);
+// `train` trains privately, one virtual batch at a time or pipelined over
+// GPU gangs (bit-identical weights either way); `infer` runs one masked
+// inference batch; `verify` runs a training step against a cluster with a
+// tampering GPU and reports the violation. `serve` stands up the
+// concurrent inference service under closed-loop client load and reports
+// throughput, latency quantiles, batch occupancy and fleet health;
 // `loadgen` sweeps the client count to chart how dynamic K-batching
-// converts concurrency into throughput, optionally with fault injection
-// and fair-share tenants.
+// converts concurrency into throughput. `snapshot` captures a running
+// server's state, and `replay` re-runs the capture deterministically.
 //
-// `serve -metrics-addr :9090` exports the run live (Prometheus text at
-// /metrics, plus /metrics.json, /traces, /flightrecorder);
-// `-trace-sample 1` traces every request and prints the last span tree
-// with its critical-path breakdown; `-obs-dump DIR` writes the metrics,
-// trace and flight-recorder artifacts after the run (the CI artifact set).
+// `darknight <cmd> -h` lists a command's flags and their defaults. A
+// deployment flag that several commands take means the same in each, and
+// one rule derives the redundant equations E from them: -integrity (or a
+// -malicious GPU) gives 1; -recover or -slack N > 0 gives 2; both give
+// 2+N. loadgen under -malicious or -chaos recovers, so it runs at E = 2.
 package main
 
 import (
@@ -47,65 +32,54 @@ import (
 	"darknight/internal/masking"
 )
 
+// commands maps each command to its flags: the constructor registers them
+// on a new flag set and returns the step that builds the command's job
+// from their values.
+var commands = map[string]func() (*flag.FlagSet, func() (job, error)){
+	"train":    trainFlags,
+	"infer":    inferFlags,
+	"verify":   verifyFlags,
+	"serve":    serveFlags,
+	"loadgen":  loadgenFlags,
+	"snapshot": snapshotFlags,
+	"replay":   replayFlags,
+}
+
 func main() {
 	log.SetFlags(0)
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: darknight <train|infer|verify|serve|loadgen|snapshot|replay> [flags]")
+		os.Exit(2)
 	}
-	args := os.Args[2:]
-	switch os.Args[1] {
-	case "train":
-		execute(args, trainFlags)
-	case "infer":
-		execute(args, inferFlags)
-	case "verify":
-		execute(args, verifyFlags)
-	case "serve":
-		execute(args, serveFlags)
-	case "loadgen":
-		execute(args, loadgenFlags)
-	case "snapshot":
-		execute(args, snapshotFlags)
-	case "replay":
-		execute(args, replayFlags)
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: darknight <train|infer|verify|serve|loadgen|snapshot|replay> [flags]")
-	os.Exit(2)
-}
-
-// errUsage marks an error the flag set has already reported with its usage.
-var errUsage = errors.New("usage")
-
-// parse parses args with a command's flags, then builds the command's run
-// from their values. It prints nothing but the flag set's own report of a
-// bad flag, and exits nowhere.
-func parse[T any](args []string, flags func() (*flag.FlagSet, func() (T, error))) (T, error) {
-	fs, build := flags()
-	if err := fs.Parse(args); err != nil {
-		var zero T
-		return zero, fmt.Errorf("%w: %w", errUsage, err)
-	}
-	return build()
-}
-
-// execute parses args and runs the command. Like flag.ExitOnError, it
-// exits 0 on -h and 2 on a bad flag.
-func execute[T interface{ run() }](args []string, flags func() (*flag.FlagSet, func() (T, error))) {
-	r, err := parse(args, flags)
+	j, err := parse(os.Args[2:], commands[os.Args[1]])
 	switch {
 	case errors.Is(err, flag.ErrHelp):
 		os.Exit(0)
 	case errors.Is(err, errUsage):
-		os.Exit(2)
+		os.Exit(2) // the flag set has reported it with its usage
 	case err != nil:
 		log.Fatal(err)
 	}
-	r.run()
+	j.run()
+}
+
+// job is a parsed command: the config its flags derive (nil for a command
+// that deploys nothing of its own) and the run that uses it.
+type job struct {
+	cfg any
+	run func()
+}
+
+var errUsage = errors.New("usage")
+
+// parse parses args with a command's flags, then builds the command's job
+// from their values. It runs nothing and exits nowhere.
+func parse(args []string, flags func() (*flag.FlagSet, func() (job, error))) (job, error) {
+	fs, build := flags()
+	if err := fs.Parse(args); err != nil {
+		return job{}, fmt.Errorf("%w: %w", errUsage, err)
+	}
+	return build()
 }
 
 // newFlagSet returns an empty flag set for the named command that hands
@@ -120,59 +94,23 @@ func buildModel(name string, seed int64) *darknight.Model {
 	return m
 }
 
-// trainRun is a parsed train command.
-type trainRun struct {
-	cfg           darknight.Config
-	model         string
-	epochs, batch int
-	integrity     bool
-}
-
-func trainFlags() (*flag.FlagSet, func() (*trainRun, error)) {
-	fs := newFlagSet("train")
-	modelName := fs.String("model", "tiny", "model architecture")
+func trainFlags() (*flag.FlagSet, func() (job, error)) {
+	fs, d := newDeployFlags("train")
 	epochs := fs.Int("epochs", 4, "training epochs")
-	k := fs.Int("k", 2, "virtual batch size K")
-	batchSize := fs.Int("batch", 8, "large-batch size (multiples of K avoid dropped tail examples)")
-	integrity := fs.Bool("integrity", false, "enable integrity verification (one extra GPU)")
-	pipeline := fs.Int("pipeline", 0, "train pipeline depth: how many virtual batches ride encode/dispatch/decode at once, each on its own gang (0 and 1 both mean one lane)")
-	fleetFlag := fs.Bool("fleet", false, "route dispatch through the self-healing fleet manager (per-batch gang grants, quarantine), at any -pipeline depth")
-	spares := fs.Int("spares", 0, "spare GPUs beyond the gang sizing (quarantine headroom)")
-	slack := fs.Int("slack", 0, "straggler slack: decode after all but N coded responses (forward needs -integrity redundancy >= 2)")
-	slowall := fs.Bool("slowall", false, "make every device slow by -slowdelay (shows what pipelining hides)")
-	slowdelay := fs.Duration("slowdelay", 0, "per-dispatch latency of slow devices (default 5ms)")
-	seed := fs.Int64("seed", 1, "random seed")
-	return fs, func() (*trainRun, error) {
-		if *batchSize < *k {
-			return nil, fmt.Errorf("-batch %d is smaller than the virtual batch K=%d", *batchSize, *k)
+	batch := fs.Int("batch", 8, "large-batch size (multiples of K avoid dropped tail examples)")
+	return fs, func() (job, error) {
+		cfg, err := d.config()
+		if err == nil && *batch < cfg.VirtualBatch {
+			err = fmt.Errorf("-batch %d is smaller than the virtual batch K=%d", *batch, cfg.VirtualBatch)
 		}
-		redundancy := 0
-		if *integrity {
-			redundancy = 1
-		}
-		if *slack > 0 && redundancy < 2 {
-			redundancy = 2 // forward quorum retains one check; backward dual-window needs the secondary decoding
-		}
-		return &trainRun{
-			cfg: darknight.Config{
-				VirtualBatch:       *k,
-				Redundancy:         redundancy,
-				Seed:               *seed,
-				TrainPipelineDepth: *pipeline,
-				ManagedFleet:       *fleetFlag,
-				SpareGPUs:          *spares,
-				StragglerSlack:     *slack,
-				SlowAll:            *slowall,
-				SlowDelay:          *slowdelay,
-			},
-			model: *modelName, epochs: *epochs, batch: *batchSize, integrity: *integrity,
-		}, nil
+		cfg.TrainPipelineDepth, cfg.ManagedFleet = d.sc.PipelineDepth, d.fleet
+		cfg.SpareGPUs, cfg.StragglerSlack, cfg.SlowAll = d.sc.SpareGPUs, d.sc.StragglerSlack, d.sc.SlowAll
+		return job{cfg, func() { train(cfg, d, *epochs, *batch) }}, err
 	}
 }
 
-func (r *trainRun) run() {
-	cfg := r.cfg
-	model := buildModel(r.model, cfg.Seed)
+func train(cfg darknight.Config, d *deployFlags, epochs, batch int) {
+	model := buildModel(d.sc.Arch, cfg.Seed)
 	sys, err := darknight.NewSystem(model, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -180,8 +118,8 @@ func (r *trainRun) run() {
 	defer sys.Close()
 	data := darknight.SyntheticDataset(240, 4, 1, 8, 8, cfg.Seed+1)
 	train, test := data[:192], data[192:]
-	if r.batch > len(train) {
-		log.Fatalf("-batch %d exceeds the %d-example training set", r.batch, len(train))
+	if batch > len(train) {
+		log.Fatalf("-batch %d exceeds the %d-example training set", batch, len(train))
 	}
 	mode := "serial"
 	if cfg.TrainPipelineDepth >= 2 {
@@ -191,14 +129,14 @@ func (r *trainRun) run() {
 		mode += ", fleet-managed gangs"
 	}
 	fmt.Printf("training %s privately: K=%d, integrity=%v, %d examples, %s\n",
-		model.Name(), cfg.VirtualBatch, r.integrity, len(train), mode)
+		model.Name(), cfg.VirtualBatch, d.integrity, len(train), mode)
 	warnedDrop := false
 	start := time.Now()
-	for epoch := 1; epoch <= r.epochs; epoch++ {
+	for epoch := 1; epoch <= epochs; epoch++ {
 		var loss float64
 		batches := 0
-		for i := 0; i+r.batch <= len(train); i += r.batch {
-			l, stats, err := sys.TrainBatchStats(train[i : i+r.batch])
+		for i := 0; i+batch <= len(train); i += batch {
+			l, stats, err := sys.TrainBatchStats(train[i : i+batch])
 			if err != nil {
 				log.Fatalf("epoch %d: %v", epoch, err)
 			}
@@ -228,37 +166,21 @@ func (r *trainRun) run() {
 		st.SealOps, st.SealedBytes, tr.Jobs, tr.BytesIn, tr.BytesOut)
 }
 
-// inferRun is a parsed infer command.
-type inferRun struct {
-	cfg   darknight.Config
-	model string
-}
-
-func inferFlags() (*flag.FlagSet, func() (*inferRun, error)) {
-	fs := newFlagSet("infer")
-	modelName := fs.String("model", "tiny", "model architecture")
-	k := fs.Int("k", 2, "virtual batch size K")
-	integrity := fs.Bool("integrity", false, "enable integrity verification")
-	seed := fs.Int64("seed", 1, "random seed")
-	return fs, func() (*inferRun, error) {
-		redundancy := 0
-		if *integrity {
-			redundancy = 1
-		}
-		return &inferRun{
-			cfg:   darknight.Config{VirtualBatch: *k, Redundancy: redundancy, Seed: *seed},
-			model: *modelName,
-		}, nil
+func inferFlags() (*flag.FlagSet, func() (job, error)) {
+	fs, d := newDeployFlags("infer")
+	return fs, func() (job, error) {
+		cfg, err := d.config()
+		return job{cfg, func() { infer(cfg, d.sc.Arch) }}, err
 	}
 }
 
-func (r *inferRun) run() {
-	sys, err := darknight.NewSystem(buildModel(r.model, r.cfg.Seed), r.cfg)
+func infer(cfg darknight.Config, model string) {
+	sys, err := darknight.NewSystem(buildModel(model, cfg.Seed), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
-	data := darknight.SyntheticDataset(r.cfg.VirtualBatch, 4, 1, 8, 8, r.cfg.Seed+1)
+	data := darknight.SyntheticDataset(cfg.VirtualBatch, 4, 1, 8, 8, cfg.Seed+1)
 	preds, err := sys.Predict(imagesOf(data))
 	if err != nil {
 		log.Fatal(err)
@@ -277,37 +199,31 @@ func imagesOf(data []darknight.Example) [][]float64 {
 	return out
 }
 
-// verifyRun is a parsed verify command: a fixed operating point with one
-// tampering GPU.
-type verifyRun struct {
-	malicious int
-	seed      int64
-}
-
-func verifyFlags() (*flag.FlagSet, func() (*verifyRun, error)) {
+// verifyFlags runs a fixed operating point with one tampering GPU.
+func verifyFlags() (*flag.FlagSet, func() (job, error)) {
 	fs := newFlagSet("verify")
 	malicious := fs.Int("malicious", 1, "index of the tampering GPU")
 	seed := fs.Int64("seed", 1, "random seed")
-	return fs, func() (*verifyRun, error) { return &verifyRun{*malicious, *seed}, nil }
+	return fs, func() (job, error) { return job{run: func() { verify(*malicious, *seed) }}, nil }
 }
 
-func (r *verifyRun) run() {
-	model := darknight.TinyCNN(1, 8, 8, 4, r.seed)
+func verify(malicious int, seed int64) {
+	model := darknight.TinyCNN(1, 8, 8, 4, seed)
 	sys, err := darknight.NewSystem(model, darknight.Config{
 		VirtualBatch:  2,
 		Redundancy:    1,
-		MaliciousGPUs: []int{r.malicious},
-		Seed:          r.seed,
+		MaliciousGPUs: []int{malicious},
+		Seed:          seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
-	data := darknight.SyntheticDataset(8, 4, 1, 8, 8, r.seed+1)
+	data := darknight.SyntheticDataset(8, 4, 1, 8, 8, seed+1)
 	_, err = sys.TrainBatch(data)
 	switch {
 	case errors.Is(err, masking.ErrIntegrity):
-		fmt.Printf("integrity violation DETECTED: GPU %d returned tampered results\n", r.malicious)
+		fmt.Printf("integrity violation DETECTED: GPU %d returned tampered results\n", malicious)
 	case err != nil:
 		log.Fatalf("unexpected error: %v", err)
 	default:

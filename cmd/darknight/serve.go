@@ -10,8 +10,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -20,25 +18,16 @@ import (
 	"darknight"
 )
 
-// parseTenants parses "gold:3,bronze:1" into tenant configs.
-func parseTenants(s string) ([]darknight.Tenant, error) {
-	if s == "" {
-		return nil, nil
+// loadChaos loads the chaos schedule at path (nil for none).
+func loadChaos(path string) *darknight.ChaosSchedule {
+	if path == "" {
+		return nil
 	}
-	var out []darknight.Tenant
-	for _, part := range strings.Split(s, ",") {
-		name, weightStr, found := strings.Cut(strings.TrimSpace(part), ":")
-		w := 1.0
-		if found {
-			v, err := strconv.ParseFloat(weightStr, 64)
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("bad tenant spec %q (want name:weight)", part)
-			}
-			w = v
-		}
-		out = append(out, darknight.Tenant{Name: name, Weight: w})
+	sched, err := darknight.LoadChaosSchedule(path)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return out, nil
+	return sched
 }
 
 // loadResult is one load run's per-error-class outcome breakdown: every
@@ -152,167 +141,23 @@ func printFleet(st darknight.FleetStats) {
 	}
 }
 
-// serveRun is a parsed serve command.
-type serveRun struct {
-	cfg               darknight.ServerConfig
-	clients           int
-	duration          time.Duration
-	chaos             string // chaos schedule file
-	obsDump, snapshot string // artifact directory and snapshot file
-	notes             []string
-}
-
-func serveFlags() (*flag.FlagSet, func() (*serveRun, error)) {
-	fs := newFlagSet("serve")
-	modelName := fs.String("model", "tiny", "model architecture")
-	k := fs.Int("k", 4, "virtual batch size K")
-	workers := fs.Int("workers", 2, "inference pipelines (model replicas)")
-	pipeline := fs.Int("pipeline", 1, "pipeline depth per worker: how many batches ride encode/dispatch/decode at once, each on its own gang")
+func serveFlags() (*flag.FlagSet, func() (job, error)) {
+	fs, d := newDeployFlags("serve")
 	clients := fs.Int("clients", 8, "closed-loop client goroutines")
-	duration := fs.Duration("duration", 2*time.Second, "load duration")
-	maxWait := fs.Duration("maxwait", 2*time.Millisecond, "batching deadline before dummy-row padding")
-	integrity := fs.Bool("integrity", false, "enable integrity verification (one extra GPU per gang)")
-	malicious := fs.Int("malicious", -1, "index of a tampering GPU (-1 = none; implies -integrity)")
-	faultProb := fs.Float64("faultprob", 0, "probabilistic fault injection on the malicious GPU (0 = corrupt every job)")
-	faultSeed := fs.Int64("faultseed", 1, "seed of the probabilistic fault injector")
-	recover := fs.Bool("recover", false, "audit-and-recover tampered batches (forces E=2 and quarantine attribution)")
-	tenantsFlag := fs.String("tenants", "", "fair-share tenants, e.g. gold:3,bronze:1 (clients round-robin over them)")
-	spares := fs.Int("spares", 0, "spare GPUs beyond the worker gangs (quarantine/speculation headroom)")
-	slack := fs.Int("slack", 0, "straggler slack: decode after all but N coded responses (needs E >= 2)")
-	continuous := fs.Bool("continuous", false, "continuous batching: flushed padded batches keep admitting riders until a worker picks them up")
-	speculate := fs.Duration("speculate", 0, "speculative re-dispatch window for lagging shares (0 = off)")
-	slow := fs.Int("slow", -1, "index of a deterministically slow GPU (-1 = none)")
-	slowAll := fs.Bool("slowall", false, "add -slowdelay latency to every GPU (the device-latency regime -pipeline hides)")
-	slowDelay := fs.Duration("slowdelay", 5*time.Millisecond, "added latency of the slow GPU(s)")
-	metricsAddr := fs.String("metrics-addr", "", "HTTP listener exporting /metrics, /metrics.json, /traces, /flightrecorder (e.g. :9090; empty = off)")
-	traceSample := fs.Float64("trace-sample", 0, "fraction of requests traced (0 = off, 1 = all); the last trace is printed after the run")
-	flightRec := fs.Int("flight-recorder", 0, "flight-recorder event-ring capacity (0 = default 1024 when other obs flags are set)")
-	obsDump := fs.String("obs-dump", "", "directory for observability artifacts after the run (metrics.prom, metrics.json, trace.txt, flightrecorder.json)")
-	snapshot := fs.String("snapshot", "", "write a replayable state snapshot to this file after the run (also served live at /snapshot)")
-	snapWeights := fs.Bool("snapshot-weights", false, "embed the full model weights in snapshots (self-contained, but large)")
-	sloP99 := fs.Duration("slo-p99", 0, "per-tenant P99 latency objective (0 = SLO tracking off)")
-	sloGoal := fs.Float64("slo-goal", 0.99, "fraction of requests that must meet -slo-p99")
-	sloErrors := fs.Float64("slo-errors", 0.001, "error-budget fraction of the SLO")
-	budget := fs.Duration("budget", 0, "default end-to-end deadline budget per request (0 = unbounded)")
-	retry := fs.Int("retry", 0, "re-dispatch a failed batch onto a fresh gang up to N times")
-	hedgePct := fs.Float64("hedge-pct", 0, "hedge a batch slower than this latency percentile, e.g. 0.95, on a spare lane and gang (0 = off)")
-	shed := fs.Int("shed", 0, "shed requests with a typed error when the queue holds >= N (0 = off)")
-	brownout := fs.Bool("brownout", false, "SLO-driven brownout degradation (uses -slo-p99, or a default objective)")
-	chaosPath := fs.String("chaos", "", "play this chaos schedule (JSON) against the fleet during the load")
-	seed := fs.Int64("seed", 1, "random seed")
-	return fs, func() (*serveRun, error) {
-		if *k < 1 {
-			return nil, fmt.Errorf("serve: -k %d invalid, need K >= 1", *k)
-		}
-		redundancy := 0
-		if *integrity || *malicious >= 0 {
-			redundancy = 1
-		}
-		if *recover || *slack > 0 {
-			redundancy = 2
-		}
-		if *recover && *slack > 0 {
-			// Straggler slack spends redundant equations; recovery still needs
-			// two live checks in every quorum to attribute a culprit.
-			redundancy = 2 + *slack
-		}
-		tenants, err := parseTenants(*tenantsFlag)
-		if err != nil {
-			return nil, err
-		}
-		r := &serveRun{clients: *clients, duration: *duration, chaos: *chaosPath, obsDump: *obsDump, snapshot: *snapshot}
-		cfg := darknight.ServerConfig{
-			Config: darknight.Config{
-				VirtualBatch: *k,
-				Redundancy:   redundancy,
-				Seed:         *seed,
-			},
-			Workers:        *workers,
-			PipelineDepth:  *pipeline,
-			MaxWait:        *maxWait,
-			Tenants:        tenants,
-			SpareGPUs:      *spares,
-			Recover:        *recover,
-			StragglerSlack: *slack,
-			Continuous:     *continuous,
-			SpeculateAfter: *speculate,
-			Observability: darknight.ObservabilityConfig{
-				Enabled:            *obsDump != "" || *snapshot != "",
-				MetricsAddr:        *metricsAddr,
-				TraceSample:        *traceSample,
-				FlightRecorderSize: *flightRec,
-				SnapshotWeights:    *snapWeights,
-			},
-			Resilience: darknight.ResilienceConfig{
-				Budget:        *budget,
-				RetryMax:      *retry,
-				HedgeQuantile: *hedgePct,
-				ShedQueue:     *shed,
-				Brownout:      *brownout,
-			},
-			Arch: *modelName,
-		}
-		cfg.Chaos = *chaosPath != ""
-		if *sloP99 > 0 {
-			cfg.Observability.SLO = darknight.SLOConfig{
-				Objectives: []darknight.SLOObjective{{
-					Tenant:        "*",
-					LatencyTarget: *sloP99,
-					LatencyGoal:   *sloGoal,
-					ErrorBudget:   *sloErrors,
-				}},
-			}
-		}
-		if *brownout && *sloP99 <= 0 {
-			// Brownout consumes SLO breach events; give it a responsive default
-			// objective (and short windows) when the user set none.
-			r.notes = append(r.notes, "note: -brownout without -slo-p99; defaulting to a 20ms/0.95 objective over 2s/10s windows")
-			cfg.Observability.SLO = darknight.SLOConfig{
-				Objectives: []darknight.SLOObjective{{
-					Tenant:        "*",
-					LatencyTarget: 20 * time.Millisecond,
-					LatencyGoal:   0.95,
-					ErrorBudget:   0.05,
-				}},
-				Windows: []time.Duration{2 * time.Second, 10 * time.Second},
-			}
-		}
-		if *malicious >= 0 {
-			cfg.MaliciousGPUs = []int{*malicious}
-			if *faultProb > 0 {
-				cfg.FaultPolicy.Probability = *faultProb
-				cfg.FaultPolicy.Seed = *faultSeed
-			}
-		}
-		if *slow >= 0 {
-			cfg.SlowGPUs = []int{*slow}
-			cfg.SlowDelay = *slowDelay
-		}
-		if *slowAll {
-			cfg.SlowAll = true
-			cfg.SlowDelay = *slowDelay
-		}
-		if *speculate > 0 && *slack < 1 {
-			r.notes = append(r.notes, "note: -speculate rides the straggler quorum path; pass -slack >= 1 for it to engage")
-		}
-		r.cfg = cfg
-		return r, nil
+	return fs, func() (job, error) {
+		cfg, err := d.serverConfig()
+		return job{cfg, func() { serve(cfg, d, *clients) }}, err
 	}
 }
 
-func (r *serveRun) run() {
-	cfg := r.cfg
-	for _, n := range r.notes {
-		log.Println(n)
+func serve(cfg darknight.ServerConfig, d *deployFlags, clients int) {
+	if cfg.Resilience.Brownout && d.sloP99 <= 0 {
+		log.Println("note: -brownout without -slo-p99; defaulting to a 20ms/0.95 objective over 2s/10s windows")
 	}
-	var chaosSched *darknight.ChaosSchedule
-	if r.chaos != "" {
-		var err error
-		chaosSched, err = darknight.LoadChaosSchedule(r.chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if cfg.SpeculateAfter > 0 && cfg.StragglerSlack < 1 {
+		log.Println("note: -speculate rides the straggler quorum path; pass -slack >= 1 for it to engage")
 	}
+	chaosSched := loadChaos(d.chaos)
 	srv, err := darknight.NewServer(func() *darknight.Model { return buildModel(cfg.Arch, cfg.Seed) }, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -328,7 +173,7 @@ func (r *serveRun) run() {
 
 	gang := cfg.VirtualBatch + 1 + cfg.Redundancy
 	fmt.Printf("serving %s privately: K=%d, gang=%d GPUs (+%d spares), %d workers (pipeline depth %d), %d clients, maxwait=%v\n",
-		cfg.Arch, cfg.VirtualBatch, gang, cfg.SpareGPUs, cfg.Workers, max(cfg.PipelineDepth, 1), r.clients, cfg.MaxWait)
+		cfg.Arch, cfg.VirtualBatch, gang, cfg.SpareGPUs, cfg.Workers, max(cfg.PipelineDepth, 1), clients, cfg.MaxWait)
 	if a := srv.MetricsAddr(); a != "" {
 		fmt.Printf("metrics: http://%s/metrics (also /metrics.json, /traces, /flightrecorder)\n", a)
 	}
@@ -341,14 +186,13 @@ func (r *serveRun) run() {
 		fmt.Printf("chaos: playing schedule %q (%d events over %v)\n",
 			chaosSched.Name, len(chaosSched.Events), chaosSched.Duration())
 	}
-	res := runLoad(ctx, srv, images, r.clients, r.duration, cfg.Tenants)
+	r := runLoad(ctx, srv, images, clients, d.duration, cfg.Tenants)
 	if ctx.Err() != nil {
 		fmt.Println("\ninterrupted: draining in-flight requests and finishing the report")
 	}
-	ok, integ := res.OK, res.Integrity
 
 	m := srv.Metrics()
-	fmt.Printf("completed %d requests in %v (%.0f req/s)\n", ok, r.duration, m.Throughput)
+	fmt.Printf("completed %d requests in %v (%.0f req/s)\n", r.OK, d.duration, m.Throughput)
 	fmt.Printf("latency: p50 %v, p99 %v\n", m.P50, m.P99)
 	fmt.Printf("batches: %d dispatched, occupancy %.2f (%d real rows, %d dummy rows)\n",
 		m.Batches, m.Occupancy, m.RealRows, m.PaddedRows)
@@ -376,12 +220,12 @@ func (r *serveRun) run() {
 	}
 	if len(cfg.MaliciousGPUs) > 0 {
 		if cfg.Recover {
-			fmt.Printf("integrity: %d requests rejected, %d served through recovery despite tampering\n", integ, ok)
+			fmt.Printf("integrity: %d requests rejected, %d served through recovery despite tampering\n", r.Integrity, r.OK)
 		} else {
-			fmt.Printf("integrity: %d requests rejected with tampered-GPU detection\n", integ)
+			fmt.Printf("integrity: %d requests rejected with tampered-GPU detection\n", r.Integrity)
 		}
 	}
-	printResil(res, m.Resil)
+	printResil(r, m.Resil)
 	printFleet(srv.FleetStats())
 	tr := srv.GPUTraffic()
 	fmt.Printf("GPUs: %d jobs, %d bytes in, %d bytes out\n", tr.Jobs, tr.BytesIn, tr.BytesOut)
@@ -391,11 +235,11 @@ func (r *serveRun) run() {
 		last.Render(os.Stdout)
 		last.RenderBreakdown(os.Stdout)
 	}
-	if r.obsDump != "" {
-		if err := dumpObsArtifacts(r.obsDump, srv); err != nil {
+	if d.obsDump != "" {
+		if err := dumpObsArtifacts(d.obsDump, srv); err != nil {
 			log.Fatalf("obs-dump: %v", err)
 		}
-		fmt.Printf("observability artifacts written to %s\n", r.obsDump)
+		fmt.Printf("observability artifacts written to %s\n", d.obsDump)
 	}
 	if t := srv.SLO(); t != nil {
 		for _, br := range t.BurnRates() {
@@ -405,11 +249,11 @@ func (r *serveRun) run() {
 			fmt.Printf("slo: %d burn-rate threshold crossings during the run\n", n)
 		}
 	}
-	if r.snapshot != "" {
-		if err := srv.SaveSnapshot(r.snapshot); err != nil {
+	if d.snapshot != "" {
+		if err := srv.SaveSnapshot(d.snapshot); err != nil {
 			log.Fatalf("snapshot: %v", err)
 		}
-		fmt.Printf("state snapshot written to %s (replay with: darknight replay -snapshot %s)\n", r.snapshot, r.snapshot)
+		fmt.Printf("state snapshot written to %s (replay with: darknight replay -snapshot %s)\n", d.snapshot, d.snapshot)
 	}
 }
 
@@ -418,143 +262,54 @@ func (r *serveRun) run() {
 // (every retained span tree + breakdown) and flightrecorder.json (the
 // event ring) — the CI artifact set.
 func dumpObsArtifacts(dir string, srv *darknight.Server) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var prom bytes.Buffer
+	var prom, traces bytes.Buffer
 	if err := srv.WriteMetrics(&prom); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "metrics.prom"), prom.Bytes(), 0o644); err != nil {
 		return err
 	}
 	reg, err := srv.Observability().Registry.DumpJSON()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "metrics.json"), reg, 0o644); err != nil {
-		return err
-	}
-	var traces bytes.Buffer
 	for _, sp := range srv.RecentTraces() {
 		sp.Render(&traces)
 		sp.RenderBreakdown(&traces)
 		fmt.Fprintln(&traces)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "trace.txt"), traces.Bytes(), 0o644); err != nil {
-		return err
-	}
 	events, err := json.MarshalIndent(srv.FlightRecorderDump(), "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "flightrecorder.json"), events, 0o644)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{{"metrics.prom", prom.Bytes()}, {"metrics.json", reg}, {"trace.txt", traces.Bytes()}, {"flightrecorder.json", events}} {
+		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// loadgenRun is a parsed loadgen command.
-type loadgenRun struct {
-	cfg        darknight.ServerConfig
-	model      string
-	maxClients int
-	duration   time.Duration
-	chaos      string // chaos schedule file
-}
-
-func loadgenFlags() (*flag.FlagSet, func() (*loadgenRun, error)) {
-	fs := newFlagSet("loadgen")
-	modelName := fs.String("model", "tiny", "model architecture")
-	k := fs.Int("k", 4, "virtual batch size K")
-	workers := fs.Int("workers", 2, "inference pipelines")
-	pipeline := fs.Int("pipeline", 1, "pipeline depth per worker")
+func loadgenFlags() (*flag.FlagSet, func() (job, error)) {
+	fs, d := newDeployFlags("loadgen")
 	maxClients := fs.Int("maxclients", 16, "largest client count in the sweep")
-	duration := fs.Duration("duration", time.Second, "load duration per step")
-	maxWait := fs.Duration("maxwait", 2*time.Millisecond, "batching deadline")
-	tenantsFlag := fs.String("tenants", "", "fair-share tenants, e.g. gold:3,bronze:1 (clients round-robin over them)")
-	malicious := fs.Int("malicious", -1, "index of a tampering GPU (-1 = none; forces E=2 + recovery)")
-	faultProb := fs.Float64("faultprob", 0, "probabilistic fault injection on the malicious GPU (0 = corrupt every job)")
-	faultSeed := fs.Int64("faultseed", 1, "seed of the probabilistic fault injector")
-	slow := fs.Int("slow", -1, "index of a deterministically slow GPU (-1 = none)")
-	slowDelay := fs.Duration("slowdelay", 5*time.Millisecond, "added latency of the slow GPU")
-	chaosPath := fs.String("chaos", "", "play this chaos schedule (JSON) during every step; implies recovery + retry headroom")
-	budget := fs.Duration("budget", 0, "default end-to-end deadline budget per request (0 = unbounded)")
-	retry := fs.Int("retry", 0, "re-dispatch a failed batch onto a fresh gang up to N times")
-	hedgePct := fs.Float64("hedge-pct", 0, "hedge a batch slower than this latency percentile (0 = off)")
-	shed := fs.Int("shed", 0, "shed requests with a typed error when the queue holds >= N (0 = off)")
-	seed := fs.Int64("seed", 1, "random seed")
-	return fs, func() (*loadgenRun, error) {
-		if *k < 1 {
-			return nil, fmt.Errorf("loadgen: -k %d invalid, need K >= 1", *k)
-		}
-		retryMax := *retry
-		if *chaosPath != "" && retryMax == 0 {
-			retryMax = 2 // a crashed gang's batch deserves a fresh one
-		}
-		tenants, err := parseTenants(*tenantsFlag)
-		if err != nil {
-			return nil, err
-		}
-		cfg := darknight.ServerConfig{
-			Config:        darknight.Config{VirtualBatch: *k, Seed: *seed},
-			Workers:       *workers,
-			PipelineDepth: *pipeline,
-			MaxWait:       *maxWait,
-			Tenants:       tenants,
-			Resilience: darknight.ResilienceConfig{
-				Budget:        *budget,
-				RetryMax:      retryMax,
-				HedgeQuantile: *hedgePct,
-				ShedQueue:     *shed,
-			},
-		}
-		if *malicious >= 0 {
-			// Fault injection in a sweep wants the service to survive:
-			// attribute + recover + quarantine rather than fail requests.
-			cfg.Redundancy = 2
-			cfg.Recover = true
-			cfg.SpareGPUs = 2
-			cfg.MaliciousGPUs = []int{*malicious}
-			if *faultProb > 0 {
-				cfg.FaultPolicy.Probability = *faultProb
-				cfg.FaultPolicy.Seed = *faultSeed
-			}
-		}
-		if *slow >= 0 {
-			cfg.SlowGPUs = []int{*slow}
-			cfg.SlowDelay = *slowDelay
-		}
-		if *chaosPath != "" {
-			// Chaos survival needs the same headroom: attribution + recovery
-			// so crashed/tampering devices quarantine instead of failing
-			// clients, and spares to refill their gangs.
-			cfg.Chaos = true
-			if cfg.Redundancy < 2 {
-				cfg.Redundancy = 2
-			}
-			cfg.Recover = true
-			if cfg.SpareGPUs < 2 {
-				cfg.SpareGPUs = 2
-			}
-		}
-		return &loadgenRun{cfg: cfg, model: *modelName, maxClients: *maxClients, duration: *duration, chaos: *chaosPath}, nil
+	return fs, func() (job, error) {
+		cfg, err := d.serverConfig()
+		return job{cfg, func() { loadgen(cfg, d, *maxClients) }}, err
 	}
 }
 
-func (r *loadgenRun) run() {
-	cfg := r.cfg
-	var chaosSched *darknight.ChaosSchedule
-	if r.chaos != "" {
-		var err error
-		chaosSched, err = darknight.LoadChaosSchedule(r.chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
+func loadgen(cfg darknight.ServerConfig, d *deployFlags, maxClients int) {
+	chaosSched := loadChaos(d.chaos)
 	images := imagesOf(darknight.SyntheticDataset(256, 4, 1, 8, 8, cfg.Seed+1))
 
-	fmt.Printf("load sweep: %s, K=%d, %d workers, %v per step\n", r.model, cfg.VirtualBatch, cfg.Workers, r.duration)
+	fmt.Printf("load sweep: %s, K=%d, %d workers, %v per step\n", cfg.Arch, cfg.VirtualBatch, cfg.Workers, d.duration)
 	fmt.Printf("%8s %12s %12s %12s %10s %12s\n", "clients", "req/s", "p50", "p99", "occupancy", "quarantined")
-	for clients := 1; clients <= r.maxClients; clients *= 2 {
-		srv, err := darknight.NewServer(func() *darknight.Model { return buildModel(r.model, cfg.Seed) }, cfg)
+	for clients := 1; clients <= maxClients; clients *= 2 {
+		srv, err := darknight.NewServer(func() *darknight.Model { return buildModel(cfg.Arch, cfg.Seed) }, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -564,7 +319,7 @@ func (r *loadgenRun) run() {
 				log.Fatal(err)
 			}
 		}
-		res := runLoad(context.Background(), srv, images, clients, r.duration, cfg.Tenants)
+		r := runLoad(context.Background(), srv, images, clients, d.duration, cfg.Tenants)
 		if stopChaos != nil {
 			stopChaos()
 		}
@@ -572,7 +327,7 @@ func (r *loadgenRun) run() {
 		fst := srv.FleetStats()
 		srv.Close()
 		fmt.Printf("%8d %12.0f %12v %12v %10.2f %12d\n", clients, m.Throughput, m.P50, m.P99, m.Occupancy, fst.Quarantined)
-		printResil(res, m.Resil)
+		printResil(r, m.Resil)
 		if len(cfg.Tenants) > 0 {
 			for _, ts := range m.Tenants {
 				var share float64

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -13,25 +14,20 @@ import (
 	"darknight"
 )
 
-// snapshotRun fetches a state snapshot from a running server's
+// snapshotFlags fetches a state snapshot from a running server's
 // observability listener and writes it to a file — the capture half of
 // snapshot-to-replay incident debugging.
-type snapshotRun struct {
-	addr, out string
-	timeout   time.Duration
-}
-
-func snapshotFlags() (*flag.FlagSet, func() (*snapshotRun, error)) {
+func snapshotFlags() (*flag.FlagSet, func() (job, error)) {
 	fs := newFlagSet("snapshot")
 	addr := fs.String("addr", "127.0.0.1:9090", "observability listener of the running server (its -metrics-addr)")
 	out := fs.String("o", "snapshot.json", "output file")
 	timeout := fs.Duration("timeout", 10*time.Second, "fetch timeout")
-	return fs, func() (*snapshotRun, error) { return &snapshotRun{*addr, *out, *timeout}, nil }
+	return fs, func() (job, error) { return job{run: func() { snapshot(*addr, *out, *timeout) }}, nil }
 }
 
-func (r *snapshotRun) run() {
-	url := fmt.Sprintf("http://%s/snapshot", r.addr)
-	client := &http.Client{Timeout: r.timeout}
+func snapshot(addr, out string, timeout time.Duration) {
+	url := fmt.Sprintf("http://%s/snapshot", addr)
+	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(url)
 	if err != nil {
 		log.Fatalf("snapshot: fetching %s: %v", url, err)
@@ -41,7 +37,7 @@ func (r *snapshotRun) run() {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		log.Fatalf("snapshot: %s returned %s: %s", url, resp.Status, body)
 	}
-	f, err := os.Create(r.out)
+	f, err := os.Create(out)
 	if err != nil {
 		log.Fatalf("snapshot: %v", err)
 	}
@@ -50,64 +46,54 @@ func (r *snapshotRun) run() {
 		err = cerr
 	}
 	if err != nil {
-		log.Fatalf("snapshot: writing %s: %v", r.out, err)
+		log.Fatalf("snapshot: writing %s: %v", out, err)
 	}
 	// Re-read through the loader so a truncated or incompatible capture
 	// fails here, not at replay time.
-	snap, err := darknight.LoadSnapshot(r.out)
+	snap, err := darknight.LoadSnapshot(out)
 	if err != nil {
-		log.Fatalf("snapshot: %s did not validate: %v", r.out, err)
+		log.Fatalf("snapshot: %s did not validate: %v", out, err)
 	}
 	fmt.Printf("snapshot: %d bytes to %s (v%d, %d batches, %d events, model %s)\n",
-		n, r.out, snap.Version, len(snap.Batches), len(snap.Events), snap.Model.Name)
+		n, out, snap.Version, len(snap.Batches), len(snap.Events), snap.Model.Name)
 }
 
-// replayRun re-runs a captured incident deterministically: it rebuilds
+// replayFlags re-runs a captured incident deterministically: it rebuilds
 // the snapshot's cluster, fleet, and model, replays the recorded batch
 // window, and exits nonzero if any batch outcome or event projection
 // diverges from the capture.
-type replayRun struct {
-	path, model string
-	seed        int64
-	verbose     bool
-}
-
-func replayFlags() (*flag.FlagSet, func() (*replayRun, error)) {
+func replayFlags() (*flag.FlagSet, func() (job, error)) {
 	fs := newFlagSet("replay")
 	path := fs.String("snapshot", "", "snapshot file to replay (required)")
 	modelName := fs.String("model", "", "override the model arch recorded in the snapshot")
 	seed := fs.Int64("seed", -1, "override the model seed recorded in the snapshot")
 	verbose := fs.Bool("v", false, "print progress lines")
-	return fs, func() (*replayRun, error) {
+	return fs, func() (job, error) {
 		if *path == "" {
-			return nil, errors.New("replay: -snapshot FILE is required")
+			return job{}, errors.New("replay: -snapshot FILE is required")
 		}
-		return &replayRun{*path, *modelName, *seed, *verbose}, nil
+		return job{run: func() { replay(*path, *modelName, *seed, *verbose) }}, nil
 	}
 }
 
-func (r *replayRun) run() {
-	snap, err := darknight.LoadSnapshot(r.path)
+func replay(path, modelName string, seed int64, verbose bool) {
+	snap, err := darknight.LoadSnapshot(path)
 	if err != nil {
 		log.Fatalf("replay: %v", err)
 	}
 	var model *darknight.Model
-	if r.model != "" || r.seed >= 0 {
-		arch := snap.Model.Arch
-		if r.model != "" {
-			arch = r.model
-		}
+	if modelName != "" || seed >= 0 {
 		sd := snap.Model.Seed
-		if r.seed >= 0 {
-			sd = r.seed
+		if seed >= 0 {
+			sd = seed
 		}
-		model, err = darknight.BuildModel(arch, sd)
+		model, err = darknight.BuildModel(cmp.Or(modelName, snap.Model.Arch), sd)
 		if err != nil {
 			log.Fatalf("replay: %v", err)
 		}
 	}
 	opts := darknight.ReplayOptions{RecorderSize: len(snap.Events) + 16*len(snap.Batches) + 64}
-	if r.verbose {
+	if verbose {
 		opts.Logf = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
 	}
 	rep, err := darknight.Replay(snap, model, opts)
