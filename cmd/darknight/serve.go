@@ -55,17 +55,12 @@ func runLoad(ctx context.Context, srv *darknight.Server, images [][]float64, cli
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			tenant := ""
+			var tenant string // "" is the default tenant
 			if len(tenants) > 0 {
 				tenant = tenants[c%len(tenants)].Name
 			}
 			for i := c; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
-				var err error
-				if tenant == "" {
-					_, err = srv.Infer(ctx, images[i%len(images)])
-				} else {
-					_, err = srv.InferAs(ctx, tenant, images[i%len(images)])
-				}
+				_, err := srv.InferAs(ctx, tenant, images[i%len(images)])
 				switch {
 				case err == nil:
 					atomic.AddInt64(&r.OK, 1)
