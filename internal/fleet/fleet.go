@@ -131,6 +131,7 @@ type Manager struct {
 	names    []string // registration order, for deterministic iteration
 	rng      *rand.Rand
 	seq      int64 // waiter arrival counter
+	picks    int64 // pickLocked calls so far
 	events   []Event
 	eventSeq int64
 
@@ -404,8 +405,13 @@ func lessShare(a, b *tenant) bool {
 // slow one misses nearly every quorum), then lowest latency EWMA. A
 // straggler so slow its responses never land before release has no EWMA at
 // all — the rate is what demotes it, letting spares absorb its share of
-// the hot path.
+// the hot path. A device left out of as many picks as the cluster has
+// devices comes first, for one probe dispatch: otherwise a device branded
+// on its first dispatch is outranked by every device with a clean record,
+// and neither its rate nor its EWMA can ever move again.
 func (m *Manager) pickLocked(n int) []int {
+	m.picks++
+	starved := func(d *deviceRec) bool { return m.picks-d.lastPick > int64(len(m.devs)) }
 	rate := func(d *deviceRec) float64 {
 		if d.dispatches == 0 {
 			return 0
@@ -414,6 +420,9 @@ func (m *Manager) pickLocked(n int) []int {
 	}
 	sort.Slice(m.free, func(i, j int) bool {
 		a, b := m.devs[m.free[i]], m.devs[m.free[j]]
+		if sa, sb := starved(a), starved(b); sa != sb {
+			return sa
+		}
 		if ra, rb := rate(a), rate(b); ra != rb {
 			return ra < rb
 		}
@@ -427,6 +436,7 @@ func (m *Manager) pickLocked(n int) []int {
 	m.free = m.free[n:]
 	for _, idx := range ids {
 		m.devs[idx].leased = true
+		m.devs[idx].lastPick = m.picks
 	}
 	return ids
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -389,6 +390,33 @@ func TestSpeculativeRedispatchFillsLaggingSlot(t *testing.T) {
 	g.Release()
 	if st := m.Stats(); st.Speculations == 0 {
 		t.Fatalf("no speculative re-dispatch recorded: %+v", st)
+	}
+}
+
+// TestFirstDispatchStragglerIsPickedAgain: a device branded a straggler on
+// its first dispatch is outranked by every device with a clean record, and
+// the pick rule still grants it again — a probe dispatch — once it has been
+// left out of as many picks as the cluster has devices.
+func TestFirstDispatchStragglerIsPickedAgain(t *testing.T) {
+	const devices, gang = 3, 2
+	m := NewManager(gpu.NewHonestCluster(devices), Config{})
+	g, err := m.Acquire(context.Background(), "a", gang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lagger := g.ids[0]
+	g.straggle(0)
+	g.Release()
+	for grant := 2; grant <= devices+2; grant++ {
+		g, err := m.Acquire(context.Background(), "a", gang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		picked := slices.Contains(g.ids, lagger)
+		g.Release()
+		if probe := grant == devices+2; picked != probe {
+			t.Fatalf("grant %d: straggler picked = %v, want %v", grant, picked, probe)
+		}
 	}
 }
 

@@ -82,6 +82,7 @@ type deviceRec struct {
 	cleanStreak   int
 	ewma          time.Duration
 	quarantinedAt time.Time // when the device last entered quarantine
+	lastPick      int64     // Manager.picks when pickLocked last took the device
 
 	dispatches  int64
 	faults      int64

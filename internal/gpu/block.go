@@ -14,14 +14,18 @@ import (
 // BlockFlight is the one way a coded vector reaches a device: a
 // conversation with every device of a gang over which the TEE ships
 // bilinear layers in turn — in the runtime, every forward and backward
-// offload of one virtual batch. Each slot runs its jobs in FIFO order on a
-// worker that starts with the slot's first job and exits when its queue is
-// empty, so shipping never blocks on a straggling device: a slot still
-// chewing on layer l simply accumulates its layer l+1 job while the quorum
-// gather decodes around it. Everything flight-scoped — a slow device's
-// launch latency, the fleet's handle accounting — is paid once per flight;
-// the per-layer math (encode, decode, verify) is untouched, which is what
-// keeps outputs bit-identical to flying every layer alone.
+// offload of one virtual batch. Shipping only queues a layer's jobs, one
+// FIFO per slot, so it never blocks on a straggling device. On a flight
+// whose slots are all prompt (see slot.open) nothing runs the queues until
+// the owner gathers or ends the flight: it then runs every queued job
+// itself, slot by slot, before it waits. On any other flight each slot
+// runs its jobs on a worker that starts with the slot's first job and
+// exits when its queue is empty: a slot still chewing on layer l simply
+// accumulates its layer l+1 job while the quorum gather decodes around
+// it. Everything flight-scoped — a slow device's launch latency, the
+// fleet's handle accounting — is paid once per flight; the per-layer math
+// (encode, decode, verify) is untouched, which is what keeps outputs
+// bit-identical to flying every layer alone.
 //
 // A flight owns everything a device job can still read after the TEE has
 // moved on, and releases all of it at one point. Its operands are born in
@@ -60,6 +64,9 @@ type BlockFlight struct {
 	refs  atomic.Int32
 	live  atomic.Int64 // flight-owned buffers not yet released (Kept)
 	ended bool
+	// onGather is set when every slot is prompt: the slots start no
+	// workers, and only the owner touches their queues (runQueued).
+	onGather bool
 }
 
 // BlockOptions customizes a flight's accounting hooks; the zero value
@@ -93,11 +100,12 @@ type job struct {
 
 // slot is one device conversation: the device its jobs run on, what a
 // conversation with it costs — both decided once, when the flight opens —
-// and a FIFO of jobs drained by a worker that lives only while the queue
-// is non-empty. Popping a job moves the backlog down the queue's array
-// instead of slicing past it, so the array keeps its front capacity and
-// a busy slot's enqueues stop growing it once it holds the slot's longest
-// backlog. A reused flight keeps its slots, queues and launches.
+// and a FIFO of jobs, drained by the flight's owner when the flight runs
+// its jobs on the gatherer, otherwise by a worker that lives only while
+// the queue is non-empty. A worker pops a job by moving the backlog down
+// the queue's array instead of slicing past it, so the array keeps its
+// front capacity and a busy slot's enqueues stop growing it once it holds
+// the slot's longest backlog. A reused flight keeps its slots, queues and launches.
 type slot struct {
 	f   *BlockFlight
 	dev Device
@@ -142,6 +150,10 @@ func (s *slot) open(d Device) {
 }
 
 func (s *slot) enqueue(j job) {
+	if s.f.onGather {
+		s.queue = append(s.queue, j)
+		return
+	}
 	s.mu.Lock()
 	s.queue = append(s.queue, j)
 	if s.busy {
@@ -189,7 +201,14 @@ var idleFlights struct {
 const maxIdleFlights = 64
 
 // NewBlockFlight opens a flight with one slot per device, in gang order,
-// reusing a released flight when one is idle.
+// reusing a released flight when one is idle. A flight whose slots are all
+// prompt runs its jobs on the goroutine that gathers them: a slot worker's
+// start and its handoff back to the lane cost as much as a small kernel.
+// The rule is per flight, not per slot: were a flight's prompt slots to
+// answer at once while a slot that may block (a chaos actuator, say) kept
+// its worker, the prompt answers would always form a straggler quorum
+// first, and the other slot's answers — a tamperer's included — would
+// never be audited.
 func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
 	idleFlights.Lock()
 	var f *BlockFlight
@@ -206,12 +225,14 @@ func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
 		f.slots = make([]slot, len(devs))
 	}
 	f.slots = f.slots[:len(devs)]
+	f.onGather = true
 	for i, d := range devs {
 		s := &f.slots[i]
 		if s.f == nil {
 			s.f, s.start, s.idle = f, s.work, make(chan struct{}, 1)
 		}
 		s.open(d)
+		f.onGather = f.onGather && s.prompt
 	}
 	f.opts, f.ended = opts, false
 	f.refs.Store(1)
@@ -292,9 +313,10 @@ func (f *BlockFlight) adopt(x field.Vec) field.Vec {
 // the conversation's first job: the latency delays what the TEE hears
 // back, not the device's work, so jobs queued behind the first one — the
 // rest of the batch's forward layers and its gradient jobs — never wait
-// out the launch themselves. One slot worker at a time starts it, so ready
-// needs no lock; held is shared with the timer that releases it. While it
-// holds answers the launch holds its flight's release.
+// out the launch themselves. One goroutine at a time — the slot's worker,
+// or the owner running the slot's queue — starts it, so ready needs no
+// lock; held is shared with the timer that releases it. While it holds
+// answers the launch holds its flight's release.
 type launch struct {
 	delay time.Duration
 	ready time.Time // zero until the first job ran
@@ -415,6 +437,24 @@ func (f *BlockFlight) GradLayer(fwd *LayerPending, kernel BilinearKernel, prim, 
 	return p, nil
 }
 
+// runQueued runs, on the calling goroutine, every job queued on a flight
+// that runs its jobs on the gatherer: slot by slot, each slot's in FIFO
+// order. It does nothing on a flight with slot workers.
+func (f *BlockFlight) runQueued() {
+	if !f.onGather {
+		return
+	}
+	for i := range f.slots {
+		s := &f.slots[i]
+		for k := range s.queue {
+			j := s.queue[k]
+			s.queue[k] = job{} // the emptied queue keeps no layer alive
+			j.p.run(s, j.entry, nil)
+		}
+		s.queue = s.queue[:0]
+	}
+}
+
 // drain waits until every prompt slot has run every job shipped down the
 // flight. A prompt slot's calls wait on nothing outside it — the honest
 // kernel, and a slow device over one, which holds answers, not work — so
@@ -441,16 +481,19 @@ func (f *BlockFlight) drain() {
 // End closes the conversation and fires the OnEnd hook. It waits for no
 // device call that can block: a layer that was gathered has nothing left
 // running except jobs a quorum decoded around, and on a device that may
-// block those finish on their own time. It does wait for the slots whose
-// calls cannot block to run every job shipped to them (drain), so the
-// devices' work for the flight — and their traffic counters — is complete
-// when the flight ends. The flight is released once nothing else holds it:
-// at once when nothing does. The flight is not the caller's after End.
+// block those finish on their own time. It does see every job shipped to
+// a slot whose calls cannot block run — itself, on a flight that runs its
+// jobs on the gatherer (runQueued), otherwise by waiting for the slot
+// workers (drain) — so the devices' work for the flight, and their traffic
+// counters, are complete when the flight ends. The flight is released
+// once nothing else holds it: at once when nothing does. The flight is not
+// the caller's after End.
 func (f *BlockFlight) End() {
 	if f.ended {
 		return
 	}
 	f.ended = true
+	f.runQueued()
 	f.drain()
 	if f.opts.OnEnd != nil {
 		f.opts.OnEnd()
@@ -655,13 +698,15 @@ func (p *LayerPending) Wait() []field.Vec {
 // [1, window] means the whole window) and returns the results in job order
 // with a presence mask; a nil mask means every job answered. Jobs still
 // running at that point are branded stragglers and finish on their own
-// time, reading operands the flight keeps until its release. The returned
-// slices belong to the flight: they stay valid until End, and a later
-// gather of the same layer rewrites them.
+// time, reading operands the flight keeps until its release. On a flight
+// that runs its jobs on the gatherer, every queued job of the flight runs
+// first. The returned slices belong to the flight: they stay valid until
+// End, and a later gather of the same layer rewrites them.
 func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 	if q <= 0 || q > p.window {
 		q = p.window
 	}
+	p.f.runQueued()
 	p.mu.Lock()
 	if !p.settled(q) {
 		armed := false
@@ -699,8 +744,9 @@ func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 // returns the results in job order with a presence mask, as WaitQuorum
 // does. A quorum gather that returned around laggards uses it to take in
 // the answers bound to land; a job on a slot that may block is never
-// waited for.
+// waited for. Queued jobs run first, as in WaitQuorum.
 func (p *LayerPending) WaitPrompt() ([]field.Vec, []bool) {
+	p.f.runQueued()
 	p.mu.Lock()
 	if !p.promptSettled() {
 		p.prompt = true

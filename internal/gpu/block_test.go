@@ -258,18 +258,19 @@ func TestSlotOpensConversation(t *testing.T) {
 
 // TestSlowTripHoldsAnswersNotWork: a slow device pays its launch latency
 // once per flight by holding its slot's answers, not by stalling the slot.
-// Three layers shipped down one flight all run their kernels at once; none
-// is answered before the latency has passed since the first job.
+// Three layers shipped down one flight all run their kernels at the first
+// gather, well before the latency has passed; none is answered before the
+// latency has passed since the first job.
 func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 	const delay = 300 * time.Millisecond
 	f := NewBlockFlight([]Device{NewSlow(NewHonest(0), delay)}, BlockOptions{})
 	defer f.End()
-	ran := make(chan struct{}, 3)
+	start := time.Now()
+	ran := make(chan time.Duration, 3)
 	kernel := func(x field.Vec) field.Vec {
-		ran <- struct{}{}
+		ran <- time.Since(start)
 		return field.ScaleVec(2, x)
 	}
-	start := time.Now()
 	var pending []*LayerPending
 	for range 3 {
 		p, err := f.ForwardLayer("", kernel, vecs(1, 5))
@@ -277,16 +278,6 @@ func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		pending = append(pending, p)
-	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-ran:
-		case <-time.After(10 * delay):
-			t.Fatalf("only %d of 3 kernels ran", i)
-		}
-	}
-	if el := time.Since(start); el >= delay {
-		t.Fatalf("the queued kernels ran %v after shipping: they waited out the launch latency (%v)", el, delay)
 	}
 	for i, p := range pending {
 		results := p.Wait()
@@ -296,6 +287,102 @@ func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 		if !results[0].Equal(field.ScaleVec(2, vecs(1, 5)[0])) {
 			t.Fatalf("layer %d: wrong result", i+1)
 		}
+		if n := len(ran); i == 0 && n != 3 {
+			t.Fatalf("the first gather ran %d of 3 kernels", n)
+		}
+	}
+	for i := range 3 {
+		if el := <-ran; el >= delay {
+			t.Fatalf("kernel %d ran %v after shipping: it waited out the launch latency (%v)", i+1, el, delay)
+		}
+	}
+}
+
+// TestPromptFlightRunsJobsOnGatherer: a flight whose devices cannot block
+// runs nothing when it ships. Its first gather runs every queued job
+// before it waits, so a quorum gather holds every gang answer, and End
+// runs a layer that was shipped but never gathered, so the devices'
+// traffic is complete when End returns.
+func TestPromptFlightRunsJobsOnGatherer(t *testing.T) {
+	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
+	f := NewBlockFlight(devs, BlockOptions{})
+	var ran atomic.Int32
+	kernel := func(x field.Vec) field.Vec {
+		ran.Add(1)
+		return field.ScaleVec(2, x)
+	}
+	p, err := f.ForwardLayer("", kernel, vecs(3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // long enough for a slot worker to run
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d kernels ran before any gather", n)
+	}
+	results, present := p.WaitQuorum(2)
+	if present != nil {
+		t.Fatalf("the quorum gather returned without answers: present %v", present)
+	}
+	for j, x := range vecs(3, 5) {
+		if !results[j].Equal(field.ScaleVec(2, x)) {
+			t.Fatalf("slot %d: wrong result", j)
+		}
+	}
+	if _, err := f.ForwardLayer("", kernel, vecs(3, 7)); err != nil {
+		t.Fatal(err)
+	}
+	f.End()
+	if n := ran.Load(); n != 6 {
+		t.Fatalf("%d of 6 kernels ran by the time End returned", n)
+	}
+	for i, d := range devs {
+		if jobs := d.Traffic().Jobs; jobs != 2 {
+			t.Fatalf("device %d counted %d jobs by the time End returned, want 2", i, jobs)
+		}
+	}
+}
+
+// TestMixedFlightKeepsWorkers: one slot that may block keeps the whole
+// flight on slot workers. The honest slots run their kernels with no
+// gather, and End does not wait for the blocked slot.
+func TestMixedFlightKeepsWorkers(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	devs := []Device{NewHonest(0), NewHonest(1)}
+	blocked := &scriptDevice{Device: NewHonest(2), gate: gate}
+	f := NewBlockFlight([]Device{devs[0], devs[1], blocked}, BlockOptions{})
+	ran := make(chan struct{}, 3)
+	kernel := func(x field.Vec) field.Vec {
+		ran <- struct{}{}
+		return x
+	}
+	if _, err := f.ForwardLayer("", kernel, vecs(3, 5)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range len(devs) {
+		select {
+		case <-ran:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d honest kernels ran without a gather", i, len(devs))
+		}
+	}
+	ended := make(chan struct{})
+	go func() {
+		f.End()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("End waited for the blocked slot")
+	}
+	for i, d := range devs {
+		if jobs := d.Traffic().Jobs; jobs != 1 {
+			t.Fatalf("device %d counted %d jobs, want 1", i, jobs)
+		}
+	}
+	if n := blocked.jobs.Load(); n != 0 {
+		t.Fatalf("the blocked slot ran %d jobs", n)
 	}
 }
 

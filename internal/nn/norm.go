@@ -165,6 +165,9 @@ func (l *StatsLog) Apply() {
 	l.updates = l.updates[:0]
 }
 
+// Discard empties the log without applying it.
+func (l *StatsLog) Discard() { l.updates = l.updates[:0] }
+
 // Backward implements Layer.
 func (b *BatchNorm) Backward(gout *tensor.Tensor) *tensor.Tensor {
 	din := tensor.New(b.c, b.h, b.w)

@@ -365,11 +365,12 @@ func (e *engine) openBatchFlight() error {
 // endBatchFlight ends the batch's flight, if one is open; the flight
 // releases what it owns once the last job that reads it has run (§6: a
 // batch's device memory lives exactly as long as the batch and its
-// laggards). Ending waits for the devices that cannot block to run
-// everything shipped down it (see gpu.BlockFlight.End), so call it without
-// the TEE token: a batch's device work — the jobs its quorum gathers
-// decoded around included — is then done, and counted, when the batch
-// completes.
+// laggards). Ending sees every job shipped to a device that cannot block
+// run: on a flight whose devices all cannot block, End runs the jobs no
+// gather ran on this goroutine, otherwise it waits for the slot workers
+// (see gpu.BlockFlight.End). So call it without the TEE token: a batch's
+// device work — the jobs its quorum gathers decoded around included — is
+// then done, and counted, when the batch completes.
 func (e *engine) endBatchFlight() {
 	if e.flight != nil {
 		e.flight.End()

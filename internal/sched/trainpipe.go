@@ -41,7 +41,8 @@ func (s SingleFleetSource) Release(Fleet, []int, error) {}
 
 // trainTicket is the completion handle of one virtual batch riding the
 // training pipeline: its mean loss, the sealed Algorithm-2 gradient shard
-// handles, and the integrity verdict.
+// handles, and the integrity verdict. TrainPipeline.tickets reuses it step
+// after step; done carries one token per batch it completes.
 type trainTicket struct {
 	done        chan struct{}
 	loss        float64
@@ -91,7 +92,10 @@ type TrainPipeline struct {
 	normLogs   []*nn.StatsLog  // per lane: the running-statistics log of its batch
 
 	runMu sync.Mutex // one TrainLargeBatch at a time
-	store *gradStore // seals per-virtual-batch gradient shards (Algorithm 2)
+	// tickets holds the completion tickets of a step's virtual batches,
+	// reused step after step under runMu.
+	tickets []*trainTicket
+	store   *gradStore // seals per-virtual-batch gradient shards (Algorithm 2)
 	// sealBufs holds, per lane, the byte image of its ▽W that sealGrads
 	// encodes and seals; reused batch after batch (Seal copies out of it).
 	sealBufs [][]byte
@@ -192,15 +196,19 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 	numVB := len(batch) / k
 	stats.DroppedExamples = len(batch) - numVB*k
 
-	tickets := make([]*trainTicket, 0, numVB)
+	for len(p.tickets) < numVB {
+		p.tickets = append(p.tickets, &trainTicket{done: make(chan struct{}, 1)})
+	}
+	tickets := p.tickets[:numVB]
 	var submitErr error
-	for v := 0; v < numVB; v++ {
+	for v, t := range tickets {
 		f, err := src.Acquire()
 		if err != nil {
 			submitErr = err
+			tickets = tickets[:v]
 			break
 		}
-		tickets = append(tickets, p.submit(f, src, batch[v*k:(v+1)*k], shardElems))
+		p.submit(t, f, src, batch[v*k:(v+1)*k], shardElems)
 	}
 
 	// Gather in virtual-batch order: summing losses and (below) gradients
@@ -254,17 +262,18 @@ func (p *TrainPipeline) TrainLargeBatch(src GangSource, batch []dataset.Example,
 }
 
 // submit enters one virtual batch into the pipeline on the given gang,
-// blocking only while all Depth lanes are busy.
-func (p *TrainPipeline) submit(f Fleet, src GangSource, examples []dataset.Example, shardElems int) *trainTicket {
-	t := &trainTicket{done: make(chan struct{})}
+// blocking only while all Depth lanes are busy; t, emptied first, signals
+// its end on done.
+func (p *TrainPipeline) submit(t *trainTicket, f Fleet, src GangSource, examples []dataset.Example, shardElems int) {
+	t.loss, t.handles, t.sealedBytes, t.culprits, t.err = 0, nil, 0, nil, nil
+	t.normLog.Discard() // a failed step never applied it
 	if need := p.Gang(); f.Size() < need {
 		t.err = fmt.Errorf("sched: gang of %d devices required, fleet has %d", need, f.Size())
 		src.Release(f, nil, t.err)
-		close(t.done)
-		return t
+		t.done <- struct{}{}
+		return
 	}
 	go p.run(p.acquire(f), src, examples, shardElems, t)
-	return t
 }
 
 // run drives one virtual batch down a lane: the full masked
@@ -322,7 +331,7 @@ func (p *TrainPipeline) run(lane *engine, src GangSource, examples []dataset.Exa
 	t.err = err
 	src.Release(f, t.culprits, err)
 	p.release(lane)
-	close(t.done)
+	t.done <- struct{}{}
 }
 
 // sealGrads encodes a lane's accumulators (params order) into the lane's
