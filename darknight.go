@@ -95,8 +95,7 @@ type Config struct {
 	// ManagedFleet alike; the managed fleet additionally counts straggler
 	// events. At slack E−1 a forward decode keeps one parity check, which
 	// detects a tamper but cannot name it; the audit then waits for the
-	// laggards on devices whose calls cannot block and names the culprit
-	// from the larger set.
+	// laggards and names the culprit from the larger set.
 	StragglerSlack int
 	// SlowAll marks every device slow by SlowDelay — the uniform
 	// per-dispatch device-latency regime pipelined training hides.

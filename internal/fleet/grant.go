@@ -112,8 +112,8 @@ func (g *Grant) straggle(slot int) {
 // Bookkeeping is per flight, not per layer: a virtual batch's flight counts
 // once toward Stats.AsyncDispatches and PeakOverlap, however many layers it
 // carries. The caller must End the flight before Release; Release waits
-// for every open flight to end (not for devices a quorum decoded around
-// that may block — those finish on their own time).
+// for every open flight to end, not for the late answers a quorum decoded
+// around — those land on their own time.
 func (g *Grant) BeginBlock(n int) (*gpu.BlockFlight, error) {
 	if n > len(g.devs) {
 		return nil, fmt.Errorf("fleet: flight of %d slots for gang of %d", n, len(g.devs))

@@ -15,15 +15,13 @@ import (
 // conversation with every device of a gang over which the TEE ships
 // bilinear layers in turn — in the runtime, every forward and backward
 // offload of one virtual batch. Shipping only queues a layer's jobs, one
-// FIFO per slot, so it never blocks on a straggling device. On a flight
-// whose slots are all prompt (see slot.open) nothing runs the queues until
-// the owner gathers or ends the flight: it then runs every queued job
-// itself, slot by slot, before it waits. On any other flight each slot
-// runs its jobs on a worker that starts with the slot's first job and
-// exits when its queue is empty: a slot still chewing on layer l simply
-// accumulates its layer l+1 job while the quorum gather decodes around
-// it. Everything flight-scoped — a slow device's launch latency, the
-// fleet's handle accounting — is paid once per flight; the per-layer math
+// FIFO per slot. Nothing runs the queues until the owner gathers or ends
+// the flight: it then runs every queued job itself, slot by slot, before
+// it waits. A device call never blocks (see Device); a device's latency
+// holds its answer in the flight instead (see slot.open), so a quorum
+// gather decodes around exactly the slots whose answers are late.
+// Everything flight-scoped — a slow device's launch latency, the fleet's
+// handle accounting — is paid once per flight; the per-layer math
 // (encode, decode, verify) is untouched, which is what keeps outputs
 // bit-identical to flying every layer alone.
 //
@@ -34,13 +32,13 @@ import (
 // is what the devices keep between a batch's passes (§6 "Encoded Data
 // Storage During Forward Pass"). An answer that lands after its gatherer's
 // snapshot is the flight's too. The release comes once End has run, every
-// slot has run its last job, every answer a slow device held has been
-// delivered and every spare job has finished; it recycles the late
-// answers, and the flight — its operands, layers, snapshots and slot
-// queues — goes back for the next NewBlockFlight. So two flights on one
-// device — pipelined lanes, or training beside inference — can neither
-// alias nor miss each other's operands, and a quorum laggard reads its
-// operands for as long as it runs.
+// answer a slot held has been delivered and every spare job has finished;
+// it recycles the late answers, and the flight — its operands, layers,
+// snapshots and slot queues — goes back for the next NewBlockFlight. So
+// two flights on one device — pipelined lanes, or training beside
+// inference — can neither alias nor miss each other's operands, and a
+// spare job, the one reader that can still run after its gather, reads
+// its operands for as long as it runs.
 //
 // A flight has one owner: ship and gather from a single goroutine, and
 // touch nothing of the flight — its layers and snapshots included — after
@@ -59,14 +57,10 @@ type BlockFlight struct {
 	layers  []*LayerPending
 	shipped int
 	// refs counts what holds the release back: the owner until End, each
-	// running slot worker, each launch holding answers, each armed
-	// speculation and each spare job.
+	// slot holding answers, each armed speculation and each spare job.
 	refs  atomic.Int32
 	live  atomic.Int64 // flight-owned buffers not yet released (Kept)
 	ended bool
-	// onGather is set when every slot is prompt: the slots start no
-	// workers, and only the owner touches their queues (runQueued).
-	onGather bool
 }
 
 // BlockOptions customizes a flight's accounting hooks; the zero value
@@ -100,95 +94,62 @@ type job struct {
 
 // slot is one device conversation: the device its jobs run on, what a
 // conversation with it costs — both decided once, when the flight opens —
-// and a FIFO of jobs, drained by the flight's owner when the flight runs
-// its jobs on the gatherer, otherwise by a worker that lives only while
-// the queue is non-empty. A worker pops a job by moving the backlog down
-// the queue's array instead of slicing past it, so the array keeps its
-// front capacity and a busy slot's enqueues stop growing it once it holds
-// the slot's longest backlog. A reused flight keeps its slots, queues and launches.
+// and a FIFO of jobs, which only the flight's owner touches: shipping
+// appends to it, and a gather or End runs it. A reused flight keeps its
+// slots, queues and holds.
 type slot struct {
-	f   *BlockFlight
-	dev Device
-	// launch is the latency a slow device pays once per conversation; nil
-	// for a device with none, so only slow devices carry its state. It
-	// points at lnch, which a reused slot keeps with its timer.
-	launch *launch
-	lnch   launch
-	// start is work bound to the slot once, when its flight is built, so
-	// starting a worker copies nothing to the heap.
-	start func()
-
-	mu      sync.Mutex
-	queue   []job
-	busy    bool
-	prompt  bool          // set by open: no call on dev can block
-	waiting bool          // drain waits on idle for the worker to exit
-	idle    chan struct{} // one token per exit drain waited for
+	dev   Device
+	late  late // what a slow or chaotic device's answers wait in; a reused slot keeps its timer
+	queue []job
 }
 
-// open starts the conversation with d. A device built by NewSlow charges
-// its delay once per conversation instead of once per job: the delay
-// models dispatch overhead — kernel launch, transfer setup — which a
-// persistent conversation pays a single time, once per virtual batch. Its
-// jobs run on the device below it, and only the outermost delay counts.
-// Every other wrapper (fault injection, collusion capture, chaos) keeps its
-// per-job semantics, a slow device nested inside it included, so the
-// conversation changes what a device costs, never what it computes. A
-// call cannot block when the device is honest, or slow over honest: the
-// launch holds answers, not work.
+// open starts the conversation with d, walking its wrapper chain once. A
+// device's latency holds its answers, never its calls:
+//
+//   - A device built by NewSlow, wherever it sits in the chain, charges its
+//     delay once per conversation instead of once per job: the delay models
+//     dispatch overhead — kernel launch, transfer setup — which a persistent
+//     conversation pays a single time, once per virtual batch. Only the
+//     outermost nonzero delay counts, and jobs run on the first device
+//     below the outer slow wrappers.
+//   - A ChaosDevice anywhere in the chain holds each answer for the delay
+//     its actuator reads when the job has run.
+//
+// When the chain has both, the later release wins. Every other wrapper
+// (fault injection, collusion capture) keeps its per-job semantics, so the
+// conversation changes what a device costs, never what it computes.
 func (s *slot) open(d Device) {
-	s.launch = nil
-	if sl, ok := d.(*slow); ok && sl.delay > 0 {
-		s.lnch.delay, s.lnch.ready = sl.delay, time.Time{}
-		s.launch = &s.lnch
+	l := &s.late
+	l.delay, l.ready, l.chaos = 0, time.Time{}, nil
+	s.dev = nil
+	var inner Device
+	for w := d; w != nil; w = inner {
+		switch v := w.(type) {
+		case *slow:
+			if l.delay == 0 {
+				l.delay = v.delay // only the outermost nonzero delay counts
+			}
+			inner = v.Device
+			continue
+		case *ChaosDevice:
+			if l.chaos == nil {
+				l.chaos = v
+			}
+			inner = v.Device
+		case *malicious:
+			inner = v.Device
+		case *colluding:
+			inner = v.Device
+		default:
+			inner = nil
+		}
+		if s.dev == nil {
+			s.dev = w // the first device below the outer slow wrappers
+		}
 	}
-	for sl, ok := d.(*slow); ok; sl, ok = d.(*slow) {
-		d = sl.Device
-	}
-	s.dev = d
-	_, s.prompt = d.(*honest)
 }
 
-func (s *slot) enqueue(j job) {
-	if s.f.onGather {
-		s.queue = append(s.queue, j)
-		return
-	}
-	s.mu.Lock()
-	s.queue = append(s.queue, j)
-	if s.busy {
-		s.mu.Unlock()
-		return
-	}
-	s.busy = true
-	s.mu.Unlock()
-	s.f.refs.Add(1)
-	go s.start()
-}
-
-// work runs the slot's queue, front first, until it is empty. The worker
-// lets go of the flight before it tells a waiting drain it is done, so a
-// flight whose slots all drained is released by End itself.
-func (s *slot) work() {
-	s.mu.Lock()
-	for len(s.queue) > 0 {
-		j := s.queue[0]
-		n := copy(s.queue, s.queue[1:])
-		s.queue[n] = job{} // the vacated tail keeps no layer alive
-		s.queue = s.queue[:n]
-		s.mu.Unlock()
-		j.p.run(s, j.entry, nil)
-		s.mu.Lock()
-	}
-	s.busy = false
-	waiting := s.waiting
-	s.waiting = false
-	s.mu.Unlock()
-	s.f.unref()
-	if waiting {
-		s.idle <- struct{}{}
-	}
-}
+func (s *slot) enqueue(j job) { s.queue = append(s.queue, j) }
 
 // idleFlights holds released flights for reuse, newest last.
 var idleFlights struct {
@@ -201,14 +162,7 @@ var idleFlights struct {
 const maxIdleFlights = 64
 
 // NewBlockFlight opens a flight with one slot per device, in gang order,
-// reusing a released flight when one is idle. A flight whose slots are all
-// prompt runs its jobs on the goroutine that gathers them: a slot worker's
-// start and its handoff back to the lane cost as much as a small kernel.
-// The rule is per flight, not per slot: were a flight's prompt slots to
-// answer at once while a slot that may block (a chaos actuator, say) kept
-// its worker, the prompt answers would always form a straggler quorum
-// first, and the other slot's answers — a tamperer's included — would
-// never be audited.
+// reusing a released flight when one is idle.
 func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
 	idleFlights.Lock()
 	var f *BlockFlight
@@ -225,14 +179,8 @@ func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
 		f.slots = make([]slot, len(devs))
 	}
 	f.slots = f.slots[:len(devs)]
-	f.onGather = true
 	for i, d := range devs {
-		s := &f.slots[i]
-		if s.f == nil {
-			s.f, s.start, s.idle = f, s.work, make(chan struct{}, 1)
-		}
-		s.open(d)
-		f.onGather = f.onGather && s.prompt
+		f.slots[i].open(d)
 	}
 	f.opts, f.ended = opts, false
 	f.refs.Store(1)
@@ -309,68 +257,95 @@ func (f *BlockFlight) adopt(x field.Vec) field.Vec {
 	return v
 }
 
-// launch holds a slow device's answers until its latency has passed since
-// the conversation's first job: the latency delays what the TEE hears
-// back, not the device's work, so jobs queued behind the first one — the
-// rest of the batch's forward layers and its gradient jobs — never wait
-// out the launch themselves. One goroutine at a time — the slot's worker,
-// or the owner running the slot's queue — starts it, so ready needs no
-// lock; held is shared with the timer that releases it. While it holds
-// answers the launch holds its flight's release.
-type launch struct {
-	delay time.Duration
-	ready time.Time // zero until the first job ran
+// late holds a slot's answers until the device's latency has passed: the
+// latency delays what the TEE hears back, not the device's work, so jobs
+// queued behind the first one — the rest of the batch's forward layers and
+// its gradient jobs — never wait it out themselves. A slow device's launch
+// holds every answer until its delay has passed since the conversation's
+// first job; a chaos actuator holds each answer for its delay from when
+// the job ran. An answer whose latency has passed leaves at once; a held
+// answer never leaves before one held ahead of it. Only the flight's owner, or a spare job in its
+// own conversation, runs a slot's jobs, so ready needs no lock; held is
+// shared with the timer that releases it. While it holds answers the slot
+// holds its flight's release.
+type late struct {
+	delay time.Duration // a slow device's launch latency; 0 for none
+	ready time.Time     // when the launch latency has passed; zero until the first job ran
+	chaos *ChaosDevice  // the actuator whose delay holds each answer; nil for none
 
 	mu    sync.Mutex
-	held  []answer // answers waiting for ready, in the order their jobs ran
+	held  []heldAnswer // answers waiting for their release, in the order their jobs ran
 	timer *time.Timer
 }
 
-func (l *launch) start() {
-	if l.ready.IsZero() {
-		l.ready = time.Now().Add(l.delay)
-	}
+// heldAnswer is an answer and when it may leave.
+type heldAnswer struct {
+	answer
+	at time.Time
 }
 
-// hold queues a until ready and reports whether it did: once the latency
-// has passed, answers leave at once. One timer per conversation releases
-// everything held.
-func (l *launch) hold(a answer) bool {
-	wait := time.Until(l.ready)
-	if wait <= 0 {
+// hold queues a until the device's latency has passed and reports whether
+// it did: an answer whose latency has passed leaves at once. One timer per
+// slot releases what is held, armed for the oldest answer.
+func (l *late) hold(a answer) bool {
+	now := time.Now()
+	if l.delay > 0 && l.ready.IsZero() {
+		l.ready = now.Add(l.delay)
+	}
+	at := l.ready
+	if l.chaos != nil {
+		if d := l.chaos.lateBy(); d > 0 && now.Add(d).After(at) {
+			at = now.Add(d)
+		}
+	}
+	if !at.After(now) {
 		return false
 	}
 	l.mu.Lock()
-	l.held = append(l.held, a)
+	if n := len(l.held); n > 0 && at.Before(l.held[n-1].at) {
+		at = l.held[n-1].at
+	}
+	l.held = append(l.held, heldAnswer{answer: a, at: at})
 	if len(l.held) == 1 {
 		a.p.f.refs.Add(1)
 		if l.timer == nil {
-			l.timer = time.AfterFunc(wait, l.release)
+			l.timer = time.AfterFunc(at.Sub(now), l.release)
 		} else {
-			l.timer.Reset(wait)
+			l.timer.Reset(at.Sub(now))
 		}
 	}
 	l.mu.Unlock()
 	return true
 }
 
-// release files the held answers outside the lock, since filing runs the
-// flight's hooks. An answer held meanwhile — its hold began just before
-// ready — arms no timer of its own: this call files it too, before it lets
+// release files, outside the lock since filing runs the flight's hooks,
+// every held answer whose time has come, oldest first, and arms the timer
+// again for the next one. An answer held meanwhile arms no timer of its
+// own: this call files it too, or arms the timer for it, before it lets
 // go of the flight.
-func (l *launch) release() {
+func (l *late) release() {
 	l.mu.Lock()
 	f := l.held[0].p.f
 	for len(l.held) > 0 {
-		out := l.held
+		now := time.Now()
+		if wait := l.held[0].at.Sub(now); wait > 0 {
+			l.timer.Reset(wait)
+			l.mu.Unlock()
+			return
+		}
+		n := 1
+		for n < len(l.held) && !l.held[n].at.After(now) {
+			n++
+		}
+		out := l.held[:n]
 		l.mu.Unlock()
 		for i := range out {
 			out[i].file()
 		}
 		l.mu.Lock()
-		n := copy(l.held, l.held[len(out):])
-		clear(l.held[n:])
-		l.held = l.held[:n]
+		k := copy(l.held, l.held[n:])
+		clear(l.held[k:])
+		l.held = l.held[:k]
 	}
 	l.mu.Unlock()
 	f.unref()
@@ -437,13 +412,9 @@ func (f *BlockFlight) GradLayer(fwd *LayerPending, kernel BilinearKernel, prim, 
 	return p, nil
 }
 
-// runQueued runs, on the calling goroutine, every job queued on a flight
-// that runs its jobs on the gatherer: slot by slot, each slot's in FIFO
-// order. It does nothing on a flight with slot workers.
+// runQueued runs, on the calling goroutine, every job queued on the
+// flight: slot by slot, each slot's in FIFO order.
 func (f *BlockFlight) runQueued() {
-	if !f.onGather {
-		return
-	}
 	for i := range f.slots {
 		s := &f.slots[i]
 		for k := range s.queue {
@@ -455,46 +426,17 @@ func (f *BlockFlight) runQueued() {
 	}
 }
 
-// drain waits until every prompt slot has run every job shipped down the
-// flight. A prompt slot's calls wait on nothing outside it — the honest
-// kernel, and a slow device over one, which holds answers, not work — so
-// drain waits only for the slot workers to be scheduled, never for a
-// device: a slot that may block (a chaos actuator, a test device) is not
-// waited for.
-func (f *BlockFlight) drain() {
-	for i := range f.slots {
-		s := &f.slots[i]
-		if !s.prompt {
-			continue
-		}
-		s.mu.Lock()
-		if !s.busy {
-			s.mu.Unlock()
-			continue
-		}
-		s.waiting = true
-		s.mu.Unlock()
-		<-s.idle
-	}
-}
-
-// End closes the conversation and fires the OnEnd hook. It waits for no
-// device call that can block: a layer that was gathered has nothing left
-// running except jobs a quorum decoded around, and on a device that may
-// block those finish on their own time. It does see every job shipped to
-// a slot whose calls cannot block run — itself, on a flight that runs its
-// jobs on the gatherer (runQueued), otherwise by waiting for the slot
-// workers (drain) — so the devices' work for the flight, and their traffic
-// counters, are complete when the flight ends. The flight is released
-// once nothing else holds it: at once when nothing does. The flight is not
-// the caller's after End.
+// End closes the conversation and fires the OnEnd hook. It first runs
+// every job no gather ran, so the devices' work for the flight, and their
+// traffic counters, are complete when the flight ends; it waits for no
+// answer a slot holds. The flight is released once nothing else holds it:
+// at once when nothing does. The flight is not the caller's after End.
 func (f *BlockFlight) End() {
 	if f.ended {
 		return
 	}
 	f.ended = true
 	f.runQueued()
-	f.drain()
 	if f.opts.OnEnd != nil {
 		f.opts.OnEnd()
 	}
@@ -523,8 +465,7 @@ type LayerPending struct {
 	results []field.Vec
 	present []bool
 	ok      [2]int // per window: jobs answered
-	need    int    // the quorum a parked gatherer waits for; 0 when none is parked
-	prompt  bool   // a parked gatherer waits for every prompt slot's job instead
+	need    int    // the answers a parked gatherer waits for; 0 when none is parked
 	// A gather hands out every result (all) or a snapshot: snapResults and
 	// snapPresent, whose present answers are the gatherer's. Answers that
 	// land after it (late, counted) are the flight's.
@@ -548,7 +489,7 @@ func (f *BlockFlight) newPending(window, secondary int) *LayerPending {
 	p.results = resize(p.results, n)
 	p.present = resize(p.present, n)
 	clear(p.present)
-	p.ok, p.need, p.prompt = [2]int{}, 0, false
+	p.ok, p.need = [2]int{}, 0
 	p.all, p.snapped, p.late = false, false, 0
 	p.shipped = time.Time{}
 	if f.opts.Observe != nil {
@@ -584,10 +525,9 @@ type answer struct {
 }
 
 // run executes one job in a conversation — the gang slot's own, or, when
-// done is non-nil, a spare's — and answers it, then runs done. A slow
-// device may hold the answer until its launch latency has passed; the slot
-// moves on to its next job meanwhile. A spare feeds no latency
-// observation.
+// done is non-nil, a spare's — and answers it, then runs done. The slot
+// may hold the answer until the device's latency has passed; it moves on
+// to its next job meanwhile. A spare feeds no latency observation.
 func (p *LayerPending) run(s *slot, entry int, done func()) {
 	gang := p.slot(entry)
 	var y field.Vec
@@ -597,11 +537,8 @@ func (p *LayerPending) run(s *slot, entry int, done func()) {
 		y = s.dev.GradWeights(p.bwd, p.ops[entry], p.from.ops[gang])
 	}
 	a := answer{p: p, slot: gang, entry: entry, y: y, done: done}
-	if l := s.launch; l != nil {
-		l.start()
-		if l.hold(a) {
-			return
-		}
+	if l := &s.late; (l.delay > 0 || l.chaos != nil) && l.hold(a) {
+		return
 	}
 	a.file()
 }
@@ -620,8 +557,12 @@ func (a *answer) file() {
 }
 
 // settled reports whether a gather for quorum q can return: one window has
-// q answers. Caller holds mu.
+// q answers, or, for q beyond the window, every job has answered. Caller
+// holds mu.
 func (p *LayerPending) settled(q int) bool {
+	if q > p.window {
+		return p.ok[0]+p.ok[1] == len(p.results)
+	}
 	return p.ok[0] >= q || p.ok[1] >= q
 }
 
@@ -645,9 +586,9 @@ func (p *LayerPending) deliver(entry int, v field.Vec) {
 		p.late++
 		p.f.live.Add(1)
 	}
-	wake := (p.need > 0 && p.settled(p.need)) || (p.prompt && p.promptSettled())
+	wake := p.need > 0 && p.settled(p.need)
 	if wake {
-		p.need, p.prompt = 0, false
+		p.need = 0
 	}
 	p.mu.Unlock()
 	if wake {
@@ -696,12 +637,12 @@ func (p *LayerPending) Wait() []field.Vec {
 
 // WaitQuorum blocks until q jobs of one window have answered (a q outside
 // [1, window] means the whole window) and returns the results in job order
-// with a presence mask; a nil mask means every job answered. Jobs still
-// running at that point are branded stragglers and finish on their own
-// time, reading operands the flight keeps until its release. On a flight
-// that runs its jobs on the gatherer, every queued job of the flight runs
-// first. The returned slices belong to the flight: they stay valid until
-// End, and a later gather of the same layer rewrites them.
+// with a presence mask; a nil mask means every job answered. Every queued
+// job of the flight runs first, so the jobs missing at that point are
+// those whose answers a slot still holds, or whose share a spare still
+// runs: they are branded stragglers and land on their own time. The
+// returned slices belong to the flight: they stay valid until End, and a
+// later gather of the same layer rewrites them.
 func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 	if q <= 0 || q > p.window {
 		q = p.window
@@ -739,34 +680,23 @@ func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 	return results, present
 }
 
-// WaitPrompt blocks until every job of the layer on a slot whose calls
-// cannot block — the slots End's drain waits for — has answered, and
-// returns the results in job order with a presence mask, as WaitQuorum
-// does. A quorum gather that returned around laggards uses it to take in
-// the answers bound to land; a job on a slot that may block is never
-// waited for. Queued jobs run first, as in WaitQuorum.
+// WaitPrompt blocks until every job of the layer has answered — each is
+// bound to land, since a device call never blocks — and returns the
+// results in job order with a presence mask, as WaitQuorum does. A quorum
+// gather that returned around laggards uses it to take in their answers.
+// Queued jobs run first, as in WaitQuorum.
 func (p *LayerPending) WaitPrompt() ([]field.Vec, []bool) {
 	p.f.runQueued()
+	all := len(p.results)
 	p.mu.Lock()
-	if !p.promptSettled() {
-		p.prompt = true
+	if !p.settled(all) {
+		p.need = all
 		p.mu.Unlock()
 		<-p.wake
 		p.mu.Lock()
 	}
 	defer p.mu.Unlock()
 	return p.snapshot()
-}
-
-// promptSettled reports whether every job on a prompt slot has answered.
-// Caller holds mu.
-func (p *LayerPending) promptSettled() bool {
-	for entry, got := range p.present {
-		if !got && p.f.slots[p.slot(entry)].prompt {
-			return false
-		}
-	}
-	return true
 }
 
 // speculate re-dispatches every still-lagging coded share to a borrowed

@@ -9,9 +9,10 @@ import (
 	"darknight/internal/field"
 )
 
-// scriptDevice is the fake a flight test needs: a Device whose every job
-// waits for gate (nil = never waits), then answers from the wrapped device.
-// A flight cannot tell it never blocks, so End does not drain its slot.
+// scriptDevice is the fake a flight test needs: a Device that counts its
+// jobs and whose every job first waits for gate (nil = never waits). A
+// gated call blocks whoever runs it, so only a spare, which runs its job on
+// a goroutine of its own, is ever gated.
 type scriptDevice struct {
 	Device
 	gate <-chan struct{}
@@ -46,6 +47,30 @@ func scriptDevices(n int) ([]*scriptDevice, []Device) {
 	return scripts, devs
 }
 
+// hourLate wraps d in a chaos actuator whose answers land an hour after
+// their jobs ran: a laggard no gather waits out, until expire lets its
+// answers land.
+func hourLate(d Device) *ChaosDevice {
+	c := NewChaos(d)
+	c.SetDelay(time.Hour)
+	return c
+}
+
+// expire lets every answer slot i of f holds land now: the gate a test
+// opens for an hour-late laggard. The held answers keep the flight from
+// its release, so its slots are not reused meanwhile.
+func expire(f *BlockFlight, i int) {
+	l := &f.slots[i].late
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k := range l.held {
+		l.held[k].at = time.Time{}
+	}
+	if len(l.held) > 0 {
+		l.timer.Reset(0)
+	}
+}
+
 func vecs(n int, seed field.Elem) []field.Vec {
 	out := make([]field.Vec, n)
 	for i := range out {
@@ -55,17 +80,20 @@ func vecs(n int, seed field.Elem) []field.Vec {
 }
 
 // TestFlightQuorumLeavesLaggardBehind: a gather for n-1 returns while one
-// slot is blocked, End does not wait for it, and the blocked slot still
-// runs its queued jobs in shipping order once released.
+// slot's answers are held, brands that slot once per layer, and End does
+// not wait for the held answers. The laggard ran each layer's job at its
+// gather, in shipping order, and its held answers leave in that order: an
+// answer held for less time than the one ahead of it still waits behind
+// it.
 func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 	const n = 4
-	gate := make(chan struct{})
-	scripts, devs := scriptDevices(n)
-	scripts[1].gate = gate
+	_, devs := scriptDevices(n)
+	lagging := hourLate(devs[1])
+	devs[1] = lagging
 	var branded []int
 	f := NewBlockFlight(devs, BlockOptions{Straggler: func(slot int) { branded = append(branded, slot) }})
 
-	ran := make(chan string, 2) // slot 1's jobs, in the order its worker ran them
+	ran := make(chan string, 2) // slot 1's jobs, in the order they ran
 	for _, key := range []string{"l1", "l2"} {
 		coded := vecs(n, 10)
 		p, err := f.ForwardLayer("", func(x field.Vec) field.Vec {
@@ -81,7 +109,7 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 		for j := range coded {
 			if j == 1 {
 				if present[j] {
-					t.Fatalf("%s: blocked slot reported present", key)
+					t.Fatalf("%s: late slot reported present", key)
 				}
 				continue
 			}
@@ -89,18 +117,17 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 				t.Fatalf("%s: slot %d wrong or absent", key, j)
 			}
 		}
+		lagging.SetDelay(time.Minute) // l2's answer is due before l1's, which is held ahead of it
 	}
-	f.End() // must return with slot 1 still blocked
+	f.End() // must return with slot 1's answers still held
 	if len(branded) != 2 || branded[0] != 1 || branded[1] != 1 {
 		t.Fatalf("straggler brands = %v, want slot 1 once per layer", branded)
 	}
-	if got := scripts[1].jobs.Load(); got != 0 {
-		t.Fatalf("blocked slot ran %d jobs before its gate opened", got)
-	}
-	close(gate)
 	if first, second := <-ran, <-ran; first != "l1" || second != "l2" {
 		t.Fatalf("laggard ran its queue as %s, %s: want shipping order", first, second)
 	}
+	expire(f, 1)
+	waitReleased(t, f)
 }
 
 // TestFlightBackwardWindows: with both decode windows shipped on S+E slots
@@ -108,32 +135,34 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 func TestFlightBackwardWindows(t *testing.T) {
 	const s, e = 3, 2
 	identGrad := func(delta, _ field.Vec) field.Vec { return delta }
-	open := func(t *testing.T) ([]*scriptDevice, *BlockFlight, *LayerPending) {
-		scripts, devs := scriptDevices(s + e)
+	open := func(t *testing.T) ([]*ChaosDevice, *BlockFlight, *LayerPending) {
+		chaos := make([]*ChaosDevice, s+e)
+		devs := make([]Device, s+e)
+		for i := range devs {
+			chaos[i] = NewChaos(NewHonest(i))
+			devs[i] = chaos[i]
+		}
 		f := NewBlockFlight(devs, BlockOptions{})
 		p, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return x }, vecs(s+e, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Wait()
-		return scripts, f, p
+		return chaos, f, p
 	}
 	prim, sec := vecs(s, 100), vecs(s, 200)
 
 	for _, c := range []struct {
-		name    string
-		blocked int // primary-exclusive 0, secondary-exclusive s+e-1
-		window  int // the window that must come back complete
+		name   string
+		late   int // primary-exclusive 0, secondary-exclusive s+e-1
+		window int // the window that must come back complete
 	}{
 		{"primary-exclusive laggard", 0, 1},
 		{"secondary-exclusive laggard", s + e - 1, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			gate := make(chan struct{})
-			defer close(gate)
-			scripts, f, fwd := open(t)
-			defer f.End()
-			scripts[c.blocked].gate = gate
+			chaos, f, fwd := open(t)
+			chaos[c.late].SetDelay(time.Hour) // its gradient answer, not its forward one
 			p, err := f.GradLayer(fwd, identGrad, prim, sec)
 			if err != nil {
 				t.Fatal(err)
@@ -145,6 +174,9 @@ func TestFlightBackwardWindows(t *testing.T) {
 					t.Fatalf("window %d equation %d wrong or absent", c.window, j)
 				}
 			}
+			f.End()
+			expire(f, c.late)
+			waitReleased(t, f)
 		})
 	}
 
@@ -167,14 +199,13 @@ func TestFlightBackwardWindows(t *testing.T) {
 	})
 }
 
-// TestFlightSpeculationFillsBlockedSlots: with two of four slots blocked a
-// quorum of three can only form through a borrowed spare, and the laggards'
-// own late answers land on a layer that has already settled.
+// TestFlightSpeculationFillsBlockedSlots: with two of four slots' answers
+// held an hour a quorum of three can only form through a borrowed spare,
+// and the laggards' own late answers land on a layer that has already
+// settled.
 func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 	const n = 4
-	gate := make(chan struct{})
-	scripts, devs := scriptDevices(n)
-	scripts[1].gate, scripts[2].gate = gate, gate
+	devs := []Device{NewHonest(0), hourLate(NewHonest(1)), hourLate(NewHonest(2)), NewHonest(3)}
 	var lent atomic.Int32
 	f := NewBlockFlight(devs, BlockOptions{
 		SpeculateAfter: time.Microsecond,
@@ -183,7 +214,6 @@ func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 			return NewHonest(n + id), func(time.Duration) {}, true
 		},
 	})
-	defer f.End()
 	coded := vecs(n, 10)
 	p, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return field.ScaleVec(2, x) }, coded)
 	if err != nil {
@@ -202,48 +232,50 @@ func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 	if got < n-1 || lent.Load() == 0 {
 		t.Fatalf("%d present after %d loans, want >= %d through a loan", got, lent.Load(), n-1)
 	}
-	close(gate)
+	expire(f, 1)
+	expire(f, 2)
 	p.Wait() // every slot answered by now or soon: no hang, no double count
+	f.End()
+	waitReleased(t, f)
 }
 
-// TestSlotOpensConversation: a flight decides once, per slot, whether a
-// call on its device can block and what launch latency it pays. Only the
-// outermost slow device is a launch, its jobs run on the device below the
-// slow ones, and every other wrapper keeps its per-job semantics — a slow
-// device inside one included, which no launch replaces.
+// TestSlotOpensConversation is the table of what each device composition
+// pays: a flight walks a slot's wrapper chain once, when it opens, for the
+// launch latency the outermost slow device charges once per conversation
+// and for a chaos actuator, which holds each answer. Jobs run on the first
+// device below the outer slow wrappers; every other wrapper keeps its
+// per-job semantics.
 func TestSlotOpensConversation(t *testing.T) {
 	const outer, inner = 3 * time.Millisecond, 7 * time.Millisecond
 	h := NewHonest(0)
 	mal := NewMalicious(h, FaultPolicy{EveryNth: 1})
+	chaos := NewChaos(h)
+	malChaos := NewMalicious(chaos, FaultPolicy{EveryNth: 1})
 	for _, c := range []struct {
 		name   string
 		dev    Device
-		prompt bool
-		delay  time.Duration // 0: no launch state
+		delay  time.Duration // the launch latency; 0 for none
+		chaos  *ChaosDevice  // the actuator that holds each answer; nil for none
 		runsOn Device        // nil: the device itself
 	}{
-		{name: "honest", dev: h, prompt: true},
-		{name: "slow", dev: NewSlow(h, outer), prompt: true, delay: outer, runsOn: h},
-		{name: "slow over slow", dev: NewSlow(NewSlow(h, inner), outer), prompt: true, delay: outer, runsOn: h},
-		{name: "slow without delay", dev: NewSlow(h, 0), prompt: true, runsOn: h},
+		{name: "honest", dev: h},
+		{name: "slow", dev: NewSlow(h, outer), delay: outer, runsOn: h},
+		{name: "slow over slow", dev: NewSlow(NewSlow(h, inner), outer), delay: outer, runsOn: h},
+		{name: "slow without delay", dev: NewSlow(h, 0), runsOn: h},
+		{name: "slow without delay over slow", dev: NewSlow(NewSlow(h, inner), 0), delay: inner, runsOn: h},
 		{name: "malicious", dev: mal},
-		{name: "malicious over slow", dev: NewMalicious(NewSlow(h, inner), FaultPolicy{EveryNth: 1})},
+		{name: "malicious over slow", dev: NewMalicious(NewSlow(h, inner), FaultPolicy{EveryNth: 1}), delay: inner},
 		{name: "slow over malicious", dev: NewSlow(mal, outer), delay: outer, runsOn: mal},
 		{name: "colluding", dev: NewColluding(h, new(CollusionPool))},
-		{name: "chaos", dev: NewChaos(h)},
+		{name: "chaos", dev: chaos, chaos: chaos},
+		{name: "slow over chaos", dev: NewSlow(chaos, outer), delay: outer, chaos: chaos, runsOn: chaos},
+		{name: "slow over malicious over chaos", dev: NewSlow(malChaos, outer), delay: outer, chaos: chaos, runsOn: malChaos},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var s slot
 			s.open(c.dev)
-			if s.prompt != c.prompt {
-				t.Errorf("prompt = %v, want %v", s.prompt, c.prompt)
-			}
-			var delay time.Duration
-			if s.launch != nil {
-				delay = s.launch.delay
-			}
-			if delay != c.delay || (s.launch != nil) != (c.delay > 0) {
-				t.Errorf("launch = %+v, want delay %v", s.launch, c.delay)
+			if s.late.delay != c.delay || s.late.chaos != c.chaos {
+				t.Errorf("pays launch %v, chaos %p; want launch %v, chaos %p", s.late.delay, s.late.chaos, c.delay, c.chaos)
 			}
 			want := c.runsOn
 			if want == nil {
@@ -251,6 +283,35 @@ func TestSlotOpensConversation(t *testing.T) {
 			}
 			if s.dev != want {
 				t.Errorf("jobs run on %T, want %T", s.dev, want)
+			}
+		})
+	}
+}
+
+// TestLateHoldKeepsLaterRelease: on a slot that pays both a launch latency
+// and a chaos delay, the first answer leaves at whichever release is later.
+func TestLateHoldKeepsLaterRelease(t *testing.T) {
+	const short, long = 20 * time.Millisecond, 60 * time.Millisecond
+	for _, c := range []struct {
+		name          string
+		launch, delay time.Duration
+	}{
+		{"launch later", long, short},
+		{"chaos later", short, long},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			chaos := NewChaos(NewHonest(0))
+			chaos.SetDelay(c.delay)
+			f := NewBlockFlight([]Device{NewSlow(chaos, c.launch)}, BlockOptions{})
+			defer f.End()
+			p, err := f.ForwardLayer("", scaleKernel(2), vecs(1, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now() // the job runs in the gather below
+			p.Wait()
+			if el := time.Since(start); el < long {
+				t.Fatalf("answered %v after the job ran, want the later release, %v", el, long)
 			}
 		})
 	}
@@ -298,8 +359,7 @@ func TestSlowTripHoldsAnswersNotWork(t *testing.T) {
 	}
 }
 
-// TestPromptFlightRunsJobsOnGatherer: a flight whose devices cannot block
-// runs nothing when it ships. Its first gather runs every queued job
+// TestPromptFlightRunsJobsOnGatherer: a flight runs nothing when it ships. Its first gather runs every queued job
 // before it waits, so a quorum gather holds every gang answer, and End
 // runs a layer that was shipped but never gathered, so the devices'
 // traffic is complete when End returns.
@@ -315,7 +375,7 @@ func TestPromptFlightRunsJobsOnGatherer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // long enough for a slot worker to run
+	time.Sleep(20 * time.Millisecond) // long enough for a job run off the owner's goroutine to show
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d kernels ran before any gather", n)
 	}
@@ -342,89 +402,68 @@ func TestPromptFlightRunsJobsOnGatherer(t *testing.T) {
 	}
 }
 
-// TestMixedFlightKeepsWorkers: one slot that may block keeps the whole
-// flight on slot workers. The honest slots run their kernels with no
-// gather, and End does not wait for the blocked slot.
-func TestMixedFlightKeepsWorkers(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	devs := []Device{NewHonest(0), NewHonest(1)}
-	blocked := &scriptDevice{Device: NewHonest(2), gate: gate}
-	f := NewBlockFlight([]Device{devs[0], devs[1], blocked}, BlockOptions{})
-	ran := make(chan struct{}, 3)
+// TestMixedFlightRunsJobsOnGatherer: a flight with a tamperer and a late
+// slot runs its jobs on the gatherer too. Nothing runs when it ships; its
+// quorum gather runs every job, the late slot's included, and returns with
+// the tamperer's answer and without the late one; End does not wait for
+// the held answer.
+func TestMixedFlightRunsJobsOnGatherer(t *testing.T) {
+	devs := []Device{NewHonest(0), NewMalicious(NewHonest(1), FaultPolicy{EveryNth: 1}), hourLate(NewHonest(2))}
+	var branded []int
+	f := NewBlockFlight(devs, BlockOptions{Straggler: func(slot int) { branded = append(branded, slot) }})
+	var ran atomic.Int32
 	kernel := func(x field.Vec) field.Vec {
-		ran <- struct{}{}
+		ran.Add(1)
 		return x
 	}
-	if _, err := f.ForwardLayer("", kernel, vecs(3, 5)); err != nil {
+	p, err := f.ForwardLayer("", kernel, vecs(3, 5))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range len(devs) {
-		select {
-		case <-ran:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of %d honest kernels ran without a gather", i, len(devs))
-		}
+	time.Sleep(20 * time.Millisecond) // long enough for a job run off the owner's goroutine to show
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d kernels ran before any gather", n)
 	}
-	ended := make(chan struct{})
-	go func() {
-		f.End()
-		close(ended)
-	}()
-	select {
-	case <-ended:
-	case <-time.After(10 * time.Second):
-		t.Fatal("End waited for the blocked slot")
+	if _, present := p.WaitQuorum(2); present == nil || !present[0] || !present[1] || present[2] {
+		t.Fatalf("quorum gather present %v, want the honest slot and the tamperer", present)
 	}
+	if len(branded) != 1 || branded[0] != 2 {
+		t.Fatalf("straggler brands = %v, want the late slot", branded)
+	}
+	f.End()
 	for i, d := range devs {
 		if jobs := d.Traffic().Jobs; jobs != 1 {
 			t.Fatalf("device %d counted %d jobs, want 1", i, jobs)
 		}
 	}
-	if n := blocked.jobs.Load(); n != 0 {
-		t.Fatalf("the blocked slot ran %d jobs", n)
-	}
+	expire(f, 2)
+	waitReleased(t, f)
 }
 
-// TestFlightEndRunsEveryPromptJob: End returns once every slot whose
-// device cannot block has run every job shipped — before a slow device's
-// launch latency has let a single answer out — and never waits for a slot
-// that may block.
+// TestFlightEndRunsEveryPromptJob: End returns once every slot has run
+// every job shipped — a slow device's and a late chaos device's included —
+// without waiting for a single held answer to land.
 func TestFlightEndRunsEveryPromptJob(t *testing.T) {
-	const delay = 300 * time.Millisecond
-	devs := []Device{NewHonest(0), NewHonest(1)}
-	gate := make(chan struct{})
-	defer close(gate)
-	blocked := &scriptDevice{Device: NewHonest(2), gate: gate}
-	f := NewBlockFlight([]Device{NewSlow(devs[0], delay), devs[1], blocked}, BlockOptions{})
+	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
+	f := NewBlockFlight([]Device{NewSlow(devs[0], time.Hour), devs[1], hourLate(devs[2])}, BlockOptions{})
 	ident := func(x field.Vec) field.Vec { return x }
-	start := time.Now()
 	for range 3 {
 		if _, err := f.ForwardLayer("", ident, vecs(3, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ended := make(chan struct{})
-	go func() {
-		f.End()
-		close(ended)
-	}()
-	select {
-	case <-ended:
-	case <-time.After(10 * delay):
-		t.Fatal("End waited for the blocked slot")
-	}
-	if el := time.Since(start); el >= delay {
-		t.Fatalf("End returned %v after shipping: it waited for held answers (%v)", el, delay)
-	}
+	f.End() // returns with the answers of slots 0 and 2 held for an hour
 	for i, d := range devs {
 		if jobs := d.Traffic().Jobs; jobs != 3 {
 			t.Fatalf("device %d ran %d jobs by the time End returned, want 3", i, jobs)
 		}
 	}
-	if n := blocked.jobs.Load(); n != 0 {
-		t.Fatalf("the blocked slot ran %d jobs", n)
+	if f.Kept() == 0 {
+		t.Fatal("the flight was released while answers were held")
 	}
+	expire(f, 0)
+	expire(f, 2)
+	waitReleased(t, f)
 }
 
 // recycled counts, per vector, the late answers flights handed back to the
@@ -466,17 +505,15 @@ func waitReleased(t *testing.T, f *BlockFlight) {
 
 // TestMarkedFlightRecyclesAfterLastReader: every gradient job — of either
 // backward window — is handed the operand its slot's forward job was
-// shipped, and the flight releases its operands only after the last job
-// that reads them: a quorum laggard's forward and gradient jobs, still
-// queued when End returns, read theirs afterwards.
+// shipped, and the flight releases its operands only after the last
+// answer a slot holds has landed: a quorum laggard's forward and gradient
+// answers, still held when End returns.
 func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 	const s, e = 3, 2
 	const n = s + e
-	gate := make(chan struct{})
 	// Slot 0 is primary-exclusive: the secondary window decodes around it.
-	// The rest are honest, so End runs their queues.
-	lagging := &scriptDevice{Device: NewHonest(0), gate: gate}
-	devs := []Device{lagging}
+	lagging := &scriptDevice{Device: NewHonest(0)}
+	devs := []Device{hourLate(lagging)}
 	for i := 1; i < n; i++ {
 		devs = append(devs, NewHonest(i))
 	}
@@ -509,20 +546,15 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, present := p.WaitQuorum(s); present == nil || present[0] {
-			t.Fatalf("layer %d: the blocked slot answered", l)
+			t.Fatalf("layer %d: the late slot answered", l)
 		}
 	}
-	f.End() // returns with slot 0 still blocked
+	f.End() // returns with slot 0's answers still held
 	// Two forward layers of n operands and two gradient layers of 2s, all
 	// the caller's, so all copied in.
 	if k := f.Kept(); k < 2*n+4*s {
-		t.Fatalf("the flight owns %d buffers while its laggard is blocked, want >= %d", k, 2*n+4*s)
+		t.Fatalf("the flight owns %d buffers while its laggard's answers are held, want >= %d", k, 2*n+4*s)
 	}
-	if got := lagging.jobs.Load(); got != 0 {
-		t.Fatalf("the blocked slot ran %d jobs before its gate opened", got)
-	}
-	close(gate)
-	waitReleased(t, f)
 	if got := lagging.jobs.Load(); got != 4 {
 		t.Fatalf("the laggard ran %d jobs, want its 2 forward and 2 gradient jobs", got)
 	}
@@ -530,6 +562,8 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 	if r, m := reads.Load(), misreads.Load(); r != 4*s || m != 0 {
 		t.Fatalf("%d of %d gradient jobs were handed the wrong input", m, r)
 	}
+	expire(f, 0)
+	waitReleased(t, f)
 }
 
 // TestFlightKeepsOnlyForBackward: what a gradient job reads is its forward
@@ -570,9 +604,9 @@ func TestFlightKeepsOnlyForBackward(t *testing.T) {
 func TestSpeculativeStoresAreDropped(t *testing.T) {
 	const n = 4
 	ident := func(x field.Vec) field.Vec { return x.Clone() }
-	gangGate, spareGate := make(chan struct{}), make(chan struct{})
-	scripts, devs := scriptDevices(n)
-	scripts[1].gate, scripts[2].gate = gangGate, gangGate
+	spareGate := make(chan struct{})
+	_, devs := scriptDevices(n)
+	devs[1], devs[2] = hourLate(devs[1]), hourLate(devs[2])
 	coded := vecs(n, 10)
 	shipped := make([]field.Vec, n)
 	for j, x := range coded {
@@ -615,14 +649,15 @@ func TestSpeculativeStoresAreDropped(t *testing.T) {
 		gathered <- present
 	}()
 	<-borrowed // the speculation fired: the quorum cannot form from the gang
-	close(gangGate)
+	expire(f, 1)
+	expire(f, 2)
 	<-gathered
 	for _, x := range coded {
 		clear(x) // the caller reuses its buffers
 	}
 	f.End()
-	// Whatever else holds the flight — a gang slot's worker on its way out,
-	// the speculation timer — lets go at once; the gated spare job must not.
+	// Whatever else holds the flight — a late answer on its way in, the
+	// speculation timer — lets go at once; the gated spare job must not.
 	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if f.Kept() == 0 {
 			t.Fatal("the flight was released while a spare job had not run")
@@ -657,15 +692,14 @@ func (d *checkDevice) LinearForward(_ LinearKernel, x field.Vec) field.Vec {
 }
 
 // TestFlightDropRidesBehindLaggard: the release waits for a quorum
-// laggard's still-queued forward jobs on every slot — End returns before
-// them, and the operands they read are still the flight's — and releasing
-// is not a device job.
+// laggard's held answers — End returns before they land, and the operands
+// their jobs read are still the flight's — and releasing is not a device
+// job.
 func TestFlightDropRidesBehindLaggard(t *testing.T) {
 	const n = 3
-	gate := make(chan struct{})
 	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
-	lagging := &scriptDevice{Device: devs[1], gate: gate}
-	f := NewBlockFlight([]Device{devs[0], lagging, devs[2]}, BlockOptions{})
+	lagging := &scriptDevice{Device: devs[1]}
+	f := NewBlockFlight([]Device{devs[0], hourLate(lagging), devs[2]}, BlockOptions{})
 	ident := func(x field.Vec) field.Vec { return x.Clone() }
 	for l := 0; l < 2; l++ {
 		p, err := f.ForwardLayer("", ident, vecs(n, 5))
@@ -676,16 +710,16 @@ func TestFlightDropRidesBehindLaggard(t *testing.T) {
 			t.Fatalf("layer %d: the laggard answered", l)
 		}
 	}
-	f.End() // drains the prompt slots, not the gated one
+	f.End() // returns with the laggard's answers held
 	if k := f.Kept(); k != 2*n {
 		t.Fatalf("the flight owns %d buffers behind its laggard, want its %d operands", k, 2*n)
 	}
-	for _, i := range []int{0, 2} {
+	for i := range devs {
 		if jobs := devs[i].Traffic().Jobs; jobs != 2 {
 			t.Fatalf("device %d counted %d jobs, want 2", i, jobs)
 		}
 	}
-	close(gate)
+	expire(f, 1)
 	waitReleased(t, f)
 	if got := lagging.jobs.Load(); got != 2 {
 		t.Fatalf("the laggard ran %d jobs, want its 2 forward jobs", got)
@@ -697,13 +731,12 @@ func TestFlightDropRidesBehindLaggard(t *testing.T) {
 
 // TestFlightDropOwnsKeys: what a flight keeps is its own copy of a
 // caller's vector, taken at ship time. The caller rewrites its buffer as
-// soon as the forward layer has answered, and a gradient job still queued
-// on a slot that End does not wait for — so End has returned before it
-// runs — reads the input as it was shipped. Neither the caller's vectors
-// nor the flight's operands ever go to the kernels' pool.
+// soon as the forward layer has answered, and a gradient job that no
+// gather ran — End runs it — reads the input as it was shipped. Neither
+// the caller's vectors nor the flight's operands ever go to the kernels'
+// pool.
 func TestFlightDropOwnsKeys(t *testing.T) {
-	script := &scriptDevice{Device: NewHonest(0)} // may block, as far as the flight can tell
-	f := NewBlockFlight([]Device{script}, BlockOptions{})
+	f := NewBlockFlight([]Device{NewHonest(0)}, BlockOptions{})
 	coded := vecs(1, 5)
 	shipped := coded[0].Clone()
 	fwd, err := f.ForwardLayer("", func(x field.Vec) field.Vec { return x }, coded)
@@ -712,24 +745,21 @@ func TestFlightDropOwnsKeys(t *testing.T) {
 	}
 	operand := fwd.Wait()[0] // the identity kernel hands back the flight's copy
 	clear(coded[0])          // the caller reuses its buffer for the next layer
-	release := make(chan struct{})
 	delta := vecs(1, 9)[0]
-	read := make(chan field.Vec, 1)
+	var read field.Vec
 	if _, err := f.GradLayer(fwd, func(_, x field.Vec) field.Vec {
-		<-release
-		read <- x.Clone()
+		read = x.Clone()
 		return x.Clone()
 	}, []field.Vec{delta}, nil); err != nil {
 		t.Fatal(err)
 	}
-	f.End() // returns with the gradient job still blocked
-	if k := f.Kept(); k != 2 {
-		t.Fatalf("the flight owns %d buffers before its gradient job ran, want its 2 operands", k)
+	f.End() // runs the gradient job, then releases the flight
+	if read == nil {
+		t.Fatal("End returned before the gradient job ran")
 	}
-	close(release)
 	waitReleased(t, f)
-	if got := <-read; !got.Equal(shipped) {
-		t.Fatalf("the gradient job read %v, want the shipped input %v", got, shipped)
+	if !read.Equal(shipped) {
+		t.Fatalf("the gradient job read %v, want the shipped input %v", read, shipped)
 	}
 	for _, v := range []field.Vec{coded[0], delta, operand} {
 		if n := timesRecycled(v); n != 0 {
@@ -744,18 +774,14 @@ func TestFlightDropOwnsKeys(t *testing.T) {
 // never do.
 func TestLateAnswerRecycledAtRelease(t *testing.T) {
 	const n = 4
-	gate := make(chan struct{})
-	scripts, devs := scriptDevices(n)
-	scripts[3].gate = gate
+	_, devs := scriptDevices(n)
+	devs[3] = hourLate(devs[3])
 	f := NewBlockFlight(devs, BlockOptions{})
 	var late field.Vec
-	var lateMu sync.Mutex
 	p, err := f.ForwardLayer("", func(x field.Vec) field.Vec {
 		y := x.Clone()  // never a pooled vector, so no earlier test recycled it
 		if x[0] == 13 { // slot 3's share
-			lateMu.Lock()
 			late = y
-			lateMu.Unlock()
 		}
 		return y
 	}, vecs(n, 10))
@@ -764,14 +790,12 @@ func TestLateAnswerRecycledAtRelease(t *testing.T) {
 	}
 	results, present := p.WaitQuorum(n - 1)
 	if present == nil || present[3] {
-		t.Fatal("the gated slot answered before its gate opened")
+		t.Fatal("the late slot answered before its time")
 	}
 	taken := append([]field.Vec(nil), results[:3]...)
 	f.End()
-	close(gate)
+	expire(f, 3)
 	waitReleased(t, f)
-	lateMu.Lock()
-	defer lateMu.Unlock()
 	if n := timesRecycled(late); n != 1 {
 		t.Fatalf("the late answer went back to the pool %d times, want once", n)
 	}
@@ -782,13 +806,12 @@ func TestLateAnswerRecycledAtRelease(t *testing.T) {
 	}
 }
 
-// TestLaggardHoldsFlightFromReuse: a flight whose laggard is blocked is not
-// handed to the next BeginBlock; once the laggard has run, it is.
+// TestLaggardHoldsFlightFromReuse: a flight whose laggard's answer is held
+// is not handed to the next BeginBlock; once the answer has landed, it is.
 func TestLaggardHoldsFlightFromReuse(t *testing.T) {
 	const n = 3
-	gate := make(chan struct{})
-	scripts, devs := scriptDevices(n)
-	scripts[2].gate = gate
+	_, devs := scriptDevices(n)
+	devs[2] = hourLate(devs[2])
 	c := NewCluster(devs...)
 	held, err := c.BeginBlock(n)
 	if err != nil {
@@ -805,10 +828,10 @@ func TestLaggardHoldsFlightFromReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if next == held {
-		t.Fatal("a flight held by a blocked laggard was handed out again")
+		t.Fatal("a flight holding a laggard's answer was handed out again")
 	}
 	next.End()
-	close(gate)
+	expire(held, 2)
 	waitReleased(t, held)
 	var opened []*BlockFlight
 	defer func() {
@@ -827,4 +850,37 @@ func TestLaggardHoldsFlightFromReuse(t *testing.T) {
 		}
 	}
 	t.Fatal("the released flight was never handed out again")
+}
+
+// TestTamperFlightBrandsOnlyLateSlots: on a flight that carries a tamperer
+// beside two slow devices, a quorum gather decodes around exactly the
+// slots whose answers are late. Only the slow slots are ever branded, and
+// the tamperer's answer is in every snapshot, so the audit always sees it.
+func TestTamperFlightBrandsOnlyLateSlots(t *testing.T) {
+	const flights, layers, quorum = 100, 7, 5
+	const delay = 2 * time.Millisecond
+	ident := func(x field.Vec) field.Vec { return x }
+	var brands [6]int
+	for range flights {
+		devs := []Device{
+			NewHonest(0), NewHonest(1), NewMalicious(NewHonest(2), FaultPolicy{EveryNth: 1}),
+			NewSlow(NewHonest(3), delay), NewSlow(NewHonest(4), delay), NewHonest(5),
+		}
+		f := NewBlockFlight(devs, BlockOptions{Straggler: func(slot int) { brands[slot]++ }})
+		for l := range layers {
+			p, err := f.ForwardLayer("", ident, vecs(len(devs), field.Elem(10*l)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, present := p.WaitQuorum(quorum); present != nil && !present[2] {
+				t.Fatalf("layer %d: the tamperer's answer is missing from the snapshot", l+1)
+			}
+		}
+		f.End()
+	}
+	for slot, n := range brands {
+		if slot != 3 && slot != 4 && n > 0 {
+			t.Fatalf("brands per slot %v: slot %d answers at once but was branded", brands, slot)
+		}
+	}
 }

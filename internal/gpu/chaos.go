@@ -16,24 +16,25 @@ import (
 //
 // Semantics:
 //
-//   - SetDelay(d) adds d to every job — the latency-spike / straggler knob.
+//   - SetDelay(d) makes every answer d late — the latency-spike /
+//     straggler knob. The call itself returns at once, as every device
+//     call does; a flight holds the answer for the delay it reads when the
+//     job has run (see slot.open).
 //   - SetTamper(true) corrupts every result — the tamper-burst knob. The
 //     coded decode detects and attributes it exactly like a malicious
 //     device.
-//   - SetDown(true) models a crashed or partitioned device: jobs return
-//     instantly with garbage of the right shape. The caller's coded decode
-//     rejects the garbage and attributes the slot, so a down device is
-//     handled by the same quarantine + retry machinery as a tamperer —
-//     deliberately NOT modelled as a hang, because the gang fan-out waits
-//     for every device and an unbounded hang would deadlock the flight.
-//     (A real RPC stack would surface a fast transport error here; in the
-//     simulated fleet "instant garbage" is the equivalent fail-fast
-//     signal.)
+//   - SetDown(true) models a crashed or partitioned device: jobs answer at
+//     once with garbage of the right shape, and without the delay. The
+//     caller's coded decode rejects the garbage and attributes the slot, so
+//     a down device is handled by the same quarantine + retry machinery as
+//     a tamperer. (A real RPC stack would surface a fast transport error
+//     here; in the simulated fleet "instant garbage" is the equivalent
+//     fail-fast signal.)
 //
 // All accessors are safe for concurrent use.
 type ChaosDevice struct {
 	Device
-	delay  atomic.Int64 // nanoseconds added per job
+	delay  atomic.Int64 // nanoseconds each answer is held
 	tamper atomic.Bool
 	down   atomic.Bool
 
@@ -49,7 +50,7 @@ func NewChaos(inner Device) *ChaosDevice {
 	return &ChaosDevice{Device: inner}
 }
 
-// SetDelay sets the added per-job latency (0 restores full speed).
+// SetDelay sets how late each answer lands (0 restores full speed).
 func (c *ChaosDevice) SetDelay(d time.Duration) {
 	c.delay.Store(int64(d))
 	c.noteAction()
@@ -65,6 +66,15 @@ func (c *ChaosDevice) SetTamper(on bool) {
 func (c *ChaosDevice) SetDown(on bool) {
 	c.down.Store(on)
 	c.noteAction()
+}
+
+// lateBy returns how long a flight holds an answer of a job that just
+// ran: the delay, except while the device is down, which fails fast.
+func (c *ChaosDevice) lateBy() time.Duration {
+	if c.down.Load() {
+		return 0
+	}
+	return time.Duration(c.delay.Load())
 }
 
 // Down reports whether the device is currently in the crashed state.
@@ -96,35 +106,24 @@ func garbage(n int) field.Vec {
 }
 
 func (c *ChaosDevice) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
-	y := c.Device.LinearForward(kernel, x)
-	if c.down.Load() {
-		// Fail fast with the right shape: no injected delay, result
-		// unrelated to the inputs. (The inner compute supplies the output
-		// geometry; its cost is the honest baseline, so "down" is never
-		// slower than healthy.)
-		c.noteFault()
-		return garbage(len(y))
-	}
-	if d := c.delay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	if c.tamper.Load() {
-		c.noteFault()
-		return corruptVec(y)
-	}
-	return y
+	return c.fault(c.Device.LinearForward(kernel, x))
 }
 
 func (c *ChaosDevice) GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec {
-	y := c.Device.GradWeights(kernel, delta, x)
-	if c.down.Load() {
+	return c.fault(c.Device.GradWeights(kernel, delta, x))
+}
+
+// fault turns the inner device's result y into the answer the actuator's
+// state calls for. A down device fails fast with the right shape: garbage
+// unrelated to the inputs. (The inner compute supplies the output
+// geometry; its cost is the honest baseline, so "down" is never slower
+// than healthy.)
+func (c *ChaosDevice) fault(y field.Vec) field.Vec {
+	switch {
+	case c.down.Load():
 		c.noteFault()
 		return garbage(len(y))
-	}
-	if d := c.delay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	if c.tamper.Load() {
+	case c.tamper.Load():
 		c.noteFault()
 		return corruptVec(y)
 	}

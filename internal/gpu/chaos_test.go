@@ -57,20 +57,51 @@ func TestChaosDeviceTamperCorrupts(t *testing.T) {
 	}
 }
 
+// TestChaosDeviceDelaySlowsJobs: a chaos delay makes each answer late, not
+// the call. The call returns at once, whatever the delay; a flight hears
+// the answer no sooner than the delay after the job ran. A job run with
+// the delay cleared, or while the device is down, answers as it runs.
 func TestChaosDeviceDelaySlowsJobs(t *testing.T) {
 	d := NewChaos(NewHonest(0))
 	x := field.Vec{1}
-	d.SetDelay(5 * time.Millisecond)
-	start := time.Now()
-	d.LinearForward(scaleKernel(2), x)
-	if el := time.Since(start); el < 5*time.Millisecond {
-		t.Errorf("delayed job finished in %v, want >= 5ms", el)
+	d.SetDelay(time.Hour)
+	if got := d.LinearForward(scaleKernel(2), x); !got.Equal(field.ScaleVec(2, x)) {
+		t.Fatalf("delayed call answered %v", got) // and it returned: no sleep
 	}
-	d.SetDelay(0)
-	start = time.Now()
-	d.LinearForward(scaleKernel(2), x)
-	if el := time.Since(start); el > 2*time.Millisecond {
-		t.Errorf("cleared delay still slow: %v", el)
+
+	const delay = 5 * time.Millisecond
+	d.SetDelay(delay)
+	f := NewBlockFlight([]Device{d}, BlockOptions{})
+	defer f.End()
+	ship := func() *LayerPending {
+		p, err := f.ForwardLayer("", scaleKernel(2), vecs(1, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	start := time.Now() // the job runs in the gather below
+	ship().Wait()
+	if el := time.Since(start); el < delay {
+		t.Errorf("delayed answer landed after %v, want >= %v", el, delay)
+	}
+	for _, c := range []struct {
+		name string
+		set  func()
+	}{
+		{"cleared", func() { d.SetDelay(0) }},
+		{"down", func() { d.SetDelay(time.Hour); d.SetDown(true) }},
+	} {
+		c.set()
+		p := ship()
+		f.runQueued()
+		p.mu.Lock()
+		answered := p.present[0]
+		p.mu.Unlock()
+		if !answered {
+			t.Errorf("%s: the answer was held", c.name)
+		}
+		p.Wait()
 	}
 }
 

@@ -34,6 +34,13 @@ type Traffic struct {
 // backward passes (§6 "Encoded Data Storage During Forward Pass") belongs
 // to the batch's flight, which hands it back to the device with each
 // gradient job (see BlockFlight).
+//
+// A device call never blocks: it computes and returns. A device's latency
+// — a slow device's launch, a chaos actuator's delay — holds its answer in
+// the flight that ran the job, never the call, so the TEE sees a device
+// only through when its answers come back. A flight runs its jobs on the
+// goroutine that gathers them, so a call that does block stalls that
+// gatherer.
 type Device interface {
 	// ID returns the device index within the cluster.
 	ID() int
@@ -179,29 +186,20 @@ func (m *malicious) GradWeights(kernel BilinearKernel, delta, x field.Vec) field
 	return y
 }
 
-// slow wraps a device and delays every result by a fixed amount — the
+// slow wraps a device whose answers are late by a fixed amount — the
 // straggler of distributed-serving folklore: functionally correct, just
-// late. The delay is deterministic so straggler experiments reproduce.
+// late. The delay is deterministic so straggler experiments reproduce. Its
+// calls run the wrapped device at once; a flight holds its answers (see
+// slot.open).
 type slow struct {
 	Device
 	delay time.Duration
 }
 
-// NewSlow wraps a device so every job takes at least delay longer.
+// NewSlow wraps a device so a flight hears back from it delay after the
+// flight's first job on it: its launch latency, paid once per flight.
 func NewSlow(inner Device, delay time.Duration) Device {
 	return &slow{Device: inner, delay: delay}
-}
-
-func (s *slow) LinearForward(kernel LinearKernel, x field.Vec) field.Vec {
-	y := s.Device.LinearForward(kernel, x)
-	time.Sleep(s.delay)
-	return y
-}
-
-func (s *slow) GradWeights(kernel BilinearKernel, delta, x field.Vec) field.Vec {
-	y := s.Device.GradWeights(kernel, delta, x)
-	time.Sleep(s.delay)
-	return y
 }
 
 // CollusionPool gathers everything a coalition of devices observed, for the

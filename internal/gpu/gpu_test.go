@@ -96,17 +96,28 @@ func TestMaliciousSeededProbabilityIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSlowDeviceIsCorrectJustLate: a slow device's answer is late, its
+// call is not. The call returns the honest result at once, whatever the
+// delay; a flight hears the answer no sooner than the delay after its
+// first job.
 func TestSlowDeviceIsCorrectJustLate(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := field.RandVec(rng, 8)
-	dev := NewSlow(NewHonest(0), time.Millisecond)
-	start := time.Now()
-	y := dev.LinearForward(scaleKernel(3), x)
-	if time.Since(start) < time.Millisecond {
-		t.Fatal("slow device returned early")
+	if y := NewSlow(NewHonest(0), time.Hour).LinearForward(scaleKernel(3), x); !y.Equal(field.ScaleVec(3, x)) {
+		t.Fatal("slow device corrupted the result") // and it returned: no sleep
 	}
-	if !y.Equal(field.ScaleVec(3, x)) {
+	f := NewBlockFlight([]Device{NewSlow(NewHonest(0), time.Millisecond)}, BlockOptions{})
+	defer f.End()
+	p, err := f.ForwardLayer("", scaleKernel(3), []field.Vec{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now() // the job runs in the gather below
+	if y := p.Wait()[0]; !y.Equal(field.ScaleVec(3, x)) {
 		t.Fatal("slow device corrupted the result")
+	}
+	if time.Since(start) < time.Millisecond {
+		t.Fatal("slow device answered early")
 	}
 }
 

@@ -189,11 +189,11 @@ func TestTicketLogitsOutliveLaneBatch(t *testing.T) {
 // tamperer and one slow device, at K=4, M=1, E=2, slack 1, with recovery
 // on, and batches are submitted without waiting for earlier ones to
 // finish. Device results are recycled after every decode, audit and
-// recovery, and quorum laggards finish after their batch moved on; a
-// buffer handed out twice would corrupt some batch's logits. Every batch
+// recovery, and quorum laggards' answers land after their batch moved on;
+// a buffer handed out twice would corrupt some batch's logits. Every batch
 // must be answered bit-identical to internal/spec/stack — a tamper the
-// quorum gather left one check to see is attributed once the prompt
-// laggard's answer lands — and the tamperer must be the only device ever
+// quorum gather left one check to see is attributed once the laggard's
+// answer lands — and the tamperer must be the only device ever
 // quarantined.
 func TestOpenLoopRecycledResultsMatchSpec(t *testing.T) {
 	const (

@@ -363,14 +363,12 @@ func (e *engine) openBatchFlight() error {
 }
 
 // endBatchFlight ends the batch's flight, if one is open; the flight
-// releases what it owns once the last job that reads it has run (§6: a
-// batch's device memory lives exactly as long as the batch and its
-// laggards). Ending sees every job shipped to a device that cannot block
-// run: on a flight whose devices all cannot block, End runs the jobs no
-// gather ran on this goroutine, otherwise it waits for the slot workers
-// (see gpu.BlockFlight.End). So call it without the TEE token: a batch's
-// device work — the jobs its quorum gathers decoded around included — is
-// then done, and counted, when the batch completes.
+// releases what it owns once the last answer it holds has landed and the
+// last spare job that reads it has run (§6: a batch's device memory lives
+// exactly as long as the batch and its laggards). End runs, on this
+// goroutine, every job no gather ran (see gpu.BlockFlight.End), so call it
+// without the TEE token: a batch's device work is then done, and counted,
+// when the batch completes.
 func (e *engine) endBatchFlight() {
 	if e.flight != nil {
 		e.flight.End()
@@ -701,10 +699,8 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 // A failed check is audited on the same decode windows, which names the
 // culprit slots when two checks are present. When only one is — the quorum
 // gather returned around a laggard at slack E-1 — the audit first takes in
-// the laggards' answers that are bound to land: it waits, with the TEE
-// token released, for the layer's jobs on slots whose calls cannot block
-// (the jobs the flight's End waits for anyway) and audits the larger set. A
-// slot that may block is never waited for. With recovery on — the
+// the laggards' answers, which are bound to land: it waits for them with
+// the TEE token released and audits the larger set. With recovery on — the
 // corrective action §4.4 leaves to future work, "executing on another GPU
 // worker" — the verified decode then runs once more with the culprits
 // cleared from the presence mask: the clean responses still hold a parity
@@ -741,7 +737,7 @@ func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, pend *gpu.Laye
 	}
 	culprits, aerr := code.AuditForwardSubset(results, present)
 	if aerr != nil && missing > 0 {
-		results, present = e.awaitPrompt(pend)
+		results, present = e.awaitLaggards(pend)
 		culprits, aerr = code.AuditForwardSubset(results, present)
 	}
 	if aerr != nil {
@@ -758,10 +754,10 @@ func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, pend *gpu.Laye
 	return nil, e.integrityError(culprits, err)
 }
 
-// awaitPrompt waits for a gathered layer's jobs on prompt slots with the
-// TEE token released, as gather does, and returns the larger response set.
+// awaitLaggards waits for every answer of a gathered layer with the TEE
+// token released, as gather does, and returns the larger response set.
 // The wait is charged to the decode that asked for it.
-func (e *engine) awaitPrompt(p *gpu.LayerPending) ([]field.Vec, []bool) {
+func (e *engine) awaitLaggards(p *gpu.LayerPending) ([]field.Vec, []bool) {
 	e.tee.Unlock()
 	results, present := p.WaitPrompt()
 	e.lockTEE()

@@ -165,20 +165,18 @@ func TestBatchFlightTrainingMatchesSpec(t *testing.T) {
 }
 
 // TestForwardReturnsAroundBlockedDevice is the regression test for the
-// straggler stall: with E=2 and slack 1, a gang in which one device is
-// blocked on a channel the test owns must still serve a forward pass on
-// its batch flight, with internal/spec/stack's logits, and hand its grant
-// back, all while that device is still blocked. A flight whose End joined
-// every slot would hang here: the forward would wait out the laggard its
-// quorum gathers had already decoded around.
+// straggler stall: with E=2 and slack 1, a gang in which one device's
+// answers land an hour late must still serve a forward pass on its batch
+// flight, with internal/spec/stack's logits, and hand its grant back, all
+// while that device's answers are still held. A flight whose End waited
+// for every answer would hang here: the forward would wait out the
+// laggard its quorum gathers had already decoded around.
 func TestForwardReturnsAroundBlockedDevice(t *testing.T) {
 	images := [][]float64{trainData(2)[0].Image, trainData(2)[1].Image}
 	const gang = 5 // K=2, M=1, E=2
 	model := func() *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))) }
-	gate := make(chan struct{})
-	defer close(gate)
 	devs := honestDevices(gang)
-	devs[3] = gatedDevice{Device: devs[3], gate: gate}
+	devs[3] = hourLate(devs[3])
 	fm := fleet.NewManager(gpu.NewCluster(devs...), fleet.Config{})
 	inf, err := NewInferencer(Config{VirtualBatch: 2, Redundancy: 2, StragglerSlack: 1, Seed: 1}, model(), nil, "blk/")
 	if err != nil {
@@ -194,7 +192,7 @@ func TestForwardReturnsAroundBlockedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Everything above returned with the gate still shut.
+	// Everything above returned with device 3's answers still held.
 	sameLogits(t, "around the blocked device", 0, stack.New(model(), 2).Forward(images), got)
 	if ps := inf.PhaseStats(); ps.Flights != 1 {
 		t.Fatalf("%d flights, want 1", ps.Flights)

@@ -137,25 +137,15 @@ func TestInferencerDeviceStorageBounded(t *testing.T) {
 	}
 }
 
-// gatedDevice is a straggler under the test's control: every forward job
-// blocks until the gate closes. A gather that returns while the gate is still open
-// has provably decoded around it.
-type gatedDevice struct {
-	gpu.Device
-	gate <-chan struct{}
-}
+// hourLate wraps d so each flight hears back from it an hour after its
+// first job there: a straggler no test waits out. A gather that returns has
+// provably decoded around it, and its flight is released an hour later.
+func hourLate(d gpu.Device) gpu.Device { return gpu.NewSlow(d, time.Hour) }
 
-func (d gatedDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field.Vec {
-	<-d.gate
-	return d.Device.LinearForward(kernel, x)
-}
-
-// lastGated returns a cluster of devs whose last device stays blocked until
-// the test ends — the column every quorum gather must do without.
-func lastGated(t *testing.T, devs ...gpu.Device) *gpu.Cluster {
-	gate := make(chan struct{})
-	t.Cleanup(func() { close(gate) })
-	devs[len(devs)-1] = gatedDevice{Device: devs[len(devs)-1], gate: gate}
+// lastLate returns a cluster of devs whose last device is an hour late —
+// the column every quorum gather must do without.
+func lastLate(devs ...gpu.Device) *gpu.Cluster {
+	devs[len(devs)-1] = hourLate(devs[len(devs)-1])
 	return gpu.NewCluster(devs...)
 }
 
@@ -189,8 +179,8 @@ func TestInferencerStragglerSubsetDecodeMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Predict can only return by decoding around the blocked last device.
-	got, err := inf.Predict(lastGated(t, honestDevices(5)...), images)
+	// Predict can only return by decoding around the late last device.
+	got, err := inf.Predict(lastLate(honestDevices(5)...), images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +310,7 @@ func TestInferencerRecoveryComposesWithStragglerSlack(t *testing.T) {
 			devs[i] = gpu.NewMalicious(devs[i], gpu.FaultPolicy{EveryNth: 1})
 		}
 	}
-	tk, err := inf.Submit(lastGated(t, devs...), images)
+	tk, err := inf.Submit(lastLate(devs...), images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +349,7 @@ func TestInferencerQuorumAttributesWithoutRecovery(t *testing.T) {
 			devs[i] = gpu.NewMalicious(devs[i], gpu.FaultPolicy{EveryNth: 1})
 		}
 	}
-	_, err = inf.Predict(lastGated(t, devs...), images)
+	_, err = inf.Predict(lastLate(devs...), images)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v, want *IntegrityError", err)
@@ -370,10 +360,12 @@ func TestInferencerQuorumAttributesWithoutRecovery(t *testing.T) {
 }
 
 func TestRecoveryRecordsUnattributedVerdict(t *testing.T) {
-	// E=2, slack 1, recovery on: a straggler leaves one present check, so a
-	// tampered response is detected but cannot be named. The batch must
-	// still fail with a verdict — an *IntegrityError without culprits,
-	// recorded once as unattributed — not a bare error.
+	// E=2, slack 1, recovery on: two devices tamper, one of them slow. The
+	// quorum gather returns without the slow response, leaving one present
+	// check, which detects the tamper but cannot name it; the audit then
+	// waits for the slow answer, and two checks cannot name two culprits
+	// either. The batch must still fail with a verdict — an *IntegrityError
+	// without culprits, recorded once as unattributed — not a bare error.
 	rng := rand.New(rand.NewSource(42))
 	model := nn.TinyCNN(1, 8, 8, 4, rng)
 	data := dataset.SyntheticCIFAR(rand.New(rand.NewSource(7)), 4, 4, 1, 8, 8, 0.05)
@@ -388,11 +380,9 @@ func TestRecoveryRecordsUnattributedVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	verdicts := integrityVerdicts(inf)
-	gate := make(chan struct{})
-	t.Cleanup(func() { close(gate) })
 	devs := honestDevices(5)
 	devs[1] = gpu.NewMalicious(devs[1], gpu.FaultPolicy{EveryNth: 1})
-	devs[3] = gatedDevice{Device: devs[3], gate: gate}
+	devs[3] = gpu.NewSlow(gpu.NewMalicious(devs[3], gpu.FaultPolicy{EveryNth: 1}), 20*time.Millisecond)
 	tk, err := inf.Submit(gpu.NewCluster(devs...), images)
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +393,7 @@ func TestRecoveryRecordsUnattributedVerdict(t *testing.T) {
 		t.Fatalf("err = %v, want an *IntegrityError wrapping masking.ErrIntegrity", err)
 	}
 	if len(ie.Culprits) != 0 {
-		t.Fatalf("culprits = %v, want none: one present check cannot attribute", ie.Culprits)
+		t.Fatalf("culprits = %v, want none: two checks cannot attribute two tamperers", ie.Culprits)
 	}
 	if got := verdicts(); len(got) != 1 || !strings.HasPrefix(got[0], "unattributed") {
 		t.Fatalf("integrity events = %q, want exactly one unattributed verdict", got)
@@ -417,9 +407,9 @@ func TestRecoveryAttributesAroundPromptLaggard(t *testing.T) {
 	// E=2, slack 1, recovery on, with a tamperer and a slow honest device:
 	// the quorum gather returns without the slow response, leaving one
 	// present check, which detects the tamper but cannot name it. The
-	// slow device's calls cannot block, so the audit waits for its answer
-	// and names the culprit from two checks; the batch recovers to the
-	// spec's logits bit for bit.
+	// slow device's answer is bound to land, so the audit waits for it and
+	// names the culprit from two checks; the batch recovers to the spec's
+	// logits bit for bit.
 	const bad = 1
 	model := pipeModel()
 	images := pipeBatches(2, 1, 64)[0]

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"darknight/internal/field"
 	"darknight/internal/gpu"
@@ -88,10 +89,11 @@ func moved(a, b []*tensor.Tensor) bool {
 	return false
 }
 
-// recheckDevice is a quorum laggard that checks the operands of its forward
-// jobs outlive their batch: it evaluates each kernel when the job arrives,
+// recheckDevice is a spare that checks the operands of its forward jobs
+// outlive their gather: it evaluates each kernel when the job arrives,
 // waits for the gate, and evaluates it again. A runtime that overwrote
-// what the kernel reads in between makes the two results differ.
+// what the kernel reads in between makes the two results differ. A spare
+// runs its job on a goroutine of its own, so the gate blocks only it.
 type recheckDevice struct {
 	gpu.Device
 	gate    <-chan struct{}
@@ -111,10 +113,45 @@ func (d recheckDevice) LinearForward(kernel gpu.LinearKernel, x field.Vec) field
 	return out
 }
 
+// spareGang is a gang of K=2, M=1, E=2 whose last two devices answer an
+// hour late, and whose flights lend a spare to every forward layer as soon
+// as its quorum gather parks: an honest spare for slot 3, whose answer
+// completes the quorum of four, and a recheckDevice for slot 4, whose job
+// still runs after its gather returned — the one reader a flight has
+// then.
+type spareGang struct {
+	devs    []gpu.Device
+	gate    <-chan struct{}
+	changed *atomic.Int32
+	done    chan<- struct{}
+}
+
+func newSpareGang(gate <-chan struct{}, changed *atomic.Int32, done chan<- struct{}) spareGang {
+	devs := honestDevices(5)
+	devs[3], devs[4] = hourLate(devs[3]), hourLate(devs[4])
+	return spareGang{devs: devs, gate: gate, changed: changed, done: done}
+}
+
+func (g spareGang) Size() int { return len(g.devs) }
+
+func (g spareGang) BeginBlock(n int) (*gpu.BlockFlight, error) {
+	return gpu.NewBlockFlight(g.devs[:n], gpu.BlockOptions{
+		SpeculateAfter: time.Microsecond,
+		Spare: func(slot int) (gpu.Device, func(time.Duration), bool) {
+			var d gpu.Device = gpu.NewHonest(10 + slot)
+			if slot == 4 {
+				d = recheckDevice{Device: d, gate: g.gate, changed: g.changed, done: g.done}
+			}
+			return d, func(time.Duration) {}, true
+		},
+	}), nil
+}
+
 // TestStagedWeightsOutliveLaggard: with straggler slack a quorum gather
-// returns while a laggard still computes, so a lane that restages a layer
-// must leave the vector the laggard reads alone. At K=2, M=1, E=2, slack 1
-// the gang's last device holds every forward job until the test opens its
+// returns while a spare still computes a lagging share, so a lane that
+// restages a layer must leave the vector the spare reads alone. At K=2,
+// M=1, E=2, slack 1 every forward layer's quorum forms through a spare
+// (spareGang), and a second spare holds its job until the test opens its
 // gate; the weights change between two batches while it holds the first
 // batch's jobs. Both batches must match internal/spec/stack on the weights
 // they ran with, and every held job must compute, once released, what it
@@ -125,11 +162,9 @@ func TestStagedWeightsOutliveLaggard(t *testing.T) {
 	batches := pipeBatches(cfg.VirtualBatch, 2, 64)
 	layers := len(model.LinearLayers())
 	gate := make(chan struct{})
-	done := make(chan struct{}, 2*layers) // one per held job: the device never blocks on it
+	done := make(chan struct{}, 2*layers) // one per held job: the spare never blocks on it
 	var changed atomic.Int32
-	devs := honestDevices(5)
-	devs[4] = recheckDevice{Device: devs[4], gate: gate, changed: &changed, done: done}
-	cluster := gpu.NewCluster(devs...)
+	gang := newSpareGang(gate, &changed, done)
 	inf, err := NewInferencer(cfg, model, nil, "laggard/")
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +179,7 @@ func TestStagedWeightsOutliveLaggard(t *testing.T) {
 			}
 		}
 		want := stack.New(model, cfg.VirtualBatch).Forward(images)
-		got, err := inf.Forward(cluster, images)
+		got, err := inf.Forward(gang, images)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,92 +190,52 @@ func TestStagedWeightsOutliveLaggard(t *testing.T) {
 		<-done
 	}
 	if n := changed.Load(); n > 0 {
-		t.Fatalf("%d held forward jobs computed a different result after the weights changed: the laggard's operands were overwritten", n)
+		t.Fatalf("%d held spare jobs computed a different result after the weights changed: their operands were overwritten", n)
 	}
 }
 
-// heldGradDevice is a backward quorum laggard that checks the operands of
-// its gradient jobs outlive their batch: it evaluates each job when it
-// arrives, runs arrived, waits for the gate and evaluates the job again. A
-// runtime that rewrote the equation in between makes the two results
-// differ.
-type heldGradDevice struct {
-	gpu.Device
-	gate    <-chan struct{}
-	arrived func()
-	changed *atomic.Int32
-	done    chan<- struct{}
-}
-
-func (d heldGradDevice) GradWeights(kernel gpu.BilinearKernel, delta, x field.Vec) field.Vec {
-	before := d.Device.GradWeights(kernel, delta, x)
-	d.arrived()
-	<-d.gate
-	out := d.Device.GradWeights(kernel, delta, x)
-	if !out.Equal(before) {
-		d.changed.Add(1)
-	}
-	field.PutScratchVec(before)
-	d.done <- struct{}{}
-	return out
-}
-
-// waitGradDevice runs no gradient job before wait is closed.
-type waitGradDevice struct {
-	gpu.Device
-	wait <-chan struct{}
-}
-
-func (d waitGradDevice) GradWeights(kernel gpu.BilinearKernel, delta, x field.Vec) field.Vec {
-	<-d.wait
-	return d.Device.GradWeights(kernel, delta, x)
-}
-
-// TestBackwardEquationsOutliveLaggard: with straggler slack a backward
-// quorum gather returns from one decode window while a device of the other
-// still computes, so the equations that device reads must outlive the
-// gather — the lane's next virtual batch reuses its arena and must not
-// reuse them. At K=2, M=1, E=2, slack 1 the gang's last device, which
-// serves only the secondary window, evaluates each gradient job as it
-// arrives and holds it until the test opens its gate, after both virtual
-// batches of a step have run on the one lane. Device 0 runs no gradient
-// job before the last device's first one has arrived, so the first layer's
-// gather returns from the primary window only after that arrival. Every
-// held job must compute, once released, what it computed on arrival, and
-// the weights must be internal/spec/stack's.
-func TestBackwardEquationsOutliveLaggard(t *testing.T) {
+// TestTrainSpareOperandsOutliveBatch: a training batch's spare job still
+// reads its coded input and its layer's staged weights after its gather,
+// so neither the lane's later virtual batches, which reuse its arenas, nor
+// the next step's restaging, after the optimizer wrote the weights, may
+// touch them. On spareGang at slack 1 every forward layer's quorum forms
+// through a spare, and a second spare holds its job until the test opens
+// its gate, after two steps of two virtual batches each have run on the
+// one lane. Every held job must compute, once released, what it computed
+// on arrival, and the weights must be internal/spec/stack's.
+func TestTrainSpareOperandsOutliveBatch(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 2, StragglerSlack: 1, Seed: 5}
-	const vbs = 2
+	const vbs, steps = 2, 2
 	batch := trainData(vbs * cfg.VirtualBatch)
 	specModel := pipeModel()
-	specTrain(specModel, cfg.VirtualBatch, batch, 1)
+	specTrain(specModel, cfg.VirtualBatch, batch, steps)
 
 	model := pipeModel()
 	layers := len(model.LinearLayers())
-	gate, arrived := make(chan struct{}), make(chan struct{})
+	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release()
-	done := make(chan struct{}, vbs*layers) // one per held job: the device never blocks on it
+	done := make(chan struct{}, steps*vbs*layers) // one per held job: the spare never blocks on it
 	var changed atomic.Int32
-	devs := honestDevices(5)
-	devs[0] = waitGradDevice{Device: devs[0], wait: arrived}
-	devs[4] = heldGradDevice{Device: devs[4], gate: gate, arrived: sync.OnceFunc(func() { close(arrived) }),
-		changed: &changed, done: done}
 	pipe, err := NewTrainPipeline(cfg, model, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
 
-	if _, _, err := pipe.TrainLargeBatch(SingleFleetSource{F: gpu.NewCluster(devs...)}, batch, nn.NewSGD(0.05, 0.9), 0); err != nil {
-		t.Fatal(err)
+	src := SingleFleetSource{F: newSpareGang(gate, &changed, done)}
+	opt := nn.NewSGD(0.05, 0.9)
+	for range steps {
+		if _, _, err := pipe.TrainLargeBatch(src, batch, opt, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	release()
-	for i := 0; i < vbs*layers; i++ {
+	for i := 0; i < steps*vbs*layers; i++ {
 		<-done
 	}
 	if n := changed.Load(); n > 0 {
-		t.Fatalf("%d held gradient jobs computed a different result after their batch: the laggard's equations were overwritten", n)
+		t.Fatalf("%d held spare jobs computed a different result after their batch: their operands were overwritten", n)
 	}
-	sameBits(t, "held laggard", specModel, model)
+	sameBits(t, "held spare", specModel, model)
 }

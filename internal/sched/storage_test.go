@@ -55,11 +55,10 @@ func (l *flightLog) Release(f Fleet, culprits []int, err error) {
 
 // requireRecycled fails unless every flight the log recorded has released
 // everything it owned. A flight is released once its batch's End has run
-// and the last job, held answer and spare job of the batch are done, which
-// may be just after the batch returned — a slow device's launch may still
-// be delivering, a slot worker may still be on its way out, and a device
-// whose calls may block finishes on its own time — so the check allows it
-// until guard.
+// and the last held answer and spare job of the batch are done, which may
+// be just after the batch returned — a slow device's launch may still be
+// delivering, and a spare finishes on its own time — so the check allows
+// it until guard.
 func requireRecycled(t *testing.T, tag string, l *flightLog) {
 	t.Helper()
 	l.mu.Lock()

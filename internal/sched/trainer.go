@@ -55,9 +55,8 @@ type Config struct {
 	// requires Redundancy >= 2. 0 waits for every device. Each absent
 	// response spends one redundant equation, and naming a culprit takes
 	// two present checks: slack <= E-2 always leaves them. At slack E-1 a
-	// failed check that cannot name its culprit waits for the laggards on
-	// slots whose calls cannot block and audits again over the larger set;
-	// a laggard that may block is not waited for, and the verdict then
+	// failed check that cannot name its culprit waits for the laggards and
+	// audits again over the larger set; a verdict that set cannot name
 	// stays unattributed. On the backward pass any slack with Redundancy
 	// >= 1 ships both decode windows and decodes from whichever completes
 	// first. Slack 0 ships one backward window, which is not verified: a
