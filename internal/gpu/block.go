@@ -557,12 +557,8 @@ func (a *answer) file() {
 }
 
 // settled reports whether a gather for quorum q can return: one window has
-// q answers, or, for q beyond the window, every job has answered. Caller
-// holds mu.
+// q answers. Caller holds mu.
 func (p *LayerPending) settled(q int) bool {
-	if q > p.window {
-		return p.ok[0]+p.ok[1] == len(p.results)
-	}
 	return p.ok[0] >= q || p.ok[1] >= q
 }
 
@@ -678,25 +674,6 @@ func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 		}
 	}
 	return results, present
-}
-
-// WaitPrompt blocks until every job of the layer has answered — each is
-// bound to land, since a device call never blocks — and returns the
-// results in job order with a presence mask, as WaitQuorum does. A quorum
-// gather that returned around laggards uses it to take in their answers.
-// Queued jobs run first, as in WaitQuorum.
-func (p *LayerPending) WaitPrompt() ([]field.Vec, []bool) {
-	p.f.runQueued()
-	all := len(p.results)
-	p.mu.Lock()
-	if !p.settled(all) {
-		p.need = all
-		p.mu.Unlock()
-		<-p.wake
-		p.mu.Lock()
-	}
-	defer p.mu.Unlock()
-	return p.snapshot()
 }
 
 // speculate re-dispatches every still-lagging coded share to a borrowed

@@ -33,8 +33,9 @@ import (
 // The walk's δ tensors live in the batch's memory, its quantized deltas in
 // the coded arena (which the forward pass is done with), and the shipped
 // equations in the batch's flight, which keeps them for as long as a job
-// may read them — a quorum laggard's, or one of a layer an earlier layer's
-// error left ungathered.
+// may read them: End runs the jobs of a layer an earlier layer's error left
+// ungathered. Every other backward job has run before its gather returns,
+// and speculation never re-runs one on a spare.
 func (e *engine) backward(code *masking.Code, tr *trace, grads []*tensor.Tensor) error {
 	e.arena.Reset()
 	_, err := e.backwardLayer(code, tr, grads, false)
@@ -226,8 +227,8 @@ func (e *engine) offloadBackward(code *masking.Code, tr *trace, lin nn.Linear, c
 // combineDeltas forms the len(bars) public delta combinations
 // bars[j] = Σ_i b_ji·δ_i of n elements each — row j of b is exactly
 // equation j's K coefficients, one fused lazy-reduced combine each — in
-// vectors the batch's flight owns, so shipping them copies nothing and a
-// laggard of either decode window reads them for as long as it runs.
+// vectors the batch's flight owns, so shipping them copies nothing and End,
+// running a layer no gather took, reads them for as long as it runs.
 //
 //darknight:hotpath
 func (e *engine) combineDeltas(bars []field.Vec, b *field.Mat, n int, quantDeltas []field.Vec) {

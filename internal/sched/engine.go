@@ -175,10 +175,11 @@ type engine struct {
 	// every offload of both passes, ended before the gang is released (see
 	// openBatchFlight). The batch's operands are born in it — the coded
 	// inputs of every forward offload, which the backward pass reads again,
-	// and the backward equations — and live until its release, so a quorum
-	// laggard reads them for as long as it runs. The coding math does not
-	// depend on it: outputs are bit-identical to internal/spec/stack, which
-	// has no flights at all.
+	// and the backward equations — and live until its release, so a spare's
+	// job (forward operands) and End running a layer no gather took
+	// (backward equations) read them for as long as they run. The coding
+	// math does not depend on it: outputs are bit-identical to
+	// internal/spec/stack, which has no flights at all.
 	flight *gpu.BlockFlight
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
@@ -592,9 +593,9 @@ type stagedWeights struct {
 // the layer's float weights differ from the kept copy — whoever wrote them
 // (an optimizer step, a weight copy, a test), there is no version to bump.
 // A restage overwrites the staged vector only when the engine waits for
-// every device: a quorum laggard of an earlier batch may still be reading
-// it otherwise, so with slack it stages into a fresh vector and leaves the
-// old one to the laggard.
+// every device: with slack, a spare's job of an earlier batch may still be
+// reading it, so it stages into a fresh vector and leaves the old one to
+// the spare.
 //
 //darknight:hotpath
 func (e *engine) stage(lin nn.Linear) *stagedWeights {
@@ -754,12 +755,15 @@ func (e *engine) decodeForward(code *masking.Code, csp *obs.Span, pend *gpu.Laye
 	return nil, e.integrityError(culprits, err)
 }
 
-// awaitLaggards waits for every answer of a gathered layer with the TEE
-// token released, as gather does, and returns the larger response set.
-// The wait is charged to the decode that asked for it.
+// awaitLaggards waits for every answer of a gathered forward layer with
+// the TEE token released, as gather does, and returns the larger response
+// set: a forward layer is one window, so a whole-window gather takes in
+// every answer and brands no one. The wait has no bound — an answer a
+// chaos delay holds stalls the batch for the whole delay — and is charged
+// to the decode that asked for it.
 func (e *engine) awaitLaggards(p *gpu.LayerPending) ([]field.Vec, []bool) {
 	e.tee.Unlock()
-	results, present := p.WaitPrompt()
+	results, present := p.WaitQuorum(0)
 	e.lockTEE()
 	return results, present
 }
