@@ -62,12 +62,13 @@ type Config struct {
 	// attributed fault sends them straight back. Default 0.05; negative
 	// disables re-admission (quarantine is then permanent).
 	ProbationProbability float64
-	// SpeculateAfter re-dispatches the coded share of a device that has
-	// not answered within this duration to a borrowed spare device (first
-	// response wins). 0 disables speculation. Speculation only engages on
-	// forward layers gathered with a quorum below the gang size — in
-	// DarKnight terms, when the pipeline runs with StragglerSlack >= 1 and
-	// Redundancy >= 2 — on any layer of a batch's flight.
+	// SpeculateAfter re-dispatches the coded share of a device whose answer
+	// is not due within this duration of its gather to a borrowed spare
+	// device (the answer due first wins). 0 disables speculation.
+	// Speculation only engages on forward layers gathered with a quorum
+	// below the gang size — in DarKnight terms, when the pipeline runs with
+	// StragglerSlack >= 1 and Redundancy >= 2 — on any layer of a batch's
+	// flight.
 	SpeculateAfter time.Duration
 	// Seed drives the probation re-admission draws, making fleet runs
 	// reproducible.
@@ -402,13 +403,15 @@ func lessShare(a, b *tenant) bool {
 // pickLocked removes and returns n devices from the free pool, best first:
 // lowest straggle *rate* (every quorum return brands its slowest member,
 // so healthy devices settle near the same modest rate while a chronically
-// slow one misses nearly every quorum), then lowest latency EWMA. A
-// straggler so slow its responses never land before release has no EWMA at
-// all — the rate is what demotes it, letting spares absorb its share of
-// the hot path. A device left out of as many picks as the cluster has
-// devices comes first, for one probe dispatch: otherwise a device branded
-// on its first dispatch is outranked by every device with a clean record,
-// and neither its rate nor its EWMA can ever move again.
+// slow one misses nearly every quorum), then lowest latency EWMA. Every
+// job's latency reaches the grant before Release folds it — a quorum
+// laggard's when its flight ends — so the EWMA of a device a quorum
+// decodes around reads the whole of its lateness; the rate demotes it
+// first, letting spares absorb its share of the hot path. A device left
+// out of as many picks as the cluster has devices comes first, for one
+// probe dispatch: otherwise a device branded on its first dispatch is
+// outranked by every device with a clean record, and neither its rate nor
+// its EWMA can ever move again.
 func (m *Manager) pickLocked(n int) []int {
 	m.picks++
 	starved := func(d *deviceRec) bool { return m.picks-d.lastPick > int64(len(m.devs)) }

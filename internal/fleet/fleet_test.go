@@ -11,6 +11,7 @@ import (
 
 	"darknight/internal/field"
 	"darknight/internal/gpu"
+	"darknight/internal/obs"
 )
 
 func scaleKernel(s field.Elem) gpu.LinearKernel {
@@ -339,7 +340,8 @@ func TestQuorumReturnsBeforeStraggler(t *testing.T) {
 func TestSpeculativeRedispatchFillsLaggingSlot(t *testing.T) {
 	// Two slow devices, quorum 4 of 5: the quorum cannot form from fast
 	// originals alone, so the speculation window must re-dispatch lagging
-	// shares to spare devices and beat the stragglers.
+	// shares to spare devices and beat the stragglers. The spares run their
+	// jobs inside the gather and are back in the pool when it returns.
 	const delay = 300 * time.Millisecond
 	devs := []gpu.Device{
 		gpu.NewHonest(0),
@@ -387,9 +389,46 @@ func TestSpeculativeRedispatchFillsLaggingSlot(t *testing.T) {
 	if got < 4 {
 		t.Fatalf("%d present, want >= 4", got)
 	}
+	var fi obs.FleetInfo
+	m.SnapshotInto(&fi)
+	if fi.BorrowedSpares != 0 {
+		t.Fatalf("%d spares still borrowed after the gather returned", fi.BorrowedSpares)
+	}
 	g.Release()
 	if st := m.Stats(); st.Speculations == 0 {
 		t.Fatalf("no speculative re-dispatch recorded: %+v", st)
+	}
+}
+
+// TestLaggardLatencyFoldsAtRelease: a quorum gather returns without a
+// slot whose answer is an hour late, and End observes that answer's
+// latency, so Release folds it into the device's health: its latency
+// EWMA reads at least the hour its answer was held.
+func TestLaggardLatencyFoldsAtRelease(t *testing.T) {
+	const n, late = 3, time.Hour
+	m := NewManager(gpu.NewCluster(gpu.NewHonest(0), gpu.NewHonest(1), gpu.NewSlow(gpu.NewHonest(2), late)), Config{})
+	g, err := m.Acquire(context.Background(), "a", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laggard := slices.Index(g.DeviceIDs(), 2)
+	f, err := g.BeginBlock(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.ForwardLayer("", scaleKernel(3), codedInputs(n, 16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, present := p.WaitQuorum(n - 1); present == nil || present[laggard] {
+		t.Fatalf("the quorum gather waited for the laggard: present %v", present)
+	}
+	f.End()
+	g.Release()
+	devs := m.Stats().Devices
+	i := slices.IndexFunc(devs, func(d DeviceHealth) bool { return d.ID == 2 })
+	if i < 0 || devs[i].EWMALatency < late {
+		t.Fatalf("the laggard's health after Release: %+v, want a latency EWMA >= %v", devs, late)
 	}
 }
 

@@ -105,15 +105,15 @@ func (g *Grant) straggle(slot int) {
 // feeds the health EWMA, slots a quorum gather returned without are
 // branded stragglers, and — when the manager's SpeculateAfter window is
 // set — a forward layer's lagging share is re-dispatched to a borrowed
-// spare device, first response winning. What a batch's devices keep
-// between its passes belongs to its flight, and Release waits for the
-// flight, so no later gang reaches it.
+// spare device inside the gather, the answer due first winning. What a
+// batch's devices keep between its passes belongs to its flight, and
+// Release waits for the flight, so no later gang reaches it.
 //
 // Bookkeeping is per flight, not per layer: a virtual batch's flight counts
 // once toward Stats.AsyncDispatches and PeakOverlap, however many layers it
 // carries. The caller must End the flight before Release; Release waits
-// for every open flight to end, not for the late answers a quorum decoded
-// around — those land on their own time.
+// for every open flight to end, and End has observed the latency of every
+// answer a quorum decoded around.
 func (g *Grant) BeginBlock(n int) (*gpu.BlockFlight, error) {
 	if n > len(g.devs) {
 		return nil, fmt.Errorf("fleet: flight of %d slots for gang of %d", n, len(g.devs))

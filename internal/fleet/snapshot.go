@@ -65,7 +65,7 @@ func (m *Manager) SnapshotInto(fi *obs.FleetInfo) {
 
 // ConfigFromSnapshot rebuilds a fleet configuration from a captured
 // fleet section — the replay harness's entry point. Speculation is
-// disabled (its timer-driven spare borrowing is additive and
+// disabled (its timing-driven spare borrowing is additive and
 // nondeterministic) and probation re-admission is turned off: replay
 // gangs are scripted from the batch log, so probation can only inject
 // timing-dependent readmit events, never change which devices serve.

@@ -18,27 +18,27 @@ import (
 // FIFO per slot. Nothing runs the queues until the owner gathers or ends
 // the flight: it then runs every queued job itself, slot by slot, before
 // it waits. A device call never blocks (see Device); a device's latency
-// holds its answer in the flight instead (see slot.open), so a quorum
-// gather decodes around exactly the slots whose answers are late.
-// Everything flight-scoped — a slow device's launch latency, the fleet's
-// handle accounting — is paid once per flight; the per-layer math
-// (encode, decode, verify) is untouched, which is what keeps outputs
-// bit-identical to flying every layer alone.
+// gives its answer a due time instead (see late), and a gather sleeps on
+// its own goroutine until a quorum of answers is due, so a quorum gather
+// decodes around exactly the slots whose answers are late. Everything
+// flight-scoped — a slow device's launch latency, the fleet's handle
+// accounting — is paid once per flight; the per-layer math (encode,
+// decode, verify) is untouched, which is what keeps outputs bit-identical
+// to flying every layer alone.
 //
-// A flight owns everything a device job can still read after the TEE has
-// moved on, and releases all of it at one point. Its operands are born in
+// A flight owns every operand its jobs read and every answer no gather
+// took, and releases all of it at one point, End. Its operands are born in
 // it (Vec), or copied in when a layer ships a caller's own vector; a
 // gradient job reads the operand its slot's forward job was shipped, which
 // is what the devices keep between a batch's passes (§6 "Encoded Data
-// Storage During Forward Pass"). An answer that lands after its gatherer's
-// snapshot is the flight's too. The release comes once End has run, every
-// answer a slot held has been delivered and every spare job has finished;
-// it recycles the late answers, and the flight — its operands, layers,
-// snapshots and slot queues — goes back for the next NewBlockFlight. So
-// two flights on one device — pipelined lanes, or training beside
-// inference — can neither alias nor miss each other's operands, and a
-// spare job, the one reader that can still run after its gather, reads
-// its operands for as long as it runs.
+// Storage During Forward Pass"). An answer due after its gatherer's
+// snapshot stays the flight's: a later gather of its layer takes it, and
+// End recycles whatever no gather took. Every job, a spare's included,
+// runs before the gather or End that ran it returns, so nothing reads the
+// flight after End: it goes back — its operands, layers, snapshots and
+// slot queues — for the next NewBlockFlight at once. So two flights on one
+// device — pipelined lanes, or training beside inference — can neither
+// alias nor miss each other's operands.
 //
 // A flight has one owner: ship and gather from a single goroutine, and
 // touch nothing of the flight — its layers and snapshots included — after
@@ -56,28 +56,28 @@ type BlockFlight struct {
 	// later conversation on the reused flight.
 	layers  []*LayerPending
 	shipped int
-	// refs counts what holds the release back: the owner until End, each
-	// slot holding answers, each armed speculation and each spare job.
-	refs  atomic.Int32
-	live  atomic.Int64 // flight-owned buffers not yet released (Kept)
-	ended bool
+	live    atomic.Int64 // flight-owned buffers not yet released (Kept)
+	ended   bool
 }
 
 // BlockOptions customizes a flight's accounting hooks; the zero value
 // dispatches with no observation.
 type BlockOptions struct {
-	// Observe, when non-nil, receives each completed job's response latency,
-	// measured from the moment its layer was shipped — the fleet's health
-	// EWMA feed.
+	// Observe, when non-nil, receives each gang job's response latency,
+	// measured from the moment its layer was shipped until its answer is
+	// due — the fleet's health EWMA feed. Each job is observed once: at the
+	// gather that takes its answer, or at End when no gather took it.
 	Observe func(slot int, lat time.Duration)
 	// Straggler, when non-nil, is invoked once for each job a quorum gather
 	// returned without.
 	Straggler func(slot int)
 	// Spare, when non-nil and SpeculateAfter is positive, lends a device
-	// outside the gang to a forward layer whose quorum has not formed
-	// SpeculateAfter into its gather: the lagging slot's coded share is
-	// re-dispatched to the spare and the first delivery wins. done hands the
-	// device back with the job's latency; ok is false when none is free.
+	// outside the gang to a forward layer whose quorum is not due
+	// SpeculateAfter into its gather: lagging slots' coded shares are re-run
+	// on spares, one at a time, until the quorum is due, and the answer due
+	// first wins. done hands the device back, before the gather returns,
+	// with the latency its answer's due time gave it; ok is false when none
+	// is free.
 	Spare          func(slot int) (dev Device, done func(lat time.Duration), ok bool)
 	SpeculateAfter time.Duration
 	// OnEnd, when non-nil, runs when the flight ends — where the fleet
@@ -96,10 +96,10 @@ type job struct {
 // conversation with it costs — both decided once, when the flight opens —
 // and a FIFO of jobs, which only the flight's owner touches: shipping
 // appends to it, and a gather or End runs it. A reused flight keeps its
-// slots, queues and holds.
+// slots and queues.
 type slot struct {
 	dev   Device
-	late  late // what a slow or chaotic device's answers wait in; a reused slot keeps its timer
+	late  late // when a slow or chaotic device's answers are due
 	queue []job
 }
 
@@ -115,12 +115,12 @@ type slot struct {
 //   - A ChaosDevice anywhere in the chain holds each answer for the delay
 //     its actuator reads when the job has run.
 //
-// When the chain has both, the later release wins. Every other wrapper
+// When the chain has both, the later due time wins. Every other wrapper
 // (fault injection, collusion capture) keeps its per-job semantics, so the
 // conversation changes what a device costs, never what it computes.
 func (s *slot) open(d Device) {
 	l := &s.late
-	l.delay, l.ready, l.chaos = 0, time.Time{}, nil
+	*l = late{}
 	s.dev = nil
 	var inner Device
 	for w := d; w != nil; w = inner {
@@ -183,29 +183,28 @@ func NewBlockFlight(devs []Device, opts BlockOptions) *BlockFlight {
 		f.slots[i].open(d)
 	}
 	f.opts, f.ended = opts, false
-	f.refs.Store(1)
 	return f
 }
 
-// unref drops one hold on the release, releasing the flight with the last.
-func (f *BlockFlight) unref() {
-	if f.refs.Add(-1) == 0 {
-		f.release()
-	}
-}
-
-// recycleVec hands a late answer back to the kernels' pool.
+// recycleVec hands an answer no gather took back to the kernels' pool.
 var recycleVec = field.PutScratchVec
 
-// release recycles the answers no gatherer took, forgets the
-// conversation's operands, layers and hooks, and makes the flight idle.
-// Nothing runs on the flight any more, so nothing here races.
+// release settles the answers no gather took — observes each one's
+// latency and recycles it — forgets the conversation's operands, layers
+// and hooks, and makes the flight idle. Every job has run, so nothing
+// reads the flight any more.
 func (f *BlockFlight) release() {
 	for _, p := range f.layers[:f.shipped] {
-		p.recycleLate()
+		for entry, got := range p.taken {
+			if !got {
+				p.observe(entry)
+				f.recycle(p.results[entry])
+			}
+		}
 		p.fwd, p.bwd, p.from = nil, nil, nil
 		clear(p.ops)
 		clear(p.results)
+		clear(p.snapResults)
 	}
 	f.shipped = 0
 	clear(f.owned)
@@ -218,6 +217,14 @@ func (f *BlockFlight) release() {
 		idleFlights.free = append(idleFlights.free, f)
 	}
 	idleFlights.Unlock()
+}
+
+// recycle hands an answer that is nobody's back to the kernels' pool —
+// unless the device handed back one of the flight's own operands.
+func (f *BlockFlight) recycle(y field.Vec) {
+	if !f.owns(y) {
+		recycleVec(y)
+	}
 }
 
 // Vec hands out an n-element vector (contents undefined) the flight owns
@@ -257,38 +264,24 @@ func (f *BlockFlight) adopt(x field.Vec) field.Vec {
 	return v
 }
 
-// late holds a slot's answers until the device's latency has passed: the
-// latency delays what the TEE hears back, not the device's work, so jobs
-// queued behind the first one — the rest of the batch's forward layers and
-// its gradient jobs — never wait it out themselves. A slow device's launch
+// late gives a slot's answers their due times: the device's latency
+// delays what the TEE hears back, not the device's work, so jobs queued
+// behind the first one — the rest of the batch's forward layers and its
+// gradient jobs — never wait it out themselves. A slow device's launch
 // holds every answer until its delay has passed since the conversation's
-// first job; a chaos actuator holds each answer for its delay from when
-// the job ran. An answer whose latency has passed leaves at once; a held
-// answer never leaves before one held ahead of it. Only the flight's owner, or a spare job in its
-// own conversation, runs a slot's jobs, so ready needs no lock; held is
-// shared with the timer that releases it. While it holds answers the slot
-// holds its flight's release.
+// first job; a chaos actuator holds each answer for the delay it reads
+// when the job ran. An answer whose latency has passed is due at once; a
+// held answer is never due before one held ahead of it. Only the flight's
+// owner runs a slot's jobs, so nothing here needs a lock.
 type late struct {
 	delay time.Duration // a slow device's launch latency; 0 for none
 	ready time.Time     // when the launch latency has passed; zero until the first job ran
 	chaos *ChaosDevice  // the actuator whose delay holds each answer; nil for none
-
-	mu    sync.Mutex
-	held  []heldAnswer // answers waiting for their release, in the order their jobs ran
-	timer *time.Timer
+	last  time.Time     // when the slot's latest held answer is due
 }
 
-// heldAnswer is an answer and when it may leave.
-type heldAnswer struct {
-	answer
-	at time.Time
-}
-
-// hold queues a until the device's latency has passed and reports whether
-// it did: an answer whose latency has passed leaves at once. One timer per
-// slot releases what is held, armed for the oldest answer.
-func (l *late) hold(a answer) bool {
-	now := time.Now()
+// due returns when the answer of a job that ran at now is due.
+func (l *late) due(now time.Time) time.Time {
 	if l.delay > 0 && l.ready.IsZero() {
 		l.ready = now.Add(l.delay)
 	}
@@ -299,56 +292,13 @@ func (l *late) hold(a answer) bool {
 		}
 	}
 	if !at.After(now) {
-		return false
+		return now
 	}
-	l.mu.Lock()
-	if n := len(l.held); n > 0 && at.Before(l.held[n-1].at) {
-		at = l.held[n-1].at
+	if at.Before(l.last) {
+		at = l.last
 	}
-	l.held = append(l.held, heldAnswer{answer: a, at: at})
-	if len(l.held) == 1 {
-		a.p.f.refs.Add(1)
-		if l.timer == nil {
-			l.timer = time.AfterFunc(at.Sub(now), l.release)
-		} else {
-			l.timer.Reset(at.Sub(now))
-		}
-	}
-	l.mu.Unlock()
-	return true
-}
-
-// release files, outside the lock since filing runs the flight's hooks,
-// every held answer whose time has come, oldest first, and arms the timer
-// again for the next one. An answer held meanwhile arms no timer of its
-// own: this call files it too, or arms the timer for it, before it lets
-// go of the flight.
-func (l *late) release() {
-	l.mu.Lock()
-	f := l.held[0].p.f
-	for len(l.held) > 0 {
-		now := time.Now()
-		if wait := l.held[0].at.Sub(now); wait > 0 {
-			l.timer.Reset(wait)
-			l.mu.Unlock()
-			return
-		}
-		n := 1
-		for n < len(l.held) && !l.held[n].at.After(now) {
-			n++
-		}
-		out := l.held[:n]
-		l.mu.Unlock()
-		for i := range out {
-			out[i].file()
-		}
-		l.mu.Lock()
-		k := copy(l.held, l.held[n:])
-		clear(l.held[k:])
-		l.held = l.held[:k]
-	}
-	l.mu.Unlock()
-	f.unref()
+	l.last = at
+	return at
 }
 
 // Slots returns the gang width of the flight.
@@ -357,9 +307,9 @@ func (l *late) release() {
 func (f *BlockFlight) Slots() int { return len(f.slots) }
 
 // Kept returns how many buffers the flight owns and has not yet released:
-// its operands, and the answers that landed after their gatherer's
-// snapshot — a batch's §6 device-memory footprint. It is 0 once the
-// flight is released.
+// its operands, and the answers a gather left behind because they were
+// not yet due — a batch's §6 device-memory footprint. It is 0 once the
+// flight has ended.
 //
 //lint:ignore testonly test fixture for the gpu and sched tests
 func (f *BlockFlight) Kept() int { return int(f.live.Load()) }
@@ -417,37 +367,40 @@ func (f *BlockFlight) GradLayer(fwd *LayerPending, kernel BilinearKernel, prim, 
 func (f *BlockFlight) runQueued() {
 	for i := range f.slots {
 		s := &f.slots[i]
-		for k := range s.queue {
-			j := s.queue[k]
+		for k, j := range s.queue {
 			s.queue[k] = job{} // the emptied queue keeps no layer alive
-			j.p.run(s, j.entry, nil)
+			p := j.p
+			y, due := p.run(s, j.entry)
+			p.results[j.entry], p.due[j.entry], p.lat[j.entry] = y, due, due.Sub(p.shipped)
 		}
 		s.queue = s.queue[:0]
 	}
 }
 
-// End closes the conversation and fires the OnEnd hook. It first runs
-// every job no gather ran, so the devices' work for the flight, and their
-// traffic counters, are complete when the flight ends; it waits for no
-// answer a slot holds. The flight is released once nothing else holds it:
-// at once when nothing does. The flight is not the caller's after End.
+// End closes the conversation: it runs every job no gather ran, so the
+// devices' work for the flight, and their traffic counters, are complete
+// when the flight ends, and waits for no answer that is not yet due. It
+// then releases the flight and fires the OnEnd hook. The flight is not the
+// caller's after End.
 func (f *BlockFlight) End() {
 	if f.ended {
 		return
 	}
 	f.ended = true
 	f.runQueued()
-	if f.opts.OnEnd != nil {
-		f.opts.OnEnd()
+	onEnd := f.opts.OnEnd
+	f.release()
+	if onEnd != nil {
+		onEnd()
 	}
-	f.unref()
 }
 
-// LayerPending gathers one layer's in-flight results. It fills job by job,
-// so a quorum gather can snapshot as soon as enough of them landed. Its
-// jobs form one window (a forward layer, or a backward layer's primary
-// equations) or two equally long ones (primary then secondary equations).
-// It belongs to its flight, which reuses it after the release.
+// LayerPending gathers one layer's results. Its jobs form one window (a
+// forward layer, or a backward layer's primary equations) or two equally
+// long ones (primary then secondary equations). Once its jobs have run,
+// each entry holds an answer and when it is due, so a quorum gather can
+// snapshot as soon as enough of them are. It belongs to its flight, which
+// reuses it after the release, and only the flight's owner touches it.
 type LayerPending struct {
 	f       *BlockFlight
 	fwd     LinearKernel
@@ -457,29 +410,23 @@ type LayerPending struct {
 	window  int           // jobs per window; jobs [window, len(results)) are the secondary window
 	secSlot int           // the secondary window's first slot
 	shipped time.Time     // when the layer left the TEE (set only when observed)
-	wake    chan struct{}
-	spec    *time.Timer // the speculation window, armed by a quorum gather
-	lag     []int       // speculate's scratch: the entries it re-dispatches
 
-	mu      sync.Mutex
-	results []field.Vec
-	present []bool
-	ok      [2]int // per window: jobs answered
-	need    int    // the answers a parked gatherer waits for; 0 when none is parked
-	// A gather hands out every result (all) or a snapshot: snapResults and
-	// snapPresent, whose present answers are the gatherer's. Answers that
-	// land after it (late, counted) are the flight's.
-	all         bool
-	snapped     bool
-	snapResults []field.Vec
-	snapPresent []bool
+	results []field.Vec     // each job's answer, once it ran
+	due     []time.Time     // when each answer is due
+	lat     []time.Duration // each gang job's latency, for Observe
+	// taken marks the answers a gather handed out: they are the gatherer's.
+	// The others are the flight's, and late counts those the last gather
+	// left behind. A gather hands out every result, or snapResults with
+	// taken as its presence mask.
+	taken       []bool
 	late        int
+	snapResults []field.Vec
 }
 
 // newPending takes the flight's next layer from its pending table, empty.
 func (f *BlockFlight) newPending(window, secondary int) *LayerPending {
 	if f.shipped == len(f.layers) {
-		f.layers = append(f.layers, &LayerPending{f: f, wake: make(chan struct{}, 1)})
+		f.layers = append(f.layers, &LayerPending{f: f})
 	}
 	p := f.layers[f.shipped]
 	f.shipped++
@@ -487,10 +434,11 @@ func (f *BlockFlight) newPending(window, secondary int) *LayerPending {
 	p.window, p.secSlot = window, len(f.slots)-secondary
 	p.ops = resize(p.ops, n)
 	p.results = resize(p.results, n)
-	p.present = resize(p.present, n)
-	clear(p.present)
-	p.ok, p.need = [2]int{}, 0
-	p.all, p.snapped, p.late = false, false, 0
+	p.due = resize(p.due, n)
+	p.lat = resize(p.lat, n)
+	p.taken = resize(p.taken, n)
+	clear(p.taken)
+	p.late = 0
 	p.shipped = time.Time{}
 	if f.opts.Observe != nil {
 		p.shipped = time.Now()
@@ -514,114 +462,90 @@ func (p *LayerPending) slot(entry int) int {
 	return p.secSlot + entry - p.window
 }
 
-// answer is one job's result on its way to the gatherer: the layer, the
-// gang slot and result entry it answers, the result and, for a spare's
-// job, what hands the spare back.
-type answer struct {
-	p           *LayerPending
-	slot, entry int
-	y           field.Vec
-	done        func()
-}
-
-// run executes one job in a conversation — the gang slot's own, or, when
-// done is non-nil, a spare's — and answers it, then runs done. The slot
-// may hold the answer until the device's latency has passed; it moves on
-// to its next job meanwhile. A spare feeds no latency observation.
-func (p *LayerPending) run(s *slot, entry int, done func()) {
-	gang := p.slot(entry)
+// run executes one job in a conversation — the gang slot's own or a
+// spare's — and returns its answer and when the answer is due. The
+// conversation moves on to its next job meanwhile.
+func (p *LayerPending) run(s *slot, entry int) (field.Vec, time.Time) {
 	var y field.Vec
 	if p.fwd != nil {
 		y = s.dev.LinearForward(p.fwd, p.ops[entry])
 	} else {
-		y = s.dev.GradWeights(p.bwd, p.ops[entry], p.from.ops[gang])
+		y = s.dev.GradWeights(p.bwd, p.ops[entry], p.from.ops[p.slot(entry)])
 	}
-	a := answer{p: p, slot: gang, entry: entry, y: y, done: done}
-	if l := &s.late; (l.delay > 0 || l.chaos != nil) && l.hold(a) {
-		return
-	}
-	a.file()
+	return y, s.late.due(time.Now())
 }
 
-// file files one job's result: the latency observation (a gang slot's
-// only), the delivery, then done.
-func (a *answer) file() {
-	p := a.p
-	if a.done == nil && p.f.opts.Observe != nil {
-		p.f.opts.Observe(a.slot, time.Since(p.shipped))
-	}
-	p.deliver(a.entry, a.y)
-	if a.done != nil {
-		a.done()
+// observe feeds a gang job's latency to the Observe hook.
+func (p *LayerPending) observe(entry int) {
+	if o := p.f.opts.Observe; o != nil {
+		o(p.slot(entry), p.lat[entry])
 	}
 }
 
-// settled reports whether a gather for quorum q can return: one window has
-// q answers. Caller holds mu.
-func (p *LayerPending) settled(q int) bool {
-	return p.ok[0] >= q || p.ok[1] >= q
-}
-
-// deliver records a job's answer — the first delivery wins — and wakes the
-// gatherer when it is the answer the gatherer was waiting for. An answer
-// landing after a snapshot is the flight's until a later snapshot takes
-// it, or the release recycles it.
-func (p *LayerPending) deliver(entry int, v field.Vec) {
-	p.mu.Lock()
-	if p.present[entry] {
-		p.mu.Unlock()
-		return
-	}
-	p.results[entry], p.present[entry] = v, true
-	if entry < p.window {
-		p.ok[0]++
-	} else {
-		p.ok[1]++
-	}
-	if p.snapped {
-		p.late++
-		p.f.live.Add(1)
-	}
-	wake := p.need > 0 && p.settled(p.need)
-	if wake {
-		p.need = 0
-	}
-	p.mu.Unlock()
-	if wake {
-		p.wake <- struct{}{}
-	}
-}
-
-// snapshot hands the gatherer every answer that has landed: the results
-// themselves once all have, otherwise a copy with its presence mask. Late
-// answers it takes are no longer the flight's. Caller holds mu.
-func (p *LayerPending) snapshot() ([]field.Vec, []bool) {
-	if p.late > 0 {
-		p.f.live.Add(int64(-p.late))
-		p.late = 0
-	}
-	if p.ok[0]+p.ok[1] == len(p.results) {
-		p.all = true
-		return p.results, nil
-	}
-	p.snapped = true
-	p.snapResults = append(p.snapResults[:0], p.results...)
-	p.snapPresent = append(p.snapPresent[:0], p.present...)
-	return p.snapResults, p.snapPresent
-}
-
-// recycleLate returns the answers no gather took to the kernels' pool —
-// unless the device handed back one of the flight's own operands. Called
-// at the release, when no job runs.
-func (p *LayerPending) recycleLate() {
-	if p.all {
-		return
-	}
-	for entry, got := range p.present {
-		if got && !(p.snapped && p.snapPresent[entry]) && !p.f.owns(p.results[entry]) {
-			recycleVec(p.results[entry])
+// quorumDue returns when one window first has q answers due.
+func (p *LayerPending) quorumDue(q int) time.Time {
+	at := nthDue(p.due[:p.window], q)
+	if len(p.due) > p.window {
+		if sec := nthDue(p.due[p.window:], q); sec.Before(at) {
+			at = sec
 		}
 	}
+	return at
+}
+
+// nthDue returns the earliest time by which n of the due times have
+// passed; n is at most len(due), and no due time is zero.
+func nthDue(due []time.Time, n int) time.Time {
+	var at time.Time
+	for _, t := range due {
+		k := 0
+		for _, u := range due {
+			if !u.After(t) {
+				k++
+			}
+		}
+		if k >= n && (at.IsZero() || t.Before(at)) {
+			at = t
+		}
+	}
+	return at
+}
+
+// sleepUntil blocks the calling goroutine until t has passed.
+func sleepUntil(t time.Time) {
+	if d := time.Until(t); d > 0 {
+		time.Sleep(d)
+	}
+}
+
+// take hands the gatherer every answer due by now: the results themselves
+// once all are, otherwise a copy with its presence mask, in which an
+// answer not yet due is absent. An answer it takes is the gatherer's, and
+// its job's latency is observed; the rest stay the flight's.
+func (p *LayerPending) take(now time.Time) ([]field.Vec, []bool) {
+	late := 0
+	for entry, due := range p.due {
+		switch {
+		case p.taken[entry]:
+		case due.After(now):
+			late++
+		default:
+			p.taken[entry] = true
+			p.observe(entry)
+		}
+	}
+	p.f.live.Add(int64(late - p.late))
+	p.late = late
+	if late == 0 {
+		return p.results, nil
+	}
+	p.snapResults = append(p.snapResults[:0], p.results...)
+	for entry, got := range p.taken {
+		if !got {
+			p.snapResults[entry] = nil
+		}
+	}
+	return p.snapResults, p.taken
 }
 
 // Wait gathers the layer with no straggler tolerance: a whole window must
@@ -631,83 +555,73 @@ func (p *LayerPending) Wait() []field.Vec {
 	return results
 }
 
-// WaitQuorum blocks until q jobs of one window have answered (a q outside
-// [1, window] means the whole window) and returns the results in job order
-// with a presence mask; a nil mask means every job answered. Every queued
-// job of the flight runs first, so the jobs missing at that point are
-// those whose answers a slot still holds, or whose share a spare still
-// runs: they are branded stragglers and land on their own time. The
-// returned slices belong to the flight: they stay valid until End, and a
-// later gather of the same layer rewrites them.
+// WaitQuorum waits until q answers of one window are due (a q outside
+// [1, window] means the whole window) and returns every answer due by
+// then, in job order, with a presence mask; a nil mask means every job
+// answered. Every queued job of the flight runs first, and the wait is a
+// sleep, both on the calling goroutine; an answer due by the time the
+// jobs had run counts as due at once. The jobs missing at the end are
+// those whose answers are not yet due: they are branded stragglers, and
+// their answers stay the flight's — a later gather of the layer takes
+// those due by then, and End recycles the rest. The returned slices belong
+// to the flight: they stay valid until End, and a later gather of the
+// same layer rewrites them.
 func (p *LayerPending) WaitQuorum(q int) ([]field.Vec, []bool) {
 	if q <= 0 || q > p.window {
 		q = p.window
 	}
-	p.f.runQueued()
-	p.mu.Lock()
-	if !p.settled(q) {
-		armed := false
-		if o := &p.f.opts; q < p.window && p.fwd != nil && o.Spare != nil && o.SpeculateAfter > 0 {
-			armed = true
-			p.f.refs.Add(1)
-			if p.spec == nil {
-				p.spec = time.AfterFunc(o.SpeculateAfter, p.speculate)
-			} else {
-				p.spec.Reset(o.SpeculateAfter)
-			}
+	f := p.f
+	f.runQueued()
+	at := p.quorumDue(q)
+	if o := &f.opts; q < p.window && p.fwd != nil && o.Spare != nil && o.SpeculateAfter > 0 {
+		if spec := time.Now().Add(o.SpeculateAfter); at.After(spec) {
+			sleepUntil(spec)
+			p.speculate(q)
+			at = p.quorumDue(q)
 		}
-		p.need = q
-		p.mu.Unlock()
-		<-p.wake
-		if armed && p.spec.Stop() {
-			p.f.unref() // never fired
-		}
-		p.mu.Lock()
 	}
-	results, present := p.snapshot()
-	p.mu.Unlock()
-	if present != nil && p.f.opts.Straggler != nil {
+	if now := time.Now(); at.Before(now) {
+		at = now // every answer due by the time the jobs had run is in
+	}
+	sleepUntil(at)
+	results, present := p.take(at)
+	if present != nil && f.opts.Straggler != nil {
 		for entry, got := range present {
 			if !got {
-				p.f.opts.Straggler(p.slot(entry))
+				f.opts.Straggler(p.slot(entry))
 			}
 		}
 	}
 	return results, present
 }
 
-// speculate re-dispatches every still-lagging coded share to a borrowed
-// spare, in a one-job conversation of its own. Best-effort: it stops as
-// soon as no spare is free. It runs on the speculation timer, which holds
-// the flight's release until it returns; each spare job holds it until
-// the job has answered.
-func (p *LayerPending) speculate() {
-	defer p.f.unref()
-	p.mu.Lock()
-	p.lag = p.lag[:0]
-	for entry, got := range p.present {
-		if !got {
-			p.lag = append(p.lag, entry)
+// speculate re-runs shares not yet due on borrowed spares, one at a time
+// in shipping order, until q answers are due: each in a one-job
+// conversation of its own, keeping whichever answer of the share is due
+// first. A spare goes back at once, with the latency its answer's due time
+// gave it. Best-effort: it stops as soon as no spare is free.
+func (p *LayerPending) speculate(q int) {
+	for entry := range p.due {
+		now := time.Now()
+		if !p.quorumDue(q).After(now) {
+			return
 		}
-	}
-	p.mu.Unlock()
-	for _, entry := range p.lag {
+		if !p.due[entry].After(now) {
+			continue
+		}
 		dev, done, ok := p.f.opts.Spare(entry)
 		if !ok {
 			return
 		}
-		p.f.refs.Add(1)
-		go p.spare(dev, entry, done)
+		var s slot
+		s.open(dev)
+		y, at := p.run(&s, entry)
+		done(at.Sub(now))
+		if at.Before(p.due[entry]) {
+			y, p.results[entry], p.due[entry] = p.results[entry], y, at
+		}
+		p.f.recycle(y)
 	}
-}
-
-// spare runs one lagging share on a borrowed device.
-func (p *LayerPending) spare(dev Device, entry int, done func(time.Duration)) {
-	defer p.f.unref()
-	var s slot
-	s.open(dev)
-	start := time.Now()
-	p.run(&s, entry, func() { done(time.Since(start)) })
 }
 
 // BeginBlock opens a flight over the first n devices of the cluster: slot

@@ -11,8 +11,8 @@ import (
 
 // scriptDevice is the fake a flight test needs: a Device that counts its
 // jobs and whose every job first waits for gate (nil = never waits). A
-// gated call blocks whoever runs it, so only a spare, which runs its job on
-// a goroutine of its own, is ever gated.
+// gated call blocks the gatherer that runs it, so a test that gates a
+// device gathers on a goroutine of its own.
 type scriptDevice struct {
 	Device
 	gate <-chan struct{}
@@ -47,28 +47,28 @@ func scriptDevices(n int) ([]*scriptDevice, []Device) {
 	return scripts, devs
 }
 
-// hourLate wraps d in a chaos actuator whose answers land an hour after
-// their jobs ran: a laggard no gather waits out, until expire lets its
-// answers land.
+// hourLate wraps d in a chaos actuator whose answers are due an hour after
+// their jobs ran: a laggard no gather waits out, until expire makes its
+// answers due.
 func hourLate(d Device) *ChaosDevice {
 	c := NewChaos(d)
 	c.SetDelay(time.Hour)
 	return c
 }
 
-// expire lets every answer slot i of f holds land now: the gate a test
-// opens for an hour-late laggard. The held answers keep the flight from
-// its release, so its slots are not reused meanwhile.
+// expire makes every answer slot i of f holds due now: the gate a test
+// opens for an hour-late laggard. Like every gather, it acts as the
+// flight's owner.
 func expire(f *BlockFlight, i int) {
-	l := &f.slots[i].late
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for k := range l.held {
-		l.held[k].at = time.Time{}
+	now := time.Now()
+	for _, p := range f.layers[:f.shipped] {
+		for entry, due := range p.due {
+			if p.slot(entry) == i && due.After(now) {
+				p.due[entry] = now
+			}
+		}
 	}
-	if len(l.held) > 0 {
-		l.timer.Reset(0)
-	}
+	f.slots[i].late.last = time.Time{}
 }
 
 func vecs(n int, seed field.Elem) []field.Vec {
@@ -81,10 +81,10 @@ func vecs(n int, seed field.Elem) []field.Vec {
 
 // TestFlightQuorumLeavesLaggardBehind: a gather for n-1 returns while one
 // slot's answers are held, brands that slot once per layer, and End does
-// not wait for the held answers. The laggard ran each layer's job at its
-// gather, in shipping order, and its held answers leave in that order: an
-// answer held for less time than the one ahead of it still waits behind
-// it.
+// not wait for the held answers: it releases the flight at once. The
+// laggard ran each layer's job at its gather, in shipping order, and its
+// held answers are due in that order: an answer held for less time than
+// the one ahead of it is still due no earlier.
 func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 	const n = 4
 	_, devs := scriptDevices(n)
@@ -94,6 +94,7 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 	f := NewBlockFlight(devs, BlockOptions{Straggler: func(slot int) { branded = append(branded, slot) }})
 
 	ran := make(chan string, 2) // slot 1's jobs, in the order they ran
+	var pending []*LayerPending
 	for _, key := range []string{"l1", "l2"} {
 		coded := vecs(n, 10)
 		p, err := f.ForwardLayer("", func(x field.Vec) field.Vec {
@@ -105,6 +106,7 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pending = append(pending, p)
 		results, present := p.WaitQuorum(n - 1)
 		for j := range coded {
 			if j == 1 {
@@ -117,17 +119,19 @@ func TestFlightQuorumLeavesLaggardBehind(t *testing.T) {
 				t.Fatalf("%s: slot %d wrong or absent", key, j)
 			}
 		}
-		lagging.SetDelay(time.Minute) // l2's answer is due before l1's, which is held ahead of it
+		lagging.SetDelay(time.Minute) // l2's answer would be due before l1's, which is held ahead of it
+	}
+	if l1, l2 := pending[0].due[1], pending[1].due[1]; l2.Before(l1) {
+		t.Fatalf("l2's answer is due %v before l1's, which was held ahead of it", l1.Sub(l2))
 	}
 	f.End() // must return with slot 1's answers still held
+	requireReleased(t, f)
 	if len(branded) != 2 || branded[0] != 1 || branded[1] != 1 {
 		t.Fatalf("straggler brands = %v, want slot 1 once per layer", branded)
 	}
 	if first, second := <-ran, <-ran; first != "l1" || second != "l2" {
 		t.Fatalf("laggard ran its queue as %s, %s: want shipping order", first, second)
 	}
-	expire(f, 1)
-	waitReleased(t, f)
 }
 
 // TestFlightBackwardWindows: with both decode windows shipped on S+E slots
@@ -175,8 +179,7 @@ func TestFlightBackwardWindows(t *testing.T) {
 				}
 			}
 			f.End()
-			expire(f, c.late)
-			waitReleased(t, f)
+			requireReleased(t, f)
 		})
 	}
 
@@ -200,18 +203,19 @@ func TestFlightBackwardWindows(t *testing.T) {
 }
 
 // TestFlightSpeculationFillsBlockedSlots: with two of four slots' answers
-// held an hour a quorum of three can only form through a borrowed spare,
-// and the laggards' own late answers land on a layer that has already
-// settled.
+// held an hour a quorum of three can only form through a borrowed spare;
+// the gather borrows just the one it needs and hands it back before it
+// returns, and the laggards' own answers, once due, land on a layer that
+// has already settled.
 func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 	const n = 4
 	devs := []Device{NewHonest(0), hourLate(NewHonest(1)), hourLate(NewHonest(2)), NewHonest(3)}
-	var lent atomic.Int32
+	var lent, returned int
 	f := NewBlockFlight(devs, BlockOptions{
 		SpeculateAfter: time.Microsecond,
 		Spare: func(slot int) (Device, func(time.Duration), bool) {
-			id := int(lent.Add(1))
-			return NewHonest(n + id), func(time.Duration) {}, true
+			lent++
+			return NewHonest(n + lent), func(time.Duration) { returned++ }, true
 		},
 	})
 	coded := vecs(n, 10)
@@ -229,14 +233,17 @@ func TestFlightSpeculationFillsBlockedSlots(t *testing.T) {
 			}
 		}
 	}
-	if got < n-1 || lent.Load() == 0 {
-		t.Fatalf("%d present after %d loans, want >= %d through a loan", got, lent.Load(), n-1)
+	if got != n-1 || lent != 1 {
+		t.Fatalf("%d present after %d loans, want %d through one loan", got, lent, n-1)
+	}
+	if returned != lent {
+		t.Fatalf("%d of %d spares handed back when the gather returned", returned, lent)
 	}
 	expire(f, 1)
 	expire(f, 2)
-	p.Wait() // every slot answered by now or soon: no hang, no double count
+	p.Wait() // every slot's answer is due now: no hang, no double count
 	f.End()
-	waitReleased(t, f)
+	requireReleased(t, f)
 }
 
 // TestSlotOpensConversation is the table of what each device composition
@@ -436,13 +443,13 @@ func TestMixedFlightRunsJobsOnGatherer(t *testing.T) {
 			t.Fatalf("device %d counted %d jobs, want 1", i, jobs)
 		}
 	}
-	expire(f, 2)
-	waitReleased(t, f)
+	requireReleased(t, f)
 }
 
 // TestFlightEndRunsEveryPromptJob: End returns once every slot has run
 // every job shipped — a slow device's and a late chaos device's included —
-// without waiting for a single held answer to land.
+// without waiting for a single held answer to be due, and has released
+// the flight.
 func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
 	f := NewBlockFlight([]Device{NewSlow(devs[0], time.Hour), devs[1], hourLate(devs[2])}, BlockOptions{})
@@ -458,17 +465,12 @@ func TestFlightEndRunsEveryPromptJob(t *testing.T) {
 			t.Fatalf("device %d ran %d jobs by the time End returned, want 3", i, jobs)
 		}
 	}
-	if f.Kept() == 0 {
-		t.Fatal("the flight was released while answers were held")
-	}
-	expire(f, 0)
-	expire(f, 2)
-	waitReleased(t, f)
+	requireReleased(t, f)
 }
 
-// recycled counts, per vector, the late answers flights handed back to the
-// kernels' pool. The hook is installed before any test runs and never
-// changes, so flights released by earlier tests' laggards race nothing.
+// recycled counts, per vector, the answers no gather took that flights
+// handed back to the kernels' pool. The hook is installed before any test
+// runs and never changes.
 var recycled = struct {
 	sync.Mutex
 	n map[*field.Elem]int
@@ -484,30 +486,28 @@ func init() {
 	}
 }
 
-// timesRecycled reports how often v went back to the pool as a late answer.
+// timesRecycled reports how often v went back to the pool as an answer no
+// gather took.
 func timesRecycled(v field.Vec) int {
 	recycled.Lock()
 	defer recycled.Unlock()
 	return recycled.n[&v[0]]
 }
 
-// waitReleased waits until the flight has released everything it owned.
-func waitReleased(t *testing.T, f *BlockFlight) {
+// requireReleased fails unless the flight, which End has released, owns
+// nothing any more.
+func requireReleased(t *testing.T, f *BlockFlight) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for f.Kept() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("the flight still owns %d buffers", f.Kept())
-		}
-		time.Sleep(time.Millisecond)
+	if k := f.Kept(); k != 0 {
+		t.Fatalf("the flight still owns %d buffers after End", k)
 	}
 }
 
 // TestMarkedFlightRecyclesAfterLastReader: every gradient job — of either
-// backward window — is handed the operand its slot's forward job was
-// shipped, and the flight releases its operands only after the last
-// answer a slot holds has landed: a quorum laggard's forward and gradient
-// answers, still held when End returns.
+// backward window, a quorum laggard's included — is handed the operand its
+// slot's forward job was shipped, and the flight keeps its operands until
+// End, their last reader, which releases them at once, with the laggard's
+// forward and gradient answers not yet due.
 func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 	const s, e = 3, 2
 	const n = s + e
@@ -549,12 +549,13 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 			t.Fatalf("layer %d: the late slot answered", l)
 		}
 	}
-	f.End() // returns with slot 0's answers still held
 	// Two forward layers of n operands and two gradient layers of 2s, all
 	// the caller's, so all copied in.
 	if k := f.Kept(); k < 2*n+4*s {
-		t.Fatalf("the flight owns %d buffers while its laggard's answers are held, want >= %d", k, 2*n+4*s)
+		t.Fatalf("the flight owns %d buffers before End, want >= %d", k, 2*n+4*s)
 	}
+	f.End() // returns with slot 0's answers still held
+	requireReleased(t, f)
 	if got := lagging.jobs.Load(); got != 4 {
 		t.Fatalf("the laggard ran %d jobs, want its 2 forward and 2 gradient jobs", got)
 	}
@@ -562,8 +563,6 @@ func TestMarkedFlightRecyclesAfterLastReader(t *testing.T) {
 	if r, m := reads.Load(), misreads.Load(); r != 4*s || m != 0 {
 		t.Fatalf("%d of %d gradient jobs were handed the wrong input", m, r)
 	}
-	expire(f, 0)
-	waitReleased(t, f)
 }
 
 // TestFlightKeepsOnlyForBackward: what a gradient job reads is its forward
@@ -599,8 +598,9 @@ func TestFlightKeepsOnlyForBackward(t *testing.T) {
 
 // TestSpeculativeStoresAreDropped: a share re-run on a spare under
 // SpeculateAfter reads the bytes that were shipped, even after the caller
-// rewrote its buffer and the flight ended, and holds the flight's release
-// until it has answered; the spare runs that one job and is handed back.
+// rewrote its buffer while the gather waited on the spare; the spare runs
+// that one job and is handed back before its gather returns. A gated spare
+// blocks only the goroutine that gathers.
 func TestSpeculativeStoresAreDropped(t *testing.T) {
 	const n = 4
 	ident := func(x field.Vec) field.Vec { return x.Clone() }
@@ -613,10 +613,9 @@ func TestSpeculativeStoresAreDropped(t *testing.T) {
 		shipped[j] = x.Clone()
 	}
 	var (
-		mu        sync.Mutex
-		spares    []*scriptDevice
+		spares    []*scriptDevice // touched only by the gatherer until it returns
+		returned  int
 		misreads  atomic.Int32
-		returned  sync.WaitGroup
 		borrowed  = make(chan struct{}, n)
 		spareSeen = func(slot int) func(x field.Vec) field.Vec {
 			return func(x field.Vec) field.Vec {
@@ -630,47 +629,47 @@ func TestSpeculativeStoresAreDropped(t *testing.T) {
 	f := NewBlockFlight(devs, BlockOptions{
 		SpeculateAfter: time.Microsecond,
 		Spare: func(slot int) (Device, func(time.Duration), bool) {
-			mu.Lock()
-			defer mu.Unlock()
 			d := &scriptDevice{Device: &checkDevice{Device: NewHonest(n + len(spares)), check: spareSeen(slot)}, gate: spareGate}
 			spares = append(spares, d)
-			returned.Add(1)
 			borrowed <- struct{}{}
-			return d, func(time.Duration) { returned.Done() }, true
+			return d, func(time.Duration) { returned++ }, true
 		},
 	})
 	p, err := f.ForwardLayer("", ident, coded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gathered := make(chan []bool, 1)
+	type gathered struct {
+		present        []bool
+		lent, returned int
+	}
+	done := make(chan gathered, 1)
 	go func() {
 		_, present := p.WaitQuorum(n - 1)
-		gathered <- present
+		done <- gathered{present, len(spares), returned}
 	}()
-	<-borrowed // the speculation fired: the quorum cannot form from the gang
-	expire(f, 1)
-	expire(f, 2)
-	<-gathered
+	<-borrowed // the speculation ran: the quorum cannot form from the gang
 	for _, x := range coded {
 		clear(x) // the caller reuses its buffers
 	}
-	f.End()
-	// Whatever else holds the flight — a late answer on its way in, the
-	// speculation timer — lets go at once; the gated spare job must not.
-	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if f.Kept() == 0 {
-			t.Fatal("the flight was released while a spare job had not run")
-		}
+	select {
+	case <-done:
+		t.Fatal("the gather returned while a spare job waited at its gate")
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(spareGate)
-	waitReleased(t, f) // after every spare job, so no loan is still to come
-	returned.Wait()    // every loan handed back
-	mu.Lock()
-	defer mu.Unlock()
-	if len(spares) == 0 {
+	g := <-done
+	if g.lent == 0 {
 		t.Fatal("no share was re-run on a spare")
 	}
+	if g.returned != g.lent {
+		t.Fatalf("%d of %d spares handed back when the gather returned", g.returned, g.lent)
+	}
+	if g.lent != 1 || g.present == nil || !g.present[1] || g.present[2] {
+		t.Fatalf("%d spares lent, present %v: want slot 1's share on the one spare the quorum needs, and slot 2 absent", g.lent, g.present)
+	}
+	f.End()
+	requireReleased(t, f)
 	for _, d := range spares {
 		if jobs := d.Traffic().Jobs; jobs != 1 {
 			t.Fatalf("spare %d ran %d jobs, want 1", d.ID(), jobs)
@@ -691,10 +690,11 @@ func (d *checkDevice) LinearForward(_ LinearKernel, x field.Vec) field.Vec {
 	return d.Device.LinearForward(d.check, x)
 }
 
-// TestFlightDropRidesBehindLaggard: the release waits for a quorum
-// laggard's held answers — End returns before they land, and the operands
-// their jobs read are still the flight's — and releasing is not a device
-// job.
+// TestFlightDropRidesBehindLaggard: the release rides behind a quorum
+// laggard's work, not its latency: the laggard ran both its jobs at their
+// gathers, End releases the flight at once with its answers not yet due —
+// until then they, like the operands their jobs read, are the flight's —
+// and releasing is not a device job.
 func TestFlightDropRidesBehindLaggard(t *testing.T) {
 	const n = 3
 	devs := []Device{NewHonest(0), NewHonest(1), NewHonest(2)}
@@ -710,22 +710,18 @@ func TestFlightDropRidesBehindLaggard(t *testing.T) {
 			t.Fatalf("layer %d: the laggard answered", l)
 		}
 	}
-	f.End() // returns with the laggard's answers held
-	if k := f.Kept(); k != 2*n {
-		t.Fatalf("the flight owns %d buffers behind its laggard, want its %d operands", k, 2*n)
+	if got := lagging.jobs.Load(); got != 2 {
+		t.Fatalf("the laggard ran %d jobs by its second gather, want its 2 forward jobs", got)
 	}
+	if k := f.Kept(); k != 2*n+2 {
+		t.Fatalf("the flight owns %d buffers behind its laggard, want its %d operands and 2 held answers", k, 2*n+2)
+	}
+	f.End() // returns with the laggard's answers held
+	requireReleased(t, f)
 	for i := range devs {
 		if jobs := devs[i].Traffic().Jobs; jobs != 2 {
-			t.Fatalf("device %d counted %d jobs, want 2", i, jobs)
+			t.Fatalf("device %d counted %d jobs, want 2 (releasing is not a job)", i, jobs)
 		}
-	}
-	expire(f, 1)
-	waitReleased(t, f)
-	if got := lagging.jobs.Load(); got != 2 {
-		t.Fatalf("the laggard ran %d jobs, want its 2 forward jobs", got)
-	}
-	if jobs := devs[1].Traffic().Jobs; jobs != 2 {
-		t.Fatalf("the laggard's device counted %d jobs, want 2 (releasing is not a job)", jobs)
 	}
 }
 
@@ -757,7 +753,7 @@ func TestFlightDropOwnsKeys(t *testing.T) {
 	if read == nil {
 		t.Fatal("End returned before the gradient job ran")
 	}
-	waitReleased(t, f)
+	requireReleased(t, f)
 	if !read.Equal(shipped) {
 		t.Fatalf("the gradient job read %v, want the shipped input %v", read, shipped)
 	}
@@ -768,36 +764,44 @@ func TestFlightDropOwnsKeys(t *testing.T) {
 	}
 }
 
-// TestLateAnswerRecycledAtRelease: an answer that lands after the quorum
-// snapshot is the flight's, and goes back to the kernels' pool exactly
-// once, at the release; the answers the snapshot handed to the gatherer
-// never do.
+// TestLateAnswerRecycledAtRelease: an answer due after the quorum snapshot
+// is the flight's: a later gather of its layer takes it once it is due,
+// and otherwise it goes back to the kernels' pool exactly once, at End.
+// The answers a gather handed out never do.
 func TestLateAnswerRecycledAtRelease(t *testing.T) {
 	const n = 4
 	_, devs := scriptDevices(n)
 	devs[3] = hourLate(devs[3])
 	f := NewBlockFlight(devs, BlockOptions{})
-	var late field.Vec
-	p, err := f.ForwardLayer("", func(x field.Vec) field.Vec {
-		y := x.Clone()  // never a pooled vector, so no earlier test recycled it
-		if x[0] == 13 { // slot 3's share
-			late = y
+	var late, taken []field.Vec // slot 3's answer of each layer; what the gatherer took
+	for l := range 2 {
+		p, err := f.ForwardLayer("", func(x field.Vec) field.Vec {
+			y := x.Clone()  // never a pooled vector, so no earlier test recycled it
+			if x[0] == 13 { // slot 3's share
+				late = append(late, y)
+			}
+			return y
+		}, vecs(n, 10))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return y
-	}, vecs(n, 10))
-	if err != nil {
-		t.Fatal(err)
+		results, present := p.WaitQuorum(n - 1)
+		if present == nil || present[3] || results[3] != nil {
+			t.Fatalf("layer %d: the late slot answered before its time", l)
+		}
+		taken = append(taken, results[:3]...)
+		if l == 1 {
+			expire(f, 3) // layer 1's answer too, which no gather takes
+			if results := p.Wait(); &results[3][0] != &late[1][0] {
+				t.Fatal("the later gather did not take the answer that came due")
+			}
+			taken = append(taken, late[1])
+		}
 	}
-	results, present := p.WaitQuorum(n - 1)
-	if present == nil || present[3] {
-		t.Fatal("the late slot answered before its time")
-	}
-	taken := append([]field.Vec(nil), results[:3]...)
 	f.End()
-	expire(f, 3)
-	waitReleased(t, f)
-	if n := timesRecycled(late); n != 1 {
-		t.Fatalf("the late answer went back to the pool %d times, want once", n)
+	requireReleased(t, f)
+	if n := timesRecycled(late[0]); n != 1 {
+		t.Fatalf("the answer no gather took went back to the pool %d times, want once", n)
 	}
 	for j, v := range taken {
 		if n := timesRecycled(v); n != 0 {
@@ -806,8 +810,10 @@ func TestLateAnswerRecycledAtRelease(t *testing.T) {
 	}
 }
 
-// TestLaggardHoldsFlightFromReuse: a flight whose laggard's answer is held
-// is not handed to the next BeginBlock; once the answer has landed, it is.
+// TestLaggardHoldsFlightFromReuse: a flight whose laggard's answer is not
+// yet due is its owner's until End — the next BeginBlock opens another —
+// and End hands it to the next BeginBlock at once: the held answer does
+// not keep it from reuse.
 func TestLaggardHoldsFlightFromReuse(t *testing.T) {
 	const n = 3
 	_, devs := scriptDevices(n)
@@ -821,35 +827,26 @@ func TestLaggardHoldsFlightFromReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.WaitQuorum(n - 1)
+	if _, present := p.WaitQuorum(n - 1); present == nil || present[2] {
+		t.Fatal("the laggard answered")
+	}
+	other, err := c.BeginBlock(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == held {
+		t.Fatal("an open flight was handed out again")
+	}
+	other.End()
 	held.End()
 	next, err := c.BeginBlock(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next == held {
-		t.Fatal("a flight holding a laggard's answer was handed out again")
+	defer next.End()
+	if next != held {
+		t.Fatal("the flight its laggard's answer was held on was not reused right after End")
 	}
-	next.End()
-	expire(held, 2)
-	waitReleased(t, held)
-	var opened []*BlockFlight
-	defer func() {
-		for _, f := range opened {
-			f.End()
-		}
-	}()
-	for range maxIdleFlights + 1 {
-		f, err := c.BeginBlock(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opened = append(opened, f)
-		if f == held {
-			return
-		}
-	}
-	t.Fatal("the released flight was never handed out again")
 }
 
 // TestTamperFlightBrandsOnlyLateSlots: on a flight that carries a tamperer

@@ -175,11 +175,10 @@ type engine struct {
 	// every offload of both passes, ended before the gang is released (see
 	// openBatchFlight). The batch's operands are born in it — the coded
 	// inputs of every forward offload, which the backward pass reads again,
-	// and the backward equations — and live until its release, so a spare's
-	// job (forward operands) and End running a layer no gather took
-	// (backward equations) read them for as long as they run. The coding
-	// math does not depend on it: outputs are bit-identical to
-	// internal/spec/stack, which has no flights at all.
+	// and the backward equations — and live until End, the flight's one
+	// release point, which runs every job no gather ran before it lets go of
+	// them. The coding math does not depend on it: outputs are bit-identical
+	// to internal/spec/stack, which has no flights at all.
 	flight *gpu.BlockFlight
 
 	// sp, when non-nil, is the trace span of the virtual batch currently
@@ -363,13 +362,11 @@ func (e *engine) openBatchFlight() error {
 	return nil
 }
 
-// endBatchFlight ends the batch's flight, if one is open; the flight
-// releases what it owns once the last answer it holds has landed and the
-// last spare job that reads it has run (§6: a batch's device memory lives
-// exactly as long as the batch and its laggards). End runs, on this
-// goroutine, every job no gather ran (see gpu.BlockFlight.End), so call it
-// without the TEE token: a batch's device work is then done, and counted,
-// when the batch completes.
+// endBatchFlight ends the batch's flight, if one is open, which releases
+// what it owns at once (§6: a batch's device memory lives exactly as long
+// as the batch). End runs, on this goroutine, every job no gather ran (see
+// gpu.BlockFlight.End), so call it without the TEE token: a batch's device
+// work is then done, and counted, when the batch completes.
 func (e *engine) endBatchFlight() {
 	if e.flight != nil {
 		e.flight.End()
@@ -553,8 +550,9 @@ func (e *engine) offloadForward(code *masking.Code, tr *trace, lin nn.Linear, xs
 // recycle returns a gathered layer's device results to the kernels'
 // scratch pool (field.GetScratchVec), once the decode, the audit and any
 // recovery have read them for the last time. Only the present responses
-// are the gatherer's to return: a laggard's late result lands in the
-// layer's pending state, never in the snapshot a quorum gather returned.
+// are the gatherer's to return: a laggard's answer that is not yet due
+// stays in the layer's pending state, never in the snapshot a quorum
+// gather returned.
 func recycle(results []field.Vec, present []bool) {
 	for j, r := range results {
 		if present == nil || present[j] {
@@ -592,10 +590,8 @@ type stagedWeights struct {
 // stage returns the current layer's staged weights, restaging them when
 // the layer's float weights differ from the kept copy — whoever wrote them
 // (an optimizer step, a weight copy, a test), there is no version to bump.
-// A restage overwrites the staged vector only when the engine waits for
-// every device: with slack, a spare's job of an earlier batch may still be
-// reading it, so it stages into a fresh vector and leaves the old one to
-// the spare.
+// A restage overwrites the staged vector in place: every job of an earlier
+// batch, a spare's included, ran before that batch's flight ended.
 //
 //darknight:hotpath
 func (e *engine) stage(lin nn.Linear) *stagedWeights {
@@ -609,12 +605,10 @@ func (e *engine) stage(lin nn.Linear) *stagedWeights {
 		return s
 	}
 	if s.kernel == nil {
-		s.grad = func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }
-	}
-	if s.kernel == nil || e.effectiveSlack() > 0 {
 		wq := field.NewVec(len(w))
 		s.wq = wq
 		s.kernel = func(x field.Vec) field.Vec { return lin.LinearForwardField(wq, x) }
+		s.grad = func(delta, x field.Vec) field.Vec { return lin.GradWeightsField(delta, x) }
 	}
 	s.fw = e.quantizeWeights(s.wq, w)
 	//lint:ignore hotpathalloc grows once per layer, on its first staging
@@ -700,7 +694,7 @@ func (e *engine) encodeForward(code *masking.Code, lin nn.Linear, xs []*tensor.T
 // A failed check is audited on the same decode windows, which names the
 // culprit slots when two checks are present. When only one is — the quorum
 // gather returned around a laggard at slack E-1 — the audit first takes in
-// the laggards' answers, which are bound to land: it waits for them with
+// the laggards' answers, which are bound to come due: it waits for them with
 // the TEE token released and audits the larger set. With recovery on — the
 // corrective action §4.4 leaves to future work, "executing on another GPU
 // worker" — the verified decode then runs once more with the culprits

@@ -143,7 +143,10 @@ func TestPipelineMatchesSerial(t *testing.T) {
 // TestSerialNoisePoolMatchesInline pins the offline/online noise split on
 // the serial runtime: a one-lane Inferencer consuming precomputed pool
 // material produces logits bit-identical to internal/spec/stack's, which
-// draws no noise at all, and actually hits the pool.
+// draws no noise at all, and actually hits the pool. The first batch waits
+// until the pool's generator has drawn one cycle of the model's offloaded
+// layers, so a busy host that starts the generator late cannot empty the
+// check.
 func TestSerialNoisePoolMatchesInline(t *testing.T) {
 	cfg := Config{VirtualBatch: 2, Collusion: 1, Redundancy: 1, Seed: 3}
 	cluster := gpu.NewHonestCluster(cfg.VirtualBatch + cfg.Collusion + cfg.Redundancy)
@@ -156,6 +159,12 @@ func TestSerialNoisePoolMatchesInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pooled.Close()
+	cycle := int64(len(model.LinearLayers()))
+	for deadline := time.Now().Add(guard); pooled.PoolStats().Refills < cycle; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the pool drew %+v within %v, want one cycle of %d sets", pooled.PoolStats(), guard, cycle)
+		}
+	}
 
 	for b, images := range batches {
 		got, err := pooled.Forward(cluster, images)

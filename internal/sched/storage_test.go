@@ -54,11 +54,8 @@ func (l *flightLog) Release(f Fleet, culprits []int, err error) {
 }
 
 // requireRecycled fails unless every flight the log recorded has released
-// everything it owned. A flight is released once its batch's End has run
-// and the last held answer and spare job of the batch are done, which may
-// be just after the batch returned — a slow device's launch may still be
-// delivering, and a spare finishes on its own time — so the check allows
-// it until guard.
+// everything it owned. A flight is released at its batch's End, which runs
+// before the batch returns.
 func requireRecycled(t *testing.T, tag string, l *flightLog) {
 	t.Helper()
 	l.mu.Lock()
@@ -66,11 +63,7 @@ func requireRecycled(t *testing.T, tag string, l *flightLog) {
 	if len(l.flights) == 0 {
 		t.Fatalf("%s: no flight was opened", tag)
 	}
-	deadline := time.Now().Add(guard)
 	for i, f := range l.flights {
-		for f.Kept() != 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
 		if n := f.Kept(); n != 0 {
 			t.Fatalf("%s: flight %d still owns %d buffers after its batch ended", tag, i, n)
 		}
@@ -78,11 +71,11 @@ func requireRecycled(t *testing.T, tag string, l *flightLog) {
 }
 
 // TestTrainDeviceStorageBounded: a virtual batch's coded inputs are kept
-// by its flight only until the batch's backward pass and its laggards
-// have read them (§6), so after every TrainLargeBatch — on a bare cluster,
-// on fleet gangs whose quorum laggards read their inputs after the gather
-// returned, and on batches that fail — every flight the step opened has
-// released what it owned.
+// by its flight only until the batch's backward pass has read them (§6),
+// so after every TrainLargeBatch — on a bare cluster, on fleet gangs whose
+// quorum laggards' answers are not yet due when the batch ends, and on
+// batches that fail — every flight the step opened has released what it
+// owned.
 func TestTrainDeviceStorageBounded(t *testing.T) {
 	deep := func() *nn.Model { return nn.DeepMLP(1, 8, 8, 4, 12, rand.New(rand.NewSource(42))) }
 	const vbatches = 4

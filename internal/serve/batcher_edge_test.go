@@ -107,7 +107,8 @@ func TestExpiredContextAtAdmission(t *testing.T) {
 }
 
 // TestQueueFullCancelledContext: with the worker wedged (its gang held
-// externally), the pipeline backs up until the admission queue is full; a
+// externally), the pipeline backs up until the admission queue, 4·K deep,
+// is full; a
 // request arriving with a cancelled context must bail out with ctx.Err()
 // without corrupting the queue gauge, and the backlog must drain cleanly
 // once the gang frees up.
@@ -115,13 +116,12 @@ func TestQueueFullCancelledContext(t *testing.T) {
 	const (
 		k     = 2
 		gang  = k + 1
-		depth = 2
+		depth = 4 * k // the admission queue's capacity
 	)
 	fm := fleet.NewManager(gpu.NewHonestCluster(gang), fleet.Config{})
 	srv, err := New(Config{
-		Sched:      sched.Config{VirtualBatch: k, Seed: 141},
-		MaxWait:    time.Millisecond,
-		QueueDepth: depth,
+		Sched:   sched.Config{VirtualBatch: k, Seed: 141},
+		MaxWait: time.Millisecond,
 	}, replicas(1, 141), fm, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -140,9 +140,9 @@ type Snapshot struct {
 	// strictly in sequence, values above 1 mean the pipelined engine kept
 	// the TEE and the devices busy simultaneously.
 	Overlap float64
-	// NoisePool aggregates the workers' offline noise generators: Hits are
-	// encodes served from precomputed material, Misses fell back to inline
-	// draws. Zero when serving runs the serial engine.
+	// NoisePool aggregates the workers' offline noise generators, one per
+	// pipeline whatever its depth: Hits are encodes served from precomputed
+	// material, Misses fell back to inline draws.
 	NoisePool masking.NoisePoolStats
 
 	// Tenants is the per-tenant request accounting, ordered by name.

@@ -99,10 +99,9 @@ func TestShedTypedError(t *testing.T) {
 	const k = 4
 	fm := fleet.NewManager(gpu.NewHonestCluster(k+1), fleet.Config{})
 	srv, err := New(Config{
-		Sched:      sched.Config{VirtualBatch: k, Seed: 17},
-		QueueDepth: 16,
-		MaxWait:    400 * time.Millisecond,
-		Resil:      resil.Config{Shed: resil.ShedPolicy{MaxQueue: 2}},
+		Sched:   sched.Config{VirtualBatch: k, Seed: 17},
+		MaxWait: 400 * time.Millisecond,
+		Resil:   resil.Config{Shed: resil.ShedPolicy{MaxQueue: 2}},
 	}, replicas(1, 17), fm, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -65,9 +65,6 @@ type Config struct {
 	// Sched is the pipeline operating point (K, M, E, quantization,
 	// straggler slack, seed). VirtualBatch must be >= 1.
 	Sched sched.Config
-	// QueueDepth bounds the admission queue; Infer blocks (or honors its
-	// context) when the queue is full. 0 picks 4·K.
-	QueueDepth int
 	// MaxWait bounds how long an admitted request may wait for K-1 peers
 	// before the batcher flushes a padded partial batch. A request context
 	// with an earlier deadline shortens the wait for its batch. <= 0
@@ -228,10 +225,7 @@ func New(cfg Config, models []*nn.Model, fm *fleet.Manager, encl *enclave.Enclav
 			return nil, fmt.Errorf("serve: worker models disagree on input shape")
 		}
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 4 * k
-	}
+	depth := 4 * k // the admission queue; Infer blocks (or honors its context) when it is full
 	// The serving instruments are the store behind Metrics() whether or
 	// not anything scrapes them.
 	reg := cfg.Obs.Reg()
