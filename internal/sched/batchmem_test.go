@@ -313,8 +313,7 @@ func TestBackwardSkipsLowestInputGradient(t *testing.T) {
 // batch: a few allocations and a few hundred bytes over the measured 60
 // allocations and 3,424 bytes of an inference batch, 47 and 2,864 of a
 // training one, and 53 and 2,252 of a train_flight one (go1.24,
-// linux/amd64). Before a lane with straggler slack restaged its weights in
-// place, the train_flight batch was 56 and 4,608. Before the training pipeline
+// linux/amd64). Before the training pipeline
 // reused its tickets and a flight of devices that cannot block ran its
 // jobs on the gatherer, the training batches were 50 and 3,096, and 69
 // and 5,264. Before a training lane wrapped
